@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
+.PHONY: build test vet race bench bench-test bench-steps bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,18 @@ race:
 bench:
 	$(GO) test -run xxx -bench BenchmarkE -benchtime 200x ./...
 
+# The repository benchmark (bench/, a module of its own, so `go test ./...`
+# at the root does not reach it) compiles against internal/: its vet and its
+# own tests, smoke runs of every workload included.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The step path on its own: what one process step costs in time and garbage
+# (BenchmarkStepChain), that a dequeue's cost is flat in the backlog
+# (BenchmarkQueueDrain, which fails otherwise), and the E19 worker sweep.
+bench-steps:
+	$(GO) test -run xxx -bench 'BenchmarkStepChain|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process
+
 # The E17 multi-writer append-throughput benchmark on its own: per-append
 # locking vs group-commit batching, in-memory and with a per-commit fsync.
 bench-append:
@@ -33,7 +45,7 @@ bench-io:
 bench-storage:
 	$(GO) test -run xxx -bench BenchmarkE18 -benchtime 20x .
 
-# The E19 work-stealing pool benchmark on its own: workers × entity skew,
+# The E19 step-pool benchmark on its own: workers × entity skew,
 # cross-entity scaling vs per-entity serialisation.
 bench-pool:
 	$(GO) test -run xxx -bench BenchmarkE19 -benchtime 200x .
@@ -87,7 +99,7 @@ replication-faults:
 storage-faults:
 	$(GO) test -race -run 'TestStorageFaultMatrix|TestEnospc|TestFsync|TestCorruption|TestBreaker|TestShipRetry' ./internal/replica/
 	$(GO) test -race -run 'TestFaultBackend|TestWALTornWriteRecoveryMatrix|TestWALMidLogCorruption' ./internal/storage/
-	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestExtendLease|TestLaneLeaseRenewal|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
+	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestDeepBacklog|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
 	$(GO) test -race -run 'TestKernelSheds|TestKernelDegraded|TestEventSubmitSheds|TestDegradedStorage|TestEventDeadline' ./internal/core/ ./cmd/soupsd/
 
 # End-to-end crash test: populate a durable soupsd, kill -9, restart from the

@@ -846,17 +846,17 @@ func e19Key(skew string, zipf *workload.Zipf, i int) repro.Key {
 	}
 }
 
-// BenchmarkE19WorkStealingPool measures the process engine's work-stealing
-// pool: throughput of a fixed-latency step across worker counts and entity
-// skews. Each step models a realistic service time (a downstream call, a
+// BenchmarkE19WorkStealingPool measures the process engine's worker pool
+// (workers claiming whole entities from the queue's mailboxes): throughput
+// of a fixed-latency step across worker counts and entity skews. Each step models a realistic service time (a downstream call, a
 // log force) with a 100µs wait before its transaction commits, so the
 // scaling regime is step-latency-bound — the regime the pool exists for —
 // and the results are comparable across hosts regardless of core count
 // (the same honesty note as E17's sync=mem rows: pure-CPU steps cannot
 // scale past the hardware's parallelism). Uniform keys should scale with
 // workers; single-hot must stay flat — per-entity serialisation is the
-// contract, not a bottleneck to fix. Lane steals are reported per 1000
-// steps.
+// contract, not a bottleneck to fix. Lane steals — claims of an entity by a
+// worker other than its previous owner — are reported per 1000 steps.
 func BenchmarkE19WorkStealingPool(b *testing.B) {
 	const stepLatency = 100 * time.Microsecond
 	for _, skew := range e19Skews {
@@ -867,9 +867,7 @@ func BenchmarkE19WorkStealingPool(b *testing.B) {
 					b.Fatal(err)
 				}
 				mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "e19"})
-				// A long visibility timeout: the whole backlog is submitted up
-				// front and sits in lanes until executed.
-				q := queue.New("e19", queue.Options{VisibilityTimeout: 10 * time.Minute})
+				q := queue.New("e19", queue.Options{})
 				e := process.NewEngine(mgr, q, process.Options{Workers: workers})
 				def := process.NewDefinition("e19")
 				def.Step("e19.step", func(ctx *process.StepContext) error {

@@ -771,12 +771,13 @@ func e18(n int) *metrics.Table {
 	return tbl
 }
 
-// E19: the work-stealing step pool across workers × entity skew. Steps
+// E19: the step pool (workers claiming whole entities) across workers ×
+// entity skew. Steps
 // carry a modeled 100µs service time, so throughput is step-latency-bound:
 // uniform keys scale with workers, a single hot entity serialises by
 // contract and must stay flat.
 func e19(n int) *metrics.Table {
-	tbl := metrics.NewTable("E19 — work-stealing step pool: workers × entity skew (principles 2.5/2.6)",
+	tbl := metrics.NewTable("E19 — step pool: workers × entity skew (principles 2.5/2.6)",
 		"skew", "workers", "steps", "ops/sec", "lane steals", "peak lane depth")
 	const stepLatency = 100 * time.Microsecond
 	const entities = 256
@@ -785,7 +786,7 @@ func e19(n int) *metrics.Table {
 			db := lsdb.Open(lsdb.Options{Node: "e19", Validation: entity.Managed, Shards: 8})
 			db.RegisterType(workload.AccountType())
 			mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "e19"})
-			q := queue.New("e19", queue.Options{VisibilityTimeout: 10 * time.Minute})
+			q := queue.New("e19", queue.Options{})
 			e := process.NewEngine(mgr, q, process.Options{Workers: workers})
 			def := process.NewDefinition("e19")
 			def.Step("e19.step", func(ctx *process.StepContext) error {

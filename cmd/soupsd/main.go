@@ -590,7 +590,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "process.keyed_dequeues %d\n", ps.KeyedDequeues)
 	fmt.Fprintf(w, "process.queue_depth %d\n", k.QueueDepth())
 	fmt.Fprintf(w, "process.deadline_dropped %d\n", ps.DeadlineDropped)
-	fmt.Fprintf(w, "process.lease_renewals %d\n", ps.LeaseRenewals)
 	// Degraded-modes posture: admission-control sheds, units refusing writes
 	// and write attempts bounced off read-only units.
 	h := k.Health()

@@ -13,14 +13,14 @@
 // rather than refusals.
 //
 // Scheduling: each serialization unit runs its own process engine, and
-// Start launches Options.Workers workers per unit as a work-stealing pool
-// over per-entity serial lanes (see internal/process). Steps for different
-// entities run concurrently across — and now also within — units, while
-// every entity's steps execute serially in enqueue order, the guarantee the
-// paper's at-least-once-plus-idempotence recipe depends on. ProcessStats
-// aggregates the pool counters (lane steals, peak lane depth, keyed
-// dequeues) across units; docs/CONCURRENCY.md states the full ordering
-// contract.
+// Start launches Options.Workers workers per unit, each claiming whole
+// entities from the unit queue's per-entity mailboxes (see internal/process
+// and internal/queue). Steps for different entities run concurrently across
+// and within units, while every entity's steps execute serially in enqueue
+// order, the guarantee the paper's at-least-once-plus-idempotence recipe
+// depends on. ProcessStats aggregates the scheduling counters (entities
+// that moved between workers, deepest mailbox, deliveries popped in place)
+// across units; docs/CONCURRENCY.md states the full ordering contract.
 package core
 
 import (
@@ -157,13 +157,13 @@ type Options struct {
 	DeferredAggregates *bool
 	// CollapseVertical enables inline execution of follow-up steps.
 	CollapseVertical bool
-	// Workers is the size of each unit's work-stealing step pool when Start
-	// is used (default 2). Workers claim whole per-entity lanes, so raising
-	// it scales cross-entity step throughput with cores without ever
-	// reordering one entity's steps.
+	// Workers is the size of each unit's step pool when Start is used
+	// (default 2). Workers claim whole entities, so raising it scales
+	// cross-entity step throughput with cores without ever reordering one
+	// entity's steps.
 	Workers int
 	// MaxQueueDepth is the admission-control high-water mark on each unit's
-	// event queue: a Submit that would grow a unit's pending list past it is
+	// event queue: a Submit that would grow a unit's backlog past it is
 	// shed with an error wrapping queue.ErrOverloaded (soupsd maps it to
 	// 503 + Retry-After). Redeliveries of accepted work are exempt, so
 	// backpressure never reorders or drops per-entity work already taken in.
@@ -347,17 +347,7 @@ func Open(opts Options) (*Kernel, error) {
 			Node:                clock.NodeID(id),
 			EnforceSingleEntity: opts.Consistency == EventualSOUPS,
 		})
-		// Unit queues are in-process and die with the kernel, so visibility
-		// redelivery exists only for a consumer that lost a message while the
-		// process lives — which the engine's lanes never do. A long lease
-		// keeps deep lane backlogs (the dispatcher leases the whole
-		// deliverable backlog into lanes) from churning reclaim/redelivery
-		// cycles and spuriously dead-lettering messages that are alive in a
-		// lane; see the step-pool notes in internal/process.
-		q := queue.New(string(id), queue.Options{
-			VisibilityTimeout: 10 * time.Minute,
-			MaxDepth:          opts.MaxQueueDepth,
-		})
+		q := queue.New(string(id), queue.Options{MaxDepth: opts.MaxQueueDepth})
 		engine := process.NewEngine(mgr, q, process.Options{
 			Workers:          opts.Workers,
 			TxnMode:          opts.txnMode(),
@@ -1158,7 +1148,6 @@ func (k *Kernel) ProcessStats() process.Stats {
 		total.LaneSteals += s.LaneSteals
 		total.KeyedDequeues += s.KeyedDequeues
 		total.DeadlineDropped += s.DeadlineDropped
-		total.LeaseRenewals += s.LeaseRenewals
 		if s.PeakLaneDepth > total.PeakLaneDepth {
 			total.PeakLaneDepth = s.PeakLaneDepth
 		}

@@ -518,7 +518,13 @@ func (db *DB) commitAppendLocked(s *shard, rec *Record, next *entity.State) *ent
 		resState = next.DeepClone()
 	}
 	if !db.opts.DisableStateCache {
-		s.cache[rec.Key] = &cached{head: rec.LSN, state: next}
+		// Readers copy the entry's fields under the shard lock, so an
+		// existing entry is updated in place.
+		if c := s.cache[rec.Key]; c != nil {
+			c.head, c.state = rec.LSN, next
+		} else {
+			s.cache[rec.Key] = &cached{head: rec.LSN, state: next}
+		}
 	}
 	// Maintain the snapshot fallback; frozen states are shared, not cloned.
 	if db.opts.SnapshotEvery > 0 {
@@ -537,6 +543,11 @@ func (db *DB) commitAppendLocked(s *shard, rec *Record, next *entity.State) *ent
 // the shard lock; records arrive in ascending LSN order per shard because
 // LSNs are allocated under that lock.
 func (s *shard) appendRecordLocked(rec Record, segmentSize int) {
+	if s.active == nil {
+		// A segment is sealed at exactly segmentSize records; growing to
+		// that by doubling would allocate and copy it twice over.
+		s.active = make([]Record, 0, segmentSize)
+	}
 	s.active = append(s.active, rec)
 	if len(s.active) >= segmentSize {
 		s.sealed = append(s.sealed, s.active)

@@ -1,9 +1,9 @@
 package process
 
-// Deadline propagation and lane lease renewal: work that nobody is waiting
-// for anymore is dropped instead of executed, and a lane owner working
-// through a deep per-entity backlog renews the visibility leases of the
-// messages it holds so they are not redelivered out from under it.
+// Deadline propagation and deep backlogs: work that nobody is waiting for
+// anymore is dropped instead of executed, and a worker that owns an entity
+// with a deep backlog keeps it for as long as the backlog takes — ownership
+// is not a visibility lease, so nothing is redelivered out from under it.
 
 import (
 	"sync"
@@ -31,13 +31,13 @@ func newEngineWithQueue(t *testing.T, qopts queue.Options, opts Options) (*Engin
 	return e, mgr, q
 }
 
-// A deep lane over a short lease: without renewal the messages at the back
-// of the lane would expire mid-backlog and be redelivered; with renewal each
-// event runs exactly once and nothing is dead-lettered.
-func TestLaneLeaseRenewalKeepsDeepBacklogClaimed(t *testing.T) {
+// A deep backlog over a short visibility timeout: the backlog takes longer
+// to drain than a Dequeue lease would live, yet each event runs exactly once
+// and nothing is dead-lettered, because the events wait in their entity's
+// mailbox — not under leases — until the owner reaches them.
+func TestDeepBacklogOutlivesVisibilityTimeout(t *testing.T) {
 	const n = 30
-	// Lease 90ms, renewed every 30ms by the lane owner; the backlog takes
-	// ~150ms to drain, so the original leases would expire partway through.
+	// Visibility 90ms; the backlog takes ~150ms to drain.
 	e, _, q := newEngineWithQueue(t, queue.Options{VisibilityTimeout: 90 * time.Millisecond}, Options{Workers: 1})
 	var mu sync.Mutex
 	runs := map[string]int{}
@@ -71,20 +71,20 @@ func TestLaneLeaseRenewalKeepsDeepBacklogClaimed(t *testing.T) {
 	}
 	for txnID, c := range runs {
 		if c != 1 {
-			t.Fatalf("event %s ran %d times, want exactly once (lease expired mid-lane?)", txnID, c)
+			t.Fatalf("event %s ran %d times, want exactly once", txnID, c)
 		}
 	}
 	if dead := q.DeadLetters(); len(dead) != 0 {
 		t.Fatalf("%d messages dead-lettered during the backlog: %v", len(dead), dead)
 	}
-	if e.Stats().LeaseRenewals == 0 {
-		t.Fatal("lane owner renewed no leases over a 150ms backlog on a 90ms visibility timeout")
+	if got := e.Stats().KeyedDequeues; got < n-1-n/laneBudget {
+		t.Fatalf("owner popped only %d of the entity's %d follow-on events in place", got, n-1)
 	}
 }
 
-// An event whose deadline passed while it sat in a lane is dropped by the
-// engine just before execution (the queue-side drop uses the queue's clock;
-// here the queue's clock is frozen so only the engine check can fire).
+// An event whose deadline passed is dropped by the engine just before
+// execution (the queue-side drop uses the queue's clock; here the queue's
+// clock is frozen so only the engine check can fire).
 func TestEngineDropsExpiredDeadlineBeforeExecution(t *testing.T) {
 	frozen := time.Unix(0, 0)
 	e, _, _ := newEngineWithQueue(t, queue.Options{Clock: func() time.Time { return frozen }}, Options{})

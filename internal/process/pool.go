@@ -1,4 +1,4 @@
-// Work-stealing worker pool with per-entity serial lanes.
+// The worker pool: workers claim whole entities straight from the queue.
 //
 // The scheduling model (principles 2.5/2.6): steps for *different* entities
 // may run concurrently — that is where the parallelism of serialization
@@ -7,385 +7,62 @@
 // at-least-once-plus-idempotence recipe only yields effective exactly-once
 // when a single entity's steps are never reordered.
 //
-// The pool realises that contract with three pieces:
-//
-//   - A dispatcher pulls deliverable messages off the engine's queue with
-//     queue.DequeueWaitOrdered — per-entity enqueue order, head-of-line
-//     blocking per entity — and hash-routes each one onto its entity's
-//     lane, creating the lane on first use.
-//   - A lane is the serial execution queue of one entity key: deliveries
-//     ordered by message ID (= enqueue order), owned by at most one worker
-//     at a time. A step failure keeps the delivery at the lane head and
-//     parks the whole lane for the retry backoff, so a retry can never be
-//     overtaken by the entity's later steps.
-//   - Workers claim whole lanes, never individual messages: each worker
-//     prefers the run queue it is "home" to (partition.KeyShard of the
-//     entity key), and an idle worker steals a lane from the tail of
-//     another worker's run queue. Stealing moves the unit of serialisation,
-//     so concurrency scales with cores while the ordering contract is
-//     untouched.
-//
-// When a worker drains its lane empty it asks the queue for more work for
-// that same entity first (queue.DequeueEntity, "lane hinting") before
-// releasing the lane — a hot entity keeps flowing through one worker
-// without a dispatcher round-trip per message.
+// The queue already keeps each entity's pending events in a mailbox of its
+// own, in enqueue order, with at most one owner (internal/queue). A worker
+// blocks in queue.Claim until some entity has a deliverable event and no
+// owner, runs that entity's events one after another while it owns it,
+// acknowledging each in place, and releases it. A failed step stays at the
+// head of the mailbox and the entity parks for the retry backoff, so a retry
+// can never be overtaken by the entity's later steps. Any worker may claim
+// any entity, so concurrency scales with cores while the ordering contract
+// is untouched.
 package process
 
 import (
-	"errors"
-	"sync"
-	"time"
-
 	"repro/internal/entity"
-	"repro/internal/partition"
 	"repro/internal/queue"
 )
 
-// laneMsg is one delivery owned by a lane. attempts counts executions of
-// this delivery (lane-internal retries do not round-trip through the queue,
-// so the queue's per-delivery counter alone would under-count).
-type laneMsg struct {
-	m        *queue.Message
-	attempts int
-}
-
-// lane is the serial execution queue of one entity key. Where it lives is
-// implied by ownership: on exactly one worker's run queue, held by exactly
-// one draining worker, or parked (the one state that needs a flag, because
-// the unpark timer must not requeue a lane that was already resumed).
-type lane struct {
-	key  entity.Key
-	home int // preferred worker index: hash of the entity key
-	// parked marks a lane waiting out a retry backoff; a timer requeues it.
-	parked bool
-	// lastRenew is when the owner last renewed the visibility leases of the
-	// deliveries this lane holds (zero until the first drain touches it).
-	lastRenew time.Time
-	// notBefore delays the lane's next execution (retry backoff). The failed
-	// delivery stays at the head of fifo, so the entity's later steps wait
-	// behind it instead of overtaking it.
-	notBefore time.Time
-	fifo      []laneMsg // pending deliveries, ascending message ID
-}
-
-// pool is the engine's work-stealing scheduler.
-type pool struct {
-	e       *Engine
-	workers int
-	// renewEvery is the lease-renewal cadence: a lane owner refreshes the
-	// visibility leases of the deliveries it holds every renewEvery while
-	// draining, so a backlog deeper than one visibility timeout's worth of
-	// work is neither reclaimed out from under the lane (redelivery thrash)
-	// nor marched attempt by attempt into the dead-letter list.
-	renewEvery time.Duration
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	lanes   map[entity.Key]*lane
-	runq    [][]*lane // per-worker queues of claimable lanes
-	stopped bool
-	wg      sync.WaitGroup
-
-	// Counters surfaced through Engine.Stats.
-	steals    uint64
-	peakDepth uint64
-	hints     uint64
-	renewals  uint64
-}
-
-func newPool(e *Engine, workers int) *pool {
-	p := &pool{
-		e:          e,
-		workers:    workers,
-		renewEvery: e.q.VisibilityTimeout() / 3,
-		lanes:      map[entity.Key]*lane{},
-		runq:       make([][]*lane, workers),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// start launches the dispatcher and the workers.
-func (p *pool) start() {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.dispatchLoop()
-	}()
-	for w := 0; w < p.workers; w++ {
-		w := w
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.workerLoop(w)
-		}()
-	}
-}
-
-// stop wakes every worker and waits for the dispatcher and workers to
-// finish their current step. Deliveries still sitting in lanes stay leased
-// on the queue; the engine is terminal after Stop, so they are simply
-// abandoned (a restarted consumer would receive them again after the
-// visibility timeout — at-least-once).
-func (p *pool) stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// dispatchLoop is the pool's intake: deliverable messages come off the
-// queue in per-entity enqueue order and are hash-routed to their entity's
-// lane.
-func (p *pool) dispatchLoop() {
-	for {
-		select {
-		case <-p.e.stopCh:
-			return
-		default:
-		}
-		m, err := p.e.q.DequeueWaitOrdered(p.e.opts.Topic, 20*time.Millisecond)
-		if errors.Is(err, queue.ErrClosed) {
-			return
-		}
-		if err != nil {
-			continue
-		}
-		p.route(m)
-	}
-}
-
-// route places one dequeued delivery on its entity's lane, creating the
-// lane (homed to a worker by key hash) when the entity has none, and makes
-// a fresh lane claimable.
-func (p *pool) route(m *queue.Message) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ln := p.lanes[m.Event.Entity]
-	if ln == nil {
-		ln = &lane{
-			key:  m.Event.Entity,
-			home: partition.KeyShard(m.Event.Entity, p.workers),
-		}
-		p.lanes[m.Event.Entity] = ln
-		p.insertLocked(ln, m)
-		p.runq[ln.home] = append(p.runq[ln.home], ln)
-		p.cond.Broadcast()
-		return
-	}
-	// The lane exists: it is queued, running or parked. Appending is enough
-	// in every case — the owner (or the unpark timer) sees the new delivery.
-	p.insertLocked(ln, m)
-}
-
-// insertLocked adds a delivery in message-ID order (IDs are assigned at
-// enqueue, so ID order is the entity's enqueue order) and drops a duplicate
-// of a delivery the lane already holds — a visibility-timeout redelivery of
-// a message that is still pending here. Reports whether the delivery was
-// added.
-func (p *pool) insertLocked(ln *lane, m *queue.Message) bool {
-	i := len(ln.fifo)
-	for i > 0 && ln.fifo[i-1].m.ID > m.ID {
-		i--
-	}
-	if i > 0 && ln.fifo[i-1].m.ID == m.ID {
-		// Already pending: the lane's eventual Ack settles the fresh lease.
-		return false
-	}
-	ln.fifo = append(ln.fifo, laneMsg{})
-	copy(ln.fifo[i+1:], ln.fifo[i:])
-	ln.fifo[i] = laneMsg{m: m, attempts: m.Attempts}
-	if d := uint64(len(ln.fifo)); d > p.peakDepth {
-		p.peakDepth = d
-	}
-	return true
-}
-
-// workerLoop claims lanes and drains them until the pool stops.
-func (p *pool) workerLoop(w int) {
-	for {
-		ln := p.claim(w)
-		if ln == nil {
-			return
-		}
-		p.drain(ln)
-	}
-}
-
-// claim blocks until a lane is claimable: the worker's own run queue first
-// (oldest lane), then — work stealing — the tail of another worker's run
-// queue. Returns nil when the pool stopped.
-func (p *pool) claim(w int) *lane {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.stopped {
-			return nil
-		}
-		if q := p.runq[w]; len(q) > 0 {
-			ln := q[0]
-			p.runq[w] = q[1:]
-			return ln
-		}
-		for off := 1; off < p.workers; off++ {
-			v := (w + off) % p.workers
-			q := p.runq[v]
-			if len(q) == 0 {
-				continue
-			}
-			ln := q[len(q)-1]
-			p.runq[v] = q[:len(q)-1]
-			p.steals++
-			return ln
-		}
-		p.cond.Wait()
-	}
-}
-
-// laneBudget is how many deliveries (executions plus hinted dequeues) one
-// lane claim may consume before the worker yields: a continuously refilled
-// hot lane goes back to the tail of its home run queue so the other lanes
-// queued behind it make progress instead of starving.
+// laneBudget is how many deliveries one claim may consume before the worker
+// gives the entity back: a continuously refilled hot entity goes to the back
+// of the run list so the entities queued behind it make progress instead of
+// starving.
 const laneBudget = 64
 
-// drain executes the lane's deliveries in enqueue order. The lane is
-// released when empty (after offering the queue a chance to hand over newly
-// arrived work for the same entity), parked when its head delivery is
-// backing off after a failure, and requeued when it exhausts this claim's
-// fairness budget.
-func (p *pool) drain(ln *lane) {
-	e := p.e
-	budget := laneBudget
+// work claims entities and drains them until the engine stops or the queue
+// closes.
+func (e *Engine) work(w int) {
+	defer e.workers.Done()
 	for {
-		p.mu.Lock()
-		if p.stopped {
-			p.mu.Unlock()
+		mb, m := e.q.Claim(e.opts.Topic, w, e.stopCh)
+		if mb == nil {
 			return
 		}
-		p.renewLeasesLocked(ln, time.Now())
-		if budget <= 0 {
-			if len(ln.fifo) > 0 {
-				// Yield: back of the home run queue, behind waiting lanes.
-				p.runq[ln.home] = append(p.runq[ln.home], ln)
-				p.cond.Broadcast()
-			} else {
-				// Out of budget and empty: retire without another hint; the
-				// dispatcher re-lanes the entity if more work arrives.
-				delete(p.lanes, ln.key)
-			}
-			p.mu.Unlock()
-			return
-		}
-		if !ln.notBefore.IsZero() && ln.notBefore.After(time.Now()) {
-			p.parkLocked(ln)
-			p.mu.Unlock()
-			return
-		}
-		if len(ln.fifo) == 0 {
-			p.mu.Unlock()
-			// Lane hinting: pull the entity's next delivery straight off the
-			// queue while we still own its serialisation. DequeueEntity
-			// refuses when any of the entity's messages is leased elsewhere
-			// (e.g. in the dispatcher's hands between dequeue and route), so
-			// the hint can never overtake an earlier in-flight delivery.
-			if m, err := e.q.DequeueEntity(e.opts.Topic, ln.key); err == nil {
-				budget--
-				p.mu.Lock()
-				if p.insertLocked(ln, m) {
-					p.hints++
-				}
-				p.mu.Unlock()
-				continue
-			}
-			p.mu.Lock()
-			if len(ln.fifo) == 0 {
-				// Nothing pending and nothing on the queue: retire the lane.
-				// The dispatcher creates a fresh one if the entity comes back.
-				delete(p.lanes, ln.key)
-				p.mu.Unlock()
-				return
-			}
-			p.mu.Unlock()
-			continue
-		}
-		lm := ln.fifo[0]
-		p.mu.Unlock()
-
-		budget--
-		if e.runLaneDelivery(lm, ln.key) {
-			// Terminal: executed, skipped as a duplicate, dead-lettered to
-			// compensation, or unknown. The delivery leaves the lane.
-			_ = e.q.Ack(lm.m.ID)
-			p.mu.Lock()
-			if len(ln.fifo) > 0 && ln.fifo[0].m.ID == lm.m.ID {
-				ln.fifo = ln.fifo[1:]
-			}
-			ln.notBefore = time.Time{}
-			p.mu.Unlock()
-			continue
-		}
-		// Retry: the delivery stays at the head and the whole lane backs
-		// off, so the entity's later steps cannot overtake the failed one.
-		p.mu.Lock()
-		if len(ln.fifo) > 0 && ln.fifo[0].m.ID == lm.m.ID {
-			ln.fifo[0].attempts++
-		}
-		ln.notBefore = time.Now().Add(e.opts.RetryBackoff)
-		p.mu.Unlock()
+		key := mb.Key()
+		e.drain(mb, m, &key)
 	}
 }
 
-// renewLeasesLocked refreshes the visibility leases of every delivery the
-// lane still holds, at most once per renewEvery. The first touch only
-// stamps the clock — the leases were granted at dequeue, so a full renewal
-// interval of margin remains. A renewal that fails (the delivery was acked
-// or already reclaimed) is ignored; insertLocked dedups any redelivery.
-func (p *pool) renewLeasesLocked(ln *lane, now time.Time) {
-	if p.renewEvery <= 0 || len(ln.fifo) == 0 {
-		return
-	}
-	if ln.lastRenew.IsZero() {
-		ln.lastRenew = now
-		return
-	}
-	if now.Sub(ln.lastRenew) < p.renewEvery {
-		return
-	}
-	ln.lastRenew = now
-	for _, lm := range ln.fifo {
-		if p.e.q.ExtendLease(lm.m.ID) == nil {
-			p.renewals++
+// drain executes an owned entity's deliveries in enqueue order, starting
+// with m, and releases the entity: when its mailbox is empty, when its head
+// delivery failed and backs off (the delivery stays at the head, so the
+// entity's later steps cannot overtake it), when this claim's fairness
+// budget is spent, or when the engine is stopping. It returns the number of
+// deliveries handled. laneKey is executeStep's.
+func (e *Engine) drain(mb *queue.Mailbox, m *queue.Message, laneKey *entity.Key) int {
+	n := 0
+	for m != nil {
+		n++
+		if e.deliver(m, laneKey) {
+			mb.Ack()
+		} else {
+			mb.Retry(e.opts.RetryBackoff)
 		}
+		if n == laneBudget || e.stopping() {
+			break
+		}
+		m = mb.Next()
 	}
-}
-
-// parkLocked suspends a backing-off lane; a timer requeues it on its home
-// worker when the backoff elapses.
-func (p *pool) parkLocked(ln *lane) {
-	ln.parked = true
-	wait := time.Until(ln.notBefore)
-	if wait < 0 {
-		wait = 0
-	}
-	time.AfterFunc(wait, func() { p.unpark(ln) })
-}
-
-// unpark returns a parked lane to its home run queue.
-func (p *pool) unpark(ln *lane) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped || !ln.parked {
-		return
-	}
-	ln.parked = false
-	p.runq[ln.home] = append(p.runq[ln.home], ln)
-	p.cond.Broadcast()
-}
-
-// snapshot returns the pool counters for Engine.Stats.
-func (p *pool) snapshot() (steals, peakDepth, hints, renewals uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.steals, p.peakDepth, p.hints, p.renewals
+	mb.Release()
+	return n
 }

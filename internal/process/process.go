@@ -7,25 +7,28 @@
 // actions, and implements the vertical and horizontal step-collapsing
 // optimisations sketched in section 3.1.
 //
-// Scheduling is a work-stealing worker pool over per-entity serial lanes
-// (pool.go): a dispatcher pulls events off the queue in per-entity enqueue
-// order and hash-routes each one to its entity's lane; workers claim and
-// steal whole lanes, never individual messages. Steps for different
-// entities therefore run concurrently — the parallelism the paper's
-// serialization units promise (2.5/2.6) — while every entity's steps,
-// including retries, backoff redeliveries and same-entity vertically
-// collapsed children, execute serially in enqueue order. That ordering is
-// what lets idempotent consumers treat at-least-once delivery as effective
-// exactly-once (the Helland recipe the paper cites in 2.4); the contract is
-// written out in docs/CONCURRENCY.md and pinned by the ordering stress
-// suite in order_test.go.
+// Scheduling is a pool of workers that claim whole entities straight from
+// the queue's per-entity mailboxes (pool.go), never individual messages: a
+// worker owns an entity while it runs that entity's steps in enqueue order,
+// then gives it back. Steps for different entities therefore run
+// concurrently — the parallelism the paper's serialization units promise
+// (2.5/2.6) — while every entity's steps, including retries, backoff
+// redeliveries and same-entity vertically collapsed children, execute
+// serially in enqueue order. That ordering is what lets idempotent
+// consumers treat at-least-once delivery as effective exactly-once (the
+// Helland recipe the paper cites in 2.4); the contract is written out in
+// docs/CONCURRENCY.md and pinned by the ordering stress suite in
+// order_test.go.
 package process
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/entity"
@@ -56,8 +59,10 @@ type StepContext struct {
 	// Attempt is the delivery attempt number (1 for the first try).
 	Attempt int
 
-	engine  *Engine
+	engine *Engine
+	// emitted has inline room for the one follow-up event most steps emit.
 	emitted []queue.Event
+	room    [1]queue.Event
 }
 
 // Emit schedules a follow-up event. The event is only delivered if this
@@ -66,7 +71,7 @@ type StepContext struct {
 // step inline.
 func (c *StepContext) Emit(ev queue.Event) {
 	if ev.TxnID == "" {
-		ev.TxnID = fmt.Sprintf("%s/%s#%d", c.Txn.ID(), ev.Name, len(c.emitted))
+		ev.TxnID = c.Txn.ID() + "/" + ev.Name + "#" + strconv.Itoa(len(c.emitted))
 	}
 	if ev.Deadline.IsZero() {
 		// Follow-up steps inherit the triggering request's patience: if the
@@ -130,9 +135,9 @@ func (d *Definition) Events() []string {
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the size of the work-stealing pool Start launches (default
-	// 1; experiment E19 sweeps this for the parallelism claims of 2.5/2.6).
-	// Workers steal whole entity lanes, so any setting preserves per-entity
+	// Workers is the size of the worker pool Start launches (default 1;
+	// experiment E19 sweeps this for the parallelism claims of 2.5/2.6).
+	// Workers claim whole entities, so any setting preserves per-entity
 	// ordering; more workers only add cross-entity concurrency.
 	Workers int
 	// MaxAttempts is how many times a step is retried before compensation
@@ -170,42 +175,107 @@ type Stats struct {
 	AuditLines     uint64
 	UnknownEvents  uint64
 	EnqueuedEvents uint64
-	// LaneSteals counts lanes an idle worker claimed from another worker's
-	// run queue — the work-stealing that keeps all cores busy under skew.
+	// LaneSteals counts claims of an entity by a worker other than its
+	// previous owner — the entity moved between workers while it still had
+	// work, which is what keeps all cores busy under skew.
 	LaneSteals uint64
-	// PeakLaneDepth is the most deliveries any single entity lane has held
-	// at once: a high value means one entity dominates the workload and its
-	// steps are (correctly) serialising.
+	// PeakLaneDepth is the most deliveries any single entity's mailbox has
+	// held at once: a high value means one entity dominates the workload and
+	// its steps are (correctly) serialising.
 	PeakLaneDepth uint64
-	// KeyedDequeues counts deliveries a lane owner pulled straight off the
-	// queue for its own entity (lane hinting), bypassing the dispatcher.
+	// KeyedDequeues counts deliveries an owner popped beyond the first of
+	// its claim: a hot entity's work served without going back through the
+	// run list.
 	KeyedDequeues uint64
 	// DeadlineDropped counts deliveries discarded unexecuted because their
 	// event deadline had passed by the time a worker reached them.
 	DeadlineDropped uint64
-	// LeaseRenewals counts visibility-lease renewals lane owners issued for
-	// deliveries they were still holding.
-	LeaseRenewals uint64
+}
+
+// counters is Stats as the hot path bumps it.
+type counters struct {
+	stepsExecuted, stepsFailed, retries, compensations, collapsed atomic.Uint64
+	eventsEmitted, auditLines, unknownEvents, enqueuedEvents      atomic.Uint64
+	deadlineDropped                                               atomic.Uint64
+}
+
+// stepTable is the registered handlers. A published table is never written
+// again — Register swaps in a copy — so steps look handlers up lock-free.
+type stepTable struct {
+	steps map[string]Handler
+	comps map[string]CompensationHandler
+}
+
+// stepID is the idempotence key of one step execution.
+type stepID struct{ name, txnID string }
+
+// doneWindow is how many executed step identities an engine remembers. A
+// duplicate delivery arrives close behind the original — a transport
+// duplicate is next in the entity's mailbox, a lease redelivery or client
+// resubmission follows within a timeout — so the window covers seconds of
+// steps at full rate without the set growing with the life of the process.
+const doneWindow = 1 << 15
+
+// doneSet is the bounded set of step identities already executed
+// successfully. It keeps two generations of at most limit/2 identities each
+// and forgets the older one wholesale when the newer fills up, so it always
+// remembers at least the newest limit/2 executions, never holds more than
+// limit, and pays no per-step eviction.
+type doneSet struct {
+	mu        sync.Mutex
+	limit     int
+	cur, prev map[stepID]struct{}
+}
+
+func newDoneSet(limit int) *doneSet {
+	return &doneSet{limit: limit, cur: map[stepID]struct{}{}, prev: map[stepID]struct{}{}}
+}
+
+func (d *doneSet) has(id stepID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.cur[id]; ok {
+		return true
+	}
+	_, ok := d.prev[id]
+	return ok
+}
+
+func (d *doneSet) add(id stepID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.cur) >= d.limit/2 {
+		d.cur, d.prev = d.prev, d.cur
+		clear(d.cur)
+	}
+	d.cur[id] = struct{}{}
+}
+
+func (d *doneSet) size() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.cur) + len(d.prev)
 }
 
 // Engine schedules process steps from a queue against one serialization
-// unit's transaction manager. Start launches the work-stealing pool; Drain
-// executes synchronously on the calling goroutine. Both preserve per-entity
-// enqueue order.
+// unit's transaction manager. Start launches the worker pool; Drain executes
+// synchronously on the calling goroutine. Both claim whole entities from the
+// queue, so both preserve per-entity enqueue order.
 type Engine struct {
 	opts Options
 	mgr  *txn.Manager
 	q    *queue.Queue
 
-	mu        sync.Mutex
-	handlers  map[string]Handler
-	comps     map[string]CompensationHandler
-	stats     Stats
-	auditLog  []string
-	stopCh    chan struct{}
-	stopped   bool
-	pool      *pool           // non-nil once Start launched the worker pool
-	completed map[string]bool // step identities already executed successfully
+	table atomic.Pointer[stepTable]
+	stats counters
+	done  *doneSet
+	// stopCh is closed by Stop; workers see it between deliveries.
+	stopCh chan struct{}
+
+	mu       sync.Mutex // guards Register, Start/Stop and auditLog
+	started  bool
+	workers  sync.WaitGroup
+	auditLog []string
 }
 
 // NewEngine creates an engine executing steps against mgr, consuming from q.
@@ -225,245 +295,178 @@ func NewEngine(mgr *txn.Manager, q *queue.Queue, opts Options) *Engine {
 	if opts.Topic == "" {
 		opts.Topic = "steps"
 	}
-	return &Engine{
-		opts:      opts,
-		mgr:       mgr,
-		q:         q,
-		handlers:  map[string]Handler{},
-		comps:     map[string]CompensationHandler{},
-		stopCh:    make(chan struct{}),
-		completed: map[string]bool{},
+	e := &Engine{
+		opts:   opts,
+		mgr:    mgr,
+		q:      q,
+		done:   newDoneSet(doneWindow),
+		stopCh: make(chan struct{}),
 	}
+	e.table.Store(&stepTable{steps: map[string]Handler{}, comps: map[string]CompensationHandler{}})
+	return e
 }
 
 // Register adds every step of the definition to the engine.
 func (e *Engine) Register(def *Definition) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for ev := range def.steps {
-		if _, exists := e.handlers[ev]; exists {
+	old := e.table.Load()
+	next := &stepTable{steps: maps.Clone(old.steps), comps: maps.Clone(old.comps)}
+	for ev, h := range def.steps {
+		if _, exists := old.steps[ev]; exists {
 			return fmt.Errorf("%w: %s", ErrDuplicateStep, ev)
 		}
-	}
-	for ev, h := range def.steps {
-		e.handlers[ev] = h
+		next.steps[ev] = h
 	}
 	for ev, h := range def.comp {
-		e.comps[ev] = h
+		next.comps[ev] = h
 	}
+	e.table.Store(next)
 	return nil
+}
+
+// stopping reports whether Stop has been called.
+func (e *Engine) stopping() bool {
+	select {
+	case <-e.stopCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // Submit enqueues an event that will trigger a process step.
 func (e *Engine) Submit(ev queue.Event) error {
-	e.mu.Lock()
-	stopped := e.stopped
-	e.mu.Unlock()
-	if stopped {
+	if e.stopping() {
 		return ErrStopped
 	}
 	_, err := e.q.Enqueue(e.opts.Topic, ev)
 	if err == nil {
-		e.mu.Lock()
-		e.stats.EnqueuedEvents++
-		e.mu.Unlock()
+		e.stats.enqueuedEvents.Add(1)
 	}
 	return err
 }
 
-// Start launches the work-stealing worker pool: a dispatcher routing
-// dequeued events onto per-entity serial lanes and Options.Workers workers
-// claiming (and stealing) whole lanes. It is a no-op if the pool is already
-// running or the engine stopped.
+// Start launches Options.Workers workers, each claiming whole entities from
+// the queue. It is a no-op if the pool is already running or the engine
+// stopped.
 func (e *Engine) Start() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.pool != nil || e.stopped {
+	if e.started || e.stopping() {
 		return
 	}
-	e.pool = newPool(e, e.opts.Workers)
-	e.pool.start()
+	e.started = true
+	for w := 0; w < e.opts.Workers; w++ {
+		e.workers.Add(1)
+		go e.work(w)
+	}
 }
 
-// Stop terminates the pool after in-flight steps finish. Deliveries still
-// waiting in lanes are abandoned un-acked (the engine is terminal after
-// Stop); their effects either committed — and are recorded in the
-// idempotence set — or never happened. It is safe to call more than once.
+// Stop terminates the pool after in-flight steps finish. Events not yet
+// executed stay in the queue, in order; the engine is terminal after Stop.
+// It is safe to call more than once.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return
+	if !e.stopping() {
+		close(e.stopCh)
 	}
-	e.stopped = true
-	close(e.stopCh)
-	p := e.pool
 	e.mu.Unlock()
-	if p != nil {
-		p.stop()
-	}
+	e.q.Wake()
+	e.workers.Wait()
 }
 
 // Drain processes queued events synchronously on the calling goroutine until
-// nothing is deliverable. It is what tests and single-threaded benchmarks
-// use instead of Start/Stop. The ordered dequeue keeps per-entity enqueue
-// order even here: an entity whose head delivery is backing off is held
-// back entirely rather than having its later steps run first.
+// nothing is deliverable, and returns how many deliveries it handled. It is
+// what tests and single-threaded benchmarks use instead of Start/Stop. An
+// entity whose head delivery is backing off is held back entirely rather
+// than having its later steps run first.
 func (e *Engine) Drain() int {
 	n := 0
 	for {
-		m, err := e.q.DequeueOrdered(e.opts.Topic)
-		if errors.Is(err, queue.ErrEmpty) || errors.Is(err, queue.ErrClosed) {
+		mb, m := e.q.TryClaim(e.opts.Topic)
+		if mb == nil {
 			return n
 		}
-		if err != nil {
-			return n
-		}
-		e.handleMessage(m)
-		n++
+		n += e.drain(mb, m, nil)
 	}
 }
 
-// handleMessage executes the step for one delivery on the synchronous Drain
-// path, acking or nacking it. Retries round-trip through the queue here —
-// with a single caller and the ordered dequeue that cannot reorder an
-// entity's steps; the pool path instead retries inside the lane
-// (runLaneDelivery).
-func (e *Engine) handleMessage(m *queue.Message) {
+// deliver executes the step for one delivery and reports whether it is
+// settled — executed, skipped as a duplicate, unknown, past its deadline, or
+// out of attempts and handed to its compensation handler — or must stay at
+// the head of its entity's mailbox and be retried after a backoff.
+func (e *Engine) deliver(m *queue.Message, laneKey *entity.Key) bool {
 	if e.pastDeadline(m.Event) {
-		_ = e.q.Ack(m.ID)
-		return
-	}
-	err := e.executeStep(m.Event, m.Attempts, e.opts.CollapseDepth, nil)
-	switch {
-	case err == nil:
-		_ = e.q.Ack(m.ID)
-	case errors.Is(err, ErrUnknownStep):
-		// Nothing will ever handle it; dead-letter via compensation path.
-		e.mu.Lock()
-		e.stats.UnknownEvents++
-		e.mu.Unlock()
-		_ = e.q.Ack(m.ID)
-	default:
-		e.mu.Lock()
-		e.stats.Retries++
-		maxed := m.Attempts >= e.opts.MaxAttempts
-		comp := e.comps[m.Event.Name]
-		e.mu.Unlock()
-		if maxed {
-			if comp != nil {
-				comp(m.Event, m.Attempts, err)
-				e.mu.Lock()
-				e.stats.Compensations++
-				e.mu.Unlock()
-			}
-			_ = e.q.Ack(m.ID)
-			return
-		}
-		_ = e.q.Nack(m.ID, e.opts.RetryBackoff)
-	}
-}
-
-// runLaneDelivery executes one lane-owned delivery and classifies the
-// outcome. It reports true when the delivery is terminal — executed,
-// deduplicated, unknown, or dead-lettered through its compensation handler
-// — and false when the lane should keep it at the head and back off.
-func (e *Engine) runLaneDelivery(lm laneMsg, laneKey entity.Key) bool {
-	if e.pastDeadline(lm.m.Event) {
 		return true
 	}
-	err := e.executeStep(lm.m.Event, lm.attempts, e.opts.CollapseDepth, &laneKey)
+	err := e.executeStep(m.Event, m.Attempts, e.opts.CollapseDepth, laneKey)
 	switch {
 	case err == nil:
 		return true
 	case errors.Is(err, ErrUnknownStep):
-		e.mu.Lock()
-		e.stats.UnknownEvents++
-		e.mu.Unlock()
+		// Nothing will ever handle it.
+		e.stats.unknownEvents.Add(1)
 		return true
-	default:
-		e.mu.Lock()
-		e.stats.Retries++
-		maxed := lm.attempts >= e.opts.MaxAttempts
-		comp := e.comps[lm.m.Event.Name]
-		e.mu.Unlock()
-		if maxed {
-			if comp != nil {
-				comp(lm.m.Event, lm.attempts, err)
-				e.mu.Lock()
-				e.stats.Compensations++
-				e.mu.Unlock()
-			}
-			return true
-		}
+	}
+	e.stats.retries.Add(1)
+	if m.Attempts < e.opts.MaxAttempts {
 		return false
 	}
+	if comp := e.table.Load().comps[m.Event.Name]; comp != nil {
+		comp(m.Event, m.Attempts, err)
+		e.stats.compensations.Add(1)
+	}
+	return true
 }
 
 // pastDeadline reports (and counts) a delivery whose event deadline passed
-// before execution: the queue drops expired work at dequeue, but a deadline
-// can also expire while the delivery waits in a lane, so the engine
-// re-checks immediately before running the step. The drop is terminal.
+// before execution. The queue drops expired work by its own clock when it
+// hands a message out; the engine re-checks by the wall clock immediately
+// before running the step. The drop is terminal.
 func (e *Engine) pastDeadline(ev queue.Event) bool {
 	if ev.Deadline.IsZero() || !time.Now().After(ev.Deadline) {
 		return false
 	}
-	e.mu.Lock()
-	e.stats.DeadlineDropped++
-	e.mu.Unlock()
+	e.stats.deadlineDropped.Add(1)
 	return true
-}
-
-// stepIdentity derives the idempotence key of one step execution.
-func stepIdentity(ev queue.Event) string {
-	if ev.TxnID == "" {
-		return ""
-	}
-	return ev.Name + "|" + ev.TxnID
 }
 
 // executeStep runs the handler for one event inside its own transaction. If
 // vertical collapsing is enabled, events emitted by the step whose handlers
 // are known locally are executed inline (depth-limited); everything else
-// goes through the queue. laneKey, when non-nil, is the entity lane this
+// goes through the queue. laneKey, when non-nil, is the entity this
 // execution is serialised under: inline collapsing is then restricted to
 // children of that same entity, because running another entity's step here
-// would bypass that entity's lane and break its serial order.
+// would bypass that entity's ownership and break its serial order.
 func (e *Engine) executeStep(ev queue.Event, attempt, depth int, laneKey *entity.Key) error {
-	e.mu.Lock()
-	h, ok := e.handlers[ev.Name]
-	already := e.completed[stepIdentity(ev)]
-	e.mu.Unlock()
+	h, ok := e.table.Load().steps[ev.Name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStep, ev.Name)
 	}
 	// Idempotence: at-least-once delivery may hand us a step that already
 	// executed successfully (same event identity); skip the re-delivery.
-	if id := stepIdentity(ev); id != "" && already {
+	id := stepID{ev.Name, ev.TxnID}
+	if ev.TxnID != "" && e.done.has(id) {
 		return nil
 	}
 	t := e.mgr.Begin(e.opts.TxnMode)
 	ctx := &StepContext{Event: ev, Txn: t, Attempt: attempt, engine: e}
+	ctx.emitted = ctx.room[:0]
 	if err := h(ctx); err != nil {
 		t.Abort()
-		e.mu.Lock()
-		e.stats.StepsFailed++
-		e.mu.Unlock()
+		e.stats.stepsFailed.Add(1)
 		return err
 	}
 	if _, err := t.Commit(nil); err != nil {
-		e.mu.Lock()
-		e.stats.StepsFailed++
-		e.mu.Unlock()
+		e.stats.stepsFailed.Add(1)
 		return err
 	}
-	e.mu.Lock()
-	e.stats.StepsExecuted++
-	e.stats.EventsEmitted += uint64(len(ctx.emitted))
-	if id := stepIdentity(ev); id != "" {
-		e.completed[id] = true
+	e.stats.stepsExecuted.Add(1)
+	e.stats.eventsEmitted.Add(uint64(len(ctx.emitted)))
+	if ev.TxnID != "" {
+		e.done.add(id)
 	}
-	e.mu.Unlock()
 	e.dispatch(ctx.emitted, depth, laneKey)
 	return nil
 }
@@ -478,120 +481,115 @@ func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key) 
 				target = routed
 			}
 		}
-		e.mu.Lock()
-		_, local := e.handlers[next.Name]
-		e.mu.Unlock()
 		// Inline collapsing only applies when the next step runs on this very
 		// unit; cross-unit events always travel through their owning queue.
-		// Under the pool it is additionally restricted to the lane's own
-		// entity: a collapsed child runs inside its parent's serialisation
-		// slot, and only the lane owner may do that for this entity.
-		sameLane := laneKey == nil || *laneKey == next.Entity
-		if e.opts.CollapseVertical && depth > 0 && local && target == e.q && sameLane {
-			e.mu.Lock()
-			e.stats.Collapsed++
-			e.mu.Unlock()
-			if err := e.executeStep(next, 1, depth-1, laneKey); err == nil {
-				continue
+		// Under the pool it is additionally restricted to the owned entity:
+		// a collapsed child runs inside its parent's serialisation slot, and
+		// only the entity's owner may do that for this entity.
+		if e.opts.CollapseVertical && depth > 0 && target == e.q && (laneKey == nil || *laneKey == next.Entity) {
+			if _, local := e.table.Load().steps[next.Name]; local {
+				e.stats.collapsed.Add(1)
+				if err := e.executeStep(next, 1, depth-1, laneKey); err == nil {
+					continue
+				}
+				// Inline execution failed: fall back to the queue so the
+				// normal retry machinery applies.
 			}
-			// Inline execution failed: fall back to the queue so the normal
-			// retry machinery applies.
 		}
 		if _, err := target.Enqueue(e.opts.Topic, next); err == nil {
-			e.mu.Lock()
-			e.stats.EnqueuedEvents++
-			e.mu.Unlock()
+			e.stats.enqueuedEvents.Add(1)
 		}
 	}
 }
 
-// HorizontalBatch groups pending events of one topic by entity and executes
-// each group in a single transaction ("collapse process steps horizontally",
-// section 3.1). Only events whose handler is registered participate; others
-// are requeued. It returns the number of events absorbed into batches.
+// HorizontalBatch claims entities with pending events and executes each
+// entity's events — up to maxEvents in total — in a single transaction
+// ("collapse process steps horizontally", section 3.1). An event no step
+// handles is dropped and counted, as everywhere else. It returns the number
+// of events absorbed into batches.
 func (e *Engine) HorizontalBatch(maxEvents int) (int, error) {
-	type pending struct {
-		msg *queue.Message
+	type group struct {
+		mb   *queue.Mailbox
+		msgs []*queue.Message
 	}
-	byEntity := map[entity.Key][]pending{}
-	var order []entity.Key
-	taken := 0
-	for taken < maxEvents {
-		m, err := e.q.DequeueOrdered(e.opts.Topic)
-		if errors.Is(err, queue.ErrEmpty) {
+	var groups []group
+	for taken := 0; taken < maxEvents; {
+		mb, m := e.q.TryClaim(e.opts.Topic)
+		if mb == nil {
 			break
 		}
-		if err != nil {
-			return taken, err
+		g := group{mb: mb}
+		for ; m != nil; m = mb.Next() {
+			g.msgs = append(g.msgs, m)
+			if taken++; taken == maxEvents {
+				break
+			}
 		}
-		e.mu.Lock()
-		_, known := e.handlers[m.Event.Name]
-		e.mu.Unlock()
-		if !known {
-			_ = e.q.Nack(m.ID, 0)
-			continue
-		}
-		if _, ok := byEntity[m.Event.Entity]; !ok {
-			order = append(order, m.Event.Entity)
-		}
-		byEntity[m.Event.Entity] = append(byEntity[m.Event.Entity], pending{msg: m})
-		taken++
+		groups = append(groups, g)
 	}
+	steps := e.table.Load().steps
 	absorbed := 0
-	for _, key := range order {
-		group := byEntity[key]
+	for _, g := range groups {
 		t := e.mgr.Begin(e.opts.TxnMode)
 		var emitted []queue.Event
-		failed := false
-		for _, p := range group {
-			e.mu.Lock()
-			h := e.handlers[p.msg.Event.Name]
-			e.mu.Unlock()
-			ctx := &StepContext{Event: p.msg.Event, Txn: t, Attempt: p.msg.Attempts, engine: e}
-			if err := h(ctx); err != nil {
-				failed = true
+		ran := 0
+		var err error
+		for _, m := range g.msgs {
+			h, known := steps[m.Event.Name]
+			if !known {
+				e.stats.unknownEvents.Add(1)
+				continue
+			}
+			ctx := &StepContext{Event: m.Event, Txn: t, Attempt: m.Attempts, engine: e}
+			if err = h(ctx); err != nil {
 				break
 			}
 			emitted = append(emitted, ctx.emitted...)
+			ran++
 		}
-		if failed {
+		if err != nil || ran == 0 {
 			t.Abort()
-			for _, p := range group {
-				_ = e.q.Nack(p.msg.ID, e.opts.RetryBackoff)
-			}
+		} else {
+			_, err = t.Commit(nil)
+		}
+		if err != nil {
+			g.mb.Retry(e.opts.RetryBackoff)
+			g.mb.Release()
 			continue
 		}
-		if _, err := t.Commit(nil); err != nil {
-			for _, p := range group {
-				_ = e.q.Nack(p.msg.ID, e.opts.RetryBackoff)
-			}
+		g.mb.Ack()
+		g.mb.Release()
+		if ran == 0 {
 			continue
 		}
-		for _, p := range group {
-			_ = e.q.Ack(p.msg.ID)
-		}
-		absorbed += len(group)
-		e.mu.Lock()
-		e.stats.StepsExecuted++
-		e.stats.Collapsed += uint64(len(group) - 1)
-		e.stats.EventsEmitted += uint64(len(emitted))
-		e.mu.Unlock()
+		absorbed += ran
+		e.stats.stepsExecuted.Add(1)
+		e.stats.collapsed.Add(uint64(ran - 1))
+		e.stats.eventsEmitted.Add(uint64(len(emitted)))
 		e.dispatch(emitted, 0, nil)
 	}
 	return absorbed, nil
 }
 
-// Stats returns a copy of the counters, including the pool's scheduling
-// counters when Start has launched it.
+// Stats returns a copy of the counters, including the scheduling counters of
+// the queue's mailboxes.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	s := e.stats
-	p := e.pool
-	e.mu.Unlock()
-	if p != nil {
-		s.LaneSteals, s.PeakLaneDepth, s.KeyedDequeues, s.LeaseRenewals = p.snapshot()
+	qs := e.q.Stats()
+	return Stats{
+		StepsExecuted:   e.stats.stepsExecuted.Load(),
+		StepsFailed:     e.stats.stepsFailed.Load(),
+		Retries:         e.stats.retries.Load(),
+		Compensations:   e.stats.compensations.Load(),
+		Collapsed:       e.stats.collapsed.Load(),
+		EventsEmitted:   e.stats.eventsEmitted.Load(),
+		AuditLines:      e.stats.auditLines.Load(),
+		UnknownEvents:   e.stats.unknownEvents.Load(),
+		EnqueuedEvents:  e.stats.enqueuedEvents.Load(),
+		LaneSteals:      qs.Steals,
+		PeakLaneDepth:   qs.PeakDepth,
+		KeyedDequeues:   qs.Chained,
+		DeadlineDropped: e.stats.deadlineDropped.Load(),
 	}
-	return s
 }
 
 // AuditLog returns a copy of the non-transactional audit lines.
@@ -603,10 +601,10 @@ func (e *Engine) AuditLog() []string {
 
 func (e *Engine) audit(line string) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.auditLog = append(e.auditLog, line)
-	e.stats.AuditLines++
+	e.mu.Unlock()
+	e.stats.auditLines.Add(1)
 }
 
-// QueueDepth returns the number of events waiting in the engine's topic.
+// QueueDepth returns the number of events waiting in the engine's queue.
 func (e *Engine) QueueDepth() int { return e.q.Len() }

@@ -29,7 +29,7 @@ func orderTypes() []*entity.Type {
 	}
 }
 
-func newEngine(t *testing.T, opts Options) (*Engine, *txn.Manager, *queue.Queue) {
+func newEngine(t testing.TB, opts Options) (*Engine, *txn.Manager, *queue.Queue) {
 	t.Helper()
 	db := lsdb.Open(lsdb.Options{Node: "u1", SnapshotEvery: 16, Validation: entity.Managed})
 	for _, typ := range orderTypes() {
@@ -246,6 +246,43 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 	st, _, err := mgr.DB().Current(orderKey("O1"))
 	if err != nil || st.Float("total") != 10 {
 		t.Fatalf("duplicate delivery applied twice: %v", st.Float("total"))
+	}
+}
+
+// The idempotence set must not grow with the life of the engine (it used to
+// gain one entry per executed step, forever): ten windows' worth of steps go
+// through one engine, the set stays within its bound throughout, and a
+// duplicate delivery that arrives inside the window is still skipped.
+func TestIdempotenceSetIsBoundedAndStillDedups(t *testing.T) {
+	const window = 256
+	e, mgr, q := newEngine(t, Options{})
+	e.done = newDoneSet(window)
+	def := NewDefinition("deposits")
+	def.Step("deposit", func(ctx *StepContext) error {
+		return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("total", 1))
+	})
+	e.Register(def)
+	var last queue.Event
+	for i := 0; i < 10*window; i++ {
+		last = queue.Event{Name: "deposit", Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", i)}
+		if err := e.Submit(last); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			e.Drain()
+			if got := e.done.size(); got > window {
+				t.Fatalf("idempotence set holds %d identities after %d steps, bound %d", got, i+1, window)
+			}
+		}
+	}
+	e.Drain()
+	// At-least-once redelivery of a recent step, and of one half a window old.
+	q.Enqueue("steps", last)
+	q.Enqueue("steps", queue.Event{Name: "deposit", Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", 10*window-window/2)})
+	e.Drain()
+	st, _, err := mgr.DB().Current(orderKey("O1"))
+	if err != nil || st.Float("total") != 10*window {
+		t.Fatalf("total = %v, want %d: a duplicate inside the window was applied again", st.Float("total"), 10*window)
 	}
 }
 

@@ -6,25 +6,30 @@
 // local operations — never distributed transactions — even when the logical
 // destination is a remote serialization unit (principle 2.6).
 //
-// Message IDs are assigned at enqueue, so ID order is enqueue order. Three
-// dequeue disciplines serve the process engine's scheduling model:
+// The queue is a set of per-entity mailboxes. A mailbox holds one entity's
+// pending messages in enqueue order (message IDs are assigned at enqueue, so
+// ID order is enqueue order) and is in exactly one state: owned by a
+// consumer, on the run list (its head is deliverable and nobody owns it), or
+// parked until its head's NotBefore passes (retry backoff, EnqueueDelayed).
+// An entity has at most one owner at a time and its messages are only ever
+// handed out from the head, so an entity's messages are consumed serially,
+// in enqueue order, across retries and redeliveries; a delayed head holds
+// back the entity's later messages (head-of-line blocking per entity, never
+// across entities). Enqueue, claim and ack are O(1) in the backlog.
 //
-//   - Dequeue / DequeueWait: plain FIFO over deliverable messages. A message
-//     delayed by retry backoff or EnqueueDelayed is skipped, so later
-//     messages — including later messages for the same entity — may be
-//     delivered first.
-//   - DequeueOrdered / DequeueWaitOrdered: per-entity enqueue order. When an
-//     entity's earliest pending message is not yet deliverable, the entity's
-//     later messages are held back too (head-of-line blocking per entity,
-//     never across entities). This is the intake discipline of the process
-//     engine's work-stealing pool: it guarantees an entity's steps reach
-//     their serial lane in enqueue order even across backoff redeliveries.
-//   - DequeueEntity: the earliest deliverable message for exactly one entity
-//     key. A lane owner uses it to keep pulling a hot entity's work directly
-//     ("lane hinting") without going through the shared intake.
+// There are two ways to consume, both over the same mailboxes:
+//
+//   - Claim / TryClaim take ownership of a whole entity. The owner pops its
+//     messages with Mailbox.Next, settles them in place with Ack or Retry,
+//     and gives the entity back with Release. This is what the process
+//     engine's workers use; ownership has no timeout.
+//   - Dequeue / DequeueWait take ownership for exactly one message under a
+//     visibility lease: Ack or Nack settles it and releases the entity, and
+//     a lease that outlives VisibilityTimeout is redelivered.
 package queue
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,10 +74,11 @@ type Event struct {
 	Stamp clock.Timestamp
 	// Deadline, when non-zero, is the latest time executing this event is
 	// still useful (it propagates from the submitting surface — an HTTP
-	// request's patience — through the kernel into the queue and lanes).
-	// Work past its deadline is dropped, not executed: the queue discards
-	// it at dequeue time and the process engine re-checks before running a
-	// step. Events emitted by a step inherit the parent's deadline.
+	// request's patience — through the kernel into the queue). Work past
+	// its deadline is dropped, not executed: the queue discards it when it
+	// reaches the head of its mailbox and the process engine re-checks
+	// before running a step. Events emitted by a step inherit the parent's
+	// deadline.
 	Deadline time.Time
 }
 
@@ -86,12 +92,15 @@ type Message struct {
 	// and scheduled process steps).
 	NotBefore time.Time
 	Enqueued  time.Time
+
+	next *Message // the entity's next message, in enqueue order
 }
 
 // Options configure a Queue.
 type Options struct {
-	// VisibilityTimeout is how long a dequeued message stays invisible before
-	// it is redelivered if not acknowledged. Zero uses 30s.
+	// VisibilityTimeout is how long a message handed out by Dequeue stays
+	// invisible before it is redelivered if not acknowledged. Zero uses 30s.
+	// Claim owners hold their entity without a timeout.
 	VisibilityTimeout time.Duration
 	// MaxAttempts moves a message to the dead-letter list after this many
 	// failed deliveries. Zero uses 10.
@@ -104,49 +113,93 @@ type Options struct {
 	// (principle 2.4).
 	DuplicateEvery int
 	// MaxDepth is the admission-control high-water mark: an Enqueue that
-	// would grow the pending list past it is shed with ErrOverloaded.
-	// Redeliveries (Nack, visibility expiry) are exempt — accepted work is
-	// never dropped by backpressure, so per-entity order is untouched.
-	// Zero disables shedding (unbounded intake, the historical behaviour).
+	// would grow the backlog — every accepted message not yet handed to a
+	// consumer — past it is shed with ErrOverloaded. Redeliveries (Retry,
+	// Nack, visibility expiry) are exempt — accepted work is never dropped
+	// by backpressure, so per-entity order is untouched. Zero disables
+	// shedding.
 	MaxDepth int
 }
 
-// Queue is a reliable FIFO topic queue with at-least-once delivery,
-// visibility timeouts, retry backoff and a dead-letter list. All methods are
-// safe for concurrent use.
+// Stats counts scheduling activity on the mailboxes.
+type Stats struct {
+	// Steals counts claims by a worker other than the entity's previous
+	// owner: the entity moved between workers while it still had work.
+	Steals uint64
+	// Chained counts messages an owner popped beyond the first of its claim
+	// — work served without going back through the run list.
+	Chained uint64
+	// PeakDepth is the most messages any one mailbox has held at once.
+	PeakDepth uint64
+}
+
+// Queue is a reliable queue of per-entity mailboxes with at-least-once
+// delivery, visibility timeouts, retry backoff and a dead-letter list. All
+// methods are safe for concurrent use.
 type Queue struct {
 	opts Options
 	name string
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     clock.Sequence
-	ready   []*Message // pending, ascending by ID (= enqueue order)
-	leased  map[uint64]*lease
-	dead    []*Message
-	acked   uint64
-	closed  bool
-	dupTick int
-	// nextExpiry is the earliest lease deadline (zero when unknown): the
-	// reclaim scan is skipped until it passes, so dequeues stay O(ready
-	// prefix) even with thousands of messages leased into process lanes.
+	mu    sync.Mutex
+	cond  *sync.Cond // signals consumers blocked in Claim and DequeueWait
+	seq   clock.Sequence
+	boxes map[entity.Key]*Mailbox
+	free  []*Mailbox // retired mailboxes, reused for the next new entity; at most maxFree
+	// runHead/runTail is the run list: unowned mailboxes whose head is
+	// deliverable, in the order they became so.
+	runHead, runTail *Mailbox
+	parked           parkedHeap // unowned mailboxes whose head is delayed
+	pending          int        // accepted messages not currently handed out
+	// leased maps a message handed out by Dequeue to the mailbox its lease
+	// owns. nextExpiry is no later than the earliest lease deadline; the
+	// reclaim scan is skipped until it passes.
+	leased     map[uint64]*Mailbox
 	nextExpiry time.Time
-	// leasedByKey counts in-flight leases per entity. DequeueEntity refuses
-	// to serve an entity with a lease outstanding: the leased message may be
-	// an earlier-enqueued one still in a consumer's hands (e.g. dequeued by
-	// the pool dispatcher but not yet routed), and handing out a later one
-	// would reorder the entity's steps.
-	leasedByKey map[entity.Key]int
+	dead       []*Message
+	closed     bool
+	dupTick    int
+
+	stats Stats
+	acked uint64
 	// shed counts enqueues refused by the MaxDepth high-water mark;
-	// deadlineDropped counts pending messages discarded because their event
-	// deadline passed before delivery.
+	// deadlineDropped counts messages discarded because their event deadline
+	// passed before delivery.
 	shed            uint64
 	deadlineDropped uint64
 }
 
-type lease struct {
-	msg      *Message
-	deadline time.Time
+// Mailbox is one entity's pending messages plus who may consume them. The
+// methods are for the consumer that owns it (Claim, TryClaim) and only until
+// it calls Release.
+type Mailbox struct {
+	q   *Queue
+	key entity.Key
+
+	// head..tail are the entity's messages in enqueue order; the first out
+	// of them, ending at last, are in the owner's hands.
+	head, tail, last *Message
+	n, out           int
+
+	topic     string    // the owner's topic filter
+	lastOwner int       // 1 + worker of the previous Claim; 0 when none
+	next      *Mailbox  // run-list link
+	leaseEnd  time.Time // visibility deadline when the owner is a Dequeue
+}
+
+// parkedHeap orders parked mailboxes by when their head becomes deliverable
+// (container/heap). A parked mailbox is unowned, so its head does not change.
+type parkedHeap []*Mailbox
+
+func (h parkedHeap) Len() int            { return len(h) }
+func (h parkedHeap) Less(i, j int) bool  { return h[i].head.NotBefore.Before(h[j].head.NotBefore) }
+func (h parkedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *parkedHeap) Push(x interface{}) { *h = append(*h, x.(*Mailbox)) }
+func (h *parkedHeap) Pop() interface{} {
+	old := *h
+	mb := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return mb
 }
 
 // New creates a queue with the given name (typically the topic or the
@@ -161,17 +214,13 @@ func New(name string, opts Options) *Queue {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	q := &Queue{opts: opts, name: name, leased: map[uint64]*lease{}, leasedByKey: map[entity.Key]int{}}
+	q := &Queue{opts: opts, name: name, boxes: map[entity.Key]*Mailbox{}, leased: map[uint64]*Mailbox{}}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // Name returns the queue name.
 func (q *Queue) Name() string { return q.name }
-
-// VisibilityTimeout returns the queue's lease duration; consumers that hold
-// messages for long stretches size their renewal cadence from it.
-func (q *Queue) VisibilityTimeout() time.Duration { return q.opts.VisibilityTimeout }
 
 // Enqueue adds an event for delivery and returns its message id. Enqueue is
 // always a local, non-distributed operation.
@@ -181,224 +230,414 @@ func (q *Queue) Enqueue(topic string, ev Event) (uint64, error) {
 
 // EnqueueDelayed adds an event that becomes deliverable only after delay.
 func (q *Queue) EnqueueDelayed(topic string, ev Event, delay time.Duration) (uint64, error) {
+	now := q.opts.Clock()
+	m := &Message{Topic: topic, Event: ev, NotBefore: now.Add(delay), Enqueued: now}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return 0, ErrClosed
 	}
-	if q.opts.MaxDepth > 0 && len(q.ready) >= q.opts.MaxDepth {
+	if q.opts.MaxDepth > 0 && q.pending >= q.opts.MaxDepth {
 		q.shed++
-		return 0, fmt.Errorf("%w: %s at depth %d", ErrOverloaded, q.name, len(q.ready))
+		return 0, fmt.Errorf("%w: %s at depth %d", ErrOverloaded, q.name, q.pending)
 	}
-	now := q.opts.Clock()
-	m := &Message{
-		ID:        q.seq.Next(),
-		Topic:     topic,
-		Event:     ev,
-		NotBefore: now.Add(delay),
-		Enqueued:  now,
+	m.ID = q.seq.Next()
+	mb := q.boxes[ev.Entity]
+	fresh := mb == nil
+	if fresh {
+		if n := len(q.free); n > 0 {
+			mb, q.free = q.free[n-1], q.free[:n-1]
+		} else {
+			mb = &Mailbox{q: q}
+		}
+		mb.key = ev.Entity
+		q.boxes[ev.Entity] = mb
 	}
-	q.ready = append(q.ready, m)
-	q.cond.Broadcast()
+	if mb.tail == nil { // fresh, or drained by an owner that has not released yet
+		mb.head = m
+	} else {
+		mb.tail.next = m
+	}
+	mb.tail = m
+	mb.n++
+	q.pending++
+	if d := uint64(mb.n); d > q.stats.PeakDepth {
+		q.stats.PeakDepth = d
+	}
+	if fresh {
+		// Every other mailbox is owned, runnable or parked already, and a
+		// message behind its head changes none of those.
+		q.scheduleLocked(mb, now)
+	}
 	return m.ID, nil
 }
 
+// scheduleLocked makes an unowned, non-empty mailbox claimable: on the run
+// list when its head is deliverable, parked until it is otherwise.
+func (q *Queue) scheduleLocked(mb *Mailbox, now time.Time) {
+	if mb.head.NotBefore.After(now) {
+		heap.Push(&q.parked, mb)
+	} else {
+		mb.next = nil
+		if q.runTail == nil {
+			q.runHead = mb
+		} else {
+			q.runTail.next = mb
+		}
+		q.runTail = mb
+	}
+	// Blocked consumers either have work now or a new wake time to wait for.
+	q.cond.Broadcast()
+}
+
+// claimLocked gives the caller ownership of the first runnable mailbox whose
+// head is on topic (any when topic is empty), with that head handed out.
+// worker identifies a Claim caller for the steal count; Dequeue passes -1.
+func (q *Queue) claimLocked(topic string, worker int, now time.Time) (*Mailbox, *Message) {
+	q.reclaimExpiredLocked(now)
+	for len(q.parked) > 0 && !q.parked[0].head.NotBefore.After(now) {
+		q.scheduleLocked(heap.Pop(&q.parked).(*Mailbox), now)
+	}
+	var prev *Mailbox
+	for mb := q.runHead; mb != nil; {
+		if topic != "" && mb.head.Topic != topic {
+			prev, mb = mb, mb.next
+			continue
+		}
+		next := mb.next
+		if prev == nil {
+			q.runHead = next
+		} else {
+			prev.next = next
+		}
+		if q.runTail == mb {
+			q.runTail = prev
+		}
+		mb.topic = topic
+		if m := q.nextLocked(mb, now); m != nil {
+			if mb.lastOwner != 0 && worker >= 0 && mb.lastOwner != worker+1 {
+				q.stats.Steals++
+			}
+			mb.lastOwner = worker + 1
+			return mb, m
+		}
+		// Every message up to a delayed or off-topic one was past its
+		// deadline: nothing to hand out, so the mailbox goes back.
+		q.releaseLocked(mb, now)
+		mb = next
+	}
+	return nil, nil
+}
+
+// nextLocked hands the owner the mailbox's next message, or nil when there
+// is none, it is not deliverable yet or it is off the owner's topic. A
+// message whose event deadline has passed is dropped on the way: the
+// submitter has stopped waiting, so executing it would be work nobody
+// observes. The drop is terminal — no dead-letter, no redelivery.
+func (q *Queue) nextLocked(mb *Mailbox, now time.Time) *Message {
+	for {
+		m := mb.head
+		if mb.last != nil {
+			m = mb.last.next
+		}
+		if m == nil || m.NotBefore.After(now) || (mb.topic != "" && m.Topic != mb.topic) {
+			return nil
+		}
+		if m.Event.Deadline.IsZero() || !now.After(m.Event.Deadline) {
+			m.Attempts++
+			mb.last = m
+			mb.out++
+			q.pending--
+			return m
+		}
+		if mb.last == nil {
+			mb.head = m.next
+		} else {
+			mb.last.next = m.next
+		}
+		if mb.tail == m {
+			mb.tail = mb.last
+		}
+		mb.n--
+		q.pending--
+		q.deadlineDropped++
+	}
+}
+
+// popLocked removes the mailbox's head message.
+func (q *Queue) popLocked(mb *Mailbox) *Message {
+	m := mb.head
+	mb.head = m.next
+	if mb.head == nil {
+		mb.tail = nil
+	}
+	m.next = nil
+	mb.n--
+	return m
+}
+
+// ackLocked removes every handed-out message for good (except when the
+// configured duplicate-delivery fault injection puts a copy back at the
+// head, where its original enqueue position was).
+func (q *Queue) ackLocked(mb *Mailbox) {
+	var dups []*Message
+	for ; mb.out > 0; mb.out-- {
+		m := q.popLocked(mb)
+		q.acked++
+		if q.opts.DuplicateEvery > 0 {
+			if q.dupTick++; q.dupTick%q.opts.DuplicateEvery == 0 {
+				dup := *m
+				dups = append(dups, &dup)
+			}
+		}
+	}
+	mb.last = nil
+	for i := len(dups) - 1; i >= 0; i-- {
+		dups[i].next = mb.head
+		if mb.head = dups[i]; mb.tail == nil {
+			mb.tail = dups[i]
+		}
+		mb.n++
+		q.pending++
+	}
+}
+
+// retryLocked returns every handed-out message to the mailbox, in place, and
+// delays the head by backoff — the entity's later messages wait behind it.
+// A head that has used up MaxAttempts is dead-lettered instead.
+func (q *Queue) retryLocked(mb *Mailbox, backoff time.Duration, now time.Time) {
+	if mb.out == 0 {
+		return
+	}
+	q.pending += mb.out
+	mb.out, mb.last = 0, nil
+	if mb.head.Attempts >= q.opts.MaxAttempts {
+		q.dead = append(q.dead, q.popLocked(mb))
+		q.pending--
+		return
+	}
+	mb.head.NotBefore = now.Add(backoff)
+}
+
+// releaseLocked ends an ownership: messages still in the owner's hands are
+// redelivered (at-least-once), an empty mailbox is retired, any other goes
+// to the back of the run list or parks behind its delayed head.
+func (q *Queue) releaseLocked(mb *Mailbox, now time.Time) {
+	q.retryLocked(mb, 0, now)
+	if mb.head == nil {
+		delete(q.boxes, mb.key)
+		if len(q.free) < maxFree {
+			*mb = Mailbox{q: q}
+			q.free = append(q.free, mb)
+		}
+		return
+	}
+	q.scheduleLocked(mb, now)
+}
+
+// Claim blocks until an entity with a deliverable message on topic (any when
+// topic is empty) is unowned, and returns its mailbox, owned by the caller,
+// together with its first message. It returns nil, nil once the queue is
+// closed or stop is closed (a stopper must also call Wake). worker is a
+// small non-negative id of the calling consumer, used only for Stats.Steals.
+func (q *Queue) Claim(topic string, worker int, stop <-chan struct{}) (*Mailbox, *Message) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		select {
+		case <-stop:
+			return nil, nil
+		default:
+		}
+		if q.closed {
+			return nil, nil
+		}
+		if mb, m := q.claimLocked(topic, worker, q.opts.Clock()); mb != nil {
+			return mb, m
+		}
+		q.waitLocked(forever)
+	}
+}
+
+// TryClaim is Claim without blocking: nil, nil when nothing is claimable.
+func (q *Queue) TryClaim(topic string) (*Mailbox, *Message) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return nil, nil
+	}
+	return q.claimLocked(topic, -1, q.opts.Clock())
+}
+
+// Wake makes every blocked Claim and DequeueWait re-check its conditions.
+func (q *Queue) Wake() {
+	q.mu.Lock()
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+const (
+	forever = time.Duration(1<<63 - 1)
+	// maxFree bounds the retired mailboxes kept for reuse: enough for the
+	// entities in flight between workers, not a drained backlog's worth.
+	maxFree = 1024
+)
+
+// waitLocked blocks until a Broadcast, the limit, or the moment a parked
+// mailbox or a visibility lease comes due — those become deliverable by
+// time passing, not by a Broadcast.
+func (q *Queue) waitLocked(limit time.Duration) {
+	now := q.opts.Clock()
+	if len(q.parked) > 0 {
+		limit = min(limit, q.parked[0].head.NotBefore.Sub(now))
+	}
+	if len(q.leased) > 0 {
+		limit = min(limit, q.nextExpiry.Sub(now))
+	}
+	if limit == forever {
+		q.cond.Wait()
+		return
+	}
+	// Wake takes the lock, so the timer cannot fire before Wait is waiting.
+	waker := time.AfterFunc(limit, q.Wake)
+	q.cond.Wait()
+	waker.Stop()
+}
+
+// Key returns the entity the mailbox belongs to.
+func (mb *Mailbox) Key() entity.Key { return mb.key }
+
+// Next hands the owner the entity's next message in enqueue order, or nil
+// when there is none deliverable. Messages handed out stay the owner's until
+// Ack or Retry settles them.
+func (mb *Mailbox) Next() *Message {
+	q := mb.q
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if mb.head == nil {
+		return nil
+	}
+	m := q.nextLocked(mb, q.opts.Clock())
+	if m != nil {
+		q.stats.Chained++
+	}
+	return m
+}
+
+// Ack acknowledges every message handed out so far, removing them for good.
+func (mb *Mailbox) Ack() {
+	mb.q.mu.Lock()
+	mb.q.ackLocked(mb)
+	mb.q.mu.Unlock()
+}
+
+// Retry returns every message handed out so far to the mailbox, in place,
+// with the first of them delayed by backoff: the entity backs off as a
+// whole, so a retry is never overtaken by the entity's later messages.
+// After MaxAttempts deliveries that first message is dead-lettered instead.
+func (mb *Mailbox) Retry(backoff time.Duration) {
+	q := mb.q
+	now := q.opts.Clock()
+	q.mu.Lock()
+	q.retryLocked(mb, backoff, now)
+	q.mu.Unlock()
+}
+
+// Release gives the entity back: to the back of the run list when it still
+// has deliverable work, parked when its head is delayed, retired when empty.
+// Messages handed out and not settled are redelivered. The mailbox must not
+// be used afterwards.
+func (mb *Mailbox) Release() {
+	q := mb.q
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var now time.Time
+	if mb.head != nil { // an empty mailbox is retired without a look at the clock
+		now = q.opts.Clock()
+	}
+	q.releaseLocked(mb, now)
+}
+
 // Dequeue returns the next deliverable message for the topic (any topic when
-// topic is empty) and leases it for the visibility timeout. The caller must
-// Ack or Nack it. Returns ErrEmpty when nothing is deliverable right now.
-// Delayed messages are skipped, so Dequeue alone does not preserve
-// per-entity order across backoffs; see DequeueOrdered.
+// topic is empty) and leases it, and with it its entity, for the visibility
+// timeout: the entity's later messages are withheld until the caller settles
+// this one with Ack or Nack, or the lease expires. Returns ErrEmpty when
+// nothing is deliverable right now.
 func (q *Queue) Dequeue(topic string) (*Message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.dequeueLocked(topic, false)
+	return q.dequeueLocked(topic)
 }
 
-// DequeueOrdered is Dequeue with per-entity head-of-line blocking: a message
-// is withheld while an earlier-enqueued message for the same entity is
-// pending but not yet deliverable (retry backoff, EnqueueDelayed). Other
-// entities are unaffected — one entity backing off never stalls another.
-// This is the discipline that keeps an entity's steps flowing to the process
-// engine in enqueue order.
-func (q *Queue) DequeueOrdered(topic string) (*Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dequeueLocked(topic, true)
-}
-
-// dequeueLocked scans the pending list — kept in ID (enqueue) order — for
-// the first deliverable message of the topic and leases it. With ordered
-// set, entities whose earliest pending message is still delayed are skipped
-// entirely so their later messages cannot overtake it.
-func (q *Queue) dequeueLocked(topic string, ordered bool) (*Message, error) {
+func (q *Queue) dequeueLocked(topic string) (*Message, error) {
 	if q.closed {
 		return nil, ErrClosed
 	}
 	now := q.opts.Clock()
-	q.reclaimExpiredLocked(now)
-	q.dropExpiredLocked(now)
-	var blocked map[entity.Key]bool
-	for i, m := range q.ready {
-		if topic != "" && m.Topic != topic {
-			continue
-		}
-		if m.NotBefore.After(now) {
-			if ordered {
-				if blocked == nil {
-					blocked = map[entity.Key]bool{}
-				}
-				blocked[m.Event.Entity] = true
-			}
-			continue
-		}
-		if ordered && blocked[m.Event.Entity] {
-			continue
-		}
-		return q.leaseLocked(i, now), nil
-	}
-	return nil, ErrEmpty
-}
-
-// DequeueEntity returns the earliest pending message for exactly key on the
-// topic. When that message exists but is not deliverable yet (retry backoff,
-// delayed enqueue), or when any of the entity's messages is currently
-// leased to another consumer — possibly an earlier-enqueued one not yet
-// visible here — it returns ErrEmpty rather than skipping ahead: the
-// entity's order is never reordered around its own head.
-func (q *Queue) DequeueEntity(topic string, key entity.Key) (*Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return nil, ErrClosed
-	}
-	now := q.opts.Clock()
-	q.reclaimExpiredLocked(now)
-	q.dropExpiredLocked(now)
-	if q.leasedByKey[key] > 0 {
+	mb, m := q.claimLocked(topic, -1, now)
+	if mb == nil {
 		return nil, ErrEmpty
 	}
-	for i, m := range q.ready {
-		if topic != "" && m.Topic != topic {
-			continue
-		}
-		if m.Event.Entity != key {
-			continue
-		}
-		if m.NotBefore.After(now) {
-			return nil, ErrEmpty
-		}
-		return q.leaseLocked(i, now), nil
+	mb.leaseEnd = now.Add(q.opts.VisibilityTimeout)
+	if len(q.leased) == 0 || mb.leaseEnd.Before(q.nextExpiry) {
+		q.nextExpiry = mb.leaseEnd
 	}
-	return nil, ErrEmpty
-}
-
-// leaseLocked removes ready[i] from the pending list and leases it.
-func (q *Queue) leaseLocked(i int, now time.Time) *Message {
-	m := q.ready[i]
-	q.ready = append(q.ready[:i], q.ready[i+1:]...)
-	m.Attempts++
-	deadline := now.Add(q.opts.VisibilityTimeout)
-	if _, exists := q.leased[m.ID]; !exists {
-		q.leasedByKey[m.Event.Entity]++
-	}
-	q.leased[m.ID] = &lease{msg: m, deadline: deadline}
-	if q.nextExpiry.IsZero() || deadline.Before(q.nextExpiry) {
-		q.nextExpiry = deadline
-	}
+	q.leased[m.ID] = mb
+	// Blocked consumers must wake in time to reclaim this lease.
+	q.cond.Broadcast()
+	// The caller gets a copy: after its lease expires the message is
+	// redelivered and counted again while the caller may still be reading.
 	cp := *m
-	return &cp
-}
-
-// dropExpiredLocked discards pending messages whose event deadline has
-// passed: the submitter has stopped waiting, so executing the step would be
-// work nobody observes. The drop is terminal — no dead-letter, no
-// redelivery — and only ever removes whole messages from the pending list,
-// so the per-entity order of the work that remains is untouched.
-func (q *Queue) dropExpiredLocked(now time.Time) {
-	kept := q.ready[:0]
-	for _, m := range q.ready {
-		if !m.Event.Deadline.IsZero() && now.After(m.Event.Deadline) {
-			q.deadlineDropped++
-			continue
-		}
-		kept = append(kept, m)
-	}
-	q.ready = kept
-}
-
-// unleaseLocked drops the per-entity lease count for a settled lease.
-func (q *Queue) unleaseLocked(m *Message) {
-	if n := q.leasedByKey[m.Event.Entity]; n <= 1 {
-		delete(q.leasedByKey, m.Event.Entity)
-	} else {
-		q.leasedByKey[m.Event.Entity] = n - 1
-	}
+	cp.next = nil
+	return &cp, nil
 }
 
 // DequeueWait blocks until a message is available for the topic, the timeout
 // elapses (returning ErrEmpty), or the queue is closed.
 func (q *Queue) DequeueWait(topic string, timeout time.Duration) (*Message, error) {
-	return q.dequeueWait(topic, timeout, false)
-}
-
-// DequeueWaitOrdered is DequeueWait with DequeueOrdered's per-entity
-// head-of-line blocking. It is the blocking intake of the process engine's
-// dispatcher.
-func (q *Queue) DequeueWaitOrdered(topic string, timeout time.Duration) (*Message, error) {
-	return q.dequeueWait(topic, timeout, true)
-}
-
-func (q *Queue) dequeueWait(topic string, timeout time.Duration, ordered bool) (*Message, error) {
 	deadline := time.Now().Add(timeout)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		m, err := q.dequeueLocked(topic, ordered)
-		if err == nil || errors.Is(err, ErrClosed) {
+		m, err := q.dequeueLocked(topic)
+		if !errors.Is(err, ErrEmpty) {
 			return m, err
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return nil, ErrEmpty
 		}
-		// Wake periodically: delayed messages and visibility expiries become
-		// deliverable by time passing, not by a Broadcast.
-		waker := time.AfterFunc(5*time.Millisecond, func() { q.cond.Broadcast() })
-		q.cond.Wait()
-		waker.Stop()
+		q.waitLocked(left)
 	}
 }
 
-// reclaimExpiredLocked returns leased messages whose visibility timeout has
-// passed to the ready list (at-least-once redelivery). The scan is skipped
-// while the earliest lease deadline is still in the future, so dequeues do
-// not pay O(leased) when a large backlog sits in process lanes.
+// reclaimExpiredLocked ends leases whose visibility timeout has passed: the
+// message is redelivered (at-least-once) from the head of its mailbox. The
+// scan is skipped while the earliest lease deadline is still in the future.
 func (q *Queue) reclaimExpiredLocked(now time.Time) {
-	if len(q.leased) == 0 || (!q.nextExpiry.IsZero() && now.Before(q.nextExpiry)) {
+	if len(q.leased) == 0 || now.Before(q.nextExpiry) {
 		return
 	}
 	next := time.Time{}
-	for id, l := range q.leased {
-		if now.After(l.deadline) {
+	for id, mb := range q.leased {
+		if now.After(mb.leaseEnd) {
 			delete(q.leased, id)
-			q.unleaseLocked(l.msg)
-			q.requeueLocked(l.msg)
-			continue
-		}
-		if next.IsZero() || l.deadline.Before(next) {
-			next = l.deadline
+			q.releaseLocked(mb, now)
+		} else if next.IsZero() || mb.leaseEnd.Before(next) {
+			next = mb.leaseEnd
 		}
 	}
 	q.nextExpiry = next
 }
 
-func (q *Queue) requeueLocked(m *Message) {
-	if m.Attempts >= q.opts.MaxAttempts {
-		q.dead = append(q.dead, m)
-		return
+// settleLocked ends the lease on message id and returns its mailbox.
+func (q *Queue) settleLocked(id uint64) (*Mailbox, error) {
+	mb, ok := q.leased[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, id)
 	}
-	q.ready = append(q.ready, m)
-	sort.SliceStable(q.ready, func(i, j int) bool { return q.ready[i].ID < q.ready[j].ID })
-	q.cond.Broadcast()
+	delete(q.leased, id)
+	return mb, nil
 }
 
 // Ack acknowledges a leased message, removing it permanently (except when the
@@ -406,67 +645,36 @@ func (q *Queue) requeueLocked(m *Message) {
 func (q *Queue) Ack(id uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	l, ok := q.leased[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
+	mb, err := q.settleLocked(id)
+	if err != nil {
+		return err
 	}
-	delete(q.leased, id)
-	q.unleaseLocked(l.msg)
-	q.acked++
-	if q.opts.DuplicateEvery > 0 {
-		q.dupTick++
-		if q.dupTick%q.opts.DuplicateEvery == 0 {
-			// Simulated duplicate delivery of an already-processed message.
-			// Re-sort: the duplicate carries its original ID and the pending
-			// list must stay in ID order for the ordered dequeues.
-			dup := *l.msg
-			q.ready = append(q.ready, &dup)
-			sort.SliceStable(q.ready, func(i, j int) bool { return q.ready[i].ID < q.ready[j].ID })
-			q.cond.Broadcast()
-		}
-	}
+	q.ackLocked(mb)
+	q.releaseLocked(mb, q.opts.Clock())
 	return nil
 }
 
-// ExtendLease renews the visibility lease of a dequeued message: its
-// redelivery deadline moves to a fresh VisibilityTimeout from now. Lane
-// owners renew the leases of the messages they hold, so a backlog that
-// takes longer than the visibility timeout to drain is neither reclaimed
-// for redelivery (which would thrash — the lane still holds the message)
-// nor pushed attempt by attempt toward a spurious dead-lettering.
-func (q *Queue) ExtendLease(id uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	l, ok := q.leased[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
-	}
-	l.deadline = q.opts.Clock().Add(q.opts.VisibilityTimeout)
-	return nil
-}
-
-// Nack returns a leased message to the queue after the given backoff. After
-// MaxAttempts the message is dead-lettered instead.
+// Nack returns a leased message to the head of its mailbox after the given
+// backoff. After MaxAttempts the message is dead-lettered instead.
 func (q *Queue) Nack(id uint64, backoff time.Duration) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	l, ok := q.leased[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
+	mb, err := q.settleLocked(id)
+	if err != nil {
+		return err
 	}
-	delete(q.leased, id)
-	q.unleaseLocked(l.msg)
-	l.msg.NotBefore = q.opts.Clock().Add(backoff)
-	q.requeueLocked(l.msg)
+	now := q.opts.Clock()
+	q.retryLocked(mb, backoff, now)
+	q.releaseLocked(mb, now)
 	return nil
 }
 
-// Len returns the number of deliverable or delayed messages (excluding leased
-// and dead-lettered ones).
+// Len returns the backlog: accepted messages, deliverable or delayed, that
+// are not in a consumer's hands (and not dead-lettered).
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.ready)
+	return q.pending
 }
 
 // InFlight returns the number of currently leased messages.
@@ -485,6 +693,13 @@ func (q *Queue) DeadLetters() []Message {
 		out[i] = *m
 	}
 	return out
+}
+
+// Stats returns the scheduling counters.
+func (q *Queue) Stats() Stats {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.stats
 }
 
 // Acked returns the number of acknowledged deliveries.
@@ -510,7 +725,8 @@ func (q *Queue) DeadlineDropped() uint64 {
 	return q.deadlineDropped
 }
 
-// Close shuts the queue; blocked DequeueWait calls return ErrClosed.
+// Close shuts the queue; blocked Claim calls return nil and blocked
+// DequeueWait calls ErrClosed.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -3,6 +3,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -461,7 +462,7 @@ func TestReliableDeliveryProperty(t *testing.T) {
 	}
 }
 
-func TestDequeueOrderedBlocksDelayedEntityHead(t *testing.T) {
+func TestDequeueHoldsEntityBehindDelayedHead(t *testing.T) {
 	now := time.Unix(0, 0)
 	q := New("unit-1", Options{Clock: func() time.Time { return now }})
 	// Entity X's head is delayed (a retry backoff in flight); a later X
@@ -470,79 +471,34 @@ func TestDequeueOrderedBlocksDelayedEntityHead(t *testing.T) {
 	q.Enqueue("t", ev("step", "X"))
 	q.Enqueue("t", ev("step", "Y"))
 
-	// Plain Dequeue would hand out the second X message here; the ordered
-	// dequeue must hold X back entirely and serve Y.
-	m, err := q.DequeueOrdered("t")
+	// X is held back entirely — its second message may not overtake the
+	// delayed head — while Y is served.
+	m, err := q.Dequeue("t")
 	if err != nil || m.Event.Entity.ID != "Y" {
-		t.Fatalf("DequeueOrdered = %v, %v; want Y", m, err)
+		t.Fatalf("Dequeue = %v, %v; want Y", m, err)
 	}
-	if _, err := q.DequeueOrdered("t"); !errors.Is(err, ErrEmpty) {
+	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("X delivered around its delayed head: %v", err)
 	}
 	// Once the head becomes deliverable, X's messages come out in enqueue
-	// order.
+	// order, one at a time: the second is withheld until the first settles.
 	now = now.Add(time.Second)
-	first, err := q.DequeueOrdered("t")
+	first, err := q.Dequeue("t")
 	if err != nil {
-		t.Fatalf("DequeueOrdered after delay: %v", err)
+		t.Fatalf("Dequeue after delay: %v", err)
 	}
-	second, err := q.DequeueOrdered("t")
+	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("second X message delivered while the first is leased: %v", err)
+	}
+	if err := q.Ack(first.ID); err != nil {
+		t.Fatal(err)
+	}
+	second, err := q.Dequeue("t")
 	if err != nil {
-		t.Fatalf("DequeueOrdered after delay: %v", err)
+		t.Fatalf("Dequeue after ack: %v", err)
 	}
 	if first.ID > second.ID || first.Event.Entity.ID != "X" || second.Event.Entity.ID != "X" {
 		t.Fatalf("X delivered out of order: %d then %d", first.ID, second.ID)
-	}
-}
-
-func TestDequeueEntityServesOneKeyInOrder(t *testing.T) {
-	q := New("unit-1", Options{})
-	q.Enqueue("t", ev("step", "X"))
-	q.Enqueue("t", ev("step", "Y"))
-	q.Enqueue("t", ev("step", "X"))
-	keyX := entity.Key{Type: "Order", ID: "X"}
-
-	m1, err := q.DequeueEntity("t", keyX)
-	if err != nil || m1.Event.Entity.ID != "X" {
-		t.Fatalf("DequeueEntity = %v, %v", m1, err)
-	}
-	// While m1 is leased the entity is blocked (see
-	// TestDequeueEntityBlockedWhileEntityLeased); settle it first, the way a
-	// lane acks its head before hinting for more.
-	if err := q.Ack(m1.ID); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := q.DequeueEntity("t", keyX)
-	if err != nil || m2.Event.Entity.ID != "X" || m2.ID < m1.ID {
-		t.Fatalf("DequeueEntity second = %v, %v", m2, err)
-	}
-	if err := q.Ack(m2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.DequeueEntity("t", keyX); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty for drained key, got %v", err)
-	}
-	// Y was never touched.
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want Y still pending", q.Len())
-	}
-}
-
-func TestDequeueEntityRespectsDelayedHead(t *testing.T) {
-	now := time.Unix(0, 0)
-	q := New("unit-1", Options{Clock: func() time.Time { return now }})
-	q.EnqueueDelayed("t", ev("step", "X"), 50*time.Millisecond)
-	q.Enqueue("t", ev("step", "X"))
-	keyX := entity.Key{Type: "Order", ID: "X"}
-	// The entity's earliest message is delayed: nothing may be served, not
-	// even the later deliverable one.
-	if _, err := q.DequeueEntity("t", keyX); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("DequeueEntity skipped a delayed head: %v", err)
-	}
-	now = now.Add(time.Second)
-	m, err := q.DequeueEntity("t", keyX)
-	if err != nil || m.Attempts != 1 {
-		t.Fatalf("DequeueEntity after delay = %v, %v", m, err)
 	}
 }
 
@@ -580,31 +536,6 @@ func TestLeaseReclaimWithManyLeases(t *testing.T) {
 	}
 	if seen != n {
 		t.Fatalf("redelivered %d of %d", seen, n)
-	}
-}
-
-func TestDequeueEntityBlockedWhileEntityLeased(t *testing.T) {
-	// The lane-hinting safety rule: while any of an entity's messages is
-	// leased to another consumer (e.g. the pool dispatcher between dequeue
-	// and route), DequeueEntity must refuse — handing out a later message
-	// would let it overtake the in-flight earlier one.
-	q := New("unit-1", Options{})
-	q.Enqueue("t", ev("step", "X"))
-	q.Enqueue("t", ev("step", "X"))
-	keyX := entity.Key{Type: "Order", ID: "X"}
-	m1, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.DequeueEntity("t", keyX); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("DequeueEntity served around a leased earlier message: %v", err)
-	}
-	if err := q.Ack(m1.ID); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := q.DequeueEntity("t", keyX)
-	if err != nil || m2.ID <= m1.ID {
-		t.Fatalf("DequeueEntity after settle = %v, %v", m2, err)
 	}
 }
 
@@ -709,35 +640,344 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	}
 }
 
-// ExtendLease pushes a held message's visibility deadline out, so a lane
-// owner working through a deep backlog keeps its claim.
-func TestExtendLeaseRenewsVisibility(t *testing.T) {
+// --- Mailbox ownership (Claim) ---------------------------------------------
+
+func TestClaimOwnsEntityAndPopsInOrder(t *testing.T) {
+	q := New("unit-1", Options{})
+	q.Enqueue("t", ev("a", "X"))
+	q.Enqueue("t", ev("b", "X"))
+	q.Enqueue("t", ev("c", "Y"))
+
+	mb, m := q.TryClaim("t")
+	if mb == nil || mb.Key().ID != "X" || m.Event.Name != "a" || m.Attempts != 1 {
+		t.Fatalf("TryClaim = %v, %v; want X's first message", mb, m)
+	}
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (the handed-out message is not backlog)", q.Len())
+	}
+	// X is owned: every other consumer is served Y, then nothing.
+	other, err := q.Dequeue("t")
+	if err != nil || other.Event.Entity.ID != "Y" {
+		t.Fatalf("Dequeue beside an owner = %v, %v; want Y", other, err)
+	}
+	if mb2, _ := q.TryClaim("t"); mb2 != nil {
+		t.Fatalf("a second consumer claimed %s while both entities are held", mb2.Key())
+	}
+	// Work arriving for an owned entity reaches its owner, in order.
+	q.Enqueue("t", ev("d", "X"))
+	mb.Ack()
+	for _, want := range []string{"b", "d"} {
+		m := mb.Next()
+		if m == nil || m.Event.Name != want {
+			t.Fatalf("Next = %v, want %s", m, want)
+		}
+		mb.Ack()
+	}
+	if m := mb.Next(); m != nil {
+		t.Fatalf("Next on a drained mailbox = %v", m)
+	}
+	mb.Release()
+	if q.Acked() != 3 || q.Len() != 0 {
+		t.Fatalf("Acked = %d, Len = %d; want 3, 0", q.Acked(), q.Len())
+	}
+	if s := q.Stats(); s.Chained != 2 || s.PeakDepth != 3 {
+		t.Fatalf("Stats = %+v; want 2 messages popped in place, peak depth 3", s)
+	}
+}
+
+func TestClaimRetryKeepsHeadInPlaceAndParks(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{VisibilityTimeout: 10 * time.Second, Clock: func() time.Time { return now }})
-	if _, err := q.Enqueue("t", ev("e", "1")); err != nil {
-		t.Fatal(err)
+	q := New("unit-1", Options{MaxAttempts: 3, Clock: func() time.Time { return now }})
+	q.Enqueue("t", ev("first", "X"))
+	q.Enqueue("t", ev("second", "X"))
+
+	mb, m := q.TryClaim("t")
+	mb.Retry(time.Second)
+	if next := mb.Next(); next != nil {
+		t.Fatalf("Next after Retry = %v; the entity must wait out the backoff", next)
 	}
-	m, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatal(err)
+	mb.Release()
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (retry is exempt from nothing, it never left)", q.Len())
 	}
-	// Renew at 8s: the lease now runs to 18s.
-	now = now.Add(8 * time.Second)
-	if err := q.ExtendLease(m.ID); err != nil {
-		t.Fatalf("ExtendLease: %v", err)
+	if mb, _ := q.TryClaim("t"); mb != nil {
+		t.Fatal("parked entity claimed before its backoff passed")
 	}
-	// 16s — past the original lease, inside the renewed one.
-	now = now.Add(8 * time.Second)
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("renewed lease expired early: %v", err)
+	// After the backoff the same message is redelivered first — the entity's
+	// later message has not overtaken it — and MaxAttempts dead-letters it.
+	for attempt := 2; attempt <= 3; attempt++ {
+		now = now.Add(2 * time.Second)
+		mb, again := q.TryClaim("t")
+		if mb == nil || again.ID != m.ID || again.Attempts != attempt {
+			t.Fatalf("attempt %d: claimed %v, want message %d again", attempt, again, m.ID)
+		}
+		mb.Retry(time.Second)
+		mb.Release()
 	}
-	// 19s — past the renewed lease: redelivered.
-	now = now.Add(3 * time.Second)
-	m2, err := q.Dequeue("t")
-	if err != nil || m2.ID != m.ID {
-		t.Fatalf("redelivery after renewed lease expired: %v %v", m2, err)
+	if dead := q.DeadLetters(); len(dead) != 1 || dead[0].Event.Name != "first" {
+		t.Fatalf("dead letters = %+v", dead)
 	}
-	if err := q.ExtendLease(999); !errors.Is(err, ErrUnknownLease) {
-		t.Fatalf("ExtendLease on unknown lease: err = %v, want ErrUnknownLease", err)
+	mb, m = q.TryClaim("t")
+	if mb == nil || m.Event.Name != "second" {
+		t.Fatalf("after the dead-letter: %v, want the entity's second message", m)
+	}
+}
+
+func TestReleaseRedeliversUnsettledAndCountsSteals(t *testing.T) {
+	q := New("unit-1", Options{})
+	q.Enqueue("t", ev("a", "X"))
+	q.Enqueue("t", ev("b", "X"))
+
+	mb, m := q.Claim("t", 0, nil)
+	mb.Release() // neither acked nor retried: the message must come back
+	mb, again := q.Claim("t", 0, nil)
+	if again.ID != m.ID || again.Attempts != 2 {
+		t.Fatalf("after an unsettled Release: %v, want message %d redelivered", again, m.ID)
+	}
+	mb.Ack()
+	mb.Release()
+	if s := q.Stats(); s.Steals != 0 {
+		t.Fatalf("Steals = %d after the same worker claimed twice", s.Steals)
+	}
+	mb, _ = q.Claim("t", 1, nil)
+	mb.Ack()
+	mb.Release()
+	if s := q.Stats(); s.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1: the entity moved from worker 0 to worker 1 with work left", s.Steals)
+	}
+}
+
+func TestClaimBlocksUntilWorkStopOrClose(t *testing.T) {
+	q := New("unit-1", Options{})
+	type claimed struct {
+		mb *Mailbox
+		m  *Message
+	}
+	claim := func(stop <-chan struct{}) <-chan claimed {
+		out := make(chan claimed, 1)
+		go func() {
+			mb, m := q.Claim("t", 0, stop)
+			out <- claimed{mb, m}
+		}()
+		return out
+	}
+	wait := func(c <-chan claimed, what string) claimed {
+		t.Helper()
+		select {
+		case got := <-c:
+			return got
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Claim did not return after %s", what)
+			return claimed{}
+		}
+	}
+
+	// A delayed message wakes the claimer by time passing, not by a signal.
+	c := claim(nil)
+	q.EnqueueDelayed("t", ev("late", "X"), 20*time.Millisecond)
+	got := wait(c, "the delay elapsed")
+	if got.m == nil || got.m.Event.Name != "late" {
+		t.Fatalf("claimed %v", got.m)
+	}
+	got.mb.Ack()
+	got.mb.Release()
+
+	stop := make(chan struct{})
+	c = claim(stop)
+	time.Sleep(10 * time.Millisecond)
+	close(stop)
+	q.Wake()
+	if got := wait(c, "stop"); got.mb != nil {
+		t.Fatalf("Claim returned %v after stop", got.m)
+	}
+
+	c = claim(nil)
+	time.Sleep(10 * time.Millisecond)
+	q.Close()
+	if got := wait(c, "Close"); got.mb != nil {
+		t.Fatalf("Claim returned %v after Close", got.m)
+	}
+}
+
+// TestMixedConsumersKeepPerEntityOrder is the queue's ordering stress test:
+// Claim owners and Dequeue lease consumers work one queue together while
+// every way a delivery can repeat is exercised — Retry and Nack backoffs,
+// leases abandoned to the visibility timeout (after executing, the worst
+// case), unsettled Releases and transport duplicates (DuplicateEvery). Each
+// consumer is idempotent on TxnID, as the contract requires. Every entity's
+// execution order must equal its enqueue order, with every message executed.
+func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
+	const (
+		producers   = 3
+		perProducer = 6 // entities per producer (disjoint, so a producer's order is the entity's enqueue order)
+		perEntity   = 40
+		owners      = 3
+		leasers     = 3
+		total       = producers * perProducer * perEntity
+	)
+	q := New("stress", Options{VisibilityTimeout: 30 * time.Millisecond, MaxAttempts: 1 << 20, DuplicateEvery: 7})
+
+	var mu sync.Mutex
+	executed := map[string]bool{}
+	order := map[entity.Key][]int{}
+	done := make(chan struct{})
+	execute := func(m *Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		if executed[m.Event.TxnID] {
+			return
+		}
+		executed[m.Event.TxnID] = true
+		order[m.Event.Entity] = append(order[m.Event.Entity], m.Event.Data["seq"].(int))
+		if len(executed) == total {
+			close(done)
+		}
+	}
+
+	stop := make(chan struct{})
+	var consumers sync.WaitGroup
+	for w := 0; w < owners; w++ {
+		consumers.Add(1)
+		go func(w int) {
+			defer consumers.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + w)))
+			for {
+				mb, m := q.Claim("t", w, stop)
+				if mb == nil {
+					return
+				}
+				for budget := 1 + rng.Intn(8); m != nil; budget-- {
+					switch roll := rng.Intn(100); {
+					case roll < 10:
+						mb.Retry(time.Duration(rng.Intn(300)) * time.Microsecond)
+					case roll < 15:
+						execute(m)
+						budget = 0 // release with the executed message unsettled
+					default:
+						execute(m)
+						mb.Ack()
+					}
+					if budget <= 0 {
+						break
+					}
+					m = mb.Next()
+				}
+				mb.Release()
+			}
+		}(w)
+	}
+	for c := 0; c < leasers; c++ {
+		consumers.Add(1)
+		go func(c int) {
+			defer consumers.Done()
+			rng := rand.New(rand.NewSource(int64(2000 + c)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m, err := q.DequeueWait("t", 2*time.Millisecond)
+				if err != nil {
+					continue
+				}
+				switch roll := rng.Intn(100); {
+				case roll < 10:
+					q.Nack(m.ID, time.Duration(rng.Intn(300))*time.Microsecond)
+				case roll < 13:
+					execute(m) // and lose the ack: the lease runs out
+				default:
+					execute(m)
+					q.Ack(m.ID)
+				}
+			}
+		}(c)
+	}
+
+	var writers sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		writers.Add(1)
+		go func(p int) {
+			defer writers.Done()
+			for seq := 0; seq < perEntity; seq++ {
+				for e := 0; e < perProducer; e++ {
+					key := entity.Key{Type: "Order", ID: fmt.Sprintf("P%d-E%d", p, e)}
+					_, err := q.Enqueue("t", Event{Name: "step", Entity: key,
+						TxnID: fmt.Sprintf("%s#%d", key.ID, seq), Data: map[string]interface{}{"seq": seq}})
+					if err != nil {
+						t.Errorf("Enqueue: %v", err)
+					}
+				}
+			}
+		}(p)
+	}
+	writers.Wait()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		mu.Lock()
+		n := len(executed)
+		mu.Unlock()
+		t.Fatalf("timed out: %d/%d messages executed, backlog %d, in flight %d", n, total, q.Len(), q.InFlight())
+	}
+	close(stop)
+	q.Wake()
+	consumers.Wait()
+
+	if len(order) != producers*perProducer {
+		t.Fatalf("entities observed = %d, want %d", len(order), producers*perProducer)
+	}
+	for key, got := range order {
+		if len(got) != perEntity {
+			t.Fatalf("%s executed %d messages, want %d", key, len(got), perEntity)
+		}
+		for i, seq := range got {
+			if seq != i {
+				t.Fatalf("%s reordered: position %d ran seq %d (full: %v)", key, i, seq, got)
+			}
+		}
+	}
+	if len(q.DeadLetters()) != 0 {
+		t.Fatalf("dead letters: %v", q.DeadLetters())
+	}
+}
+
+// BenchmarkQueueDrain measures one enqueue + dequeue + ack against a standing
+// backlog. The cost must not depend on the backlog: it fails if the deepest
+// backlog costs more than twice the shallowest per operation.
+func BenchmarkQueueDrain(b *testing.B) {
+	backlogs := []int{100, 10_000, 100_000}
+	perOp := map[int]float64{}
+	for _, backlog := range backlogs {
+		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
+			q := New("bench", Options{})
+			keys := make([]entity.Key, backlog+1)
+			for i := range keys {
+				keys[i] = entity.Key{Type: "Order", ID: fmt.Sprintf("O%d", i)}
+			}
+			for i := 0; i < backlog; i++ {
+				q.Enqueue("t", Event{Name: "e", Entity: keys[i]})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The entity dequeued i operations ago is idle again.
+				if _, err := q.Enqueue("t", Event{Name: "e", Entity: keys[(backlog+i)%len(keys)]}); err != nil {
+					b.Fatal(err)
+				}
+				m, err := q.Dequeue("t")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := q.Ack(m.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perOp[backlog] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		})
+	}
+	lo, hi := perOp[backlogs[0]], perOp[backlogs[len(backlogs)-1]]
+	if lo > 0 && hi > 2*lo {
+		b.Errorf("dequeue cost grows with the backlog: %.0f ns/op at %d, %.0f ns/op at %d",
+			lo, backlogs[0], hi, backlogs[len(backlogs)-1])
 	}
 }

@@ -98,6 +98,8 @@ type Manager struct {
 	hlc   *clock.HLC
 	locks *locks.Manager
 	ids   clock.Sequence
+	// idPrefix is "<node>-txn-"; a transaction id is it plus a sequence number.
+	idPrefix string
 
 	mu    sync.Mutex
 	stats Stats
@@ -123,7 +125,7 @@ func NewManager(db *lsdb.DB, lm *locks.Manager, hlc *clock.HLC, opts Options) *M
 	if hlc == nil {
 		hlc = clock.NewHLC(opts.Node)
 	}
-	m := &Manager{opts: opts, db: db, hlc: hlc, locks: lm, ids: clock.Sequence{}}
+	m := &Manager{opts: opts, db: db, hlc: hlc, locks: lm, idPrefix: string(opts.Node) + "-txn-"}
 	m.resumeIDs()
 	return m
 }
@@ -134,10 +136,9 @@ func NewManager(db *lsdb.DB, lm *locks.Manager, hlc *clock.HLC, opts Options) *M
 // over a recovered log (durable restart, promoted standby) must not recycle
 // ids — a fresh write wearing an old id would be dropped as its own replay.
 func (m *Manager) resumeIDs() {
-	prefix := fmt.Sprintf("%s-txn-", m.opts.Node)
 	var floor uint64
 	for _, rec := range m.db.RecordsAfter(0) {
-		n, ok := strings.CutPrefix(rec.TxnID, prefix)
+		n, ok := strings.CutPrefix(rec.TxnID, m.idPrefix)
 		if !ok {
 			continue
 		}
@@ -164,37 +165,52 @@ func (m *Manager) Stats() Stats {
 // Txn is one transaction. Txns are not safe for concurrent use by multiple
 // goroutines; each goroutine begins its own.
 type Txn struct {
-	m      *Manager
-	id     string
-	mode   Mode
+	m    *Manager
+	id   string
+	mode Mode
+	// outbox stages emitted events; nil until the first Emit.
 	outbox *queue.Outbox
 	done   bool
 
 	// reads captures the head LSN of every entity read, for optimistic
-	// validation.
+	// validation; nil until the first Read.
 	reads map[entity.Key]uint64
-	// writes buffers the operations per entity, in first-touch order.
-	writes     map[entity.Key][]entity.Op
-	writeOrder []entity.Key
-	// tentative marks entities whose buffered ops are a tentative promise.
-	tentative map[entity.Key]bool
+	// writes buffers the operations per entity, in first-touch order. A
+	// focused transaction writes one entity (principle 2.4), which fits
+	// the inline room; more entities spill to the heap.
+	writes []write
+	room   [1]write
+	// recRoom is the same inline room for CommitResult.Records.
+	recRoom [1]lsdb.Record
 	// owner is the logical-lock owner for pessimistic mode.
 	owner locks.Owner
 }
 
+// write is the buffered operations against one entity.
+type write struct {
+	key entity.Key
+	ops []entity.Op
+	// tentative marks the buffered ops as a tentative promise.
+	tentative bool
+}
+
 // Begin starts a transaction in the given mode.
 func (m *Manager) Begin(mode Mode) *Txn {
-	id := fmt.Sprintf("%s-txn-%d", m.opts.Node, m.ids.Next())
-	return &Txn{
-		m:         m,
-		id:        id,
-		mode:      mode,
-		outbox:    queue.NewOutbox(),
-		reads:     map[entity.Key]uint64{},
-		writes:    map[entity.Key][]entity.Op{},
-		tentative: map[entity.Key]bool{},
-		owner:     locks.Owner(id),
+	var buf [64]byte // on the stack: the id is the only allocation
+	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
+	t := &Txn{m: m, id: id, mode: mode, owner: locks.Owner(id)}
+	t.writes = t.room[:0]
+	return t
+}
+
+// written returns the buffered write against key, or nil.
+func (t *Txn) written(key entity.Key) *write {
+	for i := range t.writes {
+		if t.writes[i].key == key {
+			return &t.writes[i]
+		}
 	}
+	return nil
 }
 
 // ID returns the transaction identifier (also used for idempotence).
@@ -228,16 +244,19 @@ func (t *Txn) Read(key entity.Key) (*entity.State, error) {
 		return nil, err
 	}
 	if _, seen := t.reads[key]; !seen {
+		if t.reads == nil {
+			t.reads = map[entity.Key]uint64{}
+		}
 		t.reads[key] = head
 	}
 	// Overlay the transaction's own buffered operations (read-your-writes
 	// within the transaction).
-	if ops := t.writes[key]; len(ops) > 0 {
+	if w := t.written(key); w != nil {
 		typ, ok := t.m.db.TypeOf(key.Type)
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", lsdb.ErrUnknownType, key.Type)
 		}
-		overlaid, _, err := entity.Apply(typ, st, ops, entity.Managed)
+		overlaid, _, err := entity.Apply(typ, st, w.ops, entity.Managed)
 		if err != nil {
 			return nil, err
 		}
@@ -269,33 +288,53 @@ func (t *Txn) update(key entity.Key, tentative bool, ops ...entity.Op) error {
 			return err
 		}
 	}
-	if _, seen := t.writes[key]; !seen {
-		t.writeOrder = append(t.writeOrder, key)
+	w := t.written(key)
+	if w == nil {
+		t.writes = append(t.writes, write{key: key})
+		w = &t.writes[len(t.writes)-1]
 	}
-	t.writes[key] = append(t.writes[key], ops...)
+	if w.ops == nil {
+		// Shared with the caller, as the store shares operations all the
+		// way into its log; the clamp makes a later append copy.
+		w.ops = ops[:len(ops):len(ops)]
+	} else {
+		w.ops = append(w.ops, ops...)
+	}
 	if tentative {
-		t.tentative[key] = true
+		w.tentative = true
 	}
 	return nil
 }
 
 // Emit stages an event for publication if and only if the transaction
 // commits (the transactional outbox of principle 2.4).
-func (t *Txn) Emit(topic string, ev queue.Event) {
-	ev.TxnID = t.id
-	t.outbox.Stage(topic, ev)
-}
+func (t *Txn) Emit(topic string, ev queue.Event) { t.EmitDelayed(topic, ev, 0) }
 
 // EmitDelayed stages a delayed event.
 func (t *Txn) EmitDelayed(topic string, ev queue.Event, delay time.Duration) {
 	ev.TxnID = t.id
+	if t.outbox == nil {
+		t.outbox = queue.NewOutbox()
+	}
 	t.outbox.StageDelayed(topic, ev, delay)
+}
+
+// discardStaged drops the staged events of a transaction that will not
+// commit them.
+func (t *Txn) discardStaged() {
+	if t.outbox != nil {
+		t.outbox.Discard()
+	}
 }
 
 // Entities returns the keys this transaction has written, in first-touch
 // order.
 func (t *Txn) Entities() []entity.Key {
-	return append([]entity.Key(nil), t.writeOrder...)
+	keys := make([]entity.Key, len(t.writes))
+	for i := range t.writes {
+		keys[i] = t.writes[i].key
+	}
+	return keys
 }
 
 func (t *Txn) lock(key entity.Key) error {
@@ -336,9 +375,9 @@ func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 	t.done = true
 	defer t.release()
 
-	if t.m.opts.EnforceSingleEntity && len(t.writeOrder) > 1 {
+	if t.m.opts.EnforceSingleEntity && len(t.writes) > 1 {
 		t.fail()
-		return CommitResult{}, fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writeOrder))
+		return CommitResult{}, fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writes))
 	}
 	// Optimistic validation: every entity read must still be at the LSN we
 	// saw. (Solipsists skip this entirely; pessimists are protected by
@@ -357,22 +396,21 @@ func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 				t.m.stats.Conflicts++
 				t.m.stats.Aborts++
 				t.m.mu.Unlock()
-				t.outbox.Discard()
+				t.discardStaged()
 				return CommitResult{}, fmt.Errorf("%w: %s changed (read at %d, now %d)", ErrConflict, key, sawLSN, head)
 			}
 		}
 	}
 
 	stamp := t.m.hlc.Now()
-	res := CommitResult{TxnID: t.id, Stamp: stamp}
-	for _, key := range t.writeOrder {
-		ops := t.writes[key]
+	res := CommitResult{TxnID: t.id, Stamp: stamp, Records: t.recRoom[:0]}
+	for _, w := range t.writes {
 		var ar lsdb.AppendResult
 		var err error
-		if t.tentative[key] {
-			ar, err = t.m.db.AppendTentative(key, ops, stamp, t.m.opts.Node, t.id)
+		if w.tentative {
+			ar, err = t.m.db.AppendTentative(w.key, w.ops, stamp, t.m.opts.Node, t.id)
 		} else {
-			ar, err = t.m.db.Append(key, ops, stamp, t.m.opts.Node, t.id)
+			ar, err = t.m.db.Append(w.key, w.ops, stamp, t.m.opts.Node, t.id)
 		}
 		if err != nil {
 			// A duplicate txn id means this transaction already committed
@@ -386,7 +424,7 @@ func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 		res.Records = append(res.Records, ar.Record)
 		res.Warnings = append(res.Warnings, ar.Warnings...)
 	}
-	if q != nil {
+	if q != nil && t.outbox != nil {
 		ids, err := t.outbox.Publish(q)
 		if err != nil {
 			// The data is committed; event publication failing is an
@@ -395,7 +433,7 @@ func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 		}
 		res.PublishedEvents = ids
 	} else {
-		t.outbox.Discard()
+		t.discardStaged()
 	}
 	t.m.mu.Lock()
 	t.m.stats.Commits++
@@ -409,7 +447,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.done = true
-	t.outbox.Discard()
+	t.discardStaged()
 	t.fail()
 	t.release()
 }
