@@ -20,9 +20,11 @@ bench:
 
 # The repository benchmark (bench/, a module of its own, so `go test ./...`
 # at the root does not reach it) compiles against internal/: its vet and its
-# own tests, smoke runs of every workload included.
+# own tests, smoke runs of every workload included. The cold tier's component
+# benchmarks ride along at one iteration so CI compiles and runs them.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 1x -benchmem ./internal/lsm ./internal/lsdb
 
 # The step path on its own: what one process step costs in time and garbage
 # (BenchmarkStepChain), that a dequeue's cost is flat in the backlog
@@ -57,10 +59,13 @@ bench-replication:
 
 # The E22 tiered-storage benchmarks on their own: per-append stall during a
 # quiesced legacy checkpoint vs an off-hot-path tiered flush, and recovery
-# time as history grows — then the harness regenerates the BENCH_E22.json
-# trajectory file so successive PRs can diff the numbers.
+# time as history grows; the cold tier's bulk paths as components (one L1
+# compaction pass, one flush capture; keys/s, B/op, allocs/op) — then the
+# harness regenerates the BENCH_E22.json trajectory file so successive PRs
+# can diff the numbers.
 bench-lsm:
 	$(GO) test -run xxx -bench 'BenchmarkE22' -benchtime 200x .
+	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 20x -benchmem ./internal/lsm ./internal/lsdb
 	$(GO) run ./cmd/benchharness -only E22 -json BENCH_E22.json
 
 # The E23 end-to-end SLO run (see docs/BENCHMARKING.md): the open-loop load
@@ -78,11 +83,13 @@ bench-slo:
 		-assert-convergence -json BENCH_E23.json
 
 # The tiered-storage suites under the race detector: the LSM store unit
-# tests, the lsdb flush/recovery/cold-read suites, the kill-9 crash matrix
-# over every mid-flush/mid-compaction site, and the chunk-pool ownership
-# tests (CI runs the same set in its tiering job).
+# tests (then ten seconds of fuzzing the table decoders), the lsdb
+# flush/recovery/cold-read suites, the kill-9 crash matrix over every
+# mid-flush/mid-compaction site, and the chunk-pool ownership tests (CI runs
+# the same set in its tiering job).
 lsm-race:
 	$(GO) test -race ./internal/lsm/
+	$(GO) test -run xxx -fuzz FuzzTableDecode -fuzztime 10s ./internal/lsm/
 	$(GO) test -race -run 'TestTiered|TestFlushCompactionCrashMatrix|TestColdEviction|TestCheckpointFailure|TestLegacySnapshot|TestAsOfAndHistory' ./internal/lsdb/
 	$(GO) test -race -run 'TestRecycle|TestChunkPool|TestApplyFailureRecycles' ./internal/entity/
 

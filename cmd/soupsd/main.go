@@ -75,7 +75,7 @@ var (
 	ckptEvery       = flag.Int("checkpoint-every", 4096, "records per unit between automatic checkpoints/flushes (-1 disables)")
 	flushBytes      = flag.Int64("flush-bytes", 0, "bytes of committed records per unit between tiered background flushes (0 = default 4 MiB, -1 disables the byte trigger)")
 	compactAfter    = flag.Int("compaction-after", 0, "level-0 SSTables per unit before background compaction merges them (0 = default 4)")
-	compactThrottle = flag.Duration("compaction-throttle", 0, "pause between compaction merge batches (0 = default 500µs, -1ns disables)")
+	compactThrottle = flag.Duration("compaction-throttle", 0, "compactor pause per 64 KiB of merged output, and while a flush is writing (0 = default 500µs, -1ns disables)")
 	noTiered        = flag.Bool("no-tiered-storage", false, "disable the LSM tier: bare WAL with stop-the-world checkpoints (E22 baseline)")
 	maxDepth        = flag.Int("max-queue-depth", 4096, "admission control: shed event submits past this per-unit queue depth with 503 (0 = unbounded)")
 	retryAfter      = flag.Duration("retry-after", time.Second, "Retry-After hint on 503 backpressure/degraded responses")

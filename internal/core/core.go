@@ -139,10 +139,10 @@ type Options struct {
 	// background compactor merges them into the level-1 run (only meaningful
 	// with DataDir; default 4).
 	CompactAfter int
-	// CompactThrottle is the pause the compactor takes between merge batches
-	// so background merging never monopolises the disk against foreground
-	// commits (only meaningful with DataDir; default 500µs, negative
-	// disables throttling).
+	// CompactThrottle is the pause the compactor takes per 64 KiB of merged
+	// output (it also waits while a flush is writing) so background merging
+	// never monopolises the disk against foreground commits (only meaningful
+	// with DataDir; default 500µs, negative disables throttling).
 	CompactThrottle time.Duration
 	// DisableTiered keeps the pre-LSM layout: a bare WAL per unit with
 	// stop-the-world checkpoints, no SSTables. Escape hatch and the E22

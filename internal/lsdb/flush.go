@@ -27,8 +27,9 @@
 package lsdb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -137,58 +138,60 @@ func (f *flusher) flushOnce() error {
 	capBytes := f.bytes.Swap(0)
 	capRecs := db.sinceCkpt.Swap(0)
 
-	var entries []storage.WALRecord
-	var scratch []*entity.State // private rollups to recycle after the write
+	// Take every shard's dirty set, then capture in key order: the table
+	// writer requires key-grouped, key-ordered input, and sorting the keys up
+	// front is far cheaper than sorting the records they expand to. (Type, ID)
+	// ordering matches the table's composite-key ordering.
+	type dirtyKey struct {
+		key   entity.Key
+		shard *shard
+	}
+	var keys []dirtyKey
 	captured := make([]map[entity.Key]struct{}, len(db.shards))
 	for si, s := range db.shards {
 		s.mu.Lock()
-		if len(s.dirty) == 0 {
-			s.mu.Unlock()
-			continue
-		}
-		captured[si] = s.dirty
-		s.dirty = map[entity.Key]struct{}{}
-		keys := make([]entity.Key, 0, len(captured[si]))
-		for key := range captured[si] {
-			keys = append(keys, key)
+		if len(s.dirty) > 0 {
+			captured[si] = s.dirty
+			s.dirty = map[entity.Key]struct{}{}
 		}
 		s.mu.Unlock()
-		// One key per lock hold: a writer to this shard waits at most one
-		// entity's rollup, never the whole shard delta. A record committed
-		// to an already-captured key between holds simply re-dirties it for
-		// the next pass; one committed to a not-yet-captured key rides into
-		// this table with an LSN above the watermark, which recovery
-		// tolerates (the LSN dedup against the replayed WAL tail).
-		for _, key := range keys {
-			s.mu.Lock()
-			recs, priv, err := db.captureKeyLocked(s, key)
-			if err != nil {
-				// Unknown type or unreadable cold summary: leave the key
-				// dirty for the next pass rather than losing it.
-				s.dirty[key] = struct{}{}
-				s.mu.Unlock()
-				continue
-			}
-			s.mu.Unlock()
-			entries = append(entries, recs...)
-			if priv != nil {
-				scratch = append(scratch, priv)
-			}
+		for key := range captured[si] {
+			keys = append(keys, dirtyKey{key, s})
+		}
+	}
+	slices.SortFunc(keys, func(a, b dirtyKey) int {
+		if c := cmp.Compare(a.key.Type, b.key.Type); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.ID, b.key.ID)
+	})
+	entries := make([]storage.WALRecord, 0, len(keys))
+	var scratch []*entity.State // private rollups to recycle after the write
+	// One key per lock hold: a writer to the key's shard waits at most one
+	// entity's rollup, never the whole delta. A record committed to an
+	// already-captured key between holds simply re-dirties it for the next
+	// pass; one committed to a not-yet-captured key rides into this table
+	// with an LSN above the watermark, which recovery tolerates (the LSN
+	// dedup against the replayed WAL tail).
+	for _, dk := range keys {
+		s := dk.shard
+		s.mu.Lock()
+		var priv *entity.State
+		var err error
+		entries, priv, err = db.captureKeyLocked(s, dk.key, entries)
+		if err != nil {
+			// Unknown type or unreadable cold summary: leave the key dirty
+			// for the next pass rather than losing it.
+			s.dirty[dk.key] = struct{}{}
+		}
+		s.mu.Unlock()
+		if priv != nil {
+			scratch = append(scratch, priv)
 		}
 	}
 	if len(entries) == 0 {
 		return nil
 	}
-	// The table writer requires key-grouped, key-ordered input; a stable
-	// sort keeps each key's summary-then-details run intact. (Type, ID)
-	// ordering matches the table's composite-key ordering.
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i].Key, entries[j].Key
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return a.ID < b.ID
-	})
 	err = db.tiered.FlushTable(entries, watermark, boundary)
 	for _, st := range scratch {
 		st.Recycle()
@@ -218,19 +221,20 @@ func (f *flusher) flushOnce() error {
 	return nil
 }
 
-// captureKeyLocked emits one dirty entity's flush records: the summary at
-// its settled horizon plus full copies of every record above it. The caller
-// holds the shard's write lock. The returned private state, when non-nil, is
-// a scratch rollup owned by the flush and recycled after serialisation.
-func (db *DB) captureKeyLocked(s *shard, key entity.Key) ([]storage.WALRecord, *entity.State, error) {
+// captureKeyLocked appends one dirty entity's flush records to entries: the
+// summary at its settled horizon plus full copies of every record above it.
+// The caller holds the shard's write lock. The returned private state, when
+// non-nil, is a scratch rollup owned by the flush and recycled after
+// serialisation. On error entries comes back unchanged.
+func (db *DB) captureKeyLocked(s *shard, key entity.Key, entries []storage.WALRecord) ([]storage.WALRecord, *entity.State, error) {
 	typ, ok := db.TypeOf(key.Type)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
+		return entries, nil, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
 	}
 	// A dirty key can still be cold-resident when recovery installed both a
 	// cold pointer and tail records; the capture needs its base in memory.
 	if err := db.warmLocked(s, key); err != nil {
-		return nil, nil, err
+		return entries, nil, err
 	}
 	lsns := s.index[key]
 	arch := s.archived[key]
@@ -252,7 +256,6 @@ func (db *DB) captureKeyLocked(s *shard, key entity.Key) ([]storage.WALRecord, *
 		}
 		h = lsn
 	}
-	var entries []storage.WALRecord
 	var private *entity.State
 	if h > 0 || arch != nil {
 		sum := storage.WALRecord{Kind: storage.KindSummary, Key: key, Horizon: h}

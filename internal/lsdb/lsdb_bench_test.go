@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/entity"
+	"repro/internal/storage"
 )
 
 // buildBenchDB fills a store with n records spread over several entities,
@@ -87,4 +88,51 @@ func BenchmarkSaveLoadRoundTrip(b *testing.B) {
 			}
 		}
 	})
+}
+
+// discardTiered is a tiered backend that keeps nothing: the flush capture
+// runs in full and the table write costs nothing, so BenchmarkFlushCapture
+// times the store's side of a flush alone.
+type discardTiered struct {
+	*storage.Memory
+	entries int
+}
+
+func (d *discardTiered) SealWAL() (uint64, error) { return 0, nil }
+func (d *discardTiered) FlushTable(entries []storage.WALRecord, _, _ uint64) error {
+	d.entries += len(entries)
+	return nil
+}
+func (d *discardTiered) LookupSummary(entity.Key) (*storage.WALRecord, error) { return nil, nil }
+func (d *discardTiered) TieredStats() storage.TieredStats                     { return storage.TieredStats{} }
+
+// BenchmarkFlushCapture measures one flush pass over 16 384 dirty entities
+// spread across 16 shards — seal, per-key capture under the shard locks, and
+// whatever it takes to hand the table writer key-ordered input — against a
+// backend that discards the table.
+func BenchmarkFlushCapture(b *testing.B) {
+	const keys = 16384
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		backend := &discardTiered{Memory: storage.NewMemory()}
+		db := Open(Options{Node: "bench", Shards: 16, Backend: backend, FlushBytes: -1})
+		if err := db.RegisterType(accountType()); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < keys; k++ {
+			key := entity.Key{Type: "Account", ID: fmt.Sprintf("acct-%d", k)}
+			if _, err := db.Append(key, []entity.Op{entity.Delta("balance", float64(k))}, stamp(int64(k+1)), "bench", ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := db.flush.FlushNow(); err != nil {
+			b.Fatal(err)
+		}
+		if backend.entries != keys {
+			b.Fatalf("flush captured %d entries, want %d", backend.entries, keys)
+		}
+	}
+	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }

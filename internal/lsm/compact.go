@@ -15,20 +15,31 @@
 //     reached a later flush) is eliminated outright — this is where
 //     tombstones die, mirroring what Compact does to the in-memory index.
 //
+// The merge streams: every input is read through one sequential frameReader,
+// and a key that needs none of the rules above — held by exactly one input,
+// summary only, which is almost every level-1 key a level-0 table does not
+// touch — is copied through as already-framed bytes, never decoded.
+//
 // The compactor yields while a flush's foreground fsync is active and
-// sleeps CompactThrottle between merge batches, so background merging never
-// monopolises the disk against the commit path.
+// sleeps CompactThrottle per throttleBytes of merged output, so background
+// merging never monopolises the disk against the commit path.
 package lsm
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/storage"
 )
+
+// throttleBytes is the compactor's unit of work between pauses: one output
+// block. Pacing by bytes rather than keys keeps the pause proportional to
+// the work now that most keys cost a memcpy.
+const throttleBytes = 64 << 10
 
 // compactorLoop waits for flush signals and drains the level-0 backlog.
 func (s *Store) compactorLoop() {
@@ -53,11 +64,14 @@ func (s *Store) compactorLoop() {
 	}
 }
 
-// mergeIter walks one input table key-group by key-group.
+// mergeIter walks one input table key-group by key-group: the index cursor
+// names the current key, the frame reader stands at that key's first frame.
 type mergeIter struct {
 	t   *table
 	cur indexCursor
+	fr  frameReader
 	e   indexEntry
+	ck  string // compositeKey(e.key), computed once per advance
 	ok  bool
 }
 
@@ -66,14 +80,20 @@ func newMergeIter(t *table) (*mergeIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &mergeIter{t: t, cur: indexCursor{b: payload}}
+	it := &mergeIter{t: t, cur: indexCursor{b: payload}, fr: t.frames(0, t.indexOff)}
 	return it, it.advance()
 }
 
 func (it *mergeIter) advance() error {
 	ok, err := it.cur.next(&it.e)
-	it.ok = ok
-	return err
+	if err != nil {
+		return fmt.Errorf("lsm: table %s: %w", it.t.meta.Name, err)
+	}
+	if it.ok = ok; ok {
+		it.ck = compositeKey(it.e.key)
+		it.fr.off = it.e.dataOff
+	}
+	return nil
 }
 
 // CompactNow runs one compaction pass synchronously: all current level-0
@@ -109,17 +129,17 @@ func (s *Store) CompactNow() error {
 		return nil
 	}
 	seq := s.nextSeq.Add(1) - 1
-	out, err := s.mergeTables(inputs, seq)
+	t, err := s.mergeTables(inputs, seq)
 	if err != nil {
 		return fail(err)
 	}
+	out := t.meta
 	if err := s.runBreakpoint("compact:pre-manifest"); err != nil {
 		// Simulated crash after the output table landed but before the
 		// manifest names it: the orphan sweep reclaims it on the next open.
 		return fail(err)
 	}
-	t, err := openTable(s.opts.Dir, out)
-	if err != nil {
+	if err := t.open(s.opts.Dir); err != nil {
 		return fail(err)
 	}
 	dead := make(map[string]bool, len(inputs))
@@ -183,12 +203,12 @@ func (s *Store) removeInputs(inputs []*table) {
 }
 
 // mergeTables k-way merges the inputs into one new level-1 table.
-func (s *Store) mergeTables(inputs []*table, seq uint64) (TableMeta, error) {
+func (s *Store) mergeTables(inputs []*table, seq uint64) (*table, error) {
 	iters := make([]*mergeIter, 0, len(inputs))
 	for _, in := range inputs {
 		it, err := newMergeIter(in)
 		if err != nil {
-			return TableMeta{}, err
+			return nil, err
 		}
 		if it.ok {
 			iters = append(iters, it)
@@ -196,7 +216,7 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (TableMeta, error) {
 	}
 	w, err := newTableWriter(s.opts.Dir, tableName(seq))
 	if err != nil {
-		return TableMeta{}, err
+		return nil, err
 	}
 	var watermark uint64
 	for _, in := range inputs {
@@ -204,61 +224,65 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (TableMeta, error) {
 			watermark = in.meta.Watermark
 		}
 	}
-	var batch int
+	m := keyMerger{w: w}
+	paced := w.off
 	for len(iters) > 0 {
 		// Smallest key across the iterators; participants are every iterator
 		// positioned on it.
-		minKey := ""
-		for _, it := range iters {
-			if ck := compositeKey(it.e.key); minKey == "" || ck < minKey {
-				minKey = ck
+		minKey := iters[0].ck
+		for _, it := range iters[1:] {
+			if it.ck < minKey {
+				minKey = it.ck
 			}
 		}
-		var parts []*mergeIter
+		m.parts = m.parts[:0]
 		for _, it := range iters {
-			if compositeKey(it.e.key) == minKey {
-				parts = append(parts, it)
+			if it.ck == minKey {
+				m.parts = append(m.parts, it)
 			}
 		}
-		if err := s.mergeKey(w, parts); err != nil {
+		if err := m.mergeKey(); err != nil {
 			w.abort()
-			return TableMeta{}, err
+			return nil, err
 		}
 		// Advance the participants; drop exhausted iterators.
-		liveIters := iters[:0]
-		for _, it := range iters {
-			if compositeKey(it.e.key) == minKey {
-				if err := it.advance(); err != nil {
-					w.abort()
-					return TableMeta{}, err
-				}
-			}
-			if it.ok {
-				liveIters = append(liveIters, it)
+		for _, it := range m.parts {
+			if err := it.advance(); err != nil {
+				w.abort()
+				return nil, err
 			}
 		}
-		iters = liveIters
-		if batch++; batch%64 == 0 {
+		iters = slices.DeleteFunc(iters, func(it *mergeIter) bool { return !it.ok })
+		if w.off-paced >= throttleBytes {
+			paced = w.off
 			s.yieldToFlush()
 		}
 	}
-	meta, err := w.finish(s.breakpoint("compact:pre-rename"))
+	t, err := w.finish(s.breakpoint("compact:pre-rename"))
 	if err != nil {
-		return TableMeta{}, err
+		return nil, err
 	}
-	meta.Level, meta.Seq = 1, seq
-	if watermark > meta.Watermark {
-		meta.Watermark = watermark
+	t.meta.Level, t.meta.Seq = 1, seq
+	if watermark > t.meta.Watermark {
+		t.meta.Watermark = watermark
 	}
-	return meta, nil
+	return t, nil
+}
+
+// keyMerger applies the merge rules to one key at a time; its slices are
+// scratch reused across keys.
+type keyMerger struct {
+	w       *tableWriter
+	parts   []*mergeIter // the inputs positioned on the current key
+	details []storage.WALRecord
 }
 
 // mergeKey writes one key's merged records: the winning summary, then the
 // surviving detail.
-func (s *Store) mergeKey(w *tableWriter, parts []*mergeIter) error {
+func (m *keyMerger) mergeKey() error {
 	// Winner: newest input table holding a summary for the key.
 	var winner *mergeIter
-	for _, p := range parts {
+	for _, p := range m.parts {
 		if p.e.flags&entryHasSummary == 0 {
 			continue
 		}
@@ -268,68 +292,64 @@ func (s *Store) mergeKey(w *tableWriter, parts []*mergeIter) error {
 	}
 	var horizon uint64
 	if winner != nil {
+		// The winning summary is copied through as framed bytes. For a key no
+		// other input holds and no detail follows, that is the whole merge.
 		horizon = winner.e.horizon
-		rec, _, err := winner.t.readFrameAt(winner.e.dataOff)
+		frame, err := winner.fr.next()
 		if err != nil {
 			return err
 		}
-		if err := w.add(&rec); err != nil {
+		if err := m.w.addRaw(winner.e.key, winner.ck, horizon, frame); err != nil {
 			return err
 		}
 	}
 	// Surviving detail: above the winning horizon, not obsolete, one copy
 	// per LSN. An LSN's copies can disagree across tables — only the table
 	// whose flush saw the MarkObsolete carries the flag, an older table holds
-	// the pre-mark live copy — so obsolescence is collected across every part
-	// first and applied to whichever copy was kept. Keying the decision on
+	// the pre-mark live copy — so every copy is collected first and an LSN is
+	// dropped when any of its copies is obsolete. Keying the decision on
 	// iteration order instead would let the older live copy resurrect a
 	// withdrawn promise whose covering WAL mark has already been pruned.
-	var details []storage.WALRecord
-	seen := map[uint64]bool{}
-	obsolete := map[uint64]bool{}
-	for _, p := range parts {
-		off := p.e.dataOff
+	m.details = m.details[:0]
+	for _, p := range m.parts {
+		if p != winner && p.e.flags&entryHasSummary != 0 {
+			// A superseded summary: a strict prefix of the winner's rollup.
+			if _, err := p.fr.next(); err != nil {
+				return err
+			}
+		}
 		end := p.e.dataOff + p.e.dataLen
-		for off < end {
-			rec, next, err := p.t.readFrameAt(off)
+		for p.fr.off < end {
+			rec, err := p.fr.record()
 			if err != nil {
 				return err
 			}
-			off = next
-			if rec.Kind != storage.KindAppend {
-				continue
+			if rec.Kind == storage.KindAppend && rec.LSN > horizon {
+				m.details = append(m.details, rec)
 			}
-			if rec.LSN <= horizon {
-				continue
-			}
-			if rec.Obsolete {
-				obsolete[rec.LSN] = true
-				continue
-			}
-			if seen[rec.LSN] {
-				continue
-			}
-			seen[rec.LSN] = true
-			details = append(details, rec)
+		}
+		if p.fr.off != end {
+			return fmt.Errorf("lsm: table %s: entry for %q does not end on a frame boundary", p.t.meta.Name, p.ck)
 		}
 	}
-	live := details[:0]
-	for i := range details {
-		if !obsolete[details[i].LSN] {
-			live = append(live, details[i])
+	slices.SortStableFunc(m.details, func(a, b storage.WALRecord) int { return cmp.Compare(a.LSN, b.LSN) })
+	for i := 0; i < len(m.details); {
+		j, obsolete := i, false
+		for ; j < len(m.details) && m.details[j].LSN == m.details[i].LSN; j++ {
+			obsolete = obsolete || m.details[j].Obsolete
 		}
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].LSN < live[b].LSN })
-	for i := range live {
-		if err := w.add(&live[i]); err != nil {
-			return err
+		if !obsolete {
+			if err := m.w.add(&m.details[i]); err != nil {
+				return err
+			}
 		}
+		i = j
 	}
 	return nil
 }
 
 // yieldToFlush pauses the merge while a flush is writing and applies the
-// configured throttle between batches.
+// configured throttle between output blocks.
 func (s *Store) yieldToFlush() {
 	for s.flushActive.Load() {
 		time.Sleep(200 * time.Microsecond)

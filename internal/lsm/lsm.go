@@ -27,10 +27,11 @@
 package lsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,9 +75,10 @@ type Options struct {
 	// CompactAfter is the level-0 table count that triggers a compaction
 	// pass (default 4).
 	CompactAfter int
-	// CompactThrottle is the pause the compactor inserts between merge
-	// batches so sustained compaction cannot monopolise the disk against
-	// foreground fsync (default 500µs; negative disables).
+	// CompactThrottle is the pause the compactor inserts per 64 KiB of merged
+	// output (it also waits out any flush that is writing) so sustained
+	// compaction cannot monopolise the disk against foreground fsync
+	// (default 500µs; negative disables).
 	CompactThrottle time.Duration
 	// Hooks are optional fault-injection seams.
 	Hooks *Hooks
@@ -282,19 +284,19 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 			return fail(err)
 		}
 	}
-	meta, err := w.finish(s.breakpoint("flush:pre-rename"))
+	t, err := w.finish(s.breakpoint("flush:pre-rename"))
 	if err != nil {
 		return fail(err)
 	}
-	meta.Level, meta.Seq = 0, seq
-	if watermark > meta.Watermark {
-		meta.Watermark = watermark
+	t.meta.Level, t.meta.Seq = 0, seq
+	if watermark > t.meta.Watermark {
+		t.meta.Watermark = watermark
 	}
+	meta := t.meta
 	if err := s.runBreakpoint("flush:pre-manifest"); err != nil {
 		return fail(err)
 	}
-	t, err := openTable(s.opts.Dir, meta)
-	if err != nil {
+	if err := t.open(s.opts.Dir); err != nil {
 		return fail(err)
 	}
 	s.mu.Lock()
@@ -341,7 +343,7 @@ func insertTable(tables []*table, t *table) []*table {
 	out := make([]*table, 0, len(tables)+1)
 	out = append(out, t)
 	out = append(out, tables...)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].meta.Seq > out[b].meta.Seq })
+	slices.SortStableFunc(out, func(a, b *table) int { return cmp.Compare(b.meta.Seq, a.meta.Seq) })
 	return out
 }
 

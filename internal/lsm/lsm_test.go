@@ -54,6 +54,34 @@ func openTestStore(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
+// scan streams every record of the table in key order, with the index entry
+// it belongs to.
+func (t *table) scan(fn func(e indexEntry, rec storage.WALRecord) error) error {
+	payload, err := t.indexPayload()
+	if err != nil {
+		return err
+	}
+	cur := indexCursor{b: payload}
+	fr := t.frames(0, t.indexOff)
+	var e indexEntry
+	for {
+		ok, err := cur.next(&e)
+		if err != nil || !ok {
+			return err
+		}
+		fr.off = e.dataOff
+		for fr.off < e.dataOff+e.dataLen {
+			rec, err := fr.record()
+			if err != nil {
+				return err
+			}
+			if err := fn(e, rec); err != nil {
+				return err
+			}
+		}
+	}
+}
+
 // TestTableRoundTrip writes one table with enough keys to exercise the sparse
 // index, reopens it, and checks lookup, replay and scan agree with the input.
 func TestTableRoundTrip(t *testing.T) {
@@ -77,10 +105,11 @@ func TestTableRoundTrip(t *testing.T) {
 			details++
 		}
 	}
-	meta, err := w.finish(nil)
+	written, err := w.finish(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta := written.meta
 	meta.Level, meta.Seq = 0, 1
 	if meta.Keys != keys {
 		t.Fatalf("meta.Keys = %d, want %d", meta.Keys, keys)

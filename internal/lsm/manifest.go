@@ -8,11 +8,12 @@
 package lsm
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -131,5 +132,5 @@ func sweepOrphans(dir string, man lsmManifest) (quarantined []string, err error)
 // sortTables orders metas newest-first (Seq descending) — the lookup and
 // replay order.
 func sortTables(metas []TableMeta) {
-	sort.Slice(metas, func(a, b int) bool { return metas[a].Seq > metas[b].Seq })
+	slices.SortFunc(metas, func(a, b TableMeta) int { return cmp.Compare(b.Seq, a.Seq) })
 }

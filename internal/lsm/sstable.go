@@ -20,6 +20,9 @@
 // byte offset into the index block) alongside the bloom sidecar; lookups
 // re-read one index slice and one data frame, recovery re-reads the index
 // block and the detail frames but never the summary payloads of cold keys.
+// Everything that walks more than one frame — recovery, compaction inputs —
+// streams the data block through a frameReader, one large sequential read at
+// a time.
 package lsm
 
 import (
@@ -29,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +60,9 @@ const (
 	// key's settled summary; entries without it hold only detail records
 	// (a key whose every record is still a live tentative promise).
 	entryHasSummary = 1
+	// readChunk is the frameReader's refill size: sequential passes over a
+	// data block cost one read per this many bytes, not two per frame.
+	readChunk = 256 << 10
 )
 
 // compositeKey is the sort and comparison form of an entity key: type and id
@@ -104,14 +111,18 @@ func (c *indexCursor) next(e *indexEntry) (bool, error) {
 		return false, nil
 	}
 	start := len(c.b)
-	str := func() (string, error) {
+	// str keeps prev — what e held from the previous entry — when the bytes
+	// match: a run of keys shares its type, so only the id allocates.
+	str := func(prev string) (string, error) {
 		n, w := binary.Uvarint(c.b)
 		if w <= 0 || uint64(len(c.b)-w) < n {
 			return "", errors.New("lsm: corrupt index entry")
 		}
-		s := string(c.b[w : w+int(n)])
+		if b := c.b[w : w+int(n)]; string(b) != prev {
+			prev = string(b)
+		}
 		c.b = c.b[w+int(n):]
-		return s, nil
+		return prev, nil
 	}
 	uv := func() (uint64, error) {
 		v, w := binary.Uvarint(c.b)
@@ -122,10 +133,10 @@ func (c *indexCursor) next(e *indexEntry) (bool, error) {
 		return v, nil
 	}
 	var err error
-	if e.key.Type, err = str(); err != nil {
+	if e.key.Type, err = str(e.key.Type); err != nil {
 		return false, err
 	}
-	if e.key.ID, err = str(); err != nil {
+	if e.key.ID, err = str(e.key.ID); err != nil {
 		return false, err
 	}
 	var dataOff, dataLen uint64
@@ -156,7 +167,9 @@ func appendFrame(b []byte, rec *storage.WALRecord) ([]byte, error) {
 // tableWriter streams key-grouped records into a new table file. Records
 // must arrive sorted by composite key, each key's summary (if any) first and
 // its details in LSN order — the flush capture and the compaction merge both
-// produce exactly that order.
+// produce exactly that order. While it writes it also accumulates what an
+// open table keeps in memory (sparse index, bloom keys), so finish can hand
+// back a table that needs nothing re-read from the file.
 type tableWriter struct {
 	dir, name string
 	tmp       string
@@ -166,10 +179,10 @@ type tableWriter struct {
 	scratch   []byte
 	index     []byte
 	keys      []string // composite keys, for the bloom sidecar
+	sparse    []sparseSlot
 	cur       indexEntry
 	curKey    string // composite of cur; "" before the first record
 	minKey    string
-	maxKey    string
 	watermark uint64
 }
 
@@ -188,30 +201,53 @@ func newTableWriter(dir, name string) (*tableWriter, error) {
 	return w, nil
 }
 
+// startKey closes the previous key's index entry and opens one for key (ck
+// is its composite form), enforcing ascending key order.
+func (w *tableWriter) startKey(key entity.Key, ck string) error {
+	if w.curKey != "" && ck <= w.curKey {
+		return fmt.Errorf("lsm: records out of key order (%q after %q)", ck, w.curKey)
+	}
+	w.flushKey()
+	w.curKey = ck
+	w.cur = indexEntry{key: key, dataOff: w.off}
+	if w.minKey == "" {
+		w.minKey = ck
+	}
+	w.keys = append(w.keys, ck)
+	return nil
+}
+
+// noteSummary records that the current key's next frame is its summary.
+func (w *tableWriter) noteSummary(horizon uint64) error {
+	if w.cur.flags&entryHasSummary != 0 || w.cur.detailCount > 0 {
+		return fmt.Errorf("lsm: summary for %q must be the key's first record", w.curKey)
+	}
+	w.cur.flags |= entryHasSummary
+	w.cur.horizon = horizon
+	if horizon > w.watermark {
+		w.watermark = horizon
+	}
+	return nil
+}
+
+func (w *tableWriter) write(frame []byte) error {
+	if _, err := w.bw.Write(frame); err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	w.off += int64(len(frame))
+	return nil
+}
+
 func (w *tableWriter) add(rec *storage.WALRecord) error {
-	ck := compositeKey(rec.Key)
-	if ck != w.curKey {
-		if w.curKey != "" && ck <= w.curKey {
-			return fmt.Errorf("lsm: records out of key order (%q after %q)", ck, w.curKey)
+	if w.curKey == "" || rec.Key != w.cur.key {
+		if err := w.startKey(rec.Key, compositeKey(rec.Key)); err != nil {
+			return err
 		}
-		w.flushKey()
-		w.curKey = ck
-		w.cur = indexEntry{key: rec.Key, dataOff: w.off}
-		if w.minKey == "" {
-			w.minKey = ck
-		}
-		w.maxKey = ck
-		w.keys = append(w.keys, ck)
 	}
 	switch rec.Kind {
 	case storage.KindSummary:
-		if w.cur.flags&entryHasSummary != 0 || w.cur.detailCount > 0 {
-			return fmt.Errorf("lsm: summary for %q must be the key's first record", ck)
-		}
-		w.cur.flags |= entryHasSummary
-		w.cur.horizon = rec.Horizon
-		if rec.Horizon > w.watermark {
-			w.watermark = rec.Horizon
+		if err := w.noteSummary(rec.Horizon); err != nil {
+			return err
 		}
 	case storage.KindAppend:
 		w.cur.detailCount++
@@ -225,11 +261,23 @@ func (w *tableWriter) add(rec *storage.WALRecord) error {
 	if w.scratch, err = appendFrame(w.scratch[:0], rec); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(w.scratch); err != nil {
-		return fmt.Errorf("lsm: %w", err)
+	return w.write(w.scratch)
+}
+
+// addRaw starts key with its summary as the already-framed bytes a merge
+// input holds — the frameReader verified the CRC, and the horizon comes from
+// the input's index entry, so the payload is never decoded or re-encoded.
+func (w *tableWriter) addRaw(key entity.Key, ck string, horizon uint64, frame []byte) error {
+	if len(frame) <= frameHeader || frame[frameHeader] != byte(storage.KindSummary) {
+		return fmt.Errorf("lsm: entry for %q does not start with its summary", ck)
 	}
-	w.off += int64(len(w.scratch))
-	return nil
+	if err := w.startKey(key, ck); err != nil {
+		return err
+	}
+	if err := w.noteSummary(horizon); err != nil {
+		return err
+	}
+	return w.write(frame)
 }
 
 func (w *tableWriter) flushKey() {
@@ -237,47 +285,48 @@ func (w *tableWriter) flushKey() {
 		return
 	}
 	w.cur.dataLen = w.off - w.cur.dataOff
+	if (len(w.keys)-1)%sparseEvery == 0 {
+		w.sparse = append(w.sparse, sparseSlot{key: w.curKey, off: len(w.index)})
+	}
 	w.index = appendIndexEntry(w.index, &w.cur)
 }
 
 // finish writes the index block, footer and bloom sidecar, fsyncs and
-// renames the table into place. beforeRename, when non-nil, runs after the
+// renames the table into place, and returns the table ready to open: sparse
+// index and bloom filter come from what the writer saw, not from re-reading
+// the index block it just wrote. beforeRename, when non-nil, runs after the
 // data is durable in the temp file but before the rename — the crash-test
 // hook point for a flush that died mid-install.
-func (w *tableWriter) finish(beforeRename func() error) (TableMeta, error) {
+func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 	w.flushKey()
 	indexOff := w.off
-	frame := make([]byte, frameHeader, frameHeader+len(w.index))
-	binary.LittleEndian.PutUint32(frame, uint32(len(w.index)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(w.index))
-	frame = append(frame, w.index...)
-	if _, err := w.bw.Write(frame); err != nil {
-		w.abort()
-		return TableMeta{}, fmt.Errorf("lsm: %w", err)
-	}
-	w.off += int64(len(frame))
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(w.index)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(w.index))
+	indexLen := int64(frameHeader + len(w.index))
 	footer := make([]byte, 0, footerSize)
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexOff))
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(frame)))
+	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexLen))
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(w.keys)))
 	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer))
 	footer = append(footer, sstFootMag...)
-	if _, err := w.bw.Write(footer); err != nil {
-		w.abort()
-		return TableMeta{}, fmt.Errorf("lsm: %w", err)
+	for _, b := range [][]byte{hdr[:], w.index, footer} {
+		if err := w.write(b); err != nil {
+			w.abort()
+			return nil, err
+		}
 	}
-	w.off += int64(len(footer))
 	if err := w.bw.Flush(); err != nil {
 		w.abort()
-		return TableMeta{}, fmt.Errorf("lsm: %w", err)
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		w.abort()
-		return TableMeta{}, fmt.Errorf("lsm: %w", err)
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	if err := w.f.Close(); err != nil {
 		os.Remove(w.tmp)
-		return TableMeta{}, fmt.Errorf("lsm: %w", err)
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	w.f = nil
 	// The bloom sidecar is advisory (rebuilt if missing), so it needs no
@@ -293,23 +342,30 @@ func (w *tableWriter) finish(beforeRename func() error) (TableMeta, error) {
 		if err := beforeRename(); err != nil {
 			os.Remove(w.tmp)
 			os.Remove(blmPath)
-			return TableMeta{}, err
+			return nil, err
 		}
 	}
 	if err := os.Rename(w.tmp, filepath.Join(w.dir, w.name)); err != nil {
 		os.Remove(w.tmp)
-		return TableMeta{}, fmt.Errorf("lsm: %w", err)
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	if err := syncDir(w.dir); err != nil {
-		return TableMeta{}, err
+		return nil, err
 	}
-	return TableMeta{
-		Name:      w.name,
-		MinKey:    w.minKey,
-		MaxKey:    w.maxKey,
-		Keys:      uint64(len(w.keys)),
-		Bytes:     w.off,
-		Watermark: w.watermark,
+	return &table{
+		meta: TableMeta{
+			Name:      w.name,
+			MinKey:    w.minKey,
+			MaxKey:    w.curKey,
+			Keys:      uint64(len(w.keys)),
+			Bytes:     w.off,
+			Watermark: w.watermark,
+		},
+		indexOff: indexOff,
+		indexLen: indexLen,
+		count:    uint64(len(w.keys)),
+		sparse:   w.sparse,
+		bloom:    bl,
 	}, nil
 }
 
@@ -346,17 +402,26 @@ type sparseSlot struct {
 // openTable validates the footer and index block, builds the sparse index
 // and loads (or rebuilds) the bloom sidecar.
 func openTable(dir string, meta TableMeta) (*table, error) {
-	path := filepath.Join(dir, meta.Name)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: %w", err)
+	t := &table{meta: meta}
+	if err := t.open(dir); err != nil {
+		return nil, err
 	}
-	t := &table{meta: meta, f: f}
 	if err := t.init(dir); err != nil {
-		f.Close()
+		t.close()
 		return nil, err
 	}
 	return t, nil
+}
+
+// open attaches the read-only file handle. It is all a table fresh from
+// tableWriter.finish still needs; openTable follows it with init.
+func (t *table) open(dir string) error {
+	f, err := os.Open(filepath.Join(dir, t.meta.Name))
+	if err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	t.f = f
+	return nil
 }
 
 func (t *table) init(dir string) error {
@@ -503,33 +568,86 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 	}
 }
 
-// readFrameAt decodes the single record frame starting at off.
-func (t *table) readFrameAt(off int64) (storage.WALRecord, int64, error) {
-	hdr := make([]byte, frameHeader)
-	if _, err := t.f.ReadAt(hdr, off); err != nil {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: %w", err)
+// frameReader walks data frames in file order through one large read buffer:
+// a sequential pass costs one read per readChunk bytes. It never reads at or
+// past end, so a corrupt length prefix cannot make it allocate more than the
+// data it bounds (nor more than maxFrame).
+type frameReader struct {
+	src    io.ReaderAt
+	name   string // table name, for error messages
+	off    int64  // file offset of the next frame; set it to reposition
+	end    int64  // exclusive bound of the frames this reader may touch
+	buf    []byte // bytes [bufOff, bufOff+len(buf)) of the file
+	bufOff int64
+}
+
+// frames returns a reader positioned at off and bounded by end (clamped to
+// the data block).
+func (t *table) frames(off, end int64) frameReader {
+	return frameReader{src: t.f, name: t.meta.Name, off: off, end: min(end, t.indexOff)}
+}
+
+// peek returns the n bytes at r.off without consuming them, refilling the
+// buffer from r.off when they are not all in it.
+func (r *frameReader) peek(n int64) ([]byte, error) {
+	if r.off < int64(len(sstMagic)) || n > r.end-r.off {
+		return nil, fmt.Errorf("lsm: table %s: frame at %d runs outside the data block", r.name, r.off)
+	}
+	rel := r.off - r.bufOff
+	if rel < 0 || rel+n > int64(len(r.buf)) {
+		size := min(max(n, readChunk), r.end-r.off)
+		if int64(cap(r.buf)) < size {
+			r.buf = make([]byte, size)
+		}
+		r.buf = r.buf[:size]
+		if _, err := r.src.ReadAt(r.buf, r.off); err != nil {
+			r.buf = r.buf[:0]
+			return nil, fmt.Errorf("lsm: table %s: %w", r.name, err)
+		}
+		r.bufOff, rel = r.off, 0
+	}
+	return r.buf[rel : rel+n], nil
+}
+
+// next returns the frame at the reader's position — header and payload, CRC
+// verified — and advances past it. The slice is valid until the next call.
+func (r *frameReader) next() ([]byte, error) {
+	hdr, err := r.peek(frameHeader)
+	if err != nil {
+		return nil, err
 	}
 	length := binary.LittleEndian.Uint32(hdr)
-	sum := binary.LittleEndian.Uint32(hdr[4:])
 	if length > maxFrame {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: table %s: implausible frame length at %d", t.meta.Name, off)
+		return nil, fmt.Errorf("lsm: table %s: implausible frame length at %d", r.name, r.off)
 	}
-	payload := make([]byte, length)
-	if _, err := t.f.ReadAt(payload, off+frameHeader); err != nil {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: %w", err)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: table %s: data CRC mismatch at %d", t.meta.Name, off)
-	}
-	rec, err := storage.DecodeRecord(payload)
+	frame, err := r.peek(frameHeader + int64(length))
 	if err != nil {
-		return storage.WALRecord{}, 0, fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
+		return nil, err
 	}
-	return rec, off + frameHeader + int64(length), nil
+	if crc32.ChecksumIEEE(frame[frameHeader:]) != binary.LittleEndian.Uint32(frame[4:]) {
+		return nil, fmt.Errorf("lsm: table %s: data CRC mismatch at %d", r.name, r.off)
+	}
+	r.off += int64(len(frame))
+	return frame, nil
+}
+
+// record is next plus the decode.
+func (r *frameReader) record() (storage.WALRecord, error) {
+	frame, err := r.next()
+	if err != nil {
+		return storage.WALRecord{}, err
+	}
+	rec, err := storage.DecodeRecord(frame[frameHeader:])
+	if err != nil {
+		return storage.WALRecord{}, fmt.Errorf("lsm: table %s: %w", r.name, err)
+	}
+	return rec, nil
 }
 
 // lookupSummary returns the key's settled summary record, errNotFound when
-// the table holds no summary for it (absent key or detail-only entry).
+// the table holds no summary for it (absent key or detail-only entry). The
+// index entry bounds the key's frames, so header and payload arrive in one
+// read.
 func (t *table) lookupSummary(key entity.Key) (storage.WALRecord, error) {
 	e, err := t.findEntry(compositeKey(key))
 	if err != nil {
@@ -538,7 +656,8 @@ func (t *table) lookupSummary(key entity.Key) (storage.WALRecord, error) {
 	if e.flags&entryHasSummary == 0 {
 		return storage.WALRecord{}, errNotFound
 	}
-	rec, _, err := t.readFrameAt(e.dataOff)
+	fr := t.frames(e.dataOff, e.dataOff+e.dataLen)
+	rec, err := fr.record()
 	if err != nil {
 		return storage.WALRecord{}, err
 	}
@@ -550,13 +669,16 @@ func (t *table) lookupSummary(key entity.Key) (storage.WALRecord, error) {
 
 // replay streams the table's recovery view: per key a light summary pointer
 // (KindSummary with Horizon but a nil Summary state — the payload stays on
-// disk until a cold read warms it) and every detail record in full.
+// disk until a cold read warms it) and every detail record in full. A key
+// without detail costs no I/O at all; the detail-bearing ones stream through
+// one sequential reader.
 func (t *table) replay(fn func(storage.WALRecord) error) error {
 	payload, err := t.indexPayload()
 	if err != nil {
 		return err
 	}
 	cur := indexCursor{b: payload}
+	fr := t.frames(0, t.indexOff)
 	var e indexEntry
 	for {
 		ok, err := cur.next(&e)
@@ -566,59 +688,30 @@ func (t *table) replay(fn func(storage.WALRecord) error) error {
 		if !ok {
 			return nil
 		}
-		off := e.dataOff
-		if e.flags&entryHasSummary != 0 {
+		summarised := e.flags&entryHasSummary != 0
+		if summarised {
 			if err := fn(storage.WALRecord{Kind: storage.KindSummary, Key: e.key, Horizon: e.horizon}); err != nil {
 				return err
 			}
-			// Skip the summary frame without decoding its payload.
-			hdr := make([]byte, frameHeader)
-			if _, err := t.f.ReadAt(hdr, off); err != nil {
-				return fmt.Errorf("lsm: %w", err)
+		}
+		if e.detailCount == 0 {
+			continue
+		}
+		fr.off = e.dataOff
+		if summarised {
+			// Step over the summary frame without decoding its payload.
+			if _, err := fr.next(); err != nil {
+				return err
 			}
-			off += frameHeader + int64(binary.LittleEndian.Uint32(hdr))
 		}
 		for i := uint64(0); i < e.detailCount; i++ {
-			rec, next, err := t.readFrameAt(off)
+			rec, err := fr.record()
 			if err != nil {
 				return err
 			}
 			if err := fn(rec); err != nil {
 				return err
 			}
-			off = next
-		}
-	}
-}
-
-// scan streams every record in the table in key order — the compaction
-// merge's input iterator, reading data frames sequentially.
-func (t *table) scan(fn func(e indexEntry, rec storage.WALRecord) error) error {
-	payload, err := t.indexPayload()
-	if err != nil {
-		return err
-	}
-	cur := indexCursor{b: payload}
-	var e indexEntry
-	for {
-		ok, err := cur.next(&e)
-		if err != nil {
-			return fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
-		}
-		if !ok {
-			return nil
-		}
-		off := e.dataOff
-		end := e.dataOff + e.dataLen
-		for off < end {
-			rec, next, err := t.readFrameAt(off)
-			if err != nil {
-				return err
-			}
-			if err := fn(e, rec); err != nil {
-				return err
-			}
-			off = next
 		}
 	}
 }

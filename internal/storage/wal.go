@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -191,6 +192,11 @@ type WAL struct {
 	// preseg- staging name — which OpenWAL sweeps — so Sync() and SealActive
 	// settle the debt before promising durability or a prune boundary.
 	dirDirty bool
+	// segMax is the highest append LSN of each segment this process knows in
+	// full — it created the segment, or a decoding Replay scanned it — so
+	// TruncateThrough learns its ErrCompacted cutoff without re-reading the
+	// segments it prunes. A segment with no entry is scanned instead.
+	segMax map[uint64]uint64
 }
 
 // OpenWAL opens (or initialises) the segmented WAL in dir, taking the
@@ -213,7 +219,7 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{opts: opts, lock: lock}
+	w := &WAL{opts: opts, lock: lock, segMax: map[uint64]uint64{}}
 	w.prepCond = sync.NewCond(&w.mu)
 	w.sealCond = sync.NewCond(&w.mu)
 	// Sweep staged segments a crashed process left behind — they are
@@ -280,10 +286,14 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 		return err
 	}
 	w.buf = w.buf[:0]
+	var batchMax uint64
 	for i := range recs {
 		var err error
 		if w.buf, err = appendFrame(w.buf, &recs[i]); err != nil {
 			return err
+		}
+		if recs[i].Kind == KindAppend && recs[i].LSN > batchMax {
+			batchMax = recs[i].LSN
 		}
 	}
 	if _, err := w.seg.Write(w.buf); err != nil {
@@ -296,6 +306,9 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 		return fmt.Errorf("storage: append: %w", err)
 	}
 	w.segSize += int64(len(w.buf))
+	if known, ok := w.segMax[w.segIndex]; ok && batchMax > known {
+		w.segMax[w.segIndex] = batchMax
+	}
 	if w.opts.Sync == SyncAlways {
 		if err := w.seg.Sync(); err != nil {
 			// Never retry a failed fsync: the kernel marked the dirty pages
@@ -433,6 +446,7 @@ func (w *WAL) createSegmentLocked(i uint64) error {
 					w.dirDirty = true
 				}
 				w.seg, w.segIndex, w.segSize = f, i, int64(len(segMagic))
+				w.segMax[i] = 0
 				w.prepareNextLocked(i + 1)
 				return nil
 			}
@@ -449,6 +463,7 @@ func (w *WAL) createSegmentLocked(i uint64) error {
 		return err
 	}
 	w.seg, w.segIndex, w.segSize = f, i, int64(len(segMagic))
+	w.segMax[i] = 0
 	w.prepareNextLocked(i + 1)
 	return nil
 }
@@ -663,8 +678,22 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 				continue
 			}
 		}
-		if err := scanFile(path, segMagic, start, last, fn); err != nil {
+		// A decoding replay sees every record the segment holds from start on,
+		// so it also learns the segment's highest append LSN (see segMax).
+		track, segMax := fn, uint64(0)
+		if fn != nil {
+			track = func(rec WALRecord) error {
+				if rec.Kind == KindAppend && rec.LSN > segMax {
+					segMax = rec.LSN
+				}
+				return fn(rec)
+			}
+		}
+		if err := scanFile(path, segMagic, start, last, track); err != nil {
 			return err
+		}
+		if fn != nil {
+			w.segMax[i] = segMax
 		}
 	}
 	w.scanned = true
@@ -914,17 +943,28 @@ func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 		man := w.man
 		base := w.man.Seq
 		firstSeg, firstOff, hasMan := w.man.Segment, w.man.Offset, w.hasMan
+		var known map[uint64]uint64
+		if !scanned {
+			// Sealed segments are immutable, so their entries are final.
+			known = make(map[uint64]uint64, len(w.segMax))
+			for i, m := range w.segMax {
+				if i <= through {
+					known[i] = m
+				}
+			}
+		}
 		w.mu.Unlock()
 
 		// Find the true compaction cutoff: the highest append LSN in the
-		// segments this prune covers. Scanning them costs one read of files
-		// about to be deleted, off the append lock and off the hot path (the
-		// flusher goroutine is the only caller). The scan is reused across
-		// retries of the optimistic-commit loop — a concurrent manifest
-		// install only ever changes replication fields, not the segment span.
+		// segments this prune covers. Segments this process wrote or replayed
+		// answer from memory; any other costs one read of a file about to be
+		// deleted, off the append lock and off the hot path (the flusher
+		// goroutine is the only caller). The answer is reused across retries
+		// of the optimistic-commit loop — a concurrent manifest install only
+		// ever changes replication fields, not the segment span.
 		if !scanned {
 			var err error
-			prunedMax, err = w.maxLSNThrough(firstSeg, firstOff, hasMan, through)
+			prunedMax, err = w.maxLSNThrough(firstSeg, firstOff, hasMan, through, known)
 			if err != nil {
 				return false, err
 			}
@@ -972,11 +1012,12 @@ func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 	}
 }
 
-// maxLSNThrough scans the sealed segments a TruncateThrough(_, through) call
-// is about to prune — from the manifest position to segment through — and
-// returns the highest append LSN they contain: the exact boundary below which
-// the log can no longer serve a replication stream.
-func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, through uint64) (uint64, error) {
+// maxLSNThrough returns the highest append LSN in the sealed segments a
+// TruncateThrough(_, through) call is about to prune — from the manifest
+// position to segment through: the exact boundary below which the log can no
+// longer serve a replication stream. known holds the per-segment maxima
+// already in memory; only a segment absent from it is scanned.
+func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, through uint64, known map[uint64]uint64) (uint64, error) {
 	segs, err := w.segments()
 	if err != nil {
 		return 0, err
@@ -994,6 +1035,12 @@ func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, throug
 			if i == firstSeg {
 				start = firstOff
 			}
+		}
+		if m, ok := known[i]; ok {
+			if m > max {
+				max = m
+			}
+			continue
 		}
 		path := filepath.Join(w.opts.Dir, segName(i))
 		if info, err := os.Stat(path); err != nil || info.Size() <= start {
@@ -1223,6 +1270,7 @@ func (w *WAL) Quarantine() (uint64, error) {
 		w.seg.Close()
 		w.seg = nil
 	}
+	clear(w.segMax) // segments may be truncated or set aside below
 	var lastGood uint64
 	if w.hasMan {
 		lastGood = w.man.Watermark
@@ -1304,6 +1352,7 @@ func (w *WAL) pruneLocked() {
 			os.Remove(filepath.Join(w.opts.Dir, segName(i)))
 		}
 	}
+	maps.DeleteFunc(w.segMax, func(i, _ uint64) bool { return i < w.man.Segment })
 	entries, err := os.ReadDir(w.opts.Dir)
 	if err != nil {
 		return

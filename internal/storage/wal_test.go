@@ -917,6 +917,58 @@ func TestTruncateThroughCutoffIsPrunedMax(t *testing.T) {
 	}
 }
 
+// TestTruncateThroughCutoffAcrossReopen: the cutoff comes from per-segment
+// maxima kept in memory, and a segment this process only partly knows — the
+// active segment of a previous process, reopened for appending — must still
+// contribute what the previous process wrote. After the reopen only a mark
+// (no LSN) is appended, so a cutoff built from this process's appends alone
+// would be 0 and StreamAfter would serve a pruned history as if complete.
+func TestTruncateThroughCutoffAcrossReopen(t *testing.T) {
+	for _, mode := range []string{"replayed", "validated-only"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := OpenWAL(WALOptions{Dir: dir, SegmentBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 5; i++ {
+				if err := w.AppendBatch([]WALRecord{appendRec(uint64(i), "a")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w, err = OpenWAL(WALOptions{Dir: dir, SegmentBytes: 1 << 20}); err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if mode == "replayed" {
+				if _, err := w.Replay(func(WALRecord) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mark := WALRecord{Kind: KindObsolete, Key: entity.Key{Type: "Account", ID: "a"}, TxnID: "t5"}
+			if err := w.AppendBatch([]WALRecord{mark}); err != nil {
+				t.Fatal(err)
+			}
+			boundary, err := w.SealActive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pruned, err := w.TruncateThrough(5, boundary); err != nil || !pruned {
+				t.Fatalf("TruncateThrough = %v, %v, want pruned", pruned, err)
+			}
+			if err := w.StreamAfter(4, func(WALRecord) error { return nil }); !errors.Is(err, ErrCompacted) {
+				t.Fatalf("StreamAfter(4) = %v, want ErrCompacted: record 5 was pruned", err)
+			}
+			if err := w.StreamAfter(5, func(WALRecord) error { return nil }); err != nil {
+				t.Fatalf("StreamAfter(5) = %v, want the (empty) retained tail", err)
+			}
+		})
+	}
+}
+
 // TestTruncateThroughRetainsForLaggingStandby: when replication trails the
 // flush watermark, pruning is refused so catch-up can still stream the tail.
 func TestTruncateThroughRetainsForLaggingStandby(t *testing.T) {
