@@ -27,10 +27,14 @@ bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 1x -benchmem ./internal/lsm ./internal/lsdb
 
 # The step path on its own: what one process step costs in time and garbage
-# (BenchmarkStepChain), that a dequeue's cost is flat in the backlog
-# (BenchmarkQueueDrain, which fails otherwise), and the E19 worker sweep.
+# (BenchmarkStepChain) and what the store's share of it, one single-op append,
+# costs (BenchmarkAppendSingleOp), each gated by its committed budget
+# (TestStepAllocationBudget, TestAppendBudget: the run fails when a step or an
+# append allocates more than that); that a dequeue's cost is flat in the
+# backlog (BenchmarkQueueDrain, which fails otherwise); and the E19 worker
+# sweep.
 bench-steps:
-	$(GO) test -run xxx -bench 'BenchmarkStepChain|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process
+	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget' -bench 'BenchmarkStepChain|BenchmarkAppendSingleOp|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
 
 # The E17 multi-writer append-throughput benchmark on its own: per-append
 # locking vs group-commit batching, in-memory and with a per-commit fsync.

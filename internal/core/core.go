@@ -502,7 +502,7 @@ func (k *Kernel) SchemaRegistry() *migrate.Registry { return k.registry }
 
 // routeQueue returns the queue of the serialization unit owning an event's
 // entity, so emitted events always land where their step must execute.
-func (k *Kernel) routeQueue(ev queue.Event) *queue.Queue {
+func (k *Kernel) routeQueue(ev *queue.Event) *queue.Queue {
 	u, err := k.unitFor(ev.Entity)
 	if err != nil {
 		return nil

@@ -669,3 +669,36 @@ func TestUpdateTentativePromiseLimit(t *testing.T) {
 		t.Fatalf("promise after settling: %v", err)
 	}
 }
+
+// Update's CommitResult is the caller's to keep: its records are copies, so
+// process steps recycling their scaffolding on the same entity, further
+// updates and a compaction leave a result already returned as it was.
+func TestUpdateResultRecordsSurviveLaterWork(t *testing.T) {
+	k := newKernel(t, Options{Node: "keep", Units: 2})
+	key := accountKey("A")
+	res, err := k.Update(key, entity.Delta("balance", 5))
+	if err != nil || len(res.Records) != 1 {
+		t.Fatalf("Update: %+v, %v", res, err)
+	}
+	want := res.Records[0]
+	for i := 0; i < 50; i++ {
+		if err := k.Submit(queue.Event{Name: ApplyEventName, Entity: key, TxnID: fmt.Sprintf("ev-%d", i),
+			Data: map[string]interface{}{"ops": []entity.Op{entity.Delta("balance", 1)}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Update(key, entity.Delta("balance", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Drain()
+	if k.Compact() == 0 {
+		t.Fatal("nothing compacted")
+	}
+	got := res.Records[0]
+	if got.LSN != want.LSN || got.TxnID != res.TxnID || got.Key != key || len(got.Ops) != 1 || got.Ops[0].Delta != 5 || got.Obsolete {
+		t.Fatalf("a returned record changed under its holder: %+v, was %+v", got, want)
+	}
+	if st, err := k.Read(key); err != nil || st.Float("balance") != 105 {
+		t.Fatalf("balance %v (%v), want 105", st, err)
+	}
+}

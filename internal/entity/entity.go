@@ -11,6 +11,7 @@ package entity
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sort"
@@ -422,10 +423,11 @@ func (c *collection) each(fn func(*Child)) {
 type State struct {
 	Key    Key
 	Fields Fields
-	// children maps collection name to its copy-on-write container. The map
-	// itself is private to each state; the containers are shared until
-	// written.
-	children map[string]*collection
+	// children maps collection name to its copy-on-write container. A clone
+	// shares the map itself with its source (sharedKids) until its first child
+	// write copies it; the containers are shared until written.
+	children   map[string]*collection
+	sharedKids bool
 	// Deleted marks a tombstoned entity.
 	Deleted bool
 	// Tentative marks state resulting from tentative operations that have not
@@ -442,7 +444,7 @@ type State struct {
 
 // NewState returns an empty mutable state for the given key.
 func NewState(key Key) *State {
-	return &State{Key: key, Fields: Fields{}, children: map[string]*collection{}}
+	return &State{Key: key, Fields: Fields{}}
 }
 
 // Freeze marks the state immutable and returns it. A frozen state may be
@@ -470,27 +472,31 @@ func (s *State) Thaw() *State {
 	return s.Clone()
 }
 
-// Clone returns a mutable copy of the state in O(collections + root fields):
-// the root field map is copied, child chunks are shared and copied lazily on
-// write. Cloning a mutable state revokes the source's in-place write
+// Clone returns a mutable copy of the state in O(root fields): the root field
+// map is copied; the collection map and the child chunks are shared and
+// copied lazily, the map on the first child write and a chunk on the first
+// write into it. Cloning a mutable state revokes the source's in-place write
 // ownership, so later writes to either side copy-on-write instead of
 // corrupting the other.
 func (s *State) Clone() *State {
+	shared := len(s.children) > 0
 	if !s.frozen {
-		// The source keeps working but now shares its chunks with the clone;
-		// its next write re-copies. Frozen sources are never written, so this
-		// stays read-only for them (and therefore goroutine-safe).
+		// The source keeps working but now shares its collection map and its
+		// chunks with the clone; its next child write re-copies. Frozen
+		// sources are never written, so this stays read-only for them (and
+		// therefore goroutine-safe).
 		s.owned = nil
+		s.sharedKids = s.sharedKids || shared
 	}
 	out := &State{
-		Key:       s.Key,
-		Fields:    s.Fields.Clone(),
-		children:  make(map[string]*collection, len(s.children)),
-		Deleted:   s.Deleted,
-		Tentative: s.Tentative,
+		Key:        s.Key,
+		Fields:     s.Fields.Clone(),
+		Deleted:    s.Deleted,
+		Tentative:  s.Tentative,
+		sharedKids: shared,
 	}
-	for name, c := range s.children {
-		out.children[name] = c
+	if shared {
+		out.children = s.children
 	}
 	return out
 }
@@ -529,6 +535,11 @@ func (s *State) mutableCol(name string) *collection {
 		c = &collection{}
 	} else {
 		c = c.header()
+	}
+	if s.sharedKids {
+		// First child write since Clone: the collection map stops being
+		// shared (the containers in it still are, until written).
+		s.children, s.sharedKids = maps.Clone(s.children), false
 	}
 	if s.children == nil {
 		s.children = map[string]*collection{}
@@ -1023,18 +1034,30 @@ func (w Warning) String() string {
 // application and the prior state is returned unchanged.
 func Apply(typ *Type, prior *State, ops []Op, mode ValidationMode) (*State, []Warning, error) {
 	next := prior.Clone()
+	warnings, err := ApplyInPlace(typ, next, ops, mode)
+	if err != nil {
+		// The partial clone is abandoned; its privately copied chunks go
+		// back to the free list.
+		next.Recycle()
+		return prior, nil, err
+	}
+	return next, warnings, nil
+}
+
+// ApplyInPlace applies ops to st itself — the copy-free half of Apply, for a
+// caller that owns st outright (a rollup it has just built and shares with
+// nobody). st must be mutable. On an error st is left partially applied and
+// is only fit to be discarded (Recycle).
+func ApplyInPlace(typ *Type, st *State, ops []Op, mode ValidationMode) ([]Warning, error) {
 	var warnings []Warning
-	for _, op := range ops {
-		w, err := applyOne(typ, next, op, mode)
+	for i := range ops {
+		w, err := applyOne(typ, st, ops[i], mode)
 		if err != nil {
-			// The partial clone is abandoned; its privately copied chunks go
-			// back to the free list.
-			next.Recycle()
-			return prior, nil, fmt.Errorf("applying %s to %s: %w", op, prior.Key, err)
+			return nil, fmt.Errorf("applying %s to %s: %w", ops[i], st.Key, err)
 		}
 		warnings = append(warnings, w...)
 	}
-	return next, warnings, nil
+	return warnings, nil
 }
 
 func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error) {
@@ -1201,21 +1224,21 @@ func applyDelta(fields Fields, name string, amount float64, asFloat bool) {
 }
 
 // coerce converts a value into the declared field type, accepting the natural
-// Go widenings (int → int64 → float64).
+// Go widenings (int → int64 → float64). A value already of the declared type
+// is returned as it came, not boxed again.
 func coerce(t FieldType, v interface{}) (interface{}, error) {
 	switch t {
 	case String, Reference:
-		s, ok := v.(string)
-		if !ok {
+		if _, ok := v.(string); !ok {
 			return nil, fmt.Errorf("%w: want string, got %T", ErrTypeMismatch, v)
 		}
-		return s, nil
+		return v, nil
 	case Int:
 		switch x := v.(type) {
 		case int:
 			return int64(x), nil
 		case int64:
-			return x, nil
+			return v, nil
 		case float64:
 			if x == float64(int64(x)) {
 				return int64(x), nil
@@ -1231,16 +1254,15 @@ func coerce(t FieldType, v interface{}) (interface{}, error) {
 		case int64:
 			return float64(x), nil
 		case float64:
-			return x, nil
+			return v, nil
 		default:
 			return nil, fmt.Errorf("%w: want float, got %T", ErrTypeMismatch, v)
 		}
 	case Bool:
-		b, ok := v.(bool)
-		if !ok {
+		if _, ok := v.(bool); !ok {
 			return nil, fmt.Errorf("%w: want bool, got %T", ErrTypeMismatch, v)
 		}
-		return b, nil
+		return v, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown field type %v", ErrTypeMismatch, t)
 	}

@@ -437,6 +437,102 @@ func TestStateCloneIndependence(t *testing.T) {
 	}
 }
 
+// A clone shares its source's collection map until its first child write; a
+// new or rewritten collection on either side never shows on the other, from
+// a frozen source and from a mutable one alike.
+func TestCloneSharesCollectionMapUntilChildWrite(t *testing.T) {
+	typ := orderType()
+	base, _, err := Apply(typ, NewState(Key{Type: "Order", ID: "1"}), []Op{
+		Set("status", "OPEN"),
+		InsertChild("lineitems", "L1", Fields{"product": "widget", "qty": 1}),
+	}, Managed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frozen := range []bool{true, false} {
+		src := base.Clone()
+		if frozen {
+			src.Freeze()
+		}
+		// Root-only writes: the collection map is still the source's own.
+		rootOnly, _, err := Apply(typ, src, []Op{Set("status", "PAID"), Delta("total", 5)}, Managed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rootOnly.sharedKids || len(rootOnly.children) != 1 || rootOnly.children["lineitems"] != src.children["lineitems"] {
+			t.Fatalf("frozen=%v: a root-only apply copied the collection map", frozen)
+		}
+		// A child write on the clone — into a new collection and into the
+		// existing one — stays on the clone.
+		wrote, _, err := Apply(typ, rootOnly, []Op{
+			InsertChild("notes", "N1", Fields{"text": "hello"}),
+			SetChildField("lineitems", "L1", "qty", 7),
+		}, Managed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, st := range map[string]*State{"source": src, "root-only clone": rootOnly} {
+			if got := fmt.Sprint(st.Collections()); got != "[lineitems]" {
+				t.Fatalf("frozen=%v: %s sees collections %s after a write to its clone", frozen, name, got)
+			}
+			if row, _ := st.ChildByID("lineitems", "L1"); row.Fields["qty"] != int64(1) {
+				t.Fatalf("frozen=%v: %s sees qty %v after a write to its clone", frozen, name, row.Fields["qty"])
+			}
+		}
+		if got := fmt.Sprint(wrote.Collections()); got != "[lineitems notes]" {
+			t.Fatalf("frozen=%v: writer sees collections %s", frozen, got)
+		}
+		if row, _ := wrote.ChildByID("lineitems", "L1"); row.Fields["qty"] != int64(7) {
+			t.Fatalf("frozen=%v: write lost: %v", frozen, row.Fields["qty"])
+		}
+		if frozen {
+			continue
+		}
+		// A mutable source keeps working after being cloned, on its own copy.
+		if _, err := ApplyInPlace(typ, src, []Op{InsertChild("audit", "A1", Fields{"by": "me"})}, Managed); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rootOnly.Collections()); got != "[lineitems]" {
+			t.Fatalf("a write to a cloned mutable source reached its clone: %s", got)
+		}
+		if got := fmt.Sprint(src.Collections()); got != "[audit lineitems]" {
+			t.Fatalf("mutable source sees collections %s", got)
+		}
+	}
+}
+
+// ApplyInPlace is Apply without the copy: same state, same warnings.
+func TestApplyInPlaceMatchesApply(t *testing.T) {
+	typ := orderType()
+	ops := []Op{
+		Set("status", "OPEN"), Delta("total", 12.5), Set("bogus", 1),
+		InsertChild("lineitems", "L1", Fields{"product": "widget", "qty": 2}),
+		DeltaChildField("lineitems", "L1", "qty", 3),
+	}
+	prior := NewState(Key{Type: "Order", ID: "1"})
+	want, wantWarn, err := Apply(typ, prior, ops, Managed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewState(Key{Type: "Order", ID: "1"})
+	gotWarn, err := ApplyInPlace(typ, got, ops, Managed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Fields) != fmt.Sprint(want.Fields) || fmt.Sprint(got.Children("lineitems")) != fmt.Sprint(want.Children("lineitems")) {
+		t.Fatalf("in place: %v %v, copied: %v %v", got.Fields, got.Children("lineitems"), want.Fields, want.Children("lineitems"))
+	}
+	if fmt.Sprint(gotWarn) != fmt.Sprint(wantWarn) || len(gotWarn) != 1 {
+		t.Fatalf("warnings differ: %v vs %v", gotWarn, wantWarn)
+	}
+	if len(prior.Fields) != 0 {
+		t.Fatal("Apply wrote into its prior")
+	}
+	if _, err := ApplyInPlace(typ, got, []Op{Set("priority", "high")}, Strict); !errors.Is(err, ErrTypeMismatch) {
+		t.Fatalf("strict violation in place: %v, want ErrTypeMismatch", err)
+	}
+}
+
 func TestFreezeThawContract(t *testing.T) {
 	typ := orderType()
 	s := NewState(Key{Type: "Order", ID: "1"})

@@ -138,25 +138,22 @@ func (f *flusher) flushOnce() error {
 	capBytes := f.bytes.Swap(0)
 	capRecs := db.sinceCkpt.Swap(0)
 
-	// Take every shard's dirty set, then capture in key order: the table
+	// Take every shard's dirty list, then capture in key order: the table
 	// writer requires key-grouped, key-ordered input, and sorting the keys up
 	// front is far cheaper than sorting the records they expand to. (Type, ID)
 	// ordering matches the table's composite-key ordering.
 	type dirtyKey struct {
-		key   entity.Key
+		dirtyRef
 		shard *shard
 	}
 	var keys []dirtyKey
-	captured := make([]map[entity.Key]struct{}, len(db.shards))
-	for si, s := range db.shards {
+	for _, s := range db.shards {
 		s.mu.Lock()
-		if len(s.dirty) > 0 {
-			captured[si] = s.dirty
-			s.dirty = map[entity.Key]struct{}{}
-		}
+		taken := s.dirty
+		s.dirty = nil
 		s.mu.Unlock()
-		for key := range captured[si] {
-			keys = append(keys, dirtyKey{key, s})
+		for _, d := range taken {
+			keys = append(keys, dirtyKey{d, s})
 		}
 	}
 	slices.SortFunc(keys, func(a, b dirtyKey) int {
@@ -168,21 +165,22 @@ func (f *flusher) flushOnce() error {
 	entries := make([]storage.WALRecord, 0, len(keys))
 	var scratch []*entity.State // private rollups to recycle after the write
 	// One key per lock hold: a writer to the key's shard waits at most one
-	// entity's rollup, never the whole delta. A record committed to an
-	// already-captured key between holds simply re-dirties it for the next
-	// pass; one committed to a not-yet-captured key rides into this table
-	// with an LSN above the watermark, which recovery tolerates (the LSN
-	// dedup against the replayed WAL tail).
+	// entity's rollup, never the whole delta. An entry stays marked dirty
+	// until its capture, so a record committed to a not-yet-captured key
+	// rides into this table — with an LSN above the watermark, which recovery
+	// tolerates (the LSN dedup against the replayed WAL tail) — while one
+	// committed to an already-captured key lists it again for the next pass.
 	for _, dk := range keys {
 		s := dk.shard
 		s.mu.Lock()
+		dk.e.dirty = false
 		var priv *entity.State
 		var err error
-		entries, priv, err = db.captureKeyLocked(s, dk.key, entries)
+		entries, priv, err = db.captureKeyLocked(s, dk.e, dk.key, entries)
 		if err != nil {
 			// Unknown type or unreadable cold summary: leave the key dirty
 			// for the next pass rather than losing it.
-			s.dirty[dk.key] = struct{}{}
+			db.markDirtyLocked(s, dk.key, dk.e)
 		}
 		s.mu.Unlock()
 		if priv != nil {
@@ -204,15 +202,10 @@ func (f *flusher) flushOnce() error {
 		// commits before retrying (forever, on a now-idle store).
 		f.bytes.Add(capBytes)
 		db.sinceCkpt.Add(capRecs)
-		for si, s := range db.shards {
-			if captured[si] == nil {
-				continue
-			}
-			s.mu.Lock()
-			for k := range captured[si] {
-				s.dirty[k] = struct{}{}
-			}
-			s.mu.Unlock()
+		for _, dk := range keys {
+			dk.shard.mu.Lock()
+			db.markDirtyLocked(dk.shard, dk.key, dk.e)
+			dk.shard.mu.Unlock()
 		}
 		return fmt.Errorf("lsdb: flush: %w", err)
 	}
@@ -226,158 +219,108 @@ func (f *flusher) flushOnce() error {
 // The caller holds the shard's write lock. The returned private state, when
 // non-nil, is a scratch rollup owned by the flush and recycled after
 // serialisation. On error entries comes back unchanged.
-func (db *DB) captureKeyLocked(s *shard, key entity.Key, entries []storage.WALRecord) ([]storage.WALRecord, *entity.State, error) {
+func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []storage.WALRecord) ([]storage.WALRecord, *entity.State, error) {
 	typ, ok := db.TypeOf(key.Type)
 	if !ok {
 		return entries, nil, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
 	}
 	// A dirty key can still be cold-resident when recovery installed both a
 	// cold pointer and tail records; the capture needs its base in memory.
-	if err := db.warmLocked(s, key); err != nil {
+	if err := db.warmLocked(s, e, key); err != nil {
 		return entries, nil, err
 	}
-	lsns := s.index[key]
-	arch := s.archived[key]
 	// Settled horizon: advance past every settled record (non-tentative, or
 	// tentative but already withdrawn); the first live tentative promise
 	// blocks it — that record must stay as detail so a later MarkObsolete in
 	// the WAL tail still finds it after recovery.
-	h := s.archivedAt[key]
-	for _, lsn := range lsns {
-		if lsn <= h {
+	h := e.archivedAt
+	for _, r := range e.recs {
+		if r.lsn <= h {
 			continue
 		}
-		rec := s.recordAtLocked(lsn)
+		rec := s.recordAtLocked(r.lsn)
 		if rec == nil {
 			continue
 		}
 		if rec.Tentative && !rec.Obsolete {
 			break
 		}
-		h = lsn
+		h = r.lsn
 	}
 	var private *entity.State
-	if h > 0 || arch != nil {
+	if h > 0 || e.archived != nil {
 		sum := storage.WALRecord{Kind: storage.KindSummary, Key: key, Horizon: h}
 		switch {
-		case len(lsns) == 0 && arch != nil:
+		case len(e.recs) == 0 && e.archived != nil:
 			// Fully archived (post-Compact or legacy-recovered): the frozen
 			// summary ships zero-copy.
-			sum.Summary = arch
+			sum.Summary = e.archived
+		case e.state != nil && e.head == h:
+			// The materialised current state *is* the rollup through h
+			// when no unsettled records sit above it — zero-copy.
+			sum.Summary = e.state
 		default:
-			if c, ok := s.cache[key]; ok && c.head == h && !db.opts.DisableStateCache {
-				// The materialised current state *is* the rollup through h
-				// when no unsettled records sit above it — zero-copy.
-				sum.Summary = c.state
-			} else {
-				st := s.rollupToLocked(key, typ, h)
-				sum.Summary = st
-				private = st
-			}
+			private = s.rollupToLocked(e, key, typ, h)
+			sum.Summary = private
 		}
 		entries = append(entries, sum)
 	}
-	for _, lsn := range lsns {
-		if lsn <= h {
+	for _, r := range e.recs {
+		if r.lsn <= h {
 			continue
 		}
-		if rec := s.recordAtLocked(lsn); rec != nil {
+		if rec := s.recordAtLocked(r.lsn); rec != nil {
 			entries = append(entries, *rec)
 		}
 	}
 	return entries, private, nil
 }
 
-// rollupToLocked is rollupLocked bounded to records at or below limit —
-// the flush capture's summary builder. The caller holds the shard's write
-// lock; the result is a private, unfrozen state the flush may recycle.
-func (s *shard) rollupToLocked(key entity.Key, typ *entity.Type, limit uint64) *entity.State {
-	base := entity.NewState(key)
-	startLSN := s.archivedAt[key]
-	if arch := s.archived[key]; arch != nil {
-		base = arch.Clone()
-	}
-	if snap, ok := s.snaps[key]; ok && snap.state != nil && snap.lsn >= startLSN && snap.lsn <= limit {
-		base = snap.state.Clone()
-		startLSN = snap.lsn
-	}
-	for _, lsn := range s.index[key] {
-		if lsn <= startLSN {
-			continue
-		}
-		if lsn > limit {
-			break
-		}
-		rec := s.recordAtLocked(lsn)
-		if rec == nil || rec.Obsolete {
-			continue
-		}
-		next, _, err := entity.Apply(typ, base, rec.Ops, entity.Managed)
-		if err != nil {
-			continue
-		}
-		base = next
-	}
-	return base
-}
-
 // evictCold demotes fully settled archived summaries to cold pointers after
 // a successful flush: their content is durable in the tables (flushed at or
 // below the just-written watermark), their entities have no retained detail,
 // and no hot cache references them. Memory bounded by the working set, not
-// by history.
+// by history. Only entries without retained records are ever taken, so an
+// evicted entry has no exactly-once index left to lose.
 func (f *flusher) evictCold(watermark uint64) {
 	for _, s := range f.db.shards {
 		s.mu.Lock()
-		for key := range s.archived {
-			if _, isDirty := s.dirty[key]; isDirty {
-				continue
+		if s.archivedN > 0 {
+			for _, e := range s.entries {
+				if e.archived == nil || e.dirty || len(e.recs) > 0 || e.state != nil {
+					continue
+				}
+				if e.archivedAt > watermark {
+					continue // archived after the capture; not yet durable
+				}
+				e.cold, e.coldAt = true, e.archivedAt
+				s.setArchivedLocked(e, nil)
+				e.archivedAt = 0
+				f.evicted.Add(1)
 			}
-			if len(s.index[key]) > 0 {
-				continue
-			}
-			if _, hot := s.cache[key]; hot {
-				continue
-			}
-			at := s.archivedAt[key]
-			if at > watermark {
-				continue // archived after the capture; not yet durable
-			}
-			delete(s.archived, key)
-			delete(s.archivedAt, key)
-			s.cold[key] = at
-			f.evicted.Add(1)
 		}
 		s.mu.Unlock()
 	}
 }
 
 // warmLocked pulls an evicted entity's summary back from the tiered store.
-// The caller holds the shard's write lock. A no-op for non-cold keys and
-// non-tiered stores.
-func (db *DB) warmLocked(s *shard, key entity.Key) error {
-	if db.tiered == nil {
-		return nil
-	}
-	horizon, isCold := s.cold[key]
-	if !isCold {
+// The caller holds the shard's write lock. A no-op for entries that are not
+// cold (every entry of a non-tiered store).
+func (db *DB) warmLocked(s *shard, e *entry, key entity.Key) error {
+	if !e.cold {
 		return nil
 	}
 	rec, err := db.tiered.LookupSummary(key)
 	if err != nil {
 		return fmt.Errorf("lsdb: cold read %s: %w", key, err)
 	}
-	delete(s.cold, key)
+	horizon := e.coldAt
+	e.cold, e.coldAt = false, 0
 	if rec == nil || rec.Summary == nil {
 		return nil // pointer without a durable summary: treat as absent
 	}
-	s.archived[key] = rec.Summary
-	if rec.Horizon > horizon {
-		horizon = rec.Horizon
-	}
-	if horizon > s.archivedAt[key] {
-		s.archivedAt[key] = horizon
-	}
+	s.setArchivedLocked(e, rec.Summary)
+	e.archivedAt = max(e.archivedAt, horizon, rec.Horizon)
 	db.coldReads.Add(1)
 	return nil
 }
@@ -390,26 +333,27 @@ func (db *DB) ensureWarm(s *shard, key entity.Key) error {
 		return nil
 	}
 	s.mu.RLock()
-	_, isCold := s.cold[key]
+	e := s.entry(key)
+	isCold := e != nil && e.cold
 	s.mu.RUnlock()
 	if !isCold {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return db.warmLocked(s, key)
+	return db.warmLocked(s, e, key)
 }
 
-// warmAllLocked warms every cold key of every shard — ExportCut needs the
-// full archive in memory. The caller holds no shard lock.
+// warmAll warms every cold entity of every shard — ExportCut needs the full
+// archive in memory. The caller holds no shard lock.
 func (db *DB) warmAll() error {
 	if db.tiered == nil {
 		return nil
 	}
 	for _, s := range db.shards {
 		s.mu.Lock()
-		for key := range s.cold {
-			if err := db.warmLocked(s, key); err != nil {
+		for key, e := range s.entries {
+			if err := db.warmLocked(s, e, key); err != nil {
 				s.mu.Unlock()
 				return err
 			}

@@ -13,9 +13,10 @@
 // append never pays a channel round trip at all.
 //
 // Equivalence with the serial path is the contract (and is what the
-// TestGroupCommit* suite asserts): requests are validated in arrival order
-// against a batch-local overlay of the shard state, so a request observes its
-// batch predecessors exactly as it would have observed committed appends;
+// TestGroupCommit* suite asserts): requests are validated in arrival order,
+// each against the requests validated before it in the batch, so a request
+// observes its batch predecessors exactly as it would have observed
+// committed appends;
 // duplicate-transaction detection, validation-mode errors and tentative
 // semantics are all per-request; failed requests consume no LSN, so the log
 // stays dense. Readers are unaffected — they take the shard lock as before
@@ -44,9 +45,10 @@ type appendReq struct {
 	txnID     string
 	tentative bool
 
-	// next is the applied (not yet frozen) state, set by the leader's
-	// validation pass; requests that fail validation never reach the commit
-	// pass and never consume an LSN.
+	// e is the entity's entry and next the applied (not yet frozen) state,
+	// both set by the leader's validation pass; requests that fail validation
+	// never reach the commit pass and never consume an LSN.
+	e    *entry
 	next *entity.State
 	res  AppendResult
 	err  error
@@ -80,7 +82,7 @@ func (db *DB) appendGrouped(s *shard, typ *entity.Type, key entity.Key, ops []en
 		db.drainShard(s, req)
 	}
 	res, err := req.res, req.err
-	req.typ, req.ops, req.next = nil, nil, nil
+	req.typ, req.ops, req.e, req.next = nil, nil, nil, nil
 	req.res, req.err = AppendResult{}, nil
 	reqPool.Put(req)
 	return res, err
@@ -96,12 +98,6 @@ func (db *DB) appendGrouped(s *shard, typ *entity.Type, key entity.Key, ops []en
 // self is the leader's own request; it is signalled by returning, not through
 // its channel.
 func (db *DB) drainShard(s *shard, self *appendReq) {
-	// Scratch space reused across every batch of this drain: the survivor
-	// list and the batch-local overlay maps. One allocation set per drain,
-	// not per batch.
-	var live []*appendReq
-	var states map[entity.Key]*entity.State
-	var txns map[entity.Key]map[string]bool
 	// batch is the in-flight, already-dequeued batch; the deferred recovery
 	// below needs it so a panic escaping the commit path (realistically: a
 	// user-supplied CommitHook) cannot wedge the shard. Without it, draining
@@ -136,30 +132,22 @@ func (db *DB) drainShard(s *shard, self *appendReq) {
 	}()
 	for {
 		s.qmu.Lock()
-		if len(s.pending) == 0 {
+		n := min(len(s.pending), db.opts.MaxBatch)
+		if n == 0 {
 			s.draining = false
 			s.qmu.Unlock()
 			return
 		}
-		n := len(s.pending)
-		if n > db.opts.MaxBatch {
-			n = db.opts.MaxBatch
-		}
-		batch = s.pending[:n:n]
-		s.pending = s.pending[n:]
+		// The batch is copied out and the rest moved down, so the queue and
+		// the leader each keep one array for good: an uncontended append
+		// allocates neither.
+		batch = append(s.batch[:0], s.pending[:n]...)
+		rest := copy(s.pending, s.pending[n:])
+		clear(s.pending[rest:])
+		s.pending = s.pending[:rest]
 		s.qmu.Unlock()
 
-		if live == nil {
-			live = make([]*appendReq, 0, db.opts.MaxBatch)
-		}
-		if states == nil && n > 1 {
-			states = make(map[entity.Key]*entity.State, n)
-			txns = map[entity.Key]map[string]bool{}
-		}
-		clear(states)
-		clear(txns)
-		var wait func() error
-		live, wait = db.commitBatch(s, batch, live[:0], states, txns)
+		live, wait := db.commitBatch(s, batch, s.live[:0])
 		// The replication ack wait runs after commitBatch released the shard
 		// lock and before the followers are signalled: readers and the next
 		// batch's enqueuers proceed during the wait, but a sink error still
@@ -175,45 +163,50 @@ func (db *DB) drainShard(s *shard, self *appendReq) {
 			}
 		}
 		// Signalled followers may already be recycling their requests; drop
-		// the reference so the recovery path can never double-signal them.
-		batch = nil
+		// the references so the recovery path can never double-signal them
+		// and the buffers, which are kept, do not pin them.
+		clear(batch)
+		clear(live)
+		s.batch, s.live, batch = batch[:0], live[:0], nil
 	}
 }
 
 // commitBatch applies and commits one batch under one shard-lock hold.
 //
 // Pass one validates every request in arrival order: duplicate-txn check,
-// prior-state lookup and copy-on-write Apply, with a batch-local overlay
-// (states, txns) standing in for the not-yet-committed effects of earlier
-// requests in the same batch. A failure parks the error on that request
-// alone; later requests proceed against the last good state. Single-request
-// batches skip the overlay entirely (states and txns are nil).
+// prior-state lookup and copy-on-write Apply, with the survivors so far (live)
+// standing in for the not-yet-committed effects of earlier requests in the
+// same batch. A failure parks the error on that request alone; later requests
+// proceed against the last good state.
 //
-// Pass two reserves one contiguous LSN run — a single sequence-lock
-// acquisition for the whole batch — and installs the survivors' records and
-// frozen states in order. Because failed requests were excluded before the
-// reservation, every reserved LSN is used and the global log stays dense,
-// exactly as on the serial path.
-func (db *DB) commitBatch(s *shard, batch, live []*appendReq, states map[entity.Key]*entity.State, txns map[entity.Key]map[string]bool) ([]*appendReq, func() error) {
+// Pass two builds the survivors' records in one run of segment slots,
+// reserves one contiguous LSN run — a single sequence-lock acquisition for
+// the whole batch — and installs the records and frozen states in order.
+// Because failed requests were excluded before the reservation, every
+// reserved LSN is used and the global log stays dense, exactly as on the
+// serial path.
+func (db *DB) commitBatch(s *shard, batch, live []*appendReq) ([]*appendReq, func() error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Entries created for requests that end up installing nothing go again;
+	// only after the installs, because a failed request can share its entry
+	// with a surviving one.
+	defer func() {
+		for _, r := range batch {
+			if r.e != nil {
+				s.dropIfEmptyLocked(r.key, r.e)
+			}
+		}
+	}()
 	for _, r := range batch {
-		next, warnings, err := db.applyForAppendLocked(s, r.typ, r.key, r.ops, r.txnID, r.tentative, states, txns)
+		r.e = s.ensure(r.key)
+		next, warnings, err := db.applyForAppendLocked(s, r.e, r.typ, r.key, r.ops, r.txnID, r.tentative, live)
 		if err != nil {
 			r.err = err
 			continue
 		}
 		r.next = next
 		r.res.Warnings = warnings
-		if states != nil {
-			states[r.key] = next
-			if r.txnID != "" {
-				if txns[r.key] == nil {
-					txns[r.key] = map[string]bool{}
-				}
-				txns[r.key][r.txnID] = true
-			}
-		}
 		live = append(live, r)
 	}
 	if len(live) == 0 {
@@ -223,10 +216,10 @@ func (db *DB) commitBatch(s *shard, batch, live []*appendReq, states map[entity.
 	// commit-hook call — for the whole batch: this is where group commit
 	// amortises durability latency across every writer in the batch.
 	// Log-first: the batch reaches the durable backend before any record is
-	// installed, so a backend refusal fails the whole batch cleanly — no
-	// state changed, every writer gets the typed degraded error, and the
-	// rolled-back reservation keeps the log dense.
-	recs := make([]Record, len(live))
+	// installed, so a backend refusal fails the whole batch cleanly — the
+	// slots are withdrawn, no state changed, every writer gets the typed
+	// degraded error, and the rolled-back reservation keeps the log dense.
+	recs := s.reserveLocked(len(live), db.opts.SegmentSize)
 	for i, r := range live {
 		recs[i] = Record{
 			Key:       r.key,
@@ -238,6 +231,7 @@ func (db *DB) commitBatch(s *shard, batch, live []*appendReq, states map[entity.
 		}
 	}
 	if err := db.logAppend(recs); err != nil {
+		s.withdrawLocked(len(live))
 		for _, r := range live {
 			r.err = err
 			// The applied-but-never-installed state was private to this
@@ -251,9 +245,10 @@ func (db *DB) commitBatch(s *shard, batch, live []*appendReq, states map[entity.
 		return live, nil
 	}
 	for i, r := range live {
-		r.res.Record = recs[i]
-		r.res.State = db.commitAppendLocked(s, &r.res.Record, r.next)
+		r.res.Record = &recs[i]
+		r.res.State = db.commitAppendLocked(s, r.e, &recs[i], r.next)
 	}
+	s.sealFullLocked()
 	// The sink's capture runs here under the shard lock (order is the
 	// contract); the returned ack wait is the caller's to run after this
 	// function releases the lock. Its post-install error (replication ack

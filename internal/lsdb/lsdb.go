@@ -10,10 +10,12 @@
 // keep that view cheap to serve:
 //
 //   - The store is split into lock-striped shards keyed by entity hash
-//     (partition.KeyShard). Each shard owns its own mutex, log segments,
-//     per-entity index and caches, so writers and readers of unrelated
-//     entities never contend on one store-wide lock. LSNs stay globally
-//     unique and monotonic via a shared sequence.
+//     (partition.KeyShard). Each shard owns its own mutex, log segments and
+//     one map from entity key to that entity's entry (its record list,
+//     exactly-once index, cached state, snapshot, archived summary and
+//     tiering marks), so writers and readers of unrelated entities never
+//     contend on one store-wide lock and an append hashes its key once.
+//     LSNs stay globally unique and monotonic via a shared sequence.
 //
 //   - Each shard maintains a materialised current-state cache that is
 //     updated incrementally on every append: the new record's operations are
@@ -190,54 +192,242 @@ type snapshot struct {
 	state *entity.State
 }
 
-// cached is one entry of the materialised current-state cache: the full
-// rollup of an entity as of head. The state is frozen, so it is handed to
-// readers directly — zero copies on a hit — and successive appends build on
-// it with copy-on-write Apply.
-type cached struct {
-	head  uint64
-	state *entity.State
+// recRef is one retained record of an entity: where it sits in the log and
+// which transaction wrote it ("" when the append carried no id).
+type recRef struct {
+	lsn uint64
+	txn string
 }
 
-// shard is one lock stripe of the store: a self-contained log with its own
-// index and caches for the entities that hash to it.
-type shard struct {
-	mu       sync.RWMutex
-	sealed   [][]Record              // sealed segments, each of SegmentSize records
-	active   []Record                // current segment
-	index    map[entity.Key][]uint64 // entity -> LSNs, ascending
-	byTxn    map[entity.Key]map[string]uint64
-	snaps    map[entity.Key]snapshot
-	cache    map[entity.Key]*cached
-	archived map[entity.Key]*entity.State // summarised entities whose detail records were compacted away
+// txnSpill is how many retained records an entity's exactly-once index
+// answers by scanning recs; an entity that retains more builds byTxn.
+const txnSpill = 8
 
-	// Tiered-storage bookkeeping (nil-safe no-ops without a tiered backend).
-	// dirty tracks keys mutated since the last flush capture; archivedAt is
-	// the LSN an archived summary folds in through (the flush horizon resumes
-	// there); cold maps evicted keys to the horizon of their disk-resident
-	// summary — a cold read warms the key back into archived on demand.
-	dirty      map[entity.Key]struct{}
-	archivedAt map[entity.Key]uint64
-	cold       map[entity.Key]uint64
+// entry is everything a shard keeps about one entity. All fields are guarded
+// by the shard lock: read under at least its read lock, written under its
+// write lock. What a hot read needs comes first.
+//
+// recs doubles as the exactly-once index (ErrDuplicateTxn, MarkObsolete by
+// transaction id): a transaction id is remembered exactly as long as the
+// record it wrote is retained, because it lives in that record's recRef.
+// What bounds the index is therefore what bounds the record list — Compact
+// drops an entity's records, ids included, once they are all at or below its
+// horizon; cold eviction only ever takes entries that retain none — and
+// whatever rebuilds the list (LoadRecord under Recover, Load and
+// IngestShipped) rebuilds the index with it.
+type entry struct {
+	// state is the materialised current state, the full rollup as of head:
+	// frozen, so readers get it as it is and appends build on it
+	// copy-on-write. nil after anything that rewrites history (MarkObsolete,
+	// Compact, LoadRecord); the next read rebuilds it.
+	state *entity.State
+	head  uint64
+
+	// recs lists the retained records, LSN ascending; the first two live in
+	// recRoom, so most entities never allocate a list.
+	recs    []recRef
+	recRoom [2]recRef
+	// byTxn maps transaction id to LSN once the entity retains more than
+	// txnSpill records; nil before that, and again after Compact.
+	byTxn map[string]uint64
+	// snap bounds the replay a rebuild of state has to do
+	// (Options.SnapshotEvery).
+	snap snapshot
+
+	// archived is the summary of the records compacted away, folding in
+	// everything through LSN archivedAt (the flush horizon resumes there).
+	archived   *entity.State
+	archivedAt uint64
+
+	// Tiered-storage marks. dirty: mutated since the last flush capture (and
+	// listed in shard.dirty, once). cold: evicted — the summary is
+	// disk-resident with horizon coldAt, and a read or write warms it back
+	// into archived on demand.
+	dirty  bool
+	cold   bool
+	coldAt uint64
+}
+
+// exists reports whether the entity has anything to read: retained records,
+// an archived summary in memory, or one evicted to the tiered store.
+func (e *entry) exists() bool {
+	return len(e.recs) > 0 || e.archived != nil || e.cold
+}
+
+// headLSN returns the LSN of the newest retained record (0 when none).
+func (e *entry) headLSN() uint64 {
+	if len(e.recs) == 0 {
+		return 0
+	}
+	return e.recs[len(e.recs)-1].lsn
+}
+
+// txnLSN returns the LSN of the retained record transaction id wrote.
+func (e *entry) txnLSN(id string) (uint64, bool) {
+	if e.byTxn != nil {
+		lsn, ok := e.byTxn[id]
+		return lsn, ok
+	}
+	for i := len(e.recs) - 1; i >= 0; i-- {
+		if e.recs[i].txn == id {
+			return e.recs[i].lsn, true
+		}
+	}
+	return 0, false
+}
+
+// addRec lists a record that was just put in the log.
+func (e *entry) addRec(lsn uint64, txn string) {
+	if e.recs == nil {
+		e.recs = e.recRoom[:0]
+	}
+	e.recs = append(e.recs, recRef{lsn: lsn, txn: txn})
+	switch {
+	case e.byTxn != nil:
+		if txn != "" {
+			e.byTxn[txn] = lsn
+		}
+	case len(e.recs) > txnSpill:
+		e.byTxn = make(map[string]uint64, 2*len(e.recs))
+		for _, r := range e.recs {
+			if r.txn != "" {
+				e.byTxn[r.txn] = r.lsn
+			}
+		}
+	}
+}
+
+// dropRecs forgets the entity's records (Compact removed them from the log)
+// and everything derived from them.
+func (e *entry) dropRecs() {
+	e.recs, e.recRoom, e.byTxn = nil, [2]recRef{}, nil
+	e.state, e.head, e.snap = nil, 0, snapshot{}
+}
+
+// dirtyRef is one entry of a shard's dirty list.
+type dirtyRef struct {
+	key entity.Key
+	e   *entry
+}
+
+// shard is one lock stripe of the store: a self-contained log plus the
+// entries of the entities that hash to it.
+type shard struct {
+	mu     sync.RWMutex
+	sealed [][]Record // sealed segments, each LSN ascending
+	active []Record   // current segment; its capacity is its sealing size
+	// entries holds one entry per entity. An entry that ever existed (see
+	// entry.exists) is never removed, so pointers to it stay good across
+	// lock holds; only an entry a failed first append left empty is.
+	entries map[entity.Key]*entry
+
+	// Tiered-storage bookkeeping (untouched without a tiered backend): dirty
+	// lists the entries mutated since the last flush capture, each once;
+	// archivedN counts entries holding an archived summary, so eviction can
+	// skip a shard that has none.
+	dirty     []dirtyRef
+	archivedN int
+
+	// lookups, when a test sets it, counts entry-map lookups.
+	lookups *atomic.Uint64
 
 	// Group-commit queue (Options.GroupCommit): pending appends awaiting a
 	// leader drain. qmu only ever guards these two fields and is never held
 	// together with mu, so enqueueing stays cheap while a batch commits.
-	qmu      sync.Mutex
-	pending  []*appendReq
-	draining bool
+	// batch and live are the leader's scratch lists (the batch it dequeued,
+	// the requests of it that survived validation), kept between drains;
+	// there is one leader at a time, and only it touches them.
+	qmu         sync.Mutex
+	pending     []*appendReq
+	draining    bool
+	batch, live []*appendReq
 }
 
 func newShard() *shard {
-	return &shard{
-		index:      map[entity.Key][]uint64{},
-		byTxn:      map[entity.Key]map[string]uint64{},
-		snaps:      map[entity.Key]snapshot{},
-		cache:      map[entity.Key]*cached{},
-		archived:   map[entity.Key]*entity.State{},
-		dirty:      map[entity.Key]struct{}{},
-		archivedAt: map[entity.Key]uint64{},
-		cold:       map[entity.Key]uint64{},
+	return &shard{entries: map[entity.Key]*entry{}}
+}
+
+// entry returns the entity's entry, or nil. The caller holds the shard lock.
+func (s *shard) entry(key entity.Key) *entry {
+	if s.lookups != nil {
+		s.lookups.Add(1)
+	}
+	return s.entries[key]
+}
+
+// ensure returns the entity's entry, creating an empty one for a key not
+// seen before. The caller holds the shard's write lock, and must
+// dropIfEmptyLocked the entry if it ends up putting nothing in it.
+func (s *shard) ensure(key entity.Key) *entry {
+	e := s.entry(key)
+	if e == nil {
+		e = &entry{}
+		s.entries[key] = e
+	}
+	return e
+}
+
+// dropIfEmptyLocked removes an entry that ensure created for an append that
+// then failed, so refused writes to unknown keys leave nothing behind.
+func (s *shard) dropIfEmptyLocked(key entity.Key, e *entry) {
+	if !e.exists() && s.entries[key] == e {
+		delete(s.entries, key)
+	}
+}
+
+// setArchivedLocked installs (or, with nil, removes) an entry's archived
+// summary.
+func (s *shard) setArchivedLocked(e *entry, st *entity.State) {
+	switch {
+	case e.archived == nil && st != nil:
+		s.archivedN++
+	case e.archived != nil && st == nil:
+		s.archivedN--
+	}
+	e.archived = st
+}
+
+// markDirtyLocked lists an entry for the next flush capture. A no-op without
+// a tiered backend.
+func (db *DB) markDirtyLocked(s *shard, key entity.Key, e *entry) {
+	if db.tiered != nil && !e.dirty {
+		e.dirty = true
+		s.dirty = append(s.dirty, dirtyRef{key: key, e: e})
+	}
+}
+
+// reserveLocked extends the active segment by n slots and returns them; the
+// caller fills them in and either installs them or, when the backend refuses
+// the append, gives them back with withdrawLocked. Between the two the slots
+// belong to the caller alone: it holds the shard's write lock throughout, so
+// no reader sees a reserved slot. A batch that does not fit the active
+// segment seals it short.
+func (s *shard) reserveLocked(n, segmentSize int) []Record {
+	if len(s.active)+n > cap(s.active) {
+		if len(s.active) > 0 {
+			s.sealed = append(s.sealed, s.active)
+		}
+		// A segment is sealed at exactly its capacity; growing to that by
+		// doubling would allocate and copy it twice over.
+		s.active = make([]Record, 0, max(segmentSize, n))
+	}
+	at := len(s.active)
+	s.active = s.active[:at+n]
+	return s.active[at : at+n : at+n]
+}
+
+// withdrawLocked gives back the n slots reserved last.
+func (s *shard) withdrawLocked(n int) {
+	at := len(s.active) - n
+	clear(s.active[at:])
+	s.active = s.active[:at]
+}
+
+// sealFullLocked seals the active segment once it is full.
+func (s *shard) sealFullLocked() {
+	if len(s.active) > 0 && len(s.active) == cap(s.active) {
+		s.sealed = append(s.sealed, s.active)
+		s.active = nil
 	}
 }
 
@@ -362,10 +552,14 @@ func (db *DB) Types() []string {
 	return out
 }
 
-// AppendResult reports the outcome of an append. State is the frozen new
-// current state of the entity (shared with the cache); Thaw it to mutate.
+// AppendResult reports the outcome of an append. Record points at the record
+// where it sits in the log: read it, copy it to keep it, never write through
+// it (compaction replaces segments rather than rewriting them, so the record
+// stays as it was committed; only MarkObsolete of this very transaction
+// touches it). State is the frozen new current state of the entity (shared
+// with the cache); Thaw it to mutate.
 type AppendResult struct {
-	Record   Record
+	Record   *Record
 	State    *entity.State
 	Warnings []entity.Warning
 }
@@ -411,33 +605,41 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 		return db.appendGrouped(s, typ, key, ops, stamp, origin, txnID, tentative)
 	}
 	s.mu.Lock()
-	next, warnings, err := db.applyForAppendLocked(s, typ, key, ops, txnID, tentative, nil, nil)
+	e := s.ensure(key)
+	next, warnings, err := db.applyForAppendLocked(s, e, typ, key, ops, txnID, tentative, nil)
 	if err != nil {
+		s.dropIfEmptyLocked(key, e)
 		s.mu.Unlock()
 		return AppendResult{}, err
 	}
-	// Log-first: the record reaches the durable backend (which assigns the
-	// cycle its LSN run atomically under logMu) before anything is installed
-	// in memory. A refusal is clean — no state changed, the writer gets the
-	// typed degraded error. See degraded.go.
-	recs := []Record{{
+	// The record is built once, in the segment slot it will live in.
+	// Log-first: it reaches the durable backend (which assigns the cycle its
+	// LSN run atomically under logMu) before anything is installed in memory.
+	// A refusal is clean — the slot is withdrawn, no state changed, the writer
+	// gets the typed degraded error. See degraded.go.
+	slot := s.reserveLocked(1, db.opts.SegmentSize)
+	slot[0] = Record{
 		Key:       key,
 		Ops:       ops,
 		Stamp:     stamp,
 		Origin:    origin,
 		TxnID:     txnID,
 		Tentative: tentative,
-	}}
-	if err := db.logAppend(recs); err != nil {
+	}
+	if err := db.logAppend(slot); err != nil {
+		s.withdrawLocked(1)
+		next.Recycle()
+		s.dropIfEmptyLocked(key, e)
 		s.mu.Unlock()
 		return AppendResult{}, err
 	}
-	resState := db.commitAppendLocked(s, &recs[0], next)
-	wait := db.postCommitLocked(recs)
+	res := AppendResult{Record: &slot[0], Warnings: warnings}
+	res.State = db.commitAppendLocked(s, e, &slot[0], next)
+	s.sealFullLocked()
+	wait := db.postCommitLocked(slot)
 	s.mu.Unlock()
 	// The replication ack wait happens with no lock held: readers and other
 	// writers of the shard proceed while this writer blocks on its acks.
-	res := AppendResult{Record: recs[0], State: resState, Warnings: warnings}
 	if err := waitCommitSink(wait); err != nil {
 		return res, err
 	}
@@ -452,40 +654,63 @@ func (db *DB) SetCommitSink(fn func(records []Record) func() error) {
 	db.opts.CommitSink = fn
 }
 
-// applyForAppendLocked validates one append and applies it to the current
-// rollup, returning the new (not yet frozen) state. The caller holds the
-// shard's write lock. batchStates and batchTxns overlay the shard's caches
-// with the effects of earlier appends in the same group-commit batch — a
-// request must observe its batch predecessors exactly as it would have on the
-// serial path; both are nil outside a batch.
-func (db *DB) applyForAppendLocked(s *shard, typ *entity.Type, key entity.Key, ops []entity.Op, txnID string, tentative bool, batchStates map[entity.Key]*entity.State, batchTxns map[entity.Key]map[string]bool) (*entity.State, []entity.Warning, error) {
+// applyForAppendLocked validates one append against the entity's entry and
+// applies it to the current rollup, returning the new (not yet frozen) state.
+// The caller holds the shard's write lock. batch is the requests validated
+// before this one in the same group-commit batch (nil outside one): a request
+// must observe its batch predecessors exactly as it would have on the serial
+// path, so the newest of them on the same entity supplies the prior state
+// and all of them count for duplicate detection.
+func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key entity.Key, ops []entity.Op, txnID string, tentative bool, batch []*appendReq) (*entity.State, []entity.Warning, error) {
 	// A write to an evicted entity rolls up from its disk-resident summary.
-	if err := db.warmLocked(s, key); err != nil {
+	if err := db.warmLocked(s, e, key); err != nil {
 		return nil, nil, err
 	}
 	if txnID != "" {
-		if _, dup := s.byTxn[key][txnID]; dup {
+		if _, dup := e.txnLSN(txnID); dup {
 			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
 		}
-		if batchTxns[key][txnID] {
+	}
+	var prior *entity.State
+	for i := len(batch) - 1; i >= 0; i-- {
+		r := batch[i]
+		if r.e != e {
+			continue
+		}
+		if txnID != "" && r.txnID == txnID {
 			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
+		}
+		if prior == nil {
+			prior = r.next
 		}
 	}
 	// The cached rollup is the prior state; Apply copies-on-write, so the
 	// frozen cache entry is never mutated and only the chunks the operations
-	// touch are copied (O(delta), not O(state size)).
-	var prior *entity.State
-	if st, ok := batchStates[key]; ok {
-		prior = st
-	} else if c, ok := s.cache[key]; ok && !db.opts.DisableStateCache {
-		prior = c.state
-	} else {
-		prior = s.rollupLocked(key, typ)
+	// touch are copied (O(delta), not O(state size)). Without one the rollup
+	// is rebuilt from the log, and that fresh private state takes the
+	// operations in place.
+	private := false
+	if prior == nil {
+		if e.state != nil && !db.opts.DisableStateCache {
+			prior = e.state
+		} else {
+			prior, private = s.rollupLocked(e, key, typ), true
+		}
 	}
 	if db.opts.DeepCloneStates {
-		prior = prior.DeepClone()
+		prior, private = prior.DeepClone(), false
 	}
-	next, warnings, err := entity.Apply(typ, prior, ops, db.opts.Validation)
+	var next *entity.State
+	var warnings []entity.Warning
+	var err error
+	if private {
+		next = prior
+		if warnings, err = entity.ApplyInPlace(typ, next, ops, db.opts.Validation); err != nil {
+			next.Recycle()
+		}
+	} else {
+		next, warnings, err = entity.Apply(typ, prior, ops, db.opts.Validation)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -495,21 +720,14 @@ func (db *DB) applyForAppendLocked(s *shard, typ *entity.Type, key entity.Key, o
 	return next, warnings, nil
 }
 
-// commitAppendLocked installs one applied append: the record goes into the
-// shard's log and indexes, and the frozen new state into the cache and the
-// snapshot fallback. The caller holds the shard's write lock and has already
-// assigned rec.LSN. It returns the state for the caller's AppendResult.
-func (db *DB) commitAppendLocked(s *shard, rec *Record, next *entity.State) *entity.State {
-	s.appendRecordLocked(*rec, db.opts.SegmentSize)
-	if db.tiered != nil {
-		s.dirty[rec.Key] = struct{}{}
-	}
-	if rec.TxnID != "" {
-		if s.byTxn[rec.Key] == nil {
-			s.byTxn[rec.Key] = map[string]uint64{}
-		}
-		s.byTxn[rec.Key][rec.TxnID] = rec.LSN
-	}
+// commitAppendLocked installs one applied append whose record already sits
+// in its segment slot with its LSN assigned: the record is listed in the
+// entity's entry, and the frozen new state becomes the cached state and the
+// snapshot fallback. The caller holds the shard's write lock. It returns the
+// state for the caller's AppendResult.
+func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.State) *entity.State {
+	e.addRec(rec.LSN, rec.TxnID)
+	db.markDirtyLocked(s, rec.Key, e)
 	// Freeze the new current state: the cache, the snapshot fallback and the
 	// caller all share the same immutable version — no clones anywhere.
 	next.Freeze()
@@ -518,42 +736,17 @@ func (db *DB) commitAppendLocked(s *shard, rec *Record, next *entity.State) *ent
 		resState = next.DeepClone()
 	}
 	if !db.opts.DisableStateCache {
-		// Readers copy the entry's fields under the shard lock, so an
-		// existing entry is updated in place.
-		if c := s.cache[rec.Key]; c != nil {
-			c.head, c.state = rec.LSN, next
-		} else {
-			s.cache[rec.Key] = &cached{head: rec.LSN, state: next}
-		}
+		e.state, e.head = next, rec.LSN
 	}
 	// Maintain the snapshot fallback; frozen states are shared, not cloned.
 	if db.opts.SnapshotEvery > 0 {
-		snap := s.snaps[rec.Key]
-		snap.seq++
-		if snap.state == nil || int(snap.seq)%db.opts.SnapshotEvery == 0 {
-			snap.lsn = rec.LSN
-			snap.state = next
+		e.snap.seq++
+		if e.snap.state == nil || int(e.snap.seq)%db.opts.SnapshotEvery == 0 {
+			e.snap.lsn = rec.LSN
+			e.snap.state = next
 		}
-		s.snaps[rec.Key] = snap
 	}
 	return resState
-}
-
-// appendRecordLocked adds rec to the shard's log and index. The caller holds
-// the shard lock; records arrive in ascending LSN order per shard because
-// LSNs are allocated under that lock.
-func (s *shard) appendRecordLocked(rec Record, segmentSize int) {
-	if s.active == nil {
-		// A segment is sealed at exactly segmentSize records; growing to
-		// that by doubling would allocate and copy it twice over.
-		s.active = make([]Record, 0, segmentSize)
-	}
-	s.active = append(s.active, rec)
-	if len(s.active) >= segmentSize {
-		s.sealed = append(s.sealed, s.active)
-		s.active = nil
-	}
-	s.index[rec.Key] = append(s.index[rec.Key], rec.LSN)
 }
 
 // MarkObsolete flags the record produced by txnID on key as obsolete (its
@@ -562,7 +755,12 @@ func (s *shard) appendRecordLocked(rec Record, segmentSize int) {
 func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	s := db.shardFor(key)
 	s.mu.Lock()
-	lsn, ok := s.byTxn[key][txnID]
+	e := s.entry(key)
+	var lsn uint64
+	ok := false
+	if e != nil {
+		lsn, ok = e.txnLSN(txnID)
+	}
 	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
@@ -584,16 +782,14 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 		return err
 	}
 	rec.Obsolete = true
-	if db.tiered != nil {
-		s.dirty[key] = struct{}{}
-	}
+	db.markDirtyLocked(s, key, e)
 	// The materialised state folded the withdrawn record in; drop it so the
 	// next read rebuilds from the log. The snapshot only has to go if it
 	// already covers the withdrawn record — an older snapshot is still a
 	// valid prefix and bounds the rebuild.
-	delete(s.cache, key)
-	if snap, ok := s.snaps[key]; ok && snap.lsn >= lsn {
-		delete(s.snaps, key)
+	e.state = nil
+	if e.snap.lsn >= lsn {
+		e.snap = snapshot{}
 	}
 	// The mark ships through the commit sink too: a standby's log must
 	// withdraw the same promises. Captured under the shard lock (ordered
@@ -653,21 +849,23 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 		}
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		if len(s.index[key]) == 0 && s.archived[key] == nil {
+		e := s.entry(key)
+		if e == nil || !e.exists() {
 			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-		return s.rollupLocked(key, typ).Freeze(), headOf(s.index[key]), nil
+		return s.rollupLocked(e, key, typ).Freeze(), e.headLSN(), nil
 	}
 	s.mu.RLock()
-	if c, ok := s.cache[key]; ok {
-		st, head := c.state, c.head
+	e := s.entry(key)
+	if e != nil && e.state != nil {
+		st, head := e.state, e.head
 		s.mu.RUnlock()
 		if db.opts.DeepCloneStates {
 			st = st.DeepClone()
 		}
 		return st, head, nil
 	}
-	if _, isCold := s.cold[key]; !isCold && len(s.index[key]) == 0 && s.archived[key] == nil {
+	if e == nil || !e.exists() {
 		// Nonexistent entity: answer under the read lock so polling for a
 		// key that is not there never escalates to the shard's write lock.
 		s.mu.RUnlock()
@@ -675,35 +873,23 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 	}
 	s.mu.RUnlock()
 	// Cache miss: rebuild the rollup under the write lock and re-materialise.
+	// The entry existed, so it is still the entity's entry.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st *entity.State
-	var head uint64
-	if c, ok := s.cache[key]; ok { // raced with another rebuild
-		st, head = c.state, c.head
-	} else {
-		if err := db.warmLocked(s, key); err != nil {
+	if e.state == nil { // else raced with another rebuild
+		if err := db.warmLocked(s, e, key); err != nil {
 			return nil, 0, err
 		}
-		if len(s.index[key]) == 0 && s.archived[key] == nil {
+		if !e.exists() {
 			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-		st = s.rollupLocked(key, typ).Freeze()
-		head = headOf(s.index[key])
-		s.cache[key] = &cached{head: head, state: st}
+		e.state, e.head = s.rollupLocked(e, key, typ).Freeze(), e.headLSN()
 	}
+	st, head := e.state, e.head
 	if db.opts.DeepCloneStates {
 		st = st.DeepClone()
 	}
 	return st, head, nil
-}
-
-// headOf returns the last (highest) LSN of an ascending index slice.
-func headOf(lsns []uint64) uint64 {
-	if len(lsns) == 0 {
-		return 0
-	}
-	return lsns[len(lsns)-1]
 }
 
 // Exists reports whether any live record (or archived summary, in memory or
@@ -712,42 +898,50 @@ func (db *DB) Exists(key entity.Key) bool {
 	s := db.shardFor(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, isCold := s.cold[key]; isCold {
-		return true
-	}
-	return len(s.index[key]) > 0 || s.archived[key] != nil
+	e := s.entry(key)
+	return e != nil && e.exists()
 }
 
-// rollupLocked computes the current state of key by log replay, starting
-// from the archived summary and/or snapshot when available. Callers hold at
-// least a read lock on the shard. The returned state is freshly built and
-// owned by the caller; it shares structure copy-on-write with the frozen
+// rollupLocked computes the current state of the entity by log replay,
+// starting from the archived summary and/or snapshot when available. Callers
+// hold at least a read lock on the shard. The returned state is freshly built
+// and owned by the caller; it shares structure copy-on-write with the frozen
 // snapshot or summary it started from.
-func (s *shard) rollupLocked(key entity.Key, typ *entity.Type) *entity.State {
-	base := entity.NewState(key)
-	// The archived summary folds in everything through archivedAt; index
+func (s *shard) rollupLocked(e *entry, key entity.Key, typ *entity.Type) *entity.State {
+	return s.rollupToLocked(e, key, typ, ^uint64(0))
+}
+
+// rollupToLocked is the rollup bounded to records at or below limit; the
+// flush capture builds its summary with it, through its settled horizon.
+func (s *shard) rollupToLocked(e *entry, key entity.Key, typ *entity.Type, limit uint64) *entity.State {
+	var base *entity.State
+	// The archived summary folds in everything through archivedAt; retained
 	// records at or below it (recovery can retain copies the summary already
 	// covers) must not re-apply.
-	startLSN := s.archivedAt[key]
-	if arch := s.archived[key]; arch != nil {
-		base = arch.Clone()
+	startLSN := e.archivedAt
+	if snap := e.snap; snap.state != nil && snap.lsn >= startLSN && snap.lsn <= limit {
+		base, startLSN = snap.state.Clone(), snap.lsn
+	} else if e.archived != nil {
+		base = e.archived.Clone()
+	} else {
+		base = entity.NewState(key)
 	}
-	if snap, ok := s.snaps[key]; ok && snap.state != nil && snap.lsn >= startLSN {
-		base = snap.state.Clone()
-		startLSN = snap.lsn
-	}
-	for _, lsn := range s.index[key] {
-		if lsn <= startLSN {
+	for _, r := range e.recs {
+		if r.lsn <= startLSN {
 			continue
 		}
-		rec := s.recordAtLocked(lsn)
+		if r.lsn > limit {
+			break
+		}
+		rec := s.recordAtLocked(r.lsn)
 		if rec == nil || rec.Obsolete {
 			continue
 		}
+		// Rollup always uses managed application; an error here means a
+		// malformed operation kind, which Append would have rejected. The
+		// record is skipped whole, so it is applied to a copy.
 		next, _, err := entity.Apply(typ, base, rec.Ops, entity.Managed)
 		if err != nil {
-			// Rollup always uses managed application; an error here means a
-			// malformed operation kind, which Append would have rejected.
 			continue
 		}
 		if rec.Tentative {
@@ -771,20 +965,20 @@ func (db *DB) AsOf(key entity.Key, ts clock.Timestamp) (*entity.State, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	lsns := s.index[key]
-	if len(lsns) == 0 {
+	e := s.entry(key)
+	if e == nil || len(e.recs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	state := entity.NewState(key)
-	if arch := s.archived[key]; arch != nil {
-		state = arch.Clone()
+	if e.archived != nil {
+		state = e.archived.Clone()
 	}
-	found := s.archived[key] != nil
-	for _, lsn := range lsns {
-		if lsn <= s.archivedAt[key] {
+	found := e.archived != nil
+	for _, r := range e.recs {
+		if r.lsn <= e.archivedAt {
 			continue // already folded into the archived summary
 		}
-		rec := s.recordAtLocked(lsn)
+		rec := s.recordAtLocked(r.lsn)
 		if rec == nil || rec.Obsolete {
 			continue
 		}
@@ -821,21 +1015,21 @@ func (db *DB) History(key entity.Key) (*entity.History, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	lsns := s.index[key]
-	if len(lsns) == 0 && s.archived[key] == nil {
+	e := s.entry(key)
+	if e == nil || (len(e.recs) == 0 && e.archived == nil) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	h := entity.NewHistory(key)
 	state := entity.NewState(key)
-	if arch := s.archived[key]; arch != nil {
-		state = arch.Clone()
+	if e.archived != nil {
+		state = e.archived.Clone()
 	}
 	var seq uint64
-	for _, lsn := range lsns {
-		if lsn <= s.archivedAt[key] {
+	for _, r := range e.recs {
+		if r.lsn <= e.archivedAt {
 			continue // already folded into the archived summary
 		}
-		rec := s.recordAtLocked(lsn)
+		rec := s.recordAtLocked(r.lsn)
 		if rec == nil {
 			continue
 		}
@@ -940,9 +1134,13 @@ func (db *DB) RecordsFor(key entity.Key) []Record {
 	s := db.shardFor(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	e := s.entry(key)
+	if e == nil {
+		return nil
+	}
 	var out []Record
-	for _, lsn := range s.index[key] {
-		if rec := s.recordAtLocked(lsn); rec != nil {
+	for _, r := range e.recs {
+		if rec := s.recordAtLocked(r.lsn); rec != nil {
 			out = append(out, *rec)
 		}
 	}
@@ -967,25 +1165,15 @@ func (db *DB) Len() int {
 
 // Keys returns every entity key with retained or archived records, sorted.
 func (db *DB) Keys() []entity.Key {
-	seen := map[entity.Key]bool{}
+	var out []entity.Key
 	for _, s := range db.shards {
 		s.mu.RLock()
-		for k := range s.index {
-			if len(s.index[k]) > 0 {
-				seen[k] = true
+		for k, e := range s.entries {
+			if e.exists() {
+				out = append(out, k)
 			}
 		}
-		for k := range s.archived {
-			seen[k] = true
-		}
-		for k := range s.cold {
-			seen[k] = true
-		}
 		s.mu.RUnlock()
-	}
-	out := make([]entity.Key, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
@@ -1037,17 +1225,17 @@ func (db *DB) Snapshot(key entity.Key) error {
 	s := db.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := db.warmLocked(s, key); err != nil {
-		return err
-	}
-	lsns := s.index[key]
-	if len(lsns) == 0 {
+	e := s.entry(key)
+	if e == nil || len(e.recs) == 0 {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	st := s.rollupLocked(key, typ).Freeze()
-	s.snaps[key] = snapshot{lsn: headOf(lsns), seq: uint64(len(lsns)), state: st}
+	if err := db.warmLocked(s, e, key); err != nil {
+		return err
+	}
+	st := s.rollupLocked(e, key, typ).Freeze()
+	e.snap = snapshot{lsn: e.headLSN(), seq: uint64(len(e.recs)), state: st}
 	if !db.opts.DisableStateCache {
-		s.cache[key] = &cached{head: headOf(lsns), state: st}
+		e.state, e.head = st, e.headLSN()
 	}
 	return nil
 }
@@ -1071,52 +1259,59 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 	for _, s := range db.shards {
 		s.mu.Lock()
 		stats.RecordsBefore += s.lenLocked()
-		drop := map[entity.Key]bool{}
-		for key, lsns := range s.index {
-			if len(lsns) == 0 {
+		drop := map[entity.Key]*entry{}
+		for key, e := range s.entries {
+			if len(e.recs) == 0 {
 				continue
 			}
-			if headOf(lsns) <= beforeLSN {
+			if e.headLSN() <= beforeLSN {
 				typ, ok := db.TypeOf(key.Type)
 				if !ok {
 					continue
 				}
-				if err := db.warmLocked(s, key); err != nil {
+				if err := db.warmLocked(s, e, key); err != nil {
 					continue // summary unreadable; keep the detail records
 				}
-				s.archived[key] = s.rollupLocked(key, typ).Freeze()
-				s.archivedAt[key] = headOf(lsns)
-				if db.tiered != nil {
-					s.dirty[key] = struct{}{}
-				}
-				drop[key] = true
+				s.setArchivedLocked(e, s.rollupLocked(e, key, typ).Freeze())
+				e.archivedAt = e.headLSN()
+				db.markDirtyLocked(s, key, e)
+				drop[key] = e
 				stats.Summarised++
 			} else {
 				stats.EntitiesKept++
 			}
 		}
 		if len(drop) > 0 {
-			rewrite := func(seg []Record) []Record {
-				out := seg[:0]
-				for _, r := range seg {
-					if !drop[r.Key] {
-						out = append(out, r)
+			// A segment that loses records is replaced, not rewritten: a
+			// record once committed never moves or changes under a pointer
+			// handed out by Append (AppendResult.Record).
+			rewrite := func(seg []Record, capacity int) []Record {
+				kept := 0
+				for i := range seg {
+					if drop[seg[i].Key] == nil {
+						kept++
+					}
+				}
+				if kept == len(seg) {
+					return seg
+				}
+				out := make([]Record, 0, max(kept, capacity))
+				for i := range seg {
+					if drop[seg[i].Key] == nil {
+						out = append(out, seg[i])
 					}
 				}
 				return out
 			}
 			for i := range s.sealed {
-				s.sealed[i] = rewrite(s.sealed[i])
+				s.sealed[i] = rewrite(s.sealed[i], 0)
 			}
-			s.active = rewrite(s.active)
-			for key := range drop {
-				delete(s.index, key)
-				delete(s.snaps, key)
-				delete(s.byTxn, key)
-				// The materialised state would now shadow the archived
-				// summary; drop it and let the next read rebuild from the
-				// summary.
-				delete(s.cache, key)
+			s.active = rewrite(s.active, cap(s.active))
+			for _, e := range drop {
+				// The records are gone, and the materialised state would now
+				// shadow the archived summary: the next read rebuilds from
+				// the summary.
+				e.dropRecs()
 			}
 		}
 		stats.RecordsAfter += s.lenLocked()
@@ -1190,13 +1385,8 @@ func (db *DB) Checkpoint() error {
 		// before reads, and they are not reconstructible from the records.
 		// Sorted per shard so identical stores write identical snapshots.
 		for _, s := range db.shards {
-			keys := make([]entity.Key, 0, len(s.archived))
-			for k := range s.archived {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-			for _, k := range keys {
-				if err := put(Record{Kind: storage.KindSummary, Key: k, Summary: s.archived[k]}); err != nil {
+			for _, sum := range sortSummaries(s.summariesLocked(nil)) {
+				if err := put(Record{Kind: storage.KindSummary, Key: sum.Key, Summary: sum.State}); err != nil {
 					return err
 				}
 			}

@@ -309,12 +309,30 @@ func (db *DB) ExportCut() ([]SummaryEntry, []Record) {
 	}()
 	var summaries []SummaryEntry
 	for _, s := range db.shards {
-		for k, st := range s.archived {
-			summaries = append(summaries, SummaryEntry{Key: k, State: st})
+		summaries = s.summariesLocked(summaries)
+	}
+	return sortSummaries(summaries), db.recordsAfterLocked(0)
+}
+
+// summariesLocked appends the shard's archived summaries to out, in no
+// order. The caller holds the shard lock.
+func (s *shard) summariesLocked(out []SummaryEntry) []SummaryEntry {
+	if s.archivedN == 0 {
+		return out
+	}
+	for k, e := range s.entries {
+		if e.archived != nil {
+			out = append(out, SummaryEntry{Key: k, State: e.archived})
 		}
 	}
-	sort.Slice(summaries, func(i, j int) bool { return summaries[i].Key.String() < summaries[j].Key.String() })
-	return summaries, db.recordsAfterLocked(0)
+	return out
+}
+
+// sortSummaries orders summaries by key, so identical stores export
+// identical streams.
+func sortSummaries(sums []SummaryEntry) []SummaryEntry {
+	sort.Slice(sums, func(i, j int) bool { return sums[i].Key.String() < sums[j].Key.String() })
+	return sums
 }
 
 // RestoreSummary installs an archived summary through the bulk-load path
@@ -323,12 +341,11 @@ func (db *DB) ExportCut() ([]SummaryEntry, []Record) {
 func (db *DB) RestoreSummary(key entity.Key, st *entity.State) {
 	s := db.shardFor(key)
 	s.mu.Lock()
-	s.archived[key] = st.Freeze()
-	delete(s.cache, key)
-	delete(s.cold, key)
-	if db.tiered != nil {
-		s.dirty[key] = struct{}{}
-	}
+	e := s.ensure(key)
+	s.setArchivedLocked(e, st.Freeze())
+	e.state = nil
+	e.cold, e.coldAt = false, 0
+	db.markDirtyLocked(s, key, e)
 	s.mu.Unlock()
 }
 
@@ -385,18 +402,13 @@ func (db *DB) Load(r io.Reader) error {
 func (db *DB) LoadRecord(rec Record) {
 	s := db.shardFor(rec.Key)
 	s.mu.Lock()
-	s.appendRecordLocked(rec, db.opts.SegmentSize)
-	if db.tiered != nil {
-		s.dirty[rec.Key] = struct{}{}
-	}
+	s.reserveLocked(1, db.opts.SegmentSize)[0] = rec
+	s.sealFullLocked()
+	e := s.ensure(rec.Key)
+	e.addRec(rec.LSN, rec.TxnID)
+	e.state = nil
+	db.markDirtyLocked(s, rec.Key, e)
 	db.lsn.AdvanceTo(rec.LSN)
-	if rec.TxnID != "" {
-		if s.byTxn[rec.Key] == nil {
-			s.byTxn[rec.Key] = map[string]uint64{}
-		}
-		s.byTxn[rec.Key][rec.TxnID] = rec.LSN
-	}
-	delete(s.cache, rec.Key)
 	s.mu.Unlock()
 }
 
@@ -558,26 +570,23 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 				// disk-resident until a read warms it. Newest-first replay
 				// can deliver several per key; the highest horizon wins and
 				// a warm always fetches the newest table's copy anyway.
+				// Without a tiered backend there is nothing to install.
 				if db.tiered != nil {
-					if rec.Horizon >= s.cold[rec.Key] {
-						s.cold[rec.Key] = rec.Horizon
+					if e := s.ensure(rec.Key); !e.cold || rec.Horizon >= e.coldAt {
+						e.cold, e.coldAt = true, rec.Horizon
 					}
-					break
 				}
-				break // nil summary without a tiered backend: nothing to install
+				break
 			}
-			s.archived[rec.Key] = rec.Summary // decoded frozen
-			if rec.Horizon > s.archivedAt[rec.Key] {
-				s.archivedAt[rec.Key] = rec.Horizon
-			}
-			delete(s.cold, rec.Key)
-			if db.tiered != nil {
-				// A full summary in the WAL is a legacy (pre-tiered)
-				// checkpoint snapshot; marking it dirty migrates it into the
-				// first flush's table, after which the snapshot can be
-				// pruned safely.
-				s.dirty[rec.Key] = struct{}{}
-			}
+			e := s.ensure(rec.Key)
+			s.setArchivedLocked(e, rec.Summary) // decoded frozen
+			e.archivedAt = max(e.archivedAt, rec.Horizon)
+			e.cold, e.coldAt = false, 0
+			// With a tiered backend a full summary in the WAL is a legacy
+			// (pre-tiered) checkpoint snapshot; marking it dirty migrates it
+			// into the first flush's table, after which the snapshot can be
+			// pruned safely.
+			db.markDirtyLocked(s, rec.Key, e)
 		case storage.KindObsolete, storage.KindCompact:
 			marks = append(marks, anchoredMark{mark: rec, pos: maxSeen})
 		default:

@@ -33,13 +33,14 @@ const laneBudget = 64
 // closes.
 func (e *Engine) work(w int) {
 	defer e.workers.Done()
+	var frames stepFrames // this worker's step scaffolding, reused step after step
 	for {
 		mb, m := e.q.Claim(e.opts.Topic, w, e.stopCh)
 		if mb == nil {
 			return
 		}
 		key := mb.Key()
-		e.drain(mb, m, &key)
+		e.drain(mb, m, &key, &frames)
 	}
 }
 
@@ -48,12 +49,12 @@ func (e *Engine) work(w int) {
 // delivery failed and backs off (the delivery stays at the head, so the
 // entity's later steps cannot overtake it), when this claim's fairness
 // budget is spent, or when the engine is stopping. It returns the number of
-// deliveries handled. laneKey is executeStep's.
-func (e *Engine) drain(mb *queue.Mailbox, m *queue.Message, laneKey *entity.Key) int {
+// deliveries handled. laneKey and frames are executeStep's.
+func (e *Engine) drain(mb *queue.Mailbox, m *queue.Message, laneKey *entity.Key, frames *stepFrames) int {
 	n := 0
 	for m != nil {
 		n++
-		if e.deliver(m, laneKey) {
+		if e.deliver(m, laneKey, frames) {
 			mb.Ack()
 		} else {
 			mb.Retry(e.opts.RetryBackoff)

@@ -49,7 +49,8 @@ var (
 
 // StepContext is what a step handler works with: the triggering event, a
 // transaction scoped to this step, and helpers for emitting follow-up events
-// and auditing.
+// and auditing. A StepContext and its Txn are the handler's only until it
+// returns: the worker runs its next step in the same two values.
 type StepContext struct {
 	// Event is the event that triggered the step.
 	Event queue.Event
@@ -59,10 +60,8 @@ type StepContext struct {
 	// Attempt is the delivery attempt number (1 for the first try).
 	Attempt int
 
-	engine *Engine
-	// emitted has inline room for the one follow-up event most steps emit.
+	engine  *Engine
 	emitted []queue.Event
-	room    [1]queue.Event
 }
 
 // Emit schedules a follow-up event. The event is only delivered if this
@@ -86,6 +85,36 @@ func (c *StepContext) Emit(ev queue.Event) {
 // e.g., for auditing purposes, which should not be rolled back", 2.4).
 func (c *StepContext) Audit(format string, args ...interface{}) {
 	c.engine.audit(fmt.Sprintf(format, args...))
+}
+
+// stepFrame is the scaffolding of one step execution — its context and its
+// transaction — as one reusable value.
+type stepFrame struct {
+	ctx StepContext
+	txn txn.Txn
+}
+
+// begin readies the frame for a step triggered by ev. Everything the previous
+// step left in it goes first: a handler that kept hold of what it was passed
+// finds none of its own step's events or writes in the next one's.
+func (f *stepFrame) begin(e *Engine, ev *queue.Event, attempt int) *StepContext {
+	clear(f.ctx.emitted) // the events may pin their Data maps
+	f.ctx = StepContext{Event: *ev, Txn: &f.txn, Attempt: attempt, engine: e, emitted: f.ctx.emitted[:0]}
+	e.mgr.BeginIn(&f.txn, e.opts.TxnMode)
+	return &f.ctx
+}
+
+// stepFrames is one worker's frames, by vertical-collapse nesting level. A
+// worker runs one step at a time, so level 0 serves every step it claims;
+// a collapsed child runs while its parent's emitted events are still being
+// dispatched, so it takes the next level.
+type stepFrames []*stepFrame
+
+func (fs *stepFrames) at(level int) *stepFrame {
+	for len(*fs) <= level {
+		*fs = append(*fs, new(stepFrame))
+	}
+	return (*fs)[level]
 }
 
 // Handler executes one process step.
@@ -160,8 +189,8 @@ type Options struct {
 	// Route selects the queue an emitted event is delivered to (nil keeps it
 	// on this engine's own queue). The kernel uses it to ship events to the
 	// serialization unit owning the event's entity; enqueue remains a local
-	// operation on that queue (principle 2.6).
-	Route func(queue.Event) *queue.Queue
+	// operation on that queue (principle 2.6). The event is only read.
+	Route func(*queue.Event) *queue.Queue
 }
 
 // Stats counts engine activity.
@@ -340,7 +369,7 @@ func (e *Engine) Submit(ev queue.Event) error {
 	if e.stopping() {
 		return ErrStopped
 	}
-	_, err := e.q.Enqueue(e.opts.Topic, ev)
+	_, err := e.q.Post(e.opts.Topic, &ev, 0)
 	if err == nil {
 		e.stats.enqueuedEvents.Add(1)
 	}
@@ -382,13 +411,14 @@ func (e *Engine) Stop() {
 // entity whose head delivery is backing off is held back entirely rather
 // than having its later steps run first.
 func (e *Engine) Drain() int {
+	var frames stepFrames
 	n := 0
 	for {
 		mb, m := e.q.TryClaim(e.opts.Topic)
 		if mb == nil {
 			return n
 		}
-		n += e.drain(mb, m, nil)
+		n += e.drain(mb, m, nil, &frames)
 	}
 }
 
@@ -396,11 +426,11 @@ func (e *Engine) Drain() int {
 // settled — executed, skipped as a duplicate, unknown, past its deadline, or
 // out of attempts and handed to its compensation handler — or must stay at
 // the head of its entity's mailbox and be retried after a backoff.
-func (e *Engine) deliver(m *queue.Message, laneKey *entity.Key) bool {
-	if e.pastDeadline(m.Event) {
+func (e *Engine) deliver(m *queue.Message, laneKey *entity.Key, frames *stepFrames) bool {
+	if e.pastDeadline(&m.Event) {
 		return true
 	}
-	err := e.executeStep(m.Event, m.Attempts, e.opts.CollapseDepth, laneKey)
+	err := e.executeStep(&m.Event, m.Attempts, e.opts.CollapseDepth, laneKey, frames)
 	switch {
 	case err == nil:
 		return true
@@ -424,7 +454,7 @@ func (e *Engine) deliver(m *queue.Message, laneKey *entity.Key) bool {
 // before execution. The queue drops expired work by its own clock when it
 // hands a message out; the engine re-checks by the wall clock immediately
 // before running the step. The drop is terminal.
-func (e *Engine) pastDeadline(ev queue.Event) bool {
+func (e *Engine) pastDeadline(ev *queue.Event) bool {
 	if ev.Deadline.IsZero() || !time.Now().After(ev.Deadline) {
 		return false
 	}
@@ -438,8 +468,10 @@ func (e *Engine) pastDeadline(ev queue.Event) bool {
 // goes through the queue. laneKey, when non-nil, is the entity this
 // execution is serialised under: inline collapsing is then restricted to
 // children of that same entity, because running another entity's step here
-// would bypass that entity's ownership and break its serial order.
-func (e *Engine) executeStep(ev queue.Event, attempt, depth int, laneKey *entity.Key) error {
+// would bypass that entity's ownership and break its serial order. ev is
+// only read, and not after the step's frame has taken its copy; frames
+// supplies that frame, one per nesting level.
+func (e *Engine) executeStep(ev *queue.Event, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
 	h, ok := e.table.Load().steps[ev.Name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStep, ev.Name)
@@ -447,34 +479,34 @@ func (e *Engine) executeStep(ev queue.Event, attempt, depth int, laneKey *entity
 	// Idempotence: at-least-once delivery may hand us a step that already
 	// executed successfully (same event identity); skip the re-delivery.
 	id := stepID{ev.Name, ev.TxnID}
-	if ev.TxnID != "" && e.done.has(id) {
+	if id.txnID != "" && e.done.has(id) {
 		return nil
 	}
-	t := e.mgr.Begin(e.opts.TxnMode)
-	ctx := &StepContext{Event: ev, Txn: t, Attempt: attempt, engine: e}
-	ctx.emitted = ctx.room[:0]
+	f := frames.at(e.opts.CollapseDepth - depth)
+	ctx := f.begin(e, ev, attempt)
 	if err := h(ctx); err != nil {
-		t.Abort()
+		f.txn.Abort()
 		e.stats.stepsFailed.Add(1)
 		return err
 	}
-	if _, err := t.Commit(nil); err != nil {
+	if err := f.txn.CommitDiscard(nil); err != nil {
 		e.stats.stepsFailed.Add(1)
 		return err
 	}
 	e.stats.stepsExecuted.Add(1)
 	e.stats.eventsEmitted.Add(uint64(len(ctx.emitted)))
-	if ev.TxnID != "" {
+	if id.txnID != "" {
 		e.done.add(id)
 	}
-	e.dispatch(ctx.emitted, depth, laneKey)
+	e.dispatch(ctx.emitted, depth, laneKey, frames)
 	return nil
 }
 
 // dispatch delivers events emitted by a committed step: inline when vertical
 // collapsing applies, otherwise through the destination queue.
-func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key) {
-	for _, next := range events {
+func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, frames *stepFrames) {
+	for i := range events {
+		next := &events[i]
 		target := e.q
 		if e.opts.Route != nil {
 			if routed := e.opts.Route(next); routed != nil {
@@ -489,14 +521,14 @@ func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key) 
 		if e.opts.CollapseVertical && depth > 0 && target == e.q && (laneKey == nil || *laneKey == next.Entity) {
 			if _, local := e.table.Load().steps[next.Name]; local {
 				e.stats.collapsed.Add(1)
-				if err := e.executeStep(next, 1, depth-1, laneKey); err == nil {
+				if err := e.executeStep(next, 1, depth-1, laneKey, frames); err == nil {
 					continue
 				}
 				// Inline execution failed: fall back to the queue so the
 				// normal retry machinery applies.
 			}
 		}
-		if _, err := target.Enqueue(e.opts.Topic, next); err == nil {
+		if _, err := target.Post(e.opts.Topic, next, 0); err == nil {
 			e.stats.enqueuedEvents.Add(1)
 		}
 	}
@@ -566,7 +598,7 @@ func (e *Engine) HorizontalBatch(maxEvents int) (int, error) {
 		e.stats.stepsExecuted.Add(1)
 		e.stats.collapsed.Add(uint64(ran - 1))
 		e.stats.eventsEmitted.Add(uint64(len(emitted)))
-		e.dispatch(emitted, 0, nil)
+		e.dispatch(emitted, 0, nil, nil)
 	}
 	return absorbed, nil
 }

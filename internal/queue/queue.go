@@ -82,7 +82,10 @@ type Event struct {
 	Deadline time.Time
 }
 
-// Message is one queued delivery of an event.
+// Message is one queued delivery of an event. A message a Claim owner was
+// handed is the queue's own and is recycled once acknowledged: it is the
+// owner's to read until Ack (or until Release, for one it did not settle),
+// not after.
 type Message struct {
 	ID       uint64
 	Topic    string
@@ -145,6 +148,10 @@ type Queue struct {
 	seq   clock.Sequence
 	boxes map[entity.Key]*Mailbox
 	free  []*Mailbox // retired mailboxes, reused for the next new entity; at most maxFree
+	// freeMsg chains acknowledged messages, zeroed, for the next enqueues; at
+	// most maxFree of them.
+	freeMsg  *Message
+	nFreeMsg int
 	// runHead/runTail is the run list: unowned mailboxes whose head is
 	// deliverable, in the order they became so.
 	runHead, runTail *Mailbox
@@ -225,13 +232,18 @@ func (q *Queue) Name() string { return q.name }
 // Enqueue adds an event for delivery and returns its message id. Enqueue is
 // always a local, non-distributed operation.
 func (q *Queue) Enqueue(topic string, ev Event) (uint64, error) {
-	return q.EnqueueDelayed(topic, ev, 0)
+	return q.Post(topic, &ev, 0)
 }
 
 // EnqueueDelayed adds an event that becomes deliverable only after delay.
 func (q *Queue) EnqueueDelayed(topic string, ev Event, delay time.Duration) (uint64, error) {
+	return q.Post(topic, &ev, delay)
+}
+
+// Post is EnqueueDelayed for a caller that holds the event by reference. The
+// event is copied into the queue; ev is not retained.
+func (q *Queue) Post(topic string, ev *Event, delay time.Duration) (uint64, error) {
 	now := q.opts.Clock()
-	m := &Message{Topic: topic, Event: ev, NotBefore: now.Add(delay), Enqueued: now}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -241,7 +253,15 @@ func (q *Queue) EnqueueDelayed(topic string, ev Event, delay time.Duration) (uin
 		q.shed++
 		return 0, fmt.Errorf("%w: %s at depth %d", ErrOverloaded, q.name, q.pending)
 	}
-	m.ID = q.seq.Next()
+	m := q.freeMsg
+	if m != nil {
+		q.freeMsg, m.next = m.next, nil
+		q.nFreeMsg--
+	} else {
+		m = new(Message)
+	}
+	m.ID, m.Topic, m.Event = q.seq.Next(), topic, *ev
+	m.NotBefore, m.Enqueued = now.Add(delay), now
 	mb := q.boxes[ev.Entity]
 	fresh := mb == nil
 	if fresh {
@@ -361,6 +381,19 @@ func (q *Queue) nextLocked(mb *Mailbox, now time.Time) *Message {
 		mb.n--
 		q.pending--
 		q.deadlineDropped++
+		q.retireLocked(m)
+	}
+}
+
+// retireLocked recycles a message that has left its mailbox for good. Every
+// field is cleared, so nothing of this delivery (its event data, its attempt
+// count) shows through the next one, and a consumer that kept the pointer
+// past Ack reads zeroes.
+func (q *Queue) retireLocked(m *Message) {
+	*m = Message{}
+	if q.nFreeMsg < maxFree {
+		m.next, q.freeMsg = q.freeMsg, m
+		q.nFreeMsg++
 	}
 }
 
@@ -390,6 +423,7 @@ func (q *Queue) ackLocked(mb *Mailbox) {
 				dups = append(dups, &dup)
 			}
 		}
+		q.retireLocked(m)
 	}
 	mb.last = nil
 	for i := len(dups) - 1; i >= 0; i-- {
@@ -478,8 +512,9 @@ func (q *Queue) Wake() {
 
 const (
 	forever = time.Duration(1<<63 - 1)
-	// maxFree bounds the retired mailboxes kept for reuse: enough for the
-	// entities in flight between workers, not a drained backlog's worth.
+	// maxFree bounds the retired mailboxes, and the retired messages, kept
+	// for reuse: enough for the entities in flight between workers, not a
+	// drained backlog's worth.
 	maxFree = 1024
 )
 
@@ -778,8 +813,9 @@ func (o *Outbox) Publish(q *Queue) ([]uint64, error) {
 	o.staged = nil
 	o.mu.Unlock()
 	ids := make([]uint64, 0, len(staged))
-	for _, s := range staged {
-		id, err := q.EnqueueDelayed(s.topic, s.ev, s.delay)
+	for i := range staged {
+		s := &staged[i]
+		id, err := q.Post(s.topic, &s.ev, s.delay)
 		if err != nil {
 			return ids, err
 		}

@@ -640,6 +640,78 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	}
 }
 
+// An acknowledged message is recycled for a later enqueue. Every field is
+// cleared first, so nothing of the old delivery shows through the new one,
+// and what a consumer (wrongly) kept of the old one is never written into.
+func TestRecycledMessageCarriesNothingOver(t *testing.T) {
+	now := time.Unix(100, 0)
+	q := New("unit-1", Options{Clock: func() time.Time { return now }})
+	old := Event{Name: "old", Entity: entity.Key{Type: "Order", ID: "X"}, TxnID: "txn-old",
+		Data: map[string]interface{}{"secret": 42}, Deadline: now.Add(time.Hour)}
+	q.Enqueue("t", old)
+	mb, m := q.TryClaim("t")
+	mb.Retry(0) // a second attempt, so Attempts has something to leak
+	mb.Release()
+	mb, m = q.TryClaim("t")
+	if m.Attempts != 2 {
+		t.Fatalf("Attempts = %d, want 2", m.Attempts)
+	}
+	keptMsg, keptData := m, m.Event.Data
+	mb.Ack()
+	mb.Release()
+	if keptMsg.ID != 0 || keptMsg.Event.Name != "" || keptMsg.Event.Data != nil || keptMsg.Attempts != 0 {
+		t.Fatalf("a message kept past Ack still reads %+v, want zeroes", *keptMsg)
+	}
+
+	now = now.Add(time.Minute)
+	q.Enqueue("other", Event{Name: "new", Entity: entity.Key{Type: "Order", ID: "Y"}})
+	mb, m = q.TryClaim("")
+	if m != keptMsg {
+		t.Fatal("the acknowledged message was not reused; the test no longer tests recycling")
+	}
+	want := Message{ID: 2, Topic: "other", Event: Event{Name: "new", Entity: entity.Key{Type: "Order", ID: "Y"}},
+		Attempts: 1, NotBefore: now, Enqueued: now}
+	if got := *m; got.ID != want.ID || got.Topic != want.Topic || got.Attempts != want.Attempts ||
+		!got.NotBefore.Equal(want.NotBefore) || !got.Enqueued.Equal(want.Enqueued) || got.next != nil ||
+		got.Event.Name != "new" || got.Event.Entity != want.Event.Entity || got.Event.TxnID != "" ||
+		got.Event.Data != nil || !got.Event.Deadline.IsZero() {
+		t.Fatalf("recycled message = %+v, want %+v", got, want)
+	}
+	mb.Ack()
+	mb.Release()
+	if len(keptData) != 1 || keptData["secret"] != 42 {
+		t.Fatalf("the event data a consumer kept was rewritten: %v", keptData)
+	}
+}
+
+// The free list is bounded: draining a deep backlog keeps at most maxFree
+// messages for reuse.
+func TestMessageFreeListIsBounded(t *testing.T) {
+	q := New("unit-1", Options{})
+	const backlog = maxFree + 500
+	for i := 0; i < backlog; i++ {
+		q.Enqueue("t", ev("e", fmt.Sprintf("O%d", i)))
+	}
+	for {
+		mb, _ := q.TryClaim("t")
+		if mb == nil {
+			break
+		}
+		mb.Ack()
+		mb.Release()
+	}
+	if q.Acked() != backlog || q.nFreeMsg != maxFree {
+		t.Fatalf("acked %d, kept %d for reuse; want %d, %d", q.Acked(), q.nFreeMsg, backlog, maxFree)
+	}
+	n := 0
+	for m := q.freeMsg; m != nil; m = m.next {
+		n++
+	}
+	if n != maxFree {
+		t.Fatalf("free list holds %d messages, its count says %d", n, maxFree)
+	}
+}
+
 // --- Mailbox ownership (Claim) ---------------------------------------------
 
 func TestClaimOwnsEntityAndPopsInOrder(t *testing.T) {

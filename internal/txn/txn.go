@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -101,8 +102,12 @@ type Manager struct {
 	// idPrefix is "<node>-txn-"; a transaction id is it plus a sequence number.
 	idPrefix string
 
-	mu    sync.Mutex
-	stats Stats
+	stats counters
+}
+
+// counters is Stats as the commit path bumps it: no lock anywhere.
+type counters struct {
+	commits, aborts, conflicts, lockTimeouts atomic.Uint64
 }
 
 // Stats counts transaction outcomes.
@@ -157,9 +162,12 @@ func (m *Manager) Locks() *locks.Manager { return m.locks }
 
 // Stats returns a copy of the outcome counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	return Stats{
+		Commits:      m.stats.commits.Load(),
+		Aborts:       m.stats.aborts.Load(),
+		Conflicts:    m.stats.conflicts.Load(),
+		LockTimeouts: m.stats.lockTimeouts.Load(),
+	}
 }
 
 // Txn is one transaction. Txns are not safe for concurrent use by multiple
@@ -180,8 +188,6 @@ type Txn struct {
 	// the inline room; more entities spill to the heap.
 	writes []write
 	room   [1]write
-	// recRoom is the same inline room for CommitResult.Records.
-	recRoom [1]lsdb.Record
 	// owner is the logical-lock owner for pessimistic mode.
 	owner locks.Owner
 }
@@ -196,11 +202,22 @@ type write struct {
 
 // Begin starts a transaction in the given mode.
 func (m *Manager) Begin(mode Mode) *Txn {
+	t := new(Txn)
+	m.BeginIn(t, mode)
+	return t
+}
+
+// BeginIn starts a transaction in storage the caller supplies and reuses: a
+// process worker runs one step at a time, so it begins every step's
+// transaction in the same Txn. Whatever transaction t held before must be
+// finished, and nothing may still use it — t is that transaction no longer.
+func (m *Manager) BeginIn(t *Txn, mode Mode) {
 	var buf [64]byte // on the stack: the id is the only allocation
 	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
-	t := &Txn{m: m, id: id, mode: mode, owner: locks.Owner(id)}
+	reads := t.reads
+	clear(reads)
+	*t = Txn{m: m, id: id, mode: mode, owner: locks.Owner(id), reads: reads}
 	t.writes = t.room[:0]
-	return t
 }
 
 // written returns the buffered write against key, or nil.
@@ -342,9 +359,7 @@ func (t *Txn) lock(key entity.Key) error {
 	err := t.m.locks.Acquire(t.owner, res, locks.Exclusive, t.m.opts.LockTTL, t.m.opts.LockTimeout)
 	if err != nil {
 		if errors.Is(err, locks.ErrTimeout) {
-			t.m.mu.Lock()
-			t.m.stats.LockTimeouts++
-			t.m.mu.Unlock()
+			t.m.stats.lockTimeouts.Add(1)
 			return fmt.Errorf("%w: %s", ErrLockTimeout, res)
 		}
 		return err
@@ -369,15 +384,29 @@ type CommitResult struct {
 // record per written entity to the LSDB, publishes staged events to q (if q
 // is non-nil) and releases locks. On failure everything is discarded.
 func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
+	var res CommitResult
+	err := t.commit(q, &res)
+	return res, err
+}
+
+// CommitDiscard is Commit for a caller with no use for the CommitResult —
+// the process engine, once per step: the records written are not copied out
+// of the log for it.
+func (t *Txn) CommitDiscard(q *queue.Queue) error { return t.commit(q, nil) }
+
+// commit is Commit's body. res, when non-nil, receives the result once the
+// records are written (it stays zero on a failure before that); its Records
+// are copies — the store's own records never leave it by reference.
+func (t *Txn) commit(q *queue.Queue, res *CommitResult) error {
 	if t.done {
-		return CommitResult{}, ErrDone
+		return ErrDone
 	}
 	t.done = true
 	defer t.release()
 
 	if t.m.opts.EnforceSingleEntity && len(t.writes) > 1 {
 		t.fail()
-		return CommitResult{}, fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writes))
+		return fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writes))
 	}
 	// Optimistic validation: every entity read must still be at the LSN we
 	// saw. (Solipsists skip this entirely; pessimists are protected by
@@ -389,22 +418,22 @@ func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 				head = 0
 			} else if err != nil {
 				t.fail()
-				return CommitResult{}, err
+				return err
 			}
 			if head != sawLSN {
-				t.m.mu.Lock()
-				t.m.stats.Conflicts++
-				t.m.stats.Aborts++
-				t.m.mu.Unlock()
+				t.m.stats.conflicts.Add(1)
+				t.m.stats.aborts.Add(1)
 				t.discardStaged()
-				return CommitResult{}, fmt.Errorf("%w: %s changed (read at %d, now %d)", ErrConflict, key, sawLSN, head)
+				return fmt.Errorf("%w: %s changed (read at %d, now %d)", ErrConflict, key, sawLSN, head)
 			}
 		}
 	}
 
 	stamp := t.m.hlc.Now()
-	res := CommitResult{TxnID: t.id, Stamp: stamp, Records: t.recRoom[:0]}
-	for _, w := range t.writes {
+	var records []lsdb.Record
+	var warnings []entity.Warning
+	for i := range t.writes {
+		w := &t.writes[i]
 		var ar lsdb.AppendResult
 		var err error
 		if w.tentative {
@@ -419,26 +448,31 @@ func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 				continue
 			}
 			t.fail()
-			return CommitResult{}, err
+			return err
 		}
-		res.Records = append(res.Records, ar.Record)
-		res.Warnings = append(res.Warnings, ar.Warnings...)
+		if res != nil {
+			records = append(records, *ar.Record)
+			warnings = append(warnings, ar.Warnings...)
+		}
+	}
+	if res != nil {
+		*res = CommitResult{TxnID: t.id, Stamp: stamp, Records: records, Warnings: warnings}
 	}
 	if q != nil && t.outbox != nil {
 		ids, err := t.outbox.Publish(q)
 		if err != nil {
 			// The data is committed; event publication failing is an
 			// infrastructure error surfaced to the caller for retry.
-			return res, fmt.Errorf("txn: committed but event publication failed: %w", err)
+			return fmt.Errorf("txn: committed but event publication failed: %w", err)
 		}
-		res.PublishedEvents = ids
+		if res != nil {
+			res.PublishedEvents = ids
+		}
 	} else {
 		t.discardStaged()
 	}
-	t.m.mu.Lock()
-	t.m.stats.Commits++
-	t.m.mu.Unlock()
-	return res, nil
+	t.m.stats.commits.Add(1)
+	return nil
 }
 
 // Abort discards all buffered work and releases locks.
@@ -452,11 +486,7 @@ func (t *Txn) Abort() {
 	t.release()
 }
 
-func (t *Txn) fail() {
-	t.m.mu.Lock()
-	t.m.stats.Aborts++
-	t.m.mu.Unlock()
-}
+func (t *Txn) fail() { t.m.stats.aborts.Add(1) }
 
 func (t *Txn) release() {
 	if t.mode == Pessimistic {

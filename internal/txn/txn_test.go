@@ -611,3 +611,112 @@ func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 		t.Fatalf("txn id after foreign writes = %s, want %s", got, want)
 	}
 }
+
+// The records a CommitResult carries are copies: what happens to the log
+// afterwards — a withdrawal flipping the record's flag, compaction replacing
+// its segment, further commits — never shows in a result already returned.
+func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
+	m := newUnit(t, "u1", Options{})
+	key := acct("A")
+	res, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
+		return tx.UpdateTentative(key, entity.Delta("balance", 7))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 1 {
+		t.Fatalf("%d records, want 1", len(res.Records))
+	}
+	kept := res.Records[0]
+	for i := 0; i < 20; i++ {
+		if _, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error { return tx.Update(key, entity.Delta("balance", 1)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.DB().MarkObsolete(key, res.TxnID); err != nil {
+		t.Fatal(err)
+	}
+	m.DB().Compact(m.DB().HeadLSN())
+	got := res.Records[0]
+	if got.Obsolete || !got.Tentative || got.LSN != kept.LSN || got.TxnID != res.TxnID || got.Key != key ||
+		len(got.Ops) != 1 || got.Ops[0].Delta != 7 {
+		t.Fatalf("a returned record changed under its holder: %+v, was %+v", got, kept)
+	}
+}
+
+// BeginIn starts a transaction in reused storage: nothing of the transaction
+// that storage held before — its id, writes, reads, staged events, done flag
+// — is the new one's.
+func TestBeginInReusesStorageNotState(t *testing.T) {
+	m := newUnit(t, "u1", Options{})
+	q := queue.New("u1", queue.Options{})
+	var tx Txn
+	m.BeginIn(&tx, Optimistic)
+	first := tx.ID()
+	if _, err := tx.Read(acct("A")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(acct("A"), entity.Delta("balance", 1)); err != nil {
+		t.Fatal(err)
+	}
+	tx.Emit("t", queue.Event{Name: "e", Entity: acct("A")})
+	if err := tx.CommitDiscard(q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 1 {
+		t.Fatalf("CommitDiscard published %d events, want 1", q.Len())
+	}
+
+	m.BeginIn(&tx, Solipsistic)
+	if tx.ID() == first || tx.Mode() != Solipsistic || len(tx.Entities()) != 0 || len(tx.reads) != 0 || tx.outbox != nil || tx.done {
+		t.Fatalf("reused Txn carries over: id %s (was %s), mode %s, writes %v, reads %v", tx.ID(), first, tx.Mode(), tx.Entities(), tx.reads)
+	}
+	// An empty commit in the reused storage publishes and writes nothing.
+	if err := tx.CommitDiscard(q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Len() != 1 || m.DB().Len() != 1 {
+		t.Fatalf("the reused transaction re-committed its predecessor: queue %d, log %d", q.Len(), m.DB().Len())
+	}
+	if s := m.Stats(); s.Commits != 2 || s.Aborts != 0 {
+		t.Fatalf("stats %+v, want 2 commits", s)
+	}
+}
+
+// Stats is read without a lock while commits, aborts and conflicts count.
+func TestStatsCountsUnderConcurrency(t *testing.T) {
+	m := newUnit(t, "u1", Options{})
+	const workers, each = 4, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.Stats()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tx := m.Begin(Solipsistic)
+				_ = tx.Update(acct("A"), entity.Delta("balance", 1))
+				if i%2 == 0 {
+					tx.Abort()
+				} else if _, err := tx.Commit(nil); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if s := m.Stats(); s.Commits != workers*each/2 || s.Aborts != workers*each/2 {
+		t.Fatalf("stats %+v, want %d commits and as many aborts", s, workers*each/2)
+	}
+}
