@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-test bench-steps bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
+.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,16 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The commit path's ownership rules (docs/CONCURRENCY.md), ten times over
+# under the race detector: a lent cached state never changes and an unlent one
+# is written in place, a failed in-place append leaves no trace, exactly-once
+# across the high-water mark and every shape of the per-entity txn index,
+# lock-free Locate against concurrent Pin, and that recycled step frames,
+# transactions and messages carry nothing from one step into the next (CI runs
+# the same set in its race job).
+ownership-race:
+	$(GO) test -race -count=10 -run 'TestLentState|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
 
 # The E1..E20 experiment benchmarks (see EXPERIMENTS.md).
 bench:
@@ -27,14 +37,17 @@ bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 1x -benchmem ./internal/lsm ./internal/lsdb
 
 # The step path on its own: what one process step costs in time and garbage
-# (BenchmarkStepChain) and what the store's share of it, one single-op append,
-# costs (BenchmarkAppendSingleOp), each gated by its committed budget
-# (TestStepAllocationBudget, TestAppendBudget: the run fails when a step or an
-# append allocates more than that); that a dequeue's cost is flat in the
+# (BenchmarkStepChain) and what the store's share of it, one single-op append
+# to an existing entity, costs — never read, so written in place, and read
+# every eighth append, so copied then (BenchmarkAppendExistingEntity) — each
+# gated by its committed budget (TestStepAllocationBudget, TestAppendBudget:
+# the run fails when a step or an append allocates more than that, and an
+# append to an unlent state may allocate no State or field map at all); that a
+# dequeue's cost is flat in the
 # backlog (BenchmarkQueueDrain, which fails otherwise); and the E19 worker
 # sweep.
 bench-steps:
-	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget' -bench 'BenchmarkStepChain|BenchmarkAppendSingleOp|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
+	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
 
 # The E17 multi-writer append-throughput benchmark on its own: per-append
 # locking vs group-commit batching, in-memory and with a per-commit fsync.

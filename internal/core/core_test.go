@@ -702,3 +702,58 @@ func TestUpdateResultRecordsSurviveLaterWork(t *testing.T) {
 		t.Fatalf("balance %v (%v), want 105", st, err)
 	}
 }
+
+// What Kernel.Read and Kernel.Query hand out is the store's cached state,
+// lent: updates that follow — which write an unlent cached state in place —
+// never show through it.
+func TestReadAndQueryStatesNeverChangeUnderLaterUpdates(t *testing.T) {
+	order := orderKey("O1")
+	write := func(k *Kernel, i int) {
+		t.Helper()
+		if _, err := k.Update(order,
+			entity.Set("status", fmt.Sprintf("S%d", i)),
+			entity.Delta("total", 1),
+			entity.InsertChild("lineitems", fmt.Sprintf("L%d", i), entity.Fields{"product": "widget", "qty": i}),
+			entity.SetChildField("lineitems", "L1", "qty", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func(st *entity.State) string {
+		return fmt.Sprint(st.Fields, st.Tentative, st.Deleted, st.Children("lineitems"))
+	}
+	paths := map[string]func(k *Kernel) *entity.State{
+		"read": func(k *Kernel) *entity.State {
+			st, err := k.Read(order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		},
+		"query": func(k *Kernel) *entity.State {
+			var got *entity.State
+			if err := k.Query("Order", func(st *entity.State) bool { got = st; return false }); err != nil || got == nil {
+				t.Fatalf("Query: %v, %v", got, err)
+			}
+			return got
+		},
+	}
+	for name, lend := range paths {
+		t.Run(name, func(t *testing.T) {
+			k := newKernel(t, Options{Node: "n1", Units: 2})
+			for i := 1; i <= 70; i++ {
+				write(k, i)
+			}
+			st := lend(k)
+			want := image(st)
+			for i := 71; i <= 134; i++ {
+				write(k, i)
+			}
+			if got := image(st); got != want {
+				t.Fatalf("a lent state changed under its holder:\nwas %s\nnow %s", want, got)
+			}
+			if cur, _ := k.Read(order); cur.Float("total") != 134 {
+				t.Fatalf("store total %v, want 134", cur.Float("total"))
+			}
+		})
+	}
+}

@@ -462,6 +462,17 @@ func (s *State) Freeze() *State {
 // Frozen reports whether the state is immutable.
 func (s *State) Frozen() bool { return s.frozen }
 
+// Reopen makes a frozen state mutable again, in place — for an owner that can
+// prove nobody else was ever given the pointer (lsdb's cached rollup while it
+// has not been lent). Root fields are then written where they are. Children
+// stay copy-on-write, because older versions may share them: Freeze dropped
+// the chunk ownership, so the first write into a collection copies its header
+// and the chunk it touches, as it would on a clone.
+func (s *State) Reopen() *State {
+	s.frozen = false
+	return s
+}
+
 // Thaw returns a state the caller may mutate: the state itself when it is
 // already mutable, otherwise a structural-sharing copy (O(collections), not
 // O(rows)) whose writes copy only what they touch.

@@ -13,9 +13,10 @@ import (
 )
 
 // The exactly-once index lives in each entity's entry, beside the record
-// list it is derived from. These tests pin that it is exact — before and
-// after the inline list spills to a map, inside a group-commit batch — and
-// that it is bounded by, and always consistent with, the retained log.
+// list it is derived from. These tests pin that it is exact — below and above
+// txnSpill retained records, inside a group-commit batch — and that it is
+// bounded by, and always consistent with, the retained log. highwater_test.go
+// covers which ids are answered by the high-water mark and which by a lookup.
 
 func acct(id string) entity.Key { return entity.Key{Type: "Account", ID: id} }
 
@@ -27,11 +28,12 @@ func deposit(t *testing.T, db *DB, key entity.Key, n int, txnID string) error {
 
 // assertTxnIndexMatchesLog checks every entry against the log it indexes:
 // the ids in recs (and in byTxn, once built) are exactly the transaction ids
-// of the entity's retained records, LSN for LSN.
+// of the entity's retained records, LSN for LSN, and none of them is above
+// the high-water mark.
 func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 	t.Helper()
 	for _, s := range db.shards {
-		s.mu.RLock()
+		s.mu.Lock() // txnLSN may build byTxn
 		for key, e := range s.entries {
 			want := map[string]uint64{}
 			for _, r := range e.recs {
@@ -46,9 +48,12 @@ func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 				if r.txn != "" {
 					want[r.txn] = r.lsn
 				}
+				if _, _, above := e.aboveMark(r.txn); above {
+					t.Errorf("%s: retained id %q is above the high-water mark %q %d", key, r.txn, e.hiPrefix, e.hiSeq)
+				}
 			}
-			if spilled := e.byTxn != nil; spilled != (len(e.recs) > txnSpill) {
-				t.Errorf("%s retains %d records, byTxn built: %v", key, len(e.recs), spilled)
+			if len(e.recs) == 0 && (e.byTxn != nil || e.hiPrefix != "" || e.hiSeq != 0) {
+				t.Errorf("%s retains nothing, yet byTxn built: %v, mark %q %d", key, e.byTxn != nil, e.hiPrefix, e.hiSeq)
 			}
 			if e.byTxn != nil {
 				if len(e.byTxn) != len(want) {
@@ -83,7 +88,7 @@ func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 		if listed != n {
 			t.Errorf("shard logs %d records, its entries list %d", n, listed)
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -166,8 +171,8 @@ func TestDuplicateTxnRefusedInsideOneBatch(t *testing.T) {
 			t.Fatalf("request %d: err = %v, duplicate wanted: %v", i, batch[i].err, wantDup)
 		}
 	}
-	if got := batch[3].res.State.Float("balance"); got != 2 {
-		t.Fatalf("a's second survivor saw balance %v, want 2 (its batch predecessor's state)", got)
+	if st, _, _ := db.Current(acct("a")); st.Float("balance") != 2 {
+		t.Fatalf("a's second survivor left balance %v, want 2 (built on its batch predecessor's state)", st.Float("balance"))
 	}
 	if batch[0].res.Record.LSN != 1 || batch[4].res.Record.LSN != 4 || db.HeadLSN() != 4 {
 		t.Fatalf("LSNs %d..%d, head %d: refused requests must not consume any", batch[0].res.Record.LSN, batch[4].res.Record.LSN, db.HeadLSN())
@@ -302,12 +307,11 @@ func TestTxnIndexAcrossColdEvictionAndRewarm(t *testing.T) {
 type shardShape struct {
 	sealed, active, entries int
 	recs                    map[entity.Key]int
-	txns                    map[entity.Key]int
 	head                    uint64
 }
 
 func shapeOf(db *DB) shardShape {
-	sh := shardShape{recs: map[entity.Key]int{}, txns: map[entity.Key]int{}, head: db.HeadLSN()}
+	sh := shardShape{recs: map[entity.Key]int{}, head: db.HeadLSN()}
 	for _, s := range db.shards {
 		s.mu.RLock()
 		sh.sealed += len(s.sealed)
@@ -315,7 +319,6 @@ func shapeOf(db *DB) shardShape {
 		sh.entries += len(s.entries)
 		for k, e := range s.entries {
 			sh.recs[k] = len(e.recs)
-			sh.txns[k] = len(e.byTxn)
 		}
 		// No reserved slot may be left behind, live or stale.
 		for _, r := range s.active[len(s.active):cap(s.active)] {
@@ -369,34 +372,45 @@ func TestRefusedAppendLeavesShardUntouched(t *testing.T) {
 // appendsPerBudgetRun is how many appends one budget measurement makes.
 const appendsPerBudgetRun = 512
 
-// Budgets for one single-op append to an existing entity. Four allocations
-// are the new state — the State, its field map's header and one group, the
-// boxed new value; the record's share of its segment and the growth of the
-// entity's record list and txn map are amortised to about a tenth of one.
-// Group commit adds none (its request comes from a sync.Pool; the slack up to
-// five is what the race detector's deliberately leaky Pool costs).
+// Budgets for one single-op append to an existing entity. To a state nobody
+// was lent it allocates the boxed new value and nothing for the state — no
+// State, no field map; the record's share of its segment and the growth of
+// the entity's record list are amortised to about a tenth of one allocation,
+// and the rest of the slack is what the race detector's deliberately leaky
+// sync.Pool costs group commit's request. To a state that was lent it
+// allocates the copy as well: the State, its field map's header and one
+// group.
 const (
-	appendAllocBudget  = 5.0
-	appendLookupBudget = 1.0
+	appendAllocBudgetUnlent = 2.0
+	appendAllocBudgetLent   = 5.0
+	appendLookupBudget      = 1.0
 )
 
 // appendLoop makes one single-op append per id, round-robin over keys (all
 // existing entities; each soon retains more than txnSpill records, as a hot
-// entity does in production).
-func appendLoop(tb testing.TB, db *DB, keys []entity.Key, ids []string) {
+// entity does in production). With readEvery > 0 every readEvery-th append
+// is preceded by a read of its entity, which lends the cached state.
+func appendLoop(tb testing.TB, db *DB, keys []entity.Key, ids []string, readEvery int) {
 	ops := []entity.Op{entity.Delta("balance", 1)}
 	for i, id := range ids {
-		if _, err := db.Append(keys[i%len(keys)], ops, stamp(int64(i)), "n", id); err != nil {
+		key := keys[i%len(keys)]
+		if readEvery > 0 && i%readEvery == 0 {
+			if _, _, err := db.Current(key); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := db.Append(key, ops, stamp(int64(i)), "n", id); err != nil {
 			tb.Fatal(err)
 		}
 	}
 }
 
-// txnIDs returns n transaction ids not returned before.
+// txnIDs returns n transaction ids not returned before, of the shape and in
+// the order one unit's txn.Manager mints them.
 func txnIDs(next *int, n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
-		ids[i] = fmt.Sprintf("t%d", *next)
+		ids[i] = fmt.Sprintf("n-txn-%d", *next)
 		*next++
 	}
 	return ids
@@ -410,59 +424,74 @@ func budgetKeys(n int) []entity.Key {
 	return keys
 }
 
-// BenchmarkAppendSingleOp is the store's share of a process step: one
+// BenchmarkAppendExistingEntity is the store's share of a process step: one
 // single-op Append to an existing entity, in memory, serial and through the
-// group-commit queue.
-func BenchmarkAppendSingleOp(b *testing.B) {
+// group-commit queue — to entities nobody reads (every append in place), and
+// with a read before every eighth append (that one copies).
+func BenchmarkAppendExistingEntity(b *testing.B) {
 	for _, group := range []bool{false, true} {
-		name := "mem"
-		if group {
-			name = "groupcommit"
+		for _, readEvery := range []int{0, 8} {
+			name := "mem"
+			if group {
+				name = "groupcommit"
+			}
+			if readEvery == 0 {
+				name += "/never-read"
+			} else {
+				name += fmt.Sprintf("/read-every-%d", readEvery)
+			}
+			b.Run(name, func(b *testing.B) {
+				db := newTestDB(b, Options{GroupCommit: group})
+				keys, next := budgetKeys(256), 0
+				appendLoop(b, db, keys, txnIDs(&next, len(keys)), 0)
+				ids := txnIDs(&next, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				appendLoop(b, db, keys, ids, readEvery)
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			db := newTestDB(b, Options{GroupCommit: group})
-			keys, next := budgetKeys(256), 0
-			appendLoop(b, db, keys, txnIDs(&next, len(keys)))
-			ids := txnIDs(&next, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			appendLoop(b, db, keys, ids)
-		})
 	}
 }
 
-// TestAppendBudget is BenchmarkAppendSingleOp's gate: allocations per append
-// and entry-map lookups per append (one entity.Key hash; the shard choice
-// hashes the key text, not the Key).
+// TestAppendBudget is BenchmarkAppendExistingEntity's gate: allocations per
+// append — none of them a State or a field map when the cached state was
+// never lent — and entry-map lookups per append (one entity.Key hash; the
+// shard choice hashes the key text, not the Key).
 func TestAppendBudget(t *testing.T) {
 	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			db := newTestDB(t, Options{GroupCommit: group})
-			keys, next := budgetKeys(64), 0
-			// First touches, index spills and segment allocation stay out.
-			appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun))
+		for _, lent := range []bool{false, true} {
+			t.Run(fmt.Sprintf("group=%v/lent=%v", group, lent), func(t *testing.T) {
+				db := newTestDB(t, Options{GroupCommit: group})
+				keys, next := budgetKeys(64), 0
+				readEvery, allocBudget := 0, appendAllocBudgetUnlent
+				if lent {
+					readEvery, allocBudget = 1, appendAllocBudgetLent
+				}
+				// First touches and segment allocation stay out.
+				appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun), 0)
 
-			var lookups atomic.Uint64
-			for _, s := range db.shards {
-				s.lookups = &lookups
-			}
-			appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun))
-			for _, s := range db.shards {
-				s.lookups = nil
-			}
-			if per := float64(lookups.Load()) / appendsPerBudgetRun; per > appendLookupBudget {
-				t.Errorf("an append looks its entity up %.2f times, budget %.0f", per, appendLookupBudget)
-			}
+				var lookups atomic.Uint64
+				for _, s := range db.shards {
+					s.lookups = &lookups
+				}
+				appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun), 0)
+				for _, s := range db.shards {
+					s.lookups = nil
+				}
+				if per := float64(lookups.Load()) / appendsPerBudgetRun; per > appendLookupBudget {
+					t.Errorf("an append looks its entity up %.2f times, budget %.0f", per, appendLookupBudget)
+				}
 
-			const runs = 5
-			ids := txnIDs(&next, (runs+1)*appendsPerBudgetRun) // AllocsPerRun warms up once
-			perRun := testing.AllocsPerRun(runs, func() {
-				appendLoop(t, db, keys, ids[:appendsPerBudgetRun])
-				ids = ids[appendsPerBudgetRun:]
+				const runs = 5
+				ids := txnIDs(&next, (runs+1)*appendsPerBudgetRun) // AllocsPerRun warms up once
+				perRun := testing.AllocsPerRun(runs, func() {
+					appendLoop(t, db, keys, ids[:appendsPerBudgetRun], readEvery)
+					ids = ids[appendsPerBudgetRun:]
+				})
+				if per := perRun / appendsPerBudgetRun; per > allocBudget {
+					t.Errorf("an append allocates %.2f times, budget %.1f", per, allocBudget)
+				}
 			})
-			if per := perRun / appendsPerBudgetRun; per > appendAllocBudget {
-				t.Errorf("an append allocates %.2f times, budget %.1f", per, appendAllocBudget)
-			}
-		})
+		}
 	}
 }

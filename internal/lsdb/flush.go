@@ -255,10 +255,11 @@ func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []sto
 			// Fully archived (post-Compact or legacy-recovered): the frozen
 			// summary ships zero-copy.
 			sum.Summary = e.archived
-		case e.state != nil && e.head == h:
+		case e.cache.present() && e.head == h:
 			// The materialised current state *is* the rollup through h
-			// when no unsettled records sit above it — zero-copy.
-			sum.Summary = e.state
+			// when no unsettled records sit above it — zero-copy, which
+			// lends it: the table is written after the lock is released.
+			sum.Summary = e.cache.lend()
 		default:
 			private = s.rollupToLocked(e, key, typ, h)
 			sum.Summary = private
@@ -287,7 +288,7 @@ func (f *flusher) evictCold(watermark uint64) {
 		s.mu.Lock()
 		if s.archivedN > 0 {
 			for _, e := range s.entries {
-				if e.archived == nil || e.dirty || len(e.recs) > 0 || e.state != nil {
+				if e.archived == nil || e.dirty || len(e.recs) > 0 || e.cache.present() {
 					continue
 				}
 				if e.archivedAt > watermark {

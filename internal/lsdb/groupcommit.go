@@ -246,7 +246,7 @@ func (db *DB) commitBatch(s *shard, batch, live []*appendReq) ([]*appendReq, fun
 	}
 	for i, r := range live {
 		r.res.Record = &recs[i]
-		r.res.State = db.commitAppendLocked(s, r.e, &recs[i], r.next)
+		db.commitAppendLocked(s, r.e, &recs[i], r.next)
 	}
 	s.sealFullLocked()
 	// The sink's capture runs here under the shard lock (order is the

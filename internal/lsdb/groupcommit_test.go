@@ -423,12 +423,11 @@ func TestGroupCommitIdempotenceAndTentative(t *testing.T) {
 	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 10)}, stamp(2), "n", "t1"); !errors.Is(err, ErrDuplicateTxn) {
 		t.Fatalf("duplicate append err = %v, want ErrDuplicateTxn", err)
 	}
-	res, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", 5)}, stamp(3), "n", "t2")
-	if err != nil {
+	if _, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", 5)}, stamp(3), "n", "t2"); err != nil {
 		t.Fatalf("AppendTentative: %v", err)
 	}
-	if !res.State.Tentative || res.State.Float("balance") != 15 {
-		t.Fatalf("tentative state = %+v", res.State)
+	if st, _, _ := db.Current(key); !st.Tentative || st.Float("balance") != 15 {
+		t.Fatalf("tentative state = %+v", st)
 	}
 	if err := db.MarkObsolete(key, "t2"); err != nil {
 		t.Fatalf("MarkObsolete: %v", err)
@@ -569,8 +568,8 @@ func TestGroupCommitLeaderPanicDoesNotWedgeShard(t *testing.T) {
 	}
 	// The panicking cycle had already installed its record (the hook runs
 	// after installation), so the log holds both appends.
-	if res.Record.LSN != 2 || res.State.Float("balance") != 2 {
-		t.Fatalf("post-panic append: LSN=%d balance=%v, want 2/2", res.Record.LSN, res.State.Float("balance"))
+	if st, _, _ := db.Current(key); res.Record.LSN != 2 || st.Float("balance") != 2 {
+		t.Fatalf("post-panic append: LSN=%d balance=%v, want 2/2", res.Record.LSN, st.Float("balance"))
 	}
 }
 

@@ -19,9 +19,11 @@
 //
 //   - Each shard maintains a materialised current-state cache that is
 //     updated incrementally on every append: the new record's operations are
-//     applied copy-on-write to the cached rollup (O(delta), only the chunks
-//     the ops touch are copied), and the result is frozen and handed to
-//     readers directly — a cache hit is a map lookup, no clone at all.
+//     applied to the cached rollup — in place while no reader, snapshot or
+//     flush capture was ever lent it (cached.go), copy-on-write once one was
+//     (O(delta), only the chunks the ops touch are copied) — and the result
+//     is frozen and handed to readers directly: a cache hit is a map lookup,
+//     no clone at all.
 //     Callers own nothing: states returned by Current/Scan are frozen and
 //     must be Thaw()ed before mutating. Anything that rewrites history —
 //     MarkObsolete, Compact, Load — invalidates the affected entry and the
@@ -200,7 +202,8 @@ type recRef struct {
 }
 
 // txnSpill is how many retained records an entity's exactly-once index
-// answers by scanning recs; an entity that retains more builds byTxn.
+// answers by scanning recs; an entity that retains more builds byTxn the
+// first time an id has to be looked up.
 const txnSpill = 8
 
 // entry is everything a shard keeps about one entity. All fields are guarded
@@ -216,19 +219,27 @@ const txnSpill = 8
 // whatever rebuilds the list (LoadRecord under Recover, Load and
 // IngestShipped) rebuilds the index with it.
 type entry struct {
-	// state is the materialised current state, the full rollup as of head:
-	// frozen, so readers get it as it is and appends build on it
-	// copy-on-write. nil after anything that rewrites history (MarkObsolete,
-	// Compact, LoadRecord); the next read rebuilds it.
-	state *entity.State
+	// cache is the materialised current state, the full rollup as of head
+	// (headLSN, kept here so a hot read stays off the record list). Empty
+	// after anything that rewrites history (MarkObsolete, Compact,
+	// LoadRecord); the next read rebuilds it.
+	cache cachedState
 	head  uint64
 
 	// recs lists the retained records, LSN ascending; the first two live in
 	// recRoom, so most entities never allocate a list.
 	recs    []recRef
 	recRoom [2]recRef
-	// byTxn maps transaction id to LSN once the entity retains more than
-	// txnSpill records; nil before that, and again after Compact.
+	// hiPrefix and hiSeq are the high-water mark of the exactly-once index:
+	// every retained id that splitTxnID reads as hiPrefix plus a number has a
+	// number at or below hiSeq. hiPrefix is the prefix of the first such id
+	// retained ("" before one is) — "<node>-txn-" for an entity its unit's
+	// txn.Manager writes.
+	hiPrefix string
+	hiSeq    uint64
+	// byTxn maps transaction id to LSN for txnLSN: built on the first lookup
+	// of an entity retaining more than txnSpill records and kept up from then
+	// on, nil again after Compact. Serial steps never build it.
 	byTxn map[string]uint64
 	// snap bounds the replay a rebuild of state has to do
 	// (Options.SnapshotEvery).
@@ -262,8 +273,47 @@ func (e *entry) headLSN() uint64 {
 	return e.recs[len(e.recs)-1].lsn
 }
 
-// txnLSN returns the LSN of the retained record transaction id wrote.
+// splitTxnID reads id as a non-empty prefix followed by a decimal number of
+// at most 19 digits (so it cannot overflow) — the shape of the ids a
+// txn.Manager mints, "<node>-txn-<seq>". Any other id is not ok.
+func splitTxnID(id string) (prefix string, seq uint64, ok bool) {
+	i := len(id)
+	for i > 0 && id[i-1] >= '0' && id[i-1] <= '9' {
+		i--
+	}
+	if i == 0 || i == len(id) || len(id)-i > 19 {
+		return "", 0, false
+	}
+	for _, c := range []byte(id[i:]) {
+		seq = seq*10 + uint64(c-'0')
+	}
+	return id[:i], seq, true
+}
+
+// aboveMark splits id and reports whether it is above the entity's high-water
+// mark, and so the id of no retained record: the exactly-once answer for an
+// id minted after every id applied so far, which is every id a serially
+// written entity meets. Not above says nothing; txnLSN then looks the id up.
+func (e *entry) aboveMark(id string) (prefix string, seq uint64, above bool) {
+	prefix, seq, ok := splitTxnID(id)
+	// Before any such id is retained (hiPrefix ""), no retained id splits at
+	// all, so none equals one that does.
+	return prefix, seq, ok && (e.hiPrefix == "" || (prefix == e.hiPrefix && seq > e.hiSeq))
+}
+
+// txnLSN returns the LSN of the retained record transaction id wrote: the
+// exact lookup, for an id not above the mark (one minted earlier and
+// committed later, a foreign or client-chosen one) and for MarkObsolete. The
+// caller holds the shard's write lock.
 func (e *entry) txnLSN(id string) (uint64, bool) {
+	if e.byTxn == nil && len(e.recs) > txnSpill {
+		e.byTxn = make(map[string]uint64, 2*len(e.recs))
+		for _, r := range e.recs {
+			if r.txn != "" {
+				e.byTxn[r.txn] = r.lsn
+			}
+		}
+	}
 	if e.byTxn != nil {
 		lsn, ok := e.byTxn[id]
 		return lsn, ok
@@ -282,18 +332,11 @@ func (e *entry) addRec(lsn uint64, txn string) {
 		e.recs = e.recRoom[:0]
 	}
 	e.recs = append(e.recs, recRef{lsn: lsn, txn: txn})
-	switch {
-	case e.byTxn != nil:
-		if txn != "" {
-			e.byTxn[txn] = lsn
-		}
-	case len(e.recs) > txnSpill:
-		e.byTxn = make(map[string]uint64, 2*len(e.recs))
-		for _, r := range e.recs {
-			if r.txn != "" {
-				e.byTxn[r.txn] = r.lsn
-			}
-		}
+	if prefix, seq, above := e.aboveMark(txn); above {
+		e.hiPrefix, e.hiSeq = prefix, seq
+	}
+	if e.byTxn != nil && txn != "" {
+		e.byTxn[txn] = lsn
 	}
 }
 
@@ -301,7 +344,9 @@ func (e *entry) addRec(lsn uint64, txn string) {
 // and everything derived from them.
 func (e *entry) dropRecs() {
 	e.recs, e.recRoom, e.byTxn = nil, [2]recRef{}, nil
-	e.state, e.head, e.snap = nil, 0, snapshot{}
+	e.hiPrefix, e.hiSeq = "", 0
+	e.cache.drop()
+	e.snap = snapshot{}
 }
 
 // dirtyRef is one entry of a shard's dirty list.
@@ -556,18 +601,16 @@ func (db *DB) Types() []string {
 // where it sits in the log: read it, copy it to keep it, never write through
 // it (compaction replaces segments rather than rewriting them, so the record
 // stays as it was committed; only MarkObsolete of this very transaction
-// touches it). State is the frozen new current state of the entity (shared
-// with the cache); Thaw it to mutate.
+// touches it). The new current state is not part of the result: a caller
+// that wants it asks Current, which lends it (cached.go).
 type AppendResult struct {
 	Record   *Record
-	State    *entity.State
 	Warnings []entity.Warning
 }
 
 // Append writes one record: the operations one transaction applied to one
 // entity. It validates the operations against the current rollup (so a
-// strict-mode violation is detected at write time), assigns an LSN, and
-// returns the new current state.
+// strict-mode violation is detected at write time) and assigns an LSN.
 //
 // If txnID is non-empty and has already been applied to this entity, Append
 // returns ErrDuplicateTxn without writing; this gives at-least-once queue
@@ -634,7 +677,7 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 		return AppendResult{}, err
 	}
 	res := AppendResult{Record: &slot[0], Warnings: warnings}
-	res.State = db.commitAppendLocked(s, e, &slot[0], next)
+	db.commitAppendLocked(s, e, &slot[0], next)
 	s.sealFullLocked()
 	wait := db.postCommitLocked(slot)
 	s.mu.Unlock()
@@ -655,7 +698,10 @@ func (db *DB) SetCommitSink(fn func(records []Record) func() error) {
 }
 
 // applyForAppendLocked validates one append against the entity's entry and
-// applies it to the current rollup, returning the new (not yet frozen) state.
+// applies it to the current rollup, returning the new (not yet frozen) state,
+// which the caller installs (commitAppendLocked) or, when the backend refuses
+// the record, Recycles: a cached state taken to be written in place is out of
+// the cache meanwhile.
 // The caller holds the shard's write lock. batch is the requests validated
 // before this one in the same group-commit batch (nil outside one): a request
 // must observe its batch predecessors exactly as it would have on the serial
@@ -666,7 +712,7 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 	if err := db.warmLocked(s, e, key); err != nil {
 		return nil, nil, err
 	}
-	if txnID != "" {
+	if _, _, fresh := e.aboveMark(txnID); txnID != "" && !fresh {
 		if _, dup := e.txnLSN(txnID); dup {
 			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
 		}
@@ -684,16 +730,14 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 			prior = r.next
 		}
 	}
-	// The cached rollup is the prior state; Apply copies-on-write, so the
-	// frozen cache entry is never mutated and only the chunks the operations
-	// touch are copied (O(delta), not O(state size)). Without one the rollup
-	// is rebuilt from the log, and that fresh private state takes the
-	// operations in place.
+	// The cached rollup is the prior state. One nobody was lent is this
+	// append's to write in place: no State, no field map. One that was lent
+	// stays frozen and Apply copies-on-write, only the chunks the operations
+	// touch (O(delta), not O(state size)). With none cached the rollup is
+	// rebuilt from the log, and is as private.
 	private := false
 	if prior == nil {
-		if e.state != nil && !db.opts.DisableStateCache {
-			prior = e.state
-		} else {
+		if prior, private = e.cache.take(); prior == nil {
 			prior, private = s.rollupLocked(e, key, typ), true
 		}
 	}
@@ -722,31 +766,27 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 
 // commitAppendLocked installs one applied append whose record already sits
 // in its segment slot with its LSN assigned: the record is listed in the
-// entity's entry, and the frozen new state becomes the cached state and the
-// snapshot fallback. The caller holds the shard's write lock. It returns the
-// state for the caller's AppendResult.
-func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.State) *entity.State {
+// entity's entry, and the frozen new state becomes the cached state and,
+// every SnapshotEvery records, the snapshot fallback. The caller holds the
+// shard's write lock.
+func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.State) {
 	e.addRec(rec.LSN, rec.TxnID)
 	db.markDirtyLocked(s, rec.Key, e)
-	// Freeze the new current state: the cache, the snapshot fallback and the
-	// caller all share the same immutable version — no clones anywhere.
-	next.Freeze()
-	resState := next
-	if db.opts.DeepCloneStates {
-		resState = next.DeepClone()
+	if db.opts.DisableStateCache {
+		next.Freeze()
+	} else {
+		e.cache.install(next)
+		e.head = rec.LSN
 	}
-	if !db.opts.DisableStateCache {
-		e.state, e.head = next, rec.LSN
-	}
-	// Maintain the snapshot fallback; frozen states are shared, not cloned.
 	if db.opts.SnapshotEvery > 0 {
 		e.snap.seq++
-		if e.snap.state == nil || int(e.snap.seq)%db.opts.SnapshotEvery == 0 {
-			e.snap.lsn = rec.LSN
-			e.snap.state = next
+		if int(e.snap.seq)%db.opts.SnapshotEvery == 0 {
+			// The snapshot shares the frozen state rather than cloning it,
+			// which lends it: the append after this one copies.
+			e.cache.lend()
+			e.snap.lsn, e.snap.state = rec.LSN, next
 		}
 	}
-	return resState
 }
 
 // MarkObsolete flags the record produced by txnID on key as obsolete (its
@@ -787,7 +827,7 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	// next read rebuilds from the log. The snapshot only has to go if it
 	// already covers the withdrawn record — an older snapshot is still a
 	// valid prefix and bounds the rebuild.
-	e.state = nil
+	e.cache.drop()
 	if e.snap.lsn >= lsn {
 		e.snap = snapshot{}
 	}
@@ -857,13 +897,15 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 	}
 	s.mu.RLock()
 	e := s.entry(key)
-	if e != nil && e.state != nil {
-		st, head := e.state, e.head
-		s.mu.RUnlock()
-		if db.opts.DeepCloneStates {
-			st = st.DeepClone()
+	if e != nil {
+		if st := e.cache.lend(); st != nil {
+			head := e.head
+			s.mu.RUnlock()
+			if db.opts.DeepCloneStates {
+				st = st.DeepClone()
+			}
+			return st, head, nil
 		}
-		return st, head, nil
 	}
 	if e == nil || !e.exists() {
 		// Nonexistent entity: answer under the read lock so polling for a
@@ -876,16 +918,17 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 	// The entry existed, so it is still the entity's entry.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e.state == nil { // else raced with another rebuild
+	if !e.cache.present() { // else raced with another rebuild
 		if err := db.warmLocked(s, e, key); err != nil {
 			return nil, 0, err
 		}
 		if !e.exists() {
 			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-		e.state, e.head = s.rollupLocked(e, key, typ).Freeze(), e.headLSN()
+		e.cache.install(s.rollupLocked(e, key, typ))
+		e.head = e.headLSN()
 	}
-	st, head := e.state, e.head
+	st, head := e.cache.lend(), e.head
 	if db.opts.DeepCloneStates {
 		st = st.DeepClone()
 	}
@@ -1235,7 +1278,10 @@ func (db *DB) Snapshot(key entity.Key) error {
 	st := s.rollupLocked(e, key, typ).Freeze()
 	e.snap = snapshot{lsn: e.headLSN(), seq: uint64(len(e.recs)), state: st}
 	if !db.opts.DisableStateCache {
-		e.state, e.head = st, e.headLSN()
+		// One frozen state serves as both, so the cache starts out lent.
+		e.cache.install(st)
+		e.cache.lend()
+		e.head = e.headLSN()
 	}
 	return nil
 }

@@ -67,9 +67,6 @@ func TestAppendAndCurrent(t *testing.T) {
 	if res.Record.LSN != 1 {
 		t.Fatalf("LSN = %d, want 1", res.Record.LSN)
 	}
-	if res.State.Float("balance") != 100 {
-		t.Fatalf("balance = %v", res.State.Float("balance"))
-	}
 	st, head, err := db.Current(key)
 	if err != nil {
 		t.Fatalf("Current: %v", err)
@@ -220,12 +217,8 @@ func TestTentativeAndMarkObsolete(t *testing.T) {
 	db := newTestDB(t, Options{SnapshotEvery: 2})
 	key := entity.Key{Type: "Account", ID: "A1"}
 	db.Append(key, []entity.Op{entity.Delta("balance", 100)}, stamp(1), "n1", "t1")
-	res, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", -30).Described("tentative reservation")}, stamp(2), "n1", "t2")
-	if err != nil {
+	if _, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", -30).Described("tentative reservation")}, stamp(2), "n1", "t2"); err != nil {
 		t.Fatalf("AppendTentative: %v", err)
-	}
-	if !res.State.Tentative {
-		t.Fatal("state should be tentative")
 	}
 	st, _, _ := db.Current(key)
 	if st.Float("balance") != 70 || !st.Tentative {
@@ -685,19 +678,18 @@ func mutateEverywhere(t *testing.T, db *DB, st *entity.State) {
 
 // TestAliasingAcrossReadEntryPoints is the property-style COW-contract suite:
 // whatever a caller does to a thawed copy of a state obtained from any read
-// entry point (Append result, Current, Scan, AsOf, History, snapshots,
-// archived summaries), re-reading must produce the untouched value.
+// entry point (Current, Scan, AsOf, History, snapshots, archived summaries),
+// re-reading must produce the untouched value.
 func TestAliasingAcrossReadEntryPoints(t *testing.T) {
 	db := newTestDB(t, Options{SnapshotEvery: 3, Shards: 2})
 	key := entity.Key{Type: "Order", ID: "O1"}
 	const rows = 10
-	res, err := db.Append(key, []entity.Op{entity.Set("status", "OPEN"), entity.Set("total", 7.5)}, stamp(1), "n1", "t1")
-	if err != nil {
+	if _, err := db.Append(key, []entity.Op{entity.Set("status", "OPEN"), entity.Set("total", 7.5)}, stamp(1), "n1", "t1"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
 		id := fmt.Sprintf("L%d", i)
-		if res, err = db.Append(key, []entity.Op{entity.InsertChild("lineitems", id, entity.Fields{"product": "widget", "qty": i})}, stamp(int64(i+2)), "n1", fmt.Sprintf("ti%d", i)); err != nil {
+		if _, err := db.Append(key, []entity.Op{entity.InsertChild("lineitems", id, entity.Fields{"product": "widget", "qty": i})}, stamp(int64(i+2)), "n1", fmt.Sprintf("ti%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -728,9 +720,6 @@ func TestAliasingAcrossReadEntryPoints(t *testing.T) {
 		}
 	}
 
-	// Append result.
-	mutateEverywhere(t, db, res.State)
-	check("append-result")
 	// Current (cache hit) — twice, so the second read checks the first
 	// reader's scribbling.
 	st, _, _ := db.Current(key)

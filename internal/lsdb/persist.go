@@ -343,7 +343,7 @@ func (db *DB) RestoreSummary(key entity.Key, st *entity.State) {
 	s.mu.Lock()
 	e := s.ensure(key)
 	s.setArchivedLocked(e, st.Freeze())
-	e.state = nil
+	e.cache.drop()
 	e.cold, e.coldAt = false, 0
 	db.markDirtyLocked(s, key, e)
 	s.mu.Unlock()
@@ -406,7 +406,7 @@ func (db *DB) LoadRecord(rec Record) {
 	s.sealFullLocked()
 	e := s.ensure(rec.Key)
 	e.addRec(rec.LSN, rec.TxnID)
-	e.state = nil
+	e.cache.drop()
 	db.markDirtyLocked(s, rec.Key, e)
 	db.lsn.AdvanceTo(rec.LSN)
 	s.mu.Unlock()

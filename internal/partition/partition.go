@@ -15,9 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/entity"
 )
@@ -269,51 +271,63 @@ func (l *RangeLocator) Ranges(typeName string) []Range {
 // relocation accounting, giving the kernel one place to ask "which
 // serialization unit owns this entity right now?".
 type Directory struct {
-	mu        sync.RWMutex
-	locator   Locator
-	overrides map[entity.Key]UnitID
-	moves     uint64
+	locator Locator
+	// overrides is the published pin table: copied on every Pin and Unpin,
+	// never written once stored, nil while nothing is pinned — so Locate takes
+	// no lock, and with no pins probes no map.
+	overrides atomic.Pointer[map[entity.Key]UnitID]
+	mu        sync.Mutex // serialises Pin and Unpin
+	moves     atomic.Uint64
 }
 
 // NewDirectory wraps a locator.
 func NewDirectory(l Locator) *Directory {
-	return &Directory{locator: l, overrides: map[entity.Key]UnitID{}}
+	return &Directory{locator: l}
 }
 
 // Locate returns the owning unit, honouring pins first.
 func (d *Directory) Locate(key entity.Key) (UnitID, error) {
-	d.mu.RLock()
-	if u, ok := d.overrides[key]; ok {
-		d.mu.RUnlock()
-		return u, nil
+	if pins := d.overrides.Load(); pins != nil {
+		if u, ok := (*pins)[key]; ok {
+			return u, nil
+		}
 	}
-	d.mu.RUnlock()
 	return d.locator.Locate(key)
 }
 
 // Pin forces a key onto a unit (dynamic relocation of a hot entity).
 func (d *Directory) Pin(key entity.Key, unit UnitID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if cur, ok := d.overrides[key]; !ok || cur != unit {
-		d.moves++
-	}
-	d.overrides[key] = unit
+	d.editPins(func(pins map[entity.Key]UnitID) {
+		if cur, ok := pins[key]; !ok || cur != unit {
+			d.moves.Add(1)
+		}
+		pins[key] = unit
+	})
 }
 
 // Unpin removes a pin.
 func (d *Directory) Unpin(key entity.Key) {
+	d.editPins(func(pins map[entity.Key]UnitID) { delete(pins, key) })
+}
+
+// editPins publishes the pin table as edit leaves a copy of the current one.
+func (d *Directory) editPins(edit func(pins map[entity.Key]UnitID)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.overrides, key)
+	next := map[entity.Key]UnitID{}
+	if cur := d.overrides.Load(); cur != nil {
+		next = maps.Clone(*cur)
+	}
+	edit(next)
+	if len(next) == 0 {
+		d.overrides.Store(nil)
+		return
+	}
+	d.overrides.Store(&next)
 }
 
 // Moves returns how many explicit relocations have been recorded.
-func (d *Directory) Moves() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.moves
-}
+func (d *Directory) Moves() uint64 { return d.moves.Load() }
 
 // Units delegates to the underlying locator.
 func (d *Directory) Units() []UnitID { return d.locator.Units() }

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -228,6 +229,69 @@ func TestDirectoryPinning(t *testing.T) {
 	}
 	if len(d.Units()) != 2 {
 		t.Fatalf("Units = %v", d.Units())
+	}
+}
+
+// The pin table is published copy-on-write, so Locate takes no lock. Pinners
+// and locators run at once (under -race): a key is always found on its
+// natural unit or the one it is pinned to, never anywhere else, and once the
+// last pin goes the table is nil again.
+func TestDirectoryConcurrentPinAndLocate(t *testing.T) {
+	l := NewHashLocator(16)
+	l.AddUnit("u1")
+	l.AddUnit("u2")
+	d := NewDirectory(l)
+	ks := keys(8)
+	natural := make([]UnitID, len(ks))
+	for i, k := range ks {
+		natural[i], _ = l.Locate(k)
+	}
+	if d.overrides.Load() != nil {
+		t.Fatal("a directory with no pins publishes a table")
+	}
+	var pinners, locators sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		locators.Add(1)
+		go func() {
+			defer locators.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, k := range ks {
+					if u, err := d.Locate(k); err != nil || (u != natural[i] && u != "pinned") {
+						t.Errorf("Locate(%s) = %s, %v; want %s or pinned", k, u, err, natural[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		pinners.Add(1)
+		go func(w int) {
+			defer pinners.Done()
+			for round := 0; round < 200; round++ {
+				for i := w; i < len(ks); i += 2 {
+					d.Pin(ks[i], "pinned")
+				}
+				for i := w; i < len(ks); i += 2 {
+					d.Unpin(ks[i])
+				}
+			}
+		}(w)
+	}
+	pinners.Wait()
+	close(stop)
+	locators.Wait()
+	if d.overrides.Load() != nil {
+		t.Fatal("the last Unpin left a table published")
+	}
+	if got := d.Moves(); got != 2*200*4 {
+		t.Fatalf("Moves = %d, want %d", got, 2*200*4)
 	}
 }
 

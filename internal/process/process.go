@@ -231,12 +231,18 @@ type counters struct {
 // stepTable is the registered handlers. A published table is never written
 // again — Register swaps in a copy — so steps look handlers up lock-free.
 type stepTable struct {
-	steps map[string]Handler
+	steps map[string]*step
 	comps map[string]CompensationHandler
 }
 
-// stepID is the idempotence key of one step execution.
-type stepID struct{ name, txnID string }
+// step is one registered step: its handler, and its share of the engine's
+// doneSet — the event transaction ids of its recent executions. A step
+// execution's idempotence key is (step, event transaction id); with the step
+// already resolved, checking it hashes the id alone.
+type step struct {
+	h         Handler
+	cur, prev map[string]struct{} // guarded by doneSet.mu
+}
 
 // doneWindow is how many executed step identities an engine remembers. A
 // duplicate delivery arrives close behind the original — a transport
@@ -246,44 +252,62 @@ type stepID struct{ name, txnID string }
 const doneWindow = 1 << 15
 
 // doneSet is the bounded set of step identities already executed
-// successfully. It keeps two generations of at most limit/2 identities each
-// and forgets the older one wholesale when the newer fills up, so it always
-// remembers at least the newest limit/2 executions, never holds more than
-// limit, and pays no per-step eviction.
+// successfully, kept per step (step.cur, step.prev) under one lock and one
+// bound. It keeps two generations of at most limit/2 identities each, over
+// all steps, and forgets the older one wholesale when the newer fills up, so
+// it always remembers at least the newest limit/2 executions, never holds
+// more than limit, and pays no per-step eviction.
 type doneSet struct {
-	mu        sync.Mutex
-	limit     int
-	cur, prev map[stepID]struct{}
+	mu    sync.Mutex
+	limit int
+	n     int // identities in the newer generation
+	steps []*step
 }
 
-func newDoneSet(limit int) *doneSet {
-	return &doneSet{limit: limit, cur: map[stepID]struct{}{}, prev: map[stepID]struct{}{}}
+func newDoneSet(limit int) *doneSet { return &doneSet{limit: limit} }
+
+// register gives a new step its two generations.
+func (d *doneSet) register(h Handler) *step {
+	st := &step{h: h, cur: map[string]struct{}{}, prev: map[string]struct{}{}}
+	d.mu.Lock()
+	d.steps = append(d.steps, st)
+	d.mu.Unlock()
+	return st
 }
 
-func (d *doneSet) has(id stepID) bool {
+func (d *doneSet) has(st *step, txnID string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.cur[id]; ok {
+	if _, ok := st.cur[txnID]; ok {
 		return true
 	}
-	_, ok := d.prev[id]
+	_, ok := st.prev[txnID]
 	return ok
 }
 
-func (d *doneSet) add(id stepID) {
+func (d *doneSet) add(st *step, txnID string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.cur) >= d.limit/2 {
-		d.cur, d.prev = d.prev, d.cur
-		clear(d.cur)
+	if d.n >= d.limit/2 {
+		for _, s := range d.steps {
+			s.cur, s.prev = s.prev, s.cur
+			clear(s.cur)
+		}
+		d.n = 0
 	}
-	d.cur[id] = struct{}{}
+	before := len(st.cur)
+	st.cur[txnID] = struct{}{}
+	d.n += len(st.cur) - before
 }
 
 func (d *doneSet) size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.cur) + len(d.prev)
+	n := d.n
+	for _, s := range d.steps {
+		n += len(s.prev)
+	}
+	return n
 }
 
 // Engine schedules process steps from a queue against one serialization
@@ -331,7 +355,7 @@ func NewEngine(mgr *txn.Manager, q *queue.Queue, opts Options) *Engine {
 		done:   newDoneSet(doneWindow),
 		stopCh: make(chan struct{}),
 	}
-	e.table.Store(&stepTable{steps: map[string]Handler{}, comps: map[string]CompensationHandler{}})
+	e.table.Store(&stepTable{steps: map[string]*step{}, comps: map[string]CompensationHandler{}})
 	return e
 }
 
@@ -340,12 +364,14 @@ func (e *Engine) Register(def *Definition) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	old := e.table.Load()
-	next := &stepTable{steps: maps.Clone(old.steps), comps: maps.Clone(old.comps)}
-	for ev, h := range def.steps {
+	for ev := range def.steps {
 		if _, exists := old.steps[ev]; exists {
 			return fmt.Errorf("%w: %s", ErrDuplicateStep, ev)
 		}
-		next.steps[ev] = h
+	}
+	next := &stepTable{steps: maps.Clone(old.steps), comps: maps.Clone(old.comps)}
+	for ev, h := range def.steps {
+		next.steps[ev] = e.done.register(h)
 	}
 	for ev, h := range def.comp {
 		next.comps[ev] = h
@@ -472,19 +498,19 @@ func (e *Engine) pastDeadline(ev *queue.Event) bool {
 // only read, and not after the step's frame has taken its copy; frames
 // supplies that frame, one per nesting level.
 func (e *Engine) executeStep(ev *queue.Event, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
-	h, ok := e.table.Load().steps[ev.Name]
+	st, ok := e.table.Load().steps[ev.Name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStep, ev.Name)
 	}
 	// Idempotence: at-least-once delivery may hand us a step that already
 	// executed successfully (same event identity); skip the re-delivery.
-	id := stepID{ev.Name, ev.TxnID}
-	if id.txnID != "" && e.done.has(id) {
+	id := ev.TxnID
+	if id != "" && e.done.has(st, id) {
 		return nil
 	}
 	f := frames.at(e.opts.CollapseDepth - depth)
 	ctx := f.begin(e, ev, attempt)
-	if err := h(ctx); err != nil {
+	if err := st.h(ctx); err != nil {
 		f.txn.Abort()
 		e.stats.stepsFailed.Add(1)
 		return err
@@ -495,8 +521,8 @@ func (e *Engine) executeStep(ev *queue.Event, attempt, depth int, laneKey *entit
 	}
 	e.stats.stepsExecuted.Add(1)
 	e.stats.eventsEmitted.Add(uint64(len(ctx.emitted)))
-	if id.txnID != "" {
-		e.done.add(id)
+	if id != "" {
+		e.done.add(st, id)
 	}
 	e.dispatch(ctx.emitted, depth, laneKey, frames)
 	return nil
@@ -567,13 +593,13 @@ func (e *Engine) HorizontalBatch(maxEvents int) (int, error) {
 		ran := 0
 		var err error
 		for _, m := range g.msgs {
-			h, known := steps[m.Event.Name]
+			st, known := steps[m.Event.Name]
 			if !known {
 				e.stats.unknownEvents.Add(1)
 				continue
 			}
 			ctx := &StepContext{Event: m.Event, Txn: t, Attempt: m.Attempts, engine: e}
-			if err = h(ctx); err != nil {
+			if err = st.h(ctx); err != nil {
 				break
 			}
 			emitted = append(emitted, ctx.emitted...)

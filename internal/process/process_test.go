@@ -251,20 +251,24 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 
 // The idempotence set must not grow with the life of the engine (it used to
 // gain one entry per executed step, forever): ten windows' worth of steps go
-// through one engine, the set stays within its bound throughout, and a
-// duplicate delivery that arrives inside the window is still skipped.
+// through one engine, the set — kept per step, bounded over all of them —
+// stays within its bound throughout, and a duplicate delivery that arrives
+// inside the window is still skipped. An identity is (step, id): the same id
+// on another step is not a duplicate.
 func TestIdempotenceSetIsBoundedAndStillDedups(t *testing.T) {
 	const window = 256
 	e, mgr, q := newEngine(t, Options{})
 	e.done = newDoneSet(window)
 	def := NewDefinition("deposits")
-	def.Step("deposit", func(ctx *StepContext) error {
+	plusOne := func(ctx *StepContext) error {
 		return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("total", 1))
-	})
+	}
+	def.Step("deposit", plusOne).Step("bonus", plusOne)
 	e.Register(def)
+	names := []string{"deposit", "bonus"}
 	var last queue.Event
 	for i := 0; i < 10*window; i++ {
-		last = queue.Event{Name: "deposit", Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", i)}
+		last = queue.Event{Name: names[i%2], Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", i)}
 		if err := e.Submit(last); err != nil {
 			t.Fatal(err)
 		}
@@ -278,11 +282,20 @@ func TestIdempotenceSetIsBoundedAndStillDedups(t *testing.T) {
 	e.Drain()
 	// At-least-once redelivery of a recent step, and of one half a window old.
 	q.Enqueue("steps", last)
-	q.Enqueue("steps", queue.Event{Name: "deposit", Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", 10*window-window/2)})
+	old := 10*window - window/2
+	q.Enqueue("steps", queue.Event{Name: names[old%2], Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", old)})
 	e.Drain()
 	st, _, err := mgr.DB().Current(orderKey("O1"))
 	if err != nil || st.Float("total") != 10*window {
 		t.Fatalf("total = %v, want %d: a duplicate inside the window was applied again", st.Float("total"), 10*window)
+	}
+	// The last id again, on the other step: a first execution.
+	other := last
+	other.Name = names[0]
+	q.Enqueue("steps", other)
+	e.Drain()
+	if st, _, _ := mgr.DB().Current(orderKey("O1")); st.Float("total") != 10*window+1 {
+		t.Fatalf("total = %v, want %d: an id one step had seen was refused to another", st.Float("total"), 10*window+1)
 	}
 }
 

@@ -2,6 +2,8 @@ package txn
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -718,5 +720,57 @@ func TestStatsCountsUnderConcurrency(t *testing.T) {
 	close(stop)
 	if s := m.Stats(); s.Commits != workers*each/2 || s.Aborts != workers*each/2 {
 		t.Fatalf("stats %+v, want %d commits and as many aborts", s, workers*each/2)
+	}
+}
+
+// A state Read hands out — the store's cached state itself, or with buffered
+// writes an overlay that shares its child chunks — is lent: commits that
+// follow, which write an unlent cached state in place, never show through it.
+func TestReadStateNeverChangesUnderLaterCommits(t *testing.T) {
+	order := entity.Key{Type: "Order", ID: "O1"}
+	write := func(m *Manager, i int) {
+		t.Helper()
+		_, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
+			return tx.Update(order,
+				entity.Set("status", "S"+strconv.Itoa(i)),
+				entity.Delta("total", 1),
+				entity.InsertChild("lineitems", "L"+strconv.Itoa(i), entity.Fields{"product": "widget", "qty": i}),
+				entity.SetChildField("lineitems", "L1", "qty", i))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func(st *entity.State) string {
+		return fmt.Sprint(st.Fields, st.Tentative, st.Deleted, st.Children("lineitems"))
+	}
+	for _, buffered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("buffered=%v", buffered), func(t *testing.T) {
+			m := newUnit(t, "u1", Options{})
+			for i := 1; i <= 70; i++ {
+				write(m, i)
+			}
+			tx := m.Begin(Solipsistic)
+			defer tx.Abort()
+			if buffered {
+				if err := tx.Update(order, entity.Set("status", "MINE"), entity.SetChildField("lineitems", "L2", "qty", -1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := tx.Read(order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := image(st)
+			for i := 71; i <= 134; i++ {
+				write(m, i)
+			}
+			if got := image(st); got != want {
+				t.Fatalf("a state Read returned changed under its holder:\nwas %s\nnow %s", want, got)
+			}
+			if cur, _, _ := m.DB().Current(order); cur.Float("total") != 134 {
+				t.Fatalf("store total %v, want 134", cur.Float("total"))
+			}
+		})
 	}
 }
