@@ -60,9 +60,12 @@ bench-io:
 
 # The E18 storage-engine benchmarks on their own: JSON-stream load vs
 # checkpointed WAL recovery, and the append overhead of the durable log
-# (mem vs WAL vs WAL+fsync).
+# (mem vs WAL vs WAL+fsync) — then the log force as a component: 1, 2 and 4
+# SyncAlways WALs in sibling directories appending 250-byte records at once
+# (ns/op, syncs/s, B/op, allocs/op).
 bench-storage:
 	$(GO) test -run xxx -bench BenchmarkE18 -benchtime 20x .
+	$(GO) test -run xxx -bench BenchmarkWALAppendSync -benchtime 4000x -benchmem ./internal/storage
 
 # The E19 step-pool benchmark on its own: workers × entity skew,
 # cross-entity scaling vs per-entity serialisation.
@@ -118,11 +121,13 @@ replication-faults:
 
 # Graceful-degradation suites under the race detector: the storage fault
 # matrix across ack modes, degraded read-only modes and repair, breaker and
-# retry behaviour, the exhaustive torn-write recovery matrix, admission
-# control and deadlines, and the kernel/HTTP 503 surface.
+# retry behaviour, the exhaustive torn-write recovery matrices (a short file,
+# and a reserved zero tail) then ten seconds of fuzzing the WAL frame walker,
+# admission control and deadlines, and the kernel/HTTP 503 surface.
 storage-faults:
 	$(GO) test -race -run 'TestStorageFaultMatrix|TestEnospc|TestFsync|TestCorruption|TestBreaker|TestShipRetry' ./internal/replica/
-	$(GO) test -race -run 'TestFaultBackend|TestWALTornWriteRecoveryMatrix|TestWALMidLogCorruption' ./internal/storage/
+	$(GO) test -race -run 'TestFaultBackend|TestWALTornWrite|TestWALMidLogCorruption|TestWALSecondPage|TestWALSyncOSBatches|TestWALBadFrame|TestWALResumeAfter|TestWALUntrimmed|TestWALCloseReleases' ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzWALScan -fuzztime 10s ./internal/storage/
 	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestDeepBacklog|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
 	$(GO) test -race -run 'TestKernelSheds|TestKernelDegraded|TestEventSubmitSheds|TestDegradedStorage|TestEventDeadline' ./internal/core/ ./cmd/soupsd/
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,5 +156,41 @@ func TestEventDeadlineTravelsAndDropsStaleWork(t *testing.T) {
 	}
 	if h.QueueDepth != 0 {
 		t.Fatalf("queue depth = %d after drain, want 0", h.QueueDepth)
+	}
+}
+
+// TestJSONResponsesDeclareContentType: headers are final once the status line
+// is written, so a handler that writes the status first sends its JSON body
+// as sniffed text/plain. Result() holds the headers as they stood at
+// WriteHeader — what a client receives.
+func TestJSONResponsesDeclareContentType(t *testing.T) {
+	s, _ := newTestServer(t, 1)
+	for _, c := range []struct {
+		name               string
+		h                  http.HandlerFunc
+		method, path, body string
+		want               int
+	}{
+		{"event accepted", s.handleEvents, "POST", "/events", `{"name":"noop","type":"Account","id":"A1"}`, http.StatusAccepted},
+		{"entity update", s.handleEntity, "POST", "/entities/Account/A2", `{"delta":{"balance":5}}`, http.StatusOK},
+		{"entity read", s.handleEntity, "GET", "/entities/Account/A2", "", http.StatusOK},
+		{"status", s.handleStatus, "GET", "/status", "", http.StatusOK},
+	} {
+		res := doJSON(t, c.h, c.method, c.path, c.body).Result()
+		if res.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d", c.name, res.StatusCode, c.want)
+		}
+		if got := res.Header.Get("Content-Type"); got != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", c.name, got)
+		}
+	}
+	// The queue (depth 1) is full now: the shed path answers 503 with the
+	// -retry-after flag's whole seconds.
+	res := doJSON(t, s.handleEvents, "POST", "/events", `{"name":"noop","type":"Account","id":"A1"}`).Result()
+	if res.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit past depth = %d, want 503", res.StatusCode)
+	}
+	if got, want := res.Header.Get("Retry-After"), strconv.Itoa(int((*retryAfter).Seconds())); got != want {
+		t.Errorf("shed Retry-After %q, want %q", got, want)
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -294,12 +295,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // parseKey extracts "Type/ID" from a path like /entities/Type/ID.
 func parseKey(path, prefix string) (repro.Key, error) {
-	rest := strings.TrimPrefix(path, prefix)
-	parts := strings.SplitN(rest, "/", 2)
-	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
+	typ, id, ok := strings.Cut(strings.TrimPrefix(path, prefix), "/")
+	if !ok || typ == "" || id == "" {
 		return repro.Key{}, fmt.Errorf("path must be %sType/ID", prefix)
 	}
-	return repro.Key{Type: parts[0], ID: parts[1]}, nil
+	return repro.Key{Type: typ, ID: id}, nil
 }
 
 func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
@@ -323,7 +323,7 @@ func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, stateResponse{Key: key.String(), Fields: st.Fields, Tentative: st.Tentative, Deleted: st.Deleted})
+		writeJSON(w, http.StatusOK, stateResponse{Key: key.String(), Fields: st.Fields, Tentative: st.Tentative, Deleted: st.Deleted})
 	case http.MethodPost:
 		var req opRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -349,7 +349,7 @@ func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		writeJSON(w, map[string]interface{}{"txn": res.TxnID, "warnings": len(res.Warnings)})
+		writeJSON(w, http.StatusOK, map[string]interface{}{"txn": res.TxnID, "warnings": len(res.Warnings)})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -363,7 +363,7 @@ func shedResponse(w http.ResponseWriter, err error) bool {
 		return false
 	}
 	if errors.Is(err, queue.ErrOverloaded) || errors.Is(err, lsdb.ErrDegraded) {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((*retryAfter).Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int((*retryAfter).Seconds())))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return true
 	}
@@ -414,8 +414,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, map[string]string{"status": "accepted"})
+	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted"})
 }
 
 // handleReadyz is the readiness probe: unlike /healthz (liveness) it answers
@@ -431,7 +430,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	h := k.Health()
 	if !h.WritesOK {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((*retryAfter).Seconds())))
+		w.Header().Set("Retry-After", strconv.Itoa(int((*retryAfter).Seconds())))
 		reason := "degraded"
 		for _, u := range h.Units {
 			if u.Degraded {
@@ -456,7 +455,7 @@ func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	k, recv := s.kernel, s.standby
 	s.mu.Unlock()
 	if recv != nil {
-		writeJSON(w, map[string]interface{}{"role": "standby"})
+		writeJSON(w, http.StatusOK, map[string]interface{}{"role": "standby"})
 		return
 	}
 	out := map[string]interface{}{
@@ -466,7 +465,7 @@ func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	if rs := k.ReplicaStats(); rs.Enabled {
 		out["replication"] = rs
 	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // normalise maps JSON numbers that are integral onto int64 so Int fields
@@ -497,7 +496,7 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, h.Trace())
+	writeJSON(w, http.StatusOK, h.Trace())
 }
 
 func (s *server) handleWarnings(w http.ResponseWriter, _ *http.Request) {
@@ -509,7 +508,7 @@ func (s *server) handleWarnings(w http.ResponseWriter, _ *http.Request) {
 	for _, warning := range k.Warnings() {
 		out = append(out, warning.String())
 	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handleBackup streams a portable export of the whole node (the same codec
@@ -546,7 +545,7 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "restored"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 }
 
 // handleCheckpoint forces a storage checkpoint on every unit.
@@ -563,7 +562,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "checkpointed"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "checkpointed"})
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -664,11 +663,14 @@ func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown action %q (want enospc or heal)", req.Action), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ok", "action": strings.ToLower(req.Action)})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "action": strings.ToLower(req.Action)})
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
+// writeJSON answers status with v as the JSON body. Headers are final once
+// the status line is written, so the Content-Type goes first.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

@@ -211,7 +211,7 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, map[string]interface{}{"watermark": wm, "gap": gap})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"watermark": wm, "gap": gap})
 }
 
 // handleCatchup serves one streaming catch-up chunk from either role: a
@@ -269,7 +269,7 @@ func (s *server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 	for _, rec := range recs {
 		out = append(out, lsdb.ToPersisted(rec))
 	}
-	writeJSON(w, map[string]interface{}{"records": out, "more": more})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"records": out, "more": more})
 }
 
 // maxCatchupChunk caps how many appended records one /catchup response may
@@ -304,7 +304,7 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	k.Start()
 	s.standby = nil
 	s.kernel = k
-	writeJSON(w, map[string]string{"status": "promoted", "role": "primary"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "promoted", "role": "primary"})
 }
 
 // replicationMetrics appends the replication lines to /metrics.

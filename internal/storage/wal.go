@@ -12,21 +12,31 @@
 //	uint32 payload length | uint32 CRC32(payload) | payload
 //
 // (little-endian, IEEE CRC). A commit cycle is one buffered write of its
-// batch's frames and, in SyncAlways mode, one fsync — the log force that
+// batch's frames and, in SyncAlways mode, one force — the log force that
 // group commit amortises across the batch's writers.
 //
+// The active segment is written in place: its allocation is kept up to
+// reserveStep ahead of the write offset (force.go), so a force flushes data
+// blocks and leaves the filesystem journal alone. A live segment is therefore
+// longer than its content — content, then zeros — and the end of the log in
+// it is the first all-zero frame header with only zeros behind it. A segment
+// leaving service (rotation, SealActive, Close) is trimmed back to its
+// content, so sealed and cleanly closed segments hold frames and nothing
+// else.
+//
 // Segments rotate by size: when the active segment exceeds SegmentBytes it
-// is synced, sealed and a new one started. Checkpoints are written to a
-// temporary file, fsynced and renamed before the manifest is atomically
+// is trimmed, synced, sealed and a new one started. Checkpoints are written
+// to a temporary file, fsynced and renamed before the manifest is atomically
 // replaced, so a crash anywhere leaves either the old or the new checkpoint
 // installed, never a half-written one. After a successful checkpoint,
 // segments wholly before the manifest position are pruned.
 //
 // Recovery replays the manifest's snapshot, then only the log written after
 // it: segments before the manifest position are skipped without being read.
-// A torn final record — a crash mid-write leaves an incomplete frame at the
-// end of the last segment — is truncated away and replay succeeds without
-// it. Anything else that fails framing or CRC is surfaced as *CorruptError:
+// A torn final write — a crash leaves the last segment with a frame that is
+// incomplete, or invalid with no unbroken run of valid frames from it to the
+// exact end of the file — is truncated away and replay succeeds without it.
+// Anything else that fails framing or CRC is surfaced as *CorruptError:
 // silent data loss is the one outcome a durable log must never shrug at.
 package storage
 
@@ -61,6 +71,13 @@ const (
 	// maxFrame bounds a single record payload. A length prefix beyond it is
 	// treated as corruption rather than an allocation request.
 	maxFrame = 1 << 28
+	// reserveStep is how far the active segment's allocation runs ahead of
+	// the write offset once the segment holds that much: one reservation —
+	// the only journal commit left on the ack path — per reserveStep bytes
+	// appended. Measured: 64 KiB is one in ≈ 280 of the benchmark's appends;
+	// reserving a whole 4 MiB segment gained less and made every flush seal
+	// free megabytes on trim.
+	reserveStep = 64 << 10
 )
 
 // ErrDirLocked is returned by OpenWAL when another process holds the data
@@ -171,8 +188,17 @@ type WAL struct {
 	lock     *dirLock
 	segIndex uint64
 	seg      *os.File
-	segSize  int64
-	buf      []byte // frame scratch, reused across batches
+	segSize  int64 // end of the active segment's content: the write offset
+	// reserved is the offset the active segment's allocation extends to;
+	// [segSize, reserved) is zeros and at least one frame header long after
+	// every append, which is how recovery tells a live segment from a
+	// trimmed one.
+	reserved int64
+	// tail is the end of the last segment's content as the most recent scan
+	// (replay, Quarantine) found or repaired it — where ensureActiveLocked
+	// resumes writing, the file's size no longer being that offset.
+	tail int64
+	buf  []byte // frame scratch, reused across batches
 	// next is a pre-created segment (magic written, creation durable) a
 	// background goroutine prepared so rotation swaps to a ready file
 	// instead of paying the create+fsync+dirsync on the append path.
@@ -268,8 +294,8 @@ func (w *WAL) segments() ([]uint64, error) {
 }
 
 // AppendBatch writes one commit cycle's records as consecutive frames: one
-// buffered file write, one fsync in SyncAlways mode, and a rotation when the
-// active segment crossed the size threshold.
+// positioned file write, one force in SyncAlways mode, and a rotation when
+// the active segment crossed the size threshold.
 func (w *WAL) AppendBatch(recs []WALRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -296,13 +322,28 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 			batchMax = recs[i].LSN
 		}
 	}
-	if _, err := w.seg.Write(w.buf); err != nil {
-		// Erase the partial frame so valid frames never land after garbage.
-		// If even the truncate fails, fail-stop: refusing further appends is
-		// recoverable (restart, torn-tail repair), a poisoned segment is not.
+	// Keep a zero frame header's worth of reservation behind the batch: the
+	// frames then land in space the file already has, and a crash leaves them
+	// followed by zeros, never flush against the end of the file. A young
+	// segment reserves no more than it holds, so a unit that wrote a few
+	// hundred bytes neither pins a whole step nor, on a disk that has since
+	// filled, goes on accepting writes a step deep before it refuses one.
+	if end := w.segSize + int64(len(w.buf)); end+frameHeader > w.reserved {
+		ahead := min(end, reserveStep)
+		if err := reserve(w.seg, w.reserved, end+ahead-w.reserved); err != nil {
+			return fmt.Errorf("storage: append: %w", err)
+		}
+		w.reserved = end + ahead
+	}
+	if _, err := w.seg.WriteAt(w.buf, w.segSize); err != nil {
+		// Erase the partial frame (and the reservation with it) so valid
+		// frames never land after garbage. If even the truncate fails,
+		// fail-stop: refusing further appends is recoverable (restart,
+		// torn-tail repair), a poisoned segment is not.
 		if terr := w.seg.Truncate(w.segSize); terr != nil {
 			w.broken = true
 		}
+		w.reserved = w.segSize
 		return fmt.Errorf("storage: append: %w", err)
 	}
 	w.segSize += int64(len(w.buf))
@@ -310,9 +351,9 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 		w.segMax[w.segIndex] = batchMax
 	}
 	if w.opts.Sync == SyncAlways {
-		if err := w.seg.Sync(); err != nil {
-			// Never retry a failed fsync: the kernel marked the dirty pages
-			// clean when it reported the error, so a second fsync can succeed
+		if err := datasync(w.seg); err != nil {
+			// Never retry a failed force: the kernel marked the dirty pages
+			// clean when it reported the error, so a second one can succeed
 			// without the data being durable. Poison the WAL permanently.
 			w.poisoned = true
 			return fmt.Errorf("storage: append sync: %w: %v", ErrPoisoned, err)
@@ -356,7 +397,9 @@ func (w *WAL) ensureActiveLocked() error {
 	if err != nil {
 		return err
 	}
-	if len(segs) == 0 {
+	if len(segs) == 0 || (w.hasMan && segs[len(segs)-1] < w.man.Segment) {
+		// Nothing at or after the manifest position: no scan covered the
+		// segments that exist, so none of them is resumed.
 		w.segIndex = 1
 		if w.hasMan && w.man.Segment > 0 {
 			w.segIndex = w.man.Segment
@@ -365,7 +408,7 @@ func (w *WAL) ensureActiveLocked() error {
 	}
 	w.segIndex = segs[len(segs)-1]
 	path := filepath.Join(w.opts.Dir, segName(w.segIndex))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
@@ -374,7 +417,9 @@ func (w *WAL) ensureActiveLocked() error {
 		f.Close()
 		return fmt.Errorf("storage: %w", err)
 	}
-	w.seg, w.segSize = f, info.Size()
+	// Resume at the end of the content the scan established; whatever the
+	// file holds past it is a reservation the scan verified to be zeros.
+	w.seg, w.segSize, w.reserved = f, w.tail, info.Size()
 	return nil
 }
 
@@ -392,7 +437,7 @@ func preSegName(i uint64) string { return fmt.Sprintf("preseg-%010d.tmp", i) }
 // removed.
 func writeSegmentFile(dir, name string) (*os.File, error) {
 	path := filepath.Join(dir, name)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -435,7 +480,10 @@ func (w *WAL) createSegmentLocked(i uint64) error {
 				filepath.Join(w.opts.Dir, segName(i))); err == nil {
 				if w.opts.Sync == SyncAlways {
 					if err := syncDir(w.opts.Dir); err != nil {
+						// The caller keeps appending to the segment before
+						// this one, which must stay the last on disk.
 						f.Close()
+						os.Remove(filepath.Join(w.opts.Dir, segName(i)))
 						return err
 					}
 				} else {
@@ -445,9 +493,7 @@ func (w *WAL) createSegmentLocked(i uint64) error {
 					// frames. Sync()/SealActive settle the debt.
 					w.dirDirty = true
 				}
-				w.seg, w.segIndex, w.segSize = f, i, int64(len(segMagic))
-				w.segMax[i] = 0
-				w.prepareNextLocked(i + 1)
+				w.activateLocked(f, i)
 				return nil
 			}
 			// Rename failed: fall through to inline creation.
@@ -462,10 +508,17 @@ func (w *WAL) createSegmentLocked(i uint64) error {
 	if err != nil {
 		return err
 	}
-	w.seg, w.segIndex, w.segSize = f, i, int64(len(segMagic))
+	w.activateLocked(f, i)
+	return nil
+}
+
+// activateLocked installs f, a segment file holding only its magic, as
+// active segment i and starts staging its successor.
+func (w *WAL) activateLocked(f *os.File, i uint64) {
+	w.seg, w.segIndex = f, i
+	w.segSize, w.reserved = int64(len(segMagic)), int64(len(segMagic))
 	w.segMax[i] = 0
 	w.prepareNextLocked(i + 1)
-	return nil
 }
 
 // prepareNextLocked starts background staging of segment i so the next
@@ -494,45 +547,52 @@ func (w *WAL) prepareNextLocked(i uint64) {
 	}()
 }
 
-// rotateLocked seals the active segment (always fsynced — a sealed segment
-// is immutable and must not lose its tail to a later crash) and starts the
-// next one.
+// rotateLocked starts the next segment and seals the one it replaces. The
+// successor comes first: if it cannot be created the old segment stays
+// active and the next append retries the rotation, so a segment is only ever
+// trimmed after the last write into it.
 func (w *WAL) rotateLocked() error {
-	old := w.seg
-	w.seg = nil
-	if w.opts.Sync == SyncAlways {
-		// Every acked frame was already fsynced, so the pages are clean and
-		// this sync is cheap; doing it inline preserves strict fail-stop
-		// reporting on the appending goroutine.
-		if err := old.Sync(); err != nil {
-			w.poisoned = true
-			return fmt.Errorf("storage: seal sync: %w: %v", ErrPoisoned, err)
-		}
-		if err := old.Close(); err != nil {
-			return fmt.Errorf("storage: seal close: %w", err)
-		}
-	} else {
-		// SyncOS never promised durability at ack time, so the sealed
-		// segment's flush is a background durability checkpoint, not part of
-		// the append: draining a full segment's pages inline would stall the
-		// hot path for a multi-ms data fsync at every rotation. A sync
-		// failure poisons the WAL exactly as an inline failure would. The
-		// sealing count lets Sync() wait the drain out instead of reporting
-		// success while the sealed segment's pages are still in flight.
-		w.sealing++
-		go func() {
-			err := old.Sync()
-			old.Close()
-			w.mu.Lock()
-			w.sealing--
-			if err != nil {
-				w.poisoned = true
-			}
-			w.sealCond.Broadcast()
-			w.mu.Unlock()
-		}()
+	old, size := w.seg, w.segSize
+	if err := w.createSegmentLocked(w.segIndex + 1); err != nil {
+		return err
 	}
-	return w.createSegmentLocked(w.segIndex + 1)
+	// The sealed segment's trim and flush are a background durability
+	// checkpoint, not part of the append: under SyncAlways every acked frame
+	// in it was already forced, and SyncOS never promised durability at ack
+	// time, so neither mode should stall the hot path for a journal commit
+	// (or, in SyncOS, a full segment's data fsync) at every rotation. A sync
+	// failure poisons the WAL exactly as an inline failure would. The sealing
+	// count lets Sync() wait the drain out instead of reporting success while
+	// the sealed segment's pages are still in flight.
+	w.sealing++
+	go func() {
+		err := retire(old, size)
+		w.mu.Lock()
+		w.sealing--
+		if errors.Is(err, ErrPoisoned) {
+			w.poisoned = true
+		}
+		w.sealCond.Broadcast()
+		w.mu.Unlock()
+	}()
+	return nil
+}
+
+// retire takes a segment out of service: trimmed to its size bytes of
+// content — a sealed or cleanly closed segment holds frames and nothing else
+// — then fsynced and closed. A failed fsync comes back wrapping ErrPoisoned.
+// A failed trim only leaves the zero tail in place, which every scan reads
+// as the end of the segment.
+func retire(f *os.File, size int64) error {
+	err := f.Truncate(size)
+	if serr := f.Sync(); serr != nil {
+		f.Close()
+		return fmt.Errorf("%w: %v", ErrPoisoned, serr)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Sync forces everything appended so far to stable storage: it waits out any
@@ -581,7 +641,8 @@ func (w *WAL) settleDirLocked() error {
 	return nil
 }
 
-// Close syncs and releases the WAL, dropping the data-directory lock.
+// Close trims and syncs the active segment and releases the WAL, dropping
+// the data-directory lock.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -603,9 +664,9 @@ func (w *WAL) Close() error {
 	for w.sealing > 0 {
 		w.sealCond.Wait()
 	}
-	if err := w.settleDirLocked(); err != nil {
-		return err
-	}
+	// Release every file whatever fails on the way, and report the first
+	// failure.
+	err := w.settleDirLocked()
 	if w.next != nil {
 		// The staged segment was never renamed into place: remove the
 		// scratch file. A crash leaves it behind; OpenWAL sweeps strays.
@@ -613,14 +674,13 @@ func (w *WAL) Close() error {
 		os.Remove(filepath.Join(w.opts.Dir, preSegName(w.nextIndex)))
 		w.next = nil
 	}
-	if w.seg == nil {
-		return nil
+	if w.seg != nil {
+		if rerr := retire(w.seg, w.segSize); rerr != nil && err == nil {
+			err = fmt.Errorf("storage: close: %w", rerr)
+		}
+		w.seg = nil
 	}
-	if err := w.seg.Sync(); err != nil {
-		w.seg.Close()
-		return fmt.Errorf("storage: close sync: %w", err)
-	}
-	return w.seg.Close()
+	return err
 }
 
 // Replay streams the durable content: the manifest's snapshot, then every
@@ -645,7 +705,7 @@ func (w *WAL) Replay(fn func(WALRecord) error) (uint64, error) {
 func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 	if w.hasMan && w.man.Snapshot != "" && fn != nil {
 		path := filepath.Join(w.opts.Dir, w.man.Snapshot)
-		if err := scanFile(path, ckptMagic, int64(len(ckptMagic)), false, fn); err != nil {
+		if _, err := scanFile(path, ckptMagic, int64(len(ckptMagic)), endExact, fn); err != nil {
 			return err
 		}
 	}
@@ -675,6 +735,7 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 				if err := rewriteSegmentHeader(path); err != nil {
 					return err
 				}
+				w.tail = int64(len(segMagic))
 				continue
 			}
 		}
@@ -689,8 +750,12 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 				return fn(rec)
 			}
 		}
-		if err := scanFile(path, segMagic, start, last, track); err != nil {
+		end, err := scanFile(path, segMagic, start, segTail(last), track)
+		if err != nil {
 			return err
+		}
+		if last {
+			w.tail = end
 		}
 		if fn != nil {
 			w.segMax[i] = segMax
@@ -698,6 +763,14 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 	}
 	w.scanned = true
 	return nil
+}
+
+// segTail is the tail rule of a segment: only the last one may end torn.
+func segTail(last bool) tailRule {
+	if last {
+		return endTorn
+	}
+	return endZeros
 }
 
 // rewriteSegmentHeader resets a torn-creation segment to a valid empty one.
@@ -716,80 +789,213 @@ func rewriteSegmentHeader(path string) error {
 	return nil
 }
 
+// tailRule is what a scan accepts as the end of a file.
+type tailRule int
+
+const (
+	// endExact: the last frame ends at the end of the file. Snapshots, which
+	// are written whole and renamed into place.
+	endExact tailRule = iota
+	// endZeros: also an all-zero frame header (no frame is ever empty, so no
+	// writer produces one) with only zeros behind it — a reservation. Sealed
+	// segments: the trim that follows a seal may have been lost to a crash.
+	endZeros
+	// endTorn: also a torn write, which the scan cuts off. The last segment,
+	// the only one a crash can catch mid-write.
+	endTorn
+)
+
 // scanFile walks the frames of one segment or snapshot from offset start,
-// invoking fn (when non-nil) with each decoded record. In a last segment
-// (allowTorn) an incomplete frame at end of file is the torn tail of a
-// crashed write: it is truncated away and the scan succeeds without it.
-// Everything else — a bad magic, a CRC mismatch, an incomplete frame with a
-// successor — is *CorruptError.
-func scanFile(path string, magic []byte, start int64, allowTorn bool, fn func(WALRecord) error) error {
+// invoking fn (when non-nil) with each decoded record, and returns the offset
+// its content ends at. Where the content may end is the tailRule's; the
+// first frame that fails framing or CRC anywhere else is *CorruptError, as is
+// a bad magic.
+//
+// In a last segment (endTorn) a frame that is incomplete, or that is invalid
+// and not followed by an unbroken run of valid frames to the exact end of the
+// file, is the debris of a crashed write — pages of the unsynced suffix reach
+// the disk in any order, so valid frames may even follow it — and the file is
+// truncated at that frame. An invalid frame that IS followed by valid frames
+// to the exact end of the file sits in a segment that was trimmed, hence
+// closed cleanly after its last write: that is damage, not a crash, and stays
+// *CorruptError.
+func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WALRecord) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+		return 0, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("storage: %w", err)
+	}
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(f, head); err != nil || !bytes.Equal(head, magic) {
-		return &CorruptError{File: filepath.Base(path), Offset: 0, Reason: "bad file magic"}
+		return 0, &CorruptError{File: filepath.Base(path), Offset: 0, Reason: "bad file magic"}
 	}
-	if start > int64(len(magic)) {
-		if _, err := f.Seek(start, io.SeekStart); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
+	if _, err := f.Seek(start, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("storage: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
+	fr := frameReader{br: bufio.NewReaderSize(f, 1<<16), off: start, size: info.Size()}
 	offset := start
-	hdr := make([]byte, frameHeader)
-	var payload []byte
+	corrupt := func(reason string) (int64, error) {
+		return 0, &CorruptError{File: filepath.Base(path), Offset: offset, Reason: reason}
+	}
+	torn := func(reason string) (int64, error) {
+		if tail != endTorn {
+			return corrupt(reason)
+		}
+		return offset, truncateTail(path, offset)
+	}
 	for {
-		_, err := io.ReadFull(br, hdr)
-		if err == io.EOF {
-			return nil // clean end of file
-		}
-		if err == io.ErrUnexpectedEOF {
-			return tornOrCorrupt(path, offset, allowTorn, "incomplete frame header")
-		}
+		payload, verdict, err := fr.next()
 		if err != nil {
-			return fmt.Errorf("storage: %w", err)
+			return 0, fmt.Errorf("storage: %w", err)
 		}
-		length := binary.LittleEndian.Uint32(hdr)
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if length > maxFrame {
-			return &CorruptError{File: filepath.Base(path), Offset: offset, Reason: "implausible frame length"}
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.ErrUnexpectedEOF || err == io.EOF {
-				return tornOrCorrupt(path, offset, allowTorn, "incomplete frame payload")
+		switch verdict {
+		case frameEnd:
+			return offset, nil
+		case frameShort:
+			return torn("incomplete frame")
+		case frameZero:
+			if tail == endExact {
+				return corrupt("empty frame")
 			}
-			return fmt.Errorf("storage: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return &CorruptError{File: filepath.Base(path), Offset: offset, Reason: "CRC mismatch"}
+			zeros, err := fr.restIsZero()
+			if err != nil {
+				return 0, fmt.Errorf("storage: %w", err)
+			}
+			if zeros {
+				return offset, nil
+			}
+			return torn("empty frame")
+		case frameHuge:
+			return corrupt("implausible frame length")
+		case frameBadSum:
+			if tail == endTorn {
+				trimmed, err := fr.validToEnd()
+				if err != nil {
+					return 0, fmt.Errorf("storage: %w", err)
+				}
+				if !trimmed {
+					return torn("CRC mismatch")
+				}
+			}
+			return corrupt("CRC mismatch")
 		}
 		if fn != nil {
 			rec, err := DecodeRecord(payload)
 			if err != nil {
-				return &CorruptError{File: filepath.Base(path), Offset: offset, Reason: err.Error()}
+				return corrupt(err.Error())
 			}
 			if err := fn(rec); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		offset += frameHeader + int64(length)
+		offset += frameHeader + int64(len(payload))
 	}
 }
 
-// tornOrCorrupt resolves an incomplete frame: in the last segment it is the
-// torn tail of a crashed write — truncate the file back to the last complete
-// frame; anywhere else it is corruption.
-func tornOrCorrupt(path string, offset int64, allowTorn bool, reason string) error {
-	if !allowTorn {
-		return &CorruptError{File: filepath.Base(path), Offset: offset, Reason: reason}
+// frameVerdict is what frameReader.next found at its position.
+type frameVerdict int
+
+const (
+	frameOK     frameVerdict = iota
+	frameEnd                 // no bytes left
+	frameShort               // the header or the payload runs past the end
+	frameZero                // all-zero header: space no frame was written to
+	frameHuge                // length beyond maxFrame
+	frameBadSum              // payload does not match its CRC
+)
+
+// frameReader walks frames through br. size is how many bytes the file held
+// when the scan began and off how many were consumed: a frame's length is
+// checked against what is left before anything is allocated for it, so a
+// corrupt length cannot make the reader allocate past the file's own size.
+// The end of the data is still the reader's EOF, not size — a sealed
+// segment's zero tail may be trimmed away (retire) under a scan. Errors are
+// I/O errors; everything a file's bytes can cause is a verdict.
+type frameReader struct {
+	br        *bufio.Reader
+	off, size int64
+	hdr       [frameHeader]byte
+	payload   []byte // reused across frames
+}
+
+func (r *frameReader) next() ([]byte, frameVerdict, error) {
+	n, err := io.ReadFull(r.br, r.hdr[:])
+	r.off += int64(n)
+	switch err {
+	case nil:
+	case io.EOF:
+		return nil, frameEnd, nil
+	case io.ErrUnexpectedEOF:
+		return nil, frameShort, nil
+	default:
+		return nil, 0, err
 	}
+	length := binary.LittleEndian.Uint32(r.hdr[:])
+	sum := binary.LittleEndian.Uint32(r.hdr[4:])
+	switch {
+	case length == 0 && sum == 0:
+		return nil, frameZero, nil
+	case length > maxFrame:
+		return nil, frameHuge, nil
+	case int64(length) > r.size-r.off:
+		return nil, frameShort, nil
+	}
+	if cap(r.payload) < int(length) {
+		r.payload = make([]byte, length)
+	}
+	r.payload = r.payload[:length]
+	n, err = io.ReadFull(r.br, r.payload)
+	r.off += int64(n)
+	switch err {
+	case nil:
+	case io.EOF, io.ErrUnexpectedEOF:
+		return nil, frameShort, nil
+	default:
+		return nil, 0, err
+	}
+	if crc32.ChecksumIEEE(r.payload) != sum {
+		return nil, frameBadSum, nil
+	}
+	return r.payload, frameOK, nil
+}
+
+// restIsZero consumes the remaining bytes and reports whether all are zero.
+func (r *frameReader) restIsZero() (bool, error) {
+	for {
+		chunk, err := r.br.Peek(r.br.Size())
+		for _, b := range chunk {
+			if b != 0 {
+				return false, nil
+			}
+		}
+		r.br.Discard(len(chunk))
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
+
+// validToEnd consumes the remaining bytes and reports whether they are valid
+// frames, none or more, ending exactly where the bytes do.
+func (r *frameReader) validToEnd() (bool, error) {
+	for {
+		_, verdict, err := r.next()
+		if err != nil || verdict != frameOK {
+			return verdict == frameEnd, err
+		}
+	}
+}
+
+// truncateTail cuts a segment at offset — the last complete frame before a
+// torn write, or the first corrupt frame under Quarantine — durably.
+func truncateTail(path string, offset int64) error {
 	rw, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: truncating torn tail: %w", err)
@@ -876,29 +1082,27 @@ func (w *WAL) SealActive() (uint64, error) {
 		}
 		return boundary, nil // empty active: all durable frames are already sealed
 	}
-	// Swap a fresh active segment in under the lock, then fsync and close the
-	// sealed one outside it: the sealed file is immutable the moment the swap
-	// lands, so appends proceed into the new segment while its predecessor's
-	// pages drain to disk — a seal never stalls the hot path for a data
-	// fsync. (createSegmentLocked keeps its own small magic+dir syncs under
-	// the lock: the new segment must exist durably before a frame is acked
-	// out of it.)
-	old := w.seg
+	// Swap a fresh active segment in under the lock, then trim, fsync and
+	// close the sealed one outside it: the sealed file takes no more writes
+	// the moment the swap lands, so appends proceed into the new segment
+	// while its predecessor's pages drain to disk — a seal never stalls the
+	// hot path for a data fsync. (createSegmentLocked keeps its own small
+	// magic+dir syncs under the lock: the new segment must exist durably
+	// before a frame is acked out of it.)
+	old, size := w.seg, w.segSize
 	if err := w.createSegmentLocked(w.segIndex + 1); err != nil {
 		w.mu.Unlock()
 		return 0, err
 	}
 	boundary := w.segIndex - 1
 	w.mu.Unlock()
-	if err := old.Sync(); err != nil {
-		old.Close()
-		w.mu.Lock()
-		w.poisoned = true
-		w.mu.Unlock()
-		return 0, fmt.Errorf("storage: seal sync: %w: %v", ErrPoisoned, err)
-	}
-	if err := old.Close(); err != nil {
-		return 0, fmt.Errorf("storage: seal close: %w", err)
+	if err := retire(old, size); err != nil {
+		if errors.Is(err, ErrPoisoned) {
+			w.mu.Lock()
+			w.poisoned = true
+			w.mu.Unlock()
+		}
+		return 0, fmt.Errorf("storage: seal: %w", err)
 	}
 	// Settle the staged-rename directory debt (the swap above just created
 	// one for the new active segment, and the sealed one may carry an older
@@ -1046,7 +1250,7 @@ func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, throug
 		if info, err := os.Stat(path); err != nil || info.Size() <= start {
 			continue
 		}
-		err := scanFile(path, segMagic, start, false, func(rec WALRecord) error {
+		_, err := scanFile(path, segMagic, start, endZeros, func(rec WALRecord) error {
 			if rec.Kind == KindAppend && rec.LSN > max {
 				max = rec.LSN
 			}
@@ -1218,7 +1422,7 @@ func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 			return ErrCompacted
 		}
 		path := filepath.Join(w.opts.Dir, w.man.Snapshot)
-		if err := scanFile(path, ckptMagic, int64(len(ckptMagic)), false, filter); err != nil {
+		if _, err := scanFile(path, ckptMagic, int64(len(ckptMagic)), endExact, filter); err != nil {
 			return err
 		}
 	}
@@ -1240,7 +1444,7 @@ func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 		if info, err := os.Stat(path); err == nil && info.Size() <= start {
 			continue // nothing after the cut (or torn creation already handled by replay)
 		}
-		if err := scanFile(path, segMagic, start, n == len(segs)-1, filter); err != nil {
+		if _, err := scanFile(path, segMagic, start, segTail(n == len(segs)-1), filter); err != nil {
 			return err
 		}
 	}
@@ -1276,7 +1480,7 @@ func (w *WAL) Quarantine() (uint64, error) {
 		lastGood = w.man.Watermark
 		if w.man.Snapshot != "" {
 			path := filepath.Join(w.opts.Dir, w.man.Snapshot)
-			if err := scanFile(path, ckptMagic, int64(len(ckptMagic)), false, nil); err != nil {
+			if _, err := scanFile(path, ckptMagic, int64(len(ckptMagic)), endExact, nil); err != nil {
 				return 0, fmt.Errorf("storage: quarantine: checkpoint snapshot is corrupt, restore from backup: %w", err)
 			}
 		}
@@ -1302,15 +1506,19 @@ func (w *WAL) Quarantine() (uint64, error) {
 			if err := rewriteSegmentHeader(path); err != nil {
 				return 0, err
 			}
+			w.tail = int64(len(segMagic))
 			continue
 		}
-		scanErr := scanFile(path, segMagic, start, false, func(rec WALRecord) error {
+		// The last segment's torn tail — the partial append a fail-stop could
+		// not erase — is cut by the scan itself.
+		end, scanErr := scanFile(path, segMagic, start, segTail(n == len(segs)-1), func(rec WALRecord) error {
 			if rec.Kind == KindAppend && rec.LSN > lastGood {
 				lastGood = rec.LSN
 			}
 			return nil
 		})
 		if scanErr == nil {
+			w.tail = end
 			continue
 		}
 		var ce *CorruptError
@@ -1322,8 +1530,12 @@ func (w *WAL) Quarantine() (uint64, error) {
 			if err := rewriteSegmentHeader(path); err != nil {
 				return 0, err
 			}
-		} else if err := tornOrCorrupt(path, ce.Offset, true, ce.Reason); err != nil {
-			return 0, err
+			w.tail = int64(len(segMagic))
+		} else {
+			if err := truncateTail(path, ce.Offset); err != nil {
+				return 0, err
+			}
+			w.tail = ce.Offset
 		}
 		cut = n
 		break
