@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
+.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ bench-test:
 # sweep.
 bench-steps:
 	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
+
+# The HTTP edge on its own: one data-path request (POST delta, POST set of
+# three fields, GET, GET history) through its soupsd handler over an in-memory
+# kernel, gated by TestEdgeAllocationBudget — the run fails when the handler
+# allocates more than its committed budget on top of the kernel call inside it.
+bench-edge:
+	$(GO) test -run TestEdgeAllocationBudget -bench BenchmarkEdgeEntity -benchmem ./cmd/soupsd
 
 # The E17 multi-writer append-throughput benchmark on its own: per-append
 # locking vs group-commit batching, in-memory and with a per-commit fsync.
@@ -123,13 +130,15 @@ replication-faults:
 # matrix across ack modes, degraded read-only modes and repair, breaker and
 # retry behaviour, the exhaustive torn-write recovery matrices (a short file,
 # and a reserved zero tail) then ten seconds of fuzzing the WAL frame walker,
-# admission control and deadlines, and the kernel/HTTP 503 surface.
+# admission control and deadlines, the kernel/HTTP 503 surface, and ten
+# seconds of fuzzing soupsd's request scanner against its encoding/json oracle.
 storage-faults:
 	$(GO) test -race -run 'TestStorageFaultMatrix|TestEnospc|TestFsync|TestCorruption|TestBreaker|TestShipRetry' ./internal/replica/
 	$(GO) test -race -run 'TestFaultBackend|TestWALTornWrite|TestWALMidLogCorruption|TestWALSecondPage|TestWALSyncOSBatches|TestWALBadFrame|TestWALResumeAfter|TestWALUntrimmed|TestWALCloseReleases' ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzWALScan -fuzztime 10s ./internal/storage/
 	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestDeepBacklog|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
 	$(GO) test -race -run 'TestKernelSheds|TestKernelDegraded|TestEventSubmitSheds|TestDegradedStorage|TestEventDeadline' ./internal/core/ ./cmd/soupsd/
+	$(GO) test -run xxx -fuzz FuzzOpsDecode -fuzztime 10s ./cmd/soupsd/
 
 # End-to-end crash test: populate a durable soupsd, kill -9, restart from the
 # data directory, verify states and a backup/restore round trip — then kill

@@ -948,7 +948,7 @@ func BenchmarkE10OutOfOrderEntry(b *testing.B) {
 			if total > 0 {
 				b.ReportMetric(float64(rejected)/float64(total), "reject-rate")
 			}
-			b.ReportMetric(float64(len(k.Warnings()))/float64(b.N), "managed-warnings/op")
+			b.ReportMetric(float64(k.WarningCount())/float64(b.N), "managed-warnings/op")
 		})
 	}
 }

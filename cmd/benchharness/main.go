@@ -860,7 +860,7 @@ func e10(n int) *metrics.Table {
 		if mode == repro.EventualSOUPS {
 			name = "managed"
 		}
-		tbl.AddRow(name, rejected+entered, rejected, len(k.Warnings()))
+		tbl.AddRow(name, rejected+entered, rejected, k.WarningCount())
 		k.Close()
 	}
 	return tbl

@@ -158,11 +158,7 @@ func restore(args []string) {
 		log.Fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	fmt.Printf("%s\n", bytes.TrimSpace(body))
-	if resp.StatusCode >= 300 {
-		os.Exit(1)
-	}
+	printReply(resp)
 }
 
 // status renders GET /status as a short operator summary: role, write
@@ -245,8 +241,20 @@ func postEmpty(url string) {
 		log.Fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
+	printReply(resp)
+}
+
+// printReply prints a reply body and exits non-zero on an error status. The
+// daemon answers in compact JSON; a terminal wants it indented, so that
+// happens here.
+func printReply(resp *http.Response) {
 	body, _ := io.ReadAll(resp.Body)
-	fmt.Printf("%s\n", bytes.TrimSpace(body))
+	body = bytes.TrimSpace(body)
+	var pretty bytes.Buffer
+	if resp.Header.Get("Content-Type") == "application/json" && json.Indent(&pretty, body, "", "  ") == nil {
+		body = pretty.Bytes()
+	}
+	fmt.Printf("%s\n", body)
 	if resp.StatusCode >= 300 {
 		os.Exit(1)
 	}
@@ -264,11 +272,7 @@ func get(url string) {
 		log.Fatalf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	fmt.Printf("%s\n", bytes.TrimSpace(body))
-	if resp.StatusCode >= 300 {
-		os.Exit(1)
-	}
+	printReply(resp)
 }
 
 func post(kind, typeName, id string, assignments []string) {
@@ -301,11 +305,7 @@ func post(kind, typeName, id string, assignments []string) {
 		log.Fatalf("POST %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	fmt.Printf("%s\n", bytes.TrimSpace(out))
-	if resp.StatusCode >= 300 {
-		os.Exit(1)
-	}
+	printReply(resp)
 }
 
 // parseValue interprets booleans and numbers; everything else stays a string.

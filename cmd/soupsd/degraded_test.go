@@ -21,7 +21,7 @@ import (
 // newTestServer builds a primary server over an in-memory kernel whose single
 // unit sits on a fault-injecting backend, bypassing the flag-driven
 // bootstrap.
-func newTestServer(t *testing.T, maxQueueDepth int) (*server, *storage.FaultBackend) {
+func newTestServer(t testing.TB, maxQueueDepth int) (*server, *storage.FaultBackend) {
 	t.Helper()
 	fb := storage.NewFaultBackend(storage.NewMemory())
 	k, err := repro.Bootstrap(repro.Options{
@@ -35,7 +35,9 @@ func newTestServer(t *testing.T, maxQueueDepth int) (*server, *storage.FaultBack
 		t.Fatal(err)
 	}
 	t.Cleanup(k.Close)
-	return &server{kernel: k}, fb
+	s := &server{}
+	s.kernel.Store(k)
+	return s, fb
 }
 
 func doJSON(t *testing.T, h http.HandlerFunc, method, path, body string) *httptest.ResponseRecorder {

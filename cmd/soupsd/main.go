@@ -4,7 +4,7 @@
 // Endpoints:
 //
 //	GET  /entities/{Type}/{ID}            current subjective state
-//	POST /entities/{Type}/{ID}            apply operations: {"set":{"f":v}, "delta":{"f":n}, "describe":"..."}
+//	POST /entities/{Type}/{ID}            apply operations: {"set":{"f":scalar}, "delta":{"f":n}, "describe":"..."}
 //	POST /events                          submit a process-step event: {"name":..., "type":..., "id":..., "data":{...}, "deadline_ms":N}
 //	GET  /history/{Type}/{ID}             insert-only version trace
 //	GET  /warnings                        managed constraint violations so far
@@ -28,7 +28,7 @@
 //	[-workers 2] [-groupcommit] [-maxbatch 64]
 //	[-data-dir DIR] [-fsync-mode always|os] [-checkpoint-every 4096]
 //	[-role primary|standby] [-standbys URL,URL] [-ack async|sync|quorum]
-//	[-max-queue-depth 4096] [-retry-after 1s]
+//	[-max-queue-depth 4096] [-retry-after 1s] [-debug-addr ADDR]
 //
 // With -data-dir the node is durable: every commit cycle is appended to a
 // segmented write-ahead log per unit, startup recovers from the latest
@@ -40,6 +40,9 @@
 // -role standby process serves only /replicate, /metrics and /healthz until
 // POST /promote recovers a full kernel from the received log; see
 // docs/OPERATIONS.md for the failover runbook.
+//
+// With -debug-addr the process also serves net/http/pprof under /debug/pprof/
+// on that address, a listener of its own: the data port never does.
 package main
 
 import (
@@ -50,11 +53,13 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers on http.DefaultServeMux, which only -debug-addr serves
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -80,23 +85,22 @@ var (
 	noTiered        = flag.Bool("no-tiered-storage", false, "disable the LSM tier: bare WAL with stop-the-world checkpoints (E22 baseline)")
 	maxDepth        = flag.Int("max-queue-depth", 4096, "admission control: shed event submits past this per-unit queue depth with 503 (0 = unbounded)")
 	retryAfter      = flag.Duration("retry-after", time.Second, "Retry-After hint on 503 backpressure/degraded responses")
+	debugAddr       = flag.String("debug-addr", "", "serve net/http/pprof on this address, a listener apart from -addr (empty = off)")
 	faultInjection  = flag.Bool("fault-injection", false, "benchmark harness only: run each unit on an in-memory fault-injecting backend and expose POST /fault (incompatible with -data-dir)")
 )
 
 // server is one soupsd node: in the primary role kernel is set; in the
 // standby role standby is set until a promotion swaps a recovered kernel in.
+// mu orders the promotion against the routes that ask which role is live; the
+// data path only loads kernel.
 type server struct {
 	mu      sync.Mutex
-	kernel  *repro.Kernel
+	kernel  atomic.Pointer[repro.Kernel]
 	standby *standbyReceiver
 }
 
 // k returns the live kernel, or nil while this node is an unpromoted standby.
-func (s *server) k() *repro.Kernel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kernel
-}
+func (s *server) k() *repro.Kernel { return s.kernel.Load() }
 
 // dataKernel resolves the kernel for a data-path request, answering 503 for
 // an unpromoted standby (the data lives in its received log, unopened).
@@ -106,19 +110,6 @@ func (s *server) dataKernel(w http.ResponseWriter) *repro.Kernel {
 		http.Error(w, "standby: not serving data (POST /promote to take over)", http.StatusServiceUnavailable)
 	}
 	return k
-}
-
-type opRequest struct {
-	Set      map[string]interface{} `json:"set,omitempty"`
-	Delta    map[string]float64     `json:"delta,omitempty"`
-	Describe string                 `json:"describe,omitempty"`
-}
-
-type stateResponse struct {
-	Key       string                 `json:"key"`
-	Fields    map[string]interface{} `json:"fields"`
-	Tentative bool                   `json:"tentative,omitempty"`
-	Deleted   bool                   `json:"deleted,omitempty"`
 }
 
 // openKernel bootstraps a kernel from the command-line flags. The promotion
@@ -177,7 +168,7 @@ func main() {
 			log.Fatalf("bootstrap: %v", err)
 		}
 		k.Start()
-		s.kernel = k
+		s.kernel.Store(k)
 	case "standby":
 		sync, err := storage.ParseSyncMode(*fsyncMode)
 		if err != nil {
@@ -192,24 +183,17 @@ func main() {
 		log.Fatalf("unknown -role %q (want primary or standby)", *role)
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/entities/", s.handleEntity)
-	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/history/", s.handleHistory)
-	mux.HandleFunc("/warnings", s.handleWarnings)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/fault", s.handleFault)
-	mux.HandleFunc("/backup", s.handleBackup)
-	mux.HandleFunc("/restore", s.handleRestore)
-	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("/replicate", s.handleReplicate)
-	mux.HandleFunc("/catchup", s.handleCatchup)
-	mux.HandleFunc("/promote", s.handlePromote)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/status", s.handleStatus)
-
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: s.routes()}
+	var debug *http.Server
+	if *debugAddr != "" {
+		debug = &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
+		go func() {
+			log.Printf("pprof on http://%s/debug/pprof/", *debugAddr)
+			if err := debug.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("debug listener: %v", err)
+			}
+		}()
+	}
 	// Durable shutdown: stop accepting traffic, then flush the write-ahead
 	// logs before the process exits. A hard kill is also fine — that is what
 	// recovery is for — but a polite signal should not rely on it.
@@ -223,6 +207,9 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
+		if debug != nil {
+			_ = debug.Close()
+		}
 		s.shutdownNode()
 	}()
 
@@ -247,11 +234,39 @@ func main() {
 	s.closeNode()
 }
 
+// routes is the data port's mux. It is built here, never taken from
+// http.DefaultServeMux, so nothing a package registers there (net/http/pprof)
+// is reachable on -addr.
+func (s *server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/entities/", s.handleEntity)
+	mux.HandleFunc("/events", s.handleEvents)
+	mux.HandleFunc("/history/", s.handleHistory)
+	mux.HandleFunc("/warnings", s.handleWarnings)
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/fault", s.handleFault)
+	mux.HandleFunc("/backup", s.handleBackup)
+	mux.HandleFunc("/restore", s.handleRestore)
+	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("/replicate", s.handleReplicate)
+	mux.HandleFunc("/catchup", s.handleCatchup)
+	mux.HandleFunc("/promote", s.handlePromote)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("/status", s.handleStatus)
+	return mux
+}
+
+// roles returns whichever of the two roles is live.
+func (s *server) roles() (*repro.Kernel, *standbyReceiver) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.kernel.Load(), s.standby
+}
+
 // shutdownNode flushes whichever role is live at signal time.
 func (s *server) shutdownNode() {
-	s.mu.Lock()
-	k, recv := s.kernel, s.standby
-	s.mu.Unlock()
+	k, recv := s.roles()
 	if k != nil {
 		if err := k.Flush(); err != nil {
 			log.Printf("flush: %v", err)
@@ -266,19 +281,14 @@ func (s *server) shutdownNode() {
 
 // closeNode releases the kernel after the listener has drained.
 func (s *server) closeNode() {
-	s.mu.Lock()
-	k := s.kernel
-	s.mu.Unlock()
-	if k != nil {
+	if k := s.k(); k != nil {
 		k.Stop()
 		k.Close()
 	}
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	k, recv := s.kernel, s.standby
-	s.mu.Unlock()
+	k, recv := s.roles()
 	if recv != nil {
 		fmt.Fprintln(w, "ok (standby)")
 		return
@@ -323,22 +333,29 @@ func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, http.StatusOK, stateResponse{Key: key.String(), Fields: st.Fields, Tentative: st.Tentative, Deleted: st.Deleted})
-	case http.MethodPost:
-		var req opRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "malformed body: "+err.Error(), http.StatusBadRequest)
+		buf := getEdgeBuf()
+		defer putEdgeBuf(buf)
+		reply, err := buf.stateReply(key, st)
+		if err != nil {
+			http.Error(w, "encoding "+key.String()+": "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-		var ops []repro.Op
-		for field, value := range req.Set {
-			ops = append(ops, repro.Set(field, normalise(value)).Described(req.Describe))
+		sendJSON(w, http.StatusOK, reply)
+	case http.MethodPost:
+		buf := getEdgeBuf()
+		defer putEdgeBuf(buf)
+		if err := buf.readBody(w, r); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "reading body: "+err.Error(), status)
+			return
 		}
-		for field, delta := range req.Delta {
-			ops = append(ops, repro.Delta(field, delta).Described(req.Describe))
-		}
-		if len(ops) == 0 {
-			http.Error(w, "no operations", http.StatusBadRequest)
+		ops, err := buf.decodeOps()
+		if err != nil {
+			http.Error(w, "malformed body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		res, err := k.Update(key, ops...)
@@ -349,7 +366,7 @@ func (s *server) handleEntity(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"txn": res.TxnID, "warnings": len(res.Warnings)})
+		sendJSON(w, http.StatusOK, buf.updateReply(res.TxnID, len(res.Warnings)))
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -414,16 +431,14 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted"})
+	sendJSON(w, http.StatusAccepted, acceptedReply)
 }
 
 // handleReadyz is the readiness probe: unlike /healthz (liveness) it answers
 // 503 while any unit refuses writes, so rotations drain traffic from a node
 // that is up but degraded.
 func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	k, recv := s.kernel, s.standby
-	s.mu.Unlock()
+	k, recv := s.roles()
 	if recv != nil {
 		fmt.Fprintln(w, "ok (standby)")
 		return
@@ -451,9 +466,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleStatus reports the node's degraded/overload/breaker posture as JSON
 // (soupsctl status renders it).
 func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	k, recv := s.kernel, s.standby
-	s.mu.Unlock()
+	k, recv := s.roles()
 	if recv != nil {
 		writeJSON(w, http.StatusOK, map[string]interface{}{"role": "standby"})
 		return
@@ -466,15 +479,6 @@ func (s *server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		out["replication"] = rs
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// normalise maps JSON numbers that are integral onto int64 so Int fields
-// accept them.
-func normalise(v interface{}) interface{} {
-	if f, ok := v.(float64); ok && f == float64(int64(f)) {
-		return int64(f)
-	}
-	return v
 }
 
 func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
@@ -496,7 +500,9 @@ func (s *server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, h.Trace())
+	buf := getEdgeBuf()
+	defer putEdgeBuf(buf)
+	sendJSON(w, http.StatusOK, buf.historyReply(h.Trace()))
 }
 
 func (s *server) handleWarnings(w http.ResponseWriter, _ *http.Request) {
@@ -567,9 +573,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.mu.Lock()
-	k, recv := s.kernel, s.standby
-	s.mu.Unlock()
+	k, recv := s.roles()
 	if recv != nil {
 		s.replicationMetrics(w, nil, recv)
 		return
@@ -666,8 +670,9 @@ func (s *server) handleFault(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "action": strings.ToLower(req.Action)})
 }
 
-// writeJSON answers status with v as the JSON body. Headers are final once
-// the status line is written, so the Content-Type goes first.
+// writeJSON answers status with v as the JSON body, for the admin routes (the
+// data path's replies are built in codec.go). Headers are final once the
+// status line is written, so the Content-Type goes first.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

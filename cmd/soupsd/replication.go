@@ -243,9 +243,7 @@ func (s *server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 || limit > max {
 		limit = max
 	}
-	s.mu.Lock()
-	recv, k := s.standby, s.kernel
-	s.mu.Unlock()
+	k, recv := s.roles()
 	var recs []lsdb.Record
 	var more bool
 	switch {
@@ -303,7 +301,7 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	k.Start()
 	s.standby = nil
-	s.kernel = k
+	s.kernel.Store(k)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "promoted", "role": "primary"})
 }
 

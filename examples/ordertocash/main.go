@@ -72,7 +72,7 @@ func main() {
 	stats := k.ProcessStats()
 	fmt.Printf("entered %d business cases; executed %d process steps (%d events emitted)\n",
 		cases, steps, stats.EventsEmitted)
-	fmt.Printf("managed constraint violations (out-of-order references): %d\n", len(k.Warnings()))
+	fmt.Printf("managed constraint violations (out-of-order references): %d\n", k.WarningCount())
 
 	inv, err := k.Read(repro.Key{Type: "Inventory", ID: "widget"})
 	if err != nil {

@@ -310,9 +310,19 @@ type Kernel struct {
 	registry *migrate.Registry
 	metrics  *metrics.Registry
 	coord    *txn.Coordinator
-	warnings []entity.Warning
 	started  bool
+
+	// The newest maxWarnings managed violations, a ring under its own lock:
+	// a long-lived node must not grow with every dangling reference, and a
+	// POST that records one must not take the kernel-wide mu. The running
+	// total is the constraint.managed counter.
+	warnMu   sync.Mutex
+	warnings []entity.Warning
+	warnNext int // slot the next warning overwrites once the ring is full
 }
+
+// maxWarnings bounds what Warnings retains.
+const maxWarnings = 1024
 
 // Open creates a kernel.
 func Open(opts Options) (*Kernel, error) {
@@ -571,22 +581,22 @@ func (k *Kernel) checkReferences(key entity.Key, ops []entity.Op) error {
 	if !ok {
 		return nil // the append itself will report the unknown type
 	}
-	refTypes := map[string]string{}
-	for _, f := range typ.Fields {
-		if f.Type == entity.Reference {
-			refTypes[f.Name] = f.RefType
-		}
-	}
 	for _, op := range ops {
 		if op.Kind != entity.OpSet {
 			continue
 		}
-		refType, isRef := refTypes[op.Field]
-		if !isRef {
-			continue
-		}
 		val, _ := op.Value.(string)
 		if val == "" {
+			continue
+		}
+		refType, isRef := "", false
+		for i := range typ.Fields {
+			if f := &typ.Fields[i]; f.Name == op.Field {
+				refType, isRef = f.RefType, f.Type == entity.Reference
+				break
+			}
+		}
+		if !isRef {
 			continue
 		}
 		refKey, err := entity.ParseKey(val)
@@ -813,21 +823,37 @@ func (k *Kernel) Query(typeName string, fn func(*entity.State) bool) error {
 // Now returns a kernel timestamp (useful for ReadAsOf).
 func (k *Kernel) Now() clock.Timestamp { return k.hlc.Now() }
 
-// Warnings returns constraint violations accepted as managed exceptions so
-// far (principle 2.2). The slice is a copy.
+// Warnings returns the newest constraint violations accepted as managed
+// exceptions (principle 2.2), oldest first, at most maxWarnings of them;
+// WarningCount is how many there have been. The slice is a copy.
 func (k *Kernel) Warnings() []entity.Warning {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return append([]entity.Warning(nil), k.warnings...)
+	k.warnMu.Lock()
+	defer k.warnMu.Unlock()
+	out := make([]entity.Warning, 0, len(k.warnings))
+	out = append(out, k.warnings[k.warnNext:]...)
+	return append(out, k.warnings[:k.warnNext]...)
+}
+
+// WarningCount returns how many managed violations were accepted so far,
+// including those Warnings no longer retains.
+func (k *Kernel) WarningCount() uint64 {
+	return k.metrics.Counter("constraint.managed").Value()
 }
 
 func (k *Kernel) recordWarnings(ws []entity.Warning) {
 	if len(ws) == 0 {
 		return
 	}
-	k.mu.Lock()
-	k.warnings = append(k.warnings, ws...)
-	k.mu.Unlock()
+	k.warnMu.Lock()
+	for _, w := range ws {
+		if len(k.warnings) < maxWarnings {
+			k.warnings = append(k.warnings, w)
+			continue
+		}
+		k.warnings[k.warnNext] = w
+		k.warnNext = (k.warnNext + 1) % maxWarnings
+	}
+	k.warnMu.Unlock()
 	k.metrics.Counter("constraint.managed").Add(uint64(len(ws)))
 }
 

@@ -215,6 +215,32 @@ func TestManagedWarningsSurfaceOnKernel(t *testing.T) {
 	}
 }
 
+// TestWarningsKeepTheNewestAndCountAll: a node that accepts dangling
+// references for ever must not grow with them. Warnings is a ring of the
+// newest maxWarnings, oldest first; WarningCount is every one accepted.
+func TestWarningsKeepTheNewestAndCountAll(t *testing.T) {
+	k := newKernel(t, Options{Node: "n1"})
+	const total = maxWarnings + 37
+	for i := 0; i < total; i++ {
+		ref := fmt.Sprintf("Customer/missing-%d", i)
+		if _, err := k.Update(entity.Key{Type: "Opportunity", ID: "OP1"}, entity.Set("customer", ref)); err != nil {
+			t.Fatalf("managed-mode update %d rejected: %v", i, err)
+		}
+	}
+	if got := k.WarningCount(); got != total {
+		t.Fatalf("WarningCount = %d, want %d", got, total)
+	}
+	ws := k.Warnings()
+	if len(ws) != maxWarnings {
+		t.Fatalf("Warnings retains %d, want the newest %d", len(ws), maxWarnings)
+	}
+	for i, w := range ws {
+		if want := fmt.Sprintf("Customer/missing-%d", total-maxWarnings+i); w.Op.Value != want {
+			t.Fatalf("Warnings[%d] is about %v, want %s (oldest retained first)", i, w.Op.Value, want)
+		}
+	}
+}
+
 func TestStrictModeRejectsUnknownField(t *testing.T) {
 	k := newKernel(t, Options{Node: "n1", Consistency: StrongSingleCopy})
 	_, err := k.Update(orderKey("O1"), entity.Set("bogus", 1))
