@@ -22,7 +22,7 @@ race:
 # transactions and messages carry nothing from one step into the next (CI runs
 # the same set in its race job).
 ownership-race:
-	$(GO) test -race -count=10 -run 'TestLentState|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
 
 # The E1..E20 experiment benchmarks (see EXPERIMENTS.md).
 bench:
@@ -34,7 +34,7 @@ bench:
 # benchmarks ride along at one iteration so CI compiles and runs them.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 1x -benchmem ./internal/lsm ./internal/lsdb
+	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture|BenchmarkLookupSummary' -benchtime 1x -benchmem ./internal/lsm ./internal/lsdb
 
 # The step path on its own: what one process step costs in time and garbage
 # (BenchmarkStepChain) and what the store's share of it, one single-op append
@@ -52,9 +52,13 @@ bench-steps:
 # The HTTP edge on its own: one data-path request (POST delta, POST set of
 # three fields, GET, GET history) through its soupsd handler over an in-memory
 # kernel, gated by TestEdgeAllocationBudget — the run fails when the handler
-# allocates more than its committed budget on top of the kernel call inside it.
+# allocates more than its committed budget on top of the kernel call inside it;
+# then raw GET and POST-delta requests through the connection loop over
+# net.Pipe at pipelining depths 1, 4, 16 and 64 (BenchmarkDataPort: ns/op,
+# writes/op, B/op, allocs/op), gated by TestDataPortAllocationBudget — the
+# loop's own allocations per request, handler excluded.
 bench-edge:
-	$(GO) test -run TestEdgeAllocationBudget -bench BenchmarkEdgeEntity -benchmem ./cmd/soupsd
+	$(GO) test -run 'TestEdgeAllocationBudget|TestDataPortAllocationBudget' -bench 'BenchmarkEdgeEntity|BenchmarkDataPort' -benchmem ./cmd/soupsd
 
 # The E17 multi-writer append-throughput benchmark on its own: per-append
 # locking vs group-commit batching, in-memory and with a per-commit fsync.
@@ -87,12 +91,14 @@ bench-replication:
 # The E22 tiered-storage benchmarks on their own: per-append stall during a
 # quiesced legacy checkpoint vs an off-hot-path tiered flush, and recovery
 # time as history grows; the cold tier's bulk paths as components (one L1
-# compaction pass, one flush capture; keys/s, B/op, allocs/op) — then the
+# compaction pass, one flush capture; keys/s, B/op, allocs/op) and its point
+# path (one summary lookup through bloom and sparse index) — then the
 # harness regenerates the BENCH_E22.json trajectory file so successive PRs
 # can diff the numbers.
 bench-lsm:
 	$(GO) test -run xxx -bench 'BenchmarkE22' -benchtime 200x .
 	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 20x -benchmem ./internal/lsm ./internal/lsdb
+	$(GO) test -run xxx -bench BenchmarkLookupSummary -benchmem ./internal/lsm
 	$(GO) run ./cmd/benchharness -only E22 -json BENCH_E22.json
 
 # The E23 end-to-end SLO run (see docs/BENCHMARKING.md): the open-loop load
@@ -130,8 +136,9 @@ replication-faults:
 # matrix across ack modes, degraded read-only modes and repair, breaker and
 # retry behaviour, the exhaustive torn-write recovery matrices (a short file,
 # and a reserved zero tail) then ten seconds of fuzzing the WAL frame walker,
-# admission control and deadlines, the kernel/HTTP 503 surface, and ten
-# seconds of fuzzing soupsd's request scanner against its encoding/json oracle.
+# admission control and deadlines, the kernel/HTTP 503 surface, ten seconds
+# of fuzzing soupsd's request scanner against its encoding/json oracle, and
+# ten of fuzzing its request-head parser against http.ReadRequest.
 storage-faults:
 	$(GO) test -race -run 'TestStorageFaultMatrix|TestEnospc|TestFsync|TestCorruption|TestBreaker|TestShipRetry' ./internal/replica/
 	$(GO) test -race -run 'TestFaultBackend|TestWALTornWrite|TestWALMidLogCorruption|TestWALSecondPage|TestWALSyncOSBatches|TestWALBadFrame|TestWALResumeAfter|TestWALUntrimmed|TestWALCloseReleases' ./internal/storage/
@@ -139,6 +146,7 @@ storage-faults:
 	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestDeepBacklog|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
 	$(GO) test -race -run 'TestKernelSheds|TestKernelDegraded|TestEventSubmitSheds|TestDegradedStorage|TestEventDeadline' ./internal/core/ ./cmd/soupsd/
 	$(GO) test -run xxx -fuzz FuzzOpsDecode -fuzztime 10s ./cmd/soupsd/
+	$(GO) test -run xxx -fuzz FuzzRequestHead -fuzztime 10s ./cmd/soupsd/
 
 # End-to-end crash test: populate a durable soupsd, kill -9, restart from the
 # data directory, verify states and a backup/restore round trip — then kill

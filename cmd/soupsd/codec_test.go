@@ -483,50 +483,81 @@ func TestUnencodableStateIs500(t *testing.T) {
 }
 
 // TestPooledBuffersStayWithTheirRequest: eight clients post and read through
-// one handler at once; a reply assembled in a buffer another request is still
-// using would carry that request's key or value. Run with -race.
+// the data port's routes at once, handed requests by httptest's recorder and,
+// each on a connection of its own, by the connection loop; a reply assembled
+// in a buffer another request is still using would carry that request's key
+// or value. Run with -race.
 func TestPooledBuffersStayWithTheirRequest(t *testing.T) {
 	s, _ := newTestServer(t, 0)
 	mux := s.routes()
-	const clients, rounds = 8, 60
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			path := fmt.Sprintf("/entities/Lead/client-%d", c)
-			hist := fmt.Sprintf("/history/Lead/client-%d", c)
-			do := func(method, path, body string) *httptest.ResponseRecorder {
-				w := httptest.NewRecorder()
-				mux.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
-				return w
-			}
-			for i := 0; i < rounds; i++ {
-				mark := fmt.Sprintf("client-%d-round-%d-%s", c, i, strings.Repeat("x", (c*37+i)%300))
-				w := do("POST", path, `{"set":{"contact":"`+mark+`"},"describe":"`+mark+`"}`)
-				var ack struct {
-					Txn      string `json:"txn"`
-					Warnings *int   `json:"warnings"`
-				}
-				if err := json.Unmarshal(w.Body.Bytes(), &ack); w.Code != http.StatusOK || err != nil || ack.Txn == "" || ack.Warnings == nil {
-					t.Errorf("client %d round %d: POST = %d %q (%v)", c, i, w.Code, w.Body, err)
-					return
-				}
-				w = do("GET", path, "")
-				if want := fmt.Sprintf(`{"key":"Lead/client-%d","fields":{"contact":%q}}`, c, mark) + "\n"; w.Body.String() != want {
-					t.Errorf("client %d round %d: GET = %q, want %q", c, i, w.Body, want)
-					return
-				}
-				w = do("GET", hist, "")
-				var lines []string
-				if err := json.Unmarshal(w.Body.Bytes(), &lines); err != nil || len(lines) != i+1 || !strings.HasSuffix(lines[i], ": "+mark) {
-					t.Errorf("client %d round %d: history = %q (%v)", c, i, w.Body, err)
-					return
-				}
-			}
-		}(c)
+	addr, _ := startLoop(t, mux, nil)
+	type doer func(method, path, body string) (int, []byte)
+	recorder := func() (doer, func()) {
+		return func(method, path, body string) (int, []byte) {
+			w := httptest.NewRecorder()
+			mux.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+			return w.Code, w.Body.Bytes()
+		}, func() {}
 	}
-	wg.Wait()
+	loop := func() (doer, func()) {
+		hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+		return func(method, path, body string) (int, []byte) {
+			req, err := http.NewRequest(method, "http://"+addr+path, strings.NewReader(body))
+			if err != nil {
+				return 0, []byte(err.Error())
+			}
+			resp, err := hc.Do(req)
+			if err != nil {
+				return 0, []byte(err.Error())
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, b
+		}, hc.CloseIdleConnections
+	}
+	for _, via := range []struct {
+		name   string
+		client func() (doer, func())
+	}{{"recorder", recorder}, {"loop", loop}} {
+		t.Run(via.name, func(t *testing.T) {
+			const clients, rounds = 8, 60
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					do, done := via.client()
+					defer done()
+					id := fmt.Sprintf("%s-client-%d", via.name, c)
+					path, hist := "/entities/Lead/"+id, "/history/Lead/"+id
+					for i := 0; i < rounds; i++ {
+						mark := fmt.Sprintf("client-%d-round-%d-%s", c, i, strings.Repeat("x", (c*37+i)%300))
+						code, body := do("POST", path, `{"set":{"contact":"`+mark+`"},"describe":"`+mark+`"}`)
+						var ack struct {
+							Txn      string `json:"txn"`
+							Warnings *int   `json:"warnings"`
+						}
+						if err := json.Unmarshal(body, &ack); code != http.StatusOK || err != nil || ack.Txn == "" || ack.Warnings == nil {
+							t.Errorf("client %d round %d: POST = %d %q (%v)", c, i, code, body, err)
+							return
+						}
+						_, body = do("GET", path, "")
+						if want := fmt.Sprintf(`{"key":"Lead/%s","fields":{"contact":%q}}`, id, mark) + "\n"; string(body) != want {
+							t.Errorf("client %d round %d: GET = %q, want %q", c, i, body, want)
+							return
+						}
+						_, body = do("GET", hist, "")
+						var lines []string
+						if err := json.Unmarshal(body, &lines); err != nil || len(lines) != i+1 || !strings.HasSuffix(lines[i], ": "+mark) {
+							t.Errorf("client %d round %d: history = %q (%v)", c, i, body, err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+		})
+	}
 }
 
 // --- what the edge costs ---------------------------------------------------------

@@ -41,8 +41,10 @@
 // POST /promote recovers a full kernel from the received log; see
 // docs/OPERATIONS.md for the failover runbook.
 //
-// With -debug-addr the process also serves net/http/pprof under /debug/pprof/
-// on that address, a listener of its own: the data port never does.
+// The data port is served by conn.go's HTTP/1.1 connection loop, not by
+// net/http's server. With -debug-addr the process also serves net/http/pprof
+// under /debug/pprof/ on that address, a net/http listener of its own: the
+// data port never does.
 package main
 
 import (
@@ -52,6 +54,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers on http.DefaultServeMux, which only -debug-addr serves
 	"os"
@@ -183,7 +186,11 @@ func main() {
 		log.Fatalf("unknown -role %q (want primary or standby)", *role)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.routes()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := newDataServer(s.routes())
 	var debug *http.Server
 	if *debugAddr != "" {
 		debug = &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
@@ -227,7 +234,7 @@ func main() {
 	} else {
 		log.Printf("soupsd standby listening on %s (units=%d %s); POST /promote to take over", *addr, *units, durable)
 	}
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-done

@@ -55,6 +55,15 @@ func (c *cachedState) install(st *entity.State) {
 	c.lent.Store(false)
 }
 
+// installLent caches a frozen state the shard does not own alone — one a
+// snapshot shares, or the archived summary itself — already lent, so an
+// append copies it rather than writing through it. The caller holds the
+// shard's write lock.
+func (c *cachedState) installLent(st *entity.State) {
+	c.st = st.Freeze()
+	c.lent.Store(true)
+}
+
 // drop empties the cache (history was rewritten under it), under the shard's
 // write lock.
 func (c *cachedState) drop() { c.st = nil }

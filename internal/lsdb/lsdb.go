@@ -925,7 +925,13 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 		if !e.exists() {
 			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-		e.cache.install(s.rollupLocked(e, key, typ))
+		if e.rollupIsArchived() {
+			// A cold read warms the summary from the tables; caching the
+			// summary itself keeps one copy of it resident, not two.
+			e.cache.installLent(e.archived)
+		} else {
+			e.cache.install(s.rollupLocked(e, key, typ))
+		}
 		e.head = e.headLSN()
 	}
 	st, head := e.cache.lend(), e.head
@@ -952,6 +958,15 @@ func (db *DB) Exists(key entity.Key) bool {
 // snapshot or summary it started from.
 func (s *shard) rollupLocked(e *entry, key entity.Key, typ *entity.Type) *entity.State {
 	return s.rollupToLocked(e, key, typ, ^uint64(0))
+}
+
+// rollupIsArchived reports whether the entry's rollup is its archived summary
+// unchanged: no snapshot supersedes it and no retained record lies above it.
+func (e *entry) rollupIsArchived() bool {
+	if e.archived == nil || (e.snap.state != nil && e.snap.lsn >= e.archivedAt) {
+		return false
+	}
+	return len(e.recs) == 0 || e.recs[len(e.recs)-1].lsn <= e.archivedAt
 }
 
 // rollupToLocked is the rollup bounded to records at or below limit; the
@@ -1279,8 +1294,7 @@ func (db *DB) Snapshot(key entity.Key) error {
 	e.snap = snapshot{lsn: e.headLSN(), seq: uint64(len(e.recs)), state: st}
 	if !db.opts.DisableStateCache {
 		// One frozen state serves as both, so the cache starts out lent.
-		e.cache.install(st)
-		e.cache.lend()
+		e.cache.installLent(st)
 		e.head = e.headLSN()
 	}
 	return nil

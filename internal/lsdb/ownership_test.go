@@ -1,6 +1,7 @@
 package lsdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -382,4 +383,72 @@ func TestFlushCaptureIsLentMidStream(t *testing.T) {
 	}
 	defer rec.Close()
 	assertTieredStates(t, db, rec)
+}
+
+// TestColdReadCachesArchivedByPointer: a read that warms an evicted entity
+// caches the archived summary itself, lent, instead of a Clone of it beside
+// it; the appends that follow copy it and leave it byte for byte as it was;
+// and History and the flush capture read the same as they would have.
+func TestColdReadCachesArchivedByPointer(t *testing.T) {
+	dir := t.TempDir()
+	db := newTestDB(t, Options{Shards: 2, Backend: openTestTiered(t, dir, nil)})
+	defer db.Close()
+	order := entity.Key{Type: "Order", ID: "O1"}
+	next := 0
+	churn(t, db, order, &next, 70) // root fields and more than one chunk of rows
+	db.Compact(db.HeadLSN() + 1)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e := db.shardFor(order).entries[order]
+	if !e.cold {
+		t.Fatalf("entity not evicted: %+v", db.FlushStats())
+	}
+
+	st, _, err := db.Current(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archived := e.archived
+	if archived == nil || st != archived || e.cache.peek() != archived {
+		t.Fatal("the cold read cached a copy of the archived summary, not the summary")
+	}
+	encode := func() []byte {
+		b, err := storage.EncodeRecord(nil, &storage.WALRecord{Kind: storage.KindSummary, Key: order, Summary: archived})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before, view := encode(), image(archived)
+
+	churn(t, db, order, &next, 10)
+	if e.archived != archived || !bytes.Equal(encode(), before) || image(archived) != view {
+		t.Fatal("an append after the cold read wrote into the archived summary")
+	}
+	cur, _, err := db.Current(order)
+	if err != nil || cur == archived || cur.Float("total") != float64(next) {
+		t.Fatalf("current total %v (%v) after %d appends", cur.Float("total"), err, next)
+	}
+	h, err := db.History(order)
+	if err != nil || len(h.Versions) != 10 || h.Versions[9].State.Float("total") != float64(next) {
+		t.Fatalf("history after the cold read: %d versions (%v)", len(h.Versions), err)
+	}
+
+	// The flush captures the appended state; evicted and warmed again, the
+	// entity reads as it was written.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Compact(db.HeadLSN() + 1)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.cold {
+		t.Fatalf("entity not evicted the second time: %+v", db.FlushStats())
+	}
+	again, _, err := db.Current(order)
+	if err != nil || image(again) != image(cur) || again != e.archived {
+		t.Fatalf("after flush, eviction and a second cold read:\n got %s (%v)\nwant %s", image(again), err, image(cur))
+	}
 }

@@ -106,48 +106,89 @@ type indexCursor struct {
 	off int // byte offset of the next entry within the block
 }
 
-func (c *indexCursor) next(e *indexEntry) (bool, error) {
+// rawEntry is an index entry as it lies in the block, its key still bytes of
+// the block.
+type rawEntry struct {
+	typ, id                                       []byte
+	flags, horizon, dataOff, dataLen, detailCount uint64
+}
+
+// nextRaw parses the next entry without copying anything out of the block.
+func (c *indexCursor) nextRaw(r *rawEntry) (bool, error) {
 	if len(c.b) == 0 {
 		return false, nil
 	}
 	start := len(c.b)
-	// str keeps prev — what e held from the previous entry — when the bytes
-	// match: a run of keys shares its type, so only the id allocates.
-	str := func(prev string) (string, error) {
+	str := func() ([]byte, error) {
 		n, w := binary.Uvarint(c.b)
 		if w <= 0 || uint64(len(c.b)-w) < n {
-			return "", errors.New("lsm: corrupt index entry")
+			return nil, errors.New("lsm: corrupt index entry")
 		}
-		if b := c.b[w : w+int(n)]; string(b) != prev {
-			prev = string(b)
-		}
+		b := c.b[w : w+int(n)]
 		c.b = c.b[w+int(n):]
-		return prev, nil
-	}
-	uv := func() (uint64, error) {
-		v, w := binary.Uvarint(c.b)
-		if w <= 0 {
-			return 0, errors.New("lsm: corrupt index entry")
-		}
-		c.b = c.b[w:]
-		return v, nil
+		return b, nil
 	}
 	var err error
-	if e.key.Type, err = str(e.key.Type); err != nil {
+	if r.typ, err = str(); err != nil {
 		return false, err
 	}
-	if e.key.ID, err = str(e.key.ID); err != nil {
+	if r.id, err = str(); err != nil {
 		return false, err
 	}
-	var dataOff, dataLen uint64
-	for _, dst := range []*uint64{&e.flags, &e.horizon, &dataOff, &dataLen, &e.detailCount} {
-		if *dst, err = uv(); err != nil {
-			return false, err
+	for _, dst := range [...]*uint64{&r.flags, &r.horizon, &r.dataOff, &r.dataLen, &r.detailCount} {
+		v, w := binary.Uvarint(c.b)
+		if w <= 0 {
+			return false, errors.New("lsm: corrupt index entry")
 		}
+		*dst, c.b = v, c.b[w:]
 	}
-	e.dataOff, e.dataLen = int64(dataOff), int64(dataLen)
 	c.off += start - len(c.b)
 	return true, nil
+}
+
+// next parses the next entry into e. It keeps the strings e held from the
+// previous entry when the bytes match: a run of keys shares its type, so only
+// the id allocates.
+func (c *indexCursor) next(e *indexEntry) (bool, error) {
+	var r rawEntry
+	if ok, err := c.nextRaw(&r); !ok || err != nil {
+		return ok, err
+	}
+	if string(r.typ) != e.key.Type {
+		e.key.Type = string(r.typ)
+	}
+	if string(r.id) != e.key.ID {
+		e.key.ID = string(r.id)
+	}
+	e.flags, e.horizon, e.detailCount = r.flags, r.horizon, r.detailCount
+	e.dataOff, e.dataLen = int64(r.dataOff), int64(r.dataLen)
+	return true, nil
+}
+
+var nul = []byte{0}
+
+// cmpComposite compares the composite key typ+"\x00"+id with ck as comparing
+// the two strings would, without building the first.
+func cmpComposite(typ, id []byte, ck string) int {
+	for _, part := range [...][]byte{typ, nul, id} {
+		n := min(len(part), len(ck))
+		for i := 0; i < n; i++ {
+			if part[i] != ck[i] {
+				if part[i] < ck[i] {
+					return -1
+				}
+				return 1
+			}
+		}
+		if n < len(part) {
+			return 1
+		}
+		ck = ck[n:]
+	}
+	if len(ck) > 0 {
+		return -1
+	}
+	return 0
 }
 
 // appendFrame wraps an encoded record payload in the WAL's len+CRC framing.
@@ -549,20 +590,26 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 	if _, err := t.f.ReadAt(run, t.indexOff+frameHeader+int64(slot.off)); err != nil {
 		return indexEntry{}, fmt.Errorf("lsm: %w", err)
 	}
+	// The walk compares each entry's key bytes where they lie; only the
+	// match becomes an indexEntry, its key cut from ck.
 	cur := indexCursor{b: run}
-	var e indexEntry
+	var r rawEntry
 	for {
-		ok, err := cur.next(&e)
+		ok, err := cur.nextRaw(&r)
 		if err != nil {
 			return indexEntry{}, fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
 		}
 		if !ok {
 			return indexEntry{}, errNotFound
 		}
-		switch c := compositeKey(e.key); {
-		case c == ck:
-			return e, nil
-		case c > ck:
+		switch cmpComposite(r.typ, r.id, ck) {
+		case 0:
+			return indexEntry{
+				key:   entity.Key{Type: ck[:len(r.typ)], ID: ck[len(r.typ)+1:]},
+				flags: r.flags, horizon: r.horizon, detailCount: r.detailCount,
+				dataOff: int64(r.dataOff), dataLen: int64(r.dataLen),
+			}, nil
+		case 1:
 			return indexEntry{}, errNotFound
 		}
 	}
