@@ -17,12 +17,14 @@ race:
 # The commit path's ownership rules (docs/CONCURRENCY.md), ten times over
 # under the race detector: a lent cached state never changes and an unlent one
 # is written in place, a failed in-place append leaves no trace, exactly-once
-# across the high-water mark and every shape of the per-entity txn index,
-# lock-free Locate against concurrent Pin, and that recycled step frames,
-# transactions and messages carry nothing from one step into the next (CI runs
-# the same set in its race job).
+# across the high-water mark and every shape of the per-entity txn index, the
+# encoded resident log read back through every reader and decoded while
+# appends, obsolete flips and compactions run, lock-free Locate against
+# concurrent Pin, and that recycled step frames, transactions and messages
+# carry nothing from one step into the next (CI runs the same set in its race
+# job).
 ownership-race:
-	$(GO) test -race -count=10 -run 'TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestResidentLogRoundTrip|TestResidentLogConcurrent|TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
 
 # The E1..E20 experiment benchmarks (see EXPERIMENTS.md).
 bench:
@@ -44,10 +46,12 @@ bench-test:
 # the run fails when a step or an append allocates more than that, and an
 # append to an unlent state may allocate no State or field map at all); that a
 # dequeue's cost is flat in the
-# backlog (BenchmarkQueueDrain, which fails otherwise); and the E19 worker
-# sweep.
+# backlog (BenchmarkQueueDrain, which fails otherwise); the E19 worker
+# sweep; and that the resident log gives the collector next to nothing to
+# scan (TestResidentLogIsNoscan: scannable and live heap bytes per retained
+# record, each under its budget).
 bench-steps:
-	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
+	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget|TestResidentLogIsNoscan' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
 
 # The HTTP edge on its own: one data-path request (POST delta, POST set of
 # three fields, GET, GET history) through its soupsd handler over an in-memory
@@ -84,9 +88,12 @@ bench-pool:
 	$(GO) test -run xxx -bench BenchmarkE19 -benchtime 200x .
 
 # The E20 replication benchmark on its own: unreplicated baseline vs
-# WAL-shipping at async/sync/quorum ack over simulated 2ms links.
+# WAL-shipping at async/sync/quorum ack over simulated 2ms links — then
+# streaming catch-up's source as a component: one 513-record chunk from LSN 0
+# of a 200k-record in-memory log, and a whole walk of it in chunks.
 bench-replication:
 	$(GO) test -run xxx -bench 'BenchmarkE2[01]' -benchtime 200x .
+	$(GO) test -run xxx -bench BenchmarkRecordsAfterN -benchmem ./internal/lsdb
 
 # The E22 tiered-storage benchmarks on their own: per-append stall during a
 # quiesced legacy checkpoint vs an off-hot-path tiered flush, and recovery

@@ -1133,7 +1133,9 @@ func (k *Kernel) Import(r io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("core: import: %w", err)
 			}
-			db.LoadRecord(rec)
+			if err := db.LoadRecord(rec); err != nil {
+				return fmt.Errorf("core: import: %w", err)
+			}
 			recordsPerUnit[line.Unit]++
 		default:
 			return fmt.Errorf("core: import: line %d carries neither summary nor record", lines+1)

@@ -193,9 +193,6 @@ func (db *DB) logAppend(recs []Record) error {
 		return db.degradeLocked(err, time.Now())
 	}
 	db.sinceCkpt.Add(int64(len(recs)))
-	if db.flush != nil {
-		db.flush.bytes.Add(approxRecordsSize(recs))
-	}
 	db.clearDegradedLocked()
 	return nil
 }

@@ -54,7 +54,7 @@ type flusher struct {
 	// hot writer does not count one per append.
 	stalled atomic.Bool
 
-	bytes   atomic.Int64 // approximate payload bytes committed since last flush
+	bytes   atomic.Int64 // encoded bytes of the records committed since last flush
 	flushes atomic.Uint64
 	stalls  atomic.Uint64
 	evicted atomic.Uint64
@@ -232,20 +232,21 @@ func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []sto
 	// Settled horizon: advance past every settled record (non-tentative, or
 	// tentative but already withdrawn); the first live tentative promise
 	// blocks it — that record must stay as detail so a later MarkObsolete in
-	// the WAL tail still finds it after recovery.
+	// the WAL tail still finds it after recovery. The flags are read from the
+	// records' headers, in place.
 	h := e.archivedAt
-	for _, r := range e.recs {
-		if r.lsn <= h {
+	for _, lsn := range e.recs {
+		if lsn <= h {
 			continue
 		}
-		rec := s.recordAtLocked(r.lsn)
-		if rec == nil {
+		hdr, ok := s.headerLocked(lsn)
+		if !ok {
 			continue
 		}
-		if rec.Tentative && !rec.Obsolete {
+		if hdr.Tentative && !hdr.Obsolete {
 			break
 		}
-		h = r.lsn
+		h = lsn
 	}
 	var private *entity.State
 	if h > 0 || e.archived != nil {
@@ -266,12 +267,12 @@ func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []sto
 		}
 		entries = append(entries, sum)
 	}
-	for _, r := range e.recs {
-		if r.lsn <= h {
+	for _, lsn := range e.recs {
+		if lsn <= h {
 			continue
 		}
-		if rec := s.recordAtLocked(r.lsn); rec != nil {
-			entries = append(entries, *rec)
+		if rec, ok := s.recordLocked(lsn); ok {
+			entries = append(entries, rec)
 		}
 	}
 	return entries, private, nil
@@ -364,26 +365,6 @@ func (db *DB) warmAll() error {
 	return nil
 }
 
-// approxRecordsSize estimates the payload bytes of a committed batch for the
-// flush byte trigger. An estimate is enough: the trigger tunes table sizes,
-// not accounting.
-func approxRecordsSize(recs []Record) int64 {
-	var n int64
-	for i := range recs {
-		r := &recs[i]
-		n += 48 + int64(len(r.Key.Type)+len(r.Key.ID)+len(r.TxnID))
-		for j := range r.Ops {
-			op := &r.Ops[j]
-			n += 24 + int64(len(op.Field)+len(op.Collection)+len(op.ChildID)+len(op.Describe))
-			if sv, ok := op.Value.(string); ok {
-				n += int64(len(sv))
-			}
-			n += int64(16 * len(op.ChildRow))
-		}
-	}
-	return n
-}
-
 // FlushStats reports the tiered flush pipeline's health; the zero value when
 // the store is not tiered.
 type FlushStats struct {
@@ -394,8 +375,8 @@ type FlushStats struct {
 	Flushes  uint64
 	Failures uint64
 	Stalls   uint64
-	// PendingBytes is the approximate payload committed since the last
-	// flush; Evicted and ColdReads count summary evictions and re-warms.
+	// PendingBytes is the encoded size of the records committed since the
+	// last flush; Evicted and ColdReads count summary evictions and re-warms.
 	PendingBytes int64
 	Evicted      uint64
 	ColdReads    uint64

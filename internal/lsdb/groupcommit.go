@@ -179,9 +179,10 @@ func (db *DB) drainShard(s *shard, self *appendReq) {
 // same batch. A failure parks the error on that request alone; later requests
 // proceed against the last good state.
 //
-// Pass two builds the survivors' records in one run of segment slots,
+// Pass two builds the survivors' records in the shard's cycle scratch,
 // reserves one contiguous LSN run — a single sequence-lock acquisition for
-// the whole batch — and installs the records and frozen states in order.
+// the whole batch — encodes them onto the resident log and installs the
+// frozen states in order.
 // Because failed requests were excluded before the reservation, every
 // reserved LSN is used and the global log stays dense, exactly as on the
 // serial path.
@@ -216,22 +217,21 @@ func (db *DB) commitBatch(s *shard, batch, live []*appendReq) ([]*appendReq, fun
 	// commit-hook call — for the whole batch: this is where group commit
 	// amortises durability latency across every writer in the batch.
 	// Log-first: the batch reaches the durable backend before any record is
-	// installed, so a backend refusal fails the whole batch cleanly — the
-	// slots are withdrawn, no state changed, every writer gets the typed
-	// degraded error, and the rolled-back reservation keeps the log dense.
-	recs := s.reserveLocked(len(live), db.opts.SegmentSize)
-	for i, r := range live {
-		recs[i] = Record{
+	// installed, so a backend refusal fails the whole batch cleanly — no
+	// state changed, every writer gets the typed degraded error, and the
+	// rolled-back reservation keeps the log dense.
+	recs := s.cycle[:0]
+	for _, r := range live {
+		recs = append(recs, Record{
 			Key:       r.key,
 			Ops:       r.ops,
 			Stamp:     r.stamp,
 			Origin:    r.origin,
 			TxnID:     r.txnID,
 			Tentative: r.tentative,
-		}
+		})
 	}
-	if err := db.logAppend(recs); err != nil {
-		s.withdrawLocked(len(live))
+	if err := db.writeCycleLocked(s, recs); err != nil {
 		for _, r := range live {
 			r.err = err
 			// The applied-but-never-installed state was private to this
@@ -245,14 +245,15 @@ func (db *DB) commitBatch(s *shard, batch, live []*appendReq) ([]*appendReq, fun
 		return live, nil
 	}
 	for i, r := range live {
-		r.res.Record = &recs[i]
+		r.res.Record = recs[i]
 		db.commitAppendLocked(s, r.e, &recs[i], r.next)
 	}
-	s.sealFullLocked()
 	// The sink's capture runs here under the shard lock (order is the
 	// contract); the returned ack wait is the caller's to run after this
 	// function releases the lock. Its post-install error (replication ack
 	// shortfall) is indeterminate for the whole batch — the records are
 	// committed and visible — so the caller hands it to every writer.
-	return live, db.postCommitLocked(recs)
+	wait := db.postCommitLocked(recs)
+	s.endCycleLocked(recs)
+	return live, wait
 }

@@ -6,8 +6,9 @@
 // function".
 //
 // The database is main-memory resident (as the paper suggests), organised as
-// an append-only sequence of records grouped into segments. Two mechanisms
-// keep that view cheap to serve:
+// an append-only sequence of records grouped into segments, each record
+// encoded once as it is installed, so the collector never scans the log
+// (segment.go). Two mechanisms keep that view cheap to serve:
 //
 //   - The store is split into lock-striped shards keyed by entity hash
 //     (partition.KeyShard). Each shard owns its own mutex, log segments and
@@ -37,6 +38,7 @@ package lsdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,7 +66,9 @@ var (
 // to one entity, plus causal metadata. It is an alias of the storage layer's
 // durable record type, so a commit cycle hands its records to a
 // storage.Backend with zero conversion; the storage-only fields (Kind,
-// Horizon, Summary) are always zero on records in the in-memory log.
+// Horizon, Summary) are always zero on records in the in-memory log, which
+// holds them encoded in the same codec (segment.go) and hands out decoded
+// copies.
 type Record = storage.WALRecord
 
 // Options configure a database instance.
@@ -173,8 +177,8 @@ type Options struct {
 	// same threshold triggers a background flush instead — see flush.go.
 	CheckpointEvery int
 	// FlushBytes, with a tiered backend, additionally triggers a background
-	// flush once roughly this many bytes of record payload have been
-	// committed since the last flush. Zero uses a 4 MiB default; negative
+	// flush once the records committed since the last flush take this many
+	// bytes encoded. Zero uses a 4 MiB default; negative
 	// disables the byte trigger (the record-count trigger still applies).
 	FlushBytes int64
 }
@@ -194,13 +198,6 @@ type snapshot struct {
 	state *entity.State
 }
 
-// recRef is one retained record of an entity: where it sits in the log and
-// which transaction wrote it ("" when the append carried no id).
-type recRef struct {
-	lsn uint64
-	txn string
-}
-
 // txnSpill is how many retained records an entity's exactly-once index
 // answers by scanning recs; an entity that retains more builds byTxn the
 // first time an id has to be looked up.
@@ -212,11 +209,11 @@ const txnSpill = 8
 //
 // recs doubles as the exactly-once index (ErrDuplicateTxn, MarkObsolete by
 // transaction id): a transaction id is remembered exactly as long as the
-// record it wrote is retained, because it lives in that record's recRef.
-// What bounds the index is therefore what bounds the record list — Compact
-// drops an entity's records, ids included, once they are all at or below its
-// horizon; cold eviction only ever takes entries that retain none — and
-// whatever rebuilds the list (LoadRecord under Recover, Load and
+// record it wrote is retained, because it is read from that record's header
+// in the log. What bounds the index is therefore what bounds the record list
+// — Compact drops an entity's records, ids included, once they are all at or
+// below its horizon; cold eviction only ever takes entries that retain none —
+// and whatever rebuilds the list (LoadRecord under Recover, Load and
 // IngestShipped) rebuilds the index with it.
 type entry struct {
 	// cache is the materialised current state, the full rollup as of head
@@ -226,10 +223,10 @@ type entry struct {
 	cache cachedState
 	head  uint64
 
-	// recs lists the retained records, LSN ascending; the first two live in
-	// recRoom, so most entities never allocate a list.
-	recs    []recRef
-	recRoom [2]recRef
+	// recs lists the LSNs of the retained records, ascending; the first two
+	// live in recRoom, so most entities never allocate a list.
+	recs    []uint64
+	recRoom [2]uint64
 	// hiPrefix and hiSeq are the high-water mark of the exactly-once index:
 	// every retained id that splitTxnID reads as hiPrefix plus a number has a
 	// number at or below hiSeq. hiPrefix is the prefix of the first such id
@@ -270,7 +267,7 @@ func (e *entry) headLSN() uint64 {
 	if len(e.recs) == 0 {
 		return 0
 	}
-	return e.recs[len(e.recs)-1].lsn
+	return e.recs[len(e.recs)-1]
 }
 
 // splitTxnID reads id as a non-empty prefix followed by a decimal number of
@@ -301,16 +298,17 @@ func (e *entry) aboveMark(id string) (prefix string, seq uint64, above bool) {
 	return prefix, seq, ok && (e.hiPrefix == "" || (prefix == e.hiPrefix && seq > e.hiSeq))
 }
 
-// txnLSN returns the LSN of the retained record transaction id wrote: the
-// exact lookup, for an id not above the mark (one minted earlier and
-// committed later, a foreign or client-chosen one) and for MarkObsolete. The
-// caller holds the shard's write lock.
-func (e *entry) txnLSN(id string) (uint64, bool) {
+// txnLSNLocked returns the LSN of the retained record of e that transaction
+// id wrote: the exact lookup, for an id not above the mark (one minted earlier
+// and committed later, a foreign or client-chosen one) and for MarkObsolete.
+// It reads the ids from the records' headers in the log. The caller holds the
+// shard's write lock.
+func (s *shard) txnLSNLocked(e *entry, id string) (uint64, bool) {
 	if e.byTxn == nil && len(e.recs) > txnSpill {
 		e.byTxn = make(map[string]uint64, 2*len(e.recs))
-		for _, r := range e.recs {
-			if r.txn != "" {
-				e.byTxn[r.txn] = r.lsn
+		for _, lsn := range e.recs {
+			if h, ok := s.headerLocked(lsn); ok && len(h.TxnID) > 0 {
+				e.byTxn[string(h.TxnID)] = lsn
 			}
 		}
 	}
@@ -319,8 +317,8 @@ func (e *entry) txnLSN(id string) (uint64, bool) {
 		return lsn, ok
 	}
 	for i := len(e.recs) - 1; i >= 0; i-- {
-		if e.recs[i].txn == id {
-			return e.recs[i].lsn, true
+		if h, ok := s.headerLocked(e.recs[i]); ok && string(h.TxnID) == id {
+			return e.recs[i], true
 		}
 	}
 	return 0, false
@@ -331,9 +329,14 @@ func (e *entry) addRec(lsn uint64, txn string) {
 	if e.recs == nil {
 		e.recs = e.recRoom[:0]
 	}
-	e.recs = append(e.recs, recRef{lsn: lsn, txn: txn})
+	e.recs = append(e.recs, lsn)
 	if prefix, seq, above := e.aboveMark(txn); above {
-		e.hiPrefix, e.hiSeq = prefix, seq
+		// Keep the prefix already held rather than one inside each new id,
+		// which would keep that whole id alive.
+		if prefix != e.hiPrefix {
+			e.hiPrefix = prefix
+		}
+		e.hiSeq = seq
 	}
 	if e.byTxn != nil && txn != "" {
 		e.byTxn[txn] = lsn
@@ -343,7 +346,7 @@ func (e *entry) addRec(lsn uint64, txn string) {
 // dropRecs forgets the entity's records (Compact removed them from the log)
 // and everything derived from them.
 func (e *entry) dropRecs() {
-	e.recs, e.recRoom, e.byTxn = nil, [2]recRef{}, nil
+	e.recs, e.recRoom, e.byTxn = nil, [2]uint64{}, nil
 	e.hiPrefix, e.hiSeq = "", 0
 	e.cache.drop()
 	e.snap = snapshot{}
@@ -358,9 +361,17 @@ type dirtyRef struct {
 // shard is one lock stripe of the store: a self-contained log plus the
 // entries of the entities that hash to it.
 type shard struct {
-	mu     sync.RWMutex
-	sealed [][]Record // sealed segments, each LSN ascending
-	active []Record   // current segment; its capacity is its sealing size
+	mu sync.RWMutex
+	// The resident log (segment.go): sealed segments, then the active one
+	// (sealed at SegmentSize records), all encoded; nextSlab sizes the next
+	// segment's slab.
+	sealed   []segment
+	active   segment
+	nextSlab int
+	// cycle holds the records of the commit cycle in progress as Go values,
+	// for the backend, the sink and the hook; it is cleared after each cycle
+	// and reused.
+	cycle []Record
 	// entries holds one entry per entity. An entry that ever existed (see
 	// entry.exists) is never removed, so pointers to it stay good across
 	// lock holds; only an entry a failed first append left empty is.
@@ -373,8 +384,9 @@ type shard struct {
 	dirty     []dirtyRef
 	archivedN int
 
-	// lookups, when a test sets it, counts entry-map lookups.
-	lookups *atomic.Uint64
+	// lookups and decodes, when a test sets them, count entry-map lookups
+	// and records decoded from the log.
+	lookups, decodes *atomic.Uint64
 
 	// Group-commit queue (Options.GroupCommit): pending appends awaiting a
 	// leader drain. qmu only ever guards these two fields and is never held
@@ -438,41 +450,6 @@ func (db *DB) markDirtyLocked(s *shard, key entity.Key, e *entry) {
 	if db.tiered != nil && !e.dirty {
 		e.dirty = true
 		s.dirty = append(s.dirty, dirtyRef{key: key, e: e})
-	}
-}
-
-// reserveLocked extends the active segment by n slots and returns them; the
-// caller fills them in and either installs them or, when the backend refuses
-// the append, gives them back with withdrawLocked. Between the two the slots
-// belong to the caller alone: it holds the shard's write lock throughout, so
-// no reader sees a reserved slot. A batch that does not fit the active
-// segment seals it short.
-func (s *shard) reserveLocked(n, segmentSize int) []Record {
-	if len(s.active)+n > cap(s.active) {
-		if len(s.active) > 0 {
-			s.sealed = append(s.sealed, s.active)
-		}
-		// A segment is sealed at exactly its capacity; growing to that by
-		// doubling would allocate and copy it twice over.
-		s.active = make([]Record, 0, max(segmentSize, n))
-	}
-	at := len(s.active)
-	s.active = s.active[:at+n]
-	return s.active[at : at+n : at+n]
-}
-
-// withdrawLocked gives back the n slots reserved last.
-func (s *shard) withdrawLocked(n int) {
-	at := len(s.active) - n
-	clear(s.active[at:])
-	s.active = s.active[:at]
-}
-
-// sealFullLocked seals the active segment once it is full.
-func (s *shard) sealFullLocked() {
-	if len(s.active) > 0 && len(s.active) == cap(s.active) {
-		s.sealed = append(s.sealed, s.active)
-		s.active = nil
 	}
 }
 
@@ -597,14 +574,14 @@ func (db *DB) Types() []string {
 	return out
 }
 
-// AppendResult reports the outcome of an append. Record points at the record
-// where it sits in the log: read it, copy it to keep it, never write through
-// it (compaction replaces segments rather than rewriting them, so the record
-// stays as it was committed; only MarkObsolete of this very transaction
-// touches it). The new current state is not part of the result: a caller
-// that wants it asks Current, which lends it (cached.go).
+// AppendResult reports the outcome of an append. Record is a copy of the
+// record as it was committed, LSN assigned; the log keeps its own, encoded
+// (segment.go), so nothing the caller does to the copy reaches the log. Its
+// Ops are the operations the append was given, after sanitization. The new
+// current state is not part of the result: a caller that wants it asks
+// Current, which lends it (cached.go).
 type AppendResult struct {
-	Record   *Record
+	Record   Record
 	Warnings []entity.Warning
 }
 
@@ -655,31 +632,28 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 		s.mu.Unlock()
 		return AppendResult{}, err
 	}
-	// The record is built once, in the segment slot it will live in.
-	// Log-first: it reaches the durable backend (which assigns the cycle its
-	// LSN run atomically under logMu) before anything is installed in memory.
-	// A refusal is clean — the slot is withdrawn, no state changed, the writer
-	// gets the typed degraded error. See degraded.go.
-	slot := s.reserveLocked(1, db.opts.SegmentSize)
-	slot[0] = Record{
+	// Log-first: the record reaches the durable backend (which assigns the
+	// cycle its LSN run atomically under logMu) before anything is installed
+	// in memory. A refusal is clean — no state changed, the writer gets the
+	// typed degraded error. See degraded.go.
+	recs := append(s.cycle[:0], Record{
 		Key:       key,
 		Ops:       ops,
 		Stamp:     stamp,
 		Origin:    origin,
 		TxnID:     txnID,
 		Tentative: tentative,
-	}
-	if err := db.logAppend(slot); err != nil {
-		s.withdrawLocked(1)
+	})
+	if err := db.writeCycleLocked(s, recs); err != nil {
 		next.Recycle()
 		s.dropIfEmptyLocked(key, e)
 		s.mu.Unlock()
 		return AppendResult{}, err
 	}
-	res := AppendResult{Record: &slot[0], Warnings: warnings}
-	db.commitAppendLocked(s, e, &slot[0], next)
-	s.sealFullLocked()
-	wait := db.postCommitLocked(slot)
+	res := AppendResult{Record: recs[0], Warnings: warnings}
+	db.commitAppendLocked(s, e, &recs[0], next)
+	wait := db.postCommitLocked(recs)
+	s.endCycleLocked(recs)
 	s.mu.Unlock()
 	// The replication ack wait happens with no lock held: readers and other
 	// writers of the shard proceed while this writer blocks on its acks.
@@ -713,7 +687,7 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 		return nil, nil, err
 	}
 	if _, _, fresh := e.aboveMark(txnID); txnID != "" && !fresh {
-		if _, dup := e.txnLSN(txnID); dup {
+		if _, dup := s.txnLSNLocked(e, txnID); dup {
 			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
 		}
 	}
@@ -764,11 +738,39 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 	return next, warnings, nil
 }
 
-// commitAppendLocked installs one applied append whose record already sits
-// in its segment slot with its LSN assigned: the record is listed in the
-// entity's entry, and the frozen new state becomes the cached state and,
-// every SnapshotEvery records, the snapshot fallback. The caller holds the
-// shard's write lock.
+// writeCycleLocked puts a commit cycle's records in the log: the durable
+// backend first (logAppend, which assigns their LSNs), then the resident log,
+// encoded. recs is the shard's cycle scratch; on an error it is ended here,
+// and nothing of the cycle is in memory. The caller holds the shard's write
+// lock.
+func (db *DB) writeCycleLocked(s *shard, recs []Record) error {
+	err := db.logAppend(recs)
+	if err == nil {
+		var n int64
+		// Sanitized records always encode. One that does not was refused
+		// by a WAL's own encode already; without a WAL it fails here,
+		// after taking its LSNs.
+		if n, err = s.installLocked(recs, db.opts.SegmentSize); err == nil && db.flush != nil {
+			db.flush.bytes.Add(n)
+		}
+	}
+	if err != nil {
+		s.endCycleLocked(recs)
+	}
+	return err
+}
+
+// endCycleLocked clears a commit cycle's records, which the backend, the sink
+// and the hook are done with, and keeps their array for the next cycle.
+func (s *shard) endCycleLocked(recs []Record) {
+	clear(recs)
+	s.cycle = recs[:0]
+}
+
+// commitAppendLocked installs one applied append whose record is already in
+// the log with its LSN assigned: the record is listed in the entity's entry,
+// and the frozen new state becomes the cached state and, every SnapshotEvery
+// records, the snapshot fallback. The caller holds the shard's write lock.
 func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.State) {
 	e.addRec(rec.LSN, rec.TxnID)
 	db.markDirtyLocked(s, rec.Key, e)
@@ -799,16 +801,11 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	var lsn uint64
 	ok := false
 	if e != nil {
-		lsn, ok = e.txnLSN(txnID)
+		lsn, ok = s.txnLSNLocked(e, txnID)
 	}
 	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
-	}
-	rec := s.recordAtLocked(lsn)
-	if rec == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: lsn %d", ErrNotFound, lsn)
 	}
 	// The record is already durable without its obsolete flag; log the
 	// history rewrite as a mark so recovery re-applies it — log-first, like
@@ -821,7 +818,9 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 		s.mu.Unlock()
 		return err
 	}
-	rec.Obsolete = true
+	// The one write to a committed record: its flag byte, in place, under
+	// the write lock every reader of the log excludes.
+	s.markObsoleteLocked(lsn)
 	db.markDirtyLocked(s, key, e)
 	// The materialised state folded the withdrawn record in; drop it so the
 	// next read rebuilds from the log. The snapshot only has to go if it
@@ -845,31 +844,6 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 		}
 	}
 	return nil
-}
-
-// recordAtLocked returns a pointer to the record with the given LSN, or nil
-// if it was compacted away or lives in another shard. Records within each
-// segment are in ascending LSN order (compaction preserves order), so a
-// binary search per segment works.
-func (s *shard) recordAtLocked(lsn uint64) *Record {
-	find := func(seg []Record) *Record {
-		i := sort.Search(len(seg), func(i int) bool { return seg[i].LSN >= lsn })
-		if i < len(seg) && seg[i].LSN == lsn {
-			return &seg[i]
-		}
-		return nil
-	}
-	for si := range s.sealed {
-		seg := s.sealed[si]
-		if len(seg) == 0 || seg[len(seg)-1].LSN < lsn {
-			continue
-		}
-		if seg[0].LSN > lsn {
-			return nil
-		}
-		return find(seg)
-	}
-	return find(s.active)
 }
 
 // Current returns the rollup of an entity's records: its current state and
@@ -966,7 +940,7 @@ func (e *entry) rollupIsArchived() bool {
 	if e.archived == nil || (e.snap.state != nil && e.snap.lsn >= e.archivedAt) {
 		return false
 	}
-	return len(e.recs) == 0 || e.recs[len(e.recs)-1].lsn <= e.archivedAt
+	return len(e.recs) == 0 || e.headLSN() <= e.archivedAt
 }
 
 // rollupToLocked is the rollup bounded to records at or below limit; the
@@ -984,15 +958,15 @@ func (s *shard) rollupToLocked(e *entry, key entity.Key, typ *entity.Type, limit
 	} else {
 		base = entity.NewState(key)
 	}
-	for _, r := range e.recs {
-		if r.lsn <= startLSN {
+	for _, lsn := range e.recs {
+		if lsn <= startLSN {
 			continue
 		}
-		if r.lsn > limit {
+		if lsn > limit {
 			break
 		}
-		rec := s.recordAtLocked(r.lsn)
-		if rec == nil || rec.Obsolete {
+		rec, ok := s.recordLocked(lsn)
+		if !ok || rec.Obsolete {
 			continue
 		}
 		// Rollup always uses managed application; an error here means a
@@ -1032,12 +1006,12 @@ func (db *DB) AsOf(key entity.Key, ts clock.Timestamp) (*entity.State, error) {
 		state = e.archived.Clone()
 	}
 	found := e.archived != nil
-	for _, r := range e.recs {
-		if r.lsn <= e.archivedAt {
+	for _, lsn := range e.recs {
+		if lsn <= e.archivedAt {
 			continue // already folded into the archived summary
 		}
-		rec := s.recordAtLocked(r.lsn)
-		if rec == nil || rec.Obsolete {
+		rec, ok := s.recordLocked(lsn)
+		if !ok || rec.Obsolete {
 			continue
 		}
 		if rec.Stamp.Compare(ts) == clock.After {
@@ -1083,12 +1057,12 @@ func (db *DB) History(key entity.Key) (*entity.History, error) {
 		state = e.archived.Clone()
 	}
 	var seq uint64
-	for _, r := range e.recs {
-		if r.lsn <= e.archivedAt {
+	for _, lsn := range e.recs {
+		if lsn <= e.archivedAt {
 			continue // already folded into the archived summary
 		}
-		rec := s.recordAtLocked(r.lsn)
-		if rec == nil {
+		rec, ok := s.recordLocked(lsn)
+		if !ok {
 			continue
 		}
 		seq++
@@ -1127,6 +1101,15 @@ func (db *DB) History(key entity.Key) (*entity.History, error) {
 // committed to an already-released shard, and watermark-based consumers
 // would then skip that record forever.
 func (db *DB) RecordsAfter(after uint64) []Record {
+	return db.RecordsAfterN(after, 0)
+}
+
+// RecordsAfterN is RecordsAfter bounded to the first limit records of the
+// tail (in LSN order); limit <= 0 means unbounded. Streaming catch-up serves
+// chunk-sized tails this way so one response never carries the whole log: a
+// chunk costs a binary search per shard and the decode of the records it
+// returns, wherever in the log it starts.
+func (db *DB) RecordsAfterN(after uint64, limit int) []Record {
 	for _, s := range db.shards {
 		s.mu.RLock()
 	}
@@ -1135,56 +1118,42 @@ func (db *DB) RecordsAfter(after uint64) []Record {
 			s.mu.RUnlock()
 		}
 	}()
-	return db.recordsAfterLocked(after)
+	return db.recordsAfterLocked(after, limit)
 }
 
-// recordsAfterLocked is RecordsAfter's body; the caller holds (at least) a
-// read lock on every shard, so the result is one atomic cut of the log.
-func (db *DB) recordsAfterLocked(after uint64) []Record {
-	// First pass: locate the qualifying suffix of every segment (segments are
-	// LSN-ascending, so one binary search per segment) and pre-size the merge
-	// buffer exactly instead of growing it append by append.
-	type run struct {
-		seg   []Record
-		start int
-	}
-	var runs []run
+// recordsAfterLocked is RecordsAfterN's body; the caller holds (at least) a
+// read lock on every shard, so the result is one atomic cut of the log. Each
+// shard's log is one LSN-ascending run: a cursor per shard starts at its
+// first record above after, and a k-way merge of the cursors decodes records
+// in log order until limit of them are out.
+func (db *DB) recordsAfterLocked(after uint64, limit int) []Record {
+	cursors := make([]logCursor, 0, len(db.shards))
 	total := 0
 	for _, s := range db.shards {
-		collect := func(seg []Record) {
-			if len(seg) == 0 || seg[len(seg)-1].LSN <= after {
-				return
-			}
-			start := sort.Search(len(seg), func(i int) bool { return seg[i].LSN > after })
-			if start == len(seg) {
-				return
-			}
-			runs = append(runs, run{seg: seg, start: start})
-			total += len(seg) - start
+		if c := s.cursorAfterLocked(after); c.valid() {
+			cursors = append(cursors, c)
+			total += c.remaining()
 		}
-		for _, seg := range s.sealed {
-			collect(seg)
-		}
-		collect(s.active)
+	}
+	if limit > 0 {
+		total = min(total, limit)
 	}
 	out := make([]Record, 0, total)
-	for _, r := range runs {
-		out = append(out, r.seg[r.start:]...)
+	for len(out) < total {
+		low := 0
+		for k := 1; k < len(cursors); k++ {
+			if cursors[k].lsn() < cursors[low].lsn() {
+				low = k
+			}
+		}
+		c := &cursors[low]
+		out = append(out, c.s.decodeLocked(c.segment(), c.i))
+		if c.next(); !c.valid() {
+			cursors[low] = cursors[len(cursors)-1]
+			cursors = cursors[:len(cursors)-1]
+		}
 	}
-	// Each shard contributed an ascending run; merge them into one log order.
-	sort.Slice(out, func(i, j int) bool { return out[i].LSN < out[j].LSN })
 	return out
-}
-
-// RecordsAfterN is RecordsAfter bounded to the first limit records of the
-// tail (in LSN order); limit <= 0 means unbounded. Streaming catch-up serves
-// chunk-sized tails this way so one response never carries the whole log.
-func (db *DB) RecordsAfterN(after uint64, limit int) []Record {
-	recs := db.RecordsAfter(after)
-	if limit > 0 && len(recs) > limit {
-		recs = recs[:limit:limit]
-	}
-	return recs
 }
 
 // RecordsFor returns all records of one entity in LSN order.
@@ -1197,9 +1166,9 @@ func (db *DB) RecordsFor(key entity.Key) []Record {
 		return nil
 	}
 	var out []Record
-	for _, r := range e.recs {
-		if rec := s.recordAtLocked(r.lsn); rec != nil {
-			out = append(out, *rec)
+	for _, lsn := range e.recs {
+		if rec, ok := s.recordLocked(lsn); ok {
+			out = append(out, rec)
 		}
 	}
 	return out
@@ -1319,7 +1288,8 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 	for _, s := range db.shards {
 		s.mu.Lock()
 		stats.RecordsBefore += s.lenLocked()
-		drop := map[entity.Key]*entry{}
+		var drop []*entry
+		var gone []uint64 // the LSNs of their records
 		for key, e := range s.entries {
 			if len(e.recs) == 0 {
 				continue
@@ -1335,38 +1305,17 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 				s.setArchivedLocked(e, s.rollupLocked(e, key, typ).Freeze())
 				e.archivedAt = e.headLSN()
 				db.markDirtyLocked(s, key, e)
-				drop[key] = e
+				drop = append(drop, e)
+				gone = append(gone, e.recs...)
 				stats.Summarised++
 			} else {
 				stats.EntitiesKept++
 			}
 		}
 		if len(drop) > 0 {
-			// A segment that loses records is replaced, not rewritten: a
-			// record once committed never moves or changes under a pointer
-			// handed out by Append (AppendResult.Record).
-			rewrite := func(seg []Record, capacity int) []Record {
-				kept := 0
-				for i := range seg {
-					if drop[seg[i].Key] == nil {
-						kept++
-					}
-				}
-				if kept == len(seg) {
-					return seg
-				}
-				out := make([]Record, 0, max(kept, capacity))
-				for i := range seg {
-					if drop[seg[i].Key] == nil {
-						out = append(out, seg[i])
-					}
-				}
-				return out
-			}
-			for i := range s.sealed {
-				s.sealed[i] = rewrite(s.sealed[i], 0)
-			}
-			s.active = rewrite(s.active, cap(s.active))
+			// Only the kept records' bytes are copied (segment.go).
+			slices.Sort(gone)
+			s.dropLocked(gone)
 			for _, e := range drop {
 				// The records are gone, and the materialised state would now
 				// shadow the archived summary: the next read rebuilds from
@@ -1398,14 +1347,6 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 		}
 	}
 	return stats
-}
-
-func (s *shard) lenLocked() int {
-	n := len(s.active)
-	for _, seg := range s.sealed {
-		n += len(seg)
-	}
-	return n
 }
 
 // --- Durable storage ---------------------------------------------------------
@@ -1451,7 +1392,7 @@ func (db *DB) Checkpoint() error {
 				}
 			}
 		}
-		for _, rec := range db.recordsAfterLocked(0) {
+		for _, rec := range db.recordsAfterLocked(0, 0) {
 			if err := put(rec); err != nil {
 				return err
 			}

@@ -311,7 +311,7 @@ func (db *DB) ExportCut() ([]SummaryEntry, []Record) {
 	for _, s := range db.shards {
 		summaries = s.summariesLocked(summaries)
 	}
-	return sortSummaries(summaries), db.recordsAfterLocked(0)
+	return sortSummaries(summaries), db.recordsAfterLocked(0, 0)
 }
 
 // summariesLocked appends the shard's archived summaries to out, in no
@@ -386,30 +386,40 @@ func (db *DB) Load(r io.Reader) error {
 			return fmt.Errorf("lsdb: load: %w", err)
 		}
 		rec, err := FromPersisted(pr)
+		if err == nil {
+			err = db.LoadRecord(rec)
+		}
 		if err != nil {
 			return fmt.Errorf("lsdb: load: %w", err)
 		}
-		db.LoadRecord(rec)
 	}
 }
 
 // LoadRecord installs one already-sealed record through the bulk-load path:
 // no validation or state application, straight into the owning shard's log
-// and indexes. Records for one entity must arrive in ascending LSN order
-// (global LSN order, as Save/Replay produce, satisfies this for every shard
-// count). The LSN sequence advances past the record so later appends never
-// collide.
-func (db *DB) LoadRecord(rec Record) {
+// and indexes. Records must arrive in ascending LSN order per shard (global
+// LSN order, as Save/Replay produce, satisfies this for every shard count).
+// The LSN sequence advances past the record so later appends never collide.
+// The record goes in as an append whatever its Kind says. The one error is a
+// record whose values cannot be encoded, which no decoder of this package or
+// of storage produces.
+func (db *DB) LoadRecord(rec Record) error {
+	rec.Kind = storage.KindAppend
 	s := db.shardFor(rec.Key)
 	s.mu.Lock()
-	s.reserveLocked(1, db.opts.SegmentSize)[0] = rec
-	s.sealFullLocked()
+	defer s.mu.Unlock()
+	recs := append(s.cycle[:0], rec)
+	_, err := s.installLocked(recs, db.opts.SegmentSize)
+	s.endCycleLocked(recs)
+	if err != nil {
+		return err
+	}
 	e := s.ensure(rec.Key)
 	e.addRec(rec.LSN, rec.TxnID)
 	e.cache.drop()
 	db.markDirtyLocked(s, rec.Key, e)
 	db.lsn.AdvanceTo(rec.LSN)
-	s.mu.Unlock()
+	return nil
 }
 
 // IngestShipped installs replicated records that arrive *after* a store has
@@ -447,8 +457,9 @@ func (db *DB) IngestShipped(recs []Record) error {
 					return fmt.Errorf("lsdb: ingest append: %w", err)
 				}
 			}
-			rec.Kind, rec.Horizon, rec.Summary = 0, 0, nil
-			db.LoadRecord(rec)
+			if err := db.LoadRecord(rec); err != nil {
+				return fmt.Errorf("lsdb: ingest append: %w", err)
+			}
 		default:
 			return fmt.Errorf("lsdb: ingest: unknown record kind %d", rec.Kind)
 		}
@@ -632,8 +643,9 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 			}
 			mi++
 		}
-		records[i].Kind, records[i].Horizon, records[i].Summary = 0, 0, nil
-		db.LoadRecord(records[i])
+		if err := db.LoadRecord(records[i]); err != nil {
+			return nil, fmt.Errorf("lsdb: recover: %w", err)
+		}
 	}
 	for ; mi < len(marks); mi++ {
 		if err := apply(marks[mi].mark); err != nil {

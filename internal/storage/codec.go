@@ -170,16 +170,23 @@ func (d *decoder) byte() (byte, error) {
 }
 
 func (d *decoder) string() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// bytes reads a length-prefixed string without copying it: the result
+// aliases the payload.
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if uint64(len(d.b)) < n {
-		return "", &codecError{msg: "truncated string"}
+		return nil, &codecError{msg: "truncated string"}
 	}
-	s := string(d.b[:n])
+	b := d.b[:n:n]
 	d.b = d.b[n:]
-	return s, nil
+	return b, nil
 }
 
 func (d *decoder) float() (float64, error) {
@@ -469,6 +476,73 @@ func DecodeRecord(payload []byte) (WALRecord, error) {
 		}
 	}
 	return rec, nil
+}
+
+// AppendHeader is what the prefix of an encoded append record says without
+// its operations being decoded: enough for an exactly-once lookup, a flush's
+// settled horizon and an in-place obsolete mark.
+type AppendHeader struct {
+	// TxnID aliases the payload: compare it, or copy it to keep it.
+	TxnID     []byte
+	Tentative bool
+	Obsolete  bool
+	flagsAt   int
+}
+
+// ReadAppendHeader parses a KindAppend payload up to and including its flag
+// byte.
+func ReadAppendHeader(payload []byte) (AppendHeader, error) {
+	d := &decoder{b: payload}
+	kind, err := d.byte()
+	if err != nil {
+		return AppendHeader{}, err
+	}
+	if RecordKind(kind) != KindAppend {
+		return AppendHeader{}, &codecError{msg: fmt.Sprintf("record kind 0x%02x is not an append", kind)}
+	}
+	if _, err := d.uvarint(); err != nil { // LSN
+		return AppendHeader{}, err
+	}
+	for range 2 { // key type and id
+		if _, err := d.bytes(); err != nil {
+			return AppendHeader{}, err
+		}
+	}
+	if _, err := d.varint(); err != nil { // stamp wall clock
+		return AppendHeader{}, err
+	}
+	if _, err := d.uvarint(); err != nil { // stamp logical counter
+		return AppendHeader{}, err
+	}
+	for range 2 { // stamp node and origin
+		if _, err := d.bytes(); err != nil {
+			return AppendHeader{}, err
+		}
+	}
+	var h AppendHeader
+	if h.TxnID, err = d.bytes(); err != nil {
+		return AppendHeader{}, err
+	}
+	flags, err := d.byte()
+	if err != nil {
+		return AppendHeader{}, err
+	}
+	h.Tentative = flags&flagTentative != 0
+	h.Obsolete = flags&flagObsolete != 0
+	h.flagsAt = len(payload) - len(d.b) - 1
+	return h, nil
+}
+
+// MarkObsolete sets the obsolete flag of an encoded append record in place:
+// the payload then decodes as the record with Obsolete set, exactly as if it
+// had been encoded that way.
+func MarkObsolete(payload []byte) error {
+	h, err := ReadAppendHeader(payload)
+	if err != nil {
+		return err
+	}
+	payload[h.flagsAt] |= flagObsolete
+	return nil
 }
 
 func (d *decoder) op(op *entity.Op) error {

@@ -159,3 +159,47 @@ func TestCodecTruncatedPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecAppendHeader pins what the in-memory log reads without decoding
+// ops: the header's txn id and flags match the record, MarkObsolete sets the
+// flag in place and changes nothing else, a mark or a cut short header is an
+// error.
+func TestCodecAppendHeader(t *testing.T) {
+	for _, rec := range []WALRecord{
+		{LSN: 1 << 40, Key: entity.Key{Type: "Order", ID: "O-1"}, Ops: []entity.Op{entity.Delta("total", 2)},
+			Stamp: clock.Timestamp{WallNanos: -5, Logical: 3, Node: "n1"}, Origin: "n2", TxnID: "n1-txn-17", Tentative: true},
+		{LSN: 2, Key: entity.Key{Type: "A", ID: "x"}, Ops: []entity.Op{entity.Set("s", "v")}},
+	} {
+		b, err := EncodeRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadAppendHeader(b)
+		if err != nil || string(h.TxnID) != rec.TxnID || h.Tentative != rec.Tentative || h.Obsolete {
+			t.Fatalf("header %+v (%v) of %+v", h, err, rec)
+		}
+		for cut := 0; cut <= h.flagsAt; cut++ {
+			if _, err := ReadAppendHeader(b[:cut]); err == nil {
+				t.Fatalf("header of %d/%d bytes read", cut, len(b))
+			}
+		}
+		if err := MarkObsolete(b); err != nil {
+			t.Fatal(err)
+		}
+		if h, _ := ReadAppendHeader(b); !h.Obsolete || h.Tentative != rec.Tentative {
+			t.Fatalf("flags after MarkObsolete: %+v", h)
+		}
+		got, err := DecodeRecord(b)
+		rec.Obsolete = true
+		if err != nil || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("after MarkObsolete decodes as %+v (%v), want %+v", got, err, rec)
+		}
+	}
+	mark, _ := EncodeRecord(nil, &WALRecord{Kind: KindObsolete, Key: entity.Key{Type: "A", ID: "x"}, TxnID: "t"})
+	if _, err := ReadAppendHeader(mark); err == nil {
+		t.Fatal("an obsolete mark read as an append header")
+	}
+	if err := MarkObsolete(mark); err == nil {
+		t.Fatal("MarkObsolete changed a mark")
+	}
+}

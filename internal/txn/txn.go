@@ -451,7 +451,7 @@ func (t *Txn) commit(q *queue.Queue, res *CommitResult) error {
 			return err
 		}
 		if res != nil {
-			records = append(records, *ar.Record)
+			records = append(records, ar.Record)
 			warnings = append(warnings, ar.Warnings...)
 		}
 	}
