@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck tables clean
+.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck clean
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ race:
 ownership-race:
 	$(GO) test -race -count=10 -run 'TestResidentLogRoundTrip|TestResidentLogConcurrent|TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
 
-# The E1..E20 experiment benchmarks (see EXPERIMENTS.md).
+# The E1..E22 experiment benchmarks (see EXPERIMENTS.md).
 bench:
 	$(GO) test -run xxx -bench BenchmarkE -benchtime 200x ./...
 
@@ -49,9 +49,10 @@ bench-test:
 # backlog (BenchmarkQueueDrain, which fails otherwise); the E19 worker
 # sweep; and that the resident log gives the collector next to nothing to
 # scan (TestResidentLogIsNoscan: scannable and live heap bytes per retained
-# record, each under its budget).
+# record, each under its budget); and what recording one latency costs the
+# commit path, every P recording into one histogram (BenchmarkHistogramRecord).
 bench-steps:
-	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget|TestResidentLogIsNoscan' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19' -benchmem . ./internal/queue ./internal/process ./internal/lsdb
+	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget|TestResidentLogIsNoscan' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19|BenchmarkHistogramRecord' -benchmem . ./internal/queue ./internal/process ./internal/lsdb ./internal/metrics
 
 # The HTTP edge on its own: one data-path request (POST delta, POST set of
 # three fields, GET, GET history) through its soupsd handler over an in-memory
@@ -99,14 +100,14 @@ bench-replication:
 # quiesced legacy checkpoint vs an off-hot-path tiered flush, and recovery
 # time as history grows; the cold tier's bulk paths as components (one L1
 # compaction pass, one flush capture; keys/s, B/op, allocs/op) and its point
-# path (one summary lookup through bloom and sparse index) — then the
-# harness regenerates the BENCH_E22.json trajectory file so successive PRs
-# can diff the numbers.
+# path (one summary lookup through bloom and sparse index). The E22 run is
+# kept in BENCH_E22.txt, Go's standard benchmark format, so successive
+# changes can diff it (benchstat reads it as is).
 bench-lsm:
-	$(GO) test -run xxx -bench 'BenchmarkE22' -benchtime 200x .
+	$(GO) test -run xxx -bench 'BenchmarkE22' -benchtime 200x -benchmem . > BENCH_E22.txt
+	cat BENCH_E22.txt
 	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 20x -benchmem ./internal/lsm ./internal/lsdb
 	$(GO) test -run xxx -bench BenchmarkLookupSummary -benchmem ./internal/lsm
-	$(GO) run ./cmd/benchharness -only E22 -json BENCH_E22.json
 
 # The E23 end-to-end SLO run (see docs/BENCHMARKING.md): the open-loop load
 # harness drives the four business scenarios against a managed soupsd over a
@@ -174,11 +175,6 @@ slo-smoke:
 linkcheck:
 	./scripts/linkcheck.sh
 
-# Plain-text experiment tables without the Go test machinery; the same run
-# refreshes the BENCH_ALL.json trajectory file.
-tables:
-	$(GO) run ./cmd/benchharness -json BENCH_ALL.json
-
 clean:
 	$(GO) clean ./...
-	rm -f soupsd soupsctl benchharness soupsbench
+	rm -f soupsd soupsctl soupsbench

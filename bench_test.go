@@ -1,10 +1,14 @@
-// Benchmarks E1..E19: one per experiment in DESIGN.md / EXPERIMENTS.md.
+// Benchmarks E1..E22: one per experiment in DESIGN.md / EXPERIMENTS.md, and
+// the only definition of each (E23 is cmd/soupsbench).
 //
 // The paper publishes no tables or figures, so each benchmark
 // operationalises one of its qualitative claims as a comparison between the
 // principled design and the conventional baseline. Numbers are reported as
 // ns/op plus experiment-specific metrics via b.ReportMetric (aborts/op,
-// apology rate, availability, lost updates, convergence time, ...).
+// apology rate, availability, lost updates, convergence rounds, ...), and an
+// outcome the experiment guarantees (operation replay loses nothing, the
+// majority side of a quorum stays writable, anti-entropy converges) fails
+// the run when it does not hold.
 package repro_test
 
 import (
@@ -26,6 +30,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/lsdb"
 	"repro/internal/lsm"
+	"repro/internal/metrics"
 	"repro/internal/migrate"
 	"repro/internal/netsim"
 	"repro/internal/process"
@@ -67,6 +72,13 @@ func BenchmarkE1AggregateSyncVsDeferred(b *testing.B) {
 				}
 			})
 			b.StopTimer()
+			// Records the aggregate has not folded in yet when the load
+			// stops: none when maintained synchronously.
+			stale := k.AggregateStaleness()
+			if !deferred && stale != 0 {
+				b.Fatalf("synchronous aggregate %d records behind", stale)
+			}
+			b.ReportMetric(float64(stale), "stale-records")
 			k.CatchUpAggregates()
 			total, _ := k.Sum("revenue", "")
 			if total != float64(seq.Load())*10 {
@@ -88,18 +100,22 @@ func BenchmarkE2SoupsVs2PC(b *testing.B) {
 				}
 				k := mustKernel(b, repro.Options{Node: "e2", Units: 4, Consistency: consistency})
 				gen := workload.NewTransfers(42, 1000, cross)
+				lat := metrics.NewHistogram()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					tr := gen.Next()
+					t0 := time.Now()
 					err := k.TransactMulti([]repro.MultiWrite{
 						{Key: tr.From, Ops: []repro.Op{repro.Delta("balance", -tr.Amount)}},
 						{Key: tr.To, Ops: []repro.Op{repro.Delta("balance", tr.Amount)}},
 					})
+					lat.Record(time.Since(t0))
 					if err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
+				b.ReportMetric(float64(lat.Quantile(0.99))/1e3, "p99-us")
 				if consistency == repro.EventualSOUPS {
 					k.Drain() // deliver the queued halves before verifying
 				}
@@ -138,6 +154,7 @@ func BenchmarkE3ConcurrencyControl(b *testing.B) {
 			})
 			b.StopTimer()
 			b.ReportMetric(float64(aborts.Load())/float64(b.N), "aborts/op")
+			b.ReportMetric(float64(mgr.Stats().LockTimeouts)/float64(b.N), "lock-timeouts/op")
 		})
 	}
 }
@@ -155,7 +172,7 @@ func BenchmarkE4ConflictResolution(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			base := entity.NewState(key)
 			base.Fields["balance"] = float64(0)
-			var lost int
+			var lost, correct int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Two replicas concurrently deposit different amounts.
@@ -174,38 +191,60 @@ func BenchmarkE4ConflictResolution(b *testing.B) {
 					b.Fatal(err)
 				}
 				lost += res.LostOps
+				if res.State.Float("balance") == 17 {
+					correct++
+				} else if strategy == entity.OperationReplay {
+					b.Fatalf("operation replay ended at balance %v, want 17", res.State.Float("balance"))
+				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(lost)/float64(b.N), "lostops/op")
+			b.ReportMetric(float64(correct)/float64(b.N), "correct-share")
 		})
 	}
 }
 
 // --- E5: availability under partition (principle 2.11 / CAP) ----------------
 
+// r0 is cut off from r1 and r2 for the whole run, and a client on each side
+// keeps trying to write: r0 is the minority side, r1 the majority. The
+// majority side stays writable in both modes; eventual replication keeps
+// the minority writable too, quorum replication refuses every write there.
 func BenchmarkE5AvailabilityUnderPartition(b *testing.B) {
 	for _, mode := range []replica.Mode{replica.Quorum, replica.Eventual} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cluster, err := replica.NewCluster(3, mode, netsim.Config{UnreachableDelay: 200 * time.Microsecond}, workload.AccountType())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cluster.Stop()
-			// r0 is cut off from the majority for the whole run: the client
-			// talking to it keeps trying to write.
-			cluster.Network().Partition([]clock.NodeID{"r0"}, []clock.NodeID{"r1", "r2"})
-			r0, _ := cluster.Replica(0)
-			success := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := r0.Write(repro.Key{Type: "Account", ID: "A"}, []repro.Op{repro.Delta("balance", 1)}, "")
-				if err == nil {
-					success++
+		for _, side := range []string{"minority", "majority"} {
+			b.Run(fmt.Sprintf("%s/side=%s", mode, side), func(b *testing.B) {
+				cluster, err := replica.NewCluster(3, mode, netsim.Config{UnreachableDelay: 200 * time.Microsecond}, workload.AccountType())
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(success)/float64(b.N), "availability")
-		})
+				defer cluster.Stop()
+				cluster.Network().Partition([]clock.NodeID{"r0"}, []clock.NodeID{"r1", "r2"})
+				idx := 0
+				if side == "majority" {
+					idx = 1
+				}
+				rep, _ := cluster.Replica(idx)
+				success := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, err := rep.Write(repro.Key{Type: "Account", ID: "A"}, []repro.Op{repro.Delta("balance", 1)}, "")
+					if err == nil {
+						success++
+					}
+				}
+				b.StopTimer()
+				availability := float64(success) / float64(b.N)
+				want := 1.0
+				if mode == replica.Quorum && side == "minority" {
+					want = 0
+				}
+				if availability != want {
+					b.Fatalf("%s side wrote %d of %d, want availability %v", side, success, b.N, want)
+				}
+				b.ReportMetric(availability, "availability")
+			})
+		}
 	}
 }
 
@@ -243,6 +282,7 @@ func BenchmarkE6ApologyVsStrong(b *testing.B) {
 			apologyRate = k.Ledger().ApologyRate()
 		}
 		b.ReportMetric(apologyRate, "apology-rate")
+		b.ReportMetric(demand, "confirmed-at-entry")
 	})
 	b.Run("strong-reject", func(b *testing.B) {
 		var rejectRate float64
@@ -273,19 +313,28 @@ func BenchmarkE6ApologyVsStrong(b *testing.B) {
 					rejected++
 				}
 			}
+			if rejected != demand-stock {
+				b.Fatalf("rejected %d orders at entry, want %d", rejected, demand-stock)
+			}
 			rejectRate = float64(rejected) / float64(demand)
 		}
 		b.ReportMetric(rejectRate, "reject-rate")
+		b.ReportMetric(stock, "confirmed-at-entry")
 		b.ReportMetric(0, "apology-rate")
 	})
 }
 
 // --- E7: convergence / staleness vs anti-entropy (eventual consistency) -----
 
+// e7MaxRounds bounds anti-entropy: a cluster that has not converged to the
+// right value within this many sync rounds under 30 % loss fails the run.
+const e7MaxRounds = 1000
+
 func BenchmarkE7ConvergenceStaleness(b *testing.B) {
 	for _, replicas := range []int{3, 5} {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
 			var totalConverge time.Duration
+			var totalRounds int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cluster, err := replica.NewCluster(replicas, replica.Eventual,
@@ -302,7 +351,10 @@ func BenchmarkE7ConvergenceStaleness(b *testing.B) {
 					}
 				}
 				start := time.Now()
-				for {
+				for rounds := 1; ; rounds++ {
+					if rounds > e7MaxRounds {
+						b.Fatalf("%d replicas not converged to balance %d after %d sync rounds", replicas, replicas, e7MaxRounds)
+					}
 					cluster.SyncRound()
 					done := true
 					for r := 0; r < replicas; r++ {
@@ -314,6 +366,7 @@ func BenchmarkE7ConvergenceStaleness(b *testing.B) {
 						}
 					}
 					if done {
+						totalRounds += rounds
 						break
 					}
 				}
@@ -323,6 +376,7 @@ func BenchmarkE7ConvergenceStaleness(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(totalConverge.Microseconds())/float64(b.N), "convergence-us/op")
+			b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds/op")
 		})
 	}
 }
@@ -366,6 +420,15 @@ func BenchmarkE8StepCollapsing(b *testing.B) {
 				k.Submit(repro.Event{Name: "order.created", Entity: repro.Key{Type: "Order", ID: fmt.Sprintf("O%d", i)}, TxnID: fmt.Sprintf("e8-%d", i)})
 				k.Drain()
 			}
+			b.StopTimer()
+			stats := k.ProcessStats()
+			if stats.StepsExecuted != uint64(3*b.N) {
+				b.Fatalf("executed %d steps for %d pipelines, want %d", stats.StepsExecuted, b.N, 3*b.N)
+			}
+			if !collapse && stats.Collapsed != 0 {
+				b.Fatalf("queued mode collapsed %d steps inline", stats.Collapsed)
+			}
+			b.ReportMetric(float64(stats.Collapsed)/float64(b.N), "collapsed/op")
 		})
 	}
 }
@@ -944,6 +1007,9 @@ func BenchmarkE10OutOfOrderEntry(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			if mode == "managed" && rejected != 0 {
+				b.Fatalf("managed mode rejected %d out-of-order entries, want 0", rejected)
+			}
 			total := rejected + entered
 			if total > 0 {
 				b.ReportMetric(float64(rejected)/float64(total), "reject-rate")
@@ -1039,6 +1105,7 @@ func BenchmarkE12OnlineMigration(b *testing.B) {
 			}
 			b.StopTimer()
 			close(stop)
+			b.ReportMetric(float64(liveWrites.Load())/float64(b.N), "live-writes/op")
 			total := liveWrites.Load() + liveBlocked.Load()
 			if total > 0 {
 				b.ReportMetric(float64(liveBlocked.Load())/float64(total), "writer-blocked-ratio")
@@ -1232,7 +1299,7 @@ func e22Open(b *testing.B, mode, dir string) *lsdb.DB {
 // shard for the full serialize+fsync, so an unlucky append stalls for the
 // whole disk write; the tiered flush only briefly holds the shard locks to
 // capture dirty pointers. ns/op is the append cost including any stall;
-// max-stall-ms is the worst single append.
+// p99-append-us and max-stall-ms are the tail and the worst single append.
 func BenchmarkE22FlushStall(b *testing.B) {
 	for _, mode := range []string{"legacy", "tiered"} {
 		b.Run(mode, func(b *testing.B) {
@@ -1246,7 +1313,7 @@ func BenchmarkE22FlushStall(b *testing.B) {
 			// actually contend with it rather than finishing before it is
 			// dispatched.
 			time.Sleep(time.Millisecond)
-			var maxStall time.Duration
+			lat := metrics.NewHistogram()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
@@ -1255,15 +1322,14 @@ func BenchmarkE22FlushStall(b *testing.B) {
 					clock.Timestamp{WallNanos: int64(10000 + i), Node: "e22"}, "e22", ""); err != nil {
 					b.Fatal(err)
 				}
-				if d := time.Since(t0); d > maxStall {
-					maxStall = d
-				}
+				lat.Record(time.Since(t0))
 			}
 			b.StopTimer()
 			if err := <-done; err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(maxStall.Nanoseconds())/1e6, "max-stall-ms")
+			b.ReportMetric(float64(lat.Quantile(0.99))/1e3, "p99-append-us")
+			b.ReportMetric(float64(lat.Max())/1e6, "max-stall-ms")
 		})
 	}
 }

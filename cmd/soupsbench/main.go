@@ -18,7 +18,7 @@
 // the restarted server recovers from its WAL.
 //
 // With -json the scoreboard is written as BENCH_E23.json trajectory tables
-// (same shape as cmd/benchharness). SLO bounds (-assert-p999, -assert-rto,
+// (metrics.TableJSON). SLO bounds (-assert-p999, -assert-rto,
 // -assert-convergence) turn violations into a non-zero exit for CI.
 //
 // Usage (bounded CI smoke):

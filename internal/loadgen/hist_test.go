@@ -1,36 +1,30 @@
 package loadgen
 
 import (
-	"math/rand"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
 
-// Every value must land in a bucket whose upper bound is >= the value and
-// within the advertised ~1.6% relative error.
-func TestHistBucketErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 100000; n++ {
-		v := rng.Int63n(int64(10 * time.Minute))
-		i := histIndex(v)
-		upper := int64(histUpper(i))
-		if upper < v {
-			t.Fatalf("value %d landed in bucket %d with upper %d < value", v, i, upper)
-		}
-		if v >= histSubCount {
-			if float64(upper-v) > float64(v)/float64(histSubCount)+1 {
-				t.Fatalf("value %d bucket upper %d: relative error too large", v, upper)
-			}
-		}
-	}
-}
+// These tests cover the scoreboard's latency path: per-(scenario, class)
+// cells recorded into metrics.Histogram and folded per class by Merged. The
+// histogram's own bucket arithmetic is tested in internal/metrics.
 
+// A known uniform load split across two scenarios merges back to its true
+// percentile positions: never below, at most 2% above.
 func TestHistQuantiles(t *testing.T) {
-	h := NewHist()
-	// 1..1000 microseconds, exact percentile positions known.
+	res := newPhaseResult(Phase{Name: "p"}, 0)
 	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
+		scenario := "even"
+		if i%2 == 1 {
+			scenario = "odd"
+		}
+		res.bucket(scenario, Read).hist.Record(time.Duration(i) * time.Microsecond)
 	}
+	res.bucket("odd", Submit).hist.Record(time.Hour) // another class: not merged
+
+	h := res.Merged(Read)
 	if got := h.Count(); got != 1000 {
 		t.Fatalf("count = %d", got)
 	}
@@ -62,53 +56,44 @@ func TestHistQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistQuantileNeverExceedsMax(t *testing.T) {
-	h := NewHist()
-	h.Record(3 * time.Second)
-	for _, q := range []float64{0.5, 0.99, 0.999, 1.0} {
-		if got := h.Quantile(q); got != 3*time.Second {
-			t.Fatalf("q%v = %v with a single 3s sample", q, got)
-		}
-	}
-}
-
+// A negative latency (a clock step between send and receive) is scored as
+// zero in the cell's row, not dropped and not wrapped to a huge value.
 func TestHistNegativeClampsToZero(t *testing.T) {
-	h := NewHist()
-	h.Record(-time.Second)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("negative sample not clamped: count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	res := newPhaseResult(Phase{Name: "p"}, 0)
+	res.bucket("s", Read).hist.Record(-time.Second)
+	rows := res.Rows()
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
+	}
+	if l := rows[0].Latency; l.Count != 1 || l.Max != 0 || l.P999 != 0 {
+		t.Fatalf("negative sample not clamped: %+v", l)
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	a, b := NewHist(), NewHist()
-	a.Record(time.Millisecond)
-	b.Record(10 * time.Millisecond)
-	b.Record(100 * time.Microsecond)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != 100*time.Microsecond || a.Max() != 10*time.Millisecond {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-}
-
+// Workers racing to create and record into the same and different cells
+// lose no sample.
 func TestHistConcurrentRecord(t *testing.T) {
-	h := NewHist()
-	done := make(chan struct{})
+	res := newPhaseResult(Phase{Name: "p"}, 0)
+	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
+		wg.Add(1)
 		go func(w int) {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			for i := 0; i < 10000; i++ {
-				h.Record(time.Duration(w*1000+i) * time.Nanosecond)
+				scenario := fmt.Sprintf("s%d", (w+i)%3)
+				res.bucket(scenario, Query).hist.Record(time.Duration(w*1000+i) * time.Nanosecond)
 			}
 		}(w)
 	}
-	for w := 0; w < 8; w++ {
-		<-done
+	wg.Wait()
+	if got := res.Merged(Query).Count(); got != 80000 {
+		t.Fatalf("count = %d after concurrent records", got)
 	}
-	if h.Count() != 80000 {
-		t.Fatalf("count = %d after concurrent records", h.Count())
+	var rowSum uint64
+	for _, r := range res.Rows() {
+		rowSum += r.Latency.Count
+	}
+	if rowSum != 80000 {
+		t.Fatalf("rows hold %d samples, want 80000", rowSum)
 	}
 }

@@ -1,3 +1,26 @@
+// Package loadgen is the open-loop, coordinated-omission-safe load
+// generator behind the end-to-end SLO harness (cmd/soupsbench, experiment
+// E23). It drives internal/workload's business scenarios through soupsd's
+// real HTTP surface at a fixed arrival rate and reports latency percentiles
+// the way a production scoreboard would.
+//
+// Two decisions distinguish it from a naive closed-loop bencher:
+//
+//   - Arrivals are scheduled, not reactive. A Schedule fixes every request's
+//     intended send time up front (Poisson or uniform inter-arrival gaps), so
+//     the offered load never slows down just because the system under test
+//     did. A closed loop — issue, wait, issue — silently converts server
+//     stalls into a lower request rate and under-reports tail latency
+//     (coordinated omission).
+//
+//   - Latency is measured from the intended send time, not from the moment
+//     the request finally left the client. When the system stalls and
+//     arrivals queue behind it, every queued request is charged the stall it
+//     would have experienced as a real user. See docs/BENCHMARKING.md.
+//
+// The package holds no per-entity client state: scenarios are pure functions
+// of the request index (key-space striding, workload.Stride), so a run can
+// simulate millions of entities with O(1) generator memory.
 package loadgen
 
 import (
@@ -16,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 )
 
@@ -114,7 +138,7 @@ type bucketKey struct {
 // still a served read); sheds and errors are counted, not averaged into the
 // service percentiles.
 type bucket struct {
-	hist     *Hist
+	hist     *metrics.Histogram
 	ok       atomic.Uint64
 	shed     atomic.Uint64
 	notFound atomic.Uint64
@@ -156,7 +180,7 @@ func (p *PhaseResult) bucket(scenario string, class Class) *bucket {
 	defer p.mu.Unlock()
 	b := p.buckets[k]
 	if b == nil {
-		b = &bucket{hist: NewHist()}
+		b = &bucket{hist: metrics.NewHistogram()}
 		p.buckets[k] = b
 	}
 	return b
@@ -171,7 +195,7 @@ type Row struct {
 	Shed     uint64
 	NotFound uint64
 	Errors   uint64
-	Latency  HistSummary
+	Latency  metrics.Summary
 }
 
 // Rows reduces the phase to scoreboard lines, sorted by scenario then class.
@@ -213,10 +237,10 @@ func (p *PhaseResult) Totals() (ok, shed, notFound, errs uint64) {
 
 // Merged folds every cell of one class across scenarios into one histogram —
 // the per-class phase aggregate the SLO bounds are asserted against.
-func (p *PhaseResult) Merged(class Class) *Hist {
+func (p *PhaseResult) Merged(class Class) *metrics.Histogram {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := NewHist()
+	out := metrics.NewHistogram()
 	for k, b := range p.buckets {
 		if k.class == class {
 			out.Merge(b.hist)

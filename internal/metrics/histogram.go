@@ -1,30 +1,8 @@
-// Package loadgen is the open-loop, coordinated-omission-safe load
-// generator behind the end-to-end SLO harness (cmd/soupsbench, experiment
-// E23). It drives internal/workload's business scenarios through soupsd's
-// real HTTP surface at a fixed arrival rate and reports latency percentiles
-// the way a production scoreboard would.
-//
-// Two decisions distinguish it from a naive closed-loop bencher:
-//
-//   - Arrivals are scheduled, not reactive. A Schedule fixes every request's
-//     intended send time up front (Poisson or uniform inter-arrival gaps), so
-//     the offered load never slows down just because the system under test
-//     did. A closed loop — issue, wait, issue — silently converts server
-//     stalls into a lower request rate and under-reports tail latency
-//     (coordinated omission).
-//
-//   - Latency is measured from the intended send time, not from the moment
-//     the request finally left the client. When the system stalls and
-//     arrivals queue behind it, every queued request is charged the stall it
-//     would have experienced as a real user. See docs/BENCHMARKING.md.
-//
-// The package holds no per-entity client state: scenarios are pure functions
-// of the request index (key-space striding, workload.Stride), so a run can
-// simulate millions of entities with O(1) generator memory.
-package loadgen
+package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -42,11 +20,12 @@ const histSubCount = 1 << histSubBits // 64
 // linear region below histSubCount plus one 64-slot row per magnitude.
 const histBuckets = 64 * histSubCount
 
-// Hist is an HDR-style log-linear latency histogram: fixed memory,
+// Histogram is an HDR-style log-linear latency histogram: fixed memory,
 // allocation-free lock-free recording, ~1.6% relative error on quantiles
-// across the full nanosecond-to-minutes range. The zero value is NOT ready;
-// use NewHist.
-type Hist struct {
+// across the full nanosecond-to-minutes range. It records the node's own
+// latencies (Registry.Histogram) and the load generator's client-side ones.
+// The zero value is NOT ready; use NewHistogram.
+type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	total  atomic.Uint64
 	sum    atomic.Int64 // nanoseconds, for Mean
@@ -54,10 +33,10 @@ type Hist struct {
 	min    atomic.Int64
 }
 
-// NewHist returns an empty histogram.
-func NewHist() *Hist {
-	h := &Hist{}
-	h.min.Store(int64(^uint64(0) >> 1)) // MaxInt64
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram {
+	h := &Histogram{}
+	h.min.Store(math.MaxInt64)
 	return h
 }
 
@@ -87,7 +66,7 @@ func histUpper(i int) time.Duration {
 // Record adds one observation. Negative durations clamp to zero (a latency
 // charged from an intended send time can never legitimately be negative;
 // clock steps are clamped rather than dropped so counts stay honest).
-func (h *Hist) Record(d time.Duration) {
+func (h *Histogram) Record(d time.Duration) {
 	ns := d.Nanoseconds()
 	if ns < 0 {
 		ns = 0
@@ -110,10 +89,10 @@ func (h *Hist) Record(d time.Duration) {
 }
 
 // Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.total.Load() }
+func (h *Histogram) Count() uint64 { return h.total.Load() }
 
 // Max returns the largest recorded value, exactly (not bucket-rounded).
-func (h *Hist) Max() time.Duration {
+func (h *Histogram) Max() time.Duration {
 	if h.Count() == 0 {
 		return 0
 	}
@@ -121,7 +100,7 @@ func (h *Hist) Max() time.Duration {
 }
 
 // Min returns the smallest recorded value, exactly.
-func (h *Hist) Min() time.Duration {
+func (h *Histogram) Min() time.Duration {
 	if h.Count() == 0 {
 		return 0
 	}
@@ -129,7 +108,7 @@ func (h *Hist) Min() time.Duration {
 }
 
 // Mean returns the mean of all recorded values.
-func (h *Hist) Mean() time.Duration {
+func (h *Histogram) Mean() time.Duration {
 	n := h.Count()
 	if n == 0 {
 		return 0
@@ -137,9 +116,11 @@ func (h *Hist) Mean() time.Duration {
 	return time.Duration(uint64(h.sum.Load()) / n)
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1).
-// The true max is substituted for the top bucket so p100 is exact.
-func (h *Hist) Quantile(q float64) time.Duration {
+// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
+// the upper bound of the bucket holding the nearest-rank sample, the
+// ceil(q·n)-th smallest. The true max is substituted for the top bucket so
+// p100 is exact.
+func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.Count()
 	if n == 0 {
 		return 0
@@ -150,10 +131,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	target := uint64(q * float64(n))
-	if target < 1 {
-		target = 1
-	}
+	target := uint64(math.Ceil(q * float64(n)))
 	var cum uint64
 	for i := 0; i < histBuckets; i++ {
 		c := h.counts[i].Load()
@@ -174,7 +152,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 
 // Merge folds other's observations into h. Not linearisable against
 // concurrent Records on other; merge quiesced histograms.
-func (h *Hist) Merge(other *Hist) {
+func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
@@ -193,16 +171,17 @@ func (h *Hist) Merge(other *Hist) {
 	}
 }
 
-// HistSummary is the scoreboard row a histogram reduces to.
-type HistSummary struct {
+// Summary is the scoreboard row a histogram reduces to.
+type Summary struct {
 	Count               uint64
 	Mean                time.Duration
 	P50, P99, P999, Max time.Duration
 }
 
-// Summary returns the percentile summary the SLO scoreboard reports.
-func (h *Hist) Summary() HistSummary {
-	return HistSummary{
+// Summary returns the percentile summary the SLO scoreboard and /metrics
+// report.
+func (h *Histogram) Summary() Summary {
+	return Summary{
 		Count: h.Count(),
 		Mean:  h.Mean(),
 		P50:   h.Quantile(0.50),
@@ -213,7 +192,7 @@ func (h *Hist) Summary() HistSummary {
 }
 
 // String renders the summary compactly.
-func (s HistSummary) String() string {
+func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p999=%v max=%v",
 		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
 		s.P99.Round(time.Microsecond), s.P999.Round(time.Microsecond), s.Max.Round(time.Microsecond))

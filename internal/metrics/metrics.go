@@ -1,12 +1,8 @@
-// Package metrics provides the measurement primitives used by the benchmark
-// harness: latency histograms, throughput counters, availability windows,
-// staleness probes and simple table/series printers.
-//
-// The paper has no quantitative evaluation, so every experiment in this
-// repository reports the measures the paper argues about in prose: response
-// time (user experience, section 3.2), throughput and parallelism (2.5, 2.6),
-// availability (2.11), apology counts (2.9), conflict/lost-update counts
-// (2.10) and staleness of secondary data (2.3).
+// Package metrics holds the repository's measurement primitives: the named
+// counters, gauges and latency histograms a node exposes on /metrics
+// (Registry), the one latency histogram type the node and the load
+// generator share (Histogram), and the aligned plain-text and JSON tables
+// cmd/soupsbench prints for experiment E23 (Table, TableJSON).
 package metrics
 
 import (
@@ -18,149 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Histogram is a fixed-boundary latency histogram with power-of-two style
-// bucketing from 1µs to ~17s. It is safe for concurrent use and allocation
-// free on the record path.
-type Histogram struct {
-	counts [bucketCount]atomic.Uint64
-	sum    atomic.Int64 // nanoseconds
-	min    atomic.Int64
-	max    atomic.Int64
-}
-
-const bucketCount = 48
-
-// bucketFor maps a duration to a bucket index. Buckets are quarter-powers of
-// two starting at 1µs, giving ~19% resolution across six decades.
-func bucketFor(d time.Duration) int {
-	ns := d.Nanoseconds()
-	if ns < 1000 {
-		return 0
-	}
-	// log2(ns/1000) * 4 quarter steps.
-	idx := int(math.Log2(float64(ns)/1000.0) * 2)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bucketCount {
-		idx = bucketCount - 1
-	}
-	return idx
-}
-
-// bucketUpper returns the representative upper bound of bucket i.
-func bucketUpper(i int) time.Duration {
-	ns := 1000.0 * math.Pow(2, float64(i+1)/2)
-	return time.Duration(ns)
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	return h
-}
-
-// Record adds one observation.
-func (h *Histogram) Record(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.counts[bucketFor(d)].Add(1)
-	h.sum.Add(d.Nanoseconds())
-	for {
-		cur := h.min.Load()
-		if d.Nanoseconds() >= cur || h.min.CompareAndSwap(cur, d.Nanoseconds()) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if d.Nanoseconds() <= cur || h.max.CompareAndSwap(cur, d.Nanoseconds()) {
-			break
-		}
-	}
-}
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 {
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
-// Mean returns the mean latency, or zero when empty.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sum.Load()) / n)
-}
-
-// Min returns the smallest recorded value (zero when empty).
-func (h *Histogram) Min() time.Duration {
-	if h.Count() == 0 {
-		return 0
-	}
-	return time.Duration(h.min.Load())
-}
-
-// Max returns the largest recorded value.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min()
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(n)))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			return bucketUpper(i)
-		}
-	}
-	return h.Max()
-}
-
-// Snapshot is an immutable summary of a histogram.
-type Snapshot struct {
-	Count          uint64
-	Mean, Min, Max time.Duration
-	P50, P95, P99  time.Duration
-}
-
-// Snapshot returns summary statistics.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}
-
-// String renders the snapshot compactly.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
 
 // Counter is a monotonically increasing concurrent counter.
 type Counter struct{ v atomic.Uint64 }
@@ -186,127 +39,8 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Throughput measures completed operations over a wall-clock window.
-type Throughput struct {
-	ops   Counter
-	start time.Time
-	nowFn func() time.Time
-}
-
-// NewThroughput starts a throughput meter using the real clock.
-func NewThroughput() *Throughput { return NewThroughputWithSource(time.Now) }
-
-// NewThroughputWithSource starts a throughput meter reading time from nowFn.
-func NewThroughputWithSource(nowFn func() time.Time) *Throughput {
-	if nowFn == nil {
-		nowFn = time.Now
-	}
-	return &Throughput{start: nowFn(), nowFn: nowFn}
-}
-
-// Done records n completed operations.
-func (t *Throughput) Done(n uint64) { t.ops.Add(n) }
-
-// Ops returns the number of operations recorded so far.
-func (t *Throughput) Ops() uint64 { return t.ops.Value() }
-
-// PerSecond returns the operation rate since construction.
-func (t *Throughput) PerSecond() float64 {
-	elapsed := t.nowFn().Sub(t.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(t.ops.Value()) / elapsed
-}
-
-// Availability tracks request outcomes so experiments can report the fraction
-// of requests served successfully during failures (principle 2.11: "the show
-// must go on").
-type Availability struct {
-	success Counter
-	failure Counter
-	timeout Counter
-}
-
-// Success records a served request.
-func (a *Availability) Success() { a.success.Inc() }
-
-// Failure records a rejected or errored request.
-func (a *Availability) Failure() { a.failure.Inc() }
-
-// Timeout records a request abandoned due to unavailability.
-func (a *Availability) Timeout() { a.timeout.Inc() }
-
-// Total returns the total number of recorded requests.
-func (a *Availability) Total() uint64 {
-	return a.success.Value() + a.failure.Value() + a.timeout.Value()
-}
-
-// Ratio returns the fraction of requests that succeeded (1.0 when no
-// requests were recorded, since no user was ever turned away).
-func (a *Availability) Ratio() float64 {
-	total := a.Total()
-	if total == 0 {
-		return 1.0
-	}
-	return float64(a.success.Value()) / float64(total)
-}
-
-// Counts returns (success, failure, timeout).
-func (a *Availability) Counts() (uint64, uint64, uint64) {
-	return a.success.Value(), a.failure.Value(), a.timeout.Value()
-}
-
-// StalenessProbe records how far secondary/replicated data lags behind the
-// primary, as both a duration and a count of missing updates (principle 2.3).
-type StalenessProbe struct {
-	mu       sync.Mutex
-	lags     []time.Duration
-	missing  []int
-	maxLag   time.Duration
-	maxMiss  int
-	observed int
-}
-
-// Observe records one staleness measurement.
-func (p *StalenessProbe) Observe(lag time.Duration, missingUpdates int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lags = append(p.lags, lag)
-	p.missing = append(p.missing, missingUpdates)
-	if lag > p.maxLag {
-		p.maxLag = lag
-	}
-	if missingUpdates > p.maxMiss {
-		p.maxMiss = missingUpdates
-	}
-	p.observed++
-}
-
-// Summary returns (observations, mean lag, max lag, mean missing, max missing).
-func (p *StalenessProbe) Summary() (int, time.Duration, time.Duration, float64, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.observed == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	var lagSum time.Duration
-	for _, l := range p.lags {
-		lagSum += l
-	}
-	var missSum int
-	for _, m := range p.missing {
-		missSum += m
-	}
-	return p.observed,
-		lagSum / time.Duration(p.observed),
-		p.maxLag,
-		float64(missSum) / float64(p.observed),
-		p.maxMiss
-}
-
 // Registry is a named collection of metric instruments, used by the kernel to
-// expose per-node measurements to the harness and the HTTP server.
+// expose per-node measurements to tests and the HTTP server.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -371,15 +105,15 @@ func (r *Registry) Dump() string {
 		lines = append(lines, fmt.Sprintf("gauge %s = %d", name, g.Value()))
 	}
 	for name, h := range r.histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s: %s", name, h.Snapshot()))
+		lines = append(lines, fmt.Sprintf("histogram %s: %s", name, h.Summary()))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
 
-// Table accumulates experiment results and renders them in the aligned
-// plain-text form the benchmark harness prints (one table per experiment,
-// mirroring how the paper's evaluation section would have presented them).
+// Table accumulates experiment results and renders them in aligned plain
+// text (one table per experiment, the way an evaluation section would
+// present them).
 type Table struct {
 	Title   string
 	Columns []string
@@ -474,67 +208,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Series is a labelled (x, y) sequence used for figure-style outputs
-// (e.g. latency vs partition duration, convergence time vs replica count).
-type Series struct {
-	Name   string
-	XLabel string
-	YLabel string
-	mu     sync.Mutex
-	xs     []float64
-	ys     []float64
-}
-
-// NewSeries creates an empty series.
-func NewSeries(name, xLabel, yLabel string) *Series {
-	return &Series{Name: name, XLabel: xLabel, YLabel: yLabel}
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.xs = append(s.xs, x)
-	s.ys = append(s.ys, y)
-}
-
-// Points returns copies of the x and y slices.
-func (s *Series) Points() ([]float64, []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.xs...), append([]float64(nil), s.ys...)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.xs)
-}
-
-// String renders the series as "name: (x,y) (x,y) ...".
-func (s *Series) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s [%s vs %s]:", s.Name, s.YLabel, s.XLabel)
-	for i := range s.xs {
-		fmt.Fprintf(&b, " (%s,%s)", formatFloat(s.xs[i]), formatFloat(s.ys[i]))
-	}
-	return b.String()
-}
-
-// Stopwatch measures a single interval; a tiny convenience used in examples.
-type Stopwatch struct {
-	start time.Time
-	nowFn func() time.Time
-}
-
-// StartStopwatch begins timing with the real clock.
-func StartStopwatch() *Stopwatch {
-	return &Stopwatch{start: time.Now(), nowFn: time.Now}
-}
-
-// Elapsed returns the time since the stopwatch was started.
-func (s *Stopwatch) Elapsed() time.Duration { return s.nowFn().Sub(s.start) }

@@ -4,125 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestHistogramBasicStats(t *testing.T) {
-	h := NewHistogram()
-	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
-		h.Record(d)
-	}
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", h.Count())
-	}
-	if h.Mean() != 2*time.Millisecond {
-		t.Fatalf("Mean = %v, want 2ms", h.Mean())
-	}
-	if h.Min() != time.Millisecond {
-		t.Fatalf("Min = %v, want 1ms", h.Min())
-	}
-	if h.Max() != 3*time.Millisecond {
-		t.Fatalf("Max = %v, want 3ms", h.Max())
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Quantile(0.99) != 0 {
-		t.Fatalf("empty histogram should report zeros: %+v", h.Snapshot())
-	}
-}
-
-func TestHistogramNegativeDurationClamped(t *testing.T) {
-	h := NewHistogram()
-	h.Record(-time.Second)
-	if h.Count() != 1 {
-		t.Fatalf("negative duration should still count")
-	}
-	if h.Max() != 0 {
-		t.Fatalf("negative duration should clamp to 0, got %v", h.Max())
-	}
-}
-
-func TestHistogramQuantileOrdering(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
-	}
-	p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-	if p50 > p95 || p95 > p99 {
-		t.Fatalf("quantiles out of order: p50=%v p95=%v p99=%v", p50, p95, p99)
-	}
-	// The bucket resolution is ~19%, so p99 of a uniform 1..1000µs load must
-	// land within a factor of 2 of the true value (990µs).
-	if p99 < 700*time.Microsecond || p99 > 2*time.Millisecond {
-		t.Fatalf("p99 = %v outside plausible range", p99)
-	}
-}
-
-func TestHistogramQuantileBounds(t *testing.T) {
-	h := NewHistogram()
-	h.Record(5 * time.Millisecond)
-	if got := h.Quantile(0); got != h.Min() {
-		t.Fatalf("Quantile(0) = %v, want Min %v", got, h.Min())
-	}
-	if got := h.Quantile(2); got == 0 {
-		t.Fatalf("Quantile(>1) should clamp, got 0")
-	}
-}
-
-func TestHistogramConcurrentRecord(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	const goroutines, per = 8, 1000
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Record(time.Duration(g*per+i) * time.Microsecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if h.Count() != goroutines*per {
-		t.Fatalf("Count = %d, want %d", h.Count(), goroutines*per)
-	}
-}
-
-// Property: quantile estimates never exceed the recorded maximum by more than
-// one bucket width and are never below the minimum.
-func TestHistogramQuantileWithinBounds(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		h := NewHistogram()
-		var maxSeen time.Duration
-		for _, r := range raw {
-			d := time.Duration(r) * time.Microsecond
-			if d > maxSeen {
-				maxSeen = d
-			}
-			h.Record(d)
-		}
-		q := h.Quantile(0.5)
-		return q >= h.Min() && q <= 2*maxSeen+2*time.Microsecond
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	h := NewHistogram()
-	h.Record(time.Millisecond)
-	s := h.Snapshot().String()
-	if !strings.Contains(s, "n=1") || !strings.Contains(s, "p99=") {
-		t.Fatalf("snapshot string missing fields: %q", s)
-	}
-}
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
@@ -157,77 +40,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	now := time.Unix(0, 0)
-	tp := NewThroughputWithSource(func() time.Time { return now })
-	tp.Done(100)
-	now = now.Add(2 * time.Second)
-	if got := tp.PerSecond(); got != 50 {
-		t.Fatalf("PerSecond = %v, want 50", got)
-	}
-	if tp.Ops() != 100 {
-		t.Fatalf("Ops = %d, want 100", tp.Ops())
-	}
-}
-
-func TestThroughputZeroElapsed(t *testing.T) {
-	now := time.Unix(0, 0)
-	tp := NewThroughputWithSource(func() time.Time { return now })
-	tp.Done(10)
-	if got := tp.PerSecond(); got != 0 {
-		t.Fatalf("PerSecond with zero elapsed = %v, want 0", got)
-	}
-}
-
-func TestAvailability(t *testing.T) {
-	var a Availability
-	if a.Ratio() != 1.0 {
-		t.Fatalf("empty availability should be 1.0, got %v", a.Ratio())
-	}
-	for i := 0; i < 9; i++ {
-		a.Success()
-	}
-	a.Failure()
-	if a.Ratio() != 0.9 {
-		t.Fatalf("Ratio = %v, want 0.9", a.Ratio())
-	}
-	a.Timeout()
-	s, f, to := a.Counts()
-	if s != 9 || f != 1 || to != 1 {
-		t.Fatalf("Counts = %d,%d,%d", s, f, to)
-	}
-	if a.Total() != 11 {
-		t.Fatalf("Total = %d, want 11", a.Total())
-	}
-}
-
-func TestStalenessProbe(t *testing.T) {
-	var p StalenessProbe
-	p.Observe(10*time.Millisecond, 2)
-	p.Observe(30*time.Millisecond, 6)
-	n, meanLag, maxLag, meanMiss, maxMiss := p.Summary()
-	if n != 2 {
-		t.Fatalf("n = %d, want 2", n)
-	}
-	if meanLag != 20*time.Millisecond {
-		t.Fatalf("meanLag = %v, want 20ms", meanLag)
-	}
-	if maxLag != 30*time.Millisecond {
-		t.Fatalf("maxLag = %v", maxLag)
-	}
-	if meanMiss != 4 || maxMiss != 6 {
-		t.Fatalf("miss stats = %v, %v", meanMiss, maxMiss)
-	}
-}
-
-func TestStalenessProbeEmpty(t *testing.T) {
-	var p StalenessProbe
-	n, _, _, _, _ := p.Summary()
-	if n != 0 {
-		t.Fatalf("empty probe n = %d", n)
-	}
-}
-
 func TestRegistryReturnsSameInstrument(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("txn.commits")
@@ -254,7 +66,7 @@ func TestRegistryDump(t *testing.T) {
 	r.Gauge("b").Set(2)
 	r.Histogram("c").Record(time.Millisecond)
 	dump := r.Dump()
-	for _, want := range []string{"counter a = 1", "gauge b = 2", "histogram c"} {
+	for _, want := range []string{"counter a = 1", "gauge b = 2", "histogram c: n=1 mean=1ms p50=1ms p99=1ms p999=1ms max=1ms"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)
 		}
@@ -314,31 +126,5 @@ func TestTableFloatFormatting(t *testing.T) {
 	}
 	if rows[2][0] != "0.123" {
 		t.Errorf("small float rendered as %q", rows[2][0])
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := NewSeries("availability", "partition seconds", "success ratio")
-	s.Add(0, 1.0)
-	s.Add(5, 0.6)
-	xs, ys := s.Points()
-	if len(xs) != 2 || len(ys) != 2 || s.Len() != 2 {
-		t.Fatalf("points not recorded")
-	}
-	if !strings.Contains(s.String(), "(5,0.600)") {
-		t.Fatalf("series string missing point: %s", s.String())
-	}
-	// Mutating returned slices must not affect the series.
-	xs[0] = 99
-	nx, _ := s.Points()
-	if nx[0] == 99 {
-		t.Fatal("Points returned an aliased slice")
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	sw := StartStopwatch()
-	if sw.Elapsed() < 0 {
-		t.Fatal("elapsed negative")
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // TableJSON is the serialized shape of one experiment table in a
 // BENCH_*.json trajectory file. Rows carry the already-formatted cell
-// strings (durations rounded, floats trimmed) so a diff between two PRs'
-// files reads the same as a diff between their plain-text tables. Both
-// cmd/benchharness (E1..E22) and cmd/soupsbench (E23) emit this shape.
+// strings (durations rounded, floats trimmed) so a diff between two
+// commits' files reads the same as a diff between their plain-text tables.
+// cmd/soupsbench writes its E23 scoreboard in this shape.
 type TableJSON struct {
 	Experiment string     `json:"experiment"`
 	Title      string     `json:"title"`
