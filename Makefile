@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck clean
+.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck loc clean
 
 build:
 	$(GO) build ./...
@@ -174,6 +174,15 @@ slo-smoke:
 # Verify every relative markdown link in the docs resolves to a real file.
 linkcheck:
 	./scripts/linkcheck.sh
+
+# The line counts ROADMAP.md's aim 2 keeps score with: non-test Go outside
+# bench/, Go tests outside bench/, and all Go under bench/ (hidden
+# directories, such as the benchmark's build output, are skipped).
+LOC_GO = find . -path './.*' -prune -o -name '*.go'
+loc:
+	@echo "non-test Go outside bench/: $$($(LOC_GO) ! -name '*_test.go' ! -path './bench/*' -print | xargs cat | wc -l)"
+	@echo "tests outside bench/:       $$($(LOC_GO) -name '*_test.go' ! -path './bench/*' -print | xargs cat | wc -l)"
+	@echo "bench/:                     $$($(LOC_GO) -path './bench/*' -print | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

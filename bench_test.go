@@ -57,7 +57,11 @@ func BenchmarkE1AggregateSyncVsDeferred(b *testing.B) {
 	for _, mode := range []string{"sync", "deferred"} {
 		b.Run(mode, func(b *testing.B) {
 			deferred := mode == "deferred"
-			k := mustKernel(b, repro.Options{Node: "e1", DeferredAggregates: &deferred})
+			k := mustKernel(b, repro.Options{Node: "e1"})
+			update := k.Update
+			if !deferred {
+				update = newStrong(k).syncUpdate
+			}
 			k.DefineSumAggregate("revenue", "Order", "total", "")
 			var seq atomic.Int64
 			b.ResetTimer()
@@ -65,7 +69,7 @@ func BenchmarkE1AggregateSyncVsDeferred(b *testing.B) {
 				for pb.Next() {
 					i := seq.Add(1)
 					key := repro.Key{Type: "Order", ID: fmt.Sprintf("O%d", i)}
-					if _, err := k.Update(key, repro.Set("total", 10.0)); err != nil {
+					if _, err := update(key, repro.Set("total", 10.0)); err != nil {
 						b.Error(err)
 						return
 					}
@@ -94,18 +98,18 @@ func BenchmarkE2SoupsVs2PC(b *testing.B) {
 	for _, cross := range []float64{0.0, 0.5, 1.0} {
 		for _, mode := range []string{"soups", "2pc"} {
 			b.Run(fmt.Sprintf("%s/cross=%.0f%%", mode, cross*100), func(b *testing.B) {
-				consistency := repro.EventualSOUPS
+				k := mustKernel(b, repro.Options{Node: "e2", Units: 4})
+				transactMulti := k.TransactMulti
 				if mode == "2pc" {
-					consistency = repro.StrongSingleCopy
+					transactMulti = newStrong(k).TransactMulti
 				}
-				k := mustKernel(b, repro.Options{Node: "e2", Units: 4, Consistency: consistency})
 				gen := workload.NewTransfers(42, 1000, cross)
 				lat := metrics.NewHistogram()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					tr := gen.Next()
 					t0 := time.Now()
-					err := k.TransactMulti([]repro.MultiWrite{
+					err := transactMulti([]repro.MultiWrite{
 						{Key: tr.From, Ops: []repro.Op{repro.Delta("balance", -tr.Amount)}},
 						{Key: tr.To, Ops: []repro.Op{repro.Delta("balance", tr.Amount)}},
 					})
@@ -116,8 +120,13 @@ func BenchmarkE2SoupsVs2PC(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(lat.Quantile(0.99))/1e3, "p99-us")
-				if consistency == repro.EventualSOUPS {
-					k.Drain() // deliver the queued halves before verifying
+				// Every transfer moved money without making or losing any:
+				// once the queued halves are delivered, the accounts sum to 0.
+				k.Drain()
+				sum := 0.0
+				k.Query("Account", func(st *repro.State) bool { sum += st.Float("balance"); return true })
+				if sum != 0 {
+					b.Fatalf("accounts sum to %v after %d transfers, want 0", sum, b.N)
 				}
 			})
 		}
@@ -127,26 +136,41 @@ func BenchmarkE2SoupsVs2PC(b *testing.B) {
 // --- E3: solipsistic vs optimistic vs pessimistic CC (principle 2.10) -------
 
 func BenchmarkE3ConcurrencyControl(b *testing.B) {
-	modes := map[string]txn.Mode{"solipsistic": txn.Solipsistic, "optimistic": txn.Optimistic, "pessimistic": txn.Pessimistic}
+	// The pessimistic row is the strong baseline's: a solipsistic
+	// transaction under an exclusive logical lock (lockAll).
+	modes := map[string]txn.Mode{"solipsistic": txn.Solipsistic, "optimistic": txn.Optimistic, "pessimistic": txn.Solipsistic}
 	for name, mode := range modes {
 		b.Run(name, func(b *testing.B) {
 			db := lsdb.Open(lsdb.Options{Node: "e3", SnapshotEvery: 64, Validation: entity.Managed})
 			if err := db.RegisterType(workload.AccountType()); err != nil {
 				b.Fatal(err)
 			}
-			mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "e3", LockTimeout: 50 * time.Millisecond})
+			mgr := txn.NewManager(db, nil, txn.Options{Node: "e3"})
+			lm := locks.NewManager(locks.Options{})
 			zipf := workload.NewZipf(7, 64, 1.2)
-			var aborts atomic.Int64
+			var aborts, lockTimeouts atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					key := repro.Key{Type: "Account", ID: fmt.Sprintf("acct-%d", zipf.Next())}
-					_, err := mgr.Run(mode, nil, 0, func(t *txn.Txn) error {
-						if _, err := t.Read(key); err != nil {
-							return err
-						}
-						return t.Update(key, repro.Delta("balance", 1))
-					})
+					run := func() error {
+						_, err := mgr.Run(mode, nil, 0, func(t *txn.Txn) error {
+							if _, err := t.Read(key); err != nil {
+								return err
+							}
+							return t.Update(key, repro.Delta("balance", 1))
+						})
+						return err
+					}
+					var err error
+					if name == "pessimistic" {
+						err = lockAll(lm, []repro.Key{key}, 50*time.Millisecond, run)
+					} else {
+						err = run()
+					}
+					if errors.Is(err, locks.ErrTimeout) {
+						lockTimeouts.Add(1)
+					}
 					if err != nil {
 						aborts.Add(1)
 					}
@@ -154,7 +178,7 @@ func BenchmarkE3ConcurrencyControl(b *testing.B) {
 			})
 			b.StopTimer()
 			b.ReportMetric(float64(aborts.Load())/float64(b.N), "aborts/op")
-			b.ReportMetric(float64(mgr.Stats().LockTimeouts)/float64(b.N), "lock-timeouts/op")
+			b.ReportMetric(float64(lockTimeouts.Load())/float64(b.N), "lock-timeouts/op")
 		})
 	}
 }
@@ -289,9 +313,9 @@ func BenchmarkE6ApologyVsStrong(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			k := mustKernel(b, repro.Options{Node: "e6s", Consistency: repro.StrongSingleCopy})
+			s := newStrong(mustKernel(b, repro.Options{Node: "e6s"}))
 			key := repro.Key{Type: "Book", ID: "bestseller"}
-			k.Update(key, repro.Set("stock", stock))
+			s.Update(key, repro.Set("stock", stock))
 			store := workload.NewBookstore(stock, demand)
 			rejected := 0
 			b.StartTimer()
@@ -299,7 +323,7 @@ func BenchmarkE6ApologyVsStrong(b *testing.B) {
 			// no apologies, but the tail of customers is turned away at order
 			// time (and every order pays the locking cost).
 			for _, o := range store.Orders() {
-				_, err := k.Transact(key, func(t *txn.Txn) error {
+				_, err := s.Transact(key, func(t *txn.Txn) error {
 					st, err := t.Read(key)
 					if err != nil {
 						return err
@@ -929,7 +953,7 @@ func BenchmarkE19WorkStealingPool(b *testing.B) {
 				if err := db.RegisterType(workload.AccountType()); err != nil {
 					b.Fatal(err)
 				}
-				mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "e19"})
+				mgr := txn.NewManager(db, nil, txn.Options{Node: "e19"})
 				q := queue.New("e19", queue.Options{})
 				e := process.NewEngine(mgr, q, process.Options{Workers: workers})
 				def := process.NewDefinition("e19")
@@ -978,11 +1002,11 @@ func BenchmarkE19WorkStealingPool(b *testing.B) {
 func BenchmarkE10OutOfOrderEntry(b *testing.B) {
 	for _, mode := range []string{"strict", "managed"} {
 		b.Run(mode, func(b *testing.B) {
-			consistency := repro.EventualSOUPS
+			k := mustKernel(b, repro.Options{Node: "e10"})
+			update := k.Update
 			if mode == "strict" {
-				consistency = repro.StrongSingleCopy
+				update = newStrong(k).Update
 			}
-			k := mustKernel(b, repro.Options{Node: "e10", Consistency: consistency})
 			gen := workload.NewOrderToCash(7, 0.3)
 			rejected, entered := 0, 0
 			b.ResetTimer()
@@ -993,12 +1017,12 @@ func BenchmarkE10OutOfOrderEntry(b *testing.B) {
 					// entered before the opportunity and order.
 					custID := events[1].Ops[0].Value.(string)
 					custKey, _ := entity.ParseKey(custID)
-					if _, err := k.Update(custKey, repro.Set("name", "known customer")); err != nil {
+					if _, err := update(custKey, repro.Set("name", "known customer")); err != nil {
 						b.Fatal(err)
 					}
 				}
 				for _, ev := range events {
-					_, err := k.Update(ev.Key, ev.Ops...)
+					_, err := update(ev.Key, ev.Ops...)
 					if err != nil {
 						rejected++
 						continue

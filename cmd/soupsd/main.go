@@ -23,9 +23,9 @@
 // header; reads keep serving either way. See the degraded-modes runbook in
 // docs/OPERATIONS.md.
 //
-// Usage: soupsd [-addr :8080] [-units 4] [-consistency eventual|strong]
+// Usage: soupsd [-addr :8080] [-units 4] [-workers 2]
 //
-//	[-workers 2] [-groupcommit] [-maxbatch 64]
+//	[-groupcommit] [-maxbatch 64]
 //	[-data-dir DIR] [-fsync-mode always|os] [-checkpoint-every 4096]
 //	[-role primary|standby] [-standbys URL,URL] [-ack async|sync|quorum]
 //	[-max-queue-depth 4096] [-retry-after 1s] [-debug-addr ADDR]
@@ -75,7 +75,6 @@ import (
 var (
 	addr            = flag.String("addr", ":8080", "listen address")
 	units           = flag.Int("units", 4, "number of serialization units")
-	consistency     = flag.String("consistency", "eventual", "eventual or strong")
 	workers         = flag.Int("workers", 0, "process-step workers per unit in the work-stealing pool (0 = default 2)")
 	groupCommit     = flag.Bool("groupcommit", false, "batch concurrent appends via per-shard group commit")
 	maxBatch        = flag.Int("maxbatch", 0, "max appends per group-commit batch (0 = default 64)")
@@ -119,10 +118,6 @@ func (s *server) dataKernel(w http.ResponseWriter) *repro.Kernel {
 // path reuses it: a promoted standby is configured exactly like a primary
 // started over the same data directory.
 func openKernel() (*repro.Kernel, error) {
-	mode := repro.EventualSOUPS
-	if strings.HasPrefix(strings.ToLower(*consistency), "strong") {
-		mode = repro.StrongSingleCopy
-	}
 	sync, err := storage.ParseSyncMode(*fsyncMode)
 	if err != nil {
 		return nil, err
@@ -132,7 +127,7 @@ func openKernel() (*repro.Kernel, error) {
 		return nil, err
 	}
 	opts := repro.Options{
-		Node: "soupsd", Units: *units, Consistency: mode, Workers: *workers,
+		Node: "soupsd", Units: *units, Workers: *workers,
 		GroupCommit: *groupCommit, MaxAppendBatch: *maxBatch,
 		DataDir: *dataDir, Fsync: sync, CheckpointEvery: *ckptEvery,
 		FlushBytes: *flushBytes, CompactAfter: *compactAfter,
@@ -229,8 +224,8 @@ func main() {
 		if rs := s.k().ReplicaStats(); rs.Enabled {
 			repl = fmt.Sprintf("shipping to %d standbys ack=%s", rs.Standbys, rs.Mode)
 		}
-		log.Printf("soupsd primary listening on %s (units=%d consistency=%s groupcommit=%v %s, %s)",
-			*addr, *units, *consistency, *groupCommit, durable, repl)
+		log.Printf("soupsd primary listening on %s (units=%d groupcommit=%v %s, %s)",
+			*addr, *units, *groupCommit, durable, repl)
 	} else {
 		log.Printf("soupsd standby listening on %s (units=%d %s); POST /promote to take over", *addr, *units, durable)
 	}

@@ -1,7 +1,8 @@
 // Package aggregate maintains secondary data — aggregates, materialized
-// views and secondary indexes — from the primary log, either synchronously
-// (the conventional baseline) or deferred (principle 2.3: "I'll do it
-// eventually").
+// views and secondary indexes — from the primary log, deferred (principle
+// 2.3: "I'll do it eventually"): a maintainer folds committed records in when
+// CatchUp or its Run loop gets to them. Catching up after every write is the
+// synchronous baseline.
 //
 // Deferred maintenance means secondary data "will not always be consistent
 // with the primary data"; the package therefore also measures staleness (how
@@ -26,27 +27,6 @@ var (
 	// index that was never defined.
 	ErrUnknownDefinition = errors.New("aggregate: unknown definition")
 )
-
-// Mode selects when secondary data is updated.
-type Mode int
-
-// Maintenance modes.
-const (
-	// Deferred updates secondary data asynchronously by tailing the log
-	// (the paper's recommendation).
-	Deferred Mode = iota
-	// Synchronous updates secondary data inline with every primary write;
-	// the hot-aggregate baseline of experiment E1.
-	Synchronous
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	if m == Synchronous {
-		return "synchronous"
-	}
-	return "deferred"
-}
 
 // sumDef defines a sum aggregate of one numeric field, grouped by another
 // field (empty GroupBy aggregates globally).
@@ -77,8 +57,7 @@ type viewDef struct {
 // Maintainer tails one serialization unit's log and keeps the defined
 // secondary data up to date. All methods are safe for concurrent use.
 type Maintainer struct {
-	db   *lsdb.DB
-	mode Mode
+	db *lsdb.DB
 
 	mu        sync.Mutex
 	processed uint64 // highest LSN folded into secondary data
@@ -101,11 +80,10 @@ type Maintainer struct {
 	lagCount uint64
 }
 
-// NewMaintainer creates a maintainer for db in the given mode.
-func NewMaintainer(db *lsdb.DB, mode Mode) *Maintainer {
+// NewMaintainer creates a maintainer for db.
+func NewMaintainer(db *lsdb.DB) *Maintainer {
 	return &Maintainer{
 		db:          db,
-		mode:        mode,
 		sums:        map[string]sumDef{},
 		counts:      map[string]countDef{},
 		indexes:     map[string]indexDef{},
@@ -118,9 +96,6 @@ func NewMaintainer(db *lsdb.DB, mode Mode) *Maintainer {
 		lastGrp:     map[string]map[string]string{},
 	}
 }
-
-// Mode returns the maintenance mode.
-func (m *Maintainer) Mode() Mode { return m.mode }
 
 // DefineSum declares a sum aggregate over field of entityType, grouped by
 // groupBy (empty for a single global total).
@@ -162,9 +137,9 @@ func (m *Maintainer) DefineView(name, entityType string, project func(*entity.St
 }
 
 // CatchUp folds every unprocessed log record into the secondary data and
-// returns how many records the maintainer caught up past. Deferred
-// maintenance calls this from a background loop; synchronous maintenance
-// calls it inline after each primary write.
+// returns how many records the maintainer caught up past. Run calls it
+// from a background loop; the synchronous baseline calls it after each
+// primary write.
 //
 // All secondary data is derived from entity state, so within one batch only
 // the latest record per entity needs a state read — every earlier record of
@@ -192,8 +167,7 @@ func (m *Maintainer) CatchUp() int {
 	return len(records)
 }
 
-// Run tails the log every interval until stop is closed (deferred mode's
-// background worker).
+// Run tails the log every interval until stop is closed.
 func (m *Maintainer) Run(interval time.Duration, stop <-chan struct{}) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()

@@ -38,7 +38,7 @@ func inv(id string) entity.Key { return entity.Key{Type: "Invoice", ID: id} }
 
 func TestSumAggregateGlobal(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("amount", 50.0)}, stamp(2), "u1", "")
@@ -67,7 +67,7 @@ func TestSumAggregateGlobal(t *testing.T) {
 
 func TestSumAggregateHandlesSetAndDelta(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	m.CatchUp()
@@ -88,7 +88,7 @@ func TestSumAggregateHandlesSetAndDelta(t *testing.T) {
 
 func TestSumAggregateGroupedAndRegrouping(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineSum("by-customer", "Invoice", "amount", "customer")
 	db.Append(inv("I1"), []entity.Op{entity.Set("customer", "acme"), entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("customer", "globex"), entity.Set("amount", 10.0)}, stamp(2), "u1", "")
@@ -112,7 +112,7 @@ func TestSumAggregateGroupedAndRegrouping(t *testing.T) {
 
 func TestSumAggregateDeletedEntity(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	m.CatchUp()
@@ -125,7 +125,7 @@ func TestSumAggregateDeletedEntity(t *testing.T) {
 
 func TestCountAggregate(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineCount("open-invoices", "Invoice", "status")
 	db.Append(inv("I1"), []entity.Op{entity.Set("status", "OPEN")}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("status", "OPEN")}, stamp(2), "u1", "")
@@ -156,7 +156,7 @@ func TestCountAggregate(t *testing.T) {
 
 func TestSecondaryIndex(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineIndex("by-status", "Invoice", "status")
 	db.Append(inv("I1"), []entity.Op{entity.Set("status", "OPEN")}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("status", "OPEN")}, stamp(2), "u1", "")
@@ -196,7 +196,7 @@ func TestSecondaryIndex(t *testing.T) {
 
 func TestMaterializedView(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineView("invoice-summary", "Invoice", func(st *entity.State) entity.Fields {
 		return entity.Fields{"customer": st.StringField("customer"), "amount": st.Float("amount")}
 	})
@@ -218,7 +218,7 @@ func TestMaterializedView(t *testing.T) {
 
 func TestUnknownDefinitions(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	if _, err := m.Sum("nope", ""); !errors.Is(err, ErrUnknownDefinition) {
 		t.Fatal("Sum should fail")
 	}
@@ -236,19 +236,9 @@ func TestUnknownDefinitions(t *testing.T) {
 	}
 }
 
-func TestSynchronousModeLabel(t *testing.T) {
-	db := newDB(t)
-	if NewMaintainer(db, Synchronous).Mode().String() != "synchronous" {
-		t.Fatal("mode name wrong")
-	}
-	if NewMaintainer(db, Deferred).Mode().String() != "deferred" {
-		t.Fatal("mode name wrong")
-	}
-}
-
 func TestRunBackgroundLoop(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -279,7 +269,7 @@ func TestRunBackgroundLoop(t *testing.T) {
 
 func TestConcurrentWritersAndCatchUp(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	const writers, per = 4, 50
 	var wg sync.WaitGroup
@@ -315,7 +305,7 @@ func TestConcurrentWritersAndCatchUp(t *testing.T) {
 
 func TestStalenessNeverNegative(t *testing.T) {
 	db := newDB(t)
-	m := NewMaintainer(db, Deferred)
+	m := NewMaintainer(db)
 	pending, lsn := m.Staleness()
 	if pending != 0 || lsn != 0 {
 		t.Fatalf("empty staleness = %d/%d", pending, lsn)

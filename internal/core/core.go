@@ -2,8 +2,7 @@
 // management system: it composes the log-structured storage, serialization
 // units, transaction managers, event queues, the process-step engine,
 // deferred secondary data, logical locks, tentative operations and apologies,
-// and online schema migration into a single embeddable component with a
-// selectable consistency discipline.
+// and online schema migration into a single embeddable component.
 //
 // The programming model follows principles 2.4–2.6 (SOUPS): applications are
 // written as process steps, each containing at most one transaction that
@@ -52,37 +51,8 @@ import (
 	"repro/internal/txn"
 )
 
-// Common errors.
-var (
-	// ErrClosed is returned after Close.
-	ErrClosed = errors.New("core: kernel closed")
-	// ErrMultiUnit is returned when a strongly consistent multi-entity
-	// transaction is requested but the kernel runs in SOUPS mode.
-	ErrMultiUnit = errors.New("core: multi-unit transaction not allowed in SOUPS mode")
-)
-
-// Consistency selects the kernel-wide discipline.
-type Consistency int
-
-// Consistency disciplines.
-const (
-	// EventualSOUPS is the paper's recommendation: solipsistic single-entity
-	// transactions, deferred secondary data, queued propagation, managed
-	// constraint violations.
-	EventualSOUPS Consistency = iota
-	// StrongSingleCopy is the conventional baseline: pessimistic concurrency
-	// control, two-phase commit for multi-entity work, synchronous
-	// aggregates, strict validation.
-	StrongSingleCopy
-)
-
-// String returns the discipline name.
-func (c Consistency) String() string {
-	if c == StrongSingleCopy {
-		return "strong-single-copy"
-	}
-	return "eventual-soups"
-}
+// ErrClosed is returned after Close.
+var ErrClosed = errors.New("core: kernel closed")
 
 // Options configure a Kernel.
 type Options struct {
@@ -90,12 +60,6 @@ type Options struct {
 	Node clock.NodeID
 	// Units is the number of serialization units (partitions). Default 1.
 	Units int
-	// Consistency selects the kernel-wide discipline. Default EventualSOUPS.
-	Consistency Consistency
-	// TxnMode overrides the concurrency-control mode implied by Consistency.
-	TxnMode *txn.Mode
-	// Validation overrides the validation mode implied by Consistency.
-	Validation *entity.ValidationMode
 	// SnapshotEvery configures LSDB snapshot frequency (default 32).
 	SnapshotEvery int
 	// DBShards is the number of lock-striped shards inside each
@@ -152,9 +116,6 @@ type Options struct {
 	// folds into a single batch (default 64; only meaningful with
 	// GroupCommit).
 	MaxAppendBatch int
-	// DeferredAggregates maintains secondary data asynchronously; the
-	// default follows the consistency discipline.
-	DeferredAggregates *bool
 	// CollapseVertical enables inline execution of follow-up steps.
 	CollapseVertical bool
 	// Workers is the size of each unit's step pool when Start is used
@@ -173,8 +134,6 @@ type Options struct {
 	// mode (an ENOSPC-style append failure) before the next write probes the
 	// backend again (default 1s; see lsdb.Options.RearmAfter).
 	RearmAfter time.Duration
-	// TxnRetries is how many times Transact retries optimistic conflicts.
-	TxnRetries int
 	// PromiseLimit caps how many pending promises one entity may carry at
 	// once: UpdateTentative refuses further promises on that entity with
 	// apology.ErrPromiseLimit until some settle. Every pending promise is a
@@ -242,45 +201,12 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
-	if o.TxnRetries < 0 {
-		o.TxnRetries = 0
-	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 4096
 	}
 	if o.CheckpointEvery < 0 {
 		o.CheckpointEvery = 0
 	}
-}
-
-// txnMode returns the effective concurrency-control mode.
-func (o Options) txnMode() txn.Mode {
-	if o.TxnMode != nil {
-		return *o.TxnMode
-	}
-	if o.Consistency == StrongSingleCopy {
-		return txn.Pessimistic
-	}
-	return txn.Solipsistic
-}
-
-// validation returns the effective validation mode.
-func (o Options) validation() entity.ValidationMode {
-	if o.Validation != nil {
-		return *o.Validation
-	}
-	if o.Consistency == StrongSingleCopy {
-		return entity.Strict
-	}
-	return entity.Managed
-}
-
-// deferredAggregates returns whether secondary data is maintained lazily.
-func (o Options) deferredAggregates() bool {
-	if o.DeferredAggregates != nil {
-		return *o.DeferredAggregates
-	}
-	return o.Consistency == EventualSOUPS
 }
 
 // unit bundles the per-serialization-unit machinery.
@@ -309,7 +235,6 @@ type Kernel struct {
 	ledger   *apology.Ledger
 	registry *migrate.Registry
 	metrics  *metrics.Registry
-	coord    *txn.Coordinator
 	started  bool
 
 	// The newest maxWarnings managed violations, a ring under its own lock:
@@ -343,7 +268,6 @@ func Open(opts Options) (*Kernel, error) {
 		return nil, fmt.Errorf("core: %d unit backends for %d units", len(opts.UnitBackends), opts.Units)
 	}
 	locator := partition.NewHashLocator(64)
-	var participants []txn.Participant
 	for i := 0; i < opts.Units; i++ {
 		id := partition.UnitID(fmt.Sprintf("%s-u%d", opts.Node, i))
 		if err := locator.AddUnit(id); err != nil {
@@ -353,37 +277,30 @@ func Open(opts Options) (*Kernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		mgr := txn.NewManager(db, k.locks, k.hlc, txn.Options{
+		mgr := txn.NewManager(db, k.hlc, txn.Options{
 			Node:                clock.NodeID(id),
-			EnforceSingleEntity: opts.Consistency == EventualSOUPS,
+			EnforceSingleEntity: true,
 		})
 		q := queue.New(string(id), queue.Options{MaxDepth: opts.MaxQueueDepth})
 		engine := process.NewEngine(mgr, q, process.Options{
 			Workers:          opts.Workers,
-			TxnMode:          opts.txnMode(),
 			CollapseVertical: opts.CollapseVertical,
 			Route:            k.routeQueue,
 		})
-		maintMode := aggregate.Deferred
-		if !opts.deferredAggregates() {
-			maintMode = aggregate.Synchronous
-		}
 		u := &unit{
 			id:     id,
 			db:     db,
 			mgr:    mgr,
 			queue:  q,
 			engine: engine,
-			maint:  aggregate.NewMaintainer(db, maintMode),
+			maint:  aggregate.NewMaintainer(db),
 		}
 		k.units[id] = u
 		k.byIndex = append(k.byIndex, u)
 		k.unitIDs = append(k.unitIDs, id)
-		participants = append(participants, txn.Participant{Manager: mgr})
 	}
 	sort.Slice(k.unitIDs, func(i, j int) bool { return k.unitIDs[i] < k.unitIDs[j] })
 	k.dir = partition.NewDirectory(locator)
-	k.coord = txn.NewCoordinator(participants...)
 	if r := opts.Replication; r != nil && len(r.Standbys) > 0 {
 		self := r.Self
 		if self == "" {
@@ -435,7 +352,7 @@ func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, erro
 	dbOpts := lsdb.Options{
 		Node:            clock.NodeID(id),
 		SnapshotEvery:   opts.SnapshotEvery,
-		Validation:      opts.validation(),
+		Validation:      entity.Managed,
 		Shards:          opts.DBShards,
 		GroupCommit:     opts.GroupCommit,
 		MaxBatch:        opts.MaxAppendBatch,
@@ -490,9 +407,6 @@ func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, erro
 // Options returns the kernel's effective options.
 func (k *Kernel) Options() Options { return k.opts }
 
-// Consistency returns the configured discipline.
-func (k *Kernel) Consistency() Consistency { return k.opts.Consistency }
-
 // Units returns the serialization unit ids, sorted.
 func (k *Kernel) Units() []partition.UnitID {
 	return append([]partition.UnitID(nil), k.unitIDs...)
@@ -533,16 +447,6 @@ func (k *Kernel) unitFor(key entity.Key) (*unit, error) {
 	return u, nil
 }
 
-// unitIndex returns the participant index of a unit for the 2PC coordinator.
-func (k *Kernel) unitIndex(id partition.UnitID) int {
-	for i, u := range k.unitIDs {
-		if u == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // RegisterType registers an entity type on every unit and in the schema
 // registry.
 func (k *Kernel) RegisterType(t *entity.Type) error {
@@ -569,9 +473,9 @@ func (k *Kernel) RegisterTypes(types ...*entity.Type) error {
 
 // --- Transactions -----------------------------------------------------------
 
-// checkReferences enforces referential integrity for Reference fields set by
-// ops: in strict mode a dangling reference is an error; in managed mode it is
-// recorded as a warning and handled by later process steps (principle 2.2).
+// checkReferences records a dangling Reference field set by ops as a managed
+// warning, handled by later process steps (principle 2.2); the write goes
+// ahead either way.
 func (k *Kernel) checkReferences(key entity.Key, ops []entity.Op) error {
 	u, err := k.unitFor(key)
 	if err != nil {
@@ -607,23 +511,22 @@ func (k *Kernel) checkReferences(key entity.Key, ops []entity.Op) error {
 			continue
 		}
 		problem := fmt.Sprintf("dangling reference %s.%s -> %s", key.Type, op.Field, refKey)
-		if k.opts.validation() == entity.Strict {
-			return fmt.Errorf("core: %s", problem)
-		}
 		k.recordWarnings([]entity.Warning{{Key: key, Op: op, Problem: problem}})
 	}
 	return nil
 }
 
-// Transact runs fn inside one focused transaction against the unit owning
-// key and commits it. Events emitted via Txn.Emit go to that unit's queue.
+// Transact runs fn inside one focused, solipsistic transaction against the
+// unit owning key and commits it (principles 2.5 and 2.10). Events emitted
+// via Txn.Emit go to that unit's queue; managed violations the commit
+// reports go to Warnings.
 func (k *Kernel) Transact(key entity.Key, fn func(*txn.Txn) error) (txn.CommitResult, error) {
 	u, err := k.unitFor(key)
 	if err != nil {
 		return txn.CommitResult{}, err
 	}
 	start := time.Now()
-	res, err := u.mgr.Run(k.opts.txnMode(), u.queue, k.opts.TxnRetries, fn)
+	res, err := u.mgr.Run(txn.Solipsistic, u.queue, 0, fn)
 	k.metrics.Histogram("txn.latency").Record(time.Since(start))
 	if err != nil {
 		k.metrics.Counter("txn.failed").Inc()
@@ -631,15 +534,11 @@ func (k *Kernel) Transact(key entity.Key, fn func(*txn.Txn) error) (txn.CommitRe
 	}
 	k.metrics.Counter("txn.committed").Inc()
 	k.recordWarnings(res.Warnings)
-	if !k.opts.deferredAggregates() {
-		u.maint.CatchUp()
-	}
 	return res, nil
 }
 
 // Update is the single-shot convenience: apply ops to key in one focused
-// transaction. Referential integrity of Reference fields is enforced in
-// strict mode and turned into managed warnings otherwise.
+// transaction. A dangling Reference field becomes a managed warning.
 func (k *Kernel) Update(key entity.Key, ops ...entity.Op) (txn.CommitResult, error) {
 	if err := k.checkReferences(key, ops); err != nil {
 		k.metrics.Counter("txn.failed").Inc()
@@ -653,11 +552,7 @@ func (k *Kernel) Update(key entity.Key, ops ...entity.Op) (txn.CommitResult, err
 // UpdateTentative applies ops as a tentative promise and registers it in the
 // apology ledger. The returned promise can later be kept or broken.
 func (k *Kernel) UpdateTentative(key entity.Key, partner, kind string, quantity float64, ops ...entity.Op) (apology.Promise, error) {
-	u, err := k.unitFor(key)
-	if err != nil {
-		return apology.Promise{}, err
-	}
-	res, err := u.mgr.Run(k.opts.txnMode(), u.queue, k.opts.TxnRetries, func(t *txn.Txn) error {
+	res, err := k.Transact(key, func(t *txn.Txn) error {
 		return t.UpdateTentative(key, ops...)
 	})
 	if err != nil {
@@ -675,7 +570,7 @@ func (k *Kernel) UpdateTentative(key entity.Key, partner, kind string, quantity 
 		// just written so the refused promise leaves no trace in rollups (it
 		// stays in the log as an obsolete record, like any broken promise).
 		k.metrics.Counter("promise.refused").Inc()
-		_ = u.db.MarkObsolete(key, res.TxnID)
+		k.withdraw(key, res.TxnID)
 		return apology.Promise{}, err
 	}
 	k.metrics.Counter("promise.made").Inc()
@@ -687,7 +582,7 @@ type MultiWrite struct {
 	Key entity.Key
 	Ops []entity.Op
 	// Event optionally names the process-step event used to propagate this
-	// write asynchronously in SOUPS mode ("" uses "core.apply").
+	// write asynchronously ("" uses "core.apply").
 	Event string
 }
 
@@ -695,34 +590,11 @@ type MultiWrite struct {
 const ApplyEventName = "core.apply"
 
 // TransactMulti applies writes that may span entities and serialization
-// units.
-//
-// In StrongSingleCopy mode it runs a two-phase commit across the owning
-// units (the baseline the paper argues against). In EventualSOUPS mode the
-// first write is applied in a focused local transaction and the remaining
-// writes are propagated as process-step events to their owning units
-// (principles 2.5/2.6); callers observe them once the steps execute.
+// units: the first write is applied in a focused local transaction and the
+// remaining writes are propagated as process-step events to their owning
+// units (principles 2.5/2.6); callers observe them once the steps execute.
 func (k *Kernel) TransactMulti(writes []MultiWrite) error {
 	if len(writes) == 0 {
-		return nil
-	}
-	if k.opts.Consistency == StrongSingleCopy {
-		var dws []txn.DistributedWrite
-		for _, w := range writes {
-			u, err := k.unitFor(w.Key)
-			if err != nil {
-				return err
-			}
-			dws = append(dws, txn.DistributedWrite{Participant: k.unitIndex(u.id), Key: w.Key, Ops: w.Ops})
-		}
-		start := time.Now()
-		err := k.coord.Execute(dws, nil)
-		k.metrics.Histogram("txn2pc.latency").Record(time.Since(start))
-		if err != nil {
-			k.metrics.Counter("txn2pc.failed").Inc()
-			return err
-		}
-		k.metrics.Counter("txn2pc.committed").Inc()
 		return nil
 	}
 	first := writes[0]
@@ -1191,7 +1063,6 @@ func (k *Kernel) TxnStats() txn.Stats {
 		total.Commits += s.Commits
 		total.Aborts += s.Aborts
 		total.Conflicts += s.Conflicts
-		total.LockTimeouts += s.LockTimeouts
 	}
 	return total
 }
@@ -1478,11 +1349,15 @@ func (k *Kernel) AggregateStaleness() int {
 // onPromiseBroken withdraws the tentative record backing a broken promise.
 func (k *Kernel) onPromiseBroken(p apology.Promise, reason string) {
 	k.metrics.Counter("apology.issued").Inc()
-	if p.TxnID == "" {
-		return
+	if p.TxnID != "" {
+		k.withdraw(p.Entity, p.TxnID)
 	}
-	if u, err := k.unitFor(p.Entity); err == nil {
-		_ = u.db.MarkObsolete(p.Entity, p.TxnID)
+}
+
+// withdraw marks the tentative record txnID wrote on key obsolete.
+func (k *Kernel) withdraw(key entity.Key, txnID string) {
+	if u, err := k.unitFor(key); err == nil {
+		_ = u.db.MarkObsolete(key, txnID)
 	}
 }
 

@@ -53,9 +53,6 @@ func TestBootstrapAndBasicReadWrite(t *testing.T) {
 	if len(k.Units()) != 2 {
 		t.Fatalf("Units = %v", k.Units())
 	}
-	if k.Consistency() != EventualSOUPS {
-		t.Fatal("default consistency wrong")
-	}
 }
 
 func TestReadAsOfAndHistory(t *testing.T) {
@@ -84,22 +81,6 @@ func TestSOUPSEnforcesSingleEntityTransactions(t *testing.T) {
 	})
 	if !errors.Is(err, txn.ErrMultiEntity) {
 		t.Fatalf("want ErrMultiEntity, got %v", err)
-	}
-}
-
-func TestStrongModeAllowsMultiEntityVia2PC(t *testing.T) {
-	k := newKernel(t, Options{Node: "n1", Units: 4, Consistency: StrongSingleCopy})
-	err := k.TransactMulti([]MultiWrite{
-		{Key: accountKey("A"), Ops: []entity.Op{entity.Delta("balance", -50)}},
-		{Key: accountKey("B"), Ops: []entity.Op{entity.Delta("balance", 50)}},
-	})
-	if err != nil {
-		t.Fatalf("TransactMulti: %v", err)
-	}
-	a, _ := k.Read(accountKey("A"))
-	b, _ := k.Read(accountKey("B"))
-	if a.Float("balance") != -50 || b.Float("balance") != 50 {
-		t.Fatalf("balances = %v / %v", a.Float("balance"), b.Float("balance"))
 	}
 }
 
@@ -241,14 +222,6 @@ func TestWarningsKeepTheNewestAndCountAll(t *testing.T) {
 	}
 }
 
-func TestStrictModeRejectsUnknownField(t *testing.T) {
-	k := newKernel(t, Options{Node: "n1", Consistency: StrongSingleCopy})
-	_, err := k.Update(orderKey("O1"), entity.Set("bogus", 1))
-	if err == nil {
-		t.Fatal("strict kernel accepted unknown field")
-	}
-}
-
 func TestDeferredAggregates(t *testing.T) {
 	k := newKernel(t, Options{Node: "n1", Units: 2})
 	k.DefineSumAggregate("revenue", "Order", "total", "")
@@ -277,15 +250,6 @@ func TestDeferredAggregates(t *testing.T) {
 	}
 	if k.AggregateStaleness() != 0 {
 		t.Fatalf("staleness after catch-up = %d", k.AggregateStaleness())
-	}
-}
-
-func TestSynchronousAggregatesInStrongMode(t *testing.T) {
-	k := newKernel(t, Options{Node: "n1", Consistency: StrongSingleCopy})
-	k.DefineSumAggregate("revenue", "Order", "total", "")
-	k.Update(orderKey("O1"), entity.Set("total", 25.0))
-	if v, _ := k.Sum("revenue", ""); v != 25 {
-		t.Fatalf("synchronous aggregate stale: %v", v)
 	}
 }
 
@@ -420,9 +384,27 @@ func TestUpdateUnknownTypeFails(t *testing.T) {
 	}
 }
 
-func TestConsistencyString(t *testing.T) {
-	if EventualSOUPS.String() != "eventual-soups" || StrongSingleCopy.String() != "strong-single-copy" {
-		t.Fatal("names wrong")
+// TestUpdateTentativeCountsAsACommit checks that a promise commits like any
+// other write: a managed violation it carries reaches Warnings and
+// constraint.managed, and the commit is counted in txn.committed and
+// txn.latency.
+func TestUpdateTentativeCountsAsACommit(t *testing.T) {
+	k := newKernel(t, Options{Node: "n1"})
+	key := orderKey("O1")
+	if _, err := k.Update(key, entity.Set("unknown_field", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.UpdateTentative(key, "C1", "order-confirmation", 1, entity.Set("unknown_field", "y")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ws := k.WarningCount(), k.Warnings(); got != 2 || len(ws) != 2 || ws[1].Op.Value != "y" {
+		t.Fatalf("WarningCount %d, Warnings %v: want both writes' violations", got, ws)
+	}
+	if got := k.Metrics().Counter("txn.committed").Value(); got != 2 {
+		t.Fatalf("txn.committed = %d, want 2", got)
+	}
+	if got := k.Metrics().Histogram("txn.latency").Count(); got != 2 {
+		t.Fatalf("txn.latency holds %d samples, want 2", got)
 	}
 }
 

@@ -34,7 +34,7 @@ func newStack(t *testing.T) (*Registry, *lsdb.DB, *txn.Manager, *locks.Manager, 
 		t.Fatal(err)
 	}
 	lm := locks.NewManager(locks.Options{})
-	mgr := txn.NewManager(db, lm, nil, txn.Options{Node: "u1"})
+	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1"})
 	return reg, db, mgr, lm, NewMigrator(reg, db, mgr, lm)
 }
 

@@ -25,7 +25,7 @@ func newEngineWithQueue(t *testing.T, qopts queue.Options, opts Options) (*Engin
 			t.Fatal(err)
 		}
 	}
-	mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
+	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
 	q := queue.New("u1", qopts)
 	e := NewEngine(mgr, q, opts)
 	return e, mgr, q

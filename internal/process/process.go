@@ -96,11 +96,12 @@ type stepFrame struct {
 
 // begin readies the frame for a step triggered by ev. Everything the previous
 // step left in it goes first: a handler that kept hold of what it was passed
-// finds none of its own step's events or writes in the next one's.
+// finds none of its own step's events or writes in the next one's. Steps run
+// solipsistic transactions (principle 2.10).
 func (f *stepFrame) begin(e *Engine, ev *queue.Event, attempt int) *StepContext {
 	clear(f.ctx.emitted) // the events may pin their Data maps
 	f.ctx = StepContext{Event: *ev, Txn: &f.txn, Attempt: attempt, engine: e, emitted: f.ctx.emitted[:0]}
-	e.mgr.BeginIn(&f.txn, e.opts.TxnMode)
+	e.mgr.BeginIn(&f.txn, txn.Solipsistic)
 	return &f.ctx
 }
 
@@ -174,9 +175,6 @@ type Options struct {
 	MaxAttempts int
 	// RetryBackoff delays redelivery of a failed step (default 1ms).
 	RetryBackoff time.Duration
-	// TxnMode is the concurrency-control mode steps run under (default
-	// Solipsistic, per principle 2.10).
-	TxnMode txn.Mode
 	// CollapseVertical executes events emitted by a step inline, in the same
 	// worker, up to CollapseDepth levels, instead of going through the queue
 	// (the "collapse steps vertically" optimisation of section 3.1). Each
@@ -588,7 +586,7 @@ func (e *Engine) HorizontalBatch(maxEvents int) (int, error) {
 	steps := e.table.Load().steps
 	absorbed := 0
 	for _, g := range groups {
-		t := e.mgr.Begin(e.opts.TxnMode)
+		t := e.mgr.Begin(txn.Solipsistic)
 		var emitted []queue.Event
 		ran := 0
 		var err error

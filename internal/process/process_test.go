@@ -37,7 +37,7 @@ func newEngine(t testing.TB, opts Options) (*Engine, *txn.Manager, *queue.Queue)
 			t.Fatal(err)
 		}
 	}
-	mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
+	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
 	q := queue.New("u1", queue.Options{})
 	e := NewEngine(mgr, q, opts)
 	return e, mgr, q
@@ -426,7 +426,7 @@ func TestWorkerPoolRidesGroupCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mgr := txn.NewManager(db, nil, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
+	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
 	q := queue.New("u1", queue.Options{})
 	e := NewEngine(mgr, q, Options{Workers: 4})
 	def := NewDefinition("bump")

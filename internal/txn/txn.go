@@ -7,10 +7,10 @@
 //   - Optimistic transactions: reads are validated at commit; a concurrent
 //     writer forces a rollback (the "optimistic concurrency control which can
 //     cause rollback" the paper mentions).
-//   - Pessimistic transactions: two-phase locking over logical locks (waits,
-//     timeouts, possibly deadlock-timeouts).
-//   - A two-phase-commit coordinator for multi-entity, multi-unit
-//     transactions, the baseline whose cost principle 2.5 argues against.
+//
+// The baselines principles 2.5 and 2.10 argue against, pessimistic locking
+// and two-phase commit, are not here: experiments build them from
+// internal/locks around Kernel.Transact (baseline_test.go at the root).
 //
 // Transactions target exactly one serialization unit (one lsdb.DB). A
 // focused transaction additionally touches exactly one entity; the manager
@@ -20,16 +20,13 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/entity"
-	"repro/internal/locks"
 	"repro/internal/lsdb"
 	"repro/internal/queue"
 )
@@ -43,8 +40,6 @@ const (
 	Solipsistic Mode = iota
 	// Optimistic validates read versions at commit and aborts on conflict.
 	Optimistic
-	// Pessimistic acquires exclusive logical locks before touching entities.
-	Pessimistic
 )
 
 // String returns the mode name.
@@ -54,8 +49,6 @@ func (m Mode) String() string {
 		return "solipsistic"
 	case Optimistic:
 		return "optimistic"
-	case Pessimistic:
-		return "pessimistic"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -65,17 +58,11 @@ func (m Mode) String() string {
 var (
 	// ErrConflict is returned by optimistic commits whose read set changed.
 	ErrConflict = errors.New("txn: optimistic conflict")
-	// ErrLockTimeout is returned by pessimistic transactions that could not
-	// obtain a lock in time.
-	ErrLockTimeout = errors.New("txn: lock timeout")
 	// ErrMultiEntity is returned when a focused transaction touches more
 	// than one entity (principle 2.5 violation).
 	ErrMultiEntity = errors.New("txn: transaction touches multiple entities")
 	// ErrDone is returned when using a transaction after Commit or Abort.
 	ErrDone = errors.New("txn: already finished")
-	// ErrAborted is returned by the 2PC coordinator when any participant
-	// failed to prepare.
-	ErrAborted = errors.New("txn: aborted")
 )
 
 // Options configure a Manager.
@@ -85,20 +72,14 @@ type Options struct {
 	// EnforceSingleEntity makes Commit fail with ErrMultiEntity when a
 	// transaction wrote more than one entity (SOUPS discipline, 2.6).
 	EnforceSingleEntity bool
-	// LockTimeout bounds pessimistic lock waits (default 2s).
-	LockTimeout time.Duration
-	// LockTTL bounds how long commit-duration locks may be held (default 0:
-	// forever, released at commit/abort).
-	LockTTL time.Duration
 }
 
 // Manager creates transactions against one serialization unit.
 type Manager struct {
-	opts  Options
-	db    *lsdb.DB
-	hlc   *clock.HLC
-	locks *locks.Manager
-	ids   clock.Sequence
+	opts Options
+	db   *lsdb.DB
+	hlc  *clock.HLC
+	ids  clock.Sequence
 	// idPrefix is "<node>-txn-"; a transaction id is it plus a sequence number.
 	idPrefix string
 
@@ -107,30 +88,23 @@ type Manager struct {
 
 // counters is Stats as the commit path bumps it: no lock anywhere.
 type counters struct {
-	commits, aborts, conflicts, lockTimeouts atomic.Uint64
+	commits, aborts, conflicts atomic.Uint64
 }
 
 // Stats counts transaction outcomes.
 type Stats struct {
-	Commits      uint64
-	Aborts       uint64
-	Conflicts    uint64
-	LockTimeouts uint64
+	Commits   uint64
+	Aborts    uint64
+	Conflicts uint64
 }
 
-// NewManager creates a transaction manager over db. The lock manager may be
-// shared with the process engine so logical locks interoperate.
-func NewManager(db *lsdb.DB, lm *locks.Manager, hlc *clock.HLC, opts Options) *Manager {
-	if opts.LockTimeout <= 0 {
-		opts.LockTimeout = 2 * time.Second
-	}
-	if lm == nil {
-		lm = locks.NewManager(locks.Options{})
-	}
+// NewManager creates a transaction manager over db; a nil hlc gets a clock
+// of its own.
+func NewManager(db *lsdb.DB, hlc *clock.HLC, opts Options) *Manager {
 	if hlc == nil {
 		hlc = clock.NewHLC(opts.Node)
 	}
-	m := &Manager{opts: opts, db: db, hlc: hlc, locks: lm, idPrefix: string(opts.Node) + "-txn-"}
+	m := &Manager{opts: opts, db: db, hlc: hlc, idPrefix: string(opts.Node) + "-txn-"}
 	m.resumeIDs()
 	return m
 }
@@ -157,16 +131,12 @@ func (m *Manager) resumeIDs() {
 // DB returns the underlying serialization unit.
 func (m *Manager) DB() *lsdb.DB { return m.db }
 
-// Locks returns the logical lock manager.
-func (m *Manager) Locks() *locks.Manager { return m.locks }
-
 // Stats returns a copy of the outcome counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Commits:      m.stats.commits.Load(),
-		Aborts:       m.stats.aborts.Load(),
-		Conflicts:    m.stats.conflicts.Load(),
-		LockTimeouts: m.stats.lockTimeouts.Load(),
+		Commits:   m.stats.commits.Load(),
+		Aborts:    m.stats.aborts.Load(),
+		Conflicts: m.stats.conflicts.Load(),
 	}
 }
 
@@ -188,8 +158,6 @@ type Txn struct {
 	// the inline room; more entities spill to the heap.
 	writes []write
 	room   [1]write
-	// owner is the logical-lock owner for pessimistic mode.
-	owner locks.Owner
 }
 
 // write is the buffered operations against one entity.
@@ -216,7 +184,7 @@ func (m *Manager) BeginIn(t *Txn, mode Mode) {
 	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
 	reads := t.reads
 	clear(reads)
-	*t = Txn{m: m, id: id, mode: mode, owner: locks.Owner(id), reads: reads}
+	*t = Txn{m: m, id: id, mode: mode, reads: reads}
 	t.writes = t.room[:0]
 }
 
@@ -248,11 +216,6 @@ func (t *Txn) Mode() Mode { return t.mode }
 func (t *Txn) Read(key entity.Key) (*entity.State, error) {
 	if t.done {
 		return nil, ErrDone
-	}
-	if t.mode == Pessimistic {
-		if err := t.lock(key); err != nil {
-			return nil, err
-		}
 	}
 	st, head, err := t.m.db.Current(key)
 	if errors.Is(err, lsdb.ErrNotFound) {
@@ -299,11 +262,6 @@ func (t *Txn) update(key entity.Key, tentative bool, ops ...entity.Op) error {
 	}
 	if len(ops) == 0 {
 		return nil
-	}
-	if t.mode == Pessimistic {
-		if err := t.lock(key); err != nil {
-			return err
-		}
 	}
 	w := t.written(key)
 	if w == nil {
@@ -354,19 +312,6 @@ func (t *Txn) Entities() []entity.Key {
 	return keys
 }
 
-func (t *Txn) lock(key entity.Key) error {
-	res := locks.FineResource(key.Type, key.ID)
-	err := t.m.locks.Acquire(t.owner, res, locks.Exclusive, t.m.opts.LockTTL, t.m.opts.LockTimeout)
-	if err != nil {
-		if errors.Is(err, locks.ErrTimeout) {
-			t.m.stats.lockTimeouts.Add(1)
-			return fmt.Errorf("%w: %s", ErrLockTimeout, res)
-		}
-		return err
-	}
-	return nil
-}
-
 // CommitResult describes a successful commit.
 type CommitResult struct {
 	TxnID string
@@ -381,8 +326,8 @@ type CommitResult struct {
 }
 
 // Commit finishes the transaction: it validates (per mode), appends one
-// record per written entity to the LSDB, publishes staged events to q (if q
-// is non-nil) and releases locks. On failure everything is discarded.
+// record per written entity to the LSDB and publishes staged events to q (if
+// q is non-nil). On failure everything is discarded.
 func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
 	var res CommitResult
 	err := t.commit(q, &res)
@@ -402,15 +347,13 @@ func (t *Txn) commit(q *queue.Queue, res *CommitResult) error {
 		return ErrDone
 	}
 	t.done = true
-	defer t.release()
 
 	if t.m.opts.EnforceSingleEntity && len(t.writes) > 1 {
 		t.fail()
 		return fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writes))
 	}
 	// Optimistic validation: every entity read must still be at the LSN we
-	// saw. (Solipsists skip this entirely; pessimists are protected by
-	// locks.)
+	// saw. (Solipsists skip this entirely.)
 	if t.mode == Optimistic {
 		for key, sawLSN := range t.reads {
 			_, head, err := t.m.db.Current(key)
@@ -475,7 +418,7 @@ func (t *Txn) commit(q *queue.Queue, res *CommitResult) error {
 	return nil
 }
 
-// Abort discards all buffered work and releases locks.
+// Abort discards all buffered work.
 func (t *Txn) Abort() {
 	if t.done {
 		return
@@ -483,16 +426,9 @@ func (t *Txn) Abort() {
 	t.done = true
 	t.discardStaged()
 	t.fail()
-	t.release()
 }
 
 func (t *Txn) fail() { t.m.stats.aborts.Add(1) }
-
-func (t *Txn) release() {
-	if t.mode == Pessimistic {
-		t.m.locks.ReleaseAll(t.owner)
-	}
-}
 
 // Run executes fn inside a transaction and commits it, retrying optimistic
 // conflicts up to retries times. It is the convenience most call sites use.
@@ -514,147 +450,4 @@ func (m *Manager) Run(mode Mode, q *queue.Queue, retries int, fn func(*Txn) erro
 		}
 	}
 	return CommitResult{}, lastErr
-}
-
-// --- Two-phase commit baseline -------------------------------------------
-
-// Participant is one serialization unit taking part in a distributed
-// transaction.
-type Participant struct {
-	Manager *Manager
-	// Delay simulates the network round trip to this participant for each
-	// 2PC message (prepare, commit/abort). Zero means co-located.
-	Delay time.Duration
-}
-
-// DistributedWrite is one entity write within a distributed transaction.
-type DistributedWrite struct {
-	Participant int // index into the coordinator's participant list
-	Key         entity.Key
-	Ops         []entity.Op
-}
-
-// Coordinator runs two-phase commit across participants. It exists as the
-// baseline the paper argues against: "when entities from two different
-// organizational units are accessed in the same transaction, a distributed
-// (two-phase commit) transaction is required, which impacts performance and
-// availability" (principle 2.5).
-type Coordinator struct {
-	participants []Participant
-	ids          clock.Sequence
-
-	mu    sync.Mutex
-	stats CoordinatorStats
-}
-
-// CoordinatorStats counts distributed transaction outcomes.
-type CoordinatorStats struct {
-	Commits  uint64
-	Aborts   uint64
-	Prepares uint64
-}
-
-// NewCoordinator creates a 2PC coordinator over the participants.
-func NewCoordinator(participants ...Participant) *Coordinator {
-	return &Coordinator{participants: participants}
-}
-
-// Stats returns a copy of the outcome counters.
-func (c *Coordinator) Stats() CoordinatorStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// prepared holds one participant's prepared (but not yet committed) local
-// transaction.
-type prepared struct {
-	part  int
-	txn   *Txn
-	delay time.Duration
-}
-
-// Execute runs a distributed transaction over the writes: phase one acquires
-// locks and validates at every participant (prepare), phase two commits
-// everywhere or aborts everywhere. Every phase pays each participant's
-// simulated network delay, serially for prepare ordering determinism and to
-// model a coordinator that logs between messages.
-func (c *Coordinator) Execute(writes []DistributedWrite, q *queue.Queue) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	id := c.ids.Next()
-	_ = id
-	// Group writes per participant: one local transaction each.
-	perPart := map[int][]DistributedWrite{}
-	var order []int
-	for _, w := range writes {
-		if w.Participant < 0 || w.Participant >= len(c.participants) {
-			return fmt.Errorf("txn: participant %d out of range", w.Participant)
-		}
-		if _, ok := perPart[w.Participant]; !ok {
-			order = append(order, w.Participant)
-		}
-		perPart[w.Participant] = append(perPart[w.Participant], w)
-	}
-	sort.Ints(order)
-
-	// Phase 1: prepare — start a pessimistic local transaction at each
-	// participant, buffer the writes, acquire locks.
-	var preps []prepared
-	abort := func() {
-		for _, p := range preps {
-			if p.delay > 0 {
-				time.Sleep(p.delay)
-			}
-			p.txn.Abort()
-		}
-		c.mu.Lock()
-		c.stats.Aborts++
-		c.mu.Unlock()
-	}
-	for _, pi := range order {
-		part := c.participants[pi]
-		if part.Delay > 0 {
-			time.Sleep(part.Delay)
-		}
-		local := part.Manager.Begin(Pessimistic)
-		ok := true
-		for _, w := range perPart[pi] {
-			if _, err := local.Read(w.Key); err != nil {
-				ok = false
-				break
-			}
-			if err := local.Update(w.Key, w.Ops...); err != nil {
-				ok = false
-				break
-			}
-		}
-		c.mu.Lock()
-		c.stats.Prepares++
-		c.mu.Unlock()
-		if !ok {
-			local.Abort()
-			abort()
-			return fmt.Errorf("%w: participant %d failed to prepare", ErrAborted, pi)
-		}
-		preps = append(preps, prepared{part: pi, txn: local, delay: part.Delay})
-	}
-
-	// Phase 2: commit everywhere.
-	for _, p := range preps {
-		if p.delay > 0 {
-			time.Sleep(p.delay)
-		}
-		if _, err := p.txn.Commit(q); err != nil {
-			// A commit failure after successful prepares leaves the classic
-			// 2PC in-doubt window; surface it loudly.
-			abort()
-			return fmt.Errorf("txn: 2pc commit failed at participant %d: %w", p.part, err)
-		}
-	}
-	c.mu.Lock()
-	c.stats.Commits++
-	c.mu.Unlock()
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/entity"
@@ -38,7 +37,7 @@ func newUnit(t *testing.T, node clock.NodeID, opts Options) *Manager {
 		}
 	}
 	opts.Node = node
-	return NewManager(db, nil, nil, opts)
+	return NewManager(db, nil, opts)
 }
 
 func acct(id string) entity.Key { return entity.Key{Type: "Account", ID: id} }
@@ -204,32 +203,6 @@ func TestSolipsisticNeverConflicts(t *testing.T) {
 	}
 }
 
-func TestPessimisticBlocksSecondWriter(t *testing.T) {
-	m := newUnit(t, "u1", Options{LockTimeout: 50 * time.Millisecond})
-	t1 := m.Begin(Pessimistic)
-	if _, err := t1.Read(acct("A")); err != nil {
-		t.Fatal(err)
-	}
-	t2 := m.Begin(Pessimistic)
-	if _, err := t2.Read(acct("A")); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("want ErrLockTimeout, got %v", err)
-	}
-	t2.Abort()
-	// After t1 finishes, locks are released and a new transaction proceeds.
-	t1.Update(acct("A"), entity.Delta("balance", 5))
-	if _, err := t1.Commit(nil); err != nil {
-		t.Fatal(err)
-	}
-	t3 := m.Begin(Pessimistic)
-	if _, err := t3.Read(acct("A")); err != nil {
-		t.Fatalf("lock not released after commit: %v", err)
-	}
-	t3.Abort()
-	if m.Stats().LockTimeouts != 1 {
-		t.Fatalf("stats = %+v", m.Stats())
-	}
-}
-
 func TestEnforceSingleEntity(t *testing.T) {
 	m := newUnit(t, "u1", Options{EnforceSingleEntity: true})
 	tx := m.Begin(Solipsistic)
@@ -366,94 +339,11 @@ func TestConcurrentSolipsisticDepositsAllLand(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if Solipsistic.String() != "solipsistic" || Optimistic.String() != "optimistic" || Pessimistic.String() != "pessimistic" {
+	if Solipsistic.String() != "solipsistic" || Optimistic.String() != "optimistic" {
 		t.Fatal("mode names wrong")
 	}
 	if Mode(9).String() == "" {
 		t.Fatal("unknown mode should render")
-	}
-}
-
-func TestTwoPhaseCommitAcrossUnits(t *testing.T) {
-	m1 := newUnit(t, "u1", Options{})
-	m2 := newUnit(t, "u2", Options{})
-	c := NewCoordinator(Participant{Manager: m1}, Participant{Manager: m2})
-	err := c.Execute([]DistributedWrite{
-		{Participant: 0, Key: acct("A"), Ops: []entity.Op{entity.Delta("balance", -50).Described("transfer out")}},
-		{Participant: 1, Key: acct("B"), Ops: []entity.Op{entity.Delta("balance", 50).Described("transfer in")}},
-	}, nil)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	a, _, _ := m1.DB().Current(acct("A"))
-	b, _, _ := m2.DB().Current(acct("B"))
-	if a.Float("balance") != -50 || b.Float("balance") != 50 {
-		t.Fatalf("balances = %v / %v", a.Float("balance"), b.Float("balance"))
-	}
-	if c.Stats().Commits != 1 || c.Stats().Prepares != 2 {
-		t.Fatalf("stats = %+v", c.Stats())
-	}
-}
-
-func TestTwoPhaseCommitAbortsWhenParticipantCannotPrepare(t *testing.T) {
-	m1 := newUnit(t, "u1", Options{LockTimeout: 30 * time.Millisecond})
-	m2 := newUnit(t, "u2", Options{LockTimeout: 30 * time.Millisecond})
-	// A local transaction holds the lock on B at participant 2, so prepare
-	// times out there and the whole distributed transaction aborts.
-	blocker := m2.Begin(Pessimistic)
-	if _, err := blocker.Read(acct("B")); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(Participant{Manager: m1}, Participant{Manager: m2})
-	err := c.Execute([]DistributedWrite{
-		{Participant: 0, Key: acct("A"), Ops: []entity.Op{entity.Delta("balance", -50)}},
-		{Participant: 1, Key: acct("B"), Ops: []entity.Op{entity.Delta("balance", 50)}},
-	}, nil)
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("want ErrAborted, got %v", err)
-	}
-	blocker.Abort()
-	// Neither side applied anything.
-	if _, _, err := m1.DB().Current(acct("A")); !errors.Is(err, lsdb.ErrNotFound) {
-		t.Fatal("participant 0 applied a write despite abort")
-	}
-	if _, _, err := m2.DB().Current(acct("B")); !errors.Is(err, lsdb.ErrNotFound) {
-		t.Fatal("participant 1 applied a write despite abort")
-	}
-	if c.Stats().Aborts != 1 {
-		t.Fatalf("stats = %+v", c.Stats())
-	}
-}
-
-func TestTwoPhaseCommitValidation(t *testing.T) {
-	m1 := newUnit(t, "u1", Options{})
-	c := NewCoordinator(Participant{Manager: m1})
-	if err := c.Execute(nil, nil); err != nil {
-		t.Fatalf("empty distributed txn should be a no-op: %v", err)
-	}
-	err := c.Execute([]DistributedWrite{{Participant: 7, Key: acct("A")}}, nil)
-	if err == nil {
-		t.Fatal("out-of-range participant accepted")
-	}
-}
-
-func TestTwoPhaseCommitDelaySlowsItDown(t *testing.T) {
-	m1 := newUnit(t, "u1", Options{})
-	m2 := newUnit(t, "u2", Options{})
-	delay := 10 * time.Millisecond
-	c := NewCoordinator(Participant{Manager: m1, Delay: delay}, Participant{Manager: m2, Delay: delay})
-	start := time.Now()
-	err := c.Execute([]DistributedWrite{
-		{Participant: 0, Key: acct("A"), Ops: []entity.Op{entity.Delta("balance", 1)}},
-		{Participant: 1, Key: acct("B"), Ops: []entity.Op{entity.Delta("balance", 1)}},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 participants x 2 phases x 10ms = at least 40ms of network time,
-	// which is the cost principle 2.5 says focused transactions avoid.
-	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Fatalf("2PC finished too fast (%v) for the configured delays", elapsed)
 	}
 }
 
@@ -484,7 +374,7 @@ func newGroupCommitUnit(t *testing.T, node clock.NodeID, opts Options) *Manager 
 		t.Fatal(err)
 	}
 	opts.Node = node
-	return NewManager(db, nil, nil, opts)
+	return NewManager(db, nil, opts)
 }
 
 // TestConcurrentTransactionsRideGroupCommit runs many solipsistic
@@ -584,7 +474,7 @@ func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 	}
 
 	// "Restart": a new manager over the same store and node name.
-	resumed := NewManager(m.DB(), nil, nil, Options{Node: "u1"})
+	resumed := NewManager(m.DB(), nil, Options{Node: "u1"})
 	tx := resumed.Begin(Solipsistic)
 	if got, want := tx.ID(), "u1-txn-4"; got != want {
 		t.Fatalf("first txn id after restart = %s, want %s", got, want)
@@ -608,7 +498,7 @@ func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 		clock.Timestamp{WallNanos: 99, Node: "u2"}, "u2", "u2-txn-900"); err != nil {
 		t.Fatal(err)
 	}
-	again := NewManager(resumed.DB(), nil, nil, Options{Node: "u1"})
+	again := NewManager(resumed.DB(), nil, Options{Node: "u1"})
 	if got, want := again.Begin(Solipsistic).ID(), "u1-txn-5"; got != want {
 		t.Fatalf("txn id after foreign writes = %s, want %s", got, want)
 	}

@@ -34,19 +34,6 @@ type Kernel = core.Kernel
 // Options configure a Kernel.
 type Options = core.Options
 
-// Consistency selects the kernel-wide discipline.
-type Consistency = core.Consistency
-
-// Kernel-wide consistency disciplines.
-const (
-	// EventualSOUPS is the paper's recommended discipline: solipsistic
-	// single-entity transactions, queued propagation, deferred secondary
-	// data, managed constraint violations.
-	EventualSOUPS = core.EventualSOUPS
-	// StrongSingleCopy is the conventional strongly consistent baseline.
-	StrongSingleCopy = core.StrongSingleCopy
-)
-
 // MultiWrite is one entity write inside a multi-entity request.
 type MultiWrite = core.MultiWrite
 
