@@ -70,12 +70,12 @@ bench-edge:
 bench-append:
 	$(GO) test -run xxx -bench BenchmarkE17AppendBatch -benchtime 200x .
 
-# The save/load persistence round-trip benchmark.
+# The save/load persistence round-trip benchmark (lsdb's frame stream).
 bench-io:
 	$(GO) test -run xxx -bench BenchmarkSaveLoad -benchtime 50x ./internal/lsdb
 
-# The E18 storage-engine benchmarks on their own: JSON-stream load vs
-# checkpointed WAL recovery, and the append overhead of the durable log
+# The E18 storage-engine benchmarks on their own: frame-stream load vs WAL
+# replay vs checkpointed recovery, and the append overhead of the durable log
 # (mem vs WAL vs WAL+fsync) — then the log force as a component: 1, 2 and 4
 # SyncAlways WALs in sibling directories appending 250-byte records at once
 # (ns/op, syncs/s, B/op, allocs/op).
@@ -143,7 +143,8 @@ replication-faults:
 # Graceful-degradation suites under the race detector: the storage fault
 # matrix across ack modes, degraded read-only modes and repair, breaker and
 # retry behaviour, the exhaustive torn-write recovery matrices (a short file,
-# and a reserved zero tail) then ten seconds of fuzzing the WAL frame walker,
+# and a reserved zero tail) then ten seconds each of fuzzing the WAL frame
+# walker and the record-stream reader (replication wire, backups, Save/Load),
 # admission control and deadlines, the kernel/HTTP 503 surface, ten seconds
 # of fuzzing soupsd's request scanner against its encoding/json oracle, and
 # ten of fuzzing its request-head parser against http.ReadRequest.
@@ -151,6 +152,7 @@ storage-faults:
 	$(GO) test -race -run 'TestStorageFaultMatrix|TestEnospc|TestFsync|TestCorruption|TestBreaker|TestShipRetry' ./internal/replica/
 	$(GO) test -race -run 'TestFaultBackend|TestWALTornWrite|TestWALMidLogCorruption|TestWALSecondPage|TestWALSyncOSBatches|TestWALBadFrame|TestWALResumeAfter|TestWALUntrimmed|TestWALCloseReleases' ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzWALScan -fuzztime 10s ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzRecordStream -fuzztime 10s ./internal/storage/
 	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestDeepBacklog|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
 	$(GO) test -race -run 'TestKernelSheds|TestKernelDegraded|TestEventSubmitSheds|TestDegradedStorage|TestEventDeadline' ./internal/core/ ./cmd/soupsd/
 	$(GO) test -run xxx -fuzz FuzzOpsDecode -fuzztime 10s ./cmd/soupsd/

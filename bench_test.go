@@ -792,11 +792,11 @@ func e18Types(b *testing.B, db *lsdb.DB) {
 
 // BenchmarkE18Recovery compares restart cost across log lengths:
 //
-//   - json: the pre-storage-engine path — Save the whole log as a JSON
-//     stream, Load it back record by record. O(history), JSON decode on
-//     every record.
-//   - wal: segmented-WAL replay with no checkpoint. Still O(history), but
-//     binary frames instead of JSON documents.
+//   - stream: no storage engine — Save the whole log as a frame stream,
+//     Load it back record by record. O(history), and every frame is
+//     checked against its re-encoding on the way in.
+//   - wal: segmented-WAL replay with no checkpoint. Still O(history), the
+//     same frames read back from segment files.
 //   - ckpt: a checkpoint was taken at shutdown; recovery streams the
 //     snapshot and replays only the (empty) tail. Same record count, one
 //     sorted sequential file.
@@ -805,9 +805,9 @@ func e18Types(b *testing.B, db *lsdb.DB) {
 //     state), independent of how long the log ever was.
 func BenchmarkE18Recovery(b *testing.B) {
 	for _, records := range []int{4096, 16384} {
-		for _, mode := range []string{"json", "wal", "ckpt", "ckpt-compacted"} {
+		for _, mode := range []string{"stream", "wal", "ckpt", "ckpt-compacted"} {
 			b.Run(fmt.Sprintf("records=%d/%s", records, mode), func(b *testing.B) {
-				if mode == "json" {
+				if mode == "stream" {
 					src := lsdb.Open(lsdb.Options{Node: "e18"})
 					e18Types(b, src)
 					seedStorageBench(b, src, records)

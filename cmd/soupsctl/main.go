@@ -8,20 +8,19 @@
 //	soupsctl -server http://localhost:8080 history Order O-1
 //	soupsctl -server http://localhost:8080 metrics
 //	soupsctl -server http://localhost:8080 status
-//	soupsctl -server http://localhost:8080 backup store.ndjson
-//	soupsctl -server http://localhost:8080 restore store.ndjson
+//	soupsctl -server http://localhost:8080 backup store.bak
+//	soupsctl -server http://localhost:8080 restore store.bak
 //	soupsctl -server http://localhost:8080 checkpoint
 //	soupsctl -server http://localhost:8081 promote
 //
 // promote tells a standby soupsd to take over as primary (recovering a full
 // kernel from its received log); point -server at the standby, not the dead
-// primary. backup streams the node's full log through the export codec (stdout when
+// primary. backup streams the node's full log as record frames (stdout when
 // no file is given); restore replays such a stream into a freshly started
 // node with the same unit count.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -33,6 +32,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/storage"
 )
 
 var server = flag.String("server", "http://localhost:8080", "soupsd base URL")
@@ -84,11 +85,10 @@ func usage() {
 	os.Exit(2)
 }
 
-// backup streams GET /backup to a file or stdout, verifying the stream's
-// end-of-stream trailer on the way through. The server answers 200 before
-// the export can fail, so a mid-stream error only shows as a short body —
-// and any prefix of the line-per-document format is well-formed, which makes
-// the trailer the sole truncation check. Validating here means a bad backup
+// backup streams GET /backup to a file or stdout, checking every frame's
+// CRC and the trailer's frame count on the way through. The server answers
+// 200 before the export can fail, so a mid-stream error only shows as a
+// short body, which the trailer catches. Validating here means a bad backup
 // fails the backup command, not the eventual restore.
 func backup(args []string) {
 	out := os.Stdout
@@ -110,35 +110,24 @@ func backup(args []string) {
 		body, _ := io.ReadAll(resp.Body)
 		log.Fatalf("backup: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
-	br := bufio.NewReaderSize(resp.Body, 1<<16)
-	var n int64
-	lines := 0
-	var lastLine []byte
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			if _, werr := out.Write(line); werr != nil {
-				log.Fatalf("backup: %v", werr)
-			}
-			n += int64(len(line))
-			lines++
-			lastLine = append(lastLine[:0], line...)
-		}
+	// A failed write to out surfaces as a read error of the tee.
+	sr := storage.NewStreamReader(io.TeeReader(resp.Body, out))
+	var last []byte
+	var read, frames uint64 // frames read; the count the trailer claims before it
+	for ; ; read++ {
+		p, err := sr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			log.Fatalf("backup: %v", err)
+			log.Fatalf("backup: %v; do not keep this file", err)
 		}
+		last = append(last[:0], p...)
 	}
-	var trailer struct {
-		Lines *int `json:"lines"`
+	if _, err := storage.ParseControl(last, storage.TagTrailer, &frames); err != nil || frames != read-1 {
+		log.Fatalf("backup: stream is truncated (missing or mismatched trailer after %d frames); do not keep this file", read)
 	}
-	// lines counts header + content + trailer; the trailer claims content only.
-	if err := json.Unmarshal(lastLine, &trailer); err != nil || trailer.Lines == nil || *trailer.Lines != lines-2 {
-		log.Fatalf("backup: stream is truncated or corrupt (missing or mismatched trailer after %d lines); do not keep this file", lines)
-	}
-	fmt.Fprintf(os.Stderr, "backup: %d bytes, %d entries, trailer ok\n", n, *trailer.Lines)
+	fmt.Fprintf(os.Stderr, "backup: %d frames, trailer ok\n", frames)
 }
 
 // restore POSTs a backup stream from a file or stdin to /restore.
@@ -153,7 +142,7 @@ func restore(args []string) {
 		in = f
 	}
 	url := *server + "/restore"
-	resp, err := http.Post(url, "application/x-ndjson", in)
+	resp, err := http.Post(url, "application/octet-stream", in)
 	if err != nil {
 		log.Fatalf("POST %s: %v", url, err)
 	}

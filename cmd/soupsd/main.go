@@ -12,7 +12,7 @@
 //	GET  /healthz                         liveness probe
 //	GET  /readyz                          readiness: 503 while writes are degraded or shedding
 //	GET  /status                          degraded/overload/breaker posture as JSON
-//	GET  /backup                          portable JSON export of every unit's log
+//	GET  /backup                          portable export of every unit's log (record frames)
 //	POST /restore                         replay a backup stream into a fresh node
 //	POST /checkpoint                      force a storage checkpoint on every unit
 //	POST /replicate                       receive one shipped WAL batch (standby role)
@@ -519,7 +519,7 @@ func (s *server) handleWarnings(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleBackup streams a portable export of the whole node (the same codec
+// handleBackup streams a portable export of the whole node (the stream
 // soupsctl backup/restore move around).
 func (s *server) handleBackup(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -530,7 +530,7 @@ func (s *server) handleBackup(w http.ResponseWriter, r *http.Request) {
 	if k == nil {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := k.Export(w); err != nil {
 		// Headers are gone; all we can do is log and cut the stream short.
 		log.Printf("backup: %v", err)

@@ -9,7 +9,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,14 +36,14 @@ var (
 	persistMark = flag.Int("persist-watermark-every", 0, "standby role: persist the replication watermark every N batches per unit (0 = every batch)")
 )
 
-// shipEnvelope is the HTTP wire form of a replica.ShipBatch: one JSON
-// document per batch, records in the portable codec (which carries kind and
-// compaction horizon, so marks ship like appends).
-type shipEnvelope struct {
-	From    string                 `json:"from"`
-	Unit    int                    `json:"unit"`
-	Records []lsdb.PersistedRecord `json:"records"`
-}
+// The replication wire is a record stream (storage.StreamWriter) under one
+// control frame: a /replicate body is a ship header then the batch's record
+// frames, a /catchup reply a "more" flag then the chunk's record frames.
+// Primary and standbys must run the same build.
+const (
+	tagShip    = 'S' // unit, then the sender's node id as the tail
+	tagCatchup = 'M' // 1 when the log holds more records past this chunk
+)
 
 // httpTransport implements replica.Transport as POST {standby}/replicate.
 // Asynchronous mode sends the same bounded request and merely ignores the
@@ -60,13 +59,12 @@ func (t *httpTransport) Ship(peer clock.NodeID, batch replica.ShipBatch, _ bool,
 	if !ok {
 		return fmt.Errorf("soupsd: unknown standby %s", peer)
 	}
-	env := shipEnvelope{From: string(batch.From), Unit: batch.Unit, Records: make([]lsdb.PersistedRecord, 0, len(batch.Records))}
-	for _, rec := range batch.Records {
-		env.Records = append(env.Records, lsdb.ToPersisted(rec))
-	}
-	body, err := json.Marshal(env)
-	if err != nil {
-		return err
+	body := storage.AppendControl(nil, tagShip, []byte(batch.From), uint64(batch.Unit))
+	for i := range batch.Records {
+		var err error
+		if body, err = storage.AppendFrame(body, &batch.Records[i]); err != nil {
+			return err
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -74,7 +72,7 @@ func (t *httpTransport) Ship(peer clock.NodeID, batch replica.ShipBatch, _ bool,
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := t.client.Do(req)
 	if err != nil {
 		return err
@@ -192,21 +190,12 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not a standby", http.StatusBadRequest)
 		return
 	}
-	var env shipEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
+	batch, err := readShipBody(r.Body)
+	if err != nil {
 		http.Error(w, "malformed batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	records := make([]lsdb.Record, 0, len(env.Records))
-	for _, pr := range env.Records {
-		rec, err := lsdb.FromPersisted(pr)
-		if err != nil {
-			http.Error(w, "malformed record: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		records = append(records, rec)
-	}
-	wm, gap, err := recv.sb.Receive(replica.ShipBatch{From: clock.NodeID(env.From), Unit: env.Unit, Records: records})
+	wm, gap, err := recv.sb.Receive(batch)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -214,12 +203,34 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"watermark": wm, "gap": gap})
 }
 
+// readShipBody decodes a /replicate body: the ship header, then record
+// frames to the end of the body.
+func readShipBody(body io.Reader) (replica.ShipBatch, error) {
+	sr := storage.NewStreamReader(body)
+	var unit uint64
+	from, err := sr.Control(tagShip, &unit)
+	if err != nil {
+		return replica.ShipBatch{}, err
+	}
+	batch := replica.ShipBatch{From: clock.NodeID(from), Unit: int(unit)}
+	for {
+		rec, err := sr.Record()
+		if err == io.EOF {
+			return batch, nil
+		}
+		if err != nil {
+			return replica.ShipBatch{}, err
+		}
+		batch.Records = append(batch.Records, rec)
+	}
+}
+
 // handleCatchup serves one streaming catch-up chunk from either role: a
 // primary answers from its live unit log, a standby from its received log.
 // Query parameters: unit, after (the puller's cursor LSN), limit (appended
-// records per chunk; the server clamps it). The response carries the chunk
-// plus "more" — pullers loop, advancing "after" to the highest append LSN
-// received, until more is false.
+// records per chunk; the server clamps it). The reply is the "more" flag,
+// then the chunk's record frames — pullers loop, advancing "after" to the
+// highest append LSN received, until more is 0.
 func (s *server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -263,11 +274,19 @@ func (s *server) handleCatchup(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no log to serve", http.StatusServiceUnavailable)
 		return
 	}
-	out := make([]lsdb.PersistedRecord, 0, len(recs))
-	for _, rec := range recs {
-		out = append(out, lsdb.ToPersisted(rec))
+	var flag uint64
+	if more {
+		flag = 1
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"records": out, "more": more})
+	body := storage.AppendControl(nil, tagCatchup, nil, flag)
+	for i := range recs {
+		if body, err = storage.AppendFrame(body, &recs[i]); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(body)
 }
 
 // maxCatchupChunk caps how many appended records one /catchup response may

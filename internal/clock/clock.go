@@ -12,7 +12,6 @@ package clock
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -135,28 +134,6 @@ func (t Timestamp) IsZero() bool {
 // String renders the timestamp in a compact sortable form.
 func (t Timestamp) String() string {
 	return fmt.Sprintf("%d.%d@%s", t.WallNanos, t.Logical, t.Node)
-}
-
-// ParseTimestamp parses the output of Timestamp.String.
-func ParseTimestamp(s string) (Timestamp, error) {
-	at := strings.LastIndexByte(s, '@')
-	if at < 0 {
-		return Timestamp{}, fmt.Errorf("clock: malformed timestamp %q", s)
-	}
-	node := s[at+1:]
-	parts := strings.SplitN(s[:at], ".", 2)
-	if len(parts) != 2 {
-		return Timestamp{}, fmt.Errorf("clock: malformed timestamp %q", s)
-	}
-	wall, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return Timestamp{}, fmt.Errorf("clock: malformed wall part in %q: %w", s, err)
-	}
-	logical, err := strconv.ParseUint(parts[1], 10, 32)
-	if err != nil {
-		return Timestamp{}, fmt.Errorf("clock: malformed logical part in %q: %w", s, err)
-	}
-	return Timestamp{WallNanos: wall, Logical: uint32(logical), Node: NodeID(node)}, nil
 }
 
 // NewHLC returns a hybrid logical clock for the given node using the real

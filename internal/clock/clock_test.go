@@ -127,25 +127,6 @@ func TestTimestampCompareTotalOrder(t *testing.T) {
 	}
 }
 
-func TestTimestampStringRoundTrip(t *testing.T) {
-	ts := Timestamp{WallNanos: 123456789, Logical: 42, Node: "replica-7"}
-	parsed, err := ParseTimestamp(ts.String())
-	if err != nil {
-		t.Fatalf("ParseTimestamp: %v", err)
-	}
-	if parsed != ts {
-		t.Fatalf("round trip mismatch: %v != %v", parsed, ts)
-	}
-}
-
-func TestParseTimestampErrors(t *testing.T) {
-	for _, s := range []string{"", "nodot@n", "1.x@n", "x.1@n", "1.2"} {
-		if _, err := ParseTimestamp(s); err == nil {
-			t.Errorf("ParseTimestamp(%q) should fail", s)
-		}
-	}
-}
-
 func TestVersionVectorCompare(t *testing.T) {
 	a := VersionVector{"x": 1, "y": 2}
 	b := VersionVector{"x": 1, "y": 2}

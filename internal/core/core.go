@@ -24,7 +24,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -884,61 +883,37 @@ func (k *Kernel) Compact() int {
 
 // --- Backup and restore ---------------------------------------------------------
 
-// exportHeader opens an export stream: the format version and the unit count
-// the stream was taken from (LSN spaces are per-unit, so restore requires
-// the same partitioning).
-type exportHeader struct {
-	Version int `json:"version"`
-	Units   int `json:"units"`
-}
+// A backup is one frame stream (storage.StreamWriter): a header frame
+// (format version, unit count — LSN spaces are per unit, so a restore needs
+// the same partitioning), then for each unit a unit frame and that unit's
+// cut (lsdb.WriteCut), then the trailer counting every frame before it.
+const (
+	backupVersion = 2
+	tagBackup     = 'B' // header: version, units
+	tagUnit       = 'U' // a unit's cut follows: unit index
+)
 
-// exportLine is one line of an export stream: an archived summary (Summary),
-// a record (Record), or the end-of-stream trailer (Lines — the count of
-// summary+record lines, letting Import detect a truncated backup: the
-// line-per-JSON-document format would otherwise decode any prefix cleanly).
-type exportLine struct {
-	Unit    int                   `json:"unit"`
-	Summary *lsdb.PersistedState  `json:"summary,omitempty"`
-	Record  *lsdb.PersistedRecord `json:"record,omitempty"`
-	Lines   *int                  `json:"lines,omitempty"`
-}
-
-// Export writes a portable backup of every unit as a JSON stream: a header
-// line, each unit's archived summaries (compacted entities are not
-// reconstructible from records, so they travel explicitly), each unit's
-// retained records in LSN order, and a trailer with the total line count.
-// The stream uses the same export codec as lsdb.Save, so int64 values
-// survive exactly.
+// Export writes a portable backup of every unit: each unit's archived
+// summaries (compacted entities are not reconstructible from records, so
+// they travel explicitly) and retained records in LSN order, in the record
+// codec the WAL writes, so every value reads back exactly as it was.
 func (k *Kernel) Export(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(exportHeader{Version: 1, Units: len(k.unitIDs)}); err != nil {
-		return fmt.Errorf("core: export: %w", err)
-	}
-	lines := 0
+	sw := storage.NewStreamWriter(w)
+	err := sw.Control(tagBackup, nil, backupVersion, uint64(len(k.unitIDs)))
 	for i, id := range k.unitIDs {
-		// One atomic cut per unit: a Compact racing the export cannot move
-		// an entity between the summary and record sets unseen.
-		summaries, records := k.units[id].db.ExportCut()
-		for _, sum := range summaries {
-			ps := lsdb.ToPersistedState(sum.State)
-			if err := enc.Encode(exportLine{Unit: i, Summary: &ps}); err != nil {
-				return fmt.Errorf("core: export: %w", err)
-			}
-			lines++
+		if err == nil {
+			err = sw.Control(tagUnit, nil, uint64(i))
 		}
-		for _, rec := range records {
-			pr := lsdb.ToPersisted(rec)
-			if err := enc.Encode(exportLine{Unit: i, Record: &pr}); err != nil {
-				return fmt.Errorf("core: export: %w", err)
-			}
-			lines++
+		if err == nil {
+			// One atomic cut per unit: a Compact racing the export cannot
+			// move an entity between the summary and record sets unseen.
+			err = k.units[id].db.WriteCut(sw)
 		}
 	}
-	if err := enc.Encode(exportLine{Lines: &lines}); err != nil {
-		return fmt.Errorf("core: export: %w", err)
+	if err == nil {
+		err = sw.Close()
 	}
-	if err := bw.Flush(); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: export: %w", err)
 	}
 	return nil
@@ -951,71 +926,46 @@ func (k *Kernel) Export(w io.Writer) error {
 // kernel that already holds records is refused up front, and a write that
 // slips in while the import runs is detected afterwards — the import fails
 // and the node must be wiped rather than serve an interleaved log. A stream
-// without its trailer (a truncated backup) is rejected. Durable kernels
-// checkpoint after the import, so the restored state is on disk before
-// Import returns.
+// cut short, missing its trailer or failing any frame's CRC is refused, as
+// is a version 1 (JSON) backup. Durable kernels checkpoint after the import,
+// so the restored state is on disk before Import returns.
 func (k *Kernel) Import(r io.Reader) error {
 	for _, id := range k.unitIDs {
 		if k.units[id].db.HeadLSN() != 0 {
 			return fmt.Errorf("core: import: unit %s already has records; restore requires a fresh node", id)
 		}
 	}
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
-	dec.UseNumber() // exact int64 round trip; see lsdb.FromPersisted
-	var hdr exportHeader
-	if err := dec.Decode(&hdr); err != nil {
+	br := bufio.NewReaderSize(r, 1<<16) // the stream reader reads through it, no second buffer
+	if head, _ := br.Peek(1); len(head) == 1 && head[0] == '{' {
+		return fmt.Errorf("core: import: stream is a version 1 (JSON) backup; this build restores version %d only", backupVersion)
+	}
+	sr := storage.NewStreamReader(br)
+	var version, units uint64
+	if _, err := sr.Control(tagBackup, &version, &units); err != nil {
 		return fmt.Errorf("core: import: reading header: %w", err)
 	}
-	if hdr.Version != 1 {
-		return fmt.Errorf("core: import: unsupported stream version %d", hdr.Version)
+	if version != backupVersion {
+		return fmt.Errorf("core: import: unsupported stream version %d", version)
 	}
-	if hdr.Units != len(k.unitIDs) {
-		return fmt.Errorf("core: import: stream has %d units, kernel has %d (unit counts must match)", hdr.Units, len(k.unitIDs))
+	if units != uint64(len(k.unitIDs)) {
+		return fmt.Errorf("core: import: stream has %d units, kernel has %d (unit counts must match)", units, len(k.unitIDs))
 	}
-	lines := 0
 	recordsPerUnit := make([]int, len(k.unitIDs))
-	sawTrailer := false
-	for {
-		var line exportLine
-		if err := dec.Decode(&line); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("core: import: %w", err)
+	for i, id := range k.unitIDs {
+		var unit uint64
+		_, err := sr.Control(tagUnit, &unit)
+		if err == nil && unit != uint64(i) {
+			err = fmt.Errorf("section for unknown unit %d, want unit %d", unit, i)
 		}
-		if line.Lines != nil {
-			if *line.Lines != lines {
-				return fmt.Errorf("core: import: stream trailer claims %d lines, read %d (truncated or corrupt backup)", *line.Lines, lines)
-			}
-			sawTrailer = true
-			continue
+		if err == nil {
+			recordsPerUnit[i], err = k.units[id].db.ReadCut(sr)
 		}
-		if line.Unit < 0 || line.Unit >= len(k.unitIDs) {
-			return fmt.Errorf("core: import: line for unknown unit %d", line.Unit)
+		if err != nil {
+			return importErr(err)
 		}
-		db := k.units[k.unitIDs[line.Unit]].db
-		switch {
-		case line.Summary != nil:
-			st, err := lsdb.FromPersistedState(*line.Summary)
-			if err != nil {
-				return fmt.Errorf("core: import: %w", err)
-			}
-			db.RestoreSummary(st.Key, st)
-		case line.Record != nil:
-			rec, err := lsdb.FromPersisted(*line.Record)
-			if err != nil {
-				return fmt.Errorf("core: import: %w", err)
-			}
-			if err := db.LoadRecord(rec); err != nil {
-				return fmt.Errorf("core: import: %w", err)
-			}
-			recordsPerUnit[line.Unit]++
-		default:
-			return fmt.Errorf("core: import: line %d carries neither summary nor record", lines+1)
-		}
-		lines++
 	}
-	if !sawTrailer {
-		return fmt.Errorf("core: import: stream ended without its trailer (truncated backup)")
+	if err := sr.Close(); err != nil {
+		return importErr(err)
 	}
 	// Detect writes that raced the import: every unit must hold exactly the
 	// imported records, or the log is interleaved and unusable.
@@ -1027,6 +977,14 @@ func (k *Kernel) Import(r io.Reader) error {
 	// The bulk-load path bypasses the write-ahead log; a checkpoint captures
 	// the imported content durably in one pass.
 	return k.Checkpoint()
+}
+
+// importErr names a stream cut short for what it most likely is.
+func importErr(err error) error {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("core: import: stream ended before its trailer (truncated backup): %w", err)
+	}
+	return fmt.Errorf("core: import: %w", err)
 }
 
 // ProcessStats aggregates process-engine statistics across units: counters

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -171,10 +173,19 @@ func TestKernelExportImportRoundTrip(t *testing.T) {
 // TestKernelExportImportWithCompactedHistory: archived summaries are not
 // reconstructible from the record stream, so a backup taken after Compact
 // must carry them explicitly — restoring must reproduce every compacted
-// entity's state.
+// entity's state, down to the Go type of every field value.
 func TestKernelExportImportWithCompactedHistory(t *testing.T) {
 	src := newKernel(t, Options{Node: "src", Units: 2})
 	populate(t, src)
+	// Undeclared fields whose types a text codec blurs: a map shaped like a
+	// tagged float, a nested entity.Fields, a uint64 above MaxInt64.
+	if _, err := src.Update(accountKey("odd"),
+		entity.Set("meta", map[string]interface{}{"$float": int64(3)}),
+		entity.Set("nested", entity.Fields{"deep": entity.Fields{"n": int64(-7)}, "f": 2.0}),
+		entity.Set("huge", uint64(math.MaxUint64)),
+	); err != nil {
+		t.Fatal(err)
+	}
 	if n := src.Compact(); n == 0 {
 		t.Fatal("Compact summarised nothing")
 	}
@@ -190,13 +201,46 @@ func TestKernelExportImportWithCompactedHistory(t *testing.T) {
 	}
 	assertSameKernelStates(t, want, kernelStates(t, dst))
 
-	// A truncated backup — any prefix decodes cleanly line by line, so only
-	// the trailer can catch it — must be refused, not silently restored.
+	// A truncated backup — cut between two frames or inside one, the
+	// trailer alone or half the stream — must be refused, not silently
+	// restored.
 	raw := backup.Bytes()
-	cut := bytes.LastIndexByte(raw[:len(raw)-1], '\n')
-	trunc := newKernel(t, Options{Node: "trunc", Units: 2})
-	if err := trunc.Import(bytes.NewReader(raw[:cut+1])); err == nil || !strings.Contains(err.Error(), "trailer") {
-		t.Fatalf("truncated backup not rejected: %v", err)
+	var ends []int // where each frame ends
+	for off := 0; off < len(raw); {
+		off += storage.FrameHeader + int(binary.LittleEndian.Uint32(raw[off:]))
+		ends = append(ends, off)
+	}
+	for _, cut := range []int{ends[len(ends)-2], len(raw) - 1, ends[1], len(raw) / 2} {
+		trunc := newKernel(t, Options{Node: "trunc", Units: 2})
+		if err := trunc.Import(bytes.NewReader(raw[:cut])); err == nil || !strings.Contains(err.Error(), "trailer") {
+			t.Fatalf("backup cut at %d of %d not rejected as truncated: %v", cut, len(raw), err)
+		}
+	}
+}
+
+// TestImportRefusesDamagedBackups: one flipped byte anywhere in a backup is
+// refused (every frame carries a CRC), and so is a version 1 (JSON) backup,
+// by name.
+func TestImportRefusesDamagedBackups(t *testing.T) {
+	src := newKernel(t, Options{Node: "src", Units: 2})
+	populate(t, src)
+	var backup bytes.Buffer
+	if err := src.Export(&backup); err != nil {
+		t.Fatal(err)
+	}
+	raw := backup.Bytes()
+	for i := 0; i < len(raw); i += max(1, len(raw)/40) {
+		bad := bytes.Clone(raw)
+		bad[i] ^= 0x10
+		dst := newKernel(t, Options{Node: "dst", Units: 2})
+		if err := dst.Import(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("backup with byte %d of %d flipped was restored", i, len(raw))
+		}
+	}
+	v1 := "{\"version\":1,\"units\":2}\n{\"lines\":0}\n"
+	dst := newKernel(t, Options{Node: "dst", Units: 2})
+	if err := dst.Import(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version 1 backup not refused by name: %v", err)
 	}
 }
 

@@ -44,7 +44,7 @@ const defaultFlushBytes = 4 << 20
 // flusher owns the flush pipeline of one tiered store.
 type flusher struct {
 	db *DB
-	// mu serialises flush passes (and excludes ExportCut and Close, which
+	// mu serialises flush passes (and excludes exportCut and Close, which
 	// need a stable capture state).
 	mu sync.Mutex
 	// busy gates the one-shot background goroutine; FlushNow bypasses it and
@@ -346,7 +346,7 @@ func (db *DB) ensureWarm(s *shard, key entity.Key) error {
 	return db.warmLocked(s, e, key)
 }
 
-// warmAll warms every cold entity of every shard — ExportCut needs the full
+// warmAll warms every cold entity of every shard — exportCut needs the full
 // archive in memory. The caller holds no shard lock.
 func (db *DB) warmAll() error {
 	if db.tiered == nil {

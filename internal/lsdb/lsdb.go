@@ -1387,7 +1387,7 @@ func (db *DB) Checkpoint() error {
 		// Sorted per shard so identical stores write identical snapshots.
 		for _, s := range db.shards {
 			for _, sum := range sortSummaries(s.summariesLocked(nil)) {
-				if err := put(Record{Kind: storage.KindSummary, Key: sum.Key, Summary: sum.State}); err != nil {
+				if err := put(sum); err != nil {
 					return err
 				}
 			}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/clock"
 	"repro/internal/entity"
+	"repro/internal/storage"
 )
 
 func accountType() *entity.Type {
@@ -589,21 +591,30 @@ func TestStateCacheInvalidationOnLoad(t *testing.T) {
 	src.AppendTentative(key, []entity.Op{entity.Delta("balance", -40)}, stamp(2), "n1", "t2")
 	src.MarkObsolete(key, "t2")
 
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	// Two streams in Save's layout: the first record, then the rest.
+	recs := src.RecordsAfter(0)
+	stream := func(recs []Record) io.Reader {
+		var buf bytes.Buffer
+		sw := storage.NewStreamWriter(&buf)
+		sw.Control(tagCount, nil, uint64(len(recs)))
+		for i := range recs {
+			sw.Record(&recs[i])
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
 	}
 	dst := newTestDB(t, Options{})
 	// Reading a key mid-restore materialises a partial state; the remaining
 	// loaded records must invalidate it.
-	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
-	if err := dst.Load(bytes.NewReader(lines[0])); err != nil {
+	if err := dst.Load(stream(recs[:1])); err != nil {
 		t.Fatalf("Load first record: %v", err)
 	}
 	if st, _, _ := dst.Current(key); st.Float("balance") != 100 {
 		t.Fatalf("mid-load balance = %v", st.Float("balance"))
 	}
-	if err := dst.Load(bytes.NewReader(bytes.Join(lines[1:], nil))); err != nil {
+	if err := dst.Load(stream(recs[1:])); err != nil {
 		t.Fatalf("Load rest: %v", err)
 	}
 	st, head, err := dst.Current(key)

@@ -2,7 +2,6 @@ package lsdb
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -328,10 +327,11 @@ func TestAutoCheckpoint(t *testing.T) {
 	rec.Close()
 }
 
-// TestInt64ExactBothPaths is the regression test for the normaliseJSON bug:
-// int64 values with magnitudes above 2^53 — which a float64 round trip
-// corrupts — must survive both the JSON export codec (Save/Load) and the
-// binary WAL codec (Backend + Recover) exactly.
+// TestInt64ExactBothPaths: int64 values with magnitudes above 2^53 — which
+// a float64 round trip corrupts — must survive both the Save/Load stream and
+// the WAL (Backend + Recover) exactly, and so must an integral float64 in an
+// undeclared field, which a managed store keeps as the caller wrote it (a
+// text codec reads 2.0 back as int64).
 func TestInt64ExactBothPaths(t *testing.T) {
 	big := int64(1)<<60 + 7 // not representable in float64
 	seed := func(db *DB) {
@@ -341,6 +341,9 @@ func TestInt64ExactBothPaths(t *testing.T) {
 		}
 		k := entity.Key{Type: "Big", ID: "x"}
 		if _, err := db.Append(k, []entity.Op{entity.Set("n", big)}, stamp(1), "n", ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Append(k, []entity.Op{entity.Set("note", 2.0)}, stamp(3), "n", ""); err != nil {
 			t.Fatal(err)
 		}
 		ok := entity.Key{Type: "Order", ID: "o"}
@@ -357,6 +360,9 @@ func TestInt64ExactBothPaths(t *testing.T) {
 		if got := st.Fields["n"]; got != big {
 			t.Fatalf("root int64 corrupted: got %v (%T), want %d", got, got, big)
 		}
+		if got := st.Fields["note"]; got != 2.0 {
+			t.Fatalf("undeclared float changed: got %v (%T), want float64 2", got, got)
+		}
 		so, _, err := db.Current(entity.Key{Type: "Order", ID: "o"})
 		if err != nil {
 			t.Fatal(err)
@@ -370,14 +376,14 @@ func TestInt64ExactBothPaths(t *testing.T) {
 		}
 	}
 
-	t.Run("json", func(t *testing.T) {
-		src := newTestDB(t, Options{})
+	t.Run("stream", func(t *testing.T) {
+		src := newTestDB(t, Options{Validation: entity.Managed})
 		seed(src)
 		var buf bytes.Buffer
 		if err := src.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		dst := newTestDB(t, Options{})
+		dst := newTestDB(t, Options{Validation: entity.Managed})
 		if err := dst.RegisterType(&entity.Type{Name: "Big", Fields: []entity.Field{{Name: "n", Type: entity.Int}}}); err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +394,7 @@ func TestInt64ExactBothPaths(t *testing.T) {
 	})
 	t.Run("wal", func(t *testing.T) {
 		dir := t.TempDir()
-		src := newTestDB(t, Options{Backend: openTestWAL(t, dir, storage.SyncOS)})
+		src := newTestDB(t, Options{Validation: entity.Managed, Backend: openTestWAL(t, dir, storage.SyncOS)})
 		seed(src)
 		if err := src.Checkpoint(); err != nil { // exercise snapshot codec too
 			t.Fatal(err)
@@ -404,32 +410,29 @@ func TestInt64ExactBothPaths(t *testing.T) {
 	})
 }
 
-// TestUint64ExactJSONCodec: uint64 values above MaxInt64 keep their identity
-// through canonicalisation and the binary codec; the JSON export codec must
-// not quietly demote them to float64 either.
-func TestUint64ExactJSONCodec(t *testing.T) {
+// TestUint64ExactStreamCodec: uint64 values above MaxInt64 keep their
+// identity through canonicalisation and the binary codec; the Save/Load
+// stream must not quietly demote them to float64 either.
+func TestUint64ExactStreamCodec(t *testing.T) {
 	huge := uint64(math.MaxUint64)
-	rec := Record{
-		LSN: 1, Key: entity.Key{Type: "Account", ID: "u"},
-		Ops:   []entity.Op{{Kind: entity.OpSet, Field: "v", Value: huge}},
-		Stamp: stamp(1), Origin: "n",
+	src := newTestDB(t, Options{Validation: entity.Managed})
+	if _, err := src.Append(entity.Key{Type: "Account", ID: "u"}, []entity.Op{entity.Set("v", huge)}, stamp(1), "n", ""); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(ToPersisted(rec)); err != nil {
+	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(&buf)
-	dec.UseNumber()
-	var pr PersistedRecord
-	if err := dec.Decode(&pr); err != nil {
+	dst := newTestDB(t, Options{Validation: entity.Managed})
+	if err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromPersisted(pr)
-	if err != nil {
-		t.Fatal(err)
+	got := dst.RecordsAfter(0)
+	if len(got) != 1 {
+		t.Fatalf("loaded %d records, want 1", len(got))
 	}
-	if v := got.Ops[0].Value; v != huge {
-		t.Fatalf("uint64 corrupted through JSON codec: got %v (%T), want %d", v, v, huge)
+	if v := got[0].Ops[0].Value; v != huge {
+		t.Fatalf("uint64 corrupted through the stream: got %v (%T), want %d", v, v, huge)
 	}
 }
 

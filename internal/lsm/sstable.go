@@ -48,11 +48,8 @@ var (
 )
 
 const (
-	frameHeader = 8 // uint32 length + uint32 CRC
+	frameHeader = storage.FrameHeader // tables frame data and index as the WAL does
 	footerSize  = 8 + 8 + 8 + 4 + 8
-	// maxFrame mirrors the WAL's bound: a larger length prefix is corruption,
-	// not an allocation request.
-	maxFrame = 1 << 28
 	// sparseEvery is the in-memory index granularity: one retained entry per
 	// this many index-block entries.
 	sparseEvery = 16
@@ -191,20 +188,6 @@ func cmpComposite(typ, id []byte, ck string) int {
 	return 0
 }
 
-// appendFrame wraps an encoded record payload in the WAL's len+CRC framing.
-func appendFrame(b []byte, rec *storage.WALRecord) ([]byte, error) {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b, err := storage.EncodeRecord(b, rec)
-	if err != nil {
-		return nil, err
-	}
-	payload := b[start+frameHeader:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
-	return b, nil
-}
-
 // tableWriter streams key-grouped records into a new table file. Records
 // must arrive sorted by composite key, each key's summary (if any) first and
 // its details in LSN order — the flush capture and the compaction merge both
@@ -299,7 +282,7 @@ func (w *tableWriter) add(rec *storage.WALRecord) error {
 		return fmt.Errorf("lsm: record kind %d does not belong in a table", rec.Kind)
 	}
 	var err error
-	if w.scratch, err = appendFrame(w.scratch[:0], rec); err != nil {
+	if w.scratch, err = storage.AppendFrame(w.scratch[:0], rec); err != nil {
 		return err
 	}
 	return w.write(w.scratch)
@@ -618,7 +601,7 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 // frameReader walks data frames in file order through one large read buffer:
 // a sequential pass costs one read per readChunk bytes. It never reads at or
 // past end, so a corrupt length prefix cannot make it allocate more than the
-// data it bounds (nor more than maxFrame).
+// data it bounds (nor more than storage.MaxFrame).
 type frameReader struct {
 	src    io.ReaderAt
 	name   string // table name, for error messages
@@ -664,7 +647,7 @@ func (r *frameReader) next() ([]byte, error) {
 		return nil, err
 	}
 	length := binary.LittleEndian.Uint32(hdr)
-	if length > maxFrame {
+	if length > storage.MaxFrame {
 		return nil, fmt.Errorf("lsm: table %s: implausible frame length at %d", r.name, r.off)
 	}
 	frame, err := r.peek(frameHeader + int64(length))

@@ -1,9 +1,9 @@
-// Binary codec for WALRecords: the payload format inside WAL frames and
-// checkpoint files. The format is length-safe (every variable-size element is
-// length-prefixed), position-independent (a payload decodes without external
-// context) and exact for 64-bit integers — unlike the JSON stream codec,
-// which decodes every number through float64 and silently corrupts int64
-// magnitudes above 2^53, values here round-trip bit-for-bit.
+// Binary codec for WALRecords: the payload format inside every frame — WAL
+// segments, checkpoint files, SSTables and the record streams that carry the
+// log out of the process (stream.go). The format is length-safe (every
+// variable-size element is length-prefixed), position-independent (a payload
+// decodes without external context) and exact: 64-bit integers round-trip
+// bit-for-bit and every value keeps its Go type, integral floats included.
 //
 // Value encoding is a one-byte tag followed by the payload. Integer widths
 // are normalised the same way the entity layer normalises them on input

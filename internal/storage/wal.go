@@ -52,6 +52,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -67,10 +68,6 @@ const (
 	// lockFileName is the exclusive-access lease of a data directory; see
 	// lock.go / lock_fallback.go.
 	lockFileName = "LOCK"
-	frameHeader  = 8 // uint32 length + uint32 CRC
-	// maxFrame bounds a single record payload. A length prefix beyond it is
-	// treated as corruption rather than an allocation request.
-	maxFrame = 1 << 28
 	// reserveStep is how far the active segment's allocation runs ahead of
 	// the write offset once the segment holds that much: one reservation —
 	// the only journal commit left on the ack path — per reserveStep bytes
@@ -315,7 +312,7 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 	var batchMax uint64
 	for i := range recs {
 		var err error
-		if w.buf, err = appendFrame(w.buf, &recs[i]); err != nil {
+		if w.buf, err = AppendFrame(w.buf, &recs[i]); err != nil {
 			return err
 		}
 		if recs[i].Kind == KindAppend && recs[i].LSN > batchMax {
@@ -328,7 +325,7 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 	// segment reserves no more than it holds, so a unit that wrote a few
 	// hundred bytes neither pins a whole step nor, on a disk that has since
 	// filled, goes on accepting writes a step deep before it refuses one.
-	if end := w.segSize + int64(len(w.buf)); end+frameHeader > w.reserved {
+	if end := w.segSize + int64(len(w.buf)); end+FrameHeader > w.reserved {
 		ahead := min(end, reserveStep)
 		if err := reserve(w.seg, w.reserved, end+ahead-w.reserved); err != nil {
 			return fmt.Errorf("storage: append: %w", err)
@@ -373,20 +370,6 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 // two-core box costs a concurrent read more than the read itself. Starting a
 // goroutine is the runtime's wake-up (wakep); the goroutine does nothing.
 func wakeIdleThread() { go func() {}() }
-
-// appendFrame encodes rec and wraps it in a length+CRC frame.
-func appendFrame(b []byte, rec *WALRecord) ([]byte, error) {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	b, err := EncodeRecord(b, rec)
-	if err != nil {
-		return nil, err
-	}
-	payload := b[start+frameHeader:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
-	return b, nil
-}
 
 // ensureActiveLocked opens the active segment for appending, scanning and
 // repairing the existing tail first if Replay has not done so already.
@@ -901,7 +884,7 @@ func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WAL
 				return 0, err
 			}
 		}
-		offset += frameHeader + int64(len(payload))
+		offset += FrameHeader + int64(len(payload))
 	}
 }
 
@@ -913,21 +896,24 @@ const (
 	frameEnd                 // no bytes left
 	frameShort               // the header or the payload runs past the end
 	frameZero                // all-zero header: space no frame was written to
-	frameHuge                // length beyond maxFrame
+	frameHuge                // length beyond MaxFrame
 	frameBadSum              // payload does not match its CRC
 )
 
-// frameReader walks frames through br. size is how many bytes the file held
-// when the scan began and off how many were consumed: a frame's length is
-// checked against what is left before anything is allocated for it, so a
-// corrupt length cannot make the reader allocate past the file's own size.
+// frameReader walks frames through br: a segment or snapshot file for the
+// WAL's scans, any byte stream for StreamReader. size is how many bytes the
+// source held when the read began (-1 when unknown, as for a stream) and off
+// how many were consumed. Memory for a payload grows with the bytes of it
+// that have arrived, never with the length its header claims, and a file's
+// frame is first checked against what the file has left — a corrupt or
+// forged length cannot make the reader allocate past the bytes it received.
 // The end of the data is still the reader's EOF, not size — a sealed
 // segment's zero tail may be trimmed away (retire) under a scan. Errors are
-// I/O errors; everything a file's bytes can cause is a verdict.
+// I/O errors; everything the bytes can cause is a verdict.
 type frameReader struct {
 	br        *bufio.Reader
 	off, size int64
-	hdr       [frameHeader]byte
+	hdr       [FrameHeader]byte
 	payload   []byte // reused across frames
 }
 
@@ -943,28 +929,30 @@ func (r *frameReader) next() ([]byte, frameVerdict, error) {
 	default:
 		return nil, 0, err
 	}
-	length := binary.LittleEndian.Uint32(r.hdr[:])
+	length := int(binary.LittleEndian.Uint32(r.hdr[:]))
 	sum := binary.LittleEndian.Uint32(r.hdr[4:])
 	switch {
 	case length == 0 && sum == 0:
 		return nil, frameZero, nil
-	case length > maxFrame:
+	case length > MaxFrame:
 		return nil, frameHuge, nil
-	case int64(length) > r.size-r.off:
+	case r.size >= 0 && int64(length) > r.size-r.off:
 		return nil, frameShort, nil
 	}
-	if cap(r.payload) < int(length) {
-		r.payload = make([]byte, length)
-	}
-	r.payload = r.payload[:length]
-	n, err = io.ReadFull(r.br, r.payload)
-	r.off += int64(n)
-	switch err {
-	case nil:
-	case io.EOF, io.ErrUnexpectedEOF:
-		return nil, frameShort, nil
-	default:
-		return nil, 0, err
+	r.payload = r.payload[:0]
+	for len(r.payload) < length {
+		step := min(length-len(r.payload), max(len(r.payload), 4<<10))
+		r.payload = slices.Grow(r.payload, step)
+		n, err = io.ReadFull(r.br, r.payload[len(r.payload):len(r.payload)+step])
+		r.payload = r.payload[:len(r.payload)+n]
+		r.off += int64(n)
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return nil, frameShort, nil
+		default:
+			return nil, 0, err
+		}
 	}
 	if crc32.ChecksumIEEE(r.payload) != sum {
 		return nil, frameBadSum, nil
@@ -1282,26 +1270,13 @@ func (w *WAL) writeSnapshotLocked(name string, fill func(put func(WALRecord) err
 		return fmt.Errorf("storage: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after the rename succeeds
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err := bw.Write(ckptMagic); err != nil {
+	sw := NewStreamWriter(f)
+	sw.buf = append(sw.buf, ckptMagic...)
+	if err := fill(func(rec WALRecord) error { return sw.Record(&rec) }); err != nil {
 		f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	var scratch []byte
-	putErr := fill(func(rec WALRecord) error {
-		var err error
-		scratch, err = appendFrame(scratch[:0], &rec)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(scratch)
 		return err
-	})
-	if putErr != nil {
-		f.Close()
-		return putErr
 	}
-	if err := bw.Flush(); err != nil {
+	if err := sw.Flush(); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: %w", err)
 	}

@@ -58,7 +58,7 @@ ctl set Account A-1 owner=alice >/dev/null
 for i in $(seq 1 20); do
   ctl delta Account A-1 balance=5 >/dev/null
 done
-ctl backup "${WORK}/backup.ndjson" 2>/dev/null
+ctl backup "${WORK}/backup.bak" 2>/dev/null
 
 echo "== hard kill (no flush)"
 kill -9 "${PID}"
@@ -90,7 +90,7 @@ rm -rf "${DATA}"
   -data-dir "${DATA}" >"${WORK}/soupsd3.log" 2>&1 &
 PID=$!
 wait_up
-ctl restore "${WORK}/backup.ndjson" >/dev/null
+ctl restore "${WORK}/backup.bak" >/dev/null
 balance="$(ctl get Account A-1 | grep -o '"balance": [0-9]*' | grep -o '[0-9]*')"
 if [ "${balance}" != "100" ]; then
   echo "FAIL: balance after restore = '${balance}', want 100" >&2
