@@ -7,8 +7,8 @@
 // ns/op plus experiment-specific metrics via b.ReportMetric (aborts/op,
 // apology rate, availability, lost updates, convergence rounds, ...), and an
 // outcome the experiment guarantees (operation replay loses nothing, the
-// majority side of a quorum stays writable, anti-entropy converges) fails
-// the run when it does not hold.
+// majority side of a quorum stays writable, catch-up converges) fails the
+// run when it does not hold.
 package repro_test
 
 import (
@@ -230,41 +230,74 @@ func BenchmarkE4ConflictResolution(b *testing.B) {
 
 // --- E5: availability under partition (principle 2.11 / CAP) ----------------
 
-// r0 is cut off from r1 and r2 for the whole run, and a client on each side
-// keeps trying to write: r0 is the minority side, r1 the majority. The
-// majority side stays writable in both modes; eventual replication keeps
-// the minority writable too, quorum replication refuses every write there.
+// shippingPrimary opens a one-unit store that ships to fresh in-memory
+// standbys over net (E5, E7). The caller closes the shipper.
+func shippingPrimary(b *testing.B, net *netsim.Network, self clock.NodeID, ids []clock.NodeID, mode replica.AckMode) (*lsdb.DB, *replica.Shipper, []*replica.Standby) {
+	b.Helper()
+	db := lsdb.Open(lsdb.Options{Node: self, Backend: storage.NewMemory(), Shards: 4})
+	if err := db.RegisterType(workload.AccountType()); err != nil {
+		b.Fatal(err)
+	}
+	standbys := make([]*replica.Standby, len(ids))
+	for i, id := range ids {
+		sb, err := replica.NewStandby(replica.StandbyOptions{
+			Self: id, Net: net, Backends: []storage.Backend{storage.NewMemory()},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		standbys[i] = sb
+	}
+	sh := replica.NewShipper(replica.ShipperOptions{
+		Self: self, Standbys: ids, Mode: mode, Net: net,
+		Source: func(_ int, after uint64, limit int) []lsdb.Record { return db.RecordsAfterN(after, limit) },
+	})
+	db.SetCommitSink(sh.Sink(0))
+	return db, sh, standbys
+}
+
+// A primary ships to two standbys and is cut off from both ("minority": it
+// is alone) or from one ("majority": it and one standby are two of three)
+// for the whole run while a client keeps writing. Availability is the share
+// of writes acked without ErrStandbyAcks. Async shipping acks every write on
+// either side; quorum shipping acks on the majority side and refuses every
+// write on the minority side (the write commits locally, but its client is
+// told the replication guarantee failed).
 func BenchmarkE5AvailabilityUnderPartition(b *testing.B) {
-	for _, mode := range []replica.Mode{replica.Quorum, replica.Eventual} {
+	stamp := func(n int64) clock.Timestamp { return clock.Timestamp{WallNanos: n, Node: "e5-p"} }
+	for _, mode := range []replica.AckMode{replica.AckQuorum, replica.AckAsync} {
 		for _, side := range []string{"minority", "majority"} {
 			b.Run(fmt.Sprintf("%s/side=%s", mode, side), func(b *testing.B) {
-				cluster, err := replica.NewCluster(3, mode, netsim.Config{UnreachableDelay: 200 * time.Microsecond}, workload.AccountType())
-				if err != nil {
-					b.Fatal(err)
+				net := netsim.New(netsim.Config{UnreachableDelay: 200 * time.Microsecond})
+				defer net.Close()
+				standbys := []clock.NodeID{"e5-s1", "e5-s2"}
+				db, sh, _ := shippingPrimary(b, net, "e5-p", standbys, mode)
+				defer sh.Close()
+				if side == "minority" {
+					net.Partition([]clock.NodeID{"e5-p"}, standbys)
+				} else {
+					net.Partition([]clock.NodeID{"e5-p", "e5-s1"}, standbys[1:])
 				}
-				defer cluster.Stop()
-				cluster.Network().Partition([]clock.NodeID{"r0"}, []clock.NodeID{"r1", "r2"})
-				idx := 0
-				if side == "majority" {
-					idx = 1
-				}
-				rep, _ := cluster.Replica(idx)
+				key := repro.Key{Type: "Account", ID: "A"}
 				success := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, err := rep.Write(repro.Key{Type: "Account", ID: "A"}, []repro.Op{repro.Delta("balance", 1)}, "")
-					if err == nil {
+					_, err := db.Append(key, []repro.Op{repro.Delta("balance", 1)}, stamp(int64(i+1)), "e5-p", fmt.Sprintf("e5-%d", i))
+					switch {
+					case err == nil:
 						success++
+					case !errors.Is(err, replica.ErrStandbyAcks):
+						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
 				availability := float64(success) / float64(b.N)
 				want := 1.0
-				if mode == replica.Quorum && side == "minority" {
+				if mode == replica.AckQuorum && side == "minority" {
 					want = 0
 				}
 				if availability != want {
-					b.Fatalf("%s side wrote %d of %d, want availability %v", side, success, b.N, want)
+					b.Fatalf("%s side acked %d of %d writes, want availability %v", side, success, b.N, want)
 				}
 				b.ReportMetric(availability, "availability")
 			})
@@ -348,46 +381,49 @@ func BenchmarkE6ApologyVsStrong(b *testing.B) {
 	})
 }
 
-// --- E7: convergence / staleness vs anti-entropy (eventual consistency) -----
+// --- E7: convergence / staleness vs catch-up (eventual consistency) --------
 
-// e7MaxRounds bounds anti-entropy: a cluster that has not converged to the
-// right value within this many sync rounds under 30 % loss fails the run.
+// e7MaxRounds bounds catch-up: standbys that have not reached the primary's
+// head within this many rounds under 30 % loss fail the run.
 const e7MaxRounds = 1000
 
+// A primary ships async to N standbys over a network that loses 30 % of
+// messages, ships and catch-up requests alike. Each round every standby runs
+// CatchUp; the run has converged when every standby's watermark is the
+// primary's head LSN. One standby is then promoted, and its balance must
+// equal the primary's: replicas that hold the same operation records replay
+// them to the same state (principle 2.8).
 func BenchmarkE7ConvergenceStaleness(b *testing.B) {
-	for _, replicas := range []int{3, 5} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
+	const writes = 10
+	stamp := func(n int64) clock.Timestamp { return clock.Timestamp{WallNanos: n, Node: "e7-p"} }
+	key := repro.Key{Type: "Account", ID: "A"}
+	for _, n := range []int{2, 4} {
+		b.Run(fmt.Sprintf("standbys=%d", n), func(b *testing.B) {
 			var totalConverge time.Duration
 			var totalRounds int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cluster, err := replica.NewCluster(replicas, replica.Eventual,
-					netsim.Config{LossRate: 0.3, Seed: int64(i + 1)}, workload.AccountType())
-				if err != nil {
-					b.Fatal(err)
+				net := netsim.New(netsim.Config{LossRate: 0.3, Seed: int64(i + 1)})
+				ids := make([]clock.NodeID, n)
+				for s := range ids {
+					ids[s] = clock.NodeID(fmt.Sprintf("e7-s%d", s))
 				}
-				key := repro.Key{Type: "Account", ID: "A"}
+				db, sh, standbys := shippingPrimary(b, net, "e7-p", ids, replica.AckAsync)
 				b.StartTimer()
-				for r := 0; r < replicas; r++ {
-					rep, _ := cluster.Replica(r)
-					if _, err := rep.Write(key, []repro.Op{repro.Delta("balance", 1)}, ""); err != nil {
+				for w := 0; w < writes; w++ {
+					if _, err := db.Append(key, []repro.Op{repro.Delta("balance", 1)}, stamp(int64(w+1)), "e7-p", ""); err != nil {
 						b.Fatal(err)
 					}
 				}
 				start := time.Now()
 				for rounds := 1; ; rounds++ {
 					if rounds > e7MaxRounds {
-						b.Fatalf("%d replicas not converged to balance %d after %d sync rounds", replicas, replicas, e7MaxRounds)
+						b.Fatalf("%d standbys not at head LSN %d after %d catch-up rounds", n, db.HeadLSN(), e7MaxRounds)
 					}
-					cluster.SyncRound()
 					done := true
-					for r := 0; r < replicas; r++ {
-						rep, _ := cluster.Replica(r)
-						st, err := rep.ReadResolved(key)
-						if err != nil || st.Float("balance") != float64(replicas) {
-							done = false
-							break
-						}
+					for _, sb := range standbys {
+						_, _ = sb.CatchUp("e7-p", 0) // a lost request is retried next round
+						done = done && sb.Watermark(0) == db.HeadLSN()
 					}
 					if done {
 						totalRounds += rounds
@@ -396,7 +432,21 @@ func BenchmarkE7ConvergenceStaleness(b *testing.B) {
 				}
 				totalConverge += time.Since(start)
 				b.StopTimer()
-				cluster.Stop()
+				sh.Drain()
+				sh.Close()
+				net.Close()
+				promoted, err := standbys[0].Promote(nil, lsdb.Options{Node: standbys[0].ID()}, workload.AccountType())
+				if err != nil {
+					b.Fatal(err)
+				}
+				got, _, err := promoted[0].Current(key)
+				if err != nil {
+					b.Fatal(err)
+				}
+				want, _, _ := db.Current(key)
+				if got.Float("balance") != want.Float("balance") {
+					b.Fatalf("promoted balance %v, primary %v", got.Float("balance"), want.Float("balance"))
+				}
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(totalConverge.Microseconds())/float64(b.N), "convergence-us/op")

@@ -5,8 +5,9 @@
 // the consistency trade-offs its principles address; the authors' context is
 // real SAP landscapes and internet-scale systems. This repository substitutes
 // an in-process simulated network so the CAP experiments (E5, E7) exercise
-// the same code paths — blocked quorums, divergent replicas, anti-entropy
-// after healing — on a single machine. See DESIGN.md, substitution 1.
+// the production WAL-shipping code paths — blocked quorum acks, lagging
+// standbys, catch-up after healing — on a single machine. See DESIGN.md,
+// substitution 1.
 package netsim
 
 import (
@@ -408,22 +409,6 @@ func (n *Network) Request(from, to clock.NodeID, payload interface{}, timeout ti
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s -> %s after %v", ErrTimeout, from, to, timeout)
 	}
-}
-
-// Broadcast sends payload to every registered node except the sender and
-// returns how many sends were attempted.
-func (n *Network) Broadcast(from clock.NodeID, payload interface{}) int {
-	targets := n.Nodes()
-	count := 0
-	for _, to := range targets {
-		if to == from {
-			continue
-		}
-		if err := n.Send(from, to, payload); err == nil {
-			count++
-		}
-	}
-	return count
 }
 
 // Quiesce blocks until all in-flight asynchronous deliveries have completed.

@@ -317,20 +317,6 @@ func TestRequestLoss(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	n := New(Config{})
-	var count atomic.Int64
-	handler := func(clock.NodeID, interface{}) { count.Add(1) }
-	n.Register("a", handler)
-	n.Register("b", handler)
-	n.Register("c", handler)
-	sent := n.Broadcast("a", "gossip")
-	n.Quiesce()
-	if sent != 2 || count.Load() != 2 {
-		t.Fatalf("sent=%d delivered=%d", sent, count.Load())
-	}
-}
-
 func TestNodesSorted(t *testing.T) {
 	n := New(Config{})
 	n.Register("zebra", nil)

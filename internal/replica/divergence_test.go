@@ -9,66 +9,58 @@ import (
 	"repro/internal/clock"
 	"repro/internal/entity"
 	"repro/internal/netsim"
+	"repro/internal/storage"
 )
 
 // Divergence under partition, reconciled with apologies (principles 2.1 and
-// 2.9): both sides of a partition keep promising from the same stock on
-// local knowledge; the heal makes the over-promise visible; the resolution
-// is not a rollback but first-come-first-served honouring, one broken
-// promise, compensation, and withdrawal of the losing tentative record on
-// every replica.
+// 2.9): the primary keeps promising from the same stock on local knowledge
+// while its standby is cut off; the over-promise is visible at once; the
+// resolution is not a rollback but first-come-first-served honouring, one
+// broken promise, compensation, and withdrawal of the losing tentative
+// record — which the standby's log carries too once the partition heals.
 func TestDivergentTentativePromisesApologizedOnHeal(t *testing.T) {
-	c := newCluster(t, 2, Eventual, netsim.Config{})
-	r0, r1 := rep(t, c, 0), rep(t, c, 1)
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	sb := newShipStandby(t, net, "s1", storage.NewMemory())
+	p := newShipPrimary(t, net, "p", []clock.NodeID{"s1"}, AckAsync)
 	stock := acct("book-stock")
 
-	if _, err := r0.Write(stock, []entity.Op{entity.Set("balance", 5)}, "seed"); err != nil {
+	if _, err := p.db.Append(stock, []entity.Op{entity.Set("balance", 5)}, ts(1), "p", "seed"); err != nil {
 		t.Fatal(err)
 	}
-	waitConverged(t, c, stock, time.Second)
+	p.shipper.Drain()
+	net.Quiesce()
+	if got := sb.Watermark(0); got != 1 {
+		t.Fatalf("standby watermark before the partition = %d, want 1", got)
+	}
 
-	c.Network().Partition([]clock.NodeID{r0.ID()}, []clock.NodeID{r1.ID()})
+	net.Partition([]clock.NodeID{"p"}, []clock.NodeID{sb.ID()})
 
 	// A deterministic promise clock so first-come-first-served is exact.
 	now := time.Unix(1000, 0)
 	tick := func() time.Time { now = now.Add(time.Second); return now }
-	withdraw := func(p apology.Promise, reason string) {
+	withdraw := func(pr apology.Promise, reason string) {
 		// The infrastructure's compensation hook: the broken promise's
-		// tentative record is withdrawn wherever it replicated.
-		for _, r := range []*Replica{r0, r1} {
-			if err := r.DB().MarkObsolete(p.Entity, p.TxnID); err != nil {
-				t.Errorf("withdrawing %s on %s: %v", p.TxnID, r.ID(), err)
-			}
+		// tentative record is withdrawn, and the mark ships like any write.
+		if err := p.db.MarkObsolete(pr.Entity, pr.TxnID); err != nil {
+			t.Errorf("withdrawing %s: %v", pr.TxnID, err)
 		}
 	}
 	ledger := apology.NewLedger(apology.Options{Clock: tick, OnBreak: withdraw})
 
-	// Each side promises from the stock it can see. Individually both fit
-	// (5-4 and 5-3); together they overbook by 2 — the classic bookstore of
-	// principle 2.9.
-	if _, err := r0.WriteTentative(stock, []entity.Op{entity.Delta("balance", -4)}, "promise-r0"); err != nil {
+	// Two promises from the stock: individually both fit (5-4 and 5-3);
+	// together they overbook by 2 — the classic bookstore of principle 2.9.
+	if _, err := p.db.AppendTentative(stock, []entity.Op{entity.Delta("balance", -4)}, ts(2), "p", "promise-a"); err != nil {
 		t.Fatal(err)
 	}
-	p0 := ledger.Make(apology.Promise{Kind: "reservation", Entity: stock, TxnID: "promise-r0", Partner: "alice", Quantity: 4})
-	if _, err := r1.WriteTentative(stock, []entity.Op{entity.Delta("balance", -3)}, "promise-r1"); err != nil {
+	pa := ledger.Make(apology.Promise{Kind: "reservation", Entity: stock, TxnID: "promise-a", Partner: "alice", Quantity: 4})
+	if _, err := p.db.AppendTentative(stock, []entity.Op{entity.Delta("balance", -3)}, ts(3), "p", "promise-b"); err != nil {
 		t.Fatal(err)
 	}
-	ledger.Make(apology.Promise{Kind: "reservation", Entity: stock, TxnID: "promise-r1", Partner: "bob", Quantity: 3})
+	ledger.Make(apology.Promise{Kind: "reservation", Entity: stock, TxnID: "promise-b", Partner: "bob", Quantity: 3})
 
-	st0, _ := r0.ReadLocal(stock)
-	st1, _ := r1.ReadLocal(stock)
-	if st0.Float("balance") != 1 || st1.Float("balance") != 2 {
-		t.Fatalf("partitioned local views = %v / %v, want 1 / 2", st0.Float("balance"), st1.Float("balance"))
-	}
-
-	// Heal. Anti-entropy merges both histories and the divergence
-	// materializes: the shared stock has been promised below zero.
-	c.Network().Heal()
-	c.SyncRound()
-	waitConverged(t, c, stock, time.Second)
-	st0, _ = r0.ReadLocal(stock)
-	if st0.Float("balance") != -2 {
-		t.Fatalf("merged balance = %v, want -2 (both promises applied)", st0.Float("balance"))
+	if st, _, _ := p.db.Current(stock); st.Float("balance") != -2 {
+		t.Fatalf("primary balance = %v, want -2 (both promises applied)", st.Float("balance"))
 	}
 
 	// Reconcile: honour promises first-come-first-served against the real
@@ -84,22 +76,34 @@ func TestDivergentTentativePromisesApologizedOnHeal(t *testing.T) {
 	if a.Partner != "bob" || a.Compensation != "10% discount voucher" {
 		t.Fatalf("apology = %+v, want bob compensated (alice promised first)", a)
 	}
-	if got, _ := ledger.Get(p0.ID); got.Status != apology.Kept {
+	if got, _ := ledger.Get(pa.ID); got.Status != apology.Kept {
 		t.Fatalf("alice's promise = %s, want kept", got.Status)
 	}
+	p.shipper.Drain()
+	net.Quiesce()
+	if got := sb.Watermark(0); got != 1 {
+		t.Fatalf("standby watermark during the partition = %d, want 1 (promises not shipped)", got)
+	}
 
-	// The withdrawal converges everywhere: stock is non-negative again and
-	// identical on both replicas.
-	c.SyncRound()
-	waitConverged(t, c, stock, time.Second)
-	for _, r := range []*Replica{r0, r1} {
-		st, err := r.ReadLocal(stock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Float("balance") != 1 {
-			t.Fatalf("%s balance after apology = %v, want 1 (5 - kept 4)", r.ID(), st.Float("balance"))
-		}
+	// Heal: the standby catches up with the promises and the withdrawal, and
+	// promoting it shows the reconciled stock.
+	net.Heal()
+	if _, err := sb.CatchUp("p", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.Watermark(0); got != p.db.HeadLSN() {
+		t.Fatalf("standby watermark after heal = %d, want head %d", got, p.db.HeadLSN())
+	}
+	db, bal := promoteBalance(t, sb, nil, stock)
+	if bal != 1 {
+		t.Fatalf("promoted balance after apology = %v, want 1 (5 - kept 4)", bal)
+	}
+	withdrawn := map[string]bool{}
+	for _, rec := range db.RecordsFor(stock) {
+		withdrawn[rec.TxnID] = rec.Obsolete
+	}
+	if !withdrawn["promise-b"] || withdrawn["promise-a"] {
+		t.Fatalf("promoted obsolete marks = %v, want only promise-b withdrawn", withdrawn)
 	}
 	if rate := ledger.ApologyRate(); rate != 0.5 {
 		t.Fatalf("apology rate = %v, want 0.5", rate)
@@ -111,10 +115,12 @@ func TestDivergentTentativePromisesApologizedOnHeal(t *testing.T) {
 // rather than becoming future apologies — even when replicas would accept
 // the tentative write itself.
 func TestPromiseLimitBoundsDivergenceExposure(t *testing.T) {
-	c := newCluster(t, 2, Eventual, netsim.Config{})
-	r0 := rep(t, c, 0)
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	newShipStandby(t, net, "s1", storage.NewMemory())
+	p := newShipPrimary(t, net, "p", []clock.NodeID{"s1"}, AckAsync)
 	stock := acct("limited-stock")
-	if _, err := r0.Write(stock, []entity.Op{entity.Set("balance", 100)}, "seed"); err != nil {
+	if _, err := p.db.Append(stock, []entity.Op{entity.Set("balance", 100)}, ts(1), "p", "seed"); err != nil {
 		t.Fatal(err)
 	}
 	ledger := apology.NewLedger(apology.Options{MaxPendingPerEntity: 2})

@@ -1,10 +1,10 @@
-// WAL-shipped replication: the primary's durable log is the replication
-// stream.
+// Package replica ships a primary's durable log to standby replicas: the
+// production shape the paper's section 2 calls "active systems with
+// asynchronous/synchronous commits to backups". Shipping operation records
+// rather than states is principle 2.8 applied to replication — replicas that
+// hold the same records replay them to the same states.
 //
-// The in-memory scheme in replica.go re-applies operation descriptors on
-// every peer; this file implements the production shape the paper's section 2
-// calls "active systems with asynchronous/synchronous commits to backups":
-// the primary ships every record written to its storage.Backend — commit
+// The primary ships every record written to its storage.Backend — commit
 // cycles (riding the group-commit cadence via lsdb.Options.CommitSink),
 // obsolescence marks, compaction horizons — to standby replicas that append
 // them, unapplied, into backends of their own. A standby is therefore a log
@@ -21,7 +21,8 @@
 // majority, so one slow or parked standby prices only its own lane, and a
 // commit over N standbys costs one round trip, not N.
 //
-// Ack modes tune the durability/latency trade-off per cluster:
+// Ack modes tune the durability/latency trade-off per cluster, and with it
+// the availability a partition leaves (principle 2.11):
 //
 //   - AckAsync: the commit cycle returns as soon as the batch is handed to
 //     the lanes; loss and partitions are healed by catch-up.

@@ -118,11 +118,15 @@ func TestAckModesUnderBlockedLinks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			net := netsim.New(netsim.Config{UnreachableDelay: time.Millisecond})
 			defer net.Close()
-			newShipStandby(t, net, "s1", storage.NewMemory())
-			newShipStandby(t, net, "s2", storage.NewMemory())
+			standbys := map[clock.NodeID]*Standby{
+				"s1": newShipStandby(t, net, "s1", storage.NewMemory()),
+				"s2": newShipStandby(t, net, "s2", storage.NewMemory()),
+			}
 			p := newShipPrimary(t, net, "p", []clock.NodeID{"s1", "s2"}, tc.mode)
+			blocked := map[clock.NodeID]bool{}
 			for _, s := range tc.blocked {
 				net.SetLinkFault("p", s, netsim.LinkFault{Block: true})
+				blocked[s] = true
 			}
 			key := acct("A1")
 			_, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 10)}, ts(1), "p", "t1")
@@ -139,7 +143,132 @@ func TestAckModesUnderBlockedLinks(t *testing.T) {
 			if cerr != nil || st.Float("balance") != 10 {
 				t.Fatalf("primary state after ship: %v %v", st, cerr)
 			}
+			// A synchronous ack means a standby already holds the write.
+			if tc.mode != AckAsync && !tc.wantErr && standbys["s1"].Watermark(0) != 1 {
+				t.Fatalf("acked %s write not held by the reachable standby", tc.mode)
+			}
+			// Once the lanes drain, exactly the reachable standbys hold it.
+			p.shipper.Drain()
+			net.Quiesce()
+			for id, sb := range standbys {
+				want := uint64(1)
+				if blocked[id] {
+					want = 0
+				}
+				if sb.Watermark(0) != want {
+					t.Fatalf("standby %s watermark = %d, want %d (blocked=%v)", id, sb.Watermark(0), want, blocked[id])
+				}
+			}
 		})
+	}
+}
+
+// A quorum write with every standby reachable returns once a majority holds
+// it; once the lanes drain, every standby holds it and promoting either one
+// reproduces the primary's balance.
+func TestQuorumWriteSucceedsWithMajority(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	standbys := map[clock.NodeID]*Standby{
+		"s1": newShipStandby(t, net, "s1", storage.NewMemory()),
+		"s2": newShipStandby(t, net, "s2", storage.NewMemory()),
+	}
+	p := newShipPrimary(t, net, "p", []clock.NodeID{"s1", "s2"}, AckQuorum)
+	key := acct("A")
+	if _, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 10)}, ts(1), "p", ""); err != nil {
+		t.Fatalf("quorum write: %v", err)
+	}
+	if standbys["s1"].Watermark(0)+standbys["s2"].Watermark(0) < 1 {
+		t.Fatal("quorum write acked before any standby held it")
+	}
+	p.shipper.Drain()
+	net.Quiesce()
+	if st := p.shipper.Stats(); st.ShipFailures != 0 {
+		t.Fatalf("reachable standbys recorded ship failures: %+v", st)
+	}
+	for id, sb := range standbys {
+		if sb.Watermark(0) != 1 {
+			t.Fatalf("standby %s watermark = %d, want 1", id, sb.Watermark(0))
+		}
+		if _, bal := promoteBalance(t, sb, nil, key); bal != 10 {
+			t.Fatalf("standby %s promoted balance = %v, want 10", id, bal)
+		}
+	}
+}
+
+// A primary cut off from both standbys is the minority side: its quorum
+// write is refused with ErrStandbyAcks and reaches no standby, while the
+// majority side — a standby promoted over the other — still takes quorum
+// writes.
+func TestQuorumWriteFailsOnMinoritySide(t *testing.T) {
+	net := netsim.New(netsim.Config{UnreachableDelay: time.Millisecond})
+	defer net.Close()
+	s1 := newShipStandby(t, net, "s1", storage.NewMemory())
+	s2 := newShipStandby(t, net, "s2", storage.NewMemory())
+	p := newShipPrimary(t, net, "p", []clock.NodeID{"s1", "s2"}, AckQuorum)
+	net.Partition([]clock.NodeID{"p"}, []clock.NodeID{"s1", "s2"})
+	key := acct("A")
+	_, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 10)}, ts(1), "p", "")
+	if !errors.Is(err, ErrStandbyAcks) {
+		t.Fatalf("want ErrStandbyAcks, got %v", err)
+	}
+	p.shipper.Drain()
+	net.Quiesce()
+	if st := p.shipper.Stats(); st.SyncAcks != 0 || st.ShipFailures == 0 {
+		t.Fatalf("minority-side stats = %+v, want no acks and some failures", st)
+	}
+	if s1.Watermark(0) != 0 || s2.Watermark(0) != 0 {
+		t.Fatalf("refused write reached a standby: s1=%d s2=%d", s1.Watermark(0), s2.Watermark(0))
+	}
+
+	// The majority side still accepts writes.
+	dbs, err := s1.Promote([]clock.NodeID{"s2"}, lsdb.Options{Node: "s1"}, accountType())
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	db := dbs[0]
+	sh := NewShipper(ShipperOptions{
+		Self:     "s1",
+		Standbys: []clock.NodeID{"s2"},
+		Mode:     AckQuorum,
+		Timeout:  250 * time.Millisecond,
+		Net:      net,
+		Source:   func(unit int, after uint64, limit int) []lsdb.Record { return db.RecordsAfterN(after, limit) },
+	})
+	defer sh.Close()
+	db.SetCommitSink(sh.Sink(0))
+	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 7)}, ts(2), "s1", ""); err != nil {
+		t.Fatalf("majority write: %v", err)
+	}
+	if s2.Watermark(0) != 1 {
+		t.Fatalf("majority write not held by s2: watermark = %d", s2.Watermark(0))
+	}
+}
+
+// Synchronous shipping needs every standby: with all reachable the write
+// returns held by both, and with one cut off even the majority side refuses
+// (the availability cost of synchronous backup commit).
+func TestSyncAllRequiresEveryPeer(t *testing.T) {
+	net := netsim.New(netsim.Config{UnreachableDelay: time.Millisecond})
+	defer net.Close()
+	s1 := newShipStandby(t, net, "s1", storage.NewMemory())
+	s2 := newShipStandby(t, net, "s2", storage.NewMemory())
+	p := newShipPrimary(t, net, "p", []clock.NodeID{"s1", "s2"}, AckSync)
+	key := acct("A")
+	if _, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 1)}, ts(1), "p", ""); err != nil {
+		t.Fatalf("sync write: %v", err)
+	}
+	if s1.Watermark(0) != 1 || s2.Watermark(0) != 1 {
+		t.Fatalf("sync write returned before both standbys held it: s1=%d s2=%d", s1.Watermark(0), s2.Watermark(0))
+	}
+	net.Partition([]clock.NodeID{"s2"}, []clock.NodeID{"p", "s1"})
+	if _, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 1)}, ts(2), "p", ""); !errors.Is(err, ErrStandbyAcks) {
+		t.Fatalf("want ErrStandbyAcks, got %v", err)
+	}
+	p.shipper.Drain()
+	net.Quiesce()
+	if s1.Watermark(0) != 2 || s2.Watermark(0) != 1 {
+		t.Fatalf("watermarks after partition: s1=%d s2=%d, want 2 and 1", s1.Watermark(0), s2.Watermark(0))
 	}
 }
 
