@@ -24,7 +24,7 @@ race:
 # carry nothing from one step into the next (CI runs the same set in its race
 # job).
 ownership-race:
-	$(GO) test -race -count=10 -run 'TestResidentLogRoundTrip|TestResidentLogConcurrent|TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestResidentLogRoundTrip|TestResidentLogConcurrent|TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestDirectoryConcurrent|TestLockFreeRouting|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
 
 # The E1..E22 experiment benchmarks (see EXPERIMENTS.md).
 bench:

@@ -1,5 +1,6 @@
 // Benchmarks E1..E22: one per experiment in DESIGN.md / EXPERIMENTS.md, and
-// the only definition of each (E23 is cmd/soupsbench).
+// the only definition of each (E23 is cmd/soupsbench), plus the component
+// row BenchmarkKernelReadParallel.
 //
 // The paper publishes no tables or figures, so each benchmark
 // operationalises one of its qualitative claims as a comparison between the
@@ -574,6 +575,37 @@ func BenchmarkE13MaterialisedReads(b *testing.B) {
 			})
 		}
 	}
+}
+
+// --- Kernel read path: routing plus a cached state -----------------------------
+
+// BenchmarkKernelReadParallel is Kernel.Read from every P over 1024 cached
+// entities on four units: directory lookup, unit map, shard choice, type
+// lookup and the shard read lock around a lent state. Allocations are 0;
+// what the routing costs is its share of atomics and locks on cache lines
+// every reader touches.
+func BenchmarkKernelReadParallel(b *testing.B) {
+	k := mustKernel(b, repro.Options{Node: "bench", Units: 4})
+	keys := make([]repro.Key, 1024)
+	for i := range keys {
+		keys[i] = repro.Key{Type: "Account", ID: fmt.Sprintf("A-%d", i)}
+		if _, err := k.Update(keys[i], repro.Delta("balance", 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Uint32
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(257))
+		for pb.Next() {
+			if _, err := k.Read(keys[i%len(keys)]); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
 // --- E14: mixed append/scan workload across shard counts (section 3.1) -------

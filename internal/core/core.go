@@ -234,6 +234,7 @@ type Kernel struct {
 	ledger   *apology.Ledger
 	registry *migrate.Registry
 	metrics  *metrics.Registry
+	inst     instruments
 	started  bool
 
 	// The newest maxWarnings managed violations, a ring under its own lock:
@@ -243,6 +244,29 @@ type Kernel struct {
 	warnMu   sync.Mutex
 	warnings []entity.Warning
 	warnNext int // slot the next warning overwrites once the ring is full
+}
+
+// instruments are the kernel's metric handles, resolved once in Open so no
+// commit looks a name up in the registry (whose map lookups take its mutex).
+type instruments struct {
+	txnLatency                                              *metrics.Histogram
+	txnCommitted, txnFailed                                 *metrics.Counter
+	promiseMade, promiseRefused, promiseKept, promiseBroken *metrics.Counter
+	constraintManaged, apologyIssued                        *metrics.Counter
+}
+
+func resolveInstruments(r *metrics.Registry) instruments {
+	return instruments{
+		txnLatency:        r.Histogram("txn.latency"),
+		txnCommitted:      r.Counter("txn.committed"),
+		txnFailed:         r.Counter("txn.failed"),
+		promiseMade:       r.Counter("promise.made"),
+		promiseRefused:    r.Counter("promise.refused"),
+		promiseKept:       r.Counter("promise.kept"),
+		promiseBroken:     r.Counter("promise.broken"),
+		constraintManaged: r.Counter("constraint.managed"),
+		apologyIssued:     r.Counter("apology.issued"),
+	}
 }
 
 // maxWarnings bounds what Warnings retains.
@@ -259,6 +283,7 @@ func Open(opts Options) (*Kernel, error) {
 		registry: migrate.NewRegistry(),
 		metrics:  metrics.NewRegistry(),
 	}
+	k.inst = resolveInstruments(k.metrics)
 	k.ledger = apology.NewLedger(apology.Options{
 		OnBreak:             k.onPromiseBroken,
 		MaxPendingPerEntity: opts.PromiseLimit,
@@ -526,12 +551,12 @@ func (k *Kernel) Transact(key entity.Key, fn func(*txn.Txn) error) (txn.CommitRe
 	}
 	start := time.Now()
 	res, err := u.mgr.Run(txn.Solipsistic, u.queue, 0, fn)
-	k.metrics.Histogram("txn.latency").Record(time.Since(start))
+	k.inst.txnLatency.Record(time.Since(start))
 	if err != nil {
-		k.metrics.Counter("txn.failed").Inc()
+		k.inst.txnFailed.Inc()
 		return res, err
 	}
-	k.metrics.Counter("txn.committed").Inc()
+	k.inst.txnCommitted.Inc()
 	k.recordWarnings(res.Warnings)
 	return res, nil
 }
@@ -540,7 +565,7 @@ func (k *Kernel) Transact(key entity.Key, fn func(*txn.Txn) error) (txn.CommitRe
 // transaction. A dangling Reference field becomes a managed warning.
 func (k *Kernel) Update(key entity.Key, ops ...entity.Op) (txn.CommitResult, error) {
 	if err := k.checkReferences(key, ops); err != nil {
-		k.metrics.Counter("txn.failed").Inc()
+		k.inst.txnFailed.Inc()
 		return txn.CommitResult{}, err
 	}
 	return k.Transact(key, func(t *txn.Txn) error {
@@ -568,11 +593,11 @@ func (k *Kernel) UpdateTentative(key entity.Key, partner, kind string, quantity 
 		// The entity is at its promise limit: withdraw the tentative record
 		// just written so the refused promise leaves no trace in rollups (it
 		// stays in the log as an obsolete record, like any broken promise).
-		k.metrics.Counter("promise.refused").Inc()
+		k.inst.promiseRefused.Inc()
 		k.withdraw(key, res.TxnID)
 		return apology.Promise{}, err
 	}
-	k.metrics.Counter("promise.made").Inc()
+	k.inst.promiseMade.Inc()
 	return p, nil
 }
 
@@ -708,7 +733,7 @@ func (k *Kernel) Warnings() []entity.Warning {
 // WarningCount returns how many managed violations were accepted so far,
 // including those Warnings no longer retains.
 func (k *Kernel) WarningCount() uint64 {
-	return k.metrics.Counter("constraint.managed").Value()
+	return k.inst.constraintManaged.Value()
 }
 
 func (k *Kernel) recordWarnings(ws []entity.Warning) {
@@ -725,7 +750,7 @@ func (k *Kernel) recordWarnings(ws []entity.Warning) {
 		k.warnNext = (k.warnNext + 1) % maxWarnings
 	}
 	k.warnMu.Unlock()
-	k.metrics.Counter("constraint.managed").Add(uint64(len(ws)))
+	k.inst.constraintManaged.Add(uint64(len(ws)))
 }
 
 // --- Process steps ------------------------------------------------------------
@@ -1306,7 +1331,7 @@ func (k *Kernel) AggregateStaleness() int {
 
 // onPromiseBroken withdraws the tentative record backing a broken promise.
 func (k *Kernel) onPromiseBroken(p apology.Promise, reason string) {
-	k.metrics.Counter("apology.issued").Inc()
+	k.inst.apologyIssued.Inc()
 	if p.TxnID != "" {
 		k.withdraw(p.Entity, p.TxnID)
 	}
@@ -1328,7 +1353,7 @@ func (k *Kernel) KeepPromise(id string) error {
 	if err := k.ledger.Keep(id); err != nil {
 		return err
 	}
-	k.metrics.Counter("promise.kept").Inc()
+	k.inst.promiseKept.Inc()
 	_, err = k.Update(p.Entity, entity.Confirm())
 	return err
 }
@@ -1348,7 +1373,7 @@ func (k *Kernel) ResolveOverbooking(key entity.Key, available float64, reason, c
 	for range apologies {
 		// Confirm is not needed for broken promises; the OnBreak hook already
 		// withdrew the tentative records.
-		k.metrics.Counter("promise.broken").Inc()
+		k.inst.promiseBroken.Inc()
 	}
 	for _, p := range k.ledger.PendingFor(key) {
 		_ = p // remaining pending promises stay tentative

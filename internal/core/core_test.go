@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -416,6 +418,30 @@ func TestMetricsExposed(t *testing.T) {
 	}
 	if k.Metrics().Histogram("txn.latency").Count() != 1 {
 		t.Fatal("latency histogram empty")
+	}
+}
+
+// The kernel resolves its instruments once, when it opens: each is in the
+// registry at 0 before anything uses it, and the registry hands out the same
+// handle the commit path writes.
+func TestInstrumentsExistFromBootstrap(t *testing.T) {
+	k := newKernel(t, Options{Node: "n1"})
+	dump := k.Metrics().Dump()
+	lines := strings.Split(dump, "\n")
+	for _, name := range []string{"txn.committed", "txn.failed", "promise.made", "promise.refused",
+		"promise.kept", "promise.broken", "constraint.managed", "apology.issued"} {
+		if !slices.Contains(lines, "counter "+name+" = 0") {
+			t.Errorf("fresh kernel's dump lacks %s at 0:\n%s", name, dump)
+		}
+	}
+	if !strings.Contains(dump, "histogram txn.latency: n=0 ") {
+		t.Errorf("fresh kernel's dump lacks an empty txn.latency:\n%s", dump)
+	}
+	if _, err := k.Update(orderKey("O1"), entity.Set("status", "OPEN")); err != nil {
+		t.Fatal(err)
+	}
+	if c := k.Metrics().Counter("txn.committed"); c != k.inst.txnCommitted || c.Value() != 1 {
+		t.Fatalf("txn.committed: registry handle %p (value %d), kernel handle %p", c, c.Value(), k.inst.txnCommitted)
 	}
 }
 

@@ -38,6 +38,7 @@ package lsdb
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -458,8 +459,11 @@ func (db *DB) markDirtyLocked(s *shard, key entity.Key, e *entry) {
 type DB struct {
 	opts Options
 
-	typeMu sync.RWMutex
-	types  map[string]*entity.Type
+	// types is the registered-type table, published copy-on-write: never
+	// written once stored, so TypeOf takes no lock. typeMu serialises
+	// RegisterType.
+	typeMu sync.Mutex
+	types  atomic.Pointer[map[string]*entity.Type]
 
 	lsn    clock.Sequence // global LSN allocator, shared by all shards
 	shards []*shard
@@ -518,9 +522,9 @@ func Open(opts Options) *DB {
 	}
 	db := &DB{
 		opts:   opts,
-		types:  map[string]*entity.Type{},
 		shards: make([]*shard, opts.Shards),
 	}
+	db.types.Store(&map[string]*entity.Type{})
 	for i := range db.shards {
 		db.shards[i] = newShard()
 	}
@@ -550,28 +554,21 @@ func (db *DB) RegisterType(t *entity.Type) error {
 	}
 	db.typeMu.Lock()
 	defer db.typeMu.Unlock()
-	db.types[t.Name] = t
+	next := maps.Clone(*db.types.Load())
+	next[t.Name] = t
+	db.types.Store(&next)
 	return nil
 }
 
-// TypeOf returns the registered type with the given name.
+// TypeOf returns the registered type with the given name. It takes no lock.
 func (db *DB) TypeOf(name string) (*entity.Type, bool) {
-	db.typeMu.RLock()
-	defer db.typeMu.RUnlock()
-	t, ok := db.types[name]
+	t, ok := (*db.types.Load())[name]
 	return t, ok
 }
 
 // Types returns the names of all registered types, sorted.
 func (db *DB) Types() []string {
-	db.typeMu.RLock()
-	defer db.typeMu.RUnlock()
-	out := make([]string, 0, len(db.types))
-	for n := range db.types {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(*db.types.Load()))
 }
 
 // AppendResult reports the outcome of an append. Record is a copy of the

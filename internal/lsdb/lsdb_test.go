@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -362,6 +363,66 @@ func TestKeysAndScan(t *testing.T) {
 	}
 	if _, ok := db.TypeOf("Account"); !ok {
 		t.Fatal("TypeOf missed registered type")
+	}
+}
+
+// The type table is published copy-on-write, so TypeOf takes no lock.
+// Appends, reads and TypeOf run while RegisterType keeps adding types (under
+// -race): a registered type never goes missing, and a type once seen stays.
+func TestLockFreeRoutingUnderRegisterType(t *testing.T) {
+	db := newTestDB(t, Options{Shards: 4})
+	const extra = 200
+	var registered atomic.Int32
+	var readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		readers.Add(1)
+		go func(w int) {
+			defer readers.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				seen := int(registered.Load())
+				names := []string{"Account", "Order"}
+				if seen > 0 {
+					names = append(names, fmt.Sprintf("T%d", seen-1))
+				}
+				for _, name := range names {
+					if _, ok := db.TypeOf(name); !ok {
+						t.Errorf("TypeOf(%s) missed a registered type", name)
+						return
+					}
+				}
+				if got := len(db.Types()); got < 2+seen {
+					t.Errorf("Types() has %d names after %d registrations", got, 2+seen)
+					return
+				}
+				key := entity.Key{Type: "Account", ID: fmt.Sprintf("a-%d-%d", w, n%16)}
+				if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(n+1)), "n1", ""); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := db.Current(key); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < extra; i++ {
+		typ := &entity.Type{Name: fmt.Sprintf("T%d", i), Fields: []entity.Field{{Name: "v", Type: entity.Int}}}
+		if err := db.RegisterType(typ); err != nil {
+			t.Fatal(err)
+		}
+		registered.Store(int32(i + 1))
+	}
+	close(stop)
+	readers.Wait()
+	if got := len(db.Types()); got != 2+extra {
+		t.Fatalf("Types() = %d names, want %d", got, 2+extra)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,12 +49,22 @@ type Locator interface {
 
 // HashLocator distributes keys over units with consistent hashing so that
 // adding or removing a unit relocates only ~1/n of the keys.
+//
+// The ring is published as an immutable snapshot behind an atomic pointer:
+// AddUnit and RemoveUnit rebuild it under mu and swap it in, and Locate reads
+// whichever snapshot is current without taking a lock.
 type HashLocator struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex // serialises AddUnit and RemoveUnit
 	replicas int
-	ring     []uint32
-	owner    map[uint32]UnitID
-	units    map[UnitID]bool
+	units    []UnitID // in the order they were added; guarded by mu
+	ring     atomic.Pointer[ring]
+}
+
+// ring is one published snapshot of a HashLocator: never written once stored.
+type ring struct {
+	points []uint32 // sorted, distinct
+	owners []UnitID // owners[i] owns points[i]
+	units  []UnitID // sorted
 }
 
 // NewHashLocator creates a consistent-hash locator with the given number of
@@ -62,7 +73,9 @@ func NewHashLocator(virtualNodes int) *HashLocator {
 	if virtualNodes <= 0 {
 		virtualNodes = 64
 	}
-	return &HashLocator{replicas: virtualNodes, owner: map[uint32]UnitID{}, units: map[UnitID]bool{}}
+	l := &HashLocator{replicas: virtualNodes}
+	l.ring.Store(&ring{})
+	return l
 }
 
 func hash32(s string) uint32 {
@@ -71,22 +84,35 @@ func hash32(s string) uint32 {
 	return h.Sum32()
 }
 
+// FNV-1a parameters (hash/fnv's 32-bit variant).
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// keyHash is hash32(key.String()) computed in place: FNV-1a over Type, '/'
+// and ID, with no string built.
+func keyHash(key entity.Key) uint32 {
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(key.Type); i++ {
+		h = (h ^ uint32(key.Type[i])) * fnvPrime32
+	}
+	h = (h ^ '/') * fnvPrime32
+	for i := 0; i < len(key.ID); i++ {
+		h = (h ^ uint32(key.ID[i])) * fnvPrime32
+	}
+	return h
+}
+
 // AddUnit inserts a unit into the ring.
 func (l *HashLocator) AddUnit(u UnitID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.units[u] {
+	if slices.Contains(l.units, u) {
 		return fmt.Errorf("%w: %s", ErrDuplicateUnit, u)
 	}
-	l.units[u] = true
-	for i := 0; i < l.replicas; i++ {
-		h := hash32(fmt.Sprintf("%s#%d", u, i))
-		// In the (unlikely) event of a hash collision the later unit wins the
-		// point; correctness only needs a deterministic owner.
-		l.owner[h] = u
-		l.ring = append(l.ring, h)
-	}
-	sort.Slice(l.ring, func(i, j int) bool { return l.ring[i] < l.ring[j] })
+	l.units = append(l.units, u)
+	l.publishLocked()
 	return nil
 }
 
@@ -94,46 +120,52 @@ func (l *HashLocator) AddUnit(u UnitID) error {
 func (l *HashLocator) RemoveUnit(u UnitID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.units[u] {
+	i := slices.Index(l.units, u)
+	if i < 0 {
 		return fmt.Errorf("%w: %s", ErrUnknownUnit, u)
 	}
-	delete(l.units, u)
-	kept := l.ring[:0]
-	for _, h := range l.ring {
-		if l.owner[h] == u {
-			delete(l.owner, h)
-			continue
-		}
-		kept = append(kept, h)
-	}
-	l.ring = kept
+	l.units = slices.Delete(l.units, i, i+1)
+	l.publishLocked()
 	return nil
 }
 
-// Locate returns the unit owning the key.
+// publishLocked rebuilds the ring from the units and stores it. When virtual
+// nodes of two units hash to one point, the unit added later owns it, and
+// once that unit is removed the point falls back to the one that remains.
+func (l *HashLocator) publishLocked() {
+	owner := make(map[uint32]UnitID, len(l.units)*l.replicas)
+	for _, u := range l.units {
+		for i := 0; i < l.replicas; i++ {
+			owner[hash32(fmt.Sprintf("%s#%d", u, i))] = u
+		}
+	}
+	r := &ring{points: slices.Sorted(maps.Keys(owner)), units: slices.Sorted(slices.Values(l.units))}
+	r.owners = make([]UnitID, len(r.points))
+	for i, h := range r.points {
+		r.owners[i] = owner[h]
+	}
+	l.ring.Store(r)
+}
+
+// Locate returns the unit owning the key. It takes no lock, probes no map and
+// builds no string.
 func (l *HashLocator) Locate(key entity.Key) (UnitID, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if len(l.ring) == 0 {
+	r := l.ring.Load()
+	if len(r.points) == 0 {
 		return "", ErrNoUnits
 	}
-	h := hash32(key.String())
-	i := sort.Search(len(l.ring), func(i int) bool { return l.ring[i] >= h })
-	if i == len(l.ring) {
+	i, _ := slices.BinarySearch(r.points, keyHash(key))
+	if i == len(r.points) {
 		i = 0
 	}
-	return l.owner[l.ring[i]], nil
+	return r.owners[i], nil
 }
 
 // Units lists all units, sorted.
 func (l *HashLocator) Units() []UnitID {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]UnitID, 0, len(l.units))
-	for u := range l.units {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	units := l.ring.Load().units
+	out := make([]UnitID, len(units))
+	copy(out, units)
 	return out
 }
 
@@ -146,7 +178,7 @@ func KeyShard(key entity.Key, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(hash32(key.String()) % uint32(n))
+	return int(keyHash(key) % uint32(n))
 }
 
 // Range is one key range [From, To) assigned to a unit. An empty To means

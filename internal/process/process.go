@@ -242,11 +242,15 @@ type step struct {
 	cur, prev map[string]struct{} // guarded by doneSet.mu
 }
 
-// doneWindow is how many executed step identities an engine remembers. A
-// duplicate delivery arrives close behind the original — a transport
-// duplicate is next in the entity's mailbox, a lease redelivery or client
-// resubmission follows within a timeout — so the window covers seconds of
-// steps at full rate without the set growing with the life of the process.
+// doneWindow is how many executed step identities an engine remembers (at
+// least the newest half of them, see doneSet). A duplicate delivery arrives
+// close behind the original — a transport duplicate is next in the entity's
+// mailbox, a lease redelivery or client resubmission follows within a
+// timeout — and the set must not grow with the life of the process. The
+// window is a count, not a time: at full rate it is short. At about 170k
+// steps/s (the repository benchmark's kernel_events workload on a 2-core
+// Xeon) 32 768 identities cover about 0.2 s, and the guaranteed 16 384 half
+// of that.
 const doneWindow = 1 << 15
 
 // doneSet is the bounded set of step identities already executed
