@@ -669,16 +669,21 @@ func seedWideOrder(b *testing.B, db *lsdb.DB, key repro.Key, width int) {
 	}
 }
 
+// deepCloned is where the deep-clone baseline of E15/E16 leaves its copies,
+// so the compiler cannot drop them.
+var deepCloned *entity.State
+
 // E15 is the wide-entity experiment for copy-on-write states: with COW a
 // cache-hit read hands out the frozen state (no copy at all) and a write
 // copies only the chunk it touches, so both are flat in child-collection
-// width; the deep-clone baseline (Options.DeepCloneStates, the PR-1
-// behaviour) pays O(width) on every read and every write.
+// width. The deep-clone baseline is the pre-COW contract, run here on top of
+// the store: every read deep-clones the state it got, and every write first
+// reads and deep-clones the prior state, paying O(width) each time.
 func BenchmarkE15WideEntityCOW(b *testing.B) {
 	for _, width := range []int{10, 100, 1000} {
 		for _, mode := range []string{"deepclone", "cow"} {
 			newDB := func() *lsdb.DB {
-				db := lsdb.Open(lsdb.Options{Node: "e15", Validation: entity.Managed, DeepCloneStates: mode == "deepclone"})
+				db := lsdb.Open(lsdb.Options{Node: "e15", Validation: entity.Managed})
 				if err := db.RegisterType(workload.OrderType()); err != nil {
 					b.Fatal(err)
 				}
@@ -691,6 +696,10 @@ func BenchmarkE15WideEntityCOW(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					st, _, err := db.Current(key)
+					if err == nil && mode == "deepclone" {
+						st = st.DeepClone()
+						deepCloned = st
+					}
 					if err != nil || st.ChildCount("lineitems") != width {
 						b.Fatalf("Current: %v children=%d", err, st.ChildCount("lineitems"))
 					}
@@ -701,6 +710,13 @@ func BenchmarkE15WideEntityCOW(b *testing.B) {
 				seedWideOrder(b, db, key, width)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if mode == "deepclone" {
+						prior, _, err := db.Current(key)
+						if err != nil {
+							b.Fatal(err)
+						}
+						deepCloned = prior.DeepClone()
+					}
 					child := fmt.Sprintf("L%d", i%width)
 					ops := []repro.Op{entity.DeltaChildField("lineitems", child, "qty", 1)}
 					if _, err := db.Append(key, ops, clock.Timestamp{WallNanos: int64(width + i + 2), Node: "e15"}, "e15", ""); err != nil {
@@ -717,12 +733,12 @@ func BenchmarkE15WideEntityCOW(b *testing.B) {
 // E16 measures Scan throughput when every entity is wide: with COW the scan
 // shares each frozen state with the cache, so per-entity cost is the
 // caller's own work; the deep-clone baseline copies every child row of every
-// entity on every visit.
+// entity on every visit (a DeepClone in the callback).
 func BenchmarkE16WideScan(b *testing.B) {
 	const entities, width = 64, 256
 	for _, mode := range []string{"deepclone", "cow"} {
 		b.Run(mode, func(b *testing.B) {
-			db := lsdb.Open(lsdb.Options{Node: "e16", Validation: entity.Managed, DeepCloneStates: mode == "deepclone"})
+			db := lsdb.Open(lsdb.Options{Node: "e16", Validation: entity.Managed})
 			if err := db.RegisterType(workload.OrderType()); err != nil {
 				b.Fatal(err)
 			}
@@ -733,6 +749,10 @@ func BenchmarkE16WideScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var qty int64
 				err := db.Scan("Order", func(st *entity.State) bool {
+					if mode == "deepclone" {
+						st = st.DeepClone()
+						deepCloned = st
+					}
 					for _, row := range st.LiveChildren("lineitems") {
 						v, _ := row.Fields["qty"].(int64)
 						qty += v
@@ -877,17 +897,18 @@ func e18Types(b *testing.B, db *lsdb.DB) {
 //   - stream: no storage engine — Save the whole log as a frame stream,
 //     Load it back record by record. O(history), and every frame is
 //     checked against its re-encoding on the way in.
-//   - wal: segmented-WAL replay with no checkpoint. Still O(history), the
-//     same frames read back from segment files.
-//   - ckpt: a checkpoint was taken at shutdown; recovery streams the
-//     snapshot and replays only the (empty) tail. Same record count, one
-//     sorted sequential file.
-//   - ckpt-compacted: history summarised (Compact) before the checkpoint,
-//     the paper's archival principle 2.7 — recovery cost drops to O(live
-//     state), independent of how long the log ever was.
+//   - wal: segmented-WAL replay of a store that never flushed. Still
+//     O(history), the same frames read back from segment files.
+//   - tiered: the WAL under the LSM tier, flushed at shutdown; recovery
+//     reads the table (summary pointers plus the detail still above each
+//     entity's settled horizon) and the (empty) WAL tail.
+//   - tiered-compacted: history summarised (Compact) before the flush, the
+//     paper's archival principle 2.7 — the table holds summaries only, so
+//     recovery cost drops to O(live entities), independent of how long the
+//     log ever was.
 func BenchmarkE18Recovery(b *testing.B) {
 	for _, records := range []int{4096, 16384} {
-		for _, mode := range []string{"stream", "wal", "ckpt", "ckpt-compacted"} {
+		for _, mode := range []string{"stream", "wal", "tiered", "tiered-compacted"} {
 			b.Run(fmt.Sprintf("records=%d/%s", records, mode), func(b *testing.B) {
 				if mode == "stream" {
 					src := lsdb.Open(lsdb.Options{Node: "e18"})
@@ -912,31 +933,25 @@ func BenchmarkE18Recovery(b *testing.B) {
 					return
 				}
 				dir := b.TempDir()
-				wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir})
-				if err != nil {
-					b.Fatal(err)
+				layout := "tiered"
+				if mode == "wal" {
+					layout = "legacy"
 				}
-				src := lsdb.Open(lsdb.Options{Node: "e18", Backend: wal})
+				src := lsdb.Open(lsdb.Options{Node: "e18", Backend: e22Backend(b, layout, dir)})
 				e18Types(b, src)
 				seedStorageBench(b, src, records)
-				if mode == "ckpt-compacted" {
+				if mode == "tiered-compacted" {
 					src.Compact(src.HeadLSN())
 				}
-				if mode != "wal" {
-					if err := src.Checkpoint(); err != nil {
-						b.Fatal(err)
-					}
+				if err := src.Checkpoint(); err != nil {
+					b.Fatal(err)
 				}
 				if err := src.Close(); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir})
-					if err != nil {
-						b.Fatal(err)
-					}
-					rec, err := lsdb.Recover(lsdb.Options{Node: "e18", Backend: wal},
+					rec, err := lsdb.Recover(lsdb.Options{Node: "e18", Backend: e22Backend(b, layout, dir)},
 						workload.AccountType(), workload.OrderType())
 					if err != nil {
 						b.Fatal(err)
@@ -1379,33 +1394,61 @@ func BenchmarkE21ParallelFanout(b *testing.B) {
 
 // --- E22: tiered storage — off-hot-path flushes, bounded recovery (PR 9) ----
 
-func e22Open(b *testing.B, mode, dir string) *lsdb.DB {
+// e22Backend opens the storage under dir: a bare WAL for the legacy layout,
+// the WAL under the LSM tier for "tiered".
+func e22Backend(b *testing.B, mode, dir string) storage.Backend {
 	b.Helper()
 	wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := lsdb.Options{Node: "e22"}
-	if mode == "tiered" {
-		store, err := lsm.Open(wal, lsm.Options{Dir: filepath.Join(dir, "sst"), CompactAfter: 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts.Backend = store
-	} else {
-		opts.Backend = wal
+	if mode != "tiered" {
+		return wal
 	}
-	db := lsdb.Open(opts)
+	store, err := lsm.Open(wal, lsm.Options{Dir: filepath.Join(dir, "sst"), CompactAfter: 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return store
+}
+
+func e22Open(b *testing.B, mode, dir string) *lsdb.DB {
+	b.Helper()
+	db := lsdb.Open(lsdb.Options{Node: "e22", Backend: e22Backend(b, mode, dir)})
 	e18Types(b, db)
 	return db
 }
 
+// e22Snapshot is the legacy stop-the-world checkpoint, kept as E22's
+// baseline: with every append excluded by barrier, the whole store is
+// serialised to one file and fsynced, so an append that arrives meanwhile
+// waits out the full disk write.
+func e22Snapshot(db *lsdb.DB, barrier *sync.RWMutex, path string) error {
+	barrier.Lock()
+	defer barrier.Unlock()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := db.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // BenchmarkE22FlushStall measures per-append latency while a checkpoint of
-// 64k records of history runs concurrently. The legacy backend quiesces every
-// shard for the full serialize+fsync, so an unlucky append stalls for the
-// whole disk write; the tiered flush only briefly holds the shard locks to
-// capture dirty pointers. ns/op is the append cost including any stall;
-// p99-append-us and max-stall-ms are the tail and the worst single append.
+// 64k records of history runs concurrently. The legacy baseline quiesces
+// every writer for the full serialize+fsync of a snapshot (e22Snapshot), so
+// an unlucky append stalls for the whole disk write; the tiered flush only
+// briefly holds the shard locks to capture dirty pointers. Appends take the
+// barrier's read side in both modes. ns/op is the append cost including any
+// stall; p99-append-us and max-stall-ms are the tail and the worst single
+// append.
 func BenchmarkE22FlushStall(b *testing.B) {
 	for _, mode := range []string{"legacy", "tiered"} {
 		b.Run(mode, func(b *testing.B) {
@@ -1413,8 +1456,13 @@ func BenchmarkE22FlushStall(b *testing.B) {
 			db := e22Open(b, mode, dir)
 			defer db.Close()
 			seedStorageBench(b, db, 65536)
+			var barrier sync.RWMutex
+			checkpoint := db.Checkpoint
+			if mode == "legacy" {
+				checkpoint = func() error { return e22Snapshot(db, &barrier, filepath.Join(dir, "snapshot")) }
+			}
 			done := make(chan error, 1)
-			go func() { done <- db.Checkpoint() }()
+			go func() { done <- checkpoint() }()
 			// Give the checkpoint goroutine a head start so the timed appends
 			// actually contend with it rather than finishing before it is
 			// dispatched.
@@ -1423,9 +1471,12 @@ func BenchmarkE22FlushStall(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				if _, err := db.Append(repro.Key{Type: "Account", ID: fmt.Sprintf("A%d", i%64)},
+				barrier.RLock()
+				_, err := db.Append(repro.Key{Type: "Account", ID: fmt.Sprintf("A%d", i%64)},
 					[]repro.Op{repro.Delta("balance", 1)},
-					clock.Timestamp{WallNanos: int64(10000 + i), Node: "e22"}, "e22", ""); err != nil {
+					clock.Timestamp{WallNanos: int64(10000 + i), Node: "e22"}, "e22", "")
+				barrier.RUnlock()
+				if err != nil {
 					b.Fatal(err)
 				}
 				lat.Record(time.Since(t0))
@@ -1470,21 +1521,8 @@ func BenchmarkE22Recovery(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir})
-					if err != nil {
-						b.Fatal(err)
-					}
-					opts := lsdb.Options{Node: "e22"}
-					if mode == "tiered" {
-						store, err := lsm.Open(wal, lsm.Options{Dir: filepath.Join(dir, "sst"), CompactAfter: 100})
-						if err != nil {
-							b.Fatal(err)
-						}
-						opts.Backend = store
-					} else {
-						opts.Backend = wal
-					}
-					rec, err := lsdb.Recover(opts, workload.AccountType(), workload.OrderType())
+					rec, err := lsdb.Recover(lsdb.Options{Node: "e22", Backend: e22Backend(b, mode, dir)},
+						workload.AccountType(), workload.OrderType())
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -659,8 +659,8 @@ func edgeWorkloads(tb testing.TB, s *server) []edgeWorkload {
 }
 
 // newMemServer is soupsd as it runs without -data-dir: no storage backend at
-// all (newTestServer's fault backend keeps every record and checkpoints,
-// which would be most of what a POST costs here).
+// all (newTestServer's fault backend keeps every record, which would be
+// most of what a POST costs here).
 func newMemServer(tb testing.TB) *server {
 	k, err := repro.Bootstrap(repro.Options{Node: "edge", Units: 1}, repro.StandardTypes()...)
 	if err != nil {

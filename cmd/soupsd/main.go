@@ -14,7 +14,7 @@
 //	GET  /status                          degraded/overload/breaker posture as JSON
 //	GET  /backup                          portable export of every unit's log (record frames)
 //	POST /restore                         replay a backup stream into a fresh node
-//	POST /checkpoint                      force a storage checkpoint on every unit
+//	POST /checkpoint                      force a tiered flush on every unit
 //	POST /replicate                       receive one shipped WAL batch (standby role)
 //	POST /promote                         standby takes over as primary
 //
@@ -31,9 +31,10 @@
 //	[-max-queue-depth 4096] [-retry-after 1s] [-debug-addr ADDR]
 //
 // With -data-dir the node is durable: every commit cycle is appended to a
-// segmented write-ahead log per unit, startup recovers from the latest
-// checkpoint plus the log tail (truncating a torn final record if the
-// previous process died mid-write), and SIGINT/SIGTERM flush before exit.
+// segmented write-ahead log per unit, flushes move settled state into
+// SSTables beside it, startup recovers from the newest tables plus the log
+// tail (truncating a torn final record if the previous process died
+// mid-write), and SIGINT/SIGTERM flush before exit.
 //
 // With -standbys the primary also ships every commit cycle to the listed
 // standby processes (-ack picks async, sync or quorum acknowledgement). A
@@ -78,13 +79,12 @@ var (
 	workers         = flag.Int("workers", 0, "process-step workers per unit in the work-stealing pool (0 = default 2)")
 	groupCommit     = flag.Bool("groupcommit", false, "batch concurrent appends via per-shard group commit")
 	maxBatch        = flag.Int("maxbatch", 0, "max appends per group-commit batch (0 = default 64)")
-	dataDir         = flag.String("data-dir", "", "durable mode: write-ahead log + checkpoint directory (empty = in-memory)")
+	dataDir         = flag.String("data-dir", "", "durable mode: write-ahead log + SSTable directory (empty = in-memory)")
 	fsyncMode       = flag.String("fsync-mode", "os", "WAL durability: always (fsync per commit cycle) or os (page cache)")
-	ckptEvery       = flag.Int("checkpoint-every", 4096, "records per unit between automatic checkpoints/flushes (-1 disables)")
+	ckptEvery       = flag.Int("checkpoint-every", 4096, "records per unit between automatic tiered flushes (-1 disables)")
 	flushBytes      = flag.Int64("flush-bytes", 0, "bytes of committed records per unit between tiered background flushes (0 = default 4 MiB, -1 disables the byte trigger)")
 	compactAfter    = flag.Int("compaction-after", 0, "level-0 SSTables per unit before background compaction merges them (0 = default 4)")
 	compactThrottle = flag.Duration("compaction-throttle", 0, "compactor pause per 64 KiB of merged output, and while a flush is writing (0 = default 500µs, -1ns disables)")
-	noTiered        = flag.Bool("no-tiered-storage", false, "disable the LSM tier: bare WAL with stop-the-world checkpoints (E22 baseline)")
 	maxDepth        = flag.Int("max-queue-depth", 4096, "admission control: shed event submits past this per-unit queue depth with 503 (0 = unbounded)")
 	retryAfter      = flag.Duration("retry-after", time.Second, "Retry-After hint on 503 backpressure/degraded responses")
 	debugAddr       = flag.String("debug-addr", "", "serve net/http/pprof on this address, a listener apart from -addr (empty = off)")
@@ -131,9 +131,9 @@ func openKernel() (*repro.Kernel, error) {
 		GroupCommit: *groupCommit, MaxAppendBatch: *maxBatch,
 		DataDir: *dataDir, Fsync: sync, CheckpointEvery: *ckptEvery,
 		FlushBytes: *flushBytes, CompactAfter: *compactAfter,
-		CompactThrottle: *compactThrottle, DisableTiered: *noTiered,
-		MaxQueueDepth: *maxDepth,
-		Replication:   repl,
+		CompactThrottle: *compactThrottle,
+		MaxQueueDepth:   *maxDepth,
+		Replication:     repl,
 	}
 	if *faultInjection {
 		if *dataDir != "" {
@@ -295,7 +295,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok (standby)")
 		return
 	}
-	// Background storage failures (a stopped automatic checkpoint, an
+	// Background storage failures (a failing automatic flush, an
 	// unlogged compaction mark) do not fail any request; the probe is
 	// where they must surface.
 	if err := k.StorageErr(); err != nil {
@@ -538,7 +538,7 @@ func (s *server) handleBackup(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRestore replays an export stream into this node. The node should be
-// freshly started with the same unit count; durable nodes checkpoint the
+// freshly started with the same unit count; durable nodes flush the
 // imported content before answering.
 func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -556,7 +556,8 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 }
 
-// handleCheckpoint forces a storage checkpoint on every unit.
+// handleCheckpoint forces a tiered flush on every unit (a log force on
+// units without a tier).
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

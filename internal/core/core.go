@@ -77,18 +77,20 @@ type Options struct {
 	// unit opens a segmented write-ahead log in its own subdirectory
 	// (unit-0, unit-1, ...), commits append to it (one framed batch write —
 	// and with Fsync always, one fsync — per commit cycle; GroupCommit
-	// amortises that force across concurrent writers), and Open recovers each
-	// unit from its latest checkpoint plus the log tail. The unit count must
-	// match across restarts — the directory layout is per-unit.
+	// amortises that force across concurrent writers). The log is tiered:
+	// flushes write settled state to SSTables beside it and prune the
+	// segments they cover, and Open recovers each unit from its newest
+	// tables plus the log tail. The unit count must match across restarts —
+	// the directory layout is per-unit.
 	DataDir string
 	// Fsync selects the durability/latency trade-off of the write-ahead log
 	// (only meaningful with DataDir): storage.SyncAlways forces every commit
 	// cycle, storage.SyncOS (default) leaves flushing to the page cache.
 	Fsync storage.SyncMode
-	// CheckpointEvery takes a checkpoint of a unit's store after roughly
-	// this many records since the last one (only meaningful with DataDir;
-	// default 4096, negative disables automatic checkpoints). Checkpoints
-	// bound recovery to the post-checkpoint log tail.
+	// CheckpointEvery triggers a background flush of a unit's store after
+	// roughly this many records since the last one (only meaningful with
+	// DataDir; default 4096, negative disables the record trigger). Flushes
+	// bound recovery to the tables plus the post-flush log tail.
 	CheckpointEvery int
 	// SegmentBytes is the WAL segment rotation threshold (only meaningful
 	// with DataDir; default 4 MiB).
@@ -107,10 +109,6 @@ type Options struct {
 	// never monopolises the disk against foreground commits (only meaningful
 	// with DataDir; default 500µs, negative disables throttling).
 	CompactThrottle time.Duration
-	// DisableTiered keeps the pre-LSM layout: a bare WAL per unit with
-	// stop-the-world checkpoints, no SSTables. Escape hatch and the E22
-	// baseline.
-	DisableTiered bool
 	// MaxAppendBatch bounds how many queued appends one group-commit leader
 	// folds into a single batch (default 64; only meaningful with
 	// GroupCommit).
@@ -403,23 +401,20 @@ func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: unit %s: %w", id, err)
 	}
-	dbOpts.Backend = wal
-	if !opts.DisableTiered {
-		// Tier the WAL: flushes write SSTables beside the segments, the WAL
-		// becomes the tail-only redo log, and recovery reads newest tables
-		// plus that tail instead of a monolithic checkpoint.
-		tiered, err := lsm.Open(wal, lsm.Options{
-			Dir:             filepath.Join(unitDir, "sst"),
-			CompactAfter:    opts.CompactAfter,
-			CompactThrottle: opts.CompactThrottle,
-		})
-		if err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("core: unit %s: %w", id, err)
-		}
-		dbOpts.Backend = tiered
-		dbOpts.FlushBytes = opts.FlushBytes
+	// Tier the WAL: flushes write SSTables beside the segments, the WAL
+	// becomes the tail-only redo log, and recovery reads newest tables plus
+	// that tail.
+	tiered, err := lsm.Open(wal, lsm.Options{
+		Dir:             filepath.Join(unitDir, "sst"),
+		CompactAfter:    opts.CompactAfter,
+		CompactThrottle: opts.CompactThrottle,
+	})
+	if err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("core: unit %s: %w", id, err)
 	}
+	dbOpts.Backend = tiered
+	dbOpts.FlushBytes = opts.FlushBytes
 	db, err := lsdb.Recover(dbOpts)
 	if err != nil {
 		dbOpts.Backend.Close()
@@ -865,9 +860,9 @@ func (k *Kernel) Flush() error {
 	return nil
 }
 
-// Checkpoint takes a checkpoint of every unit's store, bounding the next
-// restart's recovery to the log tail written afterwards. A no-op for
-// in-memory kernels.
+// Checkpoint flushes every unit's store (lsdb.DB.Checkpoint), bounding the
+// next restart's recovery to its tables plus the log tail written
+// afterwards. A no-op for in-memory kernels.
 func (k *Kernel) Checkpoint() error {
 	for _, id := range k.unitIDs {
 		if err := k.units[id].db.Checkpoint(); err != nil {
@@ -878,9 +873,9 @@ func (k *Kernel) Checkpoint() error {
 }
 
 // StorageErr returns the most recent background storage failure on any unit
-// — an automatic checkpoint or a compaction mark that could not be logged —
+// — an automatic flush or a compaction mark that could not be logged —
 // or nil. Background failures do not fail the writes that triggered them,
-// so health probes should surface this: a node whose checkpoints silently
+// so health probes should surface this: a node whose flushes silently
 // stopped keeps answering while its recovery time grows without bound.
 func (k *Kernel) StorageErr() error {
 	for _, id := range k.unitIDs {
@@ -952,8 +947,8 @@ func (k *Kernel) Export(w io.Writer) error {
 // slips in while the import runs is detected afterwards — the import fails
 // and the node must be wiped rather than serve an interleaved log. A stream
 // cut short, missing its trailer or failing any frame's CRC is refused, as
-// is a version 1 (JSON) backup. Durable kernels checkpoint after the import,
-// so the restored state is on disk before Import returns.
+// is a version 1 (JSON) backup. Durable kernels flush after the import
+// (Checkpoint), so the restored state is on disk before Import returns.
 func (k *Kernel) Import(r io.Reader) error {
 	for _, id := range k.unitIDs {
 		if k.units[id].db.HeadLSN() != 0 {
@@ -999,8 +994,8 @@ func (k *Kernel) Import(r io.Reader) error {
 			return fmt.Errorf("core: import: unit %s holds %d records, imported %d — the node took writes during restore and must be wiped", id, got, recordsPerUnit[i])
 		}
 	}
-	// The bulk-load path bypasses the write-ahead log; a checkpoint captures
-	// the imported content durably in one pass.
+	// The bulk-load path bypasses the write-ahead log; a flush captures the
+	// imported content durably in one pass.
 	return k.Checkpoint()
 }
 
@@ -1184,7 +1179,7 @@ func (k *Kernel) Health() Health {
 // TieredStats aggregates the LSM tier's posture across every unit: table
 // layout and bloom/compaction counters summed from the backends, flush
 // pipeline counters summed from the stores. ok is false when no unit runs a
-// tiered backend (in-memory kernels, DisableTiered, supplied backends).
+// tiered backend (in-memory kernels, supplied backends).
 func (k *Kernel) TieredStats() (storage.TieredStats, lsdb.FlushStats, bool) {
 	var ts storage.TieredStats
 	var fs lsdb.FlushStats

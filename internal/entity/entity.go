@@ -645,10 +645,9 @@ func (s *State) appendChild(collection string, ch Child) {
 }
 
 // RestoreChild appends a raw child row — tombstone flag and all — to a
-// mutable state, bypassing upsert semantics. It exists for import codecs
-// (the storage checkpoint reader, the JSON summary codec) that rebuild a
-// state row-for-row from its serialised form; normal writes go through
-// Apply. Ownership of the row transfers to the state: the caller must not
+// mutable state, bypassing upsert semantics. It exists for the storage
+// codec's summary decoder, which rebuilds a state row-for-row from its
+// serialised form; normal writes go through Apply. Ownership of the row transfers to the state: the caller must not
 // retain or mutate ch.Fields afterwards. Decoders hand over freshly built
 // maps, so skipping the defensive clone halves their row allocations on the
 // recovery path.

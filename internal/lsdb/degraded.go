@@ -170,8 +170,7 @@ func (db *DB) clearDegradedLocked() {
 // memory until this returns nil. On a backend failure the reservation is
 // rolled back — the log stays dense — and the error is the typed
 // ErrDegraded the unit just transitioned into. The caller holds the
-// shard's write lock (so backend cycles keep the order readers see, and
-// checkpoints, which hold every shard lock, still quiesce appends).
+// shard's write lock (so backend cycles keep the order readers see).
 func (db *DB) logAppend(recs []Record) error {
 	db.logMu.Lock()
 	defer db.logMu.Unlock()

@@ -1,9 +1,7 @@
-// The tiered flush pipeline: the off-hot-path replacement for stop-the-world
-// checkpoints when the backend implements storage.Tiered.
+// The tiered flush pipeline: how a store whose backend implements
+// storage.Tiered persists settled history off the hot path.
 //
-// A legacy checkpoint quiesces every writer (all shard locks) while it
-// re-serialises the store's *entire* content into one snapshot — cost grows
-// with history, and the write path stalls for the duration. A flush instead
+// A flush never quiesces the store or re-serialises its whole content. It
 // captures only the entities dirtied since the last flush, per shard, under
 // that one shard's write lock (a bounded O(delta) pass), and hands the frozen
 // capture to the tiered backend which serialises and fsyncs an immutable
@@ -102,8 +100,8 @@ func (f *flusher) maybeTrigger() {
 	}()
 }
 
-// FlushNow runs one flush pass synchronously — the Checkpoint-compatibility
-// entry point and the test hook.
+// FlushNow runs one flush pass synchronously — what Checkpoint does on a
+// tiered store.
 func (f *flusher) FlushNow() error {
 	if err := f.flushOnce(); err != nil {
 		f.db.setBackendFailure(err)
@@ -369,9 +367,8 @@ func (db *DB) warmAll() error {
 // the store is not tiered.
 type FlushStats struct {
 	// Flushes counts completed flush passes; Failures counts failed
-	// automatic persistence passes (shared with the legacy checkpoint
-	// counter); Stalls counts times the write path outran the flusher by 2x
-	// the byte trigger.
+	// automatic flush passes (CheckpointFailure's count); Stalls counts times
+	// the write path outran the flusher by 2x the byte trigger.
 	Flushes  uint64
 	Failures uint64
 	Stalls   uint64

@@ -304,48 +304,6 @@ func TestFailedFlushRetriesOnNextCommit(t *testing.T) {
 	})
 }
 
-// TestLegacySnapshotMigratesToTiered: a store written by the monolithic
-// checkpoint path reopens under a tiered backend, its snapshot summaries are
-// re-marked dirty, and the first flush moves them into tables — after which a
-// third open recovers the same states from tables alone.
-func TestLegacySnapshotMigratesToTiered(t *testing.T) {
-	dir := t.TempDir()
-	legacy := newTestDB(t, Options{Shards: 2, Backend: openTestWAL(t, dir, storage.SyncOS)})
-	for i := 0; i < 10; i++ {
-		k := entity.Key{Type: "Account", ID: fmt.Sprintf("m%d", i%3)}
-		if _, err := legacy.Append(k, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := legacy.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Close()
-
-	mid, err := Recover(Options{Node: "test-node", Shards: 2, Backend: openTestTiered(t, dir, nil)},
-		accountType(), orderType())
-	if err != nil {
-		t.Fatalf("Recover legacy store under tiering: %v", err)
-	}
-	assertTieredStates(t, legacy, mid)
-	if err := mid.Checkpoint(); err != nil {
-		t.Fatalf("migration flush: %v", err)
-	}
-	if ts := mid.Tiered().TieredStats(); ts.Tables == 0 {
-		t.Fatalf("migration flush produced no table: %+v", ts)
-	}
-	warmEverything(t, mid)
-	mid.Close()
-
-	again, err := Recover(Options{Node: "test-node", Shards: 2, Backend: openTestTiered(t, dir, nil)},
-		accountType(), orderType())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTieredStates(t, legacy, again)
-	again.Close()
-}
-
 // TestAsOfAndHistoryAcrossFlush: point-in-time reads above the flushed
 // horizon keep working from retained detail after flush and recovery.
 func TestAsOfAndHistoryAcrossFlush(t *testing.T) {

@@ -97,11 +97,6 @@ type Options struct {
 	// exists for the E9/E13 baselines and for memory-constrained deployments
 	// that prefer recomputation over caching.
 	DisableStateCache bool
-	// DeepCloneStates restores the pre-copy-on-write contract: every read
-	// deep-clones the cached state and every write deep-clones the prior
-	// state before applying, making reads and writes O(state size) again. It
-	// exists as the baseline for experiments E15/E16.
-	DeepCloneStates bool
 	// GroupCommit enables group-commit append batching: concurrent writers
 	// enqueue sanitized op-sets on a per-shard commit queue, the first writer
 	// to find the queue idle becomes the leader and drains it under a single
@@ -168,14 +163,12 @@ type Options struct {
 	// append. Zero uses a one-second default. Permanent states (fsync
 	// poisoning, corruption, fail-stop) never probe.
 	RearmAfter time.Duration
-	// CheckpointEvery, with a Backend attached, takes a checkpoint after
-	// roughly this many records have been committed since the last one.
-	// Checkpoints bound recovery to the log tail written after them. Zero
-	// disables automatic checkpoints; Checkpoint can always be called
-	// explicitly. Automatic checkpoints run inline on the committing
-	// goroutine that crossed the threshold; a failure is remembered and
-	// returned by CheckpointErr. With a tiered backend (storage.Tiered) the
-	// same threshold triggers a background flush instead — see flush.go.
+	// CheckpointEvery, with a tiered backend (storage.Tiered), triggers a
+	// background flush once roughly this many records have been committed
+	// since the last one (see flush.go); a failure is remembered and
+	// reported by CheckpointFailure. Zero disables the record trigger;
+	// Checkpoint can always be called explicitly. Other backends never
+	// flush, so it does nothing for them.
 	CheckpointEvery int
 	// FlushBytes, with a tiered backend, additionally triggers a background
 	// flush once the records committed since the last flush take this many
@@ -487,22 +480,21 @@ type DB struct {
 	// backend's own content back into the store. Written only before the DB
 	// is shared.
 	recovering bool
-	// sinceCkpt counts records committed since the last checkpoint;
-	// ckptBusy gates so only one automatic checkpoint runs at a time.
+	// sinceCkpt counts records committed since the last flush (the
+	// CheckpointEvery trigger).
 	sinceCkpt atomic.Int64
-	ckptBusy  atomic.Bool
 	ckptMu    sync.Mutex
 	ckptErr   error
-	// ckptFailures counts failed automatic persistence passes (legacy
-	// checkpoints and tiered flushes alike); ckptReason is the typed degraded
-	// classification of the most recent failure ("" when the last pass
-	// succeeded). Both back the satellite observability for the old
-	// silently-retrying maybeCheckpoint path.
+	// ckptFailures counts failed automatic flush passes; ckptReason is the
+	// typed degraded classification of the most recent failure ("" when the
+	// last pass succeeded), so health surfaces can tell a unit that flushes
+	// cleanly from one that fails every pass.
 	ckptFailures atomic.Uint64
 	ckptReason   string // guarded by ckptMu
 
 	// tiered is non-nil when Backend implements storage.Tiered; flush is the
-	// off-hot-path flush pipeline that replaces stop-the-world checkpoints.
+	// off-hot-path flush pipeline, the only way settled history leaves the
+	// log.
 	tiered storage.Tiered
 	flush  *flusher
 	// coldReads counts reads that warmed a disk-resident summary back in.
@@ -712,9 +704,6 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 			prior, private = s.rollupLocked(e, key, typ), true
 		}
 	}
-	if db.opts.DeepCloneStates {
-		prior, private = prior.DeepClone(), false
-	}
 	var next *entity.State
 	var warnings []entity.Warning
 	var err error
@@ -872,9 +861,6 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 		if st := e.cache.lend(); st != nil {
 			head := e.head
 			s.mu.RUnlock()
-			if db.opts.DeepCloneStates {
-				st = st.DeepClone()
-			}
 			return st, head, nil
 		}
 	}
@@ -905,11 +891,7 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 		}
 		e.head = e.headLSN()
 	}
-	st, head := e.cache.lend(), e.head
-	if db.opts.DeepCloneStates {
-		st = st.DeepClone()
-	}
-	return st, head, nil
+	return e.cache.lend(), e.head, nil
 }
 
 // Exists reports whether any live record (or archived summary, in memory or
@@ -1348,97 +1330,33 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 
 // --- Durable storage ---------------------------------------------------------
 
-// Checkpoint captures the store's full content — archived summaries plus
-// every retained record in global LSN order — into the backend, so recovery
-// replays only the log tail written afterwards. Writers are quiesced for the
-// duration (all shard locks are held; this is a stop-the-world checkpoint,
-// the simple variant — a fuzzy checkpoint that lets writers proceed is an
-// open ROADMAP item), which makes the cut exact: everything appended before
-// the checkpoint is inside it, everything after is in the replayable tail.
-// A no-op without a Backend. With a tiered backend, Checkpoint is a
-// compatibility wrapper: it forces a synchronous flush of every dirty entity
-// instead — recovery then reads the newest tables plus the WAL tail, and
-// writers are never quiesced.
+// Checkpoint makes everything committed so far durable. With a tiered
+// backend it also bounds recovery: one flush pass runs synchronously, settled
+// state lands in a table and the WAL segments the table covers are pruned, so
+// a restart reads the newest tables plus the log tail. Any other backend is
+// forced (Backend.Sync) and its log stays the whole of recovery. Writers are
+// never quiesced. A no-op without a Backend.
 func (db *DB) Checkpoint() error {
-	if db.opts.Backend == nil {
+	switch {
+	case db.opts.Backend == nil:
 		return nil
-	}
-	if db.flush != nil {
+	case db.flush != nil:
 		return db.flush.FlushNow()
 	}
-	// All shard locks, in shard order (the same order RecordsAfter uses).
-	// Read locks suffice: they exclude writers (appends, marks, compaction)
-	// while letting concurrent readers through.
-	for _, s := range db.shards {
-		s.mu.RLock()
-	}
-	defer func() {
-		for _, s := range db.shards {
-			s.mu.RUnlock()
-		}
-	}()
-	watermark := db.lsn.Peek()
-	err := db.opts.Backend.Checkpoint(watermark, func(put func(storage.WALRecord) error) error {
-		// Archived summaries first — a replaying store needs them in place
-		// before reads, and they are not reconstructible from the records.
-		// Sorted per shard so identical stores write identical snapshots.
-		for _, s := range db.shards {
-			for _, sum := range sortSummaries(s.summariesLocked(nil)) {
-				if err := put(sum); err != nil {
-					return err
-				}
-			}
-		}
-		for _, rec := range db.recordsAfterLocked(0, 0) {
-			if err := put(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	db.sinceCkpt.Store(0)
-	return nil
+	return db.opts.Backend.Sync()
 }
 
-// maybeCheckpoint runs an automatic checkpoint once CheckpointEvery records
-// have been committed since the last one. It runs inline on the committing
-// goroutine that crossed the threshold, outside any shard lock; the gate
-// keeps concurrent committers from piling into Checkpoint together.
+// maybeCheckpoint arms a background flush once one of a tiered backend's
+// triggers has fired. Called on the committing goroutine after every append,
+// outside any lock.
 func (db *DB) maybeCheckpoint() {
 	if db.flush != nil {
 		db.flush.maybeTrigger()
-		return
-	}
-	every := int64(db.opts.CheckpointEvery)
-	if every <= 0 || db.opts.Backend == nil || db.sinceCkpt.Load() < every {
-		return
-	}
-	if !db.ckptBusy.CompareAndSwap(false, true) {
-		return
-	}
-	defer db.ckptBusy.Store(false)
-	if db.sinceCkpt.Load() < every { // raced with a finishing checkpoint
-		return
-	}
-	if err := db.Checkpoint(); err != nil {
-		db.setBackendFailure(err)
-		// Back off: without this reset a persistent failure (disk full
-		// mid-snapshot) would make every subsequent append retry a full
-		// stop-the-world checkpoint. Retry after another CheckpointEvery
-		// records instead; the failure stays visible via BackendErr — and,
-		// unlike the old silent retry loop, counted and classified by
-		// CheckpointFailure so health surfaces see the breadcrumb.
-		db.sinceCkpt.Store(0)
-	} else {
-		db.clearBackendFailure()
 	}
 }
 
-// setBackendErr remembers a background backend failure (automatic
-// checkpoint, compaction mark) for BackendErr.
+// setBackendErr remembers a background backend failure (automatic flush,
+// compaction mark) for BackendErr.
 func (db *DB) setBackendErr(err error) {
 	db.ckptMu.Lock()
 	db.ckptErr = err
@@ -1467,10 +1385,8 @@ func (db *DB) clearBackendFailure() {
 }
 
 // CheckpointFailure reports the automatic-persistence failure breadcrumb:
-// how many automatic checkpoints or flushes have failed since open, the
-// typed reason of the most recent failure ("" once a later pass succeeded),
-// and its error. The old behaviour was a silent retry loop; operators could
-// not tell a unit that checkpoints cleanly from one that fails every pass.
+// how many automatic flushes have failed since open, the typed reason of the
+// most recent failure ("" once a later pass succeeded), and its error.
 func (db *DB) CheckpointFailure() (failures uint64, reason string, err error) {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -1478,7 +1394,7 @@ func (db *DB) CheckpointFailure() (failures uint64, reason string, err error) {
 }
 
 // BackendErr returns the most recent background backend failure — an
-// automatic checkpoint or a compaction mark that could not be logged — or
+// automatic flush or a compaction mark that could not be logged — or
 // nil. Foreground backend failures are returned from the failing call
 // directly.
 func (db *DB) BackendErr() error {

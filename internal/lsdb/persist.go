@@ -6,10 +6,10 @@
 // the process — Save/Load here, the kernel's backup/restore streams and the
 // replication wire all carry the frames the WAL writes (storage.StreamWriter).
 //
-// Recovery (Recover) rebuilds a store from a storage.Backend: the latest
-// checkpoint's summaries and records stream straight in, the post-checkpoint
-// tail is replayed on top, and history-rewrite marks (obsolescence,
-// compaction horizons) are re-applied in log order at the end.
+// Recovery (Recover) rebuilds a store from a storage.Backend: a tiered
+// backend's table summaries arrive as cold pointers and their detail records
+// stream straight in, the WAL tail is replayed on top, and history-rewrite
+// marks (obsolescence, compaction horizons) are re-applied in log order.
 package lsdb
 
 import (
@@ -240,12 +240,13 @@ func (db *DB) IngestShipped(recs []Record) error {
 // --- Recovery ----------------------------------------------------------------
 
 // Recover opens a database and rebuilds it from the backend in opts.Backend:
-// the latest checkpoint's archived summaries and records, plus only the log
-// segments written after that checkpoint — not the full history. The given
-// entity types are registered before replay (compaction marks re-run rollups,
-// which need them). After Recover returns, the store serves reads and writes
-// exactly as the crashed instance did: byte-identical entity states, the
-// same LSN watermark, and new appends continue the backend's log.
+// with a tiered backend, the newest tables' summaries and detail plus only
+// the WAL segments written after the last flush — not the full history. The
+// given entity types are registered before replay (compaction marks re-run
+// rollups, which need them). After Recover returns, the store serves reads
+// and writes exactly as the crashed instance did: byte-identical entity
+// states, the same LSN watermark, and new appends continue the backend's
+// log.
 //
 // A torn final record — a crash mid-append — is truncated away by the
 // backend's replay; the store reopens with every record whose commit cycle
@@ -309,10 +310,8 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 			s.setArchivedLocked(e, rec.Summary) // decoded frozen
 			e.archivedAt = max(e.archivedAt, rec.Horizon)
 			e.cold, e.coldAt = false, 0
-			// With a tiered backend a full summary in the WAL is a legacy
-			// (pre-tiered) checkpoint snapshot; marking it dirty migrates it
-			// into the first flush's table, after which the snapshot can be
-			// pruned safely.
+			// A full summary lives only in the log that replayed it; dirty,
+			// the first flush moves it into a table.
 			db.markDirtyLocked(s, rec.Key, e)
 		case storage.KindObsolete, storage.KindCompact:
 			marks = append(marks, anchoredMark{mark: rec, pos: maxSeen})

@@ -15,7 +15,7 @@ import (
 )
 
 // openTestWAL opens a segmented WAL in dir with small segments so rotation
-// and checkpoint-skipping are exercised even by small tests.
+// and flush pruning are exercised even by small tests.
 func openTestWAL(t testing.TB, dir string, sync storage.SyncMode) *storage.WAL {
 	t.Helper()
 	w, err := storage.OpenWAL(storage.WALOptions{Dir: dir, SegmentBytes: 4096, Sync: sync})
@@ -110,12 +110,11 @@ func TestRecoverRoundTripConcurrentWriters(t *testing.T) {
 }
 
 // TestRecoverReplaysOnlyPostCheckpointSegments pins the checkpoint win: after
-// a checkpoint, segments before it are pruned from the directory and recovery
-// rebuilds from snapshot + tail alone.
+// a checkpoint (a tiered flush), segments before it are pruned from the
+// directory and recovery rebuilds from the tables plus the tail alone.
 func TestRecoverReplaysOnlyPostCheckpointSegments(t *testing.T) {
 	dir := t.TempDir()
-	wal := openTestWAL(t, dir, storage.SyncOS)
-	db := newTestDB(t, Options{Shards: 4, Backend: wal})
+	db := newTestDB(t, Options{Shards: 4, Backend: openTestTiered(t, dir, nil)})
 	key := func(i int) entity.Key { return entity.Key{Type: "Account", ID: fmt.Sprintf("a%d", i%7)} }
 	for i := 0; i < 300; i++ {
 		if _, err := db.Append(key(i), []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", ""); err != nil {
@@ -141,23 +140,29 @@ func TestRecoverReplaysOnlyPostCheckpointSegments(t *testing.T) {
 		t.Fatalf("expected pre-checkpoint segments pruned, still have %d", len(segs))
 	}
 
-	rec, err := Recover(Options{Node: "test-node", Shards: 4, Backend: openTestWAL(t, dir, storage.SyncOS)},
+	rec, err := Recover(Options{Node: "test-node", Shards: 4, Backend: openTestTiered(t, dir, nil)},
 		accountType(), orderType())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	assertIdenticalStores(t, db, rec)
+	assertTieredStates(t, db, rec)
 	rec.Close()
 }
 
 // TestRecoverAfterCompactAndMarkObsolete covers the history-rewrite marks:
 // obsolescence and compaction must survive a restart, including summaries of
-// entities whose detail records are gone from the log.
+// entities whose detail records are gone from the log. With checkpointAfter
+// the store is tiered and flushed before it closes, so the summaries and the
+// withdrawn promise come back from a table.
 func TestRecoverAfterCompactAndMarkObsolete(t *testing.T) {
 	for _, checkpointAfter := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checkpoint=%v", checkpointAfter), func(t *testing.T) {
 			dir := t.TempDir()
-			db := newTestDB(t, Options{Shards: 4, SnapshotEvery: 4, Backend: openTestWAL(t, dir, storage.SyncOS)})
+			backend := func() storage.Backend { return openTestWAL(t, dir, storage.SyncOS) }
+			if checkpointAfter {
+				backend = func() storage.Backend { return openTestTiered(t, dir, nil) }
+			}
+			db := newTestDB(t, Options{Shards: 4, SnapshotEvery: 4, Backend: backend()})
 
 			// Cold entities: all activity before the horizon, later archived.
 			for i := 0; i < 6; i++ {
@@ -203,19 +208,26 @@ func TestRecoverAfterCompactAndMarkObsolete(t *testing.T) {
 				if err := db.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
+				warmEverything(t, db) // the flush evicted summaries; db is read after Close
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
 
-			rec, err := Recover(Options{Node: "test-node", Shards: 4, SnapshotEvery: 4, Backend: openTestWAL(t, dir, storage.SyncOS)},
+			rec, err := Recover(Options{Node: "test-node", Shards: 4, SnapshotEvery: 4, Backend: backend()},
 				accountType(), orderType())
 			if err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
-			assertIdenticalStores(t, db, rec)
-			if rec.Len() != db.Len() {
-				t.Fatalf("retained record counts differ: %d vs %d", rec.Len(), db.Len())
+			if checkpointAfter {
+				// A flushed store retains fewer raw records than the one
+				// that wrote it: settled history lives in table summaries.
+				assertTieredStates(t, db, rec)
+			} else {
+				assertIdenticalStores(t, db, rec)
+				if rec.Len() != db.Len() {
+					t.Fatalf("retained record counts differ: %d vs %d", rec.Len(), db.Len())
+				}
 			}
 			// The withdrawn promise stays withdrawn.
 			st, _, err := rec.Current(hot)
@@ -301,30 +313,61 @@ func TestRecoverCorruptMidSegmentTypedError(t *testing.T) {
 	}
 }
 
-// TestAutoCheckpoint: Options.CheckpointEvery takes checkpoints as the log
-// grows, without an explicit call.
-func TestAutoCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	db := newTestDB(t, Options{Shards: 2, Backend: openTestWAL(t, dir, storage.SyncOS), CheckpointEvery: 10})
-	for i := 0; i < 35; i++ {
-		if _, err := db.Append(entity.Key{Type: "Account", ID: fmt.Sprintf("a%d", i%3)}, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", ""); err != nil {
-			t.Fatal(err)
-		}
+// TestCheckpointWithoutTierOnlySyncs: on a bare WAL and on Memory,
+// Checkpoint — called explicitly or armed by CheckpointEvery — forces the log
+// and nothing else: no file appears beside the segments, no record leaves the
+// log, and Recover rebuilds the identical store.
+func TestCheckpointWithoutTierOnlySyncs(t *testing.T) {
+	for _, name := range []string{"wal", "memory"} {
+		t.Run(name, func(t *testing.T) {
+			dir, mem := t.TempDir(), storage.NewMemory()
+			backend := func() storage.Backend {
+				if name == "memory" {
+					return mem
+				}
+				return openTestWAL(t, dir, storage.SyncOS)
+			}
+			db := newTestDB(t, Options{Shards: 2, Backend: backend(), CheckpointEvery: 10})
+			for i := 0; i < 35; i++ {
+				if _, err := db.Append(entity.Key{Type: "Account", ID: fmt.Sprintf("a%d", i%3)}, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", ""); err != nil {
+					t.Fatal(err)
+				}
+				if i == 20 {
+					if err := db.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := db.BackendErr(); err != nil {
+				t.Fatalf("background persistence failed: %v", err)
+			}
+			if name == "memory" {
+				if got := mem.Len(); got != 35 {
+					t.Fatalf("memory backend retains %d records, want all 35", got)
+				}
+			} else {
+				db.Close()
+				files, err := filepath.Glob(filepath.Join(dir, "*"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range files {
+					if base := filepath.Base(f); base != "LOCK" && filepath.Ext(base) != ".seg" {
+						t.Fatalf("checkpoint left %s beside the segments", base)
+					}
+				}
+			}
+			rec, err := Recover(Options{Node: "test-node", Shards: 2, Backend: backend()}, accountType(), orderType())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdenticalStores(t, db, rec)
+			if rec.Len() != 35 {
+				t.Fatalf("recovered %d records, want 35", rec.Len())
+			}
+			rec.Close()
+		})
 	}
-	if err := db.BackendErr(); err != nil {
-		t.Fatalf("automatic checkpoint failed: %v", err)
-	}
-	db.Close()
-	if _, err := os.Stat(filepath.Join(dir, "CHECKPOINT")); err != nil {
-		t.Fatalf("no checkpoint manifest written: %v", err)
-	}
-	rec, err := Recover(Options{Node: "test-node", Shards: 2, Backend: openTestWAL(t, dir, storage.SyncOS)},
-		accountType(), orderType())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdenticalStores(t, db, rec)
-	rec.Close()
 }
 
 // TestInt64ExactBothPaths: int64 values with magnitudes above 2^53 — which
@@ -394,13 +437,13 @@ func TestInt64ExactBothPaths(t *testing.T) {
 	})
 	t.Run("wal", func(t *testing.T) {
 		dir := t.TempDir()
-		src := newTestDB(t, Options{Validation: entity.Managed, Backend: openTestWAL(t, dir, storage.SyncOS)})
+		src := newTestDB(t, Options{Validation: entity.Managed, Backend: openTestTiered(t, dir, nil)})
 		seed(src)
-		if err := src.Checkpoint(); err != nil { // exercise snapshot codec too
+		if err := src.Checkpoint(); err != nil { // exercise the table codec too
 			t.Fatal(err)
 		}
 		src.Close()
-		rec, err := Recover(Options{Node: "test-node", Backend: openTestWAL(t, dir, storage.SyncOS)},
+		rec, err := Recover(Options{Node: "test-node", Backend: openTestTiered(t, dir, nil)},
 			accountType(), orderType(), &entity.Type{Name: "Big", Fields: []entity.Field{{Name: "n", Type: entity.Int}}})
 		if err != nil {
 			t.Fatal(err)

@@ -192,13 +192,6 @@ func (s *Store) AppendBatch(recs []storage.WALRecord) error { return s.inner.App
 // Sync delegates to the hot tier.
 func (s *Store) Sync() error { return s.inner.Sync() }
 
-// Checkpoint is the monolithic snapshot of the non-tiered backends; a tiered
-// store persists through FlushTable instead. The store never calls it when
-// tiering is active (DB.Checkpoint becomes a forced flush).
-func (s *Store) Checkpoint(uint64, func(func(storage.WALRecord) error) error) error {
-	return errors.New("lsm: monolithic checkpoint unsupported on a tiered store (use FlushTable)")
-}
-
 // Replay streams the durable content: every live table's recovery view —
 // per key a light summary pointer (Horizon set, Summary nil: the state
 // payload stays on disk for the cold read path) plus its full detail

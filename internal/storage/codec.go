@@ -1,5 +1,5 @@
 // Binary codec for WALRecords: the payload format inside every frame — WAL
-// segments, checkpoint files, SSTables and the record streams that carry the
+// segments, SSTables and the record streams that carry the
 // log out of the process (stream.go). The format is length-safe (every
 // variable-size element is length-prefixed), position-independent (a payload
 // decodes without external context) and exact: 64-bit integers round-trip
@@ -56,7 +56,7 @@ func appendFloat(b []byte, f float64) []byte {
 
 // appendValue encodes one operation value. Map iteration order is
 // deterministic (sorted keys) so identical values produce identical bytes —
-// checkpoints of equal stores are byte-comparable.
+// cuts of equal stores are byte-comparable.
 func appendValue(b []byte, v interface{}) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:

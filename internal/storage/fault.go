@@ -186,27 +186,6 @@ func (f *FaultBackend) AppendBatch(recs []WALRecord) error {
 	return nil
 }
 
-// Checkpoint delegates; a degraded backend refuses (the store should not be
-// checkpointing a log it cannot append to).
-func (f *FaultBackend) Checkpoint(watermark uint64, fill func(put func(WALRecord) error) error) error {
-	f.mu.Lock()
-	if f.poisoned {
-		f.mu.Unlock()
-		return fmt.Errorf("storage: checkpoint: %w", ErrPoisoned)
-	}
-	if f.broken {
-		f.mu.Unlock()
-		return fmt.Errorf("storage: checkpoint: %w", ErrFailStopped)
-	}
-	if f.corruptAt > 0 {
-		err := f.corruptErrLocked("checkpoint")
-		f.mu.Unlock()
-		return err
-	}
-	f.mu.Unlock()
-	return f.inner.Checkpoint(watermark, fill)
-}
-
 // Replay delegates, failing with a typed *CorruptError when the stream
 // reaches injected corruption.
 func (f *FaultBackend) Replay(fn func(WALRecord) error) (uint64, error) {
@@ -305,7 +284,7 @@ func (f *FaultBackend) Quarantine() (uint64, error) {
 	}
 	switch inner := f.inner.(type) {
 	case *Memory:
-		inner.truncateTailAfter(lastGood)
+		inner.truncateAfter(lastGood)
 	case Quarantiner:
 		lg, err := inner.Quarantine()
 		if err != nil {

@@ -2,9 +2,11 @@
 // defines the durable form of the log — WALRecord — and the Backend interface
 // a store writes its commit cycles through. The paper's model (section 3.1)
 // makes the log the database; the natural durable form is therefore an
-// append-only write-ahead log whose replay rebuilds the store, plus periodic
-// checkpoints so a restart replays only the log tail instead of the full
-// history.
+// append-only write-ahead log whose replay rebuilds the store. Recovery is
+// bounded by tiering, not by snapshots: a tiered flush (the Tiered seam,
+// implemented by internal/lsm) summarises settled history into immutable
+// tables and prunes the WAL segments they cover, so a restart reads the
+// newest tables plus the log tail.
 //
 // Two implementations ship with the package:
 //
@@ -12,8 +14,8 @@
 //     for purely main-memory deployments and the reference implementation the
 //     WAL's tests compare against.
 //   - WAL (wal.go): segmented append-only files with length-prefixed binary
-//     framing, per-record CRC32, size-based segment rotation, checkpoint
-//     manifests and torn-tail recovery.
+//     framing, per-record CRC32, size-based segment rotation, a manifest of
+//     where the replayable tail starts, and torn-tail recovery.
 //
 // The write-side attachment point in the store is the commit cycle
 // (lsdb.Options.CommitHook's cadence): one AppendBatch call per cycle — one
@@ -31,7 +33,7 @@ import (
 
 // RecordKind distinguishes the durable log entry types. Appended entity
 // records are the bulk of the log; history rewrites (obsolescence marks,
-// compaction horizons) and checkpoint summaries are records too, so one
+// compaction horizons) and archived summaries are records too, so one
 // framing, one codec and one Replay stream carry everything.
 type RecordKind uint8
 
@@ -46,8 +48,9 @@ const (
 	// KindCompact records a compaction horizon: replay re-runs
 	// Compact(Horizon) at this point in the log.
 	KindCompact
-	// KindSummary is an archived entity summary inside a checkpoint: the
-	// rollup of an entity whose detail records were compacted away.
+	// KindSummary is an archived entity summary: the rollup of an entity
+	// whose detail records were compacted away (a cut's summaries, a
+	// tiered table's settled state).
 	KindSummary
 )
 
@@ -73,7 +76,7 @@ type WALRecord struct {
 	Obsolete bool
 
 	// Kind distinguishes appended entity records (the zero value) from
-	// history-rewrite marks and checkpoint summaries.
+	// history-rewrite marks and archived summaries.
 	Kind RecordKind
 	// Horizon is the compaction horizon of a KindCompact record.
 	Horizon uint64
@@ -83,12 +86,11 @@ type WALRecord struct {
 
 // Backend is the persistence engine under one store. Implementations must be
 // safe for concurrent use: shards commit independently, so AppendBatch may be
-// invoked concurrently with itself and with Sync.
-//
-// Checkpoint and Replay are exclusive with appends by construction — the
-// store quiesces writers (all shard locks held) while checkpointing, and
-// replay happens before the store accepts writes — so implementations may
-// serialise them on the same mutex as AppendBatch without deadlock.
+// invoked concurrently with itself and with Sync. Replay happens before the
+// store accepts writes, so implementations may serialise it on the same mutex
+// as AppendBatch without deadlock. A backend keeps the past by appending; the
+// only way settled history leaves the log is a tiered flush (Tiered), which
+// summarises it into immutable tables first.
 type Backend interface {
 	// AppendBatch durably appends one commit cycle's records: one framed
 	// batch write, and one log force before returning when the backend is
@@ -96,20 +98,11 @@ type Backend interface {
 	// the store surfaces it to every writer in the cycle.
 	AppendBatch(recs []WALRecord) error
 
-	// Checkpoint captures the store's full content as of the durable LSN
-	// watermark. fill streams the content — archived summaries first, then
-	// retained records in global LSN order — through put. The store calls
-	// Checkpoint with writers quiesced, so everything appended before the
-	// call is covered by the checkpoint and everything after belongs to the
-	// replayable tail. On success, recovery replays the checkpoint plus only
-	// the log written after this call.
-	Checkpoint(watermark uint64, fill func(put func(WALRecord) error) error) error
-
-	// Replay streams the durable content in recovery order: the latest
-	// checkpoint's summaries and records, then every log record appended
-	// after that checkpoint. It returns the checkpoint's LSN watermark
-	// (0 when no checkpoint exists). Replay must be called before the first
-	// AppendBatch; a torn tail record left by a crash is truncated here.
+	// Replay streams the durable content in recovery order and returns a
+	// watermark: the highest LSN whose record the backend summarised or
+	// pruned from its log (0 when none), so a recovering store never reuses
+	// it. Replay must be called before the first AppendBatch; a torn tail
+	// record left by a crash is truncated here.
 	Replay(fn func(WALRecord) error) (watermark uint64, err error)
 
 	// Sync forces everything appended so far to stable storage.
@@ -163,7 +156,8 @@ type Streamer interface {
 	// StreamAfter streams, in log order, every appended entity record with
 	// LSN > after plus the history-rewrite marks (obsolescence, compaction)
 	// in the scanned range. Archived summaries cannot be cut by LSN: when
-	// the requested cut predates a checkpoint that contains summaries,
+	// the requested cut predates history the log no longer holds as detail
+	// (pruned by a tiered flush, or summarised in the scanned range),
 	// StreamAfter fails with ErrCompacted instead of silently gapping.
 	StreamAfter(after uint64, fn func(WALRecord) error) error
 }
@@ -171,7 +165,7 @@ type Streamer interface {
 // ReplicationMarker is the optional replication-watermark interface of a
 // backend: a standby durably records the highest LSN it has received so a
 // restart (or a promotion decision) can read how far the received log reaches
-// without replaying it. The WAL persists the mark in its checkpoint manifest.
+// without replaying it. The WAL persists the mark in its manifest.
 type ReplicationMarker interface {
 	// ReplicationWatermark returns the recorded replication watermark
 	// (0 when never set).
@@ -181,18 +175,16 @@ type ReplicationMarker interface {
 	SetReplicationWatermark(lsn uint64) error
 }
 
-// Memory is the in-process backend: append-only slices, no durability. It is
-// the no-op choice for main-memory deployments (a restart loses the log, as
+// Memory is the in-process backend: one append-only slice, no durability. It
+// is the no-op choice for main-memory deployments (a restart loses the log, as
 // before this package existed) while still honouring the full Backend
 // contract — Replay returns what was appended — so tests can run one store
 // against Memory and one against a WAL and compare.
 type Memory struct {
 	mu         sync.Mutex
 	closed     bool
-	watermark  uint64
 	replicated uint64
-	ckpt       []WALRecord // latest checkpoint content
-	tail       []WALRecord // records appended after the checkpoint
+	recs       []WALRecord
 }
 
 // NewMemory returns an empty in-memory backend.
@@ -205,44 +197,24 @@ func (m *Memory) AppendBatch(recs []WALRecord) error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.tail = append(m.tail, recs...)
+	m.recs = append(m.recs, recs...)
 	return nil
 }
 
-// Checkpoint replaces the retained prefix with the streamed content. The
-// store quiesces writers across the call, so the tail cut is exact.
-func (m *Memory) Checkpoint(watermark uint64, fill func(put func(WALRecord) error) error) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	var ckpt []WALRecord
-	if err := fill(func(rec WALRecord) error {
-		ckpt = append(ckpt, rec)
-		return nil
-	}); err != nil {
-		return err
-	}
-	m.ckpt, m.tail, m.watermark = ckpt, nil, watermark
-	return nil
-}
-
-// Replay streams the checkpoint content, then the tail.
+// Replay streams every retained record in append order. Memory prunes
+// nothing, so the watermark is always 0.
 func (m *Memory) Replay(fn func(WALRecord) error) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return 0, ErrClosed
 	}
-	for _, recs := range [2][]WALRecord{m.ckpt, m.tail} {
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return m.watermark, err
-			}
+	for _, rec := range m.recs {
+		if err := fn(rec); err != nil {
+			return 0, err
 		}
 	}
-	return m.watermark, nil
+	return 0, nil
 }
 
 // Sync is a no-op: memory is as stable as this backend gets.
@@ -263,55 +235,48 @@ func (m *Memory) Close() error {
 	return nil
 }
 
-// Len reports how many records the backend retains (checkpoint + tail).
+// Len reports how many records the backend retains.
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.ckpt) + len(m.tail)
+	return len(m.recs)
 }
 
 // StreamAfter streams retained append records with LSN > after plus the marks
-// in range, per the Streamer contract. A checkpoint holding archived
-// summaries can only be skipped wholesale (every record in it has
-// LSN <= watermark); a cut inside it fails with ErrCompacted.
+// in range, per the Streamer contract; an archived summary among them fails
+// with ErrCompacted.
 func (m *Memory) StreamAfter(after uint64, fn func(WALRecord) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
 	}
-	parts := [2][]WALRecord{m.ckpt, m.tail}
-	if after >= m.watermark {
-		parts[0] = nil // checkpoint content is wholly at or below the cut
-	}
-	for _, recs := range parts {
-		for _, rec := range recs {
-			switch rec.Kind {
-			case KindAppend:
-				if rec.LSN <= after {
-					continue
-				}
-			case KindSummary:
-				return ErrCompacted
+	for _, rec := range m.recs {
+		switch rec.Kind {
+		case KindAppend:
+			if rec.LSN <= after {
+				continue
 			}
-			if err := fn(rec); err != nil {
-				return err
-			}
+		case KindSummary:
+			return ErrCompacted
+		}
+		if err := fn(rec); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// truncateTailAfter drops the tail suffix starting at the first append
-// record with LSN > lsn (everything logged after that point — marks
-// included — is suspect once the log is being quarantined; the repair
-// refill re-supplies the range from a peer).
-func (m *Memory) truncateTailAfter(lsn uint64) {
+// truncateAfter drops the suffix starting at the first append record with
+// LSN > lsn (everything logged after that point — marks included — is
+// suspect once the log is being quarantined; the repair refill re-supplies
+// the range from a peer).
+func (m *Memory) truncateAfter(lsn uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, rec := range m.tail {
+	for i, rec := range m.recs {
 		if rec.Kind == KindAppend && rec.LSN > lsn {
-			m.tail = m.tail[:i]
+			m.recs = m.recs[:i]
 			return
 		}
 	}

@@ -3,12 +3,12 @@ package storage
 import "repro/internal/entity"
 
 // Tiered is the seam between the store and an LSM-tiered persistence engine
-// (internal/lsm). A tiered backend is a Backend whose monolithic Checkpoint
-// is replaced by incremental flushes: the store captures the settled summary
-// state of its dirty entities under the shard locks (cheap, zero-copy) and a
-// background flusher turns the capture into an immutable sorted table, after
-// which the WAL segments the table covers are pruned. The store detects the
-// capability with a type assertion on Options.Backend.
+// (internal/lsm), and the one way a store's settled history leaves its log.
+// A tiered backend persists by incremental flushes: the store captures the
+// settled summary state of its dirty entities under the shard locks (cheap,
+// zero-copy) and a background flusher turns the capture into an immutable
+// sorted table, after which the WAL segments the table covers are pruned. The
+// store detects the capability with a type assertion on Options.Backend.
 type Tiered interface {
 	Backend
 

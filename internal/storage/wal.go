@@ -3,11 +3,11 @@
 // Layout of a data directory:
 //
 //	wal-0000000001.seg   segment files: 8-byte magic, then framed records
-//	ckpt-0000000003.snap checkpoint snapshot: 8-byte magic, framed records
-//	CHECKPOINT           manifest (JSON): which snapshot is current and the
-//	                     exact segment/offset the replayable tail starts at
+//	CHECKPOINT           manifest (JSON): the exact segment/offset the
+//	                     replayable tail starts at, the highest LSN pruned
+//	                     before it, and the replication watermark
 //
-// Every record — in segments and snapshots alike — is framed as
+// Every record is framed as
 //
 //	uint32 payload length | uint32 CRC32(payload) | payload
 //
@@ -25,14 +25,15 @@
 // else.
 //
 // Segments rotate by size: when the active segment exceeds SegmentBytes it
-// is trimmed, synced, sealed and a new one started. Checkpoints are written
-// to a temporary file, fsynced and renamed before the manifest is atomically
-// replaced, so a crash anywhere leaves either the old or the new checkpoint
-// installed, never a half-written one. After a successful checkpoint,
-// segments wholly before the manifest position are pruned.
+// is trimmed, synced, sealed and a new one started. The WAL keeps the past by
+// appending and never summarises it itself: a tiered flush (internal/lsm)
+// writes settled history into tables and only then advances the manifest past
+// the sealed segments they cover (TruncateThrough), which are pruned. The
+// manifest is replaced atomically, so a crash leaves the old or the new
+// position installed, never a half-written one.
 //
-// Recovery replays the manifest's snapshot, then only the log written after
-// it: segments before the manifest position are skipped without being read.
+// Recovery replays only the log at or after the manifest position: segments
+// before it are skipped without being read.
 // A torn final write — a crash leaves the last segment with a frame that is
 // incomplete, or invalid with no unbroken run of valid frames from it to the
 // exact end of the file — is truncated away and replay succeeds without it.
@@ -57,11 +58,8 @@ import (
 	"sync"
 )
 
-// Segment and snapshot file magics ("SOUPWAL"/"SOUPCKP" + format version).
-var (
-	segMagic  = []byte("SOUPWAL\x01")
-	ckptMagic = []byte("SOUPCKP\x01")
-)
+// segMagic opens every segment file ("SOUPWAL" + format version).
+var segMagic = []byte("SOUPWAL\x01")
 
 const (
 	manifestName = "CHECKPOINT"
@@ -88,8 +86,8 @@ type SyncMode int
 // Sync modes.
 const (
 	// SyncOS leaves flushing to the operating system's page cache: appends
-	// are buffered writes and fsync happens only on segment seal, checkpoint
-	// and Close. Fastest, and a crash may lose the most recent commits (the
+	// are buffered writes and fsync happens only on segment seal, Sync and
+	// Close. Fastest, and a crash may lose the most recent commits (the
 	// store itself stays consistent — recovery truncates the torn tail).
 	SyncOS SyncMode = iota
 	// SyncAlways fsyncs after every commit cycle: an acknowledged append
@@ -128,10 +126,10 @@ type WALOptions struct {
 	Sync SyncMode
 }
 
-// CorruptError reports a framing or checksum failure in a segment or
-// snapshot file. It is a typed error so recovery tooling can distinguish
-// real corruption (refuse to open, restore from backup) from the benign torn
-// tail a crash leaves (handled internally by truncation).
+// CorruptError reports a framing or checksum failure in a segment file. It
+// is a typed error so recovery tooling can distinguish real corruption
+// (refuse to open, restore from backup) from the benign torn tail a crash
+// leaves (handled internally by truncation).
 type CorruptError struct {
 	File   string // file the bad frame lives in
 	Offset int64  // byte offset of the frame
@@ -142,21 +140,40 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("storage: corrupt log: %s at %s+%d", e.Reason, e.File, e.Offset)
 }
 
-// manifest is the checkpoint manifest: the current snapshot plus the exact
-// position the replayable tail starts at. It is replaced atomically
-// (write-temp, rename, directory fsync).
+// manifest records the exact position the replayable tail starts at and the
+// highest append LSN pruned before it. It is replaced atomically (write-temp,
+// rename, directory fsync).
 type manifest struct {
-	Seq       uint64 `json:"seq"`
-	Snapshot  string `json:"snapshot"`
+	Seq uint64 `json:"seq"`
+	// Snapshot is read only to refuse it: older builds named a monolithic
+	// checkpoint snapshot here, whose content lives nowhere else once the
+	// segments it covered were pruned (see SnapshotManifestError).
+	Snapshot  string `json:"snapshot,omitempty"`
 	Watermark uint64 `json:"watermark"`
 	Segment   uint64 `json:"segment"`
 	Offset    int64  `json:"offset"`
 	// Replicated is the replication watermark: the highest LSN a standby has
 	// durably received into this log (see ReplicationMarker). It rides the
 	// manifest so it survives restarts without a log replay, and is carried
-	// forward unchanged by checkpoints. A manifest may exist for this field
-	// alone, before any checkpoint (Snapshot empty, Segment zero).
+	// forward unchanged by prunes. A manifest may exist for this field alone,
+	// before any prune (Segment zero).
 	Replicated uint64 `json:"replicated,omitempty"`
+}
+
+// SnapshotManifestError is returned by OpenWAL for a data directory whose
+// manifest names a checkpoint snapshot (ckpt-*.snap), the monolithic format
+// older builds wrote without tiered storage. This build cannot replay it, and
+// ignoring it would silently lose the history the snapshot holds: the
+// segments it covered were pruned when it was taken.
+type SnapshotManifestError struct {
+	Dir      string // the data directory
+	Snapshot string // the snapshot file the manifest names
+}
+
+func (e *SnapshotManifestError) Error() string {
+	return fmt.Sprintf("storage: %s: manifest names checkpoint snapshot %s, a format this build no longer reads; "+
+		"take a backup with `soupsctl backup` against an older build that still reads snapshots, "+
+		"then `soupsctl restore` it into a fresh data directory (see docs/OPERATIONS.md, Upgrading and downgrading)", e.Dir, e.Snapshot)
 }
 
 // WAL is the segmented write-ahead log backend. All methods are safe for
@@ -258,6 +275,10 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 		if err := json.Unmarshal(raw, &w.man); err != nil {
 			lock.release()
 			return nil, fmt.Errorf("storage: malformed manifest: %w", err)
+		}
+		if w.man.Snapshot != "" {
+			lock.release()
+			return nil, &SnapshotManifestError{Dir: opts.Dir, Snapshot: w.man.Snapshot}
 		}
 		w.hasMan = true
 	case !os.IsNotExist(err):
@@ -675,10 +696,10 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Replay streams the durable content: the manifest's snapshot, then every
-// record in segments at or after the manifest position. Segments wholly
-// before the checkpoint are skipped unread — that is the recovery-time win
-// checkpointing buys. Returns the checkpoint watermark (0 without one).
+// Replay streams every record in segments at or after the manifest position;
+// segments before it were pruned by a tiered flush and are skipped unread.
+// Returns the manifest watermark: the highest append LSN pruned (0 without
+// a prune).
 func (w *WAL) Replay(fn func(WALRecord) error) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -695,12 +716,6 @@ func (w *WAL) Replay(fn func(WALRecord) error) (uint64, error) {
 }
 
 func (w *WAL) replayLocked(fn func(WALRecord) error) error {
-	if w.hasMan && w.man.Snapshot != "" && fn != nil {
-		path := filepath.Join(w.opts.Dir, w.man.Snapshot)
-		if _, err := scanFile(path, ckptMagic, int64(len(ckptMagic)), endExact, fn); err != nil {
-			return err
-		}
-	}
 	segs, err := w.segments()
 	if err != nil {
 		return err
@@ -709,7 +724,7 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 		start := int64(len(segMagic))
 		if w.hasMan {
 			if i < w.man.Segment {
-				continue // wholly covered by the checkpoint: skipped unread
+				continue // pruned through the manifest position: skipped unread
 			}
 			if i == w.man.Segment {
 				start = w.man.Offset
@@ -785,23 +800,21 @@ func rewriteSegmentHeader(path string) error {
 type tailRule int
 
 const (
-	// endExact: the last frame ends at the end of the file. Snapshots, which
-	// are written whole and renamed into place.
-	endExact tailRule = iota
-	// endZeros: also an all-zero frame header (no frame is ever empty, so no
-	// writer produces one) with only zeros behind it — a reservation. Sealed
-	// segments: the trim that follows a seal may have been lost to a crash.
-	endZeros
+	// endZeros: the last frame ends at the end of the file, or an all-zero
+	// frame header (no frame is ever empty, so no writer produces one) with
+	// only zeros behind it — a reservation. Sealed segments: the trim that
+	// follows a seal may have been lost to a crash.
+	endZeros tailRule = iota
 	// endTorn: also a torn write, which the scan cuts off. The last segment,
 	// the only one a crash can catch mid-write.
 	endTorn
 )
 
-// scanFile walks the frames of one segment or snapshot from offset start,
-// invoking fn (when non-nil) with each decoded record, and returns the offset
-// its content ends at. Where the content may end is the tailRule's; the
-// first frame that fails framing or CRC anywhere else is *CorruptError, as is
-// a bad magic.
+// scanFile walks the frames of one segment from offset start, invoking fn
+// (when non-nil) with each decoded record, and returns the offset its
+// content ends at. Where the content may end is the tailRule's; the first
+// frame that fails framing or CRC anywhere else is *CorruptError, as is a
+// bad magic.
 //
 // In a last segment (endTorn) a frame that is incomplete, or that is invalid
 // and not followed by an unbroken run of valid frames to the exact end of the
@@ -850,9 +863,6 @@ func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WAL
 		case frameShort:
 			return torn("incomplete frame")
 		case frameZero:
-			if tail == endExact {
-				return corrupt("empty frame")
-			}
 			zeros, err := fr.restIsZero()
 			if err != nil {
 				return 0, fmt.Errorf("storage: %w", err)
@@ -900,10 +910,10 @@ const (
 	frameBadSum              // payload does not match its CRC
 )
 
-// frameReader walks frames through br: a segment or snapshot file for the
-// WAL's scans, any byte stream for StreamReader. size is how many bytes the
-// source held when the read began (-1 when unknown, as for a stream) and off
-// how many were consumed. Memory for a payload grows with the bytes of it
+// frameReader walks frames through br: a segment file for the WAL's scans,
+// any byte stream for StreamReader. size is how many bytes the source held
+// when the read began (-1 when unknown, as for a stream) and off how many
+// were consumed. Memory for a payload grows with the bytes of it
 // that have arrived, never with the length its header claims, and a file's
 // frame is first checked against what the file has left — a corrupt or
 // forged length cannot make the reader allocate past the bytes it received.
@@ -1007,44 +1017,6 @@ func truncateTail(path string, offset int64) error {
 	return nil
 }
 
-// Checkpoint writes a snapshot of the store's content, installs it in the
-// manifest and prunes segments the snapshot covers. The caller (the store)
-// has quiesced writers, so the current end of the active segment is exactly
-// the boundary between content inside the snapshot and the replayable tail.
-func (w *WAL) Checkpoint(watermark uint64, fill func(put func(WALRecord) error) error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if err := w.ensureActiveLocked(); err != nil {
-		return err
-	}
-	// Everything appended so far must be durable before the manifest can
-	// claim the snapshot supersedes it.
-	if err := w.seg.Sync(); err != nil {
-		return fmt.Errorf("storage: checkpoint sync: %w", err)
-	}
-	seq := w.man.Seq + 1
-	snapName := fmt.Sprintf("ckpt-%010d.snap", seq)
-	if err := w.writeSnapshotLocked(snapName, fill); err != nil {
-		return err
-	}
-	man := manifest{
-		Seq:        seq,
-		Snapshot:   snapName,
-		Watermark:  watermark,
-		Segment:    w.segIndex,
-		Offset:     w.segSize,
-		Replicated: w.man.Replicated,
-	}
-	if err := w.installManifestLocked(man); err != nil {
-		return err
-	}
-	w.pruneLocked()
-	return nil
-}
-
 // SealActive rotates the active segment so everything appended so far lives
 // in sealed, immutable segments, and returns the index of the last sealed
 // segment — the boundary a tiered flush may later prune through
@@ -1117,18 +1089,17 @@ func (w *WAL) SealActive() (uint64, error) {
 
 // TruncateThrough advances the manifest past sealed segments whose records a
 // tiered flush has made durable elsewhere: the replayable tail now begins at
-// segment through+1 and the covered segments (and any superseded checkpoint
-// snapshot) are pruned. The manifest watermark — the cutoff below which
-// StreamAfter answers ErrCompacted once no snapshot backs it — advances only
-// to the highest LSN the pruned segments actually contained, which the
-// covered prefix is scanned for: the flush's own watermark can cover records
-// still in the retained tail (the active segment, frames above the seal
-// boundary), and adopting it would force a full resync on any standby whose
-// cut the retained segments still serve. watermark is that flush capture
-// watermark; it gates retention only. When replication is active and the
-// standby's durable watermark trails it, nothing is pruned — catch-up may
-// still need to stream these segments, and the next flush retries; the false
-// return reports that skip.
+// segment through+1 and the covered segments are pruned. The manifest
+// watermark — the cutoff below which StreamAfter answers ErrCompacted —
+// advances only to the highest LSN the pruned segments actually contained,
+// which the covered prefix is scanned for: the flush's own watermark can
+// cover records still in the retained tail (the active segment, frames above
+// the seal boundary), and adopting it would force a full resync on any
+// standby whose cut the retained segments still serve. watermark is that
+// flush capture watermark; it gates retention only. When replication is
+// active and the standby's durable watermark trails it, nothing is pruned —
+// catch-up may still need to stream these segments, and the next flush
+// retries; the false return reports that skip.
 func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 	prunedMax, scanned := uint64(0), false
 	for {
@@ -1172,7 +1143,6 @@ func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 			scanned = true
 		}
 		man.Seq++
-		man.Snapshot = ""
 		if prunedMax > man.Watermark {
 			man.Watermark = prunedMax
 		}
@@ -1260,43 +1230,10 @@ func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, throug
 	return max, nil
 }
 
-// writeSnapshotLocked streams fill's records into a temp snapshot file and
-// atomically renames it into place.
-func (w *WAL) writeSnapshotLocked(name string, fill func(put func(WALRecord) error) error) error {
-	path := filepath.Join(w.opts.Dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-	sw := NewStreamWriter(f)
-	sw.buf = append(sw.buf, ckptMagic...)
-	if err := fill(func(rec WALRecord) error { return sw.Record(&rec) }); err != nil {
-		f.Close()
-		return err
-	}
-	if err := sw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	return syncDir(w.opts.Dir)
-}
-
 // stageManifest writes man durably to a temp file named by suffix and
 // returns its path. The manifest bytes must be durable before a rename makes
 // them current: pruning runs right after an install, so a garbage manifest
-// with the old snapshot already deleted would leave the node unable to
+// with the covered segments already deleted would leave the node unable to
 // start. Safe to call without w.mu as long as each caller uses a distinct
 // suffix.
 func (w *WAL) stageManifest(man manifest, suffix string) (string, error) {
@@ -1369,11 +1306,9 @@ func (w *WAL) SetReplicationWatermark(lsn uint64) error {
 }
 
 // StreamAfter streams retained append records with LSN > after plus the marks
-// in range, per the Streamer contract. When the cut is at or past the
-// checkpoint watermark the snapshot is skipped unread — everything in it has
-// LSN <= watermark — which is the common case for a standby briefly behind.
-// A cut inside a snapshot that holds archived summaries fails with
-// ErrCompacted: the missing detail records no longer exist.
+// in range, per the Streamer contract. A cut below the manifest watermark
+// fails with ErrCompacted: a tiered flush pruned the detail records the
+// receiver is missing, so the stream cannot be rebuilt from this log alone.
 func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1399,16 +1334,7 @@ func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 		return fn(rec)
 	}
 	if w.hasMan && after < w.man.Watermark {
-		if w.man.Snapshot == "" {
-			// Tiered pruning (TruncateThrough) dropped the detail below the
-			// watermark without leaving a snapshot: the stream cannot be
-			// reconstructed from this log alone.
-			return ErrCompacted
-		}
-		path := filepath.Join(w.opts.Dir, w.man.Snapshot)
-		if _, err := scanFile(path, ckptMagic, int64(len(ckptMagic)), endExact, filter); err != nil {
-			return err
-		}
+		return ErrCompacted
 	}
 	segs, err := w.segments()
 	if err != nil {
@@ -1443,8 +1369,6 @@ func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 // still verifiably holds; the caller refills everything after it from a
 // peer's copy (replication catch-up) before resuming writes. A poisoned WAL
 // (fsync failure) refuses: quarantine cannot restore unknown durability.
-// A corrupt checkpoint snapshot also refuses — the suffix-truncation repair
-// only applies to the tail, not to checkpointed state.
 func (w *WAL) Quarantine() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1462,12 +1386,6 @@ func (w *WAL) Quarantine() (uint64, error) {
 	var lastGood uint64
 	if w.hasMan {
 		lastGood = w.man.Watermark
-		if w.man.Snapshot != "" {
-			path := filepath.Join(w.opts.Dir, w.man.Snapshot)
-			if _, err := scanFile(path, ckptMagic, int64(len(ckptMagic)), endExact, nil); err != nil {
-				return 0, fmt.Errorf("storage: quarantine: checkpoint snapshot is corrupt, restore from backup: %w", err)
-			}
-		}
 	}
 	segs, err := w.segments()
 	if err != nil {
@@ -1538,9 +1456,9 @@ func (w *WAL) Quarantine() (uint64, error) {
 	return lastGood, nil
 }
 
-// pruneLocked removes segments wholly covered by the installed checkpoint
-// and snapshots older than the current one. Best-effort: a leftover file is
-// harmless (replay skips it), so removal errors are ignored.
+// pruneLocked removes segments wholly before the installed manifest
+// position. Best-effort: a leftover file is harmless (replay skips it), so
+// removal errors are ignored.
 func (w *WAL) pruneLocked() {
 	segs, _ := w.segments()
 	for _, i := range segs {
@@ -1549,16 +1467,6 @@ func (w *WAL) pruneLocked() {
 		}
 	}
 	maps.DeleteFunc(w.segMax, func(i, _ uint64) bool { return i < w.man.Segment })
-	entries, err := os.ReadDir(w.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		var i uint64
-		if n, _ := fmt.Sscanf(e.Name(), "ckpt-%d.snap", &i); n == 1 && i < w.man.Seq {
-			os.Remove(filepath.Join(w.opts.Dir, e.Name()))
-		}
-	}
 }
 
 // syncDir fsyncs a directory so renames and creations in it are durable.

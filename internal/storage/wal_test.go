@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -111,61 +112,6 @@ func TestWALSegmentRotation(t *testing.T) {
 		if rec.LSN != uint64(i+1) {
 			t.Fatalf("record %d has LSN %d", i, rec.LSN)
 		}
-	}
-	w2.Close()
-}
-
-func TestWALCheckpointSkipsOldSegments(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(WALOptions{Dir: dir, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []WALRecord
-	for i := 1; i <= 40; i++ {
-		rec := appendRec(uint64(i), "hot")
-		if err := w.AppendBatch([]WALRecord{rec}); err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, rec)
-	}
-	// Checkpoint the full content at watermark 40.
-	err = w.Checkpoint(40, func(put func(WALRecord) error) error {
-		for _, rec := range all {
-			if err := put(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Old segments are pruned; only the active one survives.
-	segs, _ := w.segments()
-	if len(segs) != 1 {
-		t.Fatalf("expected pruning to leave one segment, got %v", segs)
-	}
-	// Tail records after the checkpoint.
-	for i := 41; i <= 45; i++ {
-		rec := appendRec(uint64(i), "tail")
-		if err := w.AppendBatch([]WALRecord{rec}); err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, rec)
-	}
-	w.Close()
-
-	w2, _ := OpenWAL(WALOptions{Dir: dir, SegmentBytes: 256})
-	got, watermark := collect(t, w2)
-	if watermark != 40 {
-		t.Fatalf("watermark = %d, want 40", watermark)
-	}
-	if len(got) != len(all) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(all))
-	}
-	if !reflect.DeepEqual(all, got) {
-		t.Fatal("checkpoint + tail replay diverged from append order")
 	}
 	w2.Close()
 }
@@ -362,22 +308,12 @@ func TestMemoryBackendContract(t *testing.T) {
 	if err := m.AppendBatch(recs[:3]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Checkpoint(3, func(put func(WALRecord) error) error {
-		for _, r := range recs[:3] {
-			if err := put(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.AppendBatch(recs[3:]); err != nil {
 		t.Fatal(err)
 	}
 	got, watermark := collect(t, m)
-	if watermark != 3 {
-		t.Fatalf("watermark = %d, want 3", watermark)
+	if watermark != 0 {
+		t.Fatalf("watermark = %d, want 0 (memory prunes nothing)", watermark)
 	}
 	if !reflect.DeepEqual(recs, got) {
 		t.Fatalf("memory replay mismatch: %d vs %d records", len(recs), len(got))
@@ -388,40 +324,6 @@ func TestMemoryBackendContract(t *testing.T) {
 	if err := m.AppendBatch(recs[:1]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
-}
-
-func TestWALCheckpointSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := OpenWAL(WALOptions{Dir: dir, Sync: SyncAlways})
-	rec := appendRec(1, "a")
-	if err := w.AppendBatch([]WALRecord{rec}); err != nil {
-		t.Fatal(err)
-	}
-	sum := entity.NewState(entity.Key{Type: "Account", ID: "gone"})
-	sum.Fields["balance"] = 77.0
-	sum.Freeze()
-	err := w.Checkpoint(1, func(put func(WALRecord) error) error {
-		if err := put(WALRecord{Kind: KindSummary, Key: sum.Key, Summary: sum}); err != nil {
-			return err
-		}
-		return put(rec)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	w2, _ := OpenWAL(WALOptions{Dir: dir})
-	got, watermark := collect(t, w2)
-	if watermark != 1 || len(got) != 2 {
-		t.Fatalf("watermark=%d records=%d, want 1/2", watermark, len(got))
-	}
-	if got[0].Kind != KindSummary || got[0].Summary.Fields["balance"] != 77.0 {
-		t.Fatalf("summary lost in checkpoint: %+v", got[0])
-	}
-	if got[1].Kind != KindAppend || got[1].LSN != 1 {
-		t.Fatalf("record lost in checkpoint: %+v", got[1])
-	}
-	w2.Close()
 }
 
 func TestWALDirLockRefusesSecondOpener(t *testing.T) {
@@ -500,33 +402,41 @@ func TestReplicationWatermarkPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestReplicationWatermarkCarriedThroughCheckpoint: the manifest rewrite of
+// a tiered prune (what a store's Checkpoint ends in) keeps the replication
+// watermark, in memory and across a reopen.
 func TestReplicationWatermarkCarriedThroughCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(WALOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	recs := []WALRecord{appendRec(1, "a"), appendRec(2, "b")}
-	if err := w.AppendBatch(recs); err != nil {
+	if err := w.AppendBatch([]WALRecord{appendRec(1, "a"), appendRec(2, "b")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.SetReplicationWatermark(7); err != nil {
 		t.Fatal(err)
 	}
-	err = w.Checkpoint(2, func(put func(WALRecord) error) error {
-		for _, rec := range recs {
-			if err := put(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	boundary, err := w.SealActive()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pruned, err := w.TruncateThrough(2, boundary); err != nil || !pruned {
+		t.Fatalf("TruncateThrough = %v, %v; want a prune", pruned, err)
+	}
 	if got := w.ReplicationWatermark(); got != 7 {
-		t.Fatalf("watermark after checkpoint = %d, want 7", got)
+		t.Fatalf("watermark after prune = %d, want 7", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(WALOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got := w2.ReplicationWatermark(); got != 7 {
+		t.Fatalf("watermark after reopen = %d, want 7", got)
 	}
 }
 
@@ -561,42 +471,6 @@ func TestStreamAfterServesTail(t *testing.T) {
 	}
 }
 
-func TestStreamAfterAcrossCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(WALOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	recs := []WALRecord{appendRec(1, "a"), appendRec(2, "b"), appendRec(3, "c")}
-	if err := w.AppendBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(3, func(put func(WALRecord) error) error {
-		for _, rec := range recs {
-			if err := put(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendBatch([]WALRecord{appendRec(4, "d")}); err != nil {
-		t.Fatal(err)
-	}
-	// Cut inside the checkpoint: snapshot records past the cut plus the tail.
-	got := streamAfter(t, w, 1)
-	if len(got) != 3 || got[0].LSN != 2 || got[2].LSN != 4 {
-		t.Fatalf("stream after 1 = %d records (LSNs %v), want 2,3,4", len(got), lsns(got))
-	}
-	// Cut at the watermark: snapshot skipped wholesale, tail only.
-	got = streamAfter(t, w, 3)
-	if len(got) != 1 || got[0].LSN != 4 {
-		t.Fatalf("stream after 3 = %v, want just LSN 4", lsns(got))
-	}
-}
-
 func lsns(recs []WALRecord) []uint64 {
 	out := make([]uint64, len(recs))
 	for i, rec := range recs {
@@ -615,21 +489,76 @@ func TestStreamAfterCompactedHistoryFailsLoudly(t *testing.T) {
 	if err := w.AppendBatch([]WALRecord{appendRec(1, "a"), appendRec(2, "a")}); err != nil {
 		t.Fatal(err)
 	}
-	// A checkpoint whose content includes an archived summary: the detail
-	// records below the compaction horizon no longer exist individually.
+	// An archived summary in a segment, as a log installed from a cut holds
+	// one: the detail records below the compaction horizon no longer exist
+	// individually, whatever the cut.
 	summary := WALRecord{Kind: KindSummary, Key: entity.Key{Type: "Account", ID: "a"}, Summary: &entity.State{}}
-	if err := w.Checkpoint(2, func(put func(WALRecord) error) error {
-		return put(summary)
-	}); err != nil {
+	if err := w.AppendBatch([]WALRecord{summary}); err != nil {
 		t.Fatal(err)
 	}
-	err = w.StreamAfter(0, func(WALRecord) error { return nil })
-	if !errors.Is(err, ErrCompacted) {
-		t.Fatalf("stream into compacted history: want ErrCompacted, got %v", err)
+	for _, after := range []uint64{0, 2} {
+		if err := w.StreamAfter(after, func(WALRecord) error { return nil }); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("stream after %d across a summary: want ErrCompacted, got %v", after, err)
+		}
 	}
-	// At or past the watermark the snapshot is skipped and streaming works.
-	if got := streamAfter(t, w, 2); len(got) != 0 {
-		t.Fatalf("stream after watermark = %v, want empty", lsns(got))
+	// Once a tiered prune drops the segment, the cut below its highest LSN
+	// still fails loudly, and one at or past it streams the tail.
+	boundary, err := w.SealActive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.TruncateThrough(2, boundary); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch([]WALRecord{appendRec(3, "a")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StreamAfter(0, func(WALRecord) error { return nil }); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("stream into pruned history: want ErrCompacted, got %v", err)
+	}
+	if got := streamAfter(t, w, 2); len(got) != 1 || got[0].LSN != 3 {
+		t.Fatalf("stream after the prune watermark = %v, want [3]", lsns(got))
+	}
+}
+
+// TestOpenWALRefusesSnapshotManifest: a data directory whose manifest names a
+// monolithic checkpoint snapshot is refused with a typed error that names the
+// backup/restore remedy. Replaying only the segments would silently lose the
+// history the snapshot holds; the directory is left as it was.
+func TestOpenWALRefusesSnapshotManifest(t *testing.T) {
+	dir := t.TempDir()
+	const snap = "ckpt-0000000001.snap"
+	rec := appendRec(1, "a")
+	frames, err := AppendFrame([]byte("SOUPCKP\x01"), &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := `{"seq":1,"snapshot":"` + snap + `","watermark":1,"segment":1,"offset":8}`
+	for name, body := range map[string][]byte{snap: frames, manifestName: []byte(man)} {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 { // the refusal releases the directory lock
+		w, err := OpenWAL(WALOptions{Dir: dir})
+		var refused *SnapshotManifestError
+		if !errors.As(err, &refused) {
+			if err == nil {
+				w.Close()
+			}
+			t.Fatalf("OpenWAL over a snapshot manifest = %v, want *SnapshotManifestError", err)
+		}
+		if refused.Snapshot != snap {
+			t.Fatalf("refusal names snapshot %q, want %q", refused.Snapshot, snap)
+		}
+		for _, remedy := range []string{"soupsctl backup", "soupsctl restore"} {
+			if !strings.Contains(err.Error(), remedy) {
+				t.Fatalf("refusal %q does not name the remedy %q", err, remedy)
+			}
+		}
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, snap)); err != nil || string(got) != string(frames) {
+		t.Fatalf("snapshot after refusal: %v (changed: %v)", err, string(got) != string(frames))
 	}
 }
 
