@@ -74,8 +74,6 @@ type Promise struct {
 	Deadline time.Time
 	Made     time.Time
 	Status   Status
-	// Terms carries free-form promise attributes (price, delivery date, ...).
-	Terms map[string]interface{}
 }
 
 // Apology records that a promise was broken, to whom, and what compensation
@@ -98,16 +96,14 @@ func (a Apology) String() string {
 	return s
 }
 
-// BreakHook is invoked when a promise is broken, so the caller can withdraw
-// the tentative LSDB record and schedule compensation process steps.
-type BreakHook func(p Promise, reason string)
-
 // Options configure a Ledger.
 type Options struct {
 	// Clock supplies time (tests inject a fake source).
 	Clock func() time.Time
-	// OnBreak is called for every broken promise (may be nil).
-	OnBreak BreakHook
+	// OnBreak is called for every broken promise (may be nil), so the
+	// caller can withdraw the tentative LSDB record and schedule
+	// compensation process steps.
+	OnBreak func(p Promise, reason string)
 	// MaxPendingPerEntity caps how many pending promises one entity may
 	// carry at once; MakeChecked refuses further promises with
 	// ErrPromiseLimit until some settle. Zero means unlimited. The plain

@@ -1,18 +1,15 @@
 // Package clock provides the logical time primitives used throughout the
-// kernel: Lamport clocks, hybrid logical clocks (HLC), version vectors and
-// dotted version vectors.
+// kernel: hybrid logical clocks (HLC), whose timestamps stamp every
+// transaction, and monotonic sequences, which number log records and queued
+// messages.
 //
-// The paper's principles 2.7 ("I remember it well") and 2.10 ("Solipsists get
-// things done quickly") require that every write be recorded as a new,
-// causally ordered version, and that conflicts between subjective replicas be
-// detectable after the fact. Logical clocks provide the ordering; version
-// vectors provide the concurrency (conflict) detection.
+// The paper's principle 2.7 ("I remember it well") requires that every write
+// be recorded as a new, ordered version; HLC timestamps give that order while
+// staying close to wall-clock time.
 package clock
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -21,10 +18,10 @@ import (
 // that issues events.
 type NodeID string
 
-// Ordering is the result of comparing two logical timestamps or vectors.
+// Ordering is the result of comparing two timestamps.
 type Ordering int
 
-// Possible results of a causality comparison.
+// Possible results of a comparison.
 const (
 	// Before means the receiver causally precedes the argument.
 	Before Ordering = iota - 1
@@ -32,8 +29,6 @@ const (
 	Equal
 	// After means the receiver causally follows the argument.
 	After
-	// Concurrent means neither dominates the other; the events conflict.
-	Concurrent
 )
 
 // String returns a human-readable name for the ordering.
@@ -45,45 +40,9 @@ func (o Ordering) String() string {
 		return "equal"
 	case After:
 		return "after"
-	case Concurrent:
-		return "concurrent"
 	default:
 		return fmt.Sprintf("Ordering(%d)", int(o))
 	}
-}
-
-// Lamport is a classic Lamport scalar clock. The zero value is ready to use.
-// All methods are safe for concurrent use.
-type Lamport struct {
-	mu  sync.Mutex
-	val uint64
-}
-
-// Now returns the current clock value without advancing it.
-func (l *Lamport) Now() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.val
-}
-
-// Tick advances the clock for a local event and returns the new value.
-func (l *Lamport) Tick() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.val++
-	return l.val
-}
-
-// Observe merges a remote timestamp into the clock (receive rule) and returns
-// the new local value.
-func (l *Lamport) Observe(remote uint64) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if remote > l.val {
-		l.val = remote
-	}
-	l.val++
-	return l.val
 }
 
 // HLC is a hybrid logical clock combining physical time with a logical
@@ -105,8 +64,8 @@ type Timestamp struct {
 	Node      NodeID
 }
 
-// Compare orders two timestamps. It returns Before, Equal or After (never
-// Concurrent, since HLC timestamps are totally ordered).
+// Compare orders two timestamps: Before, Equal or After, since HLC timestamps
+// are totally ordered.
 func (t Timestamp) Compare(o Timestamp) Ordering {
 	switch {
 	case t.WallNanos < o.WallNanos:
@@ -124,11 +83,6 @@ func (t Timestamp) Compare(o Timestamp) Ordering {
 	default:
 		return Equal
 	}
-}
-
-// IsZero reports whether the timestamp is the zero value.
-func (t Timestamp) IsZero() bool {
-	return t.WallNanos == 0 && t.Logical == 0 && t.Node == ""
 }
 
 // String renders the timestamp in a compact sortable form.
@@ -150,9 +104,6 @@ func NewHLCWithSource(node NodeID, nowFn func() time.Time) *HLC {
 	}
 	return &HLC{node: node, nowFn: nowFn}
 }
-
-// Node returns the node identity stamped onto timestamps.
-func (h *HLC) Node() NodeID { return h.node }
 
 // Now issues a timestamp for a local event (send rule).
 func (h *HLC) Now() Timestamp {
@@ -190,166 +141,6 @@ func (h *HLC) Observe(remote Timestamp) Timestamp {
 		h.logical++
 	}
 	return Timestamp{WallNanos: h.wall, Logical: h.logical, Node: h.node}
-}
-
-// VersionVector maps node identities to the count of events observed from
-// each node. It is the standard mechanism for detecting concurrent updates
-// between subjective replicas (principle 2.10).
-type VersionVector map[NodeID]uint64
-
-// NewVersionVector returns an empty version vector.
-func NewVersionVector() VersionVector { return VersionVector{} }
-
-// Clone returns a deep copy.
-func (v VersionVector) Clone() VersionVector {
-	out := make(VersionVector, len(v))
-	for k, n := range v {
-		out[k] = n
-	}
-	return out
-}
-
-// Get returns the counter for node (zero if absent).
-func (v VersionVector) Get(node NodeID) uint64 { return v[node] }
-
-// Increment bumps the counter for node and returns the new value.
-func (v VersionVector) Increment(node NodeID) uint64 {
-	v[node]++
-	return v[node]
-}
-
-// Merge folds other into v, taking the element-wise maximum.
-func (v VersionVector) Merge(other VersionVector) {
-	for k, n := range other {
-		if n > v[k] {
-			v[k] = n
-		}
-	}
-}
-
-// Merged returns a new vector that is the element-wise maximum of v and other.
-func (v VersionVector) Merged(other VersionVector) VersionVector {
-	out := v.Clone()
-	out.Merge(other)
-	return out
-}
-
-// Compare determines the causal relation between v and other.
-func (v VersionVector) Compare(other VersionVector) Ordering {
-	less, greater := false, false
-	for k, n := range v {
-		o := other[k]
-		if n < o {
-			less = true
-		} else if n > o {
-			greater = true
-		}
-	}
-	for k, o := range other {
-		if _, ok := v[k]; !ok && o > 0 {
-			less = true
-		}
-	}
-	switch {
-	case less && greater:
-		return Concurrent
-	case less:
-		return Before
-	case greater:
-		return After
-	default:
-		return Equal
-	}
-}
-
-// Dominates reports whether v has observed everything other has (v >= other).
-func (v VersionVector) Dominates(other VersionVector) bool {
-	c := v.Compare(other)
-	return c == After || c == Equal
-}
-
-// Concurrent reports whether neither vector dominates the other.
-func (v VersionVector) Concurrent(other VersionVector) bool {
-	return v.Compare(other) == Concurrent
-}
-
-// String renders the vector deterministically (sorted by node).
-func (v VersionVector) String() string {
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s:%d", k, v[NodeID(k)])
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// Dot identifies one specific event: the n-th event issued by a node.
-type Dot struct {
-	Node    NodeID
-	Counter uint64
-}
-
-// String renders the dot as node:counter.
-func (d Dot) String() string { return fmt.Sprintf("%s:%d", d.Node, d.Counter) }
-
-// DottedVersionVector pairs a causal context (the version vector of events
-// known when the write happened) with the dot of the write itself. DVVs allow
-// a replica to distinguish "newer value" from "concurrent sibling" precisely,
-// which is what the paper's infrastructure-based conflict resolution needs.
-type DottedVersionVector struct {
-	Dot     Dot
-	Context VersionVector
-}
-
-// NewDVV stamps a new write by node against the causal context ctx.
-// The context is cloned; callers may keep mutating their vector.
-func NewDVV(node NodeID, ctx VersionVector) DottedVersionVector {
-	c := ctx.Clone()
-	counter := c.Increment(node)
-	return DottedVersionVector{Dot: Dot{Node: node, Counter: counter}, Context: c}
-}
-
-// Descends reports whether d causally includes other's dot (i.e. d was made
-// with knowledge of other, so other is obsolete).
-func (d DottedVersionVector) Descends(other DottedVersionVector) bool {
-	return d.Context.Get(other.Dot.Node) >= other.Dot.Counter
-}
-
-// Compare returns the causal relation between two dotted versions.
-func (d DottedVersionVector) Compare(other DottedVersionVector) Ordering {
-	dDesc := d.Descends(other)
-	oDesc := other.Descends(d)
-	switch {
-	case d.Dot == other.Dot:
-		return Equal
-	case dDesc && !oDesc:
-		return After
-	case oDesc && !dDesc:
-		return Before
-	case dDesc && oDesc:
-		return Equal
-	default:
-		return Concurrent
-	}
-}
-
-// Join returns the version vector containing both the context and the dot,
-// i.e. everything this version has seen including itself.
-func (d DottedVersionVector) Join() VersionVector {
-	out := d.Context.Clone()
-	if out[d.Dot.Node] < d.Dot.Counter {
-		out[d.Dot.Node] = d.Dot.Counter
-	}
-	return out
 }
 
 // Sequence hands out strictly monotonically increasing identifiers. It backs

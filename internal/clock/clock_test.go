@@ -1,67 +1,10 @@
 package clock
 
 import (
-	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestLamportTickMonotonic(t *testing.T) {
-	var l Lamport
-	prev := l.Now()
-	for i := 0; i < 100; i++ {
-		v := l.Tick()
-		if v <= prev {
-			t.Fatalf("tick %d: got %d, want > %d", i, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestLamportObserve(t *testing.T) {
-	var l Lamport
-	l.Tick() // 1
-	got := l.Observe(10)
-	if got != 11 {
-		t.Fatalf("Observe(10) = %d, want 11", got)
-	}
-	got = l.Observe(5)
-	if got != 12 {
-		t.Fatalf("Observe(5) after 11 = %d, want 12", got)
-	}
-}
-
-func TestLamportConcurrentTicksUnique(t *testing.T) {
-	var l Lamport
-	const goroutines, per = 8, 200
-	seen := make(map[uint64]bool)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]uint64, 0, per)
-			for i := 0; i < per; i++ {
-				local = append(local, l.Tick())
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, v := range local {
-				if seen[v] {
-					t.Errorf("duplicate lamport value %d", v)
-				}
-				seen[v] = true
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != goroutines*per {
-		t.Fatalf("got %d unique values, want %d", len(seen), goroutines*per)
-	}
-}
 
 func TestHLCMonotonicWithFrozenPhysicalClock(t *testing.T) {
 	fixed := time.Unix(1000, 0)
@@ -124,159 +67,6 @@ func TestTimestampCompareTotalOrder(t *testing.T) {
 		if got := tc.x.Compare(tc.y); got != tc.want {
 			t.Errorf("Compare(%v,%v) = %v, want %v", tc.x, tc.y, got, tc.want)
 		}
-	}
-}
-
-func TestVersionVectorCompare(t *testing.T) {
-	a := VersionVector{"x": 1, "y": 2}
-	b := VersionVector{"x": 1, "y": 2}
-	if a.Compare(b) != Equal {
-		t.Fatalf("equal vectors not Equal")
-	}
-	b.Increment("x")
-	if a.Compare(b) != Before {
-		t.Fatalf("a should be Before b, got %v", a.Compare(b))
-	}
-	if b.Compare(a) != After {
-		t.Fatalf("b should be After a, got %v", b.Compare(a))
-	}
-	a.Increment("y")
-	if a.Compare(b) != Concurrent {
-		t.Fatalf("a and b should be Concurrent, got %v", a.Compare(b))
-	}
-	if !a.Concurrent(b) {
-		t.Fatal("Concurrent helper disagrees with Compare")
-	}
-}
-
-func TestVersionVectorCompareMissingEntries(t *testing.T) {
-	a := VersionVector{"x": 1}
-	b := VersionVector{"y": 1}
-	if a.Compare(b) != Concurrent {
-		t.Fatalf("disjoint vectors should be concurrent, got %v", a.Compare(b))
-	}
-	empty := VersionVector{}
-	if empty.Compare(a) != Before {
-		t.Fatalf("empty vs non-empty should be Before, got %v", empty.Compare(a))
-	}
-	if a.Compare(empty) != After {
-		t.Fatalf("non-empty vs empty should be After, got %v", a.Compare(empty))
-	}
-}
-
-func TestVersionVectorMerge(t *testing.T) {
-	a := VersionVector{"x": 3, "y": 1}
-	b := VersionVector{"y": 5, "z": 2}
-	m := a.Merged(b)
-	want := VersionVector{"x": 3, "y": 5, "z": 2}
-	for k, v := range want {
-		if m[k] != v {
-			t.Errorf("merged[%s] = %d, want %d", k, m[k], v)
-		}
-	}
-	if !m.Dominates(a) || !m.Dominates(b) {
-		t.Fatal("merge must dominate both inputs")
-	}
-}
-
-func TestVersionVectorCloneIsIndependent(t *testing.T) {
-	a := VersionVector{"x": 1}
-	b := a.Clone()
-	b.Increment("x")
-	if a["x"] != 1 {
-		t.Fatalf("clone mutation leaked into original: %v", a)
-	}
-}
-
-func TestVersionVectorStringDeterministic(t *testing.T) {
-	v := VersionVector{"b": 2, "a": 1, "c": 3}
-	want := "{a:1,b:2,c:3}"
-	if got := v.String(); got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-// Property: merge is commutative, associative and idempotent (a join
-// semilattice), which is what eventual convergence relies on.
-func TestVersionVectorMergeLatticeProperties(t *testing.T) {
-	gen := func(seed int64) VersionVector {
-		v := VersionVector{}
-		s := uint64(seed)
-		for i := 0; i < 4; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			node := NodeID(fmt.Sprintf("n%d", i))
-			v[node] = s % 8
-		}
-		return v
-	}
-	commutative := func(s1, s2 int64) bool {
-		a, b := gen(s1), gen(s2)
-		return a.Merged(b).Compare(b.Merged(a)) == Equal
-	}
-	associative := func(s1, s2, s3 int64) bool {
-		a, b, c := gen(s1), gen(s2), gen(s3)
-		return a.Merged(b).Merged(c).Compare(a.Merged(b.Merged(c))) == Equal
-	}
-	idempotent := func(s1 int64) bool {
-		a := gen(s1)
-		return a.Merged(a).Compare(a) == Equal
-	}
-	if err := quick.Check(commutative, nil); err != nil {
-		t.Errorf("merge not commutative: %v", err)
-	}
-	if err := quick.Check(associative, nil); err != nil {
-		t.Errorf("merge not associative: %v", err)
-	}
-	if err := quick.Check(idempotent, nil); err != nil {
-		t.Errorf("merge not idempotent: %v", err)
-	}
-}
-
-func TestDVVNewWriteDescendsContext(t *testing.T) {
-	ctx := VersionVector{"a": 2, "b": 1}
-	d := NewDVV("a", ctx)
-	if d.Dot.Counter != 3 {
-		t.Fatalf("dot counter = %d, want 3", d.Dot.Counter)
-	}
-	older := DottedVersionVector{Dot: Dot{Node: "a", Counter: 2}, Context: VersionVector{"a": 1}}
-	if !d.Descends(older) {
-		t.Fatal("new write should descend older write it observed")
-	}
-	if d.Compare(older) != After {
-		t.Fatalf("Compare = %v, want After", d.Compare(older))
-	}
-}
-
-func TestDVVConcurrentSiblings(t *testing.T) {
-	base := VersionVector{"a": 1}
-	w1 := NewDVV("b", base) // b writes having seen a:1
-	w2 := NewDVV("c", base) // c writes having seen a:1
-	if w1.Compare(w2) != Concurrent {
-		t.Fatalf("independent writes should be Concurrent, got %v", w1.Compare(w2))
-	}
-	// A third write that has seen both should dominate both.
-	merged := w1.Join().Merged(w2.Join())
-	w3 := NewDVV("a", merged)
-	if w3.Compare(w1) != After || w3.Compare(w2) != After {
-		t.Fatal("write with merged context should dominate both siblings")
-	}
-}
-
-func TestDVVEqualSameDot(t *testing.T) {
-	d := NewDVV("a", VersionVector{})
-	if d.Compare(d) != Equal {
-		t.Fatalf("same dot should compare Equal, got %v", d.Compare(d))
-	}
-}
-
-func TestDVVJoinIncludesDot(t *testing.T) {
-	d := NewDVV("a", VersionVector{"b": 4})
-	j := d.Join()
-	if j["a"] != d.Dot.Counter {
-		t.Fatalf("join missing own dot: %v", j)
-	}
-	if j["b"] != 4 {
-		t.Fatalf("join lost context: %v", j)
 	}
 }
 
@@ -389,7 +179,7 @@ func TestSequenceAdvanceTo(t *testing.T) {
 }
 
 func TestOrderingString(t *testing.T) {
-	cases := map[Ordering]string{Before: "before", Equal: "equal", After: "after", Concurrent: "concurrent"}
+	cases := map[Ordering]string{Before: "before", Equal: "equal", After: "after"}
 	for o, want := range cases {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(o), o.String(), want)

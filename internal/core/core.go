@@ -226,7 +226,7 @@ type Kernel struct {
 	byIndex  []*unit // creation order: byIndex[i] owns unit-i (replication's unit numbering)
 	shipper  *replica.Shipper
 	unitIDs  []partition.UnitID
-	dir      *partition.Directory
+	locator  *partition.HashLocator
 	locks    *locks.Manager
 	hlc      *clock.HLC
 	ledger   *apology.Ledger
@@ -289,10 +289,10 @@ func Open(opts Options) (*Kernel, error) {
 	if opts.UnitBackends != nil && len(opts.UnitBackends) != opts.Units {
 		return nil, fmt.Errorf("core: %d unit backends for %d units", len(opts.UnitBackends), opts.Units)
 	}
-	locator := partition.NewHashLocator(64)
+	k.locator = partition.NewHashLocator(64)
 	for i := 0; i < opts.Units; i++ {
 		id := partition.UnitID(fmt.Sprintf("%s-u%d", opts.Node, i))
-		if err := locator.AddUnit(id); err != nil {
+		if err := k.locator.AddUnit(id); err != nil {
 			return nil, err
 		}
 		db, err := openUnitStore(opts, id, i)
@@ -322,7 +322,6 @@ func Open(opts Options) (*Kernel, error) {
 		k.unitIDs = append(k.unitIDs, id)
 	}
 	sort.Slice(k.unitIDs, func(i, j int) bool { return k.unitIDs[i] < k.unitIDs[j] })
-	k.dir = partition.NewDirectory(locator)
 	if r := opts.Replication; r != nil && len(r.Standbys) > 0 {
 		self := r.Self
 		if self == "" {
@@ -455,13 +454,13 @@ func (k *Kernel) routeQueue(ev *queue.Event) *queue.Queue {
 
 // unitFor returns the unit owning the key.
 func (k *Kernel) unitFor(key entity.Key) (*unit, error) {
-	id, err := k.dir.Locate(key)
+	id, err := k.locator.Locate(key)
 	if err != nil {
 		return nil, err
 	}
 	u, ok := k.units[id]
 	if !ok {
-		return nil, fmt.Errorf("core: directory points at unknown unit %s", id)
+		return nil, fmt.Errorf("core: locator points at unknown unit %s", id)
 	}
 	return u, nil
 }
@@ -1324,8 +1323,11 @@ func (k *Kernel) AggregateStaleness() int {
 
 // --- Promises and apologies -----------------------------------------------------
 
-// onPromiseBroken withdraws the tentative record backing a broken promise.
+// onPromiseBroken counts a broken promise and withdraws the tentative record
+// backing it. The ledger calls it once per broken promise, whichever way the
+// promise broke.
 func (k *Kernel) onPromiseBroken(p apology.Promise, reason string) {
+	k.inst.promiseBroken.Inc()
 	k.inst.apologyIssued.Inc()
 	if p.TxnID != "" {
 		k.withdraw(p.Entity, p.TxnID)
@@ -1359,55 +1361,36 @@ func (k *Kernel) BreakPromise(id, reason, compensation string) (apology.Apology,
 }
 
 // ResolveOverbooking settles pending promises for an entity against actual
-// availability, keeping them first-come-first-served.
+// availability, keeping them first-come-first-served. The promises it breaks
+// are counted and withdrawn by the ledger's break hook.
 func (k *Kernel) ResolveOverbooking(key entity.Key, available float64, reason, compensation string) (int, []apology.Apology, error) {
-	kept, apologies, err := k.ledger.ResolveOverbooking(key, available, reason, compensation)
-	if err != nil {
-		return kept, apologies, err
-	}
-	for range apologies {
-		// Confirm is not needed for broken promises; the OnBreak hook already
-		// withdrew the tentative records.
-		k.inst.promiseBroken.Inc()
-	}
-	for _, p := range k.ledger.PendingFor(key) {
-		_ = p // remaining pending promises stay tentative
-	}
-	return kept, apologies, nil
+	return k.ledger.ResolveOverbooking(key, available, reason, compensation)
 }
 
 // --- Schema migration -----------------------------------------------------------
 
 // Migrate applies a schema migration across every unit using the given
-// strategy and returns the aggregated progress.
+// strategy and returns the aggregated progress: the registry proposes the
+// new version once, every unit's store registers it, and then each unit runs
+// the same backfill loop.
 func (k *Kernel) Migrate(m migrate.Migration, strategy migrate.Strategy, batchSize int) (migrate.Progress, error) {
 	var total migrate.Progress
-	for i, id := range k.unitIDs {
-		u := k.units[id]
-		migrator := migrate.NewMigrator(k.registry, u.db, u.mgr, k.locks)
-		if i > 0 {
-			// The registry already advanced for the first unit; re-registering
-			// the same change would bump the version again, so apply the
-			// already-registered active type to the remaining units directly.
-			active, err := k.registry.Active(m.Type)
-			if err != nil {
-				return total, err
-			}
-			if err := u.db.RegisterType(active.Type); err != nil {
-				return total, err
-			}
-			p, err := backfillUnit(u, m, strategy, k.locks, batchSize)
-			if err != nil {
-				return total, err
-			}
-			accumulate(&total, p)
-			continue
+	vt, err := k.registry.Propose(m)
+	if err != nil {
+		return total, err
+	}
+	for _, id := range k.unitIDs {
+		if err := k.units[id].db.RegisterType(vt.Type); err != nil {
+			return total, err
 		}
-		_, p, err := migrator.Apply(m, strategy, batchSize)
+	}
+	for _, id := range k.unitIDs {
+		u := k.units[id]
+		p, err := migrate.NewMigrator(k.registry, u.db, u.mgr, k.locks).Backfill(m, strategy, batchSize)
+		accumulate(&total, p)
 		if err != nil {
 			return total, err
 		}
-		accumulate(&total, p)
 	}
 	return total, nil
 }
@@ -1418,45 +1401,6 @@ func accumulate(total *migrate.Progress, p migrate.Progress) {
 	total.Skipped += p.Skipped
 	total.Errors += p.Errors
 	total.Elapsed += p.Elapsed
-}
-
-// backfillUnit runs the backfill of an already-registered migration against
-// one additional unit.
-func backfillUnit(u *unit, m migrate.Migration, strategy migrate.Strategy, lm *locks.Manager, batchSize int) (migrate.Progress, error) {
-	var progress migrate.Progress
-	if m.Backfill == nil {
-		return progress, nil
-	}
-	start := time.Now()
-	if strategy == migrate.StopTheWorld {
-		owner := locks.Owner("migration:" + m.Type + ":" + string(u.id))
-		if err := lm.Acquire(owner, migrate.MigrationLockResource(m.Type), locks.Exclusive, 0, 30*time.Second); err != nil {
-			return progress, err
-		}
-		defer lm.ReleaseAll(owner)
-	}
-	for _, key := range u.db.KeysOfType(m.Type) {
-		progress.Entities++
-		st, _, err := u.db.Current(key)
-		if err != nil {
-			progress.Errors++
-			continue
-		}
-		ops := m.Backfill(st)
-		if len(ops) == 0 {
-			progress.Skipped++
-			continue
-		}
-		if _, err := u.mgr.Run(txn.Solipsistic, nil, 0, func(t *txn.Txn) error {
-			return t.Update(key, ops...)
-		}); err != nil {
-			progress.Errors++
-			continue
-		}
-		progress.Backfills++
-	}
-	progress.Elapsed = time.Since(start)
-	return progress, nil
 }
 
 // --- Setup helper ----------------------------------------------------------------

@@ -376,6 +376,61 @@ func TestKernelMigration(t *testing.T) {
 	}
 }
 
+// An online migration yields after every batch on every unit, not only on
+// the first: with a batch of one, each of the 40 backfilled entities costs
+// the backfill a pause, whichever unit holds it.
+func TestMigrateOnlineYieldsOnEveryUnit(t *testing.T) {
+	k := newKernel(t, Options{Node: "n1", Units: 4})
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, err := k.Update(orderKey(fmt.Sprintf("O%d", i)), entity.Set("status", "OPEN")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	progress, err := k.Migrate(migrate.Migration{
+		Type:      "Order",
+		AddFields: []entity.Field{{Name: "channel", Type: entity.String}},
+		Backfill: func(st *entity.State) []entity.Op {
+			return []entity.Op{entity.Set("channel", "direct")}
+		},
+	}, migrate.Online, 1)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	if progress.Backfills != n {
+		t.Fatalf("progress = %+v, want %d backfills", progress, n)
+	}
+	if wall < n*time.Millisecond {
+		t.Fatalf("backfill of %d entities in batches of 1 took %v, want >= %v: some unit did not yield", n, wall, n*time.Millisecond)
+	}
+}
+
+// BreakPromise counts the broken promise, as ResolveOverbooking does for the
+// promises it breaks: both go through the ledger's break hook.
+func TestBreakPromiseCountsBroken(t *testing.T) {
+	k := newKernel(t, Options{Node: "n1"})
+	key := entity.Key{Type: "Book", ID: "bestseller"}
+	k.Update(key, entity.Set("stock", 5))
+	p, err := k.UpdateTentative(key, "alice", "order-confirmation", 1, entity.Delta("stock", -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.BreakPromise(p.ID, "warehouse fire", "refund"); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.Metrics().Counter("promise.broken").Value(); got != 1 {
+		t.Fatalf("promise.broken = %d after one BreakPromise, want 1", got)
+	}
+	if got := k.Metrics().Counter("apology.issued").Value(); got != 1 {
+		t.Fatalf("apology.issued = %d, want 1", got)
+	}
+	if st, _ := k.Read(key); st.Int("stock") != 5 {
+		t.Fatalf("stock = %d, want 5: the broken promise's reservation is withdrawn", st.Int("stock"))
+	}
+}
+
 func TestUpdateUnknownTypeFails(t *testing.T) {
 	k := newKernel(t, Options{Node: "n1"})
 	if _, err := k.Update(entity.Key{Type: "Ghost", ID: "1"}, entity.Set("x", 1)); !errors.Is(err, lsdb.ErrUnknownType) {

@@ -1286,7 +1286,6 @@ type Version struct {
 	Ops       []Op
 	State     *State
 	Stamp     clock.Timestamp
-	DVV       clock.DottedVersionVector
 	Tentative bool
 	// Obsolete marks a tentative version whose promise was withdrawn; it
 	// stays in the history for audit and apology purposes.

@@ -35,9 +35,6 @@ func (c Class) String() string {
 	}
 }
 
-// Classes lists all operation classes in scoreboard order.
-func Classes() []Class { return []Class{Submit, Read, Query} }
-
 // Request is one generated HTTP request against soupsd's surface.
 type Request struct {
 	Scenario string

@@ -132,7 +132,13 @@ func (m *Manager) Acquire(owner Owner, resource string, mode Mode, ttl, timeout 
 			return fmt.Errorf("%w: %s on %s", ErrTimeout, owner, resource)
 		}
 		m.waits++
-		waker := time.AfterFunc(2*time.Millisecond, func() { m.cond.Broadcast() })
+		// The waker takes the lock, so it cannot broadcast before Wait is
+		// waiting: a wake-up lost that way would block the caller for good.
+		waker := time.AfterFunc(2*time.Millisecond, func() {
+			m.mu.Lock()
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		})
 		m.cond.Wait()
 		waker.Stop()
 	}

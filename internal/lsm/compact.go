@@ -107,11 +107,6 @@ func (s *Store) CompactNow() error {
 		s.compactFailures.Add(1)
 		return err
 	}
-	if h := s.opts.Hooks; h != nil && h.CompactErr != nil {
-		if err := h.CompactErr(); err != nil {
-			return fail(fmt.Errorf("lsm: compact: %w", err))
-		}
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -155,7 +150,7 @@ func (s *Store) CompactNow() error {
 	man := s.man
 	man.Seq++
 	man.NextTable = s.nextSeq.Load()
-	var keep []TableMeta
+	var keep []tableMeta
 	for _, m := range s.man.Tables {
 		if !dead[m.Name] {
 			keep = append(keep, m)

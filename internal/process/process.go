@@ -244,8 +244,8 @@ type step struct {
 
 // doneWindow is how many executed step identities an engine remembers (at
 // least the newest half of them, see doneSet). A duplicate delivery arrives
-// close behind the original — a transport duplicate is next in the entity's
-// mailbox, a lease redelivery or client resubmission follows within a
+// close behind the original — a redelivery after an unsettled release is
+// next in the entity's mailbox, a client resubmission follows within a
 // timeout — and the set must not grow with the life of the process. The
 // window is a count, not a time: at full rate it is short. At about 170k
 // steps/s (the repository benchmark's kernel_events workload on a 2-core

@@ -17,22 +17,17 @@
 // back the entity's later messages (head-of-line blocking per entity, never
 // across entities). Enqueue, claim and ack are O(1) in the backlog.
 //
-// There are two ways to consume, both over the same mailboxes:
-//
-//   - Claim / TryClaim take ownership of a whole entity. The owner pops its
-//     messages with Mailbox.Next, settles them in place with Ack or Retry,
-//     and gives the entity back with Release. This is what the process
-//     engine's workers use; ownership has no timeout.
-//   - Dequeue / DequeueWait take ownership for exactly one message under a
-//     visibility lease: Ack or Nack settles it and releases the entity, and
-//     a lease that outlives VisibilityTimeout is redelivered.
+// A consumer takes ownership of a whole entity with Claim or TryClaim, pops
+// its messages with Mailbox.Next, settles them in place with Ack or Retry,
+// and gives the entity back with Release. This is what the process engine's
+// workers do; ownership has no timeout, and an entity released with messages
+// unsettled has them redelivered.
 package queue
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,10 +37,6 @@ import (
 
 // Common errors.
 var (
-	// ErrEmpty is returned by Dequeue when no message is deliverable.
-	ErrEmpty = errors.New("queue: empty")
-	// ErrUnknownLease is returned by Ack/Nack for an unknown or expired lease.
-	ErrUnknownLease = errors.New("queue: unknown lease")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("queue: closed")
 	// ErrOverloaded is returned by Enqueue when the queue is past its
@@ -101,24 +92,15 @@ type Message struct {
 
 // Options configure a Queue.
 type Options struct {
-	// VisibilityTimeout is how long a message handed out by Dequeue stays
-	// invisible before it is redelivered if not acknowledged. Zero uses 30s.
-	// Claim owners hold their entity without a timeout.
-	VisibilityTimeout time.Duration
 	// MaxAttempts moves a message to the dead-letter list after this many
 	// failed deliveries. Zero uses 10.
 	MaxAttempts int
 	// Clock supplies time; tests and the simulator inject a fake source.
 	Clock func() time.Time
-	// DuplicateEvery, when positive, redelivers every Nth acknowledged
-	// message once more. It models an unreliable transport with duplicate
-	// delivery so tests can demonstrate that idempotent consumers cope
-	// (principle 2.4).
-	DuplicateEvery int
 	// MaxDepth is the admission-control high-water mark: an Enqueue that
 	// would grow the backlog — every accepted message not yet handed to a
-	// consumer — past it is shed with ErrOverloaded. Redeliveries (Retry,
-	// Nack, visibility expiry) are exempt — accepted work is never dropped
+	// consumer — past it is shed with ErrOverloaded. Redeliveries (Retry, an
+	// unsettled Release) are exempt — accepted work is never dropped
 	// by backpressure, so per-entity order is untouched. Zero disables
 	// shedding.
 	MaxDepth int
@@ -137,14 +119,14 @@ type Stats struct {
 }
 
 // Queue is a reliable queue of per-entity mailboxes with at-least-once
-// delivery, visibility timeouts, retry backoff and a dead-letter list. All
-// methods are safe for concurrent use.
+// delivery, retry backoff and a dead-letter list. All methods are safe for
+// concurrent use.
 type Queue struct {
 	opts Options
 	name string
 
 	mu    sync.Mutex
-	cond  *sync.Cond // signals consumers blocked in Claim and DequeueWait
+	cond  *sync.Cond // signals consumers blocked in Claim
 	seq   clock.Sequence
 	boxes map[entity.Key]*Mailbox
 	free  []*Mailbox // retired mailboxes, reused for the next new entity; at most maxFree
@@ -157,17 +139,10 @@ type Queue struct {
 	runHead, runTail *Mailbox
 	parked           parkedHeap // unowned mailboxes whose head is delayed
 	pending          int        // accepted messages not currently handed out
-	// leased maps a message handed out by Dequeue to the mailbox its lease
-	// owns. nextExpiry is no later than the earliest lease deadline; the
-	// reclaim scan is skipped until it passes.
-	leased     map[uint64]*Mailbox
-	nextExpiry time.Time
-	dead       []*Message
-	closed     bool
-	dupTick    int
+	dead             []*Message
+	closed           bool
 
 	stats Stats
-	acked uint64
 	// shed counts enqueues refused by the MaxDepth high-water mark;
 	// deadlineDropped counts messages discarded because their event deadline
 	// passed before delivery.
@@ -187,10 +162,9 @@ type Mailbox struct {
 	head, tail, last *Message
 	n, out           int
 
-	topic     string    // the owner's topic filter
-	lastOwner int       // 1 + worker of the previous Claim; 0 when none
-	next      *Mailbox  // run-list link
-	leaseEnd  time.Time // visibility deadline when the owner is a Dequeue
+	topic     string   // the owner's topic filter
+	lastOwner int      // 1 + worker of the previous Claim; 0 when none
+	next      *Mailbox // run-list link
 }
 
 // parkedHeap orders parked mailboxes by when their head becomes deliverable
@@ -212,16 +186,13 @@ func (h *parkedHeap) Pop() interface{} {
 // New creates a queue with the given name (typically the topic or the
 // destination serialization unit).
 func New(name string, opts Options) *Queue {
-	if opts.VisibilityTimeout <= 0 {
-		opts.VisibilityTimeout = 30 * time.Second
-	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 10
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	q := &Queue{opts: opts, name: name, boxes: map[entity.Key]*Mailbox{}, leased: map[uint64]*Mailbox{}}
+	q := &Queue{opts: opts, name: name, boxes: map[entity.Key]*Mailbox{}}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -312,9 +283,8 @@ func (q *Queue) scheduleLocked(mb *Mailbox, now time.Time) {
 
 // claimLocked gives the caller ownership of the first runnable mailbox whose
 // head is on topic (any when topic is empty), with that head handed out.
-// worker identifies a Claim caller for the steal count; Dequeue passes -1.
+// worker identifies a Claim caller for the steal count; TryClaim passes -1.
 func (q *Queue) claimLocked(topic string, worker int, now time.Time) (*Mailbox, *Message) {
-	q.reclaimExpiredLocked(now)
 	for len(q.parked) > 0 && !q.parked[0].head.NotBefore.After(now) {
 		q.scheduleLocked(heap.Pop(&q.parked).(*Mailbox), now)
 	}
@@ -409,31 +379,12 @@ func (q *Queue) popLocked(mb *Mailbox) *Message {
 	return m
 }
 
-// ackLocked removes every handed-out message for good (except when the
-// configured duplicate-delivery fault injection puts a copy back at the
-// head, where its original enqueue position was).
+// ackLocked removes every handed-out message for good.
 func (q *Queue) ackLocked(mb *Mailbox) {
-	var dups []*Message
 	for ; mb.out > 0; mb.out-- {
-		m := q.popLocked(mb)
-		q.acked++
-		if q.opts.DuplicateEvery > 0 {
-			if q.dupTick++; q.dupTick%q.opts.DuplicateEvery == 0 {
-				dup := *m
-				dups = append(dups, &dup)
-			}
-		}
-		q.retireLocked(m)
+		q.retireLocked(q.popLocked(mb))
 	}
 	mb.last = nil
-	for i := len(dups) - 1; i >= 0; i-- {
-		dups[i].next = mb.head
-		if mb.head = dups[i]; mb.tail == nil {
-			mb.tail = dups[i]
-		}
-		mb.n++
-		q.pending++
-	}
 }
 
 // retryLocked returns every handed-out message to the mailbox, in place, and
@@ -489,7 +440,7 @@ func (q *Queue) Claim(topic string, worker int, stop <-chan struct{}) (*Mailbox,
 		if mb, m := q.claimLocked(topic, worker, q.opts.Clock()); mb != nil {
 			return mb, m
 		}
-		q.waitLocked(forever)
+		q.waitLocked()
 	}
 }
 
@@ -503,38 +454,27 @@ func (q *Queue) TryClaim(topic string) (*Mailbox, *Message) {
 	return q.claimLocked(topic, -1, q.opts.Clock())
 }
 
-// Wake makes every blocked Claim and DequeueWait re-check its conditions.
+// Wake makes every blocked Claim re-check its conditions.
 func (q *Queue) Wake() {
 	q.mu.Lock()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
-const (
-	forever = time.Duration(1<<63 - 1)
-	// maxFree bounds the retired mailboxes, and the retired messages, kept
-	// for reuse: enough for the entities in flight between workers, not a
-	// drained backlog's worth.
-	maxFree = 1024
-)
+// maxFree bounds the retired mailboxes, and the retired messages, kept for
+// reuse: enough for the entities in flight between workers, not a drained
+// backlog's worth.
+const maxFree = 1024
 
-// waitLocked blocks until a Broadcast, the limit, or the moment a parked
-// mailbox or a visibility lease comes due — those become deliverable by
-// time passing, not by a Broadcast.
-func (q *Queue) waitLocked(limit time.Duration) {
-	now := q.opts.Clock()
-	if len(q.parked) > 0 {
-		limit = min(limit, q.parked[0].head.NotBefore.Sub(now))
-	}
-	if len(q.leased) > 0 {
-		limit = min(limit, q.nextExpiry.Sub(now))
-	}
-	if limit == forever {
+// waitLocked blocks until a Broadcast or the moment a parked mailbox comes
+// due — that becomes deliverable by time passing, not by a Broadcast.
+func (q *Queue) waitLocked() {
+	if len(q.parked) == 0 {
 		q.cond.Wait()
 		return
 	}
 	// Wake takes the lock, so the timer cannot fire before Wait is waiting.
-	waker := time.AfterFunc(limit, q.Wake)
+	waker := time.AfterFunc(q.parked[0].head.NotBefore.Sub(q.opts.Clock()), q.Wake)
 	q.cond.Wait()
 	waker.Stop()
 }
@@ -593,130 +533,12 @@ func (mb *Mailbox) Release() {
 	q.releaseLocked(mb, now)
 }
 
-// Dequeue returns the next deliverable message for the topic (any topic when
-// topic is empty) and leases it, and with it its entity, for the visibility
-// timeout: the entity's later messages are withheld until the caller settles
-// this one with Ack or Nack, or the lease expires. Returns ErrEmpty when
-// nothing is deliverable right now.
-func (q *Queue) Dequeue(topic string) (*Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dequeueLocked(topic)
-}
-
-func (q *Queue) dequeueLocked(topic string) (*Message, error) {
-	if q.closed {
-		return nil, ErrClosed
-	}
-	now := q.opts.Clock()
-	mb, m := q.claimLocked(topic, -1, now)
-	if mb == nil {
-		return nil, ErrEmpty
-	}
-	mb.leaseEnd = now.Add(q.opts.VisibilityTimeout)
-	if len(q.leased) == 0 || mb.leaseEnd.Before(q.nextExpiry) {
-		q.nextExpiry = mb.leaseEnd
-	}
-	q.leased[m.ID] = mb
-	// Blocked consumers must wake in time to reclaim this lease.
-	q.cond.Broadcast()
-	// The caller gets a copy: after its lease expires the message is
-	// redelivered and counted again while the caller may still be reading.
-	cp := *m
-	cp.next = nil
-	return &cp, nil
-}
-
-// DequeueWait blocks until a message is available for the topic, the timeout
-// elapses (returning ErrEmpty), or the queue is closed.
-func (q *Queue) DequeueWait(topic string, timeout time.Duration) (*Message, error) {
-	deadline := time.Now().Add(timeout)
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		m, err := q.dequeueLocked(topic)
-		if !errors.Is(err, ErrEmpty) {
-			return m, err
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return nil, ErrEmpty
-		}
-		q.waitLocked(left)
-	}
-}
-
-// reclaimExpiredLocked ends leases whose visibility timeout has passed: the
-// message is redelivered (at-least-once) from the head of its mailbox. The
-// scan is skipped while the earliest lease deadline is still in the future.
-func (q *Queue) reclaimExpiredLocked(now time.Time) {
-	if len(q.leased) == 0 || now.Before(q.nextExpiry) {
-		return
-	}
-	next := time.Time{}
-	for id, mb := range q.leased {
-		if now.After(mb.leaseEnd) {
-			delete(q.leased, id)
-			q.releaseLocked(mb, now)
-		} else if next.IsZero() || mb.leaseEnd.Before(next) {
-			next = mb.leaseEnd
-		}
-	}
-	q.nextExpiry = next
-}
-
-// settleLocked ends the lease on message id and returns its mailbox.
-func (q *Queue) settleLocked(id uint64) (*Mailbox, error) {
-	mb, ok := q.leased[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, id)
-	}
-	delete(q.leased, id)
-	return mb, nil
-}
-
-// Ack acknowledges a leased message, removing it permanently (except when the
-// configured duplicate-delivery fault injection re-enqueues it once).
-func (q *Queue) Ack(id uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	mb, err := q.settleLocked(id)
-	if err != nil {
-		return err
-	}
-	q.ackLocked(mb)
-	q.releaseLocked(mb, q.opts.Clock())
-	return nil
-}
-
-// Nack returns a leased message to the head of its mailbox after the given
-// backoff. After MaxAttempts the message is dead-lettered instead.
-func (q *Queue) Nack(id uint64, backoff time.Duration) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	mb, err := q.settleLocked(id)
-	if err != nil {
-		return err
-	}
-	now := q.opts.Clock()
-	q.retryLocked(mb, backoff, now)
-	q.releaseLocked(mb, now)
-	return nil
-}
-
 // Len returns the backlog: accepted messages, deliverable or delayed, that
 // are not in a consumer's hands (and not dead-lettered).
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.pending
-}
-
-// InFlight returns the number of currently leased messages.
-func (q *Queue) InFlight() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.leased)
 }
 
 // DeadLetters returns a copy of the dead-letter list.
@@ -737,13 +559,6 @@ func (q *Queue) Stats() Stats {
 	return q.stats
 }
 
-// Acked returns the number of acknowledged deliveries.
-func (q *Queue) Acked() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.acked
-}
-
 // Shed returns the number of enqueues refused by the MaxDepth high-water
 // mark (admission control).
 func (q *Queue) Shed() uint64 {
@@ -760,8 +575,7 @@ func (q *Queue) DeadlineDropped() uint64 {
 	return q.deadlineDropped
 }
 
-// Close shuts the queue; blocked Claim calls return nil and blocked
-// DequeueWait calls ErrClosed.
+// Close shuts the queue; blocked Claim calls return nil.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -832,134 +646,4 @@ func (o *Outbox) Discard() int {
 	n := len(o.staged)
 	o.staged = nil
 	return n
-}
-
-// Dedup tracks processed identities so at-least-once consumers can make
-// their handling idempotent: Seen returns true the second time an id is
-// presented. The zero value is not usable; construct with NewDedup.
-type Dedup struct {
-	mu   sync.Mutex
-	seen map[string]bool
-	// order retains insertion order so the window can be bounded.
-	order []string
-	limit int
-}
-
-// NewDedup creates a dedup window retaining at most limit ids (0 means
-// unbounded).
-func NewDedup(limit int) *Dedup {
-	return &Dedup{seen: map[string]bool{}, limit: limit}
-}
-
-// Seen records id and reports whether it had been seen before.
-func (d *Dedup) Seen(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.seen[id] {
-		return true
-	}
-	d.seen[id] = true
-	d.order = append(d.order, id)
-	if d.limit > 0 && len(d.order) > d.limit {
-		evict := d.order[0]
-		d.order = d.order[1:]
-		delete(d.seen, evict)
-	}
-	return false
-}
-
-// Size returns the number of ids currently tracked.
-func (d *Dedup) Size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.seen)
-}
-
-// Broker routes events to named queues (one queue per destination
-// serialization unit or per topic family). It keeps enqueue local: the
-// sender writes to its broker, and a shipping goroutine (the replication or
-// process infrastructure) moves messages between brokers asynchronously.
-type Broker struct {
-	opts Options
-
-	mu     sync.RWMutex
-	queues map[string]*Queue
-}
-
-// NewBroker creates an empty broker whose queues share opts.
-func NewBroker(opts Options) *Broker {
-	return &Broker{opts: opts, queues: map[string]*Queue{}}
-}
-
-// Queue returns the named queue, creating it on first use.
-func (b *Broker) Queue(name string) *Queue {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q, ok := b.queues[name]
-	if !ok {
-		q = New(name, b.opts)
-		b.queues[name] = q
-	}
-	return q
-}
-
-// Names returns the names of all queues, sorted.
-func (b *Broker) Names() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.queues))
-	for n := range b.queues {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Depth returns the total number of pending messages across all queues.
-func (b *Broker) Depth() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	total := 0
-	for _, q := range b.queues {
-		total += q.Len()
-	}
-	return total
-}
-
-// Close closes every queue.
-func (b *Broker) Close() {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for _, q := range b.queues {
-		q.Close()
-	}
-}
-
-// Consume runs a handler loop on one queue: it dequeues messages for topic,
-// invokes handler, acks on nil error and nacks with the given backoff
-// otherwise. It returns when the queue is closed or stop is closed. Handlers
-// are expected to be idempotent; Consume pairs naturally with Dedup.
-func Consume(q *Queue, topic string, stop <-chan struct{}, backoff time.Duration, handler func(*Message) error) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		m, err := q.DequeueWait(topic, 50*time.Millisecond)
-		if errors.Is(err, ErrClosed) {
-			return
-		}
-		if errors.Is(err, ErrEmpty) {
-			continue
-		}
-		if err != nil {
-			return
-		}
-		if herr := handler(m); herr != nil {
-			_ = q.Nack(m.ID, backoff)
-			continue
-		}
-		_ = q.Ack(m.ID)
-	}
 }

@@ -17,6 +17,13 @@ func ev(name, key string) Event {
 	return Event{Name: name, Entity: entity.Key{Type: "Order", ID: key}, TxnID: "txn-" + key}
 }
 
+// settle acknowledges a claimed mailbox's messages and gives the entity back,
+// as a consumer that executed them does.
+func settle(mb *Mailbox) {
+	mb.Ack()
+	mb.Release()
+}
+
 func TestEnqueueDequeueAckFIFO(t *testing.T) {
 	q := New("unit-1", Options{})
 	for i := 0; i < 3; i++ {
@@ -28,23 +35,21 @@ func TestEnqueueDequeueAckFIFO(t *testing.T) {
 		t.Fatalf("Len = %d", q.Len())
 	}
 	for i := 0; i < 3; i++ {
-		m, err := q.Dequeue("orders")
-		if err != nil {
-			t.Fatalf("Dequeue: %v", err)
+		mb, m := q.TryClaim("orders")
+		if mb == nil {
+			t.Fatalf("TryClaim %d: nothing claimable", i)
 		}
 		want := fmt.Sprintf("O%d", i)
 		if m.Event.Entity.ID != want {
 			t.Fatalf("FIFO violated: got %s, want %s", m.Event.Entity.ID, want)
 		}
-		if err := q.Ack(m.ID); err != nil {
-			t.Fatalf("Ack: %v", err)
-		}
+		settle(mb)
 	}
-	if _, err := q.Dequeue("orders"); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty, got %v", err)
+	if mb, m := q.TryClaim("orders"); mb != nil {
+		t.Fatalf("drained queue handed out %v", m)
 	}
-	if q.Acked() != 3 {
-		t.Fatalf("Acked = %d", q.Acked())
+	if q.Len() != 0 || q.nFreeMsg != 3 {
+		t.Fatalf("Len = %d, recycled %d; want 0, 3 (every message acknowledged)", q.Len(), q.nFreeMsg)
 	}
 }
 
@@ -52,79 +57,14 @@ func TestDequeueTopicFilter(t *testing.T) {
 	q := New("unit-1", Options{})
 	q.Enqueue("orders", ev("order.created", "O1"))
 	q.Enqueue("inventory", ev("inventory.reserved", "I1"))
-	m, err := q.Dequeue("inventory")
-	if err != nil || m.Event.Name != "inventory.reserved" {
-		t.Fatalf("topic filter broken: %v %v", m, err)
+	mb, m := q.TryClaim("inventory")
+	if mb == nil || m.Event.Name != "inventory.reserved" {
+		t.Fatalf("topic filter broken: %v", m)
 	}
-	q.Ack(m.ID)
+	settle(mb)
 	// Empty topic matches anything.
-	m, err = q.Dequeue("")
-	if err != nil || m.Event.Name != "order.created" {
-		t.Fatalf("wildcard dequeue broken: %v %v", m, err)
-	}
-}
-
-func TestVisibilityTimeoutRedelivery(t *testing.T) {
-	now := time.Unix(0, 0)
-	q := New("unit-1", Options{VisibilityTimeout: 10 * time.Second, Clock: func() time.Time { return now }})
-	q.Enqueue("t", ev("e", "1"))
-	m1, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatalf("Dequeue: %v", err)
-	}
-	// Not acked; before the timeout nothing is deliverable.
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("message visible during lease: %v", err)
-	}
-	if q.InFlight() != 1 {
-		t.Fatalf("InFlight = %d", q.InFlight())
-	}
-	// After the timeout the message is redelivered (at-least-once).
-	now = now.Add(11 * time.Second)
-	m2, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatalf("redelivery failed: %v", err)
-	}
-	if m2.ID != m1.ID {
-		t.Fatalf("redelivered a different message: %d vs %d", m2.ID, m1.ID)
-	}
-	if m2.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2", m2.Attempts)
-	}
-	// Acking the expired first lease fails; acking the new one succeeds.
-	if err := q.Ack(m2.ID); err != nil {
-		t.Fatalf("Ack after redelivery: %v", err)
-	}
-}
-
-func TestAckUnknownLease(t *testing.T) {
-	q := New("unit-1", Options{})
-	if err := q.Ack(42); !errors.Is(err, ErrUnknownLease) {
-		t.Fatalf("want ErrUnknownLease, got %v", err)
-	}
-	if err := q.Nack(42, time.Second); !errors.Is(err, ErrUnknownLease) {
-		t.Fatalf("want ErrUnknownLease, got %v", err)
-	}
-}
-
-func TestNackBackoffAndRedelivery(t *testing.T) {
-	now := time.Unix(0, 0)
-	q := New("unit-1", Options{Clock: func() time.Time { return now }})
-	q.Enqueue("t", ev("e", "1"))
-	m, _ := q.Dequeue("t")
-	if err := q.Nack(m.ID, 5*time.Second); err != nil {
-		t.Fatalf("Nack: %v", err)
-	}
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
-		t.Fatal("nacked message visible before backoff")
-	}
-	now = now.Add(6 * time.Second)
-	m2, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatalf("Dequeue after backoff: %v", err)
-	}
-	if m2.Attempts != 2 {
-		t.Fatalf("Attempts = %d", m2.Attempts)
+	if mb, m = q.TryClaim(""); mb == nil || m.Event.Name != "order.created" {
+		t.Fatalf("wildcard claim broken: %v", m)
 	}
 }
 
@@ -133,15 +73,14 @@ func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 	q := New("unit-1", Options{MaxAttempts: 3, Clock: func() time.Time { return now }})
 	q.Enqueue("t", ev("poison", "1"))
 	for i := 0; i < 3; i++ {
-		m, err := q.Dequeue("t")
-		if err != nil {
-			t.Fatalf("Dequeue %d: %v", i, err)
+		mb, _ := q.TryClaim("t")
+		if mb == nil {
+			t.Fatalf("TryClaim %d: nothing claimable", i)
 		}
-		if err := q.Nack(m.ID, 0); err != nil {
-			t.Fatalf("Nack %d: %v", i, err)
-		}
+		mb.Retry(0)
+		mb.Release()
 	}
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
+	if mb, _ := q.TryClaim("t"); mb != nil {
 		t.Fatal("poison message still deliverable")
 	}
 	dead := q.DeadLetters()
@@ -154,76 +93,24 @@ func TestDelayedEnqueue(t *testing.T) {
 	now := time.Unix(0, 0)
 	q := New("unit-1", Options{Clock: func() time.Time { return now }})
 	q.EnqueueDelayed("t", ev("e", "1"), 10*time.Second)
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
+	if mb, _ := q.TryClaim("t"); mb != nil {
 		t.Fatal("delayed message delivered early")
 	}
 	now = now.Add(11 * time.Second)
-	if _, err := q.Dequeue("t"); err != nil {
-		t.Fatalf("delayed message not delivered: %v", err)
+	if mb, _ := q.TryClaim("t"); mb == nil {
+		t.Fatal("delayed message not delivered")
 	}
 }
 
 func TestCloseRejectsEnqueue(t *testing.T) {
 	q := New("unit-1", Options{})
+	q.Enqueue("t", ev("e", "1"))
 	q.Close()
-	if _, err := q.Enqueue("t", ev("e", "1")); !errors.Is(err, ErrClosed) {
+	if _, err := q.Enqueue("t", ev("e", "2")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("want ErrClosed, got %v", err)
-	}
-}
-
-func TestDequeueWaitDeliversWhenMessageArrives(t *testing.T) {
-	q := New("unit-1", Options{})
-	done := make(chan *Message, 1)
-	go func() {
-		m, err := q.DequeueWait("t", 2*time.Second)
-		if err != nil {
-			t.Errorf("DequeueWait: %v", err)
-		}
-		done <- m
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Enqueue("t", ev("late", "1"))
-	select {
-	case m := <-done:
-		if m == nil || m.Event.Name != "late" {
-			t.Fatalf("wrong message: %+v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("DequeueWait never returned")
-	}
-}
-
-func TestDequeueWaitTimeout(t *testing.T) {
-	q := New("unit-1", Options{})
-	start := time.Now()
-	_, err := q.DequeueWait("t", 30*time.Millisecond)
-	if !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("timeout much longer than requested")
-	}
-}
-
-func TestDequeueWaitClose(t *testing.T) {
-	q := New("unit-1", Options{})
-	errc := make(chan error, 1)
-	go func() {
-		_, err := q.DequeueWait("t", 5*time.Second)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("want ErrClosed, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("DequeueWait did not observe Close")
+	if mb, m := q.TryClaim("t"); mb != nil {
+		t.Fatalf("closed queue handed out %v", m)
 	}
 }
 
@@ -273,127 +160,8 @@ func TestOutboxPublishToClosedQueue(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
-	d := NewDedup(0)
-	if d.Seen("a") {
-		t.Fatal("first sighting reported as seen")
-	}
-	if !d.Seen("a") {
-		t.Fatal("second sighting not reported")
-	}
-	if d.Seen("b") {
-		t.Fatal("unrelated id reported as seen")
-	}
-	if d.Size() != 2 {
-		t.Fatalf("Size = %d", d.Size())
-	}
-}
-
-func TestDedupBoundedWindow(t *testing.T) {
-	d := NewDedup(2)
-	d.Seen("a")
-	d.Seen("b")
-	d.Seen("c") // evicts a
-	if d.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", d.Size())
-	}
-	if d.Seen("a") {
-		t.Fatal("evicted id should read as unseen")
-	}
-}
-
-func TestDuplicateDeliveryWithIdempotentConsumer(t *testing.T) {
-	// The queue duplicates every 2nd acked message; an idempotent consumer
-	// (dedup on TxnID) still applies each event exactly once.
-	q := New("unit-1", Options{DuplicateEvery: 2})
-	const n = 20
-	for i := 0; i < n; i++ {
-		q.Enqueue("t", Event{Name: "deposit", TxnID: fmt.Sprintf("txn-%d", i)})
-	}
-	d := NewDedup(0)
-	applied := 0
-	deliveries := 0
-	for {
-		m, err := q.Dequeue("t")
-		if errors.Is(err, ErrEmpty) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Dequeue: %v", err)
-		}
-		deliveries++
-		if !d.Seen(m.Event.TxnID) {
-			applied++
-		}
-		q.Ack(m.ID)
-	}
-	if deliveries <= n {
-		t.Fatalf("expected duplicate deliveries, got %d for %d messages", deliveries, n)
-	}
-	if applied != n {
-		t.Fatalf("idempotent consumer applied %d, want %d", applied, n)
-	}
-}
-
-func TestBrokerQueuesAndDepth(t *testing.T) {
-	b := NewBroker(Options{})
-	q1 := b.Queue("unit-1")
-	q2 := b.Queue("unit-2")
-	if b.Queue("unit-1") != q1 {
-		t.Fatal("broker returned a different queue instance")
-	}
-	q1.Enqueue("t", ev("e", "1"))
-	q2.Enqueue("t", ev("e", "2"))
-	q2.Enqueue("t", ev("e", "3"))
-	if b.Depth() != 3 {
-		t.Fatalf("Depth = %d", b.Depth())
-	}
-	names := b.Names()
-	if len(names) != 2 || names[0] != "unit-1" || names[1] != "unit-2" {
-		t.Fatalf("Names = %v", names)
-	}
-	b.Close()
-	if _, err := q1.Enqueue("t", ev("e", "4")); !errors.Is(err, ErrClosed) {
-		t.Fatal("broker Close did not close queues")
-	}
-}
-
-func TestConsumeLoop(t *testing.T) {
-	q := New("unit-1", Options{})
-	const n = 10
-	for i := 0; i < n; i++ {
-		q.Enqueue("t", Event{Name: "e", TxnID: fmt.Sprintf("%d", i)})
-	}
-	var handled atomic.Int64
-	var failedOnce atomic.Bool
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		Consume(q, "t", stop, 0, func(m *Message) error {
-			// Fail the first delivery of txn "3" to exercise the nack path.
-			if m.Event.TxnID == "3" && !failedOnce.Swap(true) {
-				return errors.New("transient failure")
-			}
-			handled.Add(1)
-			return nil
-		})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for handled.Load() < n && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	q.Close()
-	wg.Wait()
-	if handled.Load() != n {
-		t.Fatalf("handled = %d, want %d", handled.Load(), n)
-	}
-}
-
 func TestConcurrentProducersConsumers(t *testing.T) {
-	q := New("unit-1", Options{VisibilityTimeout: time.Minute})
+	q := New("unit-1", Options{})
 	const producers, perProducer, consumers = 4, 200, 4
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -401,7 +169,8 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				q.Enqueue("t", Event{Name: "e", TxnID: fmt.Sprintf("%d-%d", p, i)})
+				q.Enqueue("t", Event{Name: "e", Entity: entity.Key{Type: "Order", ID: fmt.Sprintf("%d-%d", p, i%7)},
+					TxnID: fmt.Sprintf("%d-%d", p, i)})
 			}
 		}(p)
 	}
@@ -410,13 +179,20 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	stop := make(chan struct{})
 	for c := 0; c < consumers; c++ {
 		cwg.Add(1)
-		go func() {
+		go func(c int) {
 			defer cwg.Done()
-			Consume(q, "t", stop, 0, func(*Message) error {
-				consumed.Add(1)
-				return nil
-			})
-		}()
+			for {
+				mb, m := q.Claim("t", c, stop)
+				if mb == nil {
+					return
+				}
+				for ; m != nil; m = mb.Next() {
+					consumed.Add(1)
+					mb.Ack()
+				}
+				mb.Release()
+			}
+		}(c)
 	}
 	wg.Wait()
 	deadline := time.Now().Add(10 * time.Second)
@@ -431,31 +207,31 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	}
 }
 
-// Property: for any enqueue count, dequeue+ack drains exactly that many
-// messages and never invents or loses one (reliable delivery).
+// Property: for any enqueue count, claiming and acknowledging drains exactly
+// that many messages and never invents or loses one (reliable delivery).
 func TestReliableDeliveryProperty(t *testing.T) {
 	f := func(count uint8) bool {
 		q := New("unit", Options{})
 		n := int(count % 64)
 		for i := 0; i < n; i++ {
-			q.Enqueue("t", Event{TxnID: fmt.Sprintf("%d", i)})
+			q.Enqueue("t", Event{Entity: entity.Key{Type: "Order", ID: fmt.Sprint(i % 5)}, TxnID: fmt.Sprintf("%d", i)})
 		}
 		seen := map[string]bool{}
 		for {
-			m, err := q.Dequeue("t")
-			if errors.Is(err, ErrEmpty) {
+			mb, m := q.TryClaim("t")
+			if mb == nil {
 				break
 			}
-			if err != nil {
-				return false
+			for ; m != nil; m = mb.Next() {
+				if seen[m.Event.TxnID] {
+					return false // a duplicate with no redelivery
+				}
+				seen[m.Event.TxnID] = true
+				mb.Ack()
 			}
-			if seen[m.Event.TxnID] {
-				return false // duplicate without fault injection
-			}
-			seen[m.Event.TxnID] = true
-			q.Ack(m.ID)
+			mb.Release()
 		}
-		return len(seen) == n
+		return len(seen) == n && q.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -473,69 +249,32 @@ func TestDequeueHoldsEntityBehindDelayedHead(t *testing.T) {
 
 	// X is held back entirely — its second message may not overtake the
 	// delayed head — while Y is served.
-	m, err := q.Dequeue("t")
-	if err != nil || m.Event.Entity.ID != "Y" {
-		t.Fatalf("Dequeue = %v, %v; want Y", m, err)
+	y, m := q.TryClaim("t")
+	if y == nil || m.Event.Entity.ID != "Y" {
+		t.Fatalf("TryClaim = %v; want Y", m)
 	}
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("X delivered around its delayed head: %v", err)
+	if mb, m := q.TryClaim("t"); mb != nil {
+		t.Fatalf("X delivered around its delayed head: %v", m)
 	}
 	// Once the head becomes deliverable, X's messages come out in enqueue
-	// order, one at a time: the second is withheld until the first settles.
+	// order, one at a time: the second is withheld from other consumers
+	// until the first settles.
 	now = now.Add(time.Second)
-	first, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatalf("Dequeue after delay: %v", err)
+	x, first := q.TryClaim("t")
+	if x == nil {
+		t.Fatal("X not claimable after its delay")
 	}
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("second X message delivered while the first is leased: %v", err)
+	firstID := first.ID
+	if mb, m := q.TryClaim("t"); mb != nil {
+		t.Fatalf("second X message delivered while the first is owned: %v", m)
 	}
-	if err := q.Ack(first.ID); err != nil {
-		t.Fatal(err)
+	settle(x)
+	x, second := q.TryClaim("t")
+	if x == nil {
+		t.Fatal("X not claimable after the first message settled")
 	}
-	second, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatalf("Dequeue after ack: %v", err)
-	}
-	if first.ID > second.ID || first.Event.Entity.ID != "X" || second.Event.Entity.ID != "X" {
-		t.Fatalf("X delivered out of order: %d then %d", first.ID, second.ID)
-	}
-}
-
-func TestLeaseReclaimWithManyLeases(t *testing.T) {
-	// The nextExpiry fast path must not break redelivery: lease a batch,
-	// expire them all, and verify every message comes back.
-	now := time.Unix(0, 0)
-	q := New("unit-1", Options{VisibilityTimeout: 10 * time.Second, Clock: func() time.Time { return now }})
-	const n = 64
-	for i := 0; i < n; i++ {
-		q.Enqueue("t", ev("step", fmt.Sprintf("K%d", i)))
-	}
-	for i := 0; i < n; i++ {
-		if _, err := q.Dequeue("t"); err != nil {
-			t.Fatalf("Dequeue: %v", err)
-		}
-	}
-	if q.InFlight() != n {
-		t.Fatalf("InFlight = %d", q.InFlight())
-	}
-	now = now.Add(11 * time.Second)
-	seen := 0
-	for {
-		m, err := q.Dequeue("t")
-		if errors.Is(err, ErrEmpty) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Dequeue: %v", err)
-		}
-		if m.Attempts != 2 {
-			t.Fatalf("Attempts = %d, want 2", m.Attempts)
-		}
-		seen++
-	}
-	if seen != n {
-		t.Fatalf("redelivered %d of %d", seen, n)
+	if firstID > second.ID || second.Event.Entity.ID != "X" {
+		t.Fatalf("X delivered out of order: %d then %d", firstID, second.ID)
 	}
 }
 
@@ -553,39 +292,38 @@ func TestMaxDepthShedsFreshEnqueuesTyped(t *testing.T) {
 		t.Fatalf("Shed = %d, want 1", q.Shed())
 	}
 	// Draining makes room: the shed is backpressure, not a closed door.
-	m, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatal(err)
+	mb, _ := q.TryClaim("t")
+	if mb == nil {
+		t.Fatal("nothing claimable")
 	}
-	if err := q.Ack(m.ID); err != nil {
-		t.Fatal(err)
-	}
+	settle(mb)
 	if _, err := q.Enqueue("t", ev("e", "retry")); err != nil {
 		t.Fatalf("enqueue after drain: %v", err)
 	}
 }
 
-// Redeliveries — nacks and lease expiries — are exempt from the high-water
-// mark: admission control sheds only work the queue never accepted, so
-// accepted per-entity work is never dropped or reordered by overload.
+// Redeliveries — retries and unsettled releases — are exempt from the
+// high-water mark: admission control sheds only work the queue never
+// accepted, so accepted per-entity work is never dropped or reordered by
+// overload.
 func TestRedeliveryExemptFromMaxDepth(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{MaxDepth: 1, VisibilityTimeout: 10 * time.Second, Clock: func() time.Time { return now }})
+	q := New("unit-1", Options{MaxDepth: 1, Clock: func() time.Time { return now }})
 	if _, err := q.Enqueue("t", ev("e", "1")); err != nil {
 		t.Fatal(err)
 	}
-	m, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatal(err)
+	mb, _ := q.TryClaim("t")
+	if mb == nil {
+		t.Fatal("nothing claimable")
 	}
 	// The queue is at capacity again with a second accepted message.
 	if _, err := q.Enqueue("t", ev("e", "2")); err != nil {
 		t.Fatal(err)
 	}
-	// Nack of the leased message re-enters past the mark without shedding.
-	if err := q.Nack(m.ID, 0); err != nil {
-		t.Fatalf("nack into a full queue: %v", err)
-	}
+	// A retry of the handed-out message re-enters past the mark without
+	// shedding.
+	mb.Retry(0)
+	mb.Release()
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (redelivery admitted)", q.Len())
 	}
@@ -593,22 +331,22 @@ func TestRedeliveryExemptFromMaxDepth(t *testing.T) {
 	if _, err := q.Enqueue("t", ev("e", "3")); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("fresh enqueue: err = %v, want ErrOverloaded", err)
 	}
-	// Lease-expiry requeue is exempt too.
-	m2, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatal(err)
+	// A release with the message unsettled requeues it, exempt too.
+	mb, _ = q.TryClaim("t")
+	if mb == nil {
+		t.Fatal("nothing claimable")
 	}
-	now = now.Add(11 * time.Second)
-	m3, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatalf("expired lease did not redeliver into the full queue: %v", err)
+	mb.Release()
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d after an unsettled release, want 2", q.Len())
 	}
-	_ = m2
-	_ = m3
+	if mb, _ := q.TryClaim("t"); mb == nil {
+		t.Fatal("released message did not redeliver into the full queue")
+	}
 }
 
-// A message whose deadline passed while queued is dropped at dequeue — work
-// nobody is waiting for anymore is not executed.
+// A message whose deadline passed while queued is dropped when it reaches a
+// consumer — work nobody is waiting for anymore is not executed.
 func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	now := time.Unix(0, 0)
 	q := New("unit-1", Options{Clock: func() time.Time { return now }})
@@ -621,12 +359,12 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(6 * time.Second)
-	m, err := q.Dequeue("t")
-	if err != nil {
-		t.Fatal(err)
+	mb, m := q.TryClaim("t")
+	if mb == nil {
+		t.Fatal("nothing claimable")
 	}
 	if m.Event.Entity.ID != "fresh" {
-		t.Fatalf("dequeued %s, want the un-deadlined message", m.Event.Entity.ID)
+		t.Fatalf("claimed %s, want the un-deadlined message", m.Event.Entity.ID)
 	}
 	if q.DeadlineDropped() != 1 {
 		t.Fatalf("DeadlineDropped = %d, want 1", q.DeadlineDropped())
@@ -635,8 +373,9 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	if len(q.DeadLetters()) != 0 {
 		t.Fatalf("deadline drop went to the dead letter queue: %v", q.DeadLetters())
 	}
-	if _, err := q.Dequeue("t"); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("stale message still deliverable: %v", err)
+	settle(mb)
+	if mb, m := q.TryClaim("t"); mb != nil {
+		t.Fatalf("stale message still deliverable: %v", m)
 	}
 }
 
@@ -692,16 +431,17 @@ func TestMessageFreeListIsBounded(t *testing.T) {
 	for i := 0; i < backlog; i++ {
 		q.Enqueue("t", ev("e", fmt.Sprintf("O%d", i)))
 	}
+	acked := 0
 	for {
 		mb, _ := q.TryClaim("t")
 		if mb == nil {
 			break
 		}
-		mb.Ack()
-		mb.Release()
+		settle(mb)
+		acked++
 	}
-	if q.Acked() != backlog || q.nFreeMsg != maxFree {
-		t.Fatalf("acked %d, kept %d for reuse; want %d, %d", q.Acked(), q.nFreeMsg, backlog, maxFree)
+	if acked != backlog || q.nFreeMsg != maxFree {
+		t.Fatalf("acked %d, kept %d for reuse; want %d, %d", acked, q.nFreeMsg, backlog, maxFree)
 	}
 	n := 0
 	for m := q.freeMsg; m != nil; m = m.next {
@@ -728,9 +468,8 @@ func TestClaimOwnsEntityAndPopsInOrder(t *testing.T) {
 		t.Fatalf("Len = %d, want 2 (the handed-out message is not backlog)", q.Len())
 	}
 	// X is owned: every other consumer is served Y, then nothing.
-	other, err := q.Dequeue("t")
-	if err != nil || other.Event.Entity.ID != "Y" {
-		t.Fatalf("Dequeue beside an owner = %v, %v; want Y", other, err)
+	if other, m := q.TryClaim("t"); other == nil || m.Event.Entity.ID != "Y" {
+		t.Fatalf("TryClaim beside an owner = %v; want Y", m)
 	}
 	if mb2, _ := q.TryClaim("t"); mb2 != nil {
 		t.Fatalf("a second consumer claimed %s while both entities are held", mb2.Key())
@@ -749,8 +488,8 @@ func TestClaimOwnsEntityAndPopsInOrder(t *testing.T) {
 		t.Fatalf("Next on a drained mailbox = %v", m)
 	}
 	mb.Release()
-	if q.Acked() != 3 || q.Len() != 0 {
-		t.Fatalf("Acked = %d, Len = %d; want 3, 0", q.Acked(), q.Len())
+	if q.nFreeMsg != 3 || q.Len() != 0 {
+		t.Fatalf("recycled %d, Len = %d; want 3 acknowledged, 0", q.nFreeMsg, q.Len())
 	}
 	if s := q.Stats(); s.Chained != 2 || s.PeakDepth != 3 {
 		t.Fatalf("Stats = %+v; want 2 messages popped in place, peak depth 3", s)
@@ -872,22 +611,21 @@ func TestClaimBlocksUntilWorkStopOrClose(t *testing.T) {
 }
 
 // TestMixedConsumersKeepPerEntityOrder is the queue's ordering stress test:
-// Claim owners and Dequeue lease consumers work one queue together while
-// every way a delivery can repeat is exercised — Retry and Nack backoffs,
-// leases abandoned to the visibility timeout (after executing, the worst
-// case), unsettled Releases and transport duplicates (DuplicateEvery). Each
-// consumer is idempotent on TxnID, as the contract requires. Every entity's
-// execution order must equal its enqueue order, with every message executed.
+// blocking Claim owners and polling TryClaim owners work one queue together
+// while every way a delivery can repeat is exercised — Retry backoffs and
+// Releases with executed messages unsettled (the worst case). Each consumer
+// is idempotent on TxnID, as the contract requires. Every entity's execution
+// order must equal its enqueue order, with every message executed.
 func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 	const (
 		producers   = 3
 		perProducer = 6 // entities per producer (disjoint, so a producer's order is the entity's enqueue order)
 		perEntity   = 40
 		owners      = 3
-		leasers     = 3
+		pollers     = 3
 		total       = producers * perProducer * perEntity
 	)
-	q := New("stress", Options{VisibilityTimeout: 30 * time.Millisecond, MaxAttempts: 1 << 20, DuplicateEvery: 7})
+	q := New("stress", Options{MaxAttempts: 1 << 20})
 
 	var mu sync.Mutex
 	executed := map[string]bool{}
@@ -906,6 +644,27 @@ func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 		}
 	}
 
+	// consume runs one ownership: a random budget of messages, each retried,
+	// executed and left unsettled, or executed and acknowledged.
+	consume := func(rng *rand.Rand, mb *Mailbox, m *Message) {
+		for budget := 1 + rng.Intn(8); m != nil; budget-- {
+			switch roll := rng.Intn(100); {
+			case roll < 10:
+				mb.Retry(time.Duration(rng.Intn(300)) * time.Microsecond)
+			case roll < 15:
+				execute(m)
+				budget = 0 // release with the executed message unsettled
+			default:
+				execute(m)
+				mb.Ack()
+			}
+			if budget <= 0 {
+				break
+			}
+			m = mb.Next()
+		}
+		mb.Release()
+	}
 	stop := make(chan struct{})
 	var consumers sync.WaitGroup
 	for w := 0; w < owners; w++ {
@@ -918,27 +677,11 @@ func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 				if mb == nil {
 					return
 				}
-				for budget := 1 + rng.Intn(8); m != nil; budget-- {
-					switch roll := rng.Intn(100); {
-					case roll < 10:
-						mb.Retry(time.Duration(rng.Intn(300)) * time.Microsecond)
-					case roll < 15:
-						execute(m)
-						budget = 0 // release with the executed message unsettled
-					default:
-						execute(m)
-						mb.Ack()
-					}
-					if budget <= 0 {
-						break
-					}
-					m = mb.Next()
-				}
-				mb.Release()
+				consume(rng, mb, m)
 			}
 		}(w)
 	}
-	for c := 0; c < leasers; c++ {
+	for c := 0; c < pollers; c++ {
 		consumers.Add(1)
 		go func(c int) {
 			defer consumers.Done()
@@ -949,19 +692,12 @@ func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 					return
 				default:
 				}
-				m, err := q.DequeueWait("t", 2*time.Millisecond)
-				if err != nil {
+				mb, m := q.TryClaim("t")
+				if mb == nil {
+					time.Sleep(100 * time.Microsecond)
 					continue
 				}
-				switch roll := rng.Intn(100); {
-				case roll < 10:
-					q.Nack(m.ID, time.Duration(rng.Intn(300))*time.Microsecond)
-				case roll < 13:
-					execute(m) // and lose the ack: the lease runs out
-				default:
-					execute(m)
-					q.Ack(m.ID)
-				}
+				consume(rng, mb, m)
 			}
 		}(c)
 	}
@@ -990,7 +726,7 @@ func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 		mu.Lock()
 		n := len(executed)
 		mu.Unlock()
-		t.Fatalf("timed out: %d/%d messages executed, backlog %d, in flight %d", n, total, q.Len(), q.InFlight())
+		t.Fatalf("timed out: %d/%d messages executed, backlog %d", n, total, q.Len())
 	}
 	close(stop)
 	q.Wake()
@@ -1014,9 +750,11 @@ func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkQueueDrain measures one enqueue + dequeue + ack against a standing
-// backlog. The cost must not depend on the backlog: it fails if the deepest
-// backlog costs more than twice the shallowest per operation.
+// BenchmarkQueueDrain measures one enqueue plus the cycle a process engine
+// worker runs on it — claim the entity, acknowledge the message, find no next
+// one, release — against a standing backlog. The cost must not depend on the
+// backlog: it fails if the deepest backlog costs more than twice the
+// shallowest per operation.
 func BenchmarkQueueDrain(b *testing.B) {
 	backlogs := []int{100, 10_000, 100_000}
 	perOp := map[int]float64{}
@@ -1032,24 +770,26 @@ func BenchmarkQueueDrain(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// The entity dequeued i operations ago is idle again.
+				// The entity claimed i operations ago is idle again.
 				if _, err := q.Enqueue("t", Event{Name: "e", Entity: keys[(backlog+i)%len(keys)]}); err != nil {
 					b.Fatal(err)
 				}
-				m, err := q.Dequeue("t")
-				if err != nil {
-					b.Fatal(err)
+				mb, m := q.TryClaim("t")
+				if m == nil {
+					b.Fatal("nothing claimable")
 				}
-				if err := q.Ack(m.ID); err != nil {
-					b.Fatal(err)
+				mb.Ack()
+				if m := mb.Next(); m != nil {
+					b.Fatalf("one message per entity, Next handed out %v", m)
 				}
+				mb.Release()
 			}
 			perOp[backlog] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
 	}
 	lo, hi := perOp[backlogs[0]], perOp[backlogs[len(backlogs)-1]]
 	if lo > 0 && hi > 2*lo {
-		b.Errorf("dequeue cost grows with the backlog: %.0f ns/op at %d, %.0f ns/op at %d",
+		b.Errorf("claim cost grows with the backlog: %.0f ns/op at %d, %.0f ns/op at %d",
 			lo, backlogs[0], hi, backlogs[len(backlogs)-1])
 	}
 }

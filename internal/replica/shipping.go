@@ -757,10 +757,6 @@ type StandbyOptions struct {
 	// raise this). The cadence is per unit so a quiet unit's watermark
 	// still persists on its own schedule.
 	PersistEvery int
-	// AutoCatchUp pulls the missing tail from the shipping node as soon as
-	// a gap is detected, inline on the delivery. Off by default so the
-	// fault harness can script catch-up deterministically.
-	AutoCatchUp bool
 	// CatchupChunk caps how many appended records one catch-up response
 	// this standby serves may carry, and sizes the chunks its own CatchUp
 	// requests ask for (default 512).
@@ -987,13 +983,8 @@ func (sb *Standby) Receive(batch ShipBatch) (watermark uint64, gap bool, err err
 
 // onMessage receives asynchronous ship batches.
 func (sb *Standby) onMessage(from clock.NodeID, payload interface{}) {
-	batch, ok := payload.(ShipBatch)
-	if !ok {
-		return
-	}
-	_, gap, _ := sb.Receive(batch)
-	if gap && sb.opts.AutoCatchUp {
-		_, _ = sb.CatchUp(batch.From, batch.Unit)
+	if batch, ok := payload.(ShipBatch); ok {
+		_, _, _ = sb.Receive(batch)
 	}
 }
 
@@ -1003,14 +994,9 @@ func (sb *Standby) onMessage(from clock.NodeID, payload interface{}) {
 func (sb *Standby) onRequest(from clock.NodeID, payload interface{}) (interface{}, error) {
 	switch msg := payload.(type) {
 	case ShipBatch:
-		watermark, gap, err := sb.Receive(msg)
+		watermark, _, err := sb.Receive(msg)
 		if err != nil {
 			return nil, err
-		}
-		if gap && sb.opts.AutoCatchUp {
-			if _, err := sb.CatchUp(msg.From, msg.Unit); err == nil {
-				watermark = sb.Watermark(msg.Unit)
-			}
 		}
 		return shipAck{Unit: msg.Unit, Watermark: watermark}, nil
 	case catchupRequest:
@@ -1147,9 +1133,9 @@ func (sb *Standby) CatchUp(from clock.NodeID, unit int) (int, error) {
 	}
 }
 
-// RecoverUnit replays one unit's received log into a live store — the replay
+// recoverUnit replays one unit's received log into a live store — the replay
 // half of promotion. The passed options are used as-is except for Backend.
-func (sb *Standby) RecoverUnit(unit int, opts lsdb.Options, types ...*entity.Type) (*lsdb.DB, error) {
+func (sb *Standby) recoverUnit(unit int, opts lsdb.Options, types ...*entity.Type) (*lsdb.DB, error) {
 	if unit < 0 || unit >= len(sb.opts.Backends) {
 		return nil, fmt.Errorf("replica: unknown unit %d", unit)
 	}
@@ -1220,7 +1206,7 @@ func (sb *Standby) PromoteStreaming(peers []clock.NodeID, opts lsdb.Options, typ
 	sb.Stop()
 	dbs := make([]*lsdb.DB, len(sb.opts.Backends))
 	for i := range dbs {
-		db, err := sb.RecoverUnit(i, opts, types...)
+		db, err := sb.recoverUnit(i, opts, types...)
 		if err != nil {
 			return nil, fmt.Errorf("replica: promoting unit %d: %w", i, err)
 		}

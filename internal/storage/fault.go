@@ -134,9 +134,6 @@ func (f *FaultBackend) Poisoned() bool {
 	return f.poisoned
 }
 
-// Inner returns the wrapped backend.
-func (f *FaultBackend) Inner() Backend { return f.inner }
-
 func (f *FaultBackend) corruptErrLocked(op string) error {
 	f.stats.CorruptionHits++
 	return &CorruptError{File: "injected", Offset: int64(f.corruptAt), Reason: op + " hit injected corruption"}

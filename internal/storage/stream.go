@@ -112,12 +112,12 @@ func (s *StreamWriter) Control(tag byte, tail []byte, vals ...uint64) error {
 
 func (s *StreamWriter) wrote() {
 	if s.frames++; len(s.buf) >= 64<<10 {
-		s.Flush()
+		s.flush()
 	}
 }
 
-// Flush writes out what is buffered.
-func (s *StreamWriter) Flush() error {
+// flush writes out what is buffered.
+func (s *StreamWriter) flush() error {
 	if s.err == nil && len(s.buf) > 0 {
 		_, s.err = s.w.Write(s.buf)
 		s.buf = s.buf[:0]
@@ -128,7 +128,7 @@ func (s *StreamWriter) Flush() error {
 // Close ends the stream with its trailer and flushes.
 func (s *StreamWriter) Close() error {
 	s.Control(TagTrailer, nil, uint64(s.frames))
-	return s.Flush()
+	return s.flush()
 }
 
 // StreamReader reads a frame stream through the WAL's frame walker, so a

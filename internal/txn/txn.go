@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/entity"
@@ -283,15 +282,12 @@ func (t *Txn) update(key entity.Key, tentative bool, ops ...entity.Op) error {
 
 // Emit stages an event for publication if and only if the transaction
 // commits (the transactional outbox of principle 2.4).
-func (t *Txn) Emit(topic string, ev queue.Event) { t.EmitDelayed(topic, ev, 0) }
-
-// EmitDelayed stages a delayed event.
-func (t *Txn) EmitDelayed(topic string, ev queue.Event, delay time.Duration) {
+func (t *Txn) Emit(topic string, ev queue.Event) {
 	ev.TxnID = t.id
 	if t.outbox == nil {
 		t.outbox = queue.NewOutbox()
 	}
-	t.outbox.StageDelayed(topic, ev, delay)
+	t.outbox.StageDelayed(topic, ev, 0)
 }
 
 // discardStaged drops the staged events of a transaction that will not

@@ -15,16 +15,6 @@ import (
 	"repro/internal/entity"
 )
 
-// Rand is the interface of the subset of math/rand used here, so tests can
-// substitute a deterministic sequence.
-type Rand interface {
-	Intn(n int) int
-	Float64() float64
-}
-
-// NewRand returns a seeded deterministic random source.
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // Zipf draws keys 0..n-1 with a Zipfian skew; s close to 1 is mild skew,
 // larger is hotter. It is the standard contention knob for experiments E1,
 // E3 and E11.
@@ -53,22 +43,22 @@ func (z *Zipf) N() int { return z.n }
 // Types returns the standard entity types of the business scenarios.
 func Types() []*entity.Type {
 	return []*entity.Type{
-		CustomerType(), LeadType(), OpportunityType(), OrderType(), InventoryType(),
-		AccountType(), BookType(), OfferType(),
+		customerType(), leadType(), opportunityType(), OrderType(), inventoryType(),
+		AccountType(), bookType(), offerType(),
 	}
 }
 
-// CustomerType is the master-data entity that opportunities and orders
+// customerType is the master-data entity that opportunities and orders
 // reference; in the out-of-order scenario it often arrives after them.
-func CustomerType() *entity.Type {
+func customerType() *entity.Type {
 	return &entity.Type{Name: "Customer", Fields: []entity.Field{
 		{Name: "name", Type: entity.String},
 		{Name: "country", Type: entity.String},
 	}}
 }
 
-// LeadType is the CRM lead (front-end, early-lifecycle, often incomplete).
-func LeadType() *entity.Type {
+// leadType is the CRM lead (front-end, early-lifecycle, often incomplete).
+func leadType() *entity.Type {
 	return &entity.Type{Name: "Lead", Fields: []entity.Field{
 		{Name: "contact", Type: entity.String},
 		{Name: "company", Type: entity.String},
@@ -76,9 +66,9 @@ func LeadType() *entity.Type {
 	}}
 }
 
-// OpportunityType is a qualified lead; it references a customer that may not
+// opportunityType is a qualified lead; it references a customer that may not
 // exist yet (principle 2.2).
-func OpportunityType() *entity.Type {
+func opportunityType() *entity.Type {
 	return &entity.Type{Name: "Opportunity", Fields: []entity.Field{
 		{Name: "customer", Type: entity.Reference, RefType: "Customer"},
 		{Name: "value", Type: entity.Float},
@@ -106,8 +96,8 @@ func OrderType() *entity.Type {
 	}
 }
 
-// InventoryType is per-product stock; onhand may go negative (principle 2.1).
-func InventoryType() *entity.Type {
+// inventoryType is per-product stock; onhand may go negative (principle 2.1).
+func inventoryType() *entity.Type {
 	return &entity.Type{Name: "Inventory", Fields: []entity.Field{
 		{Name: "onhand", Type: entity.Int},
 		{Name: "plant", Type: entity.String},
@@ -133,16 +123,16 @@ func AccountType() *entity.Type {
 	}
 }
 
-// BookType is the overbookable bestseller of principle 2.9.
-func BookType() *entity.Type {
+// bookType is the overbookable bestseller of principle 2.9.
+func bookType() *entity.Type {
 	return &entity.Type{Name: "Book", Fields: []entity.Field{
 		{Name: "title", Type: entity.String},
 		{Name: "stock", Type: entity.Int},
 	}}
 }
 
-// OfferType is a supply-chain available-to-purchase offer.
-func OfferType() *entity.Type {
+// offerType is a supply-chain available-to-purchase offer.
+func offerType() *entity.Type {
 	return &entity.Type{Name: "Offer", Fields: []entity.Field{
 		{Name: "product", Type: entity.String},
 		{Name: "qty", Type: entity.Int},
@@ -174,7 +164,7 @@ type OrderToCash struct {
 
 // NewOrderToCash creates a generator.
 func NewOrderToCash(seed int64, outOfOrderRatio float64) *OrderToCash {
-	return &OrderToCash{rng: NewRand(seed), OutOfOrderRatio: outOfOrderRatio, LineItemsPerOrder: 3}
+	return &OrderToCash{rng: rand.New(rand.NewSource(seed)), OutOfOrderRatio: outOfOrderRatio, LineItemsPerOrder: 3}
 }
 
 // NextCase produces the three entries of one business case (lead,
@@ -243,7 +233,7 @@ type Inventory struct {
 
 // NewInventory creates a generator over items item-0..item-(n-1).
 func NewInventory(seed int64, items int, skew, pickRatio float64) *Inventory {
-	return &Inventory{rng: NewRand(seed), zipf: NewZipf(seed+1, items, skew), PickRatio: pickRatio}
+	return &Inventory{rng: rand.New(rand.NewSource(seed)), zipf: NewZipf(seed+1, items, skew), PickRatio: pickRatio}
 }
 
 // Next returns the next stock movement.
@@ -284,7 +274,7 @@ type Banking struct {
 
 // NewBanking creates a generator over account-0..account-(n-1).
 func NewBanking(seed int64, accounts int, skew float64) *Banking {
-	return &Banking{rng: NewRand(seed), zipf: NewZipf(seed+1, accounts, skew), WithdrawRatio: 0.4}
+	return &Banking{rng: rand.New(rand.NewSource(seed)), zipf: NewZipf(seed+1, accounts, skew), WithdrawRatio: 0.4}
 }
 
 // Next returns the next banking operation.
@@ -373,7 +363,7 @@ type Transfers struct {
 
 // NewTransfers creates a generator over n accounts.
 func NewTransfers(seed int64, n int, crossRatio float64) *Transfers {
-	return &Transfers{rng: NewRand(seed), n: n, crossRatio: crossRatio}
+	return &Transfers{rng: rand.New(rand.NewSource(seed)), n: n, crossRatio: crossRatio}
 }
 
 // Next returns the next transfer.
