@@ -189,9 +189,9 @@ func BenchmarkE3ConcurrencyControl(b *testing.B) {
 func BenchmarkE4ConflictResolution(b *testing.B) {
 	typ := workload.AccountType()
 	key := repro.Key{Type: "Account", ID: "A"}
-	strategies := map[string]entity.MergeStrategy{
-		"last-writer-wins": entity.LastWriterWins,
-		"operation-replay": entity.OperationReplay,
+	strategies := map[string]MergeStrategy{
+		"last-writer-wins": LastWriterWins,
+		"operation-replay": OperationReplay,
 	}
 	for name, strategy := range strategies {
 		b.Run(name, func(b *testing.B) {
@@ -211,14 +211,14 @@ func BenchmarkE4ConflictResolution(b *testing.B) {
 				}
 				a := mkVersion("r1", 10, int64(i*2+1))
 				c := mkVersion("r2", 7, int64(i*2+2))
-				res, err := entity.Merge(typ, base, a, c, strategy)
+				res, err := Merge(typ, base, a, c, strategy)
 				if err != nil {
 					b.Fatal(err)
 				}
 				lost += res.LostOps
 				if res.State.Float("balance") == 17 {
 					correct++
-				} else if strategy == entity.OperationReplay {
+				} else if strategy == OperationReplay {
 					b.Fatalf("operation replay ended at balance %v, want 17", res.State.Float("balance"))
 				}
 			}
@@ -436,11 +436,15 @@ func BenchmarkE7ConvergenceStaleness(b *testing.B) {
 				sh.Drain()
 				sh.Close()
 				net.Close()
-				promoted, err := standbys[0].Promote(nil, lsdb.Options{Node: standbys[0].ID()}, workload.AccountType())
+				backends, err := standbys[0].Fence(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				got, _, err := promoted[0].Current(key)
+				promoted, err := lsdb.Recover(lsdb.Options{Node: ids[0], Backend: backends[0]}, workload.AccountType())
+				if err != nil {
+					b.Fatal(err)
+				}
+				got, _, err := promoted.Current(key)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,8 +23,8 @@ type Ordering int
 
 // Possible results of a comparison.
 const (
-	// Before means the receiver causally precedes the argument.
-	Before Ordering = iota - 1
+	// before means the receiver causally precedes the argument.
+	before Ordering = iota - 1
 	// Equal means the two timestamps are identical.
 	Equal
 	// After means the receiver causally follows the argument.
@@ -34,7 +34,7 @@ const (
 // String returns a human-readable name for the ordering.
 func (o Ordering) String() string {
 	switch o {
-	case Before:
+	case before:
 		return "before"
 	case Equal:
 		return "equal"
@@ -64,20 +64,20 @@ type Timestamp struct {
 	Node      NodeID
 }
 
-// Compare orders two timestamps: Before, Equal or After, since HLC timestamps
+// Compare orders two timestamps: before, Equal or After, since HLC timestamps
 // are totally ordered.
 func (t Timestamp) Compare(o Timestamp) Ordering {
 	switch {
 	case t.WallNanos < o.WallNanos:
-		return Before
+		return before
 	case t.WallNanos > o.WallNanos:
 		return After
 	case t.Logical < o.Logical:
-		return Before
+		return before
 	case t.Logical > o.Logical:
 		return After
 	case t.Node < o.Node:
-		return Before
+		return before
 	case t.Node > o.Node:
 		return After
 	default:

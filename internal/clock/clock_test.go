@@ -56,11 +56,11 @@ func TestTimestampCompareTotalOrder(t *testing.T) {
 		want Ordering
 	}{
 		{a, a, Equal},
-		{a, b, Before},
+		{a, b, before},
 		{b, a, After},
-		{a, c, Before},
+		{a, c, before},
 		{c, b, After},
-		{a, d, Before},
+		{a, d, before},
 		{d, a, After},
 	}
 	for _, tc := range cases {
@@ -179,7 +179,7 @@ func TestSequenceAdvanceTo(t *testing.T) {
 }
 
 func TestOrderingString(t *testing.T) {
-	cases := map[Ordering]string{Before: "before", Equal: "equal", After: "after"}
+	cases := map[Ordering]string{before: "before", Equal: "equal", After: "after"}
 	for o, want := range cases {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(o), o.String(), want)

@@ -1070,28 +1070,23 @@ func (k *Kernel) ReplicaStats() ReplicaStats {
 	}
 }
 
-// PromoteStandby turns a log-receiving standby into a live kernel: it unions
-// the log tails the surviving peers hold (quorum acks can scatter batches
-// across standbys, so no single log is guaranteed complete), fences the
-// standby against the old stream, and opens a kernel that recovers every unit
-// from the received logs — the same replay a restart performs, so watermarks,
-// caches and per-entity lane order come back exactly as the primary committed
-// them. Unreachable peers are skipped (they are usually why promotion is
-// happening). opts.Units is forced to the standby's unit count; set
-// opts.Replication to have the new primary ship onward to the remaining
-// standbys.
+// PromoteStandby turns a log-receiving standby into a live kernel: Fence
+// catches it up from every reachable peer (quorum acks can scatter batches
+// across standbys, so no single log is guaranteed complete) and fences it
+// against the old stream, then Open recovers every unit from the received
+// logs — the same replay a restart performs, so watermarks, caches and
+// per-entity lane order come back exactly as the primary committed them. If
+// the standby cannot append what a peer sent, promotion fails and the
+// standby keeps receiving, so it can be retried. opts.Units is forced to the
+// standby's unit count; set opts.Replication to have the new primary ship
+// onward to the remaining standbys.
 func PromoteStandby(sb *replica.Standby, peers []clock.NodeID, opts Options) (*Kernel, error) {
-	for _, p := range peers {
-		if p == sb.ID() {
-			continue
-		}
-		for u := 0; u < sb.Units(); u++ {
-			_, _ = sb.CatchUp(p, u) // best effort
-		}
+	backends, err := sb.Fence(peers)
+	if err != nil {
+		return nil, err
 	}
-	sb.Stop()
-	opts.Units = sb.Units()
-	opts.UnitBackends = sb.Backends()
+	opts.Units = len(backends)
+	opts.UnitBackends = backends
 	return Open(opts)
 }
 

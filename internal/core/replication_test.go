@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/entity"
@@ -161,6 +162,68 @@ func TestReplicationShipsTentativeWithdrawals(t *testing.T) {
 	}
 	if st.Float("stock") != 7 {
 		t.Fatalf("promoted stock = %v, want 7 (10 - kept 3; broken 4 withdrawn)", st.Float("stock"))
+	}
+}
+
+// A standby that cannot append what a peer sends it is not promoted without
+// it: the peer's record is an acked write. The failed promotion leaves the
+// standby receiving, so a retry after the fault window holds every acked
+// write, and a peer that cannot be reached is still skipped.
+func TestPromoteStandbyRefusesOnLocalCatchUpFailure(t *testing.T) {
+	net := netsim.New(netsim.Config{UnreachableDelay: time.Millisecond})
+	defer net.Close()
+	disk := storage.NewFaultBackend(storage.NewMemory())
+	s1, err := replica.NewStandby(replica.StandbyOptions{Self: "s1", Net: net, Backends: []storage.Backend{disk}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newStandbyFor(t, net, "s2", 1)
+	k := newKernel(t, Options{
+		Node:  "p",
+		Units: 1,
+		Replication: &ReplicationOptions{
+			Standbys: []clock.NodeID{"s1", "s2"},
+			Ack:      replica.AckQuorum,
+			Net:      net,
+		},
+	})
+	key := accountKey("A1")
+	if _, err := k.Update(key, entity.Delta("balance", 10)); err != nil {
+		t.Fatal(err)
+	}
+	k.shipper.Drain()
+	net.SetLinkFault("p", "s1", netsim.LinkFault{Block: true})
+	if _, err := k.Update(key, entity.Delta("balance", 5)); err != nil {
+		t.Fatalf("write acked by p and s2: %v", err)
+	}
+	k.Close()
+	net.ClearLinkFaults()
+	if got := s1.Watermark(0); got != 1 {
+		t.Fatalf("setup: s1 watermark = %d, want 1 (the +10 only)", got)
+	}
+
+	disk.FailAppends(1)
+	if promoted, err := PromoteStandby(s1, []clock.NodeID{"s2"}, Options{Node: "s1"}); err == nil {
+		promoted.Close()
+		t.Fatal("promoted although s1 could not append the acked +5 that s2 sent it")
+	}
+
+	// The primary is gone for good; s2 still holds the +5.
+	net.Partition([]clock.NodeID{"p"}, []clock.NodeID{"s1", "s2"})
+	promoted, err := PromoteStandby(s1, []clock.NodeID{"p", "s2"}, Options{Node: "s1"})
+	if err != nil {
+		t.Fatalf("retry with the unreachable primary among the peers: %v", err)
+	}
+	defer promoted.Close()
+	if err := promoted.RegisterTypes(workload.Types()...); err != nil {
+		t.Fatal(err)
+	}
+	st, err := promoted.Read(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bal := st.Float("balance"); bal != 15 {
+		t.Fatalf("promoted balance = %v, want 15 (both acked writes)", bal)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -1377,114 +1376,5 @@ func (h *History) Trace() []string {
 		}
 		out = append(out, fmt.Sprintf("#%d %s by %s: %s%s", v.Seq, v.Stamp, v.Origin, strings.Join(ops, "; "), flag))
 	}
-	return out
-}
-
-// MergeStrategy selects how two concurrent states of the same entity are
-// reconciled (principle 2.10: a single end-to-end conflict-handling
-// mechanism).
-type MergeStrategy int
-
-// Supported merge strategies.
-const (
-	// LastWriterWins keeps the state with the larger HLC timestamp; the other
-	// side's non-commutative effects are lost (and counted).
-	LastWriterWins MergeStrategy = iota
-	// OperationReplay reapplies both sides' operations on top of the common
-	// base; commutative operations merge losslessly, conflicting register
-	// writes fall back to timestamp order.
-	OperationReplay
-)
-
-// String returns the strategy name.
-func (m MergeStrategy) String() string {
-	switch m {
-	case LastWriterWins:
-		return "last-writer-wins"
-	case OperationReplay:
-		return "operation-replay"
-	default:
-		return fmt.Sprintf("MergeStrategy(%d)", int(m))
-	}
-}
-
-// MergeResult reports the outcome of reconciling two concurrent versions.
-type MergeResult struct {
-	State *State
-	// LostOps counts operations whose effect was discarded by the merge
-	// (e.g. the losing side of a register conflict). Zero means lossless.
-	LostOps int
-	// ConflictFields lists root fields where both sides wrote different
-	// values non-commutatively.
-	ConflictFields []string
-}
-
-// Merge reconciles two concurrent versions whose common ancestor produced
-// base (base may be an empty state). Both versions' operations and stamps
-// must be populated.
-func Merge(typ *Type, base *State, a, b *Version, strategy MergeStrategy) (MergeResult, error) {
-	switch strategy {
-	case LastWriterWins:
-		winner, loser := a, b
-		if b.Stamp.Compare(a.Stamp) == clock.After {
-			winner, loser = b, a
-		}
-		return MergeResult{State: winner.State.Clone(), LostOps: len(loser.Ops), ConflictFields: conflictFields(a, b)}, nil
-	case OperationReplay:
-		// Deterministic order: replay the earlier-stamped side first so both
-		// replicas converge to the same result regardless of merge direction.
-		first, second := a, b
-		if b.Stamp.Compare(a.Stamp) == clock.Before {
-			first, second = b, a
-		}
-		merged := base.Clone()
-		lost := 0
-		st, _, err := Apply(typ, merged, first.Ops, Managed)
-		if err != nil {
-			return MergeResult{}, fmt.Errorf("merge replay (first): %w", err)
-		}
-		st, _, err = Apply(typ, st, second.Ops, Managed)
-		if err != nil {
-			return MergeResult{}, fmt.Errorf("merge replay (second): %w", err)
-		}
-		conflicts := conflictFields(a, b)
-		// Register conflicts: the later write wins during replay; count the
-		// earlier side's overwritten sets as lost.
-		for _, f := range conflicts {
-			for _, op := range first.Ops {
-				if op.Kind == OpSet && op.Field == f {
-					lost++
-				}
-			}
-		}
-		return MergeResult{State: st, LostOps: lost, ConflictFields: conflicts}, nil
-	default:
-		return MergeResult{}, fmt.Errorf("entity: unknown merge strategy %v", strategy)
-	}
-}
-
-// conflictFields returns root fields written non-commutatively by both sides
-// with different values. Values are compared with reflect.DeepEqual because
-// ops may legitimately carry container values (sanitized maps/slices), whose
-// dynamic types a plain == would panic on.
-func conflictFields(a, b *Version) []string {
-	setsA := map[string]interface{}{}
-	for _, op := range a.Ops {
-		if op.Kind == OpSet {
-			setsA[op.Field] = op.Value
-		}
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, op := range b.Ops {
-		if op.Kind != OpSet {
-			continue
-		}
-		if va, ok := setsA[op.Field]; ok && !seen[op.Field] && !reflect.DeepEqual(va, op.Value) {
-			out = append(out, op.Field)
-			seen[op.Field] = true
-		}
-	}
-	sort.Strings(out)
 	return out
 }

@@ -810,134 +810,6 @@ func TestHistoryTrace(t *testing.T) {
 	}
 }
 
-func TestMergeLastWriterWinsLosesOps(t *testing.T) {
-	typ := orderType()
-	key := Key{Type: "Order", ID: "1"}
-	base := NewState(key)
-	a := newVersion(t, typ, key, 1, "r1", clock.Timestamp{WallNanos: 100, Node: "r1"}, base, Set("status", "PAID"), Delta("total", 10))
-	b := newVersion(t, typ, key, 1, "r2", clock.Timestamp{WallNanos: 200, Node: "r2"}, base, Set("status", "CANCELLED"))
-	res, err := Merge(typ, base, a, b, LastWriterWins)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if res.State.StringField("status") != "CANCELLED" {
-		t.Fatalf("LWW should keep later write, got %q", res.State.StringField("status"))
-	}
-	if res.LostOps != 2 {
-		t.Fatalf("LostOps = %d, want 2 (whole losing side)", res.LostOps)
-	}
-	if len(res.ConflictFields) != 1 || res.ConflictFields[0] != "status" {
-		t.Fatalf("ConflictFields = %v", res.ConflictFields)
-	}
-	// LWW drops the commutative delta: total is 0 in the merged state.
-	if res.State.Float("total") != 0 {
-		t.Fatalf("LWW unexpectedly preserved delta: %v", res.State.Float("total"))
-	}
-}
-
-func TestMergeOperationReplayPreservesCommutativeOps(t *testing.T) {
-	typ := orderType()
-	key := Key{Type: "Order", ID: "1"}
-	base := NewState(key)
-	a := newVersion(t, typ, key, 1, "r1", clock.Timestamp{WallNanos: 100, Node: "r1"}, base, Delta("total", 10), InsertChild("lineitems", "L1", Fields{"product": "widget"}))
-	b := newVersion(t, typ, key, 1, "r2", clock.Timestamp{WallNanos: 200, Node: "r2"}, base, Delta("total", 5), InsertChild("lineitems", "L2", Fields{"product": "gadget"}))
-	res, err := Merge(typ, base, a, b, OperationReplay)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if res.LostOps != 0 {
-		t.Fatalf("commutative merge should lose nothing, lost %d", res.LostOps)
-	}
-	if res.State.Float("total") != 15 {
-		t.Fatalf("total = %v, want 15", res.State.Float("total"))
-	}
-	if len(res.State.LiveChildren("lineitems")) != 2 {
-		t.Fatalf("children = %d, want 2", len(res.State.LiveChildren("lineitems")))
-	}
-}
-
-func TestMergeOperationReplayRegisterConflict(t *testing.T) {
-	typ := orderType()
-	key := Key{Type: "Order", ID: "1"}
-	base := NewState(key)
-	a := newVersion(t, typ, key, 1, "r1", clock.Timestamp{WallNanos: 300, Node: "r1"}, base, Set("status", "PAID"))
-	b := newVersion(t, typ, key, 1, "r2", clock.Timestamp{WallNanos: 100, Node: "r2"}, base, Set("status", "CANCELLED"))
-	res, err := Merge(typ, base, a, b, OperationReplay)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	// Later stamp (a) wins the register; one op's effect is lost.
-	if res.State.StringField("status") != "PAID" {
-		t.Fatalf("status = %q, want PAID", res.State.StringField("status"))
-	}
-	if res.LostOps != 1 {
-		t.Fatalf("LostOps = %d, want 1", res.LostOps)
-	}
-}
-
-func TestMergeOperationReplayIsSymmetric(t *testing.T) {
-	typ := orderType()
-	key := Key{Type: "Order", ID: "1"}
-	base := NewState(key)
-	a := newVersion(t, typ, key, 1, "r1", clock.Timestamp{WallNanos: 100, Node: "r1"}, base, Delta("total", 10), Set("status", "PAID"))
-	b := newVersion(t, typ, key, 1, "r2", clock.Timestamp{WallNanos: 200, Node: "r2"}, base, Delta("total", 7), Set("status", "SHIPPED"))
-	ab, err := Merge(typ, base, a, b, OperationReplay)
-	if err != nil {
-		t.Fatalf("Merge ab: %v", err)
-	}
-	ba, err := Merge(typ, base, b, a, OperationReplay)
-	if err != nil {
-		t.Fatalf("Merge ba: %v", err)
-	}
-	if ab.State.Float("total") != ba.State.Float("total") || ab.State.StringField("status") != ba.State.StringField("status") {
-		t.Fatalf("merge not symmetric: %v/%q vs %v/%q",
-			ab.State.Float("total"), ab.State.StringField("status"),
-			ba.State.Float("total"), ba.State.StringField("status"))
-	}
-}
-
-func TestMergeUnknownStrategy(t *testing.T) {
-	typ := orderType()
-	key := Key{Type: "Order", ID: "1"}
-	base := NewState(key)
-	v := newVersion(t, typ, key, 1, "r1", clock.Timestamp{WallNanos: 1, Node: "r1"}, base, Set("status", "X"))
-	if _, err := Merge(typ, base, v, v, MergeStrategy(42)); err == nil {
-		t.Fatal("unknown strategy should error")
-	}
-	if MergeStrategy(42).String() == "" || LastWriterWins.String() != "last-writer-wins" || OperationReplay.String() != "operation-replay" {
-		t.Error("MergeStrategy names wrong")
-	}
-}
-
-// Property: replay-merging two versions whose ops are all commutative deltas
-// always sums both sides exactly, regardless of the amounts.
-func TestMergeDeltaCommutativityProperty(t *testing.T) {
-	typ := &Type{Name: "Acct", Fields: []Field{{Name: "balance", Type: Float}}}
-	key := Key{Type: "Acct", ID: "1"}
-	f := func(d1, d2 int16) bool {
-		base := NewState(key)
-		a := &Version{Key: key, Ops: []Op{Delta("balance", float64(d1))}, Stamp: clock.Timestamp{WallNanos: 10, Node: "a"}}
-		var err error
-		a.State, _, err = Apply(typ, base, a.Ops, Managed)
-		if err != nil {
-			return false
-		}
-		b := &Version{Key: key, Ops: []Op{Delta("balance", float64(d2))}, Stamp: clock.Timestamp{WallNanos: 20, Node: "b"}}
-		b.State, _, err = Apply(typ, base, b.Ops, Managed)
-		if err != nil {
-			return false
-		}
-		res, err := Merge(typ, base, a, b, OperationReplay)
-		if err != nil {
-			return false
-		}
-		return res.State.Float("balance") == float64(d1)+float64(d2) && res.LostOps == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Apply never mutates the prior state, for arbitrary delta/set
 // sequences.
 func TestApplyPurityProperty(t *testing.T) {
@@ -978,42 +850,5 @@ func TestVersionStampUsesHLC(t *testing.T) {
 	ts2 := h.Now()
 	if ts2.Compare(ts1) != clock.After {
 		t.Fatal("HLC not monotonic in entity context")
-	}
-}
-
-// TestMergeWithContainerValues guards the conflict detector against the
-// container op values SanitizeOps legitimizes: comparing two slice/map
-// values with == panics at runtime, so conflictFields must deep-compare.
-func TestMergeWithContainerValues(t *testing.T) {
-	typ := orderType()
-	key := Key{Type: "Order", ID: "1"}
-	base := NewState(key)
-	mk := func(node string, blob []interface{}, wall int64) *Version {
-		ops := []Op{Set("blob", blob)}
-		st, _, err := Apply(typ, base, ops, Managed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Version{Key: key, Ops: ops, State: st, Stamp: clock.Timestamp{WallNanos: wall, Node: clock.NodeID(node)}}
-	}
-	a := mk("r1", []interface{}{int64(1)}, 1)
-	b := mk("r2", []interface{}{int64(2)}, 2)
-	for _, strategy := range []MergeStrategy{LastWriterWins, OperationReplay} {
-		res, err := Merge(typ, base, a, b, strategy)
-		if err != nil {
-			t.Fatalf("%v: %v", strategy, err)
-		}
-		if len(res.ConflictFields) != 1 || res.ConflictFields[0] != "blob" {
-			t.Fatalf("%v: conflicts = %v, want [blob]", strategy, res.ConflictFields)
-		}
-	}
-	// Equal container values are not a conflict.
-	c := mk("r3", []interface{}{int64(1)}, 3)
-	res, err := Merge(typ, base, a, c, OperationReplay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ConflictFields) != 0 {
-		t.Fatalf("equal containers reported as conflict: %v", res.ConflictFields)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Exactly-once across the high-water mark (entry.aboveMark): an id above the
 // mark is new with no lookup, every other id is looked up exactly, and the
 // two agree with what the retained log holds whatever built the entry — live
-// appends, a group-commit batch, Compact, Recover, IngestShipped, a re-warm
+// appends, a group-commit batch, Compact, Recover, a shipped log, a re-warm
 // after cold eviction.
 
 func TestSplitTxnID(t *testing.T) {
@@ -120,22 +120,27 @@ func TestExactlyOnceAcrossHighWaterMark(t *testing.T) {
 			}
 			exerciseExactlyOnce(t, rec, key, 300, "after Recover")
 
-			// IngestShipped: a standby fed the same records chunk by chunk.
-			standby := newTestDB(t, Options{GroupCommit: group})
+			// A standby's received log, fed the same records chunk by chunk,
+			// then recovered as promotion does.
+			received := storage.NewMemory()
 			shipped := db.RecordsFor(key)
 			for len(shipped) > 0 {
 				n := min(5, len(shipped))
-				if err := standby.IngestShipped(shipped[:n]); err != nil {
+				if err := received.AppendBatch(shipped[:n]); err != nil {
 					t.Fatal(err)
 				}
 				shipped = shipped[n:]
 			}
+			standby, err := Recover(Options{Node: "test-node", Backend: received, GroupCommit: group}, accountType(), orderType())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, id := range []string{"n1-txn-1", "n1-txn-107", "n1-txn-209", "n2-txn-103", "client-200-abc"} {
 				if err := deposit(t, standby, key, 999, id); !errors.Is(err, ErrDuplicateTxn) {
-					t.Fatalf("after IngestShipped, %s: %v, want ErrDuplicateTxn", id, err)
+					t.Fatalf("after shipping, %s: %v, want ErrDuplicateTxn", id, err)
 				}
 			}
-			exerciseExactlyOnce(t, standby, key, 400, "after IngestShipped")
+			exerciseExactlyOnce(t, standby, key, 400, "after shipping")
 
 			if got, want := balanceOf(t, db, key), float64(2*txnSpill+2*perStage); got != want {
 				t.Fatalf("balance %v, want %v: a refused duplicate was applied, or a fresh id was not", got, want)

@@ -207,13 +207,13 @@ const txnSpill = 8
 // in the log. What bounds the index is therefore what bounds the record list
 // — Compact drops an entity's records, ids included, once they are all at or
 // below its horizon; cold eviction only ever takes entries that retain none —
-// and whatever rebuilds the list (LoadRecord under Recover, Load and
-// IngestShipped) rebuilds the index with it.
+// and whatever rebuilds the list (loadRecord under Recover and Load)
+// rebuilds the index with it.
 type entry struct {
 	// cache is the materialised current state, the full rollup as of head
 	// (headLSN, kept here so a hot read stays off the record list). Empty
 	// after anything that rewrites history (MarkObsolete, Compact,
-	// LoadRecord); the next read rebuilds it.
+	// loadRecord); the next read rebuilds it.
 	cache cachedState
 	head  uint64
 

@@ -153,7 +153,7 @@ func (db *DB) ReadCut(sr *storage.StreamReader) (int, error) {
 		case rec.Kind == storage.KindSummary:
 			db.restoreSummary(rec.Key, rec.Summary)
 		case rec.Kind == storage.KindAppend:
-			err = db.LoadRecord(rec)
+			err = db.loadRecord(rec)
 			records++
 		default:
 			err = fmt.Errorf("record kind %d in a cut", rec.Kind)
@@ -165,7 +165,7 @@ func (db *DB) ReadCut(sr *storage.StreamReader) (int, error) {
 	return records, nil
 }
 
-// LoadRecord installs one already-sealed record through the bulk-load path:
+// loadRecord installs one already-sealed record through the bulk-load path:
 // no validation or state application, straight into the owning shard's log
 // and indexes. Records must arrive in ascending LSN order per shard (global
 // LSN order, as Save/Replay produce, satisfies this for every shard count).
@@ -173,7 +173,7 @@ func (db *DB) ReadCut(sr *storage.StreamReader) (int, error) {
 // The record goes in as an append whatever its Kind says. The one error is a
 // record whose values cannot be encoded, which no decoder of this package or
 // of storage produces.
-func (db *DB) LoadRecord(rec Record) error {
+func (db *DB) loadRecord(rec Record) error {
 	rec.Kind = storage.KindAppend
 	s := db.shardFor(rec.Key)
 	s.mu.Lock()
@@ -189,51 +189,6 @@ func (db *DB) LoadRecord(rec Record) error {
 	e.cache.drop()
 	db.markDirtyLocked(s, rec.Key, e)
 	db.lsn.AdvanceTo(rec.LSN)
-	return nil
-}
-
-// IngestShipped installs replicated records that arrive *after* a store has
-// been recovered — the streaming half of promotion, where a promoted standby
-// already serves reads while the union of its peers' log tails is still being
-// pulled chunk by chunk. Appends keep their original LSNs (the bulk-load
-// path, which also advances the LSN sequence so post-union writes continue
-// the stream) and are re-appended to this store's own backend so the durable
-// log stays a complete copy; history-rewrite marks are re-applied through the
-// ordinary mark paths, which log and (when a sink is attached) re-ship them.
-//
-// The caller guarantees what Recover's replay would have: records arrive in
-// log order, appends of one entity in ascending LSN order, no LSN collides
-// with a locally-assigned one (promotion refuses writes until the union
-// completes), and duplicates are filtered before the call.
-func (db *DB) IngestShipped(recs []Record) error {
-	for _, rec := range recs {
-		switch rec.Kind {
-		case storage.KindObsolete:
-			// ErrNotFound mirrors Recover: the mark's record may live in a
-			// chunk that never arrives (compacted away on the peer) — the
-			// live store's mark was a no-op then too.
-			if err := db.MarkObsolete(rec.Key, rec.TxnID); err != nil && !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("lsdb: ingest mark: %w", err)
-			}
-		case storage.KindCompact:
-			db.Compact(rec.Horizon)
-		case storage.KindAppend:
-			if db.opts.Backend != nil {
-				one := []Record{rec}
-				db.logMu.Lock()
-				err := db.opts.Backend.AppendBatch(one)
-				db.logMu.Unlock()
-				if err != nil {
-					return fmt.Errorf("lsdb: ingest append: %w", err)
-				}
-			}
-			if err := db.LoadRecord(rec); err != nil {
-				return fmt.Errorf("lsdb: ingest append: %w", err)
-			}
-		default:
-			return fmt.Errorf("lsdb: ingest: unknown record kind %d", rec.Kind)
-		}
-	}
 	return nil
 }
 
@@ -358,7 +313,7 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 			}
 			mi++
 		}
-		if err := db.LoadRecord(records[i]); err != nil {
+		if err := db.loadRecord(records[i]); err != nil {
 			return nil, fmt.Errorf("lsdb: recover: %w", err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/entity"
+	"repro/internal/storage"
 )
 
 // The resident log (segment.go) keeps committed records encoded. These tests
@@ -306,19 +307,27 @@ func TestResidentLogRoundTrip(t *testing.T) {
 				opts := Options{SegmentSize: 3, Shards: 4, GroupCommit: group, SnapshotEvery: 5}
 				seq := 0
 
-				// A source store's log, marks included, is shipped into the
-				// store under test before it takes writes of its own.
+				// A source store's log, marks included, is shipped chunk by
+				// chunk into a standby's received log, which is recovered
+				// into the store under test before it takes writes of its
+				// own.
 				src := newTestDB(t, opts)
 				m := newLogModel(src)
 				driveRandomly(t, r, src, m, &seq, 120, false)
 				checkAgainstModel(t, r, src, m, "source")
-				db := newTestDB(t, opts)
+				received := storage.NewMemory()
 				for shipped := src.RecordsAfter(0); len(shipped) > 0; {
 					n := min(1+r.Intn(7), len(shipped))
-					if err := db.IngestShipped(shipped[:n]); err != nil {
+					if err := received.AppendBatch(shipped[:n]); err != nil {
 						t.Fatal(err)
 					}
 					shipped = shipped[n:]
+				}
+				recovered := opts
+				recovered.Node, recovered.Backend = "test-node", received
+				db, err := Recover(recovered, accountType(), orderType())
+				if err != nil {
+					t.Fatal(err)
 				}
 				checkAgainstModel(t, r, db, m, "shipped")
 
@@ -331,7 +340,7 @@ func TestResidentLogRoundTrip(t *testing.T) {
 				// The bulk-load path rebuilds the same log.
 				loaded := newTestDB(t, opts)
 				for _, rec := range db.RecordsAfter(0) {
-					if err := loaded.LoadRecord(rec); err != nil {
+					if err := loaded.loadRecord(rec); err != nil {
 						t.Fatal(err)
 					}
 				}

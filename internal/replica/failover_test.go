@@ -85,7 +85,7 @@ func crashPrimary(t *testing.T, writers, perWriter int) (map[entity.Key][]issued
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	dbs, err := sb.Promote(nil, lsdb.Options{Node: "s1"}, accountType())
+	dbs, err := promote(sb, nil, lsdb.Options{Node: "s1"}, accountType())
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}

@@ -299,59 +299,3 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 		t.Fatalf("promoted balance = %v, want 60", bal)
 	}
 }
-
-// Streaming promotion serves reads from the recovered local log while the
-// union of the surviving peers' tails is still in flight; Wait fences the
-// pull, after which the peer-only write is visible.
-func TestReadsServeDuringStreamingPromotion(t *testing.T) {
-	net := netsim.New(netsim.Config{UnreachableDelay: time.Millisecond})
-	defer net.Close()
-	s1 := newShipStandby(t, net, "s1", storage.NewMemory())
-	newShipStandby(t, net, "s2", storage.NewMemory())
-	p := newShipPrimary(t, net, "p", []clock.NodeID{"s1", "s2"}, AckQuorum)
-	key := acct("A1")
-
-	// Split the acked writes: LSN 1 on s1 only, LSN 2 on s2 only.
-	net.SetLinkFault("p", "s2", netsim.LinkFault{Block: true})
-	if _, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 10)}, ts(1), "p", "t1"); err != nil {
-		t.Fatal(err)
-	}
-	p.shipper.Drain()
-	net.ClearLinkFaults()
-	net.SetLinkFault("p", "s1", netsim.LinkFault{Block: true})
-	if _, err := p.db.Append(key, []entity.Op{entity.Delta("balance", 5)}, ts(2), "p", "t2"); err != nil {
-		t.Fatal(err)
-	}
-	p.shipper.Drain()
-	net.ClearLinkFaults()
-
-	// Slow the union pull so the test can read before it completes.
-	net.SetLinkFault("s1", "s2", netsim.LinkFault{ExtraLatency: 50 * time.Millisecond})
-	pr, err := s1.PromoteStreaming([]clock.NodeID{"s2"}, lsdb.Options{Node: "s1"}, accountType())
-	if err != nil {
-		t.Fatalf("PromoteStreaming: %v", err)
-	}
-	st, _, err := pr.Stores()[0].Current(key)
-	if err != nil {
-		t.Fatalf("read during streaming promotion: %v", err)
-	}
-	if bal := st.Float("balance"); bal != 10 {
-		t.Fatalf("pre-union balance = %v, want 10 (the locally acked write)", bal)
-	}
-	if err := pr.Wait(); err != nil {
-		t.Fatalf("union: %v", err)
-	}
-	if !pr.Done() {
-		t.Fatal("Done() false after Wait returned")
-	}
-	if pr.Pulled() == 0 {
-		t.Fatal("union pulled nothing; the peer-only write was not fetched")
-	}
-	st, _, err = pr.Stores()[0].Current(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bal := st.Float("balance"); bal != 15 {
-		t.Fatalf("post-union balance = %v, want 15 (both acked writes)", bal)
-	}
-}

@@ -237,7 +237,7 @@ func (h *faultHarness) failover() map[entity.Key]float64 {
 			peers = append(peers, id)
 		}
 	}
-	dbs, err := chosen.Promote(peers, lsdb.Options{Node: chosen.ID()}, accountType())
+	dbs, err := promote(chosen, peers, lsdb.Options{Node: chosen.ID()}, accountType())
 	if err != nil {
 		h.fatalf("promoting %s: %v", chosen.ID(), err)
 	}

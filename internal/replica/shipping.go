@@ -837,8 +837,8 @@ func (u *unitProgress) noteLocked(rec lsdb.Record) {
 }
 
 // Standby receives a primary's shipped log into per-unit backends. It applies
-// nothing — it is a log copy, promoted by replaying the backends through
-// lsdb.Recover (see Promote and PromoteStreaming).
+// nothing — it is a log copy, promoted by Fence and then by replaying the
+// backends through lsdb.Recover.
 type Standby struct {
 	opts StandbyOptions
 
@@ -891,9 +891,6 @@ func NewStandby(opts StandbyOptions) (*Standby, error) {
 	}
 	return sb, nil
 }
-
-// ID returns the standby's node id.
-func (sb *Standby) ID() clock.NodeID { return sb.opts.Self }
 
 // Units returns how many unit logs the standby receives.
 func (sb *Standby) Units() int { return len(sb.opts.Backends) }
@@ -1100,23 +1097,29 @@ func advanceCursor(cursor uint64, recs []lsdb.Record) (uint64, bool) {
 	return cursor, advanced
 }
 
+// errFetch marks a CatchUp failure on the peer's side of the stream — the
+// transport, the peer's reply, or a standby with no network to ask on — as
+// opposed to this standby's own backend refusing an append.
+var errFetch = errors.New("replica: catch-up fetch")
+
 // CatchUp streams the records of one unit after the standby's contiguous
 // watermark from a peer — the primary (served from its store) or another
 // standby (served from its received log) — in bounded chunks over repeated
 // requests, appending the fresh ones as they arrive. The stream is resumable
 // by construction: each round asks after the highest append LSN received, so
 // an interrupted catch-up continues where it left off on the next call. It
-// returns how many records the peer sent.
+// returns how many records the peer sent. A failed fetch is wrapped around
+// errFetch; any other error is the standby's own append failing.
 func (sb *Standby) CatchUp(from clock.NodeID, unit int) (int, error) {
 	if sb.opts.Net == nil {
-		return 0, errors.New("replica: standby has no network")
+		return 0, fmt.Errorf("%w: standby has no network", errFetch)
 	}
 	total := 0
 	cursor := sb.Watermark(unit)
 	for {
 		recs, more, err := sb.fetchTail(from, unit, cursor)
 		if err != nil {
-			return total, err
+			return total, fmt.Errorf("%w from %s: %w", errFetch, from, err)
 		}
 		if len(recs) == 0 {
 			return total, nil
@@ -1133,174 +1136,26 @@ func (sb *Standby) CatchUp(from clock.NodeID, unit int) (int, error) {
 	}
 }
 
-// recoverUnit replays one unit's received log into a live store — the replay
-// half of promotion. The passed options are used as-is except for Backend.
-func (sb *Standby) recoverUnit(unit int, opts lsdb.Options, types ...*entity.Type) (*lsdb.DB, error) {
-	if unit < 0 || unit >= len(sb.opts.Backends) {
-		return nil, fmt.Errorf("replica: unknown unit %d", unit)
-	}
-	opts.Backend = sb.opts.Backends[unit]
-	return lsdb.Recover(opts, types...)
-}
-
-// Promotion is an in-flight streaming promotion: the stores are live and
-// serving reads from the locally-received log while the union of the peers'
-// tails streams in chunk by chunk in the background. Writes must wait for
-// Wait — the union installs records at their original LSNs, and a write
-// accepted mid-union could collide with one still in flight.
-type Promotion struct {
-	sb   *Standby
-	dbs  []*lsdb.DB
-	done chan struct{}
-
-	mu     sync.Mutex
-	err    error
-	pulled uint64
-}
-
-// Stores returns the promoted units' live stores. They serve reads
-// immediately; anything the union has already ingested is visible.
-func (p *Promotion) Stores() []*lsdb.DB {
-	return append([]*lsdb.DB(nil), p.dbs...)
-}
-
-// Wait blocks until the catch-up union has finished (unreachable peers are
-// skipped — they are usually why promotion is happening) and returns the
-// first local ingest error, if any. After a nil Wait the stores are ready
-// for writes.
-func (p *Promotion) Wait() error {
-	<-p.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// Done reports, without blocking, whether the union has finished.
-func (p *Promotion) Done() bool {
-	select {
-	case <-p.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Pulled returns how many union records have been ingested so far. It moves
-// while the union is in flight; reads-during-catch-up tests watch it.
-func (p *Promotion) Pulled() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pulled
-}
-
-// PromoteStreaming turns the standby into a primary without waiting for its
-// peers: it fences the old stream, replays every locally-held unit log
-// through lsdb.Recover — at which point the returned Promotion's stores
-// serve reads — and streams the union of the surviving peers' log tails in
-// the background (per-write quorums can scatter acked batches across
-// standbys; the union is what makes "a majority holds it" recoverable).
-// Chunks are pulled with the same bounded streaming protocol CatchUp uses
-// and installed through lsdb.IngestShipped, which preserves LSNs and keeps
-// the local log a complete copy. Writes wait for Promotion.Wait.
-func (sb *Standby) PromoteStreaming(peers []clock.NodeID, opts lsdb.Options, types ...*entity.Type) (*Promotion, error) {
-	sb.Stop()
-	dbs := make([]*lsdb.DB, len(sb.opts.Backends))
-	for i := range dbs {
-		db, err := sb.recoverUnit(i, opts, types...)
-		if err != nil {
-			return nil, fmt.Errorf("replica: promoting unit %d: %w", i, err)
-		}
-		dbs[i] = db
-	}
-	p := &Promotion{sb: sb, dbs: dbs, done: make(chan struct{})}
-	go p.union(peers)
-	return p, nil
-}
-
-// union streams every peer's tail of every unit into the promoted stores.
-func (p *Promotion) union(peers []clock.NodeID) {
-	defer close(p.done)
-	if p.sb.opts.Net == nil {
-		return
-	}
+// Fence is the first half of a promotion: it catches each unit up from
+// every peer, then stops the standby, so the returned backends hold the
+// union of the surviving logs (per-write quorums can scatter acked batches
+// across standbys, so no single log is guaranteed complete) and nothing more
+// will be appended to them. A peer whose fetch fails is skipped — an
+// unreachable peer is usually why promotion is happening. A local append
+// failure is returned before Stop, so the standby keeps receiving and a
+// retry resumes the catch-up where it failed. The second half is replaying
+// the backends through lsdb.Recover (core.Open does it per unit).
+func (sb *Standby) Fence(peers []clock.NodeID) ([]storage.Backend, error) {
 	for _, peer := range peers {
-		if peer == p.sb.opts.Self {
+		if peer == sb.opts.Self {
 			continue
 		}
-		for unit := range p.sb.opts.Backends {
-			if err := p.unionUnit(peer, unit); err != nil {
-				p.mu.Lock()
-				if p.err == nil {
-					p.err = err
-				}
-				p.mu.Unlock()
+		for unit := range sb.opts.Backends {
+			if _, err := sb.CatchUp(peer, unit); err != nil && !errors.Is(err, errFetch) {
+				return nil, fmt.Errorf("replica: fencing unit %d from %s: %w", unit, peer, err)
 			}
 		}
 	}
-}
-
-// unionUnit streams one peer's tail of one unit. Network errors end the
-// stream silently (best effort, like Promote has always been); a local
-// ingest failure is reported through Wait.
-func (p *Promotion) unionUnit(peer clock.NodeID, unit int) error {
-	sb := p.sb
-	cursor := sb.Watermark(unit)
-	for {
-		recs, more, err := sb.fetchTail(peer, unit, cursor)
-		if err != nil {
-			return nil // unreachable peer: skip
-		}
-		if len(recs) == 0 {
-			return nil
-		}
-		fresh := sb.claimFresh(unit, recs)
-		if len(fresh) > 0 {
-			if err := p.dbs[unit].IngestShipped(fresh); err != nil {
-				return fmt.Errorf("replica: union unit %d from %s: %w", unit, peer, err)
-			}
-			p.mu.Lock()
-			p.pulled += uint64(len(fresh))
-			p.mu.Unlock()
-		}
-		var advanced bool
-		cursor, advanced = advanceCursor(cursor, recs)
-		if !more || !advanced {
-			return nil
-		}
-	}
-}
-
-// claimFresh filters a fetched chunk down to the records this unit's log
-// does not yet hold and marks them held — the promotion's equivalent of
-// Receive's dedup (Receive itself is fenced by Stop; the union installs
-// through the live store instead).
-func (sb *Standby) claimFresh(unit int, recs []lsdb.Record) []lsdb.Record {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	u := &sb.units[unit]
-	var fresh []lsdb.Record
-	for _, rec := range recs {
-		if !u.freshLocked(rec) {
-			continue
-		}
-		u.noteLocked(rec)
-		fresh = append(fresh, rec)
-	}
-	return fresh
-}
-
-// Promote turns the standby into a primary and blocks until the union of the
-// surviving peers' log tails is complete — PromoteStreaming followed by
-// Wait. Unreachable peers are skipped. The returned stores resume the
-// primary's LSN watermarks, so a shipper attached to them continues the
-// stream.
-func (sb *Standby) Promote(peers []clock.NodeID, opts lsdb.Options, types ...*entity.Type) ([]*lsdb.DB, error) {
-	p, err := sb.PromoteStreaming(peers, opts, types...)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Wait(); err != nil {
-		return nil, err
-	}
-	return p.Stores(), nil
+	sb.Stop()
+	return sb.Backends(), nil
 }

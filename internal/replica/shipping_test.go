@@ -58,7 +58,7 @@ func newShipStandby(t *testing.T, net *netsim.Network, self clock.NodeID, backen
 
 func promoteBalance(t *testing.T, sb *Standby, peers []clock.NodeID, key entity.Key) (*lsdb.DB, float64) {
 	t.Helper()
-	dbs, err := sb.Promote(peers, lsdb.Options{Node: sb.ID()}, accountType())
+	dbs, err := promote(sb, peers, lsdb.Options{Node: sb.ID()}, accountType())
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestQuorumWriteFailsOnMinoritySide(t *testing.T) {
 	}
 
 	// The majority side still accepts writes.
-	dbs, err := s1.Promote([]clock.NodeID{"s2"}, lsdb.Options{Node: "s1"}, accountType())
+	dbs, err := promote(s1, []clock.NodeID{"s2"}, lsdb.Options{Node: "s1"}, accountType())
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
