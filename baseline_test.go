@@ -12,15 +12,15 @@ import (
 	"repro"
 
 	"repro/internal/entity"
-	"repro/internal/locks"
 	"repro/internal/lsdb"
+	"repro/internal/txn"
 )
 
 // strong is the conventional strongly consistent discipline the paper argues
 // against, built over the SOUPS kernel's public surface so experiments
 // E1, E2, E3, E6 and E10 can price it:
-//   - pessimistic concurrency control: exclusive logical locks around
-//     Kernel.Transact (principle 2.10);
+//   - pessimistic concurrency control: exclusive logical locks (its own
+//     lockTable) around Kernel.Transact (principle 2.10);
 //   - two-phase commit for multi-entity work: lock every key, read each one
 //     (prepare), commit one focused transaction per key (principle 2.5);
 //   - strict validation at entry: a write that would be a managed violation,
@@ -28,40 +28,85 @@ import (
 //   - synchronous secondary data: aggregates catch up after every write
 //     (principle 2.3).
 type strong struct {
-	k *repro.Kernel
+	k     *repro.Kernel
+	locks *lockTable
 	// timeout bounds every lock wait.
 	timeout time.Duration
 }
 
-func newStrong(k *repro.Kernel) *strong { return &strong{k: k, timeout: 2 * time.Second} }
+func newStrong(k *repro.Kernel) *strong {
+	return &strong{k: k, locks: newLockTable(), timeout: 2 * time.Second}
+}
 
 // lockOwners numbers lockAll's callers, so each holds its locks alone.
 var lockOwners atomic.Uint64
 
-// lockAll runs fn holding exclusive logical locks on keys in lm, taken in
+// lockAll runs fn holding exclusive logical locks on keys in lt, taken in
 // sorted order so that two callers cannot deadlock. A lock not granted
-// within timeout fails the call with an error wrapping locks.ErrTimeout.
-func lockAll(lm *locks.Manager, keys []repro.Key, timeout time.Duration, fn func() error) error {
+// within timeout fails the call with an error wrapping errLockTimeout.
+func lockAll(lt *lockTable, keys []repro.Key, timeout time.Duration, fn func() error) error {
 	resources := make([]string, len(keys))
 	for i, key := range keys {
-		resources[i] = locks.FineResource(key.Type, key.ID)
+		resources[i] = key.String()
 	}
 	slices.Sort(resources)
-	g := locks.NewGuard(lm, locks.Owner("strong-"+strconv.FormatUint(lockOwners.Add(1), 10)))
-	defer g.Unlock()
+	owner := "strong-" + strconv.FormatUint(lockOwners.Add(1), 10)
+	defer lt.releaseAll(owner)
 	for _, res := range slices.Compact(resources) {
-		if err := g.Lock(res, locks.Exclusive, 0, timeout); err != nil {
+		if err := lt.acquire(owner, res, exclusive, timeout); err != nil {
 			return err
 		}
 	}
 	return fn()
 }
 
+// errOptimisticConflict is what optimistic returns when a key it read moved.
+var errOptimisticConflict = errors.New("optimistic conflict")
+
+// optimistic runs fn in one transaction of mgr under optimistic concurrency
+// control, E3's middle row: the head LSN of every key in reads is recorded
+// before fn runs and checked again after it, just before the commit, and a
+// head that moved aborts the transaction with errOptimisticConflict. The
+// check and the commit are not atomic: a write landing between them goes
+// unseen.
+func optimistic(mgr *txn.Manager, reads []repro.Key, fn func(*txn.Txn) error) error {
+	head := func(key repro.Key) (uint64, error) {
+		_, lsn, err := mgr.DB().Current(key)
+		if errors.Is(err, lsdb.ErrNotFound) {
+			return 0, nil
+		}
+		return lsn, err
+	}
+	saw := make([]uint64, len(reads))
+	for i, key := range reads {
+		var err error
+		if saw[i], err = head(key); err != nil {
+			return err
+		}
+	}
+	_, err := mgr.Run(nil, func(t *txn.Txn) error {
+		if err := fn(t); err != nil {
+			return err
+		}
+		for i, key := range reads {
+			now, err := head(key)
+			if err != nil {
+				return err
+			}
+			if now != saw[i] {
+				return fmt.Errorf("%w: %s changed (read at %d, now %d)", errOptimisticConflict, key, saw[i], now)
+			}
+		}
+		return nil
+	})
+	return err
+}
+
 // Transact runs fn in one transaction on key under an exclusive lock, then
 // brings the aggregates up to date.
 func (s *strong) Transact(key repro.Key, fn func(*repro.Txn) error) (repro.CommitResult, error) {
 	var res repro.CommitResult
-	err := lockAll(s.k.Locks(), []repro.Key{key}, s.timeout, func() (err error) {
+	err := lockAll(s.locks, []repro.Key{key}, s.timeout, func() (err error) {
 		res, err = s.k.Transact(key, fn)
 		return err
 	})
@@ -136,7 +181,7 @@ func (s *strong) TransactMulti(writes []repro.MultiWrite) error {
 	for i, w := range writes {
 		keys[i] = w.Key
 	}
-	return lockAll(s.k.Locks(), keys, s.timeout, func() error {
+	return lockAll(s.locks, keys, s.timeout, func() error {
 		for _, key := range keys {
 			if _, err := s.k.Read(key); err != nil && !errors.Is(err, lsdb.ErrNotFound) {
 				return err
@@ -219,18 +264,17 @@ func TestStrongBaseline(t *testing.T) {
 		k, s := open(t, 1)
 		s.timeout = 20 * time.Millisecond
 		key := account(1)
-		res := locks.FineResource(key.Type, key.ID)
-		if err := k.Locks().Acquire("first-writer", res, locks.Exclusive, 0, 0); err != nil {
+		if err := s.locks.acquire("first-writer", key.String(), exclusive, 0); err != nil {
 			t.Fatal(err)
 		}
 		_, err := s.Update(key, repro.Delta("balance", 5))
-		if !errors.Is(err, locks.ErrTimeout) {
+		if !errors.Is(err, errLockTimeout) {
 			t.Fatalf("second writer got %v, want a lock timeout", err)
 		}
 		if k.Exists(key) {
 			t.Fatal("the timed-out write landed")
 		}
-		k.Locks().ReleaseAll("first-writer")
+		s.locks.releaseAll("first-writer")
 		if _, err := s.Update(key, repro.Delta("balance", 5)); err != nil {
 			t.Fatalf("write after release: %v", err)
 		}
@@ -244,23 +288,23 @@ func TestStrongBaseline(t *testing.T) {
 		// fails there, and neither half lands.
 		k, s := open(t, 4)
 		s.timeout = 20 * time.Millisecond
-		if err := k.Locks().Acquire("other", locks.FineResource("Account", account(2).ID), locks.Exclusive, 0, 0); err != nil {
+		if err := s.locks.acquire("other", account(2).String(), exclusive, 0); err != nil {
 			t.Fatal(err)
 		}
 		err := s.TransactMulti([]repro.MultiWrite{
 			{Key: account(1), Ops: []repro.Op{repro.Delta("balance", -50)}},
 			{Key: account(2), Ops: []repro.Op{repro.Delta("balance", 50)}},
 		})
-		if !errors.Is(err, locks.ErrTimeout) {
+		if !errors.Is(err, errLockTimeout) {
 			t.Fatalf("TransactMulti got %v, want a lock timeout", err)
 		}
 		if k.Exists(account(1)) || k.Exists(account(2)) {
 			t.Fatal("an aborted transfer applied a half")
 		}
-		if held := k.Locks().HeldBy("other"); len(held) != 1 {
+		if held := s.locks.heldBy("other"); len(held) != 1 {
 			t.Fatalf("other owner holds %v", held)
 		}
-		if n := len(k.Locks().Holders(locks.FineResource("Account", account(1).ID))); n != 0 {
+		if n := len(s.locks.holders(account(1).String())); n != 0 {
 			t.Fatalf("the aborted transfer left %d locks on its first key", n)
 		}
 	})

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/entity"
-	"repro/internal/locks"
 	"repro/internal/lsdb"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -137,39 +136,42 @@ func BenchmarkE2SoupsVs2PC(b *testing.B) {
 // --- E3: solipsistic vs optimistic vs pessimistic CC (principle 2.10) -------
 
 func BenchmarkE3ConcurrencyControl(b *testing.B) {
-	// The pessimistic row is the strong baseline's: a solipsistic
+	// The optimistic row validates its read at commit (the optimistic
+	// fixture); the pessimistic row is the strong baseline's, a solipsistic
 	// transaction under an exclusive logical lock (lockAll).
-	modes := map[string]txn.Mode{"solipsistic": txn.Solipsistic, "optimistic": txn.Optimistic, "pessimistic": txn.Solipsistic}
-	for name, mode := range modes {
+	for _, name := range []string{"solipsistic", "optimistic", "pessimistic"} {
 		b.Run(name, func(b *testing.B) {
 			db := lsdb.Open(lsdb.Options{Node: "e3", SnapshotEvery: 64, Validation: entity.Managed})
 			if err := db.RegisterType(workload.AccountType()); err != nil {
 				b.Fatal(err)
 			}
 			mgr := txn.NewManager(db, nil, txn.Options{Node: "e3"})
-			lm := locks.NewManager(locks.Options{})
+			lt := newLockTable()
 			zipf := workload.NewZipf(7, 64, 1.2)
 			var aborts, lockTimeouts atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					key := repro.Key{Type: "Account", ID: fmt.Sprintf("acct-%d", zipf.Next())}
-					run := func() error {
-						_, err := mgr.Run(mode, nil, 0, func(t *txn.Txn) error {
-							if _, err := t.Read(key); err != nil {
-								return err
-							}
-							return t.Update(key, repro.Delta("balance", 1))
-						})
-						return err
+					deposit := func(t *txn.Txn) error {
+						if _, err := t.Read(key); err != nil {
+							return err
+						}
+						return t.Update(key, repro.Delta("balance", 1))
 					}
 					var err error
-					if name == "pessimistic" {
-						err = lockAll(lm, []repro.Key{key}, 50*time.Millisecond, run)
-					} else {
-						err = run()
+					switch name {
+					case "optimistic":
+						err = optimistic(mgr, []repro.Key{key}, deposit)
+					case "pessimistic":
+						err = lockAll(lt, []repro.Key{key}, 50*time.Millisecond, func() error {
+							_, err := mgr.Run(nil, deposit)
+							return err
+						})
+					default:
+						_, err = mgr.Run(nil, deposit)
 					}
-					if errors.Is(err, locks.ErrTimeout) {
+					if errors.Is(err, errLockTimeout) {
 						lockTimeouts.Add(1)
 					}
 					if err != nil {
@@ -1149,7 +1151,7 @@ func BenchmarkE10OutOfOrderEntry(b *testing.B) {
 func BenchmarkE11LogicalLocks(b *testing.B) {
 	for _, granularity := range []string{"coarse", "fine"} {
 		b.Run(granularity, func(b *testing.B) {
-			lm := locks.NewManager(locks.Options{})
+			lt := newLockTable()
 			zipf := workload.NewZipf(5, 256, 1.1)
 			var conflicts atomic.Int64
 			var seq atomic.Int64
@@ -1157,19 +1159,18 @@ func BenchmarkE11LogicalLocks(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					item := zipf.Next()
-					owner := locks.Owner(fmt.Sprintf("w%d", seq.Add(1)))
-					var res string
+					owner := fmt.Sprintf("w%d", seq.Add(1))
+					// One coarse lock covers the whole plant; a fine one, one item.
+					res := fmt.Sprintf("Inventory/item-%d", item)
 					if granularity == "coarse" {
-						res = locks.CoarseResource("Inventory", "plant-1")
-					} else {
-						res = locks.FineResource("Inventory", fmt.Sprintf("item-%d", item))
+						res = "Inventory::plant-1"
 					}
-					if err := lm.Acquire(owner, res, locks.Exclusive, 0, 100*time.Millisecond); err != nil {
+					if err := lt.acquire(owner, res, exclusive, 100*time.Millisecond); err != nil {
 						conflicts.Add(1)
 						continue
 					}
 					// Simulated deferred update protected by the lock.
-					lm.Release(owner, res)
+					lt.release(owner, res)
 				}
 			})
 			b.StopTimer()
@@ -1180,10 +1181,16 @@ func BenchmarkE11LogicalLocks(b *testing.B) {
 
 // --- E12: online vs stop-the-world schema migration (section 3.1) -----------
 
+// The stop-the-world row holds an exclusive coarse lock on the type's
+// migration resource for the whole migration and backfills with a batch
+// larger than the type, so it never yields; the live writer checks that lock
+// before every write. Online, nothing takes it.
 func BenchmarkE12OnlineMigration(b *testing.B) {
-	for _, strategy := range []migrate.Strategy{migrate.Online, migrate.StopTheWorld} {
-		b.Run(strategy.String(), func(b *testing.B) {
-			k := mustKernel(b, repro.Options{Node: clock.NodeID("e12-" + strategy.String())})
+	const migrationLock = "Order::schema-migration"
+	for _, strategy := range []string{"online", "stop-the-world"} {
+		b.Run(strategy, func(b *testing.B) {
+			k := mustKernel(b, repro.Options{Node: clock.NodeID("e12-" + strategy)})
+			lt := newLockTable()
 			const entities = 300
 			for i := 0; i < entities; i++ {
 				k.Update(repro.Key{Type: "Order", ID: fmt.Sprintf("O%d", i)}, repro.Set("status", "OPEN"))
@@ -1200,8 +1207,7 @@ func BenchmarkE12OnlineMigration(b *testing.B) {
 						return
 					default:
 					}
-					owner := locks.Owner(fmt.Sprintf("live-%d", i))
-					if k.Locks().IsLockedByOther(owner, migrate.MigrationLockResource("Order"), locks.Shared) {
+					if lt.lockedByOther(fmt.Sprintf("live-%d", i), migrationLock, shared) {
 						liveBlocked.Add(1)
 						time.Sleep(100 * time.Microsecond)
 						continue
@@ -1216,14 +1222,21 @@ func BenchmarkE12OnlineMigration(b *testing.B) {
 			}()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				field := fmt.Sprintf("channel_%s_%d", strategy.String(), i)
-				_, err := k.Migrate(migrate.Migration{
+				field := fmt.Sprintf("channel_%s_%d", strategy, i)
+				mig := migrate.Migration{
 					Type:      "Order",
 					AddFields: []repro.Field{{Name: field, Type: repro.String}},
 					Backfill: func(st *repro.State) []repro.Op {
 						return []repro.Op{repro.Set(field, "direct")}
 					},
-				}, strategy, 32)
+				}
+				var err error
+				if strategy == "online" {
+					_, err = k.Migrate(mig, 32)
+				} else if err = lt.acquire("migration", migrationLock, exclusive, 30*time.Second); err == nil {
+					_, err = k.Migrate(mig, entities+1)
+					lt.release("migration", migrationLock)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -36,7 +36,6 @@ import (
 	"repro/internal/apology"
 	"repro/internal/clock"
 	"repro/internal/entity"
-	"repro/internal/locks"
 	"repro/internal/lsdb"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
@@ -227,7 +226,6 @@ type Kernel struct {
 	shipper  *replica.Shipper
 	unitIDs  []partition.UnitID
 	locator  *partition.HashLocator
-	locks    *locks.Manager
 	hlc      *clock.HLC
 	ledger   *apology.Ledger
 	registry *migrate.Registry
@@ -276,7 +274,6 @@ func Open(opts Options) (*Kernel, error) {
 	k := &Kernel{
 		opts:     opts,
 		units:    map[partition.UnitID]*unit{},
-		locks:    locks.NewManager(locks.Options{}),
 		hlc:      clock.NewHLC(opts.Node),
 		registry: migrate.NewRegistry(),
 		metrics:  metrics.NewRegistry(),
@@ -430,9 +427,6 @@ func (k *Kernel) Units() []partition.UnitID {
 	return append([]partition.UnitID(nil), k.unitIDs...)
 }
 
-// Locks exposes the shared logical lock manager.
-func (k *Kernel) Locks() *locks.Manager { return k.locks }
-
 // Metrics exposes the kernel's metric registry.
 func (k *Kernel) Metrics() *metrics.Registry { return k.metrics }
 
@@ -544,7 +538,7 @@ func (k *Kernel) Transact(key entity.Key, fn func(*txn.Txn) error) (txn.CommitRe
 		return txn.CommitResult{}, err
 	}
 	start := time.Now()
-	res, err := u.mgr.Run(txn.Solipsistic, u.queue, 0, fn)
+	res, err := u.mgr.Run(u.queue, fn)
 	k.inst.txnLatency.Record(time.Since(start))
 	if err != nil {
 		k.inst.txnFailed.Inc()
@@ -1364,11 +1358,11 @@ func (k *Kernel) ResolveOverbooking(key entity.Key, available float64, reason, c
 
 // --- Schema migration -----------------------------------------------------------
 
-// Migrate applies a schema migration across every unit using the given
-// strategy and returns the aggregated progress: the registry proposes the
-// new version once, every unit's store registers it, and then each unit runs
-// the same backfill loop.
-func (k *Kernel) Migrate(m migrate.Migration, strategy migrate.Strategy, batchSize int) (migrate.Progress, error) {
+// Migrate applies a schema migration across every unit, online, and returns
+// the aggregated progress: the registry proposes the new version once, every
+// unit's store registers it, and then each unit runs the same backfill loop,
+// yielding after every batchSize entities.
+func (k *Kernel) Migrate(m migrate.Migration, batchSize int) (migrate.Progress, error) {
 	var total migrate.Progress
 	vt, err := k.registry.Propose(m)
 	if err != nil {
@@ -1381,7 +1375,7 @@ func (k *Kernel) Migrate(m migrate.Migration, strategy migrate.Strategy, batchSi
 	}
 	for _, id := range k.unitIDs {
 		u := k.units[id]
-		p, err := migrate.NewMigrator(k.registry, u.db, u.mgr, k.locks).Backfill(m, strategy, batchSize)
+		p, err := migrate.Backfill(u.mgr, m, batchSize)
 		accumulate(&total, p)
 		if err != nil {
 			return total, err

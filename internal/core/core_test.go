@@ -352,7 +352,7 @@ func TestKernelMigration(t *testing.T) {
 		Backfill: func(st *entity.State) []entity.Op {
 			return []entity.Op{entity.Set("channel", "direct")}
 		},
-	}, migrate.Online, 8)
+	}, 8)
 	if err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}
@@ -394,7 +394,7 @@ func TestMigrateOnlineYieldsOnEveryUnit(t *testing.T) {
 		Backfill: func(st *entity.State) []entity.Op {
 			return []entity.Op{entity.Set("channel", "direct")}
 		},
-	}, migrate.Online, 1)
+	}, 1)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatalf("Migrate: %v", err)
@@ -518,7 +518,7 @@ func TestOptionsAccessors(t *testing.T) {
 	if k.Options().Units != 2 {
 		t.Fatalf("Options = %+v", k.Options())
 	}
-	if k.Locks() == nil || k.Ledger() == nil || k.SchemaRegistry() == nil {
+	if k.Ledger() == nil || k.SchemaRegistry() == nil {
 		t.Fatal("accessors returned nil")
 	}
 }

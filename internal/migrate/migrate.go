@@ -7,10 +7,8 @@
 // changes can be permitted."
 //
 // A migration declares the schema delta and an optional backfill transform.
-// The registry checks admissibility; the migrator applies the backfill online
-// (in batches, concurrently with live traffic, one entity per transaction) or
-// stop-the-world (taking a coarse logical lock over the whole type), which is
-// the baseline experiment E12 compares against.
+// The registry checks admissibility; Backfill applies the transform online:
+// in batches, concurrently with live traffic, one entity per transaction.
 package migrate
 
 import (
@@ -21,8 +19,6 @@ import (
 	"time"
 
 	"repro/internal/entity"
-	"repro/internal/locks"
-	"repro/internal/lsdb"
 	"repro/internal/txn"
 )
 
@@ -95,6 +91,10 @@ func (r *Registry) Register(t *entity.Type) error {
 func (r *Registry) Active(name string) (VersionedType, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.activeLocked(name)
+}
+
+func (r *Registry) activeLocked(name string) (VersionedType, error) {
 	vs := r.versions[name]
 	if len(vs) == 0 {
 		return VersionedType{}, fmt.Errorf("%w: %s", ErrUnknownType, name)
@@ -133,13 +133,9 @@ func (r *Registry) Types() []string {
 	return out
 }
 
-// CheckAdmissible validates a migration against the active version without
-// applying it.
-func (r *Registry) CheckAdmissible(m Migration) error {
-	active, err := r.Active(m.Type)
-	if err != nil {
-		return err
-	}
+// checkAdmissible validates a migration against the active version of its
+// type.
+func checkAdmissible(active VersionedType, m Migration) error {
 	existing := map[string]entity.Field{}
 	for _, f := range active.Type.Fields {
 		existing[f.Name] = f
@@ -176,13 +172,17 @@ func (r *Registry) CheckAdmissible(m Migration) error {
 }
 
 // Propose validates the migration and, if admissible, registers the new
-// schema version and returns it. Backfill is the migrator's job.
+// schema version and returns it; running the backfill is Backfill's job. The
+// check and the append happen under one lock, so concurrent proposals are
+// numbered one after another and each builds on the one before.
 func (r *Registry) Propose(m Migration) (VersionedType, error) {
-	if err := r.CheckAdmissible(m); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	active, err := r.activeLocked(m.Type)
+	if err != nil {
 		return VersionedType{}, err
 	}
-	active, err := r.Active(m.Type)
-	if err != nil {
+	if err := checkAdmissible(active, m); err != nil {
 		return VersionedType{}, err
 	}
 	next := &entity.Type{Name: m.Type}
@@ -210,33 +210,8 @@ func (r *Registry) Propose(m Migration) (VersionedType, error) {
 		return VersionedType{}, err
 	}
 	vt := VersionedType{Version: active.Version + 1, Type: next, Description: m.Description}
-	r.mu.Lock()
 	r.versions[m.Type] = append(r.versions[m.Type], vt)
-	r.mu.Unlock()
 	return vt, nil
-}
-
-// Strategy selects how the backfill runs.
-type Strategy int
-
-// Backfill strategies.
-const (
-	// Online backfills in small batches through ordinary single-entity
-	// transactions while live traffic continues (the paper's requirement of
-	// continuous availability).
-	Online Strategy = iota
-	// StopTheWorld takes an exclusive coarse logical lock on the whole type
-	// for the duration of the backfill; live writers block. The baseline of
-	// experiment E12.
-	StopTheWorld
-)
-
-// String returns the strategy name.
-func (s Strategy) String() string {
-	if s == StopTheWorld {
-		return "stop-the-world"
-	}
-	return "online"
 }
 
 // Progress reports a running or finished backfill.
@@ -248,74 +223,23 @@ type Progress struct {
 	Elapsed   time.Duration
 }
 
-// Migrator executes backfills over one serialization unit.
-type Migrator struct {
-	registry *Registry
-	db       *lsdb.DB
-	mgr      *txn.Manager
-	lm       *locks.Manager
-}
-
-// NewMigrator creates a migrator. The lock manager must be the one live
-// writers use so stop-the-world migrations actually block them.
-func NewMigrator(registry *Registry, db *lsdb.DB, mgr *txn.Manager, lm *locks.Manager) *Migrator {
-	return &Migrator{registry: registry, db: db, mgr: mgr, lm: lm}
-}
-
-// migrationLockResource is the coarse resource a stop-the-world migration
-// takes for the whole entity type.
-func migrationLockResource(typeName string) string {
-	return locks.CoarseResource(typeName, "schema-migration")
-}
-
-// MigrationLockResource exposes the coarse resource name so cooperating
-// writers can check it (or acquire it in shared mode) before writing.
-func MigrationLockResource(typeName string) string { return migrationLockResource(typeName) }
-
-// Apply proposes the migration (registering the new schema version in both
-// the registry and the LSDB) and then backfills existing entities using the
-// chosen strategy. batchSize bounds how many entities are touched per
-// scheduling quantum in Online mode.
-func (m *Migrator) Apply(mig Migration, strategy Strategy, batchSize int) (VersionedType, Progress, error) {
+// Backfill runs mig's backfill over the serialization unit mgr writes, whose
+// store must already have the migrated type registered. It yields after
+// every batchSize entities so live writers interleave.
+func Backfill(mgr *txn.Manager, mig Migration, batchSize int) (Progress, error) {
 	start := time.Now()
-	vt, err := m.registry.Propose(mig)
-	if err != nil {
-		return VersionedType{}, Progress{}, err
-	}
-	// The LSDB validates against the registered type: switch it to the new
-	// version so both old-shape and new-shape writes are accepted.
-	if err := m.db.RegisterType(vt.Type); err != nil {
-		return VersionedType{}, Progress{}, err
-	}
-	progress, err := m.Backfill(mig, strategy, batchSize)
-	progress.Elapsed = time.Since(start)
-	return vt, progress, err
-}
-
-// Backfill runs mig's backfill over this migrator's unit, whose LSDB must
-// already have the migrated type registered. Online, it yields after every
-// batchSize entities so live writers interleave; stop-the-world, it holds the
-// type's coarse lock throughout.
-func (m *Migrator) Backfill(mig Migration, strategy Strategy, batchSize int) (Progress, error) {
-	start := time.Now()
+	db := mgr.DB()
 	var progress Progress
 	if mig.Backfill == nil {
 		return progress, nil
 	}
-	if strategy == StopTheWorld {
-		owner := locks.Owner("migration:" + mig.Type)
-		if err := m.lm.Acquire(owner, migrationLockResource(mig.Type), locks.Exclusive, 0, 30*time.Second); err != nil {
-			return progress, fmt.Errorf("migrate: could not lock type %s: %w", mig.Type, err)
-		}
-		defer m.lm.ReleaseAll(owner)
-	}
 	if batchSize <= 0 {
 		batchSize = 64
 	}
-	keys := m.db.KeysOfType(mig.Type)
+	keys := db.KeysOfType(mig.Type)
 	for i, key := range keys {
 		progress.Entities++
-		st, _, err := m.db.Current(key)
+		st, _, err := db.Current(key)
 		if err != nil {
 			progress.Errors++
 			continue
@@ -325,7 +249,7 @@ func (m *Migrator) Backfill(mig Migration, strategy Strategy, batchSize int) (Pr
 			progress.Skipped++
 			continue
 		}
-		_, err = m.mgr.Run(txn.Solipsistic, nil, 0, func(t *txn.Txn) error {
+		_, err = mgr.Run(nil, func(t *txn.Txn) error {
 			return t.Update(key, ops...)
 		})
 		if err != nil {
@@ -333,8 +257,7 @@ func (m *Migrator) Backfill(mig Migration, strategy Strategy, batchSize int) (Pr
 			continue
 		}
 		progress.Backfills++
-		// Online mode yields between batches so live traffic interleaves.
-		if strategy == Online && (i+1)%batchSize == 0 {
+		if (i+1)%batchSize == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	}

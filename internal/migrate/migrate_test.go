@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/entity"
-	"repro/internal/locks"
 	"repro/internal/lsdb"
 	"repro/internal/txn"
 )
@@ -23,7 +22,14 @@ func customerType() *entity.Type {
 	}
 }
 
-func newStack(t *testing.T) (*Registry, *lsdb.DB, *txn.Manager, *locks.Manager, *Migrator) {
+// stack is one serialization unit with a schema registry over it.
+type stack struct {
+	reg *Registry
+	db  *lsdb.DB
+	mgr *txn.Manager
+}
+
+func newStack(t *testing.T) stack {
 	t.Helper()
 	reg := NewRegistry()
 	if err := reg.Register(customerType()); err != nil {
@@ -33,9 +39,21 @@ func newStack(t *testing.T) (*Registry, *lsdb.DB, *txn.Manager, *locks.Manager, 
 	if err := db.RegisterType(customerType()); err != nil {
 		t.Fatal(err)
 	}
-	lm := locks.NewManager(locks.Options{})
-	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1"})
-	return reg, db, mgr, lm, NewMigrator(reg, db, mgr, lm)
+	return stack{reg: reg, db: db, mgr: txn.NewManager(db, nil, txn.Options{Node: "u1"})}
+}
+
+// apply migrates the stack the way Kernel.Migrate migrates a kernel: propose
+// the new version, register it with the store, then backfill.
+func (s stack) apply(mig Migration, batchSize int) (VersionedType, Progress, error) {
+	vt, err := s.reg.Propose(mig)
+	if err != nil {
+		return VersionedType{}, Progress{}, err
+	}
+	if err := s.db.RegisterType(vt.Type); err != nil {
+		return VersionedType{}, Progress{}, err
+	}
+	progress, err := Backfill(s.mgr, mig, batchSize)
+	return vt, progress, err
 }
 
 func cust(id string) entity.Key { return entity.Key{Type: "Customer", ID: id} }
@@ -43,7 +61,7 @@ func cust(id string) entity.Key { return entity.Key{Type: "Customer", ID: id} }
 func seedCustomers(t *testing.T, mgr *txn.Manager, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		_, err := mgr.Run(txn.Solipsistic, nil, 0, func(tx *txn.Txn) error {
+		_, err := mgr.Run(nil, func(tx *txn.Txn) error {
 			return tx.Update(cust(fmt.Sprintf("C%03d", i)),
 				entity.Set("name", fmt.Sprintf("customer %d", i)),
 				entity.Set("country", "DE"))
@@ -100,7 +118,10 @@ func TestAdmissibilityRules(t *testing.T) {
 		{"unknown type", Migration{Type: "Ghost"}, false},
 	}
 	for _, tc := range cases {
-		err := reg.CheckAdmissible(tc.mig)
+		active, err := reg.Active(tc.mig.Type)
+		if err == nil {
+			err = checkAdmissible(active, tc.mig)
+		}
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
@@ -143,10 +164,55 @@ func TestProposeBuildsNextVersion(t *testing.T) {
 	}
 }
 
+// Proposals racing on one type each get their own version number, and each
+// builds on the one before, so the last version holds every added field.
+func TestConcurrentProposeNumbersVersionsOnce(t *testing.T) {
+	const rounds, writers = 2000, 8
+	for round := 0; round < rounds; round++ {
+		reg := NewRegistry()
+		if err := reg.Register(customerType()); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				field := entity.Field{Name: fmt.Sprintf("f%d", w), Type: entity.String}
+				if _, err := reg.Propose(Migration{Type: "Customer", AddFields: []entity.Field{field}}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		history := reg.History("Customer")
+		versions := make([]int, len(history))
+		for i, vt := range history {
+			versions[i] = vt.Version
+		}
+		for i, v := range versions {
+			if v != i+1 || len(versions) != writers+1 {
+				t.Fatalf("round %d: versions %v, want 1..%d once each", round, versions, writers+1)
+			}
+		}
+		active, err := reg.Active("Customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(active.Type.Fields), len(customerType().Fields)+writers; got != want {
+			t.Fatalf("round %d: active version %d has %d fields, want %d", round, active.Version, got, want)
+		}
+	}
+}
+
 func TestApplyOnlineBackfill(t *testing.T) {
-	_, db, mgr, _, mig := newStack(t)
+	s := newStack(t)
+	db, mgr := s.db, s.mgr
 	seedCustomers(t, mgr, 20)
-	vt, progress, err := mig.Apply(Migration{
+	vt, progress, err := s.apply(Migration{
 		Type:      "Customer",
 		AddFields: []entity.Field{{Name: "region", Type: entity.String}},
 		Backfill: func(st *entity.State) []entity.Op {
@@ -156,7 +222,7 @@ func TestApplyOnlineBackfill(t *testing.T) {
 			return nil
 		},
 		Description: "derive region from country",
-	}, Online, 8)
+	}, 8)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -171,7 +237,7 @@ func TestApplyOnlineBackfill(t *testing.T) {
 		t.Fatalf("backfill missing: %v %v", st, err)
 	}
 	// New-schema writes are accepted after the migration.
-	_, err = mgr.Run(txn.Solipsistic, nil, 0, func(tx *txn.Txn) error {
+	_, err = mgr.Run(nil, func(tx *txn.Txn) error {
 		return tx.Update(cust("C999"), entity.Set("name", "new"), entity.Set("region", "APJ"))
 	})
 	if err != nil {
@@ -180,12 +246,12 @@ func TestApplyOnlineBackfill(t *testing.T) {
 }
 
 func TestApplyWithoutBackfill(t *testing.T) {
-	_, _, mgr, _, mig := newStack(t)
-	seedCustomers(t, mgr, 3)
-	_, progress, err := mig.Apply(Migration{
+	s := newStack(t)
+	seedCustomers(t, s.mgr, 3)
+	_, progress, err := s.apply(Migration{
 		Type:      "Customer",
 		AddFields: []entity.Field{{Name: "notes", Type: entity.String}},
-	}, Online, 8)
+	}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,17 +261,17 @@ func TestApplyWithoutBackfill(t *testing.T) {
 }
 
 func TestApplyInadmissibleRejected(t *testing.T) {
-	_, _, _, _, mig := newStack(t)
-	_, _, err := mig.Apply(Migration{Type: "Customer", RemoveFields: []string{"country"}}, Online, 8)
+	s := newStack(t)
+	_, _, err := s.apply(Migration{Type: "Customer", RemoveFields: []string{"country"}}, 8)
 	if !errors.Is(err, ErrInadmissible) {
 		t.Fatalf("want ErrInadmissible, got %v", err)
 	}
 }
 
 func TestApplyBackfillSkipsEntitiesNeedingNothing(t *testing.T) {
-	_, _, mgr, _, mig := newStack(t)
-	seedCustomers(t, mgr, 4)
-	_, progress, err := mig.Apply(Migration{
+	s := newStack(t)
+	seedCustomers(t, s.mgr, 4)
+	_, progress, err := s.apply(Migration{
 		Type:      "Customer",
 		AddFields: []entity.Field{{Name: "region", Type: entity.String}},
 		Backfill: func(st *entity.State) []entity.Op {
@@ -214,7 +280,7 @@ func TestApplyBackfillSkipsEntitiesNeedingNothing(t *testing.T) {
 			}
 			return nil
 		},
-	}, Online, 8)
+	}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +290,8 @@ func TestApplyBackfillSkipsEntitiesNeedingNothing(t *testing.T) {
 }
 
 func TestOnlineMigrationDoesNotBlockWriters(t *testing.T) {
-	_, _, mgr, lm, mig := newStack(t)
+	s := newStack(t)
+	mgr := s.mgr
 	seedCustomers(t, mgr, 200)
 	var writerErrors atomic.Int64
 	var writes atomic.Int64
@@ -240,29 +307,22 @@ func TestOnlineMigrationDoesNotBlockWriters(t *testing.T) {
 				return
 			default:
 			}
-			// Live writers in Online mode check the migration lock in shared
-			// mode; it is never held, so they proceed immediately.
-			owner := locks.Owner(fmt.Sprintf("writer-%d", i))
-			if lm.IsLockedByOther(owner, MigrationLockResource("Customer"), locks.Shared) {
+			_, err := mgr.Run(nil, func(tx *txn.Txn) error {
+				return tx.Update(cust(fmt.Sprintf("C%03d", i%200)), entity.Set("name", "updated"))
+			})
+			if err != nil {
 				writerErrors.Add(1)
 			} else {
-				_, err := mgr.Run(txn.Solipsistic, nil, 0, func(tx *txn.Txn) error {
-					return tx.Update(cust(fmt.Sprintf("C%03d", i%200)), entity.Set("name", "updated"))
-				})
-				if err != nil {
-					writerErrors.Add(1)
-				} else {
-					writes.Add(1)
-				}
+				writes.Add(1)
 			}
 			i++
 		}
 	}()
-	_, progress, err := mig.Apply(Migration{
+	_, progress, err := s.apply(Migration{
 		Type:      "Customer",
 		AddFields: []entity.Field{{Name: "region", Type: entity.String}},
 		Backfill:  func(*entity.State) []entity.Op { return []entity.Op{entity.Set("region", "EMEA")} },
-	}, Online, 16)
+	}, 16)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -276,42 +336,5 @@ func TestOnlineMigrationDoesNotBlockWriters(t *testing.T) {
 	}
 	if writes.Load() == 0 {
 		t.Fatal("no live writes happened during the online migration window")
-	}
-}
-
-func TestStopTheWorldMigrationHoldsCoarseLock(t *testing.T) {
-	_, _, mgr, lm, mig := newStack(t)
-	seedCustomers(t, mgr, 50)
-	// The backfill callback runs while the migration lock is held; observe it
-	// from there so the check is deterministic.
-	var observedLocked atomic.Bool
-	_, progress, err := mig.Apply(Migration{
-		Type:      "Customer",
-		AddFields: []entity.Field{{Name: "region", Type: entity.String}},
-		Backfill: func(*entity.State) []entity.Op {
-			if lm.IsLockedByOther("observer", MigrationLockResource("Customer"), locks.Shared) {
-				observedLocked.Store(true)
-			}
-			return []entity.Op{entity.Set("region", "EMEA")}
-		},
-	}, StopTheWorld, 8)
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if progress.Backfills != 50 {
-		t.Fatalf("progress = %+v", progress)
-	}
-	if !observedLocked.Load() {
-		t.Fatal("stop-the-world migration never held the coarse lock")
-	}
-	// The lock is released afterwards.
-	if lm.IsLockedByOther("observer", MigrationLockResource("Customer"), locks.Shared) {
-		t.Fatal("migration lock leaked")
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if Online.String() != "online" || StopTheWorld.String() != "stop-the-world" {
-		t.Fatal("strategy names wrong")
 	}
 }

@@ -4,8 +4,8 @@
 // entity and may enqueue further events. The engine schedules steps from
 // reliable queues, retries failed steps with idempotent re-delivery,
 // supports non-transactional audit writes and post-rollback compensation
-// actions, and implements the vertical and horizontal step-collapsing
-// optimisations sketched in section 3.1.
+// actions, and implements the vertical step-collapsing optimisation
+// sketched in section 3.1.
 //
 // Scheduling is a pool of workers that claim whole entities straight from
 // the queue's per-entity mailboxes (pool.go), never individual messages: a
@@ -101,7 +101,7 @@ type stepFrame struct {
 func (f *stepFrame) begin(e *Engine, ev *queue.Event, attempt int) *StepContext {
 	clear(f.ctx.emitted) // the events may pin their Data maps
 	f.ctx = StepContext{Event: *ev, Txn: &f.txn, Attempt: attempt, engine: e, emitted: f.ctx.emitted[:0]}
-	e.mgr.BeginIn(&f.txn, txn.Solipsistic)
+	e.mgr.BeginIn(&f.txn)
 	return &f.ctx
 }
 
@@ -560,75 +560,6 @@ func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, 
 			e.stats.enqueuedEvents.Add(1)
 		}
 	}
-}
-
-// HorizontalBatch claims entities with pending events and executes each
-// entity's events — up to maxEvents in total — in a single transaction
-// ("collapse process steps horizontally", section 3.1). An event no step
-// handles is dropped and counted, as everywhere else. It returns the number
-// of events absorbed into batches.
-func (e *Engine) HorizontalBatch(maxEvents int) (int, error) {
-	type group struct {
-		mb   *queue.Mailbox
-		msgs []*queue.Message
-	}
-	var groups []group
-	for taken := 0; taken < maxEvents; {
-		mb, m := e.q.TryClaim(e.opts.Topic)
-		if mb == nil {
-			break
-		}
-		g := group{mb: mb}
-		for ; m != nil; m = mb.Next() {
-			g.msgs = append(g.msgs, m)
-			if taken++; taken == maxEvents {
-				break
-			}
-		}
-		groups = append(groups, g)
-	}
-	steps := e.table.Load().steps
-	absorbed := 0
-	for _, g := range groups {
-		t := e.mgr.Begin(txn.Solipsistic)
-		var emitted []queue.Event
-		ran := 0
-		var err error
-		for _, m := range g.msgs {
-			st, known := steps[m.Event.Name]
-			if !known {
-				e.stats.unknownEvents.Add(1)
-				continue
-			}
-			ctx := &StepContext{Event: m.Event, Txn: t, Attempt: m.Attempts, engine: e}
-			if err = st.h(ctx); err != nil {
-				break
-			}
-			emitted = append(emitted, ctx.emitted...)
-			ran++
-		}
-		if err != nil || ran == 0 {
-			t.Abort()
-		} else {
-			_, err = t.Commit(nil)
-		}
-		if err != nil {
-			g.mb.Retry(e.opts.RetryBackoff)
-			g.mb.Release()
-			continue
-		}
-		g.mb.Ack()
-		g.mb.Release()
-		if ran == 0 {
-			continue
-		}
-		absorbed += ran
-		e.stats.stepsExecuted.Add(1)
-		e.stats.collapsed.Add(uint64(ran - 1))
-		e.stats.eventsEmitted.Add(uint64(len(emitted)))
-		e.dispatch(emitted, 0, nil, nil)
-	}
-	return absorbed, nil
 }
 
 // Stats returns a copy of the counters, including the scheduling counters of

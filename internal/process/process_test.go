@@ -364,57 +364,6 @@ func TestCollapseDepthLimit(t *testing.T) {
 	}
 }
 
-func TestHorizontalBatchGroupsByEntity(t *testing.T) {
-	e, mgr, _ := newEngine(t, Options{})
-	// Horizontal collapsing folds several deposits to the same entity into
-	// one transaction, so disable the single-entity enforcement's
-	// multi-commit overhead by using one entity per group (which is what the
-	// optimisation requires anyway: "that single transaction would have to
-	// address local data only").
-	def := NewDefinition("deposits")
-	def.Step("deposit", func(ctx *StepContext) error {
-		return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("total", 1))
-	})
-	e.Register(def)
-	for i := 0; i < 6; i++ {
-		key := orderKey("A")
-		if i%2 == 1 {
-			key = orderKey("B")
-		}
-		e.Submit(queue.Event{Name: "deposit", Entity: key, TxnID: fmt.Sprintf("h%d", i)})
-	}
-	absorbed, err := e.HorizontalBatch(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if absorbed != 6 {
-		t.Fatalf("absorbed = %d, want 6", absorbed)
-	}
-	a, _, _ := mgr.DB().Current(orderKey("A"))
-	b, _, _ := mgr.DB().Current(orderKey("B"))
-	if a.Float("total") != 3 || b.Float("total") != 3 {
-		t.Fatalf("totals = %v / %v", a.Float("total"), b.Float("total"))
-	}
-	// Two groups -> two transactions instead of six.
-	if mgr.Stats().Commits != 2 {
-		t.Fatalf("commits = %d, want 2", mgr.Stats().Commits)
-	}
-	if e.Stats().Collapsed != 4 {
-		t.Fatalf("collapsed = %d, want 4", e.Stats().Collapsed)
-	}
-}
-
-func TestHorizontalBatchEmptyQueue(t *testing.T) {
-	e, _, _ := newEngine(t, Options{})
-	def := NewDefinition("x")
-	def.Step("e", func(*StepContext) error { return nil })
-	e.Register(def)
-	n, err := e.HorizontalBatch(10)
-	if err != nil || n != 0 {
-		t.Fatalf("HorizontalBatch on empty queue = %d, %v", n, err)
-	}
-}
-
 // TestWorkerPoolRidesGroupCommit runs the engine's worker pool against a
 // group-commit store: concurrent step transactions enqueue their appends on
 // the shard commit queues, and every step's effect must still land exactly

@@ -1,16 +1,12 @@
-// Package txn implements the transaction models the paper contrasts:
+// Package txn implements solipsistic transactions (principle 2.10): each
+// transaction acts on its local view of the data, buffers operation
+// descriptors and commits unconditionally; the infrastructure resolves
+// conflicts afterwards with the same machinery it uses across replicas.
 //
-//   - Solipsistic transactions (principle 2.10): each transaction acts on its
-//     local view of the data, buffers operation descriptors and commits
-//     unconditionally; the infrastructure resolves conflicts afterwards with
-//     the same machinery it uses across replicas.
-//   - Optimistic transactions: reads are validated at commit; a concurrent
-//     writer forces a rollback (the "optimistic concurrency control which can
-//     cause rollback" the paper mentions).
-//
-// The baselines principles 2.5 and 2.10 argue against, pessimistic locking
-// and two-phase commit, are not here: experiments build them from
-// internal/locks around Kernel.Transact (baseline_test.go at the root).
+// The baselines principles 2.5 and 2.10 argue against, optimistic
+// validation, pessimistic locking and two-phase commit, are not here: the
+// experiments build them around Manager.Run and Kernel.Transact in the root
+// test fixtures (baseline_test.go).
 //
 // Transactions target exactly one serialization unit (one lsdb.DB). A
 // focused transaction additionally touches exactly one entity; the manager
@@ -30,37 +26,12 @@ import (
 	"repro/internal/queue"
 )
 
-// Mode selects the concurrency-control discipline of a transaction.
-type Mode int
-
-// Concurrency-control modes.
-const (
-	// Solipsistic commits without any concurrency check (principle 2.10).
-	Solipsistic Mode = iota
-	// Optimistic validates read versions at commit and aborts on conflict.
-	Optimistic
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Solipsistic:
-		return "solipsistic"
-	case Optimistic:
-		return "optimistic"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Common errors.
 var (
-	// ErrConflict is returned by optimistic commits whose read set changed.
-	ErrConflict = errors.New("txn: optimistic conflict")
 	// ErrMultiEntity is returned when a focused transaction touches more
 	// than one entity (principle 2.5 violation).
 	ErrMultiEntity = errors.New("txn: transaction touches multiple entities")
-	// ErrDone is returned when using a transaction after Commit or Abort.
+	// ErrDone is returned when using a transaction after it committed or aborted.
 	ErrDone = errors.New("txn: already finished")
 )
 
@@ -68,7 +39,7 @@ var (
 type Options struct {
 	// Node stamps transactions with the unit/replica identity.
 	Node clock.NodeID
-	// EnforceSingleEntity makes Commit fail with ErrMultiEntity when a
+	// EnforceSingleEntity makes the commit fail with ErrMultiEntity when a
 	// transaction wrote more than one entity (SOUPS discipline, 2.6).
 	EnforceSingleEntity bool
 }
@@ -87,13 +58,15 @@ type Manager struct {
 
 // counters is Stats as the commit path bumps it: no lock anywhere.
 type counters struct {
-	commits, aborts, conflicts atomic.Uint64
+	commits, aborts atomic.Uint64
 }
 
 // Stats counts transaction outcomes.
 type Stats struct {
-	Commits   uint64
-	Aborts    uint64
+	Commits uint64
+	Aborts  uint64
+	// Conflicts stays zero: a solipsistic commit never checks for one. The
+	// repository benchmark still reports it.
 	Conflicts uint64
 }
 
@@ -109,7 +82,7 @@ func NewManager(db *lsdb.DB, hlc *clock.HLC, opts Options) *Manager {
 }
 
 // resumeIDs advances the id sequence past every transaction id this node name
-// already issued into the store. Commit treats a duplicate transaction id as
+// already issued into the store. A commit treats a duplicate transaction id as
 // an at-least-once retry and silently skips the append, so a manager opened
 // over a recovered log (durable restart, promoted standby) must not recycle
 // ids — a fresh write wearing an old id would be dropped as its own replay.
@@ -133,25 +106,20 @@ func (m *Manager) DB() *lsdb.DB { return m.db }
 // Stats returns a copy of the outcome counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Commits:   m.stats.commits.Load(),
-		Aborts:    m.stats.aborts.Load(),
-		Conflicts: m.stats.conflicts.Load(),
+		Commits: m.stats.commits.Load(),
+		Aborts:  m.stats.aborts.Load(),
 	}
 }
 
 // Txn is one transaction. Txns are not safe for concurrent use by multiple
 // goroutines; each goroutine begins its own.
 type Txn struct {
-	m    *Manager
-	id   string
-	mode Mode
+	m  *Manager
+	id string
 	// outbox stages emitted events; nil until the first Emit.
 	outbox *queue.Outbox
 	done   bool
 
-	// reads captures the head LSN of every entity read, for optimistic
-	// validation; nil until the first Read.
-	reads map[entity.Key]uint64
 	// writes buffers the operations per entity, in first-touch order. A
 	// focused transaction writes one entity (principle 2.4), which fits
 	// the inline room; more entities spill to the heap.
@@ -167,10 +135,10 @@ type write struct {
 	tentative bool
 }
 
-// Begin starts a transaction in the given mode.
-func (m *Manager) Begin(mode Mode) *Txn {
+// begin starts a transaction.
+func (m *Manager) begin() *Txn {
 	t := new(Txn)
-	m.BeginIn(t, mode)
+	m.BeginIn(t)
 	return t
 }
 
@@ -178,12 +146,10 @@ func (m *Manager) Begin(mode Mode) *Txn {
 // process worker runs one step at a time, so it begins every step's
 // transaction in the same Txn. Whatever transaction t held before must be
 // finished, and nothing may still use it — t is that transaction no longer.
-func (m *Manager) BeginIn(t *Txn, mode Mode) {
+func (m *Manager) BeginIn(t *Txn) {
 	var buf [64]byte // on the stack: the id is the only allocation
 	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
-	reads := t.reads
-	clear(reads)
-	*t = Txn{m: m, id: id, mode: mode, reads: reads}
+	*t = Txn{m: m, id: id}
 	t.writes = t.room[:0]
 }
 
@@ -200,9 +166,6 @@ func (t *Txn) written(key entity.Key) *write {
 // ID returns the transaction identifier (also used for idempotence).
 func (t *Txn) ID() string { return t.id }
 
-// Mode returns the concurrency-control mode.
-func (t *Txn) Mode() Mode { return t.mode }
-
 // Read returns the current (subjective) state of an entity, including the
 // transaction's own buffered writes. Reading a non-existent entity returns an
 // empty state, not an error: principle 2.2 says data entry must not be
@@ -216,17 +179,11 @@ func (t *Txn) Read(key entity.Key) (*entity.State, error) {
 	if t.done {
 		return nil, ErrDone
 	}
-	st, head, err := t.m.db.Current(key)
+	st, _, err := t.m.db.Current(key)
 	if errors.Is(err, lsdb.ErrNotFound) {
-		st, head = entity.NewState(key), 0
+		st = entity.NewState(key)
 	} else if err != nil {
 		return nil, err
-	}
-	if _, seen := t.reads[key]; !seen {
-		if t.reads == nil {
-			t.reads = map[entity.Key]uint64{}
-		}
-		t.reads[key] = head
 	}
 	// Overlay the transaction's own buffered operations (read-your-writes
 	// within the transaction).
@@ -321,24 +278,24 @@ type CommitResult struct {
 	PublishedEvents []uint64
 }
 
-// Commit finishes the transaction: it validates (per mode), appends one
-// record per written entity to the LSDB and publishes staged events to q (if
-// q is non-nil). On failure everything is discarded.
-func (t *Txn) Commit(q *queue.Queue) (CommitResult, error) {
+// commit finishes the transaction: it appends one record per written entity
+// to the LSDB and publishes staged events to q (if q is non-nil). On failure
+// everything is discarded.
+func (t *Txn) commit(q *queue.Queue) (CommitResult, error) {
 	var res CommitResult
-	err := t.commit(q, &res)
+	err := t.commitInto(q, &res)
 	return res, err
 }
 
-// CommitDiscard is Commit for a caller with no use for the CommitResult —
+// CommitDiscard is commit for a caller with no use for the CommitResult —
 // the process engine, once per step: the records written are not copied out
 // of the log for it.
-func (t *Txn) CommitDiscard(q *queue.Queue) error { return t.commit(q, nil) }
+func (t *Txn) CommitDiscard(q *queue.Queue) error { return t.commitInto(q, nil) }
 
-// commit is Commit's body. res, when non-nil, receives the result once the
+// commitInto is commit's body. res, when non-nil, receives the result once the
 // records are written (it stays zero on a failure before that); its Records
 // are copies — the store's own records never leave it by reference.
-func (t *Txn) commit(q *queue.Queue, res *CommitResult) error {
+func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 	if t.done {
 		return ErrDone
 	}
@@ -348,26 +305,6 @@ func (t *Txn) commit(q *queue.Queue, res *CommitResult) error {
 		t.fail()
 		return fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writes))
 	}
-	// Optimistic validation: every entity read must still be at the LSN we
-	// saw. (Solipsists skip this entirely.)
-	if t.mode == Optimistic {
-		for key, sawLSN := range t.reads {
-			_, head, err := t.m.db.Current(key)
-			if errors.Is(err, lsdb.ErrNotFound) {
-				head = 0
-			} else if err != nil {
-				t.fail()
-				return err
-			}
-			if head != sawLSN {
-				t.m.stats.conflicts.Add(1)
-				t.m.stats.aborts.Add(1)
-				t.discardStaged()
-				return fmt.Errorf("%w: %s changed (read at %d, now %d)", ErrConflict, key, sawLSN, head)
-			}
-		}
-	}
-
 	stamp := t.m.hlc.Now()
 	var records []lsdb.Record
 	var warnings []entity.Warning
@@ -426,24 +363,17 @@ func (t *Txn) Abort() {
 
 func (t *Txn) fail() { t.m.stats.aborts.Add(1) }
 
-// Run executes fn inside a transaction and commits it, retrying optimistic
-// conflicts up to retries times. It is the convenience most call sites use.
-func (m *Manager) Run(mode Mode, q *queue.Queue, retries int, fn func(*Txn) error) (CommitResult, error) {
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		t := m.Begin(mode)
-		if err := fn(t); err != nil {
-			t.Abort()
-			return CommitResult{}, err
-		}
-		res, err := t.Commit(q)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrConflict) {
-			return CommitResult{}, err
-		}
+// Run executes fn inside a transaction and commits it, publishing its
+// staged events to q. It is the convenience most call sites use.
+func (m *Manager) Run(q *queue.Queue, fn func(*Txn) error) (CommitResult, error) {
+	t := m.begin()
+	if err := fn(t); err != nil {
+		t.Abort()
+		return CommitResult{}, err
 	}
-	return CommitResult{}, lastErr
+	res, err := t.commit(q)
+	if err != nil {
+		return CommitResult{}, err
+	}
+	return res, nil
 }

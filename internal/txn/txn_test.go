@@ -45,7 +45,7 @@ func acct(id string) entity.Key { return entity.Key{Type: "Account", ID: id} }
 func TestSolipsisticCommit(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	q := queue.New("u1", queue.Options{})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	st, err := tx.Read(acct("A"))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
@@ -57,7 +57,7 @@ func TestSolipsisticCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Emit("accounts", queue.Event{Name: "account.opened", Entity: acct("A")})
-	res, err := tx.Commit(q)
+	res, err := tx.commit(q)
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -74,14 +74,14 @@ func TestSolipsisticCommit(t *testing.T) {
 	if m.Stats().Commits != 1 {
 		t.Fatalf("stats = %+v", m.Stats())
 	}
-	if tx.Mode() != Solipsistic || tx.ID() == "" {
+	if tx.ID() == "" {
 		t.Fatal("metadata accessors broken")
 	}
 }
 
 func TestReadYourWritesWithinTxn(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	tx.Update(acct("A"), entity.Delta("balance", 40))
 	st, err := tx.Read(acct("A"))
 	if err != nil {
@@ -103,7 +103,7 @@ func TestReadYourWritesWithinTxn(t *testing.T) {
 func TestAbortDiscardsEverything(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	q := queue.New("u1", queue.Options{})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	tx.Update(acct("A"), entity.Delta("balance", 10))
 	tx.Emit("t", queue.Event{Name: "e"})
 	tx.Abort()
@@ -120,61 +120,10 @@ func TestAbortDiscardsEverything(t *testing.T) {
 	if _, err := tx.Read(acct("A")); !errors.Is(err, ErrDone) {
 		t.Fatalf("want ErrDone, got %v", err)
 	}
-	if _, err := tx.Commit(nil); !errors.Is(err, ErrDone) {
+	if _, err := tx.commit(nil); !errors.Is(err, ErrDone) {
 		t.Fatalf("want ErrDone, got %v", err)
 	}
 	tx.Abort() // idempotent
-}
-
-func TestOptimisticConflictAborts(t *testing.T) {
-	m := newUnit(t, "u1", Options{})
-	// Seed the account.
-	seed := m.Begin(Solipsistic)
-	seed.Update(acct("A"), entity.Set("balance", 100.0))
-	if _, err := seed.Commit(nil); err != nil {
-		t.Fatal(err)
-	}
-	// T1 reads, then T2 writes and commits, then T1 tries to commit.
-	t1 := m.Begin(Optimistic)
-	if _, err := t1.Read(acct("A")); err != nil {
-		t.Fatal(err)
-	}
-	t2 := m.Begin(Optimistic)
-	if _, err := t2.Read(acct("A")); err != nil {
-		t.Fatal(err)
-	}
-	t2.Update(acct("A"), entity.Set("balance", 50.0))
-	if _, err := t2.Commit(nil); err != nil {
-		t.Fatalf("t2 commit: %v", err)
-	}
-	t1.Update(acct("A"), entity.Set("balance", 70.0))
-	if _, err := t1.Commit(nil); !errors.Is(err, ErrConflict) {
-		t.Fatalf("want ErrConflict, got %v", err)
-	}
-	st, _, _ := m.DB().Current(acct("A"))
-	if st.Float("balance") != 50 {
-		t.Fatalf("lost update or dirty write: %v", st.Float("balance"))
-	}
-	stats := m.Stats()
-	if stats.Conflicts != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestOptimisticNoConflictOnDisjointEntities(t *testing.T) {
-	m := newUnit(t, "u1", Options{})
-	t1 := m.Begin(Optimistic)
-	t2 := m.Begin(Optimistic)
-	t1.Read(acct("A"))
-	t2.Read(acct("B"))
-	t1.Update(acct("A"), entity.Delta("balance", 1))
-	t2.Update(acct("B"), entity.Delta("balance", 1))
-	if _, err := t1.Commit(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t2.Commit(nil); err != nil {
-		t.Fatalf("disjoint optimistic txns should both commit: %v", err)
-	}
 }
 
 func TestSolipsisticNeverConflicts(t *testing.T) {
@@ -182,16 +131,16 @@ func TestSolipsisticNeverConflicts(t *testing.T) {
 	// snapshot; both commit (no waits, no aborts), and because they use
 	// commutative deltas the final state is correct (principle 2.10 + 2.7).
 	m := newUnit(t, "u1", Options{})
-	t1 := m.Begin(Solipsistic)
-	t2 := m.Begin(Solipsistic)
+	t1 := m.begin()
+	t2 := m.begin()
 	t1.Read(acct("A"))
 	t2.Read(acct("A"))
 	t1.Update(acct("A"), entity.Delta("balance", 30).Described("deposit 30"))
 	t2.Update(acct("A"), entity.Delta("balance", 12).Described("deposit 12"))
-	if _, err := t1.Commit(nil); err != nil {
+	if _, err := t1.commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t2.Commit(nil); err != nil {
+	if _, err := t2.commit(nil); err != nil {
 		t.Fatalf("solipsistic commit should never conflict: %v", err)
 	}
 	st, _, _ := m.DB().Current(acct("A"))
@@ -205,10 +154,10 @@ func TestSolipsisticNeverConflicts(t *testing.T) {
 
 func TestEnforceSingleEntity(t *testing.T) {
 	m := newUnit(t, "u1", Options{EnforceSingleEntity: true})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	tx.Update(acct("A"), entity.Delta("balance", 1))
 	tx.Update(acct("B"), entity.Delta("balance", 1))
-	if _, err := tx.Commit(nil); !errors.Is(err, ErrMultiEntity) {
+	if _, err := tx.commit(nil); !errors.Is(err, ErrMultiEntity) {
 		t.Fatalf("want ErrMultiEntity, got %v", err)
 	}
 	// Neither write took effect.
@@ -216,10 +165,10 @@ func TestEnforceSingleEntity(t *testing.T) {
 		t.Fatal("partial commit leaked")
 	}
 	// A single-entity transaction with several ops is fine.
-	ok := m.Begin(Solipsistic)
+	ok := m.begin()
 	ok.Update(acct("C"), entity.Delta("balance", 1))
 	ok.Update(acct("C"), entity.Set("owner", "carol"))
-	if _, err := ok.Commit(nil); err != nil {
+	if _, err := ok.commit(nil); err != nil {
 		t.Fatalf("single-entity commit: %v", err)
 	}
 	if got := ok.Entities(); len(got) != 1 || got[0] != acct("C") {
@@ -229,9 +178,9 @@ func TestEnforceSingleEntity(t *testing.T) {
 
 func TestTentativeUpdateFlagsState(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	tx.UpdateTentative(acct("A"), entity.Delta("balance", -20).Described("hold for offer"))
-	res, err := tx.Commit(nil)
+	res, err := tx.commit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +200,9 @@ func TestTentativeUpdateFlagsState(t *testing.T) {
 
 func TestCommitIdempotentOnDuplicateTxnID(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	tx.Update(acct("A"), entity.Delta("balance", 10))
-	if _, err := tx.Commit(nil); err != nil {
+	if _, err := tx.commit(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate an at-least-once retry of the same logical transaction by
@@ -268,43 +217,10 @@ func TestCommitIdempotentOnDuplicateTxnID(t *testing.T) {
 	}
 }
 
-func TestRunRetriesOptimisticConflicts(t *testing.T) {
-	m := newUnit(t, "u1", Options{})
-	seed := m.Begin(Solipsistic)
-	seed.Update(acct("A"), entity.Set("balance", 0.0))
-	seed.Commit(nil)
-
-	// Interfering writer fires exactly once, from inside the body on the
-	// first attempt, so the first commit conflicts and the retry succeeds.
-	interfered := false
-	_, err := m.Run(Optimistic, nil, 3, func(tx *Txn) error {
-		st, err := tx.Read(acct("A"))
-		if err != nil {
-			return err
-		}
-		if !interfered {
-			interfered = true
-			w := m.Begin(Solipsistic)
-			w.Update(acct("A"), entity.Delta("balance", 1))
-			if _, err := w.Commit(nil); err != nil {
-				return err
-			}
-		}
-		return tx.Update(acct("A"), entity.Set("balance", st.Float("balance")+10))
-	})
-	if err != nil {
-		t.Fatalf("Run with retries: %v", err)
-	}
-	st, _, _ := m.DB().Current(acct("A"))
-	if st.Float("balance") != 11 {
-		t.Fatalf("balance = %v, want 11 (1 from interferer + 10 from retried txn)", st.Float("balance"))
-	}
-}
-
 func TestRunPropagatesBodyError(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	boom := errors.New("boom")
-	if _, err := m.Run(Solipsistic, nil, 2, func(*Txn) error { return boom }); !errors.Is(err, boom) {
+	if _, err := m.Run(nil, func(*Txn) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("want body error, got %v", err)
 	}
 	if m.Stats().Aborts != 1 {
@@ -321,7 +237,7 @@ func TestConcurrentSolipsisticDepositsAllLand(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
+				_, err := m.Run(nil, func(tx *Txn) error {
 					return tx.Update(acct("shared"), entity.Delta("balance", 1))
 				})
 				if err != nil {
@@ -338,21 +254,12 @@ func TestConcurrentSolipsisticDepositsAllLand(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Solipsistic.String() != "solipsistic" || Optimistic.String() != "optimistic" {
-		t.Fatal("mode names wrong")
-	}
-	if Mode(9).String() == "" {
-		t.Fatal("unknown mode should render")
-	}
-}
-
 func TestCommitResultWarningsSurface(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	tx := m.Begin(Solipsistic)
+	tx := m.begin()
 	// Unknown field: accepted in managed mode but reported.
 	tx.Update(entity.Key{Type: "Order", ID: "O1"}, entity.Set("unknown_field", "x"))
-	res, err := tx.Commit(nil)
+	res, err := tx.commit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +301,7 @@ func TestConcurrentTransactionsRideGroupCommit(t *testing.T) {
 				if i%2 == 0 {
 					key = acct("private-" + string(rune('a'+g)))
 				}
-				if _, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
+				if _, err := m.Run(nil, func(tx *Txn) error {
 					return tx.Update(key, entity.Delta("balance", 1))
 				}); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
@@ -428,34 +335,6 @@ func TestConcurrentTransactionsRideGroupCommit(t *testing.T) {
 	}
 }
 
-// TestOptimisticConflictSurvivesGroupCommit: batching must not weaken
-// optimistic validation — a transaction that read a head another writer moved
-// still aborts with ErrConflict.
-func TestOptimisticConflictSurvivesGroupCommit(t *testing.T) {
-	m := newGroupCommitUnit(t, "u1", Options{})
-	if _, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
-		return tx.Update(acct("A"), entity.Delta("balance", 1))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tx := m.Begin(Optimistic)
-	if _, err := tx.Read(acct("A")); err != nil {
-		t.Fatal(err)
-	}
-	// A concurrent writer moves the head between the read and the commit.
-	if _, err := m.Run(Solipsistic, nil, 0, func(other *Txn) error {
-		return other.Update(acct("A"), entity.Delta("balance", 1))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Update(acct("A"), entity.Delta("balance", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(nil); !errors.Is(err, ErrConflict) {
-		t.Fatalf("Commit err = %v, want ErrConflict", err)
-	}
-}
-
 // A manager opened over a store that already holds this node's transactions
 // (a recovered log after a durable restart or a standby promotion) must
 // resume the id sequence past them: Commit treats a duplicate id as an
@@ -464,25 +343,25 @@ func TestOptimisticConflictSurvivesGroupCommit(t *testing.T) {
 func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	for i := 0; i < 3; i++ {
-		tx := m.Begin(Solipsistic)
+		tx := m.begin()
 		if err := tx.Update(acct("A"), entity.Delta("balance", 1)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.Commit(nil); err != nil {
+		if _, err := tx.commit(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// "Restart": a new manager over the same store and node name.
 	resumed := NewManager(m.DB(), nil, Options{Node: "u1"})
-	tx := resumed.Begin(Solipsistic)
+	tx := resumed.begin()
 	if got, want := tx.ID(), "u1-txn-4"; got != want {
 		t.Fatalf("first txn id after restart = %s, want %s", got, want)
 	}
 	if err := tx.Update(acct("A"), entity.Delta("balance", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(nil); err != nil {
+	if _, err := tx.commit(nil); err != nil {
 		t.Fatal(err)
 	}
 	st, _, err := resumed.DB().Current(acct("A"))
@@ -499,7 +378,7 @@ func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	again := NewManager(resumed.DB(), nil, Options{Node: "u1"})
-	if got, want := again.Begin(Solipsistic).ID(), "u1-txn-5"; got != want {
+	if got, want := again.begin().ID(), "u1-txn-5"; got != want {
 		t.Fatalf("txn id after foreign writes = %s, want %s", got, want)
 	}
 }
@@ -510,7 +389,7 @@ func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	key := acct("A")
-	res, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
+	res, err := m.Run(nil, func(tx *Txn) error {
 		return tx.UpdateTentative(key, entity.Delta("balance", 7))
 	})
 	if err != nil {
@@ -521,7 +400,7 @@ func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 	}
 	kept := res.Records[0]
 	for i := 0; i < 20; i++ {
-		if _, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error { return tx.Update(key, entity.Delta("balance", 1)) }); err != nil {
+		if _, err := m.Run(nil, func(tx *Txn) error { return tx.Update(key, entity.Delta("balance", 1)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,13 +416,13 @@ func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 }
 
 // BeginIn starts a transaction in reused storage: nothing of the transaction
-// that storage held before — its id, writes, reads, staged events, done flag
+// that storage held before — its id, writes, staged events, done flag
 // — is the new one's.
 func TestBeginInReusesStorageNotState(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	q := queue.New("u1", queue.Options{})
 	var tx Txn
-	m.BeginIn(&tx, Optimistic)
+	m.BeginIn(&tx)
 	first := tx.ID()
 	if _, err := tx.Read(acct("A")); err != nil {
 		t.Fatal(err)
@@ -559,9 +438,9 @@ func TestBeginInReusesStorageNotState(t *testing.T) {
 		t.Fatalf("CommitDiscard published %d events, want 1", q.Len())
 	}
 
-	m.BeginIn(&tx, Solipsistic)
-	if tx.ID() == first || tx.Mode() != Solipsistic || len(tx.Entities()) != 0 || len(tx.reads) != 0 || tx.outbox != nil || tx.done {
-		t.Fatalf("reused Txn carries over: id %s (was %s), mode %s, writes %v, reads %v", tx.ID(), first, tx.Mode(), tx.Entities(), tx.reads)
+	m.BeginIn(&tx)
+	if tx.ID() == first || len(tx.Entities()) != 0 || tx.outbox != nil || tx.done {
+		t.Fatalf("reused Txn carries over: id %s (was %s), writes %v", tx.ID(), first, tx.Entities())
 	}
 	// An empty commit in the reused storage publishes and writes nothing.
 	if err := tx.CommitDiscard(q); err != nil {
@@ -596,11 +475,11 @@ func TestStatsCountsUnderConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tx := m.Begin(Solipsistic)
+				tx := m.begin()
 				_ = tx.Update(acct("A"), entity.Delta("balance", 1))
 				if i%2 == 0 {
 					tx.Abort()
-				} else if _, err := tx.Commit(nil); err != nil {
+				} else if _, err := tx.commit(nil); err != nil {
 					t.Error(err)
 				}
 			}
@@ -620,7 +499,7 @@ func TestReadStateNeverChangesUnderLaterCommits(t *testing.T) {
 	order := entity.Key{Type: "Order", ID: "O1"}
 	write := func(m *Manager, i int) {
 		t.Helper()
-		_, err := m.Run(Solipsistic, nil, 0, func(tx *Txn) error {
+		_, err := m.Run(nil, func(tx *Txn) error {
 			return tx.Update(order,
 				entity.Set("status", "S"+strconv.Itoa(i)),
 				entity.Delta("total", 1),
@@ -640,7 +519,7 @@ func TestReadStateNeverChangesUnderLaterCommits(t *testing.T) {
 			for i := 1; i <= 70; i++ {
 				write(m, i)
 			}
-			tx := m.Begin(Solipsistic)
+			tx := m.begin()
 			defer tx.Abort()
 			if buffered {
 				if err := tx.Update(order, entity.Set("status", "MINE"), entity.SetChildField("lineitems", "L2", "qty", -1)); err != nil {

@@ -116,14 +116,6 @@ type Apology = apology.Apology
 // Migration describes a schema change (section 3.1).
 type Migration = migrate.Migration
 
-// Migration strategies.
-const (
-	// OnlineMigration backfills concurrently with live traffic.
-	OnlineMigration = migrate.Online
-	// StopTheWorldMigration blocks writers during the backfill.
-	StopTheWorldMigration = migrate.StopTheWorld
-)
-
 // Field scalar types.
 const (
 	String    = entity.String
