@@ -65,8 +65,8 @@ bench-steps:
 bench-edge:
 	$(GO) test -run 'TestEdgeAllocationBudget|TestDataPortAllocationBudget' -bench 'BenchmarkEdgeEntity|BenchmarkDataPort' -benchmem ./cmd/soupsd
 
-# The E17 multi-writer append-throughput benchmark on its own: per-append
-# locking vs group-commit batching, in-memory and with a per-commit fsync.
+# The E17 multi-writer append-throughput benchmark on its own: the one
+# commit path, in memory and over a WAL that fsyncs every commit cycle.
 bench-append:
 	$(GO) test -run xxx -bench BenchmarkE17AppendBatch -benchtime 200x .
 

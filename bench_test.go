@@ -773,93 +773,83 @@ func BenchmarkE16WideScan(b *testing.B) {
 	}
 }
 
-// --- E17: group-commit append batching under concurrent writers (section 3.1) --
+// --- E17: the append path under concurrent writers (section 3.1) -----------
 
-// E17 is the multi-writer write-path experiment for group-commit batching:
-// W concurrent writers append commutative deltas to a small hot key set, with
-// per-append locking vs group commit (lsdb.Options.GroupCommit). The sync
-// dimension selects the per-commit-cycle cost the batching amortises:
+// E17 is the multi-writer write-path experiment: W concurrent writers append
+// commutative deltas to a small hot key set through the one commit path,
+// which runs one commit cycle per append. The sync dimension selects the
+// per-cycle cost:
 //
 //   - sync=mem: the store is purely main-memory resident; the only fixed
-//     costs are the shard-lock handoff and the global LSN allocation. Those
-//     are scheduler-scale, so this dimension only separates the modes on
-//     hardware with real parallelism.
-//   - sync=fsync: every commit cycle forces a write-ahead line per record to
-//     a real file and fsyncs it (lsdb.Options.CommitHook), the durability
-//     cost any persistent log pays. Per-append locking pays one fsync per
-//     append; group commit pays one per batch — the classic group-commit
-//     amortisation, visible on any hardware.
+//     costs are the shard-lock handoff and the global LSN allocation.
+//   - sync=fsync: the store writes a segmented WAL (storage.OpenWAL with
+//     SyncAlways, attached through lsdb.Options.Backend), so every commit
+//     cycle pays one framed write and one fsync under the unit's log lock —
+//     the durability cost any persistent log pays.
 //
-// The equivalence suite (TestGroupCommitSerialEquivalenceRandomized and
-// friends) pins down that the two modes are observationally identical; this
-// benchmark measures what the batching buys.
+// EXPERIMENTS.md keeps the retired batched rows beside these: with at least
+// four writers on one shard and a force per cycle, batching amortised the
+// fsync, which this path gives up until the log writer owns the force.
 func BenchmarkE17AppendBatch(b *testing.B) {
 	const hotKeys = 16
 	for _, syncMode := range []string{"mem", "fsync"} {
 		for _, writers := range []int{1, 4, 8} {
 			for _, shards := range []int{1, 8} {
-				for _, mode := range []string{"per-append", "batched"} {
-					name := fmt.Sprintf("sync=%s/writers=%d/shards=%d/%s", syncMode, writers, shards, mode)
-					b.Run(name, func(b *testing.B) {
-						// "W writers" means W truly concurrent writers: give
-						// the scheduler enough Ps to run them in parallel even
-						// on a small CI box, otherwise goroutines serialise
-						// and no lock is ever contended — the regime this
-						// experiment measures never happens.
-						if procs := runtime.GOMAXPROCS(0); procs < writers {
-							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(writers))
-						}
-						opts := lsdb.Options{Node: "e17", Validation: entity.Managed, Shards: shards, GroupCommit: mode == "batched"}
-						if syncMode == "fsync" {
-							wal, err := os.CreateTemp(b.TempDir(), "e17-wal")
-							if err != nil {
-								b.Fatal(err)
-							}
-							defer wal.Close()
-							opts.CommitHook = func(recs []lsdb.Record) {
-								for _, rec := range recs {
-									fmt.Fprintf(wal, "%d %s %d\n", rec.LSN, rec.Key.ID, len(rec.Ops))
-								}
-								if err := wal.Sync(); err != nil {
-									b.Error(err)
-								}
-							}
-						}
-						db := lsdb.Open(opts)
-						if err := db.RegisterType(workload.AccountType()); err != nil {
+				name := fmt.Sprintf("sync=%s/writers=%d/shards=%d", syncMode, writers, shards)
+				b.Run(name, func(b *testing.B) {
+					// "W writers" means W truly concurrent writers: give the
+					// scheduler enough Ps to run them in parallel even on a
+					// small CI box, otherwise goroutines serialise and no
+					// lock is ever contended — the regime this experiment
+					// measures never happens.
+					if procs := runtime.GOMAXPROCS(0); procs < writers {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(writers))
+					}
+					opts := lsdb.Options{Node: "e17", Validation: entity.Managed, Shards: shards}
+					if syncMode == "fsync" {
+						wal, err := storage.OpenWAL(storage.WALOptions{Dir: b.TempDir(), Sync: storage.SyncAlways})
+						if err != nil {
 							b.Fatal(err)
 						}
-						keys := make([]repro.Key, hotKeys)
-						for i := range keys {
-							keys[i] = repro.Key{Type: "Account", ID: fmt.Sprintf("acct-%d", i)}
-						}
-						var wg sync.WaitGroup
-						var seq atomic.Int64
-						b.ResetTimer()
-						for w := 0; w < writers; w++ {
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								for {
-									i := seq.Add(1)
-									if i > int64(b.N) {
-										return
-									}
-									key := keys[int(i)%hotKeys]
-									if _, err := db.Append(key, []repro.Op{repro.Delta("balance", 1)}, clock.Timestamp{WallNanos: i, Node: "e17"}, "e17", ""); err != nil {
-										b.Error(err)
-										return
-									}
+						opts.Backend = wal
+					}
+					db := lsdb.Open(opts)
+					if err := db.RegisterType(workload.AccountType()); err != nil {
+						b.Fatal(err)
+					}
+					keys := make([]repro.Key, hotKeys)
+					for i := range keys {
+						keys[i] = repro.Key{Type: "Account", ID: fmt.Sprintf("acct-%d", i)}
+					}
+					var wg sync.WaitGroup
+					var seq atomic.Int64
+					b.ResetTimer()
+					for w := 0; w < writers; w++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for {
+								i := seq.Add(1)
+								if i > int64(b.N) {
+									return
 								}
-							}()
-						}
-						wg.Wait()
-						b.StopTimer()
-						if db.Len() != b.N {
-							b.Fatalf("log has %d records, want %d", db.Len(), b.N)
-						}
-					})
-				}
+								key := keys[int(i)%hotKeys]
+								if _, err := db.Append(key, []repro.Op{repro.Delta("balance", 1)}, clock.Timestamp{WallNanos: i, Node: "e17"}, "e17", ""); err != nil {
+									b.Error(err)
+									return
+								}
+							}
+						}()
+					}
+					wg.Wait()
+					b.StopTimer()
+					if db.Len() != b.N {
+						b.Fatalf("log has %d records, want %d", db.Len(), b.N)
+					}
+					if err := db.Close(); err != nil {
+						b.Fatal(err)
+					}
+				})
 			}
 		}
 	}
@@ -976,8 +966,8 @@ func BenchmarkE18Recovery(b *testing.B) {
 
 // BenchmarkE18AppendOverhead prices durability on the write path: the same
 // single-writer append stream against no backend, a page-cache WAL, and a
-// WAL that fsyncs every commit cycle. Combine with E17 for the group-commit
-// amortisation of that fsync across concurrent writers.
+// WAL that fsyncs every commit cycle. E17 prices the same fsync under
+// concurrent writers.
 func BenchmarkE18AppendOverhead(b *testing.B) {
 	for _, mode := range []string{"mem", "wal", "wal-fsync"} {
 		b.Run(mode, func(b *testing.B) {

@@ -25,7 +25,6 @@
 //
 // Usage: soupsd [-addr :8080] [-units 4] [-workers 2]
 //
-//	[-groupcommit] [-maxbatch 64]
 //	[-data-dir DIR] [-fsync-mode always|os] [-checkpoint-every 4096]
 //	[-role primary|standby] [-standbys URL,URL] [-ack async|sync|quorum]
 //	[-max-queue-depth 4096] [-retry-after 1s] [-debug-addr ADDR]
@@ -77,8 +76,7 @@ var (
 	addr            = flag.String("addr", ":8080", "listen address")
 	units           = flag.Int("units", 4, "number of serialization units")
 	workers         = flag.Int("workers", 0, "process-step workers per unit in the work-stealing pool (0 = default 2)")
-	groupCommit     = flag.Bool("groupcommit", false, "batch concurrent appends via per-shard group commit")
-	maxBatch        = flag.Int("maxbatch", 0, "max appends per group-commit batch (0 = default 64)")
+	_               = flag.Bool("groupcommit", false, "deprecated, ignored")
 	dataDir         = flag.String("data-dir", "", "durable mode: write-ahead log + SSTable directory (empty = in-memory)")
 	fsyncMode       = flag.String("fsync-mode", "os", "WAL durability: always (fsync per commit cycle) or os (page cache)")
 	ckptEvery       = flag.Int("checkpoint-every", 4096, "records per unit between automatic tiered flushes (-1 disables)")
@@ -128,7 +126,6 @@ func openKernel() (*repro.Kernel, error) {
 	}
 	opts := repro.Options{
 		Node: "soupsd", Units: *units, Workers: *workers,
-		GroupCommit: *groupCommit, MaxAppendBatch: *maxBatch,
 		DataDir: *dataDir, Fsync: sync, CheckpointEvery: *ckptEvery,
 		FlushBytes: *flushBytes, CompactAfter: *compactAfter,
 		CompactThrottle: *compactThrottle,
@@ -224,8 +221,8 @@ func main() {
 		if rs := s.k().ReplicaStats(); rs.Enabled {
 			repl = fmt.Sprintf("shipping to %d standbys ack=%s", rs.Standbys, rs.Mode)
 		}
-		log.Printf("soupsd primary listening on %s (units=%d groupcommit=%v %s, %s)",
-			*addr, *units, *groupCommit, durable, repl)
+		log.Printf("soupsd primary listening on %s (units=%d %s, %s)",
+			*addr, *units, durable, repl)
 	} else {
 		log.Printf("soupsd standby listening on %s (units=%d %s); POST /promote to take over", *addr, *units, durable)
 	}

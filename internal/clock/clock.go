@@ -160,10 +160,9 @@ func (s *Sequence) Next() uint64 {
 }
 
 // Reserve allocates n consecutive identifiers in one acquisition and returns
-// the first of the run; the caller owns first..first+n-1. The group-commit
-// leader in the LSDB uses it to stamp a whole batch of appends with one
-// contiguous LSN run instead of taking the sequence lock once per record.
-// Reserving zero identifiers returns the next unissued value without
+// the first of the run; the caller owns first..first+n-1. The LSDB's log
+// append uses it to stamp a commit cycle's records with one contiguous LSN
+// run instead of taking the sequence lock once per record. Reserving zero identifiers returns the next unissued value without
 // consuming it.
 func (s *Sequence) Reserve(n int) uint64 {
 	s.mu.Lock()
@@ -178,7 +177,7 @@ func (s *Sequence) Reserve(n int) uint64 {
 // Rollback un-issues a reservation of n identifiers starting at first. The
 // LSDB calls it when a log-first append fails after reserving LSNs: putting
 // the run back keeps the durable log dense (no LSN gaps), which standby
-// contiguous watermarks and the group-commit contract depend on. It succeeds
+// contiguous watermarks depend on. It succeeds
 // only when first..first+n-1 is exactly the tip of the sequence — callers
 // must serialise allocation and rollback under their own lock so no later
 // reservation can interleave.

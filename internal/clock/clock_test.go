@@ -122,7 +122,7 @@ func TestSequenceReserve(t *testing.T) {
 
 // TestSequenceReserveConcurrent checks that interleaved Reserve and Next
 // calls hand out disjoint runs covering a dense range — the property the
-// group-commit leader relies on for gap-free LSN assignment.
+// LSDB's log append relies on for gap-free LSN assignment.
 func TestSequenceReserveConcurrent(t *testing.T) {
 	var s Sequence
 	const goroutines, per, run = 8, 200, 5

@@ -65,18 +65,16 @@ type Options struct {
 	// intra-unit lock contention between entities that hash to different
 	// stripes; 1 reproduces the single-lock layout.
 	DBShards int
-	// GroupCommit enables group-commit append batching inside every unit's
-	// log store: concurrent writers — transactions committing on different
-	// goroutines, process-engine workers, migration backfills — enqueue their
-	// appends on per-shard commit queues and a leader commits each batch
-	// under one lock hold with one contiguous LSN run. Semantics are
-	// unchanged; experiment E17 measures the multi-writer throughput win.
-	GroupCommit bool
+	// GroupCommit and MaxAppendBatch select nothing: every append commits
+	// through one per-append cycle. They are declared only because the
+	// repository benchmark (bench/) still sets them, and go with the next
+	// change to it. No other code sets them.
+	GroupCommit    bool
+	MaxAppendBatch int
 	// DataDir, when non-empty, makes the kernel durable: every serialization
 	// unit opens a segmented write-ahead log in its own subdirectory
 	// (unit-0, unit-1, ...), commits append to it (one framed batch write —
-	// and with Fsync always, one fsync — per commit cycle; GroupCommit
-	// amortises that force across concurrent writers). The log is tiered:
+	// and with Fsync always, one fsync — per commit cycle). The log is tiered:
 	// flushes write settled state to SSTables beside it and prune the
 	// segments they cover, and Open recovers each unit from its newest
 	// tables plus the log tail. The unit count must match across restarts —
@@ -108,10 +106,6 @@ type Options struct {
 	// never monopolises the disk against foreground commits (only meaningful
 	// with DataDir; default 500µs, negative disables throttling).
 	CompactThrottle time.Duration
-	// MaxAppendBatch bounds how many queued appends one group-commit leader
-	// folds into a single batch (default 64; only meaningful with
-	// GroupCommit).
-	MaxAppendBatch int
 	// CollapseVertical enables inline execution of follow-up steps.
 	CollapseVertical bool
 	// Workers is the size of each unit's step pool when Start is used
@@ -372,8 +366,6 @@ func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, erro
 		SnapshotEvery:   opts.SnapshotEvery,
 		Validation:      entity.Managed,
 		Shards:          opts.DBShards,
-		GroupCommit:     opts.GroupCommit,
-		MaxBatch:        opts.MaxAppendBatch,
 		CheckpointEvery: opts.CheckpointEvery,
 		RearmAfter:      opts.RearmAfter,
 	}

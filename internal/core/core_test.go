@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -586,63 +585,10 @@ func TestKernelReadsAreFrozenAndAliasFree(t *testing.T) {
 	}
 }
 
-// TestKernelGroupCommitEquivalence drives concurrent Update traffic through a
-// group-commit kernel and a per-append kernel: every read-visible outcome —
-// balances, transaction stats, aggregate sums after catch-up — must match.
-func TestKernelGroupCommitEquivalence(t *testing.T) {
-	const goroutines, perG, accounts = 8, 30, 5
-	run := func(opts Options) *Kernel {
-		k := newKernel(t, opts)
-		k.DefineSumAggregate("deposits", "Account", "balance", "")
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < perG; i++ {
-					key := accountKey(fmt.Sprintf("A%d", (g*perG+i)%accounts))
-					if _, err := k.Update(key, entity.Delta("balance", 1)); err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		k.CatchUpAggregates()
-		return k
-	}
-	batched := run(Options{Node: "gc", Units: 2, GroupCommit: true, MaxAppendBatch: 8})
-	serial := run(Options{Node: "pa", Units: 2})
-	if t.Failed() {
-		return
-	}
-	for a := 0; a < accounts; a++ {
-		key := accountKey(fmt.Sprintf("A%d", a))
-		stB, errB := batched.Read(key)
-		stS, errS := serial.Read(key)
-		if errB != nil || errS != nil {
-			t.Fatalf("Read(%s): %v / %v", key, errB, errS)
-		}
-		if stB.Float("balance") != stS.Float("balance") {
-			t.Fatalf("%s: batched balance %v, serial %v", key, stB.Float("balance"), stS.Float("balance"))
-		}
-	}
-	if b, s := batched.TxnStats().Commits, serial.TxnStats().Commits; b != s || b != goroutines*perG {
-		t.Fatalf("commits: batched %d, serial %d, want %d", b, s, goroutines*perG)
-	}
-	sumB, _ := batched.Sum("deposits", "")
-	sumS, _ := serial.Sum("deposits", "")
-	if sumB != sumS || sumB != float64(goroutines*perG) {
-		t.Fatalf("aggregate: batched %v, serial %v, want %d", sumB, sumS, goroutines*perG)
-	}
-}
-
-// TestKernelGroupCommitTentativePromises exercises the promise/apology path
-// over batched appends: broken promises withdraw their tentative records even
-// when those records were committed by a group-commit leader.
+// TestKernelGroupCommitTentativePromises exercises the promise/apology path:
+// broken promises withdraw their tentative records, kept ones stay applied.
 func TestKernelGroupCommitTentativePromises(t *testing.T) {
-	k := newKernel(t, Options{Node: "gcp", GroupCommit: true})
+	k := newKernel(t, Options{Node: "gcp"})
 	key := entity.Key{Type: "Book", ID: "bestseller"}
 	if _, err := k.Update(key, entity.Set("stock", 3)); err != nil {
 		t.Fatal(err)

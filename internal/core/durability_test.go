@@ -104,16 +104,16 @@ func populate(t *testing.T, k *Kernel) {
 }
 
 // TestDurableKernelRestart is the end-to-end acceptance check at the kernel
-// layer: a durable node populated under group commit stops, reopens from its
+// layer: a durable node populated by concurrent writers stops, reopens from its
 // data directory alone, and serves identical states; new writes continue the
 // log.
 func TestDurableKernelRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
-		Node: "dur", Units: 3, GroupCommit: true,
+		Node: "dur", Units: 3,
 		DataDir: dir, Fsync: storage.SyncAlways, CheckpointEvery: 50,
 	}
-	k := newKernel(t, Options{Node: opts.Node, Units: opts.Units, GroupCommit: true,
+	k := newKernel(t, Options{Node: opts.Node, Units: opts.Units,
 		DataDir: dir, Fsync: storage.SyncAlways, CheckpointEvery: 50})
 	populate(t, k)
 	want := kernelStates(t, k)

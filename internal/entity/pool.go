@@ -2,8 +2,8 @@
 //
 // Copy-on-write discards chunks constantly — every Apply that touches a
 // collection copies the chunks it writes, and short-lived states (a flush
-// capture's scratch rollup, a group-commit batch that failed its log append,
-// a strict-mode validation failure) abandon those copies immediately. The
+// capture's scratch rollup, an append the log refused, a
+// strict-mode validation failure) abandon those copies immediately. The
 // free list gives the copy path a second life for the backing arrays instead
 // of a fresh allocation per copy.
 //

@@ -93,36 +93,6 @@ func TestCommitSinkErrorReachesWriterRecordStaysCommitted(t *testing.T) {
 	}
 }
 
-// Under group commit, one sink call per batch and a failure fans out to every
-// writer in it.
-func TestCommitSinkGroupCommitBatchFanout(t *testing.T) {
-	log := sinkLog{err: errors.New("quorum lost")}
-	db := newTestDB(t, Options{GroupCommit: true, Shards: 1, CommitSink: log.sink})
-	const writers = 8
-	errs := make(chan error, writers)
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := db.Append(entity.Key{Type: "Account", ID: "A1"},
-				[]entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", "")
-			errs <- err
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if !errors.Is(err, log.err) {
-			t.Fatalf("writer err = %v, want the sink error", err)
-		}
-	}
-	st, _, err := db.Current(entity.Key{Type: "Account", ID: "A1"})
-	if err != nil || st.Float("balance") != writers {
-		t.Fatalf("batch not committed locally: %v %v", st, err)
-	}
-}
-
 // Recover must not re-ship: the replayed records went through the sink when
 // they were first written, and a promoted standby replaying its received log
 // must not try to replicate it back.
@@ -154,26 +124,23 @@ func TestCommitSinkSilentDuringRecover(t *testing.T) {
 
 // The ack wait runs with no shard lock held: a wait that reads the store —
 // as a replication barrier consulting watermarks might — must not deadlock
-// against the shard lock its own commit cycle held during capture. Exercised
-// on both the serial and the group-commit path; a regression here hangs the
-// test rather than failing an assert.
+// against the shard lock its own commit cycle held during capture. A
+// regression here hangs the test rather than failing an assert.
 func TestCommitSinkWaitRunsOffShardLock(t *testing.T) {
 	key := entity.Key{Type: "Account", ID: "A1"}
-	for _, group := range []bool{false, true} {
-		var db *DB
-		sink := func(recs []Record) func() error {
-			return func() error {
-				_, _, err := db.Current(key) // same shard as the commit
-				return err
-			}
+	var db *DB
+	sink := func(recs []Record) func() error {
+		return func() error {
+			_, _, err := db.Current(key) // same shard as the commit
+			return err
 		}
-		db = newTestDB(t, Options{Shards: 1, GroupCommit: group, CommitSink: sink})
-		if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "t1"); err != nil {
-			t.Fatalf("group=%v: %v", group, err)
-		}
-		if err := db.MarkObsolete(key, "t1"); err != nil {
-			t.Fatalf("group=%v: MarkObsolete: %v", group, err)
-		}
+	}
+	db = newTestDB(t, Options{Shards: 1, CommitSink: sink})
+	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "t1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.MarkObsolete(key, "t1"); err != nil {
+		t.Fatalf("MarkObsolete: %v", err)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 	"repro/internal/entity"
 )
 
-// scriptOp is one step of a deterministic per-writer workload script; the
-// same scripts drive both the batched and the serial run of the equivalence
-// suite.
+// The commit path under concurrent writers: per-writer errors, history
+// rewrites racing appends, and a commit sink that panics mid-cycle.
+
+// scriptOp is one step of a deterministic per-writer workload script.
 type scriptOp struct {
 	key       entity.Key
 	ops       []entity.Op
@@ -102,105 +103,12 @@ func assertDenseLSNs(t *testing.T, db *DB, n int) {
 	}
 }
 
-// assertSameStates compares the final state of every key in a against its
-// counterpart in b: root fields, live child rows and tentative flags.
-func assertSameStates(t *testing.T, a, b *DB) {
-	t.Helper()
-	keysA, keysB := a.Keys(), b.Keys()
-	if len(keysA) != len(keysB) {
-		t.Fatalf("key sets differ: %d vs %d", len(keysA), len(keysB))
-	}
-	for i, key := range keysA {
-		if keysB[i] != key {
-			t.Fatalf("key sets differ at %d: %s vs %s", i, key, keysB[i])
-		}
-		stA, _, errA := a.Current(key)
-		stB, _, errB := b.Current(key)
-		if errA != nil || errB != nil {
-			t.Fatalf("Current(%s): %v / %v", key, errA, errB)
-		}
-		if len(stA.Fields) != len(stB.Fields) {
-			t.Fatalf("%s: field counts differ: %v vs %v", key, stA.Fields, stB.Fields)
-		}
-		for f, v := range stA.Fields {
-			if stB.Fields[f] != v {
-				t.Fatalf("%s.%s = %v, want %v", key, f, stB.Fields[f], v)
-			}
-		}
-		if stA.Tentative != stB.Tentative {
-			t.Fatalf("%s: tentative %v vs %v", key, stA.Tentative, stB.Tentative)
-		}
-		if got, want := stB.ChildCount("lineitems"), stA.ChildCount("lineitems"); got != want {
-			t.Fatalf("%s: child count %d, want %d", key, got, want)
-		}
-	}
-}
-
-// TestGroupCommitSerialEquivalenceRandomized is the equivalence suite: for
-// randomized multi-writer workloads, the batched path must produce the same
-// final states, the same per-key record order for single-writer keys, and the
-// same dense contiguous LSN space as the serial path. Run it under -race (CI
-// does) to also exercise the leader/follower handoff.
-func TestGroupCommitSerialEquivalenceRandomized(t *testing.T) {
-	const writers, opsPerWriter, hotKeys = 8, 60, 3
-	for _, seed := range []int64{1, 7, 42} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				scripts := buildScripts(seed, writers, opsPerWriter, hotKeys)
-
-				batched := newTestDB(t, Options{GroupCommit: true, Shards: shards, SnapshotEvery: 16})
-				runScriptsConcurrent(t, batched, scripts)
-
-				// The serial reference: same scripts, per-append locking, one
-				// writer at a time (any interleaving of different writers is
-				// equivalent — private keys are single-writer and hot keys only
-				// see commutative deltas).
-				serial := newTestDB(t, Options{Shards: shards, SnapshotEvery: 16})
-				for w, script := range scripts {
-					for i, so := range script {
-						if _, err := serial.Append(so.key, so.ops, stamp(int64(w*1000000+i+1)), "gc", so.txnID); err != nil {
-							t.Fatalf("serial writer %d op %d: %v", w, i, err)
-						}
-					}
-				}
-
-				assertSameStates(t, batched, serial)
-				assertDenseLSNs(t, batched, writers*opsPerWriter)
-				assertDenseLSNs(t, serial, writers*opsPerWriter)
-
-				// Per-key record order: a private key is written by exactly one
-				// writer, whose appends are sequential, so the batched log must
-				// hold its ops in submission order — identical to serial.
-				for w, script := range scripts {
-					var wantByKey = map[entity.Key][]string{}
-					for _, so := range script {
-						if so.key.ID[:1] == "w" {
-							wantByKey[so.key] = append(wantByKey[so.key], fmt.Sprintf("%v", so.ops[0]))
-						}
-					}
-					for key, want := range wantByKey {
-						recs := batched.RecordsFor(key)
-						if len(recs) != len(want) {
-							t.Fatalf("writer %d key %s: %d records, want %d", w, key, len(recs), len(want))
-						}
-						for i, rec := range recs {
-							if got := fmt.Sprintf("%v", rec.Ops[0]); got != want[i] {
-								t.Fatalf("key %s record %d: op %s, want %s (submission order lost)", key, i, got, want[i])
-							}
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestGroupCommitPerWriterErrors asserts leader-side error isolation: one
-// writer's invalid op-set (strict validation) or duplicate transaction id
-// must fail only that writer, never the batch it rode in — and failed
-// requests must not burn LSNs.
+// TestGroupCommitPerWriterErrors asserts error isolation between concurrent
+// writers on one shard: one writer's invalid op-set (strict validation) or
+// duplicate transaction id fails only that writer — and failed appends do
+// not burn LSNs.
 func TestGroupCommitPerWriterErrors(t *testing.T) {
-	db := newTestDB(t, Options{GroupCommit: true, Validation: entity.Strict, Shards: 1})
+	db := newTestDB(t, Options{Validation: entity.Strict, Shards: 1})
 	const writers, repeats = 8, 25
 	var good, bad, dups atomic.Int64
 	var wg sync.WaitGroup
@@ -280,11 +188,11 @@ func TestGroupCommitPerWriterErrors(t *testing.T) {
 }
 
 // TestGroupCommitSnapshotCompactObsoleteRace races Snapshot, Compact and
-// MarkObsolete against in-flight batched appends: history rewrites must
-// invalidate the materialised cache correctly even while a leader is
-// committing batches, so no reader is ever served a stale frozen state.
+// MarkObsolete against concurrent writers: history rewrites must invalidate
+// the materialised cache correctly while appends commit, so no reader is
+// ever served a stale frozen state.
 func TestGroupCommitSnapshotCompactObsoleteRace(t *testing.T) {
-	db := newTestDB(t, Options{GroupCommit: true, Shards: 4, SnapshotEvery: 8, MaxBatch: 8})
+	db := newTestDB(t, Options{Shards: 4, SnapshotEvery: 8})
 	const writers, perWriter, keys = 6, 80, 8
 	var expected [keys]atomic.Int64 // expected final balance per key
 	type tentativeRec struct {
@@ -321,7 +229,7 @@ func TestGroupCommitSnapshotCompactObsoleteRace(t *testing.T) {
 	}
 
 	// The rewriters: withdraw tentative promises, force snapshots, compact,
-	// and read continuously while batches are in flight.
+	// and read continuously while appends are in flight.
 	stop := make(chan struct{})
 	var rewriters sync.WaitGroup
 	rewriters.Add(1)
@@ -411,11 +319,11 @@ func TestGroupCommitSnapshotCompactObsoleteRace(t *testing.T) {
 	}
 }
 
-// TestGroupCommitIdempotenceAndTentative re-runs the core append semantics on
-// the batched path: duplicate txn ids are rejected across batches, tentative
-// records flag the state and can be withdrawn.
+// TestGroupCommitIdempotenceAndTentative pins the core append semantics:
+// duplicate txn ids are rejected, tentative records flag the state and can
+// be withdrawn.
 func TestGroupCommitIdempotenceAndTentative(t *testing.T) {
-	db := newTestDB(t, Options{GroupCommit: true})
+	db := newTestDB(t, Options{})
 	key := entity.Key{Type: "Account", ID: "A"}
 	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 10)}, stamp(1), "n", "t1"); err != nil {
 		t.Fatalf("Append: %v", err)
@@ -441,142 +349,82 @@ func TestGroupCommitIdempotenceAndTentative(t *testing.T) {
 	}
 }
 
-// TestCommitHookPerAppend: on the serial path the commit hook fires once per
-// append with exactly that record — the baseline group commit amortises.
-func TestCommitHookPerAppend(t *testing.T) {
-	var calls int
-	var total int
-	opts := Options{CommitHook: func(recs []Record) {
-		calls++
-		total += len(recs)
-	}}
-	db := newTestDB(t, opts)
-	key := entity.Key{Type: "Account", ID: "A"}
-	for i := 0; i < 5; i++ {
-		if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 5 || total != 5 {
-		t.Fatalf("hook: %d calls / %d records, want 5/5", calls, total)
-	}
-}
-
-// TestCommitHookAmortisedByGroupCommit pins the amortisation contract: while
-// the leader is inside the hook (a slow log force), followers pile onto the
-// queue, and the next drain iteration commits them as ONE batch with ONE hook
-// call covering a contiguous LSN run.
-func TestCommitHookAmortisedByGroupCommit(t *testing.T) {
-	const followers = 4
-	firstCall := make(chan struct{})
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var batches [][]uint64
-	opts := Options{GroupCommit: true, Shards: 1, CommitHook: func(recs []Record) {
-		lsns := make([]uint64, len(recs))
-		for i, r := range recs {
-			lsns[i] = r.LSN
-		}
-		mu.Lock()
-		batches = append(batches, lsns)
-		first := len(batches) == 1
-		mu.Unlock()
-		if first {
-			close(firstCall) // let the followers start...
-			<-release        // ...and stall the "log force" until they queued
-		}
-	}}
-	db := newTestDB(t, opts)
-	key := entity.Key{Type: "Account", ID: "A"}
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "")
-		leaderDone <- err
-	}()
-	<-firstCall
-	var wg sync.WaitGroup
-	var started sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		started.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started.Done()
-			if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+2)), "n", ""); err != nil {
-				t.Errorf("follower %d: %v", i, err)
+// TestCommitSinkPanicDoesNotWedgeShard: a commit sink whose capture panics
+// (on an append, and on a mark) must release the shard lock. The panic
+// reaches the writer, what the cycle captured stays committed, and the next
+// append and read on the shard run normally instead of blocking forever.
+func TestCommitSinkPanicDoesNotWedgeShard(t *testing.T) {
+	ops := []entity.Op{entity.Delta("balance", 1)}
+	for _, c := range []struct {
+		name        string
+		panicking   func(db *DB, key entity.Key)
+		wantLSN     uint64
+		wantBalance float64
+	}{
+		// The panicking append's record stays: 1 + 5 + 1, then the follow-up.
+		{"append", func(db *DB, key entity.Key) { db.Append(key, ops, stamp(3), "n", "") }, 4, 8},
+		// The panicking mark stays applied: the promise of 5 is withdrawn.
+		{"mark-obsolete", func(db *DB, key entity.Key) { db.MarkObsolete(key, "promise") }, 3, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var armed atomic.Bool
+			db := newTestDB(t, Options{Shards: 1, CommitSink: func([]Record) func() error {
+				if armed.CompareAndSwap(true, false) {
+					panic("capture exploded")
+				}
+				return nil
+			}})
+			key := acct("A")
+			if _, err := db.Append(key, ops, stamp(1), "n", ""); err != nil {
+				t.Fatal(err)
 			}
-		}(i)
-	}
-	started.Wait()
-	// Give the followers a moment to enqueue behind the stalled leader, then
-	// release the log force.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	if err := <-leaderDone; err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(batches) != 2 {
-		t.Fatalf("hook calls = %d (%v), want 2: one for the leader, one amortising all %d followers", len(batches), batches, followers)
-	}
-	if len(batches[0]) != 1 || len(batches[1]) != followers {
-		t.Fatalf("batch sizes = %d/%d, want 1/%d", len(batches[0]), len(batches[1]), followers)
-	}
-	for i, lsn := range batches[1] {
-		if lsn != uint64(i+2) {
-			t.Fatalf("batch LSNs %v not a contiguous run from 2", batches[1])
-		}
-	}
-	st, _, err := db.Current(key)
-	if err != nil || st.Float("balance") != float64(followers+1) {
-		t.Fatalf("final state: %v %v", st, err)
-	}
-}
-
-// TestGroupCommitLeaderPanicDoesNotWedgeShard: a panic escaping the commit
-// path (realistically a user-supplied CommitHook) must propagate to the
-// leader's caller but leave the shard usable — leadership released, no writer
-// parked forever.
-func TestGroupCommitLeaderPanicDoesNotWedgeShard(t *testing.T) {
-	armed := true
-	opts := Options{GroupCommit: true, Shards: 1, CommitHook: func([]Record) {
-		if armed {
-			armed = false
-			panic("log force exploded")
-		}
-	}}
-	db := newTestDB(t, opts)
-	key := entity.Key{Type: "Account", ID: "A"}
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("expected the leader's Append to panic")
+			if _, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", 5)}, stamp(2), "n", "promise"); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "")
-	}()
-	// The shard must have released leadership: the next append elects a new
-	// leader and commits normally.
-	res, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(2), "n", "")
-	if err != nil {
-		t.Fatalf("append after leader panic: %v", err)
-	}
-	// The panicking cycle had already installed its record (the hook runs
-	// after installation), so the log holds both appends.
-	if st, _, _ := db.Current(key); res.Record.LSN != 2 || st.Float("balance") != 2 {
-		t.Fatalf("post-panic append: LSN=%d balance=%v, want 2/2", res.Record.LSN, st.Float("balance"))
+			armed.Store(true)
+			func() {
+				defer func() {
+					if r := recover(); r == nil {
+						t.Fatal("the capture's panic did not reach the writer")
+					}
+				}()
+				c.panicking(db, key)
+			}()
+			type outcome struct {
+				lsn     uint64
+				balance float64
+				err     error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := db.Append(key, ops, stamp(4), "n", "")
+				if err != nil {
+					done <- outcome{err: err}
+					return
+				}
+				st, _, err := db.Current(key)
+				if err != nil {
+					done <- outcome{err: err}
+					return
+				}
+				done <- outcome{lsn: res.Record.LSN, balance: st.Float("balance")}
+			}()
+			select {
+			case got := <-done:
+				if got.err != nil || got.lsn != c.wantLSN || got.balance != c.wantBalance {
+					t.Fatalf("after the panic: LSN %d, balance %v, err %v; want %d, %v", got.lsn, got.balance, got.err, c.wantLSN, c.wantBalance)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the shard is wedged: the append after the panic still blocks after 2s")
+			}
+		})
 	}
 }
 
-// TestGroupCommitUnknownTypeAndSanitization: failures that precede the queue
-// must behave exactly as on the serial path.
+// TestGroupCommitUnknownTypeAndSanitization: failures that precede the
+// commit cycle take no lock and leave no record.
 func TestGroupCommitUnknownTypeAndSanitization(t *testing.T) {
-	db := newTestDB(t, Options{GroupCommit: true})
+	db := newTestDB(t, Options{})
 	if _, err := db.Append(entity.Key{Type: "Nope", ID: "x"}, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", ""); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}

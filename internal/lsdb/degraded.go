@@ -8,10 +8,9 @@
 // run and appends to the durable backend *before* installing anything in
 // memory, under one global log mutex (db.logMu) so allocation and append
 // are atomic. On failure the reservation is rolled back (the log stays
-// dense — standby contiguous watermarks and the group-commit contract both
-// depend on LSNs having no holes) and the unit transitions to a typed
-// degraded state: reads keep serving from the materialised cache, writers
-// get ErrDegraded with a reason.
+// dense — standby contiguous watermarks depend on LSNs having no holes)
+// and the unit transitions to a typed degraded state: reads keep serving
+// from the materialised cache, writers get ErrDegraded with a reason.
 //
 // Degraded states differ in how they heal:
 //
@@ -26,9 +25,8 @@
 //     is never retried — the page cache may disagree with the disk in ways
 //     a second fsync would paper over. Recovery is restart or failover.
 //
-// The CommitSink (replication) and CommitHook stay post-install: a sink
-// failure still means "committed locally, replication in doubt", exactly
-// as before.
+// The CommitSink (replication) stays post-install: a sink failure still
+// means "committed locally, replication in doubt", exactly as before.
 package lsdb
 
 import (
@@ -215,23 +213,19 @@ func (db *DB) logMarks(marks []Record) error {
 	return nil
 }
 
-// postCommitLocked finishes a commit cycle after its records are installed:
-// the replication sink's capture phase, then the observability hook. The
-// caller holds the shard's write lock; the sink's capture must therefore be
-// fast and non-blocking (it snapshots the batch and hands it to the shipping
-// lanes). The returned wait function — nil when no acknowledgement is owed —
-// is the sink's ack barrier; the caller invokes it through waitCommitSink
-// *after* releasing the shard lock, so a slow or retrying standby never
-// stalls the shard's readers or other writers.
+// postCommitLocked finishes a commit cycle (or a mark) after its records are
+// installed: the replication sink's capture phase. The caller holds the
+// shard's write lock; the sink's capture must therefore be fast and
+// non-blocking (it snapshots the batch and hands it to the shipping lanes).
+// The returned wait function — nil when no acknowledgement is owed — is the
+// sink's ack barrier; the caller invokes it *after* releasing the shard
+// lock, so a slow or retrying standby never stalls the shard's readers or
+// other writers.
 func (db *DB) postCommitLocked(records []Record) func() error {
-	var wait func() error
-	if db.opts.CommitSink != nil && !db.recovering {
-		wait = db.opts.CommitSink(records)
+	if db.opts.CommitSink == nil || db.recovering {
+		return nil
 	}
-	if db.opts.CommitHook != nil {
-		db.opts.CommitHook(records)
-	}
-	return wait
+	return db.opts.CommitSink(records)
 }
 
 // waitCommitSink blocks on a commit sink's ack barrier (with no lock held)

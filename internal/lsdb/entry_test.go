@@ -15,7 +15,7 @@ import (
 
 // The exactly-once index lives in each entity's entry, beside the record
 // list it is derived from. These tests pin that it is exact — below and above
-// txnSpill retained records, inside a group-commit batch — and that it is
+// txnSpill retained records — and that it is
 // bounded by, and always consistent with, the retained log. highwater_test.go
 // covers which ids are answered by the high-water mark and which by a lookup.
 
@@ -95,29 +95,27 @@ func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 }
 
 func TestDuplicateTxnRefusedBeforeAndAfterSpill(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			db := newTestDB(t, Options{GroupCommit: group})
-			key := acct("hot")
-			const total = 3 * txnSpill
-			for i := 0; i < total; i++ {
-				if err := deposit(t, db, key, i+1, fmt.Sprintf("t%d", i)); err != nil {
-					t.Fatal(err)
-				}
-				// Every id written so far is refused, whichever shape holds it.
-				for _, j := range []int{0, i / 2, i} {
-					if err := deposit(t, db, key, 99, fmt.Sprintf("t%d", j)); !errors.Is(err, ErrDuplicateTxn) {
-						t.Fatalf("after %d appends, resubmitting t%d: err = %v, want ErrDuplicateTxn", i+1, j, err)
-					}
-				}
-				assertTxnIndexMatchesLog(t, db)
+	t.Run(perAppend, func(t *testing.T) {
+		db := newTestDB(t, Options{})
+		key := acct("hot")
+		const total = 3 * txnSpill
+		for i := 0; i < total; i++ {
+			if err := deposit(t, db, key, i+1, fmt.Sprintf("t%d", i)); err != nil {
+				t.Fatal(err)
 			}
-			st, head, err := db.Current(key)
-			if err != nil || st.Float("balance") != total || head != total {
-				t.Fatalf("balance %v at LSN %d (%v), want %d at %d: a refused duplicate was applied or logged", st.Float("balance"), head, err, total, total)
+			// Every id written so far is refused, whichever shape holds it.
+			for _, j := range []int{0, i / 2, i} {
+				if err := deposit(t, db, key, 99, fmt.Sprintf("t%d", j)); !errors.Is(err, ErrDuplicateTxn) {
+					t.Fatalf("after %d appends, resubmitting t%d: err = %v, want ErrDuplicateTxn", i+1, j, err)
+				}
 			}
-		})
-	}
+			assertTxnIndexMatchesLog(t, db)
+		}
+		st, head, err := db.Current(key)
+		if err != nil || st.Float("balance") != total || head != total {
+			t.Fatalf("balance %v at LSN %d (%v), want %d at %d: a refused duplicate was applied or logged", st.Float("balance"), head, err, total, total)
+		}
+	})
 }
 
 func TestMarkObsoleteFindsTxnOnSpilledEntity(t *testing.T) {
@@ -149,40 +147,6 @@ func TestMarkObsoleteFindsTxnOnSpilledEntity(t *testing.T) {
 	// A withdrawn promise's id stays taken: its record is still in the log.
 	if err := deposit(t, db, key, 99, "p3"); !errors.Is(err, ErrDuplicateTxn) {
 		t.Fatalf("resubmitting a withdrawn promise's id: %v, want ErrDuplicateTxn", err)
-	}
-	assertTxnIndexMatchesLog(t, db)
-}
-
-// Inside one group-commit batch the requests validated earlier stand in for
-// the entry: a duplicate of a batch predecessor is refused, and a request
-// builds on its predecessor's state.
-func TestDuplicateTxnRefusedInsideOneBatch(t *testing.T) {
-	db := newTestDB(t, Options{GroupCommit: true, Shards: 1})
-	s := db.shards[0]
-	typ, _ := db.TypeOf("Account")
-	req := func(id, txnID string) *appendReq {
-		return &appendReq{typ: typ, key: acct(id), ops: []entity.Op{entity.Delta("balance", 1)}, stamp: stamp(1), origin: "n", txnID: txnID}
-	}
-	batch := []*appendReq{req("a", "t1"), req("b", "t1"), req("a", "t1"), req("a", "t2"), req("new", "t3"), req("new", "t3")}
-	live, _ := db.commitBatch(s, batch, nil)
-	if len(live) != 4 {
-		t.Fatalf("%d requests survived, want 4", len(live))
-	}
-	for i, wantDup := range []bool{false, false, true, false, false, true} {
-		if got := errors.Is(batch[i].err, ErrDuplicateTxn); got != wantDup {
-			t.Fatalf("request %d: err = %v, duplicate wanted: %v", i, batch[i].err, wantDup)
-		}
-	}
-	if st, _, _ := db.Current(acct("a")); st.Float("balance") != 2 {
-		t.Fatalf("a's second survivor left balance %v, want 2 (built on its batch predecessor's state)", st.Float("balance"))
-	}
-	if batch[0].res.Record.LSN != 1 || batch[4].res.Record.LSN != 4 || db.HeadLSN() != 4 {
-		t.Fatalf("LSNs %d..%d, head %d: refused requests must not consume any", batch[0].res.Record.LSN, batch[4].res.Record.LSN, db.HeadLSN())
-	}
-	// And across batches the entry has taken over.
-	again := []*appendReq{req("a", "t2"), req("new", "t3")}
-	if live, _ := db.commitBatch(s, again, nil); len(live) != 0 {
-		t.Fatalf("%d duplicates of an earlier batch survived", len(live))
 	}
 	assertTxnIndexMatchesLog(t, db)
 }
@@ -335,41 +299,39 @@ func shapeOf(db *DB) shardShape {
 }
 
 func TestRefusedAppendLeavesShardUntouched(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			fb := storage.NewFaultBackend(storage.NewMemory())
-			// A tiny segment, so the refused append is also one that had to
-			// open a new segment for its slot.
-			db := newTestDB(t, Options{Backend: fb, GroupCommit: group, Shards: 1, SegmentSize: 4, RearmAfter: time.Nanosecond})
-			known := acct("known")
-			for i := 0; i < txnSpill+4; i++ {
-				if err := deposit(t, db, known, i+1, fmt.Sprintf("t%d", i)); err != nil {
-					t.Fatal(err)
-				}
+	t.Run(perAppend, func(t *testing.T) {
+		fb := storage.NewFaultBackend(storage.NewMemory())
+		// A tiny segment, so the refused append is also one that had to
+		// open a new segment for its slot.
+		db := newTestDB(t, Options{Backend: fb, Shards: 1, SegmentSize: 4, RearmAfter: time.Nanosecond})
+		known := acct("known")
+		for i := 0; i < txnSpill+4; i++ {
+			if err := deposit(t, db, known, i+1, fmt.Sprintf("t%d", i)); err != nil {
+				t.Fatal(err)
 			}
-			before := shapeOf(db)
-			fb.FailAppends(2)
-			for _, key := range []entity.Key{known, acct("never-seen")} {
-				if err := deposit(t, db, key, 50, "refused"); !errors.Is(err, ErrDegraded) {
-					t.Fatalf("append to %s against a full disk: %v, want ErrDegraded", key, err)
-				}
-				time.Sleep(time.Millisecond) // past RearmAfter: the next append probes
+		}
+		before := shapeOf(db)
+		fb.FailAppends(2)
+		for _, key := range []entity.Key{known, acct("never-seen")} {
+			if err := deposit(t, db, key, 50, "refused"); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("append to %s against a full disk: %v, want ErrDegraded", key, err)
 			}
-			if after := shapeOf(db); fmt.Sprint(after) != fmt.Sprint(before) {
-				t.Fatalf("a refused append changed the shard:\nbefore %+v\nafter  %+v", before, after)
-			}
-			if db.Exists(acct("never-seen")) || len(db.Keys()) != 1 {
-				t.Fatalf("refused first write left its entity behind: keys %v", db.Keys())
-			}
-			assertTxnIndexMatchesLog(t, db)
-			// The id was never taken, the LSN never consumed.
-			res, err := db.Append(known, []entity.Op{entity.Delta("balance", 1)}, stamp(60), "n", "refused")
-			if err != nil || res.Record.LSN != before.head+1 {
-				t.Fatalf("append after the disk healed: LSN %v, err %v; want LSN %d", res.Record, err, before.head+1)
-			}
-			assertTxnIndexMatchesLog(t, db)
-		})
-	}
+			time.Sleep(time.Millisecond) // past RearmAfter: the next append probes
+		}
+		if after := shapeOf(db); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("a refused append changed the shard:\nbefore %+v\nafter  %+v", before, after)
+		}
+		if db.Exists(acct("never-seen")) || len(db.Keys()) != 1 {
+			t.Fatalf("refused first write left its entity behind: keys %v", db.Keys())
+		}
+		assertTxnIndexMatchesLog(t, db)
+		// The id was never taken, the LSN never consumed.
+		res, err := db.Append(known, []entity.Op{entity.Delta("balance", 1)}, stamp(60), "n", "refused")
+		if err != nil || res.Record.LSN != before.head+1 {
+			t.Fatalf("append after the disk healed: LSN %v, err %v; want LSN %d", res.Record, err, before.head+1)
+		}
+		assertTxnIndexMatchesLog(t, db)
+	})
 }
 
 // appendsPerBudgetRun is how many appends one budget measurement makes.
@@ -379,10 +341,9 @@ const appendsPerBudgetRun = 512
 // was lent it allocates the boxed new value and nothing for the state — no
 // State, no field map; the record's share of its segment and the growth of
 // the entity's record list are amortised to a few hundredths of one
-// allocation (1.03 measured), and the rest of the slack is what the race
-// detector's deliberately leaky sync.Pool costs group commit's request (1.5
-// under -race). To a state that was lent it allocates the copy as well: the
-// State, its field map's header and one group (4.03).
+// allocation (1.03 measured), and the rest is slack. To a state that was
+// lent it allocates the copy as well: the State, its field map's header and
+// one group (4.03).
 const (
 	appendAllocBudgetUnlent = 2.0
 	appendAllocBudgetLent   = 5.0
@@ -428,31 +389,24 @@ func budgetKeys(n int) []entity.Key {
 }
 
 // BenchmarkAppendExistingEntity is the store's share of a process step: one
-// single-op Append to an existing entity, in memory, serial and through the
-// group-commit queue — to entities nobody reads (every append in place), and
-// with a read before every eighth append (that one copies).
+// single-op Append to an existing entity, in memory — to entities nobody
+// reads (every append in place), and with a read before every eighth append
+// (that one copies).
 func BenchmarkAppendExistingEntity(b *testing.B) {
-	for _, group := range []bool{false, true} {
-		for _, readEvery := range []int{0, 8} {
-			name := "mem"
-			if group {
-				name = "groupcommit"
-			}
-			if readEvery == 0 {
-				name += "/never-read"
-			} else {
-				name += fmt.Sprintf("/read-every-%d", readEvery)
-			}
-			b.Run(name, func(b *testing.B) {
-				db := newTestDB(b, Options{GroupCommit: group})
-				keys, next := budgetKeys(256), 0
-				appendLoop(b, db, keys, txnIDs(&next, len(keys)), 0)
-				ids := txnIDs(&next, b.N)
-				b.ReportAllocs()
-				b.ResetTimer()
-				appendLoop(b, db, keys, ids, readEvery)
-			})
+	for _, readEvery := range []int{0, 8} {
+		name := "mem/never-read"
+		if readEvery > 0 {
+			name = fmt.Sprintf("mem/read-every-%d", readEvery)
 		}
+		b.Run(name, func(b *testing.B) {
+			db := newTestDB(b, Options{})
+			keys, next := budgetKeys(256), 0
+			appendLoop(b, db, keys, txnIDs(&next, len(keys)), 0)
+			ids := txnIDs(&next, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			appendLoop(b, db, keys, ids, readEvery)
+		})
 	}
 }
 
@@ -461,42 +415,40 @@ func BenchmarkAppendExistingEntity(b *testing.B) {
 // never lent — and entry-map lookups per append (one entity.Key hash; the
 // shard choice hashes the key text, not the Key).
 func TestAppendBudget(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		for _, lent := range []bool{false, true} {
-			t.Run(fmt.Sprintf("group=%v/lent=%v", group, lent), func(t *testing.T) {
-				db := newTestDB(t, Options{GroupCommit: group})
-				keys, next := budgetKeys(64), 0
-				readEvery, allocBudget := 0, appendAllocBudgetUnlent
-				if lent {
-					readEvery, allocBudget = 1, appendAllocBudgetLent
-				}
-				// First touches and segment allocation stay out.
-				appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun), 0)
+	for _, lent := range []bool{false, true} {
+		t.Run(fmt.Sprintf(perAppend+"/lent=%v", lent), func(t *testing.T) {
+			db := newTestDB(t, Options{})
+			keys, next := budgetKeys(64), 0
+			readEvery, allocBudget := 0, appendAllocBudgetUnlent
+			if lent {
+				readEvery, allocBudget = 1, appendAllocBudgetLent
+			}
+			// First touches and segment allocation stay out.
+			appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun), 0)
 
-				var lookups atomic.Uint64
-				for _, s := range db.shards {
-					s.lookups = &lookups
-				}
-				appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun), 0)
-				for _, s := range db.shards {
-					s.lookups = nil
-				}
-				if per := float64(lookups.Load()) / appendsPerBudgetRun; per > appendLookupBudget {
-					t.Errorf("an append looks its entity up %.2f times, budget %.0f", per, appendLookupBudget)
-				}
+			var lookups atomic.Uint64
+			for _, s := range db.shards {
+				s.lookups = &lookups
+			}
+			appendLoop(t, db, keys, txnIDs(&next, appendsPerBudgetRun), 0)
+			for _, s := range db.shards {
+				s.lookups = nil
+			}
+			if per := float64(lookups.Load()) / appendsPerBudgetRun; per > appendLookupBudget {
+				t.Errorf("an append looks its entity up %.2f times, budget %.0f", per, appendLookupBudget)
+			}
 
-				const runs = 5
-				ids := txnIDs(&next, (runs+1)*appendsPerBudgetRun) // AllocsPerRun warms up once
-				perRun := testing.AllocsPerRun(runs, func() {
-					appendLoop(t, db, keys, ids[:appendsPerBudgetRun], readEvery)
-					ids = ids[appendsPerBudgetRun:]
-				})
-				per := perRun / appendsPerBudgetRun
-				t.Logf("an append allocates %.2f times", per)
-				if per > allocBudget {
-					t.Errorf("an append allocates %.2f times, budget %.1f", per, allocBudget)
-				}
+			const runs = 5
+			ids := txnIDs(&next, (runs+1)*appendsPerBudgetRun) // AllocsPerRun warms up once
+			perRun := testing.AllocsPerRun(runs, func() {
+				appendLoop(t, db, keys, ids[:appendsPerBudgetRun], readEvery)
+				ids = ids[appendsPerBudgetRun:]
 			})
-		}
+			per := perRun / appendsPerBudgetRun
+			t.Logf("an append allocates %.2f times", per)
+			if per > allocBudget {
+				t.Errorf("an append allocates %.2f times, budget %.1f", per, allocBudget)
+			}
+		})
 	}
 }

@@ -74,13 +74,13 @@ func warmEverything(t *testing.T, db *DB) {
 }
 
 // TestTieredFlushRecoverRoundTrip is the tiered analogue of the core recovery
-// round trip: a concurrent group-commit workload with background flushes
+// round trip: a concurrent multi-writer workload with background flushes
 // forced mid-run (tiny byte trigger), a final explicit flush, then recovery
 // through table pointers plus the WAL tail. Run under -race in CI.
 func TestTieredFlushRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db := newTestDB(t, Options{
-		Shards: 4, GroupCommit: true, SnapshotEvery: 8,
+		Shards: 4, SnapshotEvery: 8,
 		Backend: openTestTiered(t, dir, nil), FlushBytes: 4096,
 	})
 	runScriptsConcurrent(t, db, buildScripts(41, 8, 40, 3))

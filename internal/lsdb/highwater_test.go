@@ -12,8 +12,7 @@ import (
 // Exactly-once across the high-water mark (entry.aboveMark): an id above the
 // mark is new with no lookup, every other id is looked up exactly, and the
 // two agree with what the retained log holds whatever built the entry — live
-// appends, a group-commit batch, Compact, Recover, a shipped log, a re-warm
-// after cold eviction.
+// appends, Compact, Recover, a shipped log, a re-warm after cold eviction.
 
 func TestSplitTxnID(t *testing.T) {
 	for _, c := range []struct {
@@ -79,74 +78,72 @@ func balanceOf(t *testing.T, db *DB, key entity.Key) float64 {
 
 func TestExactlyOnceAcrossHighWaterMark(t *testing.T) {
 	const perStage = 6 // writes exerciseExactlyOnce lands
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			backend := storage.NewMemory()
-			db := newTestDB(t, Options{Backend: backend, GroupCommit: group})
-			key, other := acct("hot"), acct("other")
-			if err := deposit(t, db, other, 1, "n1-txn-90"); err != nil {
+	t.Run(perAppend, func(t *testing.T) {
+		backend := storage.NewMemory()
+		db := newTestDB(t, Options{Backend: backend})
+		key, other := acct("hot"), acct("other")
+		if err := deposit(t, db, other, 1, "n1-txn-90"); err != nil {
+			t.Fatal(err)
+		}
+		// Enough serial history that a lookup means a map, not a scan.
+		for i := 1; i <= 2*txnSpill; i++ {
+			if err := deposit(t, db, key, i, fmt.Sprintf("n1-txn-%d", i)); err != nil {
 				t.Fatal(err)
 			}
-			// Enough serial history that a lookup means a map, not a scan.
-			for i := 1; i <= 2*txnSpill; i++ {
-				if err := deposit(t, db, key, i, fmt.Sprintf("n1-txn-%d", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if e := db.shardFor(key).entries[key]; e.byTxn != nil || e.hiSeq != 2*txnSpill {
-				t.Fatalf("serial writes built byTxn (%v) or missed the mark (%d)", e.byTxn != nil, e.hiSeq)
-			}
-			exerciseExactlyOnce(t, db, key, 100, "live")
+		}
+		if e := db.shardFor(key).entries[key]; e.byTxn != nil || e.hiSeq != 2*txnSpill {
+			t.Fatalf("serial writes built byTxn (%v) or missed the mark (%d)", e.byTxn != nil, e.hiSeq)
+		}
+		exerciseExactlyOnce(t, db, key, 100, "live")
 
-			// Compact below the entity's head keeps its records, ids and all.
-			db.Compact(db.HeadLSN() - 1)
-			if e := db.shardFor(other).entries[other]; e.archived == nil || len(e.recs) != 0 {
-				t.Fatal("setup: nothing was compacted")
-			}
-			exerciseExactlyOnce(t, db, key, 200, "after Compact")
+		// Compact below the entity's head keeps its records, ids and all.
+		db.Compact(db.HeadLSN() - 1)
+		if e := db.shardFor(other).entries[other]; e.archived == nil || len(e.recs) != 0 {
+			t.Fatal("setup: nothing was compacted")
+		}
+		exerciseExactlyOnce(t, db, key, 200, "after Compact")
 
-			// Recover rebuilds entry, mark and all from the WAL.
-			rec, err := Recover(Options{Node: "test-node", Backend: backend, GroupCommit: group}, accountType(), orderType())
-			if err != nil {
+		// Recover rebuilds entry, mark and all from the WAL.
+		rec, err := Recover(Options{Node: "test-node", Backend: backend}, accountType(), orderType())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := rec.shardFor(key).entries[key]; e.hiPrefix != "n1-txn-" || e.hiSeq != 209 {
+			t.Fatalf("recovered mark %q %d, want n1-txn- 209", e.hiPrefix, e.hiSeq)
+		}
+		for _, id := range []string{"n1-txn-1", "n1-txn-105", "n1-txn-209", "n2-txn-203", "client-100-abc"} {
+			if err := deposit(t, rec, key, 999, id); !errors.Is(err, ErrDuplicateTxn) {
+				t.Fatalf("after Recover, %s: %v, want ErrDuplicateTxn", id, err)
+			}
+		}
+		exerciseExactlyOnce(t, rec, key, 300, "after Recover")
+
+		// A standby's received log, fed the same records chunk by chunk,
+		// then recovered as promotion does.
+		received := storage.NewMemory()
+		shipped := db.RecordsFor(key)
+		for len(shipped) > 0 {
+			n := min(5, len(shipped))
+			if err := received.AppendBatch(shipped[:n]); err != nil {
 				t.Fatal(err)
 			}
-			if e := rec.shardFor(key).entries[key]; e.hiPrefix != "n1-txn-" || e.hiSeq != 209 {
-				t.Fatalf("recovered mark %q %d, want n1-txn- 209", e.hiPrefix, e.hiSeq)
+			shipped = shipped[n:]
+		}
+		standby, err := Recover(Options{Node: "test-node", Backend: received}, accountType(), orderType())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"n1-txn-1", "n1-txn-107", "n1-txn-209", "n2-txn-103", "client-200-abc"} {
+			if err := deposit(t, standby, key, 999, id); !errors.Is(err, ErrDuplicateTxn) {
+				t.Fatalf("after shipping, %s: %v, want ErrDuplicateTxn", id, err)
 			}
-			for _, id := range []string{"n1-txn-1", "n1-txn-105", "n1-txn-209", "n2-txn-203", "client-100-abc"} {
-				if err := deposit(t, rec, key, 999, id); !errors.Is(err, ErrDuplicateTxn) {
-					t.Fatalf("after Recover, %s: %v, want ErrDuplicateTxn", id, err)
-				}
-			}
-			exerciseExactlyOnce(t, rec, key, 300, "after Recover")
+		}
+		exerciseExactlyOnce(t, standby, key, 400, "after shipping")
 
-			// A standby's received log, fed the same records chunk by chunk,
-			// then recovered as promotion does.
-			received := storage.NewMemory()
-			shipped := db.RecordsFor(key)
-			for len(shipped) > 0 {
-				n := min(5, len(shipped))
-				if err := received.AppendBatch(shipped[:n]); err != nil {
-					t.Fatal(err)
-				}
-				shipped = shipped[n:]
-			}
-			standby, err := Recover(Options{Node: "test-node", Backend: received, GroupCommit: group}, accountType(), orderType())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range []string{"n1-txn-1", "n1-txn-107", "n1-txn-209", "n2-txn-103", "client-200-abc"} {
-				if err := deposit(t, standby, key, 999, id); !errors.Is(err, ErrDuplicateTxn) {
-					t.Fatalf("after shipping, %s: %v, want ErrDuplicateTxn", id, err)
-				}
-			}
-			exerciseExactlyOnce(t, standby, key, 400, "after shipping")
-
-			if got, want := balanceOf(t, db, key), float64(2*txnSpill+2*perStage); got != want {
-				t.Fatalf("balance %v, want %v: a refused duplicate was applied, or a fresh id was not", got, want)
-			}
-		})
-	}
+		if got, want := balanceOf(t, db, key), float64(2*txnSpill+2*perStage); got != want {
+			t.Fatalf("balance %v, want %v: a refused duplicate was applied, or a fresh id was not", got, want)
+		}
+	})
 }
 
 // Cold eviction takes the ids with the records; after a re-warm the mark
@@ -171,33 +168,6 @@ func TestExactlyOnceAfterColdEvictionAndRewarm(t *testing.T) {
 	if got := balanceOf(t, db, key); got != 2*txnSpill+6 {
 		t.Fatalf("balance %v, want %d", got, 2*txnSpill+6)
 	}
-}
-
-// Two equal ids in one group-commit batch are both above the mark when they
-// are validated; the batch's own survivors settle it. Ids out of order in one
-// batch leave the mark at the highest.
-func TestHighWaterInsideOneBatch(t *testing.T) {
-	db := newTestDB(t, Options{GroupCommit: true, Shards: 1})
-	s := db.shards[0]
-	typ, _ := db.TypeOf("Account")
-	req := func(txnID string) *appendReq {
-		return &appendReq{typ: typ, key: acct("a"), ops: []entity.Op{entity.Delta("balance", 1)}, stamp: stamp(1), origin: "n", txnID: txnID}
-	}
-	batch := []*appendReq{req("n1-txn-3"), req("n1-txn-8"), req("n1-txn-8"), req("n1-txn-5"), req("n1-txn-3")}
-	live, _ := db.commitBatch(s, batch, nil)
-	for i, wantDup := range []bool{false, false, true, false, true} {
-		if got := errors.Is(batch[i].err, ErrDuplicateTxn); got != wantDup {
-			t.Fatalf("request %d (%s): err = %v, duplicate wanted: %v", i, batch[i].txnID, batch[i].err, wantDup)
-		}
-	}
-	if e := s.entries[acct("a")]; len(live) != 3 || e.hiSeq != 8 || balanceOf(t, db, acct("a")) != 3 {
-		t.Fatalf("%d survivors, mark %d, balance %v; want 3, 8, 3", len(live), e.hiSeq, balanceOf(t, db, acct("a")))
-	}
-	again := []*appendReq{req("n1-txn-5"), req("n1-txn-8"), req("n1-txn-3")}
-	if live, _ := db.commitBatch(s, again, nil); len(live) != 0 {
-		t.Fatalf("%d duplicates of an earlier batch survived", len(live))
-	}
-	assertTxnIndexMatchesLog(t, db)
 }
 
 // MarkObsolete goes by transaction id on an entity whose serial writers never
@@ -242,20 +212,18 @@ func TestMarkObsoleteFindsTxnWithoutBuiltIndex(t *testing.T) {
 // The point of the mark: a hot entity written by serial steps retains ten
 // thousand records and never builds the map.
 func TestSerialHotEntityNeverBuildsTxnIndex(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		db := newTestDB(t, Options{GroupCommit: group})
-		key := acct("hot")
-		const n = 10000
-		for i := 1; i <= n; i++ {
-			if err := deposit(t, db, key, i, fmt.Sprintf("n1-txn-%d", i)); err != nil {
-				t.Fatal(err)
-			}
+	db := newTestDB(t, Options{})
+	key := acct("hot")
+	const n = 10000
+	for i := 1; i <= n; i++ {
+		if err := deposit(t, db, key, i, fmt.Sprintf("n1-txn-%d", i)); err != nil {
+			t.Fatal(err)
 		}
-		if e := db.shardFor(key).entries[key]; e.byTxn != nil || e.hiSeq != n || len(e.recs) != n {
-			t.Fatalf("group=%v: byTxn built: %v, mark %d, %d records", group, e.byTxn != nil, e.hiSeq, len(e.recs))
-		}
-		if err := deposit(t, db, key, n, fmt.Sprintf("n1-txn-%d", n)); !errors.Is(err, ErrDuplicateTxn) {
-			t.Fatalf("group=%v: resubmitting the newest id: %v, want ErrDuplicateTxn", group, err)
-		}
+	}
+	if e := db.shardFor(key).entries[key]; e.byTxn != nil || e.hiSeq != n || len(e.recs) != n {
+		t.Fatalf("byTxn built: %v, mark %d, %d records", e.byTxn != nil, e.hiSeq, len(e.recs))
+	}
+	if err := deposit(t, db, key, n, fmt.Sprintf("n1-txn-%d", n)); !errors.Is(err, ErrDuplicateTxn) {
+		t.Fatalf("resubmitting the newest id: %v, want ErrDuplicateTxn", err)
 	}
 }

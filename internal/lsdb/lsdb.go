@@ -97,44 +97,22 @@ type Options struct {
 	// exists for the E9/E13 baselines and for memory-constrained deployments
 	// that prefer recomputation over caching.
 	DisableStateCache bool
-	// GroupCommit enables group-commit append batching: concurrent writers
-	// enqueue sanitized op-sets on a per-shard commit queue, the first writer
-	// to find the queue idle becomes the leader and drains it under a single
-	// shard-lock hold, stamping each batch with one contiguous LSN run and
-	// waking every follower with its individual AppendResult. Semantics are
-	// identical to the per-append path — idempotence, validation, tentative
-	// records and per-writer errors all behave the same — only the locking
-	// cadence changes. Off by default; experiment E17 measures the win.
+	// GroupCommit and MaxBatch select nothing: every append commits through
+	// one per-append cycle. They are declared only because the repository
+	// benchmark (bench/) still sets them, and go with the next change to it.
+	// No other code sets them.
 	GroupCommit bool
-	// MaxBatch bounds how many queued appends one leader drain folds into a
-	// single lock hold / LSN run (default 64). Smaller batches bound how long
-	// readers wait behind a busy leader; larger ones amortise more.
-	MaxBatch int
-	// CommitHook, when non-nil, is invoked under the shard lock at the end of
-	// every commit cycle with the records that cycle installed: once per
-	// record on the per-append path, once per batch under group commit. It is
-	// the attachment point for a durable backend's log force (fsync,
-	// replication ack): group commit then amortises that latency across the
-	// whole batch, which is the classic group-commit win experiment E17
-	// measures. The slice is only valid for the duration of the call.
-	//
-	// Leaders of different shards commit independently, so the hook may be
-	// invoked concurrently (under different shard locks) and must be safe for
-	// concurrent use. The hook runs after the cycle's records are installed;
-	// if it panics, those records remain committed and visible — under group
-	// commit the panic surfaces at the leader while the batch's other writers
-	// get an error even though their appends are in the log (the same
-	// indeterminacy any post-commit failure has).
-	CommitHook func(records []Record)
-	// CommitSink is the two-phase sibling of CommitHook: the attachment
-	// point for WAL-shipping replication. The call itself (the capture
-	// phase) receives every record written to the durable log — commit
-	// cycles, obsolescence marks and compaction horizons — in the order the
-	// backend does, under the same shard lock, so a sink that forwards to
-	// another log observes this one's order. Because the shard lock is
-	// held, the capture phase must be fast and must never block on I/O,
-	// sleep, or wait for the network: it snapshots the batch, hands it to
-	// the shipping machinery, and returns. The returned wait function (nil
+	MaxBatch    int
+	// CommitSink is the attachment point for WAL-shipping replication. The
+	// call itself (the capture phase) receives every record written to the
+	// durable log — commit cycles, obsolescence marks and compaction
+	// horizons — in the order the backend does, under the same shard lock,
+	// so a sink that forwards to another log observes this one's order.
+	// Because the shard lock is held, the capture phase must be fast and must
+	// never block on I/O, sleep, or wait for the network: it snapshots the
+	// batch, hands it to the shipping machinery, and returns. A capture that
+	// panics releases the shard lock and the panic reaches the writer; the
+	// cycle's records stay committed. The returned wait function (nil
 	// when the mode needs no acknowledgement) is invoked by the store
 	// *after* the shard lock is released; its error reaches the writers of
 	// the cycle: a synchronous replication mode that could not gather its
@@ -148,15 +126,15 @@ type Options struct {
 	CommitSink func(records []Record) (wait func() error)
 	// Backend, when non-nil, is the durable storage engine under the store:
 	// every commit cycle appends its records to it (one AppendBatch — one
-	// framed batch write, one log force — per cycle, so group commit
-	// amortises durability latency exactly as it does the CommitHook), and
-	// MarkObsolete/Compact log their history rewrites as marks. Open attaches
-	// the backend for writing only; to rebuild a store from a backend's
-	// content use Recover. Commits are log-first: the backend append happens
-	// before the cycle's records are installed in memory, so a backend error
-	// is a clean refusal — nothing was committed, the writers get a typed
-	// ErrDegraded, and the unit enters degraded read-only mode (see
-	// degraded.go) until the backend heals or is repaired.
+	// framed batch write, one log force — per cycle), and
+	// MarkObsolete/Compact log their history rewrites as marks. Open
+	// attaches the backend for writing only; to rebuild a store from a
+	// backend's content use Recover. Commits are log-first: the backend
+	// append happens before the cycle's records are installed in memory, so
+	// a backend error is a clean refusal — nothing was committed, the
+	// writers get a typed ErrDegraded, and the unit enters degraded
+	// read-only mode (see degraded.go) until the backend heals or is
+	// repaired.
 	Backend storage.Backend
 	// RearmAfter is how long a unit degraded by a retryable append error
 	// (ENOSPC and kin) waits before probing the backend with the next real
@@ -180,7 +158,6 @@ type Options struct {
 const (
 	defaultSegmentSize = 4096
 	defaultShards      = 8
-	defaultMaxBatch    = 64
 )
 
 // snapshot is a cached rollup of one entity up to (and including) an LSN.
@@ -363,7 +340,7 @@ type shard struct {
 	active   segment
 	nextSlab int
 	// cycle holds the records of the commit cycle in progress as Go values,
-	// for the backend, the sink and the hook; it is cleared after each cycle
+	// for the backend and the sink; it is cleared after each cycle
 	// and reused.
 	cycle []Record
 	// entries holds one entry per entity. An entry that ever existed (see
@@ -381,17 +358,6 @@ type shard struct {
 	// lookups and decodes, when a test sets them, count entry-map lookups
 	// and records decoded from the log.
 	lookups, decodes *atomic.Uint64
-
-	// Group-commit queue (Options.GroupCommit): pending appends awaiting a
-	// leader drain. qmu only ever guards these two fields and is never held
-	// together with mu, so enqueueing stays cheap while a batch commits.
-	// batch and live are the leader's scratch lists (the batch it dequeued,
-	// the requests of it that survived validation), kept between drains;
-	// there is one leader at a time, and only it touches them.
-	qmu         sync.Mutex
-	pending     []*appendReq
-	draining    bool
-	batch, live []*appendReq
 }
 
 func newShard() *shard {
@@ -509,9 +475,6 @@ func Open(opts Options) *DB {
 	if opts.Shards <= 0 {
 		opts.Shards = defaultShards
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = defaultMaxBatch
-	}
 	db := &DB{
 		opts:   opts,
 		shards: make([]*shard, opts.Shards),
@@ -603,23 +566,33 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 	// The sealed log and the state cache share the operations with the
 	// caller; sanitization rejects values that cannot be safely shared and
 	// detaches container values from caller-owned memory. It runs before any
-	// lock (or queue) is touched, so a malformed op-set never reaches a
-	// group-commit batch.
+	// lock is touched, so a malformed op-set never reaches a commit cycle.
 	ops, err := entity.SanitizeOps(ops)
 	if err != nil {
 		return AppendResult{}, fmt.Errorf("lsdb: %w", err)
 	}
-	s := db.shardFor(key)
-	if db.opts.GroupCommit {
-		return db.appendGrouped(s, typ, key, ops, stamp, origin, txnID, tentative)
+	res, wait, err := db.commitCycle(db.shardFor(key), typ, key, ops, stamp, origin, txnID, tentative)
+	if err != nil {
+		return AppendResult{}, err
 	}
+	// The replication ack wait happens with no lock held: readers and other
+	// writers of the shard proceed while this writer blocks on its acks.
+	return res, waitCommitSink(wait)
+}
+
+// commitCycle is one append's commit cycle under the shard's write lock:
+// validate and apply, log the record, install it, and run the commit sink's
+// capture. It returns the sink's ack wait for the caller to run unlocked.
+// The unlock is deferred, so a capture that panics leaves the shard usable:
+// the panic reaches the writer, and the record stays committed.
+func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool) (AppendResult, func() error, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e := s.ensure(key)
-	next, warnings, err := db.applyForAppendLocked(s, e, typ, key, ops, txnID, tentative, nil)
+	next, warnings, err := db.applyForAppendLocked(s, e, typ, key, ops, txnID, tentative)
 	if err != nil {
 		s.dropIfEmptyLocked(key, e)
-		s.mu.Unlock()
-		return AppendResult{}, err
+		return AppendResult{}, nil, err
 	}
 	// Log-first: the record reaches the durable backend (which assigns the
 	// cycle its LSN run atomically under logMu) before anything is installed
@@ -636,20 +609,13 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 	if err := db.writeCycleLocked(s, recs); err != nil {
 		next.Recycle()
 		s.dropIfEmptyLocked(key, e)
-		s.mu.Unlock()
-		return AppendResult{}, err
+		return AppendResult{}, nil, err
 	}
 	res := AppendResult{Record: recs[0], Warnings: warnings}
 	db.commitAppendLocked(s, e, &recs[0], next)
 	wait := db.postCommitLocked(recs)
 	s.endCycleLocked(recs)
-	s.mu.Unlock()
-	// The replication ack wait happens with no lock held: readers and other
-	// writers of the shard proceed while this writer blocks on its acks.
-	if err := waitCommitSink(wait); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, wait, nil
 }
 
 // SetCommitSink attaches (or replaces) the commit sink after Open. The kernel
@@ -664,13 +630,8 @@ func (db *DB) SetCommitSink(fn func(records []Record) func() error) {
 // applies it to the current rollup, returning the new (not yet frozen) state,
 // which the caller installs (commitAppendLocked) or, when the backend refuses
 // the record, Recycles: a cached state taken to be written in place is out of
-// the cache meanwhile.
-// The caller holds the shard's write lock. batch is the requests validated
-// before this one in the same group-commit batch (nil outside one): a request
-// must observe its batch predecessors exactly as it would have on the serial
-// path, so the newest of them on the same entity supplies the prior state
-// and all of them count for duplicate detection.
-func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key entity.Key, ops []entity.Op, txnID string, tentative bool, batch []*appendReq) (*entity.State, []entity.Warning, error) {
+// the cache meanwhile. The caller holds the shard's write lock.
+func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key entity.Key, ops []entity.Op, txnID string, tentative bool) (*entity.State, []entity.Warning, error) {
 	// A write to an evicted entity rolls up from its disk-resident summary.
 	if err := db.warmLocked(s, e, key); err != nil {
 		return nil, nil, err
@@ -680,29 +641,14 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
 		}
 	}
-	var prior *entity.State
-	for i := len(batch) - 1; i >= 0; i-- {
-		r := batch[i]
-		if r.e != e {
-			continue
-		}
-		if txnID != "" && r.txnID == txnID {
-			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
-		}
-		if prior == nil {
-			prior = r.next
-		}
-	}
 	// The cached rollup is the prior state. One nobody was lent is this
 	// append's to write in place: no State, no field map. One that was lent
 	// stays frozen and Apply copies-on-write, only the chunks the operations
 	// touch (O(delta), not O(state size)). With none cached the rollup is
 	// rebuilt from the log, and is as private.
-	private := false
+	prior, private := e.cache.take()
 	if prior == nil {
-		if prior, private = e.cache.take(); prior == nil {
-			prior, private = s.rollupLocked(e, key, typ), true
-		}
+		prior, private = s.rollupLocked(e, key, typ), true
 	}
 	var next *entity.State
 	var warnings []entity.Warning
@@ -781,8 +727,25 @@ func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.S
 // tentative promise was withdrawn). Rollups exclude it from then on, but the
 // record remains in the log for audit and apology purposes.
 func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
-	s := db.shardFor(key)
+	wait, err := db.markObsolete(db.shardFor(key), key, txnID)
+	if err != nil {
+		return err
+	}
+	if wait != nil {
+		if err := wait(); err != nil {
+			return fmt.Errorf("lsdb: commit sink mark failed (mark is applied locally): %w", err)
+		}
+	}
+	return nil
+}
+
+// markObsolete logs and applies the mark under the shard's write lock and
+// returns the sink's ack wait for the caller to run unlocked. As in
+// commitCycle, the unlock is deferred: a sink capture that panics leaves the
+// shard usable, with the mark applied.
+func (db *DB) markObsolete(s *shard, key entity.Key, txnID string) (func() error, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e := s.entry(key)
 	var lsn uint64
 	ok := false
@@ -790,8 +753,7 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 		lsn, ok = s.txnLSNLocked(e, txnID)
 	}
 	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
+		return nil, fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
 	}
 	// The record is already durable without its obsolete flag; log the
 	// history rewrite as a mark so recovery re-applies it — log-first, like
@@ -801,8 +763,7 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	// it withdraws and before any later append to the same entity.
 	mark := Record{Kind: storage.KindObsolete, Key: key, TxnID: txnID}
 	if err := db.logMarks([]Record{mark}); err != nil {
-		s.mu.Unlock()
-		return err
+		return nil, err
 	}
 	// The one write to a committed record: its flag byte, in place, under
 	// the write lock every reader of the log excludes.
@@ -819,17 +780,7 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	// The mark ships through the commit sink too: a standby's log must
 	// withdraw the same promises. Captured under the shard lock (ordered
 	// after the record it withdraws), acked after it, like any sink call.
-	var wait func() error
-	if !db.recovering && db.opts.CommitSink != nil {
-		wait = db.opts.CommitSink([]Record{mark})
-	}
-	s.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("lsdb: commit sink mark failed (mark is applied locally): %w", err)
-		}
-	}
-	return nil
+	return db.postCommitLocked([]Record{mark}), nil
 }
 
 // Current returns the rollup of an entity's records: its current state and

@@ -56,6 +56,10 @@ func newTestDB(t testing.TB, opts Options) *DB {
 	return db
 }
 
+// perAppend names the subtest level of the suites that once also ran a
+// batched commit path; the name is kept so their subtest ids stay stable.
+const perAppend = "group=false"
+
 func stamp(n int64) clock.Timestamp {
 	return clock.Timestamp{WallNanos: n, Node: "test-node"}
 }

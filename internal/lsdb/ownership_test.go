@@ -112,113 +112,107 @@ func TestLentStateNeverChanges(t *testing.T) {
 			return e.snap.state
 		}},
 	}
-	for _, group := range []bool{false, true} {
-		for _, p := range paths {
-			t.Run(fmt.Sprintf("group=%v/%s", group, p.name), func(t *testing.T) {
-				db := newTestDB(t, Options{GroupCommit: group, SnapshotEvery: 5, Shards: 2})
-				next := 0
-				churn(t, db, order, &next, 70) // more than one chunk of rows
-				st := p.lend(t, db, &next)
-				want := image(st)
-				churn(t, db, order, &next, 64)
-				if got := image(st); got != want {
-					t.Fatalf("a lent state changed under its holder:\nwas %s\nnow %s", want, got)
-				}
-				// And what the store serves is the log's rollup, not the loan.
-				cur, _, err := db.Current(order)
-				if err != nil || cur.Float("total") != float64(next) {
-					t.Fatalf("current total %v (%v) after %d appends", cur.Float("total"), err, next)
-				}
-			})
-		}
+	for _, p := range paths {
+		t.Run(fmt.Sprintf(perAppend+"/%s", p.name), func(t *testing.T) {
+			db := newTestDB(t, Options{SnapshotEvery: 5, Shards: 2})
+			next := 0
+			churn(t, db, order, &next, 70) // more than one chunk of rows
+			st := p.lend(t, db, &next)
+			want := image(st)
+			churn(t, db, order, &next, 64)
+			if got := image(st); got != want {
+				t.Fatalf("a lent state changed under its holder:\nwas %s\nnow %s", want, got)
+			}
+			// And what the store serves is the log's rollup, not the loan.
+			cur, _, err := db.Current(order)
+			if err != nil || cur.Float("total") != float64(next) {
+				t.Fatalf("current total %v (%v) after %d appends", cur.Float("total"), err, next)
+			}
+		})
 	}
 }
 
 // An append to a state nobody was lent writes it where it is; one to a lent
 // state leaves that state alone and installs a copy, which is unlent again.
 func TestAppendWritesInPlaceUnlessLent(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			db := newTestDB(t, Options{GroupCommit: group})
-			key := acct("hot")
-			e := func() *entry { return db.shardFor(key).entries[key] }
-			for i := 1; i <= 3; i++ {
-				if err := deposit(t, db, key, i, fmt.Sprintf("n-txn-%d", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			owned := e().cache.peek()
-			if err := deposit(t, db, key, 4, "n-txn-4"); err != nil {
+	t.Run(perAppend, func(t *testing.T) {
+		db := newTestDB(t, Options{})
+		key := acct("hot")
+		e := func() *entry { return db.shardFor(key).entries[key] }
+		for i := 1; i <= 3; i++ {
+			if err := deposit(t, db, key, i, fmt.Sprintf("n-txn-%d", i)); err != nil {
 				t.Fatal(err)
 			}
-			if e().cache.peek() != owned || !owned.Frozen() || owned.Float("balance") != 4 {
-				t.Fatalf("an unlent state was not updated in place (same object: %v, frozen: %v, balance %v)", e().cache.peek() == owned, owned.Frozen(), owned.Float("balance"))
-			}
-			lent, _, _ := db.Current(key)
-			if lent != owned {
-				t.Fatal("Current did not hand out the cached state")
-			}
-			if err := deposit(t, db, key, 5, "n-txn-5"); err != nil {
-				t.Fatal(err)
-			}
-			fresh := e().cache.peek()
-			if fresh == lent || lent.Float("balance") != 4 || fresh.Float("balance") != 5 {
-				t.Fatalf("an append wrote a lent state (same object: %v, lent balance %v, cached %v)", fresh == lent, lent.Float("balance"), fresh.Float("balance"))
-			}
-			if err := deposit(t, db, key, 6, "n-txn-6"); err != nil {
-				t.Fatal(err)
-			}
-			if e().cache.peek() != fresh || fresh.Float("balance") != 6 {
-				t.Fatal("the copy made for a lent state did not start out unlent")
-			}
-		})
-	}
+		}
+		owned := e().cache.peek()
+		if err := deposit(t, db, key, 4, "n-txn-4"); err != nil {
+			t.Fatal(err)
+		}
+		if e().cache.peek() != owned || !owned.Frozen() || owned.Float("balance") != 4 {
+			t.Fatalf("an unlent state was not updated in place (same object: %v, frozen: %v, balance %v)", e().cache.peek() == owned, owned.Frozen(), owned.Float("balance"))
+		}
+		lent, _, _ := db.Current(key)
+		if lent != owned {
+			t.Fatal("Current did not hand out the cached state")
+		}
+		if err := deposit(t, db, key, 5, "n-txn-5"); err != nil {
+			t.Fatal(err)
+		}
+		fresh := e().cache.peek()
+		if fresh == lent || lent.Float("balance") != 4 || fresh.Float("balance") != 5 {
+			t.Fatalf("an append wrote a lent state (same object: %v, lent balance %v, cached %v)", fresh == lent, lent.Float("balance"), fresh.Float("balance"))
+		}
+		if err := deposit(t, db, key, 6, "n-txn-6"); err != nil {
+			t.Fatal(err)
+		}
+		if e().cache.peek() != fresh || fresh.Float("balance") != 6 {
+			t.Fatal("the copy made for a lent state did not start out unlent")
+		}
+	})
 }
 
 // Readers and writers of one entity at once (run under -race): whatever a
 // reader is handed it can keep reading while appends go on, some of them in
 // place on the state that replaced it.
 func TestLentStateUnderConcurrentAppends(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			db := newTestDB(t, Options{GroupCommit: group, SnapshotEvery: 8})
-			order := entity.Key{Type: "Order", ID: "O1"}
-			next := 0
-			churn(t, db, order, &next, 4)
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for r := 0; r < 3; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						st, _, err := db.Current(order)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						was := image(st)
-						runtime.Gosched()
-						if now := image(st); now != was {
-							t.Errorf("a lent state changed under its reader:\nwas %s\nnow %s", was, now)
-							return
-						}
+	t.Run(perAppend, func(t *testing.T) {
+		db := newTestDB(t, Options{SnapshotEvery: 8})
+		order := entity.Key{Type: "Order", ID: "O1"}
+		next := 0
+		churn(t, db, order, &next, 4)
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}()
-			}
-			churn(t, db, order, &next, 400)
-			close(stop)
-			wg.Wait()
-			if cur, _, _ := db.Current(order); cur.Float("total") != float64(next) {
-				t.Fatalf("total %v after %d appends", cur.Float("total"), next)
-			}
-		})
-	}
+					st, _, err := db.Current(order)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					was := image(st)
+					runtime.Gosched()
+					if now := image(st); now != was {
+						t.Errorf("a lent state changed under its reader:\nwas %s\nnow %s", was, now)
+						return
+					}
+				}
+			}()
+		}
+		churn(t, db, order, &next, 400)
+		close(stop)
+		wg.Wait()
+		if cur, _, _ := db.Current(order); cur.Float("total") != float64(next) {
+			t.Fatalf("total %v after %d appends", cur.Float("total"), next)
+		}
+	})
 }
 
 // Nothing outside cached.go touches cachedState.st: every read of the cached
@@ -270,48 +264,46 @@ func TestFailedInPlaceAppendLeavesNoTrace(t *testing.T) {
 			time.Sleep(time.Millisecond) // past RearmAfter: the next append probes
 		}},
 	}
-	for _, group := range []bool{false, true} {
-		for _, lent := range []bool{false, true} {
-			for _, f := range failures {
-				t.Run(fmt.Sprintf("group=%v/lent=%v/%s", group, lent, f.name), func(t *testing.T) {
-					fb := storage.NewFaultBackend(storage.NewMemory())
-					db := newTestDB(t, Options{Backend: fb, GroupCommit: group, Validation: entity.Strict, RearmAfter: time.Nanosecond})
-					key := acct("A")
-					const seeded = 5
-					for i := 1; i <= seeded; i++ {
-						if err := deposit(t, db, key, i, fmt.Sprintf("n-txn-%d", i)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if lent {
-						db.Current(key)
-					}
-					hist, err := db.History(key)
-					if err != nil {
+	for _, lent := range []bool{false, true} {
+		for _, f := range failures {
+			t.Run(fmt.Sprintf(perAppend+"/lent=%v/%s", lent, f.name), func(t *testing.T) {
+				fb := storage.NewFaultBackend(storage.NewMemory())
+				db := newTestDB(t, Options{Backend: fb, Validation: entity.Strict, RearmAfter: time.Nanosecond})
+				key := acct("A")
+				const seeded = 5
+				for i := 1; i <= seeded; i++ {
+					if err := deposit(t, db, key, i, fmt.Sprintf("n-txn-%d", i)); err != nil {
 						t.Fatal(err)
 					}
-					wantHist := fmt.Sprint(hist.Trace())
+				}
+				if lent {
+					db.Current(key)
+				}
+				hist, err := db.History(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantHist := fmt.Sprint(hist.Trace())
 
-					f.fail(t, db, fb, key)
+				f.fail(t, db, fb, key)
 
-					st, head, err := db.Current(key)
-					if err != nil || st.Float("balance") != seeded || head != seeded || len(st.Fields) != 1 {
-						t.Fatalf("after the failure: %v at LSN %d (%v), want balance %d at %d", st.Fields, head, err, seeded, seeded)
-					}
-					if hist, _ := db.History(key); fmt.Sprint(hist.Trace()) != wantHist {
-						t.Fatalf("history changed:\nwas %s\nnow %v", wantHist, hist.Trace())
-					}
-					// The id was never taken, the LSN never consumed.
-					res, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(60), "n", "n-txn-50")
-					if err != nil || res.Record.LSN != seeded+1 {
-						t.Fatalf("retry: %v, LSN %v", err, res.Record)
-					}
-					if st, _, _ := db.Current(key); st.Float("balance") != seeded+1 {
-						t.Fatalf("balance %v after one more deposit, want %d", st.Float("balance"), seeded+1)
-					}
-					assertTxnIndexMatchesLog(t, db)
-				})
-			}
+				st, head, err := db.Current(key)
+				if err != nil || st.Float("balance") != seeded || head != seeded || len(st.Fields) != 1 {
+					t.Fatalf("after the failure: %v at LSN %d (%v), want balance %d at %d", st.Fields, head, err, seeded, seeded)
+				}
+				if hist, _ := db.History(key); fmt.Sprint(hist.Trace()) != wantHist {
+					t.Fatalf("history changed:\nwas %s\nnow %v", wantHist, hist.Trace())
+				}
+				// The id was never taken, the LSN never consumed.
+				res, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(60), "n", "n-txn-50")
+				if err != nil || res.Record.LSN != seeded+1 {
+					t.Fatalf("retry: %v, LSN %v", err, res.Record)
+				}
+				if st, _, _ := db.Current(key); st.Float("balance") != seeded+1 {
+					t.Fatalf("balance %v after one more deposit, want %d", st.Float("balance"), seeded+1)
+				}
+				assertTxnIndexMatchesLog(t, db)
+			})
 		}
 	}
 }

@@ -70,14 +70,14 @@ func assertIdenticalStores(t *testing.T, want, got *DB) {
 }
 
 // TestRecoverRoundTripConcurrentWriters is the core serial/recovered
-// equivalence check: a store populated by concurrent writers under group
-// commit, with every commit cycle forced to the WAL, reopens from its data
+// equivalence check: a store populated by concurrent writers, with every
+// commit cycle forced to the WAL, reopens from its data
 // directory to byte-identical states and the same LSN watermark. Run under
 // -race in CI.
 func TestRecoverRoundTripConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
 	wal := openTestWAL(t, dir, storage.SyncAlways)
-	db := newTestDB(t, Options{Shards: 4, GroupCommit: true, SnapshotEvery: 8, Backend: wal})
+	db := newTestDB(t, Options{Shards: 4, SnapshotEvery: 8, Backend: wal})
 	scripts := buildScripts(99, 8, 40, 3)
 	runScriptsConcurrent(t, db, scripts)
 	if err := db.Close(); err != nil {
@@ -484,7 +484,7 @@ func TestUint64ExactStreamCodec(t *testing.T) {
 // can swap backends freely.
 func TestMemoryBackendRecoverEquivalence(t *testing.T) {
 	mem := storage.NewMemory()
-	db := newTestDB(t, Options{Shards: 4, GroupCommit: true, Backend: mem})
+	db := newTestDB(t, Options{Shards: 4, Backend: mem})
 	runScriptsConcurrent(t, db, buildScripts(7, 4, 30, 2))
 	rec, err := Recover(Options{Node: "test-node", Shards: 4, Backend: mem}, accountType(), orderType())
 	if err != nil {

@@ -300,54 +300,52 @@ func driveRandomly(t *testing.T, r *rand.Rand, db *DB, m *logModel, seq *int, st
 // segments seal every three records, and reads everything back against a
 // reference fold of what the test appended.
 func TestResidentLogRoundTrip(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("group=%v/seed=%d", group, seed), func(t *testing.T) {
-				r := rand.New(rand.NewSource(seed))
-				opts := Options{SegmentSize: 3, Shards: 4, GroupCommit: group, SnapshotEvery: 5}
-				seq := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf(perAppend+"/seed=%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			opts := Options{SegmentSize: 3, Shards: 4, SnapshotEvery: 5}
+			seq := 0
 
-				// A source store's log, marks included, is shipped chunk by
-				// chunk into a standby's received log, which is recovered
-				// into the store under test before it takes writes of its
-				// own.
-				src := newTestDB(t, opts)
-				m := newLogModel(src)
-				driveRandomly(t, r, src, m, &seq, 120, false)
-				checkAgainstModel(t, r, src, m, "source")
-				received := storage.NewMemory()
-				for shipped := src.RecordsAfter(0); len(shipped) > 0; {
-					n := min(1+r.Intn(7), len(shipped))
-					if err := received.AppendBatch(shipped[:n]); err != nil {
-						t.Fatal(err)
-					}
-					shipped = shipped[n:]
-				}
-				recovered := opts
-				recovered.Node, recovered.Backend = "test-node", received
-				db, err := Recover(recovered, accountType(), orderType())
-				if err != nil {
+			// A source store's log, marks included, is shipped chunk by
+			// chunk into a standby's received log, which is recovered
+			// into the store under test before it takes writes of its
+			// own.
+			src := newTestDB(t, opts)
+			m := newLogModel(src)
+			driveRandomly(t, r, src, m, &seq, 120, false)
+			checkAgainstModel(t, r, src, m, "source")
+			received := storage.NewMemory()
+			for shipped := src.RecordsAfter(0); len(shipped) > 0; {
+				n := min(1+r.Intn(7), len(shipped))
+				if err := received.AppendBatch(shipped[:n]); err != nil {
 					t.Fatal(err)
 				}
-				checkAgainstModel(t, r, db, m, "shipped")
+				shipped = shipped[n:]
+			}
+			recovered := opts
+			recovered.Node, recovered.Backend = "test-node", received
+			db, err := Recover(recovered, accountType(), orderType())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstModel(t, r, db, m, "shipped")
 
-				for stage := range 4 {
-					driveRandomly(t, r, db, m, &seq, 150, true)
-					checkAgainstModel(t, r, db, m, fmt.Sprintf("stage %d", stage))
-				}
-				assertTxnIndexMatchesLog(t, db)
+			for stage := range 4 {
+				driveRandomly(t, r, db, m, &seq, 150, true)
+				checkAgainstModel(t, r, db, m, fmt.Sprintf("stage %d", stage))
+			}
+			assertTxnIndexMatchesLog(t, db)
 
-				// The bulk-load path rebuilds the same log.
-				loaded := newTestDB(t, opts)
-				for _, rec := range db.RecordsAfter(0) {
-					if err := loaded.loadRecord(rec); err != nil {
-						t.Fatal(err)
-					}
+			// The bulk-load path rebuilds the same log.
+			loaded := newTestDB(t, opts)
+			for _, rec := range db.RecordsAfter(0) {
+				if err := loaded.loadRecord(rec); err != nil {
+					t.Fatal(err)
 				}
-				assertSameRecords(t, "loaded", loaded.RecordsAfter(0), m.log())
-				assertTxnIndexMatchesLog(t, loaded)
-			})
-		}
+			}
+			assertSameRecords(t, "loaded", loaded.RecordsAfter(0), m.log())
+			assertTxnIndexMatchesLog(t, loaded)
+		})
 	}
 }
 
@@ -358,114 +356,112 @@ func TestResidentLogRoundTrip(t *testing.T) {
 // ownership-race does) it checks that every write to segment bytes is
 // ordered against every decode.
 func TestResidentLogConcurrentReadersAndFlips(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
-			db := newTestDB(t, Options{SegmentSize: 8, Shards: 2, GroupCommit: group})
-			keys := budgetKeys(16)
-			const writers, perWriter = 4, 150
-			promises := make(chan Record, writers*perWriter)
-			var writing, background sync.WaitGroup
-			var stop atomic.Bool
-			for w := range writers {
-				writing.Add(1)
-				go func() {
-					defer writing.Done()
-					for i := range perWriter {
-						key := keys[(w*perWriter+i)%len(keys)]
-						ops := []entity.Op{entity.Delta("balance", 1)}
-						if i%3 == 0 {
-							res, err := db.AppendTentative(key, ops, stamp(int64(i)), "n", fmt.Sprintf("p-%d-%d", w, i))
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							promises <- res.Record
-						} else if _, err := db.Append(key, ops, stamp(int64(i)), "n", fmt.Sprintf("n-txn-%d", w*perWriter+i)); err != nil {
+	t.Run(perAppend, func(t *testing.T) {
+		db := newTestDB(t, Options{SegmentSize: 8, Shards: 2})
+		keys := budgetKeys(16)
+		const writers, perWriter = 4, 150
+		promises := make(chan Record, writers*perWriter)
+		var writing, background sync.WaitGroup
+		var stop atomic.Bool
+		for w := range writers {
+			writing.Add(1)
+			go func() {
+				defer writing.Done()
+				for i := range perWriter {
+					key := keys[(w*perWriter+i)%len(keys)]
+					ops := []entity.Op{entity.Delta("balance", 1)}
+					if i%3 == 0 {
+						res, err := db.AppendTentative(key, ops, stamp(int64(i)), "n", fmt.Sprintf("p-%d-%d", w, i))
+						if err != nil {
 							t.Error(err)
 							return
 						}
+						promises <- res.Record
+					} else if _, err := db.Append(key, ops, stamp(int64(i)), "n", fmt.Sprintf("n-txn-%d", w*perWriter+i)); err != nil {
+						t.Error(err)
+						return
 					}
-				}()
+				}
+			}()
+		}
+		background.Add(1)
+		go func() { // the flipper
+			defer background.Done()
+			for rec := range promises {
+				if err := db.MarkObsolete(rec.Key, rec.TxnID); err != nil && !errors.Is(err, ErrNotFound) {
+					t.Error(err)
+				}
 			}
+		}()
+		background.Add(1)
+		go func() { // the compactor
+			defer background.Done()
+			for !stop.Load() {
+				db.Compact(db.HeadLSN() / 2)
+				runtime.Gosched()
+			}
+		}()
+		for reader := range 2 {
 			background.Add(1)
-			go func() { // the flipper
+			go func() {
 				defer background.Done()
-				for rec := range promises {
-					if err := db.MarkObsolete(rec.Key, rec.TxnID); err != nil && !errors.Is(err, ErrNotFound) {
+				r := rand.New(rand.NewSource(int64(reader)))
+				for !stop.Load() {
+					key := keys[r.Intn(len(keys))]
+					tail := db.RecordsAfterN(uint64(r.Intn(int(db.HeadLSN())+1)), 32)
+					for i := 1; i < len(tail); i++ {
+						if tail[i].LSN <= tail[i-1].LSN {
+							t.Errorf("tail out of order: %d after %d", tail[i].LSN, tail[i-1].LSN)
+						}
+					}
+					for _, rec := range db.RecordsFor(key) {
+						if rec.Key != key || len(rec.Ops) != 1 {
+							t.Errorf("RecordsFor(%s) decoded %+v", key, rec)
+						}
+					}
+					if _, err := db.History(key); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Error(err)
+					}
+					if _, err := db.AsOf(key, stamp(int64(r.Intn(perWriter)))); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Error(err)
+					}
+					if reader == 0 {
+						dropCaches(db)
+					}
+					if _, _, err := db.Current(key); err != nil && !errors.Is(err, ErrNotFound) {
 						t.Error(err)
 					}
 				}
 			}()
-			background.Add(1)
-			go func() { // the compactor
-				defer background.Done()
-				for !stop.Load() {
-					db.Compact(db.HeadLSN() / 2)
-					runtime.Gosched()
-				}
-			}()
-			for reader := range 2 {
-				background.Add(1)
-				go func() {
-					defer background.Done()
-					r := rand.New(rand.NewSource(int64(reader)))
-					for !stop.Load() {
-						key := keys[r.Intn(len(keys))]
-						tail := db.RecordsAfterN(uint64(r.Intn(int(db.HeadLSN())+1)), 32)
-						for i := 1; i < len(tail); i++ {
-							if tail[i].LSN <= tail[i-1].LSN {
-								t.Errorf("tail out of order: %d after %d", tail[i].LSN, tail[i-1].LSN)
-							}
-						}
-						for _, rec := range db.RecordsFor(key) {
-							if rec.Key != key || len(rec.Ops) != 1 {
-								t.Errorf("RecordsFor(%s) decoded %+v", key, rec)
-							}
-						}
-						if _, err := db.History(key); err != nil && !errors.Is(err, ErrNotFound) {
-							t.Error(err)
-						}
-						if _, err := db.AsOf(key, stamp(int64(r.Intn(perWriter)))); err != nil && !errors.Is(err, ErrNotFound) {
-							t.Error(err)
-						}
-						if reader == 0 {
-							dropCaches(db)
-						}
-						if _, _, err := db.Current(key); err != nil && !errors.Is(err, ErrNotFound) {
-							t.Error(err)
-						}
-					}
-				}()
-			}
-			writing.Wait()
-			close(promises)
-			stop.Store(true)
-			background.Wait()
+		}
+		writing.Wait()
+		close(promises)
+		stop.Store(true)
+		background.Wait()
 
-			// Every promise still retained was withdrawn in place, and the
-			// incrementally maintained states equal rollups decoded afresh.
-			hot := map[entity.Key]*entity.State{}
-			for _, key := range keys {
-				for _, rec := range db.RecordsFor(key) {
-					if rec.Tentative != rec.Obsolete {
-						t.Errorf("%s %s: tentative %v, obsolete %v", key, rec.TxnID, rec.Tentative, rec.Obsolete)
-					}
-				}
-				if st, _, err := db.Current(key); err == nil {
-					hot[key] = st
+		// Every promise still retained was withdrawn in place, and the
+		// incrementally maintained states equal rollups decoded afresh.
+		hot := map[entity.Key]*entity.State{}
+		for _, key := range keys {
+			for _, rec := range db.RecordsFor(key) {
+				if rec.Tentative != rec.Obsolete {
+					t.Errorf("%s %s: tentative %v, obsolete %v", key, rec.TxnID, rec.Tentative, rec.Obsolete)
 				}
 			}
-			dropCaches(db)
-			for key, st := range hot {
-				got, _, err := db.Current(key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameState(t, key.String(), got, st)
+			if st, _, err := db.Current(key); err == nil {
+				hot[key] = st
 			}
-			assertTxnIndexMatchesLog(t, db)
-		})
-	}
+		}
+		dropCaches(db)
+		for key, st := range hot {
+			got, _, err := db.Current(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameState(t, key.String(), got, st)
+		}
+		assertTxnIndexMatchesLog(t, db)
+	})
 }
 
 // catchUpChunk is the shipper's streaming catch-up chunk (replica.Shipper

@@ -364,12 +364,12 @@ func TestCollapseDepthLimit(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolRidesGroupCommit runs the engine's worker pool against a
-// group-commit store: concurrent step transactions enqueue their appends on
-// the shard commit queues, and every step's effect must still land exactly
-// once (idempotence keys intact, no lost or doubled updates).
+// TestWorkerPoolRidesGroupCommit runs the engine's worker pool against one
+// store: concurrent step transactions commit their appends side by side, and
+// every step's effect must still land exactly once (idempotence keys intact,
+// no lost or doubled updates).
 func TestWorkerPoolRidesGroupCommit(t *testing.T) {
-	db := lsdb.Open(lsdb.Options{Node: "u1", SnapshotEvery: 16, Validation: entity.Managed, GroupCommit: true, MaxBatch: 8})
+	db := lsdb.Open(lsdb.Options{Node: "u1", SnapshotEvery: 16, Validation: entity.Managed})
 	for _, typ := range orderTypes() {
 		if err := db.RegisterType(typ); err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 )
 
 // Failover suite: the primary dies while concurrent writers are mid-flight —
-// including mid-group-commit, where one leader is folding several writers
-// into a single batch — and a standby is promoted underneath them.
+// several writers committing on each shard — and a standby is promoted
+// underneath them.
 // Invariants: every write acked to its writer survives; writes whose fate
 // was indeterminate resubmit with their original transaction ids and land
 // exactly once; and each entity's surviving records are a prefix of its
@@ -27,7 +27,7 @@ type issuedWrite struct {
 	acked bool
 }
 
-// crashPrimary runs concurrent writers against a group-commit primary with
+// crashPrimary runs concurrent writers against a primary with
 // synchronous shipping, promotes the standby mid-stream, and returns what
 // each writer issued plus the promoted store.
 func crashPrimary(t *testing.T, writers, perWriter int) (map[entity.Key][]issuedWrite, *lsdb.DB) {
@@ -35,7 +35,7 @@ func crashPrimary(t *testing.T, writers, perWriter int) (map[entity.Key][]issued
 	net := netsim.New(netsim.Config{})
 	t.Cleanup(net.Close)
 	sb := newShipStandby(t, net, "s1", storage.NewMemory())
-	db := lsdb.Open(lsdb.Options{Node: "p", Backend: storage.NewMemory(), Shards: 2, GroupCommit: true})
+	db := lsdb.Open(lsdb.Options{Node: "p", Backend: storage.NewMemory(), Shards: 2})
 	if err := db.RegisterType(accountType()); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func crashPrimary(t *testing.T, writers, perWriter int) (map[entity.Key][]issued
 	}
 
 	// Kill the primary once the stream is genuinely mid-flight: promotion
-	// fences the standby while group-commit leaders are still shipping.
+	// fences the standby while writers are still shipping.
 	for {
 		mu.Lock()
 		n := count
@@ -147,7 +147,7 @@ func TestFailoverMidGroupCommitKeepsAckedWritesAndLaneOrder(t *testing.T) {
 	}
 }
 
-// The same crash with a larger writer pool, to shake out leader/batch edges
+// The same crash with a larger writer pool, to shake out interleaving edges
 // under -race; invariants only, no balances.
 func TestFailoverMidGroupCommitManyWriters(t *testing.T) {
 	if testing.Short() {

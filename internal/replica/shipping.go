@@ -5,7 +5,7 @@
 // hold the same records replay them to the same states.
 //
 // The primary ships every record written to its storage.Backend — commit
-// cycles (riding the group-commit cadence via lsdb.Options.CommitSink),
+// cycles (one sink call per cycle via lsdb.Options.CommitSink),
 // obsolescence marks, compaction horizons — to standby replicas that append
 // them, unapplied, into backends of their own. A standby is therefore a log
 // copy, not a second database: promotion replays the received log through

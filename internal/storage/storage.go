@@ -17,10 +17,9 @@
 //     framing, per-record CRC32, size-based segment rotation, a manifest of
 //     where the replayable tail starts, and torn-tail recovery.
 //
-// The write-side attachment point in the store is the commit cycle
-// (lsdb.Options.CommitHook's cadence): one AppendBatch call per cycle — one
-// framed batch write and at most one fsync — so group commit amortises the
-// log force across every writer in a batch.
+// The write-side attachment point in the store is the commit cycle: one
+// AppendBatch call per cycle — one framed batch write and at most one
+// fsync.
 package storage
 
 import (

@@ -12,8 +12,7 @@
 //	uint32 payload length | uint32 CRC32(payload) | payload
 //
 // (little-endian, IEEE CRC). A commit cycle is one buffered write of its
-// batch's frames and, in SyncAlways mode, one force — the log force that
-// group commit amortises across the batch's writers.
+// batch's frames and, in SyncAlways mode, one force.
 //
 // The active segment is written in place: its allocation is kept up to
 // reserveStep ahead of the write offset (force.go), so a force flushes data
@@ -91,7 +90,7 @@ const (
 	// store itself stays consistent — recovery truncates the torn tail).
 	SyncOS SyncMode = iota
 	// SyncAlways fsyncs after every commit cycle: an acknowledged append
-	// survives a crash. Group commit amortises the fsync across the batch.
+	// survives a crash.
 	SyncAlways
 )
 

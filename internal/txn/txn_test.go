@@ -268,28 +268,12 @@ func TestCommitResultWarningsSurface(t *testing.T) {
 	}
 }
 
-// newGroupCommitUnit is newUnit with group-commit append batching enabled in
-// the underlying store, so committing transactions ride the batched path.
-func newGroupCommitUnit(t *testing.T, node clock.NodeID, opts Options) *Manager {
-	t.Helper()
-	db := lsdb.Open(lsdb.Options{Node: node, SnapshotEvery: 16, Validation: entity.Managed, GroupCommit: true, MaxBatch: 8})
-	typ := &entity.Type{Name: "Account", Fields: []entity.Field{
-		{Name: "owner", Type: entity.String},
-		{Name: "balance", Type: entity.Float},
-	}}
-	if err := db.RegisterType(typ); err != nil {
-		t.Fatal(err)
-	}
-	opts.Node = node
-	return NewManager(db, nil, opts)
-}
-
 // TestConcurrentTransactionsRideGroupCommit runs many solipsistic
-// transactions from concurrent goroutines against a group-commit store: the
-// commit results, final balances, idempotence and the dense LSN space must
-// all match what per-append locking would produce.
+// transactions from concurrent goroutines against one store: the commit
+// results, final balances, idempotence and the dense LSN space must all
+// match what one writer at a time would produce.
 func TestConcurrentTransactionsRideGroupCommit(t *testing.T) {
-	m := newGroupCommitUnit(t, "u1", Options{EnforceSingleEntity: true})
+	m := newUnit(t, "u1", Options{EnforceSingleEntity: true})
 	const goroutines, perG = 8, 40
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -330,7 +314,7 @@ func TestConcurrentTransactionsRideGroupCommit(t *testing.T) {
 	}
 	for i, rec := range records {
 		if rec.LSN != uint64(i+1) {
-			t.Fatalf("LSN %d at position %d: batched commits left a gap", rec.LSN, i)
+			t.Fatalf("LSN %d at position %d: concurrent commits left a gap", rec.LSN, i)
 		}
 	}
 }

@@ -2,8 +2,7 @@ package workload_test
 
 // The business scenarios must behave identically regardless of the storage
 // posture underneath the kernel: the in-memory seed configuration, and the
-// production-shaped one — tiered LSM storage with per-shard group commit
-// over a durable WAL. Each configuration runs the same scenario mix and
+// production-shaped one — tiered LSM storage over a durable WAL. Each configuration runs the same scenario mix and
 // asserts the same invariants; the durable configuration additionally closes
 // and recovers the kernel mid-check to prove the scenario state survives.
 
@@ -39,10 +38,10 @@ func scenarioConfigs() []scenarioConfig {
 					Node:  "wl-tiered",
 					Units: 2,
 					// Durable WAL + LSM tier, aggressive thresholds so a
-					// few hundred scenario operations exercise checkpoints,
-					// background flushes and the group-commit batcher.
+					// few hundred scenario operations exercise checkpoints
+					// and background flushes. The subtest keeps its name from
+					// when this posture also batched appends.
 					DataDir:         t.TempDir(),
-					GroupCommit:     true,
 					CheckpointEvery: 64,
 					FlushBytes:      16 * 1024,
 				}

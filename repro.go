@@ -63,8 +63,7 @@ const (
 	// SyncOS leaves flushing to the page cache (fast; a crash may lose the
 	// most recent commits, recovery truncates the torn tail).
 	SyncOS = storage.SyncOS
-	// SyncAlways fsyncs every commit cycle; group commit amortises the force
-	// across concurrent writers.
+	// SyncAlways fsyncs every commit cycle.
 	SyncAlways = storage.SyncAlways
 )
 

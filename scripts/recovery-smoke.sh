@@ -47,7 +47,7 @@ wait_up() {
 }
 
 echo "== start durable node"
-"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 -groupcommit \
+"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 \
   -data-dir "${DATA}" -fsync-mode always >"${WORK}/soupsd1.log" 2>&1 &
 PID=$!
 wait_up
@@ -65,7 +65,7 @@ kill -9 "${PID}"
 wait "${PID}" 2>/dev/null || true
 
 echo "== restart from data dir"
-"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 -groupcommit \
+"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 \
   -data-dir "${DATA}" -fsync-mode always >"${WORK}/soupsd2.log" 2>&1 &
 PID=$!
 wait_up
@@ -102,7 +102,7 @@ echo "== tiered storage: flushes + background compaction survive kill -9"
 kill -9 "${PID}"
 wait "${PID}" 2>/dev/null || true
 rm -rf "${DATA}"
-"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 -groupcommit \
+"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 \
   -data-dir "${DATA}" -fsync-mode always \
   -flush-bytes 2048 -compaction-after 2 >"${WORK}/lsm1.log" 2>&1 &
 PID=$!
@@ -144,7 +144,7 @@ fi
 echo "== kill -9 the tiered node, restart, recover from tables + WAL tail"
 kill -9 "${PID}"
 wait "${PID}" 2>/dev/null || true
-"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 -groupcommit \
+"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 \
   -data-dir "${DATA}" -fsync-mode always \
   -flush-bytes 2048 -compaction-after 2 >"${WORK}/lsm2.log" 2>&1 &
 PID=$!
@@ -178,7 +178,7 @@ SB1_PID=$!
 "${WORK}/soupsd" -addr "127.0.0.1:${SB2_PORT}" -role standby -units 2 \
   -data-dir "${WORK}/sb2" -fsync-mode always >"${WORK}/sb2.log" 2>&1 &
 SB2_PID=$!
-"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 -groupcommit \
+"${WORK}/soupsd" -addr "127.0.0.1:${PORT}" -units 2 \
   -data-dir "${DATA}" -fsync-mode always \
   -standbys "http://127.0.0.1:${SB1_PORT},http://127.0.0.1:${SB2_PORT}" \
   -ack sync >"${WORK}/primary.log" 2>&1 &
