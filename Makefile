@@ -99,14 +99,17 @@ bench-replication:
 # The E22 tiered-storage benchmarks on their own: per-append stall during a
 # quiesced legacy checkpoint vs an off-hot-path tiered flush, and recovery
 # time as history grows; the cold tier's bulk paths as components (one L1
-# compaction pass, one flush capture; keys/s, B/op, allocs/op) and its point
-# path (one summary lookup through bloom and sparse index). The E22 run is
+# compaction pass, failing past its budget of allocations per input key; one
+# flush capture; one restart of a 4-unit, 240 000-entity tiered kernel;
+# keys/s, B/op, allocs/op) and its point path (one summary lookup through
+# bloom and sparse index). The E22 run is
 # kept in BENCH_E22.txt, Go's standard benchmark format, so successive
 # changes can diff it (benchstat reads it as is).
 bench-lsm:
 	$(GO) test -run xxx -bench 'BenchmarkE22' -benchtime 200x -benchmem . > BENCH_E22.txt
 	cat BENCH_E22.txt
-	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 20x -benchmem ./internal/lsm ./internal/lsdb
+	$(GO) test -run TestCompactAllocationBudget -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 20x -benchmem ./internal/lsm ./internal/lsdb
+	$(GO) test -run xxx -bench BenchmarkKernelOpen -benchtime 10x -benchmem ./internal/core
 	$(GO) test -run xxx -bench BenchmarkLookupSummary -benchmem ./internal/lsm
 
 # The E23 end-to-end SLO run (see docs/BENCHMARKING.md): the open-loop load

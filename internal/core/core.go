@@ -280,16 +280,35 @@ func Open(opts Options) (*Kernel, error) {
 	if opts.UnitBackends != nil && len(opts.UnitBackends) != opts.Units {
 		return nil, fmt.Errorf("core: %d unit backends for %d units", len(opts.UnitBackends), opts.Units)
 	}
+	ids := make([]partition.UnitID, opts.Units)
+	for i := range ids {
+		ids[i] = partition.UnitID(fmt.Sprintf("%s-u%d", opts.Node, i))
+	}
+	// The unit stores recover at once: each has its own directory, WAL and
+	// tables, so none waits on another. A failure closes every store that
+	// did open — their directory locks, WAL files and compactors would
+	// otherwise outlive the failed call (supplied backends stay the
+	// caller's, so a failed promotion can be retried on them).
+	dbs := make([]*lsdb.DB, opts.Units)
+	err := eachUnit(opts.Units, func(i int) error {
+		var err error
+		dbs[i], err = openUnitStore(opts, ids[i], i)
+		return err
+	})
 	k.locator = partition.NewHashLocator(64)
-	for i := 0; i < opts.Units; i++ {
-		id := partition.UnitID(fmt.Sprintf("%s-u%d", opts.Node, i))
-		if err := k.locator.AddUnit(id); err != nil {
-			return nil, err
+	for i := 0; err == nil && i < len(ids); i++ {
+		err = k.locator.AddUnit(ids[i])
+	}
+	if err != nil {
+		for _, db := range dbs {
+			if db != nil && opts.UnitBackends == nil {
+				_ = db.Close()
+			}
 		}
-		db, err := openUnitStore(opts, id, i)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
+	}
+	for i, id := range ids {
+		db := dbs[i]
 		mgr := txn.NewManager(db, k.hlc, txn.Options{
 			Node:                clock.NodeID(id),
 			EnforceSingleEntity: true,
@@ -828,33 +847,62 @@ func (k *Kernel) Close() {
 		return
 	}
 	k.closed = true
-	for _, u := range k.units {
+	if k.shipper != nil {
+		// Stop drains and closes the shipper only on a started kernel; one
+		// that never started would leave its lanes running, retrying ships
+		// after the node is gone.
+		k.shipper.Drain()
+		k.shipper.Close()
+	}
+	_ = eachUnit(len(k.byIndex), func(i int) error {
+		u := k.byIndex[i]
 		u.queue.Close()
-		_ = u.db.Close()
-	}
+		return u.db.Close()
+	})
 }
 
-// Flush forces everything committed so far to every unit's stable storage.
-// A no-op for in-memory kernels.
+// eachUnit runs fn on units 0..n-1 at once and returns their errors in unit
+// order (errors.Join; nil when every call succeeded). Every unit is
+// attempted whatever the others return: units share no storage, so one
+// unit's failure is no reason to leave another's work undone.
+func eachUnit(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// Flush forces everything committed so far to every unit's stable storage,
+// all units at once. A no-op for in-memory kernels.
 func (k *Kernel) Flush() error {
-	for _, id := range k.unitIDs {
-		if err := k.units[id].db.Sync(); err != nil {
-			return fmt.Errorf("core: flushing unit %s: %w", id, err)
+	return eachUnit(len(k.byIndex), func(i int) error {
+		u := k.byIndex[i]
+		if err := u.db.Sync(); err != nil {
+			return fmt.Errorf("core: flushing unit %s: %w", u.id, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// Checkpoint flushes every unit's store (lsdb.DB.Checkpoint), bounding the
-// next restart's recovery to its tables plus the log tail written
-// afterwards. A no-op for in-memory kernels.
+// Checkpoint flushes every unit's store (lsdb.DB.Checkpoint), all units at
+// once, bounding the next restart's recovery to its tables plus the log tail
+// written afterwards. A unit that fails does not stop the others; the error
+// names every unit that failed. A no-op for in-memory kernels.
 func (k *Kernel) Checkpoint() error {
-	for _, id := range k.unitIDs {
-		if err := k.units[id].db.Checkpoint(); err != nil {
-			return fmt.Errorf("core: checkpointing unit %s: %w", id, err)
+	return eachUnit(len(k.byIndex), func(i int) error {
+		u := k.byIndex[i]
+		if err := u.db.Checkpoint(); err != nil {
+			return fmt.Errorf("core: checkpointing unit %s: %w", u.id, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // StorageErr returns the most recent background storage failure on any unit
@@ -1394,9 +1442,11 @@ func Bootstrap(opts Options, types ...*entity.Type) (*Kernel, error) {
 		return nil, err
 	}
 	if err := k.RegisterTypes(types...); err != nil {
+		k.Close()
 		return nil, err
 	}
 	if err := k.ensureApplyStep(); err != nil {
+		k.Close()
 		return nil, err
 	}
 	return k, nil

@@ -17,11 +17,16 @@
 // tail always finds its target after recovery, because a record that was
 // still withdrawable was never summarised away.
 //
-// After a flush lands, WAL segments up to the seal boundary are pruned (the
-// tables now cover them) and summaries whose entities are fully settled and
-// not referenced by hot caches are evicted from memory, leaving a cold
-// pointer: the next read warms the summary back in through the backend's
-// bloom-guided newest-to-oldest table lookup.
+// What stays resident after a flush: an entity's records, until Compact
+// folds them into its archived summary, and a cached state only until the
+// next flush that settles it — the capture hands a settled entity's cached
+// state to the table and drops it from the cache, so the next read or write
+// rebuilds it from the records (a replay SnapshotEvery bounds). After a flush
+// lands, WAL segments up to the seal boundary are pruned (the tables now
+// cover them) and archived summaries whose entities are fully settled and
+// hold no cached state are evicted from memory, leaving a cold pointer: the
+// next read warms the summary back in through the backend's bloom-guided
+// newest-to-oldest table lookup.
 package lsdb
 
 import (
@@ -258,7 +263,12 @@ func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []sto
 			// The materialised current state *is* the rollup through h
 			// when no unsettled records sit above it — zero-copy, which
 			// lends it: the table is written after the lock is released.
+			// The table holds it from here on, so the cache lets it go:
+			// the next read or write rebuilds it from the resident
+			// records (a replay SnapshotEvery bounds), and the hot cache
+			// keeps only what was touched since the last flush.
 			sum.Summary = e.cache.lend()
+			e.cache.drop()
 		default:
 			private = s.rollupToLocked(e, key, typ, h)
 			sum.Summary = private
@@ -279,9 +289,10 @@ func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []sto
 // evictCold demotes fully settled archived summaries to cold pointers after
 // a successful flush: their content is durable in the tables (flushed at or
 // below the just-written watermark), their entities have no retained detail,
-// and no hot cache references them. Memory bounded by the working set, not
-// by history. Only entries without retained records are ever taken, so an
-// evicted entry has no exactly-once index left to lose.
+// and no hot cache references them. A compacted entity untouched since the
+// flush therefore keeps only its pointer in memory. Only entries without
+// retained records are ever taken, so an evicted entry has no exactly-once
+// index left to lose.
 func (f *flusher) evictCold(watermark uint64) {
 	for _, s := range f.db.shards {
 		s.mu.Lock()

@@ -162,6 +162,71 @@ func TestTieredObsoleteAfterFlush(t *testing.T) {
 	rec.Close()
 }
 
+// TestFlushReleasesSettledStates: a flush lets go of the cached states it
+// settled into its table — a reader's earlier state stays as it was, and the
+// next read rebuilds an equal one from the resident records — while an
+// entity whose live promise keeps detail above the settled horizon keeps its
+// cached state.
+func TestFlushReleasesSettledStates(t *testing.T) {
+	dir := t.TempDir()
+	db := newTestDB(t, Options{Shards: 2, SnapshotEvery: 4, Backend: openTestTiered(t, dir, nil)})
+	defer db.Close()
+	settled, pending := acct("settled"), acct("pending")
+	for i := 0; i < 6; i++ {
+		if _, err := db.Append(settled, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i+1)), "n", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Append(pending, []entity.Op{entity.Delta("balance", 5)}, stamp(7), "n", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AppendTentative(pending, []entity.Op{entity.Delta("balance", 500)}, stamp(8), "n", "promise-1"); err != nil {
+		t.Fatal(err)
+	}
+	lent, head, err := db.Current(settled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func(k entity.Key) bool {
+		s := db.shardFor(k)
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.entry(k).cache.present()
+	}
+	if !cached(settled) || !cached(pending) {
+		t.Fatal("states not cached before the flush")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cached(settled) {
+		t.Error("the flush kept the settled entity's cached state")
+	}
+	if !cached(pending) {
+		t.Error("the flush dropped the cached state of an entity with a live promise")
+	}
+	want := entity.Fields{"balance": 6.0}
+	if !reflect.DeepEqual(lent.Fields, want) {
+		t.Errorf("the reader's lent state changed: %v", lent.Fields)
+	}
+	again, againHead, err := db.Current(settled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Fields, want) || againHead != head || again.Tentative != lent.Tentative {
+		t.Errorf("rebuilt state %v at %d, want %v at %d", again.Fields, againHead, want, head)
+	}
+	if _, err := db.Append(settled, []entity.Op{entity.Delta("balance", 1)}, stamp(9), "n", ""); err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err := db.Current(settled); err != nil || st.Fields["balance"] != 7.0 {
+		t.Errorf("after a write past the flush: %v, %v", st, err)
+	}
+	if !reflect.DeepEqual(lent.Fields, want) || !reflect.DeepEqual(again.Fields, want) {
+		t.Errorf("a write changed states lent before it: %v, %v", lent.Fields, again.Fields)
+	}
+}
+
 // TestColdEvictionAndWarm: archived-and-settled entities leave memory after a
 // flush, stay enumerable, and warm transparently through the bloom-guided
 // table lookup on the next read.

@@ -212,6 +212,16 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 		return nil, errors.New("lsdb: Recover needs Options.Backend")
 	}
 	db := Open(opts)
+	if db.tiered != nil {
+		// Every table key becomes an entry: sizing the entry maps for them up
+		// front spares recovery the maps' growth. The sum over tables is an
+		// upper bound (a key can sit in several).
+		if n := db.tiered.TieredStats().TableKeys; n > 0 {
+			for _, s := range db.shards {
+				s.entries = make(map[entity.Key]*entry, int(n)/len(db.shards)+1)
+			}
+		}
+	}
 	for _, t := range types {
 		if err := db.RegisterType(t); err != nil {
 			return nil, err

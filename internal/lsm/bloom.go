@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
 )
 
@@ -36,26 +35,34 @@ func newBloom(n int) *bloomFilter {
 	return &bloomFilter{bits: make([]byte, (nbits+7)/8), nbits: nbits, k: bloomProbes}
 }
 
-// bloomHash derives the double-hashing pair for a key.
-func bloomHash(key string) (h1, h2 uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h1 = h.Sum64()
-	h2 = h1>>33 | h1<<31
-	h2 |= 1 // odd increment visits all probe positions
-	return h1, h2
+// keyHash is 64-bit FNV-1a over a composite key's bytes — exactly what
+// hash/fnv's New64a computes, so sidecars written either way agree — without
+// building the key as a string or allocating a hasher.
+func keyHash[K string | []byte](ck K) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(ck); i++ {
+		h ^= uint64(ck[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
-func (b *bloomFilter) add(key string) {
-	h1, h2 := bloomHash(key)
+// probeStep derives the double-hashing increment from a key's hash; it is
+// odd, so the probes visit every position.
+func probeStep(h1 uint64) uint64 { return (h1>>33 | h1<<31) | 1 }
+
+// add sets the probe bits of the key whose keyHash is h1.
+func (b *bloomFilter) add(h1 uint64) {
+	h2 := probeStep(h1)
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % b.nbits
 		b.bits[pos/8] |= 1 << (pos % 8)
 	}
 }
 
-func (b *bloomFilter) mayContain(key string) bool {
-	h1, h2 := bloomHash(key)
+// mayContain reports whether the key whose keyHash is h1 may be in the set.
+func (b *bloomFilter) mayContain(h1 uint64) bool {
+	h2 := probeStep(h1)
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % b.nbits
 		if b.bits[pos/8]&(1<<(pos%8)) == 0 {

@@ -26,6 +26,7 @@
 package lsm
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"os"
@@ -66,12 +67,14 @@ func (s *Store) compactorLoop() {
 
 // mergeIter walks one input table key-group by key-group: the index cursor
 // names the current key, the frame reader stands at that key's first frame.
+// The entry is read in place, its key bytes still those of the index block,
+// so advancing allocates nothing.
 type mergeIter struct {
 	t   *table
 	cur indexCursor
 	fr  frameReader
-	e   indexEntry
-	ck  string // compositeKey(e.key), computed once per advance
+	e   rawEntry
+	ck  []byte // composite of e's key, rebuilt in place per advance
 	ok  bool
 }
 
@@ -85,13 +88,13 @@ func newMergeIter(t *table) (*mergeIter, error) {
 }
 
 func (it *mergeIter) advance() error {
-	ok, err := it.cur.next(&it.e)
+	ok, err := it.cur.nextRaw(&it.e)
 	if err != nil {
 		return fmt.Errorf("lsm: table %s: %w", it.t.meta.Name, err)
 	}
 	if it.ok = ok; ok {
-		it.ck = compositeKey(it.e.key)
-		it.fr.off = it.e.dataOff
+		it.ck = appendComposite(it.ck[:0], it.e.typ, it.e.id)
+		it.fr.off = int64(it.e.dataOff)
 	}
 	return nil
 }
@@ -209,16 +212,21 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (*table, error) {
 			iters = append(iters, it)
 		}
 	}
+	// The output holds at most every input's keys, and its index entries
+	// are the inputs' with new offsets (a sixteenth of slack covers the
+	// offsets' longer varints).
+	var watermark, keys uint64
+	var indexBytes int64
+	for _, in := range inputs {
+		watermark = max(watermark, in.meta.Watermark)
+		keys += in.count
+		indexBytes += in.indexLen
+	}
 	w, err := newTableWriter(s.opts.Dir, tableName(seq))
 	if err != nil {
 		return nil, err
 	}
-	var watermark uint64
-	for _, in := range inputs {
-		if in.meta.Watermark > watermark {
-			watermark = in.meta.Watermark
-		}
-	}
+	w.reserve(int(keys), int(indexBytes+indexBytes/16))
 	m := keyMerger{w: w}
 	paced := w.off
 	for len(iters) > 0 {
@@ -226,13 +234,13 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (*table, error) {
 		// positioned on it.
 		minKey := iters[0].ck
 		for _, it := range iters[1:] {
-			if it.ck < minKey {
+			if bytes.Compare(it.ck, minKey) < 0 {
 				minKey = it.ck
 			}
 		}
 		m.parts = m.parts[:0]
 		for _, it := range iters {
-			if it.ck == minKey {
+			if bytes.Equal(it.ck, minKey) {
 				m.parts = append(m.parts, it)
 			}
 		}
@@ -294,7 +302,7 @@ func (m *keyMerger) mergeKey() error {
 		if err != nil {
 			return err
 		}
-		if err := m.w.addRaw(winner.e.key, winner.ck, horizon, frame); err != nil {
+		if err := m.w.addRaw(winner.ck, len(winner.e.typ), horizon, frame); err != nil {
 			return err
 		}
 	}
@@ -313,7 +321,7 @@ func (m *keyMerger) mergeKey() error {
 				return err
 			}
 		}
-		end := p.e.dataOff + p.e.dataLen
+		end := int64(p.e.dataOff + p.e.dataLen)
 		for p.fr.off < end {
 			rec, err := p.fr.record()
 			if err != nil {

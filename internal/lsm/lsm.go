@@ -242,6 +242,10 @@ func (s *Store) Close() error {
 // SealWAL rotates the hot tier's active segment; see storage.Tiered.
 func (s *Store) SealWAL() (uint64, error) { return s.inner.SealActive() }
 
+// indexEntryGuess is the index bytes a flush reserves per entry: two short
+// strings and five small uvarints.
+const indexEntryGuess = 40
+
 // FlushTable writes one level-0 table from a flush capture, installs it in
 // the manifest, then prunes the WAL through the sealed boundary. The table
 // landing and the prune are deliberately decoupled: once the manifest names
@@ -270,6 +274,7 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 	if err != nil {
 		return fail(err)
 	}
+	w.reserve(len(entries), len(entries)*indexEntryGuess)
 	for i := range entries {
 		if err := w.add(&entries[i]); err != nil {
 			w.abort()
@@ -372,11 +377,12 @@ func (s *Store) LookupSummary(key entity.Key) (*storage.WALRecord, error) {
 	tables := s.tables
 	s.mu.Unlock()
 	ck := compositeKey(key)
+	h := keyHash(ck)
 	for _, t := range tables {
 		if ck < t.meta.MinKey || ck > t.meta.MaxKey {
 			continue
 		}
-		if !t.bloom.mayContain(ck) {
+		if !t.bloom.mayContain(h) {
 			s.bloomSkips.Add(1)
 			continue
 		}

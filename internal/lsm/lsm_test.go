@@ -208,10 +208,10 @@ func TestBloomFilter(t *testing.T) {
 	const n = 500
 	bl := newBloom(n)
 	for i := 0; i < n; i++ {
-		bl.add(compositeKey(testKey(i)))
+		bl.add(keyHash(compositeKey(testKey(i))))
 	}
 	for i := 0; i < n; i++ {
-		if !bl.mayContain(compositeKey(testKey(i))) {
+		if !bl.mayContain(keyHash(compositeKey(testKey(i)))) {
 			t.Fatalf("false negative for key %d", i)
 		}
 	}
@@ -225,10 +225,10 @@ func TestBloomFilter(t *testing.T) {
 	}
 	fp := 0
 	for i := 0; i < n; i++ {
-		if !bl2.mayContain(compositeKey(testKey(i))) {
+		if !bl2.mayContain(keyHash(compositeKey(testKey(i)))) {
 			t.Fatalf("sidecar round trip lost key %d", i)
 		}
-		if bl2.mayContain(compositeKey(testKey(i + 10000))) {
+		if bl2.mayContain(keyHash(compositeKey(testKey(i + 10000)))) {
 			fp++
 		}
 	}

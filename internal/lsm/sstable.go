@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/entity"
@@ -67,13 +68,6 @@ const (
 // (type, id) pairs order consistently and never collide.
 func compositeKey(k entity.Key) string { return k.Type + "\x00" + k.ID }
 
-func splitComposite(c string) entity.Key {
-	if i := strings.IndexByte(c, 0); i >= 0 {
-		return entity.Key{Type: c[:i], ID: c[i+1:]}
-	}
-	return entity.Key{Type: c}
-}
-
 // indexEntry is one parsed index-block entry.
 type indexEntry struct {
 	key         entity.Key
@@ -84,15 +78,15 @@ type indexEntry struct {
 	detailCount uint64
 }
 
-func appendIndexEntry(b []byte, e *indexEntry) []byte {
-	b = binary.AppendUvarint(b, uint64(len(e.key.Type)))
-	b = append(b, e.key.Type...)
-	b = binary.AppendUvarint(b, uint64(len(e.key.ID)))
-	b = append(b, e.key.ID...)
+func appendIndexEntry(b []byte, e *rawEntry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(e.typ)))
+	b = append(b, e.typ...)
+	b = binary.AppendUvarint(b, uint64(len(e.id)))
+	b = append(b, e.id...)
 	b = binary.AppendUvarint(b, e.flags)
 	b = binary.AppendUvarint(b, e.horizon)
-	b = binary.AppendUvarint(b, uint64(e.dataOff))
-	b = binary.AppendUvarint(b, uint64(e.dataLen))
+	b = binary.AppendUvarint(b, e.dataOff)
+	b = binary.AppendUvarint(b, e.dataLen)
 	b = binary.AppendUvarint(b, e.detailCount)
 	return b
 }
@@ -164,6 +158,13 @@ func (c *indexCursor) next(e *indexEntry) (bool, error) {
 
 var nul = []byte{0}
 
+// appendComposite appends the composite key typ+"\x00"+id to b.
+func appendComposite[S string | []byte](b []byte, typ, id S) []byte {
+	b = append(b, typ...)
+	b = append(b, 0)
+	return append(b, id...)
+}
+
 // cmpComposite compares the composite key typ+"\x00"+id with ck as comparing
 // the two strings would, without building the first.
 func cmpComposite(typ, id []byte, ck string) int {
@@ -192,8 +193,10 @@ func cmpComposite(typ, id []byte, ck string) int {
 // must arrive sorted by composite key, each key's summary (if any) first and
 // its details in LSN order — the flush capture and the compaction merge both
 // produce exactly that order. While it writes it also accumulates what an
-// open table keeps in memory (sparse index, bloom keys), so finish can hand
-// back a table that needs nothing re-read from the file.
+// open table keeps in memory (sparse index, bloom hashes), so finish can hand
+// back a table that needs nothing re-read from the file. Per key it keeps
+// only a hash and the index bytes: the key itself lives in a buffer reused
+// from one key to the next.
 type tableWriter struct {
 	dir, name string
 	tmp       string
@@ -202,10 +205,11 @@ type tableWriter struct {
 	off       int64 // bytes written so far (file offset)
 	scratch   []byte
 	index     []byte
-	keys      []string // composite keys, for the bloom sidecar
+	hashes    []uint64 // keyHash of every key written, for the bloom sidecar
 	sparse    []sparseSlot
-	cur       indexEntry
-	curKey    string // composite of cur; "" before the first record
+	cur       rawEntry // the open key's index entry; typ and id alias curKey
+	curKey    []byte   // composite of cur; empty before the first record
+	ck        []byte   // scratch composite of an incoming record's key
 	minKey    string
 	watermark uint64
 }
@@ -225,19 +229,29 @@ func newTableWriter(dir, name string) (*tableWriter, error) {
 	return w, nil
 }
 
-// startKey closes the previous key's index entry and opens one for key (ck
-// is its composite form), enforcing ascending key order.
-func (w *tableWriter) startKey(key entity.Key, ck string) error {
-	if w.curKey != "" && ck <= w.curKey {
+// reserve pre-sizes what the writer accumulates for a table of up to keys
+// keys whose index block takes up to indexBytes (estimates will do), so a
+// large table grows none of it.
+func (w *tableWriter) reserve(keys, indexBytes int) {
+	w.index = slices.Grow(w.index, indexBytes)
+	w.hashes = slices.Grow(w.hashes, keys)
+	w.sparse = slices.Grow(w.sparse, keys/sparseEvery+1)
+}
+
+// startKey closes the previous key's index entry and opens one for the key
+// whose composite form is ck (its type the first typLen bytes), enforcing
+// ascending key order. ck must not alias curKey.
+func (w *tableWriter) startKey(ck []byte, typLen int) error {
+	if len(w.curKey) > 0 && bytes.Compare(ck, w.curKey) <= 0 {
 		return fmt.Errorf("lsm: records out of key order (%q after %q)", ck, w.curKey)
 	}
 	w.flushKey()
-	w.curKey = ck
-	w.cur = indexEntry{key: key, dataOff: w.off}
-	if w.minKey == "" {
-		w.minKey = ck
+	if len(w.curKey) == 0 {
+		w.minKey = string(ck)
 	}
-	w.keys = append(w.keys, ck)
+	w.curKey = append(w.curKey[:0], ck...)
+	w.cur = rawEntry{typ: w.curKey[:typLen], id: w.curKey[typLen+1:], dataOff: uint64(w.off)}
+	w.hashes = append(w.hashes, keyHash(ck))
 	return nil
 }
 
@@ -263,8 +277,9 @@ func (w *tableWriter) write(frame []byte) error {
 }
 
 func (w *tableWriter) add(rec *storage.WALRecord) error {
-	if w.curKey == "" || rec.Key != w.cur.key {
-		if err := w.startKey(rec.Key, compositeKey(rec.Key)); err != nil {
+	w.ck = appendComposite(w.ck[:0], rec.Key.Type, rec.Key.ID)
+	if !bytes.Equal(w.ck, w.curKey) {
+		if err := w.startKey(w.ck, len(rec.Key.Type)); err != nil {
 			return err
 		}
 	}
@@ -288,14 +303,15 @@ func (w *tableWriter) add(rec *storage.WALRecord) error {
 	return w.write(w.scratch)
 }
 
-// addRaw starts key with its summary as the already-framed bytes a merge
-// input holds — the frameReader verified the CRC, and the horizon comes from
-// the input's index entry, so the payload is never decoded or re-encoded.
-func (w *tableWriter) addRaw(key entity.Key, ck string, horizon uint64, frame []byte) error {
+// addRaw starts the key whose composite form is ck (its type the first
+// typLen bytes) with its summary as the already-framed bytes a merge input
+// holds — the frameReader verified the CRC, and the horizon comes from the
+// input's index entry, so the payload is never decoded or re-encoded.
+func (w *tableWriter) addRaw(ck []byte, typLen int, horizon uint64, frame []byte) error {
 	if len(frame) <= frameHeader || frame[frameHeader] != byte(storage.KindSummary) {
 		return fmt.Errorf("lsm: entry for %q does not start with its summary", ck)
 	}
-	if err := w.startKey(key, ck); err != nil {
+	if err := w.startKey(ck, typLen); err != nil {
 		return err
 	}
 	if err := w.noteSummary(horizon); err != nil {
@@ -305,12 +321,12 @@ func (w *tableWriter) addRaw(key entity.Key, ck string, horizon uint64, frame []
 }
 
 func (w *tableWriter) flushKey() {
-	if w.curKey == "" {
+	if len(w.curKey) == 0 {
 		return
 	}
-	w.cur.dataLen = w.off - w.cur.dataOff
-	if (len(w.keys)-1)%sparseEvery == 0 {
-		w.sparse = append(w.sparse, sparseSlot{key: w.curKey, off: len(w.index)})
+	w.cur.dataLen = uint64(w.off) - w.cur.dataOff
+	if (len(w.hashes)-1)%sparseEvery == 0 {
+		w.sparse = append(w.sparse, sparseSlot{key: string(w.curKey), off: len(w.index)})
 	}
 	w.index = appendIndexEntry(w.index, &w.cur)
 }
@@ -331,7 +347,7 @@ func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 	footer := make([]byte, 0, footerSize)
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexOff))
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexLen))
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(w.keys)))
+	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(w.hashes)))
 	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer))
 	footer = append(footer, sstFootMag...)
 	for _, b := range [][]byte{hdr[:], w.index, footer} {
@@ -356,9 +372,9 @@ func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 	// The bloom sidecar is advisory (rebuilt if missing), so it needs no
 	// fsync ceremony — but write it before the rename so a completed table
 	// normally has its filter ready.
-	bl := newBloom(len(w.keys))
-	for _, k := range w.keys {
-		bl.add(k)
+	bl := newBloom(len(w.hashes))
+	for _, h := range w.hashes {
+		bl.add(h)
 	}
 	blmPath := filepath.Join(w.dir, bloomName(w.name))
 	os.WriteFile(blmPath, bl.marshal(), 0o644)
@@ -380,14 +396,14 @@ func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 		meta: tableMeta{
 			Name:      w.name,
 			MinKey:    w.minKey,
-			MaxKey:    w.curKey,
-			Keys:      uint64(len(w.keys)),
+			MaxKey:    string(w.curKey),
+			Keys:      uint64(len(w.hashes)),
 			Bytes:     w.off,
 			Watermark: w.watermark,
 		},
 		indexOff: indexOff,
 		indexLen: indexLen,
-		count:    uint64(len(w.keys)),
+		count:    uint64(len(w.hashes)),
 		sparse:   w.sparse,
 		bloom:    bl,
 	}, nil
@@ -480,12 +496,14 @@ func (t *table) init(dir string) error {
 	if err != nil {
 		return err
 	}
+	// Only the sparse slots keep a key, so the walk reads the rest in place.
 	cur := indexCursor{b: payload}
-	var e indexEntry
+	var r rawEntry
+	var ck []byte
 	var i uint64
 	for {
 		off := cur.off
-		ok, err := cur.next(&e)
+		ok, err := cur.nextRaw(&r)
 		if err != nil {
 			return fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
 		}
@@ -493,7 +511,8 @@ func (t *table) init(dir string) error {
 			break
 		}
 		if i%sparseEvery == 0 {
-			t.sparse = append(t.sparse, sparseSlot{key: compositeKey(e.key), off: off})
+			ck = appendComposite(ck[:0], r.typ, r.id)
+			t.sparse = append(t.sparse, sparseSlot{key: string(ck), off: off})
 		}
 		i++
 	}
@@ -508,11 +527,12 @@ func (t *table) init(dir string) error {
 		bl = newBloom(int(t.count))
 		cur = indexCursor{b: payload}
 		for {
-			ok, err := cur.next(&e)
+			ok, err := cur.nextRaw(&r)
 			if err != nil || !ok {
 				break
 			}
-			bl.add(compositeKey(e.key))
+			ck = appendComposite(ck[:0], r.typ, r.id)
+			bl.add(keyHash(ck))
 		}
 		t.bloom = bl
 		os.WriteFile(filepath.Join(dir, bloomName(t.meta.Name)), bl.marshal(), 0o644)
