@@ -20,7 +20,7 @@ race:
 # across the high-water mark and every shape of the per-entity txn index, the
 # encoded resident log read back through every reader and decoded while
 # appends, obsolete flips and compactions run, lock-free Locate against
-# concurrent AddUnit/RemoveUnit, and that recycled step frames, transactions and messages
+# concurrent AddUnit, and that recycled step frames, transactions and messages
 # carry nothing from one step into the next (CI runs the same set in its race
 # job).
 ownership-race:

@@ -250,28 +250,28 @@ func managedArgs() []string {
 func buildFault(ft *loadgen.FaultTransport, plain *http.Client, proc *managedSoupsd, baseURL string) (loadgen.Fault, *kill9Fault, error) {
 	switch *faultKind {
 	case "none":
-		return nil, nil, nil
+		return loadgen.Fault{}, nil, nil
 	case "latency":
-		return &loadgen.TransportFault{Transport: ft,
-			Fault: netsim.LinkFault{ExtraLatency: *faultLatency, Loss: *faultLoss}}, nil, nil
+		return ft.Window(netsim.LinkFault{ExtraLatency: *faultLatency, Loss: *faultLoss}), nil, nil
 	case "partition":
-		return &loadgen.TransportFault{Transport: ft, Fault: netsim.LinkFault{Block: true}}, nil, nil
+		return ft.Window(netsim.LinkFault{Block: true}), nil, nil
 	case "enospc":
 		if proc == nil && *target == "" {
-			return nil, nil, fmt.Errorf("-fault enospc needs a server")
+			return loadgen.Fault{}, nil, fmt.Errorf("-fault enospc needs a server")
 		}
-		return &enospcFault{client: plain, baseURL: baseURL}, nil, nil
+		f := &enospcFault{client: plain, baseURL: baseURL}
+		return loadgen.Fault{Begin: f.begin, End: f.end}, nil, nil
 	case "kill9":
 		if proc == nil {
-			return nil, nil, fmt.Errorf("-fault kill9 requires a managed soupsd (-soupsd)")
+			return loadgen.Fault{}, nil, fmt.Errorf("-fault kill9 requires a managed soupsd (-soupsd)")
 		}
 		if *dataDir == "" {
-			return nil, nil, fmt.Errorf("-fault kill9 requires -data-dir: a memory-only server cannot honour acked writes across SIGKILL")
+			return loadgen.Fault{}, nil, fmt.Errorf("-fault kill9 requires -data-dir: a memory-only server cannot honour acked writes across SIGKILL")
 		}
 		k := &kill9Fault{proc: proc, client: plain, baseURL: baseURL}
-		return k, k, nil
+		return loadgen.Fault{Begin: k.begin, End: k.end}, k, nil
 	default:
-		return nil, nil, fmt.Errorf("unknown -fault %q (want none, latency, partition, enospc, kill9)", *faultKind)
+		return loadgen.Fault{}, nil, fmt.Errorf("unknown -fault %q (want none, latency, partition, enospc, kill9)", *faultKind)
 	}
 }
 
@@ -295,8 +295,8 @@ func (f *enospcFault) post(action string) error {
 	return nil
 }
 
-func (f *enospcFault) Begin() error { return f.post("enospc") }
-func (f *enospcFault) End() error   { return f.post("heal") }
+func (f *enospcFault) begin() error { return f.post("enospc") }
+func (f *enospcFault) end() error   { return f.post("heal") }
 
 // kill9Fault SIGKILLs the managed soupsd at the start of the fault window,
 // restarts it immediately, and measures the recovery-time-objective: SIGKILL
@@ -312,7 +312,7 @@ type kill9Fault struct {
 	rto      time.Duration
 }
 
-func (f *kill9Fault) Begin() error {
+func (f *kill9Fault) begin() error {
 	f.killedAt = time.Now()
 	if err := f.proc.kill(); err != nil {
 		return err
@@ -331,7 +331,7 @@ func (f *kill9Fault) Begin() error {
 	return nil
 }
 
-func (f *kill9Fault) End() error {
+func (f *kill9Fault) end() error {
 	if err := <-f.ready; err != nil {
 		return fmt.Errorf("server never recovered from kill -9: %w", err)
 	}

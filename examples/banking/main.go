@@ -111,7 +111,7 @@ func main() {
 // standbyView replays a copy of the standby's received log into a throwaway
 // store: the account as the standby would serve it if promoted now.
 func standbyView(sb *replica.Standby, key repro.Key) *repro.State {
-	recs, err := replica.TailAfter(sb.Backends()[0], 0)
+	recs, err := replica.TailAfter(sb.Backends()[0], 0, 0)
 	if err != nil {
 		log.Fatalf("standby log: %v", err)
 	}

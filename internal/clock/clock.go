@@ -25,8 +25,8 @@ type Ordering int
 const (
 	// before means the receiver causally precedes the argument.
 	before Ordering = iota - 1
-	// Equal means the two timestamps are identical.
-	Equal
+	// equal means the two timestamps are identical.
+	equal
 	// After means the receiver causally follows the argument.
 	After
 )
@@ -36,7 +36,7 @@ func (o Ordering) String() string {
 	switch o {
 	case before:
 		return "before"
-	case Equal:
+	case equal:
 		return "equal"
 	case After:
 		return "after"
@@ -64,7 +64,7 @@ type Timestamp struct {
 	Node      NodeID
 }
 
-// Compare orders two timestamps: before, Equal or After, since HLC timestamps
+// Compare orders two timestamps: before, equal or After, since HLC timestamps
 // are totally ordered.
 func (t Timestamp) Compare(o Timestamp) Ordering {
 	switch {
@@ -81,7 +81,7 @@ func (t Timestamp) Compare(o Timestamp) Ordering {
 	case t.Node > o.Node:
 		return After
 	default:
-		return Equal
+		return equal
 	}
 }
 
@@ -114,30 +114,6 @@ func (h *HLC) Now() Timestamp {
 		h.wall = phys
 		h.logical = 0
 	} else {
-		h.logical++
-	}
-	return Timestamp{WallNanos: h.wall, Logical: h.logical, Node: h.node}
-}
-
-// Observe merges a remote timestamp (receive rule) and returns the local
-// timestamp assigned to the receive event.
-func (h *HLC) Observe(remote Timestamp) Timestamp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	phys := h.nowFn().UnixNano()
-	switch {
-	case phys > h.wall && phys > remote.WallNanos:
-		h.wall = phys
-		h.logical = 0
-	case remote.WallNanos > h.wall:
-		h.wall = remote.WallNanos
-		h.logical = remote.Logical + 1
-	case h.wall > remote.WallNanos:
-		h.logical++
-	default: // equal walls
-		if remote.Logical > h.logical {
-			h.logical = remote.Logical
-		}
 		h.logical++
 	}
 	return Timestamp{WallNanos: h.wall, Logical: h.logical, Node: h.node}

@@ -58,13 +58,6 @@ type Options struct {
 	Node clock.NodeID
 	// Units is the number of serialization units (partitions). Default 1.
 	Units int
-	// SnapshotEvery configures LSDB snapshot frequency (default 32).
-	SnapshotEvery int
-	// DBShards is the number of lock-striped shards inside each
-	// serialization unit's log store (default 8). More shards reduce
-	// intra-unit lock contention between entities that hash to different
-	// stripes; 1 reproduces the single-lock layout.
-	DBShards int
 	// GroupCommit and MaxAppendBatch select nothing: every append commits
 	// through one per-append cycle. They are declared only because the
 	// repository benchmark (bench/) still sets them, and go with the next
@@ -89,9 +82,6 @@ type Options struct {
 	// DataDir; default 4096, negative disables the record trigger). Flushes
 	// bound recovery to the tables plus the post-flush log tail.
 	CheckpointEvery int
-	// SegmentBytes is the WAL segment rotation threshold (only meaningful
-	// with DataDir; default 4 MiB).
-	SegmentBytes int64
 	// FlushBytes triggers a tiered background flush once roughly this many
 	// bytes of record payload have been committed since the last one (only
 	// meaningful with DataDir; default 4 MiB, negative disables the byte
@@ -161,7 +151,7 @@ type ReplicationOptions struct {
 	// Timeout bounds each synchronous ship (default 500ms).
 	Timeout time.Duration
 	// Transport moves the batches; when nil and Net is set a
-	// replica.NetTransport is used. cmd/soupsd supplies an HTTP transport.
+	// netsim transport is used. cmd/soupsd supplies an HTTP transport.
 	Transport replica.Transport
 	// Net, when set, also registers a catch-up handler so standbys can pull
 	// missing log tails from this kernel.
@@ -181,12 +171,6 @@ func (o *Options) fill() {
 	}
 	if o.Units <= 0 {
 		o.Units = 1
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 32
-	}
-	if o.DBShards <= 0 {
-		o.DBShards = 8
 	}
 	if o.Workers <= 0 {
 		o.Workers = 2
@@ -380,11 +364,14 @@ func (k *Kernel) unitTail(unit int, after uint64, limit int) []lsdb.Record {
 // a compaction mark simply re-archives less (identical rollup states either
 // way, see lsdb.Recover).
 func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, error) {
+	// Each store keeps lsdb's default of 8 shards and snapshots every 32nd
+	// version of an entity (lsdb's default, 0, takes none), bounding the
+	// rollup a cache miss replays. A durable unit's WAL keeps its own
+	// default of 4 MiB segments.
 	dbOpts := lsdb.Options{
 		Node:            clock.NodeID(id),
-		SnapshotEvery:   opts.SnapshotEvery,
+		SnapshotEvery:   32,
 		Validation:      entity.Managed,
-		Shards:          opts.DBShards,
 		CheckpointEvery: opts.CheckpointEvery,
 		RearmAfter:      opts.RearmAfter,
 	}
@@ -400,11 +387,7 @@ func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, erro
 		return lsdb.Open(dbOpts), nil
 	}
 	unitDir := filepath.Join(opts.DataDir, fmt.Sprintf("unit-%d", index))
-	wal, err := storage.OpenWAL(storage.WALOptions{
-		Dir:          unitDir,
-		SegmentBytes: opts.SegmentBytes,
-		Sync:         opts.Fsync,
-	})
+	wal, err := storage.OpenWAL(storage.WALOptions{Dir: unitDir, Sync: opts.Fsync})
 	if err != nil {
 		return nil, fmt.Errorf("core: unit %s: %w", id, err)
 	}
@@ -609,8 +592,8 @@ type MultiWrite struct {
 	Event string
 }
 
-// ApplyEventName is the built-in process step that applies propagated writes.
-const ApplyEventName = "core.apply"
+// applyEventName is the built-in process step that applies propagated writes.
+const applyEventName = "core.apply"
 
 // TransactMulti applies writes that may span entities and serialization
 // units: the first write is applied in a focused local transaction and the
@@ -634,7 +617,7 @@ func (k *Kernel) TransactMulti(writes []MultiWrite) error {
 	for i, w := range writes[1:] {
 		name := w.Event
 		if name == "" {
-			name = ApplyEventName
+			name = applyEventName
 		}
 		ev := queue.Event{
 			Name:   name,
@@ -768,7 +751,7 @@ func (k *Kernel) DefineProcess(def *process.Definition) error {
 // ensureApplyStep installs the built-in step that applies propagated writes.
 func (k *Kernel) ensureApplyStep() error {
 	def := process.NewDefinition("core-propagation")
-	def.Step(ApplyEventName, func(ctx *process.StepContext) error {
+	def.Step(applyEventName, func(ctx *process.StepContext) error {
 		rawOps, _ := ctx.Event.Data["ops"].([]entity.Op)
 		return ctx.Txn.Update(ctx.Event.Entity, rawOps...)
 	})
@@ -928,8 +911,7 @@ func (k *Kernel) Compact() int {
 	total := 0
 	for _, id := range k.unitIDs {
 		u := k.units[id]
-		stats := u.db.Compact(u.db.HeadLSN())
-		total += stats.Summarised
+		total += u.db.Compact(u.db.HeadLSN())
 	}
 	return total
 }

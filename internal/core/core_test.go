@@ -459,7 +459,7 @@ func TestUpdateTentativeCountsAsACommit(t *testing.T) {
 	if got := k.Metrics().Counter("txn.committed").Value(); got != 2 {
 		t.Fatalf("txn.committed = %d, want 2", got)
 	}
-	if got := k.Metrics().Histogram("txn.latency").Count(); got != 2 {
+	if got := k.Metrics().Histogram("txn.latency").Summary().Count; got != 2 {
 		t.Fatalf("txn.latency holds %d samples, want 2", got)
 	}
 }
@@ -470,7 +470,7 @@ func TestMetricsExposed(t *testing.T) {
 	if k.Metrics().Counter("txn.committed").Value() != 1 {
 		t.Fatalf("metrics not recorded: %s", k.Metrics().Dump())
 	}
-	if k.Metrics().Histogram("txn.latency").Count() != 1 {
+	if k.Metrics().Histogram("txn.latency").Summary().Count != 1 {
 		t.Fatal("latency histogram empty")
 	}
 }
@@ -717,7 +717,7 @@ func TestUpdateResultRecordsSurviveLaterWork(t *testing.T) {
 	}
 	want := res.Records[0]
 	for i := 0; i < 50; i++ {
-		if err := k.Submit(queue.Event{Name: ApplyEventName, Entity: key, TxnID: fmt.Sprintf("ev-%d", i),
+		if err := k.Submit(queue.Event{Name: applyEventName, Entity: key, TxnID: fmt.Sprintf("ev-%d", i),
 			Data: map[string]interface{}{"ops": []entity.Op{entity.Delta("balance", 1)}}}); err != nil {
 			t.Fatal(err)
 		}

@@ -732,20 +732,22 @@ const (
 	OpDelta
 	// OpInsertChild appends a child row.
 	OpInsertChild
-	// OpSetChildField assigns a field of an existing child row.
-	OpSetChildField
-	// OpDeltaChildField adds a numeric amount to a field of a child row.
-	OpDeltaChildField
-	// OpDeleteChild tombstones a child row.
-	OpDeleteChild
-	// OpDelete tombstones the whole entity.
-	OpDelete
-	// OpUndelete clears the entity tombstone.
-	OpUndelete
-	// OpMarkTentative flags the entity state as tentative (principle 2.9).
-	OpMarkTentative
-	// OpConfirm clears the tentative flag (the promise was kept).
-	OpConfirm
+	// opSetChildField assigns a field of an existing child row.
+	opSetChildField
+	// opDeltaChildField adds a numeric amount to a field of a child row.
+	opDeltaChildField
+	// opDeleteChild tombstones a child row.
+	opDeleteChild
+	// opDelete tombstones the whole entity.
+	opDelete
+	// opUndelete clears the entity tombstone. No constructor produces it;
+	// it keeps its number so the kinds after it keep theirs on disk.
+	opUndelete
+	// opMarkTentative flags the entity state as tentative (principle 2.9);
+	// like opUndelete it has no constructor.
+	opMarkTentative
+	// opConfirm clears the tentative flag (the promise was kept).
+	opConfirm
 )
 
 // String returns the operation kind name.
@@ -946,30 +948,24 @@ func InsertChild(collection, childID string, row Fields) Op {
 
 // SetChildField returns an operation assigning one field of a child row.
 func SetChildField(collection, childID, field string, value interface{}) Op {
-	return Op{Kind: OpSetChildField, Collection: collection, ChildID: childID, Field: field, Value: safeValue(value)}
+	return Op{Kind: opSetChildField, Collection: collection, ChildID: childID, Field: field, Value: safeValue(value)}
 }
 
 // DeltaChildField returns a commutative increment of one field of a child row.
 func DeltaChildField(collection, childID, field string, amount float64) Op {
-	return Op{Kind: OpDeltaChildField, Collection: collection, ChildID: childID, Field: field, Delta: amount}
+	return Op{Kind: opDeltaChildField, Collection: collection, ChildID: childID, Field: field, Delta: amount}
 }
 
 // DeleteChild returns an operation tombstoning a child row.
 func DeleteChild(collection, childID string) Op {
-	return Op{Kind: OpDeleteChild, Collection: collection, ChildID: childID}
+	return Op{Kind: opDeleteChild, Collection: collection, ChildID: childID}
 }
 
 // Delete returns an operation tombstoning the entity.
-func Delete() Op { return Op{Kind: OpDelete} }
-
-// Undelete returns an operation clearing the entity tombstone.
-func Undelete() Op { return Op{Kind: OpUndelete} }
-
-// MarkTentative returns an operation marking the state tentative.
-func MarkTentative(describe string) Op { return Op{Kind: OpMarkTentative, Describe: describe} }
+func Delete() Op { return Op{Kind: opDelete} }
 
 // Confirm returns an operation confirming previously tentative state.
-func Confirm() Op { return Op{Kind: OpConfirm} }
+func Confirm() Op { return Op{Kind: opConfirm} }
 
 // Described attaches a business description to the operation (principle 2.8).
 func (o Op) Described(text string) Op {
@@ -983,7 +979,7 @@ func (o Op) Described(text string) Op {
 // custom merger.
 func (o Op) Commutes() bool {
 	switch o.Kind {
-	case OpDelta, OpDeltaChildField, OpInsertChild:
+	case OpDelta, opDeltaChildField, OpInsertChild:
 		return true
 	default:
 		return false
@@ -999,11 +995,11 @@ func (o Op) String() string {
 		return fmt.Sprintf("delta %s%+g", o.Field, o.Delta)
 	case OpInsertChild:
 		return fmt.Sprintf("insert %s[%s]", o.Collection, o.ChildID)
-	case OpSetChildField:
+	case opSetChildField:
 		return fmt.Sprintf("set %s[%s].%s=%v", o.Collection, o.ChildID, o.Field, o.Value)
-	case OpDeltaChildField:
+	case opDeltaChildField:
 		return fmt.Sprintf("delta %s[%s].%s%+g", o.Collection, o.ChildID, o.Field, o.Delta)
-	case OpDeleteChild:
+	case opDeleteChild:
 		return fmt.Sprintf("delete %s[%s]", o.Collection, o.ChildID)
 	default:
 		return o.Kind.String()
@@ -1078,7 +1074,7 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 		warnings = append(warnings, Warning{Key: s.Key, Op: op, Problem: problem})
 		return nil
 	}
-	if s.Deleted && op.Kind != OpUndelete && op.Kind != OpDelete {
+	if s.Deleted && op.Kind != opUndelete && op.Kind != opDelete {
 		if err := warn(ErrDeleted.Error()); err != nil {
 			return nil, ErrDeleted
 		}
@@ -1150,7 +1146,7 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 		// Insert of an existing live id acts as an upsert of the provided
 		// fields; insert-only storage still records the operation.
 		s.insertChild(op.Collection, op.ChildID, row)
-	case OpSetChildField, OpDeltaChildField:
+	case opSetChildField, opDeltaChildField:
 		coll, collOK := typ.child(op.Collection)
 		if !collOK {
 			if err := warn(fmt.Sprintf("%v: %s", ErrUnknownCollection, op.Collection)); err != nil {
@@ -1168,7 +1164,7 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 			pos = c.n
 			c.appendRow(Child{ID: op.ChildID, Fields: Fields{}})
 		}
-		if op.Kind == OpSetChildField {
+		if op.Kind == opSetChildField {
 			value := op.Value
 			if collOK {
 				if f, ok := coll.field(op.Field); ok {
@@ -1192,19 +1188,19 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 			}
 			applyDelta(c.mutRow(pos).Fields, op.Field, op.Delta, isFloat)
 		}
-	case OpDeleteChild:
+	case opDeleteChild:
 		if !s.deleteChild(op.Collection, op.ChildID) {
 			if err := warn(fmt.Sprintf("%v: %s[%s]", ErrNoSuchChild, op.Collection, op.ChildID)); err != nil {
 				return nil, ErrNoSuchChild
 			}
 		}
-	case OpDelete:
+	case opDelete:
 		s.Deleted = true
-	case OpUndelete:
+	case opUndelete:
 		s.Deleted = false
-	case OpMarkTentative:
+	case opMarkTentative:
 		s.Tentative = true
-	case OpConfirm:
+	case opConfirm:
 		s.Tentative = false
 	default:
 		return nil, fmt.Errorf("entity: unsupported operation kind %v", op.Kind)
@@ -1307,16 +1303,6 @@ func NewHistory(key Key) *History { return &History{Key: key} }
 // Append adds a version; versions must be appended in Seq order per origin
 // but the history tolerates interleaving from multiple replicas.
 func (h *History) Append(v *Version) { h.Versions = append(h.Versions, v) }
-
-// Latest returns the most recent non-obsolete version (nil when empty).
-func (h *History) Latest() *Version {
-	for i := len(h.Versions) - 1; i >= 0; i-- {
-		if !h.Versions[i].Obsolete {
-			return h.Versions[i]
-		}
-	}
-	return nil
-}
 
 // Len returns the number of versions, including obsolete ones.
 func (h *History) Len() int { return len(h.Versions) }

@@ -375,7 +375,7 @@ func TestApplyDeleteAndUndelete(t *testing.T) {
 	if revived.StringField("status") != "REOPENED" {
 		t.Fatal("managed write lost")
 	}
-	undeleted, _, err := Apply(typ, next, []Op{Undelete()}, Strict)
+	undeleted, _, err := Apply(typ, next, []Op{{Kind: opUndelete}}, Strict)
 	if err != nil || undeleted.Deleted {
 		t.Fatalf("undelete failed: %v", err)
 	}
@@ -384,7 +384,7 @@ func TestApplyDeleteAndUndelete(t *testing.T) {
 func TestApplyTentativeAndConfirm(t *testing.T) {
 	typ := orderType()
 	s := NewState(Key{Type: "Order", ID: "1"})
-	next, _, err := Apply(typ, s, []Op{MarkTentative("offer pending"), Set("status", "OFFERED")}, Strict)
+	next, _, err := Apply(typ, s, []Op{{Kind: opMarkTentative, Describe: "offer pending"}, Set("status", "OFFERED")}, Strict)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -702,7 +702,7 @@ func TestOpStringAndCommutes(t *testing.T) {
 	}
 	for _, op := range []Op{Set("a", 1), Delta("a", 2), InsertChild("c", "i", nil),
 		SetChildField("c", "i", "f", 1), DeltaChildField("c", "i", "f", 1), DeleteChild("c", "i"),
-		Delete(), Undelete(), MarkTentative("x"), Confirm()} {
+		Delete(), {Kind: opUndelete}, {Kind: opMarkTentative}, Confirm()} {
 		if op.String() == "" {
 			t.Errorf("empty String for %v", op.Kind)
 		}
@@ -752,9 +752,6 @@ func TestHistoryLatestAndAsOf(t *testing.T) {
 	if h.Len() != 3 {
 		t.Fatalf("Len = %d", h.Len())
 	}
-	if got := h.Latest(); got != v2 {
-		t.Fatalf("Latest should skip obsolete versions, got seq %d", got.Seq)
-	}
 	if got := h.AsOf(clock.Timestamp{WallNanos: 150, Node: "z"}); got != v1 {
 		t.Fatalf("AsOf(150) = seq %d, want 1", got.Seq)
 	}
@@ -763,13 +760,6 @@ func TestHistoryLatestAndAsOf(t *testing.T) {
 	}
 	if got := h.AsOf(clock.Timestamp{WallNanos: 999, Node: "z"}); got != v2 {
 		t.Fatalf("AsOf(999) should skip obsolete, got seq %d", got.Seq)
-	}
-}
-
-func TestHistoryLatestEmpty(t *testing.T) {
-	h := NewHistory(Key{Type: "Order", ID: "1"})
-	if h.Latest() != nil {
-		t.Fatal("empty history Latest should be nil")
 	}
 }
 

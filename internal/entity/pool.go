@@ -58,8 +58,8 @@ func putChunk(ck *chunk) {
 	chunkPool.Put(ck)
 }
 
-// PoolStats reports the chunk free list's traffic.
-type PoolStats struct {
+// poolStats reports the chunk free list's traffic.
+type poolStats struct {
 	// Reused counts chunk copies served from the free list; Allocated counts
 	// copies that fell back to a fresh allocation; Recycled counts chunks
 	// retired into the list.
@@ -68,9 +68,9 @@ type PoolStats struct {
 	Recycled  uint64
 }
 
-// ChunkPoolStats returns the process-wide chunk free-list counters.
-func ChunkPoolStats() PoolStats {
-	return PoolStats{
+// chunkPoolStats returns the process-wide chunk free-list counters.
+func chunkPoolStats() poolStats {
+	return poolStats{
 		Reused:    chunkPoolReused.Load(),
 		Allocated: chunkPoolAllocated.Load(),
 		Recycled:  chunkPoolRecycled.Load(),

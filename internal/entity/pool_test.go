@@ -25,9 +25,9 @@ func TestRecycleOwnershipSafety(t *testing.T) {
 	// be a no-op and the clone's rows must stay intact afterwards.
 	s2 := s1.Clone()
 	wantRows := append([]Child(nil), s2.Children("lineitems")...)
-	before := ChunkPoolStats()
+	before := chunkPoolStats()
 	s1.Recycle()
-	if got := ChunkPoolStats().Recycled; got != before.Recycled {
+	if got := chunkPoolStats().Recycled; got != before.Recycled {
 		t.Fatalf("clone-shared chunks recycled: %d -> %d", before.Recycled, got)
 	}
 	// Churn the pool so any wrongly-recycled chunk would be reused and
@@ -45,9 +45,9 @@ func TestRecycleOwnershipSafety(t *testing.T) {
 
 	// A frozen state never recycles: its chunks may be shared arbitrarily.
 	s2.Freeze()
-	before = ChunkPoolStats()
+	before = chunkPoolStats()
 	s2.Recycle()
-	if got := ChunkPoolStats().Recycled; got != before.Recycled {
+	if got := chunkPoolStats().Recycled; got != before.Recycled {
 		t.Fatalf("frozen state recycled chunks: %d -> %d", before.Recycled, got)
 	}
 	if got := s2.Children("lineitems"); !reflect.DeepEqual(got, wantRows) {
@@ -59,7 +59,7 @@ func TestRecycleOwnershipSafety(t *testing.T) {
 // chunks, and the counters see the round trip.
 func TestRecyclePrivateState(t *testing.T) {
 	typ := orderType()
-	before := ChunkPoolStats()
+	before := chunkPoolStats()
 	s, _, err := Apply(typ, NewState(Key{Type: "Order", ID: "O-2"}), []Op{
 		Set("customer", "C-2"),
 		InsertChild("lineitems", "L1", Fields{"product": "widget", "qty": int64(1)}),
@@ -68,7 +68,7 @@ func TestRecyclePrivateState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Recycle()
-	after := ChunkPoolStats()
+	after := chunkPoolStats()
 	if after.Recycled <= before.Recycled {
 		t.Fatalf("private chunks not recycled: %+v -> %+v", before, after)
 	}
@@ -90,9 +90,9 @@ func TestChunkPoolRoundTrip(t *testing.T) {
 		t.Fatalf("takeChunk(3) gave %d rows", len(ck.rows))
 	}
 	ck.rows[0] = Child{ID: "x", Fields: Fields{"f": "v"}}
-	before := ChunkPoolStats()
+	before := chunkPoolStats()
 	putChunk(ck)
-	if got := ChunkPoolStats().Recycled; got != before.Recycled+1 {
+	if got := chunkPoolStats().Recycled; got != before.Recycled+1 {
 		t.Fatalf("putChunk not counted: %d -> %d", before.Recycled, got)
 	}
 	rows := ck.rows[:cap(ck.rows)]
@@ -123,7 +123,7 @@ func TestApplyFailureRecyclesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Freeze()
-	before := ChunkPoolStats()
+	before := chunkPoolStats()
 	// Second op fails validation after the first copied the chunk; the
 	// half-applied target must be recycled by Apply itself.
 	if _, _, err := Apply(typ, s, []Op{
@@ -132,7 +132,7 @@ func TestApplyFailureRecyclesTarget(t *testing.T) {
 	}, Strict); err == nil {
 		t.Fatal("invalid op accepted in strict mode")
 	}
-	after := ChunkPoolStats()
+	after := chunkPoolStats()
 	if after.Recycled <= before.Recycled {
 		t.Fatalf("failed apply leaked its private copy: %+v -> %+v", before, after)
 	}

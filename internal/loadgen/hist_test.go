@@ -14,7 +14,7 @@ import (
 // A known uniform load split across two scenarios merges back to its true
 // percentile positions: never below, at most 2% above.
 func TestHistQuantiles(t *testing.T) {
-	res := newPhaseResult(Phase{Name: "p"}, 0)
+	res := newPhaseResult(Phase{Name: "p"})
 	for i := 1; i <= 1000; i++ {
 		scenario := "even"
 		if i%2 == 1 {
@@ -25,10 +25,10 @@ func TestHistQuantiles(t *testing.T) {
 	res.bucket("odd", Submit).hist.Record(time.Hour) // another class: not merged
 
 	h := res.Merged(Read)
-	if got := h.Count(); got != 1000 {
+	if got := h.Summary().Count; got != 1000 {
 		t.Fatalf("count = %d", got)
 	}
-	if got := h.Min(); got != time.Microsecond {
+	if got := h.Quantile(0); got != time.Microsecond {
 		t.Fatalf("min = %v", got)
 	}
 	if got := h.Max(); got != time.Millisecond {
@@ -51,7 +51,7 @@ func TestHistQuantiles(t *testing.T) {
 			t.Fatalf("q%.3f = %v, more than 2%% above true value %v", c.q, got, c.want)
 		}
 	}
-	if got, want := h.Mean(), 500500*time.Nanosecond; got != want {
+	if got, want := h.Summary().Mean, 500500*time.Nanosecond; got != want {
 		t.Fatalf("mean = %v, want %v", got, want)
 	}
 }
@@ -59,7 +59,7 @@ func TestHistQuantiles(t *testing.T) {
 // A negative latency (a clock step between send and receive) is scored as
 // zero in the cell's row, not dropped and not wrapped to a huge value.
 func TestHistNegativeClampsToZero(t *testing.T) {
-	res := newPhaseResult(Phase{Name: "p"}, 0)
+	res := newPhaseResult(Phase{Name: "p"})
 	res.bucket("s", Read).hist.Record(-time.Second)
 	rows := res.Rows()
 	if len(rows) != 1 {
@@ -73,7 +73,7 @@ func TestHistNegativeClampsToZero(t *testing.T) {
 // Workers racing to create and record into the same and different cells
 // lose no sample.
 func TestHistConcurrentRecord(t *testing.T) {
-	res := newPhaseResult(Phase{Name: "p"}, 0)
+	res := newPhaseResult(Phase{Name: "p"})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -86,7 +86,7 @@ func TestHistConcurrentRecord(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := res.Merged(Query).Count(); got != 80000 {
+	if got := res.Merged(Query).Summary().Count; got != 80000 {
 		t.Fatalf("count = %d after concurrent records", got)
 	}
 	var rowSum uint64

@@ -20,8 +20,7 @@ import (
 // reaching the server, exactly like netsim.Request, and is still charged
 // against its intended send time.
 type FaultTransport struct {
-	// Base performs the real round trips. Defaults to http.DefaultTransport.
-	Base http.RoundTripper
+	base http.RoundTripper // performs the real round trips
 
 	mu    sync.Mutex
 	cfg   netsim.Config
@@ -42,23 +41,26 @@ func NewFaultTransport(base http.RoundTripper, cfg netsim.Config) *FaultTranspor
 	if cfg.UnreachableDelay <= 0 {
 		cfg.UnreachableDelay = 5 * time.Millisecond
 	}
-	return &FaultTransport{Base: base, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &FaultTransport{base: base, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetFault opens (or replaces) the fault window: Block makes every request
+// setFault opens (or replaces) the fault window: Block makes every request
 // fail unreachable after the configured caller-side timeout, Loss drops the
-// given fraction, ExtraLatency stretches each traversal.
-func (t *FaultTransport) SetFault(f netsim.LinkFault) {
+// given fraction, ExtraLatency stretches each traversal. The zero LinkFault
+// heals the link.
+func (t *FaultTransport) setFault(f netsim.LinkFault) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fault = f
 }
 
-// ClearFault closes the fault window (the link heals).
-func (t *FaultTransport) ClearFault() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fault = netsim.LinkFault{}
+// Window is a phase Fault that opens f on t for the duration of the phase
+// and heals the link after it.
+func (t *FaultTransport) Window(f netsim.LinkFault) Fault {
+	return Fault{
+		Begin: func() error { t.setFault(f); return nil },
+		End:   func() error { t.setFault(netsim.LinkFault{}); return nil },
+	}
 }
 
 // sample draws this request's fate under the lock: blocked, lost, or the
@@ -108,7 +110,7 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, req.Context().Err()
 		}
 	}
-	resp, err := t.Base.RoundTrip(req)
+	resp, err := t.base.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -121,23 +123,4 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	return resp, nil
-}
-
-// TransportFault is a phase Fault that opens a LinkFault window on a
-// FaultTransport for the duration of the phase.
-type TransportFault struct {
-	Transport *FaultTransport
-	Fault     netsim.LinkFault
-}
-
-// Begin opens the fault window.
-func (f *TransportFault) Begin() error {
-	f.Transport.SetFault(f.Fault)
-	return nil
-}
-
-// End heals the link.
-func (f *TransportFault) End() error {
-	f.Transport.ClearFault()
-	return nil
 }

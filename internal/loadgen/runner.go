@@ -6,7 +6,7 @@
 //
 // Two decisions distinguish it from a naive closed-loop bencher:
 //
-//   - Arrivals are scheduled, not reactive. A Schedule fixes every request's
+//   - Arrivals are scheduled, not reactive. A schedule fixes every request's
 //     intended send time up front (Poisson or uniform inter-arrival gaps), so
 //     the offered load never slows down just because the system under test
 //     did. A closed loop — issue, wait, issue — silently converts server
@@ -43,22 +43,21 @@ import (
 	"repro/internal/netsim"
 )
 
-// ProbeScenario names the scoreboard row the acked-write probes land in.
-const ProbeScenario = "probe"
+// probeScenario names the scoreboard row the acked-write probes land in.
+const probeScenario = "probe"
 
-// ProbeEntityPath is the soupsd path of the dedicated check entity the
+// probeEntityPath is the soupsd path of the dedicated check entity the
 // convergence audit increments. One entity, deltas of exactly +1: after the
 // run, its balance bounds how many acked writes actually survived.
-const ProbeEntityPath = "/entities/Account/slo-check"
+const probeEntityPath = "/entities/Account/slo-check"
 
 // Fault is a fault window scheduled around one phase of a run: Begin fires
 // before the phase's first arrival, End after its last in-flight request
-// drains. Implementations inject client-side network faults
-// (TransportFault), flip server-side storage faults, or kill the process
-// under test.
-type Fault interface {
-	Begin() error
-	End() error
+// drains; either may be nil. Implementations inject client-side network
+// faults (FaultTransport.Window), flip server-side storage faults, or kill
+// the process under test.
+type Fault struct {
+	Begin, End func() error
 }
 
 // Phase is one segment of a soak run: offered load at a fixed rate for a
@@ -79,7 +78,7 @@ type Options struct {
 	Client *http.Client
 	// Scenarios is the workload mix; arrivals round-robin across it.
 	Scenarios []Scenario
-	// Arrival selects the inter-arrival process (Uniform or Poisson).
+	// Arrival selects the inter-arrival process (uniform or poisson).
 	Arrival Arrival
 	// Seed fixes the arrival gap sequence (scenario streams carry their own
 	// seeds, set when the scenarios were built).
@@ -92,7 +91,7 @@ type Options struct {
 	// Timeout bounds each request. Defaults to 5s.
 	Timeout time.Duration
 	// CheckEvery replaces every Nth arrival with a +1 delta on the check
-	// entity (ProbeEntityPath) for the lost-acked-writes audit. 0 disables.
+	// entity (probeEntityPath) for the lost-acked-writes audit. 0 disables.
 	CheckEvery uint64
 }
 
@@ -107,7 +106,7 @@ type Runner struct {
 	probeFailed        atomic.Uint64
 }
 
-// NewRunner validates options and builds a runner.
+// NewRunner validates options and builds a Runner.
 func NewRunner(opts Options) (*Runner, error) {
 	if opts.BaseURL == "" {
 		return nil, errors.New("loadgen: BaseURL required")
@@ -147,9 +146,8 @@ type bucket struct {
 
 // PhaseResult is the scoreboard of one completed phase.
 type PhaseResult struct {
-	Name    string
-	Rate    float64
-	Arrival Arrival
+	Name string
+	Rate float64
 	// Offered is the number of scheduled arrivals dispatched.
 	Offered uint64
 	// Wall is the measured phase wall time (pacing through drain).
@@ -165,13 +163,8 @@ type PhaseResult struct {
 	buckets map[bucketKey]*bucket
 }
 
-func newPhaseResult(ph Phase, arrival Arrival) *PhaseResult {
-	return &PhaseResult{
-		Name:    ph.Name,
-		Rate:    ph.Rate,
-		Arrival: arrival,
-		buckets: make(map[bucketKey]*bucket),
-	}
+func newPhaseResult(ph Phase) *PhaseResult {
+	return &PhaseResult{Name: ph.Name, Rate: ph.Rate, buckets: make(map[bucketKey]*bucket)}
 }
 
 func (p *PhaseResult) bucket(scenario string, class Class) *bucket {
@@ -257,14 +250,14 @@ func (r *Runner) Run(ctx context.Context, phases []Phase) ([]*PhaseResult, error
 	var results []*PhaseResult
 	var arrivals uint64 // global across phases: scenario streams keep advancing
 	for pi, ph := range phases {
-		res := newPhaseResult(ph, r.opts.Arrival)
-		if ph.Fault != nil {
+		res := newPhaseResult(ph)
+		if ph.Fault.Begin != nil {
 			if err := ph.Fault.Begin(); err != nil {
 				return results, fmt.Errorf("phase %s: fault begin: %w", ph.Name, err)
 			}
 		}
 		start := time.Now()
-		sched := NewSchedule(r.opts.Arrival, ph.Rate, start, r.opts.Seed+int64(pi))
+		sched := newSchedule(r.opts.Arrival, ph.Rate, start, r.opts.Seed+int64(pi))
 		deadline := start.Add(ph.Duration)
 		var wg sync.WaitGroup
 	pace:
@@ -304,7 +297,7 @@ func (r *Runner) Run(ctx context.Context, phases []Phase) ([]*PhaseResult, error
 		}
 		wg.Wait()
 		res.Wall = time.Since(start)
-		if ph.Fault != nil {
+		if ph.Fault.End != nil {
 			if err := ph.Fault.End(); err != nil {
 				return append(results, res), fmt.Errorf("phase %s: fault end: %w", ph.Name, err)
 			}
@@ -320,10 +313,10 @@ func (r *Runner) Run(ctx context.Context, phases []Phase) ([]*PhaseResult, error
 func (r *Runner) requestFor(j uint64) Request {
 	if r.opts.CheckEvery > 0 && j%r.opts.CheckEvery == 0 {
 		return Request{
-			Scenario: ProbeScenario,
+			Scenario: probeScenario,
 			Class:    Submit,
 			Method:   http.MethodPost,
-			Path:     ProbeEntityPath,
+			Path:     probeEntityPath,
 			Body:     `{"delta":{"balance":1},"describe":"slo probe"}`,
 		}
 	}
@@ -336,7 +329,7 @@ func (r *Runner) requestFor(j uint64) Request {
 // charge to the request, which is the coordinated-omission-safe measure.
 func (r *Runner) issue(ctx context.Context, res *PhaseResult, req Request, intended time.Time) {
 	b := res.bucket(req.Scenario, req.Class)
-	isProbe := req.Scenario == ProbeScenario
+	isProbe := req.Scenario == probeScenario
 
 	rctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
 	defer cancel()
@@ -408,8 +401,9 @@ func definitelyNotApplied(err error) bool {
 		errors.Is(err, syscall.ECONNREFUSED)
 }
 
-// ProbeStats is the client-side ledger of the acked-write audit.
-type ProbeStats struct {
+// ProbeCheck is the outcome of the lost-acked-writes audit: the client-side
+// ledger of the probes against the check entity's final balance.
+type ProbeCheck struct {
 	// Acked probes got a 2xx: the server promised durability.
 	Acked uint64
 	// Indeterminate probes failed after possibly reaching the server.
@@ -417,20 +411,6 @@ type ProbeStats struct {
 	// Failed probes definitely did not apply (refused, shed, dropped
 	// client-side).
 	Failed uint64
-}
-
-// ProbeStats returns the audit counters accumulated so far.
-func (r *Runner) ProbeStats() ProbeStats {
-	return ProbeStats{
-		Acked:         r.probeAcked.Load(),
-		Indeterminate: r.probeIndeterminate.Load(),
-		Failed:        r.probeFailed.Load(),
-	}
-}
-
-// ProbeCheck is the outcome of the lost-acked-writes audit.
-type ProbeCheck struct {
-	ProbeStats
 	// Balance is the check entity's final balance as served by soupsd.
 	Balance float64
 	// OK holds when Acked <= Balance <= Acked+Indeterminate: every acked
@@ -443,8 +423,12 @@ type ProbeCheck struct {
 // was lost — the durability violation the soak exists to catch), acked plus
 // indeterminate a ceiling.
 func (r *Runner) VerifyAckedWrites(ctx context.Context) (ProbeCheck, error) {
-	out := ProbeCheck{ProbeStats: r.ProbeStats()}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opts.BaseURL+ProbeEntityPath, nil)
+	out := ProbeCheck{
+		Acked:         r.probeAcked.Load(),
+		Indeterminate: r.probeIndeterminate.Load(),
+		Failed:        r.probeFailed.Load(),
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.opts.BaseURL+probeEntityPath, nil)
 	if err != nil {
 		return out, err
 	}

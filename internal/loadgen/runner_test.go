@@ -50,7 +50,7 @@ func TestRunnerOffersScheduledLoad(t *testing.T) {
 		BaseURL:   srv.URL,
 		Client:    srv.Client(),
 		Scenarios: []Scenario{submitScenario("s")},
-		Arrival:   Uniform,
+		Arrival:   uniform,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestRunnerChargesStallsToLatency(t *testing.T) {
 		BaseURL:        srv.URL,
 		Client:         srv.Client(),
 		Scenarios:      []Scenario{submitScenario("s")},
-		Arrival:        Uniform,
+		Arrival:        uniform,
 		MaxOutstanding: 1, // serialise: every arrival behind the first queues
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestRunnerCountsShedsAndRetryAfter(t *testing.T) {
 	run := func() *PhaseResult {
 		r, err := NewRunner(Options{
 			BaseURL: srv.URL, Client: srv.Client(),
-			Scenarios: []Scenario{submitScenario("s")}, Arrival: Uniform,
+			Scenarios: []Scenario{submitScenario("s")}, Arrival: uniform,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestRunnerProbeAuditAcked(t *testing.T) {
 	r, err := NewRunner(Options{
 		BaseURL: srv.URL, Client: srv.Client(),
 		Scenarios:  []Scenario{submitScenario("s")},
-		Arrival:    Uniform,
+		Arrival:    uniform,
 		CheckEvery: 1, // every arrival probes
 	})
 	if err != nil {
@@ -205,7 +205,7 @@ func TestRunnerProbeAuditCatchesLostAck(t *testing.T) {
 	t.Cleanup(srv.Close)
 	r, err := NewRunner(Options{
 		BaseURL: srv.URL, Client: srv.Client(),
-		Scenarios: []Scenario{submitScenario("s")}, Arrival: Uniform, CheckEvery: 1,
+		Scenarios: []Scenario{submitScenario("s")}, Arrival: uniform, CheckEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestFaultTransportPartitionNeverReachesServer(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	tf := &TransportFault{Transport: ft, Fault: netsim.LinkFault{Block: true}}
+	tf := ft.Window(netsim.LinkFault{Block: true})
 	if err := tf.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +263,12 @@ func TestFaultTransportLossAndLatency(t *testing.T) {
 	srv := okServer(t, 0, nil)
 	ft := NewFaultTransport(srv.Client().Transport, netsim.Config{Seed: 3})
 	client := &http.Client{Transport: ft}
-	ft.SetFault(netsim.LinkFault{Loss: 1.0})
+	ft.setFault(netsim.LinkFault{Loss: 1.0})
 	_, err := client.Get(srv.URL + "/x")
 	if !errors.Is(err, netsim.ErrDropped) {
 		t.Fatalf("full loss error = %v, want ErrDropped", err)
 	}
-	ft.SetFault(netsim.LinkFault{ExtraLatency: 20 * time.Millisecond})
+	ft.setFault(netsim.LinkFault{ExtraLatency: 20 * time.Millisecond})
 	startAt := time.Now()
 	resp, err := client.Get(srv.URL + "/x")
 	if err != nil {

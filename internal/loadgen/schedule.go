@@ -8,58 +8,59 @@ import (
 	"time"
 )
 
-// Arrival selects the inter-arrival distribution of the open-loop schedule.
+// Arrival selects the inter-arrival distribution of the open-loop
+// schedule.
 type Arrival int
 
 const (
-	// Uniform spaces arrivals exactly 1/rate apart — the least bursty
+	// uniform spaces arrivals exactly 1/rate apart — the least bursty
 	// offered load, useful for isolating the system's own queueing.
-	Uniform Arrival = iota
-	// Poisson draws exponential inter-arrival gaps with mean 1/rate — the
+	uniform Arrival = iota
+	// poisson draws exponential inter-arrival gaps with mean 1/rate — the
 	// memoryless arrival process of independent users, so natural bursts
 	// probe the system's headroom the way production traffic does.
-	Poisson
+	poisson
 )
 
 // String names the arrival process.
 func (a Arrival) String() string {
-	if a == Poisson {
+	if a == poisson {
 		return "poisson"
 	}
 	return "uniform"
 }
 
-// ParseArrival maps a flag value onto an Arrival.
+// ParseArrival maps a flag value onto an arrival process.
 func ParseArrival(s string) (Arrival, error) {
 	switch strings.ToLower(s) {
 	case "uniform":
-		return Uniform, nil
+		return uniform, nil
 	case "poisson":
-		return Poisson, nil
+		return poisson, nil
 	}
-	return Uniform, fmt.Errorf("loadgen: unknown arrival process %q (want uniform or poisson)", s)
+	return uniform, fmt.Errorf("loadgen: unknown arrival process %q (want uniform or poisson)", s)
 }
 
-// Schedule produces the intended send time of every request in an open-loop
+// schedule produces the intended send time of every request in an open-loop
 // run. The sequence is fixed by (arrival, rate, seed) alone — the system
 // under test cannot slow it down, which is what makes latencies measured
 // from these times coordinated-omission-safe.
 //
-// A Schedule is single-consumer: only the pacing loop calls Next.
-type Schedule struct {
+// A schedule is single-consumer: only the pacing loop calls Next.
+type schedule struct {
 	arrival Arrival
 	mean    float64 // mean gap in nanoseconds
 	rng     *rand.Rand
 	next    time.Time
 }
 
-// NewSchedule creates a schedule issuing rate arrivals per second starting
+// newSchedule creates a schedule issuing rate arrivals per second starting
 // at start. Seed fixes the Poisson gap sequence; Uniform ignores it.
-func NewSchedule(arrival Arrival, rate float64, start time.Time, seed int64) *Schedule {
+func newSchedule(arrival Arrival, rate float64, start time.Time, seed int64) *schedule {
 	if rate <= 0 {
 		rate = 1
 	}
-	return &Schedule{
+	return &schedule{
 		arrival: arrival,
 		mean:    float64(time.Second) / rate,
 		rng:     rand.New(rand.NewSource(seed)),
@@ -71,10 +72,10 @@ func NewSchedule(arrival Arrival, rate float64, start time.Time, seed int64) *Sc
 // the schedule's own sequence; they never observe the wall clock, so a
 // stalled consumer accumulates a backlog of past-due intended times instead
 // of quietly pausing the offered load.
-func (s *Schedule) Next() time.Time {
+func (s *schedule) Next() time.Time {
 	t := s.next
 	gap := s.mean
-	if s.arrival == Poisson {
+	if s.arrival == poisson {
 		// Exponential inter-arrival: -ln(U) * mean, U in (0, 1].
 		u := s.rng.Float64()
 		if u <= 0 {

@@ -7,7 +7,7 @@ import (
 
 func TestUniformScheduleSpacing(t *testing.T) {
 	start := time.Unix(0, 0)
-	s := NewSchedule(Uniform, 1000, start, 1) // 1ms gaps
+	s := newSchedule(uniform, 1000, start, 1) // 1ms gaps
 	prev := s.Next()
 	if !prev.Equal(start) {
 		t.Fatalf("first arrival %v, want start", prev)
@@ -24,8 +24,8 @@ func TestUniformScheduleSpacing(t *testing.T) {
 func TestPoissonScheduleMeanAndDeterminism(t *testing.T) {
 	start := time.Unix(0, 0)
 	const rate, n = 1000.0, 20000
-	a := NewSchedule(Poisson, rate, start, 7)
-	b := NewSchedule(Poisson, rate, start, 7)
+	a := newSchedule(poisson, rate, start, 7)
+	b := newSchedule(poisson, rate, start, 7)
 	var last time.Time
 	for i := 0; i < n; i++ {
 		ta, tb := a.Next(), b.Next()
@@ -47,8 +47,8 @@ func TestPoissonScheduleMeanAndDeterminism(t *testing.T) {
 
 func TestPoissonSeedsDiffer(t *testing.T) {
 	start := time.Unix(0, 0)
-	a := NewSchedule(Poisson, 100, start, 1)
-	b := NewSchedule(Poisson, 100, start, 2)
+	a := newSchedule(poisson, 100, start, 1)
+	b := newSchedule(poisson, 100, start, 2)
 	a.Next()
 	b.Next()
 	if a.Next().Equal(b.Next()) {
@@ -61,7 +61,7 @@ func TestPoissonSeedsDiffer(t *testing.T) {
 // schedule sliding forward (that slide is coordinated omission).
 func TestScheduleIgnoresWallClock(t *testing.T) {
 	start := time.Now().Add(-time.Hour) // an hour of backlog
-	s := NewSchedule(Uniform, 10, start, 1)
+	s := newSchedule(uniform, 10, start, 1)
 	first := s.Next()
 	if !first.Equal(start) {
 		t.Fatalf("schedule shifted its start: %v", first)
@@ -74,10 +74,10 @@ func TestScheduleIgnoresWallClock(t *testing.T) {
 }
 
 func TestParseArrival(t *testing.T) {
-	if a, err := ParseArrival("poisson"); err != nil || a != Poisson {
+	if a, err := ParseArrival("poisson"); err != nil || a != poisson {
 		t.Fatalf("ParseArrival(poisson) = %v, %v", a, err)
 	}
-	if a, err := ParseArrival("Uniform"); err != nil || a != Uniform {
+	if a, err := ParseArrival("Uniform"); err != nil || a != uniform {
 		t.Fatalf("ParseArrival(Uniform) = %v, %v", a, err)
 	}
 	if _, err := ParseArrival("bursty"); err == nil {

@@ -44,7 +44,8 @@ func (s *sinkLog) all() []Record {
 func TestCommitSinkMirrorsBackend(t *testing.T) {
 	backend := storage.NewMemory()
 	var log sinkLog
-	db := newTestDB(t, Options{Backend: backend, Shards: 1, CommitSink: log.sink})
+	db := newTestDB(t, Options{Backend: backend, Shards: 1})
+	db.SetCommitSink(log.sink)
 	key := entity.Key{Type: "Account", ID: "A1"}
 	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 10)}, stamp(1), "n", "t1"); err != nil {
 		t.Fatal(err)
@@ -82,7 +83,8 @@ func TestCommitSinkMirrorsBackend(t *testing.T) {
 // committed locally (post-install indeterminacy, same as a backend error).
 func TestCommitSinkErrorReachesWriterRecordStaysCommitted(t *testing.T) {
 	log := sinkLog{err: errors.New("standby unreachable")}
-	db := newTestDB(t, Options{CommitSink: log.sink})
+	db := newTestDB(t, Options{})
+	db.SetCommitSink(log.sink)
 	key := entity.Key{Type: "Account", ID: "A1"}
 	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 10)}, stamp(1), "n", "t1"); !errors.Is(err, log.err) {
 		t.Fatalf("append with failing sink: err = %v, want wrapped sink error", err)
@@ -106,14 +108,15 @@ func TestCommitSinkSilentDuringRecover(t *testing.T) {
 		}
 	}
 	var log sinkLog
-	rec, err := Recover(Options{Node: "test-node", Backend: backend, CommitSink: log.sink}, accountType(), orderType())
+	rec, err := Recover(Options{Node: "test-node", Backend: backend}, accountType(), orderType())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
+	rec.SetCommitSink(log.sink)
 	if got := log.all(); len(got) != 0 {
 		t.Fatalf("sink received %d records during recovery, want 0", len(got))
 	}
-	// The sink stays attached for post-recovery traffic.
+	// The sink sees post-recovery traffic.
 	if _, err := rec.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(10), "n", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,8 @@ func TestCommitSinkWaitRunsOffShardLock(t *testing.T) {
 			return err
 		}
 	}
-	db = newTestDB(t, Options{Shards: 1, CommitSink: sink})
+	db = newTestDB(t, Options{Shards: 1})
+	db.SetCommitSink(sink)
 	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "t1"); err != nil {
 		t.Fatal(err)
 	}

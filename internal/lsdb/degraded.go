@@ -25,7 +25,7 @@
 //     is never retried — the page cache may disagree with the disk in ways
 //     a second fsync would paper over. Recovery is restart or failover.
 //
-// The CommitSink (replication) stays post-install: a sink failure still
+// The commit sink (replication) stays post-install: a sink failure still
 // means "committed locally, replication in doubt", exactly as before.
 package lsdb
 
@@ -222,10 +222,10 @@ func (db *DB) logMarks(marks []Record) error {
 // lock, so a slow or retrying standby never stalls the shard's readers or
 // other writers.
 func (db *DB) postCommitLocked(records []Record) func() error {
-	if db.opts.CommitSink == nil || db.recovering {
+	if db.commitSink == nil {
 		return nil
 	}
-	return db.opts.CommitSink(records)
+	return db.commitSink(records)
 }
 
 // waitCommitSink blocks on a commit sink's ack barrier (with no lock held)

@@ -378,8 +378,8 @@ func (db *DB) warmAll() error {
 // the store is not tiered.
 type FlushStats struct {
 	// Flushes counts completed flush passes; Failures counts failed
-	// automatic flush passes (CheckpointFailure's count); Stalls counts times
-	// the write path outran the flusher by 2x the byte trigger.
+	// automatic flush passes; Stalls counts times the write path outran the
+	// flusher by 2x the byte trigger.
 	Flushes  uint64
 	Failures uint64
 	Stalls   uint64
@@ -399,7 +399,9 @@ func (db *DB) FlushStats() FlushStats {
 	if db.flush == nil {
 		return FlushStats{}
 	}
-	_, reason, _ := db.CheckpointFailure()
+	db.ckptMu.Lock()
+	reason := db.ckptReason
+	db.ckptMu.Unlock()
 	return FlushStats{
 		Flushes:      db.flush.flushes.Load(),
 		Failures:     db.ckptFailures.Load(),

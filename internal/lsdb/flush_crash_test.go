@@ -112,7 +112,7 @@ func TestFlushCompactionCrashMatrix(t *testing.T) {
 				if err := db.Checkpoint(); !errors.Is(err, boom) {
 					t.Fatalf("Checkpoint at %s: %v, want simulated crash", tc.site, err)
 				}
-				if failures, reason, _ := db.CheckpointFailure(); failures == 0 || reason == "" {
+				if failures, reason, _ := checkpointFailure(db); failures == 0 || reason == "" {
 					t.Fatalf("crashed flush left no breadcrumb: (%d, %q)", failures, reason)
 				}
 			}

@@ -34,7 +34,7 @@ func openTestTiered(t testing.TB, dir string, hooks *lsm.Hooks) *lsm.Store {
 // table summaries, not the log).
 func assertTieredStates(t *testing.T, want, got *DB) {
 	t.Helper()
-	wantKeys, gotKeys := want.Keys(), got.Keys()
+	wantKeys, gotKeys := want.keys(), got.keys()
 	if !reflect.DeepEqual(wantKeys, gotKeys) {
 		t.Fatalf("key sets differ: %v vs %v", wantKeys, gotKeys)
 	}
@@ -66,7 +66,7 @@ func assertTieredStates(t *testing.T, want, got *DB) {
 // run purely in memory.
 func warmEverything(t *testing.T, db *DB) {
 	t.Helper()
-	for _, key := range db.Keys() {
+	for _, key := range db.keys() {
 		if _, _, err := db.Current(key); err != nil {
 			t.Fatalf("warm %s: %v", key, err)
 		}
@@ -253,8 +253,8 @@ func TestColdEvictionAndWarm(t *testing.T) {
 	if fs.Evicted == 0 {
 		t.Fatalf("nothing evicted: %+v", fs)
 	}
-	if got := len(db.Keys()); got != keys {
-		t.Fatalf("cold keys fell out of Keys(): %d, want %d", got, keys)
+	if got := len(db.keys()); got != keys {
+		t.Fatalf("cold keys fell out of keys(): %d, want %d", got, keys)
 	}
 	if !db.Exists(entity.Key{Type: "Account", ID: "c00"}) {
 		t.Fatal("cold key not Exists()")
@@ -293,9 +293,9 @@ func TestCheckpointFailureBreadcrumb(t *testing.T) {
 	if err := db.Checkpoint(); !errors.Is(err, boom) {
 		t.Fatalf("Checkpoint = %v, want injected failure", err)
 	}
-	failures, reason, err := db.CheckpointFailure()
+	failures, reason, err := checkpointFailure(db)
 	if failures != 1 || reason == "" || err == nil {
-		t.Fatalf("CheckpointFailure = (%d, %q, %v), want a counted, typed failure", failures, reason, err)
+		t.Fatalf("checkpoint failure = (%d, %q, %v), want a counted, typed failure", failures, reason, err)
 	}
 	// A failed flush degrades persistence, not availability.
 	if _, err := db.Append(k, []entity.Op{entity.Delta("balance", 1)}, stamp(2), "n", ""); err != nil {
@@ -305,12 +305,21 @@ func TestCheckpointFailureBreadcrumb(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("recovered flush failed: %v", err)
 	}
-	failures, reason, err = db.CheckpointFailure()
+	failures, reason, err = checkpointFailure(db)
 	if failures != 1 || reason != "" || err != nil {
 		t.Fatalf("breadcrumb not cleared after success: (%d, %q, %v)", failures, reason, err)
 	}
 	warmEverything(t, db)
 	db.Close()
+}
+
+// checkpointFailure is the automatic-persistence failure breadcrumb as
+// FlushStats and BackendErr report it: how many flushes failed since open,
+// the typed reason of the most recent failure ("" once a later pass
+// succeeded), and its error.
+func checkpointFailure(db *DB) (failures uint64, reason string, err error) {
+	fs := db.FlushStats()
+	return fs.Failures, fs.Reason, db.BackendErr()
 }
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -353,7 +362,7 @@ func TestFailedFlushRetriesOnNextCommit(t *testing.T) {
 	// The 4th commit crossed the record trigger and armed a background flush;
 	// wait for its injected failure to be counted.
 	waitUntil(t, "failed flush breadcrumb", func() bool {
-		failures, _, _ := db.CheckpointFailure()
+		failures, _, _ := checkpointFailure(db)
 		return failures >= 1
 	})
 	if got := db.sinceCkpt.Load(); got < 4 {

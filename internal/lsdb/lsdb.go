@@ -103,27 +103,6 @@ type Options struct {
 	// No other code sets them.
 	GroupCommit bool
 	MaxBatch    int
-	// CommitSink is the attachment point for WAL-shipping replication. The
-	// call itself (the capture phase) receives every record written to the
-	// durable log — commit cycles, obsolescence marks and compaction
-	// horizons — in the order the backend does, under the same shard lock,
-	// so a sink that forwards to another log observes this one's order.
-	// Because the shard lock is held, the capture phase must be fast and must
-	// never block on I/O, sleep, or wait for the network: it snapshots the
-	// batch, hands it to the shipping machinery, and returns. A capture that
-	// panics releases the shard lock and the panic reaches the writer; the
-	// cycle's records stay committed. The returned wait function (nil
-	// when the mode needs no acknowledgement) is invoked by the store
-	// *after* the shard lock is released; its error reaches the writers of
-	// the cycle: a synchronous replication mode that could not gather its
-	// acks fails the append. Like a backend error that failure is
-	// post-install and therefore indeterminate — the records are committed
-	// locally and visible; only the replication guarantee is in doubt.
-	// Invoked concurrently from independently committing shards; not
-	// invoked during Recover (the replayed records were already shipped
-	// when first written). See also SetCommitSink for attaching after Open,
-	// and docs/CONCURRENCY.md for the full sink contract.
-	CommitSink func(records []Record) (wait func() error)
 	// Backend, when non-nil, is the durable storage engine under the store:
 	// every commit cycle appends its records to it (one AppendBatch — one
 	// framed batch write, one log force — per cycle), and
@@ -144,9 +123,9 @@ type Options struct {
 	// CheckpointEvery, with a tiered backend (storage.Tiered), triggers a
 	// background flush once roughly this many records have been committed
 	// since the last one (see flush.go); a failure is remembered and
-	// reported by CheckpointFailure. Zero disables the record trigger;
-	// Checkpoint can always be called explicitly. Other backends never
-	// flush, so it does nothing for them.
+	// reported by FlushStats and BackendErr. Zero disables the record
+	// trigger; Checkpoint can always be called explicitly. Other backends
+	// never flush, so it does nothing for them.
 	CheckpointEvery int
 	// FlushBytes, with a tiered backend, additionally triggers a background
 	// flush once the records committed since the last flush take this many
@@ -442,6 +421,8 @@ type DB struct {
 	writesRefused  atomic.Uint64
 	rearms         atomic.Uint64
 
+	// commitSink is the replication sink SetCommitSink attaches (nil: none).
+	commitSink func(records []Record) (wait func() error)
 	// recovering suppresses backend writes while Recover replays the
 	// backend's own content back into the store. Written only before the DB
 	// is shared.
@@ -492,9 +473,6 @@ func Open(opts Options) *DB {
 
 // Node returns the node identity of this database.
 func (db *DB) Node() clock.NodeID { return db.opts.Node }
-
-// Shards returns the number of lock stripes the store is split into.
-func (db *DB) Shards() int { return len(db.shards) }
 
 // shardFor returns the shard owning the key.
 func (db *DB) shardFor(key entity.Key) *shard {
@@ -618,12 +596,31 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 	return res, wait, nil
 }
 
-// SetCommitSink attaches (or replaces) the commit sink after Open. The kernel
-// uses it to wire replication up once all the units' stores exist. It must be
-// called before the store is shared with writers; attaching mid-traffic races
-// with committing shards.
-func (db *DB) SetCommitSink(fn func(records []Record) func() error) {
-	db.opts.CommitSink = fn
+// SetCommitSink attaches (or replaces) the commit sink, the attachment point
+// for WAL-shipping replication. The kernel uses it to wire replication up
+// once all the units' stores exist. It must be called before the store is
+// shared with writers; attaching mid-traffic races with committing shards.
+//
+// The sink's call itself (the capture phase) receives every record written
+// to the durable log — commit cycles, obsolescence marks and compaction
+// horizons — in the order the backend does, under the same shard lock, so a
+// sink that forwards to another log observes this one's order. Because the
+// shard lock is held, the capture phase must be fast and must never block on
+// I/O, sleep, or wait for the network: it snapshots the batch, hands it to
+// the shipping machinery, and returns. A capture that panics releases the
+// shard lock and the panic reaches the writer; the cycle's records stay
+// committed. The returned wait function (nil when the mode needs no
+// acknowledgement) is invoked by the store *after* the shard lock is
+// released; its error reaches the writers of the cycle: a synchronous
+// replication mode that could not gather its acks fails the append. Like a
+// backend error that failure is post-install and therefore indeterminate —
+// the records are committed locally and visible; only the replication
+// guarantee is in doubt. Invoked concurrently from independently committing
+// shards. A store returned by Recover gets its sink only afterwards, so the
+// replayed records (shipped when first written) are never re-shipped. See
+// docs/CONCURRENCY.md for the full sink contract.
+func (db *DB) SetCommitSink(fn func(records []Record) (wait func() error)) {
+	db.commitSink = fn
 }
 
 // applyForAppendLocked validates one append against the entity's entry and
@@ -1120,8 +1117,8 @@ func (db *DB) Len() int {
 	return n
 }
 
-// Keys returns every entity key with retained or archived records, sorted.
-func (db *DB) Keys() []entity.Key {
+// keys returns every entity key with retained or archived records, sorted.
+func (db *DB) keys() []entity.Key {
 	var out []entity.Key
 	for _, s := range db.shards {
 		s.mu.RLock()
@@ -1139,7 +1136,7 @@ func (db *DB) Keys() []entity.Key {
 // KeysOfType returns all keys of one entity type, sorted.
 func (db *DB) KeysOfType(typeName string) []entity.Key {
 	var out []entity.Key
-	for _, k := range db.Keys() {
+	for _, k := range db.keys() {
 		if k.Type == typeName {
 			out = append(out, k)
 		}
@@ -1172,52 +1169,17 @@ func (db *DB) Scan(typeName string, fn func(*entity.State) bool) error {
 	return nil
 }
 
-// Snapshot forces a snapshot of key's current state so subsequent reads do
-// not replay its history even after a cache invalidation.
-func (db *DB) Snapshot(key entity.Key) error {
-	typ, ok := db.TypeOf(key.Type)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
-	}
-	s := db.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entry(key)
-	if e == nil || len(e.recs) == 0 {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	if err := db.warmLocked(s, e, key); err != nil {
-		return err
-	}
-	st := s.rollupLocked(e, key, typ).Freeze()
-	e.snap = snapshot{lsn: e.headLSN(), seq: uint64(len(e.recs)), state: st}
-	if !db.opts.DisableStateCache {
-		// One frozen state serves as both, so the cache starts out lent.
-		e.cache.installLent(st)
-		e.head = e.headLSN()
-	}
-	return nil
-}
-
-// CompactStats reports what a compaction pass removed.
-type CompactStats struct {
-	RecordsBefore int
-	RecordsAfter  int
-	EntitiesKept  int
-	Summarised    int
-}
-
 // Compact summarises and drops detail records up to and including beforeLSN.
 // For every entity all of whose records fall at or before the horizon, the
 // current rollup is stored as an archived summary (the paper's
 // "summarization and archival functionality") and the detail records are
 // removed. Entities with newer activity keep all their records so their
-// audit trail stays complete. Shards compact independently.
-func (db *DB) Compact(beforeLSN uint64) CompactStats {
-	var stats CompactStats
+// audit trail stays complete. Shards compact independently. Returns how many
+// entities were summarised.
+func (db *DB) Compact(beforeLSN uint64) int {
+	summarised := 0
 	for _, s := range db.shards {
 		s.mu.Lock()
-		stats.RecordsBefore += s.lenLocked()
 		var drop []*entry
 		var gone []uint64 // the LSNs of their records
 		for key, e := range s.entries {
@@ -1237,9 +1199,7 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 				db.markDirtyLocked(s, key, e)
 				drop = append(drop, e)
 				gone = append(gone, e.recs...)
-				stats.Summarised++
-			} else {
-				stats.EntitiesKept++
+				summarised++
 			}
 		}
 		if len(drop) > 0 {
@@ -1253,7 +1213,6 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 				e.dropRecs()
 			}
 		}
-		stats.RecordsAfter += s.lenLocked()
 		s.mu.Unlock()
 	}
 	// Log the horizon so recovery re-runs the compaction at this point in
@@ -1267,16 +1226,16 @@ func (db *DB) Compact(beforeLSN uint64) CompactStats {
 			// remembered rather than returned (replay would keep entities
 			// the live store archived — the rollup states are identical).
 			db.setBackendErr(fmt.Errorf("lsdb: backend compact mark failed: %w", err))
-		} else if db.opts.CommitSink != nil {
+		} else if db.commitSink != nil {
 			// No shard lock is held here; capture and wait inline.
-			if wait := db.opts.CommitSink([]Record{mark}); wait != nil {
+			if wait := db.commitSink([]Record{mark}); wait != nil {
 				if err := wait(); err != nil {
 					db.setBackendErr(fmt.Errorf("lsdb: commit sink compact mark failed: %w", err))
 				}
 			}
 		}
 	}
-	return stats
+	return summarised
 }
 
 // --- Durable storage ---------------------------------------------------------
@@ -1333,15 +1292,6 @@ func (db *DB) clearBackendFailure() {
 	db.ckptReason = ""
 	db.ckptErr = nil
 	db.ckptMu.Unlock()
-}
-
-// CheckpointFailure reports the automatic-persistence failure breadcrumb:
-// how many automatic flushes have failed since open, the typed reason of the
-// most recent failure ("" once a later pass succeeded), and its error.
-func (db *DB) CheckpointFailure() (failures uint64, reason string, err error) {
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	return db.ckptFailures.Load(), db.ckptReason, db.ckptErr
 }
 
 // BackendErr returns the most recent background backend failure — an

@@ -95,12 +95,6 @@ func TestLentStateNeverChanges(t *testing.T) {
 			}
 			return st
 		}},
-		{"snapshot", func(t *testing.T, db *DB, _ *int) *entity.State {
-			if err := db.Snapshot(order); err != nil {
-				t.Fatal(err)
-			}
-			return db.shardFor(order).entries[order].snap.state
-		}},
 		{"snapshot-every", func(t *testing.T, db *DB, next *int) *entity.State {
 			e := db.shardFor(order).entries[order]
 			for at := e.snap.lsn; e.snap.lsn == at; {

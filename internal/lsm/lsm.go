@@ -40,17 +40,6 @@ import (
 	"repro/internal/storage"
 )
 
-// WALBackend is what the hot tier must provide: a storage.Backend plus the
-// seal/truncate primitives tiered pruning rides on. *storage.WAL satisfies
-// it; tests wrap it to inject faults.
-type WALBackend interface {
-	storage.Backend
-	SealActive() (uint64, error)
-	// TruncateThrough prunes the log through a sealed boundary; false with a
-	// nil error means the tail was deliberately retained (lagging standby).
-	TruncateThrough(watermark, through uint64) (bool, error)
-}
-
 // Hooks are test seams for the table file I/O, in the spirit of
 // storage.FaultBackend: error injection at operation entry and simulated
 // crashes at the named breakpoints inside the flush/compaction pipelines.
@@ -83,10 +72,12 @@ type Options struct {
 	Hooks *Hooks
 }
 
-// Store implements storage.Tiered over a WALBackend plus a table directory.
+// Store implements storage.Tiered over a write-ahead log (the hot tier,
+// whose seal/truncate primitives tiered pruning rides on) plus a table
+// directory.
 type Store struct {
 	opts  Options
-	inner WALBackend
+	inner *storage.WAL
 
 	mu     sync.Mutex
 	man    lsmManifest
@@ -115,7 +106,7 @@ var _ storage.Tiered = (*Store)(nil)
 // Open attaches the tiered store to its table directory: loads the
 // manifest, quarantines orphans, opens and validates every live table
 // (rebuilding missing bloom sidecars) and starts the background compactor.
-func Open(inner WALBackend, opts Options) (*Store, error) {
+func Open(inner *storage.WAL, opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("lsm: Options.Dir must be set")
 	}
@@ -181,9 +172,6 @@ func nextTableSeq(dir string, man lsmManifest) uint64 {
 }
 
 func tableName(seq uint64) string { return fmt.Sprintf("sst-%010d.sst", seq) }
-
-// Dir returns the table directory.
-func (s *Store) Dir() string { return s.opts.Dir }
 
 // AppendBatch delegates to the hot tier.
 func (s *Store) AppendBatch(recs []storage.WALRecord) error { return s.inner.AppendBatch(recs) }
@@ -433,36 +421,15 @@ func (s *Store) TieredStats() storage.TieredStats {
 }
 
 // Quarantine delegates the hot tier's corrupt-suffix repair.
-func (s *Store) Quarantine() (uint64, error) {
-	q, ok := s.inner.(storage.Quarantiner)
-	if !ok {
-		return 0, errors.New("lsm: hot tier does not support quarantine")
-	}
-	return q.Quarantine()
-}
+func (s *Store) Quarantine() (uint64, error) { return s.inner.Quarantine() }
 
 // StreamAfter delegates the hot tier's replication stream. Cuts below the
 // tiered watermark answer ErrCompacted (the WAL no longer holds the detail).
 func (s *Store) StreamAfter(after uint64, fn func(storage.WALRecord) error) error {
-	str, ok := s.inner.(storage.Streamer)
-	if !ok {
-		return errors.New("lsm: hot tier does not support streaming")
-	}
-	return str.StreamAfter(after, fn)
-}
-
-// ReplicationWatermark delegates to the hot tier.
-func (s *Store) ReplicationWatermark() uint64 {
-	if m, ok := s.inner.(storage.ReplicationMarker); ok {
-		return m.ReplicationWatermark()
-	}
-	return 0
+	return s.inner.StreamAfter(after, fn)
 }
 
 // SetReplicationWatermark delegates to the hot tier.
 func (s *Store) SetReplicationWatermark(lsn uint64) error {
-	if m, ok := s.inner.(storage.ReplicationMarker); ok {
-		return m.SetReplicationWatermark(lsn)
-	}
-	return nil
+	return s.inner.SetReplicationWatermark(lsn)
 }

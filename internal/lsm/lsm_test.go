@@ -420,7 +420,7 @@ func TestCompactionMergeRules(t *testing.T) {
 		t.Fatalf("surviving detail %v, want [13 14]", lsns)
 	}
 	// The superseded inputs are gone from disk, manifest and directory alike.
-	if m, _ := filepath.Glob(filepath.Join(s.Dir(), "*.sst")); len(m) != 1 {
+	if m, _ := filepath.Glob(filepath.Join(s.opts.Dir, "*.sst")); len(m) != 1 {
 		t.Fatalf("input tables not removed: %v", m)
 	}
 }

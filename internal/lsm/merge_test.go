@@ -160,7 +160,7 @@ func TestStreamingMergeMatchesReference(t *testing.T) {
 			}
 			// The table handed back by the writer must agree with one opened
 			// cold from the file: same sparse index, same filter.
-			cold, err := openTable(s.Dir(), tables[0].meta)
+			cold, err := openTable(s.opts.Dir, tables[0].meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestCompactionRejectsCorruptCopyThroughFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(filepath.Join(s.Dir(), older.meta.Name), os.O_RDWR, 0)
+	f, err := os.OpenFile(filepath.Join(s.opts.Dir, older.meta.Name), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCompactionRejectsCorruptCopyThroughFrame(t *testing.T) {
 	if st.CompactFailures != 1 || st.Compactions != 0 || st.Tables != 2 || st.L0Tables != 2 {
 		t.Fatalf("stats after failed compaction: %+v", st)
 	}
-	if m, _ := filepath.Glob(filepath.Join(s.Dir(), "sst-*")); len(m) != 4 { // two tables, two sidecars
+	if m, _ := filepath.Glob(filepath.Join(s.opts.Dir, "sst-*")); len(m) != 4 { // two tables, two sidecars
 		t.Fatalf("failed compaction left files behind: %v", m)
 	}
 	for _, i := range []int{0, 39, 41, 63, 100} {

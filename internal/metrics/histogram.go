@@ -28,15 +28,15 @@ const histBuckets = 64 * histSubCount
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	total  atomic.Uint64
-	sum    atomic.Int64 // nanoseconds, for Mean
-	max    atomic.Int64
-	min    atomic.Int64
+	sum    atomic.Int64 // nanoseconds, for mean
+	maxNs  atomic.Int64
+	minNs  atomic.Int64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
+	h.minNs.Store(math.MaxInt64)
 	return h
 }
 
@@ -75,41 +75,41 @@ func (h *Histogram) Record(d time.Duration) {
 	h.total.Add(1)
 	h.sum.Add(ns)
 	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
+		cur := h.maxNs.Load()
+		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
 			break
 		}
 	}
 	for {
-		cur := h.min.Load()
-		if ns >= cur || h.min.CompareAndSwap(cur, ns) {
+		cur := h.minNs.Load()
+		if ns >= cur || h.minNs.CompareAndSwap(cur, ns) {
 			break
 		}
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
+// count returns the number of recorded observations.
+func (h *Histogram) count() uint64 { return h.total.Load() }
 
 // Max returns the largest recorded value, exactly (not bucket-rounded).
 func (h *Histogram) Max() time.Duration {
-	if h.Count() == 0 {
+	if h.count() == 0 {
 		return 0
 	}
-	return time.Duration(h.max.Load())
+	return time.Duration(h.maxNs.Load())
 }
 
-// Min returns the smallest recorded value, exactly.
-func (h *Histogram) Min() time.Duration {
-	if h.Count() == 0 {
+// min returns the smallest recorded value, exactly.
+func (h *Histogram) min() time.Duration {
+	if h.count() == 0 {
 		return 0
 	}
-	return time.Duration(h.min.Load())
+	return time.Duration(h.minNs.Load())
 }
 
-// Mean returns the mean of all recorded values.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
+// mean returns the mean of all recorded values.
+func (h *Histogram) mean() time.Duration {
+	n := h.count()
 	if n == 0 {
 		return 0
 	}
@@ -121,12 +121,12 @@ func (h *Histogram) Mean() time.Duration {
 // ceil(q·n)-th smallest. The true max is substituted for the top bucket so
 // p100 is exact.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.Count()
+	n := h.count()
 	if n == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return h.Min()
+		return h.min()
 	}
 	if q > 1 {
 		q = 1
@@ -163,11 +163,11 @@ func (h *Histogram) Merge(other *Histogram) {
 		}
 	}
 	h.sum.Add(other.sum.Load())
-	if om := other.max.Load(); om > h.max.Load() {
-		h.max.Store(om)
+	if om := other.maxNs.Load(); om > h.maxNs.Load() {
+		h.maxNs.Store(om)
 	}
-	if om := other.min.Load(); om < h.min.Load() {
-		h.min.Store(om)
+	if om := other.minNs.Load(); om < h.minNs.Load() {
+		h.minNs.Store(om)
 	}
 }
 
@@ -182,8 +182,8 @@ type Summary struct {
 // report.
 func (h *Histogram) Summary() Summary {
 	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
+		Count: h.count(),
+		Mean:  h.mean(),
 		P50:   h.Quantile(0.50),
 		P99:   h.Quantile(0.99),
 		P999:  h.Quantile(0.999),

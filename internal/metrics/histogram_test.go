@@ -33,14 +33,14 @@ func TestHistogramBasicStats(t *testing.T) {
 	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond} {
 		h.Record(d)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", h.Count())
+	if h.count() != 3 {
+		t.Fatalf("Count = %d, want 3", h.count())
 	}
-	if h.Mean() != 2*time.Millisecond {
-		t.Fatalf("Mean = %v, want 2ms", h.Mean())
+	if h.mean() != 2*time.Millisecond {
+		t.Fatalf("Mean = %v, want 2ms", h.mean())
 	}
-	if h.Min() != time.Millisecond {
-		t.Fatalf("Min = %v, want 1ms", h.Min())
+	if h.min() != time.Millisecond {
+		t.Fatalf("Min = %v, want 1ms", h.min())
 	}
 	if h.Max() != 3*time.Millisecond {
 		t.Fatalf("Max = %v, want 3ms", h.Max())
@@ -49,7 +49,7 @@ func TestHistogramBasicStats(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {
+	if h.count() != 0 || h.mean() != 0 || h.min() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {
 		t.Fatalf("empty histogram should report zeros: %v", h.Summary())
 	}
 }
@@ -95,10 +95,10 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
-	if got := h.Count(); got != 1000 {
+	if got := h.count(); got != 1000 {
 		t.Fatalf("count = %d", got)
 	}
-	if got := h.Min(); got != time.Microsecond {
+	if got := h.min(); got != time.Microsecond {
 		t.Fatalf("min = %v", got)
 	}
 	if got := h.Max(); got != time.Millisecond {
@@ -126,7 +126,7 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 		}
 		prev = got
 	}
-	if got, want := h.Mean(), 500500*time.Nanosecond; got != want {
+	if got, want := h.mean(), 500500*time.Nanosecond; got != want {
 		t.Fatalf("mean = %v, want %v", got, want)
 	}
 }
@@ -134,8 +134,8 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 func TestHistogramQuantileBounds(t *testing.T) {
 	h := NewHistogram()
 	h.Record(5 * time.Millisecond)
-	if got := h.Quantile(0); got != h.Min() {
-		t.Fatalf("Quantile(0) = %v, want Min %v", got, h.Min())
+	if got := h.Quantile(0); got != h.min() {
+		t.Fatalf("Quantile(0) = %v, want Min %v", got, h.min())
 	}
 	if got := h.Quantile(2); got != 5*time.Millisecond {
 		t.Fatalf("Quantile(>1) = %v, want it clamped to the max 5ms", got)
@@ -169,7 +169,7 @@ func TestHistogramQuantileWithinBounds(t *testing.T) {
 			h.Record(d)
 		}
 		for _, q := range []float64{0.5, 0.99, 0.999} {
-			if v := h.Quantile(q); v < h.Min() || v > maxSeen {
+			if v := h.Quantile(q); v < h.min() || v > maxSeen {
 				return false
 			}
 		}
@@ -183,8 +183,8 @@ func TestHistogramQuantileWithinBounds(t *testing.T) {
 func TestHistogramNegativeDurationClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-time.Second)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("negative sample not clamped: count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	if h.count() != 1 || h.min() != 0 || h.Max() != 0 {
+		t.Fatalf("negative sample not clamped: count=%d min=%v max=%v", h.count(), h.min(), h.Max())
 	}
 }
 
@@ -194,11 +194,11 @@ func TestHistogramMerge(t *testing.T) {
 	b.Record(10 * time.Millisecond)
 	b.Record(100 * time.Microsecond)
 	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d", a.Count())
+	if a.count() != 3 {
+		t.Fatalf("merged count = %d", a.count())
 	}
-	if a.Min() != 100*time.Microsecond || a.Max() != 10*time.Millisecond {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	if a.min() != 100*time.Microsecond || a.Max() != 10*time.Millisecond {
+		t.Fatalf("merged min/max = %v/%v", a.min(), a.Max())
 	}
 }
 
@@ -216,8 +216,8 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != goroutines*per {
-		t.Fatalf("Count = %d, want %d", h.Count(), goroutines*per)
+	if h.count() != goroutines*per {
+		t.Fatalf("Count = %d, want %d", h.count(), goroutines*per)
 	}
 	if h.Max() != goroutines*per-1 {
 		t.Fatalf("Max = %v, want %v", h.Max(), time.Duration(goroutines*per-1))

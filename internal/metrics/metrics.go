@@ -115,15 +115,15 @@ func (r *Registry) Dump() string {
 // text (one table per experiment, the way an evaluation section would
 // present them).
 type Table struct {
-	Title   string
-	Columns []string
+	title   string
+	columns []string
 	rows    [][]string
 	mu      sync.Mutex
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, columns ...string) *Table {
-	return &Table{Title: title, Columns: columns}
+	return &Table{title: title, columns: columns}
 }
 
 // AddRow appends a row; values are formatted with %v.
@@ -144,8 +144,8 @@ func (t *Table) AddRow(values ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns a copy of the accumulated rows.
-func (t *Table) Rows() [][]string {
+// rowsCopy returns a copy of the accumulated rows.
+func (t *Table) rowsCopy() [][]string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([][]string, len(t.rows))
@@ -170,8 +170,8 @@ func formatFloat(f float64) string {
 func (t *Table) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+	widths := make([]int, len(t.columns))
+	for i, c := range t.columns {
 		widths[i] = len(c)
 	}
 	for _, row := range t.rows {
@@ -182,8 +182,8 @@ func (t *Table) String() string {
 		}
 	}
 	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString("== " + t.Title + " ==\n")
+	if t.title != "" {
+		b.WriteString("== " + t.title + " ==\n")
 	}
 	writeRow := func(cells []string) {
 		for i, cell := range cells {
@@ -197,8 +197,8 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
-	sep := make([]string, len(t.Columns))
+	writeRow(t.columns)
+	sep := make([]string, len(t.columns))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}

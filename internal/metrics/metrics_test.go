@@ -55,7 +55,7 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 	}
 	h := r.Histogram("latency")
 	h.Record(time.Millisecond)
-	if r.Histogram("latency").Count() != 1 {
+	if r.Histogram("latency").count() != 1 {
 		t.Fatal("registry returned a different histogram instance")
 	}
 }
@@ -107,8 +107,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 5 { // title, header, separator, 2 rows
 		t.Fatalf("unexpected line count %d:\n%s", len(lines), out)
 	}
-	if len(tbl.Rows()) != 2 {
-		t.Fatalf("Rows() = %d, want 2", len(tbl.Rows()))
+	if len(tbl.rowsCopy()) != 2 {
+		t.Fatalf("Rows() = %d, want 2", len(tbl.rowsCopy()))
 	}
 }
 
@@ -117,7 +117,7 @@ func TestTableFloatFormatting(t *testing.T) {
 	tbl.AddRow(3.0)
 	tbl.AddRow(1234.567)
 	tbl.AddRow(0.12345)
-	rows := tbl.Rows()
+	rows := tbl.rowsCopy()
 	if rows[0][0] != "3" {
 		t.Errorf("integral float rendered as %q", rows[0][0])
 	}

@@ -22,9 +22,9 @@ type TableJSON struct {
 func TableAsJSON(experiment string, t *Table) TableJSON {
 	return TableJSON{
 		Experiment: experiment,
-		Title:      t.Title,
-		Columns:    t.Columns,
-		Rows:       t.Rows(),
+		Title:      t.title,
+		Columns:    t.columns,
+		Rows:       t.rowsCopy(),
 	}
 }
 

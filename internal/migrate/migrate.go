@@ -51,15 +51,12 @@ type Migration struct {
 	// in is frozen and shared zero-copy with the store's cache: read it,
 	// derive ops from it, but never mutate it.
 	Backfill func(*entity.State) []entity.Op
-	// Description is recorded in the migration history.
-	Description string
 }
 
 // VersionedType is one registered version of an entity type.
 type VersionedType struct {
-	Version     int
-	Type        *entity.Type
-	Description string
+	Version int
+	Type    *entity.Type
 }
 
 // Registry holds the version history of every entity type.
@@ -83,7 +80,7 @@ func (r *Registry) Register(t *entity.Type) error {
 	if len(r.versions[t.Name]) > 0 {
 		return fmt.Errorf("migrate: type %s already registered; use Propose", t.Name)
 	}
-	r.versions[t.Name] = []VersionedType{{Version: 1, Type: t, Description: "initial"}}
+	r.versions[t.Name] = []VersionedType{{Version: 1, Type: t}}
 	return nil
 }
 
@@ -209,7 +206,7 @@ func (r *Registry) Propose(m Migration) (VersionedType, error) {
 	if err := next.Validate(); err != nil {
 		return VersionedType{}, err
 	}
-	vt := VersionedType{Version: active.Version + 1, Type: next, Description: m.Description}
+	vt := VersionedType{Version: active.Version + 1, Type: next}
 	r.versions[m.Type] = append(r.versions[m.Type], vt)
 	return vt, nil
 }

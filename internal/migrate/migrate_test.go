@@ -138,7 +138,6 @@ func TestProposeBuildsNextVersion(t *testing.T) {
 		Type:        "Customer",
 		AddFields:   []entity.Field{{Name: "segment", Type: entity.String}},
 		AddChildren: []entity.ChildCollection{{Name: "contacts", Fields: []entity.Field{{Name: "email", Type: entity.String}}}},
-		Description: "add segmentation",
 	})
 	if err != nil {
 		t.Fatalf("Propose: %v", err)
@@ -221,7 +220,6 @@ func TestApplyOnlineBackfill(t *testing.T) {
 			}
 			return nil
 		},
-		Description: "derive region from country",
 	}, 8)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)

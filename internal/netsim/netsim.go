@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -80,8 +79,8 @@ type Handler func(from clock.NodeID, payload interface{})
 // RequestHandler answers synchronous requests sent to a node.
 type RequestHandler func(from clock.NodeID, payload interface{}) (interface{}, error)
 
-// Stats counts what happened on the wire.
-type Stats struct {
+// stats counts what happened on the wire.
+type stats struct {
 	Sent        uint64
 	Delivered   uint64
 	Dropped     uint64
@@ -104,7 +103,7 @@ type Network struct {
 	nodes  map[clock.NodeID]*node
 	groups map[clock.NodeID]int // partition group per node; all zero = healed
 	links  map[linkKey]LinkFault
-	stats  Stats
+	stats  stats
 	wg     sync.WaitGroup
 	closed bool
 }
@@ -157,18 +156,6 @@ func (n *Network) RegisterRequestHandler(id clock.NodeID, h RequestHandler) {
 	}
 }
 
-// Nodes returns all registered node ids, sorted.
-func (n *Network) Nodes() []clock.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]clock.NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Partition splits the nodes into isolated groups: nodes in different groups
 // cannot exchange messages until Heal is called. Nodes not mentioned stay in
 // group 0.
@@ -192,13 +179,6 @@ func (n *Network) Heal() {
 	for id := range n.groups {
 		n.groups[id] = 0
 	}
-}
-
-// Partitioned reports whether two nodes are currently separated.
-func (n *Network) Partitioned(a, b clock.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.groups[a] != n.groups[b]
 }
 
 // SetLinkFault installs (or replaces) the directional fault override on the
@@ -237,16 +217,8 @@ func (n *Network) SetLossRate(p float64) {
 	n.cfg.LossRate = p
 }
 
-// SetLatency changes the latency model at runtime.
-func (n *Network) SetLatency(base, jitter time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cfg.BaseLatency = base
-	n.cfg.Jitter = jitter
-}
-
-// Stats returns a copy of the wire counters.
-func (n *Network) Stats() Stats {
+// snapshotStats returns a copy of the wire counters.
+func (n *Network) snapshotStats() stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stats

@@ -30,7 +30,7 @@ func TestSendDelivers(t *testing.T) {
 	if got.Load() != "hello" {
 		t.Fatalf("payload = %v", got.Load())
 	}
-	st := n.Stats()
+	st := n.snapshotStats()
 	if st.Sent != 1 || st.Delivered != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -71,26 +71,17 @@ func TestPartitionBlocksAndHealRestores(t *testing.T) {
 	n.Register("b", func(clock.NodeID, interface{}) { count.Add(1) })
 	n.Register("c", func(clock.NodeID, interface{}) { count.Add(1) })
 	n.Partition([]clock.NodeID{"a"}, []clock.NodeID{"b", "c"})
-	if !n.Partitioned("a", "b") {
-		t.Fatal("a and b should be partitioned")
-	}
-	if n.Partitioned("b", "c") {
-		t.Fatal("b and c share a group")
-	}
 	n.Send("a", "b", 1) // blocked
 	n.Send("b", "c", 1) // delivered
 	n.Quiesce()
 	if count.Load() != 1 {
 		t.Fatalf("delivered = %d, want 1", count.Load())
 	}
-	st := n.Stats()
+	st := n.snapshotStats()
 	if st.Blocked != 1 {
 		t.Fatalf("Blocked = %d", st.Blocked)
 	}
 	n.Heal()
-	if n.Partitioned("a", "b") {
-		t.Fatal("heal did not remove partition")
-	}
 	n.Send("a", "b", 2)
 	n.Quiesce()
 	if count.Load() != 2 {
@@ -108,7 +99,7 @@ func TestLossRateDropsSomeMessages(t *testing.T) {
 		n.Send("a", "b", i)
 	}
 	n.Quiesce()
-	st := n.Stats()
+	st := n.snapshotStats()
 	if st.Dropped == 0 {
 		t.Fatal("no messages dropped at 50% loss")
 	}
@@ -132,7 +123,7 @@ func TestDeterministicLossWithSeed(t *testing.T) {
 			n.Send("a", "b", i)
 		}
 		n.Quiesce()
-		return n.Stats().Dropped
+		return n.snapshotStats().Dropped
 	}
 	if run() != run() {
 		t.Fatal("same seed produced different loss patterns")
@@ -152,7 +143,7 @@ func TestRequestResponse(t *testing.T) {
 	if resp.(int) != 42 {
 		t.Fatalf("resp = %v", resp)
 	}
-	st := n.Stats()
+	st := n.snapshotStats()
 	if st.Requests != 1 || st.RequestFail != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -168,7 +159,7 @@ func TestRequestHandlerError(t *testing.T) {
 	if _, err := n.Request("client", "server", 1, time.Second); !errors.Is(err, errBoom) {
 		t.Fatalf("want handler error, got %v", err)
 	}
-	if n.Stats().RequestFail != 1 {
+	if n.snapshotStats().RequestFail != 1 {
 		t.Fatal("RequestFail not counted")
 	}
 }
@@ -317,16 +308,6 @@ func TestRequestLoss(t *testing.T) {
 	}
 }
 
-func TestNodesSorted(t *testing.T) {
-	n := New(Config{})
-	n.Register("zebra", nil)
-	n.Register("alpha", nil)
-	nodes := n.Nodes()
-	if len(nodes) != 2 || nodes[0] != "alpha" || nodes[1] != "zebra" {
-		t.Fatalf("Nodes = %v", nodes)
-	}
-}
-
 func TestSetLatencyAndLossAtRuntime(t *testing.T) {
 	n := New(Config{})
 	n.Register("a", nil)
@@ -339,7 +320,6 @@ func TestSetLatencyAndLossAtRuntime(t *testing.T) {
 		t.Fatal("message delivered despite 100% loss")
 	}
 	n.SetLossRate(0)
-	n.SetLatency(0, 0)
 	n.Send("a", "b", 2)
 	n.Quiesce()
 	if count.Load() != 1 {

@@ -6,10 +6,9 @@
 // hash table."
 //
 // The package provides the dynamic hash table: consistent hashing with
-// virtual nodes, whose units can be added and removed at runtime while
-// lookups proceed without a lock, so a change of units relocates only about
-// 1/n of the keys. KeyShard spreads keys over the shards inside one unit
-// with the same hash.
+// virtual nodes, whose units can be added at runtime while lookups proceed
+// without a lock, so a new unit relocates only about 1/n of the keys.
+// KeyShard spreads keys over the shards inside one unit with the same hash.
 package partition
 
 import (
@@ -31,21 +30,18 @@ type UnitID string
 var (
 	// ErrNoUnits is returned when locating a key while no units exist.
 	ErrNoUnits = errors.New("partition: no serialization units")
-	// ErrUnknownUnit is returned when removing a unit that is not part of
-	// the ring.
-	ErrUnknownUnit = errors.New("partition: unknown unit")
 	// ErrDuplicateUnit is returned when adding a unit that already exists.
 	ErrDuplicateUnit = errors.New("partition: duplicate unit")
 )
 
 // HashLocator distributes keys over units with consistent hashing so that
-// adding or removing a unit relocates only ~1/n of the keys.
+// adding a unit relocates only ~1/n of the keys.
 //
 // The ring is published as an immutable snapshot behind an atomic pointer:
-// AddUnit and RemoveUnit rebuild it under mu and swap it in, and Locate reads
-// whichever snapshot is current without taking a lock.
+// AddUnit rebuilds it under mu and swaps it in, and Locate reads whichever
+// snapshot is current without taking a lock.
 type HashLocator struct {
-	mu       sync.Mutex // serialises AddUnit and RemoveUnit
+	mu       sync.Mutex // serialises AddUnit
 	replicas int
 	units    []UnitID // in the order they were added; guarded by mu
 	ring     atomic.Pointer[ring]
@@ -55,7 +51,6 @@ type HashLocator struct {
 type ring struct {
 	points []uint32 // sorted, distinct
 	owners []UnitID // owners[i] owns points[i]
-	units  []UnitID // sorted
 }
 
 // NewHashLocator creates a consistent-hash locator with the given number of
@@ -107,22 +102,8 @@ func (l *HashLocator) AddUnit(u UnitID) error {
 	return nil
 }
 
-// RemoveUnit removes a unit from the ring.
-func (l *HashLocator) RemoveUnit(u UnitID) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := slices.Index(l.units, u)
-	if i < 0 {
-		return fmt.Errorf("%w: %s", ErrUnknownUnit, u)
-	}
-	l.units = slices.Delete(l.units, i, i+1)
-	l.publishLocked()
-	return nil
-}
-
 // publishLocked rebuilds the ring from the units and stores it. When virtual
-// nodes of two units hash to one point, the unit added later owns it, and
-// once that unit is removed the point falls back to the one that remains.
+// nodes of two units hash to one point, the unit added later owns it.
 func (l *HashLocator) publishLocked() {
 	owner := make(map[uint32]UnitID, len(l.units)*l.replicas)
 	for _, u := range l.units {
@@ -130,7 +111,7 @@ func (l *HashLocator) publishLocked() {
 			owner[hash32(fmt.Sprintf("%s#%d", u, i))] = u
 		}
 	}
-	r := &ring{points: slices.Sorted(maps.Keys(owner)), units: slices.Sorted(slices.Values(l.units))}
+	r := &ring{points: slices.Sorted(maps.Keys(owner))}
 	r.owners = make([]UnitID, len(r.points))
 	for i, h := range r.points {
 		r.owners[i] = owner[h]
@@ -150,14 +131,6 @@ func (l *HashLocator) Locate(key entity.Key) (UnitID, error) {
 		i = 0
 	}
 	return r.owners[i], nil
-}
-
-// Units lists all units, sorted.
-func (l *HashLocator) Units() []UnitID {
-	units := l.ring.Load().units
-	out := make([]UnitID, len(units))
-	copy(out, units)
-	return out
 }
 
 // KeyShard maps an entity key to a stable shard index in [0, n). It is the

@@ -50,22 +50,25 @@ func TestHashLocatorAddRemoveUnit(t *testing.T) {
 	if err := l.AddUnit("u1"); !errors.Is(err, ErrDuplicateUnit) {
 		t.Fatalf("want ErrDuplicateUnit, got %v", err)
 	}
-	if err := l.RemoveUnit("missing"); !errors.Is(err, ErrUnknownUnit) {
-		t.Fatalf("want ErrUnknownUnit, got %v", err)
+	// Every key lands on a unit of the ring, and both units own some.
+	for _, k := range keys(50) {
+		if u, err := l.Locate(k); err != nil || u != "u1" {
+			t.Fatalf("Locate with one unit = %s, %v", u, err)
+		}
 	}
-	l.AddUnit("u2")
-	if len(l.Units()) != 2 {
-		t.Fatalf("Units = %v", l.Units())
-	}
-	if err := l.RemoveUnit("u1"); err != nil {
+	if err := l.AddUnit("u2"); err != nil {
 		t.Fatal(err)
 	}
-	// All keys must now land on u2.
-	for _, k := range keys(50) {
+	owned := map[UnitID]int{}
+	for _, k := range keys(200) {
 		u, err := l.Locate(k)
-		if err != nil || u != "u2" {
-			t.Fatalf("Locate after removal = %s, %v", u, err)
+		if err != nil || (u != "u1" && u != "u2") {
+			t.Fatalf("Locate after adding u2 = %s, %v", u, err)
 		}
+		owned[u]++
+	}
+	if len(owned) != 2 {
+		t.Fatalf("owners after adding u2 = %v, want both units", owned)
 	}
 }
 

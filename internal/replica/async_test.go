@@ -13,7 +13,7 @@ import (
 // logLen counts the records a standby's unit-0 log holds.
 func logLen(t *testing.T, sb *Standby) int {
 	t.Helper()
-	recs, err := TailAfter(sb.Backends()[0], 0)
+	recs, err := TailAfter(sb.Backends()[0], 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestCorruptionRepairedFromStandbyTail(t *testing.T) {
 	// Repair: quarantine (cuts the primary's log back to LSN 1), then refill
 	// LSNs 2.. from the standby's received copy.
 	if err := p.db.Repair(func(after uint64) ([]lsdb.Record, error) {
-		return TailAfter(sbBackend, after)
+		return TailAfter(sbBackend, after, 0)
 	}); err != nil {
 		t.Fatalf("Repair from standby tail: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestCorruptionRepairedFromStandbyTail(t *testing.T) {
 	if res.Record.LSN != 4 {
 		t.Fatalf("post-repair LSN = %d, want 4 (refused write left no hole)", res.Record.LSN)
 	}
-	tail, err := TailAfter(fb, 0)
+	tail, err := TailAfter(fb, 0, 0)
 	if err != nil {
 		t.Fatalf("reading repaired log: %v", err)
 	}

@@ -251,7 +251,7 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 		}
 	}
 	// s1's log now holds 8 appends and 2 obsolescence marks.
-	tail1, err := TailAfter(s1.Backends()[0], 0)
+	tail1, err := TailAfter(s1.Backends()[0], 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 		t.Fatalf("catch-up from mirror: %v", err)
 	}
 	count := func() int {
-		tail, err := TailAfter(s2.Backends()[0], 0)
+		tail, err := TailAfter(s2.Backends()[0], 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,5 +297,48 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 	_, bal := promoteBalance(t, s2, nil, key)
 	if bal != 60 {
 		t.Fatalf("promoted balance = %v, want 60", bal)
+	}
+}
+
+// streamCounter counts the records its StreamAfter scans deliver.
+type streamCounter struct {
+	*storage.Memory
+	delivered int
+}
+
+func (c *streamCounter) StreamAfter(after uint64, fn func(storage.WALRecord) error) error {
+	return c.Memory.StreamAfter(after, func(rec storage.WALRecord) error {
+		c.delivered++
+		return fn(rec)
+	})
+}
+
+// A standby serving one catch-up chunk reads that chunk of its received log,
+// not the whole tail behind the cursor: a WAL holds its lock for the length
+// of a StreamAfter scan, so reading the whole tail per chunk blocks the
+// standby's own appends and costs O(N²/limit) record reads over a stream.
+func TestStandbyCatchupChunkReadsOnlyItsChunk(t *testing.T) {
+	const held, limit = 5000, 100
+	mem := storage.NewMemory()
+	recs := make([]storage.WALRecord, held)
+	for i := range recs {
+		recs[i] = storage.WALRecord{LSN: uint64(i + 1), Key: acct("A1"), Ops: []entity.Op{entity.Delta("balance", 1)}, Stamp: ts(int64(i + 1)), Origin: "p"}
+	}
+	if err := mem.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	counter := &streamCounter{Memory: mem}
+	sb := newShipStandby(t, net, "s1", counter)
+	chunk, more, err := sb.ServeCatchup(0, 0, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunk) != limit || !more {
+		t.Fatalf("chunk = %d records, more = %v; want %d and true", len(chunk), more, limit)
+	}
+	if counter.delivered > limit+1 {
+		t.Fatalf("serving a %d-record chunk read %d of the %d held records", limit, counter.delivered, held)
 	}
 }

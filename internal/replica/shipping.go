@@ -137,7 +137,7 @@ type catchupResponse struct {
 	More    bool
 }
 
-// Transport moves ship batches to a standby. The bundled NetTransport runs
+// Transport moves ship batches to a standby. The bundled netTransport runs
 // over netsim; cmd/soupsd provides an HTTP implementation for real processes.
 type Transport interface {
 	// Ship delivers batch to peer. When sync is true it must not return
@@ -147,17 +147,17 @@ type Transport interface {
 	Ship(peer clock.NodeID, batch ShipBatch, sync bool, timeout time.Duration) error
 }
 
-// NetTransport ships over a simulated network: synchronous batches as
+// netTransport ships over a simulated network: synchronous batches as
 // requests, asynchronous ones as sends (silently lossy, like a datagram).
-type NetTransport struct {
-	Net  *netsim.Network
-	Self clock.NodeID
+type netTransport struct {
+	net  *netsim.Network
+	self clock.NodeID
 }
 
 // Ship implements Transport.
-func (t NetTransport) Ship(peer clock.NodeID, batch ShipBatch, sync bool, timeout time.Duration) error {
+func (t netTransport) Ship(peer clock.NodeID, batch ShipBatch, sync bool, timeout time.Duration) error {
 	if sync {
-		resp, err := t.Net.Request(t.Self, peer, batch, timeout)
+		resp, err := t.net.Request(t.self, peer, batch, timeout)
 		if err != nil {
 			return err
 		}
@@ -166,7 +166,7 @@ func (t NetTransport) Ship(peer clock.NodeID, batch ShipBatch, sync bool, timeou
 		}
 		return nil
 	}
-	return t.Net.Send(t.Self, peer, batch)
+	return t.net.Send(t.self, peer, batch)
 }
 
 // ShipStats counts the primary side of WAL shipping.
@@ -201,7 +201,7 @@ type ShipperOptions struct {
 	Mode AckMode
 	// Timeout bounds each synchronous ship (default 500ms).
 	Timeout time.Duration
-	// Transport moves the batches. When nil and Net is set, a NetTransport
+	// Transport moves the batches. When nil and Net is set, a netTransport
 	// is used.
 	Transport Transport
 	// Source serves catch-up requests: up to limit records of one unit with
@@ -373,7 +373,7 @@ func NewShipper(opts ShipperOptions) *Shipper {
 		opts.Timeout = 500 * time.Millisecond
 	}
 	if opts.Transport == nil && opts.Net != nil {
-		opts.Transport = NetTransport{Net: opts.Net, Self: opts.Self}
+		opts.Transport = netTransport{net: opts.Net, self: opts.Self}
 	}
 	if opts.RetryAttempts < 0 {
 		opts.RetryAttempts = 0
@@ -1012,13 +1012,13 @@ func (sb *Standby) serveCatchup(req catchupRequest) (interface{}, error) {
 	}
 	backend := sb.opts.Backends[req.Unit]
 	sb.mu.Unlock()
-	recs, err := TailAfter(backend, req.After)
-	if err != nil {
-		return nil, err
-	}
 	limit := req.Limit
 	if limit <= 0 || limit > sb.opts.CatchupChunk {
 		limit = sb.opts.CatchupChunk
+	}
+	recs, err := TailAfter(backend, req.After, limit)
+	if err != nil {
+		return nil, err
 	}
 	chunk, more := chunkTail(recs, limit)
 	return catchupResponse{Records: chunk, More: more}, nil
@@ -1036,29 +1036,33 @@ func (sb *Standby) ServeCatchup(unit int, after uint64, limit int) ([]lsdb.Recor
 	return cr.Records, cr.More, nil
 }
 
-// TailAfter collects a backend's records after an LSN: through the
-// storage.Streamer fast path when available, otherwise by filtered replay.
-func TailAfter(backend storage.Backend, after uint64) ([]lsdb.Record, error) {
+// errTailFull stops a bounded TailAfter stream once it holds its chunk.
+var errTailFull = errors.New("replica: tail chunk full")
+
+// TailAfter collects a backend's records after an LSN through its
+// storage.Streamer (every bundled backend is one). With limit > 0 it stops the
+// stream once it holds limit+1 appends — the one past the limit tells
+// chunkTail there is more — keeping the marks interleaved before the cut, so
+// serving a chunk reads that chunk and not the whole tail; limit <= 0
+// collects everything.
+func TailAfter(backend storage.Backend, after uint64, limit int) ([]lsdb.Record, error) {
+	st, ok := backend.(storage.Streamer)
+	if !ok {
+		return nil, fmt.Errorf("replica: backend %T does not stream", backend)
+	}
 	var recs []lsdb.Record
-	collect := func(rec storage.WALRecord) error {
+	appends := 0
+	err := st.StreamAfter(after, func(rec storage.WALRecord) error {
 		recs = append(recs, rec)
+		if rec.Kind == storage.KindAppend {
+			appends++
+			if limit > 0 && appends > limit {
+				return errTailFull
+			}
+		}
 		return nil
-	}
-	if st, ok := backend.(storage.Streamer); ok {
-		if err := st.StreamAfter(after, collect); err != nil {
-			return nil, err
-		}
-		return recs, nil
-	}
-	if _, err := backend.Replay(func(rec storage.WALRecord) error {
-		if rec.Kind == storage.KindAppend && rec.LSN <= after {
-			return nil
-		}
-		if rec.Kind == storage.KindSummary {
-			return storage.ErrCompacted
-		}
-		return collect(rec)
-	}); err != nil {
+	})
+	if err != nil && !errors.Is(err, errTailFull) {
 		return nil, err
 	}
 	return recs, nil

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -340,7 +342,7 @@ func TestStandbyResumesProgressFromDurableLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := wal.ReplicationWatermark(); got != 3 {
+	if got := manifestReplicated(t, dir); got != 3 {
 		t.Fatalf("durable replication watermark = %d, want 3", got)
 	}
 	// Restart: close the receiver's WAL, reopen the directory, rebuild the
@@ -373,6 +375,23 @@ func TestStandbyResumesProgressFromDurableLog(t *testing.T) {
 	if bal != 31 {
 		t.Fatalf("promoted balance = %v, want 31", bal)
 	}
+}
+
+// manifestReplicated reads the replication watermark recorded in the
+// manifest (CHECKPOINT, JSON) of the WAL in dir.
+func manifestReplicated(t *testing.T, dir string) uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "CHECKPOINT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Replicated uint64 `json:"replicated"`
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man.Replicated
 }
 
 // Under quorum, consecutive writes can be acked by different standbys; no

@@ -33,12 +33,13 @@ var errTornAppend = errors.New("storage: torn append (injected)")
 
 // FaultStats counts what the wrapper injected and passed through.
 type FaultStats struct {
-	AppendsPassed  uint64
-	AppendsRefused uint64 // ENOSPC-style refusals (nothing written)
-	TornAppends    uint64 // partial writes followed by fail-stop
-	SyncPoisonings uint64 // fsync failures (permanent)
-	CorruptionHits uint64 // operations refused by injected corruption
-	Quarantines    uint64
+	AppendsPassed uint64
+	Quarantines   uint64
+
+	appendsRefused uint64 // ENOSPC-style refusals (nothing written)
+	tornAppends    uint64 // partial writes followed by fail-stop
+	syncPoisonings uint64 // fsync failures (permanent)
+	corruptionHits uint64 // operations refused by injected corruption
 }
 
 // FaultBackend wraps an inner Backend with schedulable fault injection. All
@@ -127,16 +128,9 @@ func (f *FaultBackend) Stats() FaultStats {
 	return f.stats
 }
 
-// Poisoned reports whether an injected fsync failure poisoned the backend.
-func (f *FaultBackend) Poisoned() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.poisoned
-}
-
 func (f *FaultBackend) corruptErrLocked(op string) error {
-	f.stats.CorruptionHits++
-	return &CorruptError{File: "injected", Offset: int64(f.corruptAt), Reason: op + " hit injected corruption"}
+	f.stats.corruptionHits++
+	return &CorruptError{file: "injected", offset: int64(f.corruptAt), Reason: op + " hit injected corruption"}
 }
 
 // AppendBatch applies the scheduled fault, if any, then delegates.
@@ -152,11 +146,11 @@ func (f *FaultBackend) AppendBatch(recs []WALRecord) error {
 		return f.corruptErrLocked("append")
 	case f.failAppends > 0:
 		f.failAppends--
-		f.stats.AppendsRefused++
+		f.stats.appendsRefused++
 		return fmt.Errorf("storage: append: %w", ErrNoSpace)
 	case f.tornNext:
 		f.tornNext = false
-		f.stats.TornAppends++
+		f.stats.tornAppends++
 		if keep := len(recs) / 2; keep > 0 {
 			if err := f.inner.AppendBatch(recs[:keep]); err != nil {
 				return err
@@ -176,7 +170,7 @@ func (f *FaultBackend) AppendBatch(recs []WALRecord) error {
 	if f.poisonNext {
 		f.poisonNext = false
 		f.poisoned = true
-		f.stats.SyncPoisonings++
+		f.stats.syncPoisonings++
 		return fmt.Errorf("storage: append sync: %w", ErrPoisoned)
 	}
 	f.stats.AppendsPassed++
@@ -244,14 +238,6 @@ func (f *FaultBackend) StreamAfter(after uint64, fn func(WALRecord) error) error
 		return errors.New("storage: inner backend does not stream")
 	}
 	return st.StreamAfter(after, wrapped)
-}
-
-// ReplicationWatermark delegates (0 when the inner backend has no marker).
-func (f *FaultBackend) ReplicationWatermark() uint64 {
-	if rm, ok := f.inner.(ReplicationMarker); ok {
-		return rm.ReplicationWatermark()
-	}
-	return 0
 }
 
 // SetReplicationWatermark delegates when the inner backend has a marker.

@@ -50,7 +50,7 @@ func TestFaultBackendEnospcWindowIsRetryable(t *testing.T) {
 		t.Fatalf("log after window = %v, want [1 2]", got)
 	}
 	st := fb.Stats()
-	if st.AppendsRefused != 2 || st.AppendsPassed != 2 {
+	if st.appendsRefused != 2 || st.AppendsPassed != 2 {
 		t.Fatalf("stats = %+v, want 2 refused / 2 passed", st)
 	}
 }
@@ -62,7 +62,7 @@ func TestFaultBackendHealCancelsPendingInjections(t *testing.T) {
 	fb.PoisonNextSync()
 	fb.Heal()
 	mustAppend(t, fb, 1)
-	if st := fb.Stats(); st.AppendsRefused != 0 || st.TornAppends != 0 || st.SyncPoisonings != 0 {
+	if st := fb.Stats(); st.appendsRefused != 0 || st.tornAppends != 0 || st.syncPoisonings != 0 {
 		t.Fatalf("healed injections still fired: %+v", st)
 	}
 }
@@ -98,7 +98,7 @@ func TestFaultBackendTornAppendFailStopsUntilQuarantine(t *testing.T) {
 		t.Fatalf("log after quarantine = %v, want [1 2]", got)
 	}
 	mustAppend(t, fb, 3)
-	if st := fb.Stats(); st.TornAppends != 1 || st.Quarantines != 1 {
+	if st := fb.Stats(); st.tornAppends != 1 || st.Quarantines != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -111,8 +111,8 @@ func TestFaultBackendPoisonIsPermanent(t *testing.T) {
 	if err := fb.AppendBatch([]WALRecord{appendRec(2, "a")}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("poisoned append = %v, want ErrPoisoned", err)
 	}
-	if !fb.Poisoned() {
-		t.Fatal("Poisoned() = false after an injected fsync failure")
+	if !fb.poisoned {
+		t.Fatal("not poisoned after an injected fsync failure")
 	}
 	for name, op := range map[string]func() error{
 		"append":     func() error { return fb.AppendBatch([]WALRecord{appendRec(3, "a")}) },
@@ -168,7 +168,7 @@ func TestFaultBackendCorruptionTypedOnEveryPathAndQuarantineCut(t *testing.T) {
 	if got := replayLSNs(t, fb); len(got) != 4 {
 		t.Fatalf("refilled log = %v", got)
 	}
-	if st := fb.Stats(); st.CorruptionHits < 4 || st.Quarantines != 1 {
+	if st := fb.Stats(); st.corruptionHits < 4 || st.Quarantines != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

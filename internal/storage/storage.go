@@ -162,13 +162,9 @@ type Streamer interface {
 }
 
 // ReplicationMarker is the optional replication-watermark interface of a
-// backend: a standby durably records the highest LSN it has received so a
-// restart (or a promotion decision) can read how far the received log reaches
-// without replaying it. The WAL persists the mark in its manifest.
+// backend: a standby durably records the highest LSN it has received. The
+// WAL persists the mark in its manifest, where TruncateThrough reads it.
 type ReplicationMarker interface {
-	// ReplicationWatermark returns the recorded replication watermark
-	// (0 when never set).
-	ReplicationWatermark() uint64
 	// SetReplicationWatermark durably records lsn as the replication
 	// watermark.
 	SetReplicationWatermark(lsn uint64) error
@@ -279,13 +275,6 @@ func (m *Memory) truncateAfter(lsn uint64) {
 			return
 		}
 	}
-}
-
-// ReplicationWatermark returns the recorded replication watermark.
-func (m *Memory) ReplicationWatermark() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replicated
 }
 
 // SetReplicationWatermark records lsn as the replication watermark.

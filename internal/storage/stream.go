@@ -163,7 +163,7 @@ func (s *StreamReader) Next() ([]byte, error) {
 		return nil, fmt.Errorf("storage: stream: frame at offset %d cut short: %w", at, io.ErrUnexpectedEOF)
 	}
 	reason := [...]string{frameZero: "empty frame", frameHuge: "implausible frame length", frameBadSum: "CRC mismatch"}[verdict]
-	return nil, &CorruptError{File: "stream", Offset: at, Reason: reason}
+	return nil, &CorruptError{file: "stream", offset: at, Reason: reason}
 }
 
 // Record reads the next frame as a record; io.EOF means the stream ended
@@ -176,7 +176,7 @@ func (s *StreamReader) Record() (WALRecord, error) {
 	}
 	rec, err := s.exact(p)
 	if err != nil {
-		return WALRecord{}, &CorruptError{File: "stream", Offset: at, Reason: err.Error()}
+		return WALRecord{}, &CorruptError{file: "stream", offset: at, Reason: err.Error()}
 	}
 	return rec, nil
 }

@@ -130,13 +130,13 @@ type WALOptions struct {
 // (refuse to open, restore from backup) from the benign torn tail a crash
 // leaves (handled internally by truncation).
 type CorruptError struct {
-	File   string // file the bad frame lives in
-	Offset int64  // byte offset of the frame
+	file   string // file the bad frame lives in
+	offset int64  // byte offset of the frame
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("storage: corrupt log: %s at %s+%d", e.Reason, e.File, e.Offset)
+	return fmt.Sprintf("storage: corrupt log: %s at %s+%d", e.Reason, e.file, e.offset)
 }
 
 // manifest records the exact position the replayable tail starts at and the
@@ -146,7 +146,7 @@ type manifest struct {
 	Seq uint64 `json:"seq"`
 	// Snapshot is read only to refuse it: older builds named a monolithic
 	// checkpoint snapshot here, whose content lives nowhere else once the
-	// segments it covered were pruned (see SnapshotManifestError).
+	// segments it covered were pruned (see snapshotManifestError).
 	Snapshot  string `json:"snapshot,omitempty"`
 	Watermark uint64 `json:"watermark"`
 	Segment   uint64 `json:"segment"`
@@ -159,20 +159,20 @@ type manifest struct {
 	Replicated uint64 `json:"replicated,omitempty"`
 }
 
-// SnapshotManifestError is returned by OpenWAL for a data directory whose
+// snapshotManifestError is returned by OpenWAL for a data directory whose
 // manifest names a checkpoint snapshot (ckpt-*.snap), the monolithic format
 // older builds wrote without tiered storage. This build cannot replay it, and
 // ignoring it would silently lose the history the snapshot holds: the
 // segments it covered were pruned when it was taken.
-type SnapshotManifestError struct {
-	Dir      string // the data directory
-	Snapshot string // the snapshot file the manifest names
+type snapshotManifestError struct {
+	dir      string // the data directory
+	snapshot string // the snapshot file the manifest names
 }
 
-func (e *SnapshotManifestError) Error() string {
+func (e *snapshotManifestError) Error() string {
 	return fmt.Sprintf("storage: %s: manifest names checkpoint snapshot %s, a format this build no longer reads; "+
 		"take a backup with `soupsctl backup` against an older build that still reads snapshots, "+
-		"then `soupsctl restore` it into a fresh data directory (see docs/OPERATIONS.md, Upgrading and downgrading)", e.Dir, e.Snapshot)
+		"then `soupsctl restore` it into a fresh data directory (see docs/OPERATIONS.md, Upgrading and downgrading)", e.dir, e.snapshot)
 }
 
 // WAL is the segmented write-ahead log backend. All methods are safe for
@@ -277,7 +277,7 @@ func OpenWAL(opts WALOptions) (*WAL, error) {
 		}
 		if w.man.Snapshot != "" {
 			lock.release()
-			return nil, &SnapshotManifestError{Dir: opts.Dir, Snapshot: w.man.Snapshot}
+			return nil, &snapshotManifestError{dir: opts.Dir, snapshot: w.man.Snapshot}
 		}
 		w.hasMan = true
 	case !os.IsNotExist(err):
@@ -835,7 +835,7 @@ func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WAL
 	}
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(f, head); err != nil || !bytes.Equal(head, magic) {
-		return 0, &CorruptError{File: filepath.Base(path), Offset: 0, Reason: "bad file magic"}
+		return 0, &CorruptError{file: filepath.Base(path), offset: 0, Reason: "bad file magic"}
 	}
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
@@ -843,7 +843,7 @@ func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WAL
 	fr := frameReader{br: bufio.NewReaderSize(f, 1<<16), off: start, size: info.Size()}
 	offset := start
 	corrupt := func(reason string) (int64, error) {
-		return 0, &CorruptError{File: filepath.Base(path), Offset: offset, Reason: reason}
+		return 0, &CorruptError{file: filepath.Base(path), offset: offset, Reason: reason}
 	}
 	torn := func(reason string) (int64, error) {
 		if tail != endTorn {
@@ -1280,13 +1280,6 @@ func (w *WAL) installManifestLocked(man manifest) error {
 	return w.commitManifestLocked(tmp, man)
 }
 
-// ReplicationWatermark returns the manifest's replication watermark.
-func (w *WAL) ReplicationWatermark() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.man.Replicated
-}
-
 // SetReplicationWatermark durably records lsn in the manifest. Installing a
 // manifest is a write-fsync-rename cycle, so callers batch updates (every few
 // shipped batches) rather than marking every append.
@@ -1426,17 +1419,17 @@ func (w *WAL) Quarantine() (uint64, error) {
 		if !errors.As(scanErr, &ce) {
 			return 0, scanErr
 		}
-		if ce.Offset < int64(len(segMagic)) {
+		if ce.offset < int64(len(segMagic)) {
 			// The segment header itself is bad: no frame in it is trustworthy.
 			if err := rewriteSegmentHeader(path); err != nil {
 				return 0, err
 			}
 			w.tail = int64(len(segMagic))
 		} else {
-			if err := truncateTail(path, ce.Offset); err != nil {
+			if err := truncateTail(path, ce.offset); err != nil {
 				return 0, err
 			}
-			w.tail = ce.Offset
+			w.tail = ce.offset
 		}
 		cut = n
 		break

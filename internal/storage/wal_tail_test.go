@@ -233,7 +233,7 @@ func TestWALBadFrameIsTornOnlyBeforeAReservation(t *testing.T) {
 
 	_, _, err := recoverImage(t, bad, SyncAlways)
 	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Offset != ends[1] {
+	if !errors.As(err, &ce) || ce.offset != ends[1] {
 		t.Fatalf("trimmed segment, bad CRC mid-log: got %v, want *CorruptError at %d", err, ends[1])
 	}
 	w, got, err := recoverImage(t, reservedImage(bad), SyncAlways)

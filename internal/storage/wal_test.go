@@ -228,7 +228,7 @@ func TestWALCRCMismatchIsTypedError(t *testing.T) {
 	if !errors.As(err, &corrupt) {
 		t.Fatalf("mid-segment corruption returned %v, want *CorruptError", err)
 	}
-	if corrupt.File == "" || corrupt.Reason == "" {
+	if corrupt.file == "" || corrupt.Reason == "" {
 		t.Fatalf("corrupt error lacks context: %+v", corrupt)
 	}
 	w2.Close()
@@ -373,7 +373,7 @@ func TestReplicationWatermarkPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.ReplicationWatermark(); got != 0 {
+	if got := replicated(w); got != 0 {
 		t.Fatalf("fresh watermark = %d", got)
 	}
 	if err := w.AppendBatch([]WALRecord{appendRec(1, "a"), appendRec(2, "b")}); err != nil {
@@ -393,7 +393,7 @@ func TestReplicationWatermarkPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if got := w2.ReplicationWatermark(); got != 2 {
+	if got := replicated(w2); got != 2 {
 		t.Fatalf("watermark after reopen = %d, want 2", got)
 	}
 	recs, _ := collect(t, w2)
@@ -424,7 +424,7 @@ func TestReplicationWatermarkCarriedThroughCheckpoint(t *testing.T) {
 	if pruned, err := w.TruncateThrough(2, boundary); err != nil || !pruned {
 		t.Fatalf("TruncateThrough = %v, %v; want a prune", pruned, err)
 	}
-	if got := w.ReplicationWatermark(); got != 7 {
+	if got := replicated(w); got != 7 {
 		t.Fatalf("watermark after prune = %d, want 7", got)
 	}
 	if err := w.Close(); err != nil {
@@ -435,7 +435,7 @@ func TestReplicationWatermarkCarriedThroughCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if got := w2.ReplicationWatermark(); got != 7 {
+	if got := replicated(w2); got != 7 {
 		t.Fatalf("watermark after reopen = %d, want 7", got)
 	}
 }
@@ -541,15 +541,15 @@ func TestOpenWALRefusesSnapshotManifest(t *testing.T) {
 	}
 	for range 2 { // the refusal releases the directory lock
 		w, err := OpenWAL(WALOptions{Dir: dir})
-		var refused *SnapshotManifestError
+		var refused *snapshotManifestError
 		if !errors.As(err, &refused) {
 			if err == nil {
 				w.Close()
 			}
-			t.Fatalf("OpenWAL over a snapshot manifest = %v, want *SnapshotManifestError", err)
+			t.Fatalf("OpenWAL over a snapshot manifest = %v, want *snapshotManifestError", err)
 		}
-		if refused.Snapshot != snap {
-			t.Fatalf("refusal names snapshot %q, want %q", refused.Snapshot, snap)
+		if refused.snapshot != snap {
+			t.Fatalf("refusal names snapshot %q, want %q", refused.snapshot, snap)
 		}
 		for _, remedy := range []string{"soupsctl backup", "soupsctl restore"} {
 			if !strings.Contains(err.Error(), remedy) {
@@ -560,6 +560,13 @@ func TestOpenWALRefusesSnapshotManifest(t *testing.T) {
 	if got, err := os.ReadFile(filepath.Join(dir, snap)); err != nil || string(got) != string(frames) {
 		t.Fatalf("snapshot after refusal: %v (changed: %v)", err, string(got) != string(frames))
 	}
+}
+
+// replicated is the replication watermark w's manifest records.
+func replicated(w *WAL) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.man.Replicated
 }
 
 func TestMemoryStreamAndWatermark(t *testing.T) {
@@ -573,7 +580,7 @@ func TestMemoryStreamAndWatermark(t *testing.T) {
 	if err := m.SetReplicationWatermark(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ReplicationWatermark(); got != 2 {
+	if got := m.replicated; got != 2 {
 		t.Fatalf("memory watermark = %d", got)
 	}
 }
@@ -708,8 +715,8 @@ func TestWALMidLogCorruptionStaysTypedAcrossOffsets(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("frame %d: corrupted payload replayed with err %v, want *CorruptError", frame, err)
 		}
-		if ce.Offset != off {
-			t.Fatalf("frame %d: CorruptError at offset %d, want frame start %d", frame, ce.Offset, off)
+		if ce.offset != off {
+			t.Fatalf("frame %d: CorruptError at offset %d, want frame start %d", frame, ce.offset, off)
 		}
 		w2.Close()
 		off += frameHeader + int64(length)

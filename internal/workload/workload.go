@@ -158,13 +158,13 @@ type PipelineEvent struct {
 type OrderToCash struct {
 	rng               *rand.Rand
 	nextID            int
-	OutOfOrderRatio   float64 // probability an opportunity precedes its customer
-	LineItemsPerOrder int
+	outOfOrderRatio   float64 // probability an opportunity precedes its customer
+	lineItemsPerOrder int
 }
 
 // NewOrderToCash creates a generator.
 func NewOrderToCash(seed int64, outOfOrderRatio float64) *OrderToCash {
-	return &OrderToCash{rng: rand.New(rand.NewSource(seed)), OutOfOrderRatio: outOfOrderRatio, LineItemsPerOrder: 3}
+	return &OrderToCash{rng: rand.New(rand.NewSource(seed)), outOfOrderRatio: outOfOrderRatio, lineItemsPerOrder: 3}
 }
 
 // NextCase produces the three entries of one business case (lead,
@@ -173,7 +173,7 @@ func NewOrderToCash(seed int64, outOfOrderRatio float64) *OrderToCash {
 func (g *OrderToCash) NextCase() []PipelineEvent {
 	g.nextID++
 	id := g.nextID
-	forward := g.rng.Float64() < g.OutOfOrderRatio
+	forward := g.rng.Float64() < g.outOfOrderRatio
 	customer := fmt.Sprintf("Customer/C-%05d", id)
 	lead := PipelineEvent{
 		Kind: "lead",
@@ -203,7 +203,7 @@ func (g *OrderToCash) NextCase() []PipelineEvent {
 			entity.Set("status", "OPEN"),
 		},
 	}
-	for li := 0; li < g.LineItemsPerOrder; li++ {
+	for li := 0; li < g.lineItemsPerOrder; li++ {
 		order.Ops = append(order.Ops, entity.InsertChild("lineitems", fmt.Sprintf("L%d", li+1), entity.Fields{
 			"product": fmt.Sprintf("product-%d", g.rng.Intn(50)),
 			"qty":     int64(1 + g.rng.Intn(5)),
@@ -219,36 +219,36 @@ func (g *OrderToCash) NextCase() []PipelineEvent {
 type InventoryMove struct {
 	Item entity.Key
 	Qty  int64
-	Desc string
+	desc string
 }
 
 // Inventory generates receipts and pickings over a fixed set of items with a
-// Zipfian hot spot; PickRatio controls how often stock is consumed vs
-// received, so sustained PickRatio > 0.5 drives items negative.
+// Zipfian hot spot; pickRatio controls how often stock is consumed vs
+// received, so sustained pickRatio > 0.5 drives items negative.
 type Inventory struct {
 	rng       *rand.Rand
 	zipf      *Zipf
-	PickRatio float64
+	pickRatio float64
 }
 
 // NewInventory creates a generator over items item-0..item-(n-1).
 func NewInventory(seed int64, items int, skew, pickRatio float64) *Inventory {
-	return &Inventory{rng: rand.New(rand.NewSource(seed)), zipf: NewZipf(seed+1, items, skew), PickRatio: pickRatio}
+	return &Inventory{rng: rand.New(rand.NewSource(seed)), zipf: NewZipf(seed+1, items, skew), pickRatio: pickRatio}
 }
 
 // Next returns the next stock movement.
 func (g *Inventory) Next() InventoryMove {
 	item := entity.Key{Type: "Inventory", ID: fmt.Sprintf("item-%d", g.zipf.Next())}
 	qty := int64(1 + g.rng.Intn(10))
-	if g.rng.Float64() < g.PickRatio {
-		return InventoryMove{Item: item, Qty: -qty, Desc: fmt.Sprintf("picked %d of %s", qty, item.ID)}
+	if g.rng.Float64() < g.pickRatio {
+		return InventoryMove{Item: item, Qty: -qty, desc: fmt.Sprintf("picked %d of %s", qty, item.ID)}
 	}
-	return InventoryMove{Item: item, Qty: qty, Desc: fmt.Sprintf("received %d of %s", qty, item.ID)}
+	return InventoryMove{Item: item, Qty: qty, desc: fmt.Sprintf("received %d of %s", qty, item.ID)}
 }
 
 // Ops converts a move into entity operations (delta + history description).
 func (m InventoryMove) Ops() []entity.Op {
-	return []entity.Op{entity.Delta("onhand", float64(m.Qty)).Described(m.Desc)}
+	return []entity.Op{entity.Delta("onhand", float64(m.Qty)).Described(m.desc)}
 }
 
 // --- Banking ----------------------------------------------------------------
@@ -268,13 +268,13 @@ type Banking struct {
 	rng  *rand.Rand
 	zipf *Zipf
 	seq  int
-	// WithdrawRatio is the probability a generated operation is a withdrawal.
-	WithdrawRatio float64
+	// withdrawRatio is the probability a generated operation is a withdrawal.
+	withdrawRatio float64
 }
 
 // NewBanking creates a generator over account-0..account-(n-1).
 func NewBanking(seed int64, accounts int, skew float64) *Banking {
-	return &Banking{rng: rand.New(rand.NewSource(seed)), zipf: NewZipf(seed+1, accounts, skew), WithdrawRatio: 0.4}
+	return &Banking{rng: rand.New(rand.NewSource(seed)), zipf: NewZipf(seed+1, accounts, skew), withdrawRatio: 0.4}
 }
 
 // Next returns the next banking operation.
@@ -283,7 +283,7 @@ func (g *Banking) Next() BankOp {
 	acct := entity.Key{Type: "Account", ID: fmt.Sprintf("account-%d", g.zipf.Next())}
 	amount := float64(1 + g.rng.Intn(500))
 	kind := "deposit"
-	if g.rng.Float64() < g.WithdrawRatio {
+	if g.rng.Float64() < g.withdrawRatio {
 		amount = -amount
 		kind = "withdrawal"
 	}
@@ -347,9 +347,9 @@ func (b *Bookstore) Orders() []BookOrder {
 type Transfer struct {
 	From, To entity.Key
 	Amount   float64
-	// CrossUnit is a hint set by the generator when From and To were chosen
+	// crossUnit is a hint set by the generator when From and To were chosen
 	// from different key ranges; the actual placement is the locator's call.
-	CrossUnit bool
+	crossUnit bool
 }
 
 // Transfers generates transfers between n entities where crossRatio of them
@@ -366,7 +366,7 @@ func NewTransfers(seed int64, n int, crossRatio float64) *Transfers {
 	return &Transfers{rng: rand.New(rand.NewSource(seed)), n: n, crossRatio: crossRatio}
 }
 
-// Next returns the next transfer.
+// Next returns the next Transfer.
 func (g *Transfers) Next() Transfer {
 	half := g.n / 2
 	if half == 0 {
@@ -381,5 +381,5 @@ func (g *Transfers) Next() Transfer {
 	key := func(i int) entity.Key {
 		return entity.Key{Type: "Account", ID: fmt.Sprintf("account-%04d", i)}
 	}
-	return Transfer{From: key(from), To: key(to), Amount: float64(1 + g.rng.Intn(100)), CrossUnit: cross}
+	return Transfer{From: key(from), To: key(to), Amount: float64(1 + g.rng.Intn(100)), crossUnit: cross}
 }

@@ -71,7 +71,7 @@ func TestOrderToCashCases(t *testing.T) {
 		}
 		total++
 		// Order ops include the line items.
-		if len(events[2].Ops) != 2+g.LineItemsPerOrder {
+		if len(events[2].Ops) != 2+g.lineItemsPerOrder {
 			t.Fatalf("order ops = %d", len(events[2].Ops))
 		}
 		// Keys are unique across cases.
@@ -183,7 +183,7 @@ func TestTransfersCrossRatio(t *testing.T) {
 		if tr.Amount <= 0 {
 			t.Fatal("non-positive amount")
 		}
-		if tr.CrossUnit {
+		if tr.crossUnit {
 			cross++
 			// Cross transfers pair the lower half with the upper half.
 			if tr.From.ID >= "account-0050" {
@@ -204,13 +204,13 @@ func TestTransfersCrossRatio(t *testing.T) {
 func TestTransfersZeroAndFullCross(t *testing.T) {
 	none := NewTransfers(1, 10, 0)
 	for i := 0; i < 50; i++ {
-		if none.Next().CrossUnit {
+		if none.Next().crossUnit {
 			t.Fatal("cross transfer at ratio 0")
 		}
 	}
 	all := NewTransfers(1, 10, 1)
 	for i := 0; i < 50; i++ {
-		if !all.Next().CrossUnit {
+		if !all.Next().crossUnit {
 			t.Fatal("local transfer at ratio 1")
 		}
 	}

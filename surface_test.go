@@ -27,6 +27,18 @@ const surfaceFile = "testdata/surface.txt"
 // file's header says what each means.
 var surfaceReasons = []string{"sentinel", "option", "facade", "test-api", "debt"}
 
+// debtOwners is what a rewrite ROADMAP.md already plans (items 3, 4, 5 and
+// 15) owns: whole packages, or single identifiers where the rewrite takes
+// only those. A debt line for anything else is refused: its identifier is
+// deleted, unexported or used instead.
+var debtOwners = []string{"aggregate", "apology", "metrics.Gauge", "metrics.Registry.Gauge", "process", "queue"}
+
+// debtAllowed reports whether name, a "pkg.Name" entry, may be listed as debt.
+func debtAllowed(name string) bool {
+	pkg, _, _ := strings.Cut(name, ".")
+	return slices.Contains(debtOwners, pkg) || slices.Contains(debtOwners, name)
+}
+
 // TestSurface is the exported-surface gate. It type-checks every package of
 // the module and of bench/ (a module of its own that compiles against
 // internal/) from source, test files excluded, and lists each exported
@@ -39,15 +51,26 @@ var surfaceReasons = []string{"sentinel", "option", "facade", "test-api", "debt"
 //     standard library calls on its own, always are.
 //   - A struct field with a tag counts as used: an encoder reads it by
 //     reflection.
+//   - A type counts as used when another package uses a function, method,
+//     field, variable or constant whose type mentions it: that package holds
+//     or passes its values without naming it.
+//
+// The last rule has a converse, checked too: an exported identifier may not
+// mention an unexported type of its own package, since that hides the
+// fields and methods other packages reach through it from this gate (and
+// leaves callers unable to name what they receive).
 //
 // The list must equal surfaceFile. An identifier missing from the file fails
 // the test by name (delete it, unexport it or use it, rather than list it); a
 // listed identifier that is no longer reported fails until its line goes. So
 // the file only shrinks.
 func TestSurface(t *testing.T) {
-	reported, err := scanSurface(".")
+	reported, hidden, err := scanSurface(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, h := range hidden {
+		t.Errorf("%s: export the type or unexport the identifier", h)
 	}
 	listed, err := readSurfaceFile(surfaceFile)
 	if err != nil {
@@ -86,6 +109,9 @@ func readSurfaceFile(path string) (map[string]string, error) {
 		}
 		if !slices.Contains(surfaceReasons, fields[1]) {
 			return nil, fmt.Errorf("%s:%d: reason %q is not one of %s", path, n, fields[1], strings.Join(surfaceReasons, ", "))
+		}
+		if fields[1] == "debt" && !debtAllowed(fields[0]) {
+			return nil, fmt.Errorf("%s:%d: %s: debt is allowed only for %s", path, n, fields[0], strings.Join(debtOwners, ", "))
 		}
 		if _, dup := out[fields[0]]; dup {
 			return nil, fmt.Errorf("%s:%d: %s listed twice", path, n, fields[0])
@@ -159,11 +185,12 @@ func (l *surfaceLoader) check(path string) (*surfacePkg, error) {
 }
 
 // scanSurface returns the sorted "pkg.Name" list of exported identifiers
-// under root's internal/ that no other package uses.
-func scanSurface(root string) ([]string, error) {
+// under root's internal/ that no other package uses, and the exported
+// identifiers there that mention an unexported type of their package.
+func scanSurface(root string) (dead, hidden []string, err error) {
 	l := &surfaceLoader{fset: token.NewFileSet(), dirs: map[string]string{}, checked: map[string]*surfacePkg{}}
 	l.std = importer.ForCompiler(l.fset, "gc", nil)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -185,7 +212,7 @@ func scanSurface(root string) ([]string, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	paths := slices.Sorted(maps.Keys(l.dirs))
 
@@ -194,7 +221,7 @@ func scanSurface(root string) ([]string, error) {
 	for _, path := range paths {
 		p, err := l.check(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, obj := range p.info.Uses {
 			obj = surfaceOrigin(obj)
@@ -226,9 +253,12 @@ func scanSurface(root string) ([]string, error) {
 			}
 		}
 	}
+	for _, obj := range slices.Collect(maps.Keys(used)) {
+		surfaceNamedTypes(obj.Type(), func(n *types.Named) { used[n.Origin().Obj()] = true })
+	}
 	fmtPkg, err := l.std.Import("fmt")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, obj := range []types.Object{fmtPkg.Scope().Lookup("Stringer"), types.Universe.Lookup("error")} {
 		ifaceUsed[obj.Type().Underlying().(*types.Interface).Method(0)] = true
@@ -250,52 +280,110 @@ func scanSurface(root string) ([]string, error) {
 		return false
 	}
 
-	var out []string
 	for _, path := range paths {
 		rel, ok := strings.CutPrefix(path, "repro/internal/")
 		if !ok {
 			continue
 		}
-		scope := l.checked[path].pkg.Scope()
+		pkg := l.checked[path].pkg
+		// check reports name if it is dead, and if typ (what other packages
+		// see of it) mentions an unexported type of pkg.
+		check := func(name string, isUsed bool, typ types.Type) {
+			if !isUsed {
+				dead = append(dead, rel+"."+name)
+			}
+			surfaceNamedTypes(typ, func(n *types.Named) {
+				if o := n.Obj(); o.Pkg() == pkg && !o.Exported() {
+					hidden = append(hidden, fmt.Sprintf("%s.%s mentions the unexported type %s", rel, name, o.Name()))
+				}
+			})
+		}
+		scope := pkg.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if !obj.Exported() {
 				continue
 			}
-			if !used[obj] {
-				out = append(out, rel+"."+name)
-			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
+				check(name, used[obj], obj.Type())
 				continue
 			}
 			named := tn.Type().(*types.Named)
+			// A struct's fields and an interface's methods are checked one
+			// by one below.
+			var def types.Type
+			switch named.Underlying().(type) {
+			case *types.Struct, *types.Interface:
+			default:
+				def = named.Underlying()
+			}
+			check(name, used[obj], def)
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !implementsUsed(named, m) {
-					out = append(out, rel+"."+name+"."+m.Name())
+				if m.Exported() {
+					check(name+"."+m.Name(), used[m] || implementsUsed(named, m), m.Type())
 				}
 			}
 			switch u := named.Underlying().(type) {
 			case *types.Struct:
 				for i := 0; i < u.NumFields(); i++ {
-					f := u.Field(i)
-					if f.Exported() && !used[f] && u.Tag(i) == "" {
-						out = append(out, rel+"."+name+"."+f.Name())
+					if f := u.Field(i); f.Exported() {
+						check(name+"."+f.Name(), used[f] || u.Tag(i) != "", f.Type())
 					}
 				}
 			case *types.Interface:
 				for i := 0; i < u.NumExplicitMethods(); i++ {
-					m := u.ExplicitMethod(i)
-					if m.Exported() && !used[m] {
-						out = append(out, rel+"."+name+"."+m.Name())
+					if m := u.ExplicitMethod(i); m.Exported() {
+						check(name+"."+m.Name(), used[m], m.Type())
 					}
 				}
 			}
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Strings(dead)
+	sort.Strings(hidden)
+	return dead, hidden, nil
+}
+
+// surfaceNamedTypes calls fn for each named type that t is built from,
+// without looking inside a named type's own definition.
+func surfaceNamedTypes(t types.Type, fn func(*types.Named)) {
+	switch t := t.(type) {
+	case *types.Named:
+		fn(t)
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			surfaceNamedTypes(t.TypeArgs().At(i), fn)
+		}
+	case *types.Pointer:
+		surfaceNamedTypes(t.Elem(), fn)
+	case *types.Slice:
+		surfaceNamedTypes(t.Elem(), fn)
+	case *types.Array:
+		surfaceNamedTypes(t.Elem(), fn)
+	case *types.Chan:
+		surfaceNamedTypes(t.Elem(), fn)
+	case *types.Map:
+		surfaceNamedTypes(t.Key(), fn)
+		surfaceNamedTypes(t.Elem(), fn)
+	case *types.Signature:
+		for i := 0; i < t.Params().Len(); i++ {
+			surfaceNamedTypes(t.Params().At(i).Type(), fn)
+		}
+		for i := 0; i < t.Results().Len(); i++ {
+			surfaceNamedTypes(t.Results().At(i).Type(), fn)
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if t.Field(i).Exported() {
+				surfaceNamedTypes(t.Field(i).Type(), fn)
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumExplicitMethods(); i++ {
+			surfaceNamedTypes(t.ExplicitMethod(i).Type(), fn)
+		}
+	}
 }
 
 // surfaceOrigin maps an instantiated generic field or method to its
