@@ -100,15 +100,18 @@ bench-replication:
 # quiesced legacy checkpoint vs an off-hot-path tiered flush, and recovery
 # time as history grows; the cold tier's bulk paths as components (one L1
 # compaction pass, failing past its budget of allocations per input key; one
-# flush capture; one restart of a 4-unit, 240 000-entity tiered kernel;
-# keys/s, B/op, allocs/op) and its point path (one summary lookup through
-# bloom and sparse index). The E22 run is
+# flush capture; the set-up of a 4-unit tiered kernel with 240 000 first
+# writes, in ns, B and allocs per update, failing when a tiered first write
+# allocates past its budget; one restart of that kernel; keys/s, B/op,
+# allocs/op) and its point path (one summary lookup through bloom and sparse
+# index). The E22 run is
 # kept in BENCH_E22.txt, Go's standard benchmark format, so successive
 # changes can diff it (benchstat reads it as is).
 bench-lsm:
 	$(GO) test -run xxx -bench 'BenchmarkE22' -benchtime 200x -benchmem . > BENCH_E22.txt
 	cat BENCH_E22.txt
 	$(GO) test -run TestCompactAllocationBudget -bench 'BenchmarkCompactL1|BenchmarkFlushCapture' -benchtime 20x -benchmem ./internal/lsm ./internal/lsdb
+	$(GO) test -run TestTieredCommitAllocationBudget -bench BenchmarkKernelLoad -benchtime 3x ./internal/core
 	$(GO) test -run xxx -bench BenchmarkKernelOpen -benchtime 10x -benchmem ./internal/core
 	$(GO) test -run xxx -bench BenchmarkLookupSummary -benchmem ./internal/lsm
 

@@ -479,17 +479,13 @@ func (k *Kernel) RegisterTypes(types ...*entity.Type) error {
 
 // --- Transactions -----------------------------------------------------------
 
-// checkReferences records a dangling Reference field set by ops as a managed
-// warning, handled by later process steps (principle 2.2); the write goes
-// ahead either way.
-func (k *Kernel) checkReferences(key entity.Key, ops []entity.Op) error {
-	u, err := k.unitFor(key)
-	if err != nil {
-		return err
-	}
+// checkReferences records a dangling Reference field set by ops on key, an
+// entity of unit u, as a managed warning, handled by later process steps
+// (principle 2.2); the write goes ahead either way.
+func (k *Kernel) checkReferences(u *unit, key entity.Key, ops []entity.Op) {
 	typ, ok := u.db.TypeOf(key.Type)
 	if !ok {
-		return nil // the append itself will report the unknown type
+		return // the append itself will report the unknown type
 	}
 	for _, op := range ops {
 		if op.Kind != entity.OpSet {
@@ -519,7 +515,6 @@ func (k *Kernel) checkReferences(key entity.Key, ops []entity.Op) error {
 		problem := fmt.Sprintf("dangling reference %s.%s -> %s", key.Type, op.Field, refKey)
 		k.recordWarnings([]entity.Warning{{Key: key, Op: op, Problem: problem}})
 	}
-	return nil
 }
 
 // Transact runs fn inside one focused, solipsistic transaction against the
@@ -533,26 +528,33 @@ func (k *Kernel) Transact(key entity.Key, fn func(*txn.Txn) error) (txn.CommitRe
 	}
 	start := time.Now()
 	res, err := u.mgr.Run(u.queue, fn)
+	return res, k.finishTxn(start, &res, err)
+}
+
+// finishTxn records the outcome of a transaction begun at start.
+func (k *Kernel) finishTxn(start time.Time, res *txn.CommitResult, err error) error {
 	k.inst.txnLatency.Record(time.Since(start))
 	if err != nil {
 		k.inst.txnFailed.Inc()
-		return res, err
+		return err
 	}
 	k.inst.txnCommitted.Inc()
 	k.recordWarnings(res.Warnings)
-	return res, nil
+	return nil
 }
 
 // Update is the single-shot convenience: apply ops to key in one focused
 // transaction. A dangling Reference field becomes a managed warning.
 func (k *Kernel) Update(key entity.Key, ops ...entity.Op) (txn.CommitResult, error) {
-	if err := k.checkReferences(key, ops); err != nil {
+	u, err := k.unitFor(key)
+	if err != nil {
 		k.inst.txnFailed.Inc()
 		return txn.CommitResult{}, err
 	}
-	return k.Transact(key, func(t *txn.Txn) error {
-		return t.Update(key, ops...)
-	})
+	k.checkReferences(u, key, ops)
+	start := time.Now()
+	res, err := u.mgr.Update(key, ops...)
+	return res, k.finishTxn(start, &res, err)
 }
 
 // UpdateTentative applies ops as a tentative promise and registers it in the

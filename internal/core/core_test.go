@@ -38,7 +38,7 @@ func TestBootstrapAndBasicReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if res.TxnID == "" || len(res.Records) != 1 {
+	if res.TxnID == "" || len(res.Records()) != 1 {
 		t.Fatalf("result = %+v", res)
 	}
 	st, err := k.Read(orderKey("O1"))
@@ -712,10 +712,10 @@ func TestUpdateResultRecordsSurviveLaterWork(t *testing.T) {
 	k := newKernel(t, Options{Node: "keep", Units: 2})
 	key := accountKey("A")
 	res, err := k.Update(key, entity.Delta("balance", 5))
-	if err != nil || len(res.Records) != 1 {
+	if err != nil || len(res.Records()) != 1 {
 		t.Fatalf("Update: %+v, %v", res, err)
 	}
-	want := res.Records[0]
+	want := res.Records()[0]
 	for i := 0; i < 50; i++ {
 		if err := k.Submit(queue.Event{Name: applyEventName, Entity: key, TxnID: fmt.Sprintf("ev-%d", i),
 			Data: map[string]interface{}{"ops": []entity.Op{entity.Delta("balance", 1)}}}); err != nil {
@@ -729,7 +729,7 @@ func TestUpdateResultRecordsSurviveLaterWork(t *testing.T) {
 	if k.Compact() == 0 {
 		t.Fatal("nothing compacted")
 	}
-	got := res.Records[0]
+	got := res.Records()[0]
 	if got.LSN != want.LSN || got.TxnID != res.TxnID || got.Key != key || len(got.Ops) != 1 || got.Ops[0].Delta != 5 || got.Obsolete {
 		t.Fatalf("a returned record changed under its holder: %+v, was %+v", got, want)
 	}

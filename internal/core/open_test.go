@@ -172,51 +172,145 @@ func TestCheckpointAttemptsEveryUnit(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelOpen prices a restart of a 4-unit tiered kernel holding
-// 240 000 Accounts, all settled into compacted tables: recovery of every
-// unit (manifest, tables, bloom sidecars, cold pointers for every key, the
-// WAL tail), type registration, then Close. The store is built once.
-func BenchmarkKernelOpen(b *testing.B) {
-	const (
-		units    = 4
-		entities = 240000
-		writers  = 2
-	)
-	dir := b.TempDir()
-	opts := Options{Node: "bench", Units: units, DataDir: dir, Fsync: storage.SyncOS}
+// Shape of the tiered kernel the load and open benchmarks share: 240 000
+// first writes by 2 writers through 4 units, as bench/'s cold-read preload
+// runs them.
+const (
+	loadUnits    = 4
+	loadEntities = 240000
+	loadWriters  = 2
+)
+
+// loadTieredKernel fills a fresh tiered kernel in dir with loadEntities
+// Accounts (one first write each, loadWriters goroutines), checkpoints it,
+// drains the compaction backlog and closes it.
+func loadTieredKernel(tb testing.TB, opts Options) {
 	k, err := Bootstrap(opts, workload.Types()...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := range writers {
+	errs := make([]error, loadWriters)
+	for w := range loadWriters {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for a := w; a < entities && errs[w] == nil; a += writers {
+			for a := w; a < loadEntities && errs[w] == nil; a += loadWriters {
 				_, errs[w] = k.Update(accountKey(fmt.Sprintf("acct-%07d", a)), entity.Delta("balance", float64(a)))
 			}
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := k.Checkpoint(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
 		if ts, _, _ := k.TieredStats(); ts.CompactionBacklog == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			b.Fatal("compaction backlog not drained after 30 s")
+			tb.Fatal("compaction backlog not drained after 30 s")
 		}
 	}
 	k.Close()
+}
 
-	b.Run(fmt.Sprintf("units=%d/entities=%d", units, entities), func(b *testing.B) {
+func loadOptions(dir string) Options {
+	return Options{Node: "bench", Units: loadUnits, DataDir: dir, Fsync: storage.SyncOS}
+}
+
+// BenchmarkKernelLoad prices the set-up of a tiered kernel: loadTieredKernel
+// into a fresh directory per iteration — every commit, WAL append, flush pass
+// and compaction it starts — reported per update.
+func BenchmarkKernelLoad(b *testing.B) {
+	b.Run(fmt.Sprintf("units=%d/entities=%d", loadUnits, loadEntities), func(b *testing.B) {
+		var before, after runtime.MemStats
+		var elapsed time.Duration
+		var mallocs, bytes uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir, err := os.MkdirTemp(b.TempDir(), "load")
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			b.StartTimer()
+			loadTieredKernel(b, loadOptions(dir))
+			b.StopTimer()
+			elapsed += time.Since(start)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+			os.RemoveAll(dir)
+			b.StartTimer()
+		}
+		updates := float64(b.N * loadEntities)
+		b.ReportMetric(float64(elapsed.Nanoseconds())/updates, "ns/update")
+		b.ReportMetric(float64(bytes)/updates, "B/update")
+		b.ReportMetric(float64(mallocs)/updates, "allocs/update")
+	})
+}
+
+// Budget of one first write through a tiered kernel, its share of the flush
+// passes included (TestTieredCommitAllocationBudget): 7.17 allocations and
+// 1 620–1 710 bytes measured, plus slack for what varies from run to run —
+// how the flush passes split the keys, where maps and slabs grow.
+const (
+	tieredWriteAllocs = 7.5
+	tieredWriteBytes  = 1850
+)
+
+// TestTieredCommitAllocationBudget fails when a first write through a
+// 4-unit tiered kernel allocates more than its budget, counted over 40 000
+// of them and the flush passes they trigger, the final checkpoint's
+// included: the commit, its one encoding, the WAL append, the resident log
+// and the tables all show in it.
+func TestTieredCommitAllocationBudget(t *testing.T) {
+	const entities = 40000
+	k, err := Bootstrap(loadOptions(t.TempDir()), workload.Types()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	keys := make([]entity.Key, entities)
+	for i := range keys {
+		keys[i] = accountKey(fmt.Sprintf("acct-%07d", i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, key := range keys {
+		if _, err := k.Update(key, entity.Delta("balance", float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / entities
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / entities
+	t.Logf("a tiered first write allocates %.2f times, %.0f bytes (budget %.2f, %d)", allocs, bytes, tieredWriteAllocs, tieredWriteBytes)
+	if allocs > tieredWriteAllocs || bytes > tieredWriteBytes {
+		t.Fatalf("a tiered first write allocates %.2f times, %.0f bytes: over its budget of %.2f, %d", allocs, bytes, tieredWriteAllocs, tieredWriteBytes)
+	}
+}
+
+// BenchmarkKernelOpen prices a restart of a 4-unit tiered kernel holding
+// 240 000 Accounts, all settled into compacted tables: recovery of every
+// unit (manifest, tables, bloom sidecars, cold pointers for every key, the
+// WAL tail), type registration, then Close. The store is built once, by
+// loadTieredKernel.
+func BenchmarkKernelOpen(b *testing.B) {
+	opts := loadOptions(b.TempDir())
+	loadTieredKernel(b, opts)
+
+	b.Run(fmt.Sprintf("units=%d/entities=%d", loadUnits, loadEntities), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k, err := Bootstrap(opts, workload.Types()...)

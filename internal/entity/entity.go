@@ -722,39 +722,44 @@ func (s *State) Bool(field string) bool {
 // state is their rollup (section 3.1).
 type OpKind int
 
-// Supported operation kinds.
+// Supported operation kinds. Each kind's number is what the log stores, so
+// every kind is pinned to its value: a kind is never renumbered, and a
+// retired kind's number is never reused.
 const (
 	// OpSet assigns a root field (register semantics, last-writer-wins on
 	// merge).
-	OpSet OpKind = iota
+	OpSet OpKind = 0
 	// OpDelta adds a numeric amount to a root field (commutative; merges by
 	// applying both sides, the paper's "commutative update strategy").
-	OpDelta
+	OpDelta OpKind = 1
 	// OpInsertChild appends a child row.
-	OpInsertChild
+	OpInsertChild OpKind = 2
 	// opSetChildField assigns a field of an existing child row.
-	opSetChildField
+	opSetChildField OpKind = 3
 	// opDeltaChildField adds a numeric amount to a field of a child row.
-	opDeltaChildField
+	opDeltaChildField OpKind = 4
 	// opDeleteChild tombstones a child row.
-	opDeleteChild
+	opDeleteChild OpKind = 5
 	// opDelete tombstones the whole entity.
-	opDelete
-	// opUndelete clears the entity tombstone. No constructor produces it;
-	// it keeps its number so the kinds after it keep theirs on disk.
-	opUndelete
-	// opMarkTentative flags the entity state as tentative (principle 2.9);
-	// like opUndelete it has no constructor.
-	opMarkTentative
+	opDelete OpKind = 6
+	// 7 (undelete) and 8 (mark-tentative) are retired: nothing produced
+	// them, and a stored record that carries one is refused.
+	//
 	// opConfirm clears the tentative flag (the promise was kept).
-	opConfirm
+	opConfirm OpKind = 9
 )
+
+// Known reports whether k is an operation kind this build applies.
+func (k OpKind) Known() bool {
+	return k >= OpSet && k <= opDelete || k == opConfirm
+}
 
 // String returns the operation kind name.
 func (k OpKind) String() string {
-	names := [...]string{"set", "delta", "insert-child", "set-child-field",
-		"delta-child-field", "delete-child", "delete", "undelete", "mark-tentative", "confirm"}
-	if int(k) < len(names) {
+	names := [...]string{OpSet: "set", OpDelta: "delta", OpInsertChild: "insert-child",
+		opSetChildField: "set-child-field", opDeltaChildField: "delta-child-field",
+		opDeleteChild: "delete-child", opDelete: "delete", opConfirm: "confirm"}
+	if k.Known() {
 		return names[k]
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
@@ -1074,7 +1079,7 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 		warnings = append(warnings, Warning{Key: s.Key, Op: op, Problem: problem})
 		return nil
 	}
-	if s.Deleted && op.Kind != opUndelete && op.Kind != opDelete {
+	if s.Deleted && op.Kind != opDelete {
 		if err := warn(ErrDeleted.Error()); err != nil {
 			return nil, ErrDeleted
 		}
@@ -1196,10 +1201,6 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 		}
 	case opDelete:
 		s.Deleted = true
-	case opUndelete:
-		s.Deleted = false
-	case opMarkTentative:
-		s.Tentative = true
 	case opConfirm:
 		s.Tentative = false
 	default:

@@ -375,21 +375,18 @@ func TestApplyDeleteAndUndelete(t *testing.T) {
 	if revived.StringField("status") != "REOPENED" {
 		t.Fatal("managed write lost")
 	}
-	undeleted, _, err := Apply(typ, next, []Op{{Kind: opUndelete}}, Strict)
-	if err != nil || undeleted.Deleted {
-		t.Fatalf("undelete failed: %v", err)
-	}
 }
 
 func TestApplyTentativeAndConfirm(t *testing.T) {
 	typ := orderType()
 	s := NewState(Key{Type: "Order", ID: "1"})
-	next, _, err := Apply(typ, s, []Op{{Kind: opMarkTentative, Describe: "offer pending"}, Set("status", "OFFERED")}, Strict)
+	s.Tentative = true // what a tentative append leaves (lsdb.AppendTentative)
+	next, _, err := Apply(typ, s, []Op{Set("status", "OFFERED")}, Strict)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if !next.Tentative {
-		t.Fatal("state should be tentative")
+		t.Fatal("state should stay tentative")
 	}
 	confirmed, _, err := Apply(typ, next, []Op{Confirm()}, Strict)
 	if err != nil || confirmed.Tentative {
@@ -702,7 +699,7 @@ func TestOpStringAndCommutes(t *testing.T) {
 	}
 	for _, op := range []Op{Set("a", 1), Delta("a", 2), InsertChild("c", "i", nil),
 		SetChildField("c", "i", "f", 1), DeltaChildField("c", "i", "f", 1), DeleteChild("c", "i"),
-		Delete(), {Kind: opUndelete}, {Kind: opMarkTentative}, Confirm()} {
+		Delete(), Confirm()} {
 		if op.String() == "" {
 			t.Errorf("empty String for %v", op.Kind)
 		}

@@ -16,18 +16,9 @@
 // no-op.
 package entity
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 var chunkPool sync.Pool // of *chunk with rows resliced to 0
-
-var (
-	chunkPoolReused    atomic.Uint64
-	chunkPoolAllocated atomic.Uint64
-	chunkPoolRecycled  atomic.Uint64
-)
 
 // takeChunk returns a chunk with rows length n: a recycled chunk when one
 // with enough capacity is available, a fresh exact-size allocation otherwise
@@ -36,45 +27,24 @@ func takeChunk(n int) *chunk {
 	if v := chunkPool.Get(); v != nil {
 		ck := v.(*chunk)
 		if cap(ck.rows) >= n {
-			chunkPoolReused.Add(1)
 			ck.rows = ck.rows[:n]
 			return ck
 		}
 		// Too narrow for this copy; let it go rather than scanning the pool.
 	}
-	chunkPoolAllocated.Add(1)
 	return &chunk{rows: make([]Child, n)}
 }
 
 // putChunk retires a privately-owned chunk into the free list, dropping
-// every row reference first so recycled arrays never pin field maps.
+// every row reference first so recycled arrays never pin field maps. A
+// retired chunk holds no rows.
 func putChunk(ck *chunk) {
 	rows := ck.rows[:cap(ck.rows)]
 	for i := range rows {
 		rows[i] = Child{}
 	}
 	ck.rows = rows[:0]
-	chunkPoolRecycled.Add(1)
 	chunkPool.Put(ck)
-}
-
-// poolStats reports the chunk free list's traffic.
-type poolStats struct {
-	// Reused counts chunk copies served from the free list; Allocated counts
-	// copies that fell back to a fresh allocation; Recycled counts chunks
-	// retired into the list.
-	Reused    uint64
-	Allocated uint64
-	Recycled  uint64
-}
-
-// chunkPoolStats returns the process-wide chunk free-list counters.
-func chunkPoolStats() poolStats {
-	return poolStats{
-		Reused:    chunkPoolReused.Load(),
-		Allocated: chunkPoolAllocated.Load(),
-		Recycled:  chunkPoolRecycled.Load(),
-	}
 }
 
 // Recycle retires the chunks this state privately owns into the free list

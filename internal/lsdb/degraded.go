@@ -113,12 +113,12 @@ func classifyStorageErr(err error) (reason string, permanent bool) {
 // holds logMu. While degraded it refuses with ErrDegraded — except that a
 // retryable state past its retry time lets one real append through as the
 // re-arm probe (success clears the state, failure re-arms the timer).
-func (db *DB) admitLocked(now time.Time) error {
+func (db *DB) admitLocked() error {
 	d := db.degraded.Load()
 	if d == nil {
 		return nil
 	}
-	if !d.Permanent && now.After(d.retryAt) {
+	if !d.Permanent && time.Now().After(d.retryAt) {
 		return nil // probe
 	}
 	db.writesRefused.Add(1)
@@ -164,7 +164,9 @@ func (db *DB) clearDegradedLocked() {
 
 // logAppend is the log-first half of a commit cycle: it assigns recs their
 // contiguous LSN run and appends them to the durable backend, atomically
-// with respect to every other allocation (logMu). Nothing is installed in
+// with respect to every other allocation (logMu). A record that carries
+// EncodeUnstamped bytes as its Payload has its LSN stamped into them, so the
+// backend frames the record's one encoding. Nothing is installed in
 // memory until this returns nil. On a backend failure the reservation is
 // rolled back — the log stays dense — and the error is the typed
 // ErrDegraded the unit just transitioned into. The caller holds the
@@ -174,13 +176,16 @@ func (db *DB) logAppend(recs []Record) error {
 	defer db.logMu.Unlock()
 	logged := db.opts.Backend != nil && !db.recovering
 	if logged {
-		if err := db.admitLocked(time.Now()); err != nil {
+		if err := db.admitLocked(); err != nil {
 			return err
 		}
 	}
 	first := db.lsn.Reserve(len(recs))
 	for i := range recs {
 		recs[i].LSN = first + uint64(i)
+		if recs[i].Payload != nil {
+			recs[i].Payload = storage.StampLSN(recs[i].Payload, recs[i].LSN)
+		}
 	}
 	if !logged {
 		return nil
@@ -203,7 +208,7 @@ func (db *DB) logMarks(marks []Record) error {
 	}
 	db.logMu.Lock()
 	defer db.logMu.Unlock()
-	if err := db.admitLocked(time.Now()); err != nil {
+	if err := db.admitLocked(); err != nil {
 		return err
 	}
 	if err := db.opts.Backend.AppendBatch(marks); err != nil {

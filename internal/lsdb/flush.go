@@ -3,16 +3,18 @@
 //
 // A flush never quiesces the store or re-serialises its whole content. It
 // captures only the entities dirtied since the last flush, per shard, under
-// that one shard's write lock (a bounded O(delta) pass), and hands the frozen
-// capture to the tiered backend which serialises and fsyncs an immutable
-// SSTable on the flushing goroutine — writers of other shards never notice,
-// and writers of the captured shard resume as soon as its capture ends.
+// that one shard's write lock (a bounded O(delta) pass), encodes the capture
+// once into a buffer the pipeline keeps from pass to pass, and hands the
+// encoded entries to the tiered backend, which frames and fsyncs an
+// immutable SSTable on the flushing goroutine — writers of other shards
+// never notice, and writers of the captured shard resume as soon as its
+// capture ends.
 //
 // The capture per dirty key is horizon-based: the settled horizon h is the
 // highest LSN such that every record at or below it is settled (non-tentative
 // or obsolete). The flush emits one summary record — the rollup through h —
-// plus a full copy of every index record above h (live tentative promises and
-// records newer than the last settled point, obsolete flags included). That
+// plus a byte copy of every retained record above h (live tentative promises
+// and records newer than the last settled point, obsolete flags included). That
 // split makes history rewrites crash-safe: a MarkObsolete mark in the WAL
 // tail always finds its target after recovery, because a record that was
 // still withdrawable was never summarised away.
@@ -30,9 +32,9 @@
 package lsdb
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +63,29 @@ type flusher struct {
 	flushes atomic.Uint64
 	stalls  atomic.Uint64
 	evicted atomic.Uint64
+
+	// A pass's working set, guarded by mu and kept from one pass to the
+	// next so a pass allocates only what outgrows the last: the dirty keys,
+	// the table entries they expand to, buf, which holds every entry's
+	// encoding — spans[i] is entries[i]'s — and the summaries the pass
+	// rolled up itself, recycled once the table is written.
+	keys    []dirtyKey
+	order   []int32 // keys' indexes, in key order
+	entries []storage.WALRecord
+	spans   []span
+	buf     []byte
+	private []*entity.State
 }
+
+// dirtyKey is one key a flush pass captures: a shard's dirty-list entry and
+// its shard.
+type dirtyKey struct {
+	dirtyRef
+	shard *shard
+}
+
+// span is a byte range of flusher.buf.
+type span struct{ start, end int }
 
 func newFlusher(db *DB) *flusher { return &flusher{db: db} }
 
@@ -145,99 +169,165 @@ func (f *flusher) flushOnce() error {
 	// writer requires key-grouped, key-ordered input, and sorting the keys up
 	// front is far cheaper than sorting the records they expand to. (Type, ID)
 	// ordering matches the table's composite-key ordering.
-	type dirtyKey struct {
-		dirtyRef
-		shard *shard
-	}
-	var keys []dirtyKey
+	keys := f.keys[:0]
 	for _, s := range db.shards {
 		s.mu.Lock()
-		taken := s.dirty
-		s.dirty = nil
-		s.mu.Unlock()
-		for _, d := range taken {
+		for _, d := range s.dirty {
 			keys = append(keys, dirtyKey{d, s})
 		}
+		s.dirty = kept(s.dirty)
+		s.mu.Unlock()
 	}
-	slices.SortFunc(keys, func(a, b dirtyKey) int {
-		if c := cmp.Compare(a.key.Type, b.key.Type); c != 0 {
-			return c
+	// The sort moves indexes, not the keys: no pointer is written, so a
+	// pass sorting while the collector runs pays no write barriers.
+	order := slices.Grow(f.order[:0], len(keys))
+	for i := range keys {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &keys[i].key, &keys[j].key
+		if a.Type != b.Type {
+			return strings.Compare(a.Type, b.Type)
 		}
-		return cmp.Compare(a.key.ID, b.key.ID)
+		return strings.Compare(a.ID, b.ID)
 	})
-	entries := make([]storage.WALRecord, 0, len(keys))
-	var scratch []*entity.State // private rollups to recycle after the write
+	f.keys, f.order = keys, order
+	// Most keys expand to one entry, a summary; an eighth more leaves room
+	// for the next pass to be a little larger without growing the arrays.
+	room := len(keys) + len(keys)/8
+	f.entries, f.spans = slices.Grow(f.entries, room), slices.Grow(f.spans, room)
+	// The records committed since the last pass took capBytes encoded; the
+	// pass's encodings take about as much.
+	f.buf = slices.Grow(f.buf, min(int(capBytes), maxKeptBuf))
+	defer f.endPass()
+	// A summary that does not encode fails the pass, but only once every
+	// key is captured: a key left uncaptured would stay marked dirty without
+	// being listed, and no later pass would take it.
+	var encErr error
 	// One key per lock hold: a writer to the key's shard waits at most one
-	// entity's rollup, never the whole delta. An entry stays marked dirty
+	// entity's capture, never the whole delta. An entry stays marked dirty
 	// until its capture, so a record committed to a not-yet-captured key
 	// rides into this table — with an LSN above the watermark, which recovery
 	// tolerates (the LSN dedup against the replayed WAL tail) — while one
 	// committed to an already-captured key lists it again for the next pass.
-	for _, dk := range keys {
+	for _, i := range order {
+		dk := &keys[i]
 		s := dk.shard
 		s.mu.Lock()
 		dk.e.dirty = false
-		var priv *entity.State
-		var err error
-		entries, priv, err = db.captureKeyLocked(s, dk.e, dk.key, entries)
+		n := len(f.entries)
+		sum, private, err := f.captureKeyLocked(s, dk.e, dk.key)
 		if err != nil {
 			// Unknown type or unreadable cold summary: leave the key dirty
 			// for the next pass rather than losing it.
 			db.markDirtyLocked(s, dk.key, dk.e)
 		}
 		s.mu.Unlock()
-		if priv != nil {
-			scratch = append(scratch, priv)
+		if sum != nil {
+			// The summary is frozen or the pass's own, so it is encoded
+			// with no lock held.
+			if err := f.encodeSummary(n, sum); err != nil && encErr == nil {
+				encErr = err
+			}
+			if private {
+				f.private = append(f.private, sum)
+			}
 		}
 	}
-	if len(entries) == 0 {
+	if encErr != nil {
+		return f.failed(keys, capBytes, capRecs, encErr)
+	}
+	if len(f.entries) == 0 {
 		return nil
 	}
-	err = db.tiered.FlushTable(entries, watermark, boundary)
-	for _, st := range scratch {
-		st.Recycle()
+	for i, sp := range f.spans {
+		f.entries[i].Payload = f.buf[sp.start:sp.end]
 	}
-	if err != nil {
-		// Re-arm every captured key: the table never landed, so the next
-		// pass must cover them again (union with keys dirtied since). Restore
-		// the trigger counters too — zeroed at capture, they would otherwise
-		// leave maybeTrigger waiting for an entire new trigger's worth of
-		// commits before retrying (forever, on a now-idle store).
-		f.bytes.Add(capBytes)
-		db.sinceCkpt.Add(capRecs)
-		for _, dk := range keys {
-			dk.shard.mu.Lock()
-			db.markDirtyLocked(dk.shard, dk.key, dk.e)
-			dk.shard.mu.Unlock()
-		}
-		return fmt.Errorf("lsdb: flush: %w", err)
+	if err := db.tiered.FlushTable(f.entries, watermark, boundary); err != nil {
+		return f.failed(keys, capBytes, capRecs, err)
 	}
 	f.flushes.Add(1)
 	f.evictCold(watermark)
 	return nil
 }
 
-// captureKeyLocked appends one dirty entity's flush records to entries: the
-// summary at its settled horizon plus full copies of every record above it.
-// The caller holds the shard's write lock. The returned private state, when
-// non-nil, is a scratch rollup owned by the flush and recycled after
-// serialisation. On error entries comes back unchanged.
-func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []storage.WALRecord) ([]storage.WALRecord, *entity.State, error) {
+// failed undoes a pass whose table never landed: every captured key is
+// re-armed, so the next pass covers them again (union with keys dirtied
+// since), and the trigger counters zeroed at capture are restored — they
+// would otherwise leave maybeTrigger waiting for an entire new trigger's
+// worth of commits before retrying (forever, on a now-idle store).
+func (f *flusher) failed(keys []dirtyKey, capBytes, capRecs int64, err error) error {
+	db := f.db
+	f.bytes.Add(capBytes)
+	db.sinceCkpt.Add(capRecs)
+	for _, dk := range keys {
+		dk.shard.mu.Lock()
+		db.markDirtyLocked(dk.shard, dk.key, dk.e)
+		dk.shard.mu.Unlock()
+	}
+	return fmt.Errorf("lsdb: flush: %w", err)
+}
+
+// maxKeptPass bounds what a pass keeps for the next: arrays grown past this
+// many entries, or an encoding buffer past maxKeptBuf bytes (a first
+// checkpoint of a large store), are let go rather than held for passes
+// that size.
+const (
+	maxKeptPass = 1 << 14
+	maxKeptBuf  = 2 << 20
+)
+
+// kept returns v emptied for reuse, its elements cleared, or nil when it
+// grew past maxKeptPass.
+func kept[T any](v []T) []T {
+	if cap(v) > maxKeptPass {
+		return nil
+	}
+	clear(v)
+	return v[:0]
+}
+
+// endPass recycles the pass's private rollups and lets go of what it
+// referenced — keys, states, encodings — keeping the arrays for the next
+// pass.
+func (f *flusher) endPass() {
+	for _, st := range f.private {
+		st.Recycle()
+	}
+	f.private = kept(f.private)
+	f.keys, f.order, f.entries, f.spans = kept(f.keys), kept(f.order), kept(f.entries), kept(f.spans)
+	if f.buf = f.buf[:0]; cap(f.buf) > maxKeptBuf {
+		f.buf = nil
+	}
+}
+
+// captureKeyLocked appends one dirty entity's table entries to f.entries:
+// the summary at its settled horizon, whose state it returns to be encoded
+// after the lock is released — private when the pass rolled it up itself,
+// to recycle once the table is written — then every record above the
+// horizon, its bytes copied from the resident log into f.buf. The caller
+// holds the shard's write lock. On error nothing is appended.
+func (f *flusher) captureKeyLocked(s *shard, e *entry, key entity.Key) (sum *entity.State, private bool, err error) {
+	db := f.db
 	typ, ok := db.TypeOf(key.Type)
 	if !ok {
-		return entries, nil, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
+		return nil, false, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
 	}
 	// A dirty key can still be cold-resident when recovery installed both a
 	// cold pointer and tail records; the capture needs its base in memory.
 	if err := db.warmLocked(s, e, key); err != nil {
-		return entries, nil, err
+		return nil, false, err
 	}
 	// Settled horizon: advance past every settled record (non-tentative, or
 	// tentative but already withdrawn); the first live tentative promise
 	// blocks it — that record must stay as detail so a later MarkObsolete in
-	// the WAL tail still finds it after recovery. The flags are read from the
-	// records' headers, in place.
+	// the WAL tail still finds it after recovery. An entity that retains a
+	// tentative record has the flags read from the records' headers, in
+	// place; for any other every record is settled.
 	h := e.archivedAt
+	if !e.tentative {
+		h = max(h, e.headLSN())
+	}
 	for _, lsn := range e.recs {
 		if lsn <= h {
 			continue
@@ -251,39 +341,56 @@ func (db *DB) captureKeyLocked(s *shard, e *entry, key entity.Key, entries []sto
 		}
 		h = lsn
 	}
-	var private *entity.State
 	if h > 0 || e.archived != nil {
-		sum := storage.WALRecord{Kind: storage.KindSummary, Key: key, Horizon: h}
 		switch {
 		case len(e.recs) == 0 && e.archived != nil:
 			// Fully archived (post-Compact or legacy-recovered): the frozen
 			// summary ships zero-copy.
-			sum.Summary = e.archived
+			sum = e.archived
 		case e.cache.present() && e.head == h:
 			// The materialised current state *is* the rollup through h
 			// when no unsettled records sit above it — zero-copy, which
-			// lends it: the table is written after the lock is released.
-			// The table holds it from here on, so the cache lets it go:
-			// the next read or write rebuilds it from the resident
-			// records (a replay SnapshotEvery bounds), and the hot cache
-			// keeps only what was touched since the last flush.
-			sum.Summary = e.cache.lend()
+			// lends it: it is encoded after the lock is released. The
+			// table holds it from here on, so the cache lets it go: the
+			// next read or write rebuilds it from the resident records (a
+			// replay SnapshotEvery bounds), and the hot cache keeps only
+			// what was touched since the last flush.
+			sum = e.cache.lend()
 			e.cache.drop()
 		default:
-			private = s.rollupToLocked(e, key, typ, h)
-			sum.Summary = private
+			sum, private = s.rollupToLocked(e, key, typ, h), true
 		}
-		entries = append(entries, sum)
+		f.entries = append(f.entries, storage.WALRecord{Kind: storage.KindSummary, Key: key, Horizon: h})
+		f.spans = append(f.spans, span{})
 	}
 	for _, lsn := range e.recs {
 		if lsn <= h {
 			continue
 		}
-		if rec, ok := s.recordLocked(lsn); ok {
-			entries = append(entries, rec)
+		g, i := s.locateLocked(lsn)
+		if g == nil {
+			continue
 		}
+		start := len(f.buf)
+		f.buf = append(f.buf, g.record(i)...)
+		f.entries = append(f.entries, storage.WALRecord{Kind: storage.KindAppend, Key: key, LSN: lsn})
+		f.spans = append(f.spans, span{start, len(f.buf)})
 	}
-	return entries, private, nil
+	return sum, private, nil
+}
+
+// encodeSummary makes st the summary of entry f.entries[i] and encodes the
+// entry into f.buf.
+func (f *flusher) encodeSummary(i int, st *entity.State) error {
+	rec := &f.entries[i]
+	rec.Summary = st
+	start := len(f.buf)
+	buf, err := storage.EncodeRecord(f.buf, rec)
+	if err != nil {
+		return fmt.Errorf("summary of %s: %w", rec.Key, err)
+	}
+	f.buf, f.spans[i] = buf, span{start, len(buf)}
+	return nil
 }
 
 // evictCold demotes fully settled archived summaries to cold pointers after

@@ -41,6 +41,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,10 +201,13 @@ type entry struct {
 	// Tiered-storage marks. dirty: mutated since the last flush capture (and
 	// listed in shard.dirty, once). cold: evicted — the summary is
 	// disk-resident with horizon coldAt, and a read or write warms it back
-	// into archived on demand.
-	dirty  bool
-	cold   bool
-	coldAt uint64
+	// into archived on demand. tentative: a retained record was appended
+	// tentative, so the flush reads the records' flags to find the settled
+	// horizon; without one, every retained record is settled.
+	dirty     bool
+	cold      bool
+	tentative bool
+	coldAt    uint64
 }
 
 // exists reports whether the entity has anything to read: retained records,
@@ -274,17 +278,22 @@ func (s *shard) txnLSNLocked(e *entry, id string) (uint64, bool) {
 	return 0, false
 }
 
-// addRec lists a record that was just put in the log.
-func (e *entry) addRec(lsn uint64, txn string) {
+// addRecLocked lists a record of e that was just put in the shard's log.
+// The caller holds the shard's write lock.
+func (s *shard) addRecLocked(e *entry, lsn uint64, txn string, tentative bool) {
 	if e.recs == nil {
 		e.recs = e.recRoom[:0]
 	}
 	e.recs = append(e.recs, lsn)
+	e.tentative = e.tentative || tentative
 	if prefix, seq, above := e.aboveMark(txn); above {
-		// Keep the prefix already held rather than one inside each new id,
-		// which would keep that whole id alive.
+		// Keep the prefix already held, or the shard's copy of it, rather
+		// than one inside each new id, which would keep that whole id alive.
 		if prefix != e.hiPrefix {
-			e.hiPrefix = prefix
+			if prefix != s.prefix {
+				s.prefix = strings.Clone(prefix)
+			}
+			e.hiPrefix = s.prefix
 		}
 		e.hiSeq = seq
 	}
@@ -296,7 +305,7 @@ func (e *entry) addRec(lsn uint64, txn string) {
 // dropRecs forgets the entity's records (Compact removed them from the log)
 // and everything derived from them.
 func (e *entry) dropRecs() {
-	e.recs, e.recRoom, e.byTxn = nil, [2]uint64{}, nil
+	e.recs, e.recRoom, e.byTxn, e.tentative = nil, [2]uint64{}, nil, false
 	e.hiPrefix, e.hiSeq = "", 0
 	e.cache.drop()
 	e.snap = snapshot{}
@@ -320,8 +329,13 @@ type shard struct {
 	nextSlab int
 	// cycle holds the records of the commit cycle in progress as Go values,
 	// for the backend and the sink; it is cleared after each cycle
-	// and reused.
+	// and reused. enc holds the cycle's record encoded, the one encoding
+	// the backend frames and the resident log copies (writeCycleLocked).
 	cycle []Record
+	enc   []byte
+	// prefix is the txn-id prefix an entry's high-water mark last took
+	// (entry.hiPrefix), a copy the entries share.
+	prefix string
 	// entries holds one entry per entity. An entry that ever existed (see
 	// entry.exists) is never removed, so pointers to it stay good across
 	// lock holds; only an entry a failed first append left empty is.
@@ -667,33 +681,50 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 	return next, warnings, nil
 }
 
-// writeCycleLocked puts a commit cycle's records in the log: the durable
-// backend first (logAppend, which assigns their LSNs), then the resident log,
-// encoded. recs is the shard's cycle scratch; on an error it is ended here,
-// and nothing of the cycle is in memory. The caller holds the shard's write
-// lock.
+// writeCycleLocked puts a commit cycle's record, recs[0], in the log, encoded
+// once: into the shard's scratch with its LSN left out, outside logMu; then
+// the durable backend (logAppend, which assigns the LSN, stamps it into the
+// bytes and has the backend frame them); then the resident log, which copies
+// them. The bytes are the shard's scratch, so the record's Payload is
+// cleared before the record goes any further. Sanitized records always
+// encode; one that does not is refused before it takes an LSN. recs is the
+// shard's cycle scratch; on an error it is ended here, and nothing of the
+// cycle is in memory. The caller holds the shard's write lock.
 func (db *DB) writeCycleLocked(s *shard, recs []Record) error {
-	err := db.logAppend(recs)
+	enc, err := storage.EncodeUnstamped(s.enc[:0], &recs[0])
+	if err == nil {
+		s.enc, recs[0].Payload = enc, enc
+		err = db.logAppend(recs)
+	} else {
+		err = fmt.Errorf("lsdb: %s: %w", recs[0].Key, err)
+	}
 	if err == nil {
 		var n int64
-		// Sanitized records always encode. One that does not was refused
-		// by a WAL's own encode already; without a WAL it fails here,
-		// after taking its LSNs.
 		if n, err = s.installLocked(recs, db.opts.SegmentSize); err == nil && db.flush != nil {
 			db.flush.bytes.Add(n)
 		}
 	}
 	if err != nil {
 		s.endCycleLocked(recs)
+		return err
 	}
-	return err
+	recs[0].Payload = nil
+	return nil
 }
 
-// endCycleLocked clears a commit cycle's records, which the backend, the sink
-// and the hook are done with, and keeps their array for the next cycle.
+// maxKeptEnc bounds the encoding scratch a shard keeps between cycles: one
+// outsized record's is let go rather than held.
+const maxKeptEnc = 64 << 10
+
+// endCycleLocked clears a commit cycle's records, which the backend and the
+// sink are done with, and keeps their array and the encoding scratch for
+// the next cycle.
 func (s *shard) endCycleLocked(recs []Record) {
 	clear(recs)
 	s.cycle = recs[:0]
+	if cap(s.enc) > maxKeptEnc {
+		s.enc = nil
+	}
 }
 
 // commitAppendLocked installs one applied append whose record is already in
@@ -701,7 +732,7 @@ func (s *shard) endCycleLocked(recs []Record) {
 // and the frozen new state becomes the cached state and, every SnapshotEvery
 // records, the snapshot fallback. The caller holds the shard's write lock.
 func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.State) {
-	e.addRec(rec.LSN, rec.TxnID)
+	s.addRecLocked(e, rec.LSN, rec.TxnID, rec.Tentative)
 	db.markDirtyLocked(s, rec.Key, e)
 	if db.opts.DisableStateCache {
 		next.Freeze()

@@ -185,7 +185,7 @@ func (db *DB) loadRecord(rec Record) error {
 		return err
 	}
 	e := s.ensure(rec.Key)
-	e.addRec(rec.LSN, rec.TxnID)
+	s.addRecLocked(e, rec.LSN, rec.TxnID, rec.Tentative)
 	e.cache.drop()
 	db.markDirtyLocked(s, rec.Key, e)
 	db.lsn.AdvanceTo(rec.LSN)

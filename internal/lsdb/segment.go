@@ -6,16 +6,17 @@
 // values and txn id — every retained record would be pointers the collector
 // re-traces on every cycle, for records that are read again only by a
 // cache-miss rollup, History, AsOf, RecordsFor/RecordsAfter and the flush
-// capture. So a record is encoded once, with storage.EncodeRecord (the WAL's
-// payload format), as its commit cycle installs it, and from then on lives in
-// append-only segments of pointer-free memory: a byte slab plus an LSN table
-// and an end-offset table. The readers above decode what they return and
+// capture. So a record lives as its encoding (storage.EncodeRecord's bytes,
+// the WAL's payload format) — the one its commit cycle made for the WAL,
+// copied in as the cycle installs it — in append-only segments of
+// pointer-free memory: a byte slab plus an LSN table and an end-offset
+// table. The readers above decode what they return and
 // nothing else; the exactly-once lookup, the flush's settled horizon and
 // MarkObsolete read the record's header (txn id, flag byte) in place, and
 // MarkObsolete sets the obsolete bit there.
 //
 // Segment bytes are written only under the shard's write lock, and never
-// leave the shard as sub-slices: every reader decodes (copies) what it needs
+// leave the shard as sub-slices: every reader decodes or copies what it needs
 // under at least the read lock. That is what lets a segment be appended to,
 // flagged and compacted in place.
 package lsdb
@@ -64,12 +65,13 @@ func (g *segment) record(i int) []byte {
 	return g.buf[start:g.ends[i]:g.ends[i]]
 }
 
-// installLocked encodes a commit cycle's records, their LSNs assigned, onto
-// the active segment and returns how many bytes they took. A cycle's records
-// share one segment: one that does not fit seals the active segment short
-// first. The caller holds the shard's write lock. On an error — a record
-// whose values bypassed entity.SanitizeOps, or a cycle of gigabytes — none
-// of recs is installed.
+// installLocked puts a commit cycle's records, their LSNs assigned, onto the
+// active segment and returns how many bytes they took: a record's Payload
+// when it carries one (the commit cycle's one encoding), its EncodeRecord
+// bytes otherwise. A cycle's records share one segment: one that does not
+// fit seals the active segment short first. The caller holds the shard's
+// write lock. On an error — a record whose values bypassed
+// entity.SanitizeOps, or a cycle of gigabytes — none of recs is installed.
 func (s *shard) installLocked(recs []Record, segmentSize int) (int64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -88,7 +90,12 @@ func (s *shard) installLocked(recs []Record, segmentSize int) (int64, error) {
 		if cap(g.buf)-len(g.buf) < minSlabRoom {
 			g.buf = append(make([]byte, 0, 2*cap(g.buf)+minSlabRoom), g.buf...)
 		}
-		buf, err := storage.EncodeRecord(g.buf, &recs[i])
+		buf, err := g.buf, error(nil)
+		if recs[i].Payload != nil {
+			buf = append(buf, recs[i].Payload...)
+		} else {
+			buf, err = storage.EncodeRecord(buf, &recs[i])
+		}
 		if err == nil && uint64(len(buf)) > math.MaxUint32 {
 			err = errors.New("segment slab past 4 GiB")
 		}

@@ -222,7 +222,7 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (*table, error) {
 		keys += in.count
 		indexBytes += in.indexLen
 	}
-	w, err := newTableWriter(s.opts.Dir, tableName(seq))
+	w, err := newTableWriter(s.opts.Dir, tableName(seq), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // of range, or a buffer larger than the bytes that exist.
 func FuzzTableDecode(f *testing.F) {
 	dir := f.TempDir()
-	w, err := newTableWriter(dir, tableName(1))
+	w, err := newTableWriter(dir, tableName(1), nil)
 	if err != nil {
 		f.Fatal(err)
 	}

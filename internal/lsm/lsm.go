@@ -99,6 +99,30 @@ type Store struct {
 	compactCh chan struct{}
 	stopCh    chan struct{}
 	done      chan struct{}
+
+	// bufs holds the buffers of the last flush's table writer, for the next
+	// one (nil while a writer has them).
+	bufs atomic.Pointer[writerBufs]
+}
+
+// newWriter starts a table writer on the store's spare buffers, if any.
+func (s *Store) newWriter(seq uint64) (*tableWriter, error) {
+	bufs := s.bufs.Swap(nil)
+	w, err := newTableWriter(s.opts.Dir, tableName(seq), bufs)
+	if err != nil && bufs != nil {
+		s.bufs.Store(bufs)
+	}
+	return w, err
+}
+
+// doneWith takes back the buffers of a writer that finished or aborted,
+// unless they grew past what is worth keeping.
+func (s *Store) doneWith(w *tableWriter) {
+	if w.reusable() {
+		w.bw.Reset(nil)
+		s.bufs.Store(w.writerBufs)
+	}
+	w.writerBufs = nil
 }
 
 var _ storage.Tiered = (*Store)(nil)
@@ -258,7 +282,7 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 	}
 	s.mu.Unlock()
 	seq := s.nextSeq.Add(1) - 1
-	w, err := newTableWriter(s.opts.Dir, tableName(seq))
+	w, err := s.newWriter(seq)
 	if err != nil {
 		return fail(err)
 	}
@@ -266,10 +290,12 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 	for i := range entries {
 		if err := w.add(&entries[i]); err != nil {
 			w.abort()
+			s.doneWith(w)
 			return fail(err)
 		}
 	}
 	t, err := w.finish(s.breakpoint("flush:pre-rename"))
+	s.doneWith(w)
 	if err != nil {
 		return fail(err)
 	}

@@ -86,7 +86,7 @@ func (t *table) scan(fn func(e indexEntry, rec storage.WALRecord) error) error {
 // index, reopens it, and checks lookup, replay and scan agree with the input.
 func TestTableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := newTableWriter(dir, tableName(1))
+	w, err := newTableWriter(dir, tableName(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTableRoundTrip(t *testing.T) {
 // composite order, each key's summary first.
 func TestTableWriterRejectsDisorder(t *testing.T) {
 	dir := t.TempDir()
-	w, err := newTableWriter(dir, tableName(1))
+	w, err := newTableWriter(dir, tableName(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTableWriterRejectsDisorder(t *testing.T) {
 	if err := w.add(&a); err == nil {
 		t.Fatal("out-of-order key accepted")
 	}
-	w2, err := newTableWriter(dir, tableName(2))
+	w2, err := newTableWriter(dir, tableName(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

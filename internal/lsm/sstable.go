@@ -198,29 +198,53 @@ func cmpComposite(typ, id []byte, ck string) int {
 // only a hash and the index bytes: the key itself lives in a buffer reused
 // from one key to the next.
 type tableWriter struct {
+	*writerBufs
 	dir, name string
 	tmp       string
 	f         *os.File
-	bw        *bufio.Writer
 	off       int64 // bytes written so far (file offset)
-	scratch   []byte
-	index     []byte
-	hashes    []uint64 // keyHash of every key written, for the bloom sidecar
 	sparse    []sparseSlot
 	cur       rawEntry // the open key's index entry; typ and id alias curKey
-	curKey    []byte   // composite of cur; empty before the first record
-	ck        []byte   // scratch composite of an incoming record's key
 	minKey    string
 	watermark uint64
 }
 
-func newTableWriter(dir, name string) (*tableWriter, error) {
+// writerBufs are the buffers a table writer fills and drops when the table
+// is done, handed from one writer to the next (Store.newWriter) so a flush
+// grows none of them.
+type writerBufs struct {
+	bw      *bufio.Writer
+	scratch []byte
+	index   []byte
+	hashes  []uint64 // keyHash of every key written, for the bloom sidecar
+	curKey  []byte   // composite of the open key; empty before the first record
+	ck      []byte   // scratch composite of an incoming record's key
+}
+
+// keepBufs bounds the buffers a store keeps for its next flush: a writer
+// whose buffers grew past it (a first flush of a large store) lets them go.
+const keepBufs = 1 << 20
+
+// reusable reports whether b is small enough to keep for the next writer.
+func (b *writerBufs) reusable() bool {
+	return cap(b.index) <= keepBufs && cap(b.hashes) <= keepBufs/8 && cap(b.scratch) <= keepBufs
+}
+
+// newTableWriter starts the table name in dir on bufs, an earlier writer's
+// buffers, or fresh ones when bufs is nil.
+func newTableWriter(dir, name string, bufs *writerBufs) (*tableWriter, error) {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	w := &tableWriter{dir: dir, name: name, tmp: tmp, f: f, bw: bufio.NewWriterSize(f, 1<<16)}
+	if bufs == nil {
+		bufs = &writerBufs{bw: bufio.NewWriterSize(f, 1<<16)}
+	} else {
+		bufs.bw.Reset(f)
+		bufs.index, bufs.hashes, bufs.curKey = bufs.index[:0], bufs.hashes[:0], bufs.curKey[:0]
+	}
+	w := &tableWriter{writerBufs: bufs, dir: dir, name: name, tmp: tmp, f: f}
 	if _, err := w.bw.Write(sstMagic); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("lsm: %w", err)

@@ -15,7 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/entity"
@@ -117,12 +117,17 @@ func appendUint(b []byte, x uint64) []byte {
 	return appendVarint(append(b, vInt), int64(x))
 }
 
+// fieldMapRoom is how many keys a field map may have for appendFieldMap to
+// sort them in a stack buffer.
+const fieldMapRoom = 16
+
 func appendFieldMap[M ~map[string]interface{}](b []byte, m M) ([]byte, error) {
-	keys := make([]string, 0, len(m))
+	var room [fieldMapRoom]string
+	keys := room[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	b = appendUvarint(b, uint64(len(keys)))
 	var err error
 	for _, k := range keys {
@@ -275,6 +280,34 @@ const (
 	flagChildRow  = 1 << 2 // op-level: a ChildRow map follows
 )
 
+// stampRoom is the room EncodeUnstamped leaves in front of an append
+// record's body: its kind byte and the longest LSN uvarint.
+const stampRoom = 1 + binary.MaxVarintLen64
+
+// EncodeUnstamped appends an append record's encoding to b without its LSN,
+// which need not be known yet: stampRoom bytes of room, then everything
+// EncodeRecord writes after the LSN. StampLSN turns the appended bytes into
+// the record's payload once the LSN is assigned.
+func EncodeUnstamped(b []byte, rec *WALRecord) ([]byte, error) {
+	if rec.Kind != KindAppend {
+		return nil, &codecError{msg: fmt.Sprintf("record kind 0x%02x is not an append", rec.Kind)}
+	}
+	var room [stampRoom]byte
+	return appendAppendBody(append(b, room[:]...), rec)
+}
+
+// StampLSN writes the kind byte and lsn into the room in front of unstamped,
+// bytes EncodeUnstamped appended, and returns the record's payload: a suffix
+// of unstamped, byte for byte what EncodeRecord makes of the record with
+// that LSN.
+func StampLSN(unstamped []byte, lsn uint64) []byte {
+	var head [stampRoom]byte
+	h := binary.AppendUvarint(append(head[:0], byte(KindAppend)), lsn)
+	start := stampRoom - len(h)
+	copy(unstamped[start:], h)
+	return unstamped[start:]
+}
+
 // EncodeRecord appends the binary payload of one record to b. The payload
 // carries no length or checksum — framing (wal.go) supplies both.
 func EncodeRecord(b []byte, rec *WALRecord) ([]byte, error) {
@@ -298,7 +331,11 @@ func EncodeRecord(b []byte, rec *WALRecord) ([]byte, error) {
 		// decoder reads it only when bytes remain.
 		return appendUvarint(b, rec.Horizon), nil
 	}
-	b = appendUvarint(b, rec.LSN)
+	return appendAppendBody(appendUvarint(b, rec.LSN), rec)
+}
+
+// appendAppendBody encodes what follows an append record's LSN.
+func appendAppendBody(b []byte, rec *WALRecord) ([]byte, error) {
 	b = appendString(b, rec.Key.Type)
 	b = appendString(b, rec.Key.ID)
 	b = appendVarint(b, rec.Stamp.WallNanos)
@@ -325,6 +362,9 @@ func EncodeRecord(b []byte, rec *WALRecord) ([]byte, error) {
 }
 
 func appendOp(b []byte, op *entity.Op) ([]byte, error) {
+	if !op.Kind.Known() {
+		return nil, &codecError{msg: fmt.Sprintf("unknown or retired op kind %d", op.Kind)}
+	}
 	b = appendUvarint(b, uint64(op.Kind))
 	b = appendString(b, op.Field)
 	var err error
@@ -549,6 +589,9 @@ func (d *decoder) op(op *entity.Op) error {
 	kind, err := d.uvarint()
 	if err != nil {
 		return err
+	}
+	if kind > math.MaxInt32 || !entity.OpKind(kind).Known() {
+		return &codecError{msg: fmt.Sprintf("unknown or retired op kind %d", kind)}
 	}
 	op.Kind = entity.OpKind(kind)
 	if op.Field, err = d.string(); err != nil {

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -201,5 +203,67 @@ func TestCodecAppendHeader(t *testing.T) {
 	}
 	if err := MarkObsolete(mark); err == nil {
 		t.Fatal("MarkObsolete changed a mark")
+	}
+}
+
+// A record whose op carries a retired kind — 7 (undelete) and 8
+// (mark-tentative) had no producer and were dropped — or a kind this build
+// does not know is refused with the codec's typed error: by the encoder, by
+// the decoder, and so where a stored frame is read back (a WAL replay reports
+// it as corruption naming the kind).
+func TestRetiredOpKindRefused(t *testing.T) {
+	rec := WALRecord{LSN: 3, Key: entity.Key{Type: "Order", ID: "O-1"}, TxnID: "t-3", Ops: []entity.Op{entity.Confirm()}}
+	bare := rec
+	bare.Ops = nil
+	head, err := EncodeRecord(nil, &bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []entity.OpKind{7, 8, 10} {
+		var ce *codecError
+		bad := rec
+		bad.Ops = []entity.Op{{Kind: kind}}
+		if _, err := EncodeRecord(nil, &bad); !errors.As(err, &ce) {
+			t.Errorf("encoding op kind %d: %v, want a codec error", kind, err)
+		}
+		payload, err := EncodeRecord(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload[len(head)] = byte(kind) // the op's kind, the uvarint after the op count
+		if _, err := DecodeRecord(payload); !errors.As(err, &ce) {
+			t.Errorf("decoding op kind %d: %v, want a codec error", kind, err)
+		}
+
+		dir := t.TempDir()
+		w, err := OpenWAL(WALOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendBatch([]WALRecord{{Kind: KindAppend, LSN: rec.LSN, Payload: payload}}); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if w, err = OpenWAL(WALOptions{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		var corrupt *CorruptError
+		_, err = w.Replay(func(WALRecord) error { return nil })
+		if !errors.As(err, &corrupt) || !strings.Contains(err.Error(), "op kind") {
+			t.Errorf("replaying a stored frame with op kind %d: %v, want corruption naming the op kind", kind, err)
+		}
+		w.Close()
+	}
+	// The kinds around the retired ones still round-trip.
+	for _, op := range []entity.Op{entity.Delete(), entity.Confirm()} {
+		ok := rec
+		ok.Ops = []entity.Op{op}
+		payload, err := EncodeRecord(nil, &ok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeRecord(payload); err != nil || got.Ops[0].Kind != op.Kind {
+			t.Errorf("op kind %v: %v, %v", op.Kind, got.Ops, err)
+		}
 	}
 }

@@ -81,6 +81,15 @@ type WALRecord struct {
 	Horizon uint64
 	// Summary is the archived state of a KindSummary record. It is frozen.
 	Summary *entity.State
+
+	// Payload, when non-nil, is the record's encoding — exactly the bytes
+	// EncodeRecord produces for it — made once by whoever built the record.
+	// Framing (AppendFrame, and through it the WAL and the table writer)
+	// copies it instead of encoding the record again. It is borrowed for
+	// the call the record is handed to: a callee that keeps the record
+	// drops it (see Memory.AppendBatch), and nothing returns a record that
+	// carries one.
+	Payload []byte
 }
 
 // Backend is the persistence engine under one store. Implementations must be
@@ -94,7 +103,8 @@ type Backend interface {
 	// AppendBatch durably appends one commit cycle's records: one framed
 	// batch write, and one log force before returning when the backend is
 	// configured to sync on append. An error means durability is unknown;
-	// the store surfaces it to every writer in the cycle.
+	// the store surfaces it to every writer in the cycle. A record's
+	// Payload is valid only during the call.
 	AppendBatch(recs []WALRecord) error
 
 	// Replay streams the durable content in recovery order and returns a
@@ -192,7 +202,11 @@ func (m *Memory) AppendBatch(recs []WALRecord) error {
 	if m.closed {
 		return ErrClosed
 	}
+	n := len(m.recs)
 	m.recs = append(m.recs, recs...)
+	for i := n; i < len(m.recs); i++ {
+		m.recs[i].Payload = nil // borrowed from the caller
+	}
 	return nil
 }
 

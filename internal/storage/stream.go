@@ -34,10 +34,15 @@ const (
 	TagTrailer byte = 'Z'
 )
 
-// AppendFrame encodes rec and wraps it in a length+CRC frame.
+// AppendFrame wraps rec's encoding in a length+CRC frame: its Payload when
+// it carries one, else what EncodeRecord makes of it.
 func AppendFrame(b []byte, rec *WALRecord) ([]byte, error) {
 	start := len(b)
-	b, err := EncodeRecord(append(b, 0, 0, 0, 0, 0, 0, 0, 0), rec) // header placeholder
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
+	if rec.Payload != nil {
+		return sealFrame(append(b, rec.Payload...), start), nil
+	}
+	b, err := EncodeRecord(b, rec)
 	if err != nil {
 		return nil, err
 	}

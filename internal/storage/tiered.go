@@ -22,8 +22,9 @@ type Tiered interface {
 	// FlushTable durably writes one immutable level-0 table from a flush
 	// capture — per dirty entity a settled summary (KindSummary, with
 	// Horizon) and/or the detail records above the summary's horizon
-	// (KindAppend), sorted by key — then prunes the backing log through the
-	// sealed segment boundary. watermark is the highest LSN the capture
+	// (KindAppend), sorted by key, each framed from its Payload when it
+	// carries one — then prunes the backing log through the sealed segment
+	// boundary. watermark is the highest LSN the capture
 	// observed. An error means the table did not land; the log is untouched
 	// and the caller re-arms the capture for the next attempt.
 	FlushTable(entries []WALRecord, watermark, boundary uint64) error

@@ -1173,12 +1173,25 @@ func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 			os.Remove(tmp)
 			continue
 		}
-		err = w.commitManifestLocked(tmp, man)
-		if err == nil {
-			w.pruneLocked()
+		// The rename and its adoption happen under the lock; the directory
+		// fsync that makes the manifest durable, and then the removal of the
+		// segments it no longer names, happen off it, so appends go on
+		// meanwhile. Nothing that holds the lock opens a segment below the
+		// adopted manifest's position, and a crash before the fsync lands
+		// finds every segment the old manifest names still in place.
+		if err := os.Rename(tmp, filepath.Join(w.opts.Dir, manifestName)); err != nil {
+			w.mu.Unlock()
+			os.Remove(tmp)
+			return false, fmt.Errorf("storage: %w", err)
 		}
+		w.man, w.hasMan = man, true
+		maps.DeleteFunc(w.segMax, func(i, _ uint64) bool { return i < man.Segment })
 		w.mu.Unlock()
-		return err == nil, err
+		if err := syncDir(w.opts.Dir); err != nil {
+			return false, err
+		}
+		w.removeSegmentsBefore(man.Segment)
+		return true, nil
 	}
 }
 
@@ -1448,17 +1461,16 @@ func (w *WAL) Quarantine() (uint64, error) {
 	return lastGood, nil
 }
 
-// pruneLocked removes segments wholly before the installed manifest
-// position. Best-effort: a leftover file is harmless (replay skips it), so
-// removal errors are ignored.
-func (w *WAL) pruneLocked() {
+// removeSegmentsBefore removes the segments before index first, which a
+// durable manifest no longer names. Best-effort: a leftover file is harmless
+// (replay skips it), so removal errors are ignored.
+func (w *WAL) removeSegmentsBefore(first uint64) {
 	segs, _ := w.segments()
 	for _, i := range segs {
-		if i < w.man.Segment {
+		if i < first {
 			os.Remove(filepath.Join(w.opts.Dir, segName(i)))
 		}
 	}
-	maps.DeleteFunc(w.segMax, func(i, _ uint64) bool { return i < w.man.Segment })
 }
 
 // syncDir fsyncs a directory so renames and creations in it are durable.

@@ -120,11 +120,13 @@ type Txn struct {
 	outbox *queue.Outbox
 	done   bool
 
-	// writes buffers the operations per entity, in first-touch order. A
-	// focused transaction writes one entity (principle 2.4), which fits
-	// the inline room; more entities spill to the heap.
-	writes []write
-	room   [1]write
+	// The operations buffered per entity, in first-touch order: the first
+	// entity's in first, the others' in more. A focused transaction writes
+	// one entity (principle 2.4), which takes no slice — and no pointer from
+	// the Txn into itself, so one begun on a caller's stack stays there.
+	first  write
+	more   []write
+	nwrite int
 }
 
 // write is the buffered operations against one entity.
@@ -150,14 +152,21 @@ func (m *Manager) BeginIn(t *Txn) {
 	var buf [64]byte // on the stack: the id is the only allocation
 	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
 	*t = Txn{m: m, id: id}
-	t.writes = t.room[:0]
+}
+
+// at returns the i-th buffered write, i < t.nwrite.
+func (t *Txn) at(i int) *write {
+	if i == 0 {
+		return &t.first
+	}
+	return &t.more[i-1]
 }
 
 // written returns the buffered write against key, or nil.
 func (t *Txn) written(key entity.Key) *write {
-	for i := range t.writes {
-		if t.writes[i].key == key {
-			return &t.writes[i]
+	for i := range t.nwrite {
+		if w := t.at(i); w.key == key {
+			return w
 		}
 	}
 	return nil
@@ -221,8 +230,12 @@ func (t *Txn) update(key entity.Key, tentative bool, ops ...entity.Op) error {
 	}
 	w := t.written(key)
 	if w == nil {
-		t.writes = append(t.writes, write{key: key})
-		w = &t.writes[len(t.writes)-1]
+		if t.nwrite > 0 {
+			t.more = append(t.more, write{})
+		}
+		t.nwrite++
+		w = t.at(t.nwrite - 1)
+		w.key = key
 	}
 	if w.ops == nil {
 		// Shared with the caller, as the store shares operations all the
@@ -258,9 +271,9 @@ func (t *Txn) discardStaged() {
 // Entities returns the keys this transaction has written, in first-touch
 // order.
 func (t *Txn) Entities() []entity.Key {
-	keys := make([]entity.Key, len(t.writes))
-	for i := range t.writes {
-		keys[i] = t.writes[i].key
+	keys := make([]entity.Key, t.nwrite)
+	for i := range keys {
+		keys[i] = t.at(i).key
 	}
 	return keys
 }
@@ -269,13 +282,36 @@ func (t *Txn) Entities() []entity.Key {
 type CommitResult struct {
 	TxnID string
 	Stamp clock.Timestamp
-	// Records lists the LSDB records written, one per entity.
-	Records []lsdb.Record
 	// Warnings carries managed-mode constraint violations to be handled by
 	// follow-up process steps (principle 2.2).
 	Warnings []entity.Warning
 	// PublishedEvents lists the message ids of events flushed to the queue.
 	PublishedEvents []uint64
+
+	// first is the first record written, when written is set, and more the
+	// rest: a focused transaction's one record costs the result no slice.
+	first   lsdb.Record
+	written bool
+	more    []lsdb.Record
+}
+
+// Records returns the LSDB records written, one per entity, in first-touch
+// order. They are copies: what happens to the log afterwards never shows in
+// them.
+func (r *CommitResult) Records() []lsdb.Record {
+	if !r.written {
+		return nil
+	}
+	return append([]lsdb.Record{r.first}, r.more...)
+}
+
+// add appends one written record.
+func (r *CommitResult) add(rec lsdb.Record) {
+	if r.written {
+		r.more = append(r.more, rec)
+	} else {
+		r.first, r.written = rec, true
+	}
 }
 
 // commit finishes the transaction: it appends one record per written entity
@@ -292,8 +328,8 @@ func (t *Txn) commit(q *queue.Queue) (CommitResult, error) {
 // of the log for it.
 func (t *Txn) CommitDiscard(q *queue.Queue) error { return t.commitInto(q, nil) }
 
-// commitInto is commit's body. res, when non-nil, receives the result once the
-// records are written (it stays zero on a failure before that); its Records
+// commitInto is commit's body. res, when non-nil, receives the result as the
+// records are written (zero again on a failure to write one); its records
 // are copies — the store's own records never leave it by reference.
 func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 	if t.done {
@@ -301,15 +337,16 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 	}
 	t.done = true
 
-	if t.m.opts.EnforceSingleEntity && len(t.writes) > 1 {
+	if t.m.opts.EnforceSingleEntity && t.nwrite > 1 {
 		t.fail()
-		return fmt.Errorf("%w: %d entities", ErrMultiEntity, len(t.writes))
+		return fmt.Errorf("%w: %d entities", ErrMultiEntity, t.nwrite)
 	}
 	stamp := t.m.hlc.Now()
-	var records []lsdb.Record
-	var warnings []entity.Warning
-	for i := range t.writes {
-		w := &t.writes[i]
+	if res != nil {
+		*res = CommitResult{TxnID: t.id, Stamp: stamp}
+	}
+	for i := range t.nwrite {
+		w := t.at(i)
 		var ar lsdb.AppendResult
 		var err error
 		if w.tentative {
@@ -324,15 +361,15 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 				continue
 			}
 			t.fail()
+			if res != nil {
+				*res = CommitResult{}
+			}
 			return err
 		}
 		if res != nil {
-			records = append(records, ar.Record)
-			warnings = append(warnings, ar.Warnings...)
+			res.add(ar.Record)
+			res.Warnings = append(res.Warnings, ar.Warnings...)
 		}
-	}
-	if res != nil {
-		*res = CommitResult{TxnID: t.id, Stamp: stamp, Records: records, Warnings: warnings}
 	}
 	if q != nil && t.outbox != nil {
 		ids, err := t.outbox.Publish(q)
@@ -362,6 +399,18 @@ func (t *Txn) Abort() {
 }
 
 func (t *Txn) fail() { t.m.stats.aborts.Add(1) }
+
+// Update runs the transaction that applies ops to key and does nothing else
+// — Run with a function that only calls Txn.Update — and publishes nothing.
+// Without a function to hand it to, the transaction stays off the heap.
+func (m *Manager) Update(key entity.Key, ops ...entity.Op) (CommitResult, error) {
+	var t Txn
+	m.BeginIn(&t)
+	t.Update(key, ops...)
+	var res CommitResult
+	err := t.commitInto(nil, &res)
+	return res, err
+}
 
 // Run executes fn inside a transaction and commits it, publishing its
 // staged events to q. It is the convenience most call sites use.

@@ -61,7 +61,7 @@ func TestSolipsisticCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if len(res.Records) != 1 || len(res.PublishedEvents) != 1 {
+	if len(res.Records()) != 1 || len(res.PublishedEvents) != 1 {
 		t.Fatalf("result = %+v", res)
 	}
 	st, _, err = m.DB().Current(acct("A"))
@@ -379,10 +379,10 @@ func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 1 {
-		t.Fatalf("%d records, want 1", len(res.Records))
+	if len(res.Records()) != 1 {
+		t.Fatalf("%d records, want 1", len(res.Records()))
 	}
-	kept := res.Records[0]
+	kept := res.Records()[0]
 	for i := 0; i < 20; i++ {
 		if _, err := m.Run(nil, func(tx *Txn) error { return tx.Update(key, entity.Delta("balance", 1)) }); err != nil {
 			t.Fatal(err)
@@ -392,7 +392,7 @@ func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.DB().Compact(m.DB().HeadLSN())
-	got := res.Records[0]
+	got := res.Records()[0]
 	if got.Obsolete || !got.Tentative || got.LSN != kept.LSN || got.TxnID != res.TxnID || got.Key != key ||
 		len(got.Ops) != 1 || got.Ops[0].Delta != 7 {
 		t.Fatalf("a returned record changed under its holder: %+v, was %+v", got, kept)
