@@ -1,12 +1,22 @@
-// Package aggregate maintains secondary data — aggregates, materialized
-// views and secondary indexes — from the primary log, deferred (principle
-// 2.3: "I'll do it eventually"): a maintainer folds committed records in when
-// CatchUp or its Run loop gets to them. Catching up after every write is the
-// synchronous baseline.
+// Package aggregate maintains secondary data — sums, counts and secondary
+// indexes — over one serialization unit's entity states, deferred
+// (principle 2.3: "I'll do it eventually"). The unit's commit sink hands the
+// maintainer every committed append and obsolescence mark (Capture), which
+// only notes the entity as pending; CatchUp folds each pending entity's
+// current state in. Catching up after every write is the synchronous
+// baseline.
+//
+// The fold is by state: an entity's contribution is replaced by the one its
+// current state implies, and an entity with no live state contributes
+// nothing. A definition starts by marking every existing entity of its type
+// pending, and Reseed does the same after a bulk load the sink never saw.
+// So once CatchUp returns with no write in flight, every aggregate equals
+// the same fold over the unit's live states, whatever came between:
+// withdrawn promises, compaction, flushes, a restart or a promotion.
 //
 // Deferred maintenance means secondary data "will not always be consistent
-// with the primary data"; the package therefore also measures staleness (how
-// far the maintainer lags the head of the log), which experiment E1 and the
+// with the primary data"; Staleness counts the records committed since
+// their entities were last folded, which experiment E1 and the
 // user-experience discussion in section 3.2 are about.
 package aggregate
 
@@ -15,362 +25,276 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/entity"
 	"repro/internal/lsdb"
+	"repro/internal/storage"
 )
 
 // Common errors.
 var (
-	// ErrUnknownDefinition is returned when reading an aggregate, view or
-	// index that was never defined.
+	// ErrUnknownDefinition is returned when reading an aggregate or index
+	// that was never defined.
 	ErrUnknownDefinition = errors.New("aggregate: unknown definition")
 )
 
-// sumDef defines a sum aggregate of one numeric field, grouped by another
-// field (empty GroupBy aggregates globally).
-type sumDef struct {
+type kind uint8
+
+const (
+	sumKind kind = iota
+	countKind
+	indexKind
+)
+
+var kindNames = [...]string{"sum", "count", "index"}
+
+// def is one sum, count or index over the entities of one type. A sum
+// totals field per groupBy value; a count totals 1 per live entity; an
+// index groups entity ids by the value of field.
+type def struct {
+	kind       kind
 	entityType string
 	field      string
 	groupBy    string
+
+	contrib map[string]contribution    // entity id -> what it adds now
+	totals  map[string]float64         // sum, count: group -> total
+	ids     map[string]map[string]bool // index: value -> entity ids
 }
 
-// countDef counts live entities of a type grouped by a field.
-type countDef struct {
-	entityType string
-	groupBy    string
+// contribution is what one entity adds to a definition: value to the
+// group's total, or its id to the group's index entry.
+type contribution struct {
+	group string
+	value float64
 }
 
-// indexDef maps a field value to the set of entity ids having it.
-type indexDef struct {
-	entityType string
-	field      string
+// fold replaces id's contribution with the one st implies (none when st is
+// nil or deleted).
+func (d *def) fold(id string, st *entity.State) {
+	if old, ok := d.contrib[id]; ok {
+		delete(d.contrib, id)
+		if d.kind == indexKind {
+			delete(d.ids[old.group], id)
+		} else {
+			d.totals[old.group] -= old.value
+		}
+	}
+	if st == nil || st.Deleted {
+		return
+	}
+	c := contribution{group: st.StringField(d.groupBy), value: 1}
+	switch d.kind {
+	case sumKind:
+		c.value = st.Float(d.field)
+	case indexKind:
+		c.group = fmt.Sprintf("%v", st.Fields[d.field])
+		if d.ids[c.group] == nil {
+			d.ids[c.group] = map[string]bool{}
+		}
+		d.ids[c.group][id] = true
+	}
+	if d.kind != indexKind {
+		d.totals[c.group] += c.value
+	}
+	d.contrib[id] = c
 }
 
-// viewDef projects entity state into a materialized row.
-type viewDef struct {
-	entityType string
-	project    func(*entity.State) entity.Fields
+type defKey struct {
+	kind kind
+	name string
 }
 
-// Maintainer tails one serialization unit's log and keeps the defined
-// secondary data up to date. All methods are safe for concurrent use.
+// Maintainer keeps one serialization unit's secondary data. All methods are
+// safe for concurrent use. Capture runs under a shard lock and takes the
+// maintainer's lock; no method takes a shard lock while holding it.
 type Maintainer struct {
 	db *lsdb.DB
 
-	mu        sync.Mutex
-	processed uint64 // highest LSN folded into secondary data
-	sums      map[string]sumDef
-	counts    map[string]countDef
-	indexes   map[string]indexDef
-	views     map[string]viewDef
+	// defined is set by the first definition; until then Capture is one
+	// atomic load.
+	defined atomic.Bool
+	// catchMu runs one CatchUp at a time, so no fold of an older state
+	// lands after a newer one.
+	catchMu sync.Mutex
 
-	sumValues   map[string]map[string]float64 // def -> group -> total
-	countValues map[string]map[string]int
-	indexValues map[string]map[string]map[string]bool // def -> value -> ids
-	viewRows    map[string]map[string]entity.Fields   // def -> entity id -> row
-	// lastSeen caches the last observed per-entity field values so that
-	// register (Set) writes contribute their delta correctly.
-	lastSeen map[string]map[string]float64 // sum def -> entity id -> value
-	lastGrp  map[string]map[string]string  // def -> entity id -> group
-
-	updates  uint64
-	lagTotal time.Duration
-	lagCount uint64
+	mu      sync.Mutex
+	defs    map[defKey]*def
+	types   map[string]bool         // entity types some definition covers
+	pending map[entity.Key]struct{} // entities written since last folded
+	stale   int                     // records behind pending
 }
 
-// NewMaintainer creates a maintainer for db.
+// NewMaintainer creates a maintainer for db. The caller routes db's commit
+// sink through Capture.
 func NewMaintainer(db *lsdb.DB) *Maintainer {
 	return &Maintainer{
-		db:          db,
-		sums:        map[string]sumDef{},
-		counts:      map[string]countDef{},
-		indexes:     map[string]indexDef{},
-		views:       map[string]viewDef{},
-		sumValues:   map[string]map[string]float64{},
-		countValues: map[string]map[string]int{},
-		indexValues: map[string]map[string]map[string]bool{},
-		viewRows:    map[string]map[string]entity.Fields{},
-		lastSeen:    map[string]map[string]float64{},
-		lastGrp:     map[string]map[string]string{},
+		db:      db,
+		defs:    map[defKey]*def{},
+		types:   map[string]bool{},
+		pending: map[entity.Key]struct{}{},
 	}
 }
 
 // DefineSum declares a sum aggregate over field of entityType, grouped by
 // groupBy (empty for a single global total).
 func (m *Maintainer) DefineSum(name, entityType, field, groupBy string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sums[name] = sumDef{entityType: entityType, field: field, groupBy: groupBy}
-	m.sumValues[name] = map[string]float64{}
-	m.lastSeen[name] = map[string]float64{}
-	m.lastGrp[name] = map[string]string{}
+	m.define(name, &def{kind: sumKind, entityType: entityType, field: field, groupBy: groupBy})
 }
 
 // DefineCount declares a count of live entities of entityType grouped by
 // groupBy (empty for a global count).
 func (m *Maintainer) DefineCount(name, entityType, groupBy string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counts[name] = countDef{entityType: entityType, groupBy: groupBy}
-	m.countValues[name] = map[string]int{}
-	m.lastGrp["count:"+name] = map[string]string{}
+	m.define(name, &def{kind: countKind, entityType: entityType, groupBy: groupBy})
 }
 
 // DefineIndex declares a secondary index over field of entityType.
 func (m *Maintainer) DefineIndex(name, entityType, field string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.indexes[name] = indexDef{entityType: entityType, field: field}
-	m.indexValues[name] = map[string]map[string]bool{}
-	m.lastGrp["index:"+name] = map[string]string{}
+	m.define(name, &def{kind: indexKind, entityType: entityType, field: field})
 }
 
-// DefineView declares a materialized view projecting each entity of
-// entityType through project.
-func (m *Maintainer) DefineView(name, entityType string, project func(*entity.State) entity.Fields) {
+// define installs d, empty, and marks every existing entity of its type
+// pending. Capture is on before the keys are listed, so a write racing the
+// definition is listed, captured, or both.
+func (m *Maintainer) define(name string, d *def) {
+	d.contrib = map[string]contribution{}
+	d.totals = map[string]float64{}
+	d.ids = map[string]map[string]bool{}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.views[name] = viewDef{entityType: entityType, project: project}
-	m.viewRows[name] = map[string]entity.Fields{}
-}
-
-// CatchUp folds every unprocessed log record into the secondary data and
-// returns how many records the maintainer caught up past. Run calls it
-// from a background loop; the synchronous baseline calls it after each
-// primary write.
-//
-// All secondary data is derived from entity state, so within one batch only
-// the latest record per entity needs a state read — every earlier record of
-// the same entity is already folded into that state. Records arrive in LSN
-// order and the per-entity maximum includes the batch's global maximum, so
-// the processed watermark still reaches the head of the batch.
-func (m *Maintainer) CatchUp() int {
-	m.mu.Lock()
-	from := m.processed
+	m.defs[defKey{d.kind, name}] = d
+	m.types[d.entityType] = true
 	m.mu.Unlock()
-	records := m.db.RecordsAfter(from)
-	if len(records) == 0 {
+	m.defined.Store(true)
+	m.seed(d.entityType)
+}
+
+// Reseed marks every existing entity of a defined type pending: for states
+// installed without passing the commit sink (a backup import).
+func (m *Maintainer) Reseed() {
+	m.mu.Lock()
+	types := make([]string, 0, len(m.types))
+	for t := range m.types {
+		types = append(types, t)
+	}
+	m.mu.Unlock()
+	for _, t := range types {
+		m.seed(t)
+	}
+}
+
+// seed marks every existing entity of entityType pending. Listing the keys
+// takes shard locks, so the maintainer's lock is not held for it.
+func (m *Maintainer) seed(entityType string) {
+	keys := m.db.KeysOfType(entityType)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, key := range keys {
+		m.pending[key] = struct{}{}
+	}
+	m.stale += len(keys)
+}
+
+// Capture is the maintainer's part of the unit's commit sink: it notes the
+// entities of committed appends and obsolescence marks as pending. A
+// compaction horizon changes no state and is ignored. It runs under the
+// committing shard's lock and never blocks on anything but the
+// maintainer's own lock.
+func (m *Maintainer) Capture(records []lsdb.Record) {
+	if !m.defined.Load() {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range records {
+		rec := &records[i]
+		if rec.Kind == storage.KindCompact || !m.types[rec.Key.Type] {
+			continue
+		}
+		m.pending[rec.Key] = struct{}{}
+		m.stale++
+	}
+}
+
+// CatchUp folds the current state of every pending entity into the
+// secondary data and returns how many records it caught up past. An entity
+// whose state cannot be read (a failed cold read) stays pending.
+func (m *Maintainer) CatchUp() int {
+	m.catchMu.Lock()
+	defer m.catchMu.Unlock()
+	m.mu.Lock()
+	keys, taken := m.pending, m.stale
+	if len(keys) == 0 {
+		m.mu.Unlock()
 		return 0
 	}
-	latest := make(map[entity.Key]int, len(records))
-	for i, rec := range records {
-		latest[rec.Key] = i
-	}
-	for i, rec := range records {
-		if latest[rec.Key] != i {
-			continue
+	m.pending = map[entity.Key]struct{}{}
+	m.mu.Unlock()
+	for key := range keys {
+		state, _, err := m.db.Current(key)
+		if errors.Is(err, lsdb.ErrNotFound) {
+			state, err = nil, nil
 		}
-		m.applyRecord(rec)
-	}
-	return len(records)
-}
-
-// Run tails the log every interval until stop is closed.
-func (m *Maintainer) Run(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			m.CatchUp()
-			return
-		case <-ticker.C:
-			m.CatchUp()
+		m.mu.Lock()
+		if err != nil {
+			m.pending[key] = struct{}{}
+			taken--
+		} else {
+			for _, d := range m.defs {
+				if d.entityType == key.Type {
+					d.fold(key.ID, state)
+				}
+			}
 		}
-	}
-}
-
-// applyRecord folds one record into every matching definition.
-func (m *Maintainer) applyRecord(rec lsdb.Record) {
-	// Obsolete records contribute nothing; their withdrawal is reflected the
-	// next time the entity's state is read (full refresh below). The read is
-	// zero-copy: Current hands out the frozen cached state, and the
-	// maintainer only ever reads from it.
-	state, _, err := m.db.Current(rec.Key)
-	if err != nil {
-		return
+		m.mu.Unlock()
 	}
 	m.mu.Lock()
+	m.stale -= taken
+	m.mu.Unlock()
+	return taken
+}
+
+// read runs fn on the named definition under the maintainer's lock.
+func (m *Maintainer) read(k kind, name string, fn func(*def)) error {
+	m.mu.Lock()
 	defer m.mu.Unlock()
-	if rec.LSN <= m.processed {
-		return
+	d, ok := m.defs[defKey{k, name}]
+	if !ok {
+		return fmt.Errorf("%w: %s %s", ErrUnknownDefinition, kindNames[k], name)
 	}
-	m.processed = rec.LSN
-	m.updates++
-
-	for name, def := range m.sums {
-		if def.entityType != rec.Key.Type {
-			continue
-		}
-		group := ""
-		if def.groupBy != "" {
-			group = state.StringField(def.groupBy)
-		}
-		cur := state.Float(def.field)
-		if state.Deleted {
-			cur = 0
-		}
-		prev := m.lastSeen[name][rec.Key.ID]
-		prevGroup, hadGroup := m.lastGrp[name][rec.Key.ID]
-		if hadGroup && prevGroup != group {
-			// The entity moved between groups: remove it from the old one.
-			m.sumValues[name][prevGroup] -= prev
-			prev = 0
-		}
-		m.sumValues[name][group] += cur - prev
-		m.lastSeen[name][rec.Key.ID] = cur
-		m.lastGrp[name][rec.Key.ID] = group
-	}
-
-	for name, def := range m.counts {
-		if def.entityType != rec.Key.Type {
-			continue
-		}
-		group := ""
-		if def.groupBy != "" {
-			group = state.StringField(def.groupBy)
-		}
-		key := "count:" + name
-		prevGroup, counted := m.lastGrp[key][rec.Key.ID]
-		if state.Deleted {
-			if counted {
-				m.countValues[name][prevGroup]--
-				delete(m.lastGrp[key], rec.Key.ID)
-			}
-			continue
-		}
-		if counted && prevGroup != group {
-			m.countValues[name][prevGroup]--
-			counted = false
-		}
-		if !counted {
-			m.countValues[name][group]++
-			m.lastGrp[key][rec.Key.ID] = group
-		}
-	}
-
-	for name, def := range m.indexes {
-		if def.entityType != rec.Key.Type {
-			continue
-		}
-		key := "index:" + name
-		value := fmt.Sprintf("%v", state.Fields[def.field])
-		prev, had := m.lastGrp[key][rec.Key.ID]
-		if had && prev != value {
-			if set := m.indexValues[name][prev]; set != nil {
-				delete(set, rec.Key.ID)
-			}
-		}
-		if state.Deleted {
-			if set := m.indexValues[name][value]; set != nil {
-				delete(set, rec.Key.ID)
-			}
-			delete(m.lastGrp[key], rec.Key.ID)
-			continue
-		}
-		if m.indexValues[name][value] == nil {
-			m.indexValues[name][value] = map[string]bool{}
-		}
-		m.indexValues[name][value][rec.Key.ID] = true
-		m.lastGrp[key][rec.Key.ID] = value
-	}
-
-	for name, def := range m.views {
-		if def.entityType != rec.Key.Type {
-			continue
-		}
-		if state.Deleted {
-			delete(m.viewRows[name], rec.Key.ID)
-			continue
-		}
-		m.viewRows[name][rec.Key.ID] = def.project(state)
-	}
+	fn(d)
+	return nil
 }
 
 // Sum reads a sum aggregate for a group ("" for the global group).
-func (m *Maintainer) Sum(name, group string) (float64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vals, ok := m.sumValues[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: sum %s", ErrUnknownDefinition, name)
-	}
-	return vals[group], nil
+func (m *Maintainer) Sum(name, group string) (v float64, err error) {
+	err = m.read(sumKind, name, func(d *def) { v = d.totals[group] })
+	return v, err
 }
 
 // Count reads a count aggregate for a group.
-func (m *Maintainer) Count(name, group string) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vals, ok := m.countValues[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: count %s", ErrUnknownDefinition, name)
-	}
-	return vals[group], nil
+func (m *Maintainer) Count(name, group string) (n int, err error) {
+	err = m.read(countKind, name, func(d *def) { n = int(d.totals[group]) })
+	return n, err
 }
 
 // Lookup returns the sorted entity ids whose indexed field equals value.
-func (m *Maintainer) Lookup(name string, value interface{}) ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx, ok := m.indexValues[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: index %s", ErrUnknownDefinition, name)
-	}
-	set := idx[fmt.Sprintf("%v", value)]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out, nil
+func (m *Maintainer) Lookup(name string, value interface{}) (ids []string, err error) {
+	err = m.read(indexKind, name, func(d *def) {
+		set := d.ids[fmt.Sprintf("%v", value)]
+		ids = make([]string, 0, len(set))
+		for id := range set {
+			ids = append(ids, id)
+		}
+	})
+	sort.Strings(ids)
+	return ids, err
 }
 
-// ViewRow returns the materialized row for one entity (nil, false when the
-// entity is not in the view).
-func (m *Maintainer) ViewRow(name, entityID string) (entity.Fields, bool, error) {
+// Staleness reports how far the secondary data lags the primary: the
+// number of records committed since their entities were last folded.
+func (m *Maintainer) Staleness() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rows, ok := m.viewRows[name]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: view %s", ErrUnknownDefinition, name)
-	}
-	row, found := rows[entityID]
-	return row, found, nil
-}
-
-// ViewSize returns the number of rows in a view.
-func (m *Maintainer) ViewSize(name string) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rows, ok := m.viewRows[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: view %s", ErrUnknownDefinition, name)
-	}
-	return len(rows), nil
-}
-
-// Staleness reports how far the secondary data lags the primary: the number
-// of unprocessed records and the LSN of the last processed record.
-func (m *Maintainer) Staleness() (pendingRecords int, processedLSN uint64) {
-	m.mu.Lock()
-	processed := m.processed
-	m.mu.Unlock()
-	head := m.db.HeadLSN()
-	if head < processed {
-		return 0, processed
-	}
-	return int(head - processed), processed
-}
-
-// Updates returns how many state applications have folded records into
-// secondary data. CatchUp coalesces each entity's records within a batch
-// into one application, so this can be lower than the number of records
-// caught up past (CatchUp's return value).
-func (m *Maintainer) Updates() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.updates
+	return m.stale
 }

@@ -32,13 +32,25 @@ func newDB(t *testing.T) *lsdb.DB {
 	return db
 }
 
+// newMaintainer returns a maintainer over a fresh store whose commit sink
+// is the maintainer's capture, as core wires every unit.
+func newMaintainer(t *testing.T) (*lsdb.DB, *Maintainer) {
+	t.Helper()
+	db := newDB(t)
+	m := NewMaintainer(db)
+	db.SetCommitSink(func(records []lsdb.Record) func() error {
+		m.Capture(records)
+		return nil
+	})
+	return db, m
+}
+
 func stamp(n int64) clock.Timestamp { return clock.Timestamp{WallNanos: n, Node: "u1"} }
 
 func inv(id string) entity.Key { return entity.Key{Type: "Invoice", ID: id} }
 
 func TestSumAggregateGlobal(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("amount", 50.0)}, stamp(2), "u1", "")
@@ -46,8 +58,7 @@ func TestSumAggregateGlobal(t *testing.T) {
 	if v, _ := m.Sum("revenue", ""); v != 0 {
 		t.Fatalf("deferred aggregate updated early: %v", v)
 	}
-	pending, _ := m.Staleness()
-	if pending != 2 {
+	if pending := m.Staleness(); pending != 2 {
 		t.Fatalf("pending = %d", pending)
 	}
 	if n := m.CatchUp(); n != 2 {
@@ -56,18 +67,13 @@ func TestSumAggregateGlobal(t *testing.T) {
 	if v, _ := m.Sum("revenue", ""); v != 150 {
 		t.Fatalf("revenue = %v, want 150", v)
 	}
-	pending, _ = m.Staleness()
-	if pending != 0 {
+	if pending := m.Staleness(); pending != 0 {
 		t.Fatalf("pending after catch-up = %d", pending)
-	}
-	if m.Updates() != 2 {
-		t.Fatalf("Updates = %d", m.Updates())
 	}
 }
 
 func TestSumAggregateHandlesSetAndDelta(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	m.CatchUp()
@@ -87,8 +93,7 @@ func TestSumAggregateHandlesSetAndDelta(t *testing.T) {
 }
 
 func TestSumAggregateGroupedAndRegrouping(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineSum("by-customer", "Invoice", "amount", "customer")
 	db.Append(inv("I1"), []entity.Op{entity.Set("customer", "acme"), entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("customer", "globex"), entity.Set("amount", 10.0)}, stamp(2), "u1", "")
@@ -111,8 +116,7 @@ func TestSumAggregateGroupedAndRegrouping(t *testing.T) {
 }
 
 func TestSumAggregateDeletedEntity(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "")
 	m.CatchUp()
@@ -124,8 +128,7 @@ func TestSumAggregateDeletedEntity(t *testing.T) {
 }
 
 func TestCountAggregate(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineCount("open-invoices", "Invoice", "status")
 	db.Append(inv("I1"), []entity.Op{entity.Set("status", "OPEN")}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("status", "OPEN")}, stamp(2), "u1", "")
@@ -155,8 +158,7 @@ func TestCountAggregate(t *testing.T) {
 }
 
 func TestSecondaryIndex(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineIndex("by-status", "Invoice", "status")
 	db.Append(inv("I1"), []entity.Op{entity.Set("status", "OPEN")}, stamp(1), "u1", "")
 	db.Append(inv("I2"), []entity.Op{entity.Set("status", "OPEN")}, stamp(2), "u1", "")
@@ -194,31 +196,8 @@ func TestSecondaryIndex(t *testing.T) {
 	}
 }
 
-func TestMaterializedView(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
-	m.DefineView("invoice-summary", "Invoice", func(st *entity.State) entity.Fields {
-		return entity.Fields{"customer": st.StringField("customer"), "amount": st.Float("amount")}
-	})
-	db.Append(inv("I1"), []entity.Op{entity.Set("customer", "acme"), entity.Set("amount", 10.0)}, stamp(1), "u1", "")
-	m.CatchUp()
-	row, found, err := m.ViewRow("invoice-summary", "I1")
-	if err != nil || !found || row["customer"] != "acme" {
-		t.Fatalf("ViewRow = %v %v %v", row, found, err)
-	}
-	if n, _ := m.ViewSize("invoice-summary"); n != 1 {
-		t.Fatalf("ViewSize = %d", n)
-	}
-	db.Append(inv("I1"), []entity.Op{entity.Delete()}, stamp(2), "u1", "")
-	m.CatchUp()
-	if _, found, _ := m.ViewRow("invoice-summary", "I1"); found {
-		t.Fatal("deleted entity still in view")
-	}
-}
-
 func TestUnknownDefinitions(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	_, m := newMaintainer(t)
 	if _, err := m.Sum("nope", ""); !errors.Is(err, ErrUnknownDefinition) {
 		t.Fatal("Sum should fail")
 	}
@@ -228,48 +207,10 @@ func TestUnknownDefinitions(t *testing.T) {
 	if _, err := m.Lookup("nope", 1); !errors.Is(err, ErrUnknownDefinition) {
 		t.Fatal("Lookup should fail")
 	}
-	if _, _, err := m.ViewRow("nope", "1"); !errors.Is(err, ErrUnknownDefinition) {
-		t.Fatal("ViewRow should fail")
-	}
-	if _, err := m.ViewSize("nope"); !errors.Is(err, ErrUnknownDefinition) {
-		t.Fatal("ViewSize should fail")
-	}
-}
-
-func TestRunBackgroundLoop(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
-	m.DefineSum("revenue", "Invoice", "amount", "")
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m.Run(5*time.Millisecond, stop)
-	}()
-	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 30.0)}, stamp(1), "u1", "")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, _ := m.Sum("revenue", ""); v == 30 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if v, _ := m.Sum("revenue", ""); v != 30 {
-		t.Fatalf("background maintainer never caught up: %v", v)
-	}
-	// Records appended just before stop are flushed by the final CatchUp.
-	db.Append(inv("I2"), []entity.Op{entity.Set("amount", 12.0)}, stamp(2), "u1", "")
-	close(stop)
-	wg.Wait()
-	if v, _ := m.Sum("revenue", ""); v != 42 {
-		t.Fatalf("final catch-up missed records: %v", v)
-	}
 }
 
 func TestConcurrentWritersAndCatchUp(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
+	db, m := newMaintainer(t)
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	const writers, per = 4, 50
 	var wg sync.WaitGroup
@@ -304,10 +245,68 @@ func TestConcurrentWritersAndCatchUp(t *testing.T) {
 }
 
 func TestStalenessNeverNegative(t *testing.T) {
-	db := newDB(t)
-	m := NewMaintainer(db)
-	pending, lsn := m.Staleness()
-	if pending != 0 || lsn != 0 {
-		t.Fatalf("empty staleness = %d/%d", pending, lsn)
+	_, m := newMaintainer(t)
+	if pending := m.Staleness(); pending != 0 {
+		t.Fatalf("empty staleness = %d", pending)
+	}
+}
+
+// An obsolescence mark reaches the maintainer like an append: the withdrawn
+// contribution leaves, and a withdrawn first write (no live state left)
+// folds as removal.
+func TestMarkWithdrawsContribution(t *testing.T) {
+	db, m := newMaintainer(t)
+	m.DefineSum("revenue", "Invoice", "amount", "")
+	m.DefineCount("invoices", "Invoice", "")
+	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "t1")
+	db.AppendTentative(inv("I1"), []entity.Op{entity.Delta("amount", 7)}, stamp(2), "u1", "t2")
+	db.AppendTentative(inv("I2"), []entity.Op{entity.Set("amount", 50.0)}, stamp(3), "u1", "t3")
+	m.CatchUp()
+	if v, _ := m.Sum("revenue", ""); v != 157 {
+		t.Fatalf("with both promises pending: revenue = %v, want 157", v)
+	}
+	if err := db.MarkObsolete(inv("I1"), "t2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.MarkObsolete(inv("I2"), "t3"); err != nil {
+		t.Fatal(err)
+	}
+	if pending := m.Staleness(); pending != 2 {
+		t.Fatalf("marks pending = %d, want 2", pending)
+	}
+	m.CatchUp()
+	if v, _ := m.Sum("revenue", ""); v != 100 {
+		t.Fatalf("after both withdrawals: revenue = %v, want 100", v)
+	}
+	var live int
+	db.Scan("Invoice", func(st *entity.State) bool {
+		if !st.Deleted {
+			live++
+		}
+		return true
+	})
+	if n, _ := m.Count("invoices", ""); n != live {
+		t.Fatalf("count = %d, a scan sees %d live invoices", n, live)
+	}
+}
+
+// A definition made after the writes, or after a compaction, folds every
+// existing entity of its type; compaction horizons are not pending work.
+func TestLateDefinitionAndCompaction(t *testing.T) {
+	db, m := newMaintainer(t)
+	db.Append(inv("I1"), []entity.Op{entity.Set("customer", "acme"), entity.Set("amount", 30.0)}, stamp(1), "u1", "")
+	db.Append(inv("I2"), []entity.Op{entity.Set("customer", "acme"), entity.Set("amount", 12.0)}, stamp(2), "u1", "")
+	db.Compact(db.HeadLSN())
+	m.DefineSum("by-customer", "Invoice", "amount", "customer")
+	if pending := m.Staleness(); pending != 2 {
+		t.Fatalf("seeded pending = %d, want 2", pending)
+	}
+	m.CatchUp()
+	db.Compact(db.HeadLSN())
+	if pending := m.Staleness(); pending != 0 {
+		t.Fatalf("a compaction horizon left %d pending", pending)
+	}
+	if v, _ := m.Sum("by-customer", "acme"); v != 42 {
+		t.Fatalf("acme = %v, want 42", v)
 	}
 }

@@ -332,11 +332,23 @@ func Open(opts Options) (*Kernel, error) {
 			Window:       r.Window,
 			CatchupChunk: r.CatchupChunk,
 		})
-		// Attaching the sinks here is safe: the kernel is not shared yet,
-		// so no commit can race the late bind.
-		for i, u := range k.byIndex {
-			u.db.SetCommitSink(k.shipper.Sink(i))
+	}
+	// Each unit's commit sink is its aggregate maintainer's capture, then,
+	// when replication is on, the shipper's sink. Attaching the sinks here
+	// is safe: the kernel is not shared yet, so no commit can race the late
+	// bind.
+	for i, u := range k.byIndex {
+		var ship func([]lsdb.Record) func() error
+		if k.shipper != nil {
+			ship = k.shipper.Sink(i)
 		}
+		u.db.SetCommitSink(func(records []lsdb.Record) func() error {
+			u.maint.Capture(records)
+			if ship == nil {
+				return nil
+			}
+			return ship(records)
+		})
 	}
 	return k, nil
 }
@@ -786,8 +798,7 @@ func (k *Kernel) Drain() int {
 	}
 }
 
-// Start launches process workers and deferred-aggregate maintainers on every
-// unit.
+// Start launches process workers on every unit.
 func (k *Kernel) Start() {
 	k.mu.Lock()
 	if k.started || k.closed {
@@ -1011,8 +1022,12 @@ func (k *Kernel) Import(r io.Reader) error {
 			return fmt.Errorf("core: import: unit %s holds %d records, imported %d — the node took writes during restore and must be wiped", id, got, recordsPerUnit[i])
 		}
 	}
-	// The bulk-load path bypasses the write-ahead log; a flush captures the
-	// imported content durably in one pass.
+	// The bulk-load path bypasses the commit sink, so the aggregates refold
+	// every entity of their types, and the write-ahead log, so a flush
+	// captures the imported content durably in one pass.
+	for _, u := range k.units {
+		u.maint.Reseed()
+	}
 	return k.Checkpoint()
 }
 
@@ -1244,7 +1259,7 @@ func (k *Kernel) RepairUnit(unit int, fetch func(after uint64) ([]lsdb.Record, e
 	}
 	db := k.byIndex[unit].db
 	if fetch == nil {
-		fetch = func(after uint64) ([]lsdb.Record, error) { return db.RecordsAfter(after), nil }
+		fetch = func(after uint64) ([]lsdb.Record, error) { return db.RecordsAfterN(after, 0), nil }
 	}
 	return db.Repair(fetch)
 }
@@ -1273,8 +1288,10 @@ func (k *Kernel) DefineIndex(name, entityType, field string) {
 	}
 }
 
-// CatchUpAggregates folds all unprocessed records into secondary data and
-// returns how many records were processed.
+// CatchUpAggregates folds every entity written since it was last folded
+// into secondary data and returns how many records that caught up past.
+// Once it returns with no write in flight, every aggregate equals the same
+// fold over Query's live states.
 func (k *Kernel) CatchUpAggregates() int {
 	total := 0
 	for _, u := range k.units {
@@ -1328,8 +1345,7 @@ func (k *Kernel) Lookup(name string, value interface{}) ([]string, error) {
 func (k *Kernel) AggregateStaleness() int {
 	total := 0
 	for _, u := range k.units {
-		pending, _ := u.maint.Staleness()
-		total += pending
+		total += u.maint.Staleness()
 	}
 	return total
 }

@@ -89,7 +89,7 @@ func runScriptsConcurrent(t *testing.T, db *DB, scripts [][]scriptOp) {
 // duplicates — failed or duplicate appends must not burn sequence numbers.
 func assertDenseLSNs(t *testing.T, db *DB, n int) {
 	t.Helper()
-	records := db.RecordsAfter(0)
+	records := db.RecordsAfterN(0, 0)
 	if len(records) != n {
 		t.Fatalf("log has %d records, want %d", len(records), n)
 	}

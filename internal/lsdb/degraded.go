@@ -219,7 +219,7 @@ func (db *DB) logMarks(marks []Record) error {
 }
 
 // postCommitLocked finishes a commit cycle (or a mark) after its records are
-// installed: the replication sink's capture phase. The caller holds the
+// installed: the commit sink's capture phase. The caller holds the
 // shard's write lock; the sink's capture must therefore be fast and
 // non-blocking (it snapshots the batch and hands it to the shipping lanes).
 // The returned wait function — nil when no acknowledgement is owed — is the
@@ -252,7 +252,7 @@ func waitCommitSink(wait func() error) error {
 // verifiably good record), refills everything after that point from fetch,
 // and re-arms writes. fetch receives the quarantine's last-good LSN and
 // returns the missing records in LSN order — typically replica.TailAfter
-// over a standby's received log, or the primary's own RecordsAfter when
+// over a standby's received log, or the primary's own RecordsAfterN when
 // the in-memory store still holds the suffix (log-first means memory is
 // always a subset of what was acked, so its copy is authoritative). A
 // poisoned backend refuses: quarantine cannot restore unknown durability.

@@ -435,7 +435,7 @@ type DB struct {
 	writesRefused  atomic.Uint64
 	rearms         atomic.Uint64
 
-	// commitSink is the replication sink SetCommitSink attaches (nil: none).
+	// commitSink is the sink SetCommitSink attaches (nil: none).
 	commitSink func(records []Record) (wait func() error)
 	// recovering suppresses backend writes while Recover replays the
 	// backend's own content back into the store. Written only before the DB
@@ -611,8 +611,9 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 }
 
 // SetCommitSink attaches (or replaces) the commit sink, the attachment point
-// for WAL-shipping replication. The kernel uses it to wire replication up
-// once all the units' stores exist. It must be called before the store is
+// for what follows the log: the kernel attaches one per unit once all the
+// units' stores exist, which feeds the unit's aggregate maintainer and, when
+// replication is on, WAL shipping. It must be called before the store is
 // shared with writers; attaching mid-traffic races with committing shards.
 //
 // The sink's call itself (the capture phase) receives every record written
@@ -1049,24 +1050,17 @@ func (db *DB) History(key entity.Key) (*entity.History, error) {
 	return h, nil
 }
 
-// RecordsAfter returns all records with LSN strictly greater than after, in
-// LSN order across all shards. Replication and deferred-aggregate
-// maintenance tail the log with this call.
+// RecordsAfterN returns the first limit records with LSN strictly greater
+// than after, in LSN order across all shards; limit <= 0 means all of them.
+// Streaming catch-up serves chunk-sized tails this way so one response
+// never carries the whole log: a chunk costs a binary search per shard and
+// the decode of the records it returns, wherever in the log it starts.
 //
 // All shard locks are held together (always in shard order — this is the
 // only multi-shard lock site) so the result is one atomic cut of the log:
 // shard-at-a-time reads could return a higher LSN while missing a lower one
 // committed to an already-released shard, and watermark-based consumers
 // would then skip that record forever.
-func (db *DB) RecordsAfter(after uint64) []Record {
-	return db.RecordsAfterN(after, 0)
-}
-
-// RecordsAfterN is RecordsAfter bounded to the first limit records of the
-// tail (in LSN order); limit <= 0 means unbounded. Streaming catch-up serves
-// chunk-sized tails this way so one response never carries the whole log: a
-// chunk costs a binary search per shard and the decode of the records it
-// returns, wherever in the log it starts.
 func (db *DB) RecordsAfterN(after uint64, limit int) []Record {
 	for _, s := range db.shards {
 		s.mu.RLock()

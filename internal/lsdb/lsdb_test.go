@@ -273,20 +273,20 @@ func TestRecordsAfterAndFor(t *testing.T) {
 		}
 		db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(int64(i)), "n1", "")
 	}
-	recs := db.RecordsAfter(5)
+	recs := db.RecordsAfterN(5, 0)
 	if len(recs) != 3 {
-		t.Fatalf("RecordsAfter(5) = %d records, want 3", len(recs))
+		t.Fatalf("RecordsAfterN(5, 0) = %d records, want 3", len(recs))
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].LSN <= recs[i-1].LSN {
-			t.Fatal("RecordsAfter not in LSN order")
+			t.Fatal("RecordsAfterN not in LSN order")
 		}
 	}
-	if got := len(db.RecordsAfter(0)); got != 8 {
-		t.Fatalf("RecordsAfter(0) = %d, want 8", got)
+	if got := len(db.RecordsAfterN(0, 0)); got != 8 {
+		t.Fatalf("RecordsAfterN(0, 0) = %d, want 8", got)
 	}
-	if got := len(db.RecordsAfter(100)); got != 0 {
-		t.Fatalf("RecordsAfter(100) = %d, want 0", got)
+	if got := len(db.RecordsAfterN(100, 0)); got != 0 {
+		t.Fatalf("RecordsAfterN(100, 0) = %d, want 0", got)
 	}
 	forA := db.RecordsFor(a)
 	if len(forA) != 4 {
@@ -635,7 +635,7 @@ func TestStateCacheInvalidationOnLoad(t *testing.T) {
 	src.MarkObsolete(key, "t2")
 
 	// Two streams in Save's layout: the first record, then the rest.
-	recs := src.RecordsAfter(0)
+	recs := src.RecordsAfterN(0, 0)
 	stream := func(recs []Record) io.Reader {
 		var buf bytes.Buffer
 		sw := storage.NewStreamWriter(&buf)
@@ -884,9 +884,9 @@ func TestShardedRecordsAfterOrderAndLen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs := db.RecordsAfter(0)
+	recs := db.RecordsAfterN(0, 0)
 	if len(recs) != n {
-		t.Fatalf("RecordsAfter(0) = %d, want %d", len(recs), n)
+		t.Fatalf("RecordsAfterN(0, 0) = %d, want %d", len(recs), n)
 	}
 	for i := range recs {
 		if recs[i].LSN != uint64(i+1) {

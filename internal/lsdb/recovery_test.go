@@ -31,7 +31,7 @@ func openTestWAL(t testing.TB, dir string, sync storage.SyncMode) *storage.WAL {
 // row including tombstones, and the deleted/tentative flags.
 func assertIdenticalStores(t *testing.T, want, got *DB) {
 	t.Helper()
-	wr, gr := want.RecordsAfter(0), got.RecordsAfter(0)
+	wr, gr := want.RecordsAfterN(0, 0), got.RecordsAfterN(0, 0)
 	if !reflect.DeepEqual(wr, gr) {
 		t.Fatalf("record logs differ: %d vs %d records", len(wr), len(gr))
 	}
@@ -92,7 +92,7 @@ func TestRecoverRoundTripConcurrentWriters(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	assertIdenticalStores(t, db, rec)
-	assertDenseLSNs(t, rec, len(db.RecordsAfter(0)))
+	assertDenseLSNs(t, rec, len(db.RecordsAfterN(0, 0)))
 
 	// The recovered store continues the log: new appends get fresh LSNs and
 	// reach the same WAL.
@@ -470,7 +470,7 @@ func TestUint64ExactStreamCodec(t *testing.T) {
 	if err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got := dst.RecordsAfter(0)
+	got := dst.RecordsAfterN(0, 0)
 	if len(got) != 1 {
 		t.Fatalf("loaded %d records, want 1", len(got))
 	}

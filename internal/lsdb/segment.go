@@ -5,7 +5,7 @@
 // object. Held as Go values — a Record with its key strings, op slice, boxed
 // values and txn id — every retained record would be pointers the collector
 // re-traces on every cycle, for records that are read again only by a
-// cache-miss rollup, History, AsOf, RecordsFor/RecordsAfter and the flush
+// cache-miss rollup, History, AsOf, RecordsFor/RecordsAfterN and the flush
 // capture. So a record lives as its encoding (storage.EncodeRecord's bytes,
 // the WAL's payload format) — the one its commit cycle made for the WAL,
 // copied in as the cycle installs it — in append-only segments of

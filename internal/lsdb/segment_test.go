@@ -146,12 +146,12 @@ func dropCaches(db *DB) {
 }
 
 // checkAgainstModel reads the store through every reader that decodes —
-// RecordsAfter/RecordsAfterN, RecordsFor, History, AsOf, a hot read and a
+// RecordsAfterN, RecordsFor, History, AsOf, a hot read and a
 // cache-miss rollup — and compares each with the model.
 func checkAgainstModel(t *testing.T, r *rand.Rand, db *DB, m *logModel, stage string) {
 	t.Helper()
 	want := m.log()
-	assertSameRecords(t, stage+": RecordsAfter(0)", db.RecordsAfter(0), want)
+	assertSameRecords(t, stage+": RecordsAfterN(0, 0)", db.RecordsAfterN(0, 0), want)
 	for range 8 {
 		after, limit := uint64(r.Intn(int(db.HeadLSN())+2)), r.Intn(9)
 		tail := want[firstAbove(want, after):]
@@ -315,7 +315,7 @@ func TestResidentLogRoundTrip(t *testing.T) {
 			driveRandomly(t, r, src, m, &seq, 120, false)
 			checkAgainstModel(t, r, src, m, "source")
 			received := storage.NewMemory()
-			for shipped := src.RecordsAfter(0); len(shipped) > 0; {
+			for shipped := src.RecordsAfterN(0, 0); len(shipped) > 0; {
 				n := min(1+r.Intn(7), len(shipped))
 				if err := received.AppendBatch(shipped[:n]); err != nil {
 					t.Fatal(err)
@@ -338,12 +338,12 @@ func TestResidentLogRoundTrip(t *testing.T) {
 
 			// The bulk-load path rebuilds the same log.
 			loaded := newTestDB(t, opts)
-			for _, rec := range db.RecordsAfter(0) {
+			for _, rec := range db.RecordsAfterN(0, 0) {
 				if err := loaded.loadRecord(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
-			assertSameRecords(t, "loaded", loaded.RecordsAfter(0), m.log())
+			assertSameRecords(t, "loaded", loaded.RecordsAfterN(0, 0), m.log())
 			assertTxnIndexMatchesLog(t, loaded)
 		})
 	}

@@ -417,7 +417,7 @@ func TestWorkerPoolRidesGroupCommit(t *testing.T) {
 			t.Fatalf("O%d total = %v, want %d", o, got, events/orders)
 		}
 	}
-	records := db.RecordsAfter(0)
+	records := db.RecordsAfterN(0, 0)
 	if len(records) != events {
 		t.Fatalf("log has %d records, want %d", len(records), events)
 	}

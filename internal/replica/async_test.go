@@ -147,7 +147,7 @@ func TestDuplicateShipmentsAreIdempotent(t *testing.T) {
 	if got := logLen(t, sb); got != 1 {
 		t.Fatalf("standby log holds %d records, want 1", got)
 	}
-	batch := ShipBatch{From: "p", Unit: 0, Records: p.db.RecordsAfter(0)}
+	batch := ShipBatch{From: "p", Unit: 0, Records: p.db.RecordsAfterN(0, 0)}
 	for i := 0; i < 5; i++ {
 		if _, gap, err := sb.Receive(batch); err != nil || gap {
 			t.Fatalf("redundant receive %d: gap=%v err=%v", i, gap, err)

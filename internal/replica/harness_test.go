@@ -139,7 +139,7 @@ func (h *faultHarness) repairStorage() {
 	h.pfb.Heal()
 	if d := h.p.db.Degraded(); d != nil && d.Permanent {
 		if err := h.p.db.Repair(func(after uint64) ([]lsdb.Record, error) {
-			return h.p.db.RecordsAfter(after), nil
+			return h.p.db.RecordsAfterN(after, 0), nil
 		}); err != nil {
 			h.fatalf("storage repair: %v", err)
 		}

@@ -88,7 +88,7 @@ func NewManager(db *lsdb.DB, hlc *clock.HLC, opts Options) *Manager {
 // ids — a fresh write wearing an old id would be dropped as its own replay.
 func (m *Manager) resumeIDs() {
 	var floor uint64
-	for _, rec := range m.db.RecordsAfter(0) {
+	for _, rec := range m.db.RecordsAfterN(0, 0) {
 		n, ok := strings.CutPrefix(rec.TxnID, m.idPrefix)
 		if !ok {
 			continue

@@ -308,7 +308,7 @@ func TestConcurrentTransactionsRideGroupCommit(t *testing.T) {
 	if got := st.Float("balance"); got != float64(goroutines*perG/2) {
 		t.Fatalf("shared balance = %v, want %d", got, goroutines*perG/2)
 	}
-	records := m.DB().RecordsAfter(0)
+	records := m.DB().RecordsAfterN(0, 0)
 	if len(records) != goroutines*perG {
 		t.Fatalf("log has %d records, want %d", len(records), goroutines*perG)
 	}
