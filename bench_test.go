@@ -339,7 +339,8 @@ func BenchmarkE6ApologyVsStrong(b *testing.B) {
 			if kept != stock || len(apologies) != demand-stock {
 				b.Fatalf("kept=%d apologies=%d", kept, len(apologies))
 			}
-			apologyRate = k.Ledger().ApologyRate()
+			broken := k.Metrics().Counter("promise.broken").Value()
+			apologyRate = float64(broken) / float64(broken+k.Metrics().Counter("promise.kept").Value())
 		}
 		b.ReportMetric(apologyRate, "apology-rate")
 		b.ReportMetric(demand, "confirmed-at-entry")

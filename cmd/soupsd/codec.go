@@ -50,7 +50,7 @@ var acceptedReply = []byte(`{"status":"accepted"}` + "\n")
 // copied out of b before that. It returns to the pool when the handler does.
 //
 // The ops a request decodes are NOT pooled: the store shares an op slice into
-// its log (txn.update clamps and keeps it), so decodeOps hands out a fresh
+// its log (Txn.Update clamps and keeps it), so decodeOps hands out a fresh
 // exact-size slice and ops is only where it is assembled.
 type edgeBuf struct {
 	b    []byte

@@ -30,15 +30,16 @@ func main() {
 	// Order entry: every order is accepted immediately as a tentative
 	// promise; the customer sees "your order has been received".
 	store := workload.NewBookstore(stock, demand)
-	var promises []repro.Promise
 	for _, order := range store.Orders() {
 		p, err := k.UpdateTentative(title, order.Customer, "order-confirmation", float64(order.Qty),
 			repro.Delta("stock", -float64(order.Qty)).Described("tentative sale to "+order.Customer))
 		if err != nil {
 			log.Fatalf("order entry: %v", err)
 		}
-		promises = append(promises, p)
 		fmt.Printf("order entry: %s -> order received (promise %s)\n", order.Customer, p.ID)
+	}
+	if pending := k.Pending(); len(pending) != len(store.Orders()) {
+		log.Fatalf("order entry: %d promises pending, want one per order", len(pending))
 	}
 	state, _ := k.Read(title)
 	fmt.Printf("\nsubjective stock after order entry: %d (tentative=%v)\n", state.Int("stock"), state.Tentative)
@@ -52,7 +53,9 @@ func main() {
 	for _, a := range apologies {
 		fmt.Println("  " + a.String())
 	}
+	// The apology rate, broken / settled, from the kernel's counters.
+	settled := k.Metrics().Counter("promise.kept").Value() + k.Metrics().Counter("promise.broken").Value()
+	rate := float64(k.Metrics().Counter("promise.broken").Value()) / float64(settled)
 	state, _ = k.Read(title)
-	fmt.Printf("\nfinal stock: %d, apology rate: %.2f\n", state.Int("stock"), k.Ledger().ApologyRate())
-	_ = promises
+	fmt.Printf("\nfinal stock: %d, apology rate: %.2f\n", state.Int("stock"), rate)
 }

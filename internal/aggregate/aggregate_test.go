@@ -259,8 +259,8 @@ func TestMarkWithdrawsContribution(t *testing.T) {
 	m.DefineSum("revenue", "Invoice", "amount", "")
 	m.DefineCount("invoices", "Invoice", "")
 	db.Append(inv("I1"), []entity.Op{entity.Set("amount", 100.0)}, stamp(1), "u1", "t1")
-	db.AppendTentative(inv("I1"), []entity.Op{entity.Delta("amount", 7)}, stamp(2), "u1", "t2")
-	db.AppendTentative(inv("I2"), []entity.Op{entity.Set("amount", 50.0)}, stamp(3), "u1", "t3")
+	db.AppendPromise(inv("I1"), []entity.Op{entity.Delta("amount", 7)}, stamp(2), "u1", "t2", 0)
+	db.AppendPromise(inv("I2"), []entity.Op{entity.Set("amount", 50.0)}, stamp(3), "u1", "t3", 0)
 	m.CatchUp()
 	if v, _ := m.Sum("revenue", ""); v != 157 {
 		t.Fatalf("with both promises pending: revenue = %v, want 157", v)

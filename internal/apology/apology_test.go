@@ -1,4 +1,10 @@
-package apology
+package apology_test
+
+// The promise lifecycle is log state, so these tests drive it through the
+// kernel that keeps that log: a promise is the tentative record
+// Kernel.UpdateTentative writes, and Keep/Break append the settlement that
+// names it. The counts come from the kernel's promise.kept/promise.broken
+// counters and its pending set; a promise's status from its record's flags.
 
 import (
 	"errors"
@@ -6,62 +12,116 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/apology"
+	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/workload"
 )
 
 func book(id string) entity.Key { return entity.Key{Type: "Book", ID: id} }
 
-func fixedClock(start time.Time) (func() time.Time, func(time.Duration)) {
-	var mu sync.Mutex
-	now := start
-	return func() time.Time {
-			mu.Lock()
-			defer mu.Unlock()
-			return now
-		}, func(d time.Duration) {
-			mu.Lock()
-			defer mu.Unlock()
-			now = now.Add(d)
+func newKernel(t *testing.T, opts core.Options) *core.Kernel {
+	t.Helper()
+	k, err := core.Bootstrap(opts, workload.Types()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(k.Close)
+	return k
+}
+
+// promise makes a promise of quantity on key to partner.
+func promise(t *testing.T, k *core.Kernel, key entity.Key, partner string, quantity float64) apology.Promise {
+	t.Helper()
+	p, err := k.UpdateTentative(key, partner, "order-confirmation", quantity, entity.Delta("stock", -quantity))
+	if err != nil {
+		t.Fatalf("promise to %s: %v", partner, err)
+	}
+	return p
+}
+
+// counts returns (pending, kept, broken).
+func counts(k *core.Kernel) (int, uint64, uint64) {
+	return len(k.Pending()), k.Metrics().Counter("promise.kept").Value(), k.Metrics().Counter("promise.broken").Value()
+}
+
+// apologyRate is broken / (kept + broken), zero before anything settled.
+func apologyRate(k *core.Kernel) float64 {
+	_, kept, broken := counts(k)
+	if kept+broken == 0 {
+		return 0
+	}
+	return float64(broken) / float64(kept+broken)
+}
+
+// status reads a promise's status from its record: "pending" while
+// tentative, "kept" once its flag is cleared, "broken" once withdrawn.
+func status(t *testing.T, k *core.Kernel, p apology.Promise) string {
+	t.Helper()
+	h, err := k.History(p.Entity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range h.Versions {
+		switch {
+		case v.TxnID != p.TxnID:
+		case v.Obsolete:
+			return "broken"
+		case v.Tentative:
+			return "pending"
+		default:
+			return "kept"
 		}
+	}
+	t.Fatalf("no record of promise %s", p.ID)
+	return ""
+}
+
+func pendingFor(k *core.Kernel, key entity.Key) []apology.Promise {
+	var out []apology.Promise
+	for _, p := range k.Pending() {
+		if p.Entity == key {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func TestMakeKeepBreakLifecycle(t *testing.T) {
-	l := NewLedger(Options{})
-	p := l.Make(Promise{Kind: "order-confirmation", Entity: book("b1"), Partner: "alice", Quantity: 1})
-	if p.ID == "" || p.Status != Pending {
-		t.Fatalf("Make returned %+v", p)
+	k := newKernel(t, core.Options{Node: "n"})
+	p := promise(t, k, book("b1"), "alice", 1)
+	if p.ID == "" || p.ID != p.TxnID || status(t, k, p) != "pending" {
+		t.Fatalf("UpdateTentative returned %+v", p)
 	}
-	got, err := l.Get(p.ID)
-	if err != nil || got.Partner != "alice" {
-		t.Fatalf("Get: %+v %v", got, err)
+	got := pendingFor(k, book("b1"))
+	if len(got) != 1 || got[0].ID != p.ID || got[0].Partner != "alice" {
+		t.Fatalf("pending: %+v", got)
 	}
-	if err := l.Keep(p.ID); err != nil {
+	if err := k.KeepPromise(p.ID); err != nil {
 		t.Fatalf("Keep: %v", err)
 	}
-	if err := l.Keep(p.ID); !errors.Is(err, ErrAlreadySettled) {
+	if err := k.KeepPromise(p.ID); !errors.Is(err, apology.ErrAlreadySettled) {
 		t.Fatalf("double Keep: %v", err)
 	}
-	if _, err := l.Break(p.ID, "too late", ""); !errors.Is(err, ErrAlreadySettled) {
+	if _, err := k.BreakPromise(p.ID, "too late", ""); !errors.Is(err, apology.ErrAlreadySettled) {
 		t.Fatalf("Break after Keep: %v", err)
 	}
-	pending, kept, broken := l.Counts()
-	if pending != 0 || kept != 1 || broken != 0 {
+	if pending, kept, broken := counts(k); pending != 0 || kept != 1 || broken != 0 {
 		t.Fatalf("Counts = %d/%d/%d", pending, kept, broken)
 	}
-	if l.ApologyRate() != 0 {
-		t.Fatalf("ApologyRate = %v", l.ApologyRate())
+	if apologyRate(k) != 0 {
+		t.Fatalf("ApologyRate = %v", apologyRate(k))
 	}
 }
 
+// Breaking a promise issues the apology and withdraws the tentative record:
+// the apology itself is in the log, as the settlement record.
 func TestBreakIssuesApologyAndHook(t *testing.T) {
-	var hooked []string
-	l := NewLedger(Options{OnBreak: func(p Promise, reason string) {
-		hooked = append(hooked, p.ID+":"+reason)
-	}})
-	p := l.Make(Promise{Kind: "order-confirmation", Entity: book("b1"), Partner: "bob", TxnID: "txn-9"})
-	a, err := l.Break(p.ID, "out of stock", "10% discount on next order")
+	k := newKernel(t, core.Options{Node: "n"})
+	k.Update(book("b1"), entity.Set("stock", 3))
+	p := promise(t, k, book("b1"), "bob", 1)
+	a, err := k.BreakPromise(p.ID, "out of stock", "10% discount on next order")
 	if err != nil {
 		t.Fatalf("Break: %v", err)
 	}
@@ -71,64 +131,67 @@ func TestBreakIssuesApologyAndHook(t *testing.T) {
 	if !strings.Contains(a.String(), "compensation") {
 		t.Fatalf("apology text: %s", a)
 	}
-	if len(hooked) != 1 || !strings.Contains(hooked[0], "out of stock") {
-		t.Fatalf("hook = %v", hooked)
+	// The withdrawal: the reservation left the rollup, the record stays.
+	if st, _ := k.Read(book("b1")); st.Int("stock") != 3 || status(t, k, p) != "broken" {
+		t.Fatalf("after Break: stock %d, promise %s", st.Int("stock"), status(t, k, p))
 	}
-	if len(l.Apologies()) != 1 {
-		t.Fatalf("apologies = %v", l.Apologies())
+	h, _ := k.History(book("b1"))
+	var logged []string
+	for _, v := range h.Versions {
+		for _, op := range v.Ops {
+			if strings.HasPrefix(op.String(), "apology for "+p.ID) {
+				logged = append(logged, op.Describe)
+			}
+		}
 	}
-	if l.ApologyRate() != 1.0 {
-		t.Fatalf("ApologyRate = %v", l.ApologyRate())
+	if len(logged) != 1 || !strings.Contains(logged[0], "out of stock") {
+		t.Fatalf("apologies in the log = %v", logged)
+	}
+	if k.Metrics().Counter("apology.issued").Value() != 1 {
+		t.Fatalf("apology.issued = %d", k.Metrics().Counter("apology.issued").Value())
+	}
+	if apologyRate(k) != 1.0 {
+		t.Fatalf("ApologyRate = %v", apologyRate(k))
 	}
 }
 
 func TestUnknownPromiseErrors(t *testing.T) {
-	l := NewLedger(Options{})
-	if _, err := l.Get("nope"); !errors.Is(err, ErrUnknownPromise) {
-		t.Fatal("Get should fail")
+	k := newKernel(t, core.Options{Node: "n"})
+	for _, p := range k.Pending() {
+		if p.ID == "nope" {
+			t.Fatal("unknown promise is pending")
+		}
 	}
-	if err := l.Keep("nope"); !errors.Is(err, ErrUnknownPromise) {
+	if err := k.KeepPromise("nope"); !errors.Is(err, apology.ErrUnknownPromise) {
 		t.Fatal("Keep should fail")
 	}
-	if _, err := l.Break("nope", "r", ""); !errors.Is(err, ErrUnknownPromise) {
+	if _, err := k.BreakPromise("nope", "r", ""); !errors.Is(err, apology.ErrUnknownPromise) {
 		t.Fatal("Break should fail")
 	}
 }
 
 func TestPendingOrderedByTime(t *testing.T) {
-	clk, advance := fixedClock(time.Unix(100, 0))
-	l := NewLedger(Options{Clock: clk})
-	first := l.Make(Promise{Kind: "k", Partner: "p1", Entity: book("b")})
-	advance(time.Second)
-	second := l.Make(Promise{Kind: "k", Partner: "p2", Entity: book("b")})
-	pending := l.Pending()
+	k := newKernel(t, core.Options{Node: "n"})
+	first := promise(t, k, book("b"), "p1", 1)
+	second := promise(t, k, book("b"), "p2", 1)
+	pending := k.Pending()
 	if len(pending) != 2 || pending[0].ID != first.ID || pending[1].ID != second.ID {
 		t.Fatalf("Pending order wrong: %+v", pending)
 	}
-	other := l.Make(Promise{Kind: "k", Partner: "p3", Entity: book("other")})
-	forB := l.PendingFor(book("b"))
-	if len(forB) != 2 {
+	promise(t, k, book("other"), "p3", 1)
+	if forB := pendingFor(k, book("b")); len(forB) != 2 {
 		t.Fatalf("PendingFor = %+v", forB)
 	}
-	_ = other
 }
 
 func TestResolveOverbookingKeepsFIFO(t *testing.T) {
 	// The paper's example: only 5 copies of the book, more than 5 sold.
-	clk, advance := fixedClock(time.Unix(0, 0))
-	l := NewLedger(Options{Clock: clk})
-	var ids []string
+	k := newKernel(t, core.Options{Node: "n"})
+	var ps []apology.Promise
 	for i := 0; i < 8; i++ {
-		p := l.Make(Promise{
-			Kind:     "order-confirmation",
-			Entity:   book("bestseller"),
-			Partner:  fmt.Sprintf("customer-%d", i),
-			Quantity: 1,
-		})
-		ids = append(ids, p.ID)
-		advance(time.Millisecond)
+		ps = append(ps, promise(t, k, book("bestseller"), fmt.Sprintf("customer-%d", i), 1))
 	}
-	kept, apologies, err := l.ResolveOverbooking(book("bestseller"), 5, "only 5 copies in stock", "full refund")
+	kept, apologies, err := k.ResolveOverbooking(book("bestseller"), 5, "only 5 copies in stock", "full refund")
 	if err != nil {
 		t.Fatalf("ResolveOverbooking: %v", err)
 	}
@@ -137,28 +200,26 @@ func TestResolveOverbookingKeepsFIFO(t *testing.T) {
 	}
 	// The first five promises (FIFO) were honoured.
 	for i := 0; i < 5; i++ {
-		p, _ := l.Get(ids[i])
-		if p.Status != Kept {
-			t.Fatalf("promise %d status = %s", i, p.Status)
+		if s := status(t, k, ps[i]); s != "kept" {
+			t.Fatalf("promise %d status = %s", i, s)
 		}
 	}
 	for i := 5; i < 8; i++ {
-		p, _ := l.Get(ids[i])
-		if p.Status != Broken {
-			t.Fatalf("promise %d status = %s", i, p.Status)
+		if s := status(t, k, ps[i]); s != "broken" {
+			t.Fatalf("promise %d status = %s", i, s)
 		}
 	}
-	if rate := l.ApologyRate(); rate != 3.0/8.0 {
+	if rate := apologyRate(k); rate != 3.0/8.0 {
 		t.Fatalf("ApologyRate = %v", rate)
 	}
 }
 
 func TestResolveOverbookingWithQuantities(t *testing.T) {
-	l := NewLedger(Options{})
-	l.Make(Promise{Kind: "atp", Entity: book("widget"), Partner: "a", Quantity: 3})
-	l.Make(Promise{Kind: "atp", Entity: book("widget"), Partner: "b", Quantity: 4})
-	l.Make(Promise{Kind: "atp", Entity: book("widget"), Partner: "c", Quantity: 2})
-	kept, apologies, err := l.ResolveOverbooking(book("widget"), 5, "capacity", "")
+	k := newKernel(t, core.Options{Node: "n"})
+	promise(t, k, book("widget"), "a", 3)
+	promise(t, k, book("widget"), "b", 4)
+	promise(t, k, book("widget"), "c", 2)
+	kept, apologies, err := k.ResolveOverbooking(book("widget"), 5, "capacity", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,43 +230,17 @@ func TestResolveOverbookingWithQuantities(t *testing.T) {
 }
 
 func TestResolveOverbookingZeroQuantityTreatedAsOne(t *testing.T) {
-	l := NewLedger(Options{})
-	l.Make(Promise{Kind: "k", Entity: book("x"), Partner: "a"})
-	l.Make(Promise{Kind: "k", Entity: book("x"), Partner: "b"})
-	kept, apologies, err := l.ResolveOverbooking(book("x"), 1, "capacity", "")
+	k := newKernel(t, core.Options{Node: "n"})
+	promise(t, k, book("x"), "a", 0)
+	promise(t, k, book("x"), "b", 0)
+	kept, apologies, err := k.ResolveOverbooking(book("x"), 1, "capacity", "")
 	if err != nil || kept != 1 || len(apologies) != 1 {
 		t.Fatalf("kept=%d apologies=%d err=%v", kept, len(apologies), err)
 	}
 }
 
-func TestExpireOverdue(t *testing.T) {
-	clk, advance := fixedClock(time.Unix(1000, 0))
-	l := NewLedger(Options{Clock: clk})
-	l.Make(Promise{Kind: "atp", Entity: book("w"), Partner: "a", Deadline: time.Unix(1500, 0)})
-	l.Make(Promise{Kind: "atp", Entity: book("w"), Partner: "b", Deadline: time.Unix(3000, 0)})
-	l.Make(Promise{Kind: "atp", Entity: book("w"), Partner: "c"}) // no deadline
-	advance(1000 * time.Second)                                   // now = 2000
-	apologies := l.ExpireOverdue("offer expired")
-	if len(apologies) != 1 || apologies[0].Partner != "a" {
-		t.Fatalf("apologies = %+v", apologies)
-	}
-	pending, _, broken := l.Counts()
-	if pending != 2 || broken != 1 {
-		t.Fatalf("counts = %d pending %d broken", pending, broken)
-	}
-}
-
-func TestStatusString(t *testing.T) {
-	if Pending.String() != "pending" || Kept.String() != "kept" || Broken.String() != "broken" {
-		t.Fatal("status names wrong")
-	}
-	if Status(9).String() == "" {
-		t.Fatal("unknown status should render")
-	}
-}
-
 func TestConcurrentMakeAndSettle(t *testing.T) {
-	l := NewLedger(Options{})
+	k := newKernel(t, core.Options{Node: "n"})
 	const n = 200
 	var wg sync.WaitGroup
 	ids := make([]string, n)
@@ -213,7 +248,10 @@ func TestConcurrentMakeAndSettle(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p := l.Make(Promise{Kind: "k", Entity: book("b"), Partner: fmt.Sprintf("p%d", i), Quantity: 1})
+			p, err := k.UpdateTentative(book("b"), fmt.Sprintf("p%d", i), "k", 1, entity.Delta("stock", -1))
+			if err != nil {
+				t.Error(err)
+			}
 			ids[i] = p.ID
 		}(i)
 	}
@@ -223,57 +261,47 @@ func TestConcurrentMakeAndSettle(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				l.Keep(ids[i])
+				k.KeepPromise(ids[i])
 			} else {
-				l.Break(ids[i], "r", "")
+				k.BreakPromise(ids[i], "r", "")
 			}
 		}(i)
 	}
 	wg.Wait()
-	pending, kept, broken := l.Counts()
-	if pending != 0 || kept != n/2 || broken != n/2 {
+	if pending, kept, broken := counts(k); pending != 0 || kept != n/2 || broken != n/2 {
 		t.Fatalf("counts = %d/%d/%d", pending, kept, broken)
 	}
-	if l.ApologyRate() != 0.5 {
-		t.Fatalf("rate = %v", l.ApologyRate())
+	if apologyRate(k) != 0.5 {
+		t.Fatalf("rate = %v", apologyRate(k))
 	}
 }
 
 func TestPromiseLimitExhaustion(t *testing.T) {
-	l := NewLedger(Options{MaxPendingPerEntity: 2})
+	k := newKernel(t, core.Options{Node: "n", PromiseLimit: 2})
 	// Fill the entity to its limit.
-	p1, err := l.MakeChecked(Promise{Entity: book("b1"), Partner: "alice"})
-	if err != nil {
-		t.Fatalf("first promise: %v", err)
-	}
-	if _, err := l.MakeChecked(Promise{Entity: book("b1"), Partner: "bob"}); err != nil {
-		t.Fatalf("second promise: %v", err)
-	}
+	p1 := promise(t, k, book("b1"), "alice", 1)
+	promise(t, k, book("b1"), "bob", 1)
 	// The third promise on the same entity is refused...
-	if _, err := l.MakeChecked(Promise{Entity: book("b1"), Partner: "carol"}); !errors.Is(err, ErrPromiseLimit) {
+	if _, err := k.UpdateTentative(book("b1"), "carol", "k", 1); !errors.Is(err, apology.ErrPromiseLimit) {
 		t.Fatalf("third promise: want ErrPromiseLimit, got %v", err)
 	}
 	// ...and registers nothing.
-	if pending, _, _ := l.Counts(); pending != 2 {
+	if pending, _, _ := counts(k); pending != 2 {
 		t.Fatalf("pending after refusal = %d, want 2", pending)
 	}
 	// Another entity is unaffected: the limit is per entity.
-	if _, err := l.MakeChecked(Promise{Entity: book("b2"), Partner: "carol"}); err != nil {
-		t.Fatalf("other entity: %v", err)
-	}
+	promise(t, k, book("b2"), "carol", 1)
 	// Settling a promise frees capacity — kept or broken both count.
-	if err := l.Keep(p1.ID); err != nil {
+	if err := k.KeepPromise(p1.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.MakeChecked(Promise{Entity: book("b1"), Partner: "carol"}); err != nil {
-		t.Fatalf("promise after settling: %v", err)
-	}
+	promise(t, k, book("b1"), "carol", 1)
 }
 
 func TestPromiseLimitUnlimitedByDefault(t *testing.T) {
-	l := NewLedger(Options{})
+	k := newKernel(t, core.Options{Node: "n"})
 	for i := 0; i < 100; i++ {
-		if _, err := l.MakeChecked(Promise{Entity: book("b1")}); err != nil {
+		if _, err := k.UpdateTentative(book("b1"), "p", "k", 1); err != nil {
 			t.Fatalf("promise %d refused without a limit: %v", i, err)
 		}
 	}
@@ -281,26 +309,25 @@ func TestPromiseLimitUnlimitedByDefault(t *testing.T) {
 
 func TestPromiseLimitConcurrentMakersNeverOvershoot(t *testing.T) {
 	const limit = 5
-	l := NewLedger(Options{MaxPendingPerEntity: limit})
+	k := newKernel(t, core.Options{Node: "n", PromiseLimit: limit})
 	var wg sync.WaitGroup
 	var refused sync.Map
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := l.MakeChecked(Promise{Entity: book("b1")}); err != nil {
+			if _, err := k.UpdateTentative(book("b1"), "p", "k", 1); err != nil {
 				refused.Store(i, err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	pending, _, _ := l.Counts()
-	if pending != limit {
+	if pending, _, _ := counts(k); pending != limit {
 		t.Fatalf("pending = %d, want exactly the limit %d", pending, limit)
 	}
 	refusals := 0
 	refused.Range(func(_, v interface{}) bool {
-		if !errors.Is(v.(error), ErrPromiseLimit) {
+		if !errors.Is(v.(error), apology.ErrPromiseLimit) {
 			t.Fatalf("unexpected refusal error: %v", v)
 		}
 		refusals++

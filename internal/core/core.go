@@ -205,7 +205,6 @@ type Kernel struct {
 	unitIDs  []partition.UnitID
 	locator  *partition.HashLocator
 	hlc      *clock.HLC
-	ledger   *apology.Ledger
 	registry *migrate.Registry
 	metrics  *metrics.Registry
 	inst     instruments
@@ -257,10 +256,6 @@ func Open(opts Options) (*Kernel, error) {
 		metrics:  metrics.NewRegistry(),
 	}
 	k.inst = resolveInstruments(k.metrics)
-	k.ledger = apology.NewLedger(apology.Options{
-		OnBreak:             k.onPromiseBroken,
-		MaxPendingPerEntity: opts.PromiseLimit,
-	})
 	if opts.UnitBackends != nil && len(opts.UnitBackends) != opts.Units {
 		return nil, fmt.Errorf("core: %d unit backends for %d units", len(opts.UnitBackends), opts.Units)
 	}
@@ -436,9 +431,6 @@ func (k *Kernel) Units() []partition.UnitID {
 // Metrics exposes the kernel's metric registry.
 func (k *Kernel) Metrics() *metrics.Registry { return k.metrics }
 
-// Ledger exposes the promise/apology ledger.
-func (k *Kernel) Ledger() *apology.Ledger { return k.ledger }
-
 // SchemaRegistry exposes the schema version registry.
 func (k *Kernel) SchemaRegistry() *migrate.Registry { return k.registry }
 
@@ -569,32 +561,27 @@ func (k *Kernel) Update(key entity.Key, ops ...entity.Op) (txn.CommitResult, err
 	return res, k.finishTxn(start, &res, err)
 }
 
-// UpdateTentative applies ops as a tentative promise and registers it in the
-// apology ledger. The returned promise can later be kept or broken.
+// UpdateTentative makes a promise: one tentative record of its terms
+// (entity.Promise) and ops, whose txn id is the promise's id, pending until
+// KeepPromise or BreakPromise settles it. An entity already carrying
+// Options.PromiseLimit pending promises refuses it (apology.ErrPromiseLimit).
 func (k *Kernel) UpdateTentative(key entity.Key, partner, kind string, quantity float64, ops ...entity.Op) (apology.Promise, error) {
-	res, err := k.Transact(key, func(t *txn.Txn) error {
-		return t.UpdateTentative(key, ops...)
-	})
+	u, err := k.unitFor(key)
 	if err != nil {
+		k.inst.txnFailed.Inc()
 		return apology.Promise{}, err
 	}
-	p, err := k.ledger.MakeChecked(apology.Promise{
-		Kind:     kind,
-		Entity:   key,
-		TxnID:    res.TxnID,
-		Partner:  partner,
-		Quantity: quantity,
-	})
-	if err != nil {
-		// The entity is at its promise limit: withdraw the tentative record
-		// just written so the refused promise leaves no trace in rollups (it
-		// stays in the log as an obsolete record, like any broken promise).
-		k.inst.promiseRefused.Inc()
-		k.withdraw(key, res.TxnID)
+	start := time.Now()
+	res, err := u.mgr.Promise(key, k.opts.PromiseLimit, append([]entity.Op{entity.Promise(kind, partner, quantity)}, ops...)...)
+	if err := k.finishTxn(start, &res, err); err != nil {
+		if errors.Is(err, apology.ErrPromiseLimit) {
+			k.inst.promiseRefused.Inc()
+		}
 		return apology.Promise{}, err
 	}
 	k.inst.promiseMade.Inc()
-	return p, nil
+	return apology.Promise{ID: res.TxnID, Kind: kind, Entity: key, TxnID: res.TxnID,
+		Partner: partner, Quantity: quantity, Made: time.Unix(0, res.Stamp.WallNanos)}, nil
 }
 
 // MultiWrite is one entity write inside a multi-entity request.
@@ -1352,48 +1339,83 @@ func (k *Kernel) AggregateStaleness() int {
 
 // --- Promises and apologies -----------------------------------------------------
 
-// onPromiseBroken counts a broken promise and withdraws the tentative record
-// backing it. The ledger calls it once per broken promise, whichever way the
-// promise broke.
-func (k *Kernel) onPromiseBroken(p apology.Promise, reason string) {
-	k.inst.promiseBroken.Inc()
-	k.inst.apologyIssued.Inc()
-	if p.TxnID != "" {
-		k.withdraw(p.Entity, p.TxnID)
+// Pending returns the pending promises in the order they were made.
+func (k *Kernel) Pending() []apology.Promise {
+	var out []apology.Promise
+	for _, id := range k.unitIDs {
+		out = append(out, k.units[id].db.AllPromises()...)
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Made.Before(out[j].Made) })
+	return out
 }
 
-// withdraw marks the tentative record txnID wrote on key obsolete.
-func (k *Kernel) withdraw(key entity.Key, txnID string) {
-	if u, err := k.unitFor(key); err == nil {
-		_ = u.db.MarkObsolete(key, txnID)
-	}
-}
-
-// KeepPromise marks a promise as fulfilled and confirms the tentative state.
+// KeepPromise keeps a promise with one settlement record naming it.
 func (k *Kernel) KeepPromise(id string) error {
-	p, err := k.ledger.Get(id)
-	if err != nil {
-		return err
-	}
-	if err := k.ledger.Keep(id); err != nil {
-		return err
-	}
-	k.inst.promiseKept.Inc()
-	_, err = k.Update(p.Entity, entity.Confirm())
+	_, err := k.settle(id, false, "", "")
 	return err
 }
 
-// BreakPromise withdraws a promise and issues an apology.
+// BreakPromise breaks a promise with one settlement record naming it, which
+// carries the apology and withdraws the tentative record from every rollup.
 func (k *Kernel) BreakPromise(id, reason, compensation string) (apology.Apology, error) {
-	return k.ledger.Break(id, reason, compensation)
+	return k.settle(id, true, reason, compensation)
 }
 
-// ResolveOverbooking settles pending promises for an entity against actual
-// availability, keeping them first-come-first-served. The promises it breaks
-// are counted and withdrawn by the ledger's break hook.
+// settle keeps or breaks promise id with one settlement record on the unit
+// holding it; a break returns the apology the record carries.
+func (k *Kernel) settle(id string, brk bool, reason, compensation string) (apology.Apology, error) {
+	var u *unit
+	var p apology.Promise
+	for i := 0; u == nil && i < len(k.byIndex); i++ {
+		if found, ok := k.byIndex[i].db.FindPromise(id); ok {
+			u, p = k.byIndex[i], found
+		}
+	}
+	if u == nil {
+		return apology.Apology{}, fmt.Errorf("%w: %s", apology.ErrUnknownPromise, id)
+	}
+	op := entity.KeepPromise(p.ID)
+	if brk {
+		op = entity.BreakPromise(p.ID, reason, compensation)
+	}
+	start := time.Now()
+	res, err := u.mgr.Update(p.Entity, op)
+	switch err := k.finishTxn(start, &res, err); {
+	case err != nil:
+		return apology.Apology{}, err
+	case !brk:
+		k.inst.promiseKept.Inc()
+		return apology.Apology{}, nil
+	}
+	k.inst.promiseBroken.Inc()
+	k.inst.apologyIssued.Inc()
+	return apology.Apology{PromiseID: p.ID, Kind: p.Kind, Partner: p.Partner, Reason: reason,
+		Compensation: compensation, Issued: time.Unix(0, res.Stamp.WallNanos)}, nil
+}
+
+// ResolveOverbooking settles the pending promises on an entity against
+// actual availability, keeping them first-come-first-served and breaking
+// the rest with an apology. It returns how many it kept and the apologies.
 func (k *Kernel) ResolveOverbooking(key entity.Key, available float64, reason, compensation string) (int, []apology.Apology, error) {
-	return k.ledger.ResolveOverbooking(key, available, reason, compensation)
+	u, err := k.unitFor(key)
+	if err != nil {
+		return 0, nil, err
+	}
+	keep, brk := apology.ResolveOverbooking(u.db.Promises(key), available)
+	for _, p := range keep {
+		if err := k.KeepPromise(p.ID); err != nil {
+			return 0, nil, err
+		}
+	}
+	var apologies []apology.Apology
+	for _, p := range brk {
+		a, err := k.BreakPromise(p.ID, reason, compensation)
+		if err != nil {
+			return len(keep), apologies, err
+		}
+		apologies = append(apologies, a)
+	}
+	return len(keep), apologies, nil
 }
 
 // --- Schema migration -----------------------------------------------------------

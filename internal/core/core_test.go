@@ -28,6 +28,12 @@ func newKernel(t *testing.T, opts Options) *Kernel {
 	return k
 }
 
+// apologyRate is broken / settled promises, from the kernel's counters.
+func apologyRate(k *Kernel) float64 {
+	kept, broken := k.Metrics().Counter("promise.kept").Value(), k.Metrics().Counter("promise.broken").Value()
+	return float64(broken) / float64(kept+broken)
+}
+
 func orderKey(id string) entity.Key   { return entity.Key{Type: "Order", ID: id} }
 func accountKey(id string) entity.Key { return entity.Key{Type: "Account", ID: id} }
 func invKey(id string) entity.Key     { return entity.Key{Type: "Inventory", ID: id} }
@@ -311,7 +317,7 @@ func TestTentativePromiseKeepAndBreak(t *testing.T) {
 	if st.Tentative {
 		t.Fatal("state should no longer be tentative after confirm")
 	}
-	if rate := k.Ledger().ApologyRate(); rate != 0.5 {
+	if rate := apologyRate(k); rate != 0.5 {
 		t.Fatalf("apology rate = %v", rate)
 	}
 }
@@ -407,7 +413,7 @@ func TestMigrateOnlineYieldsOnEveryUnit(t *testing.T) {
 }
 
 // BreakPromise counts the broken promise, as ResolveOverbooking does for the
-// promises it breaks: both go through the ledger's break hook.
+// promises it breaks.
 func TestBreakPromiseCountsBroken(t *testing.T) {
 	k := newKernel(t, Options{Node: "n1"})
 	key := entity.Key{Type: "Book", ID: "bestseller"}
@@ -517,7 +523,7 @@ func TestOptionsAccessors(t *testing.T) {
 	if k.Options().Units != 2 {
 		t.Fatalf("Options = %+v", k.Options())
 	}
-	if k.Ledger() == nil || k.SchemaRegistry() == nil {
+	if k.SchemaRegistry() == nil {
 		t.Fatal("accessors returned nil")
 	}
 }
@@ -667,7 +673,7 @@ func TestKernelPoolStatsAggregateAcrossUnits(t *testing.T) {
 
 // A kernel-level promise limit: UpdateTentative refuses promises beyond
 // Options.PromiseLimit per entity, and a refused promise leaves no trace in
-// the entity's rollup (its tentative record is withdrawn).
+// the entity's rollup (nothing is written).
 func TestUpdateTentativePromiseLimit(t *testing.T) {
 	k := newKernel(t, Options{Node: "n1", PromiseLimit: 2})
 	key := invKey("I1")
@@ -692,11 +698,11 @@ func TestUpdateTentativePromiseLimit(t *testing.T) {
 	if got := st.Float("stock"); got != 8 {
 		t.Fatalf("stock = %v, want 8 (two promised, the refused third withdrawn)", got)
 	}
-	if pending := len(k.Ledger().PendingFor(key)); pending != 2 {
+	if pending := len(k.Pending()); pending != 2 {
 		t.Fatalf("pending promises = %d, want 2", pending)
 	}
 	// Settling frees capacity at the kernel level too.
-	promises := k.Ledger().PendingFor(key)
+	promises := k.Pending()
 	if err := k.KeepPromise(promises[0].ID); err != nil {
 		t.Fatal(err)
 	}

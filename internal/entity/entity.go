@@ -745,20 +745,28 @@ const (
 	// 7 (undelete) and 8 (mark-tentative) are retired: nothing produced
 	// them, and a stored record that carries one is refused.
 	//
-	// opConfirm clears the tentative flag (the promise was kept).
+	// opConfirm clears the tentative flag; with a promise id as its Value it
+	// keeps that promise instead and changes no state (KeepPromise).
 	opConfirm OpKind = 9
+	// opPromise (10 is unassigned) gives a promise's terms: Field the kind,
+	// Value the partner, Delta the quantity. Apply skips it.
+	opPromise OpKind = 11
+	// opApology breaks promise Value, for reason Describe, with compensation
+	// Field. Apply skips it.
+	opApology OpKind = 12
 )
 
 // Known reports whether k is an operation kind this build applies.
 func (k OpKind) Known() bool {
-	return k >= OpSet && k <= opDelete || k == opConfirm
+	return k >= OpSet && k <= opDelete || k == opConfirm || k == opPromise || k == opApology
 }
 
 // String returns the operation kind name.
 func (k OpKind) String() string {
 	names := [...]string{OpSet: "set", OpDelta: "delta", OpInsertChild: "insert-child",
 		opSetChildField: "set-child-field", opDeltaChildField: "delta-child-field",
-		opDeleteChild: "delete-child", opDelete: "delete", opConfirm: "confirm"}
+		opDeleteChild: "delete-child", opDelete: "delete", opConfirm: "confirm",
+		opPromise: "promise", opApology: "apology"}
 	if k.Known() {
 		return names[k]
 	}
@@ -972,6 +980,40 @@ func Delete() Op { return Op{Kind: opDelete} }
 // Confirm returns an operation confirming previously tentative state.
 func Confirm() Op { return Op{Kind: opConfirm} }
 
+// Promise returns the terms a tentative record carries to make a promise
+// (principle 2.9): its kind, partner and quantity (zero if none).
+func Promise(kind, partner string, quantity float64) Op {
+	return Op{Kind: opPromise, Field: kind, Value: partner, Delta: quantity}
+}
+
+// KeepPromise returns the settlement that keeps promise id.
+func KeepPromise(id string) Op { return Op{Kind: opConfirm, Value: id} }
+
+// BreakPromise returns the settlement that breaks promise id: the apology,
+// with its reason and the compensation offered.
+func BreakPromise(id, reason, compensation string) Op {
+	return Op{Kind: opApology, Value: id, Describe: reason, Field: compensation}
+}
+
+// Settles returns the promise o settles and whether it breaks it; ok is
+// false for an op that is no settlement, which costs one kind test.
+func (o Op) Settles() (id string, broken, ok bool) {
+	if o.Kind < opConfirm {
+		return "", false, false
+	}
+	id, ok = o.Value.(string)
+	return id, o.Kind == opApology, ok && o.Kind != opPromise
+}
+
+// Terms returns the terms a Promise op gives; ok is false for any other op.
+func (o Op) Terms() (kind, partner string, quantity float64, ok bool) {
+	if o.Kind != opPromise {
+		return "", "", 0, false
+	}
+	partner, _ = o.Value.(string)
+	return o.Field, partner, o.Delta, true
+}
+
 // Described attaches a business description to the operation (principle 2.8).
 func (o Op) Described(text string) Op {
 	o.Describe = text
@@ -1006,6 +1048,10 @@ func (o Op) String() string {
 		return fmt.Sprintf("delta %s[%s].%s%+g", o.Collection, o.ChildID, o.Field, o.Delta)
 	case opDeleteChild:
 		return fmt.Sprintf("delete %s[%s]", o.Collection, o.ChildID)
+	case opPromise:
+		return fmt.Sprintf("promise %s to %v (%g)", o.Field, o.Value, o.Delta)
+	case opApology:
+		return fmt.Sprintf("apology for %v: %s", o.Value, o.Describe)
 	default:
 		return o.Kind.String()
 	}
@@ -1078,6 +1124,9 @@ func applyOne(typ *Type, s *State, op Op, mode ValidationMode) ([]Warning, error
 		}
 		warnings = append(warnings, Warning{Key: s.Key, Op: op, Problem: problem})
 		return nil
+	}
+	if _, _, settles := op.Settles(); settles || op.Kind == opPromise {
+		return nil, nil // promise terms and settlements change no state
 	}
 	if s.Deleted && op.Kind != opDelete {
 		if err := warn(ErrDeleted.Error()); err != nil {

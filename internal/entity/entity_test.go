@@ -380,7 +380,7 @@ func TestApplyDeleteAndUndelete(t *testing.T) {
 func TestApplyTentativeAndConfirm(t *testing.T) {
 	typ := orderType()
 	s := NewState(Key{Type: "Order", ID: "1"})
-	s.Tentative = true // what a tentative append leaves (lsdb.AppendTentative)
+	s.Tentative = true // what a tentative append leaves (lsdb.AppendPromise)
 	next, _, err := Apply(typ, s, []Op{Set("status", "OFFERED")}, Strict)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)

@@ -140,10 +140,13 @@ func TestCommitSinkWaitRunsOffShardLock(t *testing.T) {
 	}
 	db = newTestDB(t, Options{Shards: 1})
 	db.SetCommitSink(sink)
-	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "t1"); err != nil {
-		t.Fatal(err)
+	// Two records, so the entity still exists once the second is withdrawn.
+	for _, txn := range []string{"t1", "t2"} {
+		if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", txn); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := db.MarkObsolete(key, "t1"); err != nil {
+	if err := db.MarkObsolete(key, "t2"); err != nil {
 		t.Fatalf("MarkObsolete: %v", err)
 	}
 }

@@ -17,7 +17,9 @@
 // and records newer than the last settled point, obsolete flags included). That
 // split makes history rewrites crash-safe: a MarkObsolete mark in the WAL
 // tail always finds its target after recovery, because a record that was
-// still withdrawable was never summarised away.
+// still withdrawable was never summarised away. An entity whose every
+// record was withdrawn, with no summary, gets none: it reads as absent, and
+// its records stay detail.
 //
 // What stays resident after a flush: an entity's records, until Compact
 // folds them into its archived summary, and a cached state only until the
@@ -170,12 +172,14 @@ func (f *flusher) flushOnce() error {
 	// front is far cheaper than sorting the records they expand to. (Type, ID)
 	// ordering matches the table's composite-key ordering.
 	keys := f.keys[:0]
+	txnFloor := db.txnFloor
 	for _, s := range db.shards {
 		s.mu.Lock()
 		for _, d := range s.dirty {
 			keys = append(keys, dirtyKey{d, s})
 		}
 		s.dirty = kept(s.dirty)
+		txnFloor = max(txnFloor, s.txnFloor)
 		s.mu.Unlock()
 	}
 	// The sort moves indexes, not the keys: no pointer is written, so a
@@ -243,6 +247,8 @@ func (f *flusher) flushOnce() error {
 	for i, sp := range f.spans {
 		f.entries[i].Payload = f.buf[sp.start:sp.end]
 	}
+	// The table's ids leave the log with the segments it prunes.
+	db.tiered.SetTxnFloor(txnFloor)
 	if err := db.tiered.FlushTable(f.entries, watermark, boundary); err != nil {
 		return f.failed(keys, capBytes, capRecs, err)
 	}
@@ -340,6 +346,12 @@ func (f *flusher) captureKeyLocked(s *shard, e *entry, key entity.Key) (sum *ent
 			break
 		}
 		h = lsn
+	}
+	if !e.exists() {
+		// Every record withdrawn and no summary: the entity reads as absent,
+		// and a summary would make it readable, so its records stay detail
+		// (Compact keeps them too).
+		h = 0
 	}
 	if h > 0 || e.archived != nil {
 		switch {

@@ -34,7 +34,7 @@ func openTestTiered(t testing.TB, dir string, hooks *lsm.Hooks) *lsm.Store {
 // table summaries, not the log).
 func assertTieredStates(t *testing.T, want, got *DB) {
 	t.Helper()
-	wantKeys, gotKeys := want.keys(), got.keys()
+	wantKeys, gotKeys := allKeys(want), allKeys(got)
 	if !reflect.DeepEqual(wantKeys, gotKeys) {
 		t.Fatalf("key sets differ: %v vs %v", wantKeys, gotKeys)
 	}
@@ -66,7 +66,7 @@ func assertTieredStates(t *testing.T, want, got *DB) {
 // run purely in memory.
 func warmEverything(t *testing.T, db *DB) {
 	t.Helper()
-	for _, key := range db.keys() {
+	for _, key := range allKeys(db) {
 		if _, _, err := db.Current(key); err != nil {
 			t.Fatalf("warm %s: %v", key, err)
 		}
@@ -253,7 +253,7 @@ func TestColdEvictionAndWarm(t *testing.T) {
 	if fs.Evicted == 0 {
 		t.Fatalf("nothing evicted: %+v", fs)
 	}
-	if got := len(db.keys()); got != keys {
+	if got := len(allKeys(db)); got != keys {
 		t.Fatalf("cold keys fell out of keys(): %d, want %d", got, keys)
 	}
 	if !db.Exists(entity.Key{Type: "Account", ID: "c00"}) {

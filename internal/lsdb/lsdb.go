@@ -40,12 +40,12 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apology"
 	"repro/internal/clock"
 	"repro/internal/entity"
 	"repro/internal/partition"
@@ -207,13 +207,16 @@ type entry struct {
 	dirty     bool
 	cold      bool
 	tentative bool
-	coldAt    uint64
+	// live counts the retained records neither withdrawn nor settlements.
+	live   uint32
+	coldAt uint64
 }
 
-// exists reports whether the entity has anything to read: retained records,
-// an archived summary in memory, or one evicted to the tiered store.
+// exists reports whether the entity has anything to read: a live record, an
+// archived summary in memory, or one evicted to the tiered store. Withdrawn
+// records alone (a promise broken on a first write) read as absent.
 func (e *entry) exists() bool {
-	return len(e.recs) > 0 || e.archived != nil || e.cold
+	return e.live > 0 || e.archived != nil || e.cold
 }
 
 // headLSN returns the LSN of the newest retained record (0 when none).
@@ -278,15 +281,28 @@ func (s *shard) txnLSNLocked(e *entry, id string) (uint64, bool) {
 	return 0, false
 }
 
-// addRecLocked lists a record of e that was just put in the shard's log.
-// The caller holds the shard's write lock.
-func (s *shard) addRecLocked(e *entry, lsn uint64, txn string, tentative bool) {
+// addRecLocked lists a record of key's entry e that was just put in the
+// shard's log; live is whether it counts towards e.live. The caller holds the
+// shard's write lock.
+func (s *shard) addRecLocked(key entity.Key, e *entry, lsn uint64, txn string, tentative, live bool) {
 	if e.recs == nil {
 		e.recs = e.recRoom[:0]
 	}
 	e.recs = append(e.recs, lsn)
-	e.tentative = e.tentative || tentative
-	if prefix, seq, above := e.aboveMark(txn); above {
+	if tentative {
+		e.tentative = true
+		if txn != "" {
+			s.promised[txn] = promiseRef{key: key, lsn: lsn}
+		}
+	}
+	if live {
+		e.live++
+	}
+	prefix, seq, above := e.aboveMark(txn)
+	if seq > s.txnFloor && prefix == s.own {
+		s.txnFloor = seq
+	}
+	if above {
 		// Keep the prefix already held, or the shard's copy of it, rather
 		// than one inside each new id, which would keep that whole id alive.
 		if prefix != e.hiPrefix {
@@ -305,7 +321,7 @@ func (s *shard) addRecLocked(e *entry, lsn uint64, txn string, tentative bool) {
 // dropRecs forgets the entity's records (Compact removed them from the log)
 // and everything derived from them.
 func (e *entry) dropRecs() {
-	e.recs, e.recRoom, e.byTxn, e.tentative = nil, [2]uint64{}, nil, false
+	e.recs, e.recRoom, e.byTxn, e.tentative, e.live = nil, [2]uint64{}, nil, false, 0
 	e.hiPrefix, e.hiSeq = "", 0
 	e.cache.drop()
 	e.snap = snapshot{}
@@ -336,8 +352,17 @@ type shard struct {
 	// prefix is the txn-id prefix an entry's high-water mark last took
 	// (entry.hiPrefix), a copy the entries share.
 	prefix string
-	// entries holds one entry per entity. An entry that ever existed (see
-	// entry.exists) is never removed, so pointers to it stay good across
+	// own is "<Node>-txn-", and txnFloor the highest number after it among
+	// the ids of the records this shard ever listed (DB.TxnFloor).
+	own      string
+	txnFloor uint64
+	// promised finds the retained promise record a promise id names
+	// (FindPromise, AllPromises): one entry per tentative record with an id
+	// that addRecLocked lists, gone when Compact drops the record. It only
+	// locates records; whether a promise is pending is read from its flags.
+	promised map[string]promiseRef
+	// entries holds one entry per entity. An entry that ever held a record
+	// or a summary is never removed, so pointers to it stay good across
 	// lock holds; only an entry a failed first append left empty is.
 	entries map[entity.Key]*entry
 
@@ -353,8 +378,8 @@ type shard struct {
 	lookups, decodes *atomic.Uint64
 }
 
-func newShard() *shard {
-	return &shard{entries: map[entity.Key]*entry{}}
+func newShard(own string) *shard {
+	return &shard{entries: map[entity.Key]*entry{}, own: own, promised: map[string]promiseRef{}}
 }
 
 // entry returns the entity's entry, or nil. The caller holds the shard lock.
@@ -380,7 +405,7 @@ func (s *shard) ensure(key entity.Key) *entry {
 // dropIfEmptyLocked removes an entry that ensure created for an append that
 // then failed, so refused writes to unknown keys leave nothing behind.
 func (s *shard) dropIfEmptyLocked(key entity.Key, e *entry) {
-	if !e.exists() && s.entries[key] == e {
+	if len(e.recs) == 0 && !e.exists() && s.entries[key] == e {
 		delete(s.entries, key)
 	}
 }
@@ -460,6 +485,8 @@ type DB struct {
 	flush  *flusher
 	// coldReads counts reads that warmed a disk-resident summary back in.
 	coldReads atomic.Uint64
+	// txnFloor is the floor Recover read from a tiered backend (DB.TxnFloor).
+	txnFloor uint64
 }
 
 // Open creates an empty database.
@@ -475,8 +502,9 @@ func Open(opts Options) *DB {
 		shards: make([]*shard, opts.Shards),
 	}
 	db.types.Store(&map[string]*entity.Type{})
+	own := string(opts.Node) + "-txn-"
 	for i := range db.shards {
-		db.shards[i] = newShard()
+		db.shards[i] = newShard(own)
 	}
 	if t, ok := opts.Backend.(storage.Tiered); ok {
 		db.tiered = t
@@ -487,6 +515,19 @@ func Open(opts Options) *DB {
 
 // Node returns the node identity of this database.
 func (db *DB) Node() clock.NodeID { return db.opts.Node }
+
+// TxnFloor returns the highest n among the ids "<Node>-txn-<n>" (a
+// txn.Manager's) the store ever committed or recovered, retained or not, so a
+// manager opened over a recovered store issues no id twice.
+func (db *DB) TxnFloor() uint64 {
+	floor := db.txnFloor
+	for _, s := range db.shards {
+		s.mu.RLock()
+		floor = max(floor, s.txnFloor)
+		s.mu.RUnlock()
+	}
+	return floor
+}
 
 // shardFor returns the shard owning the key.
 func (db *DB) shardFor(key entity.Key) *shard {
@@ -537,20 +578,22 @@ type AppendResult struct {
 // returns ErrDuplicateTxn without writing; this gives at-least-once queue
 // consumers idempotence (principles 2.4 and 3.1).
 func (db *DB) Append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string) (AppendResult, error) {
-	res, err := db.append(key, ops, stamp, origin, txnID, false)
+	res, err := db.append(key, ops, stamp, origin, txnID, false, 0)
 	db.maybeCheckpoint()
 	return res, err
 }
 
-// AppendTentative writes a record whose effects are tentative (principle
-// 2.9). Tentative records participate in rollups until marked obsolete.
-func (db *DB) AppendTentative(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string) (AppendResult, error) {
-	res, err := db.append(key, ops, stamp, origin, txnID, true)
+// AppendPromise writes a record whose effects are tentative (principle 2.9):
+// they count in rollups until a settlement breaks it or a mark withdraws it.
+// With limit > 0 it is refused with apology.ErrPromiseLimit, writing
+// nothing, when key already carries limit pending promises.
+func (db *DB) AppendPromise(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, limit int) (AppendResult, error) {
+	res, err := db.append(key, ops, stamp, origin, txnID, true, limit)
 	db.maybeCheckpoint()
 	return res, err
 }
 
-func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool) (AppendResult, error) {
+func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool, limit int) (AppendResult, error) {
 	typ, ok := db.TypeOf(key.Type)
 	if !ok {
 		return AppendResult{}, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
@@ -563,7 +606,7 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 	if err != nil {
 		return AppendResult{}, fmt.Errorf("lsdb: %w", err)
 	}
-	res, wait, err := db.commitCycle(db.shardFor(key), typ, key, ops, stamp, origin, txnID, tentative)
+	res, wait, err := db.commitCycle(db.shardFor(key), typ, key, ops, stamp, origin, txnID, tentative, limit)
 	if err != nil {
 		return AppendResult{}, err
 	}
@@ -577,11 +620,11 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 // capture. It returns the sink's ack wait for the caller to run unlocked.
 // The unlock is deferred, so a capture that panics leaves the shard usable:
 // the panic reaches the writer, and the record stays committed.
-func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool) (AppendResult, func() error, error) {
+func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool, limit int) (AppendResult, func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.ensure(key)
-	next, warnings, err := db.applyForAppendLocked(s, e, typ, key, ops, txnID, tentative)
+	next, promise, warnings, err := db.applyForAppendLocked(s, e, typ, key, ops, txnID, tentative, limit)
 	if err != nil {
 		s.dropIfEmptyLocked(key, e)
 		return AppendResult{}, nil, err
@@ -604,7 +647,14 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 		return AppendResult{}, nil, err
 	}
 	res := AppendResult{Record: recs[0], Warnings: warnings}
-	db.commitAppendLocked(s, e, &recs[0], next)
+	if promise == 0 {
+		db.commitAppendLocked(s, e, &recs[0], next)
+	} else { // a settlement: listed, not live, and its promise settled
+		s.addRecLocked(key, e, recs[0].LSN, txnID, tentative, false)
+		db.markDirtyLocked(s, key, e)
+		_, broken, _ := settles(ops)
+		s.settleLocked(e, promise, !broken)
+	}
 	wait := db.postCommitLocked(recs)
 	s.endCycleLocked(recs)
 	return res, wait, nil
@@ -642,15 +692,24 @@ func (db *DB) SetCommitSink(fn func(records []Record) (wait func() error)) {
 // applies it to the current rollup, returning the new (not yet frozen) state,
 // which the caller installs (commitAppendLocked) or, when the backend refuses
 // the record, Recycles: a cached state taken to be written in place is out of
-// the cache meanwhile. The caller holds the shard's write lock.
-func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key entity.Key, ops []entity.Op, txnID string, tentative bool) (*entity.State, []entity.Warning, error) {
+// the cache meanwhile. A settlement (promise.go) applies nothing and comes
+// back with the LSN of its promise. The caller holds the shard's write lock.
+func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key entity.Key, ops []entity.Op, txnID string, tentative bool, limit int) (*entity.State, uint64, []entity.Warning, error) {
 	// A write to an evicted entity rolls up from its disk-resident summary.
 	if err := db.warmLocked(s, e, key); err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	if _, _, fresh := e.aboveMark(txnID); txnID != "" && !fresh {
 		if _, dup := s.txnLSNLocked(e, txnID); dup {
-			return nil, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
+			return nil, 0, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
+		}
+	}
+	if id, _, ok := settles(ops); ok {
+		lsn, err := s.promiseLocked(e, key, id)
+		return nil, lsn, nil, err
+	} else if limit > 0 {
+		if n := len(s.pendingLocked(nil, key, e)); n >= limit {
+			return nil, 0, nil, fmt.Errorf("%w: %d pending on %s", apology.ErrPromiseLimit, n, key)
 		}
 	}
 	// The cached rollup is the prior state. One nobody was lent is this
@@ -674,12 +733,12 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 		next, warnings, err = entity.Apply(typ, prior, ops, db.opts.Validation)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	if tentative {
 		next.Tentative = true
 	}
-	return next, warnings, nil
+	return next, 0, warnings, nil
 }
 
 // writeCycleLocked puts a commit cycle's record, recs[0], in the log, encoded
@@ -733,7 +792,7 @@ func (s *shard) endCycleLocked(recs []Record) {
 // and the frozen new state becomes the cached state and, every SnapshotEvery
 // records, the snapshot fallback. The caller holds the shard's write lock.
 func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.State) {
-	s.addRecLocked(e, rec.LSN, rec.TxnID, rec.Tentative)
+	s.addRecLocked(rec.Key, e, rec.LSN, rec.TxnID, rec.Tentative, true)
 	db.markDirtyLocked(s, rec.Key, e)
 	if db.opts.DisableStateCache {
 		next.Freeze()
@@ -794,18 +853,8 @@ func (db *DB) markObsolete(s *shard, key entity.Key, txnID string) (func() error
 	if err := db.logMarks([]Record{mark}); err != nil {
 		return nil, err
 	}
-	// The one write to a committed record: its flag byte, in place, under
-	// the write lock every reader of the log excludes.
-	s.markObsoleteLocked(lsn)
+	s.settleLocked(e, lsn, false)
 	db.markDirtyLocked(s, key, e)
-	// The materialised state folded the withdrawn record in; drop it so the
-	// next read rebuilds from the log. The snapshot only has to go if it
-	// already covers the withdrawn record — an older snapshot is still a
-	// valid prefix and bounds the rebuild.
-	e.cache.drop()
-	if e.snap.lsn >= lsn {
-		e.snap = snapshot{}
-	}
 	// The mark ships through the commit sink too: a standby's log must
 	// withdraw the same promises. Captured under the shard lock (ordered
 	// after the record it withdraws), acked after it, like any sink call.
@@ -1142,30 +1191,20 @@ func (db *DB) Len() int {
 	return n
 }
 
-// keys returns every entity key with retained or archived records, sorted.
-func (db *DB) keys() []entity.Key {
+// KeysOfType returns the keys of every existing entity of one type, sorted
+// by ID.
+func (db *DB) KeysOfType(typeName string) []entity.Key {
 	var out []entity.Key
 	for _, s := range db.shards {
 		s.mu.RLock()
 		for k, e := range s.entries {
-			if e.exists() {
+			if k.Type == typeName && e.exists() {
 				out = append(out, k)
 			}
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// KeysOfType returns all keys of one entity type, sorted.
-func (db *DB) KeysOfType(typeName string) []entity.Key {
-	var out []entity.Key
-	for _, k := range db.keys() {
-		if k.Type == typeName {
-			out = append(out, k)
-		}
-	}
+	slices.SortFunc(out, func(a, b entity.Key) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -1199,8 +1238,11 @@ func (db *DB) Scan(typeName string, fn func(*entity.State) bool) error {
 // current rollup is stored as an archived summary (the paper's
 // "summarization and archival functionality") and the detail records are
 // removed. Entities with newer activity keep all their records so their
-// audit trail stays complete. Shards compact independently. Returns how many
-// entities were summarised.
+// audit trail stays complete. So do two kinds of entity the flush does not
+// summarise either: one holding a pending promise, which its settlement
+// must still find, and one that exists through none of its records (every
+// one withdrawn, no summary), which a summary would make readable. Shards
+// compact independently. Returns how many entities were summarised.
 func (db *DB) Compact(beforeLSN uint64) int {
 	summarised := 0
 	for _, s := range db.shards {
@@ -1208,7 +1250,7 @@ func (db *DB) Compact(beforeLSN uint64) int {
 		var drop []*entry
 		var gone []uint64 // the LSNs of their records
 		for key, e := range s.entries {
-			if len(e.recs) == 0 {
+			if len(e.recs) == 0 || !e.exists() || len(s.pendingLocked(nil, key, e)) > 0 {
 				continue
 			}
 			if e.headLSN() <= beforeLSN {
@@ -1231,6 +1273,10 @@ func (db *DB) Compact(beforeLSN uint64) int {
 			// Only the kept records' bytes are copied (segment.go).
 			slices.Sort(gone)
 			s.dropLocked(gone)
+			maps.DeleteFunc(s.promised, func(_ string, ref promiseRef) bool {
+				g, _ := s.locateLocked(ref.lsn)
+				return g == nil // a promise record just dropped
+			})
 			for _, e := range drop {
 				// The records are gone, and the materialised state would now
 				// shadow the archived summary: the next read rebuilds from

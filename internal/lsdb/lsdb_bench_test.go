@@ -105,6 +105,8 @@ func (d *discardTiered) FlushTable(entries []storage.WALRecord, _, _ uint64) err
 }
 func (d *discardTiered) LookupSummary(entity.Key) (*storage.WALRecord, error) { return nil, nil }
 func (d *discardTiered) TieredStats() storage.TieredStats                     { return storage.TieredStats{} }
+func (d *discardTiered) SetTxnFloor(uint64)                                   {}
+func (d *discardTiered) TxnFloor() uint64                                     { return 0 }
 
 // BenchmarkFlushCapture measures one flush pass over 16 384 dirty entities
 // spread across 16 shards — seal, per-key capture under the shard locks, and

@@ -41,6 +41,16 @@ func orderType() *entity.Type {
 	}
 }
 
+// allKeys returns the keys of every existing entity of a registered type,
+// by type, then by ID.
+func allKeys(db *DB) []entity.Key {
+	var out []entity.Key
+	for _, typ := range db.Types() {
+		out = append(out, db.KeysOfType(typ)...)
+	}
+	return out
+}
+
 func newTestDB(t testing.TB, opts Options) *DB {
 	t.Helper()
 	if opts.Node == "" {
@@ -317,7 +327,7 @@ func TestKeysAndScan(t *testing.T) {
 	db.Append(entity.Key{Type: "Account", ID: "A"}, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n1", "")
 	db.Append(entity.Key{Type: "Account", ID: "B"}, []entity.Op{entity.Delta("balance", 2)}, stamp(2), "n1", "")
 	db.Append(entity.Key{Type: "Order", ID: "O1"}, []entity.Op{entity.Set("status", "OPEN")}, stamp(3), "n1", "")
-	if got := len(db.keys()); got != 3 {
+	if got := len(allKeys(db)); got != 3 {
 		t.Fatalf("Keys = %d, want 3", got)
 	}
 	if got := len(db.KeysOfType("Account")); got != 2 {
@@ -916,7 +926,7 @@ func TestSaveLoadAcrossShardCounts(t *testing.T) {
 		if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("Load into %d shards: %v", shards, err)
 		}
-		for _, key := range src.keys() {
+		for _, key := range allKeys(src) {
 			want, _, _ := src.Current(key)
 			got, _, err := dst.Current(key)
 			if err != nil || got.Float("balance") != want.Float("balance") {

@@ -185,7 +185,14 @@ func (db *DB) loadRecord(rec Record) error {
 		return err
 	}
 	e := s.ensure(rec.Key)
-	s.addRecLocked(e, rec.LSN, rec.TxnID, rec.Tentative)
+	id, broken, isSettlement := settles(rec.Ops)
+	s.addRecLocked(rec.Key, e, rec.LSN, rec.TxnID, rec.Tentative, !rec.Obsolete && !isSettlement)
+	if isSettlement {
+		// Replay settles the promise again, if it is still pending here.
+		if lsn, err := s.promiseLocked(e, rec.Key, id); err == nil {
+			s.settleLocked(e, lsn, !broken)
+		}
+	}
 	e.cache.drop()
 	db.markDirtyLocked(s, rec.Key, e)
 	db.lsn.AdvanceTo(rec.LSN)
@@ -213,6 +220,7 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 	}
 	db := Open(opts)
 	if db.tiered != nil {
+		db.txnFloor = db.tiered.TxnFloor()
 		// Every table key becomes an entry: sizing the entry maps for them up
 		// front spares recovery the maps' growth. The sum over tables is an
 		// upper bound (a key can sit in several).

@@ -38,7 +38,7 @@ func assertIdenticalStores(t *testing.T, want, got *DB) {
 	if want.HeadLSN() != got.HeadLSN() {
 		t.Fatalf("LSN watermark differs: %d vs %d", want.HeadLSN(), got.HeadLSN())
 	}
-	wantKeys, gotKeys := want.keys(), got.keys()
+	wantKeys, gotKeys := allKeys(want), allKeys(got)
 	if !reflect.DeepEqual(wantKeys, gotKeys) {
 		t.Fatalf("key sets differ: %v vs %v", wantKeys, gotKeys)
 	}

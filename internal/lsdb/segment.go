@@ -197,14 +197,18 @@ func (s *shard) headerLocked(lsn uint64) (storage.AppendHeader, bool) {
 	return h, true
 }
 
-// markObsoleteLocked sets the obsolete flag of the record with the given LSN,
-// one the shard holds, in place. The caller holds the shard's write lock.
-func (s *shard) markObsoleteLocked(lsn uint64) {
+// flagLocked sets the obsolete flag of the shard's record at lsn in place, or
+// with keep clears its tentative flag. The caller holds the write lock.
+func (s *shard) flagLocked(lsn uint64, keep bool) {
 	g, i := s.locateLocked(lsn)
 	if g == nil {
 		panic(fmt.Sprintf("lsdb: record %d is not in the log", lsn))
 	}
-	if err := storage.MarkObsolete(g.record(i)); err != nil {
+	flip := storage.MarkObsolete
+	if keep {
+		flip = storage.ClearTentative
+	}
+	if err := flip(g.record(i)); err != nil {
 		panic(fmt.Sprintf("lsdb: resident record %d has no header: %v", lsn, err))
 	}
 }

@@ -78,10 +78,18 @@ func (m *logModel) log() []Record {
 }
 
 // compact mirrors DB.Compact.
+// compact is Compact's rule: an entity whose records all fall at or below
+// the horizon is summarised, unless it holds a pending promise (a tentative
+// record not withdrawn) or exists through none of them (all withdrawn, no
+// summary).
 func (m *logModel) compact(horizon uint64) {
 	for key, recs := range m.recs {
-		if len(recs) > 0 && recs[len(recs)-1].LSN <= horizon {
-			m.archived[key], _ = m.fold(key, all)
+		if len(recs) == 0 || recs[len(recs)-1].LSN > horizon {
+			continue
+		}
+		pending := slices.ContainsFunc(recs, func(r Record) bool { return r.Tentative && !r.Obsolete })
+		if st, found := m.fold(key, all); found && !pending {
+			m.archived[key] = st
 			delete(m.recs, key)
 		}
 	}
@@ -430,6 +438,11 @@ func TestResidentLogConcurrentReadersAndFlips(t *testing.T) {
 					}
 					if _, _, err := db.Current(key); err != nil && !errors.Is(err, ErrNotFound) {
 						t.Error(err)
+					}
+					for _, p := range db.AllPromises() {
+						if found, ok := db.FindPromise(p.ID); ok && found.Entity != p.Entity {
+							t.Errorf("FindPromise(%s) on %s, pending on %s", p.ID, found.Entity, p.Entity)
+						}
 					}
 				}
 			}()

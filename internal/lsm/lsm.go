@@ -254,6 +254,21 @@ func (s *Store) Close() error {
 // SealWAL rotates the hot tier's active segment; see storage.Tiered.
 func (s *Store) SealWAL() (uint64, error) { return s.inner.SealActive() }
 
+// SetTxnFloor raises the txn-id floor the next manifest install persists;
+// see storage.Tiered.
+func (s *Store) SetTxnFloor(n uint64) {
+	s.mu.Lock()
+	s.man.TxnFloor = max(s.man.TxnFloor, n)
+	s.mu.Unlock()
+}
+
+// TxnFloor returns the txn-id floor; see storage.Tiered.
+func (s *Store) TxnFloor() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.man.TxnFloor
+}
+
 // indexEntryGuess is the index bytes a flush reserves per entry: two short
 // strings and five small uvarints.
 const indexEntryGuess = 40

@@ -41,6 +41,9 @@ type lsmManifest struct {
 	NextTable uint64      `json:"next_table"` // next table creation sequence
 	Watermark uint64      `json:"watermark"`  // highest LSN any flush has covered
 	Tables    []tableMeta `json:"tables"`
+	// TxnFloor is the store's txn-id floor as of the last flush
+	// (storage.Tiered.SetTxnFloor).
+	TxnFloor uint64 `json:"txn_floor,omitempty"`
 }
 
 // loadManifest reads the manifest; a missing file is an empty store.

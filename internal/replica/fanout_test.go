@@ -243,7 +243,7 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 		}
 	}
 	for _, txn := range []string{"tent-1", "tent-2"} {
-		if _, err := p.db.AppendTentative(key, []entity.Op{entity.Delta("balance", 100)}, ts(10), "p", txn); err != nil {
+		if _, err := p.db.AppendPromise(key, []entity.Op{entity.Delta("balance", 100)}, ts(10), "p", txn, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.db.MarkObsolete(key, txn); err != nil {

@@ -85,7 +85,7 @@ func TestShipSyncMirrorsLogAndPromotes(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if _, err := p.db.AppendTentative(key, []entity.Op{entity.Delta("balance", 100)}, ts(4), "p", "tentative-1"); err != nil {
+	if _, err := p.db.AppendPromise(key, []entity.Op{entity.Delta("balance", 100)}, ts(4), "p", "tentative-1", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.db.MarkObsolete(key, "tentative-1"); err != nil {

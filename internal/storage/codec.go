@@ -585,6 +585,18 @@ func MarkObsolete(payload []byte) error {
 	return nil
 }
 
+// ClearTentative clears the tentative flag of an encoded append record in
+// place, as keeping its promise does: the payload then decodes as the record
+// with Tentative unset.
+func ClearTentative(payload []byte) error {
+	h, err := ReadAppendHeader(payload)
+	if err != nil {
+		return err
+	}
+	payload[h.flagsAt] &^= flagTentative
+	return nil
+}
+
 func (d *decoder) op(op *entity.Op) error {
 	kind, err := d.uvarint()
 	if err != nil {

@@ -35,6 +35,14 @@ type Tiered interface {
 	// the in-memory store.
 	LookupSummary(key entity.Key) (*WALRecord, error)
 
+	// SetTxnFloor raises the txn-id floor (lsdb.DB.TxnFloor) the backend
+	// persists with the next table set it installs — no later than a flush
+	// prunes the log segments whose records carried those ids — and
+	// TxnFloor returns the highest floor it holds, so a recovered store's
+	// transaction ids resume past every id the summarised history held.
+	SetTxnFloor(n uint64)
+	TxnFloor() uint64
+
 	// TieredStats reports table/level layout and flush/compaction/bloom
 	// counters for operational surfaces.
 	TieredStats() TieredStats

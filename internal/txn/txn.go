@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/clock"
@@ -50,7 +49,8 @@ type Manager struct {
 	db   *lsdb.DB
 	hlc  *clock.HLC
 	ids  clock.Sequence
-	// idPrefix is "<node>-txn-"; a transaction id is it plus a sequence number.
+	// idPrefix is "<store node>-txn-"; a transaction id is it plus a sequence
+	// number.
 	idPrefix string
 
 	stats counters
@@ -76,28 +76,16 @@ func NewManager(db *lsdb.DB, hlc *clock.HLC, opts Options) *Manager {
 	if hlc == nil {
 		hlc = clock.NewHLC(opts.Node)
 	}
-	m := &Manager{opts: opts, db: db, hlc: hlc, idPrefix: string(opts.Node) + "-txn-"}
-	m.resumeIDs()
+	// The ids are the store's: "<db node>-txn-<n>", resumed past every one
+	// the store ever committed (lsdb.DB.TxnFloor). A commit treats a
+	// duplicate transaction id as an at-least-once retry and silently skips
+	// the append, and a promise's id is its transaction's, so a manager
+	// opened over a recovered log (durable restart, promoted standby) must
+	// not recycle ids: a fresh write wearing an old id would be dropped as
+	// its own replay, a fresh promise would take a settled one's id.
+	m := &Manager{opts: opts, db: db, hlc: hlc, idPrefix: string(db.Node()) + "-txn-"}
+	m.ids.AdvanceTo(db.TxnFloor())
 	return m
-}
-
-// resumeIDs advances the id sequence past every transaction id this node name
-// already issued into the store. A commit treats a duplicate transaction id as
-// an at-least-once retry and silently skips the append, so a manager opened
-// over a recovered log (durable restart, promoted standby) must not recycle
-// ids — a fresh write wearing an old id would be dropped as its own replay.
-func (m *Manager) resumeIDs() {
-	var floor uint64
-	for _, rec := range m.db.RecordsAfterN(0, 0) {
-		n, ok := strings.CutPrefix(rec.TxnID, m.idPrefix)
-		if !ok {
-			continue
-		}
-		if v, err := strconv.ParseUint(n, 10, 64); err == nil && v > floor {
-			floor = v
-		}
-	}
-	m.ids.AdvanceTo(floor)
 }
 
 // DB returns the underlying serialization unit.
@@ -133,8 +121,6 @@ type Txn struct {
 type write struct {
 	key entity.Key
 	ops []entity.Op
-	// tentative marks the buffered ops as a tentative promise.
-	tentative bool
 }
 
 // begin starts a transaction.
@@ -212,16 +198,6 @@ func (t *Txn) Read(key entity.Key) (*entity.State, error) {
 
 // Update buffers operations against an entity.
 func (t *Txn) Update(key entity.Key, ops ...entity.Op) error {
-	return t.update(key, false, ops...)
-}
-
-// UpdateTentative buffers operations whose effect is a tentative promise
-// (principle 2.9); the kernel can later confirm or withdraw it.
-func (t *Txn) UpdateTentative(key entity.Key, ops ...entity.Op) error {
-	return t.update(key, true, ops...)
-}
-
-func (t *Txn) update(key entity.Key, tentative bool, ops ...entity.Op) error {
 	if t.done {
 		return ErrDone
 	}
@@ -243,9 +219,6 @@ func (t *Txn) update(key entity.Key, tentative bool, ops ...entity.Op) error {
 		w.ops = ops[:len(ops):len(ops)]
 	} else {
 		w.ops = append(w.ops, ops...)
-	}
-	if tentative {
-		w.tentative = true
 	}
 	return nil
 }
@@ -347,13 +320,7 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 	}
 	for i := range t.nwrite {
 		w := t.at(i)
-		var ar lsdb.AppendResult
-		var err error
-		if w.tentative {
-			ar, err = t.m.db.AppendTentative(w.key, w.ops, stamp, t.m.opts.Node, t.id)
-		} else {
-			ar, err = t.m.db.Append(w.key, w.ops, stamp, t.m.opts.Node, t.id)
-		}
+		ar, err := t.m.db.Append(w.key, w.ops, stamp, t.m.opts.Node, t.id)
 		if err != nil {
 			// A duplicate txn id means this transaction already committed
 			// (at-least-once retry); treat it as success without re-appending.
@@ -410,6 +377,25 @@ func (m *Manager) Update(key entity.Key, ops ...entity.Op) (CommitResult, error)
 	var res CommitResult
 	err := t.commitInto(nil, &res)
 	return res, err
+}
+
+// Promise runs the transaction that makes a promise (principle 2.9): one
+// tentative record of ops on key, whose transaction id is the promise's id.
+// It is refused with apology.ErrPromiseLimit, and writes nothing, when key
+// already carries limit pending promises; zero means no limit.
+func (m *Manager) Promise(key entity.Key, limit int, ops ...entity.Op) (CommitResult, error) {
+	var t Txn
+	m.BeginIn(&t)
+	res := CommitResult{TxnID: t.id, Stamp: m.hlc.Now()}
+	ar, err := m.db.AppendPromise(key, ops, res.Stamp, m.opts.Node, t.id, limit)
+	if err != nil {
+		t.fail()
+		return CommitResult{}, err
+	}
+	res.add(ar.Record)
+	res.Warnings = ar.Warnings
+	m.stats.commits.Add(1)
+	return res, nil
 }
 
 // Run executes fn inside a transaction and commits it, publishing its

@@ -178,9 +178,7 @@ func TestEnforceSingleEntity(t *testing.T) {
 
 func TestTentativeUpdateFlagsState(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	tx := m.begin()
-	tx.UpdateTentative(acct("A"), entity.Delta("balance", -20).Described("hold for offer"))
-	res, err := tx.commit(nil)
+	res, err := m.Promise(acct("A"), 0, entity.Delta("balance", -20).Described("hold for offer"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +190,9 @@ func TestTentativeUpdateFlagsState(t *testing.T) {
 	if err := m.DB().MarkObsolete(acct("A"), res.TxnID); err != nil {
 		t.Fatalf("MarkObsolete: %v", err)
 	}
-	st, _, _ = m.DB().Current(acct("A"))
-	if st.Float("balance") != 0 {
-		t.Fatalf("withdrawn promise still visible: %v", st.Float("balance"))
+	// It was the entity's first write, so nothing of the entity is left.
+	if st, _, err := m.DB().Current(acct("A")); !errors.Is(err, lsdb.ErrNotFound) {
+		t.Fatalf("withdrawn promise still visible: %v, %v", st, err)
 	}
 }
 
@@ -373,9 +371,7 @@ func TestManagerResumesTxnIDsFromRecoveredLog(t *testing.T) {
 func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	key := acct("A")
-	res, err := m.Run(nil, func(tx *Txn) error {
-		return tx.UpdateTentative(key, entity.Delta("balance", 7))
-	})
+	res, err := m.Promise(key, 0, entity.Delta("balance", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
