@@ -1,9 +1,8 @@
 // WAL-shipped replication over HTTP: a primary soupsd ships every commit
-// cycle (and obsolescence/compaction mark) of every unit to standby soupsd
-// processes; a standby appends the received stream into the same unit-N WAL
-// layout a durable primary writes, so promotion is nothing special — close
-// the receivers and run the ordinary recovery-based bootstrap over the data
-// directory.
+// cycle of every unit to standby soupsd processes; a standby appends the
+// received stream into the same unit-N WAL layout a durable primary writes,
+// so promotion is nothing special — close the receivers and run the
+// ordinary recovery-based bootstrap over the data directory.
 package main
 
 import (

@@ -1,10 +1,9 @@
 // Package aggregate maintains secondary data — sums, counts and secondary
 // indexes — over one serialization unit's entity states, deferred
 // (principle 2.3: "I'll do it eventually"). The unit's commit sink hands the
-// maintainer every committed append and obsolescence mark (Capture), which
-// only notes the entity as pending; CatchUp folds each pending entity's
-// current state in. Catching up after every write is the synchronous
-// baseline.
+// maintainer every committed append (Capture), which only notes the entity
+// as pending; CatchUp folds each pending entity's current state in. Catching
+// up after every write is the synchronous baseline.
 //
 // The fold is by state: an entity's contribution is replaced by the one its
 // current state implies, and an entity with no live state contributes
@@ -29,7 +28,6 @@ import (
 
 	"repro/internal/entity"
 	"repro/internal/lsdb"
-	"repro/internal/storage"
 )
 
 // Common errors.
@@ -196,10 +194,9 @@ func (m *Maintainer) seed(entityType string) {
 }
 
 // Capture is the maintainer's part of the unit's commit sink: it notes the
-// entities of committed appends and obsolescence marks as pending. A
-// compaction horizon changes no state and is ignored. It runs under the
-// committing shard's lock and never blocks on anything but the
-// maintainer's own lock.
+// entities of committed appends (a settlement among them) as pending. It
+// runs under the committing shard's lock and never blocks on anything but
+// the maintainer's own lock.
 func (m *Maintainer) Capture(records []lsdb.Record) {
 	if !m.defined.Load() {
 		return
@@ -208,7 +205,7 @@ func (m *Maintainer) Capture(records []lsdb.Record) {
 	defer m.mu.Unlock()
 	for i := range records {
 		rec := &records[i]
-		if rec.Kind == storage.KindCompact || !m.types[rec.Key.Type] {
+		if !m.types[rec.Key.Type] {
 			continue
 		}
 		m.pending[rec.Key] = struct{}{}

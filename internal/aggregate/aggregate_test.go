@@ -251,7 +251,7 @@ func TestStalenessNeverNegative(t *testing.T) {
 	}
 }
 
-// An obsolescence mark reaches the maintainer like an append: the withdrawn
+// A break settlement reaches the maintainer like any append: the withdrawn
 // contribution leaves, and a withdrawn first write (no live state left)
 // folds as removal.
 func TestMarkWithdrawsContribution(t *testing.T) {
@@ -265,10 +265,10 @@ func TestMarkWithdrawsContribution(t *testing.T) {
 	if v, _ := m.Sum("revenue", ""); v != 157 {
 		t.Fatalf("with both promises pending: revenue = %v, want 157", v)
 	}
-	if err := db.MarkObsolete(inv("I1"), "t2"); err != nil {
+	if _, err := db.Append(inv("I1"), []entity.Op{entity.BreakPromise("t2", "", "")}, stamp(4), "u1", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MarkObsolete(inv("I2"), "t3"); err != nil {
+	if _, err := db.Append(inv("I2"), []entity.Op{entity.BreakPromise("t3", "", "")}, stamp(5), "u1", ""); err != nil {
 		t.Fatal(err)
 	}
 	if pending := m.Staleness(); pending != 2 {
@@ -291,7 +291,8 @@ func TestMarkWithdrawsContribution(t *testing.T) {
 }
 
 // A definition made after the writes, or after a compaction, folds every
-// existing entity of its type; compaction horizons are not pending work.
+// existing entity of its type; a compaction, which reaches no commit sink,
+// leaves no pending work.
 func TestLateDefinitionAndCompaction(t *testing.T) {
 	db, m := newMaintainer(t)
 	db.Append(inv("I1"), []entity.Op{entity.Set("customer", "acme"), entity.Set("amount", 30.0)}, stamp(1), "u1", "")
@@ -304,7 +305,7 @@ func TestLateDefinitionAndCompaction(t *testing.T) {
 	m.CatchUp()
 	db.Compact(db.HeadLSN())
 	if pending := m.Staleness(); pending != 0 {
-		t.Fatalf("a compaction horizon left %d pending", pending)
+		t.Fatalf("a compaction left %d pending", pending)
 	}
 	if v, _ := m.Sum("by-customer", "acme"); v != 42 {
 		t.Fatalf("acme = %v, want 42", v)

@@ -215,11 +215,11 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 				t.Fatal(err)
 			}
 		case op < 65:
-			// Durable restart: aggregate definitions and the promise
-			// ledger are not log state, so both start over.
+			// Durable restart: aggregate definitions are not log state and
+			// start over; promises are, so the ids made before it are
+			// still settled after it.
 			k.Close()
 			k = newKernel(t, opts)
-			promises = nil
 			if defined {
 				defineOrderAggregates(k)
 			}
@@ -253,8 +253,8 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 	assertAggregateFold(t, k, "end")
 }
 
-// TestAggregateConcurrentFold runs writers, promise breaks (obsolescence
-// marks) and catch-ups against one unit at once; once they stop, one
+// TestAggregateConcurrentFold runs writers, promise breaks (settlement
+// records) and catch-ups against one unit at once; once they stop, one
 // catch-up brings every aggregate to the fold over Query.
 func TestAggregateConcurrentFold(t *testing.T) {
 	k := newKernel(t, Options{Node: "race", Units: 1})

@@ -121,8 +121,8 @@ type Options struct {
 	// over-promising. Zero means unlimited.
 	PromiseLimit int
 	// Replication ships every unit's durable log to standby replicas: each
-	// unit's store gets a commit sink that forwards its commit cycles (and
-	// obsolescence/compaction marks) under the configured ack mode. Nil
+	// unit's store gets a commit sink that forwards its commit cycles under
+	// the configured ack mode (a compaction horizon stays local). Nil
 	// disables replication.
 	Replication *ReplicationOptions
 	// UnitBackends, when non-nil, supplies the per-unit storage backends
@@ -367,8 +367,8 @@ func (k *Kernel) unitTail(unit int, after uint64, limit int) []lsdb.Record {
 // openUnitStore opens one unit's log store: purely in-memory without a
 // DataDir, otherwise recovered from (and durably attached to) the unit's
 // segmented WAL. Recovery runs before entity types are registered; that is
-// safe — records, summaries and obsolescence marks replay without types, and
-// a compaction mark simply re-archives less (identical rollup states either
+// safe — records, summaries and older builds' obsolescence marks replay
+// without types, and a compaction mark simply re-archives less (identical rollup states either
 // way, see lsdb.Recover).
 func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, error) {
 	// Each store keeps lsdb's default of 8 shards and snapshots every 32nd

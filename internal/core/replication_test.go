@@ -142,7 +142,7 @@ func TestReplicationShipsTentativeWithdrawals(t *testing.T) {
 	if _, err := k.UpdateTentative(inv, "partner-2", "reservation", 3, entity.Delta("stock", -3)); err != nil {
 		t.Fatal(err)
 	}
-	// Break one promise: the obsolescence mark must ship like any record.
+	// Break one promise: the settlement ships like any record.
 	if _, err := k.BreakPromise(p1.ID, "stock damaged", "coupon"); err != nil {
 		t.Fatal(err)
 	}

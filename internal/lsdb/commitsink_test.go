@@ -38,9 +38,10 @@ func (s *sinkLog) all() []Record {
 	return append([]Record(nil), s.recs...)
 }
 
-// The sink must see exactly what the backend does — commit cycles,
-// obsolescence marks and compaction horizons, in log order — so a sink that
-// appends to a second log reproduces the first.
+// The sink sees exactly the backend's appends, in log order — a break
+// settlement is one of them — and nothing else: a compaction horizon goes to
+// the local log only. A sink that appends to a second log reproduces every
+// record of the first that carries an LSN.
 func TestCommitSinkMirrorsBackend(t *testing.T) {
 	backend := storage.NewMemory()
 	var log sinkLog
@@ -50,31 +51,31 @@ func TestCommitSinkMirrorsBackend(t *testing.T) {
 	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 10)}, stamp(1), "n", "t1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 5)}, stamp(2), "n", "t2"); err != nil {
+	if _, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", 5)}, stamp(2), "n", "t2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MarkObsolete(key, "t2"); err != nil {
+	if _, err := db.Append(key, []entity.Op{entity.BreakPromise("t2", "", "")}, stamp(3), "n", "t3"); err != nil {
 		t.Fatal(err)
 	}
 	db.Compact(1)
 
 	var backendRecs []Record
+	kinds := map[storage.RecordKind]int{}
 	if _, err := backend.Replay(func(rec Record) error {
-		backendRecs = append(backendRecs, rec)
+		kinds[rec.Kind]++
+		if rec.Kind == storage.KindAppend {
+			backendRecs = append(backendRecs, rec)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if kinds[storage.KindAppend] != 3 || kinds[storage.KindCompact] != 1 || len(kinds) != 2 {
+		t.Fatalf("backend kinds = %v, want 3 appends and 1 compaction horizon", kinds)
+	}
 	if got := log.all(); !reflect.DeepEqual(got, backendRecs) {
-		t.Fatalf("sink saw %d records, backend holds %d:\nsink    %+v\nbackend %+v",
+		t.Fatalf("sink saw %d records, backend holds %d appends:\nsink    %+v\nbackend %+v",
 			len(got), len(backendRecs), got, backendRecs)
-	}
-	kinds := map[storage.RecordKind]int{}
-	for _, rec := range log.all() {
-		kinds[rec.Kind]++
-	}
-	if kinds[storage.KindAppend] != 2 || kinds[storage.KindObsolete] != 1 || kinds[storage.KindCompact] != 1 {
-		t.Fatalf("sink kinds = %v, want 2 appends, 1 obsolete, 1 compact", kinds)
 	}
 }
 
@@ -140,14 +141,16 @@ func TestCommitSinkWaitRunsOffShardLock(t *testing.T) {
 	}
 	db = newTestDB(t, Options{Shards: 1})
 	db.SetCommitSink(sink)
-	// Two records, so the entity still exists once the second is withdrawn.
-	for _, txn := range []string{"t1", "t2"} {
-		if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", txn); err != nil {
-			t.Fatal(err)
-		}
+	// A record and a promise, so the entity still exists once the promise
+	// is broken; the settlement's wait runs off the lock like any append's.
+	if _, err := db.Append(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "t1"); err != nil {
+		t.Fatal(err)
 	}
-	if err := db.MarkObsolete(key, "t2"); err != nil {
-		t.Fatalf("MarkObsolete: %v", err)
+	if _, err := db.AppendTentative(key, []entity.Op{entity.Delta("balance", 1)}, stamp(1), "n", "t2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(key, []entity.Op{entity.BreakPromise("t2", "", "")}, stamp(2), "n", "t3"); err != nil {
+		t.Fatalf("break settlement: %v", err)
 	}
 }
 

@@ -343,7 +343,7 @@ func TestGroupCommitIdempotenceAndTentative(t *testing.T) {
 }
 
 // TestCommitSinkPanicDoesNotWedgeShard: a commit sink whose capture panics
-// (on an append, and on a mark) must release the shard lock. The panic
+// (on an append, and on a settlement) must release the shard lock. The panic
 // reaches the writer, what the cycle captured stays committed, and the next
 // append and read on the shard run normally instead of blocking forever.
 func TestCommitSinkPanicDoesNotWedgeShard(t *testing.T) {
@@ -356,8 +356,10 @@ func TestCommitSinkPanicDoesNotWedgeShard(t *testing.T) {
 	}{
 		// The panicking append's record stays: 1 + 5 + 1, then the follow-up.
 		{"append", func(db *DB, key entity.Key) { db.Append(key, ops, stamp(3), "n", "") }, 4, 8},
-		// The panicking mark stays applied: the promise of 5 is withdrawn.
-		{"mark-obsolete", func(db *DB, key entity.Key) { db.MarkObsolete(key, "promise") }, 3, 2},
+		// The panicking settlement stays applied: the promise of 5 is broken.
+		{"settlement", func(db *DB, key entity.Key) {
+			db.Append(key, []entity.Op{entity.BreakPromise("promise", "", "")}, stamp(3), "n", "")
+		}, 4, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var armed atomic.Bool

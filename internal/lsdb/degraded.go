@@ -199,10 +199,9 @@ func (db *DB) logAppend(recs []Record) error {
 	return nil
 }
 
-// logMarks appends history-rewrite marks (obsolescence, compaction) to the
-// backend, log-first like logAppend but without an LSN reservation (marks
-// carry none). The caller holds the owning shard's write lock.
-func (db *DB) logMarks(marks []Record) error {
+// logMark appends a mark (a compaction horizon) to the backend, log-first
+// like logAppend but without an LSN reservation (a mark carries none).
+func (db *DB) logMark(mark Record) error {
 	if db.opts.Backend == nil || db.recovering {
 		return nil
 	}
@@ -211,26 +210,11 @@ func (db *DB) logMarks(marks []Record) error {
 	if err := db.admitLocked(); err != nil {
 		return err
 	}
-	if err := db.opts.Backend.AppendBatch(marks); err != nil {
+	if err := db.opts.Backend.AppendBatch([]Record{mark}); err != nil {
 		return db.degradeLocked(err, time.Now())
 	}
 	db.clearDegradedLocked()
 	return nil
-}
-
-// postCommitLocked finishes a commit cycle (or a mark) after its records are
-// installed: the commit sink's capture phase. The caller holds the
-// shard's write lock; the sink's capture must therefore be fast and
-// non-blocking (it snapshots the batch and hands it to the shipping lanes).
-// The returned wait function — nil when no acknowledgement is owed — is the
-// sink's ack barrier; the caller invokes it *after* releasing the shard
-// lock, so a slow or retrying standby never stalls the shard's readers or
-// other writers.
-func (db *DB) postCommitLocked(records []Record) func() error {
-	if db.commitSink == nil {
-		return nil
-	}
-	return db.commitSink(records)
 }
 
 // waitCommitSink blocks on a commit sink's ack barrier (with no lock held)

@@ -15,9 +15,9 @@
 // or obsolete). The flush emits one summary record — the rollup through h —
 // plus a byte copy of every retained record above h (live tentative promises
 // and records newer than the last settled point, obsolete flags included). That
-// split makes history rewrites crash-safe: a MarkObsolete mark in the WAL
-// tail always finds its target after recovery, because a record that was
-// still withdrawable was never summarised away. An entity whose every
+// split makes withdrawals crash-safe: a settlement in the WAL tail (or an
+// older build's obsolescence mark) always finds its promise after recovery,
+// because a record that was still withdrawable was never summarised away. An entity whose every
 // record was withdrawn, with no summary, gets none: it reads as absent, and
 // its records stay detail.
 //
@@ -326,7 +326,7 @@ func (f *flusher) captureKeyLocked(s *shard, e *entry, key entity.Key) (sum *ent
 	}
 	// Settled horizon: advance past every settled record (non-tentative, or
 	// tentative but already withdrawn); the first live tentative promise
-	// blocks it — that record must stay as detail so a later MarkObsolete in
+	// blocks it — that record must stay as detail so a later settlement in
 	// the WAL tail still finds it after recovery. An entity that retains a
 	// tentative record has the flags read from the records' headers, in
 	// place; for any other every record is settled.

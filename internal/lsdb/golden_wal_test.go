@@ -2,15 +2,20 @@ package lsdb
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/apology"
+	"repro/internal/clock"
 	"repro/internal/entity"
 	"repro/internal/storage"
 )
@@ -26,8 +31,9 @@ var updateGoldenWAL = flag.Bool("update-golden-wal", false, "rewrite testdata/go
 const goldenWALDir = "testdata/golden-wal"
 
 // writeGoldenWAL commits the golden history through a store on a WAL in dir
-// and closes it, which trims every segment to its frames.
-func writeGoldenWAL(t *testing.T, dir string) {
+// and closes it, which trims every segment to its frames. It returns what the
+// store showed of every key it wrote just before the close.
+func writeGoldenWAL(t *testing.T, dir string) map[entity.Key]goldenView {
 	t.Helper()
 	wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir, Sync: storage.SyncOS, SegmentBytes: 2048})
 	if err != nil {
@@ -35,8 +41,12 @@ func writeGoldenWAL(t *testing.T, dir string) {
 	}
 	db := newTestDB(t, Options{Backend: wal, Validation: entity.Managed, Shards: 4})
 	n := int64(0)
+	var keys []entity.Key
 	commit := func(key entity.Key, tentative bool, ops ...entity.Op) {
 		t.Helper()
+		if !slices.Contains(keys, key) {
+			keys = append(keys, key)
+		}
 		n++
 		txn := fmt.Sprintf("golden-txn-%d", n)
 		var err error
@@ -76,9 +86,71 @@ func writeGoldenWAL(t *testing.T, dir string) {
 	}
 	db.Compact(db.HeadLSN() - 10)
 	commit(acct("A-1"), false, entity.Delta("balance", 1))
+	views := goldenViews(t, db, keys)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return views
+}
+
+// goldenView is what a store shows of one key: Exists, Current (state, head
+// LSN, error), Promises and History, in forms reflect.DeepEqual compares.
+type goldenView struct {
+	Exists  bool
+	Head    uint64
+	Err     string
+	State   stateView
+	Pending []apology.Promise
+	History []versionView
+}
+
+type stateView struct {
+	Fields             entity.Fields
+	Rows               map[string][]entity.Child
+	Deleted, Tentative bool
+}
+
+type versionView struct {
+	Seq                 uint64
+	Ops                 []entity.Op
+	State               stateView
+	Stamp               clock.Timestamp
+	Tentative, Obsolete bool
+	Origin              clock.NodeID
+	TxnID               string
+}
+
+func viewState(st *entity.State) stateView {
+	if st == nil {
+		return stateView{}
+	}
+	v := stateView{Fields: st.Fields, Rows: map[string][]entity.Child{}, Deleted: st.Deleted, Tentative: st.Tentative}
+	for _, col := range st.Collections() {
+		v.Rows[col] = st.Children(col)
+	}
+	return v
+}
+
+func goldenViews(t *testing.T, db *DB, keys []entity.Key) map[entity.Key]goldenView {
+	t.Helper()
+	out := map[entity.Key]goldenView{}
+	for _, key := range keys {
+		st, head, err := db.Current(key)
+		v := goldenView{Exists: db.Exists(key), Head: head, State: viewState(st), Pending: db.Promises(key)}
+		if err != nil {
+			v.Err = err.Error()
+		}
+		h, err := db.History(key)
+		if err != nil {
+			t.Fatalf("History(%s): %v", key, err)
+		}
+		for _, ver := range h.Versions {
+			v.History = append(v.History, versionView{Seq: ver.Seq, Ops: ver.Ops, State: viewState(ver.State), Stamp: ver.Stamp,
+				Tentative: ver.Tentative, Obsolete: ver.Obsolete, Origin: ver.Origin, TxnID: ver.TxnID})
+		}
+		out[key] = v
+	}
+	return out
 }
 
 // walFiles maps every segment file in dir to its content.
@@ -134,5 +206,49 @@ func TestGoldenWALWritesIdentically(t *testing.T) {
 		if !bytes.Equal(got[name], b) {
 			t.Errorf("%s: %d bytes differ from the golden %d", name, len(got[name]), len(b))
 		}
+	}
+}
+
+// The read side of the frozen bytes: recovering the golden segments, whose
+// obsolescence mark and compaction mark only an earlier build's write path
+// produced, shows every key exactly as the store that wrote them did before
+// it closed — Exists, Current, Promises and History alike. The segments are
+// read from a copy; the golden files stay as they are.
+func TestGoldenWALRecoversWriterViews(t *testing.T) {
+	want := writeGoldenWAL(t, t.TempDir())
+	dir := t.TempDir()
+	for name, b := range walFiles(t, goldenWALDir) {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir, Sync: storage.SyncOS, SegmentBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[storage.RecordKind]int{}
+	if _, err := wal.Replay(func(rec storage.WALRecord) error {
+		kinds[rec.Kind]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if kinds[storage.KindObsolete] != 1 || kinds[storage.KindCompact] != 1 {
+		t.Fatalf("golden log kinds = %v, want one obsolescence mark and one compaction mark", kinds)
+	}
+	db, err := Recover(Options{Node: "test-node", Backend: wal, Validation: entity.Managed, Shards: 4}, accountType(), orderType())
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer db.Close()
+	keys := slices.Collect(maps.Keys(want))
+	got := goldenViews(t, db, keys)
+	for _, key := range keys {
+		if !reflect.DeepEqual(got[key], want[key]) {
+			t.Errorf("%s after recovery:\n got %+v\nwant %+v", key, got[key], want[key])
+		}
+	}
+	if st, _, err := db.Current(entity.Key{Type: "Account", ID: "A-3"}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("A-3, whose one record the mark withdrew: %v, %v; want ErrNotFound", st, err)
 	}
 }

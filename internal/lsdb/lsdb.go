@@ -27,7 +27,7 @@
 //     no clone at all.
 //     Callers own nothing: states returned by Current/Scan are frozen and
 //     must be Thaw()ed before mutating. Anything that rewrites history —
-//     MarkObsolete, Compact, Load — invalidates the affected entry and the
+//     a settlement, Compact, Load — invalidates the affected entry and the
 //     next read falls back to a log rollup (bounded by per-entity
 //     snapshots), then re-materialises.
 //
@@ -106,10 +106,9 @@ type Options struct {
 	MaxBatch    int
 	// Backend, when non-nil, is the durable storage engine under the store:
 	// every commit cycle appends its records to it (one AppendBatch — one
-	// framed batch write, one log force — per cycle), and
-	// MarkObsolete/Compact log their history rewrites as marks. Open
-	// attaches the backend for writing only; to rebuild a store from a
-	// backend's content use Recover. Commits are log-first: the backend
+	// framed batch write, one log force — per cycle), and Compact logs its
+	// horizon as a mark. Open attaches the backend for writing only; to
+	// rebuild a store from a backend's content use Recover. Commits are log-first: the backend
 	// append happens before the cycle's records are installed in memory, so
 	// a backend error is a clean refusal — nothing was committed, the
 	// writers get a typed ErrDegraded, and the unit enters degraded
@@ -158,10 +157,10 @@ const txnSpill = 8
 // by the shard lock: read under at least its read lock, written under its
 // write lock. What a hot read needs comes first.
 //
-// recs doubles as the exactly-once index (ErrDuplicateTxn, MarkObsolete by
-// transaction id): a transaction id is remembered exactly as long as the
-// record it wrote is retained, because it is read from that record's header
-// in the log. What bounds the index is therefore what bounds the record list
+// recs doubles as the exactly-once index (ErrDuplicateTxn, settling a
+// promise by its transaction id): a transaction id is remembered exactly as
+// long as the record it wrote is retained, because it is read from that
+// record's header in the log. What bounds the index is therefore what bounds the record list
 // — Compact drops an entity's records, ids included, once they are all at or
 // below its horizon; cold eviction only ever takes entries that retain none —
 // and whatever rebuilds the list (loadRecord under Recover and Load)
@@ -169,7 +168,7 @@ const txnSpill = 8
 type entry struct {
 	// cache is the materialised current state, the full rollup as of head
 	// (headLSN, kept here so a hot read stays off the record list). Empty
-	// after anything that rewrites history (MarkObsolete, Compact,
+	// after anything that rewrites history (a settlement, Compact,
 	// loadRecord); the next read rebuilds it.
 	cache cachedState
 	head  uint64
@@ -257,7 +256,7 @@ func (e *entry) aboveMark(id string) (prefix string, seq uint64, above bool) {
 
 // txnLSNLocked returns the LSN of the retained record of e that transaction
 // id wrote: the exact lookup, for an id not above the mark (one minted earlier
-// and committed later, a foreign or client-chosen one) and for MarkObsolete.
+// and committed later, a foreign or client-chosen one) and for a settlement.
 // It reads the ids from the records' headers in the log. The caller holds the
 // shard's write lock.
 func (s *shard) txnLSNLocked(e *entry, id string) (uint64, bool) {
@@ -655,7 +654,10 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 		_, broken, _ := settles(ops)
 		s.settleLocked(e, promise, !broken)
 	}
-	wait := db.postCommitLocked(recs)
+	var wait func() error
+	if db.commitSink != nil {
+		wait = db.commitSink(recs)
+	}
 	s.endCycleLocked(recs)
 	return res, wait, nil
 }
@@ -666,24 +668,25 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 // replication is on, WAL shipping. It must be called before the store is
 // shared with writers; attaching mid-traffic races with committing shards.
 //
-// The sink's call itself (the capture phase) receives every record written
-// to the durable log — commit cycles, obsolescence marks and compaction
-// horizons — in the order the backend does, under the same shard lock, so a
-// sink that forwards to another log observes this one's order. Because the
-// shard lock is held, the capture phase must be fast and must never block on
-// I/O, sleep, or wait for the network: it snapshots the batch, hands it to
-// the shipping machinery, and returns. A capture that panics releases the
-// shard lock and the panic reaches the writer; the cycle's records stay
-// committed. The returned wait function (nil when the mode needs no
-// acknowledgement) is invoked by the store *after* the shard lock is
-// released; its error reaches the writers of the cycle: a synchronous
-// replication mode that could not gather its acks fails the append. Like a
-// backend error that failure is post-install and therefore indeterminate —
-// the records are committed locally and visible; only the replication
-// guarantee is in doubt. Invoked concurrently from independently committing
-// shards. A store returned by Recover gets its sink only afterwards, so the
-// replayed records (shipped when first written) are never re-shipped. See
-// docs/CONCURRENCY.md for the full sink contract.
+// The sink's call itself (the capture phase) receives every append written
+// to the durable log — one commit cycle per call, a settlement among them —
+// in the order the backend does, under the same shard lock, so a sink that
+// forwards to another log observes this one's order. It receives nothing
+// else: a compaction horizon is this node's own housekeeping and goes to the
+// local log only. Because the shard lock is held, the capture phase must be
+// fast and must never block on I/O, sleep, or wait for the network: it
+// snapshots the batch, hands it to the shipping machinery, and returns. A
+// capture that panics releases the shard lock and the panic reaches the
+// writer; the cycle's records stay committed. The returned wait function
+// (nil when the mode needs no acknowledgement) is invoked by the store
+// *after* the shard lock is released; its error reaches the writers of the
+// cycle: a synchronous replication mode that could not gather its acks fails
+// the append. Like a backend error that failure is post-install and
+// therefore indeterminate — the records are committed locally and visible;
+// only the replication guarantee is in doubt. Invoked concurrently from
+// independently committing shards. A store returned by Recover gets its sink
+// only afterwards, so the replayed records (shipped when first written) are
+// never re-shipped. See docs/CONCURRENCY.md for the full sink contract.
 func (db *DB) SetCommitSink(fn func(records []Record) (wait func() error)) {
 	db.commitSink = fn
 }
@@ -809,56 +812,6 @@ func (db *DB) commitAppendLocked(s *shard, e *entry, rec *Record, next *entity.S
 			e.snap.lsn, e.snap.state = rec.LSN, next
 		}
 	}
-}
-
-// MarkObsolete flags the record produced by txnID on key as obsolete (its
-// tentative promise was withdrawn). Rollups exclude it from then on, but the
-// record remains in the log for audit and apology purposes.
-func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
-	wait, err := db.markObsolete(db.shardFor(key), key, txnID)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("lsdb: commit sink mark failed (mark is applied locally): %w", err)
-		}
-	}
-	return nil
-}
-
-// markObsolete logs and applies the mark under the shard's write lock and
-// returns the sink's ack wait for the caller to run unlocked. As in
-// commitCycle, the unlock is deferred: a sink capture that panics leaves the
-// shard usable, with the mark applied.
-func (db *DB) markObsolete(s *shard, key entity.Key, txnID string) (func() error, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entry(key)
-	var lsn uint64
-	ok := false
-	if e != nil {
-		lsn, ok = s.txnLSNLocked(e, txnID)
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
-	}
-	// The record is already durable without its obsolete flag; log the
-	// history rewrite as a mark so recovery re-applies it — log-first, like
-	// appends: a degraded backend refuses the mark before memory changes
-	// (marks are writes too, and read-only mode refuses them the same way).
-	// Written under the shard lock, so the mark is ordered after the record
-	// it withdraws and before any later append to the same entity.
-	mark := Record{Kind: storage.KindObsolete, Key: key, TxnID: txnID}
-	if err := db.logMarks([]Record{mark}); err != nil {
-		return nil, err
-	}
-	s.settleLocked(e, lsn, false)
-	db.markDirtyLocked(s, key, e)
-	// The mark ships through the commit sink too: a standby's log must
-	// withdraw the same promises. Captured under the shard lock (ordered
-	// after the record it withdraws), acked after it, like any sink call.
-	return db.postCommitLocked([]Record{mark}), nil
 }
 
 // Current returns the rollup of an entity's records: its current state and
@@ -1290,21 +1243,14 @@ func (db *DB) Compact(beforeLSN uint64) int {
 	// the log. Appends racing with the marker can make replay keep entities
 	// the live store archived (or archive ones it kept) — the rollup states
 	// are identical either way, only the summarised/retained split differs.
-	if !db.recovering {
-		mark := Record{Kind: storage.KindCompact, Horizon: beforeLSN}
-		if err := db.logMarks([]Record{mark}); err != nil {
-			// The in-memory compaction already happened; a refused mark is
-			// remembered rather than returned (replay would keep entities
-			// the live store archived — the rollup states are identical).
-			db.setBackendErr(fmt.Errorf("lsdb: backend compact mark failed: %w", err))
-		} else if db.commitSink != nil {
-			// No shard lock is held here; capture and wait inline.
-			if wait := db.commitSink([]Record{mark}); wait != nil {
-				if err := wait(); err != nil {
-					db.setBackendErr(fmt.Errorf("lsdb: commit sink compact mark failed: %w", err))
-				}
-			}
-		}
+	// The horizon is this node's own housekeeping, like the tiered flush: it
+	// goes to the local log only, never to the commit sink, so a standby
+	// compacts (or not) on its own schedule.
+	if err := db.logMark(Record{Kind: storage.KindCompact, Horizon: beforeLSN}); err != nil {
+		// The in-memory compaction already happened; a refused mark is
+		// remembered rather than returned (replay would keep entities
+		// the live store archived — the rollup states are identical).
+		db.setBackendErr(fmt.Errorf("lsdb: backend compact mark failed: %w", err))
 	}
 	return summarised
 }

@@ -8,8 +8,9 @@
 //
 // Recovery (Recover) rebuilds a store from a storage.Backend: a tiered
 // backend's table summaries arrive as cold pointers and their detail records
-// stream straight in, the WAL tail is replayed on top, and history-rewrite
-// marks (obsolescence, compaction horizons) are re-applied in log order.
+// stream straight in, the WAL tail is replayed on top, and marks (compaction
+// horizons, and the obsolescence marks older builds wrote) are re-applied in
+// log order.
 package lsdb
 
 import (
@@ -309,37 +310,42 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 		dedup = append(dedup, records[i])
 	}
 	records = dedup
-	apply := func(m Record) error {
-		switch m.Kind {
-		case storage.KindObsolete:
-			// ErrNotFound means the marked record was archived by a later
-			// compaction before this store crashed — the live store's mark
-			// was a no-op then too.
-			if err := db.MarkObsolete(m.Key, m.TxnID); err != nil && !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("lsdb: recover: %w", err)
-			}
-		case storage.KindCompact:
+	apply := func(m Record) {
+		if m.Kind == storage.KindCompact {
 			db.Compact(m.Horizon)
+		} else {
+			db.replayObsolete(m.Key, m.TxnID)
 		}
-		return nil
 	}
 	mi := 0
 	for i := range records {
-		for mi < len(marks) && marks[mi].pos < records[i].LSN {
-			if err := apply(marks[mi].mark); err != nil {
-				return nil, err
-			}
-			mi++
+		for ; mi < len(marks) && marks[mi].pos < records[i].LSN; mi++ {
+			apply(marks[mi].mark)
 		}
 		if err := db.loadRecord(records[i]); err != nil {
 			return nil, fmt.Errorf("lsdb: recover: %w", err)
 		}
 	}
 	for ; mi < len(marks); mi++ {
-		if err := apply(marks[mi].mark); err != nil {
-			return nil, err
-		}
+		apply(marks[mi].mark)
 	}
 	db.lsn.AdvanceTo(watermark)
 	return db, nil
+}
+
+// replayObsolete applies an obsolescence mark, a frame only older builds
+// wrote (they withdrew a promise by mark; a settlement record does it now):
+// the record txnID wrote on key is flagged obsolete. A record no longer
+// retained (a later compaction archived it) or already obsolete is left as
+// it is, so a mark replayed twice changes nothing.
+func (db *DB) replayObsolete(key entity.Key, txnID string) {
+	s := db.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entry(key); e != nil {
+		if lsn, ok := s.txnLSNLocked(e, txnID); ok {
+			s.settleLocked(e, lsn, false)
+			db.markDirtyLocked(s, key, e)
+		}
+	}
 }

@@ -62,8 +62,8 @@ func (s *shard) pendingLocked(out []apology.Promise, key entity.Key, e *entry) [
 }
 
 // settleLocked flips the flag of e's record at lsn in place unless already
-// settled: obsolete set (a break, a MarkObsolete) or, with keep, tentative
-// cleared. The cached state folded the old flag in and goes, and so does a
+// settled: obsolete set (a break, an older build's obsolescence mark) or,
+// with keep, tentative cleared. The cached state folded the old flag in and goes, and so does a
 // snapshot covering the record (an older one is still a valid prefix).
 func (s *shard) settleLocked(e *entry, lsn uint64, keep bool) {
 	rec, _ := s.recordLocked(lsn)

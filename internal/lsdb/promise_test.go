@@ -19,6 +19,31 @@ func (db *DB) AppendTentative(key entity.Key, ops []entity.Op, stamp clock.Times
 	return db.AppendPromise(key, ops, stamp, origin, txnID, 0)
 }
 
+// MarkObsolete withdraws the record txnID wrote on key the way older builds
+// did: it logs an obsolescence mark (the frame Recover still replays) and
+// flags the record, under the shard lock so the mark follows the record in
+// the log. Nothing reaches the commit sink.
+func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
+	s := db.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entry(key)
+	var lsn uint64
+	ok := false
+	if e != nil {
+		lsn, ok = s.txnLSNLocked(e, txnID)
+	}
+	if !ok {
+		return fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
+	}
+	if err := db.logMark(Record{Kind: storage.KindObsolete, Key: key, TxnID: txnID}); err != nil {
+		return err
+	}
+	s.settleLocked(e, lsn, false)
+	db.markDirtyLocked(s, key, e)
+	return nil
+}
+
 // An entity whose only record was withdrawn — a broken promise made on its
 // first write — reads as absent: Exists, Current, Scan and KeysOfType skip
 // it, History still lists the withdrawn record, and neither a compaction

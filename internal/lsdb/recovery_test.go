@@ -492,3 +492,72 @@ func TestMemoryBackendRecoverEquivalence(t *testing.T) {
 	}
 	assertIdenticalStores(t, db, rec)
 }
+
+// A standby's log can hold an older build's marks twice: it appends every
+// mark frame it receives, and a catch-up from another standby sends them
+// again. Replaying a repeated mark changes nothing: a second obsolescence
+// mark finds its record already obsolete (or compacted away), and a second
+// Compact at a horizon already applied archives nothing. So the log with
+// every mark repeated recovers to the store the log with each mark once
+// does.
+func TestRepeatedLegacyMarksReplayAsNoOps(t *testing.T) {
+	a, b := acct("A"), acct("B")
+	var logs []*storage.Memory
+	for _, repeat := range []int{1, 2} {
+		backend := storage.NewMemory()
+		db := newTestDB(t, Options{Backend: backend})
+		write := func(key entity.Key, delta float64, txn string, tentative bool) {
+			t.Helper()
+			var err error
+			if tentative {
+				_, err = db.AppendTentative(key, []entity.Op{entity.Delta("balance", delta)}, stamp(int64(db.HeadLSN()+1)), "n", txn)
+			} else {
+				_, err = db.Append(key, []entity.Op{entity.Delta("balance", delta)}, stamp(int64(db.HeadLSN()+1)), "n", txn)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(a, 5, "a1", false)
+		write(a, -3, "p1", true)
+		write(b, 1, "b1", false)
+		for i := 0; i < repeat; i++ {
+			if err := db.MarkObsolete(a, "p1"); err != nil {
+				t.Fatal(err)
+			}
+			if st, _, err := db.Current(a); err != nil || st.Float("balance") != 5 || !db.Exists(a) {
+				t.Fatalf("after %d marks: %v, %v; want balance 5", i+1, st, err)
+			}
+		}
+		horizon := db.HeadLSN()
+		for i := 0; i < repeat; i++ {
+			want := 2 // A and B
+			if i > 0 {
+				want = 0
+			}
+			if n := db.Compact(horizon); n != want {
+				t.Fatalf("Compact %d at horizon %d archived %d, want %d", i+1, horizon, n, want)
+			}
+		}
+		if repeat > 1 {
+			// The mark once more, after the compaction dropped its record.
+			if err := backend.AppendBatch([]Record{{Kind: storage.KindObsolete, Key: a, TxnID: "p1"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(acct("C"), 2, "c1", false)
+		logs = append(logs, backend)
+	}
+	recovered := func(backend storage.Backend) *DB {
+		db, err := Recover(Options{Node: "test-node", Backend: backend}, accountType(), orderType())
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		return db
+	}
+	once, twice := recovered(logs[0]), recovered(logs[1])
+	assertIdenticalStores(t, once, twice)
+	if st, _, err := twice.Current(a); err != nil || st.Float("balance") != 5 {
+		t.Fatalf("A after replaying repeated marks: %v, %v; want balance 5", st, err)
+	}
+}

@@ -12,8 +12,8 @@
 // pointer-free memory: a byte slab plus an LSN table and an end-offset
 // table. The readers above decode what they return and
 // nothing else; the exactly-once lookup, the flush's settled horizon and
-// MarkObsolete read the record's header (txn id, flag byte) in place, and
-// MarkObsolete sets the obsolete bit there.
+// settling a promise read the record's header (txn id, flag byte) in place,
+// and a settlement flips its flag bits there.
 //
 // Segment bytes are written only under the shard's write lock, and never
 // leave the shard as sub-slices: every reader decodes or copies what it needs
@@ -161,7 +161,7 @@ func (s *shard) locateLocked(lsn uint64) (*segment, int) {
 }
 
 // decodeLocked decodes record i of g. The bytes were encoded by this process
-// and are only ever changed by MarkObsolete's flag bit, so a failure is a
+// and are only ever changed by a settlement's flag bits, so a failure is a
 // broken invariant, not an input error.
 func (s *shard) decodeLocked(g *segment, i int) Record {
 	if s.decodes != nil {

@@ -11,8 +11,8 @@
 //     retained (live tentative promises and recent settled records the next
 //     flush's summary has not yet covered), deduplicated by LSN across
 //     overlapping tables.
-//   - Obsolete detail (withdrawn promises, flagged by a MarkObsolete that
-//     reached a later flush) is eliminated outright — this is where
+//   - Obsolete detail (withdrawn promises, flagged by a break settlement
+//     that reached a later flush) is eliminated outright — this is where
 //     tombstones die, mirroring what Compact does to the in-memory index.
 //
 // The merge streams: every input is read through one sequential frameReader,
@@ -197,7 +197,7 @@ func (s *Store) removeInputs(inputs []*table) {
 		os.Remove(filepath.Join(s.opts.Dir, in.meta.Name))
 		os.Remove(filepath.Join(s.opts.Dir, bloomName(in.meta.Name)))
 	}
-	syncDir(s.opts.Dir)
+	storage.SyncDir(s.opts.Dir)
 }
 
 // mergeTables k-way merges the inputs into one new level-1 table.
@@ -308,11 +308,11 @@ func (m *keyMerger) mergeKey() error {
 	}
 	// Surviving detail: above the winning horizon, not obsolete, one copy
 	// per LSN. An LSN's copies can disagree across tables — only the table
-	// whose flush saw the MarkObsolete carries the flag, an older table holds
-	// the pre-mark live copy — so every copy is collected first and an LSN is
+	// whose flush saw the break settlement carries the flag, an older table
+	// holds the pre-break live copy — so every copy is collected first and an LSN is
 	// dropped when any of its copies is obsolete. Keying the decision on
 	// iteration order instead would let the older live copy resurrect a
-	// withdrawn promise whose covering WAL mark has already been pruned.
+	// withdrawn promise whose covering WAL settlement has already been pruned.
 	m.details = m.details[:0]
 	for _, p := range m.parts {
 		if p != winner && p.e.flags&entryHasSummary != 0 {

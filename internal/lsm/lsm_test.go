@@ -431,7 +431,7 @@ func TestCompactionMergeRules(t *testing.T) {
 // an earlier live tentative record blocks the horizon. The merge must
 // eliminate every copy of that LSN regardless of which copy it encounters
 // first; letting the older live copy through would permanently resurrect the
-// withdrawn promise, since the covering MarkObsolete WAL record is pruned.
+// withdrawn promise, since the covering WAL settlement is pruned.
 func TestCompactionDoesNotResurrectWithdrawnPromise(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, Options{CompactAfter: 100})

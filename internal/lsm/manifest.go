@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+
+	"repro/internal/storage"
 )
 
 const manifestName = "LSMMANIFEST"
@@ -96,7 +98,7 @@ func installManifest(dir string, man lsmManifest) error {
 		os.Remove(tmp)
 		return fmt.Errorf("lsm: %w", err)
 	}
-	return syncDir(dir)
+	return storage.SyncDir(dir)
 }
 
 // sweepOrphans removes temp files and quarantines *.sst files the manifest
@@ -125,7 +127,7 @@ func sweepOrphans(dir string, man lsmManifest) (quarantined []string, err error)
 		}
 	}
 	if len(quarantined) > 0 {
-		if err := syncDir(dir); err != nil {
+		if err := storage.SyncDir(dir); err != nil {
 			return quarantined, err
 		}
 	}

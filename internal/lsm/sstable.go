@@ -413,7 +413,7 @@ func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 		os.Remove(w.tmp)
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := storage.SyncDir(w.dir); err != nil {
 		return nil, err
 	}
 	return &table{
@@ -788,17 +788,4 @@ func (t *table) replay(fn func(storage.WALRecord) error) error {
 			}
 		}
 	}
-}
-
-// syncDir fsyncs a directory so renames and creations in it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	return nil
 }

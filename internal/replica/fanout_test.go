@@ -227,10 +227,9 @@ func TestStreamingCatchUpChunksAndResumes(t *testing.T) {
 	}
 }
 
-// Regression for the mark re-append bug: obsolescence marks sit below the
-// append cursor, so a chunked catch-up re-sends them every round and a
-// repeated catch-up re-sends them wholesale. The receiver must deduplicate
-// marks like it deduplicates appends, or its log grows without bound.
+// A chunked catch-up from a standby's log, and a repeated one, land each
+// record once: withdrawals are settlement appends, so the receiver dedups
+// everything by LSN and its log does not grow under repeated catch-up.
 func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -246,17 +245,17 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 		if _, err := p.db.AppendPromise(key, []entity.Op{entity.Delta("balance", 100)}, ts(10), "p", txn, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.db.MarkObsolete(key, txn); err != nil {
+		if _, err := p.db.Append(key, []entity.Op{entity.BreakPromise(txn, "", "")}, ts(11), "p", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// s1's log now holds 8 appends and 2 obsolescence marks.
+	// s1's log now holds 8 appends and 2 settlements.
 	tail1, err := TailAfter(s1.Backends()[0], 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tail1) != 10 {
-		t.Fatalf("mirror log holds %d records, want 10 (8 appends + 2 marks)", len(tail1))
+		t.Fatalf("mirror log holds %d records, want 10 (8 appends + 2 settlements)", len(tail1))
 	}
 
 	// A fresh standby pulls from the mirror in chunks of 2: five append
@@ -282,7 +281,7 @@ func TestCatchUpDoesNotReappendMarks(t *testing.T) {
 		return len(tail)
 	}
 	if got := count(); got != 10 {
-		t.Fatalf("chunked catch-up landed %d records, want 10 — marks re-appended across rounds", got)
+		t.Fatalf("chunked catch-up landed %d records, want 10 — records re-appended across rounds", got)
 	}
 	// Catching up again re-offers everything; the log must not grow.
 	for round := 0; round < 3; round++ {

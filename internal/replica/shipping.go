@@ -4,13 +4,15 @@
 // rather than states is principle 2.8 applied to replication — replicas that
 // hold the same records replay them to the same states.
 //
-// The primary ships every record written to its storage.Backend — commit
-// cycles (one sink call per cycle via lsdb.Options.CommitSink),
-// obsolescence marks, compaction horizons — to standby replicas that append
-// them, unapplied, into backends of their own. A standby is therefore a log
-// copy, not a second database: promotion replays the received log through
-// lsdb.Recover, which rebuilds stores, caches and watermarks exactly as a
-// restart would, and the promoted node resumes as primary.
+// The primary ships every append written to its storage.Backend — one commit
+// cycle per sink call (lsdb.DB.SetCommitSink) — to standby replicas that
+// append them, unapplied, into backends of their own. Replication is by LSN
+// alone: a standby at watermark L holds every append at or below L. A
+// compaction horizon is each node's own housekeeping and is not shipped. A
+// standby is therefore a log copy, not a second database: promotion replays
+// the received log through lsdb.Recover, which rebuilds stores, caches and
+// watermarks exactly as a restart would, and the promoted node resumes as
+// primary.
 //
 // Shipping is fanned out, not serial: the commit sink's capture phase (which
 // runs under the store's shard lock) only snapshots the batch and enqueues it
@@ -50,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/entity"
 	"repro/internal/lsdb"
 	"repro/internal/netsim"
 	"repro/internal/storage"
@@ -105,8 +106,8 @@ func ParseAckMode(s string) (AckMode, error) {
 // the replication guarantee is in doubt.
 var ErrStandbyAcks = errors.New("replica: insufficient standby acks")
 
-// ShipBatch is the wire unit of WAL shipping: one commit cycle (or one
-// history-rewrite mark, or a catch-up tail) of one serialization unit.
+// ShipBatch is the wire unit of WAL shipping: one commit cycle (or a
+// catch-up tail) of one serialization unit.
 type ShipBatch struct {
 	From    clock.NodeID
 	Unit    int
@@ -346,8 +347,8 @@ func (b *ackBarrier) wait() error {
 }
 
 // Shipper is the primary side of WAL shipping: its Sink closures attach to
-// the units' stores as lsdb.Options.CommitSink. The capture phase (under the
-// shard lock) snapshots the batch onto one bounded lane per standby; the
+// the units' stores through lsdb.DB.SetCommitSink. The capture phase (under
+// the shard lock) snapshots the batch onto one bounded lane per standby; the
 // lanes ship concurrently and the returned wait blocks the writers on the
 // mode's ack barrier.
 type Shipper struct {
@@ -685,8 +686,9 @@ func (s *Shipper) BreakerStates() map[clock.NodeID]string {
 }
 
 // chunkTail cuts one streaming catch-up chunk out of a tail: at most limit
-// appended records plus the history-rewrite marks interleaved among them.
-// Only appends count toward the limit — marks carry no LSN and ride along —
+// appended records plus any marks interleaved among them (a standby's log
+// holds them when an older build's primary shipped them). Only appends
+// count toward the limit — marks carry no LSN and ride along —
 // and a cut always lands just before the first append over the limit, so a
 // chunk with more true always advances the puller's cursor (the streaming
 // loop terminates). limit <= 0 means no bound.
@@ -765,17 +767,9 @@ type StandbyOptions struct {
 	Timeout time.Duration
 }
 
-// obsKey identifies an obsolescence mark for deduplication (marks carry no
-// LSN of their own).
-type obsKey struct {
-	key   entity.Key
-	txnID string
-}
-
 // unitProgress tracks how much of one unit's shipped stream the standby
 // holds: the contiguous append-LSN prefix plus the out-of-order set beyond
-// it, the history-rewrite marks already in the log, and the unit's own
-// gap/persist bookkeeping.
+// it, and the unit's own gap/persist bookkeeping.
 type unitProgress struct {
 	contig  uint64
 	pending map[uint64]bool
@@ -784,15 +778,10 @@ type unitProgress struct {
 	gapOpen bool
 	// batches counts received batches for the PersistEvery cadence.
 	batches uint64
-	// obsSeen and compSeen dedup history-rewrite marks: catch-up rounds
-	// re-send every mark after the cursor's position (marks carry no LSN
-	// to filter by), and without dedup the received log would grow without
-	// bound under repeated catch-up.
-	obsSeen  map[obsKey]bool
-	compSeen map[uint64]bool
 }
 
-// markLocked records lsn as held and advances the contiguous watermark.
+// markLocked records lsn as held and advances the contiguous watermark. A
+// mark's LSN, 0, changes nothing.
 func (u *unitProgress) markLocked(lsn uint64) {
 	if lsn <= u.contig {
 		return
@@ -809,33 +798,6 @@ func (u *unitProgress) hasLocked(lsn uint64) bool {
 	return lsn <= u.contig || u.pending[lsn]
 }
 
-// freshLocked reports whether the unit's log does not yet hold rec —
-// appends by LSN, marks by identity.
-func (u *unitProgress) freshLocked(rec lsdb.Record) bool {
-	switch rec.Kind {
-	case storage.KindAppend:
-		return !u.hasLocked(rec.LSN)
-	case storage.KindObsolete:
-		return !u.obsSeen[obsKey{key: rec.Key, txnID: rec.TxnID}]
-	case storage.KindCompact:
-		return !u.compSeen[rec.Horizon]
-	default:
-		return true
-	}
-}
-
-// noteLocked records that the unit's log now holds rec.
-func (u *unitProgress) noteLocked(rec lsdb.Record) {
-	switch rec.Kind {
-	case storage.KindAppend:
-		u.markLocked(rec.LSN)
-	case storage.KindObsolete:
-		u.obsSeen[obsKey{key: rec.Key, txnID: rec.TxnID}] = true
-	case storage.KindCompact:
-		u.compSeen[rec.Horizon] = true
-	}
-}
-
 // Standby receives a primary's shipped log into per-unit backends. It applies
 // nothing — it is a log copy, promoted by Fence and then by replaying the
 // backends through lsdb.Recover.
@@ -850,8 +812,8 @@ type Standby struct {
 
 // NewStandby creates a standby over its unit backends. Existing backend
 // content (a restarted standby re-opening its received log) is scanned to
-// resume the per-unit progress — appends and marks alike, so catch-up after
-// a restart still dedups — and the network handlers are registered.
+// resume the per-unit progress, so catch-up after a restart still dedups,
+// and the network handlers are registered.
 func NewStandby(opts StandbyOptions) (*Standby, error) {
 	if len(opts.Backends) == 0 {
 		return nil, errors.New("replica: standby needs at least one unit backend")
@@ -868,13 +830,11 @@ func NewStandby(opts StandbyOptions) (*Standby, error) {
 	sb := &Standby{opts: opts, units: make([]unitProgress, len(opts.Backends))}
 	for i := range sb.units {
 		sb.units[i].pending = map[uint64]bool{}
-		sb.units[i].obsSeen = map[obsKey]bool{}
-		sb.units[i].compSeen = map[uint64]bool{}
 	}
 	for i, b := range opts.Backends {
 		u := &sb.units[i]
 		if _, err := b.Replay(func(rec storage.WALRecord) error {
-			u.noteLocked(rec)
+			u.markLocked(rec.LSN)
 			return nil
 		}); err != nil {
 			return nil, fmt.Errorf("replica: scanning standby unit %d: %w", i, err)
@@ -927,12 +887,13 @@ func (sb *Standby) Stop() {
 	sb.mu.Unlock()
 }
 
-// Receive appends one batch to the unit's log, deduplicating records the
-// standby already holds — appends by LSN, history-rewrite marks by identity
-// (catch-up tails overlap in-flight ships, and every catch-up chunk re-sends
-// the marks after its cursor). It returns the unit's new contiguous
-// watermark and whether a gap is open — some LSN below the batch's highest
-// is still missing (lost or still in flight from another shard's commit).
+// Receive appends one batch to the unit's log, skipping the appends whose
+// LSN the standby already holds (catch-up tails overlap in-flight ships). A
+// record without an LSN — a mark an older build's primary shipped — is
+// appended as received: replaying a repeated mark changes nothing. It
+// returns the unit's new contiguous watermark and whether a gap is open —
+// some LSN below the batch's highest is still missing (lost or still in
+// flight from another shard's commit).
 func (sb *Standby) Receive(batch ShipBatch) (watermark uint64, gap bool, err error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -945,21 +906,21 @@ func (sb *Standby) Receive(batch ShipBatch) (watermark uint64, gap bool, err err
 	u := &sb.units[batch.Unit]
 	var fresh []lsdb.Record
 	for _, rec := range batch.Records {
-		if !u.freshLocked(rec) {
+		if rec.Kind == storage.KindAppend && u.hasLocked(rec.LSN) {
 			sb.stats.Duplicates++
 			continue
 		}
 		fresh = append(fresh, rec)
 	}
 	if len(fresh) > 0 {
-		// Durability before progress: the marks advance only for records
-		// the backend accepted, so a failed append is indistinguishable
-		// from a lost batch and heals the same way.
+		// Durability before progress: the watermark advances only for
+		// records the backend accepted, so a failed append is
+		// indistinguishable from a lost batch and heals the same way.
 		if err := sb.opts.Backends[batch.Unit].AppendBatch(fresh); err != nil {
 			return u.contig, len(u.pending) > 0, fmt.Errorf("replica: standby append: %w", err)
 		}
 		for _, rec := range fresh {
-			u.noteLocked(rec)
+			u.markLocked(rec.LSN)
 		}
 	}
 	sb.stats.BatchesReceived++

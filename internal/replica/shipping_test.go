@@ -71,9 +71,9 @@ func promoteBalance(t *testing.T, sb *Standby, peers []clock.NodeID, key entity.
 	return dbs[0], st.Float("balance")
 }
 
-// Synchronous shipping keeps the standby's log a live mirror: after appends
-// and an obsolescence mark, promoting the standby reproduces the primary's
-// state exactly, including the withdrawn record.
+// Synchronous shipping keeps the standby's log a live mirror: after appends,
+// a promise and the settlement that breaks it, promoting the standby
+// reproduces the primary's state exactly, including the withdrawn record.
 func TestShipSyncMirrorsLogAndPromotes(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
@@ -88,18 +88,18 @@ func TestShipSyncMirrorsLogAndPromotes(t *testing.T) {
 	if _, err := p.db.AppendPromise(key, []entity.Op{entity.Delta("balance", 100)}, ts(4), "p", "tentative-1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.db.MarkObsolete(key, "tentative-1"); err != nil {
+	if _, err := p.db.Append(key, []entity.Op{entity.BreakPromise("tentative-1", "", "")}, ts(5), "p", ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := sb.Watermark(0); got != 4 {
-		t.Fatalf("standby watermark = %d, want 4", got)
+	if got := sb.Watermark(0); got != 5 {
+		t.Fatalf("standby watermark = %d, want 5", got)
 	}
 	if st := sb.Stats(); st.Gaps != 0 || st.Duplicates != 0 {
 		t.Fatalf("clean sync stream recorded gaps/duplicates: %+v", st)
 	}
 	_, bal := promoteBalance(t, sb, nil, key)
 	if bal != 30 {
-		t.Fatalf("promoted balance = %v, want 30 (obsolete mark must have shipped)", bal)
+		t.Fatalf("promoted balance = %v, want 30 (the settlement must have shipped)", bal)
 	}
 }
 

@@ -31,9 +31,9 @@ import (
 )
 
 // RecordKind distinguishes the durable log entry types. Appended entity
-// records are the bulk of the log; history rewrites (obsolescence marks,
-// compaction horizons) and archived summaries are records too, so one
-// framing, one codec and one Replay stream carry everything.
+// records are the bulk of the log; marks (compaction horizons, and the
+// obsolescence marks older builds wrote) and archived summaries are records
+// too, so one framing, one codec and one Replay stream carry everything.
 type RecordKind uint8
 
 // Durable record kinds.
@@ -43,6 +43,8 @@ const (
 	KindAppend RecordKind = iota
 	// KindObsolete marks the record produced by TxnID on Key obsolete
 	// (a tentative promise was withdrawn after the record was logged).
+	// Only older builds write it; a settlement append withdraws now, and
+	// replay still applies the ones their logs hold.
 	KindObsolete
 	// KindCompact records a compaction horizon: replay re-runs
 	// Compact(Horizon) at this point in the log.

@@ -464,7 +464,7 @@ func writeSegmentFile(dir, name string) (*os.File, error) {
 	if err := f.Sync(); err != nil {
 		return fail(fmt.Errorf("storage: %w", err))
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return fail(err)
 	}
 	return f, nil
@@ -491,7 +491,7 @@ func (w *WAL) createSegmentLocked(i uint64) error {
 			if err := os.Rename(filepath.Join(w.opts.Dir, preSegName(i)),
 				filepath.Join(w.opts.Dir, segName(i))); err == nil {
 				if w.opts.Sync == SyncAlways {
-					if err := syncDir(w.opts.Dir); err != nil {
+					if err := SyncDir(w.opts.Dir); err != nil {
 						// The caller keeps appending to the segment before
 						// this one, which must stay the last on disk.
 						f.Close()
@@ -646,7 +646,7 @@ func (w *WAL) settleDirLocked() error {
 	if !w.dirDirty {
 		return nil
 	}
-	if err := syncDir(w.opts.Dir); err != nil {
+	if err := SyncDir(w.opts.Dir); err != nil {
 		return err
 	}
 	w.dirDirty = false
@@ -1187,7 +1187,7 @@ func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 		w.man, w.hasMan = man, true
 		maps.DeleteFunc(w.segMax, func(i, _ uint64) bool { return i < man.Segment })
 		w.mu.Unlock()
-		if err := syncDir(w.opts.Dir); err != nil {
+		if err := SyncDir(w.opts.Dir); err != nil {
 			return false, err
 		}
 		w.removeSegmentsBefore(man.Segment)
@@ -1277,7 +1277,7 @@ func (w *WAL) commitManifestLocked(tmp string, man manifest) error {
 	if err := os.Rename(tmp, filepath.Join(w.opts.Dir, manifestName)); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	if err := syncDir(w.opts.Dir); err != nil {
+	if err := SyncDir(w.opts.Dir); err != nil {
 		return err
 	}
 	w.man, w.hasMan = man, true
@@ -1452,7 +1452,7 @@ func (w *WAL) Quarantine() (uint64, error) {
 			name := segName(i)
 			os.Rename(filepath.Join(w.opts.Dir, name), filepath.Join(w.opts.Dir, name+".quarantined"))
 		}
-		if err := syncDir(w.opts.Dir); err != nil {
+		if err := SyncDir(w.opts.Dir); err != nil {
 			return 0, err
 		}
 	}
@@ -1473,8 +1473,8 @@ func (w *WAL) removeSegmentsBefore(first uint64) {
 	}
 }
 
-// syncDir fsyncs a directory so renames and creations in it are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames and creations in it are durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)

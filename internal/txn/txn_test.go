@@ -186,9 +186,9 @@ func TestTentativeUpdateFlagsState(t *testing.T) {
 	if !st.Tentative {
 		t.Fatal("state should be tentative")
 	}
-	// The promise can be withdrawn through the LSDB by txn id.
-	if err := m.DB().MarkObsolete(acct("A"), res.TxnID); err != nil {
-		t.Fatalf("MarkObsolete: %v", err)
+	// The promise is withdrawn by a settlement naming its txn id.
+	if _, err := m.Update(acct("A"), entity.BreakPromise(res.TxnID, "", "")); err != nil {
+		t.Fatalf("break settlement: %v", err)
 	}
 	// It was the entity's first write, so nothing of the entity is left.
 	if st, _, err := m.DB().Current(acct("A")); !errors.Is(err, lsdb.ErrNotFound) {
@@ -384,7 +384,7 @@ func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.DB().MarkObsolete(key, res.TxnID); err != nil {
+	if _, err := m.Update(key, entity.BreakPromise(res.TxnID, "", "")); err != nil {
 		t.Fatal(err)
 	}
 	m.DB().Compact(m.DB().HeadLSN())
