@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race ownership-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck loc clean
+.PHONY: build test vet race ownership-race handles-race bench bench-test bench-steps bench-edge bench-append bench-io bench-storage bench-pool bench-replication bench-lsm bench-slo lsm-race replication-faults storage-faults recovery-smoke slo-smoke linkcheck loc clean
 
 build:
 	$(GO) build ./...
@@ -39,9 +39,11 @@ bench-test:
 	$(GO) test -run xxx -bench 'BenchmarkCompactL1|BenchmarkFlushCapture|BenchmarkLookupSummary' -benchtime 1x -benchmem ./internal/lsm ./internal/lsdb
 
 # The step path on its own: what one process step costs in time and garbage
-# (BenchmarkStepChain) and what the store's share of it, one single-op append
-# to an existing entity, costs — never read, so written in place, and read
-# every eighth append, so copied then (BenchmarkAppendExistingEntity) — each
+# (BenchmarkStepChain) and how often it looks an entity key up (at most once,
+# to resolve the entity's handle: TestStepKeyProbes), and what the store's
+# share of it, one single-op append to an existing entity, costs — never
+# read, so written in place, and read every eighth append, so copied then
+# (BenchmarkAppendExistingEntity) — each
 # gated by its committed budget (TestStepAllocationBudget, TestAppendBudget:
 # the run fails when a step or an append allocates more than that, and an
 # append to an unlent state may allocate no State or field map at all); that a
@@ -52,7 +54,7 @@ bench-test:
 # record, each under its budget); and what recording one latency costs the
 # commit path, every P recording into one histogram (BenchmarkHistogramRecord).
 bench-steps:
-	$(GO) test -run 'TestStepAllocationBudget|TestAppendBudget|TestResidentLogIsNoscan' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19|BenchmarkHistogramRecord' -benchmem . ./internal/queue ./internal/process ./internal/lsdb ./internal/metrics
+	$(GO) test -run 'TestStepAllocationBudget|TestStepKeyProbes|TestAppendBudget|TestResidentLogIsNoscan' -bench 'BenchmarkStepChain|BenchmarkAppendExistingEntity|BenchmarkQueueDrain|BenchmarkE19|BenchmarkHistogramRecord' -benchmem . ./internal/queue ./internal/process ./internal/lsdb ./internal/metrics
 
 # The HTTP edge on its own: one data-path request (POST delta, POST set of
 # three fields, GET, GET history) through its soupsd handler over an in-memory
@@ -128,6 +130,15 @@ bench-slo:
 		-warmup 5s -steady 20s -fault-window 5s -recovery 10s \
 		-fault partition -check-every 64 \
 		-assert-convergence -json BENCH_E23.json
+
+# Entity handles under the race detector, ten times over: chains over a hot
+# key set while the store checkpoints and compacts, writes on new keys are
+# refused as events resolve their handles, and the kernel closes and
+# bootstraps again; resolvers racing the handle table's growth; drops of
+# unwritten entities' handles racing posts that resolve them anew; a refused
+# first write against a racing resolve (CI runs the same set).
+handles-race:
+	$(GO) test -race -count=10 -run 'TestKeyHandlesUnderConcurrentSteps|TestHandleTable|TestHandleDrops|TestRefusedFirstWrite|TestUnwrittenEntities' ./internal/core/ ./internal/lsdb/
 
 # The tiered-storage suites under the race detector: the LSM store unit
 # tests (then ten seconds of fuzzing the table decoders), the lsdb

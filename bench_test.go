@@ -1048,7 +1048,7 @@ func BenchmarkE19WorkStealingPool(b *testing.B) {
 					b.Fatal(err)
 				}
 				mgr := txn.NewManager(db, nil, txn.Options{Node: "e19"})
-				q := queue.New("e19", queue.Options{})
+				q := queue.New("e19", queue.Options{Entities: db.Entity})
 				e := process.NewEngine(mgr, q, process.Options{Workers: workers})
 				def := process.NewDefinition("e19")
 				def.Step("e19.step", func(ctx *process.StepContext) error {
@@ -1065,7 +1065,7 @@ func BenchmarkE19WorkStealingPool(b *testing.B) {
 						Entity: e19Key(skew, zipf, i),
 						TxnID:  fmt.Sprintf("e19-%d", i),
 					}
-					if err := e.Submit(ev); err != nil {
+					if err := e.Submit(&ev, q.Resolve(ev.Entity)); err != nil {
 						b.Fatal(err)
 					}
 				}

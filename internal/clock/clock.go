@@ -11,6 +11,7 @@ package clock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -105,81 +106,71 @@ func NewHLCWithSource(node NodeID, nowFn func() time.Time) *HLC {
 	return &HLC{node: node, nowFn: nowFn}
 }
 
-// Now issues a timestamp for a local event (send rule).
+// Now issues a timestamp for a local event (send rule). The physical clock is
+// read before the lock is taken, so the lock covers only the comparison and
+// the store: a reading that lost the race to a later one issues what it would
+// have issued had it been taken under the lock at that point — the next
+// logical tick of the newer wall time — so the timestamps a clock issues stay
+// strictly increasing, and equal readings issue what they always did.
 func (h *HLC) Now() Timestamp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	phys := h.nowFn().UnixNano()
+	h.mu.Lock()
 	if phys > h.wall {
 		h.wall = phys
 		h.logical = 0
 	} else {
 		h.logical++
 	}
-	return Timestamp{WallNanos: h.wall, Logical: h.logical, Node: h.node}
+	ts := Timestamp{WallNanos: h.wall, Logical: h.logical, Node: h.node}
+	h.mu.Unlock()
+	return ts
 }
 
 // Sequence hands out strictly monotonically increasing identifiers. It backs
 // log sequence numbers in the LSDB and message ids in the queues. The zero
-// value is ready to use and safe for concurrent use.
+// value is ready to use and safe for concurrent use; it takes no lock.
 type Sequence struct {
-	mu   sync.Mutex
-	next uint64
+	next atomic.Uint64 // the most recently issued identifier
 }
 
 // Next returns the next identifier, starting from 1.
-func (s *Sequence) Next() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	return s.next
-}
+func (s *Sequence) Next() uint64 { return s.next.Add(1) }
 
-// Reserve allocates n consecutive identifiers in one acquisition and returns
-// the first of the run; the caller owns first..first+n-1. The LSDB's log
-// append uses it to stamp a commit cycle's records with one contiguous LSN
-// run instead of taking the sequence lock once per record. Reserving zero identifiers returns the next unissued value without
+// Reserve allocates n consecutive identifiers in one step and returns the
+// first of the run; the caller owns first..first+n-1. The LSDB's log append
+// uses it to stamp a commit cycle's records with one contiguous LSN run.
+// Reserving zero identifiers returns the next unissued value without
 // consuming it.
 func (s *Sequence) Reserve(n int) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	first := s.next + 1
-	if n > 0 {
-		s.next += uint64(n)
+	if n <= 0 {
+		return s.next.Load() + 1
 	}
-	return first
+	return s.next.Add(uint64(n)) - uint64(n) + 1
 }
 
 // Rollback un-issues a reservation of n identifiers starting at first. The
 // LSDB calls it when a log-first append fails after reserving LSNs: putting
 // the run back keeps the durable log dense (no LSN gaps), which standby
-// contiguous watermarks depend on. It succeeds
-// only when first..first+n-1 is exactly the tip of the sequence — callers
-// must serialise allocation and rollback under their own lock so no later
-// reservation can interleave.
+// contiguous watermarks depend on. It succeeds only when first..first+n-1 is
+// exactly the tip of the sequence — callers must serialise allocation and
+// rollback under their own lock so no later reservation can interleave.
 func (s *Sequence) Rollback(first uint64, n int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 || first == 0 || first+uint64(n)-1 != s.next {
+	if n <= 0 || first == 0 {
 		return false
 	}
-	s.next = first - 1
-	return true
+	return s.next.CompareAndSwap(first+uint64(n)-1, first-1)
 }
 
 // Peek returns the most recently issued identifier (0 if none yet).
-func (s *Sequence) Peek() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
+func (s *Sequence) Peek() uint64 { return s.next.Load() }
 
 // AdvanceTo moves the sequence forward so the next issued id is strictly
 // greater than floor. It never moves the sequence backwards.
 func (s *Sequence) AdvanceTo(floor uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if floor > s.next {
-		s.next = floor
+	for {
+		cur := s.next.Load()
+		if floor <= cur || s.next.CompareAndSwap(cur, floor) {
+			return
+		}
 	}
 }

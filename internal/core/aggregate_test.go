@@ -203,10 +203,14 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 			i := r.Intn(len(promises))
 			id := promises[i]
 			promises = slices.Delete(promises, i, i+1)
+			var err error
 			if r.Intn(2) == 0 {
-				k.KeepPromise(id)
+				err = k.KeepPromise(id)
 			} else {
-				k.BreakPromise(id, "declined", "")
+				_, err = k.BreakPromise(id, "declined", "")
+			}
+			if err != nil {
+				t.Fatalf("%s: settling %s: %v", context, id, err)
 			}
 		case op < 58:
 			k.Compact()

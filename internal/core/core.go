@@ -292,11 +292,11 @@ func Open(opts Options) (*Kernel, error) {
 			Node:                clock.NodeID(id),
 			EnforceSingleEntity: true,
 		})
-		q := queue.New(string(id), queue.Options{MaxDepth: opts.MaxQueueDepth})
+		q := queue.New(string(id), queue.Options{MaxDepth: opts.MaxQueueDepth, Entities: db.Entity})
 		engine := process.NewEngine(mgr, q, process.Options{
 			Workers:          opts.Workers,
 			CollapseVertical: opts.CollapseVertical,
-			Route:            k.routeQueue,
+			Route:            k.route,
 		})
 		u := &unit{
 			id:     id,
@@ -434,27 +434,42 @@ func (k *Kernel) Metrics() *metrics.Registry { return k.metrics }
 // SchemaRegistry exposes the schema version registry.
 func (k *Kernel) SchemaRegistry() *migrate.Registry { return k.registry }
 
-// routeQueue returns the queue of the serialization unit owning an event's
-// entity, so emitted events always land where their step must execute.
-func (k *Kernel) routeQueue(ev *queue.Event) *queue.Queue {
-	u, err := k.unitFor(ev.Entity)
+// route returns the queue of the serialization unit owning an event's
+// entity, so emitted events always land where their step must execute, and
+// the entity's handle in that unit's store.
+func (k *Kernel) route(key entity.Key) (*queue.Queue, queue.Entity) {
+	u, h, err := k.resolve(key)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return u.queue
+	return u.queue, h
+}
+
+// resolve returns the unit owning the key and the key's handle in the
+// unit's store, hashing the key once for both.
+func (k *Kernel) resolve(key entity.Key) (*unit, *lsdb.Handle, error) {
+	hash := partition.KeyHash(key)
+	u, err := k.unitAt(hash)
+	if err != nil {
+		return nil, nil, err
+	}
+	return u, u.db.Resolve(key, hash), nil
 }
 
 // unitFor returns the unit owning the key.
 func (k *Kernel) unitFor(key entity.Key) (*unit, error) {
-	id, err := k.locator.Locate(key)
+	return k.unitAt(partition.KeyHash(key))
+}
+
+// unitAt returns the unit owning the keys whose partition.KeyHash is hash:
+// the locator's index is the unit's place in byIndex, the order they were
+// added in.
+func (k *Kernel) unitAt(hash uint32) (*unit, error) {
+	i, err := k.locator.Index(hash)
 	if err != nil {
 		return nil, err
 	}
-	u, ok := k.units[id]
-	if !ok {
-		return nil, fmt.Errorf("core: locator points at unknown unit %s", id)
-	}
-	return u, nil
+	return k.byIndex[i], nil
 }
 
 // RegisterType registers an entity type on every unit and in the schema
@@ -759,13 +774,14 @@ func (k *Kernel) ensureApplyStep() error {
 	return k.DefineProcess(def)
 }
 
-// Submit enqueues an event on the unit owning its entity.
+// Submit enqueues an event on the unit owning its entity, resolved to the
+// entity's handle there: the key is hashed once for unit, shard and handle.
 func (k *Kernel) Submit(ev queue.Event) error {
-	u, err := k.unitFor(ev.Entity)
+	u, h, err := k.resolve(ev.Entity)
 	if err != nil {
 		return err
 	}
-	return u.engine.Submit(ev)
+	return u.engine.Submit(&ev, h)
 }
 
 // Drain processes queued events synchronously on every unit until all queues
@@ -1011,9 +1027,12 @@ func (k *Kernel) Import(r io.Reader) error {
 	}
 	// The bulk-load path bypasses the commit sink, so the aggregates refold
 	// every entity of their types, and the write-ahead log, so a flush
-	// captures the imported content durably in one pass.
+	// captures the imported content durably in one pass. It bypasses the
+	// transaction managers too: their ids move past the imported ones, or
+	// the next write would wear one and be skipped as its own replay.
 	for _, u := range k.units {
 		u.maint.Reseed()
+		u.mgr.ResumeIDs()
 	}
 	return k.Checkpoint()
 }

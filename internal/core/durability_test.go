@@ -170,6 +170,38 @@ func TestKernelExportImportRoundTrip(t *testing.T) {
 	assertSameKernelStates(t, kernelStates(t, src), kernelStates(t, dst))
 }
 
+// TestImportResumesTxnIDs: a restore brings records whose transaction ids
+// the new node's managers would mint next; they must move past them, or the
+// first write after the import wears an imported id and is skipped as its
+// own replay.
+func TestImportResumesTxnIDs(t *testing.T) {
+	key := accountKey("a")
+	src := newKernel(t, Options{Node: "p", Units: 1})
+	for range 3 {
+		if _, err := src.Update(key, entity.Delta("balance", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var backup bytes.Buffer
+	if err := src.Export(&backup); err != nil {
+		t.Fatal(err)
+	}
+	dst := newKernel(t, Options{Node: "p", Units: 1})
+	if err := dst.Import(&backup); err != nil {
+		t.Fatal(err)
+	}
+	res, err := dst.Update(key, entity.Delta("balance", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TxnID != "p-u0-txn-4" {
+		t.Errorf("the write after the import took txn %s, want p-u0-txn-4", res.TxnID)
+	}
+	if st, err := dst.Read(key); err != nil || st.Float("balance") != 4 {
+		t.Fatalf("balance after the import and one more deposit: %v (%v), want 4", st.Float("balance"), err)
+	}
+}
+
 // TestKernelExportImportWithCompactedHistory: archived summaries are not
 // reconstructible from the record stream, so a backup taken after Compact
 // must carry them explicitly — restoring must reproduce every compacted

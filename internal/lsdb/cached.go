@@ -49,10 +49,15 @@ func (c *cachedState) take() (st *entity.State, owned bool) {
 }
 
 // install freezes st and caches it, unlent: the caller, under the shard's
-// write lock, hands over the only reference it could write through.
+// write lock, hands over the only reference it could write through. The
+// write lock keeps lend out, so the mark is read before it is cleared: a
+// state never lent — a serial writer's — costs no atomic store, which would
+// wait for the append's other stores to drain.
 func (c *cachedState) install(st *entity.State) {
 	c.st = st.Freeze()
-	c.lent.Store(false)
+	if c.lent.Load() {
+		c.lent.Store(false)
+	}
 }
 
 // installLent caches a frozen state the shard does not own alone — one a

@@ -35,7 +35,7 @@ func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 	t.Helper()
 	for _, s := range db.shards {
 		s.mu.Lock() // txnLSNLocked may build byTxn
-		for key, e := range s.entries {
+		for key, e := range s.entries.all() {
 			want := map[string]uint64{}
 			for _, lsn := range e.recs {
 				rec, ok := s.recordLocked(lsn)
@@ -78,13 +78,13 @@ func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 			if rec.LSN != c.lsn() {
 				t.Errorf("the log's LSN table says %d, its record %d", c.lsn(), rec.LSN)
 			}
-			if e := s.entries[rec.Key]; e == nil || !slices.Contains(e.recs, rec.LSN) {
+			if e := s.entry(rec.Key); e == nil || !slices.Contains(e.recs, rec.LSN) {
 				t.Errorf("LSN %d of %s is in the log, its entity does not list it", rec.LSN, rec.Key)
 			}
 			n++
 		}
 		listed := 0
-		for _, e := range s.entries {
+		for _, e := range s.entries.all() {
 			listed += len(e.recs)
 		}
 		if listed != n {
@@ -177,10 +177,10 @@ func TestTxnIndexBoundedByRetainedRecords(t *testing.T) {
 		t.Helper()
 		assertTxnIndexMatchesLog(t, db)
 		s := db.shardFor(settled)
-		if e := s.entries[settled]; len(e.recs) != 0 || e.byTxn != nil || e.archived == nil {
+		if e := s.entry(settled); len(e.recs) != 0 || e.byTxn != nil || e.archived == nil {
 			t.Fatalf("%s: summarised entity keeps %d record refs, byTxn %v, archived %v", stage, len(e.recs), e.byTxn != nil, e.archived != nil)
 		}
-		if got := len(db.shardFor(active).entries[active].recs); got != 2*txnSpill {
+		if got := len(db.shardFor(active).entry(active).recs); got != 2*txnSpill {
 			t.Fatalf("%s: kept entity lists %d records, want %d", stage, got, 2*txnSpill)
 		}
 		if err := deposit(t, db, active, 999, "a0"); !errors.Is(err, ErrDuplicateTxn) {
@@ -250,13 +250,13 @@ func TestTxnIndexAcrossColdEvictionAndRewarm(t *testing.T) {
 	}
 	s := db.shardFor(key)
 	// The materialised state is gone with the compaction; nothing pins it.
-	if e := s.entries[key]; !e.cold || e.archived != nil || len(e.recs) != 0 || e.byTxn != nil {
+	if e := s.entry(key); !e.cold || e.archived != nil || len(e.recs) != 0 || e.byTxn != nil {
 		t.Fatalf("not evicted: cold=%v archived=%v recs=%d byTxn=%v", e.cold, e.archived != nil, len(e.recs), e.byTxn != nil)
 	}
 	if err := deposit(t, db, key, 100, "after"); err != nil {
 		t.Fatalf("write to an evicted entity: %v", err)
 	}
-	if e := s.entries[key]; e.cold || e.archived == nil {
+	if e := s.entry(key); e.cold || e.archived == nil {
 		t.Fatalf("write did not warm the summary: cold=%v archived=%v", e.cold, e.archived != nil)
 	}
 	if err := deposit(t, db, key, 101, "after"); !errors.Is(err, ErrDuplicateTxn) {
@@ -283,8 +283,8 @@ func shapeOf(db *DB) shardShape {
 		sh.sealed += len(s.sealed)
 		sh.active += s.active.len()
 		sh.bytes += len(s.active.buf)
-		sh.entries += len(s.entries)
-		for k, e := range s.entries {
+		sh.entries += s.entries.len()
+		for k, e := range s.entries.all() {
 			sh.recs[k] = len(e.recs)
 		}
 		// No commit cycle's records may be left behind in the scratch.

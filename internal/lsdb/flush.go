@@ -416,7 +416,7 @@ func (f *flusher) evictCold(watermark uint64) {
 	for _, s := range f.db.shards {
 		s.mu.Lock()
 		if s.archivedN > 0 {
-			for _, e := range s.entries {
+			for _, e := range s.entries.all() {
 				if e.archived == nil || e.dirty || len(e.recs) > 0 || e.cache.present() {
 					continue
 				}
@@ -482,7 +482,7 @@ func (db *DB) warmAll() error {
 	}
 	for _, s := range db.shards {
 		s.mu.Lock()
-		for key, e := range s.entries {
+		for key, e := range s.entries.all() {
 			if err := db.warmLocked(s, e, key); err != nil {
 				s.mu.Unlock()
 				return err

@@ -91,14 +91,14 @@ func TestExactlyOnceAcrossHighWaterMark(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if e := db.shardFor(key).entries[key]; e.byTxn != nil || e.hiSeq != 2*txnSpill {
+		if e := db.shardFor(key).entry(key); e.byTxn != nil || e.hiSeq != 2*txnSpill {
 			t.Fatalf("serial writes built byTxn (%v) or missed the mark (%d)", e.byTxn != nil, e.hiSeq)
 		}
 		exerciseExactlyOnce(t, db, key, 100, "live")
 
 		// Compact below the entity's head keeps its records, ids and all.
 		db.Compact(db.HeadLSN() - 1)
-		if e := db.shardFor(other).entries[other]; e.archived == nil || len(e.recs) != 0 {
+		if e := db.shardFor(other).entry(other); e.archived == nil || len(e.recs) != 0 {
 			t.Fatal("setup: nothing was compacted")
 		}
 		exerciseExactlyOnce(t, db, key, 200, "after Compact")
@@ -108,7 +108,7 @@ func TestExactlyOnceAcrossHighWaterMark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := rec.shardFor(key).entries[key]; e.hiPrefix != "n1-txn-" || e.hiSeq != 209 {
+		if e := rec.shardFor(key).entry(key); e.hiPrefix != "n1-txn-" || e.hiSeq != 209 {
 			t.Fatalf("recovered mark %q %d, want n1-txn- 209", e.hiPrefix, e.hiSeq)
 		}
 		for _, id := range []string{"n1-txn-1", "n1-txn-105", "n1-txn-209", "n2-txn-203", "client-100-abc"} {
@@ -161,7 +161,7 @@ func TestExactlyOnceAfterColdEvictionAndRewarm(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if e := db.shardFor(key).entries[key]; !e.cold || e.hiPrefix != "" || e.hiSeq != 0 {
+	if e := db.shardFor(key).entry(key); !e.cold || e.hiPrefix != "" || e.hiSeq != 0 {
 		t.Fatalf("not evicted, or the mark outlived the records: cold=%v mark %q %d", e.cold, e.hiPrefix, e.hiSeq)
 	}
 	exerciseExactlyOnce(t, db, key, 500, "after re-warm")
@@ -187,7 +187,7 @@ func TestMarkObsoleteFindsTxnWithoutBuiltIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := db.shardFor(key).entries[key]
+	e := db.shardFor(key).entry(key)
 	if e.byTxn != nil {
 		t.Fatal("serial writes built byTxn")
 	}
@@ -220,7 +220,7 @@ func TestSerialHotEntityNeverBuildsTxnIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e := db.shardFor(key).entries[key]; e.byTxn != nil || e.hiSeq != n || len(e.recs) != n {
+	if e := db.shardFor(key).entry(key); e.byTxn != nil || e.hiSeq != n || len(e.recs) != n {
 		t.Fatalf("byTxn built: %v, mark %d, %d records", e.byTxn != nil, e.hiSeq, len(e.recs))
 	}
 	if err := deposit(t, db, key, n, fmt.Sprintf("n1-txn-%d", n)); !errors.Is(err, ErrDuplicateTxn) {

@@ -226,6 +226,11 @@ func (e *entry) headLSN() uint64 {
 	return e.recs[len(e.recs)-1]
 }
 
+// rollupHead is the LSN Current reports with the rollup: the newest record
+// folded in, retained or archived — so an entity compacted here reads the
+// head a store that never compacted it reads.
+func (e *entry) rollupHead() uint64 { return max(e.headLSN(), e.archivedAt) }
+
 // splitTxnID reads id as a non-empty prefix followed by a decimal number of
 // at most 19 digits (so it cannot overflow) — the shape of the ids a
 // txn.Manager mints, "<node>-txn-<seq>". Any other id is not ok.
@@ -335,6 +340,7 @@ type dirtyRef struct {
 // shard is one lock stripe of the store: a self-contained log plus the
 // entries of the entities that hash to it.
 type shard struct {
+	db *DB // the store the shard belongs to
 	mu sync.RWMutex
 	// The resident log (segment.go): sealed segments, then the active one
 	// (sealed at SegmentSize records), all encoded; nextSlab sizes the next
@@ -360,10 +366,11 @@ type shard struct {
 	// that addRecLocked lists, gone when Compact drops the record. It only
 	// locates records; whether a promise is pending is read from its flags.
 	promised map[string]promiseRef
-	// entries holds one entry per entity. An entry that ever held a record
-	// or a summary is never removed, so pointers to it stay good across
-	// lock holds; only an entry a failed first append left empty is.
-	entries map[entity.Key]*entry
+	// entries holds one entry per entity, each inside the entity's Handle
+	// (handle.go). An entry that holds anything is never removed, so a
+	// pointer to it stays good across lock holds and for the life of the
+	// store; an empty one goes with the last hold on its handle.
+	entries handleTable
 
 	// Tiered-storage bookkeeping (untouched without a tiered backend): dirty
 	// lists the entries mutated since the last flush capture, each once;
@@ -372,41 +379,40 @@ type shard struct {
 	dirty     []dirtyRef
 	archivedN int
 
-	// lookups and decodes, when a test sets them, count entry-map lookups
-	// and records decoded from the log.
+	// lookups and decodes, when a test sets them, count entry-table lookups
+	// (Resolve's included) and records decoded from the log.
 	lookups, decodes *atomic.Uint64
 }
 
-func newShard(own string) *shard {
-	return &shard{entries: map[entity.Key]*entry{}, own: own, promised: map[string]promiseRef{}}
+func newShard(db *DB, own string) *shard {
+	s := &shard{db: db, own: own, promised: map[string]promiseRef{}}
+	s.entries.reset(0)
+	return s
 }
 
-// entry returns the entity's entry, or nil. The caller holds the shard lock.
-func (s *shard) entry(key entity.Key) *entry {
+func (s *shard) countLookup() {
 	if s.lookups != nil {
 		s.lookups.Add(1)
 	}
-	return s.entries[key]
+}
+
+// entry returns the entity's entry, or nil. It may be empty — the handle of
+// an entity an event names before anything is written to it — which reads
+// as absent. The caller holds the shard lock.
+func (s *shard) entry(key entity.Key) *entry {
+	s.countLookup()
+	if h := s.entries.find(key, partition.KeyHash(key)); h != nil {
+		return &h.e
+	}
+	return nil
 }
 
 // ensure returns the entity's entry, creating an empty one for a key not
-// seen before. The caller holds the shard's write lock, and must
-// dropIfEmptyLocked the entry if it ends up putting nothing in it.
+// seen before, for a caller about to put something in it: its handle is
+// kept from now on. The caller holds the shard's write lock.
 func (s *shard) ensure(key entity.Key) *entry {
-	e := s.entry(key)
-	if e == nil {
-		e = &entry{}
-		s.entries[key] = e
-	}
-	return e
-}
-
-// dropIfEmptyLocked removes an entry that ensure created for an append that
-// then failed, so refused writes to unknown keys leave nothing behind.
-func (s *shard) dropIfEmptyLocked(key entity.Key, e *entry) {
-	if len(e.recs) == 0 && !e.exists() && s.entries[key] == e {
-		delete(s.entries, key)
-	}
+	s.countLookup()
+	return &s.entries.resolve(s, key, partition.KeyHash(key), (*Handle).keep).e
 }
 
 // setArchivedLocked installs (or, with nil, removes) an entry's archived
@@ -503,7 +509,7 @@ func Open(opts Options) *DB {
 	db.types.Store(&map[string]*entity.Type{})
 	own := string(opts.Node) + "-txn-"
 	for i := range db.shards {
-		db.shards[i] = newShard(own)
+		db.shards[i] = newShard(db, own)
 	}
 	if t, ok := opts.Backend.(storage.Tiered); ok {
 		db.tiered = t
@@ -530,7 +536,7 @@ func (db *DB) TxnFloor() uint64 {
 
 // shardFor returns the shard owning the key.
 func (db *DB) shardFor(key entity.Key) *shard {
-	return db.shards[partition.KeyShard(key, len(db.shards))]
+	return db.shards[partition.ShardOf(partition.KeyHash(key), len(db.shards))]
 }
 
 // RegisterType makes an entity type known to the database. It must be called
@@ -577,9 +583,21 @@ type AppendResult struct {
 // returns ErrDuplicateTxn without writing; this gives at-least-once queue
 // consumers idempotence (principles 2.4 and 3.1).
 func (db *DB) Append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string) (AppendResult, error) {
-	res, err := db.append(key, ops, stamp, origin, txnID, false, 0)
+	var res AppendResult
+	err := db.append(nil, key, ops, stamp, origin, txnID, false, 0, &res)
 	db.maybeCheckpoint()
 	return res, err
+}
+
+// AppendTo is Append for a caller that may have the entity's handle — h,
+// when non-nil, is key's handle in this store, held while the call runs (a
+// Resolve's hold, or its mailbox's), and the append then looks no key up —
+// and may have no use for the result: res, when non-nil, receives
+// it, and when nil the record is not copied out for it.
+func (db *DB) AppendTo(h *Handle, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, res *AppendResult) error {
+	err := db.append(h, key, ops, stamp, origin, txnID, false, 0, res)
+	db.maybeCheckpoint()
+	return err
 }
 
 // AppendPromise writes a record whose effects are tentative (principle 2.9):
@@ -587,15 +605,18 @@ func (db *DB) Append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 // With limit > 0 it is refused with apology.ErrPromiseLimit, writing
 // nothing, when key already carries limit pending promises.
 func (db *DB) AppendPromise(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, limit int) (AppendResult, error) {
-	res, err := db.append(key, ops, stamp, origin, txnID, true, limit)
+	var res AppendResult
+	err := db.append(nil, key, ops, stamp, origin, txnID, true, limit, &res)
 	db.maybeCheckpoint()
 	return res, err
 }
 
-func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool, limit int) (AppendResult, error) {
+// append is Append's body: h is key's handle or nil, res receives the
+// result when non-nil.
+func (db *DB) append(h *Handle, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool, limit int, res *AppendResult) error {
 	typ, ok := db.TypeOf(key.Type)
 	if !ok {
-		return AppendResult{}, fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
+		return fmt.Errorf("%w: %s", ErrUnknownType, key.Type)
 	}
 	// The sealed log and the state cache share the operations with the
 	// caller; sanitization rejects values that cannot be safely shared and
@@ -603,30 +624,41 @@ func (db *DB) append(key entity.Key, ops []entity.Op, stamp clock.Timestamp, ori
 	// lock is touched, so a malformed op-set never reaches a commit cycle.
 	ops, err := entity.SanitizeOps(ops)
 	if err != nil {
-		return AppendResult{}, fmt.Errorf("lsdb: %w", err)
+		return fmt.Errorf("lsdb: %w", err)
 	}
-	res, wait, err := db.commitCycle(db.shardFor(key), typ, key, ops, stamp, origin, txnID, tentative, limit)
+	s := db.shardFor(key)
+	if h != nil {
+		s = h.s
+	}
+	wait, err := db.commitCycle(s, h, typ, key, ops, stamp, origin, txnID, tentative, limit, res)
 	if err != nil {
-		return AppendResult{}, err
+		return err
 	}
 	// The replication ack wait happens with no lock held: readers and other
 	// writers of the shard proceed while this writer blocks on its acks.
-	return res, waitCommitSink(wait)
+	return waitCommitSink(wait)
 }
 
 // commitCycle is one append's commit cycle under the shard's write lock:
 // validate and apply, log the record, install it, and run the commit sink's
 // capture. It returns the sink's ack wait for the caller to run unlocked.
 // The unlock is deferred, so a capture that panics leaves the shard usable:
-// the panic reaches the writer, and the record stays committed.
-func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool, limit int) (AppendResult, func() error, error) {
+// the panic reaches the writer, and the record stays committed. The entry is
+// h's — held by the caller — or with h nil key's, held here for the cycle
+// (created when new, and dropped again when the write is refused). A
+// written entry's handle is kept. res, when non-nil, receives the result.
+func (db *DB) commitCycle(s *shard, h *Handle, typ *entity.Type, key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, tentative bool, limit int, res *AppendResult) (func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.ensure(key)
+	if h == nil {
+		s.countLookup()
+		h = s.entries.resolve(s, key, partition.KeyHash(key), (*Handle).hold)
+		defer h.Unhold()
+	}
+	e := &h.e
 	next, promise, warnings, err := db.applyForAppendLocked(s, e, typ, key, ops, txnID, tentative, limit)
 	if err != nil {
-		s.dropIfEmptyLocked(key, e)
-		return AppendResult{}, nil, err
+		return nil, err
 	}
 	// Log-first: the record reaches the durable backend (which assigns the
 	// cycle its LSN run atomically under logMu) before anything is installed
@@ -642,10 +674,12 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 	})
 	if err := db.writeCycleLocked(s, recs); err != nil {
 		next.Recycle()
-		s.dropIfEmptyLocked(key, e)
-		return AppendResult{}, nil, err
+		return nil, err
 	}
-	res := AppendResult{Record: recs[0], Warnings: warnings}
+	h.keep()
+	if res != nil {
+		*res = AppendResult{Record: recs[0], Warnings: warnings}
+	}
 	if promise == 0 {
 		db.commitAppendLocked(s, e, &recs[0], next)
 	} else { // a settlement: listed, not live, and its promise settled
@@ -659,7 +693,7 @@ func (db *DB) commitCycle(s *shard, typ *entity.Type, key entity.Key, ops []enti
 		wait = db.commitSink(recs)
 	}
 	s.endCycleLocked(recs)
-	return res, wait, nil
+	return wait, nil
 }
 
 // SetCommitSink attaches (or replaces) the commit sink, the attachment point
@@ -835,7 +869,7 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 		if e == nil || !e.exists() {
 			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-		return s.rollupLocked(e, key, typ).Freeze(), e.headLSN(), nil
+		return s.rollupLocked(e, key, typ).Freeze(), e.rollupHead(), nil
 	}
 	s.mu.RLock()
 	e := s.entry(key)
@@ -871,7 +905,7 @@ func (db *DB) Current(key entity.Key) (*entity.State, uint64, error) {
 		} else {
 			e.cache.install(s.rollupLocked(e, key, typ))
 		}
-		e.head = e.headLSN()
+		e.head = e.rollupHead()
 	}
 	return e.cache.lend(), e.head, nil
 }
@@ -1150,7 +1184,7 @@ func (db *DB) KeysOfType(typeName string) []entity.Key {
 	var out []entity.Key
 	for _, s := range db.shards {
 		s.mu.RLock()
-		for k, e := range s.entries {
+		for k, e := range s.entries.all() {
 			if k.Type == typeName && e.exists() {
 				out = append(out, k)
 			}
@@ -1202,7 +1236,7 @@ func (db *DB) Compact(beforeLSN uint64) int {
 		s.mu.Lock()
 		var drop []*entry
 		var gone []uint64 // the LSNs of their records
-		for key, e := range s.entries {
+		for key, e := range s.entries.all() {
 			if len(e.recs) == 0 || !e.exists() || len(s.pendingLocked(nil, key, e)) > 0 {
 				continue
 			}

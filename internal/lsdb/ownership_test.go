@@ -96,7 +96,7 @@ func TestLentStateNeverChanges(t *testing.T) {
 			return st
 		}},
 		{"snapshot-every", func(t *testing.T, db *DB, next *int) *entity.State {
-			e := db.shardFor(order).entries[order]
+			e := db.shardFor(order).entry(order)
 			for at := e.snap.lsn; e.snap.lsn == at; {
 				churn(t, db, order, next, 1)
 			}
@@ -132,7 +132,7 @@ func TestAppendWritesInPlaceUnlessLent(t *testing.T) {
 	t.Run(perAppend, func(t *testing.T) {
 		db := newTestDB(t, Options{})
 		key := acct("hot")
-		e := func() *entry { return db.shardFor(key).entries[key] }
+		e := func() *entry { return db.shardFor(key).entry(key) }
 		for i := 1; i <= 3; i++ {
 			if err := deposit(t, db, key, i, fmt.Sprintf("n-txn-%d", i)); err != nil {
 				t.Fatal(err)
@@ -386,7 +386,7 @@ func TestColdReadCachesArchivedByPointer(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	e := db.shardFor(order).entries[order]
+	e := db.shardFor(order).entry(order)
 	if !e.cold {
 		t.Fatalf("entity not evicted: %+v", db.FlushStats())
 	}

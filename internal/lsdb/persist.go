@@ -59,7 +59,7 @@ func (s *shard) summariesLocked(out []Record) []Record {
 	if s.archivedN == 0 {
 		return out
 	}
-	for k, e := range s.entries {
+	for k, e := range s.entries.all() {
 		if e.archived != nil {
 			out = append(out, Record{Kind: storage.KindSummary, Key: k, Summary: e.archived})
 		}
@@ -227,7 +227,7 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 		// upper bound (a key can sit in several).
 		if n := db.tiered.TieredStats().TableKeys; n > 0 {
 			for _, s := range db.shards {
-				s.entries = make(map[entity.Key]*entry, int(n)/len(db.shards)+1)
+				s.entries.reset(int(n)/len(db.shards) + 1)
 			}
 		}
 	}

@@ -118,7 +118,7 @@ func (db *DB) AllPromises() []apology.Promise {
 	for _, s := range db.shards {
 		s.mu.RLock()
 		for _, ref := range s.promised {
-			if s.pendingAtLocked(s.entries[ref.key], ref.lsn) {
+			if s.pendingAtLocked(s.entry(ref.key), ref.lsn) {
 				rec, _ := s.recordLocked(ref.lsn)
 				p, _ := promiseOf(ref.key, rec)
 				all = append(all, made{ref.lsn, p})

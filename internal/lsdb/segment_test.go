@@ -146,7 +146,7 @@ func assertSameState(t *testing.T, what string, got, want *entity.State) {
 func dropCaches(db *DB) {
 	for _, s := range db.shards {
 		s.mu.Lock()
-		for _, e := range s.entries {
+		for _, e := range s.entries.all() {
 			e.cache.drop()
 		}
 		s.mu.Unlock()

@@ -50,7 +50,8 @@ type HashLocator struct {
 // ring is one published snapshot of a HashLocator: never written once stored.
 type ring struct {
 	points []uint32 // sorted, distinct
-	owners []UnitID // owners[i] owns points[i]
+	owners []int    // points[i] belongs to units[owners[i]]
+	units  []UnitID // in the order they were added
 }
 
 // NewHashLocator creates a consistent-hash locator with the given number of
@@ -76,9 +77,11 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// keyHash is hash32(key.String()) computed in place: FNV-1a over Type, '/'
-// and ID, with no string built.
-func keyHash(key entity.Key) uint32 {
+// KeyHash is the one hash of an entity key that both layers place it by:
+// hash32(key.String()) computed in place, FNV-1a over Type, '/' and ID, with
+// no string built. A caller that hashed a key once passes the hash on
+// (Index, ShardOf) instead of hashing again.
+func KeyHash(key entity.Key) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(key.Type); i++ {
 		h = (h ^ uint32(key.Type[i])) * fnvPrime32
@@ -105,42 +108,47 @@ func (l *HashLocator) AddUnit(u UnitID) error {
 // publishLocked rebuilds the ring from the units and stores it. When virtual
 // nodes of two units hash to one point, the unit added later owns it.
 func (l *HashLocator) publishLocked() {
-	owner := make(map[uint32]UnitID, len(l.units)*l.replicas)
-	for _, u := range l.units {
+	owner := make(map[uint32]int, len(l.units)*l.replicas)
+	for n, u := range l.units {
 		for i := 0; i < l.replicas; i++ {
-			owner[hash32(fmt.Sprintf("%s#%d", u, i))] = u
+			owner[hash32(fmt.Sprintf("%s#%d", u, i))] = n
 		}
 	}
-	r := &ring{points: slices.Sorted(maps.Keys(owner))}
-	r.owners = make([]UnitID, len(r.points))
+	r := &ring{points: slices.Sorted(maps.Keys(owner)), units: slices.Clone(l.units)}
+	r.owners = make([]int, len(r.points))
 	for i, h := range r.points {
 		r.owners[i] = owner[h]
 	}
 	l.ring.Store(r)
 }
 
-// Locate returns the unit owning the key. It takes no lock, probes no map and
-// builds no string.
-func (l *HashLocator) Locate(key entity.Key) (UnitID, error) {
-	r := l.ring.Load()
+// Index returns the unit owning the key whose KeyHash is hash, as its
+// position in the order the units were added. It takes no lock, probes no map
+// and builds no string; a caller keeping its units in a slice in that order
+// reaches the owner by index.
+func (l *HashLocator) Index(hash uint32) (int, error) {
+	return l.ring.Load().index(hash)
+}
+
+func (r *ring) index(hash uint32) (int, error) {
 	if len(r.points) == 0 {
-		return "", ErrNoUnits
+		return 0, ErrNoUnits
 	}
-	i, _ := slices.BinarySearch(r.points, keyHash(key))
+	i, _ := slices.BinarySearch(r.points, hash)
 	if i == len(r.points) {
 		i = 0
 	}
 	return r.owners[i], nil
 }
 
-// KeyShard maps an entity key to a stable shard index in [0, n). It is the
-// intra-unit analogue of Locate: where a HashLocator spreads entities over
-// serialization units, KeyShard spreads them over the lock-striped segments
-// inside one unit's log store, so both layers agree on one hash function.
-// n <= 1 always yields shard 0.
-func KeyShard(key entity.Key, n int) int {
+// ShardOf maps the key whose KeyHash is hash to a stable shard index in
+// [0, n). It is the intra-unit analogue of Index: where a HashLocator spreads
+// entities over serialization units, ShardOf spreads them over the
+// lock-striped segments inside one unit's log store, so both layers place a
+// key by one hash, computed once. n <= 1 always yields shard 0.
+func ShardOf(hash uint32, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(keyHash(key) % uint32(n))
+	return int(hash % uint32(n))
 }

@@ -156,3 +156,17 @@ func TestHashLocatorTotalAssignmentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Locate returns the unit owning the key, by name. The kernel reaches its
+// units by Index; the placement and routing tests name them.
+func (l *HashLocator) Locate(key entity.Key) (UnitID, error) {
+	r := l.ring.Load()
+	i, err := r.index(KeyHash(key))
+	if err != nil {
+		return "", err
+	}
+	return r.units[i], nil
+}
+
+// KeyShard is the shard ShardOf gives key among n.
+func KeyShard(key entity.Key, n int) int { return ShardOf(KeyHash(key), n) }

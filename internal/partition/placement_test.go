@@ -18,7 +18,7 @@ import (
 func TestKeyHashMatchesStringHash(t *testing.T) {
 	f := func(typ, id []byte) bool {
 		k := entity.Key{Type: string(typ), ID: string(id)}
-		return keyHash(k) == hash32(k.String())
+		return KeyHash(k) == hash32(k.String())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ func newEngineWithQueue(t *testing.T, qopts queue.Options, opts Options) (*Engin
 		}
 	}
 	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
+	qopts.Entities = db.Entity
 	q := queue.New("u1", qopts)
 	e := NewEngine(mgr, q, opts)
 	return e, mgr, q
@@ -52,7 +53,7 @@ func TestDeepBacklogOutlivesVisibilityTimeout(t *testing.T) {
 	}
 	e.Start()
 	for i := 0; i < n; i++ {
-		if err := e.Submit(queue.Event{Name: "slow.step", Entity: orderKey("O1"), TxnID: "lease-" + string(rune('a'+i))}); err != nil {
+		if err := e.Submit(&queue.Event{Name: "slow.step", Entity: orderKey("O1"), TxnID: "lease-" + string(rune('a'+i))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +98,7 @@ func TestEngineDropsExpiredDeadlineBeforeExecution(t *testing.T) {
 	}
 	ev := queue.Event{Name: "stale.step", Entity: orderKey("O1"), TxnID: "stale-1"}
 	ev.Deadline = time.Now().Add(-time.Second)
-	if err := e.Submit(ev); err != nil {
+	if err := e.Submit(&ev, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Drain()
@@ -137,7 +138,7 @@ func TestEmitInheritsParentDeadline(t *testing.T) {
 	}
 	parent := queue.Event{Name: "parent", Entity: orderKey("O1"), TxnID: "p1"}
 	parent.Deadline = parentDeadline
-	if err := e.Submit(parent); err != nil {
+	if err := e.Submit(&parent, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Drain()

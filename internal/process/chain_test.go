@@ -3,6 +3,7 @@ package process
 import (
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func (d *chainDriver) run(tb testing.TB, n int) {
 		ev := queue.Event{Name: "order.created", Entity: orderKey("O" + id), TxnID: "entry-" + id,
 			Data: map[string]interface{}{"item": inventoryKey("item-" + strconv.Itoa(d.next%97))}}
 		d.next++
-		if err := d.e.Submit(ev); err != nil {
+		if err := d.e.Submit(&ev, d.e.q.Resolve(ev.Entity)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -109,9 +110,11 @@ func BenchmarkStepChain(b *testing.B) {
 // E19: 17.7 allocations and 2447 B a step before the commit-path diet, 9.7
 // and about 1130 B after it, 7.7 and about 840 B once a commit wrote an
 // unlent cached state in place and a serial writer's ids built no map; 7.7
-// and about 800 B now that the log keeps each record encoded, about 100 B
-// with its table entries, instead of a 160 B Go value holding on to its ops
-// and id). What is left, per step: 3.7 allocations are this driver's own —
+// and about 800 B once the log kept each record encoded, about 100 B with
+// its table entries, instead of a 160 B Go value holding on to its ops and
+// id; 7.7 and about 755 B now that an entity's entry lives in a handle table
+// of 8 B slots rather than a map holding its key). What is left, per step:
+// 3.7 allocations are this driver's own —
 // the ids, event data and op slices its handlers build; 1.0 the transaction
 // id; 0.7 the emitted event's id; 1.0 the first touch of each chain's order
 // (State, field map, entry); 0.5 boxing the new field values. The record's
@@ -119,8 +122,14 @@ func BenchmarkStepChain(b *testing.B) {
 // segment seals per shard.
 const (
 	stepAllocBudget = 8.0
-	stepBytesBudget = 840.0
+	stepBytesBudget = 800.0
 )
+
+// stepProbeBudget is how many times a step may look an entity key up: once,
+// as its event enters the entity's unit queue (lsdb.DB.Resolve, the handle
+// table); the post, the mailbox's release and the commit to the step's own
+// entity go through the handle.
+const stepProbeBudget = 1.0
 
 // TestStepAllocationBudget pins the per-step garbage of the chain: a
 // regression that puts a copy, a map or a Sprintf back on the step path
@@ -134,5 +143,25 @@ func TestStepAllocationBudget(t *testing.T) {
 	t.Logf("a step allocates %.2f times and %.0f B", allocs, bytes)
 	if allocs > stepAllocBudget || bytes > stepBytesBudget {
 		t.Fatalf("a step allocates %.1f times and %.0f B, budget %.1f and %.0f", allocs, bytes, stepAllocBudget, stepBytesBudget)
+	}
+}
+
+// TestStepKeyProbes is the chain's key-probe gate: it counts every lookup of
+// an entity key in the store's tables (lsdb.DB.CountLookups; the handle table
+// is those tables, so Resolve counts there too, and the driver's queue keeps
+// no map of its own) and fails past stepProbeBudget a step.
+func TestStepKeyProbes(t *testing.T) {
+	d := newChainDriver(t, 2)
+	d.run(t, 512)
+	var probes atomic.Uint64
+	db := d.e.mgr.DB()
+	db.CountLookups(&probes)
+	const chains = 4096
+	d.run(t, chains)
+	db.CountLookups(nil)
+	per := float64(probes.Load()) / (3 * chains)
+	t.Logf("a step looks an entity key up %.3f times", per)
+	if per > stepProbeBudget {
+		t.Fatalf("a step looks an entity key up %.2f times, budget %.0f", per, stepProbeBudget)
 	}
 }

@@ -91,7 +91,7 @@ func TestPerEntityOrderingUnderConcurrentWritersAndRetries(t *testing.T) {
 						TxnID:  fmt.Sprintf("%s#%d", key.ID, seq),
 						Data:   map[string]interface{}{"seq": seq},
 					}
-					if err := e.Submit(ev); err != nil {
+					if err := e.Submit(&ev, nil); err != nil {
 						t.Errorf("Submit: %v", err)
 						return
 					}
@@ -161,12 +161,12 @@ func TestWorkersShareEntitiesRegardlessOfKey(t *testing.T) {
 	var keys []entity.Key
 	for i := 0; len(keys) < 24; i++ {
 		key := orderKey(fmt.Sprintf("H%d", i))
-		if partition.KeyShard(key, workers) == 0 {
+		if partition.ShardOf(partition.KeyHash(key), workers) == 0 {
 			keys = append(keys, key)
 		}
 	}
 	for i, key := range keys {
-		if err := e.Submit(queue.Event{Name: "slow.step", Entity: key, TxnID: fmt.Sprintf("s%d", i)}); err != nil {
+		if err := e.Submit(&queue.Event{Name: "slow.step", Entity: key, TxnID: fmt.Sprintf("s%d", i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func TestPoolCollapsesOnlySameEntityChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start()
-	if err := e.Submit(queue.Event{Name: "parent.step", Entity: orderKey("O1"), TxnID: "p1"}); err != nil {
+	if err := e.Submit(&queue.Event{Name: "parent.step", Entity: orderKey("O1"), TxnID: "p1"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -264,8 +264,8 @@ func TestCompensationRunsAfterLaneRetriesExhausted(t *testing.T) {
 	}
 	e.Start()
 	key := orderKey("O1")
-	e.Submit(queue.Event{Name: "doomed.step", Entity: key, TxnID: "d1"})
-	e.Submit(queue.Event{Name: "after.step", Entity: key, TxnID: "a1"})
+	e.Submit(&queue.Event{Name: "doomed.step", Entity: key, TxnID: "d1"}, nil)
+	e.Submit(&queue.Event{Name: "after.step", Entity: key, TxnID: "a1"}, nil)
 	var attempts int
 	select {
 	case attempts = <-compCh:
@@ -320,9 +320,9 @@ func TestHotLaneYieldsToOtherLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < hotSteps; i++ {
-		e.Submit(queue.Event{Name: "hot.step", Entity: orderKey("HOT"), TxnID: fmt.Sprintf("h%d", i)})
+		e.Submit(&queue.Event{Name: "hot.step", Entity: orderKey("HOT"), TxnID: fmt.Sprintf("h%d", i)}, nil)
 	}
-	e.Submit(queue.Event{Name: "cold.step", Entity: orderKey("COLD"), TxnID: "c0"})
+	e.Submit(&queue.Event{Name: "cold.step", Entity: orderKey("COLD"), TxnID: "c0"}, nil)
 	e.Start()
 	select {
 	case <-coldRan:

@@ -54,12 +54,22 @@ func (e *Engine) drain(mb *queue.Mailbox, m *queue.Message, laneKey *entity.Key,
 	n := 0
 	for m != nil {
 		n++
-		if e.deliver(m, laneKey, frames) {
+		settled := e.deliver(m, mb.Entity(), laneKey, frames)
+		last := n == laneBudget || e.stopping()
+		switch {
+		case settled && !last:
+			// The usual case, in one hold of the queue's lock: settle, take
+			// the next delivery, or give the entity back when there is none.
+			if m = mb.AckNext(); m == nil {
+				return n
+			}
+			continue
+		case settled:
 			mb.Ack()
-		} else {
+		default:
 			mb.Retry(e.opts.RetryBackoff)
 		}
-		if n == laneBudget || e.stopping() {
+		if last {
 			break
 		}
 		m = mb.Next()

@@ -69,15 +69,16 @@ type StepContext struct {
 // vertical collapsing is enabled and the handler is local — executes the next
 // step inline.
 func (c *StepContext) Emit(ev queue.Event) {
-	if ev.TxnID == "" {
-		ev.TxnID = c.Txn.ID() + "/" + ev.Name + "#" + strconv.Itoa(len(c.emitted))
+	c.emitted = append(c.emitted, ev)
+	next := &c.emitted[len(c.emitted)-1] // completed in place: one copy of ev, not two
+	if next.TxnID == "" {
+		next.TxnID = c.Txn.ID() + "/" + next.Name + "#" + strconv.Itoa(len(c.emitted)-1)
 	}
-	if ev.Deadline.IsZero() {
+	if next.Deadline.IsZero() {
 		// Follow-up steps inherit the triggering request's patience: if the
 		// submitter stops waiting, the whole chain becomes droppable.
-		ev.Deadline = c.Event.Deadline
+		next.Deadline = c.Event.Deadline
 	}
-	c.emitted = append(c.emitted, ev)
 }
 
 // Audit writes a non-transactional audit line: it is retained even when the
@@ -94,14 +95,16 @@ type stepFrame struct {
 	txn txn.Txn
 }
 
-// begin readies the frame for a step triggered by ev. Everything the previous
-// step left in it goes first: a handler that kept hold of what it was passed
-// finds none of its own step's events or writes in the next one's. Steps run
-// solipsistic transactions (principle 2.10).
-func (f *stepFrame) begin(e *Engine, ev *queue.Event, attempt int) *StepContext {
+// begin readies the frame for a step triggered by ev, delivered to the
+// entity ent (nil when not resolved). Everything the previous step left in it
+// goes first: a handler that kept hold of what it was passed finds none of
+// its own step's events or writes in the next one's. Steps run solipsistic
+// transactions (principle 2.10).
+func (f *stepFrame) begin(e *Engine, ev *queue.Event, ent queue.Entity, attempt int) *StepContext {
 	clear(f.ctx.emitted) // the events may pin their Data maps
 	f.ctx = StepContext{Event: *ev, Txn: &f.txn, Attempt: attempt, engine: e, emitted: f.ctx.emitted[:0]}
 	e.mgr.BeginIn(&f.txn)
+	f.txn.Focus(ent)
 	return &f.ctx
 }
 
@@ -184,11 +187,13 @@ type Options struct {
 	CollapseDepth int
 	// Topic is the queue topic the engine consumes (default "steps").
 	Topic string
-	// Route selects the queue an emitted event is delivered to (nil keeps it
-	// on this engine's own queue). The kernel uses it to ship events to the
-	// serialization unit owning the event's entity; enqueue remains a local
-	// operation on that queue (principle 2.6). The event is only read.
-	Route func(*queue.Event) *queue.Queue
+	// Route selects the queue an event for an entity is delivered to, with
+	// the entity resolved in that queue's unit and held for the post
+	// (queue.Entity); a nil queue, or a nil Route, keeps the event on this
+	// engine's own queue. The kernel uses it to ship events to the
+	// serialization unit owning the event's entity, hashing the key once for
+	// both; enqueue remains a local operation on that queue (principle 2.6).
+	Route func(entity.Key) (*queue.Queue, queue.Entity)
 }
 
 // Stats counts engine activity.
@@ -392,12 +397,23 @@ func (e *Engine) stopping() bool {
 	}
 }
 
-// Submit enqueues an event that will trigger a process step.
-func (e *Engine) Submit(ev queue.Event) error {
+// Submit enqueues an event that will trigger a process step on the engine's
+// own queue. ent, when non-nil, is the event's entity resolved on that queue
+// already (queue.Queue.Resolve): its hold goes with the event, posted or
+// not. ev is not retained.
+func (e *Engine) Submit(ev *queue.Event, ent queue.Entity) error {
 	if e.stopping() {
+		if ent != nil {
+			ent.Unhold()
+		}
 		return ErrStopped
 	}
-	_, err := e.q.Post(e.opts.Topic, &ev, 0)
+	return e.post(e.q, ev, ent)
+}
+
+// post enqueues ev on target, to ent, and counts it.
+func (e *Engine) post(target *queue.Queue, ev *queue.Event, ent queue.Entity) error {
+	_, err := target.Post(e.opts.Topic, ev, 0, ent)
 	if err == nil {
 		e.stats.enqueuedEvents.Add(1)
 	}
@@ -454,11 +470,11 @@ func (e *Engine) Drain() int {
 // settled — executed, skipped as a duplicate, unknown, past its deadline, or
 // out of attempts and handed to its compensation handler — or must stay at
 // the head of its entity's mailbox and be retried after a backoff.
-func (e *Engine) deliver(m *queue.Message, laneKey *entity.Key, frames *stepFrames) bool {
+func (e *Engine) deliver(m *queue.Message, ent queue.Entity, laneKey *entity.Key, frames *stepFrames) bool {
 	if e.pastDeadline(&m.Event) {
 		return true
 	}
-	err := e.executeStep(&m.Event, m.Attempts, e.opts.CollapseDepth, laneKey, frames)
+	err := e.executeStep(&m.Event, ent, m.Attempts, e.opts.CollapseDepth, laneKey, frames)
 	switch {
 	case err == nil:
 		return true
@@ -497,9 +513,10 @@ func (e *Engine) pastDeadline(ev *queue.Event) bool {
 // execution is serialised under: inline collapsing is then restricted to
 // children of that same entity, because running another entity's step here
 // would bypass that entity's ownership and break its serial order. ev is
-// only read, and not after the step's frame has taken its copy; frames
-// supplies that frame, one per nesting level.
-func (e *Engine) executeStep(ev *queue.Event, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
+// only read, and not after the step's frame has taken its copy; ent is its
+// entity as resolved (or nil); frames supplies that frame, one per nesting
+// level.
+func (e *Engine) executeStep(ev *queue.Event, ent queue.Entity, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
 	st, ok := e.table.Load().steps[ev.Name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStep, ev.Name)
@@ -511,7 +528,7 @@ func (e *Engine) executeStep(ev *queue.Event, attempt, depth int, laneKey *entit
 		return nil
 	}
 	f := frames.at(e.opts.CollapseDepth - depth)
-	ctx := f.begin(e, ev, attempt)
+	ctx := f.begin(e, ev, ent, attempt)
 	if err := st.h(ctx); err != nil {
 		f.txn.Abort()
 		e.stats.stepsFailed.Add(1)
@@ -535,12 +552,7 @@ func (e *Engine) executeStep(ev *queue.Event, attempt, depth int, laneKey *entit
 func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, frames *stepFrames) {
 	for i := range events {
 		next := &events[i]
-		target := e.q
-		if e.opts.Route != nil {
-			if routed := e.opts.Route(next); routed != nil {
-				target = routed
-			}
-		}
+		target, ent := e.route(next.Entity)
 		// Inline collapsing only applies when the next step runs on this very
 		// unit; cross-unit events always travel through their owning queue.
 		// Under the pool it is additionally restricted to the owned entity:
@@ -549,17 +561,28 @@ func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, 
 		if e.opts.CollapseVertical && depth > 0 && target == e.q && (laneKey == nil || *laneKey == next.Entity) {
 			if _, local := e.table.Load().steps[next.Name]; local {
 				e.stats.collapsed.Add(1)
-				if err := e.executeStep(next, 1, depth-1, laneKey, frames); err == nil {
+				if err := e.executeStep(next, ent, 1, depth-1, laneKey, frames); err == nil {
+					ent.Unhold()
 					continue
 				}
 				// Inline execution failed: fall back to the queue so the
 				// normal retry machinery applies.
 			}
 		}
-		if _, err := target.Post(e.opts.Topic, next, 0); err == nil {
-			e.stats.enqueuedEvents.Add(1)
+		_ = e.post(target, next, ent)
+	}
+}
+
+// route returns the queue an event for key goes to and key's entity there,
+// held for a post and resolved before the queue's lock is taken
+// (Options.Route, queue.Queue.Resolve).
+func (e *Engine) route(key entity.Key) (*queue.Queue, queue.Entity) {
+	if e.opts.Route != nil {
+		if target, ent := e.opts.Route(key); target != nil {
+			return target, ent
 		}
 	}
+	return e.q, e.q.Resolve(key)
 }
 
 // Stats returns a copy of the counters, including the scheduling counters of

@@ -38,7 +38,7 @@ func newEngine(t testing.TB, opts Options) (*Engine, *txn.Manager, *queue.Queue)
 		}
 	}
 	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
-	q := queue.New("u1", queue.Options{})
+	q := queue.New("u1", queue.Options{Entities: db.Entity})
 	e := NewEngine(mgr, q, opts)
 	return e, mgr, q
 }
@@ -84,7 +84,7 @@ func TestPipelineDrainsEndToEnd(t *testing.T) {
 	if err := e.Register(orderPipeline()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(queue.Event{Name: "order.created", Entity: orderKey("O1"), TxnID: "ext-1"}); err != nil {
+	if err := e.Submit(&queue.Event{Name: "order.created", Entity: orderKey("O1"), TxnID: "ext-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	steps := e.Drain()
@@ -125,7 +125,7 @@ func TestWorkersProcessConcurrently(t *testing.T) {
 	e.Start()
 	const n = 100
 	for i := 0; i < n; i++ {
-		e.Submit(queue.Event{Name: "deposit", Entity: orderKey("O1"), TxnID: fmt.Sprintf("d%d", i)})
+		e.Submit(&queue.Event{Name: "deposit", Entity: orderKey("O1"), TxnID: fmt.Sprintf("d%d", i)}, nil)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -146,7 +146,7 @@ func TestStopIsIdempotentAndSubmitAfterStopFails(t *testing.T) {
 	e.Start()
 	e.Stop()
 	e.Stop()
-	if err := e.Submit(queue.Event{Name: "x"}); !errors.Is(err, ErrStopped) {
+	if err := e.Submit(&queue.Event{Name: "x"}, nil); !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestRetryThenSuccess(t *testing.T) {
 		return ctx.Txn.Update(ctx.Event.Entity, entity.Set("status", "DONE"))
 	})
 	e.Register(def)
-	e.Submit(queue.Event{Name: "flaky.step", Entity: orderKey("O1"), TxnID: "f1"})
+	e.Submit(&queue.Event{Name: "flaky.step", Entity: orderKey("O1"), TxnID: "f1"}, nil)
 	// Drain repeatedly: failed deliveries go back with a short backoff.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -194,7 +194,7 @@ func TestCompensationAfterMaxAttempts(t *testing.T) {
 		}
 	})
 	e.Register(def)
-	e.Submit(queue.Event{Name: "doomed.step", Entity: orderKey("O1"), TxnID: "d1"})
+	e.Submit(&queue.Event{Name: "doomed.step", Entity: orderKey("O1"), TxnID: "d1"}, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for compensated.Load() == 0 && time.Now().Before(deadline) {
 		e.Drain()
@@ -221,7 +221,7 @@ func TestUnknownEventIsDeadLettered(t *testing.T) {
 	def := NewDefinition("known")
 	def.Step("known.step", func(ctx *StepContext) error { return nil })
 	e.Register(def)
-	e.Submit(queue.Event{Name: "unknown.step", TxnID: "u1"})
+	e.Submit(&queue.Event{Name: "unknown.step", TxnID: "u1"}, nil)
 	e.Drain()
 	if e.Stats().UnknownEvents != 1 {
 		t.Fatalf("stats = %+v", e.Stats())
@@ -269,7 +269,7 @@ func TestIdempotenceSetIsBoundedAndStillDedups(t *testing.T) {
 	var last queue.Event
 	for i := 0; i < 10*window; i++ {
 		last = queue.Event{Name: names[i%2], Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", i)}
-		if err := e.Submit(last); err != nil {
+		if err := e.Submit(&last, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i%50 == 49 {
@@ -326,7 +326,7 @@ func TestDefinitionEventsSorted(t *testing.T) {
 func TestVerticalCollapseExecutesPipelineInline(t *testing.T) {
 	e, mgr, _ := newEngine(t, Options{CollapseVertical: true, CollapseDepth: 8})
 	e.Register(orderPipeline())
-	e.Submit(queue.Event{Name: "order.created", Entity: orderKey("O1"), TxnID: "ext-1"})
+	e.Submit(&queue.Event{Name: "order.created", Entity: orderKey("O1"), TxnID: "ext-1"}, nil)
 	// A single drained message executes the whole pipeline inline.
 	drained := e.Drain()
 	if drained != 1 {
@@ -352,7 +352,7 @@ func TestVerticalCollapseExecutesPipelineInline(t *testing.T) {
 func TestCollapseDepthLimit(t *testing.T) {
 	e, _, _ := newEngine(t, Options{CollapseVertical: true, CollapseDepth: 1})
 	e.Register(orderPipeline())
-	e.Submit(queue.Event{Name: "order.created", Entity: orderKey("O1"), TxnID: "ext-1"})
+	e.Submit(&queue.Event{Name: "order.created", Entity: orderKey("O1"), TxnID: "ext-1"}, nil)
 	e.Drain()
 	// Depth 1 collapses only the first follow-up; the third step goes through
 	// the queue but Drain picks it up, so everything still completes.
@@ -376,7 +376,7 @@ func TestWorkerPoolRidesGroupCommit(t *testing.T) {
 		}
 	}
 	mgr := txn.NewManager(db, nil, txn.Options{Node: "u1", EnforceSingleEntity: true})
-	q := queue.New("u1", queue.Options{})
+	q := queue.New("u1", queue.Options{Entities: db.Entity})
 	e := NewEngine(mgr, q, Options{Workers: 4})
 	def := NewDefinition("bump")
 	def.Step("order.bump", func(ctx *StepContext) error {
@@ -392,7 +392,7 @@ func TestWorkerPoolRidesGroupCommit(t *testing.T) {
 			Entity: orderKey(fmt.Sprintf("O%d", i%orders)),
 			TxnID:  fmt.Sprintf("bump-%d", i),
 		}
-		if err := e.Submit(ev); err != nil {
+		if err := e.Submit(&ev, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -91,8 +91,8 @@ func TestRecycledStepFrameCarriesNothingOver(t *testing.T) {
 	e.Start()
 	for i := 0; i < chains; i++ {
 		id := fmt.Sprintf("A%d", i)
-		if err := e.Submit(queue.Event{Name: "first", Entity: orderKey(id), TxnID: "entry-" + id,
-			Data: map[string]interface{}{"n": i, "for": id}}); err != nil {
+		if err := e.Submit(&queue.Event{Name: "first", Entity: orderKey(id), TxnID: "entry-" + id,
+			Data: map[string]interface{}{"n": i, "for": id}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestCollapsedChildrenDoNotClobberParentFrame(t *testing.T) {
 	if err := e.Register(def); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(queue.Event{Name: "parent", Entity: orderKey("O1"), TxnID: "p1"}); err != nil {
+	if err := e.Submit(&queue.Event{Name: "parent", Entity: orderKey("O1"), TxnID: "p1"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Drain()

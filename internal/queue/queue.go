@@ -104,6 +104,46 @@ type Options struct {
 	// by backpressure, so per-entity order is untouched. Zero disables
 	// shedding.
 	MaxDepth int
+	// Entities resolves an entity key to the record its mailbox hangs off,
+	// with a hold on it (Entity): a kernel passes its unit store's
+	// lsdb.DB.Entity, so every post of one entity reaches the same mailbox
+	// however it was resolved. Post calls it, under the queue's lock, for a
+	// message posted without its Entity (Enqueue, an Outbox publish); it
+	// must not block. Required.
+	Entities func(entity.Key) Entity
+}
+
+// Slot is an entity as a post resolves it: its key and, while the entity has
+// a mailbox — messages pending or an owner — that mailbox. A record that
+// keeps an entity embeds a Slot, and so is an Entity: lsdb's entity handle in
+// a kernel (docs/CONCURRENCY.md, "Entity handles"). The queue finds the
+// mailbox through it, so a post, a claim and a release look no key up. A
+// Slot serves one queue; its mailbox is read and written under that queue's
+// lock.
+type Slot struct {
+	key entity.Key
+	mb  *Mailbox
+}
+
+// MakeSlot returns key's slot, without a mailbox.
+func MakeSlot(key entity.Key) Slot { return Slot{key: key} }
+
+// Key returns the slot's entity.
+func (s *Slot) Key() entity.Key { return s.key }
+
+func (s *Slot) slot() *Slot { return s }
+
+// Entity is a record embedding a Slot: what Post and Options.Entities
+// resolve an entity to, and what a mailbox hangs off between its messages.
+// Each resolution carries a hold on the record, which keeps it — and so the
+// mailbox — for as long as it is held. Post takes the hold over: the
+// entity's mailbox keeps one until it retires, and gives it back then with
+// Unhold; a second hold, or one on a refused post, is given back at once. A
+// caller that resolves an entity and posts nothing gives its hold back
+// itself.
+type Entity interface {
+	slot() *Slot
+	Unhold()
 }
 
 // Stats counts scheduling activity on the mailboxes.
@@ -125,11 +165,10 @@ type Queue struct {
 	opts Options
 	name string
 
-	mu    sync.Mutex
-	cond  *sync.Cond // signals consumers blocked in Claim
-	seq   clock.Sequence
-	boxes map[entity.Key]*Mailbox
-	free  []*Mailbox // retired mailboxes, reused for the next new entity; at most maxFree
+	mu   sync.Mutex
+	cond *sync.Cond // signals consumers blocked in Claim
+	seq  uint64     // the newest message id
+	free []*Mailbox // retired mailboxes, reused for the next entity; at most maxFree
 	// freeMsg chains acknowledged messages, zeroed, for the next enqueues; at
 	// most maxFree of them.
 	freeMsg  *Message
@@ -155,7 +194,7 @@ type Queue struct {
 // it calls Release.
 type Mailbox struct {
 	q   *Queue
-	key entity.Key
+	ent Entity // what the mailbox hangs off, and holds, until it retires: its entity
 
 	// head..tail are the entity's messages in enqueue order; the first out
 	// of them, ending at last, are in the owner's hands.
@@ -192,7 +231,10 @@ func New(name string, opts Options) *Queue {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	q := &Queue{opts: opts, name: name, boxes: map[entity.Key]*Mailbox{}}
+	if opts.Entities == nil {
+		panic("queue: Options.Entities is required")
+	}
+	q := &Queue{opts: opts, name: name}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -203,24 +245,30 @@ func (q *Queue) Name() string { return q.name }
 // Enqueue adds an event for delivery and returns its message id. Enqueue is
 // always a local, non-distributed operation.
 func (q *Queue) Enqueue(topic string, ev Event) (uint64, error) {
-	return q.Post(topic, &ev, 0)
+	return q.Post(topic, &ev, 0, nil)
 }
 
 // EnqueueDelayed adds an event that becomes deliverable only after delay.
 func (q *Queue) EnqueueDelayed(topic string, ev Event, delay time.Duration) (uint64, error) {
-	return q.Post(topic, &ev, delay)
+	return q.Post(topic, &ev, delay, nil)
 }
 
-// Post is EnqueueDelayed for a caller that holds the event by reference. The
-// event is copied into the queue; ev is not retained.
-func (q *Queue) Post(topic string, ev *Event, delay time.Duration) (uint64, error) {
+// Post is EnqueueDelayed for a caller that holds the event by reference and,
+// when ent is non-nil, has resolved its entity already (Resolve): the
+// mailbox is then reached through ent with no key looked up, and Post takes
+// over ent's hold, posted or not. The event is copied into the queue; ev is
+// not retained.
+func (q *Queue) Post(topic string, ev *Event, delay time.Duration, ent Entity) (uint64, error) {
 	now := q.opts.Clock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return 0, ErrClosed
-	}
-	if q.opts.MaxDepth > 0 && q.pending >= q.opts.MaxDepth {
+	if q.closed || q.opts.MaxDepth > 0 && q.pending >= q.opts.MaxDepth {
+		if ent != nil {
+			ent.Unhold()
+		}
+		if q.closed {
+			return 0, ErrClosed
+		}
 		q.shed++
 		return 0, fmt.Errorf("%w: %s at depth %d", ErrOverloaded, q.name, q.pending)
 	}
@@ -231,9 +279,18 @@ func (q *Queue) Post(topic string, ev *Event, delay time.Duration) (uint64, erro
 	} else {
 		m = new(Message)
 	}
-	m.ID, m.Topic, m.Event = q.seq.Next(), topic, *ev
+	q.seq++
+	m.ID, m.Topic, m.Event = q.seq, topic, *ev
 	m.NotBefore, m.Enqueued = now.Add(delay), now
-	mb := q.boxes[ev.Entity]
+	if ent == nil {
+		ent = q.opts.Entities(ev.Entity)
+	}
+	slot := ent.slot()
+	// The message carries the record's copy of the key: equal strings, and
+	// the ones the next lookup of this entity compares against, so a key a
+	// step passes on (the entity its event names) compares by pointer.
+	m.Event.Entity = slot.key
+	mb := slot.mb
 	fresh := mb == nil
 	if fresh {
 		if n := len(q.free); n > 0 {
@@ -241,8 +298,11 @@ func (q *Queue) Post(topic string, ev *Event, delay time.Duration) (uint64, erro
 		} else {
 			mb = &Mailbox{q: q}
 		}
-		mb.key = ev.Entity
-		q.boxes[ev.Entity] = mb
+		mb.ent, slot.mb = ent, mb // the mailbox keeps the hold
+	} else if mb.q != q {
+		panic(fmt.Sprintf("queue %s: %s posted through another queue's entity record", q.name, ev.Entity))
+	} else {
+		ent.Unhold() // the mailbox holds the entity already
 	}
 	if mb.tail == nil { // fresh, or drained by an owner that has not released yet
 		mb.head = m
@@ -262,6 +322,10 @@ func (q *Queue) Post(topic string, ev *Event, delay time.Duration) (uint64, erro
 	}
 	return m.ID, nil
 }
+
+// Resolve returns key's entity, with a hold on it for a Post, by
+// Options.Entities: outside the queue's lock.
+func (q *Queue) Resolve(key entity.Key) Entity { return q.opts.Entities(key) }
 
 // scheduleLocked makes an unowned, non-empty mailbox claimable: on the run
 // list when its head is deliverable, parked until it is otherwise.
@@ -410,7 +474,8 @@ func (q *Queue) retryLocked(mb *Mailbox, backoff time.Duration, now time.Time) {
 func (q *Queue) releaseLocked(mb *Mailbox, now time.Time) {
 	q.retryLocked(mb, 0, now)
 	if mb.head == nil {
-		delete(q.boxes, mb.key)
+		mb.ent.slot().mb = nil
+		mb.ent.Unhold()
 		if len(q.free) < maxFree {
 			*mb = Mailbox{q: q}
 			q.free = append(q.free, mb)
@@ -480,7 +545,11 @@ func (q *Queue) waitLocked() {
 }
 
 // Key returns the entity the mailbox belongs to.
-func (mb *Mailbox) Key() entity.Key { return mb.key }
+func (mb *Mailbox) Key() entity.Key { return mb.ent.slot().key }
+
+// Entity returns the record the mailbox hangs off: the entity as its posts
+// resolved it.
+func (mb *Mailbox) Entity() Entity { return mb.ent }
 
 // Next hands the owner the entity's next message in enqueue order, or nil
 // when there is none deliverable. Messages handed out stay the owner's until
@@ -497,6 +566,26 @@ func (mb *Mailbox) Next() *Message {
 		q.stats.Chained++
 	}
 	return m
+}
+
+// AckNext is Ack then Next under one hold of the queue's lock. When nothing
+// is deliverable it gives the entity back as Release does and returns nil;
+// the mailbox must not be used afterwards.
+func (mb *Mailbox) AckNext() *Message {
+	q := mb.q
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.ackLocked(mb)
+	var now time.Time
+	if mb.head != nil { // as in Release, an empty mailbox needs no clock
+		now = q.opts.Clock()
+		if m := q.nextLocked(mb, now); m != nil {
+			q.stats.Chained++
+			return m
+		}
+	}
+	q.releaseLocked(mb, now)
+	return nil
 }
 
 // Ack acknowledges every message handed out so far, removing them for good.
@@ -629,7 +718,7 @@ func (o *Outbox) Publish(q *Queue) ([]uint64, error) {
 	ids := make([]uint64, 0, len(staged))
 	for i := range staged {
 		s := &staged[i]
-		id, err := q.Post(s.topic, &s.ev, s.delay)
+		id, err := q.Post(s.topic, &s.ev, s.delay, nil)
 		if err != nil {
 			return ids, err
 		}

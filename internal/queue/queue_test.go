@@ -13,6 +13,34 @@ import (
 	"repro/internal/entity"
 )
 
+// slots is a resolver for a test queue (Options.Entities): a record per key,
+// kept for the queue's life, so holds need no count.
+type slots struct {
+	mu sync.Mutex
+	m  map[entity.Key]*testEntity
+}
+
+type testEntity struct{ Slot }
+
+func (*testEntity) Unhold() {}
+
+func (s *slots) resolve(key entity.Key) Entity {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.m[key]
+	if e == nil {
+		e = &testEntity{MakeSlot(key)}
+		s.m[key] = e
+	}
+	return e
+}
+
+// newQueue is New with a test resolver.
+func newQueue(name string, opts Options) *Queue {
+	opts.Entities = (&slots{m: map[entity.Key]*testEntity{}}).resolve
+	return New(name, opts)
+}
+
 func ev(name, key string) Event {
 	return Event{Name: name, Entity: entity.Key{Type: "Order", ID: key}, TxnID: "txn-" + key}
 }
@@ -25,7 +53,7 @@ func settle(mb *Mailbox) {
 }
 
 func TestEnqueueDequeueAckFIFO(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	for i := 0; i < 3; i++ {
 		if _, err := q.Enqueue("orders", ev("order.created", fmt.Sprintf("O%d", i))); err != nil {
 			t.Fatalf("Enqueue: %v", err)
@@ -54,7 +82,7 @@ func TestEnqueueDequeueAckFIFO(t *testing.T) {
 }
 
 func TestDequeueTopicFilter(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	q.Enqueue("orders", ev("order.created", "O1"))
 	q.Enqueue("inventory", ev("inventory.reserved", "I1"))
 	mb, m := q.TryClaim("inventory")
@@ -70,7 +98,7 @@ func TestDequeueTopicFilter(t *testing.T) {
 
 func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{MaxAttempts: 3, Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{MaxAttempts: 3, Clock: func() time.Time { return now }})
 	q.Enqueue("t", ev("poison", "1"))
 	for i := 0; i < 3; i++ {
 		mb, _ := q.TryClaim("t")
@@ -91,7 +119,7 @@ func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 
 func TestDelayedEnqueue(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{Clock: func() time.Time { return now }})
 	q.EnqueueDelayed("t", ev("e", "1"), 10*time.Second)
 	if mb, _ := q.TryClaim("t"); mb != nil {
 		t.Fatal("delayed message delivered early")
@@ -103,7 +131,7 @@ func TestDelayedEnqueue(t *testing.T) {
 }
 
 func TestCloseRejectsEnqueue(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	q.Enqueue("t", ev("e", "1"))
 	q.Close()
 	if _, err := q.Enqueue("t", ev("e", "2")); !errors.Is(err, ErrClosed) {
@@ -115,7 +143,7 @@ func TestCloseRejectsEnqueue(t *testing.T) {
 }
 
 func TestOutboxPublishOnCommit(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	o := NewOutbox()
 	o.Stage("orders", ev("order.created", "O1"))
 	o.StageDelayed("orders", ev("order.reminder", "O1"), time.Hour)
@@ -139,7 +167,7 @@ func TestOutboxPublishOnCommit(t *testing.T) {
 }
 
 func TestOutboxDiscardOnRollback(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	o := NewOutbox()
 	o.Stage("orders", ev("order.created", "O1"))
 	if n := o.Discard(); n != 1 {
@@ -151,7 +179,7 @@ func TestOutboxDiscardOnRollback(t *testing.T) {
 }
 
 func TestOutboxPublishToClosedQueue(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	q.Close()
 	o := NewOutbox()
 	o.Stage("t", ev("e", "1"))
@@ -161,7 +189,7 @@ func TestOutboxPublishToClosedQueue(t *testing.T) {
 }
 
 func TestConcurrentProducersConsumers(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	const producers, perProducer, consumers = 4, 200, 4
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -211,7 +239,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 // that many messages and never invents or loses one (reliable delivery).
 func TestReliableDeliveryProperty(t *testing.T) {
 	f := func(count uint8) bool {
-		q := New("unit", Options{})
+		q := newQueue("unit", Options{})
 		n := int(count % 64)
 		for i := 0; i < n; i++ {
 			q.Enqueue("t", Event{Entity: entity.Key{Type: "Order", ID: fmt.Sprint(i % 5)}, TxnID: fmt.Sprintf("%d", i)})
@@ -240,7 +268,7 @@ func TestReliableDeliveryProperty(t *testing.T) {
 
 func TestDequeueHoldsEntityBehindDelayedHead(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{Clock: func() time.Time { return now }})
 	// Entity X's head is delayed (a retry backoff in flight); a later X
 	// message and an unrelated Y message are immediately deliverable.
 	q.EnqueueDelayed("t", ev("step", "X"), 50*time.Millisecond)
@@ -279,7 +307,7 @@ func TestDequeueHoldsEntityBehindDelayedHead(t *testing.T) {
 }
 
 func TestMaxDepthShedsFreshEnqueuesTyped(t *testing.T) {
-	q := New("unit-1", Options{MaxDepth: 2})
+	q := newQueue("unit-1", Options{MaxDepth: 2})
 	for i := 0; i < 2; i++ {
 		if _, err := q.Enqueue("t", ev("e", fmt.Sprintf("%d", i))); err != nil {
 			t.Fatalf("Enqueue %d: %v", i, err)
@@ -308,7 +336,7 @@ func TestMaxDepthShedsFreshEnqueuesTyped(t *testing.T) {
 // overload.
 func TestRedeliveryExemptFromMaxDepth(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{MaxDepth: 1, Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{MaxDepth: 1, Clock: func() time.Time { return now }})
 	if _, err := q.Enqueue("t", ev("e", "1")); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +377,7 @@ func TestRedeliveryExemptFromMaxDepth(t *testing.T) {
 // consumer — work nobody is waiting for anymore is not executed.
 func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{Clock: func() time.Time { return now }})
 	stale := ev("e", "stale")
 	stale.Deadline = now.Add(5 * time.Second)
 	if _, err := q.Enqueue("t", stale); err != nil {
@@ -384,7 +412,7 @@ func TestDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 // and what a consumer (wrongly) kept of the old one is never written into.
 func TestRecycledMessageCarriesNothingOver(t *testing.T) {
 	now := time.Unix(100, 0)
-	q := New("unit-1", Options{Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{Clock: func() time.Time { return now }})
 	old := Event{Name: "old", Entity: entity.Key{Type: "Order", ID: "X"}, TxnID: "txn-old",
 		Data: map[string]interface{}{"secret": 42}, Deadline: now.Add(time.Hour)}
 	q.Enqueue("t", old)
@@ -426,7 +454,7 @@ func TestRecycledMessageCarriesNothingOver(t *testing.T) {
 // The free list is bounded: draining a deep backlog keeps at most maxFree
 // messages for reuse.
 func TestMessageFreeListIsBounded(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	const backlog = maxFree + 500
 	for i := 0; i < backlog; i++ {
 		q.Enqueue("t", ev("e", fmt.Sprintf("O%d", i)))
@@ -455,7 +483,7 @@ func TestMessageFreeListIsBounded(t *testing.T) {
 // --- Mailbox ownership (Claim) ---------------------------------------------
 
 func TestClaimOwnsEntityAndPopsInOrder(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	q.Enqueue("t", ev("a", "X"))
 	q.Enqueue("t", ev("b", "X"))
 	q.Enqueue("t", ev("c", "Y"))
@@ -498,7 +526,7 @@ func TestClaimOwnsEntityAndPopsInOrder(t *testing.T) {
 
 func TestClaimRetryKeepsHeadInPlaceAndParks(t *testing.T) {
 	now := time.Unix(0, 0)
-	q := New("unit-1", Options{MaxAttempts: 3, Clock: func() time.Time { return now }})
+	q := newQueue("unit-1", Options{MaxAttempts: 3, Clock: func() time.Time { return now }})
 	q.Enqueue("t", ev("first", "X"))
 	q.Enqueue("t", ev("second", "X"))
 
@@ -535,7 +563,7 @@ func TestClaimRetryKeepsHeadInPlaceAndParks(t *testing.T) {
 }
 
 func TestReleaseRedeliversUnsettledAndCountsSteals(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	q.Enqueue("t", ev("a", "X"))
 	q.Enqueue("t", ev("b", "X"))
 
@@ -559,7 +587,7 @@ func TestReleaseRedeliversUnsettledAndCountsSteals(t *testing.T) {
 }
 
 func TestClaimBlocksUntilWorkStopOrClose(t *testing.T) {
-	q := New("unit-1", Options{})
+	q := newQueue("unit-1", Options{})
 	type claimed struct {
 		mb *Mailbox
 		m  *Message
@@ -625,7 +653,7 @@ func TestMixedConsumersKeepPerEntityOrder(t *testing.T) {
 		pollers     = 3
 		total       = producers * perProducer * perEntity
 	)
-	q := New("stress", Options{MaxAttempts: 1 << 20})
+	q := newQueue("stress", Options{MaxAttempts: 1 << 20})
 
 	var mu sync.Mutex
 	executed := map[string]bool{}
@@ -760,7 +788,7 @@ func BenchmarkQueueDrain(b *testing.B) {
 	perOp := map[int]float64{}
 	for _, backlog := range backlogs {
 		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
-			q := New("bench", Options{})
+			q := newQueue("bench", Options{})
 			keys := make([]entity.Key, backlog+1)
 			for i := range keys {
 				keys[i] = entity.Key{Type: "Order", ID: fmt.Sprintf("O%d", i)}

@@ -134,6 +134,15 @@ func TestCompactionStaysLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameStores(t, p.db, dbs[0], a, b, c)
+	// The heads agree too: B1, archived here and retained there, reads the
+	// LSN of its last record on both.
+	for _, key := range []entity.Key{a, b, c} {
+		_, hw, _ := p.db.Current(key)
+		_, hg, _ := dbs[0].Current(key)
+		if hw != hg {
+			t.Errorf("%s: head %d on the primary, %d on the promoted standby", key, hw, hg)
+		}
+	}
 }
 
 // A standby appends the marks an older build's primary ships (an

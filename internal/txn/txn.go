@@ -84,9 +84,15 @@ func NewManager(db *lsdb.DB, hlc *clock.HLC, opts Options) *Manager {
 	// not recycle ids: a fresh write wearing an old id would be dropped as
 	// its own replay, a fresh promise would take a settled one's id.
 	m := &Manager{opts: opts, db: db, hlc: hlc, idPrefix: string(db.Node()) + "-txn-"}
-	m.ids.AdvanceTo(db.TxnFloor())
+	m.ResumeIDs()
 	return m
 }
+
+// ResumeIDs moves the manager's ids past every one its store holds
+// (lsdb.DB.TxnFloor). NewManager does it at open; a kernel does it again
+// after records arrive by another path than this manager's commits — an
+// Import — so its next id is not one of theirs.
+func (m *Manager) ResumeIDs() { m.ids.AdvanceTo(m.db.TxnFloor()) }
 
 // DB returns the underlying serialization unit.
 func (m *Manager) DB() *lsdb.DB { return m.db }
@@ -107,6 +113,9 @@ type Txn struct {
 	// outbox stages emitted events; nil until the first Emit.
 	outbox *queue.Outbox
 	done   bool
+	// focus, when set, is the handle of the entity the transaction was begun
+	// for (Focus): a write to that entity commits through it.
+	focus *lsdb.Handle
 
 	// The operations buffered per entity, in first-touch order: the first
 	// entity's in first, the others' in more. A focused transaction writes
@@ -138,6 +147,16 @@ func (m *Manager) BeginIn(t *Txn) {
 	var buf [64]byte // on the stack: the id is the only allocation
 	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
 	*t = Txn{m: m, id: id}
+}
+
+// Focus tells a transaction the entity it was begun for, as its queue
+// resolved it: a process step's, the entity its event was delivered to. When
+// ent is the handle of the manager's store (lsdb.Handle), a write to that
+// entity commits looking no key up; anything else changes nothing.
+func (t *Txn) Focus(ent queue.Entity) {
+	if h, ok := ent.(*lsdb.Handle); ok && t.m.db.Owns(h) {
+		t.focus = h
+	}
 }
 
 // at returns the i-th buffered write, i < t.nwrite.
@@ -318,9 +337,18 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 	if res != nil {
 		*res = CommitResult{TxnID: t.id, Stamp: stamp}
 	}
+	var ar lsdb.AppendResult
 	for i := range t.nwrite {
 		w := t.at(i)
-		ar, err := t.m.db.Append(w.key, w.ops, stamp, t.m.opts.Node, t.id)
+		var h *lsdb.Handle
+		if t.focus != nil && t.focus.Key() == w.key {
+			h = t.focus
+		}
+		var out *lsdb.AppendResult
+		if res != nil {
+			out = &ar
+		}
+		err := t.m.db.AppendTo(h, w.key, w.ops, stamp, t.m.opts.Node, t.id, out)
 		if err != nil {
 			// A duplicate txn id means this transaction already committed
 			// (at-least-once retry); treat it as success without re-appending.

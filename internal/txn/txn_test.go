@@ -44,7 +44,7 @@ func acct(id string) entity.Key { return entity.Key{Type: "Account", ID: id} }
 
 func TestSolipsisticCommit(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	q := queue.New("u1", queue.Options{})
+	q := queue.New("u1", queue.Options{Entities: m.DB().Entity})
 	tx := m.begin()
 	st, err := tx.Read(acct("A"))
 	if err != nil {
@@ -102,7 +102,7 @@ func TestReadYourWritesWithinTxn(t *testing.T) {
 
 func TestAbortDiscardsEverything(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	q := queue.New("u1", queue.Options{})
+	q := queue.New("u1", queue.Options{Entities: m.DB().Entity})
 	tx := m.begin()
 	tx.Update(acct("A"), entity.Delta("balance", 10))
 	tx.Emit("t", queue.Event{Name: "e"})
@@ -400,7 +400,7 @@ func TestCommitResultRecordsAreDetachedFromTheLog(t *testing.T) {
 // — is the new one's.
 func TestBeginInReusesStorageNotState(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
-	q := queue.New("u1", queue.Options{})
+	q := queue.New("u1", queue.Options{Entities: m.DB().Entity})
 	var tx Txn
 	m.BeginIn(&tx)
 	first := tx.ID()
