@@ -218,7 +218,7 @@ func (db *DB) logMark(mark Record) error {
 }
 
 // waitCommitSink blocks on a commit sink's ack barrier (with no lock held)
-// and wraps its error in the post-install phrasing: a sink failure is
+// and wraps its error in ErrCommittedLocally: a sink failure is
 // indeterminate — the records are committed locally and visible; only the
 // replication guarantee is in doubt.
 func waitCommitSink(wait func() error) error {
@@ -226,7 +226,7 @@ func waitCommitSink(wait func() error) error {
 		return nil
 	}
 	if err := wait(); err != nil {
-		return fmt.Errorf("lsdb: commit sink failed (records are committed locally): %w", err)
+		return fmt.Errorf("%w: %w", ErrCommittedLocally, err)
 	}
 	return nil
 }

@@ -136,7 +136,7 @@ func TestUnwrittenEntitiesLeaveNoHandles(t *testing.T) {
 		// Posted twice: the second post finds the mailbox and gives its
 		// hold back at once.
 		for range 2 {
-			if _, err := q.Post("t", &queue.Event{Name: "e", Entity: key}, 0, db.Entity(key)); errors.Is(err, queue.ErrOverloaded) {
+			if _, err := q.Post("t", &queue.Event{Name: "e", Entity: key}, 0, db.Entity(key), false); errors.Is(err, queue.ErrOverloaded) {
 				shed++
 			} else if err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestHandleDropsRaceResolves(t *testing.T) {
 			defer wg.Done()
 			for i := range posts {
 				key := acct(fmt.Sprint("k", (i+p)%keys))
-				if _, err := q.Post("t", &queue.Event{Name: "e", Entity: key}, 0, db.Entity(key)); err != nil {
+				if _, err := q.Post("t", &queue.Event{Name: "e", Entity: key}, 0, db.Entity(key), false); err != nil {
 					t.Error(err)
 					return
 				}

@@ -62,6 +62,11 @@ var (
 	// ErrDuplicateTxn is returned when a transaction id has already been
 	// applied to the entity (idempotent re-delivery).
 	ErrDuplicateTxn = errors.New("lsdb: duplicate transaction")
+	// ErrCommittedLocally wraps a commit sink's failure (a standby's missing
+	// acks), reported after the records were installed: the write is
+	// committed locally and visible, only its replication is in doubt. A
+	// caller that retries on it writes the same change twice.
+	ErrCommittedLocally = errors.New("lsdb: commit sink failed, records are committed locally")
 )
 
 // Record is one immutable log entry: the operations one transaction applied

@@ -145,10 +145,15 @@ func (r *ring) index(hash uint32) (int, error) {
 // [0, n). It is the intra-unit analogue of Index: where a HashLocator spreads
 // entities over serialization units, ShardOf spreads them over the
 // lock-striped segments inside one unit's log store, so both layers place a
-// key by one hash, computed once. n <= 1 always yields shard 0.
+// key by one hash, computed once. n <= 1 always yields shard 0. A power of
+// two n, the usual shard count, takes a mask instead of a division: the same
+// index, so placement does not depend on which is used.
 func ShardOf(hash uint32, n int) int {
 	if n <= 1 {
 		return 0
+	}
+	if n&(n-1) == 0 {
+		return int(hash & uint32(n-1))
 	}
 	return int(hash % uint32(n))
 }

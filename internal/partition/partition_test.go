@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +167,21 @@ func (l *HashLocator) Locate(key entity.Key) (UnitID, error) {
 		return "", err
 	}
 	return r.units[i], nil
+}
+
+// ShardOf's mask for a power-of-two n must place every key where the
+// division does, or existing data directories and the golden WAL would read
+// their entities from the wrong shard.
+func TestShardOfEqualsModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 64; n++ {
+		for i := 0; i < 4096; i++ {
+			hash := rng.Uint32()
+			if got, want := ShardOf(hash, n), int(hash%uint32(n)); got != want {
+				t.Fatalf("ShardOf(%#x, %d) = %d, want %d", hash, n, got, want)
+			}
+		}
+	}
 }
 
 // KeyShard is the shard ShardOf gives key among n.

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/entity"
+	"repro/internal/lsdb"
 	"repro/internal/queue"
 	"repro/internal/txn"
 )
@@ -62,6 +63,11 @@ type StepContext struct {
 
 	engine  *Engine
 	emitted []queue.Event
+	// minted has bit i set when Emit minted emitted[i]'s TxnID. Such an
+	// event skips the idempotence set (executeStep). There is no bit past
+	// the 64th (a shift that wide is 0): such an event is checked like any
+	// other, which is never wrong, only slower.
+	minted uint64
 }
 
 // Emit schedules a follow-up event. The event is only delivered if this
@@ -71,8 +77,9 @@ type StepContext struct {
 func (c *StepContext) Emit(ev queue.Event) {
 	c.emitted = append(c.emitted, ev)
 	next := &c.emitted[len(c.emitted)-1] // completed in place: one copy of ev, not two
-	if next.TxnID == "" {
-		next.TxnID = c.Txn.ID() + "/" + next.Name + "#" + strconv.Itoa(len(c.emitted)-1)
+	if i := len(c.emitted) - 1; next.TxnID == "" {
+		next.TxnID = c.Txn.ID() + "/" + next.Name + "#" + strconv.Itoa(i)
+		c.minted |= 1 << i
 	}
 	if next.Deadline.IsZero() {
 		// Follow-up steps inherit the triggering request's patience: if the
@@ -239,9 +246,10 @@ type stepTable struct {
 }
 
 // step is one registered step: its handler, and its share of the engine's
-// doneSet — the event transaction ids of its recent executions. A step
-// execution's idempotence key is (step, event transaction id); with the step
-// already resolved, checking it hashes the id alone.
+// doneSet — the event transaction ids of its recent executions of events
+// that came in from outside the engine. A step execution's idempotence key is
+// (step, event transaction id); with the step already resolved, checking it
+// hashes the id alone.
 type step struct {
 	h         Handler
 	cur, prev map[string]struct{} // guarded by doneSet.mu
@@ -252,16 +260,21 @@ type step struct {
 // close behind the original — a redelivery after an unsettled release is
 // next in the entity's mailbox, a client resubmission follows within a
 // timeout — and the set must not grow with the life of the process. The
-// window is a count, not a time: at full rate it is short. At about 170k
-// steps/s (the repository benchmark's kernel_events workload on a 2-core
-// Xeon) 32 768 identities cover about 0.2 s, and the guaranteed 16 384 half
-// of that.
+// window is a count, not a time: at full rate it is short. Only steps of
+// events that entered from outside the engine are recorded (executeStep). On
+// the repository benchmark's kernel_events workload — about 100k three-step
+// chains a second over four units on a 2-core Xeon — that is one step in
+// three, about 25k identities a second per engine: 32 768 of them cover
+// about 1.3 s (0.4 s when every step was recorded), and the guaranteed
+// 16 384 half of that.
 const doneWindow = 1 << 15
 
 // doneSet is the bounded set of step identities already executed
 // successfully, kept per step (step.cur, step.prev) under one lock and one
-// bound. It keeps two generations of at most limit/2 identities each, over
-// all steps, and forgets the older one wholesale when the newer fills up, so
+// bound. It records the steps of events a duplicate of which can arrive —
+// submitted, enqueued, published by an outbox, or emitted with a TxnID the
+// handler chose — and not those of events Emit minted an id for. It keeps
+// two generations of at most limit/2 identities each, over all steps, and forgets the older one wholesale when the newer fills up, so
 // it always remembers at least the newest limit/2 executions, never holds
 // more than limit, and pays no per-step eviction.
 type doneSet struct {
@@ -408,12 +421,13 @@ func (e *Engine) Submit(ev *queue.Event, ent queue.Entity) error {
 		}
 		return ErrStopped
 	}
-	return e.post(e.q, ev, ent)
+	return e.post(e.q, ev, ent, false)
 }
 
-// post enqueues ev on target, to ent, and counts it.
-func (e *Engine) post(target *queue.Queue, ev *queue.Event, ent queue.Entity) error {
-	_, err := target.Post(e.opts.Topic, ev, 0, ent)
+// post enqueues ev on target, to ent, and counts it; minted marks an event
+// whose TxnID Emit minted (queue.Message.Minted).
+func (e *Engine) post(target *queue.Queue, ev *queue.Event, ent queue.Entity, minted bool) error {
+	_, err := target.Post(e.opts.Topic, ev, 0, ent, minted)
 	if err == nil {
 		e.stats.enqueuedEvents.Add(1)
 	}
@@ -474,7 +488,7 @@ func (e *Engine) deliver(m *queue.Message, ent queue.Entity, laneKey *entity.Key
 	if e.pastDeadline(&m.Event) {
 		return true
 	}
-	err := e.executeStep(&m.Event, ent, m.Attempts, e.opts.CollapseDepth, laneKey, frames)
+	err := e.executeStep(&m.Event, m.Minted, ent, m.Attempts, e.opts.CollapseDepth, laneKey, frames)
 	switch {
 	case err == nil:
 		return true
@@ -513,17 +527,30 @@ func (e *Engine) pastDeadline(ev *queue.Event) bool {
 // execution is serialised under: inline collapsing is then restricted to
 // children of that same entity, because running another entity's step here
 // would bypass that entity's ownership and break its serial order. ev is
-// only read, and not after the step's frame has taken its copy; ent is its
-// entity as resolved (or nil); frames supplies that frame, one per nesting
-// level.
-func (e *Engine) executeStep(ev *queue.Event, ent queue.Entity, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
+// only read, and not after the step's frame has taken its copy; minted is
+// its mark (queue.Message.Minted); ent is its entity as resolved (or nil);
+// frames supplies that frame, one per nesting level.
+//
+// Idempotence is checked where a duplicate can enter, and only there: an
+// event from outside the engine (a resubmission, a redelivery) or with a
+// TxnID its handler chose is checked against the done set, and recorded in
+// it after its commit. An event Emit minted an id for is neither, because no
+// duplicate of it can arrive: the id is unique (transaction ids are never
+// reissued, txn.Manager resumes past lsdb.DB.TxnFloor), dispatch posts or
+// collapses each emitted event once, and deliver settles a delivery exactly
+// when its step committed — a commit sink's failure after the records were
+// installed (lsdb.ErrCommittedLocally) counts as committed. A copy of a
+// minted event that re-enters another way (a handler emitting ctx.Event
+// again, TxnID and all) is not recognised.
+func (e *Engine) executeStep(ev *queue.Event, minted bool, ent queue.Entity, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
 	st, ok := e.table.Load().steps[ev.Name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStep, ev.Name)
 	}
-	// Idempotence: at-least-once delivery may hand us a step that already
-	// executed successfully (same event identity); skip the re-delivery.
 	id := ev.TxnID
+	if minted {
+		id = ""
+	}
 	if id != "" && e.done.has(st, id) {
 		return nil
 	}
@@ -534,7 +561,7 @@ func (e *Engine) executeStep(ev *queue.Event, ent queue.Entity, attempt, depth i
 		e.stats.stepsFailed.Add(1)
 		return err
 	}
-	if err := f.txn.CommitDiscard(nil); err != nil {
+	if err := f.txn.CommitDiscard(nil); err != nil && !errors.Is(err, lsdb.ErrCommittedLocally) {
 		e.stats.stepsFailed.Add(1)
 		return err
 	}
@@ -543,15 +570,17 @@ func (e *Engine) executeStep(ev *queue.Event, ent queue.Entity, attempt, depth i
 	if id != "" {
 		e.done.add(st, id)
 	}
-	e.dispatch(ctx.emitted, depth, laneKey, frames)
+	e.dispatch(ctx.emitted, ctx.minted, depth, laneKey, frames)
 	return nil
 }
 
-// dispatch delivers events emitted by a committed step: inline when vertical
-// collapsing applies, otherwise through the destination queue.
-func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, frames *stepFrames) {
+// dispatch delivers events emitted by a committed step, each exactly once:
+// inline when vertical collapsing applies, otherwise through the destination
+// queue. Bit i of minted marks events[i] as Emit minted its id.
+func (e *Engine) dispatch(events []queue.Event, minted uint64, depth int, laneKey *entity.Key, frames *stepFrames) {
 	for i := range events {
 		next := &events[i]
+		mint := minted&(1<<i) != 0
 		target, ent := e.route(next.Entity)
 		// Inline collapsing only applies when the next step runs on this very
 		// unit; cross-unit events always travel through their owning queue.
@@ -561,7 +590,7 @@ func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, 
 		if e.opts.CollapseVertical && depth > 0 && target == e.q && (laneKey == nil || *laneKey == next.Entity) {
 			if _, local := e.table.Load().steps[next.Name]; local {
 				e.stats.collapsed.Add(1)
-				if err := e.executeStep(next, ent, 1, depth-1, laneKey, frames); err == nil {
+				if err := e.executeStep(next, mint, ent, 1, depth-1, laneKey, frames); err == nil {
 					ent.Unhold()
 					continue
 				}
@@ -569,7 +598,7 @@ func (e *Engine) dispatch(events []queue.Event, depth int, laneKey *entity.Key, 
 				// normal retry machinery applies.
 			}
 		}
-		_ = e.post(target, next, ent)
+		_ = e.post(target, next, ent, mint)
 	}
 }
 

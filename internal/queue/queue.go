@@ -86,6 +86,12 @@ type Message struct {
 	// and scheduled process steps).
 	NotBefore time.Time
 	Enqueued  time.Time
+	// Minted marks an event whose TxnID the process engine minted for it
+	// (process.StepContext.Emit): the id is unique, so the step it triggers
+	// needs no idempotence check. Only Post's minted argument sets it; no
+	// Event carries it, so nothing posted through Enqueue, Submit or an
+	// Outbox is marked.
+	Minted bool
 
 	next *Message // the entity's next message, in enqueue order
 }
@@ -245,20 +251,21 @@ func (q *Queue) Name() string { return q.name }
 // Enqueue adds an event for delivery and returns its message id. Enqueue is
 // always a local, non-distributed operation.
 func (q *Queue) Enqueue(topic string, ev Event) (uint64, error) {
-	return q.Post(topic, &ev, 0, nil)
+	return q.Post(topic, &ev, 0, nil, false)
 }
 
 // EnqueueDelayed adds an event that becomes deliverable only after delay.
 func (q *Queue) EnqueueDelayed(topic string, ev Event, delay time.Duration) (uint64, error) {
-	return q.Post(topic, &ev, delay, nil)
+	return q.Post(topic, &ev, delay, nil, false)
 }
 
 // Post is EnqueueDelayed for a caller that holds the event by reference and,
 // when ent is non-nil, has resolved its entity already (Resolve): the
 // mailbox is then reached through ent with no key looked up, and Post takes
 // over ent's hold, posted or not. The event is copied into the queue; ev is
-// not retained.
-func (q *Queue) Post(topic string, ev *Event, delay time.Duration, ent Entity) (uint64, error) {
+// not retained. minted sets the message's Minted mark: the process engine
+// passes it for an event whose TxnID it minted itself, and nobody else does.
+func (q *Queue) Post(topic string, ev *Event, delay time.Duration, ent Entity, minted bool) (uint64, error) {
 	now := q.opts.Clock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -280,7 +287,7 @@ func (q *Queue) Post(topic string, ev *Event, delay time.Duration, ent Entity) (
 		m = new(Message)
 	}
 	q.seq++
-	m.ID, m.Topic, m.Event = q.seq, topic, *ev
+	m.ID, m.Topic, m.Event, m.Minted = q.seq, topic, *ev, minted
 	m.NotBefore, m.Enqueued = now.Add(delay), now
 	if ent == nil {
 		ent = q.opts.Entities(ev.Entity)
@@ -718,7 +725,7 @@ func (o *Outbox) Publish(q *Queue) ([]uint64, error) {
 	ids := make([]uint64, 0, len(staged))
 	for i := range staged {
 		s := &staged[i]
-		id, err := q.Post(s.topic, &s.ev, s.delay, nil)
+		id, err := q.Post(s.topic, &s.ev, s.delay, nil, false)
 		if err != nil {
 			return ids, err
 		}

@@ -18,7 +18,10 @@ import (
 	"repro/internal/entity"
 	"repro/internal/lsdb"
 	"repro/internal/netsim"
+	"repro/internal/process"
+	"repro/internal/queue"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // newFaultShipPrimary is newShipPrimary over a fault-injecting backend with
@@ -394,5 +397,63 @@ func TestShipRetryBoundedOnDeadStandby(t *testing.T) {
 	}
 	if st := sh.Stats(); st.ShipRetries != 2 || st.ShipFailures != 1 {
 		t.Fatalf("stats = %+v, want 2 retries and 1 failure", st)
+	}
+}
+
+// A step whose commit installs its record and then misses its standby acks
+// is committed: the process engine settles it and does not run it again.
+// Retrying it, under a fresh transaction id that the store's duplicate check
+// cannot match, applied one deposit MaxAttempts times.
+func TestStepCommittedBeforeDeadStandbyRunsOnce(t *testing.T) {
+	sb, err := NewStandby(StandbyOptions{Self: "s1", Backends: []storage.Backend{storage.NewMemory()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &dropNTransport{drops: 1 << 20, sb: sb}
+	db := lsdb.Open(lsdb.Options{Node: "p", Backend: storage.NewMemory(), Shards: 4})
+	if err := db.RegisterType(accountType()); err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShipper(ShipperOptions{
+		Self: "p", Standbys: []clock.NodeID{"s1"}, Mode: AckSync,
+		Transport:    tr,
+		RetryBackoff: time.Millisecond,
+	})
+	defer sh.Close()
+	db.SetCommitSink(sh.Sink(0))
+	mgr := txn.NewManager(db, nil, txn.Options{Node: "p", EnforceSingleEntity: true})
+	q := queue.New("p", queue.Options{Entities: db.Entity})
+	e := process.NewEngine(mgr, q, process.Options{MaxAttempts: 3, RetryBackoff: time.Millisecond})
+	var runs atomic.Int32
+	def := process.NewDefinition("deposits").Step("deposit", func(ctx *process.StepContext) error {
+		runs.Add(1)
+		return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("balance", 1))
+	})
+	if err := e.Register(def); err != nil {
+		t.Fatal(err)
+	}
+	key := acct("A1")
+	if err := e.Submit(&queue.Event{Name: "deposit", Entity: key, TxnID: "client-1"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); e.QueueDepth() > 0 || runs.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("deposit still queued: %+v", e.Stats())
+		}
+		e.Drain()
+		time.Sleep(time.Millisecond)
+	}
+	st, _, err := db.Current(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Float("balance"); got != 1 {
+		t.Fatalf("balance = %v after %d runs, want 1: a step committed before its acks failed was applied again", got, runs.Load())
+	}
+	if ps := e.Stats(); ps.StepsExecuted != 1 || ps.StepsFailed != 0 || ps.Retries != 0 {
+		t.Fatalf("stats = %+v, want 1 executed, 0 failed, 0 retries", ps)
+	}
+	if ts := mgr.Stats(); ts.Commits != 1 || ts.Aborts != 0 {
+		t.Fatalf("txn stats = %+v, want 1 commit and 0 aborts", ts)
 	}
 }

@@ -549,12 +549,10 @@ func (s *Shipper) shipJob(peer clock.NodeID, job laneJob) {
 	s.finishJob(job, err)
 }
 
-// finishJob reports a job's outcome to its barrier and retires it from the
-// pending count (waking Drain at zero).
+// finishJob counts a job's outcome, reports it to its barrier and retires
+// it from the pending count (waking Drain at zero). The count comes first: a
+// sync writer the report wakes reads Stats with its own ship in them.
 func (s *Shipper) finishJob(job laneJob, err error) {
-	if job.bar != nil {
-		job.bar.report(err == nil, err)
-	}
 	s.mu.Lock()
 	if err == nil {
 		if job.sync {
@@ -563,6 +561,11 @@ func (s *Shipper) finishJob(job laneJob, err error) {
 	} else {
 		s.stats.ShipFailures++
 	}
+	s.mu.Unlock()
+	if job.bar != nil {
+		job.bar.report(err == nil, err)
+	}
+	s.mu.Lock()
 	s.pending--
 	if s.pending == 0 {
 		s.idle.Broadcast()

@@ -308,7 +308,9 @@ func (r *CommitResult) add(rec lsdb.Record) {
 
 // commit finishes the transaction: it appends one record per written entity
 // to the LSDB and publishes staged events to q (if q is non-nil). On failure
-// everything is discarded.
+// everything is discarded. A commit sink's failure after a record was
+// installed (lsdb.ErrCommittedLocally) is not one: the transaction commits
+// in full, and that error is returned after it has.
 func (t *Txn) commit(q *queue.Queue) (CommitResult, error) {
 	var res CommitResult
 	err := t.commitInto(q, &res)
@@ -338,6 +340,7 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 		*res = CommitResult{TxnID: t.id, Stamp: stamp}
 	}
 	var ar lsdb.AppendResult
+	var sinkErr error // the first lsdb.ErrCommittedLocally: installed, replication in doubt
 	for i := range t.nwrite {
 		w := t.at(i)
 		var h *lsdb.Handle
@@ -350,16 +353,25 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 		}
 		err := t.m.db.AppendTo(h, w.key, w.ops, stamp, t.m.opts.Node, t.id, out)
 		if err != nil {
-			// A duplicate txn id means this transaction already committed
-			// (at-least-once retry); treat it as success without re-appending.
-			if errors.Is(err, lsdb.ErrDuplicateTxn) {
+			switch {
+			case errors.Is(err, lsdb.ErrDuplicateTxn):
+				// A duplicate txn id means this transaction already committed
+				// (at-least-once retry); treat it as success without
+				// re-appending.
 				continue
+			case errors.Is(err, lsdb.ErrCommittedLocally):
+				// The record is installed: the transaction goes on committing
+				// and reports the sink's failure once it has.
+				if sinkErr == nil {
+					sinkErr = err
+				}
+			default:
+				t.fail()
+				if res != nil {
+					*res = CommitResult{}
+				}
+				return err
 			}
-			t.fail()
-			if res != nil {
-				*res = CommitResult{}
-			}
-			return err
 		}
 		if res != nil {
 			res.add(ar.Record)
@@ -380,7 +392,7 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 		t.discardStaged()
 	}
 	t.m.stats.commits.Add(1)
-	return nil
+	return sinkErr
 }
 
 // Abort discards all buffered work.
