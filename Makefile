@@ -17,14 +17,14 @@ race:
 # The commit path's ownership rules (docs/CONCURRENCY.md), ten times over
 # under the race detector: a lent cached state never changes and an unlent one
 # is written in place, a failed in-place append leaves no trace, exactly-once
-# across the high-water mark and every shape of the per-entity txn index, the
-# encoded resident log read back through every reader and decoded while
-# appends, obsolete flips and compactions run, lock-free Locate against
-# concurrent AddUnit, and that recycled step frames, transactions and messages
-# carry nothing from one step into the next (CI runs the same set in its race
-# job).
+# across the high-water mark and every shape of the per-entity txn index, a
+# process step's included, the encoded resident log read back through every
+# reader and decoded while appends, obsolete flips and compactions run,
+# lock-free Locate against concurrent AddUnit, and that recycled step frames,
+# transactions and messages carry nothing from one step into the next (CI runs
+# the same set in its race job).
 ownership-race:
-	$(GO) test -race -count=10 -run 'TestResidentLogRoundTrip|TestResidentLogConcurrent|TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestLockFreeRouting|TestIdempotenceSet|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestResidentLogRoundTrip|TestResidentLogConcurrent|TestLentState|TestColdReadCachesArchived|TestAppendWritesInPlace|TestFailedInPlace|TestFlushCaptureIsLent|TestCachedState|TestExactlyOnce|TestHighWater|TestSerialHot|TestSplitTxnID|TestDuplicateTxn|TestMarkObsoleteFindsTxn|TestTxnIndex|TestRefusedAppend|TestLockFreeRouting|TestDuplicateDeliveryIsIdempotent|TestStepWritingNothing|TestResubmission|TestReadStateNeverChanges|TestReadAndQueryStates|TestRecycled|TestCollapsedChildren|TestMessageFreeList|TestBeginIn|TestCommitResultRecords|TestStatsCounts|TestUpdateResultRecords' ./internal/lsdb/ ./internal/partition/ ./internal/process/ ./internal/queue/ ./internal/txn/ ./internal/core/
 
 # The E1..E22 experiment benchmarks (see EXPERIMENTS.md).
 bench:

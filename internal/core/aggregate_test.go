@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/entity"
+	"repro/internal/queue"
+	"repro/internal/workload"
 )
 
 // The convergence rule (docs/CONCURRENCY.md): after CatchUpAggregates
@@ -149,7 +152,10 @@ func assertAggregateFold(t *testing.T, k *Kernel, context string) {
 // TestAggregatesEqualQueryFold drives a durable kernel through seeded random
 // schedules of updates, tentative writes, kept and broken promises,
 // compactions, flushes, restarts, late definitions and backup imports, and
-// checks the convergence rule at random points and at the end.
+// checks the convergence rule at random points and at the end. Every restart
+// must bring back what the node served before it. The odd seeds also submit
+// deposit steps, with and without a txn id, and resubmit acked ids, which
+// must change nothing while their records are retained.
 func TestAggregatesEqualQueryFold(t *testing.T) {
 	seeds, steps := 12, 300
 	if testing.Short() {
@@ -157,14 +163,53 @@ func TestAggregatesEqualQueryFold(t *testing.T) {
 	}
 	for seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runAggregateSchedule(t, rand.New(rand.NewSource(int64(seed))), steps)
+			runAggregateSchedule(t, rand.New(rand.NewSource(int64(seed))), steps, seed%2 == 1)
 		})
 	}
 }
 
-func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
+// entityHeads is every entity's head LSN in its unit, keyed as kernelStates.
+func entityHeads(t *testing.T, k *Kernel) map[string]uint64 {
+	t.Helper()
+	var keys []entity.Key
+	for _, typ := range workload.Types() {
+		if err := k.Query(typ.Name, func(st *entity.State) bool {
+			keys = append(keys, st.Key)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heads := make(map[string]uint64, len(keys))
+	for _, key := range keys {
+		u, err := k.unitFor(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, head, err := u.db.Current(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads[key.String()] = head
+	}
+	return heads
+}
+
+func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int, submits bool) {
 	opts := Options{Node: "fold", Units: 2, DataDir: t.TempDir(), CheckpointEvery: 40}
-	k := newKernel(t, opts)
+	if submits {
+		// The schedule's own Checkpoint is then the only flush, so it knows
+		// which records a restart brings back.
+		opts.CheckpointEvery, opts.FlushBytes = -1, -1
+	}
+	var k *Kernel
+	open := func() {
+		k = newKernel(t, opts)
+		if err := k.DefineProcess(depositProcess()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
 	defined := r.Intn(2) == 0
 	if defined {
 		defineOrderAggregates(k)
@@ -172,6 +217,28 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 	var promises []string
 	order := func() entity.Key { return orderKey(fmt.Sprintf("O%d", r.Intn(12))) }
 	amount := func() float64 { return float64(r.Intn(50) + 1) }
+	// depositTo names each acked deposit id's account. retained lists the
+	// ids whose records the live node retains (acked since the last
+	// Compact), unflushed those a restart brings back (acked since the last
+	// flush or Compact).
+	depositTo := map[string]entity.Key{}
+	var retained, unflushed []string
+	submit := func(key entity.Key, id string) {
+		if err := k.Submit(queue.Event{Name: "deposit", Entity: key, TxnID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resubmit := func(ids []string, context string) {
+		k.Drain()
+		before := kernelStates(t, k)
+		for _, id := range ids {
+			submit(depositTo[id], id)
+		}
+		k.Drain()
+		if after := kernelStates(t, k); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: resubmitting %v changed the kernel's states", context, ids)
+		}
+	}
 	for step := range steps {
 		context := fmt.Sprintf("step %d", step)
 		switch op := r.Intn(100); {
@@ -214,19 +281,33 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 			}
 		case op < 58:
 			k.Compact()
+			retained, unflushed = nil, nil
 		case op < 62:
 			if err := k.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+			unflushed = nil
 		case op < 65:
 			// Durable restart: aggregate definitions are not log state and
-			// start over; promises are, so the ids made before it are
-			// still settled after it.
+			// start over; states, heads and promises are, so the ids made
+			// before it are still settled after it. So are the ids of the
+			// steps the log still holds in detail.
+			k.Drain()
+			states, heads, pending := kernelStates(t, k), entityHeads(t, k), k.Pending()
 			k.Close()
-			k = newKernel(t, opts)
+			open()
 			if defined {
 				defineOrderAggregates(k)
 			}
+			assertSameKernelStates(t, states, kernelStates(t, k))
+			if got := entityHeads(t, k); !reflect.DeepEqual(heads, got) {
+				t.Fatalf("%s: head LSNs differ after restart:\nwant %v\n got %v", context, heads, got)
+			}
+			if got := k.Pending(); !reflect.DeepEqual(pending, got) {
+				t.Fatalf("%s: pending promises differ after restart:\nwant %v\n got %v", context, pending, got)
+			}
+			retained = slices.Clone(unflushed)
+			resubmit(unflushed, context+", after restart")
 		case op < 67:
 			// Restore a backup into a fresh node whose aggregates are
 			// defined before the import.
@@ -236,8 +317,8 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 			}
 			k.Close()
 			opts.DataDir = t.TempDir()
-			k = newKernel(t, opts)
-			promises = nil
+			open()
+			promises, retained, unflushed = nil, nil, nil
 			if defined {
 				defineOrderAggregates(k)
 			}
@@ -249,6 +330,18 @@ func runAggregateSchedule(t *testing.T, r *rand.Rand, steps int) {
 			defineOrderAggregates(k)
 		case op < 80 && defined:
 			assertAggregateFold(t, k, context)
+		case op < 80 || !submits:
+		case op < 85:
+			id := fmt.Sprintf("dep-%d", step)
+			depositTo[id] = accountKey(fmt.Sprintf("D%d", r.Intn(4)))
+			submit(depositTo[id], id)
+			retained, unflushed = append(retained, id), append(unflushed, id)
+		case op < 88:
+			submit(accountKey(fmt.Sprintf("D%d", r.Intn(4))), "")
+		case op < 92 && len(retained) > 0:
+			resubmit([]string{retained[r.Intn(len(retained))]}, context)
+		case op < 96:
+			k.Drain()
 		}
 	}
 	if !defined {

@@ -49,12 +49,12 @@ func assertTxnIndexMatchesLog(t *testing.T, db *DB) {
 				if rec.TxnID != "" {
 					want[rec.TxnID] = lsn
 				}
-				if _, _, above := e.aboveMark(rec.TxnID); above {
+				if _, _, above := e.aboveMark(rec.TxnID, s.own); above {
 					t.Errorf("%s: retained id %q is above the high-water mark %q %d", key, rec.TxnID, e.hiPrefix, e.hiSeq)
 				}
 			}
-			if len(e.recs) == 0 && (e.byTxn != nil || e.hiPrefix != "" || e.hiSeq != 0) {
-				t.Errorf("%s retains nothing, yet byTxn built: %v, mark %q %d", key, e.byTxn != nil, e.hiPrefix, e.hiSeq)
+			if len(e.recs) == 0 && (e.byTxn != nil || e.ownSeq != 0 || e.hiPrefix != "" || e.hiSeq != 0) {
+				t.Errorf("%s retains nothing, yet byTxn built: %v, marks %d, %q %d", key, e.byTxn != nil, e.ownSeq, e.hiPrefix, e.hiSeq)
 			}
 			if e.byTxn != nil {
 				if len(e.byTxn) != len(want) {

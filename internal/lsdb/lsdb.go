@@ -162,14 +162,16 @@ const txnSpill = 8
 // by the shard lock: read under at least its read lock, written under its
 // write lock. What a hot read needs comes first.
 //
-// recs doubles as the exactly-once index (ErrDuplicateTxn, settling a
-// promise by its transaction id): a transaction id is remembered exactly as
+// recs doubles as the exactly-once index (ErrDuplicateTxn, Applied, settling
+// a promise by its transaction id): a transaction id is remembered exactly as
 // long as the record it wrote is retained, because it is read from that
-// record's header in the log. What bounds the index is therefore what bounds the record list
-// — Compact drops an entity's records, ids included, once they are all at or
-// below its horizon; cold eviction only ever takes entries that retain none —
-// and whatever rebuilds the list (loadRecord under Recover and Load)
-// rebuilds the index with it.
+// record's header in the log. What bounds the index is therefore what bounds
+// the record list — Compact drops an entity's records, ids included, once
+// they are all at or below its horizon; cold eviction only ever takes entries
+// that retain none — and whatever rebuilds the list (loadRecord under Recover
+// and Load) rebuilds the index with it. A tiered flush keeps the list, but
+// the records it folded into a table's summary are not replayed by the next
+// Recover, so their ids end with the process.
 type entry struct {
 	// cache is the materialised current state, the full rollup as of head
 	// (headLSN, kept here so a hot read stays off the record list). Empty
@@ -182,11 +184,15 @@ type entry struct {
 	// live in recRoom, so most entities never allocate a list.
 	recs    []uint64
 	recRoom [2]uint64
-	// hiPrefix and hiSeq are the high-water mark of the exactly-once index:
-	// every retained id that splitTxnID reads as hiPrefix plus a number has a
-	// number at or below hiSeq. hiPrefix is the prefix of the first such id
-	// retained ("" before one is) — "<node>-txn-" for an entity its unit's
-	// txn.Manager writes.
+	// ownSeq, hiPrefix and hiSeq are the high-water mark of the exactly-once
+	// index, one per id family an entity meets: every retained id that
+	// splitTxnID reads as the store's own prefix (shard.own, the ids its
+	// txn.Manager mints) plus a number has a number at or below ownSeq, and
+	// every other one that reads as hiPrefix plus a number has a number at
+	// or below hiSeq. hiPrefix is the prefix of the first such other id
+	// retained ("" before one is) — "<step>@<client prefix>" for an entity
+	// that process steps of submitted events write.
+	ownSeq   uint64
 	hiPrefix string
 	hiSeq    uint64
 	// byTxn maps transaction id to LSN for txnLSN: built on the first lookup
@@ -254,13 +260,17 @@ func splitTxnID(id string) (prefix string, seq uint64, ok bool) {
 }
 
 // aboveMark splits id and reports whether it is above the entity's high-water
-// mark, and so the id of no retained record: the exactly-once answer for an
-// id minted after every id applied so far, which is every id a serially
+// mark for its family — own is the store's prefix (shard.own) — and so the id
+// of no retained record: the exactly-once answer for an id numbered after
+// every id of its family applied so far, which is every id a serially
 // written entity meets. Not above says nothing; txnLSN then looks the id up.
-func (e *entry) aboveMark(id string) (prefix string, seq uint64, above bool) {
+func (e *entry) aboveMark(id, own string) (prefix string, seq uint64, above bool) {
 	prefix, seq, ok := splitTxnID(id)
-	// Before any such id is retained (hiPrefix ""), no retained id splits at
-	// all, so none equals one that does.
+	if prefix == own {
+		return prefix, seq, ok && seq > e.ownSeq
+	}
+	// Before any other such id is retained (hiPrefix ""), none equals one
+	// that splits.
 	return prefix, seq, ok && (e.hiPrefix == "" || (prefix == e.hiPrefix && seq > e.hiSeq))
 }
 
@@ -290,6 +300,31 @@ func (s *shard) txnLSNLocked(e *entry, id string) (uint64, bool) {
 	return 0, false
 }
 
+// Applied reports whether transaction id wrote a retained record of key: the
+// question Append answers with ErrDuplicateTxn, asked before the writer does
+// its work. h, when non-nil, is key's handle in this store, held while the
+// call runs, and the probe then looks no key up. An id above the entity's
+// mark is answered under the shard's read lock; any other is looked up
+// exactly under its write lock, since the lookup may build byTxn.
+func (db *DB) Applied(h *Handle, key entity.Key, id string) bool {
+	if h == nil {
+		h = db.Resolve(key, partition.KeyHash(key))
+		defer h.Unhold()
+	}
+	s, e := h.s, &h.e
+	s.mu.RLock()
+	_, _, fresh := e.aboveMark(id, s.own)
+	fresh = fresh || len(e.recs) == 0
+	s.mu.RUnlock()
+	if fresh {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.txnLSNLocked(e, id)
+	return ok
+}
+
 // addRecLocked lists a record of key's entry e that was just put in the
 // shard's log; live is whether it counts towards e.live. The caller holds the
 // shard's write lock.
@@ -307,11 +342,9 @@ func (s *shard) addRecLocked(key entity.Key, e *entry, lsn uint64, txn string, t
 	if live {
 		e.live++
 	}
-	prefix, seq, above := e.aboveMark(txn)
-	if seq > s.txnFloor && prefix == s.own {
-		s.txnFloor = seq
-	}
-	if above {
+	if prefix, seq, above := e.aboveMark(txn, s.own); prefix == s.own {
+		s.txnFloor, e.ownSeq = max(s.txnFloor, seq), max(e.ownSeq, seq)
+	} else if above {
 		// Keep the prefix already held, or the shard's copy of it, rather
 		// than one inside each new id, which would keep that whole id alive.
 		if prefix != e.hiPrefix {
@@ -331,7 +364,7 @@ func (s *shard) addRecLocked(key entity.Key, e *entry, lsn uint64, txn string, t
 // and everything derived from them.
 func (e *entry) dropRecs() {
 	e.recs, e.recRoom, e.byTxn, e.tentative, e.live = nil, [2]uint64{}, nil, false, 0
-	e.hiPrefix, e.hiSeq = "", 0
+	e.ownSeq, e.hiPrefix, e.hiSeq = 0, "", 0
 	e.cache.drop()
 	e.snap = snapshot{}
 }
@@ -741,7 +774,7 @@ func (db *DB) applyForAppendLocked(s *shard, e *entry, typ *entity.Type, key ent
 	if err := db.warmLocked(s, e, key); err != nil {
 		return nil, 0, nil, err
 	}
-	if _, _, fresh := e.aboveMark(txnID); txnID != "" && !fresh {
+	if _, _, fresh := e.aboveMark(txnID, s.own); txnID != "" && !fresh {
 		if _, dup := s.txnLSNLocked(e, txnID); dup {
 			return nil, 0, nil, fmt.Errorf("%w: %s on %s", ErrDuplicateTxn, txnID, key)
 		}
@@ -1254,7 +1287,9 @@ func (db *DB) Compact(beforeLSN uint64) int {
 					continue // summary unreadable; keep the detail records
 				}
 				s.setArchivedLocked(e, s.rollupLocked(e, key, typ).Freeze())
-				e.archivedAt = e.headLSN()
+				// Recover can retain copies of records a summary already
+				// folds in, below its horizon: the horizon never goes back.
+				e.archivedAt = max(e.archivedAt, e.headLSN())
 				db.markDirtyLocked(s, key, e)
 				drop = append(drop, e)
 				gone = append(gone, e.recs...)

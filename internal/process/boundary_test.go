@@ -10,8 +10,9 @@ import (
 )
 
 // Step idempotence is checked where a duplicate can enter: a submitted or
-// enqueued event, and an emitted one whose handler chose its TxnID. An event
-// whose id Emit minted is neither checked nor recorded (executeStep).
+// enqueued event, and an emitted one whose handler chose its TxnID. Its step
+// runs under an id the log remembers; an event whose id Emit minted is not
+// checked (executeStep).
 
 // drainAll drains e until its queue is empty, backoffs included.
 func drainAll(t *testing.T, e *Engine) {
@@ -25,17 +26,6 @@ func drainAll(t *testing.T, e *Engine) {
 			t.Fatalf("queue still holds %d events: %+v", e.QueueDepth(), e.Stats())
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// After N chains the done set holds the N entry ids the chains were
-// submitted with, not the 2N ids their steps minted on the way.
-func TestDoneSetRecordsBoundaryEventsOnly(t *testing.T) {
-	const chains = 1000 // well inside one generation of doneWindow
-	d := newChainDriver(t, 2)
-	d.run(t, chains)
-	if got := d.e.done.size(); got != chains {
-		t.Fatalf("done set holds %d identities after %d chains, want %d (entry ids only)", got, chains, chains)
 	}
 }
 
@@ -149,7 +139,34 @@ func TestManyEmittedEventsRunOnce(t *testing.T) {
 	if st, _, err := mgr.DB().Current(inventoryKey("widget")); err != nil || st.Int("onhand") != -n {
 		t.Fatalf("onhand = %v (%v), want %d", st.Int("onhand"), err, -n)
 	}
-	if got, want := e.done.size(), 1+n-64; got != want {
-		t.Fatalf("done set holds %d identities, want %d: the entry and the events past the 64th", got, want)
+}
+
+// A boundary step that writes nothing leaves no record to refuse its
+// duplicate with: submitted twice, it runs twice and emits its child twice,
+// under the same id. The child goes out unmarked, so it is checked where it
+// writes, and applies once.
+func TestStepWritingNothingAppliesChildOnce(t *testing.T) {
+	for _, collapse := range []bool{false, true} {
+		e, mgr, _ := newEngine(t, Options{CollapseVertical: collapse})
+		def := NewDefinition("router").
+			Step("order.routed", func(ctx *StepContext) error {
+				ctx.Emit(queue.Event{Name: "inventory.reserve", Entity: inventoryKey("widget")})
+				return nil
+			}).
+			Step("inventory.reserve", func(ctx *StepContext) error {
+				return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("onhand", 1))
+			})
+		if err := e.Register(def); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if err := e.Submit(&queue.Event{Name: "order.routed", Entity: orderKey("O1"), TxnID: "route-1"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			drainAll(t, e)
+		}
+		if st, _, err := mgr.DB().Current(inventoryKey("widget")); err != nil || st.Int("onhand") != 1 {
+			t.Fatalf("collapse=%v: onhand = %v (%v), want 1: the resubmitted router's child applied again", collapse, st.Int("onhand"), err)
+		}
 	}
 }

@@ -16,9 +16,11 @@
 // redeliveries and same-entity vertically collapsed children, execute
 // serially in enqueue order. That ordering is what lets idempotent
 // consumers treat at-least-once delivery as effective exactly-once (the
-// Helland recipe the paper cites in 2.4); the contract is written out in
-// docs/CONCURRENCY.md and pinned by the ordering stress suite in
-// order_test.go.
+// Helland recipe the paper cites in 2.4). The idempotence is the log's: a
+// step of an event with a TxnID commits under an id its entity's record
+// keeps, and is skipped while that record is retained (executeStep). The
+// contract is written out in docs/CONCURRENCY.md and pinned by the ordering
+// stress suite in order_test.go.
 package process
 
 import (
@@ -64,7 +66,7 @@ type StepContext struct {
 	engine  *Engine
 	emitted []queue.Event
 	// minted has bit i set when Emit minted emitted[i]'s TxnID. Such an
-	// event skips the idempotence set (executeStep). There is no bit past
+	// event skips the idempotence check (executeStep). There is no bit past
 	// the 64th (a shift that wide is 0): such an event is checked like any
 	// other, which is never wrong, only slower.
 	minted uint64
@@ -103,14 +105,15 @@ type stepFrame struct {
 }
 
 // begin readies the frame for a step triggered by ev, delivered to the
-// entity ent (nil when not resolved). Everything the previous step left in it
-// goes first: a handler that kept hold of what it was passed finds none of
-// its own step's events or writes in the next one's. Steps run solipsistic
-// transactions (principle 2.10).
-func (f *stepFrame) begin(e *Engine, ev *queue.Event, ent queue.Entity, attempt int) *StepContext {
+// entity ent (nil when not resolved), whose transaction runs under id ("" for
+// a fresh one). Everything the previous step left in it goes first: a
+// handler that kept hold of what it was passed finds none of its own step's
+// events or writes in the next one's. Steps run solipsistic transactions
+// (principle 2.10).
+func (f *stepFrame) begin(e *Engine, ev *queue.Event, ent queue.Entity, id string, attempt int) *StepContext {
 	clear(f.ctx.emitted) // the events may pin their Data maps
 	f.ctx = StepContext{Event: *ev, Txn: &f.txn, Attempt: attempt, engine: e, emitted: f.ctx.emitted[:0]}
-	e.mgr.BeginIn(&f.txn)
+	e.mgr.BeginIn(&f.txn, id)
 	f.txn.Focus(ent)
 	return &f.ctx
 }
@@ -131,22 +134,17 @@ func (fs *stepFrames) at(level int) *stepFrame {
 // Handler executes one process step.
 type Handler func(*StepContext) error
 
-// CompensationHandler runs after a step has exhausted its retries; it is
-// infrastructure-generated, non-transactional work (post-rollback actions,
-// principle 2.4).
-type CompensationHandler func(ev queue.Event, attempts int, lastErr error)
-
 // Definition declares a business process: which step runs for which event,
 // and what to do when a step ultimately fails.
 type Definition struct {
 	Name  string
 	steps map[string]Handler
-	comp  map[string]CompensationHandler
+	comp  map[string]func(queue.Event, int, error)
 }
 
 // NewDefinition creates an empty process definition.
 func NewDefinition(name string) *Definition {
-	return &Definition{Name: name, steps: map[string]Handler{}, comp: map[string]CompensationHandler{}}
+	return &Definition{Name: name, steps: map[string]Handler{}, comp: map[string]func(queue.Event, int, error){}}
 }
 
 // Step registers the handler for an event name and returns the definition
@@ -157,8 +155,9 @@ func (d *Definition) Step(eventName string, h Handler) *Definition {
 }
 
 // OnFailure registers the compensation handler invoked when the step for
-// eventName exhausts its retries.
-func (d *Definition) OnFailure(eventName string, h CompensationHandler) *Definition {
+// eventName exhausts its retries: infrastructure-generated,
+// non-transactional work (post-rollback actions, principle 2.4).
+func (d *Definition) OnFailure(eventName string, h func(ev queue.Event, attempts int, lastErr error)) *Definition {
 	d.comp[eventName] = h
 	return d
 }
@@ -241,93 +240,8 @@ type counters struct {
 // stepTable is the registered handlers. A published table is never written
 // again — Register swaps in a copy — so steps look handlers up lock-free.
 type stepTable struct {
-	steps map[string]*step
-	comps map[string]CompensationHandler
-}
-
-// step is one registered step: its handler, and its share of the engine's
-// doneSet — the event transaction ids of its recent executions of events
-// that came in from outside the engine. A step execution's idempotence key is
-// (step, event transaction id); with the step already resolved, checking it
-// hashes the id alone.
-type step struct {
-	h         Handler
-	cur, prev map[string]struct{} // guarded by doneSet.mu
-}
-
-// doneWindow is how many executed step identities an engine remembers (at
-// least the newest half of them, see doneSet). A duplicate delivery arrives
-// close behind the original — a redelivery after an unsettled release is
-// next in the entity's mailbox, a client resubmission follows within a
-// timeout — and the set must not grow with the life of the process. The
-// window is a count, not a time: at full rate it is short. Only steps of
-// events that entered from outside the engine are recorded (executeStep). On
-// the repository benchmark's kernel_events workload — about 100k three-step
-// chains a second over four units on a 2-core Xeon — that is one step in
-// three, about 25k identities a second per engine: 32 768 of them cover
-// about 1.3 s (0.4 s when every step was recorded), and the guaranteed
-// 16 384 half of that.
-const doneWindow = 1 << 15
-
-// doneSet is the bounded set of step identities already executed
-// successfully, kept per step (step.cur, step.prev) under one lock and one
-// bound. It records the steps of events a duplicate of which can arrive —
-// submitted, enqueued, published by an outbox, or emitted with a TxnID the
-// handler chose — and not those of events Emit minted an id for. It keeps
-// two generations of at most limit/2 identities each, over all steps, and forgets the older one wholesale when the newer fills up, so
-// it always remembers at least the newest limit/2 executions, never holds
-// more than limit, and pays no per-step eviction.
-type doneSet struct {
-	mu    sync.Mutex
-	limit int
-	n     int // identities in the newer generation
-	steps []*step
-}
-
-func newDoneSet(limit int) *doneSet { return &doneSet{limit: limit} }
-
-// register gives a new step its two generations.
-func (d *doneSet) register(h Handler) *step {
-	st := &step{h: h, cur: map[string]struct{}{}, prev: map[string]struct{}{}}
-	d.mu.Lock()
-	d.steps = append(d.steps, st)
-	d.mu.Unlock()
-	return st
-}
-
-func (d *doneSet) has(st *step, txnID string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := st.cur[txnID]; ok {
-		return true
-	}
-	_, ok := st.prev[txnID]
-	return ok
-}
-
-func (d *doneSet) add(st *step, txnID string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.n >= d.limit/2 {
-		for _, s := range d.steps {
-			s.cur, s.prev = s.prev, s.cur
-			clear(s.cur)
-		}
-		d.n = 0
-	}
-	before := len(st.cur)
-	st.cur[txnID] = struct{}{}
-	d.n += len(st.cur) - before
-}
-
-func (d *doneSet) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := d.n
-	for _, s := range d.steps {
-		n += len(s.prev)
-	}
-	return n
+	steps map[string]Handler
+	comps map[string]func(queue.Event, int, error)
 }
 
 // Engine schedules process steps from a queue against one serialization
@@ -341,7 +255,6 @@ type Engine struct {
 
 	table atomic.Pointer[stepTable]
 	stats counters
-	done  *doneSet
 	// stopCh is closed by Stop; workers see it between deliveries.
 	stopCh chan struct{}
 
@@ -372,10 +285,9 @@ func NewEngine(mgr *txn.Manager, q *queue.Queue, opts Options) *Engine {
 		opts:   opts,
 		mgr:    mgr,
 		q:      q,
-		done:   newDoneSet(doneWindow),
 		stopCh: make(chan struct{}),
 	}
-	e.table.Store(&stepTable{steps: map[string]*step{}, comps: map[string]CompensationHandler{}})
+	e.table.Store(&stepTable{steps: map[string]Handler{}, comps: map[string]func(queue.Event, int, error){}})
 	return e
 }
 
@@ -390,12 +302,8 @@ func (e *Engine) Register(def *Definition) error {
 		}
 	}
 	next := &stepTable{steps: maps.Clone(old.steps), comps: maps.Clone(old.comps)}
-	for ev, h := range def.steps {
-		next.steps[ev] = e.done.register(h)
-	}
-	for ev, h := range def.comp {
-		next.comps[ev] = h
-	}
+	maps.Copy(next.steps, def.steps)
+	maps.Copy(next.comps, def.comp)
 	e.table.Store(next)
 	return nil
 }
@@ -531,47 +439,70 @@ func (e *Engine) pastDeadline(ev *queue.Event) bool {
 // its mark (queue.Message.Minted); ent is its entity as resolved (or nil);
 // frames supplies that frame, one per nesting level.
 //
-// Idempotence is checked where a duplicate can enter, and only there: an
-// event from outside the engine (a resubmission, a redelivery) or with a
-// TxnID its handler chose is checked against the done set, and recorded in
-// it after its commit. An event Emit minted an id for is neither, because no
-// duplicate of it can arrive: the id is unique (transaction ids are never
-// reissued, txn.Manager resumes past lsdb.DB.TxnFloor), dispatch posts or
-// collapses each emitted event once, and deliver settles a delivery exactly
-// when its step committed — a commit sink's failure after the records were
-// installed (lsdb.ErrCommittedLocally) counts as committed. A copy of a
-// minted event that re-enters another way (a handler emitting ctx.Event
-// again, TxnID and all) is not recognised.
+// Exactly-once is the log's (docs/CONCURRENCY.md). A boundary event — one
+// with a TxnID that Emit did not mint: submitted, enqueued, redelivered,
+// published by an outbox, or emitted with an id its handler chose — is one a
+// duplicate of which can arrive. Its step runs its transaction under the id
+// "<event name>@<TxnID>", and before the handler runs, the entity's
+// exactly-once index (lsdb.DB.Applied) says whether that id is applied
+// already. If it is, the delivery is settled whole: no handler runs, nothing
+// is emitted, nothing is counted. So is one whose commit meets the id on
+// another entity (lsdb.ErrDuplicateTxn), its emits dropped. An event Emit
+// minted an id for is not checked, and its step runs under a fresh id,
+// because no duplicate of it can arrive: the parent wrote its record under
+// its own id, so a duplicate of the parent is refused before it emits;
+// dispatch posts or collapses each emitted event once; and deliver settles a
+// delivery exactly when its step committed — a commit sink's failure after
+// the records were installed (lsdb.ErrCommittedLocally) counts as committed.
+// A boundary step that wrote nothing left no record to refuse its duplicate
+// with, so its emitted events go out unmarked and are checked where they
+// write. A copy of a minted event that re-enters another way (a handler
+// emitting ctx.Event again, TxnID and all) is not recognised.
 func (e *Engine) executeStep(ev *queue.Event, minted bool, ent queue.Entity, attempt, depth int, laneKey *entity.Key, frames *stepFrames) error {
-	st, ok := e.table.Load().steps[ev.Name]
+	h, ok := e.table.Load().steps[ev.Name]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStep, ev.Name)
 	}
-	id := ev.TxnID
-	if minted {
-		id = ""
-	}
-	if id != "" && e.done.has(st, id) {
-		return nil
+	var id string
+	if !minted && ev.TxnID != "" {
+		id = ev.Name + "@" + ev.TxnID
+		if e.applied(ent, ev.Entity, id) {
+			return nil
+		}
 	}
 	f := frames.at(e.opts.CollapseDepth - depth)
-	ctx := f.begin(e, ev, ent, attempt)
-	if err := st.h(ctx); err != nil {
+	ctx := f.begin(e, ev, ent, id, attempt)
+	if err := h(ctx); err != nil {
 		f.txn.Abort()
 		e.stats.stepsFailed.Add(1)
 		return err
 	}
-	if err := f.txn.CommitDiscard(nil); err != nil && !errors.Is(err, lsdb.ErrCommittedLocally) {
+	switch err := f.txn.CommitDiscard(nil); {
+	case errors.Is(err, lsdb.ErrDuplicateTxn):
+		return nil
+	case err != nil && !errors.Is(err, lsdb.ErrCommittedLocally):
 		e.stats.stepsFailed.Add(1)
 		return err
 	}
 	e.stats.stepsExecuted.Add(1)
 	e.stats.eventsEmitted.Add(uint64(len(ctx.emitted)))
-	if id != "" {
-		e.done.add(st, id)
+	marked := ctx.minted
+	if id != "" && !f.txn.Wrote() {
+		marked = 0
 	}
-	e.dispatch(ctx.emitted, ctx.minted, depth, laneKey, frames)
+	e.dispatch(ctx.emitted, marked, depth, laneKey, frames)
 	return nil
+}
+
+// applied reports whether the transaction id wrote a retained record of key,
+// asked through ent when it is key's handle in this engine's store.
+func (e *Engine) applied(ent queue.Entity, key entity.Key, id string) bool {
+	db := e.mgr.DB()
+	h, _ := ent.(*lsdb.Handle)
+	if h != nil && !db.Owns(h) {
+		h = nil
+	}
+	return db.Applied(h, key, id)
 }
 
 // dispatch delivers events emitted by a committed step, each exactly once:
@@ -635,8 +566,8 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// AuditLog returns a copy of the non-transactional audit lines.
-func (e *Engine) AuditLog() []string {
+// audited returns a copy of the non-transactional audit lines.
+func (e *Engine) audited() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]string(nil), e.auditLog...)

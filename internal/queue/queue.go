@@ -2,9 +2,11 @@
 // process steps are connected by events carried on reliable or transactional
 // queues. Delivery is at-least-once; consumers achieve effective
 // exactly-once by being idempotent (the paper cites Helland's
-// at-least-once-plus-idempotence recipe). Enqueue and dequeue are always
-// local operations — never distributed transactions — even when the logical
-// destination is a remote serialization unit (principle 2.6).
+// at-least-once-plus-idempotence recipe): the process engine's steps are,
+// through the store's per-entity txn index, for as long as it retains a
+// step's record. Enqueue and dequeue are always local operations — never
+// distributed transactions — even when the logical destination is a remote
+// serialization unit (principle 2.6).
 //
 // The queue is a set of per-entity mailboxes. A mailbox holds one entity's
 // pending messages in enqueue order (message IDs are assigned at enqueue, so

@@ -457,3 +457,74 @@ func TestStepCommittedBeforeDeadStandbyRunsOnce(t *testing.T) {
 		t.Fatalf("txn stats = %+v, want 1 commit and 0 aborts", ts)
 	}
 }
+
+// A resubmitted event is refused on a promoted standby: its step's record,
+// shipped with the txn id the step ran under, brings the id with it. The
+// flow of TestStepCommittedBeforeDeadStandbyRunsOnce over a live standby,
+// then a new engine on the promoted store.
+func TestResubmissionRefusedOnPromotedStandby(t *testing.T) {
+	sb, err := NewStandby(StandbyOptions{Self: "s1", Backends: []storage.Backend{storage.NewMemory()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := lsdb.Open(lsdb.Options{Node: "p", Backend: storage.NewMemory(), Shards: 4})
+	if err := db.RegisterType(accountType()); err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShipper(ShipperOptions{
+		Self: "p", Standbys: []clock.NodeID{"s1"}, Mode: AckSync,
+		Transport:    &dropNTransport{sb: sb},
+		RetryBackoff: time.Millisecond,
+	})
+	defer sh.Close()
+	db.SetCommitSink(sh.Sink(0))
+	key := acct("A1")
+	// engine is a process engine over store with the one-step process
+	// "deposit"; deposit submits the event for key under client-dup-1 to it,
+	// as a resubmitting client would, and drains.
+	engine := func(store *lsdb.DB, node clock.NodeID) *process.Engine {
+		t.Helper()
+		mgr := txn.NewManager(store, nil, txn.Options{Node: node, EnforceSingleEntity: true})
+		q := queue.New(string(node), queue.Options{Entities: store.Entity})
+		e := process.NewEngine(mgr, q, process.Options{})
+		def := process.NewDefinition("deposits").Step("deposit", func(ctx *process.StepContext) error {
+			return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("balance", 1))
+		})
+		if err := e.Register(def); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	deposit := func(e *process.Engine) {
+		t.Helper()
+		if err := e.Submit(&queue.Event{Name: "deposit", Entity: key, TxnID: "client-dup-1"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+		if ps := e.Stats(); ps.StepsFailed != 0 || e.QueueDepth() != 0 {
+			t.Fatalf("stats = %+v, %d queued", ps, e.QueueDepth())
+		}
+	}
+	balance := func(store *lsdb.DB) float64 {
+		t.Helper()
+		st, _, err := store.Current(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Float("balance")
+	}
+	primary := engine(db, "p")
+	deposit(primary)
+	deposit(primary)
+	if b := balance(db); b != 1 {
+		t.Fatalf("balance %v on the primary, want 1", b)
+	}
+	dbs, err := promote(sb, nil, lsdb.Options{Node: "s1"}, accountType())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deposit(engine(dbs[0], "s1"))
+	if b := balance(dbs[0]); b != 1 {
+		t.Fatalf("balance %v on the promoted standby, want 1: the resubmission applied again", b)
+	}
+}

@@ -116,6 +116,8 @@ type Txn struct {
 	// focus, when set, is the handle of the entity the transaction was begun
 	// for (Focus): a write to that entity commits through it.
 	focus *lsdb.Handle
+	// wrote is set once the commit appended a record under the id.
+	wrote bool
 
 	// The operations buffered per entity, in first-touch order: the first
 	// entity's in first, the others' in more. A focused transaction writes
@@ -135,7 +137,7 @@ type write struct {
 // begin starts a transaction.
 func (m *Manager) begin() *Txn {
 	t := new(Txn)
-	m.BeginIn(t)
+	m.BeginIn(t, "")
 	return t
 }
 
@@ -143,9 +145,14 @@ func (m *Manager) begin() *Txn {
 // process worker runs one step at a time, so it begins every step's
 // transaction in the same Txn. Whatever transaction t held before must be
 // finished, and nothing may still use it — t is that transaction no longer.
-func (m *Manager) BeginIn(t *Txn) {
-	var buf [64]byte // on the stack: the id is the only allocation
-	id := string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
+// The transaction runs under id, or under a fresh one the manager mints when
+// id is "": a caller that names the id makes a retry of the same work the
+// same transaction, which the store applies once (lsdb.ErrDuplicateTxn).
+func (m *Manager) BeginIn(t *Txn, id string) {
+	if id == "" {
+		var buf [64]byte // on the stack: the id is the only allocation
+		id = string(strconv.AppendUint(append(buf[:0], m.idPrefix...), m.ids.Next(), 10))
+	}
 	*t = Txn{m: m, id: id}
 }
 
@@ -179,6 +186,10 @@ func (t *Txn) written(key entity.Key) *write {
 
 // ID returns the transaction identifier (also used for idempotence).
 func (t *Txn) ID() string { return t.id }
+
+// Wrote reports whether the transaction's commit appended a record: false
+// before the commit, and after one that had nothing to write.
+func (t *Txn) Wrote() bool { return t.wrote }
 
 // Read returns the current (subjective) state of an entity, including the
 // transaction's own buffered writes. Reading a non-existent entity returns an
@@ -310,7 +321,11 @@ func (r *CommitResult) add(rec lsdb.Record) {
 // to the LSDB and publishes staged events to q (if q is non-nil). On failure
 // everything is discarded. A commit sink's failure after a record was
 // installed (lsdb.ErrCommittedLocally) is not one: the transaction commits
-// in full, and that error is returned after it has.
+// in full, and that error is returned after it has. A write the store
+// refuses as already applied (lsdb.ErrDuplicateTxn: a transaction begun under
+// the id of one that committed) makes the transaction its replay: the other
+// writes still go in, the staged events are dropped, and the commit returns
+// that error.
 func (t *Txn) commit(q *queue.Queue) (CommitResult, error) {
 	var res CommitResult
 	err := t.commitInto(q, &res)
@@ -341,6 +356,7 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 	}
 	var ar lsdb.AppendResult
 	var sinkErr error // the first lsdb.ErrCommittedLocally: installed, replication in doubt
+	var dupErr error  // the first lsdb.ErrDuplicateTxn: this is a replay
 	for i := range t.nwrite {
 		w := t.at(i)
 		var h *lsdb.Handle
@@ -355,9 +371,9 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 		if err != nil {
 			switch {
 			case errors.Is(err, lsdb.ErrDuplicateTxn):
-				// A duplicate txn id means this transaction already committed
-				// (at-least-once retry); treat it as success without
-				// re-appending.
+				if dupErr == nil {
+					dupErr = err
+				}
 				continue
 			case errors.Is(err, lsdb.ErrCommittedLocally):
 				// The record is installed: the transaction goes on committing
@@ -373,10 +389,15 @@ func (t *Txn) commitInto(q *queue.Queue, res *CommitResult) error {
 				return err
 			}
 		}
+		t.wrote = true
 		if res != nil {
 			res.add(ar.Record)
 			res.Warnings = append(res.Warnings, ar.Warnings...)
 		}
+	}
+	if dupErr != nil {
+		t.discardStaged()
+		return dupErr
 	}
 	if q != nil && t.outbox != nil {
 		ids, err := t.outbox.Publish(q)
@@ -412,7 +433,7 @@ func (t *Txn) fail() { t.m.stats.aborts.Add(1) }
 // Without a function to hand it to, the transaction stays off the heap.
 func (m *Manager) Update(key entity.Key, ops ...entity.Op) (CommitResult, error) {
 	var t Txn
-	m.BeginIn(&t)
+	m.BeginIn(&t, "")
 	t.Update(key, ops...)
 	var res CommitResult
 	err := t.commitInto(nil, &res)
@@ -425,7 +446,7 @@ func (m *Manager) Update(key entity.Key, ops ...entity.Op) (CommitResult, error)
 // already carries limit pending promises; zero means no limit.
 func (m *Manager) Promise(key entity.Key, limit int, ops ...entity.Op) (CommitResult, error) {
 	var t Txn
-	m.BeginIn(&t)
+	m.BeginIn(&t, "")
 	res := CommitResult{TxnID: t.id, Stamp: m.hlc.Now()}
 	ar, err := m.db.AppendPromise(key, ops, res.Stamp, m.opts.Node, t.id, limit)
 	if err != nil {

@@ -402,7 +402,7 @@ func TestBeginInReusesStorageNotState(t *testing.T) {
 	m := newUnit(t, "u1", Options{})
 	q := queue.New("u1", queue.Options{Entities: m.DB().Entity})
 	var tx Txn
-	m.BeginIn(&tx)
+	m.BeginIn(&tx, "")
 	first := tx.ID()
 	if _, err := tx.Read(acct("A")); err != nil {
 		t.Fatal(err)
@@ -418,7 +418,7 @@ func TestBeginInReusesStorageNotState(t *testing.T) {
 		t.Fatalf("CommitDiscard published %d events, want 1", q.Len())
 	}
 
-	m.BeginIn(&tx)
+	m.BeginIn(&tx, "")
 	if tx.ID() == first || len(tx.Entities()) != 0 || tx.outbox != nil || tx.done {
 		t.Fatalf("reused Txn carries over: id %s (was %s), writes %v", tx.ID(), first, tx.Entities())
 	}

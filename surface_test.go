@@ -31,7 +31,7 @@ var surfaceReasons = []string{"sentinel", "option", "facade", "test-api", "debt"
 // owns: whole packages, or single identifiers where the rewrite takes
 // only those. A debt line for anything else is refused: its identifier is
 // deleted, unexported or used instead.
-var debtOwners = []string{"metrics.Gauge", "metrics.Registry.Gauge", "process", "queue"}
+var debtOwners = []string{"metrics.Gauge", "metrics.Registry.Gauge", "queue"}
 
 // debtAllowed reports whether name, a "pkg.Name" entry, may be listed as debt.
 func debtAllowed(name string) bool {
