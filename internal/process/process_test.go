@@ -247,36 +247,70 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 	if err != nil || st.Float("total") != 10 {
 		t.Fatalf("duplicate delivery applied twice: %v", st.Float("total"))
 	}
+}
 
-	// A recent duplicate and one long overtaken are refused alike: the log
-	// remembers every id it retains. A step's identity is its name and the
-	// id, so the same id on another step is a first execution.
-	if err := e.Register(NewDefinition("bonuses").Step("bonus", func(ctx *StepContext) error {
-		return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("total", 10))
-	})); err != nil {
-		t.Fatal(err)
+// A step's identity is its name and the id, remembered by its entity's txn
+// index rather than by the engine, so what the engine refuses is bounded by
+// what the log retains: ten windows' worth of steps go through one engine,
+// duplicates of a recent step and of one half a window old are refused, the
+// same id on another step is a first execution, and once Compact archives the
+// entity's records their ids go with them.
+func TestIdempotenceSetIsBoundedAndStillDedups(t *testing.T) {
+	const window = 256
+	e, mgr, q := newEngine(t, Options{})
+	def := NewDefinition("deposits")
+	plusOne := func(ctx *StepContext) error {
+		return ctx.Txn.Update(ctx.Event.Entity, entity.Delta("total", 1))
 	}
-	const n = 1024
+	def.Step("deposit", plusOne).Step("bonus", plusOne)
+	e.Register(def)
 	names := []string{"deposit", "bonus"}
+	db := mgr.DB()
 	var last queue.Event
-	for i := range n {
+	for i := 0; i < 10*window; i++ {
 		last = queue.Event{Name: names[i%2], Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", i)}
-		q.Enqueue("steps", last)
+		if err := e.Submit(&last, nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			e.Drain()
+			if !db.Applied(nil, last.Entity, last.Name+"@"+last.TxnID) {
+				t.Fatalf("step %d drained but its id is not in the entity's txn index", i)
+			}
+		}
 	}
 	e.Drain()
+	// At-least-once redelivery of a recent step, and of one half a window old.
 	q.Enqueue("steps", last)
-	old := n / 2
+	old := 10*window - window/2
 	q.Enqueue("steps", queue.Event{Name: names[old%2], Entity: orderKey("O1"), TxnID: fmt.Sprintf("w%d", old)})
 	e.Drain()
-	if st, _, _ := mgr.DB().Current(orderKey("O1")); st.Float("total") != 10+10*n {
-		t.Fatalf("total = %v, want %d: a duplicate was applied again", st.Float("total"), 10+10*n)
+	st, _, err := db.Current(orderKey("O1"))
+	if err != nil || st.Float("total") != 10*window {
+		t.Fatalf("total = %v, want %d: a duplicate inside the window was applied again", st.Float("total"), 10*window)
 	}
+	// The last id again, on the other step: a first execution.
 	other := last
 	other.Name = names[0]
 	q.Enqueue("steps", other)
 	e.Drain()
-	if st, _, _ := mgr.DB().Current(orderKey("O1")); st.Float("total") != 10+10*n+10 {
-		t.Fatalf("total = %v, want %d: an id one step had seen was refused to another", st.Float("total"), 10+10*n+10)
+	if st, _, _ := db.Current(orderKey("O1")); st.Float("total") != 10*window+1 {
+		t.Fatalf("total = %v, want %d: an id one step had seen was refused to another", st.Float("total"), 10*window+1)
+	}
+	// The bound: archived records take their ids with them, so a redelivery
+	// past the log's retention is a first execution.
+	if db.Compact(db.HeadLSN()) == 0 {
+		t.Fatal("nothing compacted")
+	}
+	for _, id := range []string{"deposit@w0", last.Name + "@" + last.TxnID} {
+		if db.Applied(nil, orderKey("O1"), id) {
+			t.Fatalf("%s still applied after its record was archived", id)
+		}
+	}
+	q.Enqueue("steps", last)
+	e.Drain()
+	if st, _, _ := db.Current(orderKey("O1")); st.Float("total") != 10*window+2 {
+		t.Fatalf("total = %v, want %d: a redelivery past the log's retention was refused", st.Float("total"), 10*window+2)
 	}
 }
 
