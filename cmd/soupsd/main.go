@@ -292,9 +292,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok (standby)")
 		return
 	}
-	// Background storage failures (a failing automatic flush, an
-	// unlogged compaction mark) do not fail any request; the probe is
-	// where they must surface.
+	// Background storage failures (a failing automatic flush) do not fail
+	// any request; the probe is where they must surface.
 	if err := k.StorageErr(); err != nil {
 		http.Error(w, "degraded: "+err.Error(), http.StatusInternalServerError)
 		return

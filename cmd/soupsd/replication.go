@@ -8,6 +8,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -176,7 +177,8 @@ func (r *standbyReceiver) close() error {
 
 // handleReplicate receives one shipped batch (standby role only). A 200
 // answer means the batch is appended to the unit's WAL — with -fsync-mode
-// always, durably — which is what a synchronous primary's ack relies on.
+// always, durably — which is what a synchronous primary's ack relies on. A
+// batch holding a frame other than an append is refused with 422.
 func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -195,7 +197,12 @@ func (s *server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wm, gap, err := recv.sb.Receive(batch)
-	if err != nil {
+	switch {
+	case errors.Is(err, replica.ErrNotAppend):
+		// An older build's mark: no retry of the batch can land.
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

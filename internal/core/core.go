@@ -122,8 +122,8 @@ type Options struct {
 	PromiseLimit int
 	// Replication ships every unit's durable log to standby replicas: each
 	// unit's store gets a commit sink that forwards its commit cycles under
-	// the configured ack mode (a compaction horizon stays local). Nil
-	// disables replication.
+	// the configured ack mode (the summaries a compaction logs stay local).
+	// Nil disables replication.
 	Replication *ReplicationOptions
 	// UnitBackends, when non-nil, supplies the per-unit storage backends
 	// directly instead of opening WALs under DataDir: unit i is recovered
@@ -367,9 +367,9 @@ func (k *Kernel) unitTail(unit int, after uint64, limit int) []lsdb.Record {
 // openUnitStore opens one unit's log store: purely in-memory without a
 // DataDir, otherwise recovered from (and durably attached to) the unit's
 // segmented WAL. Recovery runs before entity types are registered; that is
-// safe — records, summaries and older builds' obsolescence marks replay
-// without types, and a compaction mark simply re-archives less (identical rollup states either
-// way, see lsdb.Recover).
+// safe — records and the summaries a compaction logged replay without
+// types. Only an older build's compaction mark re-runs rollups, and without
+// types it archives less (identical rollup states, see lsdb.Recover).
 func openUnitStore(opts Options, id partition.UnitID, index int) (*lsdb.DB, error) {
 	// Each store keeps lsdb's default of 8 shards and snapshots every 32nd
 	// version of an entity (lsdb's default, 0, takes none), bounding the
@@ -905,8 +905,7 @@ func (k *Kernel) Checkpoint() error {
 }
 
 // StorageErr returns the most recent background storage failure on any unit
-// — an automatic flush or a compaction mark that could not be logged —
-// or nil. Background failures do not fail the writes that triggered them,
+// — an automatic flush that failed — or nil. Background failures do not fail the writes that triggered them,
 // so health probes should surface this: a node whose flushes silently
 // stopped keeps answering while its recovery time grows without bound.
 func (k *Kernel) StorageErr() error {
@@ -978,8 +977,9 @@ func (k *Kernel) Export(w io.Writer) error {
 // slips in while the import runs is detected afterwards — the import fails
 // and the node must be wiped rather than serve an interleaved log. A stream
 // cut short, missing its trailer or failing any frame's CRC is refused, as
-// is a version 1 (JSON) backup. Durable kernels flush after the import
-// (Checkpoint), so the restored state is on disk before Import returns.
+// is a version 1 (JSON) backup. A durable unit logs the cut as it installs
+// it and is checkpointed afterwards, so the restored state is on disk before
+// Import returns.
 func (k *Kernel) Import(r io.Reader) error {
 	for _, id := range k.unitIDs {
 		if k.units[id].db.HeadLSN() != 0 {
@@ -1026,10 +1026,9 @@ func (k *Kernel) Import(r io.Reader) error {
 		}
 	}
 	// The bulk-load path bypasses the commit sink, so the aggregates refold
-	// every entity of their types, and the write-ahead log, so a flush
-	// captures the imported content durably in one pass. It bypasses the
-	// transaction managers too: their ids move past the imported ones, or
-	// the next write would wear one and be skipped as its own replay.
+	// every entity of their types. It bypasses the transaction managers too:
+	// their ids move past the imported ones, or the next write would wear
+	// one and be skipped as its own replay.
 	for _, u := range k.units {
 		u.maint.Reseed()
 		u.mgr.ResumeIDs()

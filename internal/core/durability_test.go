@@ -170,6 +170,46 @@ func TestKernelExportImportRoundTrip(t *testing.T) {
 	assertSameKernelStates(t, kernelStates(t, src), kernelStates(t, dst))
 }
 
+// An import over a durable backend that is not tiered — a plain WAL, the
+// backend PromoteStandby hands a kernel — is on disk when Import returns: the
+// cut's summaries and records are logged as they install, so a restart over
+// the reopened WAL reads what the import installed.
+func TestImportOverPlainWALSurvivesRestart(t *testing.T) {
+	src := newKernel(t, Options{Node: "src", Units: 1})
+	populate(t, src)
+	if n := src.Compact(); n == 0 {
+		t.Fatal("Compact summarised nothing")
+	}
+	if _, err := src.Update(accountKey("a"), entity.Delta("balance", 5)); err != nil {
+		t.Fatal(err)
+	}
+	var backup bytes.Buffer
+	if err := src.Export(&backup); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() *Kernel {
+		t.Helper()
+		wal, err := storage.OpenWAL(storage.WALOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newKernel(t, Options{Node: "dst", Units: 1, UnitBackends: []storage.Backend{wal}})
+	}
+	dst := open()
+	if err := dst.Import(&backup); err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	want := kernelStates(t, src)
+	assertSameKernelStates(t, want, kernelStates(t, dst))
+	dst.Close()
+	dst = open()
+	if st, err := dst.Read(accountKey("a")); err != nil || st.Float("balance") != 5 {
+		t.Fatalf("imported account after a restart: %v (%v), want balance 5", st, err)
+	}
+	assertSameKernelStates(t, want, kernelStates(t, dst))
+}
+
 // TestImportResumesTxnIDs: a restore brings records whose transaction ids
 // the new node's managers would mint next; they must move past them, or the
 // first write after the import wears an imported id and is skipped as its

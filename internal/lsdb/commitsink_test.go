@@ -39,9 +39,9 @@ func (s *sinkLog) all() []Record {
 }
 
 // The sink sees exactly the backend's appends, in log order — a break
-// settlement is one of them — and nothing else: a compaction horizon goes to
-// the local log only. A sink that appends to a second log reproduces every
-// record of the first that carries an LSN.
+// settlement is one of them — and nothing else: a compaction's summary goes
+// to the local log only. A sink that appends to a second log reproduces every
+// append of the first.
 func TestCommitSinkMirrorsBackend(t *testing.T) {
 	backend := storage.NewMemory()
 	var log sinkLog
@@ -57,7 +57,9 @@ func TestCommitSinkMirrorsBackend(t *testing.T) {
 	if _, err := db.Append(key, []entity.Op{entity.BreakPromise("t2", "", "")}, stamp(3), "n", "t3"); err != nil {
 		t.Fatal(err)
 	}
-	db.Compact(1)
+	if n := db.Compact(db.HeadLSN()); n != 1 {
+		t.Fatalf("Compact summarised %d entities, want 1", n)
+	}
 
 	var backendRecs []Record
 	kinds := map[storage.RecordKind]int{}
@@ -70,8 +72,8 @@ func TestCommitSinkMirrorsBackend(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if kinds[storage.KindAppend] != 3 || kinds[storage.KindCompact] != 1 || len(kinds) != 2 {
-		t.Fatalf("backend kinds = %v, want 3 appends and 1 compaction horizon", kinds)
+	if kinds[storage.KindAppend] != 3 || kinds[storage.KindSummary] != 1 || len(kinds) != 2 {
+		t.Fatalf("backend kinds = %v, want 3 appends and 1 compaction summary", kinds)
 	}
 	if got := log.all(); !reflect.DeepEqual(got, backendRecs) {
 		t.Fatalf("sink saw %d records, backend holds %d appends:\nsink    %+v\nbackend %+v",

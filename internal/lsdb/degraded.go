@@ -87,7 +87,8 @@ func (db *DB) Degraded() *DegradedState {
 // DegradedEvents counts transitions into degraded mode.
 func (db *DB) DegradedEvents() uint64 { return db.degradedEvents.Load() }
 
-// WritesRefused counts appends and marks refused with ErrDegraded.
+// WritesRefused counts appends, compactions and cut installs refused with
+// ErrDegraded.
 func (db *DB) WritesRefused() uint64 { return db.writesRefused.Load() }
 
 // Rearms counts recoveries from degraded mode (successful probes and
@@ -199,9 +200,12 @@ func (db *DB) logAppend(recs []Record) error {
 	return nil
 }
 
-// logMark appends a mark (a compaction horizon) to the backend, log-first
-// like logAppend but without an LSN reservation (a mark carries none).
-func (db *DB) logMark(mark Record) error {
+// logFrames appends frames that already carry their log position —
+// Compact's summaries (a horizon each), the records a cut installs (an LSN
+// each) — to the backend, log-first like logAppend but without an LSN
+// reservation. The caller holds the write lock of the frames' shard (or of
+// none: a cut installs on a store no writer is using yet).
+func (db *DB) logFrames(recs []Record) error {
 	if db.opts.Backend == nil || db.recovering {
 		return nil
 	}
@@ -210,7 +214,7 @@ func (db *DB) logMark(mark Record) error {
 	if err := db.admitLocked(); err != nil {
 		return err
 	}
-	if err := db.opts.Backend.AppendBatch([]Record{mark}); err != nil {
+	if err := db.opts.Backend.AppendBatch(recs); err != nil {
 		return db.degradeLocked(err, time.Now())
 	}
 	db.clearDegradedLocked()

@@ -22,13 +22,21 @@ import (
 
 // The WAL's bytes are frozen: testdata/golden-wal holds the segments an
 // earlier build wrote for writeGoldenWAL's commits — every op kind, nested
-// and extreme values, a tentative append withdrawn by a mark, a compaction
-// mark, and enough appends to rotate segments. This build must write the
-// same commits to the same bytes. -update-golden-wal rewrites them from this
-// build, for a deliberate format change only.
+// and extreme values, a tentative append withdrawn by an obsolescence mark
+// (the frame MarkObsolete logs as older builds did), the summary frames a
+// compaction logs, and enough appends to rotate segments. This build must
+// write the same commits to the same bytes. -update-golden-wal rewrites them
+// from this build, for a deliberate format change only.
+//
+// testdata/golden-wal-legacy holds the same commits as a build that logged
+// a compaction as a horizon mark wrote them; they stay as they are, for
+// TestGoldenWALRecoversWriterViews.
 var updateGoldenWAL = flag.Bool("update-golden-wal", false, "rewrite testdata/golden-wal from this build")
 
-const goldenWALDir = "testdata/golden-wal"
+const (
+	goldenWALDir       = "testdata/golden-wal"
+	goldenWALLegacyDir = "testdata/golden-wal-legacy"
+)
 
 // writeGoldenWAL commits the golden history through a store on a WAL in dir
 // and closes it, which trims every segment to its frames. It returns what the
@@ -209,15 +217,16 @@ func TestGoldenWALWritesIdentically(t *testing.T) {
 	}
 }
 
-// The read side of the frozen bytes: recovering the golden segments, whose
-// obsolescence mark and compaction mark only an earlier build's write path
-// produced, shows every key exactly as the store that wrote them did before
-// it closed — Exists, Current, Promises and History alike. The segments are
-// read from a copy; the golden files stay as they are.
+// The read side of the frozen bytes: recovering the legacy golden segments,
+// whose obsolescence mark and compaction mark only an earlier build's write
+// path produced, shows every key exactly as this build's store showed the
+// same commits before it closed — Exists, Current, Promises and History
+// alike. The segments are read from a copy; the golden files stay as they
+// are.
 func TestGoldenWALRecoversWriterViews(t *testing.T) {
 	want := writeGoldenWAL(t, t.TempDir())
 	dir := t.TempDir()
-	for name, b := range walFiles(t, goldenWALDir) {
+	for name, b := range walFiles(t, goldenWALLegacyDir) {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}

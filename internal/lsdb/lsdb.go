@@ -111,8 +111,8 @@ type Options struct {
 	MaxBatch    int
 	// Backend, when non-nil, is the durable storage engine under the store:
 	// every commit cycle appends its records to it (one AppendBatch — one
-	// framed batch write, one log force — per cycle), and Compact logs its
-	// horizon as a mark. Open attaches the backend for writing only; to
+	// framed batch write, one log force — per cycle), and Compact logs the
+	// summaries it archives. Open attaches the backend for writing only; to
 	// rebuild a store from a backend's content use Recover. Commits are log-first: the backend
 	// append happens before the cycle's records are installed in memory, so
 	// a backend error is a clean refusal — nothing was committed, the
@@ -639,7 +639,7 @@ func (db *DB) AppendTo(h *Handle, key entity.Key, ops []entity.Op, stamp clock.T
 }
 
 // AppendPromise writes a record whose effects are tentative (principle 2.9):
-// they count in rollups until a settlement breaks it or a mark withdraws it.
+// they count in rollups until a settlement breaks it.
 // With limit > 0 it is refused with apology.ErrPromiseLimit, writing
 // nothing, when key already carries limit pending promises.
 func (db *DB) AppendPromise(key entity.Key, ops []entity.Op, stamp clock.Timestamp, origin clock.NodeID, txnID string, limit int) (AppendResult, error) {
@@ -744,8 +744,8 @@ func (db *DB) commitCycle(s *shard, h *Handle, typ *entity.Type, key entity.Key,
 // to the durable log — one commit cycle per call, a settlement among them —
 // in the order the backend does, under the same shard lock, so a sink that
 // forwards to another log observes this one's order. It receives nothing
-// else: a compaction horizon is this node's own housekeeping and goes to the
-// local log only. Because the shard lock is held, the capture phase must be
+// else: the summaries a compaction logs are this node's own housekeeping and
+// go to the local log only. Because the shard lock is held, the capture phase must be
 // fast and must never block on I/O, sleep, or wait for the network: it
 // snapshots the batch, hands it to the shipping machinery, and returns. A
 // capture that panics releases the shard lock and the panic reaches the
@@ -1266,65 +1266,63 @@ func (db *DB) Scan(typeName string, fn func(*entity.State) bool) error {
 // audit trail stays complete. So do two kinds of entity the flush does not
 // summarise either: one holding a pending promise, which its settlement
 // must still find, and one that exists through none of its records (every
-// one withdrawn, no summary), which a summary would make readable. Shards
-// compact independently. Returns how many entities were summarised.
+// one withdrawn, no summary), which a summary would make readable.
+//
+// Shards compact independently, each under its lock: the summaries are
+// logged first, as KindSummary frames whose Horizon is the entity's newest
+// record, and the detail goes only once the log took them, so a restart
+// reads what the live store does. A shard whose frames the backend refuses
+// stays uncompacted (the refusal degrades the store, as a refused append
+// does). The frames go to the local log only, never to the commit sink, so a
+// standby compacts (or not) on its own schedule. Returns how many entities
+// were summarised.
 func (db *DB) Compact(beforeLSN uint64) int {
 	summarised := 0
 	for _, s := range db.shards {
 		s.mu.Lock()
 		var drop []*entry
-		var gone []uint64 // the LSNs of their records
+		var sums []Record // drop[i]'s summary
 		for key, e := range s.entries.all() {
-			if len(e.recs) == 0 || !e.exists() || len(s.pendingLocked(nil, key, e)) > 0 {
+			if len(e.recs) == 0 || !e.exists() || e.headLSN() > beforeLSN || len(s.pendingLocked(nil, key, e)) > 0 {
 				continue
 			}
-			if e.headLSN() <= beforeLSN {
-				typ, ok := db.TypeOf(key.Type)
-				if !ok {
-					continue
-				}
-				if err := db.warmLocked(s, e, key); err != nil {
-					continue // summary unreadable; keep the detail records
-				}
-				s.setArchivedLocked(e, s.rollupLocked(e, key, typ).Freeze())
-				// Recover can retain copies of records a summary already
-				// folds in, below its horizon: the horizon never goes back.
-				e.archivedAt = max(e.archivedAt, e.headLSN())
-				db.markDirtyLocked(s, key, e)
-				drop = append(drop, e)
-				gone = append(gone, e.recs...)
-				summarised++
+			typ, ok := db.TypeOf(key.Type)
+			if !ok {
+				continue
 			}
-		}
-		if len(drop) > 0 {
-			// Only the kept records' bytes are copied (segment.go).
-			slices.Sort(gone)
-			s.dropLocked(gone)
-			maps.DeleteFunc(s.promised, func(_ string, ref promiseRef) bool {
-				g, _ := s.locateLocked(ref.lsn)
-				return g == nil // a promise record just dropped
-			})
-			for _, e := range drop {
-				// The records are gone, and the materialised state would now
-				// shadow the archived summary: the next read rebuilds from
-				// the summary.
-				e.dropRecs()
+			if err := db.warmLocked(s, e, key); err != nil {
+				continue // summary unreadable; keep the detail records
 			}
+			drop = append(drop, e)
+			sums = append(sums, Record{Kind: storage.KindSummary, Key: key,
+				Summary: s.rollupLocked(e, key, typ).Freeze(), Horizon: max(e.archivedAt, e.headLSN())})
 		}
+		if len(drop) == 0 || db.logFrames(sums) != nil {
+			s.mu.Unlock()
+			continue
+		}
+		var gone []uint64 // the LSNs of their records
+		for i, e := range drop {
+			s.setArchivedLocked(e, sums[i].Summary)
+			e.archivedAt = sums[i].Horizon
+			db.markDirtyLocked(s, sums[i].Key, e)
+			gone = append(gone, e.recs...)
+		}
+		// Only the kept records' bytes are copied (segment.go).
+		slices.Sort(gone)
+		s.dropLocked(gone)
+		maps.DeleteFunc(s.promised, func(_ string, ref promiseRef) bool {
+			g, _ := s.locateLocked(ref.lsn)
+			return g == nil // a promise record just dropped
+		})
+		for _, e := range drop {
+			// The records are gone, and the materialised state would now
+			// shadow the archived summary: the next read rebuilds from the
+			// summary.
+			e.dropRecs()
+		}
+		summarised += len(drop)
 		s.mu.Unlock()
-	}
-	// Log the horizon so recovery re-runs the compaction at this point in
-	// the log. Appends racing with the marker can make replay keep entities
-	// the live store archived (or archive ones it kept) — the rollup states
-	// are identical either way, only the summarised/retained split differs.
-	// The horizon is this node's own housekeeping, like the tiered flush: it
-	// goes to the local log only, never to the commit sink, so a standby
-	// compacts (or not) on its own schedule.
-	if err := db.logMark(Record{Kind: storage.KindCompact, Horizon: beforeLSN}); err != nil {
-		// The in-memory compaction already happened; a refused mark is
-		// remembered rather than returned (replay would keep entities
-		// the live store archived — the rollup states are identical).
-		db.setBackendErr(fmt.Errorf("lsdb: backend compact mark failed: %w", err))
 	}
 	return summarised
 }
@@ -1356,14 +1354,6 @@ func (db *DB) maybeCheckpoint() {
 	}
 }
 
-// setBackendErr remembers a background backend failure (automatic flush,
-// compaction mark) for BackendErr.
-func (db *DB) setBackendErr(err error) {
-	db.ckptMu.Lock()
-	db.ckptErr = err
-	db.ckptMu.Unlock()
-}
-
 // setBackendFailure records a failed automatic persistence pass: the error
 // for BackendErr, a failure count, and the typed degraded classification as
 // a breadcrumb for health surfaces.
@@ -1385,10 +1375,9 @@ func (db *DB) clearBackendFailure() {
 	db.ckptMu.Unlock()
 }
 
-// BackendErr returns the most recent background backend failure — an
-// automatic flush or a compaction mark that could not be logged — or
-// nil. Foreground backend failures are returned from the failing call
-// directly.
+// BackendErr returns the most recent failed automatic flush, or nil.
+// Foreground backend failures, a refused compaction's included, are
+// returned from (or degrade the store in) the failing call directly.
 func (db *DB) BackendErr() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()

@@ -8,15 +8,16 @@
 //
 // Recovery (Recover) rebuilds a store from a storage.Backend: a tiered
 // backend's table summaries arrive as cold pointers and their detail records
-// stream straight in, the WAL tail is replayed on top, and marks (compaction
-// horizons, and the obsolescence marks older builds wrote) are re-applied in
-// log order.
+// stream straight in, and the WAL tail — records and the summaries Compact
+// logged — is replayed on top. Older builds' logs also hold marks without a
+// log position; replayLegacyMarks is their one reader.
 package lsdb
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/entity"
@@ -74,20 +75,6 @@ func sortSummaries(sums []Record) []Record {
 	return sums
 }
 
-// restoreSummary installs an archived summary through the bulk-load path
-// (ReadCut uses it; normal archival happens via Compact). The state is
-// frozen if it was not already.
-func (db *DB) restoreSummary(key entity.Key, st *entity.State) {
-	s := db.shardFor(key)
-	s.mu.Lock()
-	e := s.ensure(key)
-	s.setArchivedLocked(e, st.Freeze())
-	e.cache.drop()
-	e.cold, e.coldAt = false, 0
-	db.markDirtyLocked(s, key, e)
-	s.mu.Unlock()
-}
-
 // tagCount is the control tag of a cut's first frame: how many record
 // frames follow.
 const tagCount = 'N'
@@ -138,26 +125,36 @@ func (db *DB) Load(r io.Reader) error {
 }
 
 // ReadCut installs one cut from a frame stream, as Load does, and returns
-// how many records (summaries aside) it installed.
+// how many records (summaries aside) it installed. With a Backend, the
+// frames are logged in the cut's order, a batch of up to 256 before it
+// installs, so a restart recovers what the cut installed.
 func (db *DB) ReadCut(sr *storage.StreamReader) (int, error) {
 	var n uint64
 	if _, err := sr.Control(tagCount, &n); err != nil {
 		return 0, fmt.Errorf("lsdb: load: %w", err)
 	}
 	records := 0
-	for range n {
+	batch := make([]Record, 0, min(n, 256))
+	for i := range n {
 		rec, err := sr.Record()
 		switch {
 		case err == io.EOF:
 			err = io.ErrUnexpectedEOF // the cut's count is not met
-		case err != nil:
-		case rec.Kind == storage.KindSummary:
-			db.restoreSummary(rec.Key, rec.Summary)
-		case rec.Kind == storage.KindAppend:
-			err = db.loadRecord(rec)
-			records++
-		default:
+		case err == nil && rec.Kind != storage.KindSummary && rec.Kind != storage.KindAppend:
 			err = fmt.Errorf("record kind %d in a cut", rec.Kind)
+		case err == nil:
+			batch = append(batch, rec)
+		}
+		if err == nil && (len(batch) == cap(batch) || i == n-1) {
+			err = db.logFrames(batch)
+			for j := 0; err == nil && j < len(batch); j++ {
+				if batch[j].Kind == storage.KindSummary {
+					db.installSummary(batch[j])
+				} else if err = db.loadRecord(batch[j]); err == nil {
+					records++
+				}
+			}
+			batch = batch[:0]
 		}
 		if err != nil {
 			return 0, fmt.Errorf("lsdb: load: %w", err)
@@ -171,7 +168,9 @@ func (db *DB) ReadCut(sr *storage.StreamReader) (int, error) {
 // and indexes. Records must arrive in ascending LSN order per shard (global
 // LSN order, as Save/Replay produce, satisfies this for every shard count).
 // The LSN sequence advances past the record so later appends never collide.
-// The record goes in as an append whatever its Kind says. The one error is a
+// A record at or below its entity's summary horizon is already folded into
+// the summary and is not installed; only its id counts (TxnFloor). The
+// record goes in as an append whatever its Kind says. The one error is a
 // record whose values cannot be encoded, which no decoder of this package or
 // of storage produces.
 func (db *DB) loadRecord(rec Record) error {
@@ -179,13 +178,20 @@ func (db *DB) loadRecord(rec Record) error {
 	s := db.shardFor(rec.Key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	db.lsn.AdvanceTo(rec.LSN)
+	e := s.ensure(rec.Key)
+	if rec.LSN <= max(e.archivedAt, e.coldAt) {
+		if prefix, seq, ok := splitTxnID(rec.TxnID); ok && prefix == s.own {
+			s.txnFloor = max(s.txnFloor, seq)
+		}
+		return nil
+	}
 	recs := append(s.cycle[:0], rec)
 	_, err := s.installLocked(recs, db.opts.SegmentSize)
 	s.endCycleLocked(recs)
 	if err != nil {
 		return err
 	}
-	e := s.ensure(rec.Key)
 	id, broken, isSettlement := settles(rec.Ops)
 	s.addRecLocked(rec.Key, e, rec.LSN, rec.TxnID, rec.Tentative, !rec.Obsolete && !isSettlement)
 	if isSettlement {
@@ -196,7 +202,6 @@ func (db *DB) loadRecord(rec Record) error {
 	}
 	e.cache.drop()
 	db.markDirtyLocked(s, rec.Key, e)
-	db.lsn.AdvanceTo(rec.LSN)
 	return nil
 }
 
@@ -205,11 +210,11 @@ func (db *DB) loadRecord(rec Record) error {
 // Recover opens a database and rebuilds it from the backend in opts.Backend:
 // with a tiered backend, the newest tables' summaries and detail plus only
 // the WAL segments written after the last flush — not the full history. The
-// given entity types are registered before replay (compaction marks re-run
-// rollups, which need them). After Recover returns, the store serves reads
-// and writes exactly as the crashed instance did: byte-identical entity
-// states, the same LSN watermark, and new appends continue the backend's
-// log.
+// given entity types are registered before replay (an older build's
+// compaction mark re-runs rollups, which need them). After Recover returns,
+// the store serves reads and writes exactly as the crashed instance did:
+// byte-identical entity states, the same retained records, the same LSN
+// watermark, and new appends continue the backend's log.
 //
 // A torn final record — a crash mid-append — is truncated away by the
 // backend's replay; the store reopens with every record whose commit cycle
@@ -241,54 +246,26 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 	db.recovering = true
 	defer func() { db.recovering = false }()
 
-	// Appended records are buffered and installed in global LSN order: the
-	// WAL interleaves independently-committing shards, and the bulk-load
-	// path needs per-entity LSN order for any shard count. History-rewrite
-	// marks are anchored to the highest record LSN already in the log where
-	// they appear (the WAL is in real commit order, so everything a mark
-	// could have observed precedes it) and re-applied at exactly that point
-	// in the LSN-ordered install — a serially-written store replays its
-	// compaction decisions verbatim; for racy histories the interleaving is
-	// one of the serialisations the live store could have taken.
-	type anchoredMark struct {
-		mark Record
-		pos  uint64 // highest record LSN preceding the mark in the log
-	}
-	var records []Record
-	var marks []anchoredMark
+	// Summaries install as they arrive, the one with the highest horizon
+	// winning. Appended records are buffered and installed after them, in
+	// global LSN order: the WAL interleaves independently-committing
+	// shards, and the bulk-load path needs per-entity LSN order for any
+	// shard count. A record its entity's summary folds in does not install
+	// (loadRecord), so the store retains exactly the records the live one
+	// did. An older build's mark is anchored to the highest record LSN
+	// logged before it (the LSN field carries the anchor).
+	var records, marks []Record
 	var maxSeen uint64
 	watermark, err := opts.Backend.Replay(func(rec storage.WALRecord) error {
 		switch rec.Kind {
 		case storage.KindAppend:
-			if rec.LSN > maxSeen {
-				maxSeen = rec.LSN
-			}
+			maxSeen = max(maxSeen, rec.LSN)
 			records = append(records, rec)
 		case storage.KindSummary:
-			s := db.shardFor(rec.Key)
-			if rec.Summary == nil {
-				// A tiered backend replays table summaries as light cold
-				// pointers (key + horizon, no state): the summary stays
-				// disk-resident until a read warms it. Newest-first replay
-				// can deliver several per key; the highest horizon wins and
-				// a warm always fetches the newest table's copy anyway.
-				// Without a tiered backend there is nothing to install.
-				if db.tiered != nil {
-					if e := s.ensure(rec.Key); !e.cold || rec.Horizon >= e.coldAt {
-						e.cold, e.coldAt = true, rec.Horizon
-					}
-				}
-				break
-			}
-			e := s.ensure(rec.Key)
-			s.setArchivedLocked(e, rec.Summary) // decoded frozen
-			e.archivedAt = max(e.archivedAt, rec.Horizon)
-			e.cold, e.coldAt = false, 0
-			// A full summary lives only in the log that replayed it; dirty,
-			// the first flush moves it into a table.
-			db.markDirtyLocked(s, rec.Key, e)
+			db.installSummary(rec)
 		case storage.KindObsolete, storage.KindCompact:
-			marks = append(marks, anchoredMark{mark: rec, pos: maxSeen})
+			rec.LSN = maxSeen
+			marks = append(marks, rec)
 		default:
 			return fmt.Errorf("lsdb: recover: unknown record kind %d", rec.Kind)
 		}
@@ -310,42 +287,67 @@ func Recover(opts Options, types ...*entity.Type) (*DB, error) {
 		dedup = append(dedup, records[i])
 	}
 	records = dedup
-	apply := func(m Record) {
-		if m.Kind == storage.KindCompact {
-			db.Compact(m.Horizon)
-		} else {
-			db.replayObsolete(m.Key, m.TxnID)
-		}
-	}
-	mi := 0
 	for i := range records {
-		for ; mi < len(marks) && marks[mi].pos < records[i].LSN; mi++ {
-			apply(marks[mi].mark)
-		}
+		marks = db.replayLegacyMarks(marks, records[i].LSN)
 		if err := db.loadRecord(records[i]); err != nil {
 			return nil, fmt.Errorf("lsdb: recover: %w", err)
 		}
 	}
-	for ; mi < len(marks); mi++ {
-		apply(marks[mi].mark)
-	}
+	db.replayLegacyMarks(marks, math.MaxUint64)
 	db.lsn.AdvanceTo(watermark)
 	return db, nil
 }
 
-// replayObsolete applies an obsolescence mark, a frame only older builds
-// wrote (they withdrew a promise by mark; a settlement record does it now):
-// the record txnID wrote on key is flagged obsolete. A record no longer
-// retained (a later compaction archived it) or already obsolete is left as
-// it is, so a mark replayed twice changes nothing.
-func (db *DB) replayObsolete(key entity.Key, txnID string) {
-	s := db.shardFor(key)
+// installSummary installs a replayed or restored summary through the
+// bulk-load path, unless the entity already has one at least as new. A tiered
+// backend replays table summaries as cold pointers (key and horizon, no
+// state): the summary stays disk-resident until a read warms it, and a warm
+// fetches the newest table's copy. A full summary — one Compact or a cut
+// logged — is installed dirty, so the first flush moves it into a table.
+func (db *DB) installSummary(rec Record) {
+	s := db.shardFor(rec.Key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.entry(key); e != nil {
-		if lsn, ok := s.txnLSNLocked(e, txnID); ok {
-			s.settleLocked(e, lsn, false)
-			db.markDirtyLocked(s, key, e)
+	e := s.ensure(rec.Key)
+	switch {
+	case rec.Summary == nil:
+		if db.tiered != nil && (!e.cold || rec.Horizon >= e.coldAt) {
+			e.cold, e.coldAt = true, rec.Horizon
 		}
+	case (e.archived == nil && !e.cold) || rec.Horizon > max(e.archivedAt, e.coldAt):
+		s.setArchivedLocked(e, rec.Summary.Freeze())
+		e.archivedAt, e.cold, e.coldAt = rec.Horizon, false, 0
+		e.cache.drop()
+		db.markDirtyLocked(s, rec.Key, e)
 	}
+}
+
+// replayLegacyMarks is the one reader of the marks older builds logged
+// without a log position: it replays, in log order, the marks anchored below
+// lsn, and returns the rest. Such a mark was anchored to the highest record
+// LSN logged before it (the WAL is in commit order, so everything it could
+// have observed precedes it), so it applies at exactly that point of the
+// LSN-ordered install. A compaction horizon re-runs Compact there; an
+// obsolescence mark (older builds withdrew a promise by mark; a settlement
+// record does it now) flags the record its txn id wrote on its key obsolete.
+// A record no longer retained (compacted away) or already obsolete is left
+// as it is, so a mark replayed twice changes nothing.
+func (db *DB) replayLegacyMarks(marks []Record, lsn uint64) []Record {
+	for ; len(marks) > 0 && marks[0].LSN < lsn; marks = marks[1:] {
+		m := marks[0]
+		if m.Kind == storage.KindCompact {
+			db.Compact(m.Horizon)
+			continue
+		}
+		s := db.shardFor(m.Key)
+		s.mu.Lock()
+		if e := s.entry(m.Key); e != nil {
+			if at, ok := s.txnLSNLocked(e, m.TxnID); ok {
+				s.settleLocked(e, at, false)
+				db.markDirtyLocked(s, m.Key, e)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return marks
 }

@@ -36,7 +36,7 @@ func (db *DB) MarkObsolete(key entity.Key, txnID string) error {
 	if !ok {
 		return fmt.Errorf("%w: txn %s on %s", ErrNotFound, txnID, key)
 	}
-	if err := db.logMark(Record{Kind: storage.KindObsolete, Key: key, TxnID: txnID}); err != nil {
+	if err := db.logFrames([]Record{{Kind: storage.KindObsolete, Key: key, TxnID: txnID}}); err != nil {
 		return err
 	}
 	s.settleLocked(e, lsn, false)

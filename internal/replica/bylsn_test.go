@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -145,11 +146,14 @@ func TestCompactionStaysLocal(t *testing.T) {
 	}
 }
 
-// A standby appends the marks an older build's primary ships (an
-// obsolescence mark, a compaction horizon) as received, without dedup. One
-// that receives them twice — live, and again by catch-up from a standby whose
-// log holds them — promotes to the same states as one that received them
-// once: replaying a repeated mark changes nothing.
+// An older build's standby appended the marks its primary shipped (an
+// obsolescence mark, a compaction horizon) as received, and re-served them in
+// every catch-up chunk, so its log could hold each mark twice: once live, and
+// again by catch-up from a standby whose log held them. Such logs are built
+// here as that build left them, the frames going straight into the standbys'
+// backends (this build's Receive refuses a mark). The one holding each mark
+// twice promotes to the same states as the one holding each once: replaying
+// a repeated mark changes nothing.
 func TestLegacyMarksReceivedTwicePromoteAsOnce(t *testing.T) {
 	// The appends an older build's primary shipped, made here on a store;
 	// the marks are its frames.
@@ -180,40 +184,17 @@ func TestLegacyMarksReceivedTwicePromoteAsOnce(t *testing.T) {
 		}
 	}
 	appends := old.RecordsAfterN(0, 0)
-	live := ShipBatch{From: "p", Records: append(appends[:3:3],
-		lsdb.Record{Kind: storage.KindObsolete, Key: a, TxnID: "promise-1"},
-		lsdb.Record{Kind: storage.KindCompact, Horizon: 3})}
-	later := ShipBatch{From: "p", Records: appends[3:]}
+	marks := []lsdb.Record{{Kind: storage.KindObsolete, Key: a, TxnID: "promise-1"}, {Kind: storage.KindCompact, Horizon: 3}}
+	// Received once: the live batch (three appends and the marks), then the
+	// rest. Received twice: the live batch, then a catch-up after LSN 3 from
+	// the first, which re-sent the marks ahead of the rest.
+	onceLog, twiceLog := legacyLog(t, appends[:3], marks, appends[3:]), legacyLog(t, appends[:3], marks, marks, appends[3:])
 
 	net := netsim.New(netsim.Config{})
 	defer net.Close()
-	once := newShipStandby(t, net, "s1", storage.NewMemory())
-	twice := newShipStandby(t, net, "s2", storage.NewMemory())
-	for _, batch := range []ShipBatch{live, later} {
-		if _, _, err := once.Receive(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := twice.Receive(live); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := twice.CatchUp("s1", 0); err != nil {
-		t.Fatal(err)
-	}
-	marks := func(sb *Standby) int {
-		tail, err := TailAfter(sb.Backends()[0], 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, rec := range tail {
-			if rec.Kind != storage.KindAppend {
-				n++
-			}
-		}
-		return n
-	}
-	if got := marks(twice); got != 4 {
+	once := newShipStandby(t, net, "s1", onceLog)
+	twice := newShipStandby(t, net, "s2", twiceLog)
+	if got := marksIn(t, twiceLog); got != 4 {
 		t.Fatalf("twice-fed standby log holds %d marks, want 4 (each received twice)", got)
 	}
 	if once.Watermark(0) != 5 || twice.Watermark(0) != 5 {
@@ -231,4 +212,76 @@ func TestLegacyMarksReceivedTwicePromoteAsOnce(t *testing.T) {
 	if st, _, _ := dbsTwice[0].Current(a); st.Float("balance") != 6 {
 		t.Fatalf("A1 balance = %v, want 6 (the promise withdrawn by the mark)", st.Float("balance"))
 	}
+}
+
+// A standby whose log holds an older primary's marks cannot serve a catch-up
+// cut by LSN: a mark has no LSN to cut at. (An older build passed every mark
+// through, so each chunk it served re-sent all of them and its puller's log
+// grew by marks × chunks.) The catch-up is answered with ErrCompacted, the
+// puller's log gains no mark, and the puller still reaches the primary's
+// watermark from the primary. A shipped mark is refused as well.
+func TestCatchUpFromLegacyMarksIsRefused(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	defer net.Close()
+	p := newShipPrimary(t, net, "p", nil, AckAsync)
+	defer p.shipper.Close()
+	for i := int64(1); i <= 6; i++ {
+		if _, err := p.db.Append(acct(fmt.Sprintf("A%d", i%2)), []entity.Op{entity.Delta("balance", 1)}, ts(i), "p", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appends := p.db.RecordsAfterN(0, 0)
+	marks := []lsdb.Record{{Kind: storage.KindObsolete, Key: acct("A1"), TxnID: "promise-1"}, {Kind: storage.KindCompact, Horizon: 3}}
+	older := newShipStandby(t, net, "s1", legacyLog(t, appends[:3], marks, appends[3:]))
+	pullerLog := storage.NewMemory()
+	puller, err := NewStandby(StandbyOptions{Self: "s2", Net: net, Backends: []storage.Backend{pullerLog}, CatchupChunk: 2, Timeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := puller.CatchUp(older.ID(), 0); !errors.Is(err, storage.ErrCompacted) {
+		t.Fatalf("catch-up from a log holding marks: %v, want ErrCompacted", err)
+	}
+	if _, _, err := puller.Receive(ShipBatch{From: "p", Records: marks}); !errors.Is(err, ErrNotAppend) {
+		t.Fatalf("receiving marks: %v, want ErrNotAppend", err)
+	}
+	if got := marksIn(t, pullerLog); got != 0 {
+		t.Fatalf("puller's log gained %d marks, want none", got)
+	}
+	if _, err := puller.CatchUp("p", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := puller.Watermark(0), p.db.HeadLSN(); got != want || pullerLog.Len() != int(want) {
+		t.Fatalf("puller at watermark %d holding %d records, want the primary's %d", got, pullerLog.Len(), want)
+	}
+	if got := marksIn(t, pullerLog); got != 0 {
+		t.Fatalf("puller's log holds %d marks after catching up from the primary, want none", got)
+	}
+}
+
+// legacyLog is a standby log as an older build left it: the batches, in
+// order, appended straight to a backend.
+func legacyLog(t *testing.T, batches ...[]lsdb.Record) *storage.Memory {
+	t.Helper()
+	log := storage.NewMemory()
+	for _, batch := range batches {
+		if err := log.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return log
+}
+
+// marksIn counts the frames of a log that are not appends.
+func marksIn(t *testing.T, log storage.Backend) int {
+	t.Helper()
+	n := 0
+	if _, err := log.Replay(func(rec storage.WALRecord) error {
+		if rec.Kind != storage.KindAppend {
+			n++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

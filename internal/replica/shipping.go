@@ -7,8 +7,9 @@
 // The primary ships every append written to its storage.Backend — one commit
 // cycle per sink call (lsdb.DB.SetCommitSink) — to standby replicas that
 // append them, unapplied, into backends of their own. Replication is by LSN
-// alone: a standby at watermark L holds every append at or below L. A
-// compaction horizon is each node's own housekeeping and is not shipped. A
+// alone: a standby at watermark L holds every append at or below L, and its
+// log holds appends only (Receive refuses any other frame). The summaries a
+// compaction logs are each node's own housekeeping and are not shipped. A
 // standby is therefore a log copy, not a second database: promotion replays
 // the received log through lsdb.Recover, which rebuilds stores, caches and
 // watermarks exactly as a restart would, and the promoted node resumes as
@@ -689,27 +690,12 @@ func (s *Shipper) BreakerStates() map[clock.NodeID]string {
 }
 
 // chunkTail cuts one streaming catch-up chunk out of a tail: at most limit
-// appended records plus any marks interleaved among them (a standby's log
-// holds them when an older build's primary shipped them). Only appends
-// count toward the limit — marks carry no LSN and ride along —
-// and a cut always lands just before the first append over the limit, so a
-// chunk with more true always advances the puller's cursor (the streaming
-// loop terminates). limit <= 0 means no bound.
+// records, and whether more follow. limit <= 0 means no bound.
 func chunkTail(recs []lsdb.Record, limit int) (chunk []lsdb.Record, more bool) {
-	if limit <= 0 {
+	if limit <= 0 || len(recs) <= limit {
 		return recs, false
 	}
-	appends := 0
-	for i, rec := range recs {
-		if rec.Kind != storage.KindAppend {
-			continue
-		}
-		appends++
-		if appends > limit {
-			return recs[:i:i], true
-		}
-	}
-	return recs, false
+	return recs[:limit:limit], true
 }
 
 // onRequest serves streaming catch-up requests from the primary's log.
@@ -783,8 +769,9 @@ type unitProgress struct {
 	batches uint64
 }
 
-// markLocked records lsn as held and advances the contiguous watermark. A
-// mark's LSN, 0, changes nothing.
+// markLocked records lsn as held and advances the contiguous watermark. An
+// LSN of 0 — an older build's mark in a restarted standby's log — changes
+// nothing.
 func (u *unitProgress) markLocked(lsn uint64) {
 	if lsn <= u.contig {
 		return
@@ -890,10 +877,15 @@ func (sb *Standby) Stop() {
 	sb.mu.Unlock()
 }
 
+// ErrNotAppend refuses a shipped batch holding a frame other than an append:
+// a mark without an LSN, which only an older build's primary ships and a
+// standby cannot place in the log. Pairs with such a primary are
+// unsupported.
+var ErrNotAppend = errors.New("replica: shipped frame is not an append")
+
 // Receive appends one batch to the unit's log, skipping the appends whose
 // LSN the standby already holds (catch-up tails overlap in-flight ships). A
-// record without an LSN — a mark an older build's primary shipped — is
-// appended as received: replaying a repeated mark changes nothing. It
+// batch holding any other frame is refused whole with ErrNotAppend. It
 // returns the unit's new contiguous watermark and whether a gap is open —
 // some LSN below the batch's highest is still missing (lost or still in
 // flight from another shard's commit).
@@ -907,9 +899,14 @@ func (sb *Standby) Receive(batch ShipBatch) (watermark uint64, gap bool, err err
 		return 0, false, fmt.Errorf("replica: unknown unit %d", batch.Unit)
 	}
 	u := &sb.units[batch.Unit]
+	for _, rec := range batch.Records {
+		if rec.Kind != storage.KindAppend {
+			return u.contig, len(u.pending) > 0, fmt.Errorf("%w: kind %d", ErrNotAppend, rec.Kind)
+		}
+	}
 	var fresh []lsdb.Record
 	for _, rec := range batch.Records {
-		if rec.Kind == storage.KindAppend && u.hasLocked(rec.LSN) {
+		if u.hasLocked(rec.LSN) {
 			sb.stats.Duplicates++
 			continue
 		}
@@ -1005,24 +1002,19 @@ var errTailFull = errors.New("replica: tail chunk full")
 
 // TailAfter collects a backend's records after an LSN through its
 // storage.Streamer (every bundled backend is one). With limit > 0 it stops the
-// stream once it holds limit+1 appends — the one past the limit tells
-// chunkTail there is more — keeping the marks interleaved before the cut, so
-// serving a chunk reads that chunk and not the whole tail; limit <= 0
-// collects everything.
+// stream once it holds limit+1 records — the one past the limit tells
+// chunkTail there is more — so serving a chunk reads that chunk and not the
+// whole tail; limit <= 0 collects everything. A log holding any frame but
+// appends fails with storage.ErrCompacted.
 func TailAfter(backend storage.Backend, after uint64, limit int) ([]lsdb.Record, error) {
 	st, ok := backend.(storage.Streamer)
 	if !ok {
 		return nil, fmt.Errorf("replica: backend %T does not stream", backend)
 	}
 	var recs []lsdb.Record
-	appends := 0
 	err := st.StreamAfter(after, func(rec storage.WALRecord) error {
-		recs = append(recs, rec)
-		if rec.Kind == storage.KindAppend {
-			appends++
-			if limit > 0 && appends > limit {
-				return errTailFull
-			}
+		if recs = append(recs, rec); limit > 0 && len(recs) > limit {
+			return errTailFull
 		}
 		return nil
 	})
@@ -1052,13 +1044,12 @@ func (sb *Standby) fetchTail(from clock.NodeID, unit int, after uint64) ([]lsdb.
 }
 
 // advanceCursor returns the streaming cursor after one chunk: the highest
-// append LSN received, and whether it moved (a chunk that advances nothing
-// ends the stream — the server's cut rule makes that equivalent to More
-// being false).
+// LSN received, and whether it moved (a chunk that advances nothing ends the
+// stream — the server's cut rule makes that equivalent to More being false).
 func advanceCursor(cursor uint64, recs []lsdb.Record) (uint64, bool) {
 	advanced := false
 	for _, rec := range recs {
-		if rec.Kind == storage.KindAppend && rec.LSN > cursor {
+		if rec.LSN > cursor {
 			cursor, advanced = rec.LSN, true
 		}
 	}

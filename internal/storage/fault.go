@@ -163,7 +163,7 @@ func (f *FaultBackend) AppendBatch(recs []WALRecord) error {
 		return err
 	}
 	for i := range recs {
-		if recs[i].Kind == KindAppend && recs[i].LSN > f.goodMark {
+		if recs[i].LSN > f.goodMark {
 			f.goodMark = recs[i].LSN
 		}
 	}
@@ -186,7 +186,7 @@ func (f *FaultBackend) Replay(fn func(WALRecord) error) (uint64, error) {
 	wrapped := fn
 	if corruptAt > 0 {
 		wrapped = func(rec WALRecord) error {
-			if rec.Kind == KindAppend && rec.LSN >= corruptAt {
+			if rec.LSN >= corruptAt {
 				f.mu.Lock()
 				err := f.corruptErrLocked("replay")
 				f.mu.Unlock()
@@ -224,7 +224,7 @@ func (f *FaultBackend) StreamAfter(after uint64, fn func(WALRecord) error) error
 	wrapped := fn
 	if corruptAt > 0 {
 		wrapped = func(rec WALRecord) error {
-			if rec.Kind == KindAppend && rec.LSN >= corruptAt {
+			if rec.LSN >= corruptAt {
 				f.mu.Lock()
 				err := f.corruptErrLocked("stream")
 				f.mu.Unlock()

@@ -31,9 +31,9 @@ import (
 )
 
 // RecordKind distinguishes the durable log entry types. Appended entity
-// records are the bulk of the log; marks (compaction horizons, and the
-// obsolescence marks older builds wrote) and archived summaries are records
-// too, so one framing, one codec and one Replay stream carry everything.
+// records are the bulk of the log; archived summaries are records too, so one
+// framing, one codec and one Replay stream carry everything. Every frame has
+// a log position: an append its LSN, a summary the horizon it folds in.
 type RecordKind uint8
 
 // Durable record kinds.
@@ -41,28 +41,22 @@ const (
 	// KindAppend is an appended entity record: the operations one
 	// transaction applied to one entity.
 	KindAppend RecordKind = iota
-	// KindObsolete marks the record produced by TxnID on Key obsolete
-	// (a tentative promise was withdrawn after the record was logged).
-	// Only older builds write it; a settlement append withdraws now, and
-	// replay still applies the ones their logs hold.
+	// KindObsolete and KindCompact are the marks older builds logged
+	// without a position: an obsolescence mark (Key, TxnID) and a
+	// compaction horizon (Horizon). No build writes them now; lsdb.Recover
+	// is their one reader.
 	KindObsolete
-	// KindCompact records a compaction horizon: replay re-runs
-	// Compact(Horizon) at this point in the log.
 	KindCompact
 	// KindSummary is an archived entity summary: the rollup of an entity
-	// whose detail records were compacted away (a cut's summaries, a
-	// tiered table's settled state).
+	// through Horizon, whose detail records were compacted away (Compact's
+	// log, a cut's summaries, a tiered table's settled state).
 	KindSummary
 )
 
 // WALRecord is one durable log entry. For KindAppend it is exactly the
 // store's in-memory record (the LSDB aliases its Record type to this struct,
-// so commit cycles append with zero conversion); the other kinds use a
-// subset of the fields:
-//
-//	KindObsolete: Key, TxnID
-//	KindCompact:  Horizon
-//	KindSummary:  Key, Summary
+// so commit cycles append with zero conversion); a KindSummary uses Key,
+// Summary and Horizon.
 type WALRecord struct {
 	LSN       uint64
 	Key       entity.Key
@@ -77,9 +71,9 @@ type WALRecord struct {
 	Obsolete bool
 
 	// Kind distinguishes appended entity records (the zero value) from
-	// history-rewrite marks and archived summaries.
+	// archived summaries.
 	Kind RecordKind
-	// Horizon is the compaction horizon of a KindCompact record.
+	// Horizon is the highest LSN a KindSummary record folds in.
 	Horizon uint64
 	// Summary is the archived state of a KindSummary record. It is frozen.
 	Summary *entity.State
@@ -165,11 +159,10 @@ type Quarantiner interface {
 // Both bundled backends implement it.
 type Streamer interface {
 	// StreamAfter streams, in log order, every appended entity record with
-	// LSN > after plus the history-rewrite marks (obsolescence, compaction)
-	// in the scanned range. Archived summaries cannot be cut by LSN: when
-	// the requested cut predates history the log no longer holds as detail
-	// (pruned by a tiered flush, or summarised in the scanned range),
-	// StreamAfter fails with ErrCompacted instead of silently gapping.
+	// LSN > after. Only appends stream: when the requested cut predates
+	// history the log no longer holds as detail (pruned by a tiered flush),
+	// or the log holds a frame that is not an append, StreamAfter fails
+	// with ErrCompacted instead of silently gapping.
 	StreamAfter(after uint64, fn func(WALRecord) error) error
 }
 
@@ -253,9 +246,8 @@ func (m *Memory) Len() int {
 	return len(m.recs)
 }
 
-// StreamAfter streams retained append records with LSN > after plus the marks
-// in range, per the Streamer contract; an archived summary among them fails
-// with ErrCompacted.
+// StreamAfter streams retained append records with LSN > after, per the
+// Streamer contract.
 func (m *Memory) StreamAfter(after uint64, fn func(WALRecord) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -263,30 +255,34 @@ func (m *Memory) StreamAfter(after uint64, fn func(WALRecord) error) error {
 		return ErrClosed
 	}
 	for _, rec := range m.recs {
-		switch rec.Kind {
-		case KindAppend:
-			if rec.LSN <= after {
-				continue
-			}
-		case KindSummary:
-			return ErrCompacted
-		}
-		if err := fn(rec); err != nil {
+		if err := streamAppend(after, rec, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// streamAppend is one step of a StreamAfter: rec goes to fn if it is an
+// append past the cut; any other frame fails the stream with ErrCompacted.
+func streamAppend(after uint64, rec WALRecord, fn func(WALRecord) error) error {
+	switch {
+	case rec.Kind != KindAppend:
+		return ErrCompacted
+	case rec.LSN <= after:
+		return nil
+	}
+	return fn(rec)
+}
+
 // truncateAfter drops the suffix starting at the first append record with
-// LSN > lsn (everything logged after that point — marks included — is
-// suspect once the log is being quarantined; the repair refill re-supplies
-// the range from a peer).
+// LSN > lsn (everything logged after that point is suspect once the log is
+// being quarantined; the repair refill re-supplies the range from a peer).
+// Only an append carries a nonzero LSN.
 func (m *Memory) truncateAfter(lsn uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, rec := range m.recs {
-		if rec.Kind == KindAppend && rec.LSN > lsn {
+		if rec.LSN > lsn {
 			m.recs = m.recs[:i]
 			return
 		}

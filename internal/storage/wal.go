@@ -335,7 +335,7 @@ func (w *WAL) AppendBatch(recs []WALRecord) error {
 		if w.buf, err = AppendFrame(w.buf, &recs[i]); err != nil {
 			return err
 		}
-		if recs[i].Kind == KindAppend && recs[i].LSN > batchMax {
+		if recs[i].LSN > batchMax {
 			batchMax = recs[i].LSN
 		}
 	}
@@ -750,7 +750,7 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 		track, segMax := fn, uint64(0)
 		if fn != nil {
 			track = func(rec WALRecord) error {
-				if rec.Kind == KindAppend && rec.LSN > segMax {
+				if rec.LSN > segMax {
 					segMax = rec.LSN
 				}
 				return fn(rec)
@@ -1230,7 +1230,7 @@ func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, throug
 			continue
 		}
 		_, err := scanFile(path, segMagic, start, endZeros, func(rec WALRecord) error {
-			if rec.Kind == KindAppend && rec.LSN > max {
+			if rec.LSN > max {
 				max = rec.LSN
 			}
 			return nil
@@ -1310,10 +1310,10 @@ func (w *WAL) SetReplicationWatermark(lsn uint64) error {
 	return w.installManifestLocked(man)
 }
 
-// StreamAfter streams retained append records with LSN > after plus the marks
-// in range, per the Streamer contract. A cut below the manifest watermark
-// fails with ErrCompacted: a tiered flush pruned the detail records the
-// receiver is missing, so the stream cannot be rebuilt from this log alone.
+// StreamAfter streams retained append records with LSN > after, per the
+// Streamer contract. A cut below the manifest watermark fails with
+// ErrCompacted: a tiered flush pruned the detail records the receiver is
+// missing, so the stream cannot be rebuilt from this log alone.
 func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1327,17 +1327,7 @@ func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 			return err
 		}
 	}
-	filter := func(rec WALRecord) error {
-		switch rec.Kind {
-		case KindAppend:
-			if rec.LSN <= after {
-				return nil
-			}
-		case KindSummary:
-			return ErrCompacted
-		}
-		return fn(rec)
-	}
+	filter := func(rec WALRecord) error { return streamAppend(after, rec, fn) }
 	if w.hasMan && after < w.man.Watermark {
 		return ErrCompacted
 	}
@@ -1419,7 +1409,7 @@ func (w *WAL) Quarantine() (uint64, error) {
 		// The last segment's torn tail — the partial append a fail-stop could
 		// not erase — is cut by the scan itself.
 		end, scanErr := scanFile(path, segMagic, start, segTail(n == len(segs)-1), func(rec WALRecord) error {
-			if rec.Kind == KindAppend && rec.LSN > lastGood {
+			if rec.LSN > lastGood {
 				lastGood = rec.LSN
 			}
 			return nil
