@@ -141,14 +141,16 @@ handles-race:
 	$(GO) test -race -count=10 -run 'TestKeyHandlesUnderConcurrentSteps|TestHandleTable|TestHandleDrops|TestRefusedFirstWrite|TestUnwrittenEntities' ./internal/core/ ./internal/lsdb/
 
 # The tiered-storage suites under the race detector: the LSM store unit
-# tests (then ten seconds of fuzzing the table decoders), the lsdb
-# flush/recovery/cold-read suites, the kill-9 crash matrix over every
+# tests (then ten seconds each of fuzzing the table decoders and the bloom
+# sidecar parser), the lsdb flush/recovery/cold-read suites, the kill-9
+# crash matrix over every
 # mid-flush/mid-compaction site, the WAL's refusal of a checkpoint-snapshot
 # manifest, and the chunk-pool ownership tests (CI runs the same set in its
 # tiering job).
 lsm-race:
 	$(GO) test -race ./internal/lsm/
 	$(GO) test -run xxx -fuzz FuzzTableDecode -fuzztime 10s ./internal/lsm/
+	$(GO) test -run xxx -fuzz FuzzBloomDecode -fuzztime 10s ./internal/lsm/
 	$(GO) test -race -run 'TestTiered|TestFlushCompactionCrashMatrix|TestColdEviction|TestCheckpointFailure|TestOpenWALRefusesSnapshotManifest|TestAsOfAndHistory' ./internal/lsdb/ ./internal/storage/
 	$(GO) test -race -run 'TestRecycle|TestChunkPool|TestApplyFailureRecycles' ./internal/entity/
 

@@ -115,9 +115,10 @@ func BenchmarkCompactL1(b *testing.B) {
 }
 
 // compactAllocBudget is what one compaction pass may allocate per input key.
-// A key copied through (the common case) allocates nothing — no key string,
-// no composite, no bloom key — so what is left is the sparse index's one key
-// in sparseEvery, the decoded detail records and the pass's fixed cost.
+// A key copied through allocates nothing — no key string, no composite, no
+// bloom key, and no decoded record, since every frame the merge keeps is
+// copied as it is — so what is left is the sparse index's one key in
+// sparseEvery and the pass's fixed cost.
 const compactAllocBudget = 0.25
 
 // TestCompactAllocationBudget is BenchmarkCompactL1's gate, at a quarter of

@@ -8,7 +8,7 @@ package lsm
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"hash/crc32"
 	"os"
 )
@@ -89,26 +89,30 @@ func loadBloom(path string) (*bloomFilter, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeBloom(raw)
+}
+
+// decodeBloom parses a sidecar's bytes into a filter whose bit array covers
+// every position a probe can reach.
+func decodeBloom(raw []byte) (*bloomFilter, error) {
 	if len(raw) < len(blmMagic)+4 || string(raw[:len(blmMagic)]) != string(blmMagic) {
-		return nil, fmt.Errorf("lsm: bad bloom sidecar %s", path)
+		return nil, errors.New("lsm: bad bloom sidecar")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("lsm: bloom sidecar CRC mismatch %s", path)
+		return nil, errors.New("lsm: bloom sidecar CRC mismatch")
 	}
 	rest := body[len(blmMagic):]
 	nbits, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("lsm: bad bloom geometry %s", path)
+		return nil, errors.New("lsm: bad bloom geometry")
 	}
 	rest = rest[n:]
 	k, n := binary.Uvarint(rest)
-	if n <= 0 || k == 0 || k > 64 {
-		return nil, fmt.Errorf("lsm: bad bloom geometry %s", path)
+	// Probes land in [0, nbits), so the bit array must hold exactly nbits
+	// rounded up to bytes, and nbits may not be zero.
+	if n <= 0 || k == 0 || k > 64 || nbits == 0 || nbits > 8*uint64(len(rest)-n) || uint64(len(rest)-n) != (nbits+7)/8 {
+		return nil, errors.New("lsm: bad bloom geometry")
 	}
-	rest = rest[n:]
-	if uint64(len(rest)) != (nbits+7)/8 {
-		return nil, fmt.Errorf("lsm: bloom bit array truncated %s", path)
-	}
-	return &bloomFilter{bits: rest, nbits: nbits, k: int(k)}, nil
+	return &bloomFilter{bits: rest[n:], nbits: nbits, k: int(k)}, nil
 }

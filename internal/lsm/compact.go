@@ -15,10 +15,11 @@
 //     that reached a later flush) is eliminated outright — this is where
 //     tombstones die, mirroring what Compact does to the in-memory index.
 //
-// The merge streams: every input is read through one sequential frameReader,
-// and a key that needs none of the rules above — held by exactly one input,
-// summary only, which is almost every level-1 key a level-0 table does not
-// touch — is copied through as already-framed bytes, never decoded.
+// The merge streams: every input is read through one sequential
+// storage.FrameReader, and every frame the merge keeps is copied through as
+// the verified bytes it read, never decoded or re-encoded: a summary's
+// horizon comes from its index entry, a detail's LSN and obsolete flag from
+// storage.ReadAppendHeader.
 //
 // The compactor yields while a flush's foreground fsync is active and
 // sleeps CompactThrottle per throttleBytes of merged output, so background
@@ -72,7 +73,7 @@ func (s *Store) compactorLoop() {
 type mergeIter struct {
 	t   *table
 	cur indexCursor
-	fr  frameReader
+	fr  storage.FrameReader
 	e   rawEntry
 	ck  []byte // composite of e's key, rebuilt in place per advance
 	ok  bool
@@ -83,7 +84,7 @@ func newMergeIter(t *table) (*mergeIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &mergeIter{t: t, cur: indexCursor{b: payload}, fr: t.frames(0, t.indexOff)}
+	it := &mergeIter{t: t, cur: indexCursor{b: payload}, fr: t.frames(int64(len(sstMagic)), t.indexOff)}
 	return it, it.advance()
 }
 
@@ -94,7 +95,7 @@ func (it *mergeIter) advance() error {
 	}
 	if it.ok = ok; ok {
 		it.ck = appendComposite(it.ck[:0], it.e.typ, it.e.id)
-		it.fr.off = int64(it.e.dataOff)
+		it.fr.MoveTo(int64(it.e.dataOff))
 	}
 	return nil
 }
@@ -131,53 +132,21 @@ func (s *Store) CompactNow() error {
 	if err != nil {
 		return fail(err)
 	}
-	out := t.meta
 	if err := s.runBreakpoint("compact:pre-manifest"); err != nil {
 		// Simulated crash after the output table landed but before the
 		// manifest names it: the orphan sweep reclaims it on the next open.
-		return fail(err)
-	}
-	if err := t.open(s.opts.Dir); err != nil {
 		return fail(err)
 	}
 	dead := make(map[string]bool, len(inputs))
 	for _, in := range inputs {
 		dead[in.meta.Name] = true
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		t.close()
-		return storage.ErrClosed
-	}
-	man := s.man
-	man.Seq++
-	man.NextTable = s.nextSeq.Load()
-	var keep []tableMeta
-	for _, m := range s.man.Tables {
-		if !dead[m.Name] {
-			keep = append(keep, m)
+	if _, err := s.install(t, dead); err != nil {
+		if err == storage.ErrClosed {
+			return err
 		}
-	}
-	man.Tables = append(keep, out)
-	sortTables(man.Tables)
-	if out.Watermark > man.Watermark {
-		man.Watermark = out.Watermark
-	}
-	if err := installManifest(s.opts.Dir, man); err != nil {
-		s.mu.Unlock()
-		t.close()
 		return fail(err)
 	}
-	s.man = man
-	var live []*table
-	for _, old := range s.tables {
-		if !dead[old.meta.Name] {
-			live = append(live, old)
-		}
-	}
-	s.tables = insertTable(live, t)
-	s.mu.Unlock()
 	s.compactions.Add(1)
 	if err := s.runBreakpoint("compact:pre-delete"); err != nil {
 		// Manifest already superseded the inputs; leftover files are swept as
@@ -277,7 +246,15 @@ func (s *Store) mergeTables(inputs []*table, seq uint64) (*table, error) {
 type keyMerger struct {
 	w       *tableWriter
 	parts   []*mergeIter // the inputs positioned on the current key
-	details []storage.WALRecord
+	details []detail
+	frames  []byte // the details' frames, copied out of the inputs' buffers
+}
+
+// detail is a detail frame above the winning horizon: frames[at:at+n].
+type detail struct {
+	lsn      uint64
+	obsolete bool
+	at, n    int
 }
 
 // mergeKey writes one key's merged records: the winning summary, then the
@@ -293,16 +270,20 @@ func (m *keyMerger) mergeKey() error {
 			winner = p
 		}
 	}
+	ck, typLen := m.parts[0].ck, len(m.parts[0].e.typ)
 	var horizon uint64
 	if winner != nil {
-		// The winning summary is copied through as framed bytes. For a key no
-		// other input holds and no detail follows, that is the whole merge.
+		// For a key no other input holds and no detail follows, copying the
+		// winning summary is the whole merge.
 		horizon = winner.e.horizon
-		frame, err := winner.fr.next()
+		payload, err := winner.t.next(&winner.fr)
 		if err != nil {
 			return err
 		}
-		if err := m.w.addRaw(winner.ck, len(winner.e.typ), horizon, frame); err != nil {
+		if storage.RecordKind(payload[0]) != storage.KindSummary {
+			return fmt.Errorf("lsm: table %s: entry for %q does not start with its summary", winner.t.meta.Name, ck)
+		}
+		if err := m.w.addFrame(ck, typLen, storage.KindSummary, horizon, winner.fr.Frame()); err != nil {
 			return err
 		}
 	}
@@ -313,36 +294,42 @@ func (m *keyMerger) mergeKey() error {
 	// dropped when any of its copies is obsolete. Keying the decision on
 	// iteration order instead would let the older live copy resurrect a
 	// withdrawn promise whose covering WAL settlement has already been pruned.
-	m.details = m.details[:0]
+	m.details, m.frames = m.details[:0], m.frames[:0]
 	for _, p := range m.parts {
 		if p != winner && p.e.flags&entryHasSummary != 0 {
 			// A superseded summary: a strict prefix of the winner's rollup.
-			if _, err := p.fr.next(); err != nil {
+			if _, err := p.t.next(&p.fr); err != nil {
 				return err
 			}
 		}
 		end := int64(p.e.dataOff + p.e.dataLen)
-		for p.fr.off < end {
-			rec, err := p.fr.record()
+		for p.fr.Off() < end {
+			payload, err := p.t.next(&p.fr)
 			if err != nil {
 				return err
 			}
-			if rec.Kind == storage.KindAppend && rec.LSN > horizon {
-				m.details = append(m.details, rec)
+			h, err := storage.ReadAppendHeader(payload)
+			if err != nil {
+				return fmt.Errorf("lsm: table %s: %w", p.t.meta.Name, err)
+			}
+			if h.LSN > horizon {
+				frame := p.fr.Frame()
+				m.details = append(m.details, detail{lsn: h.LSN, obsolete: h.Obsolete, at: len(m.frames), n: len(frame)})
+				m.frames = append(m.frames, frame...)
 			}
 		}
-		if p.fr.off != end {
+		if p.fr.Off() != end {
 			return fmt.Errorf("lsm: table %s: entry for %q does not end on a frame boundary", p.t.meta.Name, p.ck)
 		}
 	}
-	slices.SortStableFunc(m.details, func(a, b storage.WALRecord) int { return cmp.Compare(a.LSN, b.LSN) })
+	slices.SortStableFunc(m.details, func(a, b detail) int { return cmp.Compare(a.lsn, b.lsn) })
 	for i := 0; i < len(m.details); {
 		j, obsolete := i, false
-		for ; j < len(m.details) && m.details[j].LSN == m.details[i].LSN; j++ {
-			obsolete = obsolete || m.details[j].Obsolete
+		for ; j < len(m.details) && m.details[j].lsn == m.details[i].lsn; j++ {
+			obsolete = obsolete || m.details[j].obsolete
 		}
-		if !obsolete {
-			if err := m.w.add(&m.details[i]); err != nil {
+		if d := m.details[i]; !obsolete {
+			if err := m.w.addFrame(ck, typLen, storage.KindAppend, d.lsn, m.frames[d.at:d.at+d.n]); err != nil {
 				return err
 			}
 		}

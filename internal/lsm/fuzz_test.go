@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
 )
 
+// walkAllocSlack covers what one walk allocates beside its buffer: an error
+// value, and the rounding of buffers to the allocator's size classes.
+const walkAllocSlack = 1 << 10
+
 // FuzzTableDecode feeds arbitrary bytes to the two decoders that read table
-// files: the index cursor and the frame walker, alone and with the walker
-// driven by the offsets the cursor parsed (the shape of every real read).
-// Any input must end in an error or a clean stop — never a panic, a slice out
-// of range, or a buffer larger than the bytes that exist.
+// files: the index cursor and the frame walker (storage.FrameReader, over a
+// section as a table reads it), alone and with the walker driven by the
+// offsets the cursor parsed (the shape of every real read). Any input must
+// end in an error or a clean stop — never a panic, a frame that is not bytes
+// of the input, or a buffer larger than the bytes that exist.
 func FuzzTableDecode(f *testing.F) {
 	dir := f.TempDir()
 	w, err := newTableWriter(dir, tableName(1), nil)
@@ -42,33 +48,42 @@ func FuzzTableDecode(f *testing.F) {
 	}
 	f.Add(file)
 	f.Add(file[:t.indexOff])                                                    // magic + data block
-	f.Add(file[t.indexOff+frameHeader : t.indexOff+t.indexLen])                 // index payload
+	f.Add(file[t.indexOff+storage.FrameHeader : t.indexOff+t.indexLen])         // index payload
 	f.Add(append(bytes.Clone(sstMagic), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))    // length past maxFrame
 	f.Add(append(bytes.Clone(sstMagic), 0x00, 0x10, 0x00, 0x00, 0, 0, 0, 0, 1)) // length past the data
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := int64(len(data))
+		src := bytes.NewReader(data)
 		// Entries may point at overlapping ranges (zeros parse as a run of
 		// empty frames and as a run of entries), so the walks share a budget,
-		// charged for bytes buffered and frames walked, that keeps one input
+		// charged for bytes allocated and frames walked, that keeps one input
 		// linear in its size.
 		budget := 8*size + 64
+		var m0, m1 runtime.MemStats
 		walk := func(off, end int64) {
-			fr := frameReader{src: bytes.NewReader(data), name: "fuzz", off: off, end: min(end, size)}
-			for fr.off < fr.end && budget > 0 {
-				frame, err := fr.next()
-				if err != nil {
+			runtime.ReadMemStats(&m0)
+			fr := storage.NewFrameReader(src, "fuzz", int64(len(sstMagic)), min(end, size))
+			fr.MoveTo(off)
+			for budget > 0 {
+				at := fr.Off()
+				if _, err := fr.Next(); err != nil {
 					break
 				}
+				frame := fr.Frame()
 				budget -= int64(len(frame))
-				if len(frame) < frameHeader || int64(len(frame)) > size {
-					t.Fatalf("frame of %d bytes out of %d", len(frame), size)
+				if len(frame) < storage.FrameHeader || at+int64(len(frame)) > size || !bytes.Equal(frame, data[at:at+int64(len(frame))]) {
+					t.Fatalf("frame of %d bytes at %d is not bytes of the %d-byte input", len(frame), at, size)
 				}
 			}
-			if int64(cap(fr.buf)) > size {
-				t.Fatalf("buffered %d bytes to read %d", cap(fr.buf), size)
+			runtime.ReadMemStats(&m1)
+			// A walker's buffer never exceeds its section: one buffer, or a
+			// read-ahead one and the frame it outgrew, plus size-class rounding.
+			grew := int64(m1.TotalAlloc - m0.TotalAlloc)
+			if grew > 2*size+walkAllocSlack {
+				t.Fatalf("walking %d bytes allocated %d", size, grew)
 			}
-			budget -= int64(cap(fr.buf))
+			budget -= grew
 		}
 		walk(int64(len(sstMagic)), size)
 
@@ -84,6 +99,33 @@ func FuzzTableDecode(f *testing.F) {
 				t.Fatal("index cursor did not advance")
 			}
 			walk(e.dataOff, e.dataOff+e.dataLen)
+		}
+	})
+}
+
+// FuzzBloomDecode feeds arbitrary bytes to the bloom-sidecar parser. Any
+// input must end in an error or in a filter every probe of which lands in its
+// bit array: mayContain never panics, whatever the key.
+func FuzzBloomDecode(f *testing.F) {
+	bl := newBloom(40)
+	for i := 0; i < 40; i++ {
+		bl.add(keyHash(compositeKey(testKey(i))))
+	}
+	good := bl.marshal()
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	f.Add(sidecar(0, bloomProbes, nil))                         // no bits
+	f.Add(sidecar(1<<64-1, bloomProbes, nil))                   // bit count wraps the byte count
+	f.Add(sidecar(1<<20, bloomProbes, make([]byte, 8)))         // bit count past the array
+	f.Add(sidecar(64, 0, make([]byte, 8)))                      // no probes
+	f.Add(append(sidecar(64, bloomProbes, make([]byte, 8)), 0)) // trailing byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bl, err := decodeBloom(data)
+		if err != nil {
+			return
+		}
+		for _, h := range []uint64{0, 1, 1<<63 + 7, 1<<64 - 1, keyHash(data)} {
+			bl.mayContain(h)
 		}
 	})
 }

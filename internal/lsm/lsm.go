@@ -322,32 +322,13 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 	if err := s.runBreakpoint("flush:pre-manifest"); err != nil {
 		return fail(err)
 	}
-	if err := t.open(s.opts.Dir); err != nil {
+	l0, err := s.install(t, nil)
+	if err != nil {
+		if err == storage.ErrClosed {
+			return err
+		}
 		return fail(err)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		t.close()
-		return storage.ErrClosed
-	}
-	man := s.man
-	man.Seq++
-	man.NextTable = s.nextSeq.Load()
-	man.Tables = append(append([]tableMeta(nil), s.man.Tables...), meta)
-	sortTables(man.Tables)
-	if meta.Watermark > man.Watermark {
-		man.Watermark = meta.Watermark
-	}
-	if err := installManifest(s.opts.Dir, man); err != nil {
-		s.mu.Unlock()
-		t.close()
-		return fail(err)
-	}
-	s.man = man
-	s.tables = insertTable(s.tables, t)
-	l0 := s.l0CountLocked()
-	s.mu.Unlock()
 	s.flushes.Add(1)
 	if pruned, err := s.inner.TruncateThrough(meta.Watermark, boundary); err != nil {
 		s.pruneErrors.Add(1)
@@ -363,14 +344,35 @@ func (s *Store) FlushTable(entries []storage.WALRecord, watermark, boundary uint
 	return nil
 }
 
-// insertTable returns a new newest-first slice with t added. Copy-on-write:
-// readers iterate snapshots of the old slice without locks.
-func insertTable(tables []*table, t *table) []*table {
-	out := make([]*table, 0, len(tables)+1)
-	out = append(out, t)
-	out = append(out, tables...)
-	slices.SortStableFunc(out, func(a, b *table) int { return cmp.Compare(b.meta.Seq, a.meta.Seq) })
-	return out
+// install opens t, fresh from a writer, and makes it live in place of the
+// tables named in dead: a new manifest names it, then a new newest-first
+// table slice holds it (copy-on-write: readers iterate snapshots of the old
+// slice without locks). It returns the level-0 table count after.
+func (s *Store) install(t *table, dead map[string]bool) (int, error) {
+	if err := t.open(s.opts.Dir); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		t.close()
+		return 0, storage.ErrClosed
+	}
+	man := s.man
+	man.Seq++
+	man.NextTable = s.nextSeq.Load()
+	man.Tables = slices.DeleteFunc(append([]tableMeta{t.meta}, s.man.Tables...), func(m tableMeta) bool { return dead[m.Name] })
+	sortTables(man.Tables)
+	man.Watermark = max(man.Watermark, t.meta.Watermark)
+	if err := installManifest(s.opts.Dir, man); err != nil {
+		t.close()
+		return 0, err
+	}
+	s.man = man
+	tables := slices.DeleteFunc(append([]*table{t}, s.tables...), func(o *table) bool { return dead[o.meta.Name] })
+	slices.SortStableFunc(tables, func(a, b *table) int { return cmp.Compare(b.meta.Seq, a.meta.Seq) })
+	s.tables = tables
+	return s.l0CountLocked(), nil
 }
 
 func (s *Store) l0CountLocked() int {

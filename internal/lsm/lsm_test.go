@@ -62,16 +62,15 @@ func (t *table) scan(fn func(e indexEntry, rec storage.WALRecord) error) error {
 		return err
 	}
 	cur := indexCursor{b: payload}
-	fr := t.frames(0, t.indexOff)
 	var e indexEntry
 	for {
 		ok, err := cur.next(&e)
 		if err != nil || !ok {
 			return err
 		}
-		fr.off = e.dataOff
-		for fr.off < e.dataOff+e.dataLen {
-			rec, err := fr.record()
+		fr := t.frames(e.dataOff, e.dataOff+e.dataLen)
+		for fr.Off() < e.dataOff+e.dataLen {
+			rec, err := t.record(&fr)
 			if err != nil {
 				return err
 			}

@@ -203,7 +203,7 @@ func TestCompactionRejectsCorruptCopyThroughFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := e.dataOff + frameHeader + 5
+	at := e.dataOff + storage.FrameHeader + 5
 	b := make([]byte, 1)
 	if _, err := f.ReadAt(b, at); err != nil {
 		t.Fatal(err)

@@ -20,9 +20,10 @@
 // byte offset into the index block) alongside the bloom sidecar; lookups
 // re-read one index slice and one data frame, recovery re-reads the index
 // block and the detail frames but never the summary payloads of cold keys.
-// Everything that walks more than one frame — recovery, compaction inputs —
-// streams the data block through a frameReader, one large sequential read at
-// a time.
+// Frames are storage's: the table writes them with storage's encoder and
+// header, and reads them through storage.FrameReader over a section of the
+// file — one entry for a lookup (one read of exactly its bytes), the data
+// block for recovery and compaction (one large sequential read at a time).
 package lsm
 
 import (
@@ -49,8 +50,7 @@ var (
 )
 
 const (
-	frameHeader = storage.FrameHeader // tables frame data and index as the WAL does
-	footerSize  = 8 + 8 + 8 + 4 + 8
+	footerSize = 8 + 8 + 8 + 4 + 8
 	// sparseEvery is the in-memory index granularity: one retained entry per
 	// this many index-block entries.
 	sparseEvery = 16
@@ -58,9 +58,6 @@ const (
 	// key's settled summary; entries without it hold only detail records
 	// (a key whose every record is still a live tentative promise).
 	entryHasSummary = 1
-	// readChunk is the frameReader's refill size: sequential passes over a
-	// data block cost one read per this many bytes, not two per frame.
-	readChunk = 256 << 10
 )
 
 // compositeKey is the sort and comparison form of an entity key: type and id
@@ -262,36 +259,6 @@ func (w *tableWriter) reserve(keys, indexBytes int) {
 	w.sparse = slices.Grow(w.sparse, keys/sparseEvery+1)
 }
 
-// startKey closes the previous key's index entry and opens one for the key
-// whose composite form is ck (its type the first typLen bytes), enforcing
-// ascending key order. ck must not alias curKey.
-func (w *tableWriter) startKey(ck []byte, typLen int) error {
-	if len(w.curKey) > 0 && bytes.Compare(ck, w.curKey) <= 0 {
-		return fmt.Errorf("lsm: records out of key order (%q after %q)", ck, w.curKey)
-	}
-	w.flushKey()
-	if len(w.curKey) == 0 {
-		w.minKey = string(ck)
-	}
-	w.curKey = append(w.curKey[:0], ck...)
-	w.cur = rawEntry{typ: w.curKey[:typLen], id: w.curKey[typLen+1:], dataOff: uint64(w.off)}
-	w.hashes = append(w.hashes, keyHash(ck))
-	return nil
-}
-
-// noteSummary records that the current key's next frame is its summary.
-func (w *tableWriter) noteSummary(horizon uint64) error {
-	if w.cur.flags&entryHasSummary != 0 || w.cur.detailCount > 0 {
-		return fmt.Errorf("lsm: summary for %q must be the key's first record", w.curKey)
-	}
-	w.cur.flags |= entryHasSummary
-	w.cur.horizon = horizon
-	if horizon > w.watermark {
-		w.watermark = horizon
-	}
-	return nil
-}
-
 func (w *tableWriter) write(frame []byte) error {
 	if _, err := w.bw.Write(frame); err != nil {
 		return fmt.Errorf("lsm: %w", err)
@@ -300,47 +267,52 @@ func (w *tableWriter) write(frame []byte) error {
 	return nil
 }
 
+// add frames rec and appends it.
 func (w *tableWriter) add(rec *storage.WALRecord) error {
-	w.ck = appendComposite(w.ck[:0], rec.Key.Type, rec.Key.ID)
-	if !bytes.Equal(w.ck, w.curKey) {
-		if err := w.startKey(w.ck, len(rec.Key.Type)); err != nil {
-			return err
-		}
-	}
-	switch rec.Kind {
-	case storage.KindSummary:
-		if err := w.noteSummary(rec.Horizon); err != nil {
-			return err
-		}
-	case storage.KindAppend:
-		w.cur.detailCount++
-		if rec.LSN > w.watermark {
-			w.watermark = rec.LSN
-		}
-	default:
-		return fmt.Errorf("lsm: record kind %d does not belong in a table", rec.Kind)
+	pos := rec.LSN
+	if rec.Kind == storage.KindSummary {
+		pos = rec.Horizon
 	}
 	var err error
 	if w.scratch, err = storage.AppendFrame(w.scratch[:0], rec); err != nil {
 		return err
 	}
-	return w.write(w.scratch)
+	w.ck = appendComposite(w.ck[:0], rec.Key.Type, rec.Key.ID)
+	return w.addFrame(w.ck, len(rec.Key.Type), rec.Kind, pos, w.scratch)
 }
 
-// addRaw starts the key whose composite form is ck (its type the first
-// typLen bytes) with its summary as the already-framed bytes a merge input
-// holds — the frameReader verified the CRC, and the horizon comes from the
-// input's index entry, so the payload is never decoded or re-encoded.
-func (w *tableWriter) addRaw(ck []byte, typLen int, horizon uint64, frame []byte) error {
-	if len(frame) <= frameHeader || frame[frameHeader] != byte(storage.KindSummary) {
-		return fmt.Errorf("lsm: entry for %q does not start with its summary", ck)
+// addFrame appends one framed record of the key whose composite form is ck
+// (its type the first typLen bytes): a frame add just encoded, or one a merge
+// input holds, copied as it is. kind and pos — a summary's horizon, a
+// detail's LSN — are what the index and the watermark need of it. A new key
+// closes the previous key's index entry and must sort after it; a summary
+// must be its key's first record.
+func (w *tableWriter) addFrame(ck []byte, typLen int, kind storage.RecordKind, pos uint64, frame []byte) error {
+	if !bytes.Equal(ck, w.curKey) {
+		if len(w.curKey) > 0 && bytes.Compare(ck, w.curKey) < 0 {
+			return fmt.Errorf("lsm: records out of key order (%q after %q)", ck, w.curKey)
+		}
+		w.flushKey()
+		if len(w.curKey) == 0 {
+			w.minKey = string(ck)
+		}
+		w.curKey = append(w.curKey[:0], ck...)
+		w.cur = rawEntry{typ: w.curKey[:typLen], id: w.curKey[typLen+1:], dataOff: uint64(w.off)}
+		w.hashes = append(w.hashes, keyHash(ck))
 	}
-	if err := w.startKey(ck, typLen); err != nil {
-		return err
+	switch kind {
+	case storage.KindSummary:
+		if w.cur.flags&entryHasSummary != 0 || w.cur.detailCount > 0 {
+			return fmt.Errorf("lsm: summary for %q must be the key's first record", w.curKey)
+		}
+		w.cur.flags |= entryHasSummary
+		w.cur.horizon = pos
+	case storage.KindAppend:
+		w.cur.detailCount++
+	default:
+		return fmt.Errorf("lsm: record kind %d does not belong in a table", kind)
 	}
-	if err := w.noteSummary(horizon); err != nil {
-		return err
-	}
+	w.watermark = max(w.watermark, pos)
 	return w.write(frame)
 }
 
@@ -364,17 +336,15 @@ func (w *tableWriter) flushKey() {
 func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 	w.flushKey()
 	indexOff := w.off
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(w.index)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(w.index))
-	indexLen := int64(frameHeader + len(w.index))
+	hdr := storage.AppendFrameHeader(w.scratch[:0], w.index)
+	indexLen := int64(len(hdr) + len(w.index))
 	footer := make([]byte, 0, footerSize)
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexOff))
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexLen))
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(w.hashes)))
 	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer))
 	footer = append(footer, sstFootMag...)
-	for _, b := range [][]byte{hdr[:], w.index, footer} {
+	for _, b := range [][]byte{hdr, w.index, footer} {
 		if err := w.write(b); err != nil {
 			w.abort()
 			return nil, err
@@ -564,25 +534,16 @@ func (t *table) init(dir string) error {
 	return nil
 }
 
-// indexPayload reads and CRC-verifies the index frame, returning its payload.
+// indexPayload reads the index frame: the section the footer names, which
+// must hold that one frame exactly.
 func (t *table) indexPayload() ([]byte, error) {
-	frame := make([]byte, t.indexLen)
-	if _, err := t.f.ReadAt(frame, t.indexOff); err != nil {
-		return nil, fmt.Errorf("lsm: %w", err)
+	end := t.indexOff + t.indexLen
+	fr := storage.NewFrameReader(t.f, t.meta.Name, t.indexOff, end)
+	payload, err := t.next(&fr)
+	if err == nil && fr.Off() != end {
+		err = fmt.Errorf("lsm: table %s: index frame length mismatch", t.meta.Name)
 	}
-	if t.indexLen < frameHeader {
-		return nil, fmt.Errorf("lsm: table %s: index frame truncated", t.meta.Name)
-	}
-	length := binary.LittleEndian.Uint32(frame)
-	sum := binary.LittleEndian.Uint32(frame[4:])
-	if int64(length)+frameHeader != t.indexLen {
-		return nil, fmt.Errorf("lsm: table %s: index frame length mismatch", t.meta.Name)
-	}
-	payload := frame[frameHeader:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("lsm: table %s: index CRC mismatch", t.meta.Name)
-	}
-	return payload, nil
+	return payload, err
 }
 
 func (t *table) close() {
@@ -609,12 +570,12 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 		}
 	}
 	slot := t.sparse[lo-1]
-	end := int(t.indexLen - frameHeader)
+	end := int(t.indexLen - storage.FrameHeader)
 	if lo < len(t.sparse) {
 		end = t.sparse[lo].off
 	}
 	run := make([]byte, end-slot.off)
-	if _, err := t.f.ReadAt(run, t.indexOff+frameHeader+int64(slot.off)); err != nil {
+	if _, err := t.f.ReadAt(run, t.indexOff+storage.FrameHeader+int64(slot.off)); err != nil {
 		return indexEntry{}, fmt.Errorf("lsm: %w", err)
 	}
 	// The walk compares each entry's key bytes where they lie; only the
@@ -642,78 +603,38 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 	}
 }
 
-// frameReader walks data frames in file order through one large read buffer:
-// a sequential pass costs one read per readChunk bytes. It never reads at or
-// past end, so a corrupt length prefix cannot make it allocate more than the
-// data it bounds (nor more than storage.MaxFrame).
-type frameReader struct {
-	src    io.ReaderAt
-	name   string // table name, for error messages
-	off    int64  // file offset of the next frame; set it to reposition
-	end    int64  // exclusive bound of the frames this reader may touch
-	buf    []byte // bytes [bufOff, bufOff+len(buf)) of the file
-	bufOff int64
+// frames returns a walker over the table's data frames, positioned at off
+// and bounded by end and by the data block.
+func (t *table) frames(off, end int64) storage.FrameReader {
+	fr := storage.NewFrameReader(t.f, t.meta.Name, int64(len(sstMagic)), min(end, t.indexOff))
+	fr.MoveTo(off)
+	return fr
 }
 
-// frames returns a reader positioned at off and bounded by end (clamped to
-// the data block).
-func (t *table) frames(off, end int64) frameReader {
-	return frameReader{src: t.f, name: t.meta.Name, off: off, end: min(end, t.indexOff)}
-}
-
-// peek returns the n bytes at r.off without consuming them, refilling the
-// buffer from r.off when they are not all in it.
-func (r *frameReader) peek(n int64) ([]byte, error) {
-	if r.off < int64(len(sstMagic)) || n > r.end-r.off {
-		return nil, fmt.Errorf("lsm: table %s: frame at %d runs outside the data block", r.name, r.off)
+// next reads the frame at fr's position and returns its payload, valid until
+// the next call. Whatever else storage finds there — no frame at all before
+// the section's end included — is the table's error.
+func (t *table) next(fr *storage.FrameReader) ([]byte, error) {
+	at := fr.Off()
+	payload, err := fr.Next()
+	if err == io.EOF {
+		err = fmt.Errorf("no frame at %d inside its section: %w", at, io.ErrUnexpectedEOF)
 	}
-	rel := r.off - r.bufOff
-	if rel < 0 || rel+n > int64(len(r.buf)) {
-		size := min(max(n, readChunk), r.end-r.off)
-		if int64(cap(r.buf)) < size {
-			r.buf = make([]byte, size)
-		}
-		r.buf = r.buf[:size]
-		if _, err := r.src.ReadAt(r.buf, r.off); err != nil {
-			r.buf = r.buf[:0]
-			return nil, fmt.Errorf("lsm: table %s: %w", r.name, err)
-		}
-		r.bufOff, rel = r.off, 0
-	}
-	return r.buf[rel : rel+n], nil
-}
-
-// next returns the frame at the reader's position — header and payload, CRC
-// verified — and advances past it. The slice is valid until the next call.
-func (r *frameReader) next() ([]byte, error) {
-	hdr, err := r.peek(frameHeader)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
 	}
-	length := binary.LittleEndian.Uint32(hdr)
-	if length > storage.MaxFrame {
-		return nil, fmt.Errorf("lsm: table %s: implausible frame length at %d", r.name, r.off)
-	}
-	frame, err := r.peek(frameHeader + int64(length))
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(frame[frameHeader:]) != binary.LittleEndian.Uint32(frame[4:]) {
-		return nil, fmt.Errorf("lsm: table %s: data CRC mismatch at %d", r.name, r.off)
-	}
-	r.off += int64(len(frame))
-	return frame, nil
+	return payload, nil
 }
 
 // record is next plus the decode.
-func (r *frameReader) record() (storage.WALRecord, error) {
-	frame, err := r.next()
+func (t *table) record(fr *storage.FrameReader) (storage.WALRecord, error) {
+	payload, err := t.next(fr)
 	if err != nil {
 		return storage.WALRecord{}, err
 	}
-	rec, err := storage.DecodeRecord(frame[frameHeader:])
+	rec, err := storage.DecodeRecord(payload)
 	if err != nil {
-		return storage.WALRecord{}, fmt.Errorf("lsm: table %s: %w", r.name, err)
+		return storage.WALRecord{}, fmt.Errorf("lsm: table %s: %w", t.meta.Name, err)
 	}
 	return rec, nil
 }
@@ -731,7 +652,7 @@ func (t *table) lookupSummary(key entity.Key) (storage.WALRecord, error) {
 		return storage.WALRecord{}, errNotFound
 	}
 	fr := t.frames(e.dataOff, e.dataOff+e.dataLen)
-	rec, err := fr.record()
+	rec, err := t.record(&fr)
 	if err != nil {
 		return storage.WALRecord{}, err
 	}
@@ -752,7 +673,7 @@ func (t *table) replay(fn func(storage.WALRecord) error) error {
 		return err
 	}
 	cur := indexCursor{b: payload}
-	fr := t.frames(0, t.indexOff)
+	fr := t.frames(int64(len(sstMagic)), t.indexOff)
 	var e indexEntry
 	for {
 		ok, err := cur.next(&e)
@@ -771,15 +692,15 @@ func (t *table) replay(fn func(storage.WALRecord) error) error {
 		if e.detailCount == 0 {
 			continue
 		}
-		fr.off = e.dataOff
+		fr.MoveTo(e.dataOff)
 		if summarised {
 			// Step over the summary frame without decoding its payload.
-			if _, err := fr.next(); err != nil {
+			if _, err := t.next(&fr); err != nil {
 				return err
 			}
 		}
 		for i := uint64(0); i < e.detailCount; i++ {
-			rec, err := fr.record()
+			rec, err := t.record(&fr)
 			if err != nil {
 				return err
 			}

@@ -520,8 +520,9 @@ func DecodeRecord(payload []byte) (WALRecord, error) {
 
 // AppendHeader is what the prefix of an encoded append record says without
 // its operations being decoded: enough for an exactly-once lookup, a flush's
-// settled horizon and an in-place obsolete mark.
+// settled horizon, an in-place obsolete mark and a compaction's merge.
 type AppendHeader struct {
+	LSN uint64
 	// TxnID aliases the payload: compare it, or copy it to keep it.
 	TxnID     []byte
 	Tentative bool
@@ -540,7 +541,8 @@ func ReadAppendHeader(payload []byte) (AppendHeader, error) {
 	if RecordKind(kind) != KindAppend {
 		return AppendHeader{}, &codecError{msg: fmt.Sprintf("record kind 0x%02x is not an append", kind)}
 	}
-	if _, err := d.uvarint(); err != nil { // LSN
+	lsn, err := d.uvarint()
+	if err != nil {
 		return AppendHeader{}, err
 	}
 	for range 2 { // key type and id
@@ -559,7 +561,7 @@ func ReadAppendHeader(payload []byte) (AppendHeader, error) {
 			return AppendHeader{}, err
 		}
 	}
-	var h AppendHeader
+	h := AppendHeader{LSN: lsn}
 	if h.TxnID, err = d.bytes(); err != nil {
 		return AppendHeader{}, err
 	}

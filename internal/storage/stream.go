@@ -13,41 +13,17 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 )
 
-const (
-	// FrameHeader is the size of a frame's header: the uint32 payload length
-	// and the uint32 CRC32 of the payload, both little-endian.
-	FrameHeader = 8
-	// MaxFrame bounds a single frame's payload. A length prefix beyond it is
-	// treated as corruption rather than an allocation request.
-	MaxFrame = 1 << 28
-	// TagTrailer tags the frame that closes a stream; its one value is the
-	// number of frames before it.
-	TagTrailer byte = 'Z'
-)
-
-// AppendFrame wraps rec's encoding in a length+CRC frame: its Payload when
-// it carries one, else what EncodeRecord makes of it.
-func AppendFrame(b []byte, rec *WALRecord) ([]byte, error) {
-	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	if rec.Payload != nil {
-		return sealFrame(append(b, rec.Payload...), start), nil
-	}
-	b, err := EncodeRecord(b, rec)
-	if err != nil {
-		return nil, err
-	}
-	return sealFrame(b, start), nil
-}
+// TagTrailer tags the frame that closes a stream; its one value is the
+// number of frames before it.
+const TagTrailer byte = 'Z'
 
 // AppendControl appends a control frame: tag, each value as a uvarint, then
 // tail.
@@ -58,13 +34,6 @@ func AppendControl(b []byte, tag byte, tail []byte, vals ...uint64) []byte {
 		b = binary.AppendUvarint(b, v)
 	}
 	return sealFrame(append(b, tail...), start)
-}
-
-func sealFrame(b []byte, start int) []byte {
-	payload := b[start+FrameHeader:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
-	return b
 }
 
 // ParseControl reads a control payload written by AppendControl with the
@@ -136,45 +105,35 @@ func (s *StreamWriter) Close() error {
 	return s.flush()
 }
 
-// StreamReader reads a frame stream through the WAL's frame walker, so a
+// StreamReader reads a frame stream through the one frame walker, so a
 // forged length costs the sender the bytes, not the reader the allocation.
 type StreamReader struct {
-	fr      frameReader
+	fr      FrameReader
 	frames  int
 	scratch []byte // the last record, re-encoded
 }
 
 // NewStreamReader reads a frame stream from r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{fr: frameReader{br: bufio.NewReaderSize(r, 32<<10), size: -1}}
+	return &StreamReader{fr: FrameReader{rd: r, name: "stream", end: math.MaxInt64}}
 }
 
 // Next returns the next frame's payload, valid until the next call. At the
 // end of the stream, between two frames, it returns io.EOF, and inside one
-// io.ErrUnexpectedEOF. A frame that is empty, longer than MaxFrame or fails
+// io.ErrUnexpectedEOF. A frame that is empty, longer than maxFrame or fails
 // its CRC is a *CorruptError.
 func (s *StreamReader) Next() ([]byte, error) {
-	at := s.fr.off
-	p, verdict, err := s.fr.next()
-	switch {
-	case err != nil:
-		return nil, err
-	case verdict == frameOK:
+	p, err := s.fr.Next()
+	if err == nil {
 		s.frames++
-		return p, nil
-	case verdict == frameEnd:
-		return nil, io.EOF
-	case verdict == frameShort:
-		return nil, fmt.Errorf("storage: stream: frame at offset %d cut short: %w", at, io.ErrUnexpectedEOF)
 	}
-	reason := [...]string{frameZero: "empty frame", frameHuge: "implausible frame length", frameBadSum: "CRC mismatch"}[verdict]
-	return nil, &CorruptError{file: "stream", offset: at, Reason: reason}
+	return p, err
 }
 
 // Record reads the next frame as a record; io.EOF means the stream ended
 // cleanly before it.
 func (s *StreamReader) Record() (WALRecord, error) {
-	at := s.fr.off
+	at := s.fr.Off()
 	p, err := s.Next()
 	if err != nil {
 		return WALRecord{}, err
@@ -223,10 +182,7 @@ func (s *StreamReader) Close() error {
 	if n != want {
 		return fmt.Errorf("storage: stream: trailer counts %d frames, read %d", n, want)
 	}
-	if _, err := s.fr.br.Peek(1); err != io.EOF {
-		if err != nil {
-			return err
-		}
+	if _, err := s.fr.Next(); err != io.EOF {
 		return errors.New("storage: stream: bytes after the trailer")
 	}
 	return nil

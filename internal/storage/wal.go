@@ -7,12 +7,8 @@
 //	                     replayable tail starts at, the highest LSN pruned
 //	                     before it, and the replication watermark
 //
-// Every record is framed as
-//
-//	uint32 payload length | uint32 CRC32(payload) | payload
-//
-// (little-endian, IEEE CRC). A commit cycle is one buffered write of its
-// batch's frames and, in SyncAlways mode, one force.
+// Every record is one frame (frame.go). A commit cycle is one buffered write
+// of its batch's frames and, in SyncAlways mode, one force.
 //
 // The active segment is written in place: its allocation is kept up to
 // reserveStep ahead of the write offset (force.go), so a force flushes data
@@ -41,18 +37,13 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -307,6 +298,34 @@ func (w *WAL) segments() ([]uint64, error) {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out, nil
+}
+
+// segStart is a segment and the offset a scan of it starts at.
+type segStart struct {
+	i     uint64
+	start int64
+}
+
+// segmentsFrom lists the segments at or after the log position (seg, off),
+// each with the offset its scan starts at: the position in seg, the magic's
+// end in the later ones. Segments before it — pruned history — are skipped
+// unread. Without a position (has false) every segment counts.
+func (w *WAL) segmentsFrom(seg uint64, off int64, has bool) ([]segStart, error) {
+	segs, err := w.segments()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]segStart, 0, len(segs))
+	for _, i := range segs {
+		switch {
+		case has && i < seg:
+		case has && i == seg:
+			out = append(out, segStart{i, off})
+		default:
+			out = append(out, segStart{i, int64(len(segMagic))})
+		}
+	}
 	return out, nil
 }
 
@@ -715,20 +734,12 @@ func (w *WAL) Replay(fn func(WALRecord) error) (uint64, error) {
 }
 
 func (w *WAL) replayLocked(fn func(WALRecord) error) error {
-	segs, err := w.segments()
+	segs, err := w.segmentsFrom(w.man.Segment, w.man.Offset, w.hasMan)
 	if err != nil {
 		return err
 	}
-	for n, i := range segs {
-		start := int64(len(segMagic))
-		if w.hasMan {
-			if i < w.man.Segment {
-				continue // pruned through the manifest position: skipped unread
-			}
-			if i == w.man.Segment {
-				start = w.man.Offset
-			}
-		}
+	for n, seg := range segs {
+		i, start := seg.i, seg.start
 		last := n == len(segs)-1
 		path := filepath.Join(w.opts.Dir, segName(i))
 		// A last segment shorter than its magic is the torn creation of a
@@ -738,7 +749,7 @@ func (w *WAL) replayLocked(fn func(WALRecord) error) error {
 		// rewriting the header; there are no frames to scan.
 		if last && (!w.hasMan || i != w.man.Segment) {
 			if info, err := os.Stat(path); err == nil && info.Size() < int64(len(segMagic)) {
-				if err := rewriteSegmentHeader(path); err != nil {
+				if err := truncateTail(path, int64(len(segMagic))); err != nil {
 					return err
 				}
 				w.tail = int64(len(segMagic))
@@ -779,22 +790,6 @@ func segTail(last bool) tailRule {
 	return endZeros
 }
 
-// rewriteSegmentHeader resets a torn-creation segment to a valid empty one.
-func rewriteSegmentHeader(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: repairing torn segment: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(segMagic); err != nil {
-		return fmt.Errorf("storage: repairing torn segment: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("storage: repairing torn segment: %w", err)
-	}
-	return nil
-}
-
 // tailRule is what a scan accepts as the end of a file.
 type tailRule int
 
@@ -833,35 +828,34 @@ func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WAL
 	if err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
+	name := filepath.Base(path)
 	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, head); err != nil || !bytes.Equal(head, magic) {
-		return 0, &CorruptError{file: filepath.Base(path), offset: 0, Reason: "bad file magic"}
+	if _, err := f.ReadAt(head, 0); err != nil || !bytes.Equal(head, magic) {
+		return 0, &CorruptError{file: name, offset: 0, Reason: "bad file magic"}
 	}
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
-	}
-	fr := frameReader{br: bufio.NewReaderSize(f, 1<<16), off: start, size: info.Size()}
-	offset := start
-	corrupt := func(reason string) (int64, error) {
-		return 0, &CorruptError{file: filepath.Base(path), offset: offset, Reason: reason}
-	}
-	torn := func(reason string) (int64, error) {
-		if tail != endTorn {
-			return corrupt(reason)
-		}
-		return offset, truncateTail(path, offset)
-	}
+	fr := NewFrameReader(f, name, start, info.Size())
 	for {
-		payload, verdict, err := fr.next()
-		if err != nil {
+		offset := fr.Off()
+		verdict, err := fr.next()
+		debris := false // what a crashed write leaves, not damage
+		switch {
+		case err != nil:
 			return 0, fmt.Errorf("storage: %w", err)
-		}
-		switch verdict {
-		case frameEnd:
+		case verdict == frameOK:
+			if fn == nil {
+				continue
+			}
+			rec, err := DecodeRecord(fr.frame[FrameHeader:])
+			if err != nil {
+				return 0, &CorruptError{file: name, offset: offset, Reason: err.Error()}
+			}
+			if err := fn(rec); err != nil {
+				return 0, err
+			}
+			continue
+		case verdict == frameEnd:
 			return offset, nil
-		case frameShort:
-			return torn("incomplete frame")
-		case frameZero:
+		case verdict == frameZero:
 			zeros, err := fr.restIsZero()
 			if err != nil {
 				return 0, fmt.Errorf("storage: %w", err)
@@ -869,149 +863,42 @@ func scanFile(path string, magic []byte, start int64, tail tailRule, fn func(WAL
 			if zeros {
 				return offset, nil
 			}
-			return torn("empty frame")
-		case frameHuge:
-			return corrupt("implausible frame length")
-		case frameBadSum:
-			if tail == endTorn {
-				trimmed, err := fr.validToEnd()
-				if err != nil {
-					return 0, fmt.Errorf("storage: %w", err)
-				}
-				if !trimmed {
-					return torn("CRC mismatch")
-				}
-			}
-			return corrupt("CRC mismatch")
-		}
-		if fn != nil {
-			rec, err := DecodeRecord(payload)
+			debris = true
+		case verdict == frameShort:
+			debris = true
+		case verdict == frameBadSum && tail == endTorn:
+			trimmed, err := fr.validToEnd()
 			if err != nil {
-				return corrupt(err.Error())
+				return 0, fmt.Errorf("storage: %w", err)
 			}
-			if err := fn(rec); err != nil {
-				return 0, err
-			}
+			debris = !trimmed
 		}
-		offset += FrameHeader + int64(len(payload))
+		if debris && tail == endTorn {
+			return offset, truncateTail(path, offset)
+		}
+		return 0, &CorruptError{file: name, offset: offset, Reason: frameReasons[verdict]}
 	}
 }
 
-// frameVerdict is what frameReader.next found at its position.
-type frameVerdict int
-
-const (
-	frameOK     frameVerdict = iota
-	frameEnd                 // no bytes left
-	frameShort               // the header or the payload runs past the end
-	frameZero                // all-zero header: space no frame was written to
-	frameHuge                // length beyond MaxFrame
-	frameBadSum              // payload does not match its CRC
-)
-
-// frameReader walks frames through br: a segment file for the WAL's scans,
-// any byte stream for StreamReader. size is how many bytes the source held
-// when the read began (-1 when unknown, as for a stream) and off how many
-// were consumed. Memory for a payload grows with the bytes of it
-// that have arrived, never with the length its header claims, and a file's
-// frame is first checked against what the file has left — a corrupt or
-// forged length cannot make the reader allocate past the bytes it received.
-// The end of the data is still the reader's EOF, not size — a sealed
-// segment's zero tail may be trimmed away (retire) under a scan. Errors are
-// I/O errors; everything the bytes can cause is a verdict.
-type frameReader struct {
-	br        *bufio.Reader
-	off, size int64
-	hdr       [FrameHeader]byte
-	payload   []byte // reused across frames
-}
-
-func (r *frameReader) next() ([]byte, frameVerdict, error) {
-	n, err := io.ReadFull(r.br, r.hdr[:])
-	r.off += int64(n)
-	switch err {
-	case nil:
-	case io.EOF:
-		return nil, frameEnd, nil
-	case io.ErrUnexpectedEOF:
-		return nil, frameShort, nil
-	default:
-		return nil, 0, err
-	}
-	length := int(binary.LittleEndian.Uint32(r.hdr[:]))
-	sum := binary.LittleEndian.Uint32(r.hdr[4:])
-	switch {
-	case length == 0 && sum == 0:
-		return nil, frameZero, nil
-	case length > MaxFrame:
-		return nil, frameHuge, nil
-	case r.size >= 0 && int64(length) > r.size-r.off:
-		return nil, frameShort, nil
-	}
-	r.payload = r.payload[:0]
-	for len(r.payload) < length {
-		step := min(length-len(r.payload), max(len(r.payload), 4<<10))
-		r.payload = slices.Grow(r.payload, step)
-		n, err = io.ReadFull(r.br, r.payload[len(r.payload):len(r.payload)+step])
-		r.payload = r.payload[:len(r.payload)+n]
-		r.off += int64(n)
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return nil, frameShort, nil
-		default:
-			return nil, 0, err
-		}
-	}
-	if crc32.ChecksumIEEE(r.payload) != sum {
-		return nil, frameBadSum, nil
-	}
-	return r.payload, frameOK, nil
-}
-
-// restIsZero consumes the remaining bytes and reports whether all are zero.
-func (r *frameReader) restIsZero() (bool, error) {
-	for {
-		chunk, err := r.br.Peek(r.br.Size())
-		for _, b := range chunk {
-			if b != 0 {
-				return false, nil
-			}
-		}
-		r.br.Discard(len(chunk))
-		if err == io.EOF {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
-	}
-}
-
-// validToEnd consumes the remaining bytes and reports whether they are valid
-// frames, none or more, ending exactly where the bytes do.
-func (r *frameReader) validToEnd() (bool, error) {
-	for {
-		_, verdict, err := r.next()
-		if err != nil || verdict != frameOK {
-			return verdict == frameEnd, err
-		}
-	}
-}
-
-// truncateTail cuts a segment at offset — the last complete frame before a
-// torn write, or the first corrupt frame under Quarantine — durably.
+// truncateTail cuts a segment durably at offset — the last complete frame
+// before a torn write, or the first corrupt frame under Quarantine. A cut at
+// the end of the magic writes the magic too, so a torn creation or a bad
+// header becomes a valid empty segment.
 func truncateTail(path string, offset int64) error {
 	rw, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: truncating torn tail: %w", err)
+		return fmt.Errorf("storage: truncating segment: %w", err)
 	}
 	defer rw.Close()
-	if err := rw.Truncate(offset); err != nil {
-		return fmt.Errorf("storage: truncating torn tail: %w", err)
+	err = rw.Truncate(offset)
+	if err == nil && offset == int64(len(segMagic)) {
+		_, err = rw.WriteAt(segMagic, 0)
 	}
-	if err := rw.Sync(); err != nil {
-		return fmt.Errorf("storage: truncating torn tail: %w", err)
+	if err == nil {
+		err = rw.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("storage: truncating segment: %w", err)
 	}
 	return nil
 }
@@ -1201,23 +1088,15 @@ func (w *WAL) TruncateThrough(watermark, through uint64) (bool, error) {
 // longer serve a replication stream. known holds the per-segment maxima
 // already in memory; only a segment absent from it is scanned.
 func (w *WAL) maxLSNThrough(firstSeg uint64, firstOff int64, hasMan bool, through uint64, known map[uint64]uint64) (uint64, error) {
-	segs, err := w.segments()
+	segs, err := w.segmentsFrom(firstSeg, firstOff, hasMan)
 	if err != nil {
 		return 0, err
 	}
 	var max uint64
-	for _, i := range segs {
+	for _, seg := range segs {
+		i, start := seg.i, seg.start
 		if i > through {
 			continue
-		}
-		start := int64(len(segMagic))
-		if hasMan {
-			if i < firstSeg {
-				continue // already covered by the previous manifest position
-			}
-			if i == firstSeg {
-				start = firstOff
-			}
 		}
 		if m, ok := known[i]; ok {
 			if m > max {
@@ -1331,25 +1210,16 @@ func (w *WAL) StreamAfter(after uint64, fn func(WALRecord) error) error {
 	if w.hasMan && after < w.man.Watermark {
 		return ErrCompacted
 	}
-	segs, err := w.segments()
+	segs, err := w.segmentsFrom(w.man.Segment, w.man.Offset, w.hasMan)
 	if err != nil {
 		return err
 	}
-	for n, i := range segs {
-		start := int64(len(segMagic))
-		if w.hasMan {
-			if i < w.man.Segment {
-				continue
-			}
-			if i == w.man.Segment {
-				start = w.man.Offset
-			}
-		}
-		path := filepath.Join(w.opts.Dir, segName(i))
-		if info, err := os.Stat(path); err == nil && info.Size() <= start {
+	for n, seg := range segs {
+		path := filepath.Join(w.opts.Dir, segName(seg.i))
+		if info, err := os.Stat(path); err == nil && info.Size() <= seg.start {
 			continue // nothing after the cut (or torn creation already handled by replay)
 		}
-		if _, err := scanFile(path, segMagic, start, segTail(n == len(segs)-1), filter); err != nil {
+		if _, err := scanFile(path, segMagic, seg.start, segTail(n == len(segs)-1), filter); err != nil {
 			return err
 		}
 	}
@@ -1382,25 +1252,16 @@ func (w *WAL) Quarantine() (uint64, error) {
 	if w.hasMan {
 		lastGood = w.man.Watermark
 	}
-	segs, err := w.segments()
+	segs, err := w.segmentsFrom(w.man.Segment, w.man.Offset, w.hasMan)
 	if err != nil {
 		return 0, err
 	}
 	cut := -1
-	for n, i := range segs {
-		start := int64(len(segMagic))
-		if w.hasMan {
-			if i < w.man.Segment {
-				continue
-			}
-			if i == w.man.Segment {
-				start = w.man.Offset
-			}
-		}
-		path := filepath.Join(w.opts.Dir, segName(i))
+	for n, seg := range segs {
+		path := filepath.Join(w.opts.Dir, segName(seg.i))
 		if info, err := os.Stat(path); err == nil && info.Size() < int64(len(segMagic)) {
 			// Torn creation: nothing in it was ever durable.
-			if err := rewriteSegmentHeader(path); err != nil {
+			if err := truncateTail(path, int64(len(segMagic))); err != nil {
 				return 0, err
 			}
 			w.tail = int64(len(segMagic))
@@ -1408,7 +1269,7 @@ func (w *WAL) Quarantine() (uint64, error) {
 		}
 		// The last segment's torn tail — the partial append a fail-stop could
 		// not erase — is cut by the scan itself.
-		end, scanErr := scanFile(path, segMagic, start, segTail(n == len(segs)-1), func(rec WALRecord) error {
+		end, scanErr := scanFile(path, segMagic, seg.start, segTail(n == len(segs)-1), func(rec WALRecord) error {
 			if rec.LSN > lastGood {
 				lastGood = rec.LSN
 			}
@@ -1422,24 +1283,17 @@ func (w *WAL) Quarantine() (uint64, error) {
 		if !errors.As(scanErr, &ce) {
 			return 0, scanErr
 		}
-		if ce.offset < int64(len(segMagic)) {
-			// The segment header itself is bad: no frame in it is trustworthy.
-			if err := rewriteSegmentHeader(path); err != nil {
-				return 0, err
-			}
-			w.tail = int64(len(segMagic))
-		} else {
-			if err := truncateTail(path, ce.offset); err != nil {
-				return 0, err
-			}
-			w.tail = ce.offset
+		// A bad segment header leaves no frame in it trustworthy.
+		w.tail = max(ce.offset, int64(len(segMagic)))
+		if err := truncateTail(path, w.tail); err != nil {
+			return 0, err
 		}
 		cut = n
 		break
 	}
 	if cut >= 0 {
-		for _, i := range segs[cut+1:] {
-			name := segName(i)
+		for _, seg := range segs[cut+1:] {
+			name := segName(seg.i)
 			os.Rename(filepath.Join(w.opts.Dir, name), filepath.Join(w.opts.Dir, name+".quarantined"))
 		}
 		if err := SyncDir(w.opts.Dir); err != nil {
