@@ -164,7 +164,8 @@ replication-faults:
 # matrix across ack modes, degraded read-only modes and repair, breaker and
 # retry behaviour, the exhaustive torn-write recovery matrices (a short file,
 # and a reserved zero tail) then ten seconds each of fuzzing the WAL frame
-# walker and the record-stream reader (replication wire, backups, Save/Load),
+# walker, the record-stream reader (replication wire, backups, Save/Load) and
+# the frame walker over a file section (how tables read),
 # admission control and deadlines, the kernel/HTTP 503 surface, ten seconds
 # of fuzzing soupsd's request scanner against its encoding/json oracle, and
 # ten of fuzzing its request-head parser against http.ReadRequest.
@@ -173,6 +174,7 @@ storage-faults:
 	$(GO) test -race -run 'TestFaultBackend|TestWALTornWrite|TestWALMidLogCorruption|TestWALSecondPage|TestWALSyncOSBatches|TestWALBadFrame|TestWALResumeAfter|TestWALUntrimmed|TestWALCloseReleases' ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzWALScan -fuzztime 10s ./internal/storage/
 	$(GO) test -run xxx -fuzz FuzzRecordStream -fuzztime 10s ./internal/storage/
+	$(GO) test -run xxx -fuzz FuzzFrameSection -fuzztime 10s ./internal/storage/
 	$(GO) test -race -run 'TestMaxDepth|TestRedelivery|TestDeadline|TestDeepBacklog|TestEngineDropsExpired|TestEmitInherits' ./internal/queue/ ./internal/process/
 	$(GO) test -race -run 'TestKernelSheds|TestKernelDegraded|TestEventSubmitSheds|TestDegradedStorage|TestEventDeadline' ./internal/core/ ./cmd/soupsd/
 	$(GO) test -run xxx -fuzz FuzzOpsDecode -fuzztime 10s ./cmd/soupsd/

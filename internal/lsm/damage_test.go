@@ -153,6 +153,22 @@ func TestOpenTableRejectsDamagedIndexFrame(t *testing.T) {
 			t.Log(err)
 		})
 	}
+	// A CRC-valid footer that puts the index at the file's end and gives it
+	// a negative length, so that offset, length and footer still add up to
+	// the file's size.
+	past := withIndex(good[indexOff : indexOff+indexLen])
+	f := past[len(past)-footerSize:]
+	binary.LittleEndian.PutUint64(f, uint64(len(past)))
+	length := -int64(footerSize)
+	binary.LittleEndian.PutUint64(f[8:], uint64(length))
+	binary.LittleEndian.PutUint32(f[24:], crc32.ChecksumIEEE(f[:24]))
+	if err := os.WriteFile(path, past, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tb, err := openTable(dir, meta); err == nil {
+		tb.close()
+		t.Fatal("openTable accepted an index of negative length")
+	}
 	if err := os.WriteFile(path, withIndex(good[indexOff:indexOff+indexLen]), 0o644); err != nil {
 		t.Fatal(err)
 	}

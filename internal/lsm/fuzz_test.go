@@ -10,9 +10,22 @@ import (
 	"repro/internal/storage"
 )
 
-// walkAllocSlack covers what one walk allocates beside its buffer: an error
-// value, and the rounding of buffers to the allocator's size classes.
-const walkAllocSlack = 1 << 10
+// walkErrSlack covers what a walk allocates beside its buffer: the error
+// value that ends it.
+const walkErrSlack = 512
+
+// allocSink keeps a measured allocation on the heap.
+var allocSink []byte
+
+// allocated is what fn allocates, as the allocator counts it: each object
+// rounded up to its size class.
+func allocated(fn func()) int64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc - m0.TotalAlloc)
+}
 
 // FuzzTableDecode feeds arbitrary bytes to the two decoders that read table
 // files: the index cursor and the frame walker (storage.FrameReader, over a
@@ -42,6 +55,7 @@ func FuzzTableDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	t.close()
 	file, err := os.ReadFile(filepath.Join(dir, t.meta.Name))
 	if err != nil {
 		f.Fatal(err)
@@ -55,32 +69,37 @@ func FuzzTableDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := int64(len(data))
 		src := bytes.NewReader(data)
+		// A walk holds one buffer no larger than its section, so no larger
+		// than the input: what a buffer the input's size costs bounds it. A
+		// section past storage's 256 KiB read-ahead may also hold the
+		// read-ahead buffer a longer frame outgrew.
+		buffers := allocated(func() { allocSink = make([]byte, size) })
+		allocSink = nil
+		if size > 256<<10 {
+			buffers *= 2
+		}
 		// Entries may point at overlapping ranges (zeros parse as a run of
 		// empty frames and as a run of entries), so the walks share a budget,
 		// charged for bytes allocated and frames walked, that keeps one input
 		// linear in its size.
 		budget := 8*size + 64
-		var m0, m1 runtime.MemStats
 		walk := func(off, end int64) {
-			runtime.ReadMemStats(&m0)
-			fr := storage.NewFrameReader(src, "fuzz", int64(len(sstMagic)), min(end, size))
-			fr.MoveTo(off)
-			for budget > 0 {
-				at := fr.Off()
-				if _, err := fr.Next(); err != nil {
-					break
+			grew := allocated(func() {
+				fr := storage.NewFrameReader(src, "fuzz", int64(len(sstMagic)), min(end, size))
+				fr.MoveTo(off)
+				for budget > 0 {
+					at := fr.Off()
+					if _, err := fr.Next(); err != nil {
+						break
+					}
+					frame := fr.Frame()
+					budget -= int64(len(frame))
+					if len(frame) < storage.FrameHeader || at+int64(len(frame)) > size || !bytes.Equal(frame, data[at:at+int64(len(frame))]) {
+						t.Fatalf("frame of %d bytes at %d is not bytes of the %d-byte input", len(frame), at, size)
+					}
 				}
-				frame := fr.Frame()
-				budget -= int64(len(frame))
-				if len(frame) < storage.FrameHeader || at+int64(len(frame)) > size || !bytes.Equal(frame, data[at:at+int64(len(frame))]) {
-					t.Fatalf("frame of %d bytes at %d is not bytes of the %d-byte input", len(frame), at, size)
-				}
-			}
-			runtime.ReadMemStats(&m1)
-			// A walker's buffer never exceeds its section: one buffer, or a
-			// read-ahead one and the frame it outgrew, plus size-class rounding.
-			grew := int64(m1.TotalAlloc - m0.TotalAlloc)
-			if grew > 2*size+walkAllocSlack {
+			})
+			if grew > buffers+walkErrSlack {
 				t.Fatalf("walking %d bytes allocated %d", size, grew)
 			}
 			budget -= grew

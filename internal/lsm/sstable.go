@@ -21,9 +21,10 @@
 // re-read one index slice and one data frame, recovery re-reads the index
 // block and the detail frames but never the summary payloads of cold keys.
 // Frames are storage's: the table writes them with storage's encoder and
-// header, and reads them through storage.FrameReader over a section of the
-// file — one entry for a lookup (one read of exactly its bytes), the data
-// block for recovery and compaction (one large sequential read at a time).
+// header, and reads data frames through storage.FrameReader over a section
+// of the file — one entry for a lookup (one read of exactly its bytes), the
+// data block for recovery and compaction (one large sequential read at a
+// time) — and the index frame whole, in one read, through storage.CheckFrame.
 package lsm
 
 import (
@@ -37,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/entity"
@@ -242,11 +244,7 @@ func newTableWriter(dir, name string, bufs *writerBufs) (*tableWriter, error) {
 		bufs.index, bufs.hashes, bufs.curKey = bufs.index[:0], bufs.hashes[:0], bufs.curKey[:0]
 	}
 	w := &tableWriter{writerBufs: bufs, dir: dir, name: name, tmp: tmp, f: f}
-	if _, err := w.bw.Write(sstMagic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: %w", err)
-	}
-	w.off = int64(len(sstMagic))
+	w.write(sstMagic) // into bw's empty buffer, which holds it
 	return w, nil
 }
 
@@ -345,24 +343,19 @@ func (w *tableWriter) finish(beforeRename func() error) (*table, error) {
 	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer))
 	footer = append(footer, sstFootMag...)
 	for _, b := range [][]byte{hdr, w.index, footer} {
-		if err := w.write(b); err != nil {
-			w.abort()
-			return nil, err
-		}
+		w.write(b) // a write error sticks in bw: Flush returns it
 	}
-	if err := w.bw.Flush(); err != nil {
+	err := w.bw.Flush()
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err == nil {
+		err, w.f = w.f.Close(), nil
+	}
+	if err != nil {
 		w.abort()
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		w.abort()
-		return nil, fmt.Errorf("lsm: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return nil, fmt.Errorf("lsm: %w", err)
-	}
-	w.f = nil
 	// The bloom sidecar is advisory (rebuilt if missing), so it needs no
 	// fsync ceremony — but write it before the rename so a completed table
 	// normally has its filter ready.
@@ -483,7 +476,7 @@ func (t *table) init(dir string) error {
 	t.indexOff = int64(binary.LittleEndian.Uint64(footer))
 	t.indexLen = int64(binary.LittleEndian.Uint64(footer[8:]))
 	t.count = binary.LittleEndian.Uint64(footer[16:])
-	if t.indexOff < int64(len(sstMagic)) || t.indexOff+t.indexLen+footerSize != info.Size() {
+	if t.indexOff < int64(len(sstMagic)) || t.indexLen < 0 || t.indexOff+t.indexLen+footerSize != info.Size() {
 		return fmt.Errorf("lsm: table %s: footer geometry out of range", t.meta.Name)
 	}
 	payload, err := t.indexPayload()
@@ -534,16 +527,18 @@ func (t *table) init(dir string) error {
 	return nil
 }
 
-// indexPayload reads the index frame: the section the footer names, which
-// must hold that one frame exactly.
+// indexPayload reads the index frame: the section the footer names, read
+// whole, which must hold that one frame exactly.
 func (t *table) indexPayload() ([]byte, error) {
-	end := t.indexOff + t.indexLen
-	fr := storage.NewFrameReader(t.f, t.meta.Name, t.indexOff, end)
-	payload, err := t.next(&fr)
-	if err == nil && fr.Off() != end {
-		err = fmt.Errorf("lsm: table %s: index frame length mismatch", t.meta.Name)
+	frame := make([]byte, t.indexLen)
+	if _, err := t.f.ReadAt(frame, t.indexOff); err != nil {
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	return payload, err
+	payload, err := storage.CheckFrame(frame)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: table %s: index frame: %w", t.meta.Name, err)
+	}
+	return payload, nil
 }
 
 func (t *table) close() {
@@ -559,16 +554,8 @@ func (t *table) findEntry(ck string) (indexEntry, error) {
 	if len(t.sparse) == 0 || ck < t.sparse[0].key {
 		return indexEntry{}, errNotFound
 	}
-	// Greatest sparse slot whose first key <= ck.
-	lo, hi := 0, len(t.sparse)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.sparse[mid].key <= ck {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	// The slot before lo is the greatest whose first key <= ck.
+	lo := sort.Search(len(t.sparse), func(i int) bool { return t.sparse[i].key > ck })
 	slot := t.sparse[lo-1]
 	end := int(t.indexLen - storage.FrameHeader)
 	if lo < len(t.sparse) {

@@ -5,7 +5,7 @@
 //
 // (little-endian, IEEE CRC). This file holds the only code that writes a
 // frame header (AppendFrameHeader) and the only code that decides whether
-// bytes are a frame (checkFrame, driven by FrameReader).
+// bytes are a frame (checkFrame, driven by FrameReader and by CheckFrame).
 package storage
 
 import (
@@ -65,6 +65,7 @@ const (
 )
 
 var frameReasons = [...]string{
+	frameEnd:    "no frame",
 	frameShort:  "incomplete frame",
 	frameZero:   "empty frame",
 	frameHuge:   "implausible frame length",
@@ -102,6 +103,19 @@ func checkFrame(b []byte, left int64) (frameVerdict, int) {
 		return frameBadSum, n
 	}
 	return frameOK, n
+}
+
+// CheckFrame judges b, read whole, as exactly one frame and returns its
+// payload. Anything else — no frame, or one that ends before b does — is an
+// error.
+func CheckFrame(b []byte) ([]byte, error) {
+	switch verdict, n := checkFrame(b, int64(len(b))); {
+	case verdict != frameOK:
+		return nil, fmt.Errorf("storage: %s", frameReasons[verdict])
+	case n < len(b):
+		return nil, fmt.Errorf("storage: frame ends %d bytes early", len(b)-n)
+	}
+	return b[FrameHeader:], nil
 }
 
 const (
